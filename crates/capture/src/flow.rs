@@ -26,9 +26,59 @@ pub struct FlowKey {
     pub b: ([u8; 4], u16),
 }
 
+/// The fields of a decoded segment that reassembly reads — everything but
+/// the payload bytes, of which only the length matters. Small and `Copy`,
+/// so streaming ingestion can decode a frame where it was read and hand
+/// workers this instead of the bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentHeader {
+    /// Source IPv4 address.
+    pub src_ip: [u8; 4],
+    /// Destination IPv4 address.
+    pub dst_ip: [u8; 4],
+    /// Source TCP port.
+    pub src_port: u16,
+    /// Destination TCP port.
+    pub dst_port: u16,
+    /// Raw 32-bit sequence number.
+    pub seq: u32,
+    /// Raw 32-bit acknowledgement number (meaningful when ACK is set).
+    pub ack: u32,
+    /// TCP flag byte (see [`flags`]).
+    pub flags: u8,
+    /// The MSS option value, when present (SYN segments).
+    pub mss_option: Option<u16>,
+    /// Length of the TCP payload in bytes.
+    pub payload_len: u32,
+}
+
+impl SegmentHeader {
+    /// True when the given flag bits are all set.
+    pub fn has(&self, bits: u8) -> bool {
+        self.flags & bits == bits
+    }
+}
+
+impl From<&TcpSegmentView<'_>> for SegmentHeader {
+    fn from(seg: &TcpSegmentView<'_>) -> SegmentHeader {
+        SegmentHeader {
+            src_ip: seg.src_ip,
+            dst_ip: seg.dst_ip,
+            src_port: seg.src_port,
+            dst_port: seg.dst_port,
+            seq: seg.seq,
+            ack: seg.ack,
+            flags: seg.flags,
+            mss_option: seg.mss_option,
+            // A payload sits inside an IPv4 datagram: at most 65,535 bytes.
+            payload_len: seg.payload.len() as u32,
+        }
+    }
+}
+
 impl FlowKey {
     /// Direction-insensitive key for a decoded segment.
-    pub fn of(seg: &TcpSegmentView<'_>) -> FlowKey {
+    pub fn of(seg: &SegmentHeader) -> FlowKey {
         let x = (seg.src_ip, seg.src_port);
         let y = (seg.dst_ip, seg.dst_port);
         if x <= y {
@@ -208,7 +258,7 @@ pub fn reassemble_obs<S: Subscriber>(buf: &[u8], obs: &S) -> Result<Reassembly, 
             }
         };
         let seg = match packet::decode(record.data) {
-            Ok(s) => s,
+            Ok(s) => SegmentHeader::from(&s),
             Err(e) => {
                 let reason = e.to_string();
                 obs.on_packet_skipped(&PacketSkipped {
@@ -260,14 +310,14 @@ impl FlowBuilder {
     /// Opens a flow on its first segment. The same segment must still be
     /// [`feed`](FlowBuilder::feed)-ed afterwards — `new` only fixes the
     /// provisional orientation and the start timestamp.
-    pub fn new(seg: &TcpSegmentView<'_>, ts: f64) -> FlowBuilder {
+    pub fn new(seg: &SegmentHeader, ts: f64) -> FlowBuilder {
         // Provisional orientation from the first packet: a pure SYN names
         // the client; anything else is re-oriented when data appears.
         let (client, server, oriented) = if seg.has(flags::SYN) && !seg.has(flags::ACK) {
             ((seg.src_ip, seg.src_port), (seg.dst_ip, seg.dst_port), true)
         } else if seg.has(flags::SYN) && seg.has(flags::ACK) {
             ((seg.dst_ip, seg.dst_port), (seg.src_ip, seg.src_port), true)
-        } else if !seg.payload.is_empty() {
+        } else if seg.payload_len > 0 {
             // Mid-stream capture: orient by the service port — the lower
             // port is the server side (a capture can just as well start
             // at the client's HTTP request as at server data). When the
@@ -307,7 +357,7 @@ impl FlowBuilder {
 
     /// Records one server data segment as a [`FlowEvent::Data`]. Returns a
     /// skip reason when the segment could not be placed.
-    fn server_data(&mut self, ts: f64, seg: &TcpSegmentView<'_>) -> Option<String> {
+    fn server_data(&mut self, ts: f64, seg: &SegmentHeader) -> Option<String> {
         // First data anchors the relative space when no SYN/ACK was
         // captured (mid-stream ingest): the first data byte sits one past
         // the ISN.
@@ -316,7 +366,7 @@ impl FlowBuilder {
         let Some(rel) = self.rel(data_base, seg.seq) else {
             return Some("data sequence before the server ISN".to_owned());
         };
-        let len = seg.payload.len() as u32;
+        let len = seg.payload_len;
         let end = rel + u64::from(len);
         let retransmit = rel < self.high_water;
         self.high_water = self.high_water.max(end);
@@ -348,7 +398,7 @@ impl FlowBuilder {
     /// segment could not be used (at most one per call); `None` means it
     /// was consumed (possibly as a deliberate no-op, e.g. teardown
     /// chatter after the close).
-    pub fn feed(&mut self, ts: f64, seg: &TcpSegmentView<'_>) -> Option<String> {
+    pub fn feed(&mut self, ts: f64, seg: &SegmentHeader) -> Option<String> {
         self.last_seen = self.last_seen.max(ts);
         if self.flow.closed_by.is_some() {
             return None; // close teardown chatter is not part of the trace
@@ -363,7 +413,7 @@ impl FlowBuilder {
         // capture opening mid-handshake), so roles were provisional. The
         // first payload decides, with the same rule as `new`: the lower
         // port is the server; on a tie, the payload sender is.
-        if !self.oriented && !seg.payload.is_empty() {
+        if !self.oriented && seg.payload_len > 0 {
             let server = if seg.dst_port < seg.src_port {
                 (seg.dst_ip, seg.dst_port)
             } else {
@@ -391,7 +441,7 @@ impl FlowBuilder {
             // (Linux sends FIN on the final data packet): count those
             // bytes before recording the close, or the last round's
             // window is undercounted.
-            let skip = if from_server && !seg.payload.is_empty() {
+            let skip = if from_server && seg.payload_len > 0 {
                 self.server_data(ts, seg)
             } else {
                 None
@@ -406,7 +456,7 @@ impl FlowBuilder {
         }
 
         if from_server {
-            if seg.payload.is_empty() {
+            if seg.payload_len == 0 {
                 return None; // server pure ACKs carry no window information
             }
             self.server_data(ts, seg)
@@ -663,8 +713,8 @@ mod tests {
         assert_eq!(r.flows[0].server_mss, Some(536));
     }
 
-    #[test]
-    fn retransmissions_are_flagged() {
+    /// The same 50-byte server segment captured twice.
+    fn retransmission_capture() -> Vec<u8> {
         let mut b = Builder::new();
         let payload = [1u8; 50];
         b.frame(
@@ -685,7 +735,12 @@ mod tests {
                 ..seg(SERVER, CLIENT)
             },
         );
-        let r = reassemble(&b.finish()).unwrap();
+        b.finish()
+    }
+
+    #[test]
+    fn retransmissions_are_flagged() {
+        let r = reassemble(&retransmission_capture()).unwrap();
         let f = &r.flows[0];
         assert_eq!(f.server, SERVER, "data sender becomes the server");
         match f.events.as_slice() {
@@ -708,11 +763,9 @@ mod tests {
         assert!(err.reason.contains("link type 113"), "{err}");
     }
 
-    #[test]
-    fn midstream_capture_starting_at_the_client_request_orients_by_port() {
-        // Handshake not captured; the first packet is the prober's HTTP
-        // request toward port 80, then server data flows back. The
-        // request sender must not be mistaken for the server.
+    /// Handshake not captured; the first packet is the prober's HTTP
+    /// request toward port 80, then server data flows back.
+    fn midstream_capture() -> Vec<u8> {
         let mut b = Builder::new();
         b.frame(
             0.0,
@@ -733,7 +786,13 @@ mod tests {
                 ..seg(SERVER, CLIENT)
             },
         );
-        let r = reassemble(&b.finish()).unwrap();
+        b.finish()
+    }
+
+    #[test]
+    fn midstream_capture_starting_at_the_client_request_orients_by_port() {
+        // The request sender must not be mistaken for the server.
+        let r = reassemble(&midstream_capture()).unwrap();
         let f = &r.flows[0];
         assert_eq!(f.server, SERVER, "port 80 side is the server");
         assert_eq!(f.client, CLIENT);
@@ -793,8 +852,8 @@ mod tests {
         assert_eq!(data_lens, vec![100], "only server bytes are data");
     }
 
-    #[test]
-    fn fin_with_piggybacked_data_counts_the_payload() {
+    /// A server data segment, then its FIN carrying the last 80 bytes.
+    fn fin_with_data_capture() -> Vec<u8> {
         let mut b = Builder::new();
         let payload = [3u8; 80];
         b.frame(
@@ -816,7 +875,12 @@ mod tests {
                 ..seg(SERVER, CLIENT)
             },
         );
-        let r = reassemble(&b.finish()).unwrap();
+        b.finish()
+    }
+
+    #[test]
+    fn fin_with_piggybacked_data_counts_the_payload() {
+        let r = reassemble(&fin_with_data_capture()).unwrap();
         let f = &r.flows[0];
         assert_eq!(f.closed_by, Some(Endpoint::Server));
         let data_bytes: u64 = f
@@ -828,6 +892,32 @@ mod tests {
             })
             .sum();
         assert_eq!(data_bytes, 160, "the FIN segment's payload must count");
+    }
+
+    #[test]
+    fn headers_alone_rebuild_the_same_flow() {
+        // What streaming ingestion does: decode where the bytes are, keep
+        // only the header, feed that. The fixtures above exercise every
+        // read of the payload length (FIN with data, orientation by first
+        // payload, retransmission high-water mark).
+        for capture in [
+            fin_with_data_capture(),
+            midstream_capture(),
+            retransmission_capture(),
+            tiny_capture(),
+        ] {
+            let mut reader = PcapReader::new(&capture).unwrap();
+            let mut builder: Option<FlowBuilder> = None;
+            while let Some(Ok(record)) = reader.next() {
+                let view = packet::decode(record.data).unwrap();
+                let header = SegmentHeader::from(&view);
+                assert_eq!(header.payload_len as usize, view.payload.len());
+                let b = builder.get_or_insert_with(|| FlowBuilder::new(&header, record.ts));
+                assert_eq!(b.feed(record.ts, &header), None);
+            }
+            let rebuilt = builder.expect("fixtures are not empty").into_flow();
+            assert_eq!(vec![rebuilt], reassemble(&capture).unwrap().flows);
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!
 //! ```text
 //! file/FIFO/stdin ─► PcapStream (pcap|pcapng framing, follow/poll)
-//!                 ─► dispatcher (4-tuple hash, batches, granule ticks)
+//!                 ─► dispatcher (decodes each frame in the source's buffer;
+//!                    4-tuple hash, batches of headers, granule ticks)
 //!                 ─► workers 0..N (FlowBuilder per flow, timeout wheel)
 //!                 ─► collector (sessions, ladder replay, classifier)
 //!                 ─► verdict callback (stdout / JSONL / census sink)

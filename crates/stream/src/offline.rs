@@ -4,7 +4,7 @@
 
 use crate::pcapng::SHB_MAGIC;
 use crate::source::{CaptureSource, PcapStream, SourceError, SourceItem, StallPolicy};
-use caai_capture::flow::{FlowBuilder, FlowKey, Reassembly};
+use caai_capture::flow::{FlowBuilder, FlowKey, Reassembly, SegmentHeader};
 use caai_capture::identify::CaptureVerdicts;
 use caai_capture::{decode, identify_capture_obs, identify_reassembly_obs, PcapError};
 use caai_core::classify::CaaiClassifier;
@@ -52,7 +52,7 @@ pub fn reassemble_source_obs<S: Subscriber>(
             Ok(Some(SourceItem::Frame(frame))) => {
                 saw_item = true;
                 let seg = match decode(&frame.data) {
-                    Ok(s) => s,
+                    Ok(s) => SegmentHeader::from(&s),
                     Err(e) => {
                         let reason = e.to_string();
                         obs.on_packet_skipped(&PacketSkipped {

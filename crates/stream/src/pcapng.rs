@@ -34,6 +34,7 @@
 
 use crate::source::{ByteFeed, SourceError, SourceItem, StreamFrame};
 use std::io::Read;
+use std::ops::Range;
 
 /// Section Header Block type — also the stream's magic number. The bytes
 /// are a palindrome, so it reads the same in either endianness.
@@ -153,13 +154,13 @@ fn parse_idb(body: &[u8], big: bool) -> Iface {
 }
 
 /// Reads blocks until a packet (frame or skip report) or the end of the
-/// stream. Metadata blocks are consumed silently; framing damage is a
-/// fatal [`SourceError`].
-pub(crate) fn next_item<R: Read>(
-    feed: &mut ByteFeed<R>,
+/// stream; a frame's bytes are lent from the feed. Metadata blocks are
+/// consumed silently; framing damage is a fatal [`SourceError`].
+pub(crate) fn next_item<'a, R: Read>(
+    feed: &'a mut ByteFeed<R>,
     sec: &mut Section,
     index: &mut u64,
-) -> Result<Option<SourceItem>, SourceError> {
+) -> Result<Option<SourceItem<&'a [u8]>>, SourceError> {
     loop {
         if !feed.want(8)? {
             let n = feed.available();
@@ -243,10 +244,13 @@ pub(crate) fn next_item<R: Read>(
                 reason: format!("unknown pcapng block type {other:#010X} skipped"),
             }),
         };
-        feed.consume(total as usize);
+        // Packet items name their bytes by position until here, so the
+        // feed is borrowed for the caller only on the path that returns.
         if let Some(item) = item {
-            return Ok(Some(item));
+            let block = feed.consume(total as usize);
+            return Ok(Some(item.map_data(|at| &block[at])));
         }
+        feed.consume(total as usize);
     }
 }
 
@@ -272,11 +276,17 @@ fn truncated_block<R: Read>(feed: &ByteFeed<R>, total: u32, at: u64) -> SourceEr
 }
 
 /// Parses an EPB body into a frame (or a skip report for packets this
-/// pipeline cannot use). Never fatal: the block framed correctly, so the
-/// stream stays synchronized whatever the body holds. Every skip reason
-/// names the enclosing block type, so a diagnostic alone pins which block
+/// pipeline cannot use), the frame's bytes given as their range within
+/// the block. Never fatal: the block framed correctly, so the stream
+/// stays synchronized whatever the body holds. Every skip reason names
+/// the enclosing block type, so a diagnostic alone pins which block
 /// walker produced it.
-fn parse_epb(body: &[u8], big: bool, interfaces: &[Iface], index: &mut u64) -> SourceItem {
+fn parse_epb(
+    body: &[u8],
+    big: bool,
+    interfaces: &[Iface],
+    index: &mut u64,
+) -> SourceItem<Range<usize>> {
     let i = *index;
     *index += 1;
     let skip = |reason: String| SourceItem::Skipped {
@@ -310,7 +320,8 @@ fn parse_epb(body: &[u8], big: bool, interfaces: &[Iface], index: &mut u64) -> S
     SourceItem::Frame(StreamFrame {
         index: i,
         ts,
-        data: body[20..20 + cap_len].into(),
+        // The body starts 8 bytes into its block, the frame 20 into that.
+        data: 28..28 + cap_len,
     })
 }
 

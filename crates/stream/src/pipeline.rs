@@ -3,12 +3,18 @@
 //!
 //! ```text
 //!              dispatcher (caller thread)
-//!   source ──► decode 4-tuple, hash, batch ──► worker 0 ─┐
-//!              │ granule ticks broadcast ───► worker 1 ─┼──► collector ──► verdicts
-//!              │ (watermark barriers)    ───► worker N ─┘    (sessions,     (ResultSink,
-//!              └ skips/truncation              (flows,        timeouts,      stdout, ...)
-//!                                              eviction)      classify)
+//!   source ──► decode in the feed buffer,   ──► worker 0 ─┐
+//!   (lends     hash, batch `Copy` headers   ──► worker 1 ─┼──► collector ──► verdicts
+//!    frames)   │ granule ticks broadcast    ──► worker N ─┘    (sessions,     (ResultSink,
+//!              │ (watermark barriers)           (flows,        timeouts,      stdout, ...)
+//!              └ skips/truncation                eviction)      classify)
 //! ```
+//!
+//! The dispatcher is the only stage that touches packet bytes: it decodes
+//! each frame once, where the source read it, and what crosses a worker
+//! channel is a `Copy` header per packet (index, timestamp and the
+//! [`SegmentHeader`] reassembly reads — the payload's length, never the
+//! payload). No frame is allocated on one thread and freed on another.
 //!
 //! Packets are sharded onto workers RSS-style: a deterministic hash of
 //! the direction-insensitive 4-tuple ([`FlowKey`]), so both directions of
@@ -50,10 +56,11 @@
 //!
 //! [`FlowKey`]: caai_capture::flow::FlowKey
 //! [`FlowBuilder`]: caai_capture::flow::FlowBuilder
+//! [`SegmentHeader`]: caai_capture::flow::SegmentHeader
 //! [`ConnectionObservation`]: caai_capture::reconstruct::ConnectionObservation
 
-use crate::source::{CaptureSource, SourceError, SourceItem, StreamFrame};
-use caai_capture::flow::{FlowBuilder, FlowKey};
+use crate::source::{CaptureSource, SourceError, SourceItem};
+use caai_capture::flow::{FlowBuilder, FlowKey, SegmentHeader};
 use caai_capture::reconstruct::{
     observe_connection, session_outcome, ConnectionObservation, ProbeSession, DEFAULT_LADDER,
 };
@@ -153,12 +160,33 @@ impl fmt::Display for StreamError {
 impl std::error::Error for StreamError {}
 
 /// RSS-style worker selection: deterministic hash of the canonical
-/// (direction-insensitive) 4-tuple.
-fn shard_of(key: &FlowKey, workers: usize) -> usize {
+/// (direction-insensitive) 4-tuple. One worker is one shard — no hash.
+fn shard_of(seg: &SegmentHeader, workers: usize) -> usize {
+    if workers == 1 {
+        return 0;
+    }
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
+    FlowKey::of(seg).hash(&mut h);
     (h.finish() % workers as u64) as usize
 }
+
+/// One decoded packet as it crosses a worker channel.
+#[derive(Debug, Clone, Copy)]
+struct Packet {
+    /// 0-based packet index within the capture.
+    index: u64,
+    /// Capture timestamp, seconds.
+    ts: f64,
+    seg: SegmentHeader,
+}
+
+// Owned frame bytes must not creep back onto the channel: a field holding
+// them is not `Copy`, and anything wider than a cache line is not a header.
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<Packet>();
+    assert!(std::mem::size_of::<Packet>() <= 64);
+};
 
 fn bucket_of(ts: f64, granule: f64) -> i64 {
     (ts / granule).floor() as i64
@@ -174,9 +202,9 @@ struct WorkerCfg {
 }
 
 enum WorkerMsg {
-    /// A batch of frames plus the dispatcher's queue-wait span, ended by
+    /// A batch of packets plus the dispatcher's queue-wait span, ended by
     /// the worker at dequeue — the gap is queue latency, not work.
-    Batch(Vec<StreamFrame>, SpanToken),
+    Batch(Vec<Packet>, SpanToken),
     Tick {
         granule: i64,
         watermark: f64,
@@ -300,39 +328,22 @@ impl WorkerState {
         }
     }
 
-    fn feed<S: Subscriber>(
-        &mut self,
-        frame: &StreamFrame,
-        cfg: &WorkerCfg,
-        ladder: &[u32],
-        obs: &S,
-    ) {
-        let seg = match caai_capture::decode(&frame.data) {
-            Ok(s) => s,
-            Err(e) => {
-                let reason = e.to_string();
-                obs.on_packet_skipped(&PacketSkipped {
-                    index: frame.index,
-                    reason: &reason,
-                });
-                self.skipped.push((frame.index, reason));
-                return;
-            }
-        };
-        let key = FlowKey::of(&seg);
+    fn feed<S: Subscriber>(&mut self, packet: &Packet, cfg: &WorkerCfg, ladder: &[u32], obs: &S) {
+        let seg = &packet.seg;
+        let key = FlowKey::of(seg);
         let slot = match self.table.get(&key).copied() {
             Some(s) => s,
             None => {
                 let entry = FlowEntry {
-                    builder: FlowBuilder::new(&seg, frame.ts),
-                    first_seq: frame.index,
+                    builder: FlowBuilder::new(seg, packet.ts),
+                    first_seq: packet.index,
                     key,
                     span: span_begin_async(
                         obs,
                         SpanKind::Flow,
                         0,
                         cfg.shard as i64,
-                        frame.index as i64,
+                        packet.index as i64,
                     ),
                 };
                 let s = match self.free.pop() {
@@ -348,7 +359,7 @@ impl WorkerState {
                 self.table.insert(key, s);
                 let gen = self.slab[s].0;
                 self.wheel
-                    .entry(bucket_of(frame.ts, cfg.granule))
+                    .entry(bucket_of(packet.ts, cfg.granule))
                     .or_default()
                     .push((s, gen));
                 self.live += 1;
@@ -359,12 +370,12 @@ impl WorkerState {
             }
         };
         let entry = self.slab[slot].1.as_mut().expect("live slot");
-        if let Some(reason) = entry.builder.feed(frame.ts, &seg) {
+        if let Some(reason) = entry.builder.feed(packet.ts, seg) {
             obs.on_packet_skipped(&PacketSkipped {
-                index: frame.index,
+                index: packet.index,
                 reason: &reason,
             });
-            self.skipped.push((frame.index, reason));
+            self.skipped.push((packet.index, reason));
         }
         if entry.builder.events() >= cfg.max_events {
             self.overflowed += 1;
@@ -434,6 +445,25 @@ impl WorkerState {
     }
 }
 
+/// Hands worker `w` its pending batch (leaving an empty one of capacity
+/// `batch`), opening the queue-wait span the worker ends at dequeue.
+fn send_batch<S: Subscriber>(
+    w: usize,
+    pending: &mut Vec<Packet>,
+    batch: usize,
+    tx: &mpsc::SyncSender<WorkerMsg>,
+    gauge: &QueueGauge,
+    obs: &S,
+) {
+    let full = std::mem::replace(pending, Vec::with_capacity(batch));
+    if S::ENABLED {
+        gauge.inc();
+    }
+    let queue_span = span_begin_async(obs, SpanKind::QueueWait, 0, w as i64, full.len() as i64);
+    tx.send(WorkerMsg::Batch(full, queue_span))
+        .expect("worker alive");
+}
+
 fn worker_loop<S: Subscriber>(
     cfg: WorkerCfg,
     ladder: Vec<u32>,
@@ -445,14 +475,14 @@ fn worker_loop<S: Subscriber>(
     let mut st = WorkerState::new();
     for msg in rx {
         match msg {
-            WorkerMsg::Batch(frames, queue_span) => {
+            WorkerMsg::Batch(packets, queue_span) => {
                 if S::ENABLED {
                     gauge.dec();
                 }
                 queue_span.end(obs);
-                let batch_span = span_begin(obs, SpanKind::Reassembly, frames.len() as i64, 0);
-                for frame in &frames {
-                    st.feed(frame, &cfg, &ladder, obs);
+                let batch_span = span_begin(obs, SpanKind::Reassembly, packets.len() as i64, 0);
+                for packet in &packets {
+                    st.feed(packet, &cfg, &ladder, obs);
                 }
                 batch_span.end(obs);
             }
@@ -825,13 +855,13 @@ where
             )
         });
 
-        let mut batches: Vec<Vec<StreamFrame>> =
+        let mut batches: Vec<Vec<Packet>> =
             (0..workers).map(|_| Vec::with_capacity(batch)).collect();
         let mut watermark = f64::NEG_INFINITY;
         let mut cur_granule = i64::MIN;
         let mut saw_item = false;
         loop {
-            match source.next() {
+            match source.next_lent() {
                 Ok(Some(SourceItem::Skipped { index, reason })) => {
                     saw_item = true;
                     obs.on_packet_skipped(&PacketSkipped {
@@ -842,8 +872,8 @@ where
                 }
                 Ok(Some(SourceItem::Frame(frame))) => {
                     saw_item = true;
-                    let target = match caai_capture::decode(&frame.data) {
-                        Ok(seg) => shard_of(&FlowKey::of(&seg), workers),
+                    let seg = match caai_capture::decode(frame.data) {
+                        Ok(seg) => SegmentHeader::from(&seg),
                         Err(e) => {
                             let reason = e.to_string();
                             obs.on_packet_skipped(&PacketSkipped {
@@ -854,28 +884,26 @@ where
                             continue;
                         }
                     };
+                    let target = shard_of(&seg, workers);
                     packets += 1;
                     obs.on_frame_decoded(&FrameDecoded {
                         bytes: frame.data.len() as u64,
                     });
                     let ts = frame.ts;
-                    batches[target].push(frame);
+                    batches[target].push(Packet {
+                        index: frame.index,
+                        ts,
+                        seg,
+                    });
                     if batches[target].len() >= batch {
-                        let full =
-                            std::mem::replace(&mut batches[target], Vec::with_capacity(batch));
-                        if S::ENABLED {
-                            gauges[target].inc();
-                        }
-                        let queue_span = span_begin_async(
+                        send_batch(
+                            target,
+                            &mut batches[target],
+                            batch,
+                            &txs[target],
+                            &gauges[target],
                             obs,
-                            SpanKind::QueueWait,
-                            0,
-                            target as i64,
-                            full.len() as i64,
                         );
-                        txs[target]
-                            .send(WorkerMsg::Batch(full, queue_span))
-                            .expect("worker alive");
                     }
                     if ts.is_finite() && ts > watermark {
                         watermark = ts;
@@ -888,22 +916,7 @@ where
                             // would depend on batching, not the capture.
                             for (w, tx) in txs.iter().enumerate() {
                                 if !batches[w].is_empty() {
-                                    let full = std::mem::replace(
-                                        &mut batches[w],
-                                        Vec::with_capacity(batch),
-                                    );
-                                    if S::ENABLED {
-                                        gauges[w].inc();
-                                    }
-                                    let queue_span = span_begin_async(
-                                        obs,
-                                        SpanKind::QueueWait,
-                                        0,
-                                        w as i64,
-                                        full.len() as i64,
-                                    );
-                                    tx.send(WorkerMsg::Batch(full, queue_span))
-                                        .expect("worker alive");
+                                    send_batch(w, &mut batches[w], batch, tx, &gauges[w], obs);
                                 }
                                 tx.send(WorkerMsg::Tick {
                                     granule: g,
@@ -941,14 +954,7 @@ where
         }
         for (w, tx) in txs.iter().enumerate() {
             if !batches[w].is_empty() {
-                let full = std::mem::take(&mut batches[w]);
-                if S::ENABLED {
-                    gauges[w].inc();
-                }
-                let queue_span =
-                    span_begin_async(obs, SpanKind::QueueWait, 0, w as i64, full.len() as i64);
-                tx.send(WorkerMsg::Batch(full, queue_span))
-                    .expect("worker alive");
+                send_batch(w, &mut batches[w], batch, tx, &gauges[w], obs);
             }
             tx.send(WorkerMsg::Finish).expect("worker alive");
         }

@@ -29,23 +29,24 @@ use std::time::{Duration, Instant};
 
 use crate::pcapng;
 
-/// One captured frame, owned so it can cross worker channels.
+/// One captured frame. `D` is how the frame's bytes are held: owned
+/// (`Box<[u8]>`, the default) or lent from the source's buffer (`&[u8]`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct StreamFrame {
+pub struct StreamFrame<D = Box<[u8]>> {
     /// 0-based packet index within the capture (counts packet records of
     /// every format, including ones later skipped at decode).
     pub index: u64,
     /// Capture timestamp, seconds.
     pub ts: f64,
     /// The link-layer frame bytes.
-    pub data: Box<[u8]>,
+    pub data: D,
 }
 
 /// One item produced by a [`CaptureSource`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum SourceItem {
+pub enum SourceItem<D = Box<[u8]>> {
     /// A captured frame.
-    Frame(StreamFrame),
+    Frame(StreamFrame<D>),
     /// A record the source consumed but could not turn into a frame
     /// (unknown pcapng block, packet on a non-Ethernet interface, ...).
     Skipped {
@@ -54,6 +55,20 @@ pub enum SourceItem {
         /// Why it was skipped.
         reason: String,
     },
+}
+
+impl<D> SourceItem<D> {
+    /// The same item with its frame bytes held another way.
+    pub fn map_data<E>(self, f: impl FnOnce(D) -> E) -> SourceItem<E> {
+        match self {
+            SourceItem::Frame(StreamFrame { index, ts, data }) => SourceItem::Frame(StreamFrame {
+                index,
+                ts,
+                data: f(data),
+            }),
+            SourceItem::Skipped { index, reason } => SourceItem::Skipped { index, reason },
+        }
+    }
 }
 
 /// A fatal source problem: container framing (or the underlying I/O)
@@ -80,12 +95,18 @@ impl std::error::Error for SourceError {}
 
 /// An incremental reader over one capture stream.
 ///
-/// `next` returns `Ok(None)` at a clean end of capture; an `Err` is
+/// Both methods return `Ok(None)` at a clean end of capture; an `Err` is
 /// terminal (framing is broken from there on). Sources block while more
 /// bytes may still arrive, according to their [`StallPolicy`].
 pub trait CaptureSource {
-    /// The next frame or skip report.
-    fn next(&mut self) -> Result<Option<SourceItem>, SourceError>;
+    /// The next frame or skip report, the frame's bytes lent from the
+    /// source's own buffer — valid until the next call, never copied.
+    fn next_lent(&mut self) -> Result<Option<SourceItem<&[u8]>>, SourceError>;
+
+    /// The next frame or skip report, owning its bytes.
+    fn next(&mut self) -> Result<Option<SourceItem>, SourceError> {
+        Ok(self.next_lent()?.map(|item| item.map_data(Box::from)))
+    }
 }
 
 /// What a zero-byte read from the underlying stream means.
@@ -133,25 +154,36 @@ impl Default for FollowConfig {
 /// Framers ask for `want(n)` bytes before parsing; the feed refills from
 /// the reader (possibly blocking or polling, per the [`StallPolicy`])
 /// until it has them or the stream ends.
+///
+/// One buffer, initialised once: `buf[start..end]` is the unconsumed
+/// data, the reader fills `buf[end..]` in place, and a refill first moves
+/// the unconsumed bytes to the front. It grows only for a record longer
+/// than itself, to that record plus [`READ_CHUNK`] — so memory is bounded
+/// by the largest record the framers accept, however long the capture.
 pub(crate) struct ByteFeed<R> {
     inner: R,
     buf: Vec<u8>,
-    /// Consumed prefix of `buf`.
     start: usize,
+    end: usize,
     /// Global stream offset of `buf[start]`.
     consumed: u64,
     stall: StallPolicy,
     ended: bool,
 }
 
+/// Read space the feed keeps beyond an oversized record.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// The feed's size until a longer record arrives.
+const INITIAL_BUF: usize = 2 * READ_CHUNK;
 
 impl<R: Read> ByteFeed<R> {
     fn new(inner: R, stall: StallPolicy) -> Self {
         ByteFeed {
             inner,
-            buf: Vec::new(),
+            buf: vec![0; INITIAL_BUF],
             start: 0,
+            end: 0,
             consumed: 0,
             stall,
             ended: false,
@@ -159,12 +191,12 @@ impl<R: Read> ByteFeed<R> {
     }
 
     pub(crate) fn available(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// The unconsumed bytes buffered so far.
     pub(crate) fn data(&self) -> &[u8] {
-        &self.buf[self.start..]
+        &self.buf[self.start..self.end]
     }
 
     /// Global stream offset of the next unconsumed byte.
@@ -172,35 +204,51 @@ impl<R: Read> ByteFeed<R> {
         self.consumed
     }
 
-    pub(crate) fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.available());
+    /// Consumes the next `n` buffered bytes and lends them: they stay in
+    /// place until the next [`want`](ByteFeed::want) refills.
+    pub(crate) fn consume(&mut self, n: usize) -> &[u8] {
+        assert!(n <= self.available(), "consume past the buffered bytes");
+        let taken = &self.buf[self.start..self.start + n];
         self.start += n;
         self.consumed += n as u64;
+        taken
     }
 
     /// Blocks (or polls) until at least `n` bytes are buffered. `Ok(false)`
     /// means the stream ended first; whatever arrived stays buffered.
+    #[inline]
     pub(crate) fn want(&mut self, n: usize) -> Result<bool, SourceError> {
         if self.available() >= n {
             return Ok(true);
         }
+        self.refill(n)
+    }
+
+    fn refill(&mut self, n: usize) -> Result<bool, SourceError> {
         if self.ended {
             return Ok(false);
         }
-        // Drop the consumed prefix before growing the buffer.
-        if self.start > 0 {
-            self.buf.drain(..self.start);
-            self.start = 0;
+        if n > self.buf.len() {
+            // `vec!` allocates exactly; `resize` would round up to double.
+            let mut grown = vec![0; n + READ_CHUNK];
+            grown[..self.available()].copy_from_slice(self.data());
+            self.buf = grown;
+        } else {
+            self.buf.copy_within(self.start..self.end, 0);
         }
+        self.end -= self.start;
+        self.start = 0;
         let mut idle_since: Option<Instant> = None;
-        let mut chunk = [0u8; READ_CHUNK];
-        while self.available() < n {
-            let got = self.inner.read(&mut chunk).map_err(|e| SourceError {
-                offset: self.consumed + self.available() as u64,
-                reason: format!("read failed: {e}"),
-            })?;
+        while self.end < n {
+            let got = self
+                .inner
+                .read(&mut self.buf[self.end..])
+                .map_err(|e| SourceError {
+                    offset: self.consumed + self.end as u64,
+                    reason: format!("read failed: {e}"),
+                })?;
             if got > 0 {
-                self.buf.extend_from_slice(&chunk[..got]);
+                self.end += got;
                 idle_since = None;
                 continue;
             }
@@ -258,7 +306,8 @@ fn rd_u32(bytes: &[u8], at: usize, big: bool) -> u32 {
 
 impl<R: Read> PcapStream<R> {
     /// Wraps a reader. Format detection happens on the first
-    /// [`next`](CaptureSource::next) call.
+    /// [`next`](CaptureSource::next) or
+    /// [`next_lent`](CaptureSource::next_lent) call.
     pub fn new(inner: R, stall: StallPolicy) -> Self {
         PcapStream {
             feed: ByteFeed::new(inner, stall),
@@ -310,7 +359,7 @@ impl<R: Read> PcapStream<R> {
         Ok(())
     }
 
-    fn next_classic(&mut self, st: ClassicState) -> Result<Option<SourceItem>, SourceError> {
+    fn next_classic(&mut self, st: ClassicState) -> Result<Option<SourceItem<&[u8]>>, SourceError> {
         if !self.feed.want(16)? {
             let n = self.feed.available();
             if n == 0 {
@@ -340,34 +389,28 @@ impl<R: Read> PcapStream<R> {
         }
         let divisor = if st.nanos { 1e9 } else { 1e6 };
         let ts = f64::from(ts_sec) + f64::from(ts_frac) / divisor;
-        let data: Box<[u8]> = self.feed.data()[16..need].into();
-        self.feed.consume(need);
         let index = self.index;
         self.index += 1;
+        let data = &self.feed.consume(need)[16..];
         Ok(Some(SourceItem::Frame(StreamFrame { index, ts, data })))
     }
 }
 
 impl<R: Read> CaptureSource for PcapStream<R> {
-    fn next(&mut self) -> Result<Option<SourceItem>, SourceError> {
-        loop {
-            match &self.mode {
-                Mode::Done => return Ok(None),
-                Mode::Detect => self.detect()?,
-                Mode::Classic(st) => return self.next_classic(*st),
-                Mode::Pcapng(_) => {
-                    // Borrow dance: the section state must be mutable
-                    // alongside the feed, so take it out of the mode.
-                    let Mode::Pcapng(mut sec) = std::mem::replace(&mut self.mode, Mode::Done)
-                    else {
-                        unreachable!("matched above");
-                    };
-                    let out = pcapng::next_item(&mut self.feed, &mut sec, &mut self.index);
-                    if out.is_ok() {
-                        self.mode = Mode::Pcapng(sec);
-                    }
-                    return out;
+    fn next_lent(&mut self) -> Result<Option<SourceItem<&[u8]>>, SourceError> {
+        if let Mode::Detect = self.mode {
+            self.detect()?;
+        }
+        match self.mode {
+            Mode::Detect => unreachable!("detect() sets a mode or fails"),
+            Mode::Done => Ok(None),
+            Mode::Classic(st) => self.next_classic(st),
+            Mode::Pcapng(ref mut sec) => {
+                let out = pcapng::next_item(&mut self.feed, sec, &mut self.index);
+                if out.is_err() {
+                    self.mode = Mode::Done;
                 }
+                out
             }
         }
     }
@@ -486,6 +529,44 @@ mod tests {
     fn empty_stream_is_a_clear_error() {
         let (_, _, err) = drain(PcapStream::new(Cursor::new(&[][..]), StallPolicy::Eof));
         assert!(err.unwrap().reason.contains("too short"));
+    }
+
+    #[test]
+    fn feed_stays_bounded_however_long_the_capture() {
+        // ~6 MB of ordinary frames around one frame longer than READ_CHUNK
+        // and one of the largest size the classic framer accepts.
+        let sizes: Vec<usize> = (0..4000)
+            .map(|i| match i {
+                1000 => READ_CHUNK + 1,
+                3000 => MAX_INCL_LEN as usize,
+                _ => 1400,
+            })
+            .collect();
+        let bodies: Vec<Vec<u8>> = (0..sizes.len()).map(|i| vec![i as u8; sizes[i]]).collect();
+        let frames: Vec<(f64, &[u8])> = bodies.iter().map(|b| (1.0, &b[..])).collect();
+        let classic = classic(&frames);
+        assert!(classic.len() > 5_000_000);
+        let pcapng = crate::pcapng::classic_to_pcapng(&classic, false, 6);
+        // Largest record of each framing: 16-byte record header, or the
+        // 32 bytes an enhanced packet block wraps around its frame.
+        for (capture, largest) in [(classic, sizes[3000] + 16), (pcapng, sizes[3000] + 32)] {
+            let mut src = PcapStream::new(Cursor::new(&capture), StallPolicy::Eof);
+            let mut seen = 0;
+            while let Some(item) = src.next_lent().unwrap() {
+                let SourceItem::Frame(f) = item else {
+                    panic!("unexpected skip {item:?}");
+                };
+                assert_eq!(f.data.len(), sizes[seen], "frame {seen}");
+                assert!(f.data.iter().all(|&b| b == seen as u8), "frame {seen}");
+                seen += 1;
+                let cap = src.feed.buf.capacity();
+                if seen <= 1000 {
+                    assert_eq!(cap, INITIAL_BUF, "no growth before a long record");
+                }
+                assert!(cap <= largest + READ_CHUNK, "{cap} after frame {seen}");
+            }
+            assert_eq!(seen, sizes.len());
+        }
     }
 
     #[test]
