@@ -19,7 +19,7 @@ use caai_capture::{
 use caai_congestion::AlgorithmId;
 use caai_core::classify::CaaiClassifier;
 use caai_core::features::extract_pair;
-use caai_core::prober::{Prober, ProberConfig};
+use caai_core::prober::{NoopTap, Prober, ProberConfig};
 use caai_core::server_under_test::ServerUnderTest;
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_net::reactor::NetConfig;
@@ -239,12 +239,26 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.bench_function("gather_null", |b| {
         let mut rng = seeded(17);
         b.iter(|| {
-            black_box(prober.gather_obs(&server, &PathConfig::clean(), &mut rng, &NullSubscriber))
+            black_box(prober.gather_observed(
+                &server,
+                &PathConfig::clean(),
+                &mut rng,
+                &mut NoopTap,
+                &NullSubscriber,
+            ))
         });
     });
     group.bench_function("gather_metrics", |b| {
         let mut rng = seeded(17);
-        b.iter(|| black_box(prober.gather_obs(&server, &PathConfig::clean(), &mut rng, &metrics)));
+        b.iter(|| {
+            black_box(prober.gather_observed(
+                &server,
+                &PathConfig::clean(),
+                &mut rng,
+                &mut NoopTap,
+                &metrics,
+            ))
+        });
     });
     group.finish();
 }

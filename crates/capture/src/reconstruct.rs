@@ -24,13 +24,15 @@
 //!   response*, and otherwise *never exceeded threshold*.
 //!
 //! A probe session (all connections between one prober and one server)
-//! then replays the `w_max` ladder walk of `Prober::gather` to rebuild
-//! the full [`GatherOutcome`] — including the threshold rungs of attempts
-//! that never crossed, which leave no rung evidence on the wire.
+//! then feeds its connections, in order, to the same
+//! [`LadderWalk`] the prober walked, rebuilding the full
+//! [`GatherOutcome`] — including the threshold rungs of attempts that
+//! never crossed, which leave no rung evidence on the wire.
 
 use crate::flow::{Endpoint, Flow, FlowEvent, Reassembly};
+use caai_core::ladder::{floor_rung, LadderWalk};
 use caai_core::prober::GatherOutcome;
-use caai_core::trace::{InvalidReason, TracePair, WindowTrace, POST_TIMEOUT_ROUNDS};
+use caai_core::trace::{InvalidReason, WindowTrace, POST_TIMEOUT_ROUNDS};
 use caai_netem::schedule::{RTT_LONG, RTT_SHORT};
 use caai_netem::{EnvironmentId, Phase, RttSchedule};
 
@@ -39,8 +41,7 @@ use caai_netem::{EnvironmentId, Phase, RttSchedule};
 /// is wide on both sides.
 pub const BURST_GAP: f64 = 0.25;
 
-/// The default `w_max` ladder (mirrors `ProberConfig::default`).
-pub const DEFAULT_LADDER: [u32; 4] = [512, 256, 128, 64];
+pub use caai_core::ladder::DEFAULT_LADDER;
 
 /// Ceiling on schedule-inferred silent rounds inserted between two
 /// bursts, so a wildly mis-timed capture cannot inflate a trace without
@@ -155,7 +156,7 @@ fn infer_wmax(w_cross: u32, ladder: &[u32]) -> u32 {
         .filter(|&r| r < w_cross)
         .max()
         .or_else(|| ladder.iter().copied().min())
-        .unwrap_or(64)
+        .unwrap_or_else(|| floor_rung(ladder))
 }
 
 /// Appends `w = 0` rounds for schedule-sized silences between `prev_t`
@@ -352,82 +353,29 @@ pub fn sessions(reassembly: &Reassembly, ladder: &[u32]) -> Vec<ProbeSession> {
     out
 }
 
-/// Replays the `w_max` ladder walk of `Prober::gather` over a session's
-/// reconstructed connections, assigning threshold rungs to attempts that
-/// never crossed and assembling the same [`GatherOutcome`] the prober
-/// produced: the usable environment-A/B pair when one exists, and every
-/// failed attempt otherwise.
+/// Replays a session's reconstructed connections through the ladder
+/// walk (a driver of [`caai_core::ladder`]), assigning threshold rungs to
+/// attempts that never crossed and assembling the same [`GatherOutcome`]
+/// the prober produced: the usable environment-A/B pair when one exists,
+/// and every failed attempt otherwise. A wire observer cannot tell
+/// defense overhead from real data, so the outcome never claims any.
 pub fn session_outcome(session: &ProbeSession, ladder: &[u32]) -> GatherOutcome {
-    let fallback = ladder.last().copied().unwrap_or(64);
-    let mut failed: Vec<WindowTrace> = Vec::new();
-    let mut rung_i = 0usize;
-    let mut pending_a: Option<WindowTrace> = None;
-
+    let mut walk = LadderWalk::new();
     for conn in &session.connections {
         let mut trace = conn.trace.clone();
-        match conn.inferred_wmax {
+        trace.wmax_threshold = match conn.inferred_wmax {
             Some(w) => {
                 // The wire pinned the rung; keep the replay in sync.
                 if let Some(pos) = ladder.iter().position(|&r| r == w) {
-                    rung_i = pos;
+                    walk.seek(pos);
                 }
-                trace.wmax_threshold = w;
+                w
             }
-            None => {
-                trace.wmax_threshold = ladder.get(rung_i).copied().unwrap_or(fallback);
-            }
-        }
-        match trace.env {
-            EnvironmentId::A => {
-                if let Some(a) = pending_a.take() {
-                    failed.push(a); // A followed by A: the B leg is missing
-                }
-                if trace.is_valid() {
-                    pending_a = Some(trace);
-                } else {
-                    let descend = trace.invalid == Some(InvalidReason::NeverExceededThreshold);
-                    failed.push(trace);
-                    if descend {
-                        rung_i += 1;
-                        continue;
-                    }
-                    break; // any other failure aborts the walk
-                }
-            }
-            EnvironmentId::B => match pending_a.take() {
-                Some(a) => {
-                    if trace.usable_for_classification() {
-                        return GatherOutcome {
-                            pair: Some(TracePair {
-                                env_a: a,
-                                env_b: trace,
-                            }),
-                            failed_attempts: failed,
-                            // A wire observer cannot tell defense overhead
-                            // from real data; reconstruction never claims it.
-                            defense_overhead: None,
-                        };
-                    }
-                    let descend = trace.invalid == Some(InvalidReason::NeverExceededThreshold);
-                    failed.push(a);
-                    failed.push(trace);
-                    if !descend {
-                        break;
-                    }
-                    rung_i += 1;
-                }
-                None => failed.push(trace), // B without a preceding A
-            },
-        }
+            None => walk.rung_wmax(ladder),
+        };
+        walk.record(trace);
     }
-    if let Some(a) = pending_a {
-        failed.push(a); // the capture ended before the B leg
-    }
-    GatherOutcome {
-        pair: None,
-        failed_attempts: failed,
-        defense_overhead: None,
-    }
+    walk.finish(None)
 }
 
 #[cfg(test)]

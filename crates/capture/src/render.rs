@@ -1,6 +1,6 @@
 //! Rendering simulated probe sessions into byte-valid captures.
 //!
-//! [`CaptureRenderer`] drives `Prober::gather_with_tap` and converts the
+//! [`CaptureRenderer`] drives `Prober::gather_observed` and converts the
 //! tap's event stream — data arrivals at the prober, ACK departures,
 //! connection open/close — into Ethernet/IPv4/TCP frames with proper
 //! handshakes, byte-granular sequence numbers (packets × MSS), checksums,
@@ -15,6 +15,7 @@ use crate::pcap::PcapWriter;
 use caai_core::prober::{CloseInitiator, GatherOutcome, ProbeTap, Prober};
 use caai_core::server_under_test::ServerUnderTest;
 use caai_netem::{EnvironmentId, PathConfig};
+use caai_obs::NullSubscriber;
 use rand::Rng;
 use std::io::{self, Write};
 
@@ -98,7 +99,7 @@ impl<W: Write> CaptureRenderer<W> {
             end: 0.0,
             error: None,
         };
-        let outcome = prober.gather_with_tap(server, path, rng, &mut tap);
+        let outcome = prober.gather_observed(server, path, rng, &mut tap, &NullSubscriber);
         let (end, error) = (tap.end, tap.error.take());
         self.next_session_start += end + SESSION_GAP;
         match error {

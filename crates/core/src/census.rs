@@ -20,7 +20,7 @@ use std::time::Instant;
 use crate::classes::ClassLabel;
 use crate::classify::{CaaiClassifier, Identification};
 use crate::features::extract_pair;
-use crate::prober::{GatherOutcome, Prober, ProberConfig};
+use crate::prober::{GatherOutcome, NoopTap, Prober, ProberConfig};
 use crate::server_under_test::ServerUnderTest;
 use crate::special::{detect, SpecialCase};
 use crate::trace::InvalidReason;
@@ -376,7 +376,9 @@ impl Census {
         let sut = ServerUnderTest::from_web_server(server);
         let gather_started = S::ENABLED.then(Instant::now);
         let gather_span = span_begin(obs, SpanKind::Gather, i64::from(server.id), 0);
-        let outcome = self.prober.gather_obs(&sut, &path, rng, obs);
+        let outcome = self
+            .prober
+            .gather_observed(&sut, &path, rng, &mut NoopTap, obs);
         gather_span.end(obs);
         let gather_done = S::ENABLED.then(Instant::now);
         let classify_span = span_begin(obs, SpanKind::Classify, i64::from(server.id), 0);

@@ -6,11 +6,11 @@
 //! CAAI actively identifies the TCP congestion avoidance algorithm of a
 //! remote web server in three steps:
 //!
-//! 1. **Trace gathering** ([`prober`]): emulate network environments A
-//!    (fixed 1.0 s RTT) and B (0.8 s → 1.0 s steps) purely through ACK
-//!    scheduling, force a retransmission timeout by withholding ACKs once
-//!    the window passes a `w_max` threshold, and record the per-RTT window
-//!    trace (§IV).
+//! 1. **Trace gathering** ([`ladder`], driven over the simulator by
+//!    [`prober`]): emulate network environments A (fixed 1.0 s RTT) and B
+//!    (0.8 s → 1.0 s steps) purely through ACK scheduling, force a
+//!    retransmission timeout by withholding ACKs once the window passes a
+//!    `w_max` threshold, and record the per-RTT window trace (§IV).
 //! 2. **Feature extraction** ([`features`]): from each trace, recover the
 //!    multiplicative decrease parameter β and the window growth offsets
 //!    G3/G6, robustly to ACK loss; assemble the 7-element vector (§V).
@@ -48,6 +48,7 @@ pub mod classes;
 pub mod classify;
 pub mod defense_eval;
 pub mod features;
+pub mod ladder;
 pub mod prober;
 pub mod server_under_test;
 pub mod special;
@@ -63,6 +64,7 @@ pub use defense_eval::{
     DEFENSE_KINDS,
 };
 pub use features::{extract, extract_pair, FeatureVector, TraceFeatures, FEATURE_DIM};
+pub use ladder::{LadderWalk, RungAttempt, DEFAULT_LADDER};
 pub use prober::{GatherOutcome, Prober, ProberConfig};
 pub use server_under_test::ServerUnderTest;
 pub use special::SpecialCase;

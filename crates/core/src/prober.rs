@@ -11,19 +11,20 @@
 //! in each emulated round (§IV-D). It walks the `w_max` ladder
 //! 512 → 256 → 128 → 64 until both environments yield usable traces
 //! (§IV-B).
+//!
+//! Those decisions live in [`crate::ladder`], shared with the live-socket
+//! and capture-replay drivers; this module is the *simulator's* driver:
+//! it runs the server's TCP stack, draws the path's packet fates, applies
+//! the server's defense, and reports to the tap and the subscriber.
 
 use caai_netem::path::DataFate;
-use caai_netem::{
-    DefenseOverhead, DefenseSpec, DefenseState, EnvironmentId, PathConfig, Phase, RttSchedule,
-};
-use caai_obs::{
-    span_begin_at, GatherFinished, NullSubscriber, RungAttemptEnded, RungAttemptStarted, SpanKind,
-    Subscriber,
-};
+use caai_netem::{DefenseOverhead, DefenseSpec, DefenseState, EnvironmentId, PathConfig};
+use caai_obs::{span_begin_at, GatherFinished, NullSubscriber, SpanKind, Subscriber};
 use caai_tcpsim::{AckPacket, TcpServer, WirePacket};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::ladder::{Arrival, AttemptPhase, LadderWalk, Next, RungAttempt, DEFAULT_LADDER};
 use crate::server_under_test::ServerUnderTest;
 use crate::trace::{InvalidReason, TracePair, WindowTrace, POST_TIMEOUT_ROUNDS};
 
@@ -76,7 +77,7 @@ pub struct ProberConfig {
 impl Default for ProberConfig {
     fn default() -> Self {
         ProberConfig {
-            wmax_ladder: vec![512, 256, 128, 64],
+            wmax_ladder: DEFAULT_LADDER.to_vec(),
             proposed_mss: 100,
             post_timeout_rounds: POST_TIMEOUT_ROUNDS,
             max_pre_rounds: 50,
@@ -157,7 +158,7 @@ pub enum CloseInitiator {
 
 /// Observer of the packet exchange a probe attempt produces.
 ///
-/// [`Prober::gather_with_tap`] reports every wire-visible event from the
+/// [`Prober::gather_observed`] reports every wire-visible event from the
 /// prober's vantage point: data packets as they *arrive* (after path loss,
 /// duplication and reordering — lost packets are never reported), and ACKs
 /// as they are *sent* (before any ACK loss downstream). Sequence numbers
@@ -202,26 +203,14 @@ pub struct NoopTap;
 
 impl ProbeTap for NoopTap {}
 
-/// The obs-event environment tag for a netem environment id.
-fn obs_environment(env: EnvironmentId) -> caai_obs::Environment {
-    match env {
-        EnvironmentId::A => caai_obs::Environment::A,
-        EnvironmentId::B => caai_obs::Environment::B,
-    }
-}
-
-/// The CAAI prober.
+/// The CAAI prober: the simulator's driver of [`crate::ladder`]. The
+/// ladder decides what to attempt, what to ACK and when to withhold; the
+/// prober owns everything simulated — the server's TCP stack, the path's
+/// loss/duplication/reordering, the server's defense, the tap and the
+/// spans.
 #[derive(Debug, Clone, Default)]
 pub struct Prober {
     config: ProberConfig,
-}
-
-/// A packet sitting in the prober's reorder buffer: late or duplicated
-/// arrivals surface in the following round.
-#[derive(Debug, Clone, Copy)]
-struct CarriedPacket {
-    seq: u64,
-    duplicate: bool,
 }
 
 impl Prober {
@@ -235,119 +224,44 @@ impl Prober {
         &self.config
     }
 
-    /// Runs the full §IV protocol: walk the `w_max` ladder, gather
-    /// environment A then B at each rung, stop at the first usable pair.
-    ///
-    /// The ladder exists to find the threshold the server's window can
-    /// *exceed* (§IV-B), so only [`InvalidReason::NeverExceededThreshold`]
-    /// descends to the next rung. Every other failure — a page too short
-    /// to sustain the transfer, a server deaf to the emulated timeout, a
-    /// truncated recovery — would fail the same way at any rung (Table IV
-    /// counts such servers invalid, e.g. the 30.17% with "no long enough
-    /// Web pages"), so the walk aborts immediately.
+    /// Runs the full §IV protocol: walk the `w_max` ladder
+    /// ([`LadderWalk`]), gather environment A then B at each rung, stop
+    /// at the first usable pair.
     pub fn gather(
         &self,
         server: &ServerUnderTest,
         path: &PathConfig,
         rng: &mut impl Rng,
     ) -> GatherOutcome {
-        self.gather_with_tap(server, path, rng, &mut NoopTap)
+        self.gather_observed(server, path, rng, &mut NoopTap, &NullSubscriber)
     }
 
-    /// [`gather`](Self::gather) with a structured-event subscriber: every
-    /// rung attempt and the walk's outcome are reported as they happen
-    /// (see [`caai_obs::Subscriber`]). The outcome is identical to the
-    /// unobserved call.
-    pub fn gather_obs<S: Subscriber>(
+    /// [`gather`](Self::gather) with a wire observer and a
+    /// structured-event subscriber. The two are orthogonal: the tap sees
+    /// every packet of every connection of the walk (see [`ProbeTap`]),
+    /// the subscriber sees each rung attempt and the walk's outcome as
+    /// they happen (see [`caai_obs::Subscriber`]). Neither changes the
+    /// outcome, and both are type parameters so that the do-nothing
+    /// [`NoopTap`] and `NullSubscriber` cost nothing per packet.
+    pub fn gather_observed<T: ProbeTap + ?Sized, S: Subscriber>(
         &self,
         server: &ServerUnderTest,
         path: &PathConfig,
         rng: &mut impl Rng,
+        tap: &mut T,
         obs: &S,
     ) -> GatherOutcome {
-        self.gather_with_tap_obs(server, path, rng, &mut NoopTap, obs)
-    }
-
-    /// [`gather`](Self::gather) with a wire observer: the tap sees every
-    /// packet of every connection of the ladder walk (see [`ProbeTap`]).
-    /// The gathered outcome is identical to the untapped call.
-    pub fn gather_with_tap(
-        &self,
-        server: &ServerUnderTest,
-        path: &PathConfig,
-        rng: &mut impl Rng,
-        tap: &mut dyn ProbeTap,
-    ) -> GatherOutcome {
-        self.gather_with_tap_obs(server, path, rng, tap, &NullSubscriber)
-    }
-
-    /// [`gather_with_tap`](Self::gather_with_tap) plus a structured-event
-    /// subscriber. Tap and subscriber are orthogonal: the tap sees the
-    /// packet exchange, the subscriber sees the attempt/outcome events.
-    pub fn gather_with_tap_obs<S: Subscriber>(
-        &self,
-        server: &ServerUnderTest,
-        path: &PathConfig,
-        rng: &mut impl Rng,
-        tap: &mut dyn ProbeTap,
-        obs: &S,
-    ) -> GatherOutcome {
+        let mut walk = LadderWalk::new();
         let mut now = 0.0;
-        let mut failed = Vec::new();
-        let mut pair = None;
         let mut overhead = DefenseOverhead::default();
-        for &wmax in &self.config.wmax_ladder {
-            let (trace_a, end_a, ovh_a) = self.gather_trace_observed(
-                server,
-                EnvironmentId::A,
-                wmax,
-                now,
-                path,
-                rng,
-                tap,
-                obs,
-            );
-            overhead.absorb(ovh_a);
-            now = end_a + self.config.inter_connection_wait;
-            if !trace_a.is_valid() {
-                let descend = trace_a.invalid == Some(InvalidReason::NeverExceededThreshold);
-                failed.push(trace_a);
-                if descend {
-                    continue;
-                }
-                break;
-            }
-            let (trace_b, end_b, ovh_b) = self.gather_trace_observed(
-                server,
-                EnvironmentId::B,
-                wmax,
-                now,
-                path,
-                rng,
-                tap,
-                obs,
-            );
-            overhead.absorb(ovh_b);
-            now = end_b + self.config.inter_connection_wait;
-            if trace_b.usable_for_classification() {
-                pair = Some(TracePair {
-                    env_a: trace_a,
-                    env_b: trace_b,
-                });
-                break;
-            }
-            let descend = trace_b.invalid == Some(InvalidReason::NeverExceededThreshold);
-            failed.push(trace_a);
-            failed.push(trace_b);
-            if !descend {
-                break;
-            }
+        while let Some((env, wmax)) = walk.next(&self.config.wmax_ladder) {
+            let (trace, end, spent) =
+                self.gather_trace_observed(server, env, wmax, now, path, rng, tap, obs);
+            overhead.absorb(spent);
+            now = end + self.config.inter_connection_wait;
+            walk.record(trace);
         }
-        let outcome = GatherOutcome {
-            pair,
-            failed_attempts: failed,
-            defense_overhead: self.config.defense.as_ref().map(|_| overhead),
-        };
+        let outcome = walk.finish(self.config.defense.as_ref().map(|_| overhead));
         obs.on_gather_finished(&GatherFinished {
             usable: outcome.pair.is_some(),
             failed_attempts: outcome.failed_attempts.len() as u32,
@@ -367,51 +281,27 @@ impl Prober {
         path: &PathConfig,
         rng: &mut impl Rng,
     ) -> (WindowTrace, f64) {
-        self.gather_trace_with_tap(server, env, wmax, start, path, rng, &mut NoopTap)
-    }
-
-    /// [`gather_trace`](Self::gather_trace) with a wire observer (see
-    /// [`ProbeTap`]). The gathered trace is identical to the untapped call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gather_trace_with_tap(
-        &self,
-        server: &ServerUnderTest,
-        env: EnvironmentId,
-        wmax: u32,
-        start: f64,
-        path: &PathConfig,
-        rng: &mut impl Rng,
-        tap: &mut dyn ProbeTap,
-    ) -> (WindowTrace, f64) {
-        self.gather_trace_with_tap_obs(server, env, wmax, start, path, rng, tap, &NullSubscriber)
-    }
-
-    /// [`gather_trace_with_tap`](Self::gather_trace_with_tap) plus a
-    /// structured-event subscriber: one [`RungAttemptStarted`] /
-    /// [`RungAttemptEnded`] pair brackets the attempt, with the round
-    /// count, validity, and whether the Fig. 13 stall early-exit fired.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gather_trace_with_tap_obs<S: Subscriber>(
-        &self,
-        server: &ServerUnderTest,
-        env: EnvironmentId,
-        wmax: u32,
-        start: f64,
-        path: &PathConfig,
-        rng: &mut impl Rng,
-        tap: &mut dyn ProbeTap,
-        obs: &S,
-    ) -> (WindowTrace, f64) {
-        let (trace, end, _) =
-            self.gather_trace_observed(server, env, wmax, start, path, rng, tap, obs);
+        let (trace, end, _) = self.gather_trace_observed(
+            server,
+            env,
+            wmax,
+            start,
+            path,
+            rng,
+            &mut NoopTap,
+            &NullSubscriber,
+        );
         (trace, end)
     }
 
-    /// [`gather_trace_with_tap_obs`](Self::gather_trace_with_tap_obs) plus
-    /// the attempt's measured defense overhead (for the ladder walk's
-    /// accounting).
+    /// [`gather_trace`](Self::gather_trace) with a wire observer and a
+    /// subscriber: one [`caai_obs::RungAttemptStarted`] /
+    /// [`caai_obs::RungAttemptEnded`] pair brackets the attempt, with the
+    /// round count, validity, and whether the Fig. 13 stall early-exit
+    /// fired. Also returns the connection's defense accounting (zero when
+    /// undefended).
     #[allow(clippy::too_many_arguments)]
-    fn gather_trace_observed<S: Subscriber>(
+    pub fn gather_trace_observed<T: ProbeTap + ?Sized, S: Subscriber>(
         &self,
         server: &ServerUnderTest,
         env: EnvironmentId,
@@ -419,13 +309,12 @@ impl Prober {
         start: f64,
         path: &PathConfig,
         rng: &mut impl Rng,
-        tap: &mut dyn ProbeTap,
+        tap: &mut T,
         obs: &S,
     ) -> (WindowTrace, f64, DefenseOverhead) {
-        obs.on_rung_attempt_started(&RungAttemptStarted {
-            environment: obs_environment(env),
-            wmax,
-        });
+        let config = &self.config;
+        let mut attempt = RungAttempt::new(env, wmax);
+        obs.on_rung_attempt_started(&attempt.started());
         let span = span_begin_at(
             obs,
             SpanKind::RungAttempt,
@@ -433,243 +322,84 @@ impl Prober {
             matches!(env, EnvironmentId::B) as i64,
             start,
         );
-        let (trace, end, stall_exited, overhead) =
-            self.gather_trace_inner(server, env, wmax, start, path, rng, tap, obs);
-        span.end_at(obs, end);
-        obs.on_rung_attempt_ended(&RungAttemptEnded {
-            environment: obs_environment(env),
-            wmax,
-            rounds: (trace.pre.len() + trace.post.len()) as u32,
-            valid: trace.is_valid(),
-            stalled: stall_exited,
-            invalid_reason: trace.invalid.map(InvalidReason::name),
-        });
-        (trace, end, overhead)
-    }
-
-    /// The attempt body. The extra `bool` reports whether the Fig. 13
-    /// stall early-exit ended phase 1; the [`DefenseOverhead`] is the
-    /// connection's defense accounting (zero when undefended).
-    #[allow(clippy::too_many_arguments)]
-    fn gather_trace_inner<S: Subscriber>(
-        &self,
-        server: &ServerUnderTest,
-        env: EnvironmentId,
-        wmax: u32,
-        start: f64,
-        path: &PathConfig,
-        rng: &mut impl Rng,
-        tap: &mut dyn ProbeTap,
-        obs: &S,
-    ) -> (WindowTrace, f64, bool, DefenseOverhead) {
-        let schedule = RttSchedule::new(env);
-        let granted_mss = server.granted_mss(self.config.proposed_mss);
-        let mut conn = server.connect(self.config.proposed_mss, start);
+        let granted_mss = server.granted_mss(config.proposed_mss);
+        attempt.set_mss(granted_mss);
+        let mut conn = server.connect(config.proposed_mss, start);
         let mut now = start;
         // Per-connection defense state: the wire-sequence renumbering must
         // be consistent within a connection (retransmissions reuse their
         // original mapping) but resets with every new connection.
-        let mut defense = self.config.defense.as_ref().map(DefenseState::new);
-        tap.connection_opened(now, env, wmax, self.config.proposed_mss, granted_mss);
+        let mut defense = config.defense.as_ref().map(DefenseState::new);
+        tap.connection_opened(now, env, wmax, config.proposed_mss, granted_mss);
+        let mut server_cum: u64 = 0; // highest cum-ack delivered (real space)
+        let mut carry: Vec<Arrival> = Vec::new();
 
-        let mut trace = WindowTrace {
-            env,
-            wmax_threshold: wmax,
-            mss: granted_mss,
-            pre: Vec::new(),
-            post: Vec::new(),
-            invalid: None,
+        let closed_by = loop {
+            let post = attempt.phase() == AttemptPhase::Post;
+            let round = i64::from(attempt.round_number());
+            let round_span = span_begin_at(obs, SpanKind::Round, round, post as i64, now);
+            let rtt = attempt.round_rtt();
+            let segs = conn.transmit(now);
+            let defense_holds = defense.as_ref().is_some_and(DefenseState::has_held);
+            let end = if segs.is_empty() && carry.is_empty() && !defense_holds {
+                let done = conn.finished();
+                if !done {
+                    fire_rto_within(&mut conn, now, now + rtt);
+                }
+                attempt.on_silent_round(config, done)
+            } else {
+                let wire = to_wire(&segs, defense.as_mut(), rng);
+                let received = deliver(&wire, &mut carry, path, rng);
+                for p in &received {
+                    tap.data_received(now, p.seq, p.duplicate);
+                }
+                attempt.on_round(config, received.iter().copied())
+            }
+            .expect("rounds are driven only while the attempt measures");
+            now += end.elapsed;
+            for ack in attempt.acks() {
+                tap.ack_sent(now, ack.cum_ack, ack.duplicate);
+                if path.ack_fate(rng) == caai_netem::AckFate::Delivered {
+                    let real = match &defense {
+                        Some(d) => d.unmap_ack(ack.cum_ack),
+                        None => ack.cum_ack,
+                    };
+                    let rtt = if ack.duplicate { 0.0 } else { rtt };
+                    let ack = AckPacket { cum_ack: real, rtt };
+                    deliver_ack(&mut conn, &mut server_cum, now, ack);
+                }
+            }
+            round_span.end_at(obs, now);
+            match end.next {
+                Next::Transmit => {}
+                Next::Close(by) => break by,
+                Next::AwaitRto => {
+                    // The emulated timeout destroys the round structure any
+                    // held packets were delayed into; a real shaper would
+                    // flush on the retransmission-timeout stall too.
+                    if let Some(d) = defense.as_mut() {
+                        d.drop_held();
+                    }
+                    carry.clear();
+                    let (answered, at) = await_rto(&mut conn, now, config.max_rto_waits);
+                    now = at;
+                    let end = attempt
+                        .on_rto(answered)
+                        .expect("the attempt awaits the RTO");
+                    if let Next::Close(by) = end.next {
+                        break by;
+                    }
+                }
+            }
         };
 
-        // ---- Phase 1: grow the window past the threshold. -------------
-        let mut prev_seqmax: i64 = -1;
-        let mut prober_cum: u64 = 0; // highest cumulative ACK sent (wire space)
-        let mut server_cum: u64 = 0; // highest cum-ack delivered (real space)
-        let mut carry: Vec<CarriedPacket> = Vec::new();
-        let mut crossed = false;
-        let mut best_w = 0u32; // largest per-round window so far
-        let mut stalled = 0u32; // rounds since `best_w` last grew
-        let mut stall_exited = false; // the Fig. 13 early exit fired
-
-        for round in 1..=self.config.max_pre_rounds as u32 {
-            let round_span = span_begin_at(obs, SpanKind::Round, i64::from(round), 0, now);
-            let rtt = schedule.rtt(Phase::BeforeTimeout, round);
-            let segs = conn.transmit(now);
-            let defense_holds = defense.as_ref().is_some_and(DefenseState::has_held);
-            if segs.is_empty() && carry.is_empty() && !defense_holds {
-                if conn.finished() {
-                    trace.invalid = Some(InvalidReason::PageTooShort);
-                    server.disconnect(&conn, now);
-                    tap.connection_closed(now, CloseInitiator::Server);
-                    round_span.end_at(obs, now);
-                    return (trace, now, stall_exited, overhead_of(&defense));
-                }
-                // All ACKs of the previous round were lost: wait for the
-                // server's own (unplanned) RTO and keep going.
-                if let Some(deadline) = conn.rto_deadline() {
-                    if deadline <= now + rtt {
-                        conn.fire_rto(deadline.max(now));
-                    }
-                }
-                trace.pre.push(0);
-                now += rtt;
-                round_span.end_at(obs, now);
-                continue;
-            }
-
-            let wire = to_wire(&segs, defense.as_mut(), rng);
-            let (received, next_carry) = deliver(&wire, &mut carry, path, rng);
-            for p in &received {
-                tap.data_received(now, p.seq, p.duplicate);
-            }
-            let w = measure(&received, &mut prev_seqmax);
-            trace.pre.push(w);
-            carry = next_carry;
-
-            if w > wmax {
-                crossed = true;
-                round_span.end_at(obs, now);
-                break; // withhold this round's ACKs: emulate the timeout
-            }
-
-            let acks = build_acks(&received, &mut prober_cum, rtt);
-            now += rtt;
-            for ack in acks {
-                tap.ack_sent(now, ack.cum_ack, false);
-                if path.ack_fate(rng) == caai_netem::AckFate::Delivered {
-                    deliver_ack(&mut conn, defense.as_ref(), &mut server_cum, now, ack);
-                }
-            }
-
-            // Fig. 13 early exit: the window has visibly stopped growing
-            // below the threshold — a ceiling (or a VEGAS-style plateau)
-            // it will never cross. Waiting out `max_pre_rounds` would only
-            // burn the page budget the next rung needs.
-            if w > best_w {
-                best_w = w;
-                stalled = 0;
-            } else {
-                stalled += 1;
-                if self.config.stall_rounds > 0 && stalled >= self.config.stall_rounds {
-                    stall_exited = true;
-                    round_span.end_at(obs, now);
-                    break;
-                }
-            }
-            round_span.end_at(obs, now);
-        }
-
-        if !crossed {
-            trace.invalid = Some(InvalidReason::NeverExceededThreshold);
-            server.disconnect(&conn, now);
-            tap.connection_closed(now, CloseInitiator::Prober);
-            return (trace, now, stall_exited, overhead_of(&defense));
-        }
-
-        // The emulated timeout destroys the round structure any held
-        // packets were delayed into; a real shaper would flush on the
-        // retransmission-timeout stall too.
-        if let Some(d) = defense.as_mut() {
-            d.drop_held();
-        }
-
-        // ---- Phase 2: the emulated timeout. ----------------------------
-        let mut responded = false;
-        for _ in 0..=self.config.max_rto_waits {
-            let Some(deadline) = conn.rto_deadline() else {
-                break;
-            };
-            now = now.max(deadline);
-            if conn.fire_rto(now) {
-                responded = true;
-                break;
-            }
-        }
-        if !responded {
-            trace.invalid = Some(InvalidReason::NoTimeoutResponse);
-            server.disconnect(&conn, now);
-            tap.connection_closed(now, CloseInitiator::Prober);
-            return (trace, now, stall_exited, overhead_of(&defense));
-        }
-
-        // ---- Phase 3: recovery, 18 rounds (§IV-E). ----------------------
-        prev_seqmax = i64::MIN; // re-anchored at the first retransmission
-        carry.clear();
-        let mut first_post_round = true;
-        let mut post_round: u32 = 1;
-        while trace.post.len() < self.config.post_timeout_rounds {
-            let round_span = span_begin_at(obs, SpanKind::Round, i64::from(post_round), 1, now);
-            let rtt = schedule.rtt(Phase::AfterTimeout, post_round);
-            let segs = conn.transmit(now);
-            let defense_holds = defense.as_ref().is_some_and(DefenseState::has_held);
-            if segs.is_empty() && carry.is_empty() && !defense_holds {
-                if conn.finished() {
-                    trace.invalid = Some(InvalidReason::RecoveryTooShort);
-                    server.disconnect(&conn, now);
-                    tap.connection_closed(now, CloseInitiator::Server);
-                    round_span.end_at(obs, now);
-                    return (trace, now, stall_exited, overhead_of(&defense));
-                }
-                if let Some(deadline) = conn.rto_deadline() {
-                    if deadline <= now + rtt {
-                        conn.fire_rto(deadline.max(now));
-                    }
-                }
-                trace.post.push(0);
-                now += rtt;
-                post_round += 1;
-                round_span.end_at(obs, now);
-                continue;
-            }
-
-            let wire = to_wire(&segs, defense.as_mut(), rng);
-            let (received, next_carry) = deliver(&wire, &mut carry, path, rng);
-            for p in &received {
-                tap.data_received(now, p.seq, p.duplicate);
-            }
-            if prev_seqmax == i64::MIN {
-                if let Some(first) = received.iter().map(|p| p.seq).min() {
-                    prev_seqmax = first as i64 - 1;
-                }
-            }
-            let w = if prev_seqmax == i64::MIN {
-                0
-            } else {
-                measure(&received, &mut prev_seqmax)
-            };
-            trace.post.push(w);
-            carry = next_carry;
-
-            let mut acks = Vec::new();
-            if first_post_round && self.config.frto_countermeasure && !received.is_empty() {
-                // §IV-C: one duplicate ACK aborts F-RTO and forces
-                // conventional timeout recovery. Harmless otherwise.
-                acks.push(AckPacket::duplicate(prober_cum));
-            }
-            first_post_round = first_post_round && received.is_empty();
-            acks.extend(build_acks(&received, &mut prober_cum, rtt));
-            now += rtt;
-            for ack in acks {
-                // Duplicate ACKs (the F-RTO counter-measure) carry no RTT
-                // sample; that is how they are recognizable here too.
-                tap.ack_sent(now, ack.cum_ack, ack.rtt == 0.0);
-                if path.ack_fate(rng) == caai_netem::AckFate::Delivered {
-                    deliver_ack(&mut conn, defense.as_ref(), &mut server_cum, now, ack);
-                }
-            }
-            post_round += 1;
-            round_span.end_at(obs, now);
-        }
-
         server.disconnect(&conn, now);
-        tap.connection_closed(now, CloseInitiator::Prober);
-        (trace, now, stall_exited, overhead_of(&defense))
+        tap.connection_closed(now, closed_by);
+        span.end_at(obs, now);
+        obs.on_rung_attempt_ended(&attempt.ended());
+        let overhead = defense.as_ref().map(|d| d.overhead()).unwrap_or_default();
+        (attempt.into_trace(), now, overhead)
     }
-}
-
-/// The overhead a defended connection accumulated (zero when undefended).
-fn overhead_of(defense: &Option<DefenseState>) -> DefenseOverhead {
-    defense.as_ref().map(|d| d.overhead()).unwrap_or_default()
 }
 
 /// Runs one transmit burst through the defense, or passes it straight to
@@ -688,112 +418,92 @@ fn to_wire(
     }
 }
 
-/// Delivers one prober ACK to the server's TCP stack, translating it out
-/// of the defense's wire sequence space first.
-///
-/// A real padding middlebox strips acknowledgements that only cover dummy
-/// packets before they reach TCP — a cumulative ACK that does not advance
-/// the real-space cumulative point is dropped here for the same reason
-/// (delivering it would masquerade as a duplicate ACK and trigger fast
-/// retransmit). The F-RTO counter-measure duplicate (recognizable by its
-/// missing RTT sample) is intentionally a non-advancing ACK and always
-/// goes through.
-fn deliver_ack(
-    conn: &mut TcpServer,
-    defense: Option<&DefenseState>,
-    server_cum: &mut u64,
-    now: f64,
-    ack: AckPacket,
-) {
-    let real = match defense {
-        Some(d) => d.unmap_ack(ack.cum_ack),
-        None => ack.cum_ack,
-    };
-    if ack.rtt == 0.0 {
-        conn.on_ack(now, AckPacket::duplicate(real));
-    } else if real > *server_cum {
-        *server_cum = real;
-        conn.on_ack(
-            now,
-            AckPacket {
-                cum_ack: real,
-                rtt: ack.rtt,
-            },
-        );
-    }
-}
-
-/// Applies path fates to the wire burst and merges carried arrivals.
-/// Returns the packets received this round plus the next round's carry.
+/// Applies path fates to the wire burst and merges the arrivals carried
+/// over from the previous round: late or duplicated packets surface one
+/// round on. Returns the packets received this round, in sequence order,
+/// and leaves the next round's carry in `carry`.
 ///
 /// The prober cannot tell defense dummies from real data — by design —
 /// so the `dummy` flag dies here: a dummy is just another sequence
 /// number to measure and acknowledge.
 fn deliver(
     wire: &[WirePacket],
-    carry: &mut Vec<CarriedPacket>,
+    carry: &mut Vec<Arrival>,
     path: &PathConfig,
     rng: &mut impl Rng,
-) -> (Vec<CarriedPacket>, Vec<CarriedPacket>) {
-    let mut received: Vec<CarriedPacket> = std::mem::take(carry);
-    let mut next_carry = Vec::new();
+) -> Vec<Arrival> {
+    let mut received = std::mem::take(carry);
     for pkt in wire {
+        let arrival = Arrival {
+            seq: pkt.seq,
+            duplicate: false,
+        };
         match path.data_fate(rng) {
-            DataFate::Delivered => received.push(CarriedPacket {
-                seq: pkt.seq,
-                duplicate: false,
-            }),
+            DataFate::Delivered => received.push(arrival),
             DataFate::Lost => {}
             DataFate::Duplicated => {
-                received.push(CarriedPacket {
-                    seq: pkt.seq,
-                    duplicate: false,
-                });
-                next_carry.push(CarriedPacket {
-                    seq: pkt.seq,
+                received.push(arrival);
+                carry.push(Arrival {
                     duplicate: true,
+                    ..arrival
                 });
             }
-            DataFate::Late => next_carry.push(CarriedPacket {
-                seq: pkt.seq,
-                duplicate: false,
-            }),
+            DataFate::Late => carry.push(arrival),
         }
     }
     received.sort_by_key(|p| p.seq);
-    (received, next_carry)
+    received
 }
 
-/// §IV-D: the window at round m is the highest sequence number received in
-/// the round minus the previous round's highest.
-fn measure(received: &[CarriedPacket], prev_seqmax: &mut i64) -> u32 {
-    let Some(seqmax) = received.iter().map(|p| p.seq).max() else {
-        return 0;
-    };
-    let w = (seqmax as i64 - *prev_seqmax).max(0) as u32;
-    if seqmax as i64 > *prev_seqmax {
-        *prev_seqmax = seqmax as i64;
+// ---------------------------------------------------------------------
+// The server end of a probing connection. `caai-net`'s emulated server
+// answers the wire protocol with these same three, so a simulated and an
+// emulated server react identically to the ladder.
+// ---------------------------------------------------------------------
+
+/// Delivers one prober ACK (real sequence space; a zero `rtt` marks the
+/// F-RTO counter-measure duplicate) to the server's TCP stack.
+///
+/// A real padding middlebox strips acknowledgements that only cover dummy
+/// packets before they reach TCP — a cumulative ACK that does not advance
+/// the real-space cumulative point `server_cum` is dropped here for the
+/// same reason (delivering it would masquerade as a duplicate ACK and
+/// trigger fast retransmit). The F-RTO duplicate is intentionally a
+/// non-advancing ACK and always goes through.
+pub fn deliver_ack(conn: &mut TcpServer, server_cum: &mut u64, now: f64, ack: AckPacket) {
+    if ack.rtt == 0.0 {
+        conn.on_ack(now, ack);
+    } else if ack.cum_ack > *server_cum {
+        *server_cum = ack.cum_ack;
+        conn.on_ack(now, ack);
     }
-    w
 }
 
-/// §IV-C: one ACK per received (non-duplicate) data packet, cumulative "as
-/// if there is no packet loss" — holes are covered by the next packet's
-/// cumulative number, so the server never sees duplicate ACKs from data
-/// loss.
-fn build_acks(received: &[CarriedPacket], prober_cum: &mut u64, rtt: f64) -> Vec<AckPacket> {
-    let mut acks = Vec::with_capacity(received.len());
-    for p in received {
-        if p.duplicate {
-            continue; // CAAI recognizes duplicates by sequence number
-        }
-        let cum = (p.seq + 1).max(*prober_cum);
-        if cum > *prober_cum {
-            *prober_cum = cum;
-            acks.push(AckPacket { cum_ack: cum, rtt });
+/// A round in which the server had nothing to send: every ACK of the
+/// previous round was lost, so its own (unplanned) RTO fires if the
+/// deadline falls before `horizon`, the end of the round.
+pub fn fire_rto_within(conn: &mut TcpServer, now: f64, horizon: f64) {
+    if let Some(deadline) = conn.rto_deadline() {
+        if deadline <= horizon {
+            conn.fire_rto(deadline.max(now));
         }
     }
-    acks
+}
+
+/// The emulated timeout: with every ACK withheld since `now`, waits out
+/// the server's RTO, re-armed up to `max_waits` times. Returns whether
+/// the server retransmitted, and when the waiting ended.
+pub fn await_rto(conn: &mut TcpServer, mut now: f64, max_waits: u32) -> (bool, f64) {
+    for _ in 0..=max_waits {
+        let Some(deadline) = conn.rto_deadline() else {
+            break;
+        };
+        now = now.max(deadline);
+        if conn.fire_rto(now) {
+            return (true, now);
+        }
+    }
+    (false, now)
 }
 
 #[cfg(test)]
@@ -886,7 +596,13 @@ mod tests {
         let prober = Prober::new(ProberConfig::default());
 
         let metrics = MetricsSubscriber::new();
-        let observed = prober.gather_obs(&server, &PathConfig::clean(), &mut seeded(7), &metrics);
+        let observed = prober.gather_observed(
+            &server,
+            &PathConfig::clean(),
+            &mut seeded(7),
+            &mut NoopTap,
+            &metrics,
+        );
         let plain = prober.gather(&server, &PathConfig::clean(), &mut seeded(7));
         assert_eq!(observed, plain, "subscriber must not change the outcome");
 
@@ -907,7 +623,13 @@ mod tests {
         let server = ServerUnderTest::ideal_with_config(AlgorithmId::Reno, cfg);
         let prober = Prober::new(ProberConfig::default());
         let metrics = MetricsSubscriber::new();
-        let outcome = prober.gather_obs(&server, &PathConfig::clean(), &mut seeded(8), &metrics);
+        let outcome = prober.gather_observed(
+            &server,
+            &PathConfig::clean(),
+            &mut seeded(8),
+            &mut NoopTap,
+            &metrics,
+        );
         assert_eq!(outcome.pair.expect("rung 128 works").wmax_threshold(), 128);
 
         let snap = metrics.snapshot();

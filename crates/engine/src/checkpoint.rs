@@ -6,8 +6,9 @@
 //! bytes, independent of how many records have completed. The seed-v1
 //! format stored every record instead, which made each periodic rewrite
 //! O(completed) and total checkpoint I/O quadratic in population;
-//! [`Checkpoint::load`] still reads v1 files and upgrades them in memory
-//! by folding their records (see `ARCHITECTURE.md` for the format spec).
+//! nothing has written it since PR 3 and [`Checkpoint::load`] refuses it
+//! like any other unknown version (see `ARCHITECTURE.md` for the format
+//! spec).
 //!
 //! Because each server's probe RNG is keyed on `(seed, server_id)`, a
 //! resumed census only needs to know *which* servers are done — re-probing
@@ -56,14 +57,6 @@ pub struct Checkpoint {
     pub completed: IdBitmap,
 }
 
-/// The seed-era v1 checkpoint layout: every completed record, verbatim.
-#[derive(Debug, Deserialize)]
-struct CheckpointV1 {
-    seed: u64,
-    population: u64,
-    records: Vec<CensusRecord>,
-}
-
 /// Just enough of any checkpoint to dispatch on its format version.
 #[derive(Debug, Deserialize)]
 struct CheckpointHeader {
@@ -83,8 +76,7 @@ impl Checkpoint {
         }
     }
 
-    /// Builds a checkpoint by folding completed `records` (also the v1 →
-    /// v2 upgrade path).
+    /// Builds a checkpoint by folding completed `records`.
     pub fn from_records<'a>(
         seed: u64,
         population: u64,
@@ -163,36 +155,19 @@ impl Checkpoint {
         std::fs::rename(&tmp, path)
     }
 
-    /// Loads and validates a checkpoint from `path`. A v1 (full-record)
-    /// checkpoint is upgraded in memory: its records are folded into
-    /// aggregates and a bitmap, under the whole-population shard `0/1`.
+    /// Loads and validates a checkpoint from `path`.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let header: CheckpointHeader =
             serde_json::from_str(&json).map_err(|e| invalid(e.to_string()))?;
-        let ck = match header.version {
-            1 => {
-                let v1: CheckpointV1 =
-                    serde_json::from_str(&json).map_err(|e| invalid(e.to_string()))?;
-                if let Some(bad) = v1
-                    .records
-                    .iter()
-                    .find(|r| u64::from(r.server_id) >= v1.population)
-                {
-                    return Err(invalid(format!(
-                        "v1 checkpoint record for server {} is outside its \
-                         population of {}",
-                        bad.server_id, v1.population
-                    )));
-                }
-                Checkpoint::from_records(v1.seed, v1.population, ShardSpec::full(), &v1.records)
-            }
-            2 => serde_json::from_str::<Checkpoint>(&json).map_err(|e| invalid(e.to_string()))?,
-            other => {
-                return Err(invalid(format!("unsupported checkpoint version {other}")));
-            }
-        };
+        if header.version != CHECKPOINT_VERSION {
+            return Err(invalid(format!(
+                "unsupported checkpoint version {}",
+                header.version
+            )));
+        }
+        let ck: Checkpoint = serde_json::from_str(&json).map_err(|e| invalid(e.to_string()))?;
         ck.shard.validate().map_err(invalid)?;
         ck.completed.validate().map_err(invalid)?;
         if ck.completed.len() != ck.population {
@@ -316,50 +291,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_upgrade_on_load() {
+    fn v1_checkpoint_is_refused_with_a_clean_error() {
         // A v1 file as PR 2 wrote it: full records, no shard, no bitmap.
-        let records = vec![
-            record(5, Verdict::Invalid(InvalidReason::PageTooShort)),
-            record(7, Verdict::Identified(ClassLabel::Bic, 512)),
-        ];
+        let records = vec![record(5, Verdict::Invalid(InvalidReason::PageTooShort))];
         let v1_json = format!(
             r#"{{"version":1,"seed":42,"population":100,"records":{}}}"#,
             serde_json::to_string(&records).unwrap()
         );
-        let path = tmp("v1-upgrade.json");
-        std::fs::write(&path, v1_json).unwrap();
-        let ck = Checkpoint::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-
-        assert_eq!(ck.version, CHECKPOINT_VERSION);
-        assert_eq!((ck.seed, ck.population), (42, 100));
-        assert_eq!(ck.shard, ShardSpec::full());
-        assert_eq!(
-            ck,
-            Checkpoint::from_records(42, 100, ShardSpec::full(), &records)
-        );
-        assert!(ck.completed.contains(5) && ck.completed.contains(7));
-        assert_eq!(ck.aggregates.identified_correct, 1);
-        // And it round-trips as v2 from here on.
-        let path = tmp("v1-upgraded-resave.json");
-        ck.save(&path).unwrap();
-        let back = Checkpoint::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back, ck);
-    }
-
-    #[test]
-    fn v1_record_outside_population_is_an_error_not_a_panic() {
-        let records = vec![record(100, Verdict::Unsure(128))];
-        let v1_json = format!(
-            r#"{{"version":1,"seed":1,"population":100,"records":{}}}"#,
-            serde_json::to_string(&records).unwrap()
-        );
-        let path = tmp("v1-oob.json");
+        let path = tmp("v1-refused.json");
         std::fs::write(&path, v1_json).unwrap();
         let err = Checkpoint::load(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
-        assert!(err.to_string().contains("outside"), "{err}");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "unsupported checkpoint version 1");
     }
 
     #[test]

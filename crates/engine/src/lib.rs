@@ -24,7 +24,7 @@
 //!    snapshots (aggregates + bitmap, atomically renamed, never written
 //!    ahead of the flushed sinks) let a census killed mid-flight — even
 //!    with SIGKILL — restart and finish identical to an uninterrupted
-//!    run. v1 (full-record) checkpoints upgrade transparently on load.
+//!    run.
 //! 5. **Shard fan-out and merge** ([`shard`], [`merge`]): `--shard k/N`
 //!    style specs split a census across machines by `id % N == k`, and
 //!    [`merge::merge_pieces`] joins the per-shard checkpoints/JSONL back

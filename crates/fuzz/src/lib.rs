@@ -111,6 +111,7 @@ pub fn fuzz(config: &FuzzConfig, mut progress: impl FnMut(u64, u64, usize)) -> F
             Target::Stream,
             Target::NetTargets,
             Target::NetFrames,
+            Target::Ladder,
             Target::TraceReport,
         ];
         if config.pipeline_every > 0 && iter % config.pipeline_every == 0 {

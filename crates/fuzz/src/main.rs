@@ -150,6 +150,7 @@ fn replay_one(targets: &Targets, path: &Path) -> Result<(), String> {
         Target::Pipeline,
         Target::NetTargets,
         Target::NetFrames,
+        Target::Ladder,
         Target::TraceReport,
     ] {
         for workers in [1usize, 2] {

@@ -13,6 +13,7 @@ use caai_capture::DEFAULT_LADDER;
 use caai_congestion::AlgorithmId;
 use caai_core::classes::label_names;
 use caai_core::features::FEATURE_DIM;
+use caai_core::ladder::{Arrival, AttemptPhase, LadderWalk, Next, RungAttempt};
 use caai_core::prober::ProberConfig;
 use caai_core::CaaiClassifier;
 use caai_ml::{Dataset, RandomForestConfig};
@@ -42,6 +43,11 @@ pub enum Target {
     /// frames into a [`LadderCore`] ladder walk, and as client frames
     /// into a tcpsim-backed [`ServerCore`].
     NetFrames,
+    /// The sans-IO ladder itself: mutated bytes decoded straight into
+    /// [`RungAttempt`] events and [`LadderWalk`] records, past the frame
+    /// decoder that rejects most mutations before `net-frames` gets
+    /// that far.
+    Ladder,
     /// Chrome trace-event JSON (mutated `--trace` output) through the
     /// `trace-report` salvage reader, stage analyzer, and renderer.
     TraceReport,
@@ -55,6 +61,7 @@ impl Target {
             Target::Pipeline => "pipeline",
             Target::NetTargets => "net-targets",
             Target::NetFrames => "net-frames",
+            Target::Ladder => "ladder",
             Target::TraceReport => "trace-report",
         }
     }
@@ -81,6 +88,7 @@ impl Targets {
             Target::Pipeline => self.drive_pipeline(bytes, workers),
             Target::NetTargets => drive_net_targets(bytes),
             Target::NetFrames => drive_net_frames(bytes),
+            Target::Ladder => drive_ladder(bytes),
             Target::TraceReport => drive_trace_report(bytes),
         });
         catch_unwind(job).map_err(|payload| {
@@ -220,6 +228,103 @@ fn drive_net_frames(bytes: &[u8]) {
     }
 }
 
+/// The ladder state machines under an arbitrary event stream. Every byte
+/// string decodes to one: two header bytes pick the round bounds, then
+/// each attempt takes an `(environment, w_max)` byte and opcodes until
+/// it closes — silent round (server done or not), RTO answered or not,
+/// or a round of up to seven arrivals whose sequence numbers step,
+/// repeat, run backwards or come raw off the input (up to `u64::MAX`).
+/// Closed attempts are recorded into a walk in whatever order they come.
+/// Out-of-phase events must be refused, never panic; round counts must
+/// stay inside the configured bounds; cumulative ACKs must only go up.
+fn drive_ladder(bytes: &[u8]) {
+    let mut input = bytes.iter().copied();
+    let mut byte = || input.next();
+    let (Some(b0), Some(b1)) = (byte(), byte()) else {
+        return;
+    };
+    let config = ProberConfig {
+        max_pre_rounds: 1 + usize::from(b0 & 0x0f),
+        post_timeout_rounds: 1 + usize::from(b0 >> 4),
+        stall_rounds: u32::from(b1 & 0x03),
+        frto_countermeasure: b1 & 0x04 != 0,
+        ..ProberConfig::default()
+    };
+    let ladder = &[64u32, 8, 3][..usize::from(b1 >> 6)];
+    let mut walk = LadderWalk::new();
+    'attempts: while let Some(pick) = byte() {
+        let env =
+            [caai_netem::EnvironmentId::A, caai_netem::EnvironmentId::B][usize::from(pick & 1)];
+        // Follow the walk when it has an opinion, else the input: replay
+        // drivers record traces the walk never asked for.
+        let (env, wmax) = match walk.next(ladder).filter(|_| pick & 2 == 0) {
+            Some(asked) => asked,
+            None => (env, [0, 3, 8, u32::MAX][usize::from(pick >> 6)]),
+        };
+        let mut attempt = RungAttempt::new(env, wmax);
+        let (mut last_cum, mut base) = (0u64, 0u64);
+        while attempt.phase() != AttemptPhase::Closed {
+            let Some(op) = byte() else {
+                attempt.abort();
+                walk.abort(Some(attempt.into_trace()), None);
+                break 'attempts;
+            };
+            let flag = op & 0x80 != 0;
+            let end = match op & 3 {
+                0 => attempt.on_silent_round(&config, flag),
+                1 => attempt.on_rto(flag),
+                _ => {
+                    let mut arrivals = Vec::new();
+                    for _ in 0..(op >> 2) & 7 {
+                        let c = byte().unwrap_or(0);
+                        let step = u64::from(c >> 4);
+                        let seq = match c & 3 {
+                            0 => {
+                                base = base.saturating_add(1 + step);
+                                base
+                            }
+                            1 => {
+                                let raw: Vec<u8> = (0..8).map(|_| byte().unwrap_or(0xff)).collect();
+                                u64::from_le_bytes(raw.try_into().expect("eight bytes"))
+                            }
+                            2 => u64::MAX - step,
+                            _ => base.saturating_sub(step),
+                        };
+                        arrivals.push(Arrival {
+                            seq,
+                            duplicate: c & 4 != 0,
+                        });
+                    }
+                    attempt.on_round(&config, arrivals.iter().copied())
+                }
+            };
+            let Some(end) = end else {
+                continue; // refused: not this phase's event
+            };
+            assert!(end.elapsed.is_finite() && end.elapsed >= 0.0);
+            for ack in attempt.acks().iter().filter(|a| !a.duplicate) {
+                assert!(
+                    ack.cum_ack > last_cum,
+                    "ACK {} after {last_cum}",
+                    ack.cum_ack
+                );
+                last_cum = ack.cum_ack;
+            }
+            assert!(end.next != Next::AwaitRto || attempt.acks().is_empty());
+        }
+        assert!(attempt.trace().pre.len() <= config.max_pre_rounds);
+        assert!(attempt.trace().post.len() <= config.post_timeout_rounds);
+        let _ = attempt.ended();
+        if pick & 4 != 0 {
+            walk.seek(usize::from(pick >> 3 & 7));
+        }
+        let _ = walk.rung_wmax(ladder);
+        walk.record(attempt.into_trace());
+    }
+    let outcome = walk.finish(None);
+    let _ = outcome.failure_reason();
+}
+
 /// Trace-event JSON through the offline `trace-report` stack: salvage
 /// reader, stage analyzer, report renderer. Skipped lines and unmatched
 /// async begins are the reader's contract for mangled traces (a
@@ -291,6 +396,7 @@ mod tests {
                 Target::Pipeline,
                 Target::NetTargets,
                 Target::NetFrames,
+                Target::Ladder,
                 Target::TraceReport,
             ] {
                 targets
@@ -310,6 +416,7 @@ mod tests {
             Target::Pipeline,
             Target::NetTargets,
             Target::NetFrames,
+            Target::Ladder,
             Target::TraceReport,
         ] {
             targets.run(t, &garbage, 1).expect("garbage must not panic");

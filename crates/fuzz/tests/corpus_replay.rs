@@ -40,6 +40,7 @@ fn every_corpus_input_replays_without_panicking() {
             Target::Offline,
             Target::Stream,
             Target::Pipeline,
+            Target::Ladder,
             Target::TraceReport,
         ] {
             for workers in [1usize, 2] {

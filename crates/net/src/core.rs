@@ -9,14 +9,13 @@
 //! [`Prober::gather`](caai_core::prober::Prober::gather) byte for
 //! byte. One implementation of the §IV ladder logic, three harnesses.
 //!
-//! [`LadderCore`] is a line-faithful transliteration of
-//! `Prober::gather_trace_inner` over a clean path (no loss, duplication
-//! or reordering — the loopback wire *is* clean): same round
-//! accounting, same stall early-exit, same F-RTO duplicate ACK, same
-//! ladder descent rules. Where the simulator indexes arithmetic that a
-//! hostile peer could overflow (sequence numbers arrive off the wire
-//! here), the mirror saturates instead; on honest inputs the branches
-//! are identical.
+//! That one implementation is [`caai_core::ladder`]. [`LadderCore`] is
+//! its wire-protocol driver: it turns server frames into the events
+//! [`RungAttempt`] takes and the [`RoundEnd`]s it returns into client
+//! frames, keeps the virtual clock, rejects frames the protocol does not
+//! expect, and tells the transport how long a round would last (`pace`).
+//! The loopback wire is clean, so every `Burst` is a round's arrivals
+//! as sent. [`LadderWalk`] decides which connection comes next.
 //!
 //! [`ServerCore`] mirrors `ServerUnderTest` with one deliberate
 //! difference: every connection gets a *fresh* ssthresh cache instead
@@ -25,11 +24,15 @@
 //! cache is always expired by the next connection anyway — a fresh
 //! cache reproduces the default configuration exactly while keeping
 //! emulated connections independent (they may interleave on one
-//! listener).
+//! listener). It reacts to ACKs, silent rounds and the emulated timeout
+//! through the same `caai_core::prober` helpers the simulator's server
+//! end uses.
 
 use caai_congestion::AlgorithmId;
-use caai_core::{GatherOutcome, InvalidReason, ProberConfig, TracePair, WindowTrace};
-use caai_netem::{EnvironmentId, Phase, RttSchedule};
+use caai_core::ladder::{Arrival, AttemptPhase, LadderWalk, Next, RoundEnd, RungAttempt};
+use caai_core::prober::{await_rto, deliver_ack, fire_rto_within};
+use caai_core::{GatherOutcome, ProberConfig, WindowTrace};
+use caai_obs::RungAttemptEnded;
 use caai_tcpsim::{AckPacket, ServerConfig, SsthreshCache, TcpServer};
 use caai_webmodel::WebServer;
 use std::fmt;
@@ -208,14 +211,7 @@ impl ServerCore {
                             close: true,
                         });
                     }
-                    // All ACKs of the previous round were lost from the
-                    // server's point of view: fire its own RTO when the
-                    // deadline falls inside the round.
-                    if let Some(deadline) = conn.rto_deadline() {
-                        if deadline <= *horizon {
-                            conn.fire_rto(deadline.max(now));
-                        }
-                    }
+                    fire_rto_within(conn, now, *horizon);
                     return Ok(Reply {
                         frames: vec![ServerFrame::Burst {
                             done: false,
@@ -238,22 +234,11 @@ impl ServerCore {
             }
             (ServerState::Open { conn, server_cum }, ClientFrame::Ack { now, cum_ack, rtt }) => {
                 let now = clock(&mut self.last_now, *now, "Ack")?;
-                // Mirrors the prober-side `deliver_ack` (no defense): a
-                // zero-RTT ACK is the F-RTO counter-measure duplicate and
-                // always goes through; a cumulative ACK only counts when
-                // it advances.
-                if *rtt == 0.0 {
-                    conn.on_ack(now, AckPacket::duplicate(*cum_ack));
-                } else if *cum_ack > *server_cum {
-                    *server_cum = *cum_ack;
-                    conn.on_ack(
-                        now,
-                        AckPacket {
-                            cum_ack: *cum_ack,
-                            rtt: *rtt,
-                        },
-                    );
-                }
+                let ack = AckPacket {
+                    cum_ack: *cum_ack,
+                    rtt: *rtt,
+                };
+                deliver_ack(conn, server_cum, now, ack);
                 Ok(Reply::default())
             }
             (ServerState::Open { conn, .. }, ClientFrame::RtoWait { now, max_waits }) => {
@@ -262,18 +247,8 @@ impl ServerCore {
                         "RtoWait max_waits {max_waits} exceeds the cap of {MAX_RTO_WAITS_CAP}"
                     )));
                 }
-                let mut t = clock(&mut self.last_now, *now, "RtoWait")?;
-                let mut responded = false;
-                for _ in 0..=*max_waits {
-                    let Some(deadline) = conn.rto_deadline() else {
-                        break;
-                    };
-                    t = t.max(deadline);
-                    if conn.fire_rto(t) {
-                        responded = true;
-                        break;
-                    }
-                }
+                let now = clock(&mut self.last_now, *now, "RtoWait")?;
+                let (responded, t) = await_rto(conn, now, *max_waits);
                 self.last_now = t;
                 Ok(Reply {
                     frames: vec![ServerFrame::RtoResult { responded, now: t }],
@@ -317,128 +292,33 @@ pub enum Step {
     Done(Box<GatherOutcome>),
 }
 
-/// One finished rung attempt, for observability replay: the fields of
-/// `caai-obs`'s `RungAttemptEnded`, recorded because the core itself
-/// cannot hold a subscriber (it crosses the reactor thread).
-#[derive(Debug, Clone)]
-pub struct RungRecord {
-    /// Which emulated environment.
-    pub env: EnvironmentId,
-    /// The `w_max` rung.
-    pub wmax: u32,
-    /// Rounds gathered (pre + post).
-    pub rounds: u32,
-    /// Whether the attempt produced a valid trace.
-    pub valid: bool,
-    /// Whether the Fig. 13 stall early-exit fired.
-    pub stalled: bool,
-    /// Why the trace is invalid, when it is.
-    pub invalid_reason: Option<&'static str>,
-}
+/// One finished rung attempt, for observability replay: recorded
+/// because the core itself cannot hold a subscriber (it crosses the
+/// reactor thread).
+pub type RungRecord = RungAttemptEnded;
 
-enum AttemptPhase {
-    AwaitWelcome,
-    Pre,
-    AwaitRto,
-    Post,
-}
-
-struct Attempt {
-    env: EnvironmentId,
-    schedule: RttSchedule,
-    wmax: u32,
-    trace: WindowTrace,
-    phase: AttemptPhase,
-    prev_seqmax: i64,
-    prober_cum: u64,
-    best_w: u32,
-    stalled: u32,
-    stall_exited: bool,
-    /// Current 1-based round whose `Xmit` is outstanding.
-    round: u32,
-    post_round: u32,
-    first_post_round: bool,
-}
-
-impl Attempt {
-    fn new(env: EnvironmentId, wmax: u32) -> Self {
-        Attempt {
-            env,
-            schedule: RttSchedule::new(env),
-            wmax,
-            trace: WindowTrace {
-                env,
-                wmax_threshold: wmax,
-                mss: 0,
-                pre: Vec::new(),
-                post: Vec::new(),
-                invalid: None,
-            },
-            phase: AttemptPhase::AwaitWelcome,
-            prev_seqmax: -1,
-            prober_cum: 0,
-            best_w: 0,
-            stalled: 0,
-            stall_exited: false,
-            round: 1,
-            post_round: 1,
-            first_post_round: true,
-        }
-    }
-
-    /// §IV-D window measurement, saturating where the simulator can
-    /// trust its own arithmetic but a wire peer cannot be trusted.
-    fn measure(&mut self, seqs: &[u64]) -> u32 {
-        let Some(seqmax) = seqs.iter().copied().max() else {
-            return 0;
-        };
-        let seqmax = seqmax.min(i64::MAX as u64) as i64;
-        let w = seqmax.saturating_sub(self.prev_seqmax).max(0);
-        if seqmax > self.prev_seqmax {
-            self.prev_seqmax = seqmax;
-        }
-        w.min(u32::MAX as i64) as u32
-    }
-
-    /// §IV-C cumulative ACKs "as if there is no packet loss".
-    fn build_acks(&mut self, seqs: &[u64], now: f64, rtt: f64) -> Vec<ClientFrame> {
-        let mut acks = Vec::with_capacity(seqs.len());
-        for &seq in seqs {
-            let cum = seq.saturating_add(1).max(self.prober_cum);
-            if cum > self.prober_cum {
-                self.prober_cum = cum;
-                acks.push(ClientFrame::Ack {
-                    now,
-                    cum_ack: cum,
-                    rtt,
-                });
-            }
-        }
-        acks
-    }
-}
-
-/// The ladder walk of `Prober::gather` as a sans-IO state machine.
+/// The ladder walk of `Prober::gather` over the wire protocol, as a
+/// sans-IO state machine (a driver of [`caai_core::ladder`]).
 ///
 /// Drive it with the [`Step`]s it returns; feed it connection lifecycle
 /// events and decoded server frames. [`abort`](LadderCore::abort)
 /// reduces any transport failure to a [`GatherOutcome`] whose dominant
-/// failure reason is [`InvalidReason::TransportAborted`].
+/// failure reason is `InvalidReason::TransportAborted`.
 pub struct LadderCore {
     config: ProberConfig,
-    ladder_idx: usize,
+    walk: LadderWalk,
     now: f64,
-    trace_a: Option<WindowTrace>,
-    failed: Vec<WindowTrace>,
     rungs: Vec<RungRecord>,
-    attempt: Option<Attempt>,
+    /// The attempt on the open (or opening) connection.
+    attempt: Option<RungAttempt>,
+    /// The server's `Welcome` for that connection has arrived.
+    welcomed: bool,
     /// The attempt whose closing `Send` is in flight, awaiting
     /// [`on_closed`](LadderCore::on_closed).
     closing: Option<WindowTrace>,
     /// A server frame is expected (an un-asked-for frame is a protocol
     /// violation).
     awaiting: bool,
-    done: bool,
 }
 
 impl LadderCore {
@@ -456,26 +336,33 @@ impl LadderCore {
         );
         LadderCore {
             config,
-            ladder_idx: 0,
+            walk: LadderWalk::new(),
             now: 0.0,
-            trace_a: None,
-            failed: Vec::new(),
             rungs: Vec::new(),
             attempt: None,
+            welcomed: false,
             closing: None,
             awaiting: false,
-            done: false,
         }
     }
 
     /// Starts the walk: the first [`Step`] to execute.
     pub fn start(&mut self) -> Step {
-        match self.config.wmax_ladder.first() {
-            Some(&wmax) => {
-                self.attempt = Some(Attempt::new(EnvironmentId::A, wmax));
+        self.advance()
+    }
+
+    /// Connects for the walk's next attempt, or finishes.
+    fn advance(&mut self) -> Step {
+        match self.walk.next(&self.config.wmax_ladder) {
+            Some((env, wmax)) => {
+                self.attempt = Some(RungAttempt::new(env, wmax));
+                self.welcomed = false;
                 Step::Connect
             }
-            None => self.finish(),
+            None => {
+                let walk = std::mem::take(&mut self.walk);
+                Step::Done(Box::new(walk.finish(None)))
+            }
         }
     }
 
@@ -509,339 +396,101 @@ impl LadderCore {
         // advances the *virtual* clock only — the transport never sleeps
         // 630 real seconds (see `Step::Send::pace`).
         self.now += self.config.inter_connection_wait;
-        let wmax = trace.wmax_threshold;
-        match trace.env {
-            EnvironmentId::A => {
-                if trace.is_valid() {
-                    self.trace_a = Some(trace);
-                    self.attempt = Some(Attempt::new(EnvironmentId::B, wmax));
-                    Step::Connect
-                } else {
-                    let descend = trace.invalid == Some(InvalidReason::NeverExceededThreshold);
-                    self.failed.push(trace);
-                    if descend {
-                        self.descend()
-                    } else {
-                        self.finish()
-                    }
-                }
-            }
-            EnvironmentId::B => {
-                if trace.usable_for_classification() {
-                    let env_a = self.trace_a.take().expect("env B ran without an A trace");
-                    self.done = true;
-                    let outcome = GatherOutcome {
-                        pair: Some(TracePair {
-                            env_a,
-                            env_b: trace,
-                        }),
-                        failed_attempts: std::mem::take(&mut self.failed),
-                        defense_overhead: None,
-                    };
-                    Step::Done(Box::new(outcome))
-                } else {
-                    let descend = trace.invalid == Some(InvalidReason::NeverExceededThreshold);
-                    self.failed
-                        .push(self.trace_a.take().expect("env B ran without an A trace"));
-                    self.failed.push(trace);
-                    if descend {
-                        self.descend()
-                    } else {
-                        self.finish()
-                    }
-                }
-            }
-        }
-    }
-
-    fn descend(&mut self) -> Step {
-        self.ladder_idx += 1;
-        match self.config.wmax_ladder.get(self.ladder_idx) {
-            Some(&wmax) => {
-                self.attempt = Some(Attempt::new(EnvironmentId::A, wmax));
-                Step::Connect
-            }
-            None => self.finish(),
-        }
-    }
-
-    fn finish(&mut self) -> Step {
-        self.done = true;
-        Step::Done(Box::new(GatherOutcome {
-            pair: None,
-            failed_attempts: std::mem::take(&mut self.failed),
-            defense_overhead: None,
-        }))
-    }
-
-    /// Ends the current attempt: records its rung, stashes the trace for
-    /// [`on_closed`](Self::on_closed), and emits the closing `Send`.
-    fn end_attempt(
-        &mut self,
-        invalid: Option<InvalidReason>,
-        frames: Vec<ClientFrame>,
-        pace: f64,
-    ) -> Step {
-        let mut attempt = self.attempt.take().expect("no attempt to end");
-        attempt.trace.invalid = invalid;
-        self.awaiting = false;
-        self.rungs.push(RungRecord {
-            env: attempt.env,
-            wmax: attempt.wmax,
-            rounds: (attempt.trace.pre.len() + attempt.trace.post.len()) as u32,
-            valid: attempt.trace.is_valid(),
-            stalled: attempt.stall_exited,
-            invalid_reason: attempt.trace.invalid.map(InvalidReason::name),
-        });
-        self.closing = Some(attempt.trace);
-        Step::Send {
-            pace,
-            frames,
-            close_after: true,
-        }
+        self.walk.record(trace);
+        self.advance()
     }
 
     /// The transport failed underneath the walk (connect refused, reset,
     /// IO timeout, decode error) and its retry budget is spent: reduce
     /// everything gathered so far to a terminal outcome.
     pub fn abort(&mut self) -> Step {
-        if let Some(attempt) = self.attempt.take() {
-            let mut trace = attempt.trace;
-            trace.invalid = Some(InvalidReason::TransportAborted);
-            self.rungs.push(RungRecord {
-                env: attempt.env,
-                wmax: attempt.wmax,
-                rounds: (trace.pre.len() + trace.post.len()) as u32,
-                valid: false,
-                stalled: attempt.stall_exited,
-                invalid_reason: Some(InvalidReason::name(InvalidReason::TransportAborted)),
-            });
-            self.failed.push(trace);
-        }
-        if let Some(trace) = self.closing.take() {
-            // The attempt finished but its close was interrupted; the
-            // gather is still dead, so the trace joins the failures.
-            self.failed.push(trace);
-        }
-        if let Some(trace_a) = self.trace_a.take() {
-            self.failed.push(trace_a);
-        }
+        let in_flight = self.attempt.take().map(|mut attempt| {
+            attempt.abort();
+            self.rungs.push(attempt.ended());
+            attempt.into_trace()
+        });
+        // An attempt that finished but whose close was interrupted joins
+        // the failures too: the gather is dead either way.
+        self.walk.abort(in_flight, self.closing.take());
         self.awaiting = false;
-        self.finish()
-    }
-
-    /// Whether the walk has produced its [`Step::Done`].
-    pub fn is_done(&self) -> bool {
-        self.done
+        self.advance()
     }
 
     /// Handles one decoded server frame.
     pub fn on_frame(&mut self, frame: &ServerFrame) -> Result<Step, ProtocolError> {
-        if !self.awaiting || self.attempt.is_none() {
+        let Some(attempt) = self.attempt.as_mut().filter(|_| self.awaiting) else {
             return Err(violation(format!("unsolicited {frame:?}")));
-        }
-        let config = self.config.clone();
-        let a = self.attempt.as_mut().expect("checked above");
-        match (&a.phase, frame) {
-            (AttemptPhase::AwaitWelcome, ServerFrame::Welcome { granted_mss }) => {
-                a.trace.mss = *granted_mss;
-                a.phase = AttemptPhase::Pre;
-                a.round = 1;
-                let now = self.now;
-                let rtt = a.schedule.rtt(Phase::BeforeTimeout, 1);
-                Ok(Step::Send {
-                    pace: 0.0,
-                    frames: vec![ClientFrame::Xmit {
-                        now,
-                        horizon: now + rtt,
-                    }],
-                    close_after: false,
+        };
+        let end = match frame {
+            ServerFrame::Welcome { granted_mss } if !self.welcomed => {
+                self.welcomed = true;
+                attempt.set_mss(*granted_mss);
+                Some(RoundEnd {
+                    elapsed: 0.0,
+                    next: Next::Transmit,
                 })
             }
-            (AttemptPhase::Pre, ServerFrame::Burst { done, seqs }) => {
-                let rtt = a.schedule.rtt(Phase::BeforeTimeout, a.round);
+            ServerFrame::Burst { done, seqs } if self.welcomed => {
                 if seqs.is_empty() {
-                    if *done {
-                        // The server ran out of page before the timeout
-                        // could be emulated (§VII-B reason 1/2).
-                        return Ok(self.end_attempt(
-                            Some(InvalidReason::PageTooShort),
-                            vec![],
-                            0.0,
-                        ));
-                    }
-                    a.trace.pre.push(0);
-                    self.now += rtt;
-                    a.round += 1;
-                    if a.round > config.max_pre_rounds as u32 {
-                        return Ok(self.end_attempt(
-                            Some(InvalidReason::NeverExceededThreshold),
-                            vec![],
-                            rtt,
-                        ));
-                    }
-                    let next_rtt = a.schedule.rtt(Phase::BeforeTimeout, a.round);
-                    let now = self.now;
-                    return Ok(Step::Send {
-                        pace: rtt,
-                        frames: vec![ClientFrame::Xmit {
-                            now,
-                            horizon: now + next_rtt,
-                        }],
-                        close_after: false,
-                    });
-                }
-                let w = a.measure(seqs);
-                a.trace.pre.push(w);
-                if w > a.wmax {
-                    // Crossed the threshold: withhold this round's ACKs
-                    // and emulate the timeout. The virtual clock freezes
-                    // exactly as in the simulator.
-                    a.phase = AttemptPhase::AwaitRto;
-                    let now = self.now;
-                    return Ok(Step::Send {
-                        pace: 0.0,
-                        frames: vec![ClientFrame::RtoWait {
-                            now,
-                            max_waits: config.max_rto_waits,
-                        }],
-                        close_after: false,
-                    });
-                }
-                self.now += rtt;
-                let ack_now = self.now;
-                let mut frames = a.build_acks(seqs, ack_now, rtt);
-                // Fig. 13 stall early-exit, checked after the ACKs like
-                // the simulator does.
-                if w > a.best_w {
-                    a.best_w = w;
-                    a.stalled = 0;
+                    attempt.on_silent_round(&self.config, *done)
                 } else {
-                    a.stalled += 1;
-                    if config.stall_rounds > 0 && a.stalled >= config.stall_rounds {
-                        a.stall_exited = true;
-                        return Ok(self.end_attempt(
-                            Some(InvalidReason::NeverExceededThreshold),
-                            frames,
-                            rtt,
-                        ));
-                    }
+                    let arrivals = seqs.iter().map(|&seq| Arrival {
+                        seq,
+                        duplicate: false,
+                    });
+                    attempt.on_round(&self.config, arrivals)
                 }
-                a.round += 1;
-                if a.round > config.max_pre_rounds as u32 {
-                    return Ok(self.end_attempt(
-                        Some(InvalidReason::NeverExceededThreshold),
-                        frames,
-                        rtt,
-                    ));
-                }
-                let next_rtt = a.schedule.rtt(Phase::BeforeTimeout, a.round);
-                frames.push(ClientFrame::Xmit {
-                    now: ack_now,
-                    horizon: ack_now + next_rtt,
-                });
-                Ok(Step::Send {
-                    pace: rtt,
-                    frames,
-                    close_after: false,
-                })
             }
-            (AttemptPhase::AwaitRto, ServerFrame::RtoResult { responded, now }) => {
+            ServerFrame::RtoResult { responded, now }
+                if attempt.phase() == AttemptPhase::AwaitRto =>
+            {
                 if !now.is_finite() || *now < self.now {
                     return Err(violation(format!(
                         "RtoResult clock {now} precedes the walk's clock {}",
                         self.now
                     )));
                 }
+                // The virtual clock froze while the ACKs were withheld;
+                // it resumes where the server's RTO fired.
                 self.now = *now;
-                if !*responded {
-                    return Ok(self.end_attempt(
-                        Some(InvalidReason::NoTimeoutResponse),
-                        vec![],
-                        0.0,
-                    ));
-                }
-                a.phase = AttemptPhase::Post;
-                a.prev_seqmax = i64::MIN;
-                a.post_round = 1;
-                a.first_post_round = true;
-                let rtt = a.schedule.rtt(Phase::AfterTimeout, 1);
-                let now = self.now;
-                Ok(Step::Send {
-                    pace: 0.0,
-                    frames: vec![ClientFrame::Xmit {
-                        now,
-                        horizon: now + rtt,
-                    }],
-                    close_after: false,
-                })
+                attempt.on_rto(*responded)
             }
-            (AttemptPhase::Post, ServerFrame::Burst { done, seqs }) => {
-                let rtt = a.schedule.rtt(Phase::AfterTimeout, a.post_round);
-                if seqs.is_empty() {
-                    if *done {
-                        return Ok(self.end_attempt(
-                            Some(InvalidReason::RecoveryTooShort),
-                            vec![],
-                            0.0,
-                        ));
-                    }
-                    a.trace.post.push(0);
-                    self.now += rtt;
-                    a.post_round += 1;
-                    if a.trace.post.len() >= config.post_timeout_rounds {
-                        return Ok(self.end_attempt(None, vec![], rtt));
-                    }
-                    let next_rtt = a.schedule.rtt(Phase::AfterTimeout, a.post_round);
-                    let now = self.now;
-                    return Ok(Step::Send {
-                        pace: rtt,
-                        frames: vec![ClientFrame::Xmit {
-                            now,
-                            horizon: now + next_rtt,
-                        }],
-                        close_after: false,
-                    });
-                }
-                if a.prev_seqmax == i64::MIN {
-                    // Re-anchor at the first retransmission: the window
-                    // restarts from the lowest outstanding sequence.
-                    if let Some(first) = seqs.iter().copied().min() {
-                        a.prev_seqmax = (first.min(i64::MAX as u64) as i64).saturating_sub(1);
-                    }
-                }
-                let w = a.measure(seqs);
-                a.trace.post.push(w);
-                self.now += rtt;
-                let ack_now = self.now;
-                let mut frames = Vec::new();
-                if a.first_post_round && config.frto_countermeasure {
-                    // §IV-C: one duplicate ACK aborts F-RTO and forces
-                    // conventional timeout recovery.
-                    frames.push(ClientFrame::Ack {
-                        now: ack_now,
-                        cum_ack: a.prober_cum,
-                        rtt: 0.0,
-                    });
-                }
-                a.first_post_round = false;
-                frames.extend(a.build_acks(seqs, ack_now, rtt));
-                a.post_round += 1;
-                if a.trace.post.len() >= config.post_timeout_rounds {
-                    return Ok(self.end_attempt(None, frames, rtt));
-                }
-                let next_rtt = a.schedule.rtt(Phase::AfterTimeout, a.post_round);
-                frames.push(ClientFrame::Xmit {
-                    now: ack_now,
-                    horizon: ack_now + next_rtt,
-                });
-                Ok(Step::Send {
-                    pace: rtt,
-                    frames,
-                    close_after: false,
-                })
+            _ => None,
+        };
+        let Some(end) = end else {
+            return Err(violation(format!("{frame:?} out of phase")));
+        };
+
+        // The round's ACKs go out one emulated RTT after its data came in.
+        self.now += end.elapsed;
+        let now = self.now;
+        let mut frames = Vec::with_capacity(attempt.acks().len() + 1);
+        frames.extend(attempt.acks().iter().map(|ack| ClientFrame::Ack {
+            now,
+            cum_ack: ack.cum_ack,
+            rtt: if ack.duplicate { 0.0 } else { end.elapsed },
+        }));
+        match end.next {
+            Next::Transmit => frames.push(ClientFrame::Xmit {
+                now,
+                horizon: now + attempt.round_rtt(),
+            }),
+            Next::AwaitRto => frames.push(ClientFrame::RtoWait {
+                now,
+                max_waits: self.config.max_rto_waits,
+            }),
+            Next::Close(_) => {
+                // The attempt is over: record its rung and hold the trace
+                // until the transport confirms the close.
+                self.awaiting = false;
+                self.rungs.push(attempt.ended());
+                self.closing = self.attempt.take().map(RungAttempt::into_trace);
             }
-            (_, f) => Err(violation(format!("{f:?} out of phase"))),
         }
+        Ok(Step::Send {
+            pace: end.elapsed,
+            frames,
+            close_after: self.closing.is_some(),
+        })
     }
 }

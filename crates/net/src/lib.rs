@@ -14,9 +14,10 @@
 //!   of the simulator's schedule regardless of real pacing. Strict,
 //!   diagnostic-rich decoding (hostile bytes are the normal case).
 //! * [`core`] — sans-IO state machines for both ends:
-//!   [`LadderCore`] (the prober's ladder walk, a line-faithful mirror
-//!   of `Prober::gather` over a clean path) and [`ServerCore`] (the
-//!   tcpsim-backed server). The in-memory equivalence tests drive
+//!   [`LadderCore`] (the prober's ladder walk: the wire-protocol
+//!   driver of `caai_core::ladder`, the state the simulator's
+//!   `Prober` drives too) and [`ServerCore`] (the tcpsim-backed
+//!   server). The in-memory equivalence tests drive
 //!   them against each other and pin the outcome to the simulator's.
 //! * [`sys`] / [`wheel`] / [`limiter`] — the reactor's raw material:
 //!   direct syscall bindings (the build is offline; no `libc`, `mio`

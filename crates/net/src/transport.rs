@@ -22,23 +22,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use caai_core::census::{verdict_for_outcome, CensusRecord};
-use caai_core::{CaaiClassifier, GatherOutcome, InvalidReason, ProbeTransport, WindowTrace};
+use caai_core::{
+    CaaiClassifier, GatherOutcome, InvalidReason, ProbeTransport, WindowTrace, DEFAULT_LADDER,
+};
 use caai_netem::EnvironmentId;
 use caai_obs::{
-    span_begin, Environment, GatherFinished, NetSessionEnded, RungAttemptEnded, RungAttemptStarted,
-    SpanKind, Subscriber,
+    span_begin, GatherFinished, NetSessionEnded, RungAttemptStarted, SpanKind, Subscriber,
 };
 
 use crate::reactor::{Command, NetConfig, Reactor, SessionResult, SessionStats};
 use crate::sys::Waker;
 use crate::targets::Target;
-
-fn obs_environment(env: EnvironmentId) -> Environment {
-    match env {
-        EnvironmentId::A => Environment::A,
-        EnvironmentId::B => Environment::B,
-    }
-}
 
 /// A live-socket [`ProbeTransport`] over a resolved target list.
 ///
@@ -69,7 +63,8 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
         obs: Arc<R>,
     ) -> std::io::Result<Self> {
         let resolved = targets.iter().map(resolve).collect();
-        let first_rung = config.prober.wmax_ladder.first().copied().unwrap_or(512);
+        let ladder = &config.prober.wmax_ladder;
+        let first_rung = *ladder.first().unwrap_or(&DEFAULT_LADDER[0]);
         let (reactor, waker) = Reactor::new(config, Arc::clone(&obs))?;
         let (tx, rx) = mpsc::channel();
         let reactor_thread = std::thread::Builder::new()
@@ -172,17 +167,10 @@ impl<R: Subscriber + Send + Sync + 'static> ProbeTransport for NetTransport<R> {
         // subscriber, mirroring what the simulator emits inline.
         for rung in &result.rungs {
             obs.on_rung_attempt_started(&RungAttemptStarted {
-                environment: obs_environment(rung.env),
+                environment: rung.environment,
                 wmax: rung.wmax,
             });
-            obs.on_rung_attempt_ended(&RungAttemptEnded {
-                environment: obs_environment(rung.env),
-                wmax: rung.wmax,
-                rounds: rung.rounds,
-                valid: rung.valid,
-                stalled: rung.stalled,
-                invalid_reason: rung.invalid_reason,
-            });
+            obs.on_rung_attempt_ended(rung);
         }
         obs.on_gather_finished(&GatherFinished {
             usable: result.outcome.pair.is_some(),

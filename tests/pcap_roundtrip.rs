@@ -2,7 +2,7 @@
 //! the exact traces and the exact identification of the direct simulated
 //! path (the `caai-capture` acceptance oracle).
 //!
-//! The simulation side uses `Prober::gather_with_tap` (whose outcome is
+//! The simulation side uses `Prober::gather_observed` (whose outcome is
 //! asserted identical to the untapped `gather`), the wire side only ever
 //! sees capture bytes.
 

@@ -11,10 +11,7 @@ use caai::core::census::Census;
 use caai::core::classify::CaaiClassifier;
 use caai::core::prober::ProberConfig;
 use caai::core::training::{build_training_set, TrainingConfig};
-use caai::engine::{
-    merge_pieces, AggregatingSink, Budget, CensusEngine, Checkpoint, EngineConfig, ShardPiece,
-    ShardSpec,
-};
+use caai::engine::{merge_pieces, CensusEngine, Checkpoint, EngineConfig, ShardPiece, ShardSpec};
 use caai::netem::rng::seeded;
 use caai::netem::ConditionDb;
 use caai::webmodel::{PopulationConfig, WebServer};
@@ -96,61 +93,6 @@ fn four_shards_merge_to_the_unsharded_report() {
         merged.report, unsharded,
         "merged shard reports must equal the unsharded report"
     );
-}
-
-#[test]
-fn v1_checkpoint_resumes_to_the_identical_report() {
-    // Gather real records for a partial run, then write them in the v1
-    // (full-record) checkpoint layout PR 2 used.
-    let baseline = CensusEngine::new(
-        census(),
-        EngineConfig {
-            seed: SEED,
-            workers: 4,
-            ..EngineConfig::default()
-        },
-    )
-    .run(&servers(), &mut [], None)
-    .expect("baseline")
-    .report;
-
-    let mut agg = AggregatingSink::new();
-    CensusEngine::new(
-        census(),
-        EngineConfig {
-            seed: SEED,
-            workers: 4,
-            budget: Budget::probes(20),
-            ..EngineConfig::default()
-        },
-    )
-    .run(&servers(), &mut [&mut agg], None)
-    .expect("partial run");
-    let partial_records = agg.records().to_vec();
-    assert!(!partial_records.is_empty() && partial_records.len() < 64);
-
-    let v1_json = format!(
-        r#"{{"version":1,"seed":{SEED},"population":64,"records":{}}}"#,
-        serde_json::to_string(&partial_records).expect("serialize records")
-    );
-    let path = tmp("v1-resume.json");
-    std::fs::write(&path, v1_json).expect("write v1 checkpoint");
-    let upgraded = Checkpoint::load(&path).expect("v1 loads and upgrades");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(upgraded.completed_count(), partial_records.len() as u64);
-
-    let resumed = CensusEngine::new(
-        census(),
-        EngineConfig {
-            seed: SEED,
-            workers: 2,
-            ..EngineConfig::default()
-        },
-    )
-    .run(&servers(), &mut [], Some(upgraded))
-    .expect("resume from upgraded v1");
-    assert!(resumed.completed);
-    assert_eq!(resumed.report, baseline);
 }
 
 // ---- CLI tests against the real binary -------------------------------
