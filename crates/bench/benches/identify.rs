@@ -3,7 +3,7 @@
 //! Covers the stages a verdict costs: trace gathering (the emulated
 //! probe), feature extraction + random-forest classification, pcap
 //! ingestion (bytes → flows → window traces → verdicts), the streaming
-//! multi-worker pipeline at 1/2/4 workers, the live-socket transport
+//! pipeline, the live-socket transport
 //! at 1/2/4 concurrent reactor sessions against loopback emulated
 //! servers, and the observability overhead pair (null vs counting
 //! subscriber through the same `_obs` entry points). Unlike the other benches this one has a hand-rolled
@@ -135,32 +135,24 @@ fn bench_pcap_ingestion(c: &mut Criterion) {
     group.finish();
 
     // The streaming pipeline over the same bytes: full source framing,
-    // RSS dispatch, per-worker reassembly, eviction, session assembly
-    // and classification — at 1, 2 and 4 workers. (Scaling headroom is
-    // bounded by the host's core count; the dispatcher decode is the
-    // serial fraction.)
+    // reassembly, eviction, session assembly and classification.
     let mut stream = c.benchmark_group("identify_stream_ingestion");
     stream.sample_size(10);
     stream.throughput(Throughput::Bytes(capture.len() as u64));
     stream.input_meta(meta);
-    for workers in [1usize, 2, 4] {
-        stream.bench_function(format!("workers_{workers}"), |b| {
-            b.iter(|| {
-                let mut source = PcapStream::new(
-                    std::io::Cursor::new(black_box(&capture[..])),
-                    StallPolicy::Eof,
-                );
-                let config = StreamConfig {
-                    workers,
-                    ..StreamConfig::default()
-                };
-                let mut verdicts = 0usize;
-                let stats = run(&mut source, &classifier, &config, |_r| verdicts += 1)
-                    .expect("valid capture");
-                black_box((stats, verdicts))
-            });
+    stream.bench_function("run", |b| {
+        let config = StreamConfig::default();
+        b.iter(|| {
+            let mut source = PcapStream::new(
+                std::io::Cursor::new(black_box(&capture[..])),
+                StallPolicy::Eof,
+            );
+            let mut verdicts = 0usize;
+            let stats =
+                run(&mut source, &classifier, &config, |_r| verdicts += 1).expect("valid capture");
+            black_box((stats, verdicts))
         });
-    }
+    });
     stream.finish();
 
     let mut render = c.benchmark_group("identify_pcap_render");

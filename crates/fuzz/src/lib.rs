@@ -12,8 +12,8 @@
 //!   ladder reconstruction;
 //! * [`targets::Target::Stream`] — the incremental source (classic and
 //!   pcapng framing);
-//! * [`targets::Target::Pipeline`] — the multi-worker streaming
-//!   pipeline with a live classifier;
+//! * [`targets::Target::Pipeline`] — the streaming pipeline with a
+//!   live classifier;
 //! * [`targets::Target::TraceReport`] — `--trace` output (Chrome
 //!   trace-event JSON) through the `trace-report` salvage reader and
 //!   stage analyzer.
@@ -117,12 +117,9 @@ pub fn fuzz(config: &FuzzConfig, mut progress: impl FnMut(u64, u64, usize)) -> F
         if config.pipeline_every > 0 && iter % config.pipeline_every == 0 {
             plan.push(Target::Pipeline);
         }
-        // Rotate pipeline worker counts so sharding paths all get hit.
-        let workers = 1 + (iter % 3) as usize;
-
         for target in plan {
             executions += 1;
-            if let Err(message) = targets.run(target, &input, workers) {
+            if let Err(message) = targets.run(target, &input) {
                 crashes.push(Crash {
                     target,
                     iter,

@@ -153,11 +153,9 @@ fn replay_one(targets: &Targets, path: &Path) -> Result<(), String> {
         Target::Ladder,
         Target::TraceReport,
     ] {
-        for workers in [1usize, 2] {
-            targets
-                .run(target, &bytes, workers)
-                .map_err(|m| format!("panicked {} ({workers} workers): {m}", target.name()))?;
-        }
+        targets
+            .run(target, &bytes)
+            .map_err(|m| format!("panicked {}: {m}", target.name()))?;
     }
     Ok(())
 }

@@ -101,9 +101,9 @@ fn trace_event_json() -> Vec<u8> {
         "[\n",
         r#"{"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"main"}}"#,
         ",\n",
-        r#"{"ph":"b","cat":"caai","id":"9","name":"queue.wait","pid":1,"tid":1,"ts":4.000,"args":{"parent":0,"shard":1,"len":16}}"#,
+        r#"{"ph":"b","cat":"caai","id":"9","name":"flow","pid":1,"tid":1,"ts":4.000,"args":{"parent":0,"first_seq":16}}"#,
         ",\n",
-        r#"{"ph":"e","cat":"caai","id":"9","name":"queue.wait","pid":1,"tid":2,"ts":41.500}"#,
+        r#"{"ph":"e","cat":"caai","id":"9","name":"flow","pid":1,"tid":2,"ts":41.500}"#,
         ",\n",
         r#"{"ph":"X","cat":"caai","name":"gather.round","pid":1,"tid":2,"ts":120.000,"dur":30.000,"id":"5","args":{"parent":4,"round":0,"phase":0,"virt":0.000000000,"virt_dur":0.200000000}}"#,
         ",\n",

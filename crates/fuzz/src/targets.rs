@@ -34,7 +34,7 @@ pub enum Target {
     /// Incremental source (classic *and* pcapng framing) drained item
     /// by item.
     Stream,
-    /// The full multi-worker streaming pipeline with a live classifier.
+    /// The full streaming pipeline with a live classifier.
     Pipeline,
     /// `host:port` target-list ingestion (mutated text: every line must
     /// parse or skip with an in-range 1-based diagnostic, never panic).
@@ -81,11 +81,11 @@ impl Targets {
 
     /// Runs `bytes` through `target`, converting any panic into
     /// `Err(message)`.
-    pub fn run(&self, target: Target, bytes: &[u8], workers: usize) -> Result<(), String> {
+    pub fn run(&self, target: Target, bytes: &[u8]) -> Result<(), String> {
         let job = AssertUnwindSafe(|| match target {
             Target::Offline => drive_offline(bytes),
             Target::Stream => drive_stream(bytes),
-            Target::Pipeline => self.drive_pipeline(bytes, workers),
+            Target::Pipeline => self.drive_pipeline(bytes),
             Target::NetTargets => drive_net_targets(bytes),
             Target::NetFrames => drive_net_frames(bytes),
             Target::Ladder => drive_ladder(bytes),
@@ -102,18 +102,15 @@ impl Targets {
         })
     }
 
-    fn drive_pipeline(&self, bytes: &[u8], workers: usize) {
+    fn drive_pipeline(&self, bytes: &[u8]) {
         let mut source = PcapStream::new(Cursor::new(bytes.to_vec()), StallPolicy::Eof);
-        let config = StreamConfig {
-            workers: workers.max(1),
-            batch: 16,
-            channel_depth: 2,
-            ..StreamConfig::default()
-        };
         let mut verdicts = 0usize;
-        let _ = caai_stream::run(&mut source, &self.classifier, &config, |_report| {
-            verdicts += 1;
-        });
+        let _ = caai_stream::run(
+            &mut source,
+            &self.classifier,
+            &StreamConfig::default(),
+            |_report| verdicts += 1,
+        );
     }
 }
 
@@ -400,7 +397,7 @@ mod tests {
                 Target::TraceReport,
             ] {
                 targets
-                    .run(t, &seed.bytes, 2)
+                    .run(t, &seed.bytes)
                     .unwrap_or_else(|m| panic!("seed {} panicked {}: {m}", seed.name, t.name()));
             }
         }
@@ -419,7 +416,7 @@ mod tests {
             Target::Ladder,
             Target::TraceReport,
         ] {
-            targets.run(t, &garbage, 1).expect("garbage must not panic");
+            targets.run(t, &garbage).expect("garbage must not panic");
         }
     }
 }

@@ -43,15 +43,9 @@ fn every_corpus_input_replays_without_panicking() {
             Target::Ladder,
             Target::TraceReport,
         ] {
-            for workers in [1usize, 2] {
-                targets.run(target, &bytes, workers).unwrap_or_else(|m| {
-                    panic!(
-                        "{} panicked {} ({workers} workers): {m}",
-                        path.display(),
-                        target.name()
-                    )
-                });
-            }
+            targets
+                .run(target, &bytes)
+                .unwrap_or_else(|m| panic!("{} panicked {}: {m}", path.display(), target.name()));
         }
     }
 }

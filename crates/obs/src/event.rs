@@ -14,7 +14,7 @@
 //! inlines. [`NullSubscriber`] overrides nothing and sets
 //! [`Subscriber::ENABLED`] to `false`: its `on_*` calls inline to empty
 //! bodies and vanish, and call sites guard any *preparation* work (an
-//! `Instant::now()`, a depth sample) behind `if S::ENABLED`, which is a
+//! `Instant::now()`) behind `if S::ENABLED`, which is a
 //! compile-time constant. The `identify_obs_overhead` bench group pins
 //! the claim.
 
@@ -186,27 +186,19 @@ pub struct FlowEvicted {
     pub events: u64,
 }
 
-/// The streaming collector completed a granule barrier.
+/// The streaming loop finished a granule: evictions folded into
+/// sessions, timed-out sessions emitted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GranuleCompleted {
     /// The granule index.
     pub granule: u64,
     /// The capture-time watermark the granule closed at, in seconds.
     pub watermark_secs: f64,
-    /// Wall microseconds from the dispatcher broadcasting the tick to the
-    /// collector completing its barrier.
+    /// Wall microseconds from the watermark crossing the granule boundary
+    /// to the granule's last verdict being emitted.
     pub tick_latency_us: u64,
-    /// Sessions alive in the collector's reorder buffer afterwards.
+    /// Sessions still being assembled afterwards.
     pub live_sessions: u64,
-}
-
-/// A worker's inbound-queue high-water mark over the last granule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueueDepthSampled {
-    /// Worker index.
-    pub worker: u32,
-    /// Most batches that were queued at once since the previous sample.
-    pub high_water: u64,
 }
 
 /// An assembled session produced a verdict.
@@ -279,7 +271,6 @@ pub enum Event<'a> {
     FlowOpened(&'a FlowOpened),
     FlowEvicted(&'a FlowEvicted),
     GranuleCompleted(&'a GranuleCompleted),
-    QueueDepthSampled(&'a QueueDepthSampled),
     SessionEmitted(&'a SessionEmitted),
     NetSessionEnded(&'a NetSessionEnded),
     RateLimiterStalled(&'a RateLimiterStalled),
@@ -297,7 +288,7 @@ pub enum Event<'a> {
 /// state lives in atomics (see `Counter` / `Histogram`).
 ///
 /// [`ENABLED`](Subscriber::ENABLED) lets call sites skip *preparation*
-/// work (timestamps, depth samples) at compile time — it is `false` only
+/// work (timestamps) at compile time — it is `false` only
 /// for [`NullSubscriber`] and compositions of it.
 pub trait Subscriber: Sync {
     /// Whether this subscriber observes anything at all. Call sites guard
@@ -380,12 +371,6 @@ pub trait Subscriber: Sync {
     #[inline(always)]
     fn on_granule_completed(&self, event: &GranuleCompleted) {
         self.on_event(&Event::GranuleCompleted(event));
-    }
-
-    /// See [`QueueDepthSampled`].
-    #[inline(always)]
-    fn on_queue_depth_sampled(&self, event: &QueueDepthSampled) {
-        self.on_event(&Event::QueueDepthSampled(event));
     }
 
     /// See [`SessionEmitted`].
@@ -504,10 +489,6 @@ impl<S: Subscriber + ?Sized> Subscriber for &S {
         (**self).on_granule_completed(event);
     }
     #[inline(always)]
-    fn on_queue_depth_sampled(&self, event: &QueueDepthSampled) {
-        (**self).on_queue_depth_sampled(event);
-    }
-    #[inline(always)]
     fn on_session_emitted(&self, event: &SessionEmitted) {
         (**self).on_session_emitted(event);
     }
@@ -624,12 +605,6 @@ impl<S: Subscriber> Subscriber for Option<S> {
         }
     }
     #[inline(always)]
-    fn on_queue_depth_sampled(&self, event: &QueueDepthSampled) {
-        if let Some(s) = self {
-            s.on_queue_depth_sampled(event);
-        }
-    }
-    #[inline(always)]
     fn on_session_emitted(&self, event: &SessionEmitted) {
         if let Some(s) = self {
             s.on_session_emitted(event);
@@ -742,11 +717,6 @@ impl<A: Subscriber, B: Subscriber> Subscriber for (A, B) {
     fn on_granule_completed(&self, event: &GranuleCompleted) {
         self.0.on_granule_completed(event);
         self.1.on_granule_completed(event);
-    }
-    #[inline(always)]
-    fn on_queue_depth_sampled(&self, event: &QueueDepthSampled) {
-        self.0.on_queue_depth_sampled(event);
-        self.1.on_queue_depth_sampled(event);
     }
     #[inline(always)]
     fn on_session_emitted(&self, event: &SessionEmitted) {

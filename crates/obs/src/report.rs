@@ -5,9 +5,8 @@
 //! anything shaped like the format) and computes per-stage self-time
 //! attribution: where the wall clock actually went, stage by stage,
 //! with p50/p95/p99 per stage, the gather breakdown by rung and round,
-//! queue-wait vs work time for the streaming pipeline, reactor
-//! tick vs session time for live probing, and a slow-outlier table
-//! naming the worst server ids.
+//! reactor tick vs session time for live probing, and a slow-outlier
+//! table naming the worst server ids.
 //!
 //! The reader is a *salvage* parser, same contract as the capture
 //! parsers: a file truncated by SIGKILL, a record mangled by a proxy,
@@ -273,10 +272,10 @@ pub struct TraceAnalysis {
     pub rungs: Vec<RungStats>,
     /// Congestion rounds observed, `(pre, post)` phase counts.
     pub rounds: (u64, u64),
-    /// Streaming pipeline: summed queue-wait vs summed reassembly
-    /// (work) time, µs.
+    /// Always 0.0: nothing queues in the streaming loop. Goes when a
+    /// `benchmark` PR drops the `span.queue_wait_share` row that reads it.
     pub queue_wait_us: f64,
-    /// Streaming pipeline work time (reassembly spans), µs.
+    /// Summed reassembly-span time, µs.
     pub work_us: f64,
     /// Net path: summed reactor dispatch time, µs.
     pub reactor_tick_us: f64,
@@ -337,7 +336,6 @@ impl TraceAnalysis {
                         rounds.1 += 1;
                     }
                 }
-                Some(SpanKind::QueueWait) => analysis.queue_wait_us += s.dur_us,
                 Some(SpanKind::Reassembly) => analysis.work_us += s.dur_us,
                 Some(SpanKind::ReactorTick) => analysis.reactor_tick_us += s.dur_us,
                 Some(SpanKind::NetSession) => analysis.net_session_us += s.dur_us,
@@ -483,15 +481,6 @@ impl TraceAnalysis {
             );
         }
 
-        if self.queue_wait_us > 0.0 || self.work_us > 0.0 {
-            let _ = writeln!(out, "\n== streaming pipeline ==");
-            let _ = writeln!(
-                out,
-                "queue-wait {:.3} ms vs reassembly work {:.3} ms",
-                self.queue_wait_us / 1e3,
-                self.work_us / 1e3
-            );
-        }
         if self.reactor_tick_us > 0.0 || self.net_session_us > 0.0 {
             let _ = writeln!(out, "\n== net reactor ==");
             let _ = writeln!(
@@ -568,7 +557,7 @@ mod tests {
         let text = concat!(
             "[\n",
             "{\"ph\":\"b\",\"cat\":\"caai\",\"id\":\"9\",\"name\":\"flow\",\"pid\":1,",
-            "\"tid\":2,\"ts\":5.0,\"args\":{\"parent\":0,\"shard\":1}},\n",
+            "\"tid\":2,\"ts\":5.0,\"args\":{\"parent\":0,\"first_seq\":1}},\n",
             "{\"ph\":\"e\",\"cat\":\"caai\",\"id\":\"9\",\"name\":\"flow\",\"pid\":1,",
             "\"tid\":2,\"ts\":25.0},\n",
             "{\"ph\":\"b\",\"cat\":\"caai\",\"id\":\"10\",\"name\":\"flow\",\"pid\":1,",

@@ -25,7 +25,7 @@
 //! instead: [`span_begin_with_parent`] (push onto the local stack under
 //! a foreign parent — e.g. a worker batch under the coordinator's run
 //! span) and [`span_begin_async`] (no stack at all — overlapping spans
-//! like flows, queue waits and reactor sessions).
+//! like flows and reactor sessions).
 //!
 //! # Determinism contract
 //!
@@ -33,8 +33,8 @@
 //! deterministic as the counters: for the kinds where
 //! [`SpanKind::deterministic`] returns `true`, a seeded census produces
 //! the same per-server subtrees whatever the worker count and across
-//! SIGKILL+resume. Mechanical kinds (batches, ticks, queue waits) are
-//! scheduling artifacts and exempt. Only timestamps and raw ids vary;
+//! SIGKILL+resume. Mechanical kinds (batches, ticks) are scheduling
+//! artifacts and exempt. Only timestamps and raw ids vary;
 //! tests compare structure, never ids.
 
 use std::cell::RefCell;
@@ -91,14 +91,15 @@ pub enum SpanKind {
     Classify,
     /// Replaying one reconstructed capture session through the ladder.
     SessionReplay,
-    /// Flow reassembly work (offline capture or one streaming batch).
+    /// Flow reassembly work: a whole offline capture, or the streaming
+    /// loop's read-decode-feed run between two granule ticks (`frames`
+    /// is then the capture records read before the run began — its
+    /// length is not known until it ends).
     Reassembly,
     /// A flow's lifetime in the streaming pipeline: open to eviction.
     Flow,
-    /// A batch's wait between the dispatcher enqueue and the worker
-    /// dequeue (queue latency, not work).
-    QueueWait,
-    /// One granule watermark barrier in the streaming collector.
+    /// One granule tick of the streaming loop: evictions folded into
+    /// sessions, timed-out sessions emitted.
     GranuleTick,
     /// One dispatch pass of the net reactor's event loop.
     ReactorTick,
@@ -117,7 +118,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, for census tables and parsers.
-    pub const ALL: [SpanKind; 17] = [
+    pub const ALL: [SpanKind; 16] = [
         SpanKind::CensusRun,
         SpanKind::Batch,
         SpanKind::Gather,
@@ -127,7 +128,6 @@ impl SpanKind {
         SpanKind::SessionReplay,
         SpanKind::Reassembly,
         SpanKind::Flow,
-        SpanKind::QueueWait,
         SpanKind::GranuleTick,
         SpanKind::ReactorTick,
         SpanKind::NetSession,
@@ -149,7 +149,6 @@ impl SpanKind {
             SpanKind::SessionReplay => "session.replay",
             SpanKind::Reassembly => "reassembly",
             SpanKind::Flow => "flow",
-            SpanKind::QueueWait => "queue.wait",
             SpanKind::GranuleTick => "granule.tick",
             SpanKind::ReactorTick => "reactor.tick",
             SpanKind::NetSession => "net.session",
@@ -177,8 +176,7 @@ impl SpanKind {
             SpanKind::Classify => ["server_id", ""],
             SpanKind::SessionReplay => ["session", ""],
             SpanKind::Reassembly => ["frames", ""],
-            SpanKind::Flow => ["shard", "first_seq"],
-            SpanKind::QueueWait => ["shard", "len"],
+            SpanKind::Flow => ["first_seq", ""],
             SpanKind::GranuleTick => ["granule", ""],
             SpanKind::ReactorTick => ["sessions", ""],
             SpanKind::NetSession => ["ip", "port"],
@@ -191,8 +189,8 @@ impl SpanKind {
 
     /// Whether this kind is covered by the determinism contract: its
     /// per-server count and tree position are worker-count- and
-    /// resume-invariant. Mechanical kinds (scheduling, queueing, event
-    /// loops, live-network retries) are exempt.
+    /// resume-invariant. Mechanical kinds (scheduling, event loops,
+    /// live-network retries) are exempt.
     pub fn deterministic(self) -> bool {
         matches!(
             self,
@@ -206,14 +204,13 @@ impl SpanKind {
     }
 
     /// Whether spans of this kind may overlap on one thread (flows,
-    /// queue waits, multiplexed reactor sessions). Interleaved spans
+    /// multiplexed reactor sessions). Interleaved spans
     /// are rendered as async ("b"/"e") trace events; the rest nest and
     /// render as complete ("X") events.
     pub fn interleaved(self) -> bool {
         matches!(
             self,
             SpanKind::Flow
-                | SpanKind::QueueWait
                 | SpanKind::NetSession
                 | SpanKind::NetConnect
                 | SpanKind::NetRetry
@@ -452,7 +449,7 @@ mod tests {
         let rec = Recorder {
             log: Mutex::new(Vec::new()),
         };
-        let t = span_begin_async(&rec, SpanKind::Flow, 0, 3, 100);
+        let t = span_begin_async(&rec, SpanKind::Flow, 0, 100, 0);
         assert_eq!(current_span(), 0);
         t.end(&rec);
     }

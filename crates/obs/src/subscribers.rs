@@ -3,8 +3,8 @@
 use crate::event::{
     CaptureTruncated, CensusRecordObserved, CensusResumed, CheckpointWritten, EvictionCause,
     FlowEvicted, FlowOpened, FrameDecoded, GatherFinished, GranuleCompleted, NetSessionEnded,
-    PacketSkipped, ProbeTimed, QueueDepthSampled, RateLimiterStalled, ReactorTicked,
-    RungAttemptEnded, RungAttemptStarted, SessionEmitted, Subscriber, VerdictKind,
+    PacketSkipped, ProbeTimed, RateLimiterStalled, ReactorTicked, RungAttemptEnded,
+    RungAttemptStarted, SessionEmitted, Subscriber, VerdictKind,
 };
 use crate::metrics::{Counter, Histogram};
 use crate::snapshot::MetricsSnapshot;
@@ -15,7 +15,7 @@ use crate::snapshot::MetricsSnapshot;
 /// [`snapshot`](MetricsSubscriber::snapshot) is what `--metrics` writes.
 /// Counter values are derived from deterministic pipeline events only, so
 /// for a given input they are identical across worker counts — the
-/// histograms carry the wall-clock side (latency, queue depth) and are
+/// histograms carry the wall-clock side (latencies) and are
 /// the only part that varies run to run.
 #[derive(Debug, Default)]
 pub struct MetricsSubscriber {
@@ -63,7 +63,6 @@ pub struct MetricsSubscriber {
     probe_gather_us: Histogram,
     probe_verdict_us: Histogram,
     tick_latency_us: Histogram,
-    queue_depth: Histogram,
     live_sessions: Histogram,
     verdict_lag_ms: Histogram,
     net_limiter_wait_us: Histogram,
@@ -178,7 +177,6 @@ impl MetricsSubscriber {
         h("census.probe_gather_us", &self.probe_gather_us);
         h("census.probe_verdict_us", &self.probe_verdict_us);
         h("stream.tick_latency_us", &self.tick_latency_us);
-        h("stream.queue_depth", &self.queue_depth);
         h("stream.live_sessions", &self.live_sessions);
         h("stream.verdict_lag_ms", &self.verdict_lag_ms);
         h("net.limiter_wait_us", &self.net_limiter_wait_us);
@@ -271,10 +269,6 @@ impl Subscriber for MetricsSubscriber {
         self.granules.incr();
         self.tick_latency_us.record(event.tick_latency_us);
         self.live_sessions.record(event.live_sessions);
-    }
-
-    fn on_queue_depth_sampled(&self, event: &QueueDepthSampled) {
-        self.queue_depth.record(event.high_water);
     }
 
     fn on_session_emitted(&self, event: &SessionEmitted) {

@@ -12,8 +12,8 @@
 //!
 //! * nesting kinds → complete `"X"` events (one line per span, written
 //!   at span end with `ts` + `dur`);
-//! * [interleaved](SpanKind::interleaved) kinds (flows, queue waits,
-//!   multiplexed reactor sessions) → async `"b"`/`"e"` pairs keyed by
+//! * [interleaved](SpanKind::interleaved) kinds (flows, multiplexed
+//!   reactor sessions) → async `"b"`/`"e"` pairs keyed by
 //!   span id, which Perfetto draws on their own tracks.
 //!
 //! Crash-safe by construction: the trace-event spec tolerates a missing

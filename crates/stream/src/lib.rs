@@ -11,19 +11,17 @@
 //! * **liveness** — a source can be a pipe, a FIFO, or a capture file
 //!   that is still being written: [`StallPolicy::Follow`] polls past EOF
 //!   instead of stopping, so verdicts stream out while packets stream in;
-//! * **parallelism** — [`pipeline::run`] shards packets RSS-style onto
-//!   per-core reassembly workers with bounded channels and bounded
-//!   per-flow state, producing verdicts byte-identical to the
-//!   single-threaded offline path for every worker count.
+//! * **bounded memory** — [`pipeline::run`] reassembles on a timeout
+//!   wheel with bounded per-flow state, in one loop on the caller,
+//!   producing verdicts identical to the offline path's.
 //!
 //! The dataflow, stage by stage:
 //!
 //! ```text
 //! file/FIFO/stdin ─► PcapStream (pcap|pcapng framing, follow/poll)
-//!                 ─► dispatcher (decodes each frame in the source's buffer;
-//!                    4-tuple hash, batches of headers, granule ticks)
-//!                 ─► workers 0..N (FlowBuilder per flow, timeout wheel)
-//!                 ─► collector (sessions, ladder replay, classifier)
+//!                 ─► decode (each frame in the source's buffer)
+//!                 ─► flow table (FlowBuilder per flow, timeout wheel)
+//!                 ─► session table (ladder replay, classifier)
 //!                 ─► verdict callback (stdout / JSONL / census sink)
 //! ```
 //!
@@ -36,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod head;
 pub mod offline;
 pub mod pcapng;
 pub mod pipeline;

@@ -2,15 +2,15 @@
 //! the bridge that lets pcapng captures and pipes flow into the exact same
 //! reassembly → reconstruction → classification path as classic pcap.
 
+use crate::head::{drain_segments, skip};
 use crate::pcapng::SHB_MAGIC;
-use crate::source::{CaptureSource, PcapStream, SourceError, SourceItem, StallPolicy};
-use caai_capture::flow::{FlowBuilder, FlowKey, Reassembly, SegmentHeader};
+use crate::source::{CaptureSource, PcapStream, SourceError, StallPolicy};
+use caai_capture::flow::{FlowBuilder, FlowKey, Reassembly};
 use caai_capture::identify::CaptureVerdicts;
-use caai_capture::{decode, identify_capture_obs, identify_reassembly_obs, PcapError};
+use caai_capture::{identify_capture_obs, identify_reassembly_obs, PcapError};
 use caai_core::classify::CaaiClassifier;
 use caai_obs::{
-    CaptureTruncated, EvictionCause, FlowEvicted, FlowOpened, FrameDecoded, NullSubscriber,
-    PacketSkipped, Subscriber,
+    CaptureTruncated, EvictionCause, FlowEvicted, FlowOpened, NullSubscriber, Subscriber,
 };
 use std::collections::HashMap;
 
@@ -34,67 +34,21 @@ pub fn reassemble_source_obs<S: Subscriber>(
 ) -> Result<Reassembly, SourceError> {
     let mut table: HashMap<FlowKey, usize> = HashMap::new();
     let mut order: Vec<FlowBuilder> = Vec::new();
-    let mut skipped = Vec::new();
-    let mut truncated = None;
-    let mut packets = 0usize;
-    let mut saw_item = false;
-
-    loop {
-        match source.next() {
-            Ok(Some(SourceItem::Skipped { index, reason })) => {
-                saw_item = true;
-                obs.on_packet_skipped(&PacketSkipped {
-                    index,
-                    reason: &reason,
-                });
-                skipped.push((index as usize, reason));
-            }
-            Ok(Some(SourceItem::Frame(frame))) => {
-                saw_item = true;
-                let seg = match decode(&frame.data) {
-                    Ok(s) => SegmentHeader::from(&s),
-                    Err(e) => {
-                        let reason = e.to_string();
-                        obs.on_packet_skipped(&PacketSkipped {
-                            index: frame.index,
-                            reason: &reason,
-                        });
-                        skipped.push((frame.index as usize, reason));
-                        continue;
-                    }
-                };
-                packets += 1;
-                obs.on_frame_decoded(&FrameDecoded {
-                    bytes: frame.data.len() as u64,
-                });
-                let key = FlowKey::of(&seg);
-                let idx = *table.entry(key).or_insert_with(|| {
-                    obs.on_flow_opened(&FlowOpened {});
-                    order.push(FlowBuilder::new(&seg, frame.ts));
-                    order.len() - 1
-                });
-                if let Some(reason) = order[idx].feed(frame.ts, &seg) {
-                    obs.on_packet_skipped(&PacketSkipped {
-                        index: frame.index,
-                        reason: &reason,
-                    });
-                    skipped.push((frame.index as usize, reason));
-                }
-            }
-            Ok(None) => break,
-            Err(e) if saw_item => {
-                obs.on_capture_truncated(&CaptureTruncated {
-                    packets: packets as u64,
-                    reason: &e.reason,
-                });
-                truncated = Some(PcapError {
-                    offset: e.offset as usize,
-                    reason: e.reason,
-                });
-                break;
-            }
-            Err(e) => return Err(e),
+    let drained = drain_segments(source, obs, |index, ts, seg, skipped| {
+        let idx = *table.entry(FlowKey::of(seg)).or_insert_with(|| {
+            obs.on_flow_opened(&FlowOpened {});
+            order.push(FlowBuilder::new(seg, ts));
+            order.len() - 1
+        });
+        if let Some(reason) = order[idx].feed(ts, seg) {
+            skip(obs, skipped, index, reason);
         }
+    })?;
+    if let Some(e) = &drained.truncated {
+        obs.on_capture_truncated(&CaptureTruncated {
+            packets: drained.packets,
+            reason: &e.reason,
+        });
     }
 
     let flows: Vec<_> = order
@@ -109,9 +63,16 @@ pub fn reassemble_source_obs<S: Subscriber>(
         .collect();
     Ok(Reassembly {
         flows,
-        skipped,
-        truncated,
-        packets,
+        skipped: drained
+            .skipped
+            .into_iter()
+            .map(|(index, reason)| (index as usize, reason))
+            .collect(),
+        truncated: drained.truncated.map(|e| PcapError {
+            offset: e.offset as usize,
+            reason: e.reason,
+        }),
+        packets: drained.packets as usize,
     })
 }
 

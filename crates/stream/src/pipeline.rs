@@ -1,65 +1,52 @@
-//! The streaming identification pipeline: source → RSS hash → workers →
-//! collector → verdicts.
+//! The streaming identification pipeline: one loop from source to
+//! verdicts, run by whoever calls [`run`].
 //!
 //! ```text
-//!              dispatcher (caller thread)
-//!   source ──► decode in the feed buffer,   ──► worker 0 ─┐
-//!   (lends     hash, batch `Copy` headers   ──► worker 1 ─┼──► collector ──► verdicts
-//!    frames)   │ granule ticks broadcast    ──► worker N ─┘    (sessions,     (ResultSink,
-//!              │ (watermark barriers)           (flows,        timeouts,      stdout, ...)
-//!              └ skips/truncation                eviction)      classify)
+//!   source ──► decode in the ──► flow table ──► session table ──► verdicts
+//!   (lends     feed buffer       (FlowBuilder    (client IP,       (ResultSink,
+//!    frames)   (skips,            per flow,       server IP;        stdout, ...)
+//!              truncation)        timeout wheel)  timeouts,
+//!                                                 classify)
 //! ```
 //!
-//! The dispatcher is the only stage that touches packet bytes: it decodes
-//! each frame once, where the source read it, and what crosses a worker
-//! channel is a `Copy` header per packet (index, timestamp and the
-//! [`SegmentHeader`] reassembly reads — the payload's length, never the
-//! payload). No frame is allocated on one thread and freed on another.
-//!
-//! Packets are sharded onto workers RSS-style: a deterministic hash of
-//! the direction-insensitive 4-tuple ([`FlowKey`]), so both directions of
-//! a connection always land on the same worker — the software analogue of
-//! a NIC's symmetric-Toeplitz receive-side scaling. Each worker reassembles
-//! its flows incrementally ([`FlowBuilder`]) and evicts them on a timeout
-//! wheel; the collector groups evicted flows into (client IP, server IP)
-//! probe sessions, replays the `w_max` ladder, classifies, and emits one
-//! [`SessionReport`] per session — while the capture is still growing.
+//! Each frame is decoded once, where the source read it, and fed to its
+//! flow's [`FlowBuilder`] as a [`SegmentHeader`] — the payload's length,
+//! never the payload. Whenever the watermark (the largest timestamp seen)
+//! crosses into a new **granule** (`flow_timeout / 2` of *capture* time)
+//! the loop ticks, after feeding the packet that crossed: flows idle past
+//! the timeout leave the wheel reduced to a [`ConnectionObservation`], are
+//! grouped into (client IP, server IP) probe sessions, and every session
+//! idle past its own timeout has its `w_max` ladder replayed, is
+//! classified and emits one [`SessionReport`] — while the capture is
+//! still growing.
 //!
 //! # Bounded memory
 //!
 //! Nothing accumulates for the lifetime of the capture:
 //!
 //! * a flow idle longer than [`StreamConfig::flow_timeout`] is evicted
-//!   and reduced to its [`ConnectionObservation`] (worker memory ∝ live
+//!   and reduced to its [`ConnectionObservation`] (flow memory ∝ live
 //!   flows, not total flows);
 //! * a flow that somehow never goes idle is force-evicted after
 //!   [`StreamConfig::max_flow_events`] events;
 //! * a session idle longer than [`StreamConfig::session_timeout`] emits
-//!   its verdict and is dropped (collector memory ∝ live sessions).
+//!   its verdict and is dropped (session memory ∝ live sessions).
 //!
 //! # Determinism
 //!
-//! Verdicts are byte-identical for every worker count, the same contract
-//! the census engine honors for `--workers`. Three mechanisms make the
-//! parallel pipeline order-free:
+//! The verdict stream is a function of the packet stream alone, and
+//! equals the offline path's over the same frames: time is the watermark,
+//! never a wall clock, so eviction and emission do not depend on how fast
+//! or in what pieces the bytes arrived; and a granule's evictions enter
+//! their sessions, and due sessions emit, in order of each one's first
+//! packet index.
 //!
-//! 1. the dispatcher broadcasts a **granule tick** (granule =
-//!    `flow_timeout / 2` of *capture* time) whenever the watermark — the
-//!    largest timestamp seen — crosses a granule boundary, after flushing
-//!    every in-flight batch, so eviction decisions depend only on the
-//!    packet stream, never on thread timing;
-//! 2. the collector **barriers per granule**: it processes a granule's
-//!    evictions only after all workers acknowledged that tick, sorted by
-//!    each flow's first packet index;
-//! 3. sessions are created, updated and emitted in that sorted order, and
-//!    `session_timeout` is measured against the same watermark.
-//!
-//! [`FlowKey`]: caai_capture::flow::FlowKey
 //! [`FlowBuilder`]: caai_capture::flow::FlowBuilder
 //! [`SegmentHeader`]: caai_capture::flow::SegmentHeader
 //! [`ConnectionObservation`]: caai_capture::reconstruct::ConnectionObservation
 
-use crate::source::{CaptureSource, SourceError, SourceItem};
+use crate::head::{drain_segments, skip, Skips};
+use crate::source::{CaptureSource, SourceError};
 use caai_capture::flow::{FlowBuilder, FlowKey, SegmentHeader};
 use caai_capture::reconstruct::{
     observe_connection, session_outcome, ConnectionObservation, ProbeSession, DEFAULT_LADDER,
@@ -69,20 +56,17 @@ use caai_core::census::CensusRecord;
 use caai_core::classify::CaaiClassifier;
 use caai_obs::{
     span_begin, span_begin_async, CaptureTruncated, EvictionCause, FlowEvicted, FlowOpened,
-    FrameDecoded, GranuleCompleted, NullSubscriber, PacketSkipped, QueueDepthSampled,
-    SessionEmitted, SpanKind, SpanToken, Subscriber,
+    GranuleCompleted, NullSubscriber, SessionEmitted, SpanKind, SpanToken, Subscriber,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 
 /// Tuning for one streaming run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
-    /// Parallel reassembly workers (≥ 1).
+    /// Read by nothing: there is one loop and no workers. Goes when a
+    /// `benchmark` PR drops the `stream.speedup_w2` row that sets it.
     pub workers: usize,
     /// Seconds of capture-time idleness before a flow is evicted and
     /// reduced to its observation.
@@ -94,10 +78,6 @@ pub struct StreamConfig {
     /// Hard per-flow event cap: a flow that never goes idle is force-
     /// evicted here, bounding memory against adversarial captures.
     pub max_flow_events: usize,
-    /// Frames per dispatcher→worker batch.
-    pub batch: usize,
-    /// Bounded depth of each worker channel, in batches.
-    pub channel_depth: usize,
     /// The `w_max` ladder to replay (defaults to the prober's).
     pub ladder: Vec<u32>,
 }
@@ -109,8 +89,6 @@ impl Default for StreamConfig {
             flow_timeout: 60.0,
             session_timeout: 1800.0,
             max_flow_events: 1 << 16,
-            batch: 128,
-            channel_depth: 8,
             ladder: DEFAULT_LADDER.to_vec(),
         }
     }
@@ -121,7 +99,7 @@ impl Default for StreamConfig {
 pub struct StreamStats {
     /// Frames decoded into TCP segments.
     pub packets: u64,
-    /// Flows opened across all workers.
+    /// Flows opened.
     pub flows: u64,
     /// Sessions whose verdict was emitted.
     pub sessions: u64,
@@ -130,7 +108,7 @@ pub struct StreamStats {
     pub dataless_sessions: u64,
     /// Flows force-evicted at the `max_flow_events` cap.
     pub overflowed_flows: u64,
-    /// Peak live flows, summed across workers — the memory high-water
+    /// The most flows that were live at once — the memory high-water
     /// mark the eviction wheel is bounding.
     pub peak_live_flows: usize,
     /// Packets skipped with their index and reason, in index order.
@@ -159,87 +137,11 @@ impl fmt::Display for StreamError {
 
 impl std::error::Error for StreamError {}
 
-/// RSS-style worker selection: deterministic hash of the canonical
-/// (direction-insensitive) 4-tuple. One worker is one shard — no hash.
-fn shard_of(seg: &SegmentHeader, workers: usize) -> usize {
-    if workers == 1 {
-        return 0;
-    }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    FlowKey::of(seg).hash(&mut h);
-    (h.finish() % workers as u64) as usize
-}
-
-/// One decoded packet as it crosses a worker channel.
-#[derive(Debug, Clone, Copy)]
-struct Packet {
-    /// 0-based packet index within the capture.
-    index: u64,
-    /// Capture timestamp, seconds.
-    ts: f64,
-    seg: SegmentHeader,
-}
-
-// Owned frame bytes must not creep back onto the channel: a field holding
-// them is not `Copy`, and anything wider than a cache line is not a header.
-const _: () = {
-    const fn assert_copy<T: Copy>() {}
-    assert_copy::<Packet>();
-    assert!(std::mem::size_of::<Packet>() <= 64);
-};
-
 fn bucket_of(ts: f64, granule: f64) -> i64 {
     (ts / granule).floor() as i64
 }
 
-#[derive(Debug, Clone, Copy)]
-struct WorkerCfg {
-    granule: f64,
-    flow_timeout: f64,
-    max_events: usize,
-    /// This worker's RSS shard index (span arguments only).
-    shard: usize,
-}
-
-enum WorkerMsg {
-    /// A batch of packets plus the dispatcher's queue-wait span, ended by
-    /// the worker at dequeue — the gap is queue latency, not work.
-    Batch(Vec<Packet>, SpanToken),
-    Tick {
-        granule: i64,
-        watermark: f64,
-        /// Wall-clock broadcast time, present only when someone observes
-        /// (drives the granule tick-latency histogram).
-        sent_at: Option<Instant>,
-    },
-    Finish,
-}
-
-/// Per-worker inbound-queue gauge: current depth in batches and the
-/// high-water mark since the last sample. Only touched when
-/// `S::ENABLED` — the null path never pays the atomics.
-#[derive(Debug, Default)]
-struct QueueGauge {
-    depth: AtomicU64,
-    high_water: AtomicU64,
-}
-
-impl QueueGauge {
-    fn inc(&self) {
-        let now = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water.fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn dec(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn take_high_water(&self) -> u64 {
-        self.high_water.swap(0, Ordering::Relaxed)
-    }
-}
-
-/// One evicted flow, reduced worker-side to what the collector needs.
+/// One evicted flow, reduced to what its session needs.
 struct FlowDone {
     client_ip: [u8; 4],
     server_ip: [u8; 4],
@@ -252,23 +154,6 @@ struct FlowDone {
     obs: Option<ConnectionObservation>,
 }
 
-enum ToCollector {
-    TickDone {
-        granule: i64,
-        watermark: f64,
-        sent_at: Option<Instant>,
-        flows: Vec<FlowDone>,
-        skipped: Vec<(u64, String)>,
-    },
-    WorkerDone {
-        flows: Vec<FlowDone>,
-        skipped: Vec<(u64, String)>,
-        peak: usize,
-        flows_total: u64,
-        overflowed: u64,
-    },
-}
-
 struct FlowEntry {
     builder: FlowBuilder,
     first_seq: u64,
@@ -278,31 +163,42 @@ struct FlowEntry {
     span: SpanToken,
 }
 
-/// Per-worker reassembly state: a slab of live flows (free list +
-/// generation counters so wheel entries can be validated lazily) and the
-/// timeout wheel bucketing flows by last-activity granule.
-struct WorkerState {
+/// The live flows: a slab (free list + generation counters so wheel
+/// entries can be validated lazily) and the timeout wheel bucketing
+/// flows by last-activity granule.
+struct FlowTable<'a> {
+    granule: f64,
+    flow_timeout: f64,
+    max_events: usize,
+    ladder: &'a [u32],
     table: HashMap<FlowKey, usize>,
     slab: Vec<(u64, Option<FlowEntry>)>,
     free: Vec<usize>,
     wheel: BTreeMap<i64, Vec<(usize, u64)>>,
+    /// Flows evicted at the event cap, waiting for the next tick.
     due: Vec<FlowDone>,
-    skipped: Vec<(u64, String)>,
     live: usize,
     peak: usize,
     flows_total: u64,
     overflowed: u64,
 }
 
-impl WorkerState {
-    fn new() -> WorkerState {
-        WorkerState {
+impl<'a> FlowTable<'a> {
+    fn new(config: &'a StreamConfig) -> FlowTable<'a> {
+        FlowTable {
+            granule: (config.flow_timeout / 2.0).max(1e-3),
+            flow_timeout: config.flow_timeout,
+            max_events: config.max_flow_events.max(8),
+            ladder: if config.ladder.is_empty() {
+                &DEFAULT_LADDER
+            } else {
+                &config.ladder
+            },
             table: HashMap::new(),
             slab: Vec::new(),
             free: Vec::new(),
             wheel: BTreeMap::new(),
             due: Vec::new(),
-            skipped: Vec::new(),
             live: 0,
             peak: 0,
             flows_total: 0,
@@ -310,7 +206,7 @@ impl WorkerState {
         }
     }
 
-    fn finalize<S: Subscriber>(&mut self, slot: usize, ladder: &[u32], obs: &S) -> FlowDone {
+    fn finalize<S: Subscriber>(&mut self, slot: usize, obs: &S) -> FlowDone {
         let entry = self.slab[slot].1.take().expect("finalizing a live slot");
         entry.span.end(obs);
         self.slab[slot].0 += 1; // stale wheel entries now fail the gen check
@@ -324,27 +220,27 @@ impl WorkerState {
             server_ip: flow.server.0,
             first_seq: entry.first_seq,
             last_seen,
-            obs: observe_connection(&flow, ladder),
+            obs: observe_connection(&flow, self.ladder),
         }
     }
 
-    fn feed<S: Subscriber>(&mut self, packet: &Packet, cfg: &WorkerCfg, ladder: &[u32], obs: &S) {
-        let seg = &packet.seg;
+    fn feed<S: Subscriber>(
+        &mut self,
+        index: u64,
+        ts: f64,
+        seg: &SegmentHeader,
+        skipped: &mut Skips,
+        obs: &S,
+    ) {
         let key = FlowKey::of(seg);
         let slot = match self.table.get(&key).copied() {
             Some(s) => s,
             None => {
                 let entry = FlowEntry {
-                    builder: FlowBuilder::new(seg, packet.ts),
-                    first_seq: packet.index,
+                    builder: FlowBuilder::new(seg, ts),
+                    first_seq: index,
                     key,
-                    span: span_begin_async(
-                        obs,
-                        SpanKind::Flow,
-                        0,
-                        cfg.shard as i64,
-                        packet.index as i64,
-                    ),
+                    span: span_begin_async(obs, SpanKind::Flow, 0, index as i64, 0),
                 };
                 let s = match self.free.pop() {
                     Some(s) => {
@@ -359,7 +255,7 @@ impl WorkerState {
                 self.table.insert(key, s);
                 let gen = self.slab[s].0;
                 self.wheel
-                    .entry(bucket_of(packet.ts, cfg.granule))
+                    .entry(bucket_of(ts, self.granule))
                     .or_default()
                     .push((s, gen));
                 self.live += 1;
@@ -370,20 +266,16 @@ impl WorkerState {
             }
         };
         let entry = self.slab[slot].1.as_mut().expect("live slot");
-        if let Some(reason) = entry.builder.feed(packet.ts, seg) {
-            obs.on_packet_skipped(&PacketSkipped {
-                index: packet.index,
-                reason: &reason,
-            });
-            self.skipped.push((packet.index, reason));
+        if let Some(reason) = entry.builder.feed(ts, seg) {
+            skip(obs, skipped, index, reason);
         }
-        if entry.builder.events() >= cfg.max_events {
+        if entry.builder.events() >= self.max_events {
             self.overflowed += 1;
             obs.on_flow_evicted(&FlowEvicted {
                 cause: EvictionCause::Overflow,
                 events: entry.builder.events() as u64,
             });
-            let done = self.finalize(slot, ladder, obs);
+            let done = self.finalize(slot, obs);
             self.due.push(done);
         }
     }
@@ -391,17 +283,11 @@ impl WorkerState {
     /// Evicts every flow idle since before `watermark - flow_timeout`.
     /// Wheel entries are validated lazily: a flow that was active since
     /// its bucket was written is re-bucketed instead of evicted.
-    fn evict_due<S: Subscriber>(
-        &mut self,
-        watermark: f64,
-        cfg: &WorkerCfg,
-        ladder: &[u32],
-        obs: &S,
-    ) -> Vec<FlowDone> {
-        let cutoff = watermark - cfg.flow_timeout;
+    fn evict_due<S: Subscriber>(&mut self, watermark: f64, obs: &S) -> Vec<FlowDone> {
+        let cutoff = watermark - self.flow_timeout;
         let mut out = std::mem::take(&mut self.due);
         while let Some((&bucket, _)) = self.wheel.iter().next() {
-            if ((bucket + 1) as f64) * cfg.granule > cutoff {
+            if ((bucket + 1) as f64) * self.granule > cutoff {
                 break;
             }
             for (slot, gen) in self.wheel.remove(&bucket).expect("bucket exists") {
@@ -416,11 +302,11 @@ impl WorkerState {
                         cause: EvictionCause::Idle,
                         events: builder.events() as u64,
                     });
-                    let done = self.finalize(slot, ladder, obs);
+                    let done = self.finalize(slot, obs);
                     out.push(done);
                 } else {
                     self.wheel
-                        .entry(bucket_of(last_seen, cfg.granule))
+                        .entry(bucket_of(last_seen, self.granule))
                         .or_default()
                         .push((slot, gen));
                 }
@@ -429,7 +315,7 @@ impl WorkerState {
         out
     }
 
-    fn drain_all<S: Subscriber>(&mut self, ladder: &[u32], obs: &S) -> Vec<FlowDone> {
+    fn drain_all<S: Subscriber>(&mut self, obs: &S) -> Vec<FlowDone> {
         let mut out = std::mem::take(&mut self.due);
         for slot in 0..self.slab.len() {
             if let Some(entry) = &self.slab[slot].1 {
@@ -437,84 +323,11 @@ impl WorkerState {
                     cause: EvictionCause::Drain,
                     events: entry.builder.events() as u64,
                 });
-                let done = self.finalize(slot, ladder, obs);
+                let done = self.finalize(slot, obs);
                 out.push(done);
             }
         }
         out
-    }
-}
-
-/// Hands worker `w` its pending batch (leaving an empty one of capacity
-/// `batch`), opening the queue-wait span the worker ends at dequeue.
-fn send_batch<S: Subscriber>(
-    w: usize,
-    pending: &mut Vec<Packet>,
-    batch: usize,
-    tx: &mpsc::SyncSender<WorkerMsg>,
-    gauge: &QueueGauge,
-    obs: &S,
-) {
-    let full = std::mem::replace(pending, Vec::with_capacity(batch));
-    if S::ENABLED {
-        gauge.inc();
-    }
-    let queue_span = span_begin_async(obs, SpanKind::QueueWait, 0, w as i64, full.len() as i64);
-    tx.send(WorkerMsg::Batch(full, queue_span))
-        .expect("worker alive");
-}
-
-fn worker_loop<S: Subscriber>(
-    cfg: WorkerCfg,
-    ladder: Vec<u32>,
-    rx: mpsc::Receiver<WorkerMsg>,
-    tx: mpsc::SyncSender<ToCollector>,
-    gauge: &QueueGauge,
-    obs: &S,
-) {
-    let mut st = WorkerState::new();
-    for msg in rx {
-        match msg {
-            WorkerMsg::Batch(packets, queue_span) => {
-                if S::ENABLED {
-                    gauge.dec();
-                }
-                queue_span.end(obs);
-                let batch_span = span_begin(obs, SpanKind::Reassembly, packets.len() as i64, 0);
-                for packet in &packets {
-                    st.feed(packet, &cfg, &ladder, obs);
-                }
-                batch_span.end(obs);
-            }
-            WorkerMsg::Tick {
-                granule,
-                watermark,
-                sent_at,
-            } => {
-                let flows = st.evict_due(watermark, &cfg, &ladder, obs);
-                let skipped = std::mem::take(&mut st.skipped);
-                tx.send(ToCollector::TickDone {
-                    granule,
-                    watermark,
-                    sent_at,
-                    flows,
-                    skipped,
-                })
-                .expect("collector alive");
-            }
-            WorkerMsg::Finish => {
-                let flows = st.drain_all(&ladder, obs);
-                tx.send(ToCollector::WorkerDone {
-                    flows,
-                    skipped: std::mem::take(&mut st.skipped),
-                    peak: st.peak,
-                    flows_total: st.flows_total,
-                    overflowed: st.overflowed,
-                })
-                .expect("collector alive");
-                return;
-            }
-        }
     }
 }
 
@@ -543,8 +356,9 @@ impl SessionTable {
         }
     }
 
-    /// Folds a granule's evictions in, sorted by first packet index so
-    /// session creation/update order is worker-count independent.
+    /// Folds a granule's evictions in by first packet index — the order
+    /// the offline path meets them in — whatever order the wheel
+    /// released them in.
     fn absorb(&mut self, mut flows: Vec<FlowDone>) {
         flows.sort_by_key(|f| f.first_seq);
         for fd in flows {
@@ -592,7 +406,7 @@ impl SessionTable {
                 due.push(slot);
             }
         }
-        // Tombstone compaction keeps collector memory ∝ live sessions.
+        // Tombstone compaction keeps session memory ∝ live sessions.
         if self.slots.len() >= 64 && self.live * 2 < self.slots.len() {
             let kept: Vec<SessionSlot> = self.slots.drain(..).flatten().collect();
             self.map.clear();
@@ -606,27 +420,17 @@ impl SessionTable {
     }
 }
 
-#[derive(Default)]
-struct CollectorOut {
-    skipped: Vec<(u64, String)>,
-    sessions: u64,
-    dataless: u64,
-    flows: u64,
-    overflowed: u64,
-    peak_live_flows: usize,
-}
-
 fn emit_session<F: FnMut(&SessionReport), S: Subscriber>(
     slot: SessionSlot,
     classifier: &CaaiClassifier,
     ladder: &[u32],
-    out: &mut CollectorOut,
+    stats: &mut StreamStats,
     on_verdict: &mut F,
     watermark: Option<f64>,
     obs: &S,
 ) {
     if slot.connections.is_empty() {
-        out.dataless += 1;
+        stats.dataless_sessions += 1;
         return;
     }
     let lag_secs = watermark.map_or(0.0, |w| (w - slot.last_seen).max(0.0));
@@ -641,10 +445,10 @@ fn emit_session<F: FnMut(&SessionReport), S: Subscriber>(
         connections: conns.into_iter().map(|(_, _, obs)| obs).collect(),
         flows: slot.flows,
     };
-    let replay_span = span_begin(obs, SpanKind::SessionReplay, out.sessions as i64, 0);
+    let replay_span = span_begin(obs, SpanKind::SessionReplay, stats.sessions as i64, 0);
     let outcome = session_outcome(&session, ladder);
     replay_span.end(obs);
-    let classify_span = span_begin(obs, SpanKind::Classify, out.sessions as i64, 0);
+    let classify_span = span_begin(obs, SpanKind::Classify, stats.sessions as i64, 0);
     let (verdict, identification) = verdict_for(&outcome, classifier);
     classify_span.end(obs);
     obs.on_session_emitted(&SessionEmitted {
@@ -660,115 +464,19 @@ fn emit_session<F: FnMut(&SessionReport), S: Subscriber>(
         outcome,
         identification,
         record: CensusRecord {
-            server_id: out.sessions as u32,
+            server_id: stats.sessions as u32,
             truth: None,
             verdict,
         },
     };
-    out.sessions += 1;
+    stats.sessions += 1;
     on_verdict(&report);
 }
 
-#[derive(Default)]
-struct PendingTick {
-    done: usize,
-    watermark: f64,
-    sent_at: Option<Instant>,
-    flows: Vec<FlowDone>,
-}
-
-fn collector_loop<F: FnMut(&SessionReport), S: Subscriber>(
-    rx: mpsc::Receiver<ToCollector>,
-    workers: usize,
-    classifier: &CaaiClassifier,
-    ladder: Vec<u32>,
-    session_timeout: f64,
-    mut on_verdict: F,
-    obs: &S,
-) -> CollectorOut {
-    let mut out = CollectorOut::default();
-    let mut sessions = SessionTable::new();
-    let mut pending: BTreeMap<i64, PendingTick> = BTreeMap::new();
-    let mut final_flows: Vec<FlowDone> = Vec::new();
-    let mut done_workers = 0;
-    while done_workers < workers {
-        match rx.recv().expect("workers alive") {
-            ToCollector::TickDone {
-                granule,
-                watermark,
-                sent_at,
-                flows,
-                skipped,
-            } => {
-                out.skipped.extend(skipped);
-                let p = pending.entry(granule).or_default();
-                p.done += 1;
-                p.watermark = watermark;
-                p.sent_at = p.sent_at.or(sent_at);
-                p.flows.extend(flows);
-                if p.done == workers {
-                    let p = pending.remove(&granule).expect("just updated");
-                    let tick_span = span_begin(obs, SpanKind::GranuleTick, granule.max(0), 0);
-                    sessions.absorb(p.flows);
-                    for slot in sessions.take_due(Some(p.watermark - session_timeout)) {
-                        emit_session(
-                            slot,
-                            classifier,
-                            &ladder,
-                            &mut out,
-                            &mut on_verdict,
-                            Some(p.watermark),
-                            obs,
-                        );
-                    }
-                    obs.on_granule_completed(&GranuleCompleted {
-                        granule: granule.max(0) as u64,
-                        watermark_secs: p.watermark,
-                        tick_latency_us: p.sent_at.map_or(0, |t0| t0.elapsed().as_micros() as u64),
-                        live_sessions: sessions.live as u64,
-                    });
-                    tick_span.end(obs);
-                }
-            }
-            ToCollector::WorkerDone {
-                flows,
-                skipped,
-                peak,
-                flows_total,
-                overflowed,
-            } => {
-                out.skipped.extend(skipped);
-                out.peak_live_flows += peak;
-                out.flows += flows_total;
-                out.overflowed += overflowed;
-                final_flows.extend(flows);
-                done_workers += 1;
-            }
-        }
-    }
-    // Every tick was broadcast to every worker, so no granule can still be
-    // incomplete here; fold any stragglers in granule order regardless.
-    for (_, p) in std::mem::take(&mut pending) {
-        sessions.absorb(p.flows);
-    }
-    sessions.absorb(final_flows);
-    for slot in sessions.take_due(None) {
-        emit_session(
-            slot,
-            classifier,
-            &ladder,
-            &mut out,
-            &mut on_verdict,
-            None,
-            obs,
-        );
-    }
-    out
-}
-
 /// Runs the streaming pipeline to the end of the source, invoking
-/// `on_verdict` (from the collector thread) as each session's verdict
-/// becomes final.
+/// `on_verdict` as each session's verdict becomes final — from inside
+/// this call, between two reads of the source, so it may borrow and
+/// mutate whatever the caller likes.
 ///
 /// Returns `Err` only when the capture could not even start (unreadable
 /// container header); damage mid-capture ends the run early with
@@ -781,201 +489,226 @@ pub fn run<F>(
     on_verdict: F,
 ) -> Result<StreamStats, StreamError>
 where
-    F: FnMut(&SessionReport) + Send,
+    F: FnMut(&SessionReport),
 {
     run_obs(source, classifier, config, on_verdict, &NullSubscriber)
 }
 
-/// [`run`] with a structured-event subscriber.
+/// [`run`] with a structured-event subscriber; like `on_verdict`, `obs`
+/// is only ever called from inside this call.
 ///
-/// On top of the capture events ([`FrameDecoded`], [`PacketSkipped`],
+/// On top of the capture events (`FrameDecoded`, `PacketSkipped`,
 /// [`CaptureTruncated`], [`FlowOpened`], [`FlowEvicted`] with its
 /// idle/overflow/drain cause) this emits the pipeline's own health
-/// signals: a [`QueueDepthSampled`] per worker per granule (inbound-queue
-/// high-water mark in batches), a [`GranuleCompleted`] per collector
-/// barrier (tick latency, live sessions), and a [`SessionEmitted`] per
-/// verdict with its emission lag behind the watermark. Verdicts and
-/// [`StreamStats`] are identical to the unobserved call for every worker
-/// count, and merged counter totals are worker-count invariant; only
-/// wall-clock histograms (tick latency, queue depth) vary run to run.
+/// signals: a [`GranuleCompleted`] per granule tick (tick latency, live
+/// sessions) and a [`SessionEmitted`] per verdict with its emission lag
+/// behind the watermark. Verdicts and [`StreamStats`] are identical to
+/// the unobserved call, and counter totals depend on the capture alone;
+/// only the wall-clock tick-latency histogram varies run to run.
 pub fn run_obs<F, S>(
     source: &mut dyn CaptureSource,
     classifier: &CaaiClassifier,
     config: &StreamConfig,
-    on_verdict: F,
+    mut on_verdict: F,
     obs: &S,
 ) -> Result<StreamStats, StreamError>
 where
-    F: FnMut(&SessionReport) + Send,
+    F: FnMut(&SessionReport),
     S: Subscriber,
 {
-    let workers = config.workers.max(1);
-    let granule = (config.flow_timeout / 2.0).max(1e-3);
-    let batch = config.batch.max(1);
-    let ladder = if config.ladder.is_empty() {
-        DEFAULT_LADDER.to_vec()
-    } else {
-        config.ladder.clone()
-    };
-    let wcfg = WorkerCfg {
-        granule,
-        flow_timeout: config.flow_timeout,
-        max_events: config.max_flow_events.max(8),
-        shard: 0,
-    };
+    let mut flows = FlowTable::new(config);
+    let (granule, ladder) = (flows.granule, flows.ladder);
+    let mut sessions = SessionTable::new();
+    let mut stats = StreamStats::default();
+    let mut watermark = f64::NEG_INFINITY;
+    let mut cur_granule = i64::MIN;
+    let mut ingest_span = SpanToken::NONE;
 
-    let mut packets = 0u64;
-    let mut local_skips: Vec<(u64, String)> = Vec::new();
-    let mut truncated: Option<String> = None;
-    let mut header_err: Option<SourceError> = None;
-    let gauges: Vec<QueueGauge> = (0..workers).map(|_| QueueGauge::default()).collect();
-
-    let collected = std::thread::scope(|s| {
-        let (col_tx, col_rx) = mpsc::sync_channel::<ToCollector>(workers * 2 + 2);
-        let mut txs = Vec::with_capacity(workers);
-        for (w, gauge) in gauges.iter().enumerate().take(workers) {
-            let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(config.channel_depth.max(1));
-            let col = col_tx.clone();
-            let worker_ladder = ladder.clone();
-            let wcfg = WorkerCfg { shard: w, ..wcfg };
-            s.spawn(move || worker_loop(wcfg, worker_ladder, rx, col, gauge, obs));
-            txs.push(tx);
+    let drained = drain_segments(source, obs, |index, ts, seg, skipped| {
+        if ingest_span.id() == 0 {
+            ingest_span = span_begin(obs, SpanKind::Reassembly, index as i64, 0);
         }
-        drop(col_tx);
-        let collector_ladder = ladder.clone();
-        let collector = s.spawn(move || {
-            collector_loop(
-                col_rx,
-                workers,
+        flows.feed(index, ts, seg, skipped, obs);
+        if !(ts.is_finite() && ts > watermark) {
+            return;
+        }
+        watermark = ts;
+        let g = bucket_of(watermark, granule);
+        if g <= cur_granule {
+            return;
+        }
+        // The packet that crossed the boundary was fed first: a flow it
+        // belongs to is live at this tick, exactly as it is offline.
+        cur_granule = g;
+        ingest_span.end(obs);
+        ingest_span = SpanToken::NONE;
+        let began = S::ENABLED.then(Instant::now);
+        let evicted = flows.evict_due(watermark, obs);
+        let tick_span = span_begin(obs, SpanKind::GranuleTick, g.max(0), 0);
+        sessions.absorb(evicted);
+        for slot in sessions.take_due(Some(watermark - config.session_timeout)) {
+            emit_session(
+                slot,
                 classifier,
-                collector_ladder,
-                config.session_timeout,
-                on_verdict,
+                ladder,
+                &mut stats,
+                &mut on_verdict,
+                Some(watermark),
                 obs,
-            )
+            );
+        }
+        obs.on_granule_completed(&GranuleCompleted {
+            granule: g.max(0) as u64,
+            watermark_secs: watermark,
+            tick_latency_us: began.map_or(0, |t0| t0.elapsed().as_micros() as u64),
+            live_sessions: sessions.live as u64,
         });
-
-        let mut batches: Vec<Vec<Packet>> =
-            (0..workers).map(|_| Vec::with_capacity(batch)).collect();
-        let mut watermark = f64::NEG_INFINITY;
-        let mut cur_granule = i64::MIN;
-        let mut saw_item = false;
-        loop {
-            match source.next_lent() {
-                Ok(Some(SourceItem::Skipped { index, reason })) => {
-                    saw_item = true;
-                    obs.on_packet_skipped(&PacketSkipped {
-                        index,
-                        reason: &reason,
-                    });
-                    local_skips.push((index, reason));
-                }
-                Ok(Some(SourceItem::Frame(frame))) => {
-                    saw_item = true;
-                    let seg = match caai_capture::decode(frame.data) {
-                        Ok(seg) => SegmentHeader::from(&seg),
-                        Err(e) => {
-                            let reason = e.to_string();
-                            obs.on_packet_skipped(&PacketSkipped {
-                                index: frame.index,
-                                reason: &reason,
-                            });
-                            local_skips.push((frame.index, reason));
-                            continue;
-                        }
-                    };
-                    let target = shard_of(&seg, workers);
-                    packets += 1;
-                    obs.on_frame_decoded(&FrameDecoded {
-                        bytes: frame.data.len() as u64,
-                    });
-                    let ts = frame.ts;
-                    batches[target].push(Packet {
-                        index: frame.index,
-                        ts,
-                        seg,
-                    });
-                    if batches[target].len() >= batch {
-                        send_batch(
-                            target,
-                            &mut batches[target],
-                            batch,
-                            &txs[target],
-                            &gauges[target],
-                            obs,
-                        );
-                    }
-                    if ts.is_finite() && ts > watermark {
-                        watermark = ts;
-                        let g = bucket_of(watermark, granule);
-                        if g > cur_granule {
-                            cur_granule = g;
-                            let sent_at = S::ENABLED.then(Instant::now);
-                            // Flush everything first: a tick must never
-                            // overtake frames already read, or eviction
-                            // would depend on batching, not the capture.
-                            for (w, tx) in txs.iter().enumerate() {
-                                if !batches[w].is_empty() {
-                                    send_batch(w, &mut batches[w], batch, tx, &gauges[w], obs);
-                                }
-                                tx.send(WorkerMsg::Tick {
-                                    granule: g,
-                                    watermark,
-                                    sent_at,
-                                })
-                                .expect("worker alive");
-                            }
-                            if S::ENABLED {
-                                for (w, gauge) in gauges.iter().enumerate() {
-                                    obs.on_queue_depth_sampled(&QueueDepthSampled {
-                                        worker: w as u32,
-                                        high_water: gauge.take_high_water(),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    if saw_item {
-                        let reason = e.to_string();
-                        obs.on_capture_truncated(&CaptureTruncated {
-                            packets,
-                            reason: &reason,
-                        });
-                        truncated = Some(reason);
-                    } else {
-                        header_err = Some(e);
-                    }
-                    break;
-                }
-            }
-        }
-        for (w, tx) in txs.iter().enumerate() {
-            if !batches[w].is_empty() {
-                send_batch(w, &mut batches[w], batch, tx, &gauges[w], obs);
-            }
-            tx.send(WorkerMsg::Finish).expect("worker alive");
-        }
-        drop(txs);
-        collector.join().expect("collector thread")
-    });
-
-    if let Some(e) = header_err {
-        return Err(StreamError::Source(e));
-    }
-    let mut skipped = collected.skipped;
-    skipped.extend(local_skips);
-    skipped.sort_by_key(|(index, _)| *index);
-    Ok(StreamStats {
-        packets,
-        flows: collected.flows,
-        sessions: collected.sessions,
-        dataless_sessions: collected.dataless,
-        overflowed_flows: collected.overflowed,
-        peak_live_flows: collected.peak_live_flows,
-        skipped,
-        truncated,
+        tick_span.end(obs);
     })
+    .map_err(StreamError::Source)?;
+    ingest_span.end(obs);
+
+    stats.packets = drained.packets;
+    stats.skipped = drained.skipped;
+    stats.truncated = drained.truncated.map(|e| e.to_string());
+    if let Some(reason) = &stats.truncated {
+        obs.on_capture_truncated(&CaptureTruncated {
+            packets: stats.packets,
+            reason,
+        });
+    }
+    sessions.absorb(flows.drain_all(obs));
+    for slot in sessions.take_due(None) {
+        emit_session(
+            slot,
+            classifier,
+            ladder,
+            &mut stats,
+            &mut on_verdict,
+            None,
+            obs,
+        );
+    }
+    stats.flows = flows.flows_total;
+    stats.overflowed_flows = flows.overflowed;
+    stats.peak_live_flows = flows.peak;
+    Ok(stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::source::{PcapStream, StallPolicy};
+    use caai_capture::packet::{encode, flags, FrameSpec};
+    use caai_capture::{identify_capture, PcapWriter};
+    use caai_core::training::{build_training_set, TrainingConfig};
+    use caai_netem::rng::seeded;
+    use caai_netem::ConditionDb;
+    use caai_obs::Event;
+    use std::sync::Mutex;
+
+    /// Records the order of the events eviction order shows up in.
+    #[derive(Default)]
+    struct Order(Mutex<Vec<String>>);
+
+    impl Subscriber for Order {
+        fn on_event(&self, event: &Event<'_>) {
+            let tag = match event {
+                Event::FrameDecoded(_) => "frame".to_owned(),
+                Event::FlowOpened(_) => "open".to_owned(),
+                Event::FlowEvicted(e) => format!("evict:{:?}", e.cause),
+                Event::GranuleCompleted(e) => format!("granule:{}", e.granule),
+                _ => return,
+            };
+            self.0.lock().unwrap().push(tag);
+        }
+    }
+
+    /// Flow A goes quiet for longer than the flow timeout and then speaks
+    /// once more, and that packet is the one that moves the watermark
+    /// into a new granule. Fed before the tick it belongs to the live
+    /// flow, which the tick therefore keeps (it was just active) and a
+    /// later tick evicts; evicted first, A would be split in two and its
+    /// session would report two connections where offline sees one.
+    #[test]
+    fn the_crossing_packet_is_fed_before_its_granule_evicts() {
+        let client = [10, 1, 0, 1];
+        let mut w = PcapWriter::new(Vec::new()).expect("in-memory writer");
+        let mut frame = |t: f64, server: [u8; 4], from_server: bool, seq, f, payload: &[u8]| {
+            let (src_ip, dst_ip, src_port, dst_port) = if from_server {
+                (server, client, 80, 2000)
+            } else {
+                (client, server, 2000, 80)
+            };
+            let spec = FrameSpec {
+                src_ip,
+                dst_ip,
+                src_port,
+                dst_port,
+                seq,
+                ack: if from_server { 101 } else { 0 },
+                flags: f,
+                window: 65_535,
+                mss_option: Some(1460),
+                payload,
+            };
+            w.write_frame(t, &encode(&spec)).expect("write");
+        };
+        let data = [0u8; 1000];
+        let (a, b) = ([10, 2, 0, 1], [10, 2, 0, 2]);
+        frame(0.0, a, false, 100, flags::SYN, b"");
+        frame(0.1, a, true, 900, flags::SYN | flags::ACK, b"");
+        frame(0.2, a, true, 901, flags::ACK | flags::PSH, &data);
+        // 99.8 s of silence (flow_timeout is 60), then A's last packet:
+        // granule 0 → 3 at watermark 100, cutoff 40.
+        frame(100.0, a, true, 1901, flags::ACK | flags::PSH, &data);
+        // Flow B moves the watermark to 300: cutoff 240, A is idle now.
+        frame(300.0, b, false, 100, flags::SYN, b"");
+        frame(300.1, b, true, 900, flags::SYN | flags::ACK, b"");
+        frame(300.2, b, true, 901, flags::ACK | flags::PSH, &data);
+        let capture = w.finish().expect("finish");
+
+        let classifier = {
+            let mut rng = seeded(4);
+            let data = build_training_set(
+                &TrainingConfig::quick(1),
+                &ConditionDb::paper_2011(),
+                &mut rng,
+            );
+            CaaiClassifier::train(&data, &mut rng)
+        };
+        let order = Order::default();
+        let mut reports = Vec::new();
+        let mut source = PcapStream::new(std::io::Cursor::new(&capture[..]), StallPolicy::Eof);
+        let stats = run_obs(
+            &mut source,
+            &classifier,
+            &StreamConfig::default(),
+            |s: &SessionReport| reports.push(s.clone()),
+            &order,
+        )
+        .expect("capture parses");
+
+        let expected = [
+            "frame",
+            "open",
+            "granule:0",
+            "frame",
+            "frame",
+            "frame",     // t = 100 joins flow A ...
+            "granule:3", // ... so this tick evicts nothing
+            "frame",
+            "open",
+            "evict:Idle", // A, one flow, at the t = 300 tick
+            "granule:10",
+            "frame",
+            "frame",
+            "evict:Drain",
+        ];
+        assert_eq!(*order.0.lock().unwrap(), expected);
+        assert_eq!(stats.flows, 2);
+        let offline = identify_capture(&capture, &classifier, None).expect("capture parses");
+        assert_eq!(offline.sessions.len(), 2);
+        assert_eq!(reports, offline.sessions, "streaming == offline");
+    }
 }

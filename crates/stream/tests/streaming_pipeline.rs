@@ -1,7 +1,8 @@
 //! End-to-end guarantees of the streaming pipeline:
 //!
-//! * verdicts are byte-identical for every worker count, and identical
-//!   to the single-threaded offline path over the same capture;
+//! * verdicts are identical to the offline path's over the same capture;
+//! * the verdict callback and every subscriber call run where `run` was
+//!   called, so neither has to be `Send`;
 //! * the pcapng container yields the same verdicts as classic pcap;
 //! * memory stays bounded under 10 000 interleaved flows (the timeout
 //!   wheel actually evicts);
@@ -16,8 +17,13 @@ use caai_core::server_under_test::ServerUnderTest;
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_netem::rng::seeded;
 use caai_netem::{ConditionDb, PathConfig};
-use caai_stream::{classic_to_pcapng, identify_bytes, run, PcapStream, StallPolicy, StreamConfig};
+use caai_obs::{Event, Subscriber};
+use caai_stream::{
+    classic_to_pcapng, identify_bytes, run, run_obs, PcapStream, StallPolicy, StreamConfig,
+};
+use std::cell::RefCell;
 use std::io::Read;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -56,45 +62,74 @@ fn fixture() -> &'static [u8] {
     })
 }
 
-fn stream_with_workers(
-    bytes: &[u8],
-    workers: usize,
-) -> (Vec<SessionReport>, caai_stream::StreamStats) {
-    let mut source = PcapStream::new(std::io::Cursor::new(bytes), StallPolicy::Eof);
-    let config = StreamConfig {
-        workers,
-        batch: 32, // small enough that batching boundaries are exercised
-        ..StreamConfig::default()
-    };
-    let mut reports = Vec::new();
-    let stats = run(&mut source, classifier(), &config, |s: &SessionReport| {
-        reports.push(s.clone())
-    })
-    .expect("fixture header is valid");
-    (reports, stats)
-}
-
-/// The tentpole determinism contract: 1, 2 and 4 workers produce the
-/// byte-identical verdict stream, and that stream equals the offline
-/// whole-file path (same reports, same order, same server ids).
+/// The determinism contract: the streamed verdicts equal the offline
+/// whole-file path's (same reports, same order, same server ids).
 #[test]
-fn worker_count_never_changes_the_verdicts() {
+fn streaming_verdicts_equal_the_offline_path() {
     let offline = identify_capture(fixture(), classifier(), None).expect("fixture parses");
     assert!(
         offline.sessions.len() == 2,
         "fixture must carry two probe sessions, got {}",
         offline.sessions.len()
     );
-    let (one, stats_one) = stream_with_workers(fixture(), 1);
-    assert_eq!(one, offline.sessions, "streaming == offline");
-    assert_eq!(stats_one.packets as usize, offline.packets);
-    for workers in [2, 4] {
-        let (many, stats) = stream_with_workers(fixture(), workers);
-        assert_eq!(many, one, "{workers} workers diverged from 1 worker");
-        assert_eq!(stats.packets, stats_one.packets);
-        assert_eq!(stats.flows, stats_one.flows);
-        assert_eq!(stats.skipped, stats_one.skipped);
+    let mut source = PcapStream::new(std::io::Cursor::new(fixture()), StallPolicy::Eof);
+    let mut reports = Vec::new();
+    let stats = run(
+        &mut source,
+        classifier(),
+        &StreamConfig::default(),
+        |s: &SessionReport| reports.push(s.clone()),
+    )
+    .expect("fixture header is valid");
+    assert_eq!(reports, offline.sessions, "streaming == offline");
+    assert_eq!(stats.packets as usize, offline.packets);
+    let skipped: Vec<_> = stats
+        .skipped
+        .into_iter()
+        .map(|(i, r)| (i as usize, r))
+        .collect();
+    assert_eq!(skipped, offline.skipped);
+}
+
+/// Asserts every event it is handed arrives on the thread it was made on.
+struct SameThread {
+    home: std::thread::ThreadId,
+    events: AtomicUsize,
+}
+
+impl Subscriber for SameThread {
+    fn on_event(&self, _event: &Event<'_>) {
+        assert_eq!(std::thread::current().id(), self.home);
+        self.events.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// One loop, on the caller: a verdict closure over `Rc<RefCell<_>>` (not
+/// `Send`) is accepted, and it and every subscriber call — frame, flow,
+/// granule, session, span — run on the thread that called `run_obs`.
+#[test]
+fn verdicts_and_events_stay_on_the_calling_thread() {
+    let home = std::thread::current().id();
+    let obs = SameThread {
+        home,
+        events: AtomicUsize::new(0),
+    };
+    let reports = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&reports);
+    let mut source = PcapStream::new(std::io::Cursor::new(fixture()), StallPolicy::Eof);
+    run_obs(
+        &mut source,
+        classifier(),
+        &StreamConfig::default(),
+        move |s: &SessionReport| {
+            assert_eq!(std::thread::current().id(), home);
+            sink.borrow_mut().push(s.server_ip);
+        },
+        &obs,
+    )
+    .expect("fixture header is valid");
+    assert_eq!(reports.borrow().len(), 2);
+    assert!(obs.events.load(Ordering::Relaxed) > 2);
 }
 
 /// Container equivalence: the same frames wrapped as pcapng (either
@@ -170,7 +205,6 @@ fn eviction_bounds_memory_over_ten_thousand_flows() {
 
     let mut source = PcapStream::new(std::io::Cursor::new(&capture[..]), StallPolicy::Eof);
     let config = StreamConfig {
-        workers: 2,
         flow_timeout: 1.0,
         session_timeout: 5.0,
         ..StreamConfig::default()
@@ -319,7 +353,6 @@ fn verdicts_emit_while_the_capture_is_still_growing() {
     };
     let mut source = PcapStream::new(reader, StallPolicy::Eof);
     let config = StreamConfig {
-        workers: 2,
         flow_timeout: 60.0,
         session_timeout: 300.0,
         ..StreamConfig::default()

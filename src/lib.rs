@@ -26,8 +26,8 @@
 //!   classifier as the synthetic census;
 //! * [`stream`] — live streaming ingestion: pcapng + classic pcap through
 //!   one source trait, follow mode over growing files/FIFOs/stdin, and
-//!   the RSS-style multi-worker reassembly pipeline with bounded memory
-//!   and worker-count-independent verdicts;
+//!   the one-loop reassembly pipeline with bounded memory and verdicts
+//!   identical to the offline path's;
 //! * [`net`] — the real-network probe transport: a dependency-free
 //!   epoll/poll reactor driving the ACK-withholding ladder over live
 //!   TCP sockets, `host:port` target-list ingestion, token-bucket rate

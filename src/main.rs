@@ -7,7 +7,7 @@
 //! caai train     --conditions 20 --out model.json
 //! caai identify  --algo HTCP [--model model.json]
 //! caai identify  --pcap capture.pcap            (classic pcap or pcapng; - = stdin)
-//! caai identify  --pcap live.pcap --follow --workers 4
+//! caai identify  --pcap live.pcap --follow
 //!                [--flow-timeout 60] [--session-timeout 1800]
 //!                [--metrics m.jsonl] [--progress 10]
 //! caai census    --servers 2000 [--model model.json] [--json]
@@ -19,17 +19,17 @@
 //! caai emulate   --algos RENO,CUBIC,HTCP --count 50 --targets-out hosts.txt
 //! caai census-merge --in s0.ck.json --in s1.ck.json ... [--json]
 //! caai metrics-check --in m.jsonl [--expect-min capture.frames_decoded=1]
-//!                    [--expect-p99 'stream.batch_fill<=128'] [--expect-count 'gather.rounds>=1']
+//!                    [--expect-p99 'stream.tick_latency_us<=128'] [--expect-count 'gather.rounds>=1']
 //! caai trace-report --in t.json [--min-gather-share 0.5]
 //! caai defense-sweep --budgets 0.05,0.15,0.30 --out DEFENSE_CURVE.json
 //! ```
 //!
-//! Every command takes `--seed N` (default 1) and is fully deterministic:
-//! a census report depends only on `(--servers, --seed)` — never on
-//! `--workers`, batching, sharding, or how often the run was interrupted
-//! and resumed from a checkpoint. In particular, N `--shard k/N` runs
-//! merged with `census-merge` print the byte-identical report of one
-//! unsharded run.
+//! Every command that draws random numbers takes `--seed N` (default 1)
+//! and is fully deterministic: a census report depends only on
+//! `(--servers, --seed)` — never on `--workers`, batching, sharding, or
+//! how often the run was interrupted and resumed from a checkpoint. In
+//! particular, N `--shard k/N` runs merged with `census-merge` print the
+//! byte-identical report of one unsharded run.
 
 use caai::capture::{CaptureRenderer, SessionReport};
 use caai::congestion::AlgorithmId;
@@ -42,7 +42,7 @@ use caai::core::server_under_test::ServerUnderTest;
 use caai::core::training::{build_training_set, TrainingConfig};
 use caai::engine::{
     merge_pieces, run_transport_obs, AggregatingSink, Budget, CensusEngine, Checkpoint,
-    EngineConfig, JsonlMeta, JsonlSink, ResultSink, ShardPiece, ShardSpec,
+    EngineConfig, EngineOutcome, JsonlMeta, JsonlSink, ResultSink, ShardPiece, ShardSpec,
 };
 use caai::net::{read_targets, Behavior, EmulatedServer, NetConfig, NetTransport, ServerProfile};
 use caai::netem::rng::seeded;
@@ -59,7 +59,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Minimal flag parser: `--key value` pairs after the subcommand, plus a
-/// few valueless boolean flags.
+/// few valueless boolean flags. A flag the subcommand does not take is an
+/// error, not a silently ignored typo.
 struct Args {
     flags: Vec<(String, String)>,
 }
@@ -68,24 +69,31 @@ struct Args {
 const BOOLEAN_FLAGS: [&str; 3] = ["json", "allow-partial", "follow"];
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
+    /// Parses what follows `command`, which takes the space-separated
+    /// flags in `allowed`.
+    fn parse(command: &str, allowed: &str, raw: &[String]) -> Result<Args, String> {
         let mut flags = Vec::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                if let Some((k, v)) = key.split_once('=') {
-                    flags.push((k.to_owned(), v.to_owned()));
-                } else if BOOLEAN_FLAGS.contains(&key) {
-                    flags.push((key.to_owned(), "true".to_owned()));
-                } else {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| format!("--{key} expects a value"))?;
-                    flags.push((key.to_owned(), v.clone()));
-                }
-            } else {
+            let Some(flag) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{a}`"));
+            };
+            let (key, inline) = match flag.split_once('=') {
+                Some((k, v)) => (k, Some(v)),
+                None => (flag, None),
+            };
+            if !allowed.split_whitespace().any(|flag| flag == key) {
+                return Err(format!("unknown flag --{key} for {command}"));
             }
+            let value = match inline {
+                Some(v) => v.to_owned(),
+                None if BOOLEAN_FLAGS.contains(&key) => "true".to_owned(),
+                None => it
+                    .next()
+                    .ok_or_else(|| format!("--{key} expects a value"))?
+                    .clone(),
+            };
+            flags.push((key.to_owned(), value));
         }
         Ok(Args { flags })
     }
@@ -107,14 +115,21 @@ impl Args {
             .collect()
     }
 
+    /// The parsed value of `--key`, if the flag was given.
+    fn optional<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.get(key)
+            .map(|v| v.parse().map_err(|e| format!("--{key} {v}: {e}")))
+            .transpose()
+    }
+
     fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
     where
         T::Err: std::fmt::Display,
     {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("--{key} {v}: {e}")),
-        }
+        Ok(self.optional(key)?.unwrap_or(default))
     }
 
     fn algo(&self) -> Result<AlgorithmId, String> {
@@ -157,7 +172,6 @@ COMMANDS:
                                          (classic pcap or pcapng; `-` reads stdin)
                   [--follow]             stream a growing file, FIFO, or pipe: verdicts
                                          emit while the capture is still being written
-                  [--workers N]          parallel reassembly workers (with --follow; 1)
                   [--flow-timeout SECS]  idle seconds before a flow is evicted (60)
                   [--session-timeout S]  idle seconds before a session's verdict (1800)
                   [--poll-ms MS]         follow-mode poll interval at EOF (50)
@@ -234,8 +248,8 @@ COMMANDS:
                                          (all repeatable; checked per file)
     trace-report  analyze a --trace file offline: per-stage self-time
                   attribution (p50/p95/p99), the gather breakdown by rung
-                  and round, queue-wait vs work time, reactor tick vs
-                  session time, and the slowest gathers by server id
+                  and round, reactor tick vs session time, and the
+                  slowest gathers by server id
                   --in FILE [--in FILE ...]  Chrome trace-event JSON files
                   [--top N]              slow-outlier table length (8)
                   [--min-gather-share F] fail unless the gather+rung+round
@@ -269,33 +283,7 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let args = match Args::parse(&argv[1..]) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "algorithms" => cmd_algorithms(),
-        "trace" => cmd_trace(&args),
-        "fingerprint" => cmd_fingerprint(&args),
-        "train" => cmd_train(&args),
-        "identify" => cmd_identify(&args),
-        "render-pcap" => cmd_render_pcap(&args),
-        "census" => cmd_census(&args),
-        "emulate" => cmd_emulate(&args),
-        "census-merge" => cmd_census_merge(&args),
-        "metrics-check" => cmd_metrics_check(&args),
-        "trace-report" => cmd_trace_report(&args),
-        "defense-sweep" => cmd_defense_sweep(&args),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
-    };
-    match result {
+    match dispatch(command, &argv[1..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -304,7 +292,57 @@ fn main() -> ExitCode {
     }
 }
 
-fn cmd_algorithms() -> Result<(), String> {
+type Command = fn(&Args) -> Result<(), String>;
+type FileSink = JsonlSink<std::io::BufWriter<std::fs::File>>;
+
+/// Every subcommand: its name, the flags it takes (the ones `USAGE`
+/// documents — anything else is refused), and its entry point.
+const COMMANDS: [(&str, &str, Command); 12] = [
+    ("algorithms", "", cmd_algorithms),
+    ("trace", "algo env wmax loss seed", cmd_trace),
+    ("fingerprint", "algo loss seed", cmd_fingerprint),
+    ("train", "conditions out seed", cmd_train),
+    (
+        "identify",
+        "algo model conditions loss seed pcap follow flow-timeout session-timeout poll-ms \
+         idle-timeout out json metrics progress trace trace-sample",
+        cmd_identify,
+    ),
+    ("render-pcap", "out algo short loss seed", cmd_render_pcap),
+    (
+        "census",
+        "servers model conditions workers json seed shard out checkpoint checkpoint-every \
+         resume budget deadline batch sink-queue progress metrics trace trace-sample targets \
+         connect-timeout-ms io-timeout-ms retries backoff-ms probe-rate net-rate max-sessions pace",
+        cmd_census,
+    ),
+    ("emulate", "targets-out algos count", cmd_emulate),
+    ("census-merge", "in json allow-partial", cmd_census_merge),
+    (
+        "metrics-check",
+        "in expect expect-min expect-p99 expect-count",
+        cmd_metrics_check,
+    ),
+    ("trace-report", "in top min-gather-share", cmd_trace_report),
+    (
+        "defense-sweep",
+        "budgets seeds-per-algo shaping-cap conditions out seed",
+        cmd_defense_sweep,
+    ),
+];
+
+fn dispatch(command: &str, raw: &[String]) -> Result<(), String> {
+    if matches!(command, "help" | "--help" | "-h") {
+        print!("{USAGE}");
+        return Ok(());
+    }
+    let Some((_, flags, run)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(format!("unknown command `{command}`\n\n{USAGE}"));
+    };
+    run(&Args::parse(command, flags, raw)?)
+}
+
+fn cmd_algorithms(_args: &Args) -> Result<(), String> {
     println!(
         "{:<12} {:<10} {:<28} identified",
         "name", "family", "OS families"
@@ -560,11 +598,11 @@ fn open_trace(args: &Args) -> Result<Option<TraceSubscriber>, String> {
         .map_err(|e| format!("create {path}: {e}"))
 }
 
-/// Collector-side hook for follow mode, composed *after* the
-/// [`MetricsSubscriber`] in the subscriber tuple so every snapshot
-/// already includes the granule that triggered it: appends one
-/// cumulative metrics line per granule and prints a live progress line
-/// every `progress_every` granules.
+/// Per-granule hook for follow mode, called by the streaming loop itself
+/// and composed *after* the [`MetricsSubscriber`] in the subscriber tuple
+/// so every snapshot already includes the granule that triggered it:
+/// appends one cumulative metrics line per granule and prints a live
+/// progress line every `progress_every` granules.
 struct FollowHook<'a> {
     metrics: &'a MetricsSubscriber,
     progress_every: u64,
@@ -573,7 +611,7 @@ struct FollowHook<'a> {
 
 struct FollowHookState {
     file: Option<MetricsFile>,
-    // The collector cannot return an error, so write failures are parked
+    // A subscriber cannot return an error, so write failures are parked
     // here and surfaced by `finish`.
     err: Option<String>,
     granules: u64,
@@ -675,10 +713,7 @@ fn cmd_identify_pcap(args: &Args, pcap_path: &str) -> Result<(), String> {
     // census: a JSONL stream when --out is given, plus the in-memory
     // aggregator whose report feeds the summary line.
     let mut agg = AggregatingSink::new();
-    let mut jsonl = match args.get("out") {
-        None => None,
-        Some(out) => Some(JsonlSink::create(out).map_err(|e| format!("create {out}: {e}"))?),
-    };
+    let mut jsonl = open_out(args)?;
     {
         let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut agg];
         if let Some(sink) = jsonl.as_mut() {
@@ -727,43 +762,45 @@ fn cmd_identify_pcap(args: &Args, pcap_path: &str) -> Result<(), String> {
     for s in &verdicts.sessions {
         println!("{}", describe_session(s));
     }
-    let report = agg.into_report();
-    let invalid: usize = report.invalid.values().sum();
-    // Count identifications from the columns: `identified_total` scores
-    // only truth-bearing records, and capture records carry no truth.
-    let identified: usize = report
-        .columns
-        .values()
-        .map(|c| c.identified.values().sum::<usize>())
-        .sum();
-    println!(
-        "verdicts: {} identified, {} special, {} unsure, {} invalid",
-        identified,
-        report
-            .columns
-            .values()
-            .map(|c| c.special.values().sum::<usize>())
-            .sum::<usize>(),
-        report.columns.values().map(|c| c.unsure).sum::<usize>(),
-        invalid,
-    );
+    print_verdict_totals(&agg.into_report());
     Ok(())
 }
 
+/// Opens `--out FILE` as a fresh JSONL record sink, if given.
+fn open_out(args: &Args) -> Result<Option<FileSink>, String> {
+    args.get("out")
+        .map(|out| JsonlSink::create(out).map_err(|e| format!("create {out}: {e}")))
+        .transpose()
+}
+
+/// The `verdicts: ...` line closing an `identify --pcap` run.
+fn print_verdict_totals(report: &CensusReport) {
+    // Count identifications from the columns: `identified_total` scores
+    // only truth-bearing records, and capture records carry no truth.
+    let columns = || report.columns.values();
+    println!(
+        "verdicts: {} identified, {} special, {} unsure, {} invalid",
+        columns()
+            .map(|c| c.identified.values().sum::<usize>())
+            .sum::<usize>(),
+        columns()
+            .map(|c| c.special.values().sum::<usize>())
+            .sum::<usize>(),
+        columns().map(|c| c.unsure).sum::<usize>(),
+        report.invalid.values().sum::<usize>(),
+    );
+}
+
 /// `identify --pcap FILE --follow`: stream the capture through the
-/// multi-worker pipeline, emitting each session's verdict the moment it
+/// streaming pipeline, emitting each session's verdict the moment it
 /// times out — while the file is still being written.
 fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
     let classifier = load_or_train(args)?;
-    let workers: usize = args.parsed("workers", 1)?;
     let flow_timeout: f64 = args.parsed("flow-timeout", 60.0)?;
     let session_timeout: f64 = args.parsed("session-timeout", 1800.0)?;
     let poll_ms: u64 = args.parsed("poll-ms", 50)?;
     let idle_secs: f64 = args.parsed("idle-timeout", 30.0)?;
     let progress_every: u64 = args.parsed("progress", 0)?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".to_owned());
-    }
     let positive = |t: f64| t.is_finite() && t > 0.0;
     if !positive(flow_timeout) || !positive(session_timeout) {
         return Err("--flow-timeout and --session-timeout must be positive".to_owned());
@@ -780,7 +817,6 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
     };
     let mut source = open_path(pcap_path, &follow).map_err(|e| format!("open {pcap_path}: {e}"))?;
     let config = StreamConfig {
-        workers,
         flow_timeout,
         session_timeout,
         ..StreamConfig::default()
@@ -788,15 +824,13 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
 
     let json = args.get("json").is_some();
     let mut agg = AggregatingSink::new();
-    let mut jsonl = match args.get("out") {
-        None => None,
-        Some(out) => Some(JsonlSink::create(out).map_err(|e| format!("create {out}: {e}"))?),
-    };
+    let mut jsonl = open_out(args)?;
     let metrics = MetricsSubscriber::new();
     let trace = open_trace(args)?;
     let hook = FollowHook::new(&metrics, progress_every, open_metrics(args)?);
-    // The verdict callback runs on the collector thread; sink failures are
-    // carried out by value because the callback cannot return an error.
+    // The pipeline calls the verdict callback between reads of the source;
+    // sink failures are carried out by value because the callback cannot
+    // return an error.
     let mut sink_err: Option<String> = None;
     let stats = {
         let on_verdict = |s: &SessionReport| {
@@ -818,7 +852,7 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
                 }
             }
         };
-        // Diagnostics render live from the pipeline threads; the hook
+        // Diagnostics render live as the pipeline fires them; the hook
         // last so its snapshots include the granule that fired it.
         let obs = (
             trace.as_ref(),
@@ -847,24 +881,7 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
             if stats.sessions == 1 { "" } else { "s" },
             stats.dataless_sessions,
         );
-        let report = agg.into_report();
-        let invalid: usize = report.invalid.values().sum();
-        let identified: usize = report
-            .columns
-            .values()
-            .map(|c| c.identified.values().sum::<usize>())
-            .sum();
-        println!(
-            "verdicts: {} identified, {} special, {} unsure, {} invalid",
-            identified,
-            report
-                .columns
-                .values()
-                .map(|c| c.special.values().sum::<usize>())
-                .sum::<usize>(),
-            report.columns.values().map(|c| c.unsure).sum::<usize>(),
-            invalid,
-        );
+        print_verdict_totals(&agg.into_report());
     }
     Ok(())
 }
@@ -903,19 +920,14 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
     let mut rng = seeded(seed);
     let client = [192, 0, 2, 1];
     let mut host = 0u8;
+    let mut render = |host: u8, server: &ServerUnderTest, rng: &mut _| {
+        renderer
+            .render_session(client, [198, 51, 100, host], server, &prober, &path, rng)
+            .map_err(|e| format!("write {out}: {e}"))
+    };
     for algo in &algos {
         host += 1;
-        let server = ServerUnderTest::ideal(*algo);
-        let outcome = renderer
-            .render_session(
-                client,
-                [198, 51, 100, host],
-                &server,
-                &prober,
-                &path,
-                &mut rng,
-            )
-            .map_err(|e| format!("write {out}: {e}"))?;
+        let outcome = render(host, &ServerUnderTest::ideal(*algo), &mut rng)?;
         eprintln!(
             "rendered {algo} as 198.51.100.{host}: {}",
             match outcome.pair {
@@ -938,17 +950,7 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
         };
         web.requests = caai::webmodel::RequestAcceptanceModel { max_requests: 1 };
         web.quirk = caai::tcpsim::SenderQuirk::None;
-        let server = ServerUnderTest::from_web_server(&web);
-        let outcome = renderer
-            .render_session(
-                client,
-                [198, 51, 100, host],
-                &server,
-                &prober,
-                &path,
-                &mut rng,
-            )
-            .map_err(|e| format!("write {out}: {e}"))?;
+        let outcome = render(host, &ServerUnderTest::from_web_server(&web), &mut rng)?;
         eprintln!(
             "rendered short-page server as 198.51.100.{host}: {:?}",
             outcome.failure_reason()
@@ -967,30 +969,16 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_census(args: &Args) -> Result<(), String> {
-    if let Some(path) = args.get("targets") {
-        if args.get("servers").is_some() {
-            return Err(
-                "--targets and --servers are mutually exclusive: a census probes \
-                        either a live target list or a synthetic population"
-                    .to_owned(),
-            );
-        }
-        return cmd_census_net(args, path);
-    }
-    let servers: u32 = args.parsed("servers", 1000)?;
-    let seed: u64 = args.parsed("seed", 1)?;
-    let workers: usize = args.parsed("workers", 4)?;
-    let shard: ShardSpec = match args.get("shard") {
-        None => ShardSpec::full(),
-        Some(v) => v.parse().map_err(|e| format!("--shard {v}: {e}"))?,
-    };
-    let classifier = load_or_train(args)?;
-    let db = ConditionDb::paper_2011();
-    let census = Census::new(classifier, db, ProberConfig::default());
-    let mut rng = seeded(seed);
-    let population = PopulationConfig::small(servers).generate(&mut rng);
-
+/// What `census` reads from its flags the same way whether it probes the
+/// simulator or live targets: the engine configuration, the checkpoint
+/// to resume from, and the `--out` sink.
+fn census_setup(
+    args: &Args,
+    seed: u64,
+    workers: usize,
+    shard: ShardSpec,
+    population: u64,
+) -> Result<(EngineConfig, Option<Checkpoint>, Option<FileSink>), String> {
     let config = EngineConfig {
         seed,
         workers,
@@ -1000,17 +988,8 @@ fn cmd_census(args: &Args) -> Result<(), String> {
         checkpoint_every: args.parsed("checkpoint-every", 256)?,
         sink_queue: args.parsed("sink-queue", 1024)?,
         budget: Budget {
-            max_probes: match args.get("budget") {
-                None => None,
-                Some(v) => Some(v.parse().map_err(|e| format!("--budget {v}: {e}"))?),
-            },
-            deadline: match args.get("deadline") {
-                None => None,
-                Some(v) => {
-                    let secs: f64 = v.parse().map_err(|e| format!("--deadline {v}: {e}"))?;
-                    Some(Duration::from_secs_f64(secs))
-                }
-            },
+            max_probes: args.optional("budget")?,
+            deadline: args.optional("deadline")?.map(Duration::from_secs_f64),
         },
         progress_every: args.parsed("progress", 0)?,
     };
@@ -1020,13 +999,12 @@ fn cmd_census(args: &Args) -> Result<(), String> {
             let ck = Checkpoint::load(path).map_err(|e| format!("resume {path}: {e}"))?;
             // Validate before any sink is opened: a mismatched resume must
             // not truncate an existing --out report.
-            ck.ensure_matches(seed, u64::from(servers), shard)
+            ck.ensure_matches(seed, population, shard)
                 .map_err(|e| format!("resume {path}: {e}"))?;
             Some(ck)
         }
     };
-
-    let mut jsonl = match args.get("out") {
+    let jsonl = match args.get("out") {
         None => None,
         Some(out) => {
             // A v2 resume cannot replay already-completed records, so on
@@ -1038,39 +1016,30 @@ fn cmd_census(args: &Args) -> Result<(), String> {
             };
             sink.write_meta(&JsonlMeta {
                 seed,
-                population: u64::from(servers),
+                population,
                 shard,
             })
             .map_err(|e| format!("write {out}: {e}"))?;
             Some(sink)
         }
     };
+    Ok((config, resume, jsonl))
+}
 
-    let owned = shard.owned_count(u64::from(servers));
-    eprintln!("probing {owned} of {servers} servers (shard {shard}) on {workers} workers ...");
-    let engine = CensusEngine::new(census, config);
-    // Metrics are collected whether or not --metrics is given (the cost
-    // is an atomic add per record against a full probe simulation) so
-    // they stay independent of --progress: quiet runs still measure.
-    let mut metrics_file = open_metrics(args)?;
-    let metrics = MetricsSubscriber::new();
-    let trace = open_trace(args)?;
-    let obs = (trace.as_ref(), &metrics);
-    let outcome = match jsonl.as_mut() {
-        Some(sink) => engine.run_obs(
-            &population,
-            &mut [sink as &mut dyn ResultSink],
-            resume,
-            &obs,
-        ),
-        None => engine.run_obs(&population, &mut [], resume, &obs),
-    }
-    .map_err(|e| e.to_string())?;
-    if let Some(t) = &trace {
-        t.finish();
-    }
-    if let Some(file) = metrics_file.as_mut() {
-        file.write(&metrics, "census", true)?;
+/// What `census` does once the engine returns, whatever it probed: the
+/// final metrics line, the stats, budget and shard notes on stderr, the
+/// report on stdout. `noun` is what the population is made of.
+fn census_epilogue(
+    args: &Args,
+    outcome: &EngineOutcome,
+    metrics_file: Option<MetricsFile>,
+    metrics: &MetricsSubscriber,
+    shard: ShardSpec,
+    owned: u64,
+    noun: &str,
+) -> Result<(), String> {
+    if let Some(mut file) = metrics_file {
+        file.write(metrics, "census", true)?;
     }
     eprintln!("census: {}", outcome.stats);
     if !outcome.completed {
@@ -1085,12 +1054,62 @@ fn cmd_census(args: &Args) -> Result<(), String> {
     }
     if !shard.is_full() {
         eprintln!(
-            "shard {shard} report below covers {owned} servers; join all {} shards \
+            "shard {shard} report below covers {owned} {noun}; join all {} shards \
              with `caai census-merge`",
             shard.count
         );
     }
     print_report(&outcome.report, args.get("json").is_some())
+}
+
+fn cmd_census(args: &Args) -> Result<(), String> {
+    if let Some(path) = args.get("targets") {
+        if args.get("servers").is_some() {
+            return Err(
+                "--targets and --servers are mutually exclusive: a census probes \
+                        either a live target list or a synthetic population"
+                    .to_owned(),
+            );
+        }
+        return cmd_census_net(args, path);
+    }
+    let servers: u32 = args.parsed("servers", 1000)?;
+    let seed: u64 = args.parsed("seed", 1)?;
+    let workers: usize = args.parsed("workers", 4)?;
+    let shard: ShardSpec = args.parsed("shard", ShardSpec::full())?;
+    let classifier = load_or_train(args)?;
+    let db = ConditionDb::paper_2011();
+    let census = Census::new(classifier, db, ProberConfig::default());
+    let mut rng = seeded(seed);
+    let population = PopulationConfig::small(servers).generate(&mut rng);
+    let (config, resume, mut jsonl) = census_setup(args, seed, workers, shard, u64::from(servers))?;
+
+    let owned = shard.owned_count(u64::from(servers));
+    eprintln!("probing {owned} of {servers} servers (shard {shard}) on {workers} workers ...");
+    let engine = CensusEngine::new(census, config);
+    // Metrics are collected whether or not --metrics is given (the cost
+    // is an atomic add per record against a full probe simulation) so
+    // they stay independent of --progress: quiet runs still measure.
+    let metrics_file = open_metrics(args)?;
+    let metrics = MetricsSubscriber::new();
+    let trace = open_trace(args)?;
+    let obs = (trace.as_ref(), &metrics);
+    let mut sinks: Vec<_> = jsonl.iter_mut().map(|s| s as &mut dyn ResultSink).collect();
+    let outcome = engine
+        .run_obs(&population, &mut sinks, resume, &obs)
+        .map_err(|e| e.to_string())?;
+    if let Some(t) = &trace {
+        t.finish();
+    }
+    census_epilogue(
+        args,
+        &outcome,
+        metrics_file,
+        &metrics,
+        shard,
+        owned,
+        "servers",
+    )
 }
 
 /// `caai census --targets FILE`: the same census pipeline — engine,
@@ -1101,10 +1120,7 @@ fn cmd_census(args: &Args) -> Result<(), String> {
 fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     let seed: u64 = args.parsed("seed", 1)?;
     let workers: usize = args.parsed("workers", 4)?;
-    let shard: ShardSpec = match args.get("shard") {
-        None => ShardSpec::full(),
-        Some(v) => v.parse().map_err(|e| format!("--shard {v}: {e}"))?,
-    };
+    let shard: ShardSpec = args.parsed("shard", ShardSpec::full())?;
     let list = read_targets(std::path::Path::new(targets_path))
         .map_err(|e| format!("read {targets_path}: {e}"))?;
     for skipped in &list.skipped {
@@ -1140,107 +1156,36 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     // ticks, rate-limiter stalls, and reactor-side spans land next to
     // probe and census counters in the same --metrics / --trace outputs.
     let obs = Arc::new((open_trace(args)?, MetricsSubscriber::new()));
-    let metrics = &obs.1;
     let transport = NetTransport::new(list.targets, classifier, net_config, Arc::clone(&obs))
         .map_err(|e| format!("start reactor: {e}"))?;
     for (id, target, why) in transport.resolution_failures() {
         eprintln!("{targets_path}: target {id} ({target}): skipped ({why}); recorded as invalid");
     }
-
-    let config = EngineConfig {
-        seed,
-        workers,
-        batch_size: args.parsed("batch", 16)?,
-        shard,
-        checkpoint_path: args.get("checkpoint").map(PathBuf::from),
-        checkpoint_every: args.parsed("checkpoint-every", 256)?,
-        sink_queue: args.parsed("sink-queue", 1024)?,
-        budget: Budget {
-            max_probes: match args.get("budget") {
-                None => None,
-                Some(v) => Some(v.parse().map_err(|e| format!("--budget {v}: {e}"))?),
-            },
-            deadline: match args.get("deadline") {
-                None => None,
-                Some(v) => {
-                    let secs: f64 = v.parse().map_err(|e| format!("--deadline {v}: {e}"))?;
-                    Some(Duration::from_secs_f64(secs))
-                }
-            },
-        },
-        progress_every: args.parsed("progress", 0)?,
-    };
-    let resume = match args.get("resume") {
-        None => None,
-        Some(path) => {
-            let ck = Checkpoint::load(path).map_err(|e| format!("resume {path}: {e}"))?;
-            ck.ensure_matches(seed, population, shard)
-                .map_err(|e| format!("resume {path}: {e}"))?;
-            Some(ck)
-        }
-    };
-    let mut jsonl = match args.get("out") {
-        None => None,
-        Some(out) => {
-            let mut sink = if resume.is_some() {
-                JsonlSink::append(out).map_err(|e| format!("append {out}: {e}"))?
-            } else {
-                JsonlSink::create(out).map_err(|e| format!("create {out}: {e}"))?
-            };
-            sink.write_meta(&JsonlMeta {
-                seed,
-                population,
-                shard,
-            })
-            .map_err(|e| format!("write {out}: {e}"))?;
-            Some(sink)
-        }
-    };
+    let (config, resume, mut jsonl) = census_setup(args, seed, workers, shard, population)?;
 
     let owned = shard.owned_count(population);
     eprintln!(
         "probing {owned} of {population} live targets (shard {shard}) on {workers} workers ..."
     );
-    let mut metrics_file = open_metrics(args)?;
-    let outcome = match jsonl.as_mut() {
-        Some(sink) => run_transport_obs(
-            &transport,
-            &config,
-            &mut [sink as &mut dyn ResultSink],
-            resume,
-            &*obs,
-        ),
-        None => run_transport_obs(&transport, &config, &mut [], resume, &*obs),
-    }
-    .map_err(|e| e.to_string())?;
+    let metrics_file = open_metrics(args)?;
+    let mut sinks: Vec<_> = jsonl.iter_mut().map(|s| s as &mut dyn ResultSink).collect();
+    let outcome = run_transport_obs(&transport, &config, &mut sinks, resume, &*obs)
+        .map_err(|e| e.to_string())?;
     // The reactor thread is still alive (it dies when `transport` drops),
     // but every session it owned has concluded; close the trace now so
     // the file is valid JSON the moment the command prints its report.
     if let Some(t) = &obs.0 {
         t.finish();
     }
-    if let Some(file) = metrics_file.as_mut() {
-        file.write(metrics, "census", true)?;
-    }
-    eprintln!("census: {}", outcome.stats);
-    if !outcome.completed {
-        eprintln!(
-            "budget exhausted after {} probes; the report below is partial{}",
-            outcome.stats.probed,
-            match args.get("checkpoint") {
-                Some(ck) => format!(" — resume with `--resume {ck}`"),
-                None => String::new(),
-            }
-        );
-    }
-    if !shard.is_full() {
-        eprintln!(
-            "shard {shard} report below covers {owned} targets; join all {} shards \
-             with `caai census-merge`",
-            shard.count
-        );
-    }
-    print_report(&outcome.report, args.get("json").is_some())
+    census_epilogue(
+        args,
+        &outcome,
+        metrics_file,
+        &obs.1,
+        shard,
+        owned,
+        "targets",
+    )
 }
 
 /// `caai emulate`: a parked fleet of loopback [`EmulatedServer`]s for
@@ -1617,93 +1562,144 @@ fn print_report(report: &CensusReport, json: bool) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn args(raw: &[&str]) -> Args {
-        Args::parse(&raw.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>()).expect("parse")
+    /// Parses `raw` as the flags of `command`, against its `COMMANDS` row.
+    fn parse(command: &str, raw: &[&str]) -> Result<Args, String> {
+        let (_, flags, _) = COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == command)
+            .expect("a command from the table");
+        let raw: Vec<String> = raw.iter().map(|s| (*s).to_owned()).collect();
+        Args::parse(command, flags, &raw)
+    }
+
+    fn args(command: &str, raw: &[&str]) -> Args {
+        parse(command, raw).expect("parse")
     }
 
     #[test]
     fn parses_key_value_pairs_in_both_forms() {
-        let a = args(&["--algo", "CUBIC", "--seed=42"]);
+        let a = args("trace", &["--algo", "CUBIC", "--seed=42"]);
         assert_eq!(a.get("algo"), Some("CUBIC"));
         assert_eq!(a.parsed::<u64>("seed", 1).unwrap(), 42);
     }
 
     #[test]
     fn later_flags_win() {
-        let a = args(&["--seed", "1", "--seed", "2"]);
+        let a = args("trace", &["--seed", "1", "--seed", "2"]);
         assert_eq!(a.parsed::<u64>("seed", 0).unwrap(), 2);
     }
 
     #[test]
     fn missing_flags_fall_back_to_defaults() {
-        let a = args(&[]);
+        let a = args("trace", &[]);
         assert_eq!(a.parsed::<u32>("wmax", 512).unwrap(), 512);
         assert!(a.algo().is_err());
     }
 
     #[test]
     fn algo_parsing_uses_the_registry_aliases() {
-        let a = args(&["--algo", "cubic"]);
+        let a = args("trace", &["--algo", "cubic"]);
         assert_eq!(a.algo().unwrap(), AlgorithmId::CubicV2);
-        let a = args(&["--algo", "westwood"]);
+        let a = args("trace", &["--algo", "westwood"]);
         assert_eq!(a.algo().unwrap(), AlgorithmId::WestwoodPlus);
     }
 
     #[test]
     fn dangling_flag_is_rejected() {
-        let raw = vec!["--seed".to_owned()];
-        assert!(Args::parse(&raw).is_err());
+        assert!(parse("trace", &["--seed"]).is_err());
     }
 
     #[test]
     fn positional_arguments_are_rejected() {
-        let raw = vec!["oops".to_owned()];
-        assert!(Args::parse(&raw).is_err());
+        assert!(parse("trace", &["oops"]).is_err());
     }
 
     #[test]
     fn expectations_parse_both_forms_and_reject_malformed_specs() {
-        let a = args(&[
-            "--expect",
-            "capture.truncations=0",
-            "--expect-min",
-            "capture.frames_decoded=1",
-        ]);
+        let a = args(
+            "metrics-check",
+            &[
+                "--expect",
+                "capture.truncations=0",
+                "--expect-min",
+                "capture.frames_decoded=1",
+            ],
+        );
         let exps = parse_expectations(&a).expect("well-formed");
         assert_eq!(exps.len(), 2);
         assert!(exps[0].exact && exps[0].name == "capture.truncations" && exps[0].value == 0);
         assert!(!exps[1].exact && exps[1].value == 1);
 
-        assert!(parse_expectations(&args(&["--expect", "no-equals"])).is_err());
-        assert!(parse_expectations(&args(&["--expect-min", "x=notanumber"])).is_err());
+        assert!(parse_expectations(&args("metrics-check", &["--expect", "no-equals"])).is_err());
+        assert!(
+            parse_expectations(&args("metrics-check", &["--expect-min", "x=notanumber"])).is_err()
+        );
     }
 
     #[test]
     fn histogram_expectations_parse_their_comparison_spellings() {
-        let a = args(&[
-            "--expect-p99",
-            "stream.batch_fill<=128",
-            "--expect-count",
-            "gather.rounds>=1",
-        ]);
+        let a = args(
+            "metrics-check",
+            &[
+                "--expect-p99",
+                "stream.tick_latency_us<=128",
+                "--expect-count",
+                "gather.rounds>=1",
+            ],
+        );
         let exps = parse_hist_expectations(&a).expect("well-formed");
         assert_eq!(exps.len(), 2);
-        assert!(exps[0].p99 && exps[0].name == "stream.batch_fill" && exps[0].value == 128);
+        assert!(exps[0].p99 && exps[0].name == "stream.tick_latency_us" && exps[0].value == 128);
         assert!(!exps[1].p99 && exps[1].name == "gather.rounds" && exps[1].value == 1);
 
         // The comparison spelling is part of the flag's contract: `=` or
         // the wrong direction is malformed, not silently reinterpreted.
-        assert!(parse_hist_expectations(&args(&["--expect-p99", "x=5"])).is_err());
-        assert!(parse_hist_expectations(&args(&["--expect-p99", "x>=5"])).is_err());
-        assert!(parse_hist_expectations(&args(&["--expect-count", "x<=5"])).is_err());
-        assert!(parse_hist_expectations(&args(&["--expect-count", "x>=bad"])).is_err());
+        assert!(parse_hist_expectations(&args("metrics-check", &["--expect-p99", "x=5"])).is_err());
+        assert!(
+            parse_hist_expectations(&args("metrics-check", &["--expect-p99", "x>=5"])).is_err()
+        );
+        assert!(
+            parse_hist_expectations(&args("metrics-check", &["--expect-count", "x<=5"])).is_err()
+        );
+        assert!(
+            parse_hist_expectations(&args("metrics-check", &["--expect-count", "x>=bad"])).is_err()
+        );
     }
 
     #[test]
     fn loss_out_of_range_is_rejected() {
-        let a = args(&["--loss", "1.5"]);
+        let a = args("trace", &["--loss", "1.5"]);
         assert!(a.path_config().is_err());
-        let a = args(&["--loss", "0.02"]);
+        let a = args("trace", &["--loss", "0.02"]);
         assert!(a.path_config().is_ok());
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_does_not_take_is_an_error() {
+        let err = |command, raw: &[&str]| parse(command, raw).err().expect("refused");
+        // A typo no longer probes the default population in silence.
+        assert_eq!(
+            err("census", &["--sevrers", "10"]),
+            "unknown flag --sevrers for census"
+        );
+        assert_eq!(
+            err("census", &["--sevrers=10"]),
+            "unknown flag --sevrers for census"
+        );
+        // Follow mode has no worker pool to size.
+        assert_eq!(
+            err(
+                "identify",
+                &["--pcap", "x.pcap", "--follow", "--workers", "4"]
+            ),
+            "unknown flag --workers for identify"
+        );
+        // Known flags still parse, repeated ones in order.
+        let a = args(
+            "render-pcap",
+            &["--out", "c.pcap", "--algo", "RENO", "--algo", "CUBIC"],
+        );
+        assert_eq!(a.get_all("algo"), ["RENO", "CUBIC"]);
+        assert!(parse("census", &["--servers", "10", "--workers", "4"]).is_ok());
     }
 }

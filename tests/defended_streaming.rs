@@ -3,11 +3,10 @@
 //! The defense transforms (dummy-packet padding, timing jitter) change
 //! what the server puts on the wire, not what the pipeline may assume
 //! about it. A capture of a *defended* probe round-trip must therefore
-//! flow through the multi-worker pipeline exactly like an undefended
-//! one: the verdict stream is a pure function of the capture bytes —
-//! identical at 1, 2 and 4 workers and identical to the offline
-//! reader's — even when padding has inserted dummy segments and jitter
-//! has reordered delivery into later rounds.
+//! flow through the streaming pipeline exactly like an undefended one:
+//! the verdict stream is a pure function of the capture bytes —
+//! identical to the offline reader's — even when padding has inserted
+//! dummy segments and jitter has reordered delivery into later rounds.
 
 use caai::capture::{CaptureRenderer, SessionReport};
 use caai::congestion::AlgorithmId;
@@ -79,16 +78,15 @@ fn line_of(report: &SessionReport) -> String {
     )
 }
 
-fn stream_verdicts(capture: &[u8], workers: usize) -> Vec<String> {
+fn stream_verdicts(capture: &[u8]) -> Vec<String> {
     let mut source = PcapStream::new(std::io::Cursor::new(capture), StallPolicy::Eof);
-    let config = StreamConfig {
-        workers,
-        ..StreamConfig::default()
-    };
     let mut lines = Vec::new();
-    let stats = run(&mut source, classifier(), &config, |report| {
-        lines.push(line_of(report));
-    })
+    let stats = run(
+        &mut source,
+        classifier(),
+        &StreamConfig::default(),
+        |report| lines.push(line_of(report)),
+    )
     .expect("a clean defended capture streams without error");
     assert!(stats.truncated.is_none(), "render output is undamaged");
     lines
@@ -106,14 +104,9 @@ fn defended_capture_verdicts_are_identical_across_workers_and_offline() {
         .collect();
     assert_eq!(offline.len(), 2, "one verdict per defended session");
 
-    let w1 = stream_verdicts(capture, 1);
-    let w2 = stream_verdicts(capture, 2);
-    let w4 = stream_verdicts(capture, 4);
-
-    assert_eq!(w1, w2, "defended verdict stream diverges at 2 workers");
-    assert_eq!(w1, w4, "defended verdict stream diverges at 4 workers");
     assert_eq!(
-        w1, offline,
+        stream_verdicts(capture),
+        offline,
         "streaming and offline must agree on defended traffic"
     );
 }

@@ -83,11 +83,11 @@ fn damaged_capture() -> &'static [u8] {
     })
 }
 
-fn stream_counters(capture: &[u8], workers: usize) -> BTreeMap<String, u64> {
+fn stream_counters(capture: &[u8], max_flow_events: usize) -> BTreeMap<String, u64> {
     let metrics = MetricsSubscriber::new();
     let mut source = PcapStream::new(std::io::Cursor::new(capture), StallPolicy::Eof);
     let config = StreamConfig {
-        workers,
+        max_flow_events,
         ..StreamConfig::default()
     };
     run_obs(&mut source, classifier(), &config, |_r| {}, &metrics)
@@ -95,24 +95,20 @@ fn stream_counters(capture: &[u8], workers: usize) -> BTreeMap<String, u64> {
     metrics.snapshot().counters
 }
 
+fn offline_counters(capture: &[u8]) -> BTreeMap<String, u64> {
+    let metrics = MetricsSubscriber::new();
+    identify_bytes_obs(capture, classifier(), None, &metrics)
+        .expect("mid-capture damage is tolerated");
+    metrics.snapshot().counters
+}
+
+const DEFAULT_FLOW_CAP: usize = 1 << 16;
+
 #[test]
-fn stream_counters_are_worker_count_invariant_and_match_offline() {
+fn stream_counters_match_offline() {
     let capture = damaged_capture();
-
-    let offline = {
-        let metrics = MetricsSubscriber::new();
-        identify_bytes_obs(capture, classifier(), None, &metrics)
-            .expect("mid-capture damage is tolerated");
-        metrics.snapshot().counters
-    };
-    let w1 = stream_counters(capture, 1);
-    let w2 = stream_counters(capture, 2);
-    let w4 = stream_counters(capture, 4);
-
-    // The whole counter map — flows, verdicts, corruption, granules —
-    // must be identical for every worker count.
-    assert_eq!(w1, w2, "1-worker and 2-worker counters diverge");
-    assert_eq!(w1, w4, "1-worker and 4-worker counters diverge");
+    let offline = offline_counters(capture);
+    let w1 = stream_counters(capture, DEFAULT_FLOW_CAP);
 
     assert!(w1["capture.frames_decoded"] > 0);
     assert_eq!(w1["capture.packets_skipped"], 1, "the clobbered frame");
@@ -147,75 +143,52 @@ fn stream_counters_are_worker_count_invariant_and_match_offline() {
 
 /// The eviction accounting contract, pinned explicitly: every flow the
 /// pipeline opens is evicted exactly once, so the per-cause counters
-/// (idle, overflow, drain) partition `flows_opened` — for every worker
-/// count, and whichever cause mix a configuration produces. A flow
-/// counted under two causes (or leaked under none) breaks this sum
-/// before it breaks anything visible in verdicts.
+/// (idle, overflow, drain) partition `flows_opened`, whichever cause mix
+/// a configuration produces. A flow counted under two causes (or leaked
+/// under none) breaks this sum before it breaks anything visible in
+/// verdicts.
 #[test]
 fn eviction_causes_partition_flows_opened_for_every_worker_count() {
     let capture = damaged_capture();
     let count = |m: &BTreeMap<String, u64>, name: &str| m.get(name).copied().unwrap_or(0);
+    let causes = |c: &BTreeMap<String, u64>| {
+        (
+            count(c, "capture.flows_evicted_idle"),
+            count(c, "capture.flows_evicted_overflow"),
+            count(c, "capture.flows_evicted_drain"),
+        )
+    };
 
     // Two regimes: the default config (idle evictions from the prober's
     // 630 s inter-connection gaps, drain evictions at EOF) and a tiny
     // per-flow event cap that forces the overflow cause into the mix.
-    for max_flow_events in [1usize << 16, 96] {
-        let mut per_worker = Vec::new();
-        for workers in [1usize, 2, 4] {
-            let metrics = MetricsSubscriber::new();
-            let mut source = PcapStream::new(std::io::Cursor::new(capture), StallPolicy::Eof);
-            let config = StreamConfig {
-                workers,
-                max_flow_events,
-                ..StreamConfig::default()
-            };
-            run_obs(&mut source, classifier(), &config, |_r| {}, &metrics)
-                .expect("mid-stream damage is tolerated");
-            let c = metrics.snapshot().counters;
+    let by_cap = [DEFAULT_FLOW_CAP, 96].map(|max_flow_events| {
+        let c = stream_counters(capture, max_flow_events);
+        let opened = count(&c, "capture.flows_opened");
+        let (idle, overflow, drain) = causes(&c);
+        assert!(opened > 0, "the capture must open flows");
+        assert_eq!(
+            idle + overflow + drain,
+            opened,
+            "cap {max_flow_events}: eviction causes (idle {idle} + overflow \
+             {overflow} + drain {drain}) must partition flows_opened"
+        );
+        (idle, overflow, drain, opened)
+    });
 
-            let opened = count(&c, "capture.flows_opened");
-            let idle = count(&c, "capture.flows_evicted_idle");
-            let overflow = count(&c, "capture.flows_evicted_overflow");
-            let drain = count(&c, "capture.flows_evicted_drain");
-            assert!(opened > 0, "the capture must open flows");
-            assert_eq!(
-                idle + overflow + drain,
-                opened,
-                "{workers} workers, cap {max_flow_events}: eviction causes \
-                 (idle {idle} + overflow {overflow} + drain {drain}) must \
-                 partition flows_opened"
-            );
-            per_worker.push((idle, overflow, drain, opened));
-        }
-        // Not just the sum: the per-cause split itself is worker-count
-        // invariant (eviction is driven by capture time, not wall time).
-        assert_eq!(
-            per_worker[0], per_worker[1],
-            "cap {max_flow_events}: 1 vs 2 workers"
-        );
-        assert_eq!(
-            per_worker[0], per_worker[2],
-            "cap {max_flow_events}: 1 vs 4 workers"
-        );
-    }
+    // The offline reader opens the same flows as the default regime and
+    // knows one cause only: everything drains at the end of the capture.
+    let offline = offline_counters(capture);
+    let opened = count(&offline, "capture.flows_opened");
+    assert_eq!(causes(&offline), (0, 0, opened));
+    assert_eq!(by_cap[0].3, opened, "offline vs stream flows_opened");
 
     // The small cap actually exercised the overflow cause; the default
     // cap exercised idle. Guard both so the partition check never
     // silently degenerates to a single-cause tautology.
-    let overflow_forced = {
-        let metrics = MetricsSubscriber::new();
-        let mut source = PcapStream::new(std::io::Cursor::new(capture), StallPolicy::Eof);
-        let config = StreamConfig {
-            workers: 2,
-            max_flow_events: 96,
-            ..StreamConfig::default()
-        };
-        run_obs(&mut source, classifier(), &config, |_r| {}, &metrics)
-            .expect("mid-stream damage is tolerated");
-        metrics.snapshot().counters
-    };
+    assert!(by_cap[0].0 > 0, "the default cap must see idle evictions");
     assert!(
-        count(&overflow_forced, "capture.flows_evicted_overflow") > 0,
+        by_cap[1].1 > 0,
         "a 96-event cap must force overflow evictions on probe flows"
     );
 }
@@ -396,8 +369,6 @@ fn follow_metrics_emit_per_granule_snapshots_that_validate() {
         "--pcap",
         &fixture,
         "--follow",
-        "--workers",
-        "4",
         "--conditions",
         "1",
         "--idle-timeout",

@@ -98,8 +98,6 @@ fn follow_mode_identifies_a_capture_that_grows_under_it() {
             "--pcap",
             &growing,
             "--follow",
-            "--workers",
-            "2",
             "--conditions",
             "1",
             "--idle-timeout",

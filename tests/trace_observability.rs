@@ -18,7 +18,7 @@ use caai::engine::{CensusEngine, EngineConfig};
 use caai::netem::rng::seeded;
 use caai::netem::ConditionDb;
 use caai::obs::{SpanBegin, SpanEnd, SpanKind, Subscriber};
-use caai::stream::{run_obs, PcapStream, StallPolicy, StreamConfig};
+use caai::stream::{identify_bytes_obs, run_obs, PcapStream, StallPolicy, StreamConfig};
 use caai::webmodel::PopulationConfig;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -220,21 +220,28 @@ proptest! {
 }
 
 /// The streaming pipeline honors the same contract for its deterministic
-/// kinds: counts per kind are worker-count invariant (flows, session
-/// replays, classifies), even though the mechanical kinds (queue waits,
-/// batches) legitimately vary with batching.
+/// kinds: a span stream that is well formed, one flow span per flow, and
+/// as many session replays and classifies as the offline path makes over
+/// the same capture (offline has no flow spans: nothing is evicted).
 #[test]
-fn stream_deterministic_span_counts_are_worker_count_invariant() {
+fn stream_deterministic_span_counts_match_offline() {
     let fixture = fixture_path();
     let capture = std::fs::read(&fixture).expect("fixture exists");
-    let counts = |workers: usize| -> BTreeMap<&'static str, usize> {
+    let counts = |streaming: bool| -> BTreeMap<&'static str, usize> {
         let log = SpanLog::default();
-        let mut source = PcapStream::new(std::io::Cursor::new(&capture[..]), StallPolicy::Eof);
-        let config = StreamConfig {
-            workers,
-            ..StreamConfig::default()
-        };
-        run_obs(&mut source, classifier(), &config, |_r| {}, &log).expect("stream run");
+        if streaming {
+            let mut source = PcapStream::new(std::io::Cursor::new(&capture[..]), StallPolicy::Eof);
+            run_obs(
+                &mut source,
+                classifier(),
+                &StreamConfig::default(),
+                |_r| {},
+                &log,
+            )
+            .expect("stream run");
+        } else {
+            identify_bytes_obs(&capture, classifier(), None, &log).expect("offline run");
+        }
         let log = log.take();
         assert_well_formed(&log);
         let mut out = BTreeMap::new();
@@ -247,12 +254,10 @@ fn stream_deterministic_span_counts_are_worker_count_invariant() {
         }
         out
     };
-    let w1 = counts(1);
-    let w2 = counts(2);
-    let w4 = counts(4);
-    assert!(w1["flow"] > 0 && w1["session.replay"] > 0 && w1["classify"] > 0);
-    assert_eq!(w1, w2, "1 vs 2 workers");
-    assert_eq!(w1, w4, "1 vs 4 workers");
+    let mut stream = counts(true);
+    assert!(stream["session.replay"] > 0 && stream["classify"] > 0);
+    assert!(stream.remove("flow").is_some_and(|flows| flows > 0));
+    assert_eq!(stream, counts(false), "stream vs offline");
 }
 
 // ---------------------------------------------------------------- CLI --
