@@ -314,13 +314,15 @@ fn results_json(c: &Criterion) -> String {
 /// The live-socket transport end to end: full ladder probes of loopback
 /// emulated servers, at growing concurrent-session caps. Throughput is
 /// probes/s. On loopback the peer answers instantly, so this measures
-/// the reactor thread's frame-handling ceiling; against real RTTs the
-/// caps would overlap waiting instead.
+/// the reactor thread's ceiling — since the wire carries runs, its 64
+/// wake-ups per probe rather than its per-ACK work; against real RTTs
+/// the caps would overlap waiting instead. The caps reach 64 because
+/// ROADMAP 3(b) asked where the scaling stops.
 fn bench_net_transport(c: &mut Criterion) {
     let classifier = quick_classifier();
     let mut group = c.benchmark_group("identify_net_transport");
     group.sample_size(10);
-    for cap in [1usize, 2, 4] {
+    for cap in [1usize, 2, 4, 16, 64] {
         let servers: Vec<EmulatedServer> = (0..cap)
             .map(|_| {
                 EmulatedServer::spawn(ServerProfile::ideal(AlgorithmId::CubicV2), Behavior::Normal)

@@ -440,8 +440,11 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
             {
                 since_checkpoint = 0;
                 // Write barrier: every record in this checkpoint must
-                // already be flushed through the sinks.
+                // already be flushed through the sinks, and whatever the
+                // subscriber buffered about it (trace spans) with it —
+                // resume skips these servers, nothing recreates either.
                 sink_dead = !sync_sinks(&sink_tx);
+                obs.flush();
                 if sink_dead {
                     stop.store(true, Ordering::Relaxed);
                 } else {
@@ -476,6 +479,7 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
     // Final checkpoint — skipped when it would be byte-identical to
     // the last one written (no new records completed since).
     if config.checkpoint_path.is_some() && last_written != Some(done) {
+        obs.flush();
         save_checkpoint(config, &live)?;
         checkpoints_written += 1;
         obs.on_checkpoint_written(&CheckpointWritten { records: done });

@@ -5,7 +5,10 @@
 //! ever would. The seeds here cover both containers and both byte
 //! orders, and include a real rendered CAAI probe session so the flow
 //! reassembler and ladder reconstruction see realistic TCP state, not
-//! just a toy handshake.
+//! just a toy handshake. Two more seeds are not captures at all: the
+//! client's and the server's half of one probe connection on the
+//! `caai-net` wire, every frame type present (`AckRun` trains and
+//! run-length `Burst`s included), for the `net-frames` target.
 //!
 //! The module also builds the *diagnostic fixtures*: tiny hand-framed
 //! pcapng captures that each provoke exactly one skip diagnostic, with
@@ -19,6 +22,8 @@ use caai_capture::pcap::byteswap_capture;
 use caai_capture::{encode, CaptureRenderer, FrameSpec, PcapReader, PcapWriter};
 use caai_congestion::AlgorithmId;
 use caai_core::{Prober, ProberConfig, ServerUnderTest};
+use caai_net::frame::Wire;
+use caai_net::{LadderCore, ServerCore, ServerProfile, Step};
 use caai_netem::path::PathConfig;
 use caai_netem::rng::seeded;
 use caai_stream::classic_to_pcapng;
@@ -35,10 +40,12 @@ pub struct Seed {
 }
 
 /// Builds the full seed set: a handcrafted classic capture, a rendered
-/// CAAI probe session, their big-endian twins, and pcapng re-framings at
-/// three timestamp resolutions.
+/// CAAI probe session, their big-endian twins, pcapng re-framings at
+/// three timestamp resolutions, a trace-event document, and the two
+/// halves of a probe-wire dialogue.
 pub fn build_seeds() -> Vec<Seed> {
     let tiny = tiny_classic();
+    let (net_client, net_server) = net_dialogue();
     // pcapng re-framing inflates a classic capture (32-byte block
     // envelopes vs 16-byte record headers), so cap the classic form low
     // enough that its pcapng twins also fit the budget.
@@ -76,6 +83,14 @@ pub fn build_seeds() -> Vec<Seed> {
             name: "trace-json",
             bytes: trace_event_json(),
         },
+        Seed {
+            name: "net-client-half",
+            bytes: net_client,
+        },
+        Seed {
+            name: "net-server-half",
+            bytes: net_server,
+        },
     ];
     for s in &seeds {
         assert!(!s.bytes.is_empty(), "seed {} rendered empty", s.name);
@@ -87,6 +102,41 @@ pub fn build_seeds() -> Vec<Seed> {
         );
     }
     seeds
+}
+
+/// The first connection of a probe of an ideal RENO server, the two
+/// sans-IO cores talking directly: every byte the client wrote (`Hello`,
+/// `Xmit`, `AckRun` trains, `RtoWait`, the F-RTO duplicate `Ack`) and
+/// every byte the server wrote (`Welcome`, run-length `Burst`s,
+/// `RtoResult`), as `(client, server)`.
+fn net_dialogue() -> (Vec<u8>, Vec<u8>) {
+    let mut client = LadderCore::new(ProberConfig::default());
+    let mut server = ServerCore::new(ServerProfile::ideal(AlgorithmId::Reno));
+    let (mut upstream, mut downstream) = (Vec::new(), Vec::new());
+    assert_eq!(client.start(), Step::Connect);
+    let mut step = client.on_connected();
+    loop {
+        let Step::Send {
+            frames,
+            close_after,
+            ..
+        } = step
+        else {
+            panic!("the first connection ends in a closing send, not {step:?}");
+        };
+        let mut reply = None;
+        for frame in &frames {
+            frame.encode_into(&mut upstream);
+            let answered = server.on_frame(frame).expect("honest client");
+            reply = answered.frames.into_iter().next().or(reply);
+        }
+        if close_after {
+            return (upstream, downstream);
+        }
+        let reply = reply.expect("a send that stays open is answered");
+        reply.encode_into(&mut downstream);
+        step = client.on_frame(&reply).expect("honest server");
+    }
 }
 
 /// A small trace-event document in exactly the `TraceSubscriber`
@@ -375,20 +425,36 @@ fn epb_body(iface: u32, cap_len: u32) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame};
     use caai_stream::source::{CaptureSource, PcapStream, SourceItem, StallPolicy};
     use std::io::Cursor;
 
     #[test]
     fn seed_set_covers_both_containers_and_byte_orders() {
         let seeds = build_seeds();
-        assert_eq!(seeds.len(), 8);
-        let captures = seeds.iter().filter(|s| s.name != "trace-json");
+        assert_eq!(seeds.len(), 10);
+        let captures = seeds
+            .iter()
+            .filter(|s| s.name != "trace-json" && !s.name.starts_with("net-"));
         let classic = captures
             .clone()
             .filter(|s| s.bytes[..4] != SHB_MAGIC)
             .count();
         let ng = captures.filter(|s| s.bytes[..4] == SHB_MAGIC).count();
         assert_eq!((classic, ng), (4, 3));
+    }
+
+    /// Decodes `bytes` to the last one as frames of one side; how many
+    /// frame types occurred.
+    fn frame_kinds<F: Wire>(bytes: &[u8]) -> usize {
+        let mut decoder = FrameDecoder::new();
+        decoder.push(bytes);
+        let mut kinds = std::collections::HashSet::new();
+        while let Some(frame) = decoder.next::<F>().expect("seed decodes") {
+            kinds.insert(std::mem::discriminant(&frame));
+        }
+        assert_eq!(decoder.pending(), 0, "bytes left over");
+        kinds.len()
     }
 
     #[test]
@@ -402,6 +468,18 @@ mod tests {
                 assert_eq!(read.skipped, 0, "trace seed skipped lines");
                 assert_eq!(read.unmatched_begins, 0, "trace seed left spans open");
                 assert!(read.spans.len() >= 6, "trace seed too small to mutate");
+                continue;
+            }
+            if seed.name.starts_with("net-") {
+                // A wire dialogue: its own side's decoder takes every
+                // byte, and every frame type of that side is present.
+                if seed.name == "net-client-half" {
+                    let kinds = frame_kinds::<ClientFrame>(&seed.bytes);
+                    assert_eq!(kinds, 5, "Hello, Xmit, Ack, AckRun, RtoWait");
+                } else {
+                    let kinds = frame_kinds::<ServerFrame>(&seed.bytes);
+                    assert_eq!(kinds, 3, "Welcome, Burst, RtoResult");
+                }
                 continue;
             }
             let mut src = PcapStream::new(Cursor::new(seed.bytes), StallPolicy::Eof);

@@ -40,8 +40,9 @@ pub enum Target {
     /// parse or skip with an in-range 1-based diagnostic, never panic).
     NetTargets,
     /// The virtual-time wire protocol: mutated bytes decoded as server
-    /// frames into a [`LadderCore`] ladder walk, and as client frames
-    /// into a tcpsim-backed [`ServerCore`].
+    /// frames (run-length `Burst`s) into a [`LadderCore`] ladder walk,
+    /// and as client frames into a tcpsim-backed [`ServerCore`] and a
+    /// twin that hears each `AckRun` as its single `Ack`s.
     NetFrames,
     /// The sans-IO ladder itself: mutated bytes decoded straight into
     /// [`RungAttempt`] events and [`LadderWalk`] records, past the frame
@@ -214,12 +215,34 @@ fn drive_net_frames(bytes: &[u8]) {
         }
     }
 
-    // Server side: mutated bytes as the client's half.
+    // Server side: mutated bytes as the client's half. A twin hears
+    // every `AckRun` the per-packet way, as its single `Ack`s; run or
+    // singles, the two must refuse alike and answer alike.
     let mut server = ServerCore::new(ServerProfile::ideal(AlgorithmId::Reno));
+    let mut twin = ServerCore::new(ServerProfile::ideal(AlgorithmId::Reno));
     let mut decoder = FrameDecoder::new();
     decoder.push(bytes);
     while let Ok(Some(frame)) = decoder.next::<ClientFrame>() {
-        if server.on_frame(&frame).is_err() {
+        let heard = server.on_frame(&frame).map(|r| (r.frames, r.close));
+        let twin_heard = match frame {
+            ClientFrame::AckRun {
+                now,
+                first,
+                count,
+                rtt,
+            } => (first..=first + u64::from(count - 1))
+                .map(|cum_ack| twin.on_frame(&ClientFrame::Ack { now, cum_ack, rtt }))
+                .find(Result::is_err)
+                .unwrap_or(Ok(Default::default())),
+            other => twin.on_frame(&other),
+        }
+        .map(|r| (r.frames, r.close));
+        assert_eq!(
+            heard.as_ref().ok(),
+            twin_heard.as_ref().ok(),
+            "{frame:?} heard as a run and as single ACKs"
+        );
+        if heard.is_err() {
             break;
         }
     }

@@ -9,6 +9,7 @@
 
 use caai_fuzz::seeds::diagnostic_fixtures;
 use caai_fuzz::targets::{Target, Targets};
+use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame, Wire};
 use caai_stream::source::{CaptureSource, PcapStream, SourceItem, StallPolicy};
 use std::io::Cursor;
 use std::path::PathBuf;
@@ -40,6 +41,7 @@ fn every_corpus_input_replays_without_panicking() {
             Target::Offline,
             Target::Stream,
             Target::Pipeline,
+            Target::NetFrames,
             Target::Ladder,
             Target::TraceReport,
         ] {
@@ -48,6 +50,40 @@ fn every_corpus_input_replays_without_panicking() {
                 .unwrap_or_else(|m| panic!("{} panicked {}: {m}", path.display(), target.name()));
         }
     }
+}
+
+#[test]
+fn net_frame_fixtures_stop_where_they_were_built_to() {
+    // Each holds one good frame, then one hostile one; the decoder of
+    // the side that would receive them must take the first and name the
+    // cap (or wait for bytes that never come) at the second.
+    fn verdict<F: Wire>(file: &str) -> Result<Option<F>, String> {
+        let bytes = std::fs::read(corpus_dir().join(file)).expect("fixture committed");
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&bytes);
+        assert!(
+            matches!(decoder.next::<F>(), Ok(Some(_))),
+            "{file}: frame 1"
+        );
+        decoder.next::<F>().map_err(|e| e.reason)
+    }
+    assert_eq!(
+        verdict::<ClientFrame>("net-frame-ackrun-count-overflow.bin"),
+        Err("AckRun count 4294967295 exceeds the cap of 65536".to_owned())
+    );
+    assert_eq!(
+        verdict::<ServerFrame>("net-frame-burst-run-past-cap.bin"),
+        Err("burst of 65537 sequences at run 1 exceeds the cap of 65536".to_owned())
+    );
+    assert_eq!(
+        verdict::<ServerFrame>("net-frame-burst-overflow.bin"),
+        Err("burst run count 2147483648 exceeds the cap of 65536".to_owned())
+    );
+    assert_eq!(
+        verdict::<ServerFrame>("net-frame-truncated.bin"),
+        Ok(None),
+        "a frame cut short by the stream is waited for, not refused"
+    );
 }
 
 #[test]

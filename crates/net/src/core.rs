@@ -15,7 +15,11 @@
 //! frames, keeps the virtual clock, rejects frames the protocol does not
 //! expect, and tells the transport how long a round would last (`pace`).
 //! The loopback wire is clean, so every `Burst` is a round's arrivals
-//! as sent. [`LadderWalk`] decides which connection comes next.
+//! as sent, and every round's ACK train goes back as it was built: one
+//! `AckRun` naming the consecutive cumulative ACKs (a new run wherever
+//! a hostile server's sequence numbers jump; the F-RTO duplicate stays
+//! the lone `Ack` it is). [`LadderWalk`] decides which connection comes
+//! next.
 //!
 //! [`ServerCore`] mirrors `ServerUnderTest` with one deliberate
 //! difference: every connection gets a *fresh* ssthresh cache instead
@@ -26,7 +30,9 @@
 //! emulated connections independent (they may interleave on one
 //! listener). It reacts to ACKs, silent rounds and the emulated timeout
 //! through the same `caai_core::prober` helpers the simulator's server
-//! end uses.
+//! end uses; an `AckRun` is unrolled into the `deliver_ack` calls its
+//! single ACKs would have made, so the tcpsim sender cannot tell the
+//! two wire forms apart.
 
 use caai_congestion::AlgorithmId;
 use caai_core::ladder::{Arrival, AttemptPhase, LadderWalk, Next, RoundEnd, RungAttempt};
@@ -37,7 +43,7 @@ use caai_tcpsim::{AckPacket, ServerConfig, SsthreshCache, TcpServer};
 use caai_webmodel::WebServer;
 use std::fmt;
 
-use crate::frame::{ClientFrame, ServerFrame, MAX_BURST_SEQS};
+use crate::frame::{run_range, ClientFrame, ServerFrame, MAX_BURST_SEQS};
 
 /// A peer violated the probe protocol (frame out of state, clock moving
 /// backwards, absurd field values). The connection is unusable after
@@ -71,6 +77,20 @@ fn clock(last: &mut f64, now: f64, what: &str) -> Result<f64, ProtocolError> {
     }
     *last = now;
     Ok(now)
+}
+
+/// Refuses an ACK for data the server never sent. An honest prober
+/// acknowledges only what it received; to tcpsim such an ACK would be
+/// progress, and the window it inflates is memory the next `Xmit`
+/// allocates.
+fn sent(conn: &TcpServer, cum_ack: u64) -> Result<(), ProtocolError> {
+    if cum_ack > conn.snd_nxt() {
+        return Err(violation(format!(
+            "ACK {cum_ack} acknowledges data never sent (next to send: {})",
+            conn.snd_nxt()
+        )));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -198,6 +218,15 @@ impl ServerCore {
                         "Xmit horizon {horizon} precedes its clock {now}"
                     )));
                 }
+                // What bounds a burst in memory and on the wire: ACKs are
+                // held to data sent, so the window only grows by honest
+                // rounds, and it stops here.
+                if conn.cwnd() as usize > MAX_BURST_SEQS {
+                    return Err(violation(format!(
+                        "window of {} packets exceeds the cap of {MAX_BURST_SEQS}",
+                        conn.cwnd()
+                    )));
+                }
                 let now = clock(&mut self.last_now, *now, "Xmit")?;
                 let segs = conn.transmit(now);
                 if segs.is_empty() {
@@ -220,10 +249,6 @@ impl ServerCore {
                         close: false,
                     });
                 }
-                debug_assert!(
-                    segs.len() <= MAX_BURST_SEQS,
-                    "window beyond any real ladder"
-                );
                 Ok(Reply {
                     frames: vec![ServerFrame::Burst {
                         done: false,
@@ -233,12 +258,32 @@ impl ServerCore {
                 })
             }
             (ServerState::Open { conn, server_cum }, ClientFrame::Ack { now, cum_ack, rtt }) => {
+                sent(conn, *cum_ack)?;
                 let now = clock(&mut self.last_now, *now, "Ack")?;
                 let ack = AckPacket {
                     cum_ack: *cum_ack,
                     rtt: *rtt,
                 };
                 deliver_ack(conn, server_cum, now, ack);
+                Ok(Reply::default())
+            }
+            (
+                ServerState::Open { conn, server_cum },
+                ClientFrame::AckRun {
+                    now,
+                    first,
+                    count,
+                    rtt,
+                },
+            ) => {
+                // Checked here as well as at decode: a frame built in
+                // memory must not spin this loop either.
+                let run = run_range("AckRun", *first, *count).map_err(|e| violation(e.reason))?;
+                sent(conn, *run.end())?;
+                let now = clock(&mut self.last_now, *now, "AckRun")?;
+                for cum_ack in run {
+                    deliver_ack(conn, server_cum, now, AckPacket { cum_ack, rtt: *rtt });
+                }
                 Ok(Reply::default())
             }
             (ServerState::Open { conn, .. }, ClientFrame::RtoWait { now, max_waits }) => {
@@ -464,12 +509,33 @@ impl LadderCore {
         // The round's ACKs go out one emulated RTT after its data came in.
         self.now += end.elapsed;
         let now = self.now;
-        let mut frames = Vec::with_capacity(attempt.acks().len() + 1);
-        frames.extend(attempt.acks().iter().map(|ack| ClientFrame::Ack {
-            now,
-            cum_ack: ack.cum_ack,
-            rtt: if ack.duplicate { 0.0 } else { end.elapsed },
-        }));
+        // The train goes out as maximal runs of consecutive ACKs: on a
+        // clean wire one `AckRun`, after the F-RTO duplicate if any.
+        let mut frames = Vec::with_capacity(3);
+        for ack in attempt.acks() {
+            if ack.duplicate {
+                frames.push(ClientFrame::Ack {
+                    now,
+                    cum_ack: ack.cum_ack,
+                    rtt: 0.0,
+                });
+                continue;
+            }
+            match frames.last_mut() {
+                Some(ClientFrame::AckRun { first, count, .. })
+                    if first.checked_add(u64::from(*count)) == Some(ack.cum_ack)
+                        && (*count as usize) < MAX_BURST_SEQS =>
+                {
+                    *count += 1;
+                }
+                _ => frames.push(ClientFrame::AckRun {
+                    now,
+                    first: ack.cum_ack,
+                    count: 1,
+                    rtt: end.elapsed,
+                }),
+            }
+        }
         match end.next {
             Next::Transmit => frames.push(ClientFrame::Xmit {
                 now,
@@ -492,5 +558,81 @@ impl LadderCore {
             frames,
             close_after: self.closing.is_some(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A RENO server that has answered the handshake and sent its first
+    /// burst; returns it with the burst's sequence numbers.
+    fn opened() -> (ServerCore, Vec<u64>) {
+        let mut server = ServerCore::new(ServerProfile::ideal(AlgorithmId::Reno));
+        let hello = ClientFrame::Hello {
+            proposed_mss: 100,
+            now: 0.0,
+        };
+        server.on_frame(&hello).unwrap();
+        let xmit = ClientFrame::Xmit {
+            now: 0.0,
+            horizon: 1.0,
+        };
+        let reply = server.on_frame(&xmit).unwrap();
+        let [ServerFrame::Burst { seqs, .. }] = reply.frames.as_slice() else {
+            panic!("an Xmit is answered by one Burst, got {:?}", reply.frames);
+        };
+        (server, seqs.clone())
+    }
+
+    #[test]
+    fn acks_for_data_never_sent_are_refused_single_or_run() {
+        let (mut server, seqs) = opened();
+        let next = seqs.last().unwrap() + 1;
+        // Everything sent may be acknowledged...
+        let all = ClientFrame::AckRun {
+            now: 1.0,
+            first: 1,
+            count: next as u32,
+            rtt: 1.0,
+        };
+        assert!(server.on_frame(&all).is_ok());
+        // ...one past it may not, however it is framed.
+        let (mut by_run, _) = opened();
+        let run = ClientFrame::AckRun {
+            now: 1.0,
+            first: 1,
+            count: next as u32 + 1,
+            rtt: 1.0,
+        };
+        let err = by_run.on_frame(&run).unwrap_err();
+        assert!(err.reason.contains("never sent"), "{err}");
+        let (mut by_ack, _) = opened();
+        let ack = ClientFrame::Ack {
+            now: 1.0,
+            cum_ack: next + 1,
+            rtt: 1.0,
+        };
+        let err = by_ack.on_frame(&ack).unwrap_err();
+        assert!(err.reason.contains("never sent"), "{err}");
+    }
+
+    #[test]
+    fn an_ack_run_built_in_memory_is_held_to_the_decoder_s_checks() {
+        for (first, count, named) in [
+            (1, 0, "empty AckRun"),
+            (1, MAX_BURST_SEQS as u32 + 1, "exceeds the cap"),
+            (u64::MAX, 2, "overflows u64"),
+        ] {
+            let (mut server, _) = opened();
+            let run = ClientFrame::AckRun {
+                now: 1.0,
+                first,
+                count,
+                rtt: 1.0,
+            };
+            let err = server.on_frame(&run).unwrap_err();
+            assert!(err.reason.contains(named), "{err}");
+        }
     }
 }

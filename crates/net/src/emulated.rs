@@ -9,7 +9,9 @@
 //! simulator's verdicts, whatever the real-time pacing.
 //!
 //! The server side is deliberately boring: one blocking accept thread,
-//! one blocking thread per connection. The interesting concurrency
+//! one blocking thread per connection, which answers every frame a
+//! read brought (a round arrives as one `AckRun` and one `Xmit`) into
+//! one reused buffer and writes once. The interesting concurrency
 //! lives in the reactor under test, not in its test double. Failure
 //! modes for the hardening tests ride on [`Behavior`]: a server that
 //! accepts and then stalls (driving the client's IO timeout), and one
@@ -126,14 +128,16 @@ fn serve_connection(mut stream: TcpStream, profile: ServerProfile, behavior: Beh
         }
         return;
     }
-    let rst_after = match behavior {
+    let mut bursts_left = match behavior {
         Behavior::RstAfterBursts(n) => Some(n),
         _ => None,
     };
     let mut core = ServerCore::new(profile);
     let mut decoder = FrameDecoder::new();
-    let mut bursts_answered: u32 = 0;
     let mut buf = [0u8; 16 * 1024];
+    // One reply buffer per connection, written once per read: a round
+    // arrives as an `AckRun` and an `Xmit` together.
+    let mut out = Vec::new();
     loop {
         let n = match stream.read(&mut buf) {
             Ok(0) => return, // client closed; connection complete
@@ -141,37 +145,61 @@ fn serve_connection(mut stream: TcpStream, profile: ServerProfile, behavior: Beh
             Err(_) => return,
         };
         decoder.push(&buf[..n]);
-        loop {
-            let frame: ClientFrame = match decoder.next() {
-                Ok(Some(f)) => f,
-                Ok(None) => break,
-                Err(_) => return, // hostile bytes: drop the connection
-            };
-            let is_xmit = matches!(frame, ClientFrame::Xmit { .. });
-            let Reply { frames, close } = match core.on_frame(&frame) {
-                Ok(reply) => reply,
-                Err(_) => return, // protocol violation: drop
-            };
-            let mut out = Vec::new();
-            for f in &frames {
-                f.encode_into(&mut out);
-            }
-            if !out.is_empty() && stream.write_all(&out).is_err() {
+        let end = answer_frames(&mut core, &mut decoder, &mut bursts_left, &mut out);
+        if !out.is_empty() && stream.write_all(&out).is_err() {
+            return;
+        }
+        out.clear();
+        match end {
+            None => {}
+            Some(End::Close) => return,
+            Some(End::Reset) => {
+                // Abortive close: RST instead of FIN.
+                let _ = set_linger_reset(stream.as_raw_fd());
                 return;
             }
-            if is_xmit {
-                bursts_answered += 1;
-                if let Some(limit) = rst_after {
-                    if bursts_answered >= limit {
-                        // Abortive close: RST instead of FIN.
-                        let _ = set_linger_reset(stream.as_raw_fd());
-                        return;
-                    }
-                }
+        }
+    }
+}
+
+/// How `serve_connection` ends a connection, once the replies that
+/// precede the end are written.
+enum End {
+    /// The walk finished, or the peer sent hostile bytes or broke the
+    /// protocol: drop the connection.
+    Close,
+    /// `RstAfterBursts` answered its last burst.
+    Reset,
+}
+
+/// Answers every whole frame `decoder` holds, appending the replies to
+/// `out`. `Some` when the connection is over.
+fn answer_frames(
+    core: &mut ServerCore,
+    decoder: &mut FrameDecoder,
+    bursts_left: &mut Option<u32>,
+    out: &mut Vec<u8>,
+) -> Option<End> {
+    loop {
+        let frame: ClientFrame = match decoder.next() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return None,
+            Err(_) => return Some(End::Close),
+        };
+        let Ok(Reply { frames, close }) = core.on_frame(&frame) else {
+            return Some(End::Close);
+        };
+        for reply in &frames {
+            reply.encode_into(out);
+        }
+        if let (ClientFrame::Xmit { .. }, Some(left)) = (&frame, bursts_left.as_mut()) {
+            *left = left.saturating_sub(1);
+            if *left == 0 {
+                return Some(End::Reset);
             }
-            if close {
-                return;
-            }
+        }
+        if close {
+            return Some(End::Close);
         }
     }
 }

@@ -11,22 +11,29 @@
 //!
 //! Framing: a `u32` little-endian payload length, then the payload —
 //! one tag byte and fixed little-endian fields (`f64` via its bit
-//! pattern). [`Burst`](ServerFrame::Burst) carries a `u32` count of
-//! `u64` sequence numbers. Hostile bytes are the normal case for a
-//! parser that listens on a socket, so decoding is strict
-//! (length-capped, finite-float-checked, no trailing bytes) and every
-//! rejection names what was wrong, in the skip-and-report diagnostic
-//! style of the pcap readers.
+//! pattern). The unit of the wire is a round, not a packet: a round's
+//! ACK train is one [`AckRun`](ClientFrame::AckRun) and a round's data
+//! is one [`Burst`](ServerFrame::Burst), which carries a `u32` count of
+//! `(first: u64, len: u32)` runs of consecutive sequence numbers (the
+//! ACK-range idea of QUIC's ACK frame, RFC 9000 §19.3). On a clean
+//! wire both are one run, so a round trip is ~70 bytes whatever the
+//! window. Hostile bytes are the normal case for a parser that listens
+//! on a socket, so decoding is strict (length-capped, run-capped
+//! before anything is expanded, finite-float-checked, no trailing
+//! bytes) and every rejection names what was wrong, in the
+//! skip-and-report diagnostic style of the pcap readers.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// Hard cap on one frame's payload, bytes. The largest legitimate frame
-/// is a `Burst` of [`MAX_BURST_SEQS`] sequences (~512 KiB).
+/// is a `Burst` of [`MAX_BURST_SEQS`] one-sequence runs (~768 KiB).
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
-/// Hard cap on sequences in one `Burst` — far above any real window
-/// (the ladder tops out at `w_max` 512), small enough that a hostile
-/// length can never balloon an allocation.
+/// Hard cap on sequences in one `Burst` and on ACKs in one `AckRun` —
+/// far above any real window (the ladder tops out at `w_max` 512),
+/// small enough that a hostile length can never balloon an allocation
+/// or spin a loop.
 pub const MAX_BURST_SEQS: usize = 1 << 16;
 
 /// A frame the prober (client) sends.
@@ -49,13 +56,28 @@ pub enum ClientFrame {
         horizon: f64,
     },
     /// Deliver one cumulative ACK. `rtt == 0.0` marks the F-RTO
-    /// counter-measure duplicate, exactly as in the simulator.
+    /// counter-measure duplicate, exactly as in the simulator — the one
+    /// ACK the ladder sends outside a run.
     Ack {
         /// Virtual time of delivery.
         now: f64,
         /// Cumulative acknowledgement, packets.
         cum_ack: u64,
         /// RTT sample carried by the ACK (`0.0` = duplicate).
+        rtt: f64,
+    },
+    /// Deliver a round's ACK train: the cumulative ACKs `first`,
+    /// `first + 1`, …, `first + count - 1`, in that order, each at `now`
+    /// and each carrying `rtt` — to the server exactly `count` single
+    /// [`Ack`](ClientFrame::Ack)s.
+    AckRun {
+        /// Virtual time of delivery, shared by the whole train.
+        now: f64,
+        /// The train's first cumulative acknowledgement, packets.
+        first: u64,
+        /// ACKs in the train: `1..=MAX_BURST_SEQS`.
+        count: u32,
+        /// RTT sample every ACK of the train carries.
         rtt: f64,
     },
     /// Withhold ACKs and wait out the server's retransmission timeout
@@ -76,7 +98,8 @@ pub enum ServerFrame {
         /// MSS the server granted (proposal rounded up to its minimum).
         granted_mss: u32,
     },
-    /// One round's burst of data-packet sequence numbers.
+    /// One round's burst of data-packet sequence numbers (run-length
+    /// coded on the wire, expanded here).
     Burst {
         /// The server finished its data and is closing (the wire form
         /// of a server-initiated FIN).
@@ -98,6 +121,7 @@ const TAG_HELLO: u8 = 0x01;
 const TAG_XMIT: u8 = 0x02;
 const TAG_ACK: u8 = 0x03;
 const TAG_RTO_WAIT: u8 = 0x04;
+const TAG_ACK_RUN: u8 = 0x05;
 const TAG_WELCOME: u8 = 0x81;
 const TAG_BURST: u8 = 0x82;
 const TAG_RTO_RESULT: u8 = 0x83;
@@ -121,6 +145,31 @@ impl std::error::Error for DecodeError {}
 fn bad(reason: impl Into<String>) -> DecodeError {
     DecodeError {
         reason: reason.into(),
+    }
+}
+
+/// The values a run names, `first ..= first + count - 1`. Refused
+/// while it is still two integers — before anyone loops over it or
+/// allocates for it — when it is empty, longer than [`MAX_BURST_SEQS`],
+/// or runs past `u64::MAX`. `what` names the run in the error.
+pub fn run_range(
+    what: impl fmt::Display,
+    first: u64,
+    count: u32,
+) -> Result<RangeInclusive<u64>, DecodeError> {
+    if count == 0 {
+        return Err(bad(format!("empty {what}")));
+    }
+    if count as usize > MAX_BURST_SEQS {
+        return Err(bad(format!(
+            "{what} count {count} exceeds the cap of {MAX_BURST_SEQS}"
+        )));
+    }
+    match first.checked_add(u64::from(count - 1)) {
+        Some(last) => Ok(first..=last),
+        None => Err(bad(format!(
+            "{what} first {first} + count {count} overflows u64"
+        ))),
     }
 }
 
@@ -152,7 +201,9 @@ impl<'a> Reader<'a> {
         Reader { bytes, at: 0 }
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DecodeError> {
+    /// `what` is only formatted on the error path, so a caller may pass
+    /// `format_args!` for an indexed field at no cost.
+    fn take(&mut self, n: usize, what: impl fmt::Display) -> Result<&'a [u8], DecodeError> {
         let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len());
         let Some(end) = end else {
             return Err(bad(format!(
@@ -165,15 +216,15 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self, what: &str) -> Result<u8, DecodeError> {
+    fn u8(&mut self, what: impl fmt::Display) -> Result<u8, DecodeError> {
         Ok(self.take(1, what)?[0])
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, DecodeError> {
+    fn u32(&mut self, what: impl fmt::Display) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self, what: &str) -> Result<u64, DecodeError> {
+    fn u64(&mut self, what: impl fmt::Display) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
@@ -225,6 +276,18 @@ impl Wire for ClientFrame {
                 out.extend_from_slice(&cum_ack.to_le_bytes());
                 out.extend_from_slice(&rtt.to_bits().to_le_bytes());
             }
+            ClientFrame::AckRun {
+                now,
+                first,
+                count,
+                rtt,
+            } => {
+                out.push(TAG_ACK_RUN);
+                out.extend_from_slice(&now.to_bits().to_le_bytes());
+                out.extend_from_slice(&first.to_le_bytes());
+                out.extend_from_slice(&count.to_le_bytes());
+                out.extend_from_slice(&rtt.to_bits().to_le_bytes());
+            }
             ClientFrame::RtoWait { now, max_waits } => {
                 out.push(TAG_RTO_WAIT);
                 out.extend_from_slice(&now.to_bits().to_le_bytes());
@@ -255,6 +318,18 @@ impl Wire for ClientFrame {
                     r.f64("ack rtt")?
                 },
             },
+            TAG_ACK_RUN => {
+                let now = r.f64("ack-run clock")?;
+                let first = r.u64("ack-run first")?;
+                let count = r.u32("ack-run count")?;
+                run_range("AckRun", first, count)?;
+                ClientFrame::AckRun {
+                    now,
+                    first,
+                    count,
+                    rtt: r.f64("ack-run rtt")?,
+                }
+            }
             TAG_RTO_WAIT => ClientFrame::RtoWait {
                 now: r.f64("rto-wait clock")?,
                 max_waits: r.u32("max_waits")?,
@@ -265,6 +340,7 @@ impl Wire for ClientFrame {
             ClientFrame::Hello { .. } => "Hello",
             ClientFrame::Xmit { .. } => "Xmit",
             ClientFrame::Ack { .. } => "Ack",
+            ClientFrame::AckRun { .. } => "AckRun",
             ClientFrame::RtoWait { .. } => "RtoWait",
         })?;
         Ok(frame)
@@ -281,10 +357,18 @@ impl Wire for ServerFrame {
             ServerFrame::Burst { done, seqs } => {
                 out.push(TAG_BURST);
                 out.push(u8::from(*done));
-                out.extend_from_slice(&(seqs.len() as u32).to_le_bytes());
-                for seq in seqs {
-                    out.extend_from_slice(&seq.to_le_bytes());
+                // Maximal runs of consecutive numbers; the run count is
+                // patched in once known, like the length prefix.
+                let count_at = out.len();
+                out.extend_from_slice(&[0; 4]);
+                let mut runs: u32 = 0;
+                for run in seqs.chunk_by(|a, b| a.checked_add(1) == Some(*b)) {
+                    let len = u32::try_from(run.len()).expect("a run longer than memory");
+                    out.extend_from_slice(&run[0].to_le_bytes());
+                    out.extend_from_slice(&len.to_le_bytes());
+                    runs += 1;
                 }
+                out[count_at..count_at + 4].copy_from_slice(&runs.to_le_bytes());
             }
             ServerFrame::RtoResult { responded, now } => {
                 out.push(TAG_RTO_RESULT);
@@ -303,15 +387,26 @@ impl Wire for ServerFrame {
             },
             TAG_BURST => {
                 let done = r.bool("burst done")?;
-                let count = r.u32("burst count")? as usize;
-                if count > MAX_BURST_SEQS {
+                let runs = r.u32("burst run count")? as usize;
+                // Every run holds a sequence, so the cap on sequences
+                // caps the runs too.
+                if runs > MAX_BURST_SEQS {
                     return Err(bad(format!(
-                        "burst count {count} exceeds the cap of {MAX_BURST_SEQS}"
+                        "burst run count {runs} exceeds the cap of {MAX_BURST_SEQS}"
                     )));
                 }
-                let mut seqs = Vec::with_capacity(count);
-                for i in 0..count {
-                    seqs.push(r.u64(&format!("burst seq {i}"))?);
+                let mut seqs = Vec::new();
+                for i in 0..runs {
+                    let first = r.u64(format_args!("burst run {i} first"))?;
+                    let len = r.u32(format_args!("burst run {i} len"))?;
+                    let run = run_range(format_args!("burst run {i}"), first, len)?;
+                    let total = seqs.len() + len as usize;
+                    if total > MAX_BURST_SEQS {
+                        return Err(bad(format!(
+                            "burst of {total} sequences at run {i} exceeds the cap of {MAX_BURST_SEQS}"
+                        )));
+                    }
+                    seqs.extend(run);
                 }
                 ServerFrame::Burst { done, seqs }
             }
@@ -401,6 +496,7 @@ pub fn encode<F: Wire>(frame: &F) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip_client(frame: ClientFrame) {
         let bytes = encode(&frame);
@@ -423,6 +519,12 @@ mod tests {
         roundtrip_client(ClientFrame::Ack {
             now: 3.0,
             cum_ack: 517,
+            rtt: 1.0,
+        });
+        roundtrip_client(ClientFrame::AckRun {
+            now: 3.0,
+            first: 518,
+            count: 512,
             rtt: 1.0,
         });
         roundtrip_client(ClientFrame::RtoWait {
@@ -452,15 +554,8 @@ mod tests {
         for f in &frames {
             f.encode_into(&mut bytes);
         }
-        // Feed byte by byte: the decoder must reassemble across splits.
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        for b in bytes {
-            dec.push(&[b]);
-            while let Some(f) = dec.next::<ServerFrame>().unwrap() {
-                got.push(f);
-            }
-        }
+        // Fed byte by byte: the decoder must reassemble across splits.
+        let got = decode_bytewise::<ServerFrame>(&bytes).unwrap();
         assert_eq!(got, frames);
     }
 
@@ -501,6 +596,182 @@ mod tests {
         payload.extend_from_slice(&7u64.to_le_bytes()); // only one seq
         let err = ServerFrame::decode_payload(&payload).unwrap_err();
         assert!(err.reason.contains("truncated payload"), "{err}");
+    }
+
+    /// Every whole frame in `bytes`, fed to the decoder one byte at a
+    /// time.
+    fn decode_bytewise<F: Wire>(bytes: &[u8]) -> Result<Vec<F>, DecodeError> {
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        for b in bytes {
+            dec.push(&[*b]);
+            while let Some(f) = dec.next::<F>()? {
+                got.push(f);
+            }
+        }
+        assert_eq!(dec.pending(), 0, "bytes left over");
+        Ok(got)
+    }
+
+    /// `len` sequence numbers drawn from `seed` (SplitMix64): strictly
+    /// increasing with holes (`shape` 0), or arbitrary — repeats, steps
+    /// back, values at `u64::MAX` — with consecutive stretches mixed in.
+    fn drawn_seqs(mut seed: u64, len: usize, shape: u8) -> Vec<u64> {
+        let mut draw = move || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut seq = draw() % 1000;
+        (0..len)
+            .map(|_| {
+                let d = draw();
+                seq = match (shape, d % 8) {
+                    (0, 0) => seq + 2 + (d >> 8) % 5,
+                    (0, _) => seq + 1,
+                    (_, 0) => d,
+                    (_, 1) => u64::MAX - (d >> 8) % 3,
+                    (_, 2) => seq,
+                    (_, 3) => seq.saturating_sub((d >> 8) % 4),
+                    _ => seq.saturating_add(1),
+                };
+                seq
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn any_burst_roundtrips_through_its_runs(
+            seed in 0u64..u64::MAX,
+            len in 0usize..700,
+            shape in 0u8..2,
+            done in 0u8..2,
+        ) {
+            let frame = ServerFrame::Burst {
+                done: done == 1,
+                seqs: drawn_seqs(seed, len, shape),
+            };
+            let bytes = encode(&frame);
+            let got = decode_bytewise::<ServerFrame>(&bytes);
+            prop_assert!(got == Ok(vec![frame.clone()]), "{got:?}");
+        }
+
+        #[test]
+        fn any_ack_run_roundtrips(
+            first in 0u64..u64::MAX,
+            count in 1u32..(MAX_BURST_SEQS as u32 + 1),
+            now in 0.0f64..1e6,
+            rtt in 0.0f64..10.0,
+        ) {
+            let first = first.min(u64::MAX - u64::from(count - 1));
+            let frame = ClientFrame::AckRun { now, first, count, rtt };
+            let got = decode_bytewise::<ClientFrame>(&encode(&frame));
+            prop_assert!(got == Ok(vec![frame]), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn a_clean_window_is_one_run_and_a_full_burst_fits_the_frame_cap() {
+        let window = ServerFrame::Burst {
+            done: false,
+            seqs: (1000..1512).collect(),
+        };
+        // length, tag, done, run count, one (first, len).
+        assert_eq!(encode(&window).len(), 4 + 1 + 1 + 4 + 12);
+
+        // The worst legitimate burst: the cap's worth of one-sequence runs.
+        let sparse = ServerFrame::Burst {
+            done: false,
+            seqs: (0..MAX_BURST_SEQS as u64).map(|i| 2 * i).collect(),
+        };
+        let bytes = encode(&sparse);
+        assert!(bytes.len() - 4 <= MAX_FRAME_LEN);
+        assert_eq!(decode_bytewise::<ServerFrame>(&bytes[..]), Ok(vec![sparse]));
+    }
+
+    fn ack_run_payload(first: u64, count: u32) -> Vec<u8> {
+        let mut payload = vec![TAG_ACK_RUN];
+        payload.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+        payload.extend_from_slice(&first.to_le_bytes());
+        payload.extend_from_slice(&count.to_le_bytes());
+        payload.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+        payload
+    }
+
+    fn burst_payload(runs: &[(u64, u32)]) -> Vec<u8> {
+        let mut payload = vec![TAG_BURST, 0];
+        payload.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+        for (first, len) in runs {
+            payload.extend_from_slice(&first.to_le_bytes());
+            payload.extend_from_slice(&len.to_le_bytes());
+        }
+        payload
+    }
+
+    #[test]
+    fn hostile_ack_runs_are_refused_by_name() {
+        let refused = |first, count| {
+            ClientFrame::decode_payload(&ack_run_payload(first, count))
+                .unwrap_err()
+                .reason
+        };
+        assert!(ClientFrame::decode_payload(&ack_run_payload(7, MAX_BURST_SEQS as u32)).is_ok());
+        assert_eq!(
+            refused(7, MAX_BURST_SEQS as u32 + 1),
+            "AckRun count 65537 exceeds the cap of 65536"
+        );
+        assert_eq!(
+            refused(0, u32::MAX),
+            "AckRun count 4294967295 exceeds the cap of 65536"
+        );
+        assert_eq!(
+            refused(u64::MAX - 1, 3),
+            "AckRun first 18446744073709551614 + count 3 overflows u64"
+        );
+        assert!(ClientFrame::decode_payload(&ack_run_payload(u64::MAX - 1, 2)).is_ok());
+        assert_eq!(refused(7, 0), "empty AckRun");
+    }
+
+    #[test]
+    fn hostile_burst_runs_are_refused_by_name() {
+        let refused = |payload: &[u8]| ServerFrame::decode_payload(payload).unwrap_err().reason;
+        assert_eq!(
+            refused(&burst_payload(&[(0, 4), (9, 0)])),
+            "empty burst run 1"
+        );
+        // Two runs, each under the cap, together past it: refused at
+        // the second run's header, 30 bytes into a 30-byte payload.
+        let half = MAX_BURST_SEQS as u32 / 2;
+        assert_eq!(
+            refused(&burst_payload(&[(0, half), (1 << 40, half + 1)])),
+            "burst of 65537 sequences at run 1 exceeds the cap of 65536"
+        );
+        assert_eq!(
+            refused(&burst_payload(&[(0, u32::MAX)])),
+            "burst run 0 count 4294967295 exceeds the cap of 65536"
+        );
+        assert_eq!(
+            refused(&burst_payload(&[(u64::MAX, 2)])),
+            "burst run 0 first 18446744073709551615 + count 2 overflows u64"
+        );
+        // Cut inside the second run's `len`.
+        let mut cut = burst_payload(&[(0, 4), (9, 2)]);
+        cut.truncate(cut.len() - 2);
+        assert_eq!(
+            refused(&cut),
+            "truncated payload: burst run 1 len needs 4 bytes, 2 left"
+        );
+        // Cut inside its `first`.
+        cut.truncate(cut.len() - 5);
+        assert_eq!(
+            refused(&cut),
+            "truncated payload: burst run 1 first needs 8 bytes, 5 left"
+        );
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!
 //! * [`frame`] — the virtual-time wire protocol. Every client frame
 //!   carries the emulated clock, so the exchange is a lockstep replay
-//!   of the simulator's schedule regardless of real pacing. Strict,
-//!   diagnostic-rich decoding (hostile bytes are the normal case).
+//!   of the simulator's schedule regardless of real pacing. A round,
+//!   not a packet, is its unit: one `AckRun` per ACK train, one
+//!   run-length `Burst` per window. Strict, diagnostic-rich decoding
+//!   (hostile bytes are the normal case).
 //! * [`core`] — sans-IO state machines for both ends:
 //!   [`LadderCore`] (the prober's ladder walk: the wire-protocol
 //!   driver of `caai_core::ladder`, the state the simulator's

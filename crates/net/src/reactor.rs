@@ -31,7 +31,7 @@ use caai_obs::{
 };
 
 use crate::core::{LadderCore, RungRecord, Step};
-use crate::frame::{encode, FrameDecoder, ServerFrame};
+use crate::frame::{FrameDecoder, ServerFrame, Wire};
 use crate::limiter::RateLimiter;
 use crate::sys::{self, Interest, OwnedFd, Poller, Readiness, Waker};
 use crate::wheel::{Timer, TimerKind, TimerWheel};
@@ -90,6 +90,15 @@ pub struct SessionStats {
     pub timeouts: u32,
     /// The session ended via [`LadderCore::abort`].
     pub aborted: bool,
+    /// Bytes written to the session's sockets, over all its connections
+    /// (retries included).
+    pub bytes_sent: u64,
+    /// Bytes read from the session's sockets, likewise.
+    pub bytes_received: u64,
+    /// Frames queued for writing, likewise. With `bytes_sent` this is
+    /// what tells run framing (a few hundred frames, a few KiB per
+    /// probe) from per-packet framing (~15 k frames, ~585 KB).
+    pub frames_sent: u64,
 }
 
 /// What a probe session resolves to.
@@ -396,8 +405,9 @@ impl<S: Subscriber> Reactor<S> {
                     return;
                 };
                 for frame in &frames {
-                    conn.out.extend_from_slice(&encode(frame));
+                    frame.encode_into(&mut conn.out);
                 }
+                session.stats.frames_sent += frames.len() as u64;
                 conn.close_after_flush = close_after;
                 let delay = (pace * self.config.pacing).clamp(0.0, MAX_PACE_DELAY);
                 let delay = if delay.is_finite() { delay } else { 0.0 };
@@ -536,7 +546,10 @@ impl<S: Subscriber> Reactor<S> {
         };
         while conn.out_at < conn.out.len() {
             match sys::write_nonblocking(&conn.fd, &conn.out[conn.out_at..]) {
-                Ok(Some(n)) => conn.out_at += n,
+                Ok(Some(n)) => {
+                    conn.out_at += n;
+                    session.stats.bytes_sent += n as u64;
+                }
                 Ok(None) => {
                     self.set_interest(token, Interest::ReadWrite);
                     return;
@@ -636,6 +649,7 @@ impl<S: Subscriber> Reactor<S> {
                     return;
                 }
                 Ok(Some(n)) => {
+                    session.stats.bytes_received += n as u64;
                     conn.decoder.push(&buf[..n]);
                     if !self.decode_frames(token) {
                         return;

@@ -182,6 +182,9 @@ impl<R: Subscriber + Send + Sync + 'static> ProbeTransport for NetTransport<R> {
             retries: result.stats.retries,
             timed_out: result.stats.timeouts,
             aborted: result.stats.aborted,
+            bytes_sent: result.stats.bytes_sent,
+            bytes_received: result.stats.bytes_received,
+            frames_sent: result.stats.frames_sent,
         });
         let classify_span = span_begin(obs, SpanKind::Classify, i64::from(id), 0);
         let (verdict, _) = verdict_for_outcome(&result.outcome, &self.classifier);

@@ -102,6 +102,88 @@ fn ideal_servers_match_the_simulator_for_all_fourteen_algorithms() {
     }
 }
 
+/// The frames the per-packet wire would have carried for `frame`: an
+/// `AckRun` unrolled into its single `Ack`s, anything else as it is.
+fn unrolled(frame: &ClientFrame) -> Vec<ClientFrame> {
+    match *frame {
+        ClientFrame::AckRun {
+            now,
+            first,
+            count,
+            rtt,
+        } => (first..first + u64::from(count))
+            .map(|cum_ack| ClientFrame::Ack { now, cum_ack, rtt })
+            .collect(),
+        other => vec![other],
+    }
+}
+
+#[test]
+fn an_ack_run_is_to_the_server_its_single_acks() {
+    for algorithm in ALL_IDENTIFIED {
+        let profile = ServerProfile::ideal(algorithm);
+        let mut client = LadderCore::new(ProberConfig::default());
+        // `runs` hears the wire as it is; `singles` hears every ACK
+        // train one packet at a time.
+        let mut servers: Option<(ServerCore, ServerCore)> = None;
+        let (mut rounds, mut acks) = (0u32, 0u64);
+        let mut step = client.start();
+        loop {
+            step = match step {
+                Step::Connect => {
+                    servers = Some((
+                        ServerCore::new(profile.clone()),
+                        ServerCore::new(profile.clone()),
+                    ));
+                    client.on_connected()
+                }
+                Step::Send {
+                    frames,
+                    close_after,
+                    ..
+                } => {
+                    assert!(
+                        frames.len() <= 3,
+                        "{algorithm:?}: a clean round is at most duplicate + run + request, \
+                         got {frames:?}"
+                    );
+                    let (runs, singles) = servers.as_mut().expect("send follows connect");
+                    let mut replies = Vec::new();
+                    let mut twin_replies = Vec::new();
+                    for frame in &frames {
+                        replies.extend(runs.on_frame(frame).expect("honest client").frames);
+                        if let ClientFrame::AckRun { count, .. } = frame {
+                            acks += u64::from(*count);
+                        }
+                        for single in unrolled(frame) {
+                            twin_replies
+                                .extend(singles.on_frame(&single).expect("honest client").frames);
+                        }
+                    }
+                    assert_eq!(
+                        replies, twin_replies,
+                        "{algorithm:?} round {rounds}: run and single ACKs answered differently"
+                    );
+                    rounds += 1;
+                    if close_after {
+                        client.on_closed()
+                    } else {
+                        client.on_frame(&replies[0]).expect("honest server")
+                    }
+                }
+                Step::Done(outcome) => {
+                    assert!(outcome.pair.is_some(), "{algorithm:?}: walk must complete");
+                    break;
+                }
+            };
+        }
+        assert!(
+            rounds > 20 && acks > 500,
+            "{algorithm:?}: a full walk, not a stub ({rounds} rounds, {acks} ACKs in runs)"
+        );
+    }
+}
+
 #[test]
 fn sampled_web_servers_match_the_simulator() {
     // A slice of the synthetic census population: short pages, F-RTO,

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use caai_congestion::AlgorithmId;
+use caai_congestion::{AlgorithmId, ALL_IDENTIFIED};
 use caai_core::census::verdict_for_outcome;
 use caai_core::classify::CaaiClassifier;
 use caai_core::prober::{Prober, ProberConfig};
@@ -89,6 +89,54 @@ fn live_verdicts_agree_with_the_simulator() {
     // Rung attempts were replayed into the probe-side subscriber.
     assert_eq!(snap.counters["gather.runs"], algorithms.len() as u64);
     assert!(snap.counters["gather.attempts"] >= 2 * algorithms.len() as u64);
+}
+
+#[test]
+fn a_probe_costs_kilobytes_and_the_same_count_every_run() {
+    // The wire carries runs: a probe of an ideal server is 64 round
+    // trips of ~70 bytes. Per-packet ACK frames were ~585 KB and ~15 k
+    // frames for the same walk; a return to them fails here.
+    const PROBE_BYTES_CAP: u64 = 16 * 1024;
+    let servers: Vec<EmulatedServer> = ALL_IDENTIFIED
+        .iter()
+        .map(|&a| EmulatedServer::spawn(ServerProfile::ideal(a), Behavior::Normal).unwrap())
+        .collect();
+    let targets: Vec<Target> = servers.iter().map(|s| s.target()).collect();
+    let obs = Arc::new(MetricsSubscriber::new());
+    let transport =
+        NetTransport::new(targets, classifier(), fast_config(), Arc::clone(&obs)).unwrap();
+    let census = || -> Vec<(u64, u64, u64)> {
+        (0..ALL_IDENTIFIED.len() as u32)
+            .map(|id| {
+                let stats = transport
+                    .probe_async(id)
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap()
+                    .stats;
+                assert!(!stats.aborted && stats.retries == 0, "{stats:?}");
+                (stats.bytes_sent, stats.bytes_received, stats.frames_sent)
+            })
+            .collect()
+    };
+    let first = census();
+    for (algorithm, (sent, received, frames)) in ALL_IDENTIFIED.iter().zip(&first) {
+        assert!(
+            *sent > 0 && *received > 0 && sent + received <= PROBE_BYTES_CAP,
+            "{algorithm:?}: {sent} B sent + {received} B received, cap {PROBE_BYTES_CAP}"
+        );
+        assert!(
+            (1..1000).contains(frames),
+            "{algorithm:?}: {frames} frames sent"
+        );
+    }
+    assert_eq!(first, census(), "wire counts must repeat run to run");
+
+    // The same counts reach `--metrics` through the probe seam.
+    transport.probe(0, 0, &*obs);
+    let snap = obs.snapshot();
+    assert_eq!(snap.counters["net.bytes_sent"], first[0].0);
+    assert_eq!(snap.counters["net.bytes_received"], first[0].1);
+    assert_eq!(snap.counters["net.frames_sent"], first[0].2);
 }
 
 #[test]

@@ -232,6 +232,12 @@ pub struct NetSessionEnded {
     /// Whether the session ended in a `TransportAborted` verdict instead
     /// of a ladder conclusion.
     pub aborted: bool,
+    /// Bytes the session wrote to its sockets, all attempts together.
+    pub bytes_sent: u64,
+    /// Bytes the session read from its sockets, all attempts together.
+    pub bytes_received: u64,
+    /// Protocol frames the session sent, all attempts together.
+    pub frames_sent: u64,
 }
 
 /// A probe session was held back by the politeness rate limiter.
@@ -409,6 +415,13 @@ pub trait Subscriber: Sync {
         self.on_event(&Event::SpanEnd(event));
     }
 
+    /// Write barrier, not an event: push whatever this subscriber has
+    /// buffered to where it survives a kill. The census engine calls it
+    /// before a checkpoint becomes visible, so a record the checkpoint
+    /// covers never has its spans only in memory.
+    #[inline(always)]
+    fn flush(&self) {}
+
     /// Catch-all sink the per-event defaults forward into. Instrumented
     /// code never calls this directly.
     #[inline(always)]
@@ -511,6 +524,10 @@ impl<S: Subscriber + ?Sized> Subscriber for &S {
     #[inline(always)]
     fn on_span_end(&self, event: &SpanEnd) {
         (**self).on_span_end(event);
+    }
+    #[inline(always)]
+    fn flush(&self) {
+        (**self).flush();
     }
     #[inline(always)]
     fn on_event(&self, event: &Event<'_>) {
@@ -641,6 +658,12 @@ impl<S: Subscriber> Subscriber for Option<S> {
         }
     }
     #[inline(always)]
+    fn flush(&self) {
+        if let Some(s) = self {
+            s.flush();
+        }
+    }
+    #[inline(always)]
     fn on_event(&self, event: &Event<'_>) {
         if let Some(s) = self {
             s.on_event(event);
@@ -747,6 +770,11 @@ impl<A: Subscriber, B: Subscriber> Subscriber for (A, B) {
     fn on_span_end(&self, event: &SpanEnd) {
         self.0.on_span_end(event);
         self.1.on_span_end(event);
+    }
+    #[inline(always)]
+    fn flush(&self) {
+        self.0.flush();
+        self.1.flush();
     }
     #[inline(always)]
     fn on_event(&self, event: &Event<'_>) {

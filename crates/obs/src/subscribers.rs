@@ -57,6 +57,9 @@ pub struct MetricsSubscriber {
     net_connections: Counter,
     net_retries: Counter,
     net_timeouts: Counter,
+    net_bytes_sent: Counter,
+    net_bytes_received: Counter,
+    net_frames_sent: Counter,
     net_rate_limiter_stalls: Counter,
     net_reactor_ticks: Counter,
     // histograms
@@ -169,6 +172,9 @@ impl MetricsSubscriber {
         c("net.connections", &self.net_connections);
         c("net.retries", &self.net_retries);
         c("net.timeouts", &self.net_timeouts);
+        c("net.bytes_sent", &self.net_bytes_sent);
+        c("net.bytes_received", &self.net_bytes_received);
+        c("net.frames_sent", &self.net_frames_sent);
         c("net.rate_limiter_stalls", &self.net_rate_limiter_stalls);
         c("net.reactor_ticks", &self.net_reactor_ticks);
         let mut h = |name: &str, hist: &Histogram| {
@@ -286,6 +292,9 @@ impl Subscriber for MetricsSubscriber {
         self.net_connections.add(u64::from(event.connections));
         self.net_retries.add(u64::from(event.retries));
         self.net_timeouts.add(u64::from(event.timed_out));
+        self.net_bytes_sent.add(event.bytes_sent);
+        self.net_bytes_received.add(event.bytes_received);
+        self.net_frames_sent.add(event.frames_sent);
     }
 
     fn on_rate_limiter_stalled(&self, event: &RateLimiterStalled) {

@@ -18,9 +18,9 @@
 //!
 //! Crash-safe by construction: the trace-event spec tolerates a missing
 //! closing `]`, so a SIGKILLed run leaves a loadable file. The
-//! subscriber additionally flushes on every `CheckpointWritten` event,
-//! so any record the engine's resume checkpoint covers also has its
-//! spans on disk. A clean [`finish`](TraceSubscriber::finish) (or drop)
+//! subscriber additionally flushes at [`Subscriber::flush`], which the
+//! engine calls before it writes a checkpoint, so any record the
+//! engine's resume checkpoint covers also has its spans on disk. A clean [`finish`](TraceSubscriber::finish) (or drop)
 //! closes the array and yields strictly valid JSON.
 
 use std::collections::{HashMap, HashSet};
@@ -31,7 +31,7 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
 
-use crate::event::{CheckpointWritten, Subscriber};
+use crate::event::Subscriber;
 use crate::span::{SpanBegin, SpanEnd, SpanId, SpanKind};
 
 /// Flush at least this often, so a killed run loses little.
@@ -274,7 +274,7 @@ impl Subscriber for TraceSubscriber {
         }
     }
 
-    fn on_checkpoint_written(&self, _event: &CheckpointWritten) {
+    fn flush(&self) {
         let mut inner = self.inner.lock().expect("trace subscriber poisoned");
         if inner.finished || inner.dead {
             return;
