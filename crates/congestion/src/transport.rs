@@ -195,6 +195,27 @@ pub trait CongestionControl: fmt::Debug + Send {
     /// modify slow start behaviour.
     fn cong_avoid(&mut self, tp: &mut Transport, ack: &Ack);
 
+    /// A train of `count` cumulative ACKs arriving together: `first`,
+    /// then `count - 1` more that each acknowledge one further packet at
+    /// the same instant with the same RTT sample. Does, ACK by ACK, what
+    /// the host transport does for an ordinary ACK — advance `snd_una`,
+    /// fold the RTT sample in, [`pkts_acked`](Self::pkts_acked),
+    /// [`cong_avoid`](Self::cong_avoid) — so the window recursion takes
+    /// exactly the steps single ACKs would drive it through. It exists
+    /// for the dispatch: called through `dyn CongestionControl` it costs
+    /// one indirect call per train, and the per-ACK hooks inside it are
+    /// direct calls the compiler can inline.
+    fn on_ack_train(&mut self, tp: &mut Transport, first: &Ack, count: u64) {
+        let mut ack = *first;
+        for _ in 0..count {
+            tp.snd_una += u64::from(ack.acked);
+            tp.observe_rtt(ack.rtt);
+            self.pkts_acked(tp, &ack);
+            self.cong_avoid(tp, &ack);
+            ack.acked = 1;
+        }
+    }
+
     /// The slow start threshold to adopt on a loss event: `β · cwnd` for a
     /// multiplicative-decrease parameter β. This is CAAI's Feature 1.
     fn ssthresh(&mut self, tp: &Transport) -> u32;

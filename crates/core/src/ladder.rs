@@ -12,14 +12,20 @@
 //!   window passes `w_max`, answer the timeout with the F-RTO duplicate
 //!   ACK, gather 18 recovery rounds, give up early on a Fig. 13 plateau.
 //!
+//! The paper never looks at a packet — §IV-D takes the highest sequence
+//! number of a round, §IV-C acknowledges "as if there is no packet loss"
+//! — so a round comes in as [`Run`]s of consecutive sequence numbers (one
+//! on a clean path, one more per loss, late arrival or duplicate), its
+//! ACKs go out as runs too, and both directions cost O(runs).
+//!
 //! Neither holds a clock, a socket, an RNG, a tap or a subscriber. Three
 //! drivers feed them and execute what they return:
 //!
 //! ```text
 //!   Prober (prober.rs)        LadderCore (caai-net)       session_outcome (caai-capture)
 //!   tcpsim + path fates       frames + virtual clock      reconstructed connections
-//!        │  arrivals, RTO answered?   │                            │ finished traces
-//!        ▼                            ▼                            │
+//!        │  arrival runs, RTO answered? │                          │ finished traces
+//!        ▼           ▲ ACK runs         ▼                          │
 //!   ┌─────────── RungAttempt ───────────┐                          │
 //!   │ Pre ──w>w_max──▶ AwaitRto ──▶ Post │──WindowTrace──┐          │
 //!   └───────────────────────────────────┘               ▼          ▼
@@ -184,23 +190,28 @@ pub enum AttemptPhase {
     Closed,
 }
 
-/// One data packet as the prober received it (sequence in packets).
+/// Consecutive numbers `first .. first + len`, clamped at `u64::MAX`. On
+/// the way in, the sequence numbers (in packets) of data the prober
+/// received; on the way out, the cumulative ACKs it owes the server, in
+/// sending order — there `len` is at least 1 and nothing is clamped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Arrival {
-    /// Packet-unit sequence number.
-    pub seq: u64,
-    /// A spurious path-duplicated copy: measured, never acknowledged
-    /// (CAAI recognizes duplicates by sequence number).
+pub struct Run {
+    /// The run's first number.
+    pub first: u64,
+    /// Numbers in the run; an empty run of arrivals is skipped.
+    pub len: u64,
+    /// Arrivals: spurious path-duplicated copies, measured but never
+    /// acknowledged (CAAI recognizes duplicates by sequence number).
+    /// ACKs: the F-RTO counter-measure duplicate, which carries no RTT
+    /// sample (a run of one).
     pub duplicate: bool,
 }
 
-/// One cumulative ACK the prober owes the server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ack {
-    /// Acknowledges every packet below this.
-    pub cum_ack: u64,
-    /// The F-RTO counter-measure duplicate; carries no RTT sample.
-    pub duplicate: bool,
+impl Run {
+    /// The run's highest number (`None` for an empty run).
+    fn last(&self) -> Option<u64> {
+        Some(self.first.saturating_add(self.len.checked_sub(1)?))
+    }
 }
 
 /// What the driver does once a round's [`acks`](RungAttempt::acks) are out.
@@ -231,7 +242,7 @@ pub struct RoundEnd {
 
 /// One probing connection of the ladder: `(environment, w_max)`.
 ///
-/// Feed it each round's arrivals ([`on_round`](Self::on_round)), rounds
+/// Feed it each round's arrivals as runs ([`on_round`](Self::on_round)), rounds
 /// in which the server had nothing to send
 /// ([`on_silent_round`](Self::on_silent_round)) and the answer to the
 /// emulated timeout ([`on_rto`](Self::on_rto)). Every event returns
@@ -254,7 +265,7 @@ pub struct RungAttempt {
     stall_exited: bool,
     /// The F-RTO duplicate ACK has not gone out yet.
     frto_pending: bool,
-    acks: Vec<Ack>,
+    acks: Vec<Run>,
 }
 
 impl RungAttempt {
@@ -321,9 +332,9 @@ impl RungAttempt {
         }
     }
 
-    /// The ACKs the last event produced, in sending order. The buffer is
-    /// reused from round to round.
-    pub fn acks(&self) -> &[Ack] {
+    /// The ACKs the last event produced, in sending order, as maximal
+    /// trains. The buffer is reused from round to round.
+    pub fn acks(&self) -> &[Run] {
         &self.acks
     }
 
@@ -348,16 +359,14 @@ impl RungAttempt {
     }
 
     /// One round in which data arrived — or was sent and all lost.
-    /// `arrivals` are in sequence order.
-    pub fn on_round<I>(&mut self, config: &ProberConfig, arrivals: I) -> Option<RoundEnd>
-    where
-        I: Iterator<Item = Arrival> + Clone,
-    {
+    /// `arrivals` are the round's packets in the order received; a
+    /// driver hands them over sorted, but nothing here depends on it.
+    pub fn on_round(&mut self, config: &ProberConfig, arrivals: &[Run]) -> Option<RoundEnd> {
         let rtt = self.round_rtt();
         match self.phase {
             AttemptPhase::Pre => {
                 self.acks.clear();
-                let w = self.measure(arrivals.clone());
+                let w = self.measure(arrivals);
                 self.trace.pre.push(w);
                 if w > self.trace.wmax_threshold {
                     // Withhold this round's ACKs: emulate the timeout.
@@ -384,15 +393,16 @@ impl RungAttempt {
             }
             AttemptPhase::Post => {
                 self.acks.clear();
-                let w = self.measure(arrivals.clone());
+                let w = self.measure(arrivals);
                 self.trace.post.push(w);
-                if self.frto_pending && arrivals.clone().next().is_some() {
+                if self.frto_pending && arrivals.iter().any(|r| r.len > 0) {
                     // §IV-C: one duplicate ACK aborts F-RTO and forces
                     // conventional timeout recovery. Harmless otherwise.
                     self.frto_pending = false;
                     if config.frto_countermeasure {
-                        self.acks.push(Ack {
-                            cum_ack: self.prober_cum,
+                        self.acks.push(Run {
+                            first: self.prober_cum,
+                            len: 1,
                             duplicate: true,
                         });
                     }
@@ -485,13 +495,14 @@ impl RungAttempt {
     /// received in the round minus the previous round's highest. After
     /// the timeout the baseline re-anchors at the first retransmission:
     /// the window restarts from the lowest outstanding sequence.
-    fn measure(&mut self, arrivals: impl Iterator<Item = Arrival> + Clone) -> u32 {
-        let Some(seqmax) = arrivals.clone().map(|p| p.seq).max() else {
+    fn measure(&mut self, arrivals: &[Run]) -> u32 {
+        let Some(seqmax) = arrivals.iter().filter_map(Run::last).max() else {
             return 0;
         };
-        let high = self
-            .high
-            .unwrap_or_else(|| arrivals.map(|p| p.seq).min().unwrap_or(seqmax));
+        let high = self.high.unwrap_or_else(|| {
+            let live = arrivals.iter().filter(|r| r.len > 0);
+            live.map(|r| r.first).min().unwrap_or(seqmax)
+        });
         let end = seqmax.saturating_add(1);
         self.high = Some(high.max(end));
         end.saturating_sub(high).min(u64::from(u32::MAX)) as u32
@@ -500,16 +511,31 @@ impl RungAttempt {
     /// §IV-C: one ACK per received (non-duplicate) data packet, cumulative
     /// "as if there is no packet loss" — holes are covered by the next
     /// packet's cumulative number, so the server never sees duplicate
-    /// ACKs from data loss.
-    fn build_acks(&mut self, arrivals: impl Iterator<Item = Arrival>) {
-        for p in arrivals.filter(|p| !p.duplicate) {
-            let cum = p.seq.saturating_add(1);
-            if cum > self.prober_cum {
-                self.prober_cum = cum;
-                self.acks.push(Ack {
-                    cum_ack: cum,
+    /// ACKs from data loss. A run of arrivals above everything
+    /// acknowledged so far is one train; a train that continues the
+    /// previous one extends it.
+    fn build_acks(&mut self, arrivals: &[Run]) {
+        for run in arrivals.iter().filter(|r| !r.duplicate) {
+            let Some(last) = run.last() else { continue };
+            // Packets below `prober_cum` are acknowledged already.
+            let first = run.first.max(self.prober_cum).saturating_add(1);
+            let end = last.saturating_add(1);
+            if first <= self.prober_cum || first > end {
+                continue;
+            }
+            let len = end - first + 1;
+            self.prober_cum = end;
+            match self.acks.last_mut() {
+                Some(train)
+                    if !train.duplicate && train.first.checked_add(train.len) == Some(first) =>
+                {
+                    train.len += len;
+                }
+                _ => self.acks.push(Run {
+                    first,
+                    len,
                     duplicate: false,
-                });
+                }),
             }
         }
     }
@@ -696,16 +722,24 @@ mod tests {
         assert_eq!(LadderWalk::new().rung_wmax(&[]), 64);
     }
 
-    fn arrivals(seqs: &[u64]) -> impl Iterator<Item = Arrival> + Clone + '_ {
-        seqs.iter().map(|&seq| Arrival {
-            seq,
-            duplicate: false,
-        })
+    /// The maximal runs of consecutive numbers in `seqs`.
+    fn arrivals(seqs: &[u64]) -> Vec<Run> {
+        let runs = seqs.chunk_by(|a, b| a + 1 == *b);
+        runs.map(|r| run(r[0], r.len() as u64)).collect()
     }
 
-    fn cum_acks(attempt: &RungAttempt) -> Vec<(u64, bool)> {
+    fn run(first: u64, len: u64) -> Run {
+        Run {
+            first,
+            len,
+            duplicate: false,
+        }
+    }
+
+    /// The attempt's ACKs, train by train: (first, len, duplicate).
+    fn cum_acks(attempt: &RungAttempt) -> Vec<(u64, u64, bool)> {
         let acks = attempt.acks().iter();
-        acks.map(|a| (a.cum_ack, a.duplicate)).collect()
+        acks.map(|a| (a.first, a.len, a.duplicate)).collect()
     }
 
     #[test]
@@ -714,33 +748,34 @@ mod tests {
         let mut attempt = RungAttempt::new(A, 10);
         // A hole (seq 1 lost) is covered by the next cumulative ACK; a
         // path duplicate is measured but never acknowledged.
-        let dup = Arrival {
-            seq: 9,
+        let dup = Run {
+            first: 9,
+            len: 1,
             duplicate: true,
         };
-        let round = arrivals(&[0, 2]).chain([dup]);
-        let end = attempt.on_round(&config, round).unwrap();
+        let round = [run(0, 1), run(2, 1), dup];
+        let end = attempt.on_round(&config, &round).unwrap();
         assert_eq!((end.elapsed, end.next), (1.0, Next::Transmit));
-        assert_eq!(cum_acks(&attempt), vec![(1, false), (3, false)]);
+        assert_eq!(cum_acks(&attempt), vec![(1, 1, false), (3, 1, false)]);
         assert_eq!(attempt.trace().pre, vec![10]);
         assert!(attempt.on_rto(true).is_none(), "no timeout is pending");
         // Nothing new above the highest sequence seen: a zero window.
-        attempt.on_round(&config, arrivals(&[3, 4])).unwrap();
+        attempt.on_round(&config, &arrivals(&[3, 4])).unwrap();
         assert_eq!(attempt.trace().pre, vec![10, 0]);
-        assert_eq!(cum_acks(&attempt), vec![(4, false), (5, false)]);
+        assert_eq!(cum_acks(&attempt), vec![(4, 2, false)]);
         // Crossing: ACKs withheld, clock frozen.
-        let end = attempt.on_round(&config, arrivals(&[10, 25])).unwrap();
+        let end = attempt.on_round(&config, &arrivals(&[10, 25])).unwrap();
         assert_eq!((end.elapsed, end.next), (0.0, Next::AwaitRto));
         assert!(attempt.acks().is_empty());
-        assert!(attempt.on_round(&config, arrivals(&[26])).is_none());
+        assert!(attempt.on_round(&config, &arrivals(&[26])).is_none());
         assert_eq!(attempt.on_rto(true).unwrap().next, Next::Transmit);
         // Recovery re-anchors at the first retransmission and leads with
         // the F-RTO duplicate of the last ACK sent — once.
         attempt.on_silent_round(&config, false).unwrap();
-        attempt.on_round(&config, arrivals(&[5])).unwrap();
-        assert_eq!(cum_acks(&attempt), vec![(5, true), (6, false)]);
-        attempt.on_round(&config, arrivals(&[6, 7])).unwrap();
-        assert_eq!(cum_acks(&attempt), vec![(7, false), (8, false)]);
+        attempt.on_round(&config, &arrivals(&[5])).unwrap();
+        assert_eq!(cum_acks(&attempt), vec![(5, 1, true), (6, 1, false)]);
+        attempt.on_round(&config, &arrivals(&[6, 7])).unwrap();
+        assert_eq!(cum_acks(&attempt), vec![(7, 2, false)]);
         assert_eq!(attempt.trace().post, vec![0, 1, 2]);
         // The page runs out mid-recovery: the server closes.
         let end = attempt.on_silent_round(&config, true).unwrap();
@@ -748,6 +783,29 @@ mod tests {
         assert_eq!(attempt.trace().invalid, Some(RecoveryTooShort));
         assert!(attempt.on_silent_round(&config, false).is_none());
         assert_eq!(attempt.ended().rounds, 6);
+    }
+
+    #[test]
+    fn runs_are_acknowledged_as_their_packets_would_be() {
+        let config = ProberConfig::default();
+        let mut attempt = RungAttempt::new(A, u32::MAX);
+        // Overlapping and unordered runs: only what lies above the last
+        // ACK is acknowledged, and a train that continues the previous
+        // one extends it. An empty run says nothing.
+        let round = [run(0, 5), run(3, 5), run(20, 0), run(1, 2), run(10, 2)];
+        attempt.on_round(&config, &round).unwrap();
+        assert_eq!(cum_acks(&attempt), vec![(1, 8, false), (11, 2, false)]);
+        assert_eq!(attempt.trace().pre, vec![12]);
+        // A run past the end of the sequence space is clamped to it; the
+        // last packet's ACK would repeat `u64::MAX` and is not sent.
+        let round = [run(u64::MAX - 2, 9)];
+        attempt.on_round(&config, &round).unwrap();
+        assert_eq!(cum_acks(&attempt), vec![(u64::MAX - 1, 2, false)]);
+        attempt.on_round(&config, &[run(u64::MAX, 1)]).unwrap();
+        assert!(attempt.acks().is_empty(), "nothing above u64::MAX to say");
+        // Only empty runs: a round in which everything sent was lost.
+        attempt.on_round(&config, &[run(7, 0)]).unwrap();
+        assert_eq!(attempt.trace().pre.last(), Some(&0));
     }
 
     #[test]
@@ -759,26 +817,25 @@ mod tests {
         let mut attempt = RungAttempt::new(B, 512);
         let mut next_seq = 0;
         let mut burst = |n: u64| {
-            let seqs: Vec<u64> = (next_seq..next_seq + n).collect();
             next_seq += n;
-            seqs
+            [run(next_seq - n, n)]
         };
         for n in [2, 4, 4] {
-            let end = attempt.on_round(&config, arrivals(&burst(n))).unwrap();
+            let end = attempt.on_round(&config, &burst(n)).unwrap();
             assert_eq!(end.next, Next::Transmit);
         }
-        let end = attempt.on_round(&config, arrivals(&burst(3))).unwrap();
+        let end = attempt.on_round(&config, &burst(3)).unwrap();
         assert_eq!(end.next, Next::Close(CloseInitiator::Prober));
         assert_eq!(
-            (end.elapsed, attempt.acks().len()),
-            (1.0, 3),
+            (end.elapsed, cum_acks(&attempt)),
+            (1.0, vec![(11, 3, false)]),
             "ACKs still go out"
         );
         assert!(attempt.ended().stalled);
         assert_eq!(attempt.trace().invalid, Some(Never));
 
         let mut attempt = RungAttempt::new(A, 1);
-        attempt.on_round(&config, arrivals(&[0, 1])).unwrap();
+        attempt.on_round(&config, &arrivals(&[0, 1])).unwrap();
         let end = attempt.on_rto(false).unwrap();
         assert_eq!(end.next, Next::Close(CloseInitiator::Prober));
         assert_eq!(attempt.ended().invalid_reason, Some("NoTimeoutResponse"));

@@ -20,11 +20,11 @@
 use caai_netem::path::DataFate;
 use caai_netem::{DefenseOverhead, DefenseSpec, DefenseState, EnvironmentId, PathConfig};
 use caai_obs::{span_begin_at, GatherFinished, NullSubscriber, SpanKind, Subscriber};
-use caai_tcpsim::{AckPacket, TcpServer, WirePacket};
+use caai_tcpsim::TcpServer;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::ladder::{Arrival, AttemptPhase, LadderWalk, Next, RungAttempt, DEFAULT_LADDER};
+use crate::ladder::{AttemptPhase, LadderWalk, Next, Run, RungAttempt, DEFAULT_LADDER};
 use crate::server_under_test::ServerUnderTest;
 use crate::trace::{InvalidReason, TracePair, WindowTrace, POST_TIMEOUT_ROUNDS};
 
@@ -162,10 +162,12 @@ pub enum CloseInitiator {
 /// prober's vantage point: data packets as they *arrive* (after path loss,
 /// duplication and reordering — lost packets are never reported), and ACKs
 /// as they are *sent* (before any ACK loss downstream). Sequence numbers
-/// are in packets (MSS units), times in emulated seconds. The pcap writer
-/// in `caai-capture` implements this to render a byte-valid capture of a
-/// simulated probe session; the default methods do nothing, so taps
-/// implement only what they need.
+/// are in packets (MSS units), times in emulated seconds. Events stay
+/// per packet although the prober moves runs: the pcap writer in
+/// `caai-capture` implements this to render a byte-valid capture of a
+/// simulated probe session, and a capture has a record per packet. The
+/// default methods do nothing, so taps implement only what they need,
+/// and for [`NoopTap`] the per-packet loops compile away.
 pub trait ProbeTap {
     /// A new probing connection opened at `now` for `(env, wmax)`.
     fn connection_opened(
@@ -254,9 +256,10 @@ impl Prober {
         let mut walk = LadderWalk::new();
         let mut now = 0.0;
         let mut overhead = DefenseOverhead::default();
+        let mut inbox = Inbox::default();
         while let Some((env, wmax)) = walk.next(&self.config.wmax_ladder) {
             let (trace, end, spent) =
-                self.gather_trace_observed(server, env, wmax, now, path, rng, tap, obs);
+                self.attempt(server, env, wmax, now, path, rng, tap, obs, &mut inbox);
             overhead.absorb(spent);
             now = end + self.config.inter_connection_wait;
             walk.record(trace);
@@ -281,7 +284,8 @@ impl Prober {
         path: &PathConfig,
         rng: &mut impl Rng,
     ) -> (WindowTrace, f64) {
-        let (trace, end, _) = self.gather_trace_observed(
+        let inbox = &mut Inbox::default();
+        let (trace, end, _) = self.attempt(
             server,
             env,
             wmax,
@@ -290,18 +294,20 @@ impl Prober {
             rng,
             &mut NoopTap,
             &NullSubscriber,
+            inbox,
         );
         (trace, end)
     }
 
-    /// [`gather_trace`](Self::gather_trace) with a wire observer and a
-    /// subscriber: one [`caai_obs::RungAttemptStarted`] /
-    /// [`caai_obs::RungAttemptEnded`] pair brackets the attempt, with the
-    /// round count, validity, and whether the Fig. 13 stall early-exit
-    /// fired. Also returns the connection's defense accounting (zero when
-    /// undefended).
+    /// One probing connection, reported to the tap and the subscriber:
+    /// one [`caai_obs::RungAttemptStarted`] / [`caai_obs::RungAttemptEnded`]
+    /// pair brackets the attempt, with the round count, validity, and
+    /// whether the Fig. 13 stall early-exit fired. Also returns the
+    /// connection's defense accounting (zero when undefended). `inbox`
+    /// lends its buffers: what they hold on entry is discarded, their
+    /// capacity is kept for the next rung.
     #[allow(clippy::too_many_arguments)]
-    pub fn gather_trace_observed<T: ProbeTap + ?Sized, S: Subscriber>(
+    fn attempt<T: ProbeTap + ?Sized, S: Subscriber>(
         &self,
         server: &ServerUnderTest,
         env: EnvironmentId,
@@ -311,6 +317,7 @@ impl Prober {
         rng: &mut impl Rng,
         tap: &mut T,
         obs: &S,
+        inbox: &mut Inbox,
     ) -> (WindowTrace, f64, DefenseOverhead) {
         let config = &self.config;
         let mut attempt = RungAttempt::new(env, wmax);
@@ -332,42 +339,62 @@ impl Prober {
         let mut defense = config.defense.as_ref().map(DefenseState::new);
         tap.connection_opened(now, env, wmax, config.proposed_mss, granted_mss);
         let mut server_cum: u64 = 0; // highest cum-ack delivered (real space)
-        let mut carry: Vec<Arrival> = Vec::new();
+        inbox.carry.clear();
 
         let closed_by = loop {
             let post = attempt.phase() == AttemptPhase::Post;
             let round = i64::from(attempt.round_number());
             let round_span = span_begin_at(obs, SpanKind::Round, round, post as i64, now);
             let rtt = attempt.round_rtt();
-            let segs = conn.transmit(now);
+            let burst = conn.transmit(now);
             let defense_holds = defense.as_ref().is_some_and(DefenseState::has_held);
-            let end = if segs.is_empty() && carry.is_empty() && !defense_holds {
+            let end = if burst.is_empty() && inbox.carry.is_empty() && !defense_holds {
                 let done = conn.finished();
                 if !done {
                     fire_rto_within(&mut conn, now, now + rtt);
                 }
                 attempt.on_silent_round(config, done)
             } else {
-                let wire = to_wire(&segs, defense.as_mut(), rng);
-                let received = deliver(&wire, &mut carry, path, rng);
-                for p in &received {
-                    tap.data_received(now, p.seq, p.duplicate);
+                // The undefended wire is the burst itself; a defense turns
+                // it into the packets it chooses to release this round.
+                match defense.as_mut() {
+                    Some(d) => {
+                        let packets = d.on_burst(burst, rng);
+                        inbox.deliver(packets.iter().map(|p| p.seq), path, rng);
+                    }
+                    None => inbox.deliver(burst.seqs(), path, rng),
                 }
-                attempt.on_round(config, received.iter().copied())
+                for run in &inbox.received {
+                    for seq in run.first..run.first + run.len {
+                        tap.data_received(now, seq, run.duplicate);
+                    }
+                }
+                attempt.on_round(config, &inbox.received)
             }
             .expect("rounds are driven only while the attempt measures");
             now += end.elapsed;
-            for ack in attempt.acks() {
-                tap.ack_sent(now, ack.cum_ack, ack.duplicate);
-                if path.ack_fate(rng) == caai_netem::AckFate::Delivered {
-                    let real = match &defense {
-                        Some(d) => d.unmap_ack(ack.cum_ack),
-                        None => ack.cum_ack,
-                    };
-                    let rtt = if ack.duplicate { 0.0 } else { rtt };
-                    let ack = AckPacket { cum_ack: real, rtt };
-                    deliver_ack(&mut conn, &mut server_cum, now, ack);
+            for acks in attempt.acks() {
+                let rtt = if acks.duplicate { 0.0 } else { rtt };
+                // A defense translates each ACK out of its inflated wire
+                // space (several may name one real packet): those stay single.
+                let mut deliver = |first: u64, len: u64| match &defense {
+                    Some(d) => (first..first + len).for_each(|wire_cum| {
+                        let real = d.unmap_ack(wire_cum);
+                        deliver_ack_run(&mut conn, &mut server_cum, now, real, 1, rtt)
+                    }),
+                    None => deliver_ack_run(&mut conn, &mut server_cum, now, first, len, rtt),
+                };
+                // One fate per ACK, in sending order; the ACKs between two
+                // losses reach the server as the train they form.
+                let mut first = acks.first;
+                for cum_ack in acks.first..=acks.first + (acks.len - 1) {
+                    tap.ack_sent(now, cum_ack, acks.duplicate);
+                    if path.ack_fate(rng) != caai_netem::AckFate::Delivered {
+                        deliver(first, cum_ack - first);
+                        first = cum_ack + 1;
+                    }
                 }
+                deliver(first, acks.first + acks.len - first);
             }
             round_span.end_at(obs, now);
             match end.next {
@@ -380,7 +407,7 @@ impl Prober {
                     if let Some(d) = defense.as_mut() {
                         d.drop_held();
                     }
-                    carry.clear();
+                    inbox.carry.clear();
                     let (answered, at) = await_rto(&mut conn, now, config.max_rto_waits);
                     now = at;
                     let end = attempt
@@ -402,57 +429,69 @@ impl Prober {
     }
 }
 
-/// Runs one transmit burst through the defense, or passes it straight to
-/// the wire when the server deploys none. The undefended mapping is the
-/// identity, so every downstream consumer (path fates, window
-/// measurement, ACK construction) behaves byte-identically to the
-/// pre-defense code.
-fn to_wire(
-    segs: &[caai_tcpsim::Segment],
-    defense: Option<&mut DefenseState>,
-    rng: &mut impl Rng,
-) -> Vec<WirePacket> {
-    match defense {
-        Some(d) => d.on_burst(segs, rng),
-        None => segs.iter().map(|s| WirePacket::data(s.seq)).collect(),
+/// The prober's end of the path. The buffers live as long as the walk,
+/// so a round allocates nothing once they hold the (few) runs of one.
+#[derive(Debug, Default)]
+struct Inbox {
+    /// What arrived this round, in sequence order.
+    received: Vec<Run>,
+    /// Late packets and the spurious copies of duplicated ones, in the
+    /// order sent: they surface next round.
+    carry: Vec<Run>,
+}
+
+impl Inbox {
+    /// Applies path fates to the packets `sent` (one draw each, in wire
+    /// order) behind the arrivals carried over from the previous round.
+    /// Leaves this round's arrivals in `received`, in sequence order with
+    /// carried packets ahead of equal sequence numbers, and the next
+    /// round's carry in `carry`. Consecutive deliveries extend a run; a
+    /// loss or a late packet ends it. The prober cannot tell defense
+    /// dummies from real data — by design — so a dummy is just another
+    /// sequence number here.
+    fn deliver(&mut self, sent: impl Iterator<Item = u64>, path: &PathConfig, rng: &mut impl Rng) {
+        self.received.clear();
+        self.received.append(&mut self.carry);
+        for seq in sent {
+            match path.data_fate(rng) {
+                DataFate::Delivered => push_packet(&mut self.received, seq, false),
+                DataFate::Lost => {}
+                DataFate::Duplicated => {
+                    push_packet(&mut self.received, seq, false);
+                    push_packet(&mut self.carry, seq, true);
+                }
+                DataFate::Late => push_packet(&mut self.carry, seq, false),
+            }
+        }
+        // Stragglers lie below this round's burst and a burst ascends, so
+        // arrival order is sequence order — unless the sender went back or
+        // a defense reordered its wire. That rare round is sorted packet
+        // by packet, earlier arrivals ahead of equal ones.
+        let ends = |run: &Run| run.first + (run.len - 1);
+        if !self.received.windows(2).all(|w| ends(&w[0]) <= w[1].first) {
+            let mut packets = Vec::new();
+            for r in &self.received {
+                packets.extend((r.first..=ends(r)).map(|seq| (seq, r.duplicate)));
+            }
+            packets.sort_by_key(|&(seq, _)| seq);
+            self.received.clear();
+            for (seq, duplicate) in packets {
+                push_packet(&mut self.received, seq, duplicate);
+            }
+        }
     }
 }
 
-/// Applies path fates to the wire burst and merges the arrivals carried
-/// over from the previous round: late or duplicated packets surface one
-/// round on. Returns the packets received this round, in sequence order,
-/// and leaves the next round's carry in `carry`.
-///
-/// The prober cannot tell defense dummies from real data — by design —
-/// so the `dummy` flag dies here: a dummy is just another sequence
-/// number to measure and acknowledge.
-fn deliver(
-    wire: &[WirePacket],
-    carry: &mut Vec<Arrival>,
-    path: &PathConfig,
-    rng: &mut impl Rng,
-) -> Vec<Arrival> {
-    let mut received = std::mem::take(carry);
-    for pkt in wire {
-        let arrival = Arrival {
-            seq: pkt.seq,
-            duplicate: false,
-        };
-        match path.data_fate(rng) {
-            DataFate::Delivered => received.push(arrival),
-            DataFate::Lost => {}
-            DataFate::Duplicated => {
-                received.push(arrival);
-                carry.push(Arrival {
-                    duplicate: true,
-                    ..arrival
-                });
-            }
-            DataFate::Late => carry.push(arrival),
-        }
+/// Appends one packet, extending the last run when it continues it.
+fn push_packet(runs: &mut Vec<Run>, seq: u64, duplicate: bool) {
+    match runs.last_mut() {
+        Some(run) if run.duplicate == duplicate && run.first + run.len == seq => run.len += 1,
+        _ => runs.push(Run {
+            first: seq,
+            len: 1,
+            duplicate,
+        }),
     }
-    received.sort_by_key(|p| p.seq);
-    received
 }
 
 // ---------------------------------------------------------------------
@@ -461,21 +500,33 @@ fn deliver(
 // emulated server react identically to the ladder.
 // ---------------------------------------------------------------------
 
-/// Delivers one prober ACK (real sequence space; a zero `rtt` marks the
-/// F-RTO counter-measure duplicate) to the server's TCP stack.
+/// Delivers the prober's ACK train `first, first + 1, …, first + count - 1`
+/// (real sequence space, all at `now` with the same `rtt`; a zero `rtt`
+/// marks the F-RTO counter-measure duplicate) to the server's TCP stack.
 ///
 /// A real padding middlebox strips acknowledgements that only cover dummy
 /// packets before they reach TCP — a cumulative ACK that does not advance
 /// the real-space cumulative point `server_cum` is dropped here for the
 /// same reason (delivering it would masquerade as a duplicate ACK and
-/// trigger fast retransmit). The F-RTO duplicate is intentionally a
-/// non-advancing ACK and always goes through.
-pub fn deliver_ack(conn: &mut TcpServer, server_cum: &mut u64, now: f64, ack: AckPacket) {
-    if ack.rtt == 0.0 {
-        conn.on_ack(now, ack);
-    } else if ack.cum_ack > *server_cum {
-        *server_cum = ack.cum_ack;
-        conn.on_ack(now, ack);
+/// trigger fast retransmit), which leaves a shorter train. The F-RTO
+/// duplicate is intentionally a non-advancing ACK and always goes
+/// through.
+pub fn deliver_ack_run(
+    conn: &mut TcpServer,
+    server_cum: &mut u64,
+    now: f64,
+    first: u64,
+    count: u64,
+    rtt: f64,
+) {
+    if rtt == 0.0 {
+        return conn.on_ack_run(now, first, count, rtt);
+    }
+    let advancing = first.max(server_cum.saturating_add(1));
+    let end = first.saturating_add(count);
+    if advancing < end {
+        *server_cum = end - 1;
+        conn.on_ack_run(now, advancing, end - advancing, rtt);
     }
 }
 
@@ -749,6 +800,103 @@ mod tests {
             valid >= 8,
             "2% loss should rarely break gathering: {valid}/10"
         );
+    }
+
+    /// One packet as the prober received it, as rounds were before they
+    /// were runs.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Carried {
+        seq: u64,
+        duplicate: bool,
+    }
+
+    /// The packets `runs` stand for, in order.
+    fn packets(runs: &[Run]) -> Vec<Carried> {
+        let unrolled = runs.iter().flat_map(|r| {
+            let duplicate = r.duplicate;
+            (r.first..r.first + r.len).map(move |seq| Carried { seq, duplicate })
+        });
+        unrolled.collect()
+    }
+
+    /// The per-packet `deliver` that the run form replaced, kept as its
+    /// oracle: one arrival per packet, a stable sort over all of them.
+    fn deliver_per_packet(
+        wire: &[u64],
+        carry: &mut Vec<Carried>,
+        path: &PathConfig,
+        rng: &mut impl Rng,
+    ) -> Vec<Carried> {
+        let mut received = std::mem::take(carry);
+        for &seq in wire {
+            let arrival = Carried {
+                seq,
+                duplicate: false,
+            };
+            match path.data_fate(rng) {
+                DataFate::Delivered => received.push(arrival),
+                DataFate::Lost => {}
+                DataFate::Duplicated => {
+                    received.push(arrival);
+                    carry.push(Carried {
+                        duplicate: true,
+                        ..arrival
+                    });
+                }
+                DataFate::Late => carry.push(arrival),
+            }
+        }
+        received.sort_by_key(|p| p.seq);
+        received
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn run_deliver_is_the_per_packet_deliver(seed in 0u64..u64::MAX) {
+            use rand::RngCore;
+            let mut draw = seeded(seed);
+            let mut below = move |n: u64| draw.next_u64() % n;
+            let path = PathConfig {
+                data_loss: [0.0, 0.02, 0.3][below(3) as usize],
+                ack_loss: 0.0,
+                data_dup: [0.0, 0.01, 0.2][below(3) as usize],
+                late_prob: [0.0, 0.05, 0.25][below(3) as usize],
+            };
+            // Any carry, not only one a previous round could have left.
+            let mut carry: Vec<Carried> = (0..below(6))
+                .map(|_| Carried { seq: below(60), duplicate: below(2) == 0 })
+                .collect();
+            let mut inbox = Inbox::default();
+            for late in &carry {
+                push_packet(&mut inbox.carry, late.seq, late.duplicate);
+            }
+            let (mut rng, mut oracle_rng) = (seeded(seed ^ 1), seeded(seed ^ 1));
+            for round in 0..4 {
+                // A sender's burst ascends; a defended wire need not.
+                let first = below(60);
+                let mut wire: Vec<u64> = (first..first + below(80)).collect();
+                if below(4) == 0 {
+                    wire.extend((0..below(6)).map(|_| below(100)));
+                    let shift = below(5) as usize % wire.len().max(1);
+                    wire.rotate_left(shift);
+                }
+                inbox.deliver(wire.iter().copied(), &path, &mut rng);
+                let expected = deliver_per_packet(&wire, &mut carry, &path, &mut oracle_rng);
+                let (received, carried) = (packets(&inbox.received), packets(&inbox.carry));
+                proptest::prop_assert!(
+                    received == expected,
+                    "round {round}: {received:?} is not {expected:?}"
+                );
+                proptest::prop_assert!(
+                    carried == carry,
+                    "round {round}: carry {carried:?} is not {carry:?}"
+                );
+                proptest::prop_assert!(inbox.received.iter().all(|r| r.len > 0));
+                proptest::prop_assert!(rng.next_u64() == oracle_rng.next_u64(), "RNG streams diverged");
+            }
+        }
     }
 
     fn defended_config(defenses: Vec<caai_netem::DefenseConfig>, budget: f64) -> ProberConfig {

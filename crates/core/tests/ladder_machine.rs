@@ -1,11 +1,12 @@
 //! Property tests for the sans-IO ladder (`caai_core::ladder`) on its
 //! own: whatever a peer, a capture or a buggy driver feeds it — events
-//! out of phase, sequence numbers up to `u64::MAX`, unsorted and repeated
-//! arrivals, the server finishing at any point — it never panics, stays
-//! inside the configured round bounds, never re-acknowledges, and closes
-//! exactly once.
+//! out of phase, sequence numbers up to `u64::MAX`, unsorted, repeated,
+//! overlapping and empty runs of arrivals, runs past the end of the
+//! sequence space, the server finishing at any point — it never panics,
+//! stays inside the configured round bounds, never re-acknowledges, and
+//! closes exactly once.
 
-use caai_core::ladder::{Arrival, AttemptPhase, LadderWalk, Next, RungAttempt};
+use caai_core::ladder::{AttemptPhase, LadderWalk, Next, Run, RungAttempt};
 use caai_core::prober::ProberConfig;
 use caai_core::trace::WindowTrace;
 use caai_netem::EnvironmentId;
@@ -37,23 +38,35 @@ impl Draw {
         }
     }
 
-    /// A round's arrivals: mostly a plausible burst after `base`, with
-    /// wild sequence numbers, path duplicates and disorder mixed in.
-    fn arrivals(&mut self, base: &mut u64) -> Vec<Arrival> {
+    /// A round's arrivals: mostly plausible runs after `base`, with wild
+    /// sequence numbers and lengths, path duplicates and disorder mixed
+    /// in.
+    fn arrivals(&mut self, base: &mut u64) -> Vec<Run> {
         let mut out = Vec::new();
         for _ in 0..self.below(7) {
-            let seq = match self.below(16) {
+            let len = match self.below(16) {
+                0 => 0,
+                1 => u64::MAX,
+                2 => self.next(),
+                _ => 1 + self.below(40),
+            };
+            let first = match self.below(16) {
                 0 => u64::MAX,
                 1 => u64::MAX - self.below(3),
                 2 => self.next(),
                 3 => base.saturating_sub(self.below(5)),
                 _ => {
-                    *base = base.saturating_add(1 + self.below(3));
-                    *base
+                    let first = base.saturating_add(1 + self.below(3));
+                    *base = first.saturating_add(len.min(40));
+                    first
                 }
             };
             let duplicate = self.below(8) == 0;
-            out.push(Arrival { seq, duplicate });
+            out.push(Run {
+                first,
+                len,
+                duplicate,
+            });
         }
         if self.below(4) == 0 {
             out.reverse();
@@ -87,7 +100,7 @@ fn drive_attempt(
             1 => attempt.on_silent_round(config, draw.below(4) == 0),
             2 | 8 => attempt.on_rto(kind == 2 && draw.below(2) == 0),
             9 => attempt.on_silent_round(config, true),
-            _ => attempt.on_round(config, draw.arrivals(&mut base).iter().copied()),
+            _ => attempt.on_round(config, &draw.arrivals(&mut base)),
         };
         let Some(end) = end else {
             prop_assert!(
@@ -102,20 +115,19 @@ fn drive_attempt(
             "elapsed {}",
             end.elapsed
         );
-        for ack in attempt.acks() {
-            if ack.duplicate {
+        for acks in attempt.acks() {
+            prop_assert!(acks.len > 0, "an empty train");
+            if acks.duplicate {
                 duplicates += 1;
                 prop_assert!(
-                    ack.cum_ack == last_cum,
-                    "the F-RTO duplicate repeats the last ACK"
+                    (acks.first, acks.len) == (last_cum, 1),
+                    "the F-RTO duplicate repeats the last ACK, once"
                 );
             } else {
-                prop_assert!(
-                    ack.cum_ack > last_cum,
-                    "ACK {} after {last_cum}",
-                    ack.cum_ack
-                );
-                last_cum = ack.cum_ack;
+                prop_assert!(acks.first > last_cum, "{acks:?} after {last_cum}");
+                let last = acks.first.checked_add(acks.len - 1);
+                prop_assert!(last.is_some(), "{acks:?} runs past u64::MAX");
+                last_cum = last.unwrap_or(u64::MAX);
             }
         }
         match end.next {

@@ -13,7 +13,7 @@ use caai_capture::DEFAULT_LADDER;
 use caai_congestion::AlgorithmId;
 use caai_core::classes::label_names;
 use caai_core::features::FEATURE_DIM;
-use caai_core::ladder::{Arrival, AttemptPhase, LadderWalk, Next, RungAttempt};
+use caai_core::ladder::{AttemptPhase, LadderWalk, Next, Run, RungAttempt};
 use caai_core::prober::ProberConfig;
 use caai_core::CaaiClassifier;
 use caai_ml::{Dataset, RandomForestConfig};
@@ -252,11 +252,14 @@ fn drive_net_frames(bytes: &[u8]) {
 /// string decodes to one: two header bytes pick the round bounds, then
 /// each attempt takes an `(environment, w_max)` byte and opcodes until
 /// it closes — silent round (server done or not), RTO answered or not,
-/// or a round of up to seven arrivals whose sequence numbers step,
-/// repeat, run backwards or come raw off the input (up to `u64::MAX`).
-/// Closed attempts are recorded into a walk in whatever order they come.
-/// Out-of-phase events must be refused, never panic; round counts must
-/// stay inside the configured bounds; cumulative ACKs must only go up.
+/// or a round of up to seven runs of arrivals whose first sequence
+/// numbers step, repeat, run backwards or come raw off the input (up to
+/// `u64::MAX`) and whose lengths are one, zero, overlapping or past the
+/// end of the sequence space. Closed attempts are recorded into a walk
+/// in whatever order they come. Out-of-phase events must be refused,
+/// never panic; round counts must stay inside the configured bounds;
+/// cumulative ACKs must only go up, and no ACK train may run past
+/// `u64::MAX`.
 fn drive_ladder(bytes: &[u8]) {
     let mut input = bytes.iter().copied();
     let mut byte = || input.next();
@@ -310,25 +313,29 @@ fn drive_ladder(bytes: &[u8]) {
                             2 => u64::MAX - step,
                             _ => base.saturating_sub(step),
                         };
-                        arrivals.push(Arrival {
-                            seq,
+                        let len = match c & 8 {
+                            0 => 1,
+                            _ => [0, 2 + step, 1 << 20, u64::MAX][usize::from(c >> 6)],
+                        };
+                        arrivals.push(Run {
+                            first: seq,
+                            len,
                             duplicate: c & 4 != 0,
                         });
                     }
-                    attempt.on_round(&config, arrivals.iter().copied())
+                    attempt.on_round(&config, &arrivals)
                 }
             };
             let Some(end) = end else {
                 continue; // refused: not this phase's event
             };
             assert!(end.elapsed.is_finite() && end.elapsed >= 0.0);
-            for ack in attempt.acks().iter().filter(|a| !a.duplicate) {
+            for acks in attempt.acks().iter().filter(|a| !a.duplicate) {
                 assert!(
-                    ack.cum_ack > last_cum,
-                    "ACK {} after {last_cum}",
-                    ack.cum_ack
+                    acks.len > 0 && acks.first > last_cum,
+                    "{acks:?} after {last_cum}"
                 );
-                last_cum = ack.cum_ack;
+                last_cum = (acks.first.checked_add(acks.len - 1)).expect("a train within u64");
             }
             assert!(end.next != Next::AwaitRto || attempt.acks().is_empty());
         }

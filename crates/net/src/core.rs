@@ -15,11 +15,11 @@
 //! frames, keeps the virtual clock, rejects frames the protocol does not
 //! expect, and tells the transport how long a round would last (`pace`).
 //! The loopback wire is clean, so every `Burst` is a round's arrivals
-//! as sent, and every round's ACK train goes back as it was built: one
-//! `AckRun` naming the consecutive cumulative ACKs (a new run wherever
-//! a hostile server's sequence numbers jump; the F-RTO duplicate stays
-//! the lone `Ack` it is). [`LadderWalk`] decides which connection comes
-//! next.
+//! as sent, handed to the ladder as the runs it names, and the ladder's
+//! ACK runs go back as they come: one `AckRun` per train (a new one
+//! wherever a hostile server's sequence numbers jump; the F-RTO
+//! duplicate stays the lone `Ack` it is). [`LadderWalk`] decides which
+//! connection comes next.
 //!
 //! [`ServerCore`] mirrors `ServerUnderTest` with one deliberate
 //! difference: every connection gets a *fresh* ssthresh cache instead
@@ -30,16 +30,16 @@
 //! emulated connections independent (they may interleave on one
 //! listener). It reacts to ACKs, silent rounds and the emulated timeout
 //! through the same `caai_core::prober` helpers the simulator's server
-//! end uses; an `AckRun` is unrolled into the `deliver_ack` calls its
-//! single ACKs would have made, so the tcpsim sender cannot tell the
-//! two wire forms apart.
+//! end uses: an `AckRun` is one `deliver_ack_run`, which leaves the
+//! tcpsim sender where its ACKs delivered singly would have, so the
+//! sender cannot tell the two wire forms apart.
 
 use caai_congestion::AlgorithmId;
-use caai_core::ladder::{Arrival, AttemptPhase, LadderWalk, Next, RoundEnd, RungAttempt};
-use caai_core::prober::{await_rto, deliver_ack, fire_rto_within};
+use caai_core::ladder::{AttemptPhase, LadderWalk, Next, RoundEnd, Run, RungAttempt};
+use caai_core::prober::{await_rto, deliver_ack_run, fire_rto_within};
 use caai_core::{GatherOutcome, ProberConfig, WindowTrace};
 use caai_obs::RungAttemptEnded;
-use caai_tcpsim::{AckPacket, ServerConfig, SsthreshCache, TcpServer};
+use caai_tcpsim::{ServerConfig, SsthreshCache, TcpServer};
 use caai_webmodel::WebServer;
 use std::fmt;
 
@@ -228,8 +228,8 @@ impl ServerCore {
                     )));
                 }
                 let now = clock(&mut self.last_now, *now, "Xmit")?;
-                let segs = conn.transmit(now);
-                if segs.is_empty() {
+                let burst = conn.transmit(now);
+                if burst.is_empty() {
                     if conn.finished() {
                         self.state = ServerState::Closed;
                         return Ok(Reply {
@@ -252,7 +252,7 @@ impl ServerCore {
                 Ok(Reply {
                     frames: vec![ServerFrame::Burst {
                         done: false,
-                        seqs: segs.iter().map(|s| s.seq).collect(),
+                        seqs: burst.seqs().collect(),
                     }],
                     close: false,
                 })
@@ -260,11 +260,7 @@ impl ServerCore {
             (ServerState::Open { conn, server_cum }, ClientFrame::Ack { now, cum_ack, rtt }) => {
                 sent(conn, *cum_ack)?;
                 let now = clock(&mut self.last_now, *now, "Ack")?;
-                let ack = AckPacket {
-                    cum_ack: *cum_ack,
-                    rtt: *rtt,
-                };
-                deliver_ack(conn, server_cum, now, ack);
+                deliver_ack_run(conn, server_cum, now, *cum_ack, 1, *rtt);
                 Ok(Reply::default())
             }
             (
@@ -277,13 +273,11 @@ impl ServerCore {
                 },
             ) => {
                 // Checked here as well as at decode: a frame built in
-                // memory must not spin this loop either.
+                // memory is held to the same bounds.
                 let run = run_range("AckRun", *first, *count).map_err(|e| violation(e.reason))?;
                 sent(conn, *run.end())?;
                 let now = clock(&mut self.last_now, *now, "AckRun")?;
-                for cum_ack in run {
-                    deliver_ack(conn, server_cum, now, AckPacket { cum_ack, rtt: *rtt });
-                }
+                deliver_ack_run(conn, server_cum, now, *first, u64::from(*count), *rtt);
                 Ok(Reply::default())
             }
             (ServerState::Open { conn, .. }, ClientFrame::RtoWait { now, max_waits }) => {
@@ -364,6 +358,8 @@ pub struct LadderCore {
     /// A server frame is expected (an un-asked-for frame is a protocol
     /// violation).
     awaiting: bool,
+    /// The runs of the `Burst` being handled; kept for its capacity.
+    runs: Vec<Run>,
 }
 
 impl LadderCore {
@@ -388,6 +384,7 @@ impl LadderCore {
             welcomed: false,
             closing: None,
             awaiting: false,
+            runs: Vec::new(),
         }
     }
 
@@ -479,11 +476,14 @@ impl LadderCore {
                 if seqs.is_empty() {
                     attempt.on_silent_round(&self.config, *done)
                 } else {
-                    let arrivals = seqs.iter().map(|&seq| Arrival {
-                        seq,
+                    self.runs.clear();
+                    let runs = seqs.chunk_by(|a, b| a.checked_add(1) == Some(*b));
+                    self.runs.extend(runs.map(|run| Run {
+                        first: run[0],
+                        len: run.len() as u64,
                         duplicate: false,
-                    });
-                    attempt.on_round(&self.config, arrivals)
+                    }));
+                    attempt.on_round(&self.config, &self.runs)
                 }
             }
             ServerFrame::RtoResult { responded, now }
@@ -509,31 +509,30 @@ impl LadderCore {
         // The round's ACKs go out one emulated RTT after its data came in.
         self.now += end.elapsed;
         let now = self.now;
-        // The train goes out as maximal runs of consecutive ACKs: on a
-        // clean wire one `AckRun`, after the F-RTO duplicate if any.
+        // The ladder's ACK runs go out as they are: on a clean wire one
+        // `AckRun`, after the F-RTO duplicate if any. Only a train longer
+        // than a frame may name is cut.
         let mut frames = Vec::with_capacity(3);
-        for ack in attempt.acks() {
-            if ack.duplicate {
+        for acks in attempt.acks() {
+            if acks.duplicate {
                 frames.push(ClientFrame::Ack {
                     now,
-                    cum_ack: ack.cum_ack,
+                    cum_ack: acks.first,
                     rtt: 0.0,
                 });
                 continue;
             }
-            match frames.last_mut() {
-                Some(ClientFrame::AckRun { first, count, .. })
-                    if first.checked_add(u64::from(*count)) == Some(ack.cum_ack)
-                        && (*count as usize) < MAX_BURST_SEQS =>
-                {
-                    *count += 1;
-                }
-                _ => frames.push(ClientFrame::AckRun {
+            let (mut first, mut left) = (acks.first, acks.len);
+            while left > 0 {
+                let count = left.min(MAX_BURST_SEQS as u64);
+                frames.push(ClientFrame::AckRun {
                     now,
-                    first: ack.cum_ack,
-                    count: 1,
+                    first,
+                    count: count as u32,
                     rtt: end.elapsed,
-                }),
+                });
+                first += count;
+                left -= count;
             }
         }
         match end.next {

@@ -36,7 +36,7 @@
 //! through unchanged, so the degradation curve measured by
 //! `caai defense-sweep` is monotone in the budget.
 
-use caai_tcpsim::{Segment, WirePacket};
+use caai_tcpsim::{Burst, WirePacket};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -297,16 +297,18 @@ impl DefenseState {
     /// then the new burst, then padding dummies. Transforms apply in the
     /// spec's declaration order; every overhead action checks the shared
     /// budget first.
-    pub fn on_burst(&mut self, burst: &[Segment], rng: &mut impl Rng) -> Vec<WirePacket> {
+    pub fn on_burst(&mut self, burst: Burst, rng: &mut impl Rng) -> Vec<WirePacket> {
         // Map the real burst into wire space and merge the held backlog.
+        // This is where a defended round becomes packets: padding, jitter
+        // and shaping pick them one by one.
         let mut round: Vec<WirePacket> = std::mem::take(&mut self.held);
-        for seg in burst {
+        for seq in burst.seqs() {
             self.overhead.real += 1;
-            round.push(WirePacket::data(self.map.map(seg.seq)));
+            round.push(WirePacket::data(self.map.map(seq)));
         }
 
-        for defense in self.spec.defenses.clone() {
-            match defense {
+        for i in 0..self.spec.defenses.len() {
+            match self.spec.defenses[i] {
                 DefenseConfig::Padding { rate } => {
                     // One accumulator tick per real packet this round.
                     self.pad_acc += rate * burst.len() as f64;
@@ -321,16 +323,14 @@ impl DefenseState {
                     }
                 }
                 DefenseConfig::Jitter { delay_prob } => {
-                    let mut kept = Vec::with_capacity(round.len());
-                    for p in round.drain(..) {
-                        if rng.random::<f64>() < delay_prob && self.budget_allows() {
+                    round.retain(|&p| {
+                        let delay = rng.random::<f64>() < delay_prob && self.budget_allows();
+                        if delay {
                             self.overhead.delayed += 1;
                             self.held.push(p);
-                        } else {
-                            kept.push(p);
                         }
-                    }
-                    round = kept;
+                        !delay
+                    });
                 }
                 DefenseConfig::Shaping { burst_cap } => {
                     // Delay the tail of the burst: the highest sequence
@@ -345,9 +345,9 @@ impl DefenseState {
                         .saturating_sub(cap)
                         .min(self.budget_headroom() as usize);
                     if hold > 0 {
-                        let tail = round.split_off(round.len() - hold);
-                        self.overhead.delayed += tail.len() as u64;
-                        self.held.extend(tail);
+                        let keep = round.len() - hold;
+                        self.overhead.delayed += hold as u64;
+                        self.held.extend(round.drain(keep..));
                     }
                 }
             }
@@ -367,13 +367,8 @@ mod tests {
     use super::*;
     use crate::rng::seeded;
 
-    fn segs(range: std::ops::Range<u64>) -> Vec<Segment> {
-        range
-            .map(|seq| Segment {
-                seq,
-                retransmit: false,
-            })
-            .collect()
+    fn segs(range: std::ops::Range<u64>) -> Burst {
+        Burst::new(range.start, range.end - range.start, 0)
     }
 
     #[test]
@@ -383,7 +378,7 @@ mod tests {
             budget: 1.0,
         };
         let mut st = DefenseState::new(&spec);
-        let out = st.on_burst(&segs(0..5), &mut seeded(1));
+        let out = st.on_burst(segs(0..5), &mut seeded(1));
         assert_eq!(
             out,
             (0..5).map(WirePacket::data).collect::<Vec<_>>(),
@@ -398,12 +393,12 @@ mod tests {
         let spec = DefenseSpec::single(DefenseConfig::Padding { rate: 0.5 }, 10.0);
         let mut st = DefenseState::new(&spec);
         // Round 1: reals 0..4 -> wires 0..4, then 2 dummies at 4,5.
-        let out = st.on_burst(&segs(0..4), &mut seeded(1));
+        let out = st.on_burst(segs(0..4), &mut seeded(1));
         assert_eq!(out.len(), 6);
         assert_eq!(out[4], WirePacket::padding(4));
         assert_eq!(out[5], WirePacket::padding(5));
         // Round 2: reals 4..8 -> wires 6..10 (offset 2).
-        let out = st.on_burst(&segs(4..8), &mut seeded(1));
+        let out = st.on_burst(segs(4..8), &mut seeded(1));
         assert_eq!(out[0], WirePacket::data(6));
         assert_eq!(out[3], WirePacket::data(9));
         // A wire cum-ack covering everything (including dummies) unmaps to
@@ -420,12 +415,12 @@ mod tests {
     fn retransmissions_reuse_their_original_mapping() {
         let spec = DefenseSpec::single(DefenseConfig::Padding { rate: 1.0 }, 10.0);
         let mut st = DefenseState::new(&spec);
-        let r1 = st.on_burst(&segs(0..2), &mut seeded(1));
+        let r1 = st.on_burst(segs(0..2), &mut seeded(1));
         assert_eq!(r1[0], WirePacket::data(0));
         assert_eq!(r1[1], WirePacket::data(1));
-        let _r2 = st.on_burst(&segs(2..4), &mut seeded(1));
+        let _r2 = st.on_burst(segs(2..4), &mut seeded(1));
         // Retransmit real 0: must map back to wire 0, not the frontier.
-        let rt = st.on_burst(&segs(0..1), &mut seeded(1));
+        let rt = st.on_burst(segs(0..1), &mut seeded(1));
         assert_eq!(rt[0], WirePacket::data(0));
     }
 
@@ -433,7 +428,7 @@ mod tests {
     fn jitter_holds_packets_for_the_next_round() {
         let spec = DefenseSpec::single(DefenseConfig::Jitter { delay_prob: 1.0 }, 10.0);
         let mut st = DefenseState::new(&spec);
-        let out = st.on_burst(&segs(0..3), &mut seeded(2));
+        let out = st.on_burst(segs(0..3), &mut seeded(2));
         assert!(out.is_empty(), "everything held: {out:?}");
         assert!(st.has_held());
         // Next round with an empty burst releases them (jitter re-rolls,
@@ -446,10 +441,10 @@ mod tests {
             DefenseConfig::Jitter { delay_prob: 1.0 },
             1.0,
         ));
-        let r1 = st.on_burst(&segs(0..2), &mut seeded(2));
+        let r1 = st.on_burst(segs(0..2), &mut seeded(2));
         assert!(r1.len() < 2, "at least one held");
-        let r2 = st.on_burst(&[], &mut seeded(3));
-        let r3 = st.on_burst(&[], &mut seeded(4));
+        let r2 = st.on_burst(Burst::default(), &mut seeded(3));
+        let r3 = st.on_burst(Burst::default(), &mut seeded(4));
         assert_eq!(
             r1.len() + r2.len() + r3.len(),
             2,
@@ -461,11 +456,11 @@ mod tests {
     fn shaping_caps_each_round() {
         let spec = DefenseSpec::single(DefenseConfig::Shaping { burst_cap: 4 }, 10.0);
         let mut st = DefenseState::new(&spec);
-        let r1 = st.on_burst(&segs(0..10), &mut seeded(5));
+        let r1 = st.on_burst(segs(0..10), &mut seeded(5));
         assert_eq!(r1.len(), 4);
-        let r2 = st.on_burst(&[], &mut seeded(5));
+        let r2 = st.on_burst(Burst::default(), &mut seeded(5));
         assert_eq!(r2.len(), 4);
-        let r3 = st.on_burst(&[], &mut seeded(5));
+        let r3 = st.on_burst(Burst::default(), &mut seeded(5));
         assert_eq!(r3.len(), 2);
         assert!(!st.has_held());
         assert_eq!(st.overhead().delayed, 6 + 2);
@@ -482,7 +477,7 @@ mod tests {
             budget: 0.0,
         };
         let mut st = DefenseState::new(&spec);
-        let out = st.on_burst(&segs(0..8), &mut seeded(6));
+        let out = st.on_burst(segs(0..8), &mut seeded(6));
         assert_eq!(out.len(), 8, "budget 0 passes traffic through");
         assert_eq!(st.overhead().fraction(), 0.0);
     }
@@ -492,7 +487,7 @@ mod tests {
         let spec = DefenseSpec::single(DefenseConfig::Padding { rate: 2.0 }, 0.5);
         let mut st = DefenseState::new(&spec);
         for r in 0..20u64 {
-            let _ = st.on_burst(&segs(r * 10..(r + 1) * 10), &mut seeded(7));
+            let _ = st.on_burst(segs(r * 10..(r + 1) * 10), &mut seeded(7));
         }
         let o = st.overhead();
         assert!(
@@ -515,7 +510,7 @@ mod tests {
         let mut st = DefenseState::new(&spec);
         let mut rng = seeded(8);
         for r in 0..30u64 {
-            let _ = st.on_burst(&segs(r * 7..(r + 1) * 7), &mut rng);
+            let _ = st.on_burst(segs(r * 7..(r + 1) * 7), &mut rng);
         }
         let mut prev = 0;
         for wire in 0..400u64 {

@@ -1,17 +1,19 @@
 //! The simulated web-server TCP sender.
 //!
 //! The server is driven by the prober: the prober asks it to
-//! [`transmit`](TcpServer::transmit), delivers [`AckPacket`]s via
-//! [`on_ack`](TcpServer::on_ack), and fires the retransmission timeout by
-//! advancing time past [`rto_deadline`](TcpServer::rto_deadline) and
-//! calling [`fire_rto`](TcpServer::fire_rto). Sequence numbers are counted
-//! in packets.
+//! [`transmit`](TcpServer::transmit) — one [`Burst`], a run of sequence
+//! numbers — delivers ACKs singly ([`on_ack`](TcpServer::on_ack)) or as
+//! the train a round's ACKs are ([`on_ack_run`](TcpServer::on_ack_run)),
+//! and fires the retransmission timeout by advancing time past
+//! [`rto_deadline`](TcpServer::rto_deadline) and calling
+//! [`fire_rto`](TcpServer::fire_rto). Sequence numbers are counted in
+//! packets.
 
 use caai_congestion::{Ack, AlgorithmId, CongestionControl, LossKind, Transport};
 
 use crate::cache::SsthreshCache;
 use crate::config::{SenderQuirk, ServerConfig, SlowStartVariant};
-use crate::segment::{AckPacket, Segment};
+use crate::segment::{AckPacket, Burst};
 
 /// F-RTO (RFC 5682) state: armed after an RTO, resolved by the next two
 /// ACKs.
@@ -208,43 +210,42 @@ impl TcpServer {
     ///
     /// Retransmissions (cursor below `snd_nxt`) go out first, then new
     /// data while the budget lasts. During the F-RTO probe only the
-    /// RFC-prescribed segments are released.
-    pub fn transmit(&mut self, now: f64) -> Vec<Segment> {
-        let mut out = Vec::new();
-        let window_end = self.tp.snd_una + u64::from(self.effective_cwnd());
+    /// RFC-prescribed segments are released. The burst is one run of
+    /// sequence numbers, computed, not collected.
+    pub fn transmit(&mut self, now: f64) -> Burst {
         let limit = match self.frto {
             FrtoState::Armed => self.tp.snd_una + 1, // only the RTO retransmission
-            _ => window_end,
+            _ => self.tp.snd_una + u64::from(self.effective_cwnd()),
         };
-        while self.send_cursor < limit {
-            if self.send_cursor < self.tp.snd_nxt {
-                out.push(Segment {
-                    seq: self.send_cursor,
-                    retransmit: true,
-                });
-                self.send_cursor += 1;
-            } else if self.data_budget > 0 {
-                out.push(Segment {
-                    seq: self.send_cursor,
-                    retransmit: false,
-                });
-                self.send_cursor += 1;
-                self.tp.snd_nxt = self.send_cursor;
-                self.data_budget -= 1;
-            } else {
-                break;
+        let first = self.send_cursor;
+        // Everything below `snd_nxt` has been sent before.
+        let fresh_from = limit.min(self.tp.snd_nxt).max(first);
+        let mut end = fresh_from;
+        if fresh_from >= self.tp.snd_nxt && limit > end {
+            let fresh = (limit - end).min(self.data_budget);
+            if fresh > 0 {
+                end += fresh;
+                self.data_budget -= fresh;
+                self.tp.snd_nxt = end;
             }
         }
-        if !out.is_empty() && self.rto_deadline.is_none() {
+        self.send_cursor = end;
+        if end > first && self.rto_deadline.is_none() {
             self.rto_deadline = Some(now + self.config.rto);
         }
-        out
+        Burst::new(first, end - first, fresh_from - first)
     }
 
     /// Processes one cumulative ACK arriving at `now`.
+    ///
+    /// An ACK for data never sent is ignored: the window it would open,
+    /// and `snd_una` past `snd_nxt`, belong to no connection state.
     pub fn on_ack(&mut self, now: f64, ack: AckPacket) {
         if ack.cum_ack <= self.tp.snd_una {
             self.handle_dup_ack(now);
+            return;
+        }
+        if ack.cum_ack > self.tp.snd_nxt {
             return;
         }
         let acked = (ack.cum_ack - self.tp.snd_una) as u32;
@@ -306,6 +307,49 @@ impl TcpServer {
             }
         }
         self.apply_quirks_after_growth(now);
+    }
+
+    /// Processes the ACK train `first, first + 1, …, first + count - 1`,
+    /// every ACK arriving at `now` with the RTT sample `rtt`: exactly
+    /// what `count` calls of [`on_ack`](Self::on_ack) do. A train whose
+    /// ACKs this connection's own state makes all ordinary — advancing,
+    /// RTT-bearing, no F-RTO step, HyStart round, recovery point or
+    /// per-ACK quirk waiting, and none of those can arise inside such a
+    /// train — is one call into the controller
+    /// ([`CongestionControl::on_ack_train`]); any other goes through
+    /// `on_ack` ACK by ACK.
+    pub fn on_ack_run(&mut self, now: f64, first: u64, count: u64, rtt: f64) {
+        let per_ack_quirk = matches!(
+            self.config.quirk,
+            SenderQuirk::NonIncreasing | SenderQuirk::ApproachPreTimeoutMax
+        );
+        let ordinary = rtt > 0.0
+            && first > self.tp.snd_una
+            && self.frto == FrtoState::Inactive
+            && self.hystart.is_none()
+            && self.recovery_point.is_none()
+            && !per_ack_quirk;
+        if !ordinary {
+            let acks = (0..count).map(|i| first.saturating_add(i));
+            return acks.for_each(|cum_ack| self.on_ack(now, AckPacket { cum_ack, rtt }));
+        }
+        // ACKs for data never sent are ignored, as `on_ack` ignores them.
+        let count = count.min((self.tp.snd_nxt + 1).saturating_sub(first));
+        if count == 0 {
+            return;
+        }
+        let ack = Ack {
+            now,
+            acked: (first - self.tp.snd_una) as u32,
+            rtt,
+        };
+        self.cc.on_ack_train(&mut self.tp, &ack, count);
+        self.dup_acks = 0;
+        self.rto_deadline = if self.tp.snd_una < self.tp.snd_nxt.max(self.send_cursor) {
+            Some(now + self.config.rto)
+        } else {
+            None
+        };
     }
 
     /// Re-arms HyStart for a fresh slow start.
@@ -379,7 +423,9 @@ impl TcpServer {
             // Linux window moderation: no burst larger than in-flight + 3,
             // where dup-ACKed (sacked) segments and the presumed-lost head
             // have left the network and count out of flight.
-            let outstanding = (self.send_cursor - self.tp.snd_una) as u32;
+            // (Nothing is outstanding when a late ACK has carried `snd_una`
+            // past a cursor the timeout rewound.)
+            let outstanding = self.send_cursor.saturating_sub(self.tp.snd_una) as u32;
             let in_flight = outstanding.saturating_sub(self.dup_acks + 1);
             cwnd = cwnd.min(in_flight + 3);
         }
@@ -487,6 +533,7 @@ impl TcpServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::Segment;
 
     fn ideal_server(algo: AlgorithmId, budget: u64) -> TcpServer {
         TcpServer::connect(
@@ -498,8 +545,13 @@ mod tests {
         )
     }
 
+    /// The first segment of a non-empty burst.
+    fn head(burst: &Burst) -> Segment {
+        burst.into_iter().next().expect("a non-empty burst")
+    }
+
     /// Deliver one round of per-packet cumulative ACKs for `segs`.
-    fn ack_all(server: &mut TcpServer, segs: &[Segment], now: f64, rtt: f64) {
+    fn ack_all(server: &mut TcpServer, segs: &Burst, now: f64, rtt: f64) {
         let mut cum = server.snd_una();
         for s in segs {
             cum = cum.max(s.seq + 1);
@@ -512,8 +564,8 @@ mod tests {
         let mut s = ideal_server(AlgorithmId::Reno, 1000);
         let segs = s.transmit(0.0);
         assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0].seq, 0);
-        assert!(!segs[0].retransmit);
+        assert_eq!(head(&segs).seq, 0);
+        assert!(!head(&segs).retransmit);
     }
 
     #[test]
@@ -564,8 +616,8 @@ mod tests {
         assert_eq!(s.ssthresh(), w_before / 2, "RENO halves on timeout");
         let retrans = s.transmit(deadline);
         assert_eq!(retrans.len(), 1);
-        assert!(retrans[0].retransmit);
-        assert_eq!(retrans[0].seq, s.snd_una());
+        assert!(head(&retrans).retransmit);
+        assert_eq!(head(&retrans).seq, s.snd_una());
     }
 
     #[test]
@@ -578,7 +630,7 @@ mod tests {
             now += 1.0;
         }
         let lost = s.transmit(now);
-        let first_lost = lost[0].seq;
+        let first_lost = head(&lost).seq;
         let deadline = s.rto_deadline().unwrap();
         s.fire_rto(deadline);
         now = deadline;
@@ -586,7 +638,7 @@ mod tests {
         let mut seen = Vec::new();
         for _ in 0..4 {
             let segs = s.transmit(now);
-            seen.extend(segs.iter().map(|x| x.seq));
+            seen.extend(segs.into_iter().map(|x| x.seq));
             ack_all(&mut s, &segs, now + 1.0, 1.0);
             now += 1.0;
         }
@@ -619,19 +671,19 @@ mod tests {
         s.on_ack(
             now + 1.0,
             AckPacket {
-                cum_ack: probe[0].seq + 1,
+                cum_ack: head(&probe).seq + 1,
                 rtt: 1.0,
             },
         );
         now += 1.0;
         let new_segs = s.transmit(now);
         assert!(!new_segs.is_empty());
-        assert!(!new_segs[0].retransmit, "F-RTO probes with new data");
+        assert!(!head(&new_segs).retransmit, "F-RTO probes with new data");
         // ACK advances again: timeout declared spurious, window restored.
         s.on_ack(
             now + 1.0,
             AckPacket {
-                cum_ack: new_segs[0].seq + 1,
+                cum_ack: head(&new_segs).seq + 1,
                 rtt: 1.0,
             },
         );
@@ -663,7 +715,7 @@ mod tests {
         // Subsequent recovery is a regular slow start of retransmissions.
         let segs = s.transmit(now + 1.0);
         assert_eq!(segs.len(), 1);
-        assert!(segs[0].retransmit);
+        assert!(head(&segs).retransmit);
     }
 
     #[test]
@@ -861,7 +913,7 @@ mod tests {
         // cumulative ACK empties the pipe and window moderation caps the
         // next burst far below β·w — the §IV-B measurement corruption.
         let retrans = s.transmit(now + 1.0);
-        assert!(retrans[0].retransmit, "head must be retransmitted");
+        assert!(head(&retrans).retransmit, "head must be retransmitted");
         let high = s.snd_nxt();
         s.on_ack(
             now + 2.0,
@@ -968,5 +1020,223 @@ mod tests {
             flat_rounds >= 5,
             "window must flatten, got {flat_rounds} flat rounds"
         );
+    }
+
+    #[test]
+    fn an_ack_for_data_never_sent_changes_nothing() {
+        let mut s = ideal_server(AlgorithmId::Reno, 10_000);
+        let mut twin = ideal_server(AlgorithmId::Reno, 10_000);
+        for server in [&mut s, &mut twin] {
+            let mut now = 0.0;
+            drive_rounds(server, 4, 1.0, &mut now);
+            let _ = server.transmit(now);
+        }
+        let rtt = 1.0;
+        s.on_ack(
+            5.0,
+            AckPacket {
+                cum_ack: 1 << 40,
+                rtt,
+            },
+        );
+        assert_eq!(format!("{s:?}"), format!("{twin:?}"));
+        s.on_ack_run(5.0, 1 << 40, 3, 1.0);
+        s.on_ack_run(5.0, s.snd_nxt() + 1, 3, 1.0);
+        assert_eq!(format!("{s:?}"), format!("{twin:?}"));
+        assert_eq!(s.transmit(5.0), twin.transmit(5.0), "the next burst");
+        // A train that starts inside what was sent stops where it ends.
+        let (una, nxt) = (s.snd_una(), s.snd_nxt());
+        s.on_ack_run(6.0, una + 1, 1 << 40, 1.0);
+        assert_eq!(s.snd_una(), nxt);
+    }
+
+    /// The per-segment `transmit` that the closed form replaced, kept as
+    /// its oracle.
+    fn transmit_per_segment(s: &mut TcpServer, now: f64) -> Vec<Segment> {
+        let mut out = Vec::new();
+        let window_end = s.tp.snd_una + u64::from(s.effective_cwnd());
+        let limit = match s.frto {
+            FrtoState::Armed => s.tp.snd_una + 1,
+            _ => window_end,
+        };
+        while s.send_cursor < limit {
+            if s.send_cursor < s.tp.snd_nxt {
+                out.push(Segment {
+                    seq: s.send_cursor,
+                    retransmit: true,
+                });
+                s.send_cursor += 1;
+            } else if s.data_budget > 0 {
+                out.push(Segment {
+                    seq: s.send_cursor,
+                    retransmit: false,
+                });
+                s.send_cursor += 1;
+                s.tp.snd_nxt = s.send_cursor;
+                s.data_budget -= 1;
+            } else {
+                break;
+            }
+        }
+        if !out.is_empty() && s.rto_deadline.is_none() {
+            s.rto_deadline = Some(now + s.config.rto);
+        }
+        out
+    }
+
+    /// The tests' own event source (SplitMix64), so one `u64` names a case.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Mostly small, sometimes large.
+        fn size(&mut self) -> u64 {
+            match self.below(4) {
+                0 => self.below(4),
+                1 => self.below(40),
+                _ => self.below(3000),
+            }
+        }
+
+        fn config(&mut self) -> ServerConfig {
+            let quirk = match self.below(7) {
+                0 => SenderQuirk::None,
+                1 => SenderQuirk::RemainAtOne,
+                2 => SenderQuirk::NonIncreasing,
+                3 => SenderQuirk::ApproachPreTimeoutMax,
+                4 => SenderQuirk::BoundedBuffer {
+                    clamp: 2 + self.below(300) as u32,
+                },
+                5 => SenderQuirk::BufferBoundedRecovery {
+                    percent_of_wmax: 50 + self.below(100) as u32,
+                },
+                _ => SenderQuirk::IgnoresTimeout,
+            };
+            let slow_start = match self.below(3) {
+                0 => SlowStartVariant::Standard,
+                1 => SlowStartVariant::Limited {
+                    max_ssthresh: 1 + self.below(100) as u32,
+                },
+                _ => SlowStartVariant::Hybrid,
+            };
+            ServerConfig {
+                initial_window: 1 + self.below(10) as u32,
+                frto: self.below(2) == 0,
+                burstiness_control: self.below(2) == 0,
+                quirk,
+                slow_start,
+                ..ServerConfig::ideal()
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn closed_form_transmit_is_the_per_segment_loop(seed in 0u64..u64::MAX) {
+            let mut draw = Draw(seed);
+            // Any relation between cursor, snd_una and snd_nxt, reachable
+            // or not: the closed form is the loop, not a special case of it.
+            let una = draw.size();
+            let state = (
+                una + draw.size(),                   // snd_nxt
+                (una + draw.size()).saturating_sub(draw.below(8)), // send_cursor
+                draw.size(),                         // data_budget
+                draw.size() as u32,                  // cwnd
+                (draw.below(3) == 0).then(|| draw.size() as u32),
+                [FrtoState::Inactive, FrtoState::Armed, FrtoState::Probing][draw.below(3) as usize],
+                (draw.below(2) == 0).then_some(7.5),
+            );
+            let build = || {
+                let mut s = ideal_server(AlgorithmId::Reno, 0);
+                s.tp.snd_una = una;
+                (s.tp.snd_nxt, s.send_cursor, s.data_budget, s.tp.cwnd, s.quirk_freeze, s.frto,
+                    s.rto_deadline) = state;
+                s
+            };
+            let (mut closed, mut looped) = (build(), build());
+            let burst = closed.transmit(3.0);
+            let segments = transmit_per_segment(&mut looped, 3.0);
+            prop_assert!(
+                burst.into_iter().collect::<Vec<_>>() == segments && burst.len() == segments.len(),
+                "{burst:?} is not {segments:?}"
+            );
+            prop_assert!(
+                format!("{closed:?}") == format!("{looped:?}"),
+                "{closed:?} is not {looped:?}"
+            );
+        }
+
+        #[test]
+        fn an_ack_train_is_its_acks_one_by_one(seed in 0u64..u64::MAX) {
+            let mut draw = Draw(seed);
+            let algorithm = caai_congestion::ALL_WITH_EXTENSIONS[draw.below(16) as usize];
+            let config = draw.config();
+            let budget = 1 + draw.below(200_000);
+            let connect = || TcpServer::connect(algorithm, config, budget, &SsthreshCache::new(), 0.0);
+            // `trains` hears every train whole, `singles` ACK by ACK.
+            let (mut trains, mut singles) = (connect(), connect());
+            let mut now = 0.0;
+            for step in 0..draw.below(60) {
+                // Unending ACKs with no threshold to cross grow windows no
+                // probe reaches (HYBLA's by 2^40 per ACK at these RTTs);
+                // `w_max` tops out at 512.
+                if trains.cwnd() > 1 << 20 {
+                    break;
+                }
+                match draw.below(10) {
+                    0 => {
+                        // The timeout, planned or not.
+                        now += 3.0;
+                        prop_assert!(trains.fire_rto(now) == singles.fire_rto(now));
+                    }
+                    1 | 2 => {
+                        // Duplicate ACKs: a train without an RTT sample
+                        // that does not advance.
+                        let (first, count) = (trains.snd_una(), draw.below(5));
+                        trains.on_ack_run(now, first, count, 0.0);
+                        for i in 0..count {
+                            singles.on_ack(now, AckPacket::duplicate(first + i));
+                        }
+                    }
+                    3 | 4 => {
+                        now += [0.8, 1.0, 1.3][draw.below(3) as usize];
+                        prop_assert!(trains.transmit(now) == singles.transmit(now));
+                    }
+                    _ => {
+                        // A train anywhere around the outstanding data:
+                        // starting with a jump, behind `snd_una`, or
+                        // running past `snd_nxt`.
+                        let outstanding = trains.snd_nxt() - trains.snd_una();
+                        let first = (trains.snd_una() + draw.below(outstanding + 3))
+                            .saturating_sub(draw.below(3));
+                        let count = draw.below(outstanding + 4);
+                        let rtt = [0.8, 1.0, 1.07, 0.0, -1.0][draw.below(5) as usize];
+                        trains.on_ack_run(now, first, count, rtt);
+                        for i in 0..count {
+                            singles.on_ack(now, AckPacket { cum_ack: first + i, rtt });
+                        }
+                    }
+                }
+                prop_assert!(
+                    format!("{trains:?}") == format!("{singles:?}"),
+                    "step {step}: {trains:?} is not {singles:?}"
+                );
+            }
+        }
     }
 }
