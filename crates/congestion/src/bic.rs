@@ -53,12 +53,17 @@ impl Bic {
         }
     }
 
+    /// `cnt`, while the kernel's rate limit on recomputing it holds
+    /// (HZ/32 ≈ 31 ms, lifted when the window moved).
+    fn fresh_cnt(&self, cwnd: u32, now: f64) -> Option<u32> {
+        let fresh = self.last_cwnd == cwnd && (now - self.last_time) <= 1.0 / 32.0;
+        fresh.then_some(self.cnt)
+    }
+
     /// Compute `cnt` (ACKs per one-packet window increment), mirroring
     /// `bictcp_update`.
     fn update(&mut self, cwnd: u32, now: f64) {
-        // Rate-limit recomputation as the kernel does (HZ/32 ≈ 31 ms),
-        // except when the window moved.
-        if self.last_cwnd == cwnd && (now - self.last_time) <= 1.0 / 32.0 {
+        if self.fresh_cnt(cwnd, now).is_some() {
             return;
         }
         self.last_cwnd = cwnd;
@@ -117,6 +122,10 @@ impl CongestionControl for Bic {
         }
         self.update(tp.cwnd, ack.now);
         tp.cong_avoid_ai(self.cnt, acked);
+    }
+
+    fn coast(&mut self, tp: &mut Transport, ack: &Ack, left: u64) -> u64 {
+        tp.coast(left, |tp| self.fresh_cnt(tp.cwnd, ack.now))
     }
 
     fn ssthresh(&mut self, tp: &Transport) -> u32 {

@@ -285,3 +285,115 @@ proptest! {
             "w={w} acks={acks}: grew {grown}, expected ≈{expect}");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// `Transport::coast` takes the leading steps of the `cong_avoid` it is
+    /// the closed form of, and in congestion avoidance stops only at the
+    /// step that would move more than the counter.
+    #[test]
+    fn coast_is_the_leading_steps_of_slow_start_then_cong_avoid_ai(
+        cwnd in 1u32..600,
+        ssthresh in 2u32..700,
+        cwnd_cnt in 0u32..700,
+        clamp in prop::option::of(1u32..700),
+        limited in 0u32..2800,
+        w in 0u32..700,
+        left in 0u64..900,
+    ) {
+        let mut coasting = Transport::new(1460);
+        (coasting.cwnd, coasting.ssthresh, coasting.cwnd_cnt) = (cwnd, ssthresh, cwnd_cnt);
+        coasting.cwnd_clamp = clamp.unwrap_or(u32::MAX);
+        // Limited slow start in a quarter of the cases.
+        coasting.max_ssthresh = if limited < 700 { limited } else { 0 };
+        let mut stepping = coasting.clone();
+        let avoiding = !coasting.in_slow_start();
+        let coasted = coasting.coast(left, |_| Some(w));
+        prop_assert!(coasted <= left);
+        let step = |tp: &mut Transport| {
+            if !tp.in_slow_start() || tp.slow_start(1) > 0 {
+                tp.cong_avoid_ai(w, 1);
+            }
+        };
+        for _ in 0..coasted {
+            step(&mut stepping);
+        }
+        prop_assert!(coasting == stepping, "{coasted} steps: {coasting:?} is not {stepping:?}");
+        if avoiding {
+            prop_assert!(coasting.clone().coast(left, |_| None) == 0, "a controller may decline");
+        }
+        if avoiding && coasted < left {
+            coasting.cwnd_cnt += 1;
+            step(&mut stepping);
+            prop_assert!(coasting != stepping, "step {coasted} only counted: {stepping:?}");
+        }
+    }
+
+    /// `on_ack_train` against the per-ACK steps it stands for, for every
+    /// controller, from states no connection need have reached: any
+    /// window against any threshold, counter and clamp, trains that start
+    /// with a jump, carry no RTT sample or arrive 10 ms after the last.
+    #[test]
+    fn an_ack_train_is_the_per_ack_hooks_in_order(seed in 0u64..u64::MAX) {
+        let mut state = seed;
+        let mut below = move |n: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let id = ALL_WITH_EXTENSIONS[below(16) as usize];
+        let (mut by_train, mut by_ack) = (id.build(), id.build());
+        let mut tp = Transport::new(1460);
+        tp.cwnd = 1 + below(600) as u32;
+        tp.ssthresh = match below(3) {
+            0 => crate::transport::INFINITE_SSTHRESH,
+            1 => tp.cwnd + below(5) as u32,
+            _ => 2 + below(600) as u32,
+        };
+        tp.cwnd_cnt = below(700) as u32;
+        tp.cwnd_clamp = [10_000, 2 + below(700) as u32][below(2) as usize];
+        tp.snd_nxt = below(2000);
+        let mut twin = tp.clone();
+        by_train.init(&mut tp);
+        by_ack.init(&mut twin);
+        let mut now = 0.0;
+        for step in 0..below(12) {
+            // HYBLA's window leaves every probe's range within a train.
+            if tp.cwnd > 1 << 20 {
+                break;
+            }
+            if below(6) == 0 {
+                now += 3.0;
+                timeout(&mut by_train, &mut tp, now);
+                timeout(&mut by_ack, &mut twin, now);
+            } else {
+                now += [0.0, 0.01, 0.8, 1.0][below(4) as usize];
+                let sent = below(700);
+                tp.snd_nxt += sent;
+                twin.snd_nxt += sent;
+                let mut ack = Ack {
+                    now,
+                    acked: 1 + below(3) as u32,
+                    rtt: [0.8, 1.0, 1.07, 0.0][below(4) as usize],
+                };
+                let count = below(700);
+                by_train.on_ack_train(&mut tp, &ack, count);
+                for _ in 0..count {
+                    twin.snd_una += u64::from(ack.acked);
+                    twin.observe_rtt(ack.rtt);
+                    by_ack.pkts_acked(&mut twin, &ack);
+                    by_ack.cong_avoid(&mut twin, &ack);
+                    ack.acked = 1;
+                }
+            }
+            prop_assert!(
+                format!("{tp:?} {by_train:?}") == format!("{twin:?} {by_ack:?}"),
+                "step {step}: {tp:?} {by_train:?} is not {twin:?} {by_ack:?}"
+            );
+        }
+    }
+}

@@ -198,6 +198,26 @@ impl CongestionControl for Ctcp {
         self.sync_total(tp);
     }
 
+    fn coast(&mut self, tp: &mut Transport, ack: &Ack, left: u64) -> u64 {
+        // Past slow start, `cwnd_loss += 1/win` with the division hoisted,
+        // for as long as neither the integer window nor the round moves.
+        let left = if tp.in_slow_start() { 0 } else { left };
+        let total = (self.cwnd_loss + self.dwnd).floor();
+        let step = 1.0 / total.max(1.0);
+        let quiet = left.min(self.rounds.quiet_acks(tp));
+        let mut coasted = 0;
+        while coasted < quiet && (self.cwnd_loss + step + self.dwnd).floor() == total {
+            self.cwnd_loss += step;
+            coasted += 1;
+        }
+        if coasted > 0 {
+            // A round boundary in the ACK before forgot the round's RTT;
+            // the first of these restores it.
+            self.pkts_acked(tp, ack);
+        }
+        coasted
+    }
+
     fn ssthresh(&mut self, tp: &Transport) -> u32 {
         ((f64::from(tp.cwnd) * (1.0 - BETA)) as u32).max(2)
     }

@@ -95,11 +95,18 @@ impl Cubic {
         *self = Cubic::with_version(version);
     }
 
+    /// `cnt`, while the kernel's rate limit on recomputing it holds
+    /// (HZ/32 ≈ 31 ms, lifted when the window moved).
+    fn fresh_cnt(&self, cwnd: u32, now: f64) -> Option<u32> {
+        let fresh = self.last_cwnd == cwnd && (now - self.last_time) <= 1.0 / 32.0;
+        fresh.then_some(self.cnt)
+    }
+
     /// `bictcp_update`: compute `cnt`, the number of ACKs per one-packet
     /// window increment.
     fn update(&mut self, cwnd: u32, acked: u32, now: f64) {
         self.ack_cnt += u64::from(acked);
-        if self.last_cwnd == cwnd && (now - self.last_time) <= 1.0 / 32.0 {
+        if self.fresh_cnt(cwnd, now).is_some() {
             return;
         }
         self.last_cwnd = cwnd;
@@ -195,6 +202,15 @@ impl CongestionControl for Cubic {
         }
         self.update(tp.cwnd, acked, ack.now);
         tp.cong_avoid_ai(self.cnt, acked);
+    }
+
+    fn coast(&mut self, tp: &mut Transport, ack: &Ack, left: u64) -> u64 {
+        // Past slow start `update` counts every ACK, and only then looks
+        // at its rate limit.
+        let counted = !tp.in_slow_start();
+        let coasted = tp.coast(left, |tp| self.fresh_cnt(tp.cwnd, ack.now));
+        self.ack_cnt += if counted { coasted } else { 0 };
+        coasted
     }
 
     fn ssthresh(&mut self, tp: &Transport) -> u32 {

@@ -45,6 +45,12 @@ pub fn a_of_w(w: f64) -> f64 {
     (w * w * p * 2.0 * b / (2.0 - b)).max(1.0)
 }
 
+/// Growth by `a(w)` packets per RTT: one packet per `w/a(w)` ACKs.
+fn acks_per_increment(cwnd: u32) -> u32 {
+    let w = f64::from(cwnd);
+    (w / a_of_w(w)).max(1.0) as u32
+}
+
 /// HighSpeed TCP.
 #[derive(Debug, Clone, Default)]
 pub struct Hstcp {
@@ -71,11 +77,11 @@ impl CongestionControl for Hstcp {
                 return;
             }
         }
-        // Grow by a(w) packets per RTT: one packet per w/a(w) ACKs.
-        let w = f64::from(tp.cwnd);
-        let ai = a_of_w(w);
-        let per = (w / ai).max(1.0) as u32;
-        tp.cong_avoid_ai(per, acked);
+        tp.cong_avoid_ai(acks_per_increment(tp.cwnd), acked);
+    }
+
+    fn coast(&mut self, tp: &mut Transport, _ack: &Ack, left: u64) -> u64 {
+        tp.coast(left, |tp| Some(acks_per_increment(tp.cwnd)))
     }
 
     fn ssthresh(&mut self, tp: &Transport) -> u32 {

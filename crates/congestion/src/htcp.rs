@@ -55,14 +55,19 @@ impl Htcp {
     /// `htcp_alpha_update`: quadratic ramp after Δ_L seconds without loss,
     /// scaled by `2(1−β)` so that average throughput matches an AIMD flow
     /// with the same β.
-    fn alpha_update(&mut self, now: f64) {
+    fn alpha_at(&self, now: f64) -> f64 {
         let diff = (now - self.last_cong).max(0.0);
         let mut factor = ALPHA_BASE;
         if diff > DELTA_L {
             let d = diff - DELTA_L;
             factor = 1.0 + 10.0 * d + (d / 2.0) * (d / 2.0);
         }
-        self.alpha = (2.0 * factor * (1.0 - self.beta)).max(ALPHA_BASE);
+        (2.0 * factor * (1.0 - self.beta)).max(ALPHA_BASE)
+    }
+
+    /// Growth by α packets per RTT: one packet per `cwnd/α` ACKs.
+    fn acks_per_increment(&self, cwnd: u32) -> u32 {
+        (f64::from(cwnd) / self.alpha).max(1.0) as u32
     }
 
     /// `htcp_beta_update`: β = RTTmin/RTTmax clamped to [0.5, 0.8], active
@@ -107,10 +112,14 @@ impl CongestionControl for Htcp {
                 return;
             }
         }
-        self.alpha_update(ack.now);
-        // Grow by α packets per RTT: one packet per cwnd/α ACKs.
-        let per = (f64::from(tp.cwnd) / self.alpha).max(1.0) as u32;
-        tp.cong_avoid_ai(per, acked);
+        self.alpha = self.alpha_at(ack.now);
+        tp.cong_avoid_ai(self.acks_per_increment(tp.cwnd), acked);
+    }
+
+    fn coast(&mut self, tp: &mut Transport, ack: &Ack, left: u64) -> u64 {
+        // α depends on the instant: the ACK before set it or ended slow start.
+        let current = self.alpha == self.alpha_at(ack.now);
+        tp.coast(left, |tp| current.then(|| self.acks_per_increment(tp.cwnd)))
     }
 
     fn ssthresh(&mut self, tp: &Transport) -> u32 {

@@ -36,6 +36,10 @@ impl CongestionControl for Reno {
         tp.cong_avoid_ai(tp.cwnd, acked);
     }
 
+    fn coast(&mut self, tp: &mut Transport, _ack: &Ack, left: u64) -> u64 {
+        tp.coast(left, |tp| Some(tp.cwnd))
+    }
+
     fn ssthresh(&mut self, tp: &Transport) -> u32 {
         (tp.cwnd / 2).max(2)
     }

@@ -41,6 +41,10 @@ impl CongestionControl for Scalable {
         tp.cong_avoid_ai(tp.cwnd.min(AI_CNT), acked);
     }
 
+    fn coast(&mut self, tp: &mut Transport, _ack: &Ack, left: u64) -> u64 {
+        tp.coast(left, |tp| Some(tp.cwnd.min(AI_CNT)))
+    }
+
     fn ssthresh(&mut self, tp: &Transport) -> u32 {
         (tp.cwnd - (tp.cwnd >> MD_SHIFT)).max(2)
     }

@@ -121,6 +121,33 @@ impl Transport {
         self.cwnd = self.cwnd.min(self.cwnd_clamp);
     }
 
+    /// The closed form of the steps that only count, for a controller
+    /// whose `cong_avoid` is [`slow_start`](Self::slow_start), then
+    /// [`cong_avoid_ai`](Self::cong_avoid_ai)`(w, acked)`: takes up to
+    /// `left` one-packet ACKs and returns how many. In standard slow start
+    /// each is `cwnd = min(cwnd + 1, cwnd_clamp)`, until `ssthresh`; past it
+    /// the first `w − 1 − cwnd_cnt` are `cwnd_cnt += 1` (`w` is asked for
+    /// only there, and may decline). None while the clamp pulls the window
+    /// down, nor under limited slow start.
+    pub fn coast(&mut self, left: u64, w: impl FnOnce(&Self) -> Option<u32>) -> u64 {
+        let slow_start = self.in_slow_start();
+        if self.cwnd > self.cwnd_clamp || (slow_start && self.max_ssthresh > 0) {
+            return 0;
+        }
+        if slow_start {
+            let room = u64::from(self.ssthresh.min(self.cwnd_clamp) - self.cwnd);
+            // A clamp under `ssthresh` keeps the window in slow start for good.
+            let pinned = self.cwnd_clamp < self.ssthresh;
+            let k = if pinned { left } else { left.min(room) };
+            self.cwnd += k.min(room) as u32;
+            return k;
+        }
+        let Some(w) = w(self) else { return 0 };
+        let k = left.min(u64::from((w.max(1) - 1).saturating_sub(self.cwnd_cnt)));
+        self.cwnd_cnt += k as u32;
+        k
+    }
+
     /// Records an RTT sample into the smoothed estimate and the connection
     /// minimum (RFC 6298 smoothing with gain 1/8).
     pub fn observe_rtt(&mut self, rtt: f64) {
@@ -134,6 +161,23 @@ impl Transport {
         }
         if rtt < self.min_rtt {
             self.min_rtt = rtt;
+        }
+    }
+}
+
+/// [`Transport::observe_rtt`] of one sample, `times` over. A fold that
+/// leaves `(srtt, min_rtt)` as it found them is followed only by folds that
+/// do, so at such an estimate (`settled`, kept for the train) none is taken:
+/// a converged sample costs a comparison, not the serial `srtt` chain.
+fn fold_rtt(tp: &mut Transport, rtt: f64, times: u64, settled: &mut Option<(u64, u64)>) {
+    for _ in 0..times {
+        let found = Some((tp.srtt.to_bits(), tp.min_rtt.to_bits()));
+        if *settled == found {
+            return;
+        }
+        tp.observe_rtt(rtt);
+        if found == Some((tp.srtt.to_bits(), tp.min_rtt.to_bits())) {
+            *settled = found;
         }
     }
 }
@@ -197,23 +241,42 @@ pub trait CongestionControl: fmt::Debug + Send {
 
     /// A train of `count` cumulative ACKs arriving together: `first`,
     /// then `count - 1` more that each acknowledge one further packet at
-    /// the same instant with the same RTT sample. Does, ACK by ACK, what
-    /// the host transport does for an ordinary ACK — advance `snd_una`,
+    /// the same instant with the same RTT sample. Leaves `tp` and the
+    /// controller exactly where the host transport's steps for `count`
+    /// ordinary ACKs would — advance `snd_una`,
     /// fold the RTT sample in, [`pkts_acked`](Self::pkts_acked),
-    /// [`cong_avoid`](Self::cong_avoid) — so the window recursion takes
-    /// exactly the steps single ACKs would drive it through. It exists
-    /// for the dispatch: called through `dyn CongestionControl` it costs
+    /// [`cong_avoid`](Self::cong_avoid) — but takes them only for the ACKs
+    /// that do more than count: after each, the controller may
+    /// [`coast`](Self::coast). Called through `dyn CongestionControl` it costs
     /// one indirect call per train, and the per-ACK hooks inside it are
     /// direct calls the compiler can inline.
     fn on_ack_train(&mut self, tp: &mut Transport, first: &Ack, count: u64) {
         let mut ack = *first;
-        for _ in 0..count {
+        let mut left = count;
+        let mut settled = None;
+        while left > 0 {
             tp.snd_una += u64::from(ack.acked);
-            tp.observe_rtt(ack.rtt);
+            fold_rtt(tp, ack.rtt, 1, &mut settled);
             self.pkts_acked(tp, &ack);
             self.cong_avoid(tp, &ack);
             ack.acked = 1;
+            let coasted = self.coast(tp, &ack, left - 1);
+            tp.snd_una += coasted;
+            fold_rtt(tp, ack.rtt, coasted, &mut settled);
+            left -= 1 + coasted;
         }
+    }
+
+    /// Between two ACKs of a train: `ack` has just been taken and `left`
+    /// more like it follow, each acknowledging one further packet. Takes
+    /// those that leave [`pkts_acked`](Self::pkts_acked) nothing to do and
+    /// [`cong_avoid`](Self::cong_avoid) one counter to move (in slow start,
+    /// the window), moves it and returns how many they were; `snd_una` and
+    /// the RTT estimate are the caller's. The default, for a controller
+    /// that samples, sums or times every ACK: none.
+    fn coast(&mut self, tp: &mut Transport, ack: &Ack, left: u64) -> u64 {
+        let _ = (tp, ack, left);
+        0
     }
 
     /// The slow start threshold to adopt on a loss event: `β · cwnd` for a
@@ -253,6 +316,11 @@ impl RoundTracker {
         } else {
             false
         }
+    }
+
+    /// How many further one-packet ACKs leave `round_elapsed` false.
+    pub fn quiet_acks(&self, tp: &Transport) -> u64 {
+        self.beg_snd_nxt.saturating_sub(tp.snd_una + 1)
     }
 
     /// Forget round progress (used after timeouts).

@@ -162,8 +162,15 @@ struct Session {
     state: SessState,
     stats: SessionStats,
     retries_left: u32,
-    /// Armed deadlines, for staleness checks against fired timers.
+    /// When the peer must have connected or answered by, while it owes
+    /// either.
     io_deadline: Option<Instant>,
+    /// The [`TimerKind::IoDeadline`] timer this connection has in the
+    /// wheel, by its deadline. The wheel never cancels, so a connection
+    /// keeps one there and moves `io_deadline` under it, round trip after
+    /// round trip; see [`arm_io_deadline`].
+    io_timer: Option<Instant>,
+    /// Armed deadlines, for staleness checks against fired timers.
     send_gate: Option<Instant>,
     backoff_at: Option<Instant>,
     /// Tracing spans (all `SpanToken::NONE` when tracing is off). The
@@ -183,6 +190,21 @@ struct PendingProbe {
     ip: Ipv4Addr,
     port: u16,
     reply: mpsc::Sender<SessionResult>,
+}
+
+/// Gives the session's connection until `deadline` to make progress. A
+/// timer goes into the wheel only when none is there to fire by then: a
+/// timer that fires before the deadline it finds re-arms for the rest.
+fn arm_io_deadline(wheel: &mut TimerWheel, session: &mut Session, token: u64, deadline: Instant) {
+    session.io_deadline = Some(deadline);
+    if session.io_timer.is_none_or(|armed| deadline < armed) {
+        session.io_timer = Some(deadline);
+        wheel.insert(Timer {
+            token,
+            kind: TimerKind::IoDeadline,
+            deadline,
+        });
+    }
 }
 
 /// The reactor. Constructed and run on its own thread by
@@ -226,6 +248,10 @@ impl<S: Subscriber> Reactor<S> {
     /// The event loop: runs until [`Command::Shutdown`] or the command
     /// channel closes.
     pub fn run(mut self, commands: mpsc::Receiver<Command>) {
+        self.serve(&commands);
+    }
+
+    fn serve(&mut self, commands: &mpsc::Receiver<Command>) {
         let mut ready: Vec<Readiness> = Vec::new();
         let mut fired: Vec<Timer> = Vec::new();
         let mut disconnected = false;
@@ -349,6 +375,7 @@ impl<S: Subscriber> Reactor<S> {
             stats: SessionStats::default(),
             retries_left: self.config.retries,
             io_deadline: None,
+            io_timer: None,
             send_gate: None,
             backoff_at: None,
             span,
@@ -437,6 +464,7 @@ impl<S: Subscriber> Reactor<S> {
         };
         let new_token = self.alloc_token();
         session.io_deadline = None;
+        session.io_timer = None;
         session.send_gate = None;
         session.backoff_at = None;
         std::mem::replace(&mut session.retry_span, SpanToken::NONE).end(&*self.obs);
@@ -462,12 +490,7 @@ impl<S: Subscriber> Reactor<S> {
                 });
                 session.state = SessState::Connecting;
                 let deadline = Instant::now() + self.config.connect_timeout;
-                session.io_deadline = Some(deadline);
-                self.wheel.insert(Timer {
-                    token: new_token,
-                    kind: TimerKind::IoDeadline,
-                    deadline,
-                });
+                arm_io_deadline(&mut self.wheel, &mut session, new_token, deadline);
                 self.sessions.insert(new_token, session);
                 if done {
                     self.connect_finished(new_token);
@@ -579,12 +602,7 @@ impl<S: Subscriber> Reactor<S> {
                     span_begin_async(&*obs, SpanKind::NetRoundtrip, session.span.id(), 0, 0);
             }
             let deadline = Instant::now() + self.config.io_timeout;
-            session.io_deadline = Some(deadline);
-            self.wheel.insert(Timer {
-                token,
-                kind: TimerKind::IoDeadline,
-                deadline,
-            });
+            arm_io_deadline(&mut self.wheel, session, token, deadline);
             self.set_interest(token, Interest::Read);
         }
     }
@@ -651,7 +669,10 @@ impl<S: Subscriber> Reactor<S> {
                 Ok(Some(n)) => {
                     session.stats.bytes_received += n as u64;
                     conn.decoder.push(&buf[..n]);
-                    if !self.decode_frames(token) {
+                    // The poller is level-triggered: a read that did not
+                    // fill the buffer emptied the socket, and whatever
+                    // arrives later (EOF included) is reported again.
+                    if !self.decode_frames(token) || n < buf.len() {
                         return;
                     }
                 }
@@ -714,9 +735,21 @@ impl<S: Subscriber> Reactor<S> {
         };
         match timer.kind {
             TimerKind::IoDeadline => {
-                if session.io_deadline == Some(timer.deadline) {
-                    session.stats.timeouts += 1;
-                    self.conn_failed(timer.token, true);
+                if session.io_timer != Some(timer.deadline) {
+                    return; // stale: an earlier deadline took its place
+                }
+                session.io_timer = None;
+                match session.io_deadline {
+                    Some(deadline) if deadline <= timer.deadline => {
+                        session.stats.timeouts += 1;
+                        self.conn_failed(timer.token, true);
+                    }
+                    // Fired early: the peer has answered since it was
+                    // armed. Wait out what is left of the current deadline.
+                    Some(deadline) => {
+                        arm_io_deadline(&mut self.wheel, session, timer.token, deadline)
+                    }
+                    None => {}
                 }
             }
             TimerKind::SendDue => {
@@ -803,5 +836,137 @@ impl<S: Subscriber> Reactor<S> {
         // problem; the session is done either way.
         let _ = session.reply.send(result);
         self.pump_pending();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::ServerProfile;
+    use crate::emulated::{Behavior, EmulatedServer};
+    use caai_congestion::AlgorithmId;
+    use caai_obs::NullSubscriber;
+
+    /// Runs one probe per target on the calling thread and hands back the
+    /// reactor as the census left it.
+    fn census(
+        config: NetConfig,
+        targets: &[&EmulatedServer],
+    ) -> (Reactor<NullSubscriber>, Vec<SessionResult>) {
+        let (mut reactor, waker) = Reactor::new(config, Arc::new(NullSubscriber)).unwrap();
+        let (commands, inbox) = mpsc::channel();
+        let replies: Vec<_> = targets
+            .iter()
+            .map(|server| {
+                let std::net::SocketAddr::V4(addr) = server.addr() else {
+                    panic!("emulated servers listen on IPv4 loopback");
+                };
+                let (reply, result) = mpsc::channel();
+                let probe = Command::Probe {
+                    ip: *addr.ip(),
+                    port: addr.port(),
+                    reply,
+                };
+                commands.send(probe).unwrap();
+                result
+            })
+            .collect();
+        // The loop ends once the queue is closed and every session is done.
+        drop(commands);
+        waker.wake();
+        reactor.serve(&inbox);
+        let results = replies.iter().map(|r| r.recv().unwrap()).collect();
+        (reactor, results)
+    }
+
+    #[test]
+    fn a_connection_keeps_one_io_timer_however_many_round_trips() {
+        let servers: Vec<EmulatedServer> =
+            [AlgorithmId::Reno, AlgorithmId::CubicV2, AlgorithmId::Htcp]
+                .iter()
+                .map(|&a| EmulatedServer::spawn(ServerProfile::ideal(a), Behavior::Normal).unwrap())
+                .collect();
+        let targets: Vec<&EmulatedServer> = servers.iter().cycle().take(30).collect();
+        let config = NetConfig {
+            connect_timeout: Duration::from_secs(5),
+            max_sessions: 4,
+            ..NetConfig::default()
+        };
+        let (reactor, results) = census(config, &targets);
+        let connections: usize = results.iter().map(|r| r.stats.connections as usize).sum();
+        let round_trips: u64 = results.iter().map(|r| r.stats.frames_sent).sum();
+        assert!(results.iter().all(|r| r.outcome.pair.is_some()));
+        assert!(
+            round_trips > 20 * connections as u64,
+            "{round_trips} frames"
+        );
+        // Every timer armed is still in the wheel (none is due for
+        // seconds): one per connection, not one per round trip.
+        assert!(
+            reactor.wheel.len() <= connections,
+            "{} timers for {connections} connections",
+            reactor.wheel.len()
+        );
+    }
+
+    #[test]
+    fn an_io_timer_that_fires_early_waits_out_the_rest() {
+        // Paced rounds stretch a probe over many `io_timeout`s while the
+        // peer answers each round at once: the deadline moves, the timer
+        // armed under it fires early, and nothing times out.
+        let server =
+            EmulatedServer::spawn(ServerProfile::ideal(AlgorithmId::Reno), Behavior::Normal)
+                .unwrap();
+        let config = NetConfig {
+            io_timeout: Duration::from_millis(40),
+            pacing: 0.004,
+            retries: 0,
+            ..NetConfig::default()
+        };
+        let begun = Instant::now();
+        let (_, results) = census(config.clone(), &[&server]);
+        assert!(begun.elapsed() > 3 * config.io_timeout);
+        assert_eq!(results[0].stats.timeouts, 0);
+        assert!(results[0].outcome.pair.is_some());
+    }
+
+    #[test]
+    fn a_stalled_peer_times_out_one_io_timeout_after_the_request() {
+        // Whichever way round the two timeouts are: with the connect timer
+        // (10 s) in the wheel the earlier IO deadline must not wait behind
+        // it, and a connect timer that fires before the IO deadline must
+        // re-arm for the rest of it rather than forget it.
+        for connect_timeout in [Duration::from_secs(10), Duration::from_millis(50)] {
+            let config = NetConfig {
+                connect_timeout,
+                io_timeout: Duration::from_millis(200),
+                retries: 0,
+                ..NetConfig::default()
+            };
+            let io_timeout = config.io_timeout;
+            let (done, result) = mpsc::channel();
+            std::thread::spawn(move || {
+                let server = EmulatedServer::spawn(
+                    ServerProfile::ideal(AlgorithmId::Reno),
+                    Behavior::StallAfterAccept,
+                )
+                .unwrap();
+                let begun = Instant::now();
+                let (_, mut results) = census(config, &[&server]);
+                let _ = done.send((begun.elapsed(), results.remove(0)));
+            });
+            let (took, result) = result
+                .recv_timeout(Duration::from_secs(20))
+                .expect("the deadline was forgotten");
+            assert_eq!(result.stats.timeouts, 1);
+            assert!(result.stats.aborted);
+            // One wheel slot of rounding, and what a loaded host adds to a
+            // loopback connect and two thread wake-ups.
+            let slack = Duration::from_millis(4 + 150);
+            assert!(
+                took >= io_timeout && took <= io_timeout + slack,
+                "connect timeout {connect_timeout:?}: timed out after {took:?}"
+            );
+        }
     }
 }

@@ -6,7 +6,10 @@
 //! per insert and makes cancellation free by never cancelling — a
 //! fired timer carries its deadline, and a session that re-armed since
 //! simply ignores the stale firing (the deadline it stores no longer
-//! matches). Slots are 4 ms wide and the ring spans ~1 s; longer
+//! matches). Never cancelling means a timer armed per event piles up: an
+//! IO deadline is therefore moved, not re-armed — the reactor keeps one
+//! in here per connection and re-arms it for the remainder when it fires
+//! early. Slots are 4 ms wide and the ring spans ~1 s; longer
 //! timers (connect timeouts, backoffs) wait in an overflow map that
 //! cascades into the ring as the cursor advances.
 

@@ -101,7 +101,22 @@ impl PathConfig {
 
     /// Samples the fate of one data packet.
     pub fn data_fate(&self, rng: &mut impl Rng) -> DataFate {
-        let u: f64 = rng.random();
+        self.fate_at(rng.random())
+    }
+
+    /// The fate the draw `u` stands for. The three thresholds are sums of
+    /// non-negative terms and so ascend: a draw at or past the last is past
+    /// all of them, and the common fate costs one comparison.
+    fn fate_at(&self, u: f64) -> DataFate {
+        if u >= self.data_loss + self.data_dup + self.late_prob {
+            return DataFate::Delivered;
+        }
+        self.fate_by_chain(u)
+    }
+
+    /// Threshold by threshold: what [`fate_at`](Self::fate_at) falls back
+    /// on, and the whole of what it must agree with.
+    fn fate_by_chain(&self, u: f64) -> DataFate {
         if u < self.data_loss {
             DataFate::Lost
         } else if u < self.data_loss + self.data_dup {
@@ -226,6 +241,53 @@ mod tests {
         let p = PathConfig::from_condition(&cond);
         assert!(p.late_prob > 0.1, "late_prob {}", p.late_prob);
         assert!(p.late_prob <= 0.25, "cap respected: {}", p.late_prob);
+    }
+
+    #[test]
+    fn the_short_cut_is_the_chain_at_every_threshold() {
+        let conditions = crate::ConditionDb::paper_2011();
+        let mut rng = seeded(5);
+        let mut paths = vec![
+            PathConfig::clean(),
+            PathConfig::lossy(0.02),
+            PathConfig::lossy(1.0),
+            PathConfig {
+                data_loss: 0.3,
+                ack_loss: 0.0,
+                data_dup: 0.3,
+                late_prob: 0.4,
+            },
+        ];
+        paths.extend((0..200).map(|_| PathConfig::from_condition(&conditions.sample(&mut rng))));
+        for p in &paths {
+            p.validate().expect("a path the census could use");
+            let thresholds = [
+                p.data_loss,
+                p.data_loss + p.data_dup,
+                p.data_loss + p.data_dup + p.late_prob,
+            ];
+            let around = |t: f64| {
+                [
+                    t.next_down().next_down(),
+                    t.next_down(),
+                    t,
+                    t.next_up(),
+                    t.next_up().next_up(),
+                ]
+            };
+            let draws =
+                thresholds
+                    .into_iter()
+                    .flat_map(around)
+                    .chain([0.0, 0.5, 1.0f64.next_down()]);
+            for u in draws.filter(|u| (0.0..1.0).contains(u)) {
+                assert_eq!(p.fate_at(u), p.fate_by_chain(u), "{p:?} at {u:e}");
+            }
+            for _ in 0..100 {
+                let u: f64 = rng.random();
+                assert_eq!(p.fate_at(u), p.fate_by_chain(u), "{p:?} at {u:e}");
+            }
+        }
     }
 
     #[test]

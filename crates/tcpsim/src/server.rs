@@ -252,12 +252,7 @@ impl TcpServer {
         self.tp.snd_una = ack.cum_ack;
         self.dup_acks = 0;
 
-        // Restart the retransmission timer on progress.
-        self.rto_deadline = if self.tp.snd_una < self.tp.snd_nxt.max(self.send_cursor) {
-            Some(now + self.config.rto)
-        } else {
-            None
-        };
+        self.restart_rto(now);
 
         // F-RTO resolution (RFC 5682 basic algorithm).
         match self.frto {
@@ -311,14 +306,36 @@ impl TcpServer {
 
     /// Processes the ACK train `first, first + 1, …, first + count - 1`,
     /// every ACK arriving at `now` with the RTT sample `rtt`: exactly
-    /// what `count` calls of [`on_ack`](Self::on_ack) do. A train whose
-    /// ACKs this connection's own state makes all ordinary — advancing,
-    /// RTT-bearing, no F-RTO step, HyStart round, recovery point or
-    /// per-ACK quirk waiting, and none of those can arise inside such a
-    /// train — is one call into the controller
-    /// ([`CongestionControl::on_ack_train`]); any other goes through
-    /// `on_ack` ACK by ACK.
+    /// what `count` calls of [`on_ack`](Self::on_ack) do. Each stretch of
+    /// it whose ACKs are all ordinary (`ordinary_acks`) is one call
+    /// into the controller ([`CongestionControl::on_ack_train`]); the ACKs
+    /// between stretches go through `on_ack` one by one.
     pub fn on_ack_run(&mut self, now: f64, first: u64, count: u64, rtt: f64) {
+        let (mut cum_ack, mut left) = (first, count);
+        // ACKs for data never sent are ignored, as `on_ack` ignores them.
+        while left > 0 && cum_ack <= self.tp.snd_nxt {
+            let train = self.ordinary_acks(cum_ack, rtt).min(left);
+            if train == 0 {
+                self.on_ack(now, AckPacket { cum_ack, rtt });
+            } else {
+                let acked = (cum_ack - self.tp.snd_una) as u32;
+                self.cc
+                    .on_ack_train(&mut self.tp, &Ack { now, acked, rtt }, train);
+                self.dup_acks = 0;
+                self.restart_rto(now);
+            }
+            (cum_ack, left) = (cum_ack + train.max(1), left - train.max(1));
+        }
+    }
+
+    /// How many ACKs of a train that starts at `first` this connection's
+    /// own state makes ordinary: advancing, RTT-bearing, for data that was
+    /// sent, no F-RTO step, recovery point or per-ACK quirk waiting (none
+    /// can arise inside such a stretch) and nothing for HyStart to do —
+    /// which acts on the ACK that takes `snd_una` to its round's `end_seq`
+    /// and, in slow start, on a round's ACKs up to the 8th at a window of
+    /// 16. No controller re-enters slow start at a window that large.
+    fn ordinary_acks(&self, first: u64, rtt: f64) -> u64 {
         let per_ack_quirk = matches!(
             self.config.quirk,
             SenderQuirk::NonIncreasing | SenderQuirk::ApproachPreTimeoutMax
@@ -326,30 +343,23 @@ impl TcpServer {
         let ordinary = rtt > 0.0
             && first > self.tp.snd_una
             && self.frto == FrtoState::Inactive
-            && self.hystart.is_none()
             && self.recovery_point.is_none()
             && !per_ack_quirk;
         if !ordinary {
-            let acks = (0..count).map(|i| first.saturating_add(i));
-            return acks.for_each(|cum_ack| self.on_ack(now, AckPacket { cum_ack, rtt }));
+            return 0;
         }
-        // ACKs for data never sent are ignored, as `on_ack` ignores them.
-        let count = count.min((self.tp.snd_nxt + 1).saturating_sub(first));
-        if count == 0 {
-            return;
+        let sent = self.tp.snd_nxt + 1 - first;
+        match &self.hystart {
+            Some(round) if round.sample_cnt < HYSTART_MIN_SAMPLES && self.tp.in_slow_start() => 0,
+            Some(round) => sent.min(round.end_seq.saturating_sub(first)),
+            None => sent,
         }
-        let ack = Ack {
-            now,
-            acked: (first - self.tp.snd_una) as u32,
-            rtt,
-        };
-        self.cc.on_ack_train(&mut self.tp, &ack, count);
-        self.dup_acks = 0;
-        self.rto_deadline = if self.tp.snd_una < self.tp.snd_nxt.max(self.send_cursor) {
-            Some(now + self.config.rto)
-        } else {
-            None
-        };
+    }
+
+    /// Restarts the retransmission timer on progress.
+    fn restart_rto(&mut self, now: f64) {
+        let outstanding = self.tp.snd_una < self.tp.snd_nxt.max(self.send_cursor);
+        self.rto_deadline = outstanding.then_some(now + self.config.rto);
     }
 
     /// Re-arms HyStart for a fresh slow start.
@@ -1236,6 +1246,80 @@ mod tests {
                     format!("{trains:?}") == format!("{singles:?}"),
                     "step {step}: {trains:?} is not {singles:?}"
                 );
+            }
+        }
+
+        /// The same oracle where probes live: slow start to `w_max`, the
+        /// emulated timeout, then 18 or more full-window rounds — every
+        /// packet acknowledged (§IV-C), the ACKs between two the path
+        /// lost arriving as a train, the RTT stepping 0.8 ↔ 1.0 between
+        /// rounds so the smoothed estimate has to converge again.
+        #[test]
+        fn a_probe_heard_in_trains_is_the_probe_heard_ack_by_ack(seed in 0u64..u64::MAX) {
+            let mut draw = Draw(seed);
+            let algorithm = caai_congestion::ALL_WITH_EXTENSIONS[draw.below(16) as usize];
+            let w_max = 64 + draw.below(449) as u32;
+            let config = ServerConfig {
+                initial_window: 1 + draw.below(10) as u32,
+                frto: draw.below(4) == 0,
+                quirk: match draw.below(4) {
+                    0 => SenderQuirk::BoundedBuffer { clamp: w_max / 2 + draw.below(u64::from(w_max)) as u32 },
+                    1 => SenderQuirk::BufferBoundedRecovery { percent_of_wmax: 50 + draw.below(100) as u32 },
+                    _ => SenderQuirk::None,
+                },
+                slow_start: match draw.below(3) {
+                    0 => SlowStartVariant::Standard,
+                    1 => SlowStartVariant::Limited { max_ssthresh: 8 + draw.below(120) as u32 },
+                    _ => SlowStartVariant::Hybrid,
+                },
+                ..ServerConfig::ideal()
+            };
+            let connect = || TcpServer::connect(algorithm, config, 1 << 40, &SsthreshCache::new(), 0.0);
+            let (mut trains, mut singles) = (connect(), connect());
+            let most_lost = [0, 0, 1, 4][draw.below(4) as usize];
+            let (mut now, mut rtt) = (0.0, 0.8);
+            let mut timed_out = false;
+            let mut rounds_left = 40;
+            while rounds_left > 0 {
+                rounds_left -= 1;
+                let burst = trains.transmit(now);
+                prop_assert!(burst == singles.transmit(now));
+                // No probe follows a window there (HYBLA's, at these RTTs).
+                if burst.len() > 1 << 12 {
+                    break;
+                }
+                if !timed_out && trains.cwnd() >= w_max {
+                    // Nobody answers this burst.
+                    now = trains.rto_deadline().expect("data is outstanding");
+                    prop_assert!(trains.fire_rto(now) && singles.fire_rto(now));
+                    (timed_out, rounds_left) = (true, 18 + draw.below(8));
+                    if config.frto {
+                        trains.on_ack_run(now, trains.snd_una(), 1, 0.0);
+                        singles.on_ack(now, AckPacket::duplicate(singles.snd_una()));
+                    }
+                    continue;
+                }
+                now += rtt;
+                let mut lost: Vec<u64> = (0..draw.below(most_lost + 1))
+                    .map(|_| burst.seqs().start + 1 + draw.below(burst.len().max(1) as u64))
+                    .collect();
+                lost.sort_unstable();
+                let mut first = burst.seqs().start + 1;
+                for stop in lost.into_iter().chain([burst.seqs().end + 1]) {
+                    let count = stop.saturating_sub(first);
+                    trains.on_ack_run(now, first, count, rtt);
+                    for cum_ack in first..first + count {
+                        singles.on_ack(now, AckPacket { cum_ack, rtt });
+                    }
+                    prop_assert!(
+                        format!("{trains:?}") == format!("{singles:?}"),
+                        "{rounds_left} rounds to go, train {first}+{count}: {trains:?} is not {singles:?}"
+                    );
+                    first = first.max(stop + 1);
+                }
+                if draw.below(3) == 0 {
+                    rtt = if rtt == 0.8 { 1.0 } else { 0.8 };
+                }
             }
         }
     }
