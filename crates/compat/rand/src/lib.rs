@@ -293,7 +293,7 @@ pub mod seq {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::{index, SliceRandom};
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn streams_are_deterministic() {
@@ -311,6 +311,20 @@ mod tests {
             let u: f64 = rng.random();
             assert!((0.0..1.0).contains(&u));
         }
+    }
+
+    #[test]
+    fn a_unit_float_is_the_top_53_bits_of_one_draw() {
+        // `caai-netem` compares those bits with `ceil(p · 2^53)` in place
+        // of the float with `p`; that is the same test only while this holds.
+        let (mut floats, mut words) = (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
+        for _ in 0..1000 {
+            let k = words.next_u64() >> 11;
+            let u: f64 = floats.random();
+            assert_eq!(u.to_bits(), (k as f64 * 2f64.powi(-53)).to_bits());
+            assert_eq!(u * 2f64.powi(53), k as f64, "scaling back is exact");
+        }
+        assert_eq!(floats.next_u64(), words.next_u64(), "one draw a float");
     }
 
     #[test]

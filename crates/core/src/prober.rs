@@ -360,9 +360,10 @@ impl Prober {
                 match defense.as_mut() {
                     Some(d) => {
                         let packets = d.on_burst(burst, rng);
-                        inbox.deliver(packets.iter().map(|p| p.seq), path, rng);
+                        let runs = packets.chunk_by(|a, b| a.seq + 1 == b.seq);
+                        inbox.deliver(runs.map(|r| (r[0].seq, r.len() as u64)), path, rng);
                     }
-                    None => inbox.deliver(burst.seqs(), path, rng),
+                    None => inbox.deliver([(burst.seqs().start, burst.len() as u64)], path, rng),
                 }
                 for run in &inbox.received {
                     for seq in run.first..run.first + run.len {
@@ -386,15 +387,17 @@ impl Prober {
                 };
                 // One fate per ACK, in sending order; the ACKs between two
                 // losses reach the server as the train they form.
-                let mut first = acks.first;
-                for cum_ack in acks.first..=acks.first + (acks.len - 1) {
-                    tap.ack_sent(now, cum_ack, acks.duplicate);
-                    if path.ack_fate(rng) != caai_netem::AckFate::Delivered {
-                        deliver(first, cum_ack - first);
-                        first = cum_ack + 1;
+                let (mut first, mut left) = (acks.first, acks.len);
+                while left > 0 {
+                    let delivered = path.ack_run(left, rng);
+                    // The lost ACK that ended the train was sent as well.
+                    let sent = left.min(delivered + 1);
+                    for cum_ack in first..first + sent {
+                        tap.ack_sent(now, cum_ack, acks.duplicate);
                     }
+                    deliver(first, delivered);
+                    (first, left) = (first + sent, left - sent);
                 }
-                deliver(first, acks.first + acks.len - first);
             }
             round_span.end_at(obs, now);
             match end.next {
@@ -441,26 +444,34 @@ struct Inbox {
 }
 
 impl Inbox {
-    /// Applies path fates to the packets `sent` (one draw each, in wire
-    /// order) behind the arrivals carried over from the previous round.
-    /// Leaves this round's arrivals in `received`, in sequence order with
-    /// carried packets ahead of equal sequence numbers, and the next
-    /// round's carry in `carry`. Consecutive deliveries extend a run; a
-    /// loss or a late packet ends it. The prober cannot tell defense
-    /// dummies from real data — by design — so a dummy is just another
-    /// sequence number here.
-    fn deliver(&mut self, sent: impl Iterator<Item = u64>, path: &PathConfig, rng: &mut impl Rng) {
+    /// Applies path fates to the runs `sent` — `(first, len)`, one draw a
+    /// packet, in wire order — behind the arrivals carried over from the
+    /// previous round. Leaves this round's arrivals in `received`, in
+    /// sequence order with carried packets ahead of equal sequence
+    /// numbers, and the next round's carry in `carry`. Deliveries between
+    /// two exceptions are one run, whatever their number; a loss or a
+    /// late packet ends it. The prober cannot tell defense dummies from
+    /// real data — by design — so a dummy is just another sequence number
+    /// here.
+    fn deliver(
+        &mut self,
+        sent: impl IntoIterator<Item = (u64, u64)>,
+        path: &PathConfig,
+        rng: &mut impl Rng,
+    ) {
         self.received.clear();
         self.received.append(&mut self.carry);
-        for seq in sent {
-            match path.data_fate(rng) {
-                DataFate::Delivered => push_packet(&mut self.received, seq, false),
-                DataFate::Lost => {}
-                DataFate::Duplicated => {
-                    push_packet(&mut self.received, seq, false);
-                    push_packet(&mut self.carry, seq, true);
+        for (mut first, mut left) in sent {
+            while left > 0 {
+                let (delivered, fate) = path.data_run(left, rng);
+                let arrived = delivered + u64::from(fate == Some(DataFate::Duplicated));
+                push_run(&mut self.received, first, arrived, false);
+                let Some(fate) = fate else { break };
+                let seq = first + delivered;
+                if fate != DataFate::Lost {
+                    push_run(&mut self.carry, seq, 1, fate == DataFate::Duplicated);
                 }
-                DataFate::Late => push_packet(&mut self.carry, seq, false),
+                (first, left) = (seq + 1, left - delivered - 1);
             }
         }
         // Stragglers lie below this round's burst and a burst ascends, so
@@ -476,19 +487,23 @@ impl Inbox {
             packets.sort_by_key(|&(seq, _)| seq);
             self.received.clear();
             for (seq, duplicate) in packets {
-                push_packet(&mut self.received, seq, duplicate);
+                push_run(&mut self.received, seq, 1, duplicate);
             }
         }
     }
 }
 
-/// Appends one packet, extending the last run when it continues it.
-fn push_packet(runs: &mut Vec<Run>, seq: u64, duplicate: bool) {
+/// Appends the packets `first .. first + len`, extending the last run
+/// when they continue it.
+fn push_run(runs: &mut Vec<Run>, first: u64, len: u64, duplicate: bool) {
+    if len == 0 {
+        return;
+    }
     match runs.last_mut() {
-        Some(run) if run.duplicate == duplicate && run.first + run.len == seq => run.len += 1,
+        Some(run) if run.duplicate == duplicate && run.first + run.len == first => run.len += len,
         _ => runs.push(Run {
-            first: seq,
-            len: 1,
+            first,
+            len,
             duplicate,
         }),
     }
@@ -870,19 +885,24 @@ mod tests {
                 .collect();
             let mut inbox = Inbox::default();
             for late in &carry {
-                push_packet(&mut inbox.carry, late.seq, late.duplicate);
+                push_run(&mut inbox.carry, late.seq, 1, late.duplicate);
             }
             let (mut rng, mut oracle_rng) = (seeded(seed ^ 1), seeded(seed ^ 1));
             for round in 0..4 {
-                // A sender's burst ascends; a defended wire need not.
+                // A sender's burst is one run; a defended wire has gaps
+                // where packets were held back, and need not even ascend.
                 let first = below(60);
                 let mut wire: Vec<u64> = (first..first + below(80)).collect();
+                if below(3) == 0 {
+                    wire.retain(|_| below(4) != 0);
+                }
                 if below(4) == 0 {
                     wire.extend((0..below(6)).map(|_| below(100)));
                     let shift = below(5) as usize % wire.len().max(1);
                     wire.rotate_left(shift);
                 }
-                inbox.deliver(wire.iter().copied(), &path, &mut rng);
+                let runs = wire.chunk_by(|a, b| a + 1 == *b);
+                inbox.deliver(runs.map(|r| (r[0], r.len() as u64)), &path, &mut rng);
                 let expected = deliver_per_packet(&wire, &mut carry, &path, &mut oracle_rng);
                 let (received, carried) = (packets(&inbox.received), packets(&inbox.carry));
                 proptest::prop_assert!(

@@ -40,6 +40,18 @@
 //! network upload) does not stall the coordinator — which keeps draining
 //! workers, folding aggregates, and writing checkpoints — until the
 //! queue itself fills, which bounds memory instead of growing a backlog.
+//!
+//! ## Hand-overs
+//!
+//! Records change threads a hand-over at a time, not one by one: a worker
+//! keeps what it finishes until it holds a claimed batch's worth or 2 ms
+//! (`HANDOVER_INTERVAL`) have passed since it last handed over, and the
+//! coordinator passes each hand-over on to the sink thread whole. A
+//! record that crosses alone wakes two parked threads, which at
+//! simulator speed cost a quarter of the probe that made it; a transport
+//! whose probes outlast the interval (live sockets: milliseconds to
+//! minutes) still delivers every record as it completes. Which of the two
+//! happens follows from the probe times observed, not from a setting.
 
 use crate::budget::Budget;
 use crate::checkpoint::Checkpoint;
@@ -59,7 +71,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Tuning and policy knobs for one engine run.
 #[derive(Debug, Clone)]
@@ -77,7 +89,8 @@ pub struct EngineConfig {
     /// Checkpoint after every this many newly completed records.
     pub checkpoint_every: u64,
     /// Bounded capacity of the engine's two internal queues (workers →
-    /// coordinator, coordinator → sink thread).
+    /// coordinator, coordinator → sink thread), in hand-overs: each holds
+    /// at most a claimed batch of records.
     pub sink_queue: usize,
     /// Probe/deadline budget for this run.
     pub budget: Budget,
@@ -162,10 +175,20 @@ impl From<io::Error> for EngineError {
     }
 }
 
+/// How long a worker may keep finished records to itself.
+const HANDOVER_INTERVAL: Duration = Duration::from_millis(2);
+
+/// Whether a worker that holds `held` finished records, of a claimed batch
+/// of `batch`, gives them to the coordinator now, `since` its last
+/// hand-over.
+fn hands_over(held: usize, batch: usize, since: Duration) -> bool {
+    held >= batch || since >= HANDOVER_INTERVAL
+}
+
 /// What the coordinator feeds the sink thread through the bounded queue.
 enum SinkMsg {
-    /// One completed record to emit.
-    Record(CensusRecord),
+    /// Completed records to emit, in this order.
+    Records(Vec<CensusRecord>),
     /// Flush every sink, then ack — the coordinator's write barrier
     /// before a checkpoint, so a checkpoint never claims a record the
     /// sinks have not durably written (kill-safe with buffered writers).
@@ -331,7 +354,7 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
     // blocked on a full sink queue), workers block in send instead of
     // growing an O(records) backlog.
     let queue = config.sink_queue.max(1);
-    let (tx, rx) = mpsc::sync_channel::<CensusRecord>(queue);
+    let (tx, rx) = mpsc::sync_channel::<Vec<CensusRecord>>(queue);
     let (sink_tx, sink_rx) = mpsc::sync_channel::<SinkMsg>(queue);
 
     let mut run_error: Option<EngineError> = None;
@@ -349,9 +372,11 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
         let sink_thread = scope.spawn(move || -> io::Result<()> {
             for msg in &sink_rx {
                 match msg {
-                    SinkMsg::Record(record) => {
-                        for sink in sinks.iter_mut() {
-                            sink.emit(&record)?;
+                    SinkMsg::Records(records) => {
+                        for record in &records {
+                            for sink in sinks.iter_mut() {
+                                sink.emit(record)?;
+                            }
                         }
                     }
                     SinkMsg::Flush(ack) => {
@@ -375,6 +400,8 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
             let scheduler = &scheduler;
             let stop = &stop;
             scope.spawn(move || {
+                let mut held = Vec::new();
+                let mut handed = Instant::now();
                 'claim: while let Some(batch) = scheduler.next_batch() {
                     // Explicit parent: the run span lives on the
                     // coordinator thread, this batch on a worker.
@@ -385,6 +412,7 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
                         batch.start as i64,
                         batch.len() as i64,
                     );
+                    let claimed = batch.len();
                     for i in batch {
                         if stop.load(Ordering::Relaxed) {
                             batch_span.end(obs);
@@ -396,20 +424,36 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
                             record.server_id, id,
                             "transport contract: probe(id) returns that id's record"
                         );
-                        if tx.send(record).is_err() {
-                            batch_span.end(obs);
-                            break 'claim;
+                        held.push(record);
+                        if hands_over(held.len(), claimed, handed.elapsed()) {
+                            if tx.send(std::mem::take(&mut held)).is_err() {
+                                batch_span.end(obs);
+                                break 'claim;
+                            }
+                            handed = Instant::now();
                         }
                     }
                     batch_span.end(obs);
+                }
+                // Stopped, or out of work between two hand-overs.
+                if !held.is_empty() {
+                    let _ = tx.send(held);
                 }
             });
         }
         drop(tx);
 
         // Coordinator: fold aggregates, mark the bitmap, forward to
-        // the sink thread, checkpoint, and enforce the budget.
-        for record in &rx {
+        // the sink thread, checkpoint, and enforce the budget — record by
+        // record; what is folded goes on to the sink thread when its
+        // hand-over ends, or ahead of a checkpoint.
+        let mut folded = Vec::new();
+        let arrivals = rx.iter().flat_map(|records| {
+            let held = records.len();
+            let numbered = records.into_iter().enumerate();
+            numbered.map(move |(i, record)| (record, i + 1 == held))
+        });
+        for (record, ends_handover) in arrivals {
             if run_error.is_some() {
                 // Drain remaining in-flight records without folding.
                 continue;
@@ -423,7 +467,13 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
             done += 1;
             since_checkpoint += 1;
 
-            let mut sink_dead = sink_tx.send(SinkMsg::Record(record)).is_err();
+            folded.push(record);
+            let checkpoint_due =
+                config.checkpoint_path.is_some() && since_checkpoint >= config.checkpoint_every;
+            let mut sink_dead = (ends_handover || checkpoint_due)
+                && sink_tx
+                    .send(SinkMsg::Records(std::mem::take(&mut folded)))
+                    .is_err();
             if sink_dead {
                 // The sink thread bailed; its error surfaces at join.
                 stop.store(true, Ordering::Relaxed);
@@ -434,10 +484,7 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
                     eprintln!("census: {line}");
                 }
             }
-            if !sink_dead
-                && config.checkpoint_path.is_some()
-                && since_checkpoint >= config.checkpoint_every
-            {
+            if !sink_dead && checkpoint_due {
                 since_checkpoint = 0;
                 // Write barrier: every record in this checkpoint must
                 // already be flushed through the sinks, and whatever the
@@ -557,4 +604,87 @@ fn sync_sinks(sink_tx: &mpsc::SyncSender<SinkMsg>) -> bool {
         return false;
     }
     ack_rx.recv().is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use caai_core::census::Verdict;
+    use caai_core::trace::InvalidReason;
+    use std::sync::Mutex;
+
+    #[test]
+    fn a_worker_hands_over_a_full_batch_or_what_it_has_after_the_interval() {
+        let (quick, slow) = (Duration::from_micros(60), HANDOVER_INTERVAL);
+        // Simulator speed: a batch of 16 takes a millisecond and crosses whole.
+        assert!((1..16).all(|held| !hands_over(held, 16, quick * held as u32)));
+        assert!(hands_over(16, 16, quick * 16));
+        // A probe that outlasts the interval crosses as it completes,
+        // and so does everything finished since the last hand-over.
+        assert!(hands_over(1, 16, slow));
+        assert!(hands_over(3, 16, slow + quick * 2));
+        assert!(!hands_over(3, 16, slow - quick));
+        // The run's last batch may be short, and a batch of one is a hand-over
+        // per record however quick the probes.
+        assert!(hands_over(5, 5, quick * 5));
+        assert!(hands_over(1, 1, Duration::ZERO));
+    }
+
+    /// Sends the id of every record that reaches it.
+    struct Announcing(mpsc::Sender<u32>);
+
+    impl ResultSink for Announcing {
+        fn emit(&mut self, record: &CensusRecord) -> io::Result<()> {
+            self.0.send(record.server_id).map_err(io::Error::other)
+        }
+    }
+
+    /// Every fourth probe outlasts the hand-over interval; the probe after
+    /// it does not return until the sink has announced the slow record.
+    struct EveryFourthSlow {
+        announced: Mutex<mpsc::Receiver<u32>>,
+    }
+
+    impl ProbeTransport for EveryFourthSlow {
+        fn population(&self) -> u64 {
+            40
+        }
+
+        fn probe<S: Subscriber>(&self, id: u32, _: u64, _: &S) -> CensusRecord {
+            if id % 4 == 3 {
+                std::thread::sleep(HANDOVER_INTERVAL * 2);
+            } else if id.is_multiple_of(4) && id > 0 {
+                let announced = self.announced.lock().expect("one worker");
+                let patience = Duration::from_secs(20);
+                while announced
+                    .recv_timeout(patience)
+                    .expect("the slow record crosses before the batch is done")
+                    != id - 1
+                {}
+            }
+            CensusRecord {
+                server_id: id,
+                truth: None,
+                verdict: Verdict::Invalid(InvalidReason::PageTooShort),
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_that_took_longer_than_the_interval_reaches_the_sinks_at_once() {
+        let (announce, announced) = mpsc::channel();
+        let transport = EveryFourthSlow {
+            announced: Mutex::new(announced),
+        };
+        let config = EngineConfig {
+            workers: 1,
+            batch_size: 16,
+            ..EngineConfig::default()
+        };
+        let mut sink = Announcing(announce);
+        let outcome = run_transport(&transport, &config, &mut [&mut sink], None)
+            .expect("neither sink nor checkpoint can fail");
+        assert!(outcome.completed);
+        assert_eq!(outcome.report.total, 40);
+    }
 }

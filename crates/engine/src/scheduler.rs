@@ -21,12 +21,14 @@ pub struct BatchScheduler {
 
 impl BatchScheduler {
     /// Creates a scheduler over `total` work items claimed `batch` at a
-    /// time. A batch size of 0 is promoted to 1.
+    /// time. A batch size of 0 is promoted to 1, and one beyond `total`
+    /// cut to it: the cursor moves by a batch per claim, the claims that
+    /// find nothing included, and must not come round to 0 again.
     pub fn new(total: usize, batch: usize) -> Self {
         BatchScheduler {
             cursor: AtomicUsize::new(0),
             total,
-            batch: batch.max(1),
+            batch: batch.clamp(1, total.max(1)),
         }
     }
 
@@ -74,6 +76,18 @@ mod tests {
     fn empty_work_list_yields_no_batches() {
         let sched = BatchScheduler::new(0, 8);
         assert!(sched.next_batch().is_none());
+    }
+
+    #[test]
+    fn a_batch_of_half_the_address_space_is_claimed_once() {
+        // Two claims of 2^63 used to bring the cursor back to 0, and the
+        // second claimant probed everything again.
+        let sched = BatchScheduler::new(60, 1 << (usize::BITS - 1));
+        assert_eq!(sched.next_batch(), Some(0..60));
+        for _second_worker_then_both_again in 0..3 {
+            assert_eq!(sched.next_batch(), None);
+        }
+        assert_eq!(sched.claimed(), 60);
     }
 
     #[test]

@@ -137,6 +137,34 @@ impl PathConfig {
         }
     }
 
+    /// [`data_fate`](Self::data_fate) for up to `n` packets, one draw
+    /// each, stopping at the first that is not delivered: how many were
+    /// delivered ahead of it, and its fate (`None`: all `n` arrived).
+    pub fn data_run(&self, n: u64, rng: &mut impl Rng) -> (u64, Option<DataFate>) {
+        // `max` skips a NaN, so a draw at or past this is past every
+        // threshold that can compare at all, as in `fate_by_chain`.
+        let any = self.data_loss + self.data_dup;
+        let any = draws_below(self.data_loss.max(any).max(any + self.late_prob));
+        for delivered in 0..n {
+            let k = rng.next_u64() >> 11;
+            if k < any {
+                match self.fate_at(k as f64 * DRAW_UNIT) {
+                    DataFate::Delivered => {}
+                    fate => return (delivered, Some(fate)),
+                }
+            }
+        }
+        (n, None)
+    }
+
+    /// [`ack_fate`](Self::ack_fate) for up to `n` ACKs, one draw each,
+    /// stopping at the first lost one: how many were delivered ahead of
+    /// it (`n`: none was lost).
+    pub fn ack_run(&self, n: u64, rng: &mut impl Rng) -> u64 {
+        let lost = draws_below(self.ack_loss);
+        (0..n).find(|_| rng.next_u64() >> 11 < lost).unwrap_or(n)
+    }
+
     /// Validates that all probabilities are in range and jointly feasible.
     pub fn validate(&self) -> Result<(), InvalidPathConfig> {
         let fields = [
@@ -162,6 +190,19 @@ impl PathConfig {
         }
         Ok(())
     }
+}
+
+/// What one step of `random::<f64>()`'s 53-bit draw is worth: the draw is
+/// `(next_u64() >> 11) as f64 * DRAW_UNIT`.
+const DRAW_UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// `ceil(p · 2^53)`, the number of draws `k` with `k · 2^-53 < p`: scaling
+/// by a power of two is exact, so `random::<f64>() < p` is exactly
+/// `next_u64() >> 11 < draws_below(p)`, a test that stays in the integer
+/// registers. Nothing lies below a NaN or a negative `p` (the cast
+/// saturates), every draw below a `p` above one.
+fn draws_below(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 impl Default for PathConfig {
@@ -287,6 +328,98 @@ mod tests {
                 let u: f64 = rng.random();
                 assert_eq!(p.fate_at(u), p.fate_by_chain(u), "{p:?} at {u:e}");
             }
+        }
+    }
+
+    /// Replays a list of draws, round and round.
+    struct Scripted {
+        draws: Vec<u64>,
+        drawn: usize,
+    }
+
+    impl rand::RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.drawn += 1;
+            self.draws[(self.drawn - 1) % self.draws.len()]
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn the_run_forms_are_the_one_packet_forms_draw_for_draw(seed in 0u64..u64::MAX) {
+            use rand::RngCore;
+            let mut rng = seeded(seed);
+            // Probabilities whose comparison with a draw is decided in the
+            // last place: `k · 2^-53` and its neighbours, the ends of the
+            // unit interval, a subnormal, and what `validate` would refuse.
+            let k = rng.next_u64() >> 11;
+            let exact = k as f64 * DRAW_UNIT;
+            let edges = [
+                exact, exact.next_up(), exact.next_down(), 0.0, 1.0, 5e-324, 0.02, -0.1, 1.5, f64::NAN,
+            ];
+            let mut edge = |bound: u64| edges[(rng.next_u64() % bound) as usize];
+            let path = match seed % 6 {
+                0 => PathConfig::clean(),
+                1 => PathConfig::lossy(edge(7)),
+                2 => PathConfig::lossy(1.0),
+                3 => PathConfig::from_condition(&crate::ConditionDb::paper_2011().sample(&mut rng)),
+                4 => PathConfig {
+                    data_loss: exact / 4.0,
+                    ack_loss: edge(7),
+                    data_dup: exact / 4.0,
+                    late_prob: exact / 2.0,
+                },
+                _ => PathConfig {
+                    data_loss: edge(10),
+                    ack_loss: edge(10),
+                    data_dup: edge(10),
+                    late_prob: edge(10),
+                },
+            };
+            // Draws of which every other one lands on a threshold or next
+            // to it; the low 11 bits never count.
+            let thresholds = [
+                path.data_loss,
+                path.data_loss + path.data_dup,
+                path.data_loss + path.data_dup + path.late_prob,
+                path.ack_loss,
+            ];
+            let draws = (0..200).map(|i: u32| {
+                let t = thresholds[(rng.next_u64() % 4) as usize];
+                let at = ((t / DRAW_UNIT) as u64 + rng.next_u64() % 3).saturating_sub(1);
+                let noise = rng.next_u64();
+                if i.is_multiple_of(2) { at.min((1 << 53) - 1) << 11 | noise >> 53 } else { noise }
+            });
+            let draws: Vec<u64> = draws.collect();
+            let script = || Scripted { draws: draws.clone(), drawn: 0 };
+            let n = 150 + seed % 100;
+
+            let (mut by_run, mut one_by_one) = (script(), script());
+            let mut fates = Vec::new();
+            while (fates.len() as u64) < n {
+                let (delivered, fate) = path.data_run(n - fates.len() as u64, &mut by_run);
+                fates.extend((0..delivered).map(|_| DataFate::Delivered));
+                fates.extend(fate);
+                proptest::prop_assert!(fate != Some(DataFate::Delivered));
+            }
+            let expected: Vec<DataFate> = (0..n).map(|_| path.data_fate(&mut one_by_one)).collect();
+            proptest::prop_assert!(fates == expected, "{path:?}: {fates:?} is not {expected:?}");
+            proptest::prop_assert!(by_run.drawn == one_by_one.drawn, "{path:?}: data draws");
+
+            let mut lost = Vec::new();
+            let mut sent = 0;
+            while sent < n {
+                let delivered = path.ack_run(n - sent, &mut by_run);
+                sent += delivered + 1;
+                lost.push(sent - 1);
+            }
+            lost.retain(|&ack| ack < n);
+            let expected: Vec<u64> =
+                (0..n).filter(|_| path.ack_fate(&mut one_by_one) == AckFate::Lost).collect();
+            proptest::prop_assert!(lost == expected, "{path:?}: {lost:?} is not {expected:?}");
+            proptest::prop_assert!(by_run.drawn == one_by_one.drawn, "{path:?}: ACK draws");
         }
     }
 

@@ -336,10 +336,14 @@ impl TcpServer {
     /// and, in slow start, on a round's ACKs up to the 8th at a window of
     /// 16. No controller re-enters slow start at a window that large.
     fn ordinary_acks(&self, first: u64, rtt: f64) -> u64 {
-        let per_ack_quirk = matches!(
-            self.config.quirk,
-            SenderQuirk::NonIncreasing | SenderQuirk::ApproachPreTimeoutMax
-        );
+        // `apply_quirks_after_growth` does nothing before the first
+        // timeout, and nothing more once `NonIncreasing` has frozen.
+        let per_ack_quirk = self.timeouts > 0
+            && match self.config.quirk {
+                SenderQuirk::NonIncreasing => self.quirk_freeze.is_none(),
+                SenderQuirk::ApproachPreTimeoutMax => true,
+                _ => false,
+            };
         let ordinary = rtt > 0.0
             && first > self.tp.snd_una
             && self.frto == FrtoState::Inactive

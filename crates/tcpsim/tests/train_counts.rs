@@ -11,7 +11,7 @@
 use caai_congestion::cubic::Cubic;
 use caai_congestion::reno::Reno;
 use caai_congestion::{Ack, CongestionControl, LossKind, Transport};
-use caai_tcpsim::{ServerConfig, SlowStartVariant, SsthreshCache, TcpServer};
+use caai_tcpsim::{SenderQuirk, ServerConfig, SlowStartVariant, SsthreshCache, TcpServer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -69,22 +69,27 @@ struct PostTimeout {
 
 const ROUNDS: u64 = 18;
 
+/// One round with every packet acknowledged and no ACK lost, a train;
+/// returns its ACKs.
+fn round(server: &mut TcpServer, now: &mut f64) -> u64 {
+    let burst = server.transmit(*now);
+    *now += 1.0;
+    server.on_ack_run(*now, burst.seqs().start + 1, burst.len() as u64, 1.0);
+    burst.len() as u64
+}
+
 /// A probe's shape (§IV): slow start to `w_max` = 512, the emulated
 /// timeout, then 18 rounds — slow start to the new threshold and
-/// congestion avoidance from there — with every packet acknowledged and
-/// no ACK lost.
-fn post_timeout_rounds(
+/// congestion avoidance from there. Also returns the `cong_avoid` calls
+/// made before the timeout.
+fn probe_rounds(
     controller: impl CongestionControl + 'static,
-    slow_start: SlowStartVariant,
-) -> PostTimeout {
+    config: ServerConfig,
+) -> (u64, PostTimeout) {
     let calls = Arc::new(AtomicU64::new(0));
     let counting = Counting {
         inner: controller,
         cong_avoid_calls: Arc::clone(&calls),
-    };
-    let config = ServerConfig {
-        slow_start,
-        ..ServerConfig::ideal()
     };
     let mut server = TcpServer::with_controller(
         Box::new(counting),
@@ -93,12 +98,6 @@ fn post_timeout_rounds(
         &SsthreshCache::new(),
         0.0,
     );
-    let round = |server: &mut TcpServer, now: &mut f64| {
-        let burst = server.transmit(*now);
-        *now += 1.0;
-        server.on_ack_run(*now, burst.seqs().start + 1, burst.len() as u64, 1.0);
-        burst.len() as u64
-    };
     let mut now = 0.0;
     while server.cwnd() < 512 {
         round(&mut server, &mut now);
@@ -120,7 +119,18 @@ fn post_timeout_rounds(
         shape.increments += u64::from(server.cwnd().saturating_sub(window.max(threshold)));
     }
     shape.cong_avoid_calls = calls.load(Ordering::Relaxed) - calls_before;
-    shape
+    (calls_before, shape)
+}
+
+fn post_timeout_rounds(
+    controller: impl CongestionControl + 'static,
+    slow_start: SlowStartVariant,
+) -> PostTimeout {
+    let config = ServerConfig {
+        slow_start,
+        ..ServerConfig::ideal()
+    };
+    probe_rounds(controller, config).1
 }
 
 #[test]
@@ -172,4 +182,27 @@ fn a_hystart_armed_cubic_leaves_the_train_only_where_hystart_acts() {
     let bound = 3 * ROUNDS + 2 * cubic.increments + 8 * cubic.slow_start_rounds + 15;
     assert!(cubic.cong_avoid_calls <= bound, "{cubic:?} against {bound}");
     assert!(cubic.cong_avoid_calls * 10 < cubic.acks, "{cubic:?}");
+}
+
+#[test]
+fn a_sender_that_stops_growing_rides_the_train_until_it_can_stop() {
+    let probe = |quirk| probe_rounds(Reno::new(), ServerConfig::ideal().with_quirk(quirk));
+    let (plain_before, _) = probe(SenderQuirk::None);
+    let (before, frozen) = probe(SenderQuirk::NonIncreasing);
+    println!("RENO, NonIncreasing: {before} calls before the timeout, then {frozen:?}");
+    // The quirk waits for the first timeout; until then the sender is a
+    // plain one, ACK for ACK.
+    assert_eq!((before, plain_before), (8, 8));
+    // After it the quirk watches the slow start ACK by ACK for its end
+    // (1 + 2 + … + 128 of them), freezes what the sender may use, and has
+    // nothing left to do: a call a round.
+    assert_eq!(
+        frozen,
+        PostTimeout {
+            acks: 2_815,
+            cong_avoid_calls: 255 + ROUNDS,
+            slow_start_rounds: 8,
+            increments: 9
+        }
+    );
 }

@@ -204,7 +204,8 @@ COMMANDS:
                   [--budget N]           stop cleanly after N probes
                   [--deadline SECS]      stop cleanly after SECS wall-clock
                   [--batch N]            servers per scheduler batch (16)
-                  [--sink-queue N]       bounded sink-thread queue depth (1024)
+                  [--sink-queue N]       bounded sink-thread queue depth, in hand-overs
+                                         of up to --batch records (1024)
                   [--progress N]         progress + stage-timing line every N records
                                          (0 = quiet; --metrics still collects)
                   [--metrics FILE]       write a final caai-metrics-v1 snapshot line

@@ -7,7 +7,9 @@
 //! dozen times whatever its windows, and no probe's memory is set by what
 //! its sender would like to send. The pinned counts answer why an ideal
 //! CUBIC_v2 gathers slower than an ideal RENO over the same schedule:
-//! the same 56 rounds, 45 % more packets.
+//! the same 56 rounds, 45 % more packets. The random stream is counted
+//! too: a probe draws once per packet sent and once per ACK sent, in that
+//! order, and a draw skipped or made twice is a different census.
 
 use caai::congestion::AlgorithmId;
 use caai::core::prober::{ProbeTap, Prober, ProberConfig};
@@ -16,6 +18,8 @@ use caai::netem::rng::{child, seeded};
 use caai::netem::{ConditionDb, EnvironmentId, PathConfig};
 use caai::obs::NullSubscriber;
 use caai::webmodel::PopulationConfig;
+use rand::rngs::StdRng;
+use rand::RngCore;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -163,4 +167,52 @@ fn reno_and_cubic_differ_in_packets_not_in_rounds() {
     };
     assert_eq!(shape(AlgorithmId::Reno), (2, 56, 14_402, 12_356));
     assert_eq!(shape(AlgorithmId::CubicV2), (2, 56, 20_855, 18_809));
+}
+
+/// A generator that counts what is drawn from it.
+struct CountingRng {
+    inner: StdRng,
+    draws: u64,
+}
+
+impl RngCore for CountingRng {
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.inner.next_u64()
+    }
+}
+
+#[test]
+fn a_probe_draws_once_per_packet_and_once_per_ack() {
+    let prober = Prober::new(ProberConfig::default());
+    let mut rng = CountingRng {
+        inner: seeded(17),
+        draws: 0,
+    };
+    let server = ServerUnderTest::ideal(AlgorithmId::Reno);
+    let outcome = prober.gather(&server, &PathConfig::clean(), &mut rng);
+    assert!(outcome.pair.is_some());
+    // On a clean path every packet sent arrives: the counts of
+    // `reno_and_cubic_differ_in_packets_not_in_rounds`.
+    assert_eq!(rng.draws, 14_402 + 12_356);
+
+    // Three servers of `census_sim`'s seed-1 population behind lossy
+    // paths (0.7 %, 11 % and, with late arrivals and a sender that stops
+    // growing, 6.8 %), where runs and trains are cut short all the time.
+    // The numbers are those of the per-packet prober (PR 17).
+    let seed = 1;
+    let conditions = ConditionDb::paper_2011();
+    let population = PopulationConfig::small(5000).generate(&mut seeded(seed));
+    for (id, draws) in [(16, 18_897), (119, 40_291), (332, 24_966)] {
+        let web = &population[id];
+        let mut rng = CountingRng {
+            inner: child(seed, u64::from(web.id)),
+            draws: 0,
+        };
+        let path = PathConfig::from_condition(&conditions.sample(&mut rng));
+        assert!(path.data_loss > 0.0 && path.ack_loss > 0.0);
+        let sampling = rng.draws;
+        prober.gather(&ServerUnderTest::from_web_server(web), &path, &mut rng);
+        assert_eq!(rng.draws - sampling, draws, "server {id} behind {path:?}");
+    }
 }

@@ -270,3 +270,33 @@ fn cli_merge_refuses_holes_unless_allow_partial() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn cli_census_with_a_batch_of_half_the_address_space_probes_each_server_once() {
+    // The scheduler's cursor used to wrap on the second claim of 2^63:
+    // 120 probes of 60 servers, and a report that called itself partial.
+    let census = |batch| {
+        let run = caai(&[
+            "census",
+            "--servers",
+            "60",
+            "--conditions",
+            "2",
+            "--workers",
+            "2",
+            "--batch",
+            batch,
+            "--json",
+        ]);
+        assert!(run.status.success(), "--batch {batch}: {run:?}");
+        run
+    };
+    let huge = census("9223372036854775808");
+    let stderr = String::from_utf8_lossy(&huge.stderr);
+    assert!(
+        stderr.contains("census: 60/60 servers (60 probed"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("partial"), "{stderr}");
+    assert_eq!(huge.stdout, census("16").stdout);
+}
