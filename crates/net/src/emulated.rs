@@ -11,7 +11,9 @@
 //! The server side is deliberately boring: one blocking accept thread,
 //! one blocking thread per connection, which answers every frame a
 //! read brought (a round arrives as one `AckRun` and one `Xmit`) into
-//! one reused buffer and writes once. The interesting concurrency
+//! one reused buffer and writes once — on the CPU the client's packets
+//! arrive on (`SO_INCOMING_CPU`, asked again after every read), so a
+//! round trip's two wake-ups stay on one CPU. The interesting concurrency
 //! lives in the reactor under test, not in its test double. Failure
 //! modes for the hardening tests ride on [`Behavior`]: a server that
 //! accepts and then stalls (driving the client's IO timeout), and one
@@ -27,7 +29,7 @@ use std::time::Duration;
 
 use crate::core::{Reply, ServerCore, ServerProfile};
 use crate::frame::{ClientFrame, FrameDecoder, Wire};
-use crate::sys::set_linger_reset;
+use crate::sys::{confine_to, current_cpu, incoming_cpu, set_linger_reset};
 use crate::targets::Target;
 
 /// How an emulated server treats its clients.
@@ -57,23 +59,15 @@ impl EmulatedServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_accept = Arc::clone(&stop);
-        let accept_thread = std::thread::spawn(move || {
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            for stream in listener.incoming() {
-                if stop_accept.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let profile = profile.clone();
-                workers.push(std::thread::spawn(move || {
-                    serve_connection(stream, profile, behavior);
-                }));
-                workers.retain(|w| !w.is_finished());
-            }
-            for w in workers {
-                let _ = w.join();
-            }
-        });
+        let serve = move |stream| {
+            let profile = profile.clone();
+            std::thread::Builder::new()
+                .name("caai-emu-conn".into())
+                .spawn(move || serve_connection(stream, profile, behavior))
+        };
+        let accept_thread = std::thread::Builder::new()
+            .name("caai-emu-accept".into())
+            .spawn(move || accept_loop(&listener, &stop_accept, serve))?;
         Ok(EmulatedServer {
             addr,
             stop,
@@ -111,6 +105,45 @@ impl Drop for EmulatedServer {
     }
 }
 
+/// Hands every accepted connection to `serve` until `stop` is set. A
+/// refused thread drops the connection with the closure that owned it:
+/// the client sees EOF and retries, and the listener keeps accepting.
+fn accept_loop(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    serve: impl Fn(TcpStream) -> std::io::Result<JoinHandle<()>>,
+) {
+    let mut workers: Vec<JoinHandle<()>> = Vec::new();
+    let mut cpu = None;
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        // The connection thread inherits this thread's mask, so it is
+        // born on the CPU its first frame will arrive on.
+        follow_incoming_cpu(&stream, &mut cpu);
+        if let Ok(worker) = serve(stream) {
+            workers.push(worker);
+        }
+        workers.retain(|w| !w.is_finished());
+    }
+    for w in workers {
+        let _ = w.join();
+    }
+}
+
+/// Moves the calling thread to the CPU `stream`'s packets arrive on,
+/// unless that is `*cpu`, where it already is: a reply written on the
+/// sender's CPU wakes the sender there, not an idle CPU first.
+fn follow_incoming_cpu(stream: &TcpStream, cpu: &mut Option<usize>) {
+    let incoming = incoming_cpu(stream.as_raw_fd());
+    if let Some(to) = incoming.filter(|_| incoming != *cpu) {
+        confine_to(to);
+        *cpu = incoming;
+    }
+}
+
 /// Upper bound a stalled or hostile client can hold a server thread.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -138,12 +171,14 @@ fn serve_connection(mut stream: TcpStream, profile: ServerProfile, behavior: Beh
     // One reply buffer per connection, written once per read: a round
     // arrives as an `AckRun` and an `Xmit` together.
     let mut out = Vec::new();
+    let mut cpu = current_cpu();
     loop {
         let n = match stream.read(&mut buf) {
             Ok(0) => return, // client closed; connection complete
             Ok(n) => n,
             Err(_) => return,
         };
+        follow_incoming_cpu(&stream, &mut cpu);
         decoder.push(&buf[..n]);
         let end = answer_frames(&mut core, &mut decoder, &mut bursts_left, &mut out);
         if !out.is_empty() && stream.write_all(&out).is_err() {
@@ -238,6 +273,31 @@ mod tests {
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let frame = handshake(&mut stream);
         assert_eq!(frame, ServerFrame::Welcome { granted_mss: 100 });
+    }
+
+    #[test]
+    fn a_refused_thread_drops_the_connection_and_the_listener_lives() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop_accept = Arc::clone(&stop);
+        let accept = std::thread::spawn(move || {
+            let refuse = |_stream| Err(std::io::ErrorKind::WouldBlock.into());
+            accept_loop(&listener, &stop_accept, refuse);
+        });
+        // Twice: the accept thread outlives the first refusal.
+        for _ in 0..2 {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut buf = [0u8; 16];
+            // EOF (or a reset): what the reactor's retry path starts from.
+            match stream.read(&mut buf) {
+                Ok(0) | Err(_) => {}
+                other => panic!("expected drop, got {other:?}"),
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        accept.join().unwrap();
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! is spent and [`LadderCore::abort`] reduces the session to a
 //! `TransportAborted` outcome. Sessions never panic the reactor;
 //! every failure ends in a result on the session's reply channel.
+//! The dedicated thread keeps the CPU it starts on: ARCHITECTURE.md,
+//! "Where a live probe's threads run".
 
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
@@ -99,6 +101,10 @@ pub struct SessionStats {
     /// what tells run framing (a few hundred frames, a few KiB per
     /// probe) from per-packet framing (~15 k frames, ~585 KB).
     pub frames_sent: u64,
+    /// `read` calls on the session's sockets that returned bytes.
+    pub reads: u64,
+    /// `write` calls that took bytes.
+    pub writes: u64,
 }
 
 /// What a probe session resolves to.
@@ -260,12 +266,11 @@ impl<S: Subscriber> Reactor<S> {
                 return;
             }
             let timeout_ms = match self.wheel.next_deadline() {
+                // Rounded up: truncated, the last millisecond before every
+                // timer is a timeout of 0 and the loop spins through it.
                 Some(deadline) => {
-                    let now = Instant::now();
-                    deadline
-                        .saturating_duration_since(now)
-                        .as_millis()
-                        .min(60_000) as i32
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    left.as_micros().div_ceil(1000).min(60_000) as i32
                 }
                 None => -1,
             };
@@ -572,6 +577,7 @@ impl<S: Subscriber> Reactor<S> {
                 Ok(Some(n)) => {
                     conn.out_at += n;
                     session.stats.bytes_sent += n as u64;
+                    session.stats.writes += 1;
                 }
                 Ok(None) => {
                     self.set_interest(token, Interest::ReadWrite);
@@ -668,6 +674,7 @@ impl<S: Subscriber> Reactor<S> {
                 }
                 Ok(Some(n)) => {
                     session.stats.bytes_received += n as u64;
+                    session.stats.reads += 1;
                     conn.decoder.push(&buf[..n]);
                     // The poller is level-triggered: a read that did not
                     // fill the buffer emptied the socket, and whatever
@@ -845,7 +852,7 @@ mod tests {
     use crate::core::ServerProfile;
     use crate::emulated::{Behavior, EmulatedServer};
     use caai_congestion::AlgorithmId;
-    use caai_obs::NullSubscriber;
+    use caai_obs::{MetricsSubscriber, NullSubscriber};
 
     /// Runs one probe per target on the calling thread and hands back the
     /// reactor as the census left it.
@@ -853,7 +860,15 @@ mod tests {
         config: NetConfig,
         targets: &[&EmulatedServer],
     ) -> (Reactor<NullSubscriber>, Vec<SessionResult>) {
-        let (mut reactor, waker) = Reactor::new(config, Arc::new(NullSubscriber)).unwrap();
+        census_obs(config, targets, Arc::new(NullSubscriber))
+    }
+
+    fn census_obs<S: Subscriber>(
+        config: NetConfig,
+        targets: &[&EmulatedServer],
+        obs: Arc<S>,
+    ) -> (Reactor<S>, Vec<SessionResult>) {
+        let (mut reactor, waker) = Reactor::new(config, obs).unwrap();
         let (commands, inbox) = mpsc::channel();
         let replies: Vec<_> = targets
             .iter()
@@ -928,6 +943,31 @@ mod tests {
         assert!(begun.elapsed() > 3 * config.io_timeout);
         assert_eq!(results[0].stats.timeouts, 0);
         assert!(results[0].outcome.pair.is_some());
+    }
+
+    #[test]
+    fn a_paced_probe_sleeps_until_its_timers_are_due() {
+        // A count, not a clock: every paced frame costs a tick for its
+        // send timer and one for the reply. A poll timeout truncated to
+        // whole milliseconds spun through the last millisecond before
+        // each timer instead — hundreds of ticks per frame.
+        let server =
+            EmulatedServer::spawn(ServerProfile::ideal(AlgorithmId::Reno), Behavior::Normal)
+                .unwrap();
+        let config = NetConfig {
+            pacing: 0.004,
+            ..NetConfig::default()
+        };
+        let obs = Arc::new(MetricsSubscriber::new());
+        let (_, results) = census_obs(config, &[&server], Arc::clone(&obs));
+        assert!(results[0].outcome.pair.is_some());
+        let frames = results[0].stats.frames_sent;
+        let ticks = obs.snapshot().counters["net.reactor_ticks"];
+        assert!(frames > 50, "{frames} frames");
+        assert!(
+            ticks <= 2 * frames + 16,
+            "{ticks} ticks for {frames} frames"
+        );
     }
 
     #[test]

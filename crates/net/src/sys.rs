@@ -5,7 +5,9 @@
 //! read, write, close, setsockopt/getsockopt, and a readiness
 //! multiplexer — so they are declared here directly against the C
 //! ABI. Linux gets `epoll` + `eventfd`; other unixes fall back to
-//! `poll(2)` + a self-pipe. All `unsafe` in the crate is confined to
+//! `poll(2)` + a self-pipe. Linux also places threads ([`confine_to`]:
+//! `sched_getcpu`, `sched_setaffinity`, `SO_INCOMING_CPU`; best effort,
+//! no-ops elsewhere). All `unsafe` in the crate is confined to
 //! this module; everything it exports is a safe wrapper over an owned
 //! file descriptor.
 
@@ -221,6 +223,7 @@ mod imp {
     const EPOLLRDHUP: u32 = 0x2000;
     const EFD_NONBLOCK: i32 = 0o4000;
     const EFD_CLOEXEC: i32 = 0o2000000;
+    const SO_INCOMING_CPU: i32 = 49;
 
     // x86-64 packs this struct in the kernel ABI.
     #[repr(C, packed)]
@@ -235,6 +238,8 @@ mod imp {
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
         fn eventfd(initval: u32, flags: i32) -> i32;
+        fn sched_getcpu() -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const usize) -> i32;
     }
 
     fn interest_bits(interest: Interest) -> u32 {
@@ -362,6 +367,36 @@ mod imp {
                 write(self.fd, one.to_ne_bytes().as_ptr(), 8);
             }
         }
+    }
+
+    /// The CPU the calling thread is running on.
+    pub fn current_cpu() -> Option<usize> {
+        // SAFETY: takes no arguments and touches no memory of ours.
+        usize::try_from(unsafe { sched_getcpu() }).ok()
+    }
+
+    /// Confines the calling thread, and those it spawns from now on, to
+    /// `cpu`. Best effort: placement is never a correctness condition, so
+    /// a refusal (cpuset, seccomp, a CPU past the 1,024-bit mask) is ignored.
+    pub fn confine_to(cpu: usize) {
+        const BITS: usize = usize::BITS as usize;
+        let mut mask = [0usize; 1024 / BITS];
+        if let Some(word) = mask.get_mut(cpu / BITS) {
+            *word = 1 << (cpu % BITS);
+            // SAFETY: `mask` outlives the call and its true size is
+            // passed; pid 0 names the calling thread.
+            unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+        }
+    }
+
+    /// The CPU the socket's packets last arrived on (`SO_INCOMING_CPU`):
+    /// the sender's CPU over loopback, the NIC queue's for a remote peer.
+    pub fn incoming_cpu(fd: i32) -> Option<usize> {
+        let mut cpu: i32 = -1;
+        let mut len = std::mem::size_of::<i32>() as u32;
+        // SAFETY: `cpu` and `len` outlive the call; `len` is `cpu`'s size.
+        let rc = unsafe { getsockopt(fd, SOL_SOCKET, SO_INCOMING_CPU, &mut cpu, &mut len) };
+        usize::try_from(cpu).ok().filter(|_| rc == 0)
     }
 }
 
@@ -506,9 +541,33 @@ mod imp {
             }
         }
     }
+
+    /// Thread placement is Linux-only: unknown here.
+    pub fn current_cpu() -> Option<usize> {
+        None
+    }
+
+    /// Thread placement is Linux-only: a no-op here.
+    pub fn confine_to(_cpu: usize) {}
+
+    /// Thread placement is Linux-only: unknown here.
+    pub fn incoming_cpu(_fd: i32) -> Option<usize> {
+        None
+    }
 }
 
-pub use imp::{Poller, Waker};
+pub use imp::{confine_to, current_cpu, incoming_cpu, Poller, Waker};
+
+/// The calling thread's `(migrations, context switches)` so far, from
+/// `/proc/thread-self/sched`; `None` where the kernel keeps no such file.
+pub fn sched_counts() -> Option<(u64, u64)> {
+    let text = std::fs::read_to_string("/proc/thread-self/sched").ok()?;
+    let field = |name| {
+        let line = text.lines().find(|line| line.starts_with(name))?;
+        line.rsplit(':').next()?.trim().parse::<u64>().ok()
+    };
+    Some((field("se.nr_migrations")?, field("nr_switches")?))
+}
 
 #[cfg(test)]
 mod tests {
@@ -554,6 +613,65 @@ mod tests {
             "waker must cut the sleep short"
         );
         handle.join().unwrap();
+    }
+
+    /// `Cpus_allowed_list` of the calling thread; `None` without `/proc`.
+    fn allowed_cpus() -> Option<String> {
+        let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
+        let list = status
+            .lines()
+            .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))?;
+        Some(list.trim().to_owned())
+    }
+
+    #[test]
+    fn confine_to_leaves_the_thread_exactly_one_cpu() {
+        // On a thread of its own: the mask must not outlive the test.
+        let handle = std::thread::spawn(|| {
+            let (Some(cpu), Some(before)) = (current_cpu(), allowed_cpus()) else {
+                eprintln!("skipped: no sched_getcpu or no /proc/thread-self/status here");
+                return;
+            };
+            confine_to(cpu);
+            assert_eq!(allowed_cpus().unwrap(), cpu.to_string(), "was {before}");
+            assert_eq!(current_cpu(), Some(cpu));
+            // A CPU the mask cannot name is ignored, not a panic.
+            confine_to(1 << 20);
+            assert_eq!(allowed_cpus().unwrap(), cpu.to_string());
+            // Not every kernel keeps /proc/thread-self/sched.
+            if let Some((migrations, _)) = sched_counts() {
+                std::thread::yield_now();
+                assert_eq!(sched_counts().unwrap().0, migrations, "confined, yet moved");
+            }
+        });
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn incoming_cpu_is_the_confined_senders_cpu() {
+        use std::io::{Read, Write};
+        use std::os::unix::io::AsRawFd;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sender = std::thread::spawn(move || {
+            let cpu = current_cpu();
+            if let Some(cpu) = cpu {
+                confine_to(cpu);
+            }
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            stream.write_all(b"x").unwrap();
+            // Hold the socket open until the byte is read.
+            let _ = stream.read(&mut [0u8; 1]);
+            cpu
+        });
+        let (mut peer, _) = listener.accept().unwrap();
+        peer.read_exact(&mut [0u8; 1]).unwrap();
+        let incoming = incoming_cpu(peer.as_raw_fd());
+        drop(peer);
+        match sender.join().unwrap() {
+            Some(cpu) => assert_eq!(incoming, Some(cpu)),
+            None => eprintln!("skipped: no sched_getcpu here"),
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Observability: rung attempts and gather completions recorded by the
 //! session's [`LadderCore`](crate::core::LadderCore) are replayed into
 //! the per-probe subscriber on the *calling* worker thread (the
-//! reactor thread only emits its own `ReactorTicked` /
+//! reactor thread only emits its own `ReactorTicked` / `ReactorExited` /
 //! `RateLimiterStalled` events into the transport-wide subscriber), so
 //! `--metrics` floors hold identically for simulated and live runs.
 
@@ -27,11 +27,12 @@ use caai_core::{
 };
 use caai_netem::EnvironmentId;
 use caai_obs::{
-    span_begin, GatherFinished, NetSessionEnded, RungAttemptStarted, SpanKind, Subscriber,
+    span_begin, GatherFinished, NetSessionEnded, ReactorExited, RungAttemptStarted, SpanKind,
+    Subscriber,
 };
 
 use crate::reactor::{Command, NetConfig, Reactor, SessionResult, SessionStats};
-use crate::sys::Waker;
+use crate::sys::{self, Waker};
 use crate::targets::Target;
 
 /// A live-socket [`ProbeTransport`] over a resolved target list.
@@ -67,9 +68,24 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
         let first_rung = *ladder.first().unwrap_or(&DEFAULT_LADDER[0]);
         let (reactor, waker) = Reactor::new(config, Arc::clone(&obs))?;
         let (tx, rx) = mpsc::channel();
+        let reactor_obs = Arc::clone(&obs);
         let reactor_thread = std::thread::Builder::new()
             .name("caai-net-reactor".into())
-            .spawn(move || reactor.run(rx))?;
+            .spawn(move || {
+                // A probe is ~60 serial hand-offs with the peer's thread;
+                // a reactor that stays put lets the peer stay beside it.
+                if let Some(cpu) = sys::current_cpu() {
+                    sys::confine_to(cpu);
+                }
+                let before = sys::sched_counts();
+                reactor.run(rx);
+                if let (Some(before), Some(after)) = (before, sys::sched_counts()) {
+                    reactor_obs.on_reactor_exited(&ReactorExited {
+                        migrations: after.0 - before.0,
+                        switches: after.1 - before.1,
+                    });
+                }
+            })?;
         Ok(NetTransport {
             resolved,
             targets,
@@ -185,6 +201,8 @@ impl<R: Subscriber + Send + Sync + 'static> ProbeTransport for NetTransport<R> {
             bytes_sent: result.stats.bytes_sent,
             bytes_received: result.stats.bytes_received,
             frames_sent: result.stats.frames_sent,
+            reads: result.stats.reads,
+            writes: result.stats.writes,
         });
         let classify_span = span_begin(obs, SpanKind::Classify, i64::from(id), 0);
         let (verdict, _) = verdict_for_outcome(&result.outcome, &self.classifier);

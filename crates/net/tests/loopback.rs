@@ -306,3 +306,31 @@ fn unresolvable_targets_reduce_to_aborted_records() {
         Some(InvalidReason::TransportAborted)
     );
 }
+
+#[test]
+fn the_reactor_thread_never_changes_cpu() {
+    let servers: Vec<EmulatedServer> = [AlgorithmId::Reno, AlgorithmId::CubicV2, AlgorithmId::Htcp]
+        .iter()
+        .map(|&a| EmulatedServer::spawn(ServerProfile::ideal(a), Behavior::Normal).unwrap())
+        .collect();
+    let targets: Vec<Target> = (0..30).map(|i| servers[i % 3].target()).collect();
+    let obs = Arc::new(MetricsSubscriber::new());
+    let transport =
+        NetTransport::new(targets, classifier(), fast_config(), Arc::clone(&obs)).unwrap();
+    for id in 0..30 {
+        transport.probe(id, 0, &*obs);
+    }
+    // The reactor reports on its way out.
+    drop(transport);
+    let counters = obs.snapshot().counters;
+    assert_eq!(counters["net.sessions_aborted"], 0);
+    // One read and one write per round trip, a round trip per two frames.
+    assert!(counters["net.reactor_reads"] >= counters["net.frames_sent"] / 2);
+    assert!(counters["net.reactor_writes"] >= counters["net.frames_sent"] / 2);
+    let Some(migrations) = counters.get("net.reactor_migrations") else {
+        eprintln!("skipped the count: no /proc/thread-self/sched here");
+        return;
+    };
+    assert_eq!(*migrations, 0, "a confined reactor stays where it started");
+    assert!(counters["net.reactor_switches"] > 0);
+}

@@ -238,6 +238,11 @@ pub struct NetSessionEnded {
     pub bytes_received: u64,
     /// Protocol frames the session sent, all attempts together.
     pub frames_sent: u64,
+    /// `read` calls the reactor made on the session's sockets that
+    /// returned bytes, all attempts together.
+    pub reads: u64,
+    /// `write` calls that took bytes, likewise.
+    pub writes: u64,
 }
 
 /// A probe session was held back by the politeness rate limiter.
@@ -257,6 +262,17 @@ pub struct ReactorTicked {
     /// Wall microseconds the tick spent dispatching (excluding the
     /// `epoll_wait`/`poll` sleep itself).
     pub latency_us: u64,
+}
+
+/// The socket reactor's thread is exiting; what the scheduler did to it
+/// since it confined itself to one CPU (`/proc/thread-self/sched`, so
+/// emitted only where the kernel keeps that file).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReactorExited {
+    /// Times the thread was moved to another CPU (`se.nr_migrations`).
+    pub migrations: u64,
+    /// Context switches, voluntary and involuntary (`nr_switches`).
+    pub switches: u64,
 }
 
 /// Every event, borrowed. What a catch-all [`Subscriber::on_event`]
@@ -281,6 +297,7 @@ pub enum Event<'a> {
     NetSessionEnded(&'a NetSessionEnded),
     RateLimiterStalled(&'a RateLimiterStalled),
     ReactorTicked(&'a ReactorTicked),
+    ReactorExited(&'a ReactorExited),
     SpanBegin(&'a SpanBegin),
     SpanEnd(&'a SpanEnd),
 }
@@ -403,6 +420,12 @@ pub trait Subscriber: Sync {
         self.on_event(&Event::ReactorTicked(event));
     }
 
+    /// See [`ReactorExited`].
+    #[inline(always)]
+    fn on_reactor_exited(&self, event: &ReactorExited) {
+        self.on_event(&Event::ReactorExited(event));
+    }
+
     /// See [`SpanBegin`].
     #[inline(always)]
     fn on_span_begin(&self, event: &SpanBegin) {
@@ -516,6 +539,10 @@ impl<S: Subscriber + ?Sized> Subscriber for &S {
     #[inline(always)]
     fn on_reactor_ticked(&self, event: &ReactorTicked) {
         (**self).on_reactor_ticked(event);
+    }
+    #[inline(always)]
+    fn on_reactor_exited(&self, event: &ReactorExited) {
+        (**self).on_reactor_exited(event);
     }
     #[inline(always)]
     fn on_span_begin(&self, event: &SpanBegin) {
@@ -646,6 +673,12 @@ impl<S: Subscriber> Subscriber for Option<S> {
         }
     }
     #[inline(always)]
+    fn on_reactor_exited(&self, event: &ReactorExited) {
+        if let Some(s) = self {
+            s.on_reactor_exited(event);
+        }
+    }
+    #[inline(always)]
     fn on_span_begin(&self, event: &SpanBegin) {
         if let Some(s) = self {
             s.on_span_begin(event);
@@ -760,6 +793,11 @@ impl<A: Subscriber, B: Subscriber> Subscriber for (A, B) {
     fn on_reactor_ticked(&self, event: &ReactorTicked) {
         self.0.on_reactor_ticked(event);
         self.1.on_reactor_ticked(event);
+    }
+    #[inline(always)]
+    fn on_reactor_exited(&self, event: &ReactorExited) {
+        self.0.on_reactor_exited(event);
+        self.1.on_reactor_exited(event);
     }
     #[inline(always)]
     fn on_span_begin(&self, event: &SpanBegin) {

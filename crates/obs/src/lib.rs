@@ -66,8 +66,8 @@ pub mod trace;
 pub use event::{
     CaptureTruncated, CensusRecordObserved, CensusResumed, CheckpointWritten, Environment, Event,
     EvictionCause, FlowEvicted, FlowOpened, FrameDecoded, GatherFinished, GranuleCompleted,
-    NetSessionEnded, NullSubscriber, PacketSkipped, ProbeTimed, RateLimiterStalled, ReactorTicked,
-    RungAttemptEnded, RungAttemptStarted, SessionEmitted, Subscriber, VerdictKind,
+    NetSessionEnded, NullSubscriber, PacketSkipped, ProbeTimed, RateLimiterStalled, ReactorExited,
+    ReactorTicked, RungAttemptEnded, RungAttemptStarted, SessionEmitted, Subscriber, VerdictKind,
 };
 pub use metrics::{Counter, Histogram, HistogramSnapshot};
 pub use report::{TraceAnalysis, TraceReadOutcome};

@@ -3,7 +3,7 @@
 use crate::event::{
     CaptureTruncated, CensusRecordObserved, CensusResumed, CheckpointWritten, EvictionCause,
     FlowEvicted, FlowOpened, FrameDecoded, GatherFinished, GranuleCompleted, NetSessionEnded,
-    PacketSkipped, ProbeTimed, RateLimiterStalled, ReactorTicked, RungAttemptEnded,
+    PacketSkipped, ProbeTimed, RateLimiterStalled, ReactorExited, ReactorTicked, RungAttemptEnded,
     RungAttemptStarted, SessionEmitted, Subscriber, VerdictKind,
 };
 use crate::metrics::{Counter, Histogram};
@@ -62,6 +62,11 @@ pub struct MetricsSubscriber {
     net_frames_sent: Counter,
     net_rate_limiter_stalls: Counter,
     net_reactor_ticks: Counter,
+    net_reactor_reads: Counter,
+    net_reactor_writes: Counter,
+    net_reactor_exits: Counter,
+    net_reactor_migrations: Counter,
+    net_reactor_switches: Counter,
     // histograms
     probe_gather_us: Histogram,
     probe_verdict_us: Histogram,
@@ -177,6 +182,14 @@ impl MetricsSubscriber {
         c("net.frames_sent", &self.net_frames_sent);
         c("net.rate_limiter_stalls", &self.net_rate_limiter_stalls);
         c("net.reactor_ticks", &self.net_reactor_ticks);
+        c("net.reactor_reads", &self.net_reactor_reads);
+        c("net.reactor_writes", &self.net_reactor_writes);
+        // Absent unless a reactor thread reported them: a 0 here is a
+        // measured 0, not a kernel without `/proc/thread-self/sched`.
+        if self.net_reactor_exits.get() > 0 {
+            c("net.reactor_migrations", &self.net_reactor_migrations);
+            c("net.reactor_switches", &self.net_reactor_switches);
+        }
         let mut h = |name: &str, hist: &Histogram| {
             s.histograms.insert(name.to_owned(), hist.snapshot());
         };
@@ -295,6 +308,8 @@ impl Subscriber for MetricsSubscriber {
         self.net_bytes_sent.add(event.bytes_sent);
         self.net_bytes_received.add(event.bytes_received);
         self.net_frames_sent.add(event.frames_sent);
+        self.net_reactor_reads.add(event.reads);
+        self.net_reactor_writes.add(event.writes);
     }
 
     fn on_rate_limiter_stalled(&self, event: &RateLimiterStalled) {
@@ -306,6 +321,12 @@ impl Subscriber for MetricsSubscriber {
         self.net_reactor_ticks.incr();
         self.net_tick_latency_us.record(event.latency_us);
         self.net_active_sessions.record(event.active_sessions);
+    }
+
+    fn on_reactor_exited(&self, event: &ReactorExited) {
+        self.net_reactor_exits.incr();
+        self.net_reactor_migrations.add(event.migrations);
+        self.net_reactor_switches.add(event.switches);
     }
 }
 

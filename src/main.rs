@@ -1172,9 +1172,12 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     let mut sinks: Vec<_> = jsonl.iter_mut().map(|s| s as &mut dyn ResultSink).collect();
     let outcome = run_transport_obs(&transport, &config, &mut sinks, resume, &*obs)
         .map_err(|e| e.to_string())?;
-    // The reactor thread is still alive (it dies when `transport` drops),
-    // but every session it owned has concluded; close the trace now so
-    // the file is valid JSON the moment the command prints its report.
+    // Every session has concluded. Joining the reactor thread lets it
+    // report what the scheduler did to it (`net.reactor_migrations`,
+    // `net.reactor_switches`) in time for the final metrics line; then
+    // close the trace, so the file is valid JSON the moment the command
+    // prints its report.
+    drop(transport);
     if let Some(t) = &obs.0 {
         t.finish();
     }
