@@ -2,7 +2,8 @@
 //! the classifier-comparison ablation: the paper picked random forest
 //! after comparing kNN, decision trees, neural networks, naive Bayes and
 //! SVMs in Weka — this bench compares the same line-up on wall-clock cost
-//! (EXPERIMENTS.md records their accuracy comparison).
+//! (`repro model_comparison` measures their accuracy, and
+//! REPRO_EXPECT.json pins the forest's lead over them).
 
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_ml::{

@@ -17,7 +17,8 @@
 //!
 //! Accuracy-oriented ablations (environment pair vs A alone, feature-set
 //! and ladder ablations, classifier accuracy comparison) are one-shot
-//! studies, not timings; they live in `caai-repro` as `ablation_*` and
-//! `model_comparison` binaries.
+//! studies, not timings; they are the `ablation_*` and `model_comparison`
+//! experiments of `caai-repro`'s `repro` binary, and `repro check` pins
+//! their numbers against REPRO_EXPECT.json.
 
 #![forbid(unsafe_code)]

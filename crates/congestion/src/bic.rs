@@ -152,8 +152,8 @@ impl CongestionControl for Bic {
             // toward the pre-timeout maximum, and Table III's ≥97% BIC vs
             // CUBIC separation requires it: with the anchor wiped, BIC and
             // CUBIC both fall into the identical 5%-per-RTT fresh-epoch
-            // ramp and become indistinguishable. See DESIGN.md
-            // (substitution: timeout keeps `last_max_cwnd`).
+            // ramp and become indistinguishable. ARCHITECTURE.md lists this
+            // with the other substitutions ("Substitutions").
             let keep = self.last_max_cwnd;
             *self = Bic::new();
             self.last_max_cwnd = keep;

@@ -231,8 +231,8 @@ impl CongestionControl for Cubic {
             // measured CUBIC traces (Fig. 3(e)(f)) show the post-timeout
             // window following the concave cubic curve back toward the
             // pre-timeout maximum, which requires `last_max_cwnd` to
-            // survive. See DESIGN.md (substitution: timeout keeps
-            // `last_max_cwnd`) and the matching note in `bic.rs`.
+            // survive. ARCHITECTURE.md lists this substitution
+            // ("Substitutions"); see also the matching note in `bic.rs`.
             let keep = self.last_max_cwnd;
             self.reset();
             self.last_max_cwnd = keep;

@@ -7,8 +7,8 @@
 //!
 //! The raw measurements are not available, so this module encodes the three
 //! CDFs as piecewise-linear curves matched to the shapes the paper reports
-//! (e.g. "almost all actual RTTs are less than 0.8 s" in Fig. 4) — the
-//! substitution documented in `DESIGN.md`. Conditions are drawn with
+//! (e.g. "almost all actual RTTs are less than 0.8 s" in Fig. 4) — one of
+//! the substitutions listed in ARCHITECTURE.md. Conditions are drawn with
 //! independent marginals, exactly like the paper's random triple selection.
 
 use crate::stats::Cdf;

@@ -6,7 +6,7 @@ use caai_webmodel::PopulationConfig;
 
 /// How large to run an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExperimentScale {
+pub enum Scale {
     /// Reduced workloads: ~10× smaller training set, thousands of census
     /// servers instead of 63k.
     Quick,
@@ -15,20 +15,20 @@ pub enum ExperimentScale {
     Paper,
 }
 
-impl ExperimentScale {
+impl Scale {
     /// Training-set collection config at this scale.
     pub fn training(self) -> TrainingConfig {
         match self {
-            ExperimentScale::Quick => TrainingConfig::quick(10),
-            ExperimentScale::Paper => TrainingConfig::paper(),
+            Scale::Quick => TrainingConfig::quick(10),
+            Scale::Paper => TrainingConfig::paper(),
         }
     }
 
     /// Census population at this scale.
     pub fn population(self) -> PopulationConfig {
         match self {
-            ExperimentScale::Quick => PopulationConfig::small(3_000),
-            ExperimentScale::Paper => PopulationConfig::paper_scale(),
+            Scale::Quick => PopulationConfig::small(3_000),
+            Scale::Paper => PopulationConfig::paper_scale(),
         }
     }
 
