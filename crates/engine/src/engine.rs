@@ -58,12 +58,11 @@ use crate::checkpoint::Checkpoint;
 use crate::scheduler::BatchScheduler;
 use crate::shard::ShardSpec;
 use crate::sink::ResultSink;
-use crate::telemetry::{ProgressStats, Telemetry};
-use caai_core::census::{Census, CensusRecord, CensusReport};
+use caai_core::census::{Census, CensusAggregates, CensusColumn, CensusRecord, CensusReport};
 use caai_core::transport::{ProbeTransport, SimTransport};
 use caai_obs::{
     span_begin, span_begin_with_parent, CensusRecordObserved, CensusResumed, CheckpointWritten,
-    Histogram, NullSubscriber, ProbeTimed, SpanKind, Subscriber,
+    NullSubscriber, SpanKind, Subscriber,
 };
 use caai_webmodel::WebServer;
 use std::fmt;
@@ -94,8 +93,6 @@ pub struct EngineConfig {
     pub sink_queue: usize,
     /// Probe/deadline budget for this run.
     pub budget: Budget,
-    /// Print a progress line to stderr every this many records (0 = off).
-    pub progress_every: u64,
 }
 
 impl Default for EngineConfig {
@@ -109,7 +106,6 @@ impl Default for EngineConfig {
             checkpoint_every: 256,
             sink_queue: 1024,
             budget: Budget::unlimited(),
-            progress_every: 0,
         }
     }
 }
@@ -129,8 +125,6 @@ pub struct EngineOutcome {
     /// The (possibly partial) record-free census report over this run's
     /// shard. Attach an [`crate::sink::AggregatingSink`] for records.
     pub report: CensusReport,
-    /// Final telemetry snapshot.
-    pub stats: ProgressStats,
     /// Whether every owned server was probed.
     pub completed: bool,
     /// Why the run stopped.
@@ -219,8 +213,8 @@ impl CensusEngine {
     /// records to `sinks` and optionally resuming from a checkpoint.
     ///
     /// Servers already completed in `resume` are not re-probed and not
-    /// counted against the budget; their aggregates seed the report and
-    /// telemetry. Unlike the v1 (full-record) engine, resumed records are
+    /// counted against the budget; their aggregates seed the report.
+    /// Unlike the v1 (full-record) engine, resumed records are
     /// *not* replayed into the sinks — a checkpoint no longer has them.
     /// Keep the original JSONL file and open the sink in append mode
     /// ([`crate::sink::JsonlSink::append`]) instead. Returns once the
@@ -241,13 +235,10 @@ impl CensusEngine {
     /// coordinator as each fresh record folds in, [`CensusResumed`] once
     /// when a checkpoint seeds the run, and [`CheckpointWritten`] after
     /// every durable checkpoint; workers forward the prober's rung events
-    /// and [`ProbeTimed`] stage splits. The outcome is identical to the
-    /// unobserved call — events never influence scheduling or verdicts.
-    ///
-    /// When `progress_every` is on, the engine additionally feeds an
-    /// internal stage timer so progress lines carry a gather/verdict
-    /// latency breakdown; with progress off and a [`NullSubscriber`], the
-    /// whole observation path compiles out.
+    /// and [`caai_obs::ProbeTimed`] stage splits. The outcome is identical
+    /// to the unobserved call — events never influence scheduling or
+    /// verdicts. With a [`NullSubscriber`] the whole observation path
+    /// compiles out.
     pub fn run_obs<S: Subscriber>(
         &self,
         servers: &[WebServer],
@@ -284,29 +275,6 @@ pub fn run_transport_obs<T: ProbeTransport, S: Subscriber>(
     resume: Option<Checkpoint>,
     obs: &S,
 ) -> Result<EngineOutcome, EngineError> {
-    if config.progress_every > 0 {
-        let stage = StageTimer::default();
-        run_transport_inner(
-            transport,
-            config,
-            sinks,
-            resume,
-            &(&stage, obs),
-            Some(&stage),
-        )
-    } else {
-        run_transport_inner(transport, config, sinks, resume, obs, None)
-    }
-}
-
-fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
-    transport: &T,
-    config: &EngineConfig,
-    sinks: &mut [&mut dyn ResultSink],
-    resume: Option<Checkpoint>,
-    obs: &S,
-    stage: Option<&StageTimer>,
-) -> Result<EngineOutcome, EngineError> {
     let seed = config.seed;
     let shard = config.shard;
     shard.validate().map_err(EngineError::Config)?;
@@ -317,7 +285,6 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
         )));
     }
     let owned_total = shard.owned_count(population);
-    let telemetry = Telemetry::new(owned_total);
     let started = Instant::now();
 
     // The live snapshot IS the engine state: constant-size aggregates
@@ -326,20 +293,14 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
         Some(ck) => {
             ck.ensure_matches(seed, population, shard)
                 .map_err(EngineError::CheckpointMismatch)?;
-            telemetry.observe_resumed(&ck.aggregates);
-            let counts = crate::telemetry::resumed_counts(&ck.aggregates);
-            obs.on_census_resumed(&CensusResumed {
-                records: counts.records,
-                identified: counts.identified,
-                special: counts.special,
-                unsure: counts.unsure,
-                invalid: counts.invalid,
-            });
+            obs.on_census_resumed(&resumed_counts(&ck.aggregates));
             ck
         }
         None => Checkpoint::new(seed, population, shard),
     };
     let mut done = live.completed_count();
+    // Fresh probes only: resumed records are not charged to the budget.
+    let mut probed: u64 = 0;
 
     // Work list: ids of owned servers without a record yet (u32 — this
     // is the largest engine-owned allocation).
@@ -458,13 +419,13 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
                 // Drain remaining in-flight records without folding.
                 continue;
             }
-            telemetry.observe(&record, false);
             live.observe(&record);
             obs.on_census_record_observed(&CensusRecordObserved {
                 verdict: record.verdict.kind(),
                 wmax: record.verdict.wmax(),
             });
             done += 1;
+            probed += 1;
             since_checkpoint += 1;
 
             folded.push(record);
@@ -477,12 +438,6 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
             if sink_dead {
                 // The sink thread bailed; its error surfaces at join.
                 stop.store(true, Ordering::Relaxed);
-            }
-            if config.progress_every > 0 && done.is_multiple_of(config.progress_every) {
-                eprintln!("census: {}", telemetry.snapshot());
-                if let Some(line) = stage.and_then(StageTimer::line) {
-                    eprintln!("census: {line}");
-                }
             }
             if !sink_dead && checkpoint_due {
                 since_checkpoint = 0;
@@ -508,7 +463,7 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
                     }
                 }
             }
-            if !budget_hit && config.budget.exhausted(telemetry.probed(), started) {
+            if !budget_hit && config.budget.exhausted(probed, started) {
                 budget_hit = true;
                 stop.store(true, Ordering::Relaxed);
             }
@@ -533,10 +488,8 @@ fn run_transport_inner<T: ProbeTransport, S: Subscriber>(
     }
 
     let completed = done == owned_total;
-    let stats = telemetry.snapshot();
     Ok(EngineOutcome {
         report: live.aggregates.report(),
-        stats,
         completed,
         stop: if completed {
             StopCause::Completed
@@ -556,42 +509,17 @@ fn save_checkpoint(config: &EngineConfig, live: &Checkpoint) -> Result<(), Engin
     Ok(())
 }
 
-/// Engine-internal subscriber behind the stage-timing progress line:
-/// lock-free histograms of each probe's gather/verdict split, fed by the
-/// workers' [`ProbeTimed`] events and rendered next to the regular
-/// `census:` progress line. Composed with the caller's subscriber as a
-/// tuple, so it only exists (and only times) when `progress_every` is on.
-#[derive(Debug, Default)]
-struct StageTimer {
-    gather_us: Histogram,
-    verdict_us: Histogram,
-}
-
-impl StageTimer {
-    /// One-line latency breakdown, or `None` before the first probe.
-    fn line(&self) -> Option<String> {
-        let gather = self.gather_us.snapshot();
-        let verdict = self.verdict_us.snapshot();
-        if gather.count == 0 {
-            return None;
-        }
-        let total = (gather.sum + verdict.sum).max(1);
-        Some(format!(
-            "stages | gather p50 {}µs p90 {}µs | verdict p50 {}µs p90 {}µs | \
-             gather share {:.1}%",
-            gather.quantile(0.5),
-            gather.quantile(0.9),
-            verdict.quantile(0.5),
-            verdict.quantile(0.9),
-            100.0 * gather.sum as f64 / total as f64,
-        ))
-    }
-}
-
-impl Subscriber for StageTimer {
-    fn on_probe_timed(&self, event: &ProbeTimed) {
-        self.gather_us.record(event.gather_us);
-        self.verdict_us.record(event.verdict_us);
+/// A resume checkpoint's aggregates as the one [`CensusResumed`] event
+/// that seeds a subscriber's census counts.
+fn resumed_counts(agg: &CensusAggregates) -> CensusResumed {
+    let in_columns =
+        |count: fn(&CensusColumn) -> usize| agg.columns.values().map(count).sum::<usize>() as u64;
+    CensusResumed {
+        records: agg.total as u64,
+        identified: in_columns(|c| c.identified.values().sum()),
+        special: in_columns(|c| c.special.values().sum()),
+        unsure: in_columns(|c| c.unsure),
+        invalid: agg.invalid.values().sum::<usize>() as u64,
     }
 }
 
@@ -610,8 +538,39 @@ fn sync_sinks(sink_tx: &mpsc::SyncSender<SinkMsg>) -> bool {
 mod tests {
     use super::*;
     use caai_core::census::Verdict;
+    use caai_core::classes::ClassLabel;
+    use caai_core::special::SpecialCase;
     use caai_core::trace::InvalidReason;
     use std::sync::Mutex;
+
+    #[test]
+    fn resumed_aggregates_seed_the_counters() {
+        let mut agg = CensusAggregates::default();
+        for verdict in [
+            Verdict::Invalid(InvalidReason::PageTooShort),
+            Verdict::Identified(ClassLabel::Bic, 512),
+            Verdict::Identified(ClassLabel::Bic, 256),
+            Verdict::Special(SpecialCase::BoundedWindow, 64),
+            Verdict::Unsure(128),
+        ] {
+            agg.observe(&CensusRecord {
+                server_id: 0,
+                truth: None,
+                verdict,
+            });
+        }
+        let counts = resumed_counts(&agg);
+        assert_eq!(
+            counts,
+            CensusResumed {
+                records: 5,
+                identified: 2,
+                special: 1,
+                unsure: 1,
+                invalid: 1,
+            }
+        );
+    }
 
     #[test]
     fn a_worker_hands_over_a_full_batch_or_what_it_has_after_the_interval() {

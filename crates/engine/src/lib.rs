@@ -29,8 +29,11 @@
 //!    style specs split a census across machines by `id % N == k`, and
 //!    [`merge::merge_pieces`] joins the per-shard checkpoints/JSONL back
 //!    into the byte-identical unsharded report.
-//! 6. **Budgets and telemetry** ([`budget`], [`telemetry`]): wall-clock
-//!    deadlines, max-probe budgets, and live progress/throughput stats.
+//! 6. **Budgets and census events** ([`budget`], [`CensusEngine::run_obs`]):
+//!    wall-clock deadlines and max-probe budgets; the engine keeps no
+//!    progress counters of its own but emits one event per folded record,
+//!    per resume and per checkpoint to the caller's `caai_obs` subscriber,
+//!    whose metrics are what a progress line renders.
 //!
 //! ## Example
 //!
@@ -73,7 +76,6 @@ pub mod merge;
 pub mod scheduler;
 pub mod shard;
 pub mod sink;
-pub mod telemetry;
 
 pub use bitmap::IdBitmap;
 pub use budget::Budget;
@@ -86,4 +88,3 @@ pub use merge::{merge_pieces, MergeError, MergedCensus, ShardPiece};
 pub use scheduler::BatchScheduler;
 pub use shard::ShardSpec;
 pub use sink::{AggregatingSink, JsonlMeta, JsonlSink, ResultSink};
-pub use telemetry::{ProgressStats, Telemetry};

@@ -15,8 +15,9 @@
 //! [`Subscriber::ENABLED`] to `false`: its `on_*` calls inline to empty
 //! bodies and vanish, and call sites guard any *preparation* work (an
 //! `Instant::now()`) behind `if S::ENABLED`, which is a
-//! compile-time constant. The `identify_obs_overhead` bench group pins
-//! the claim.
+//! compile-time constant. The un-instrumented entry points forward to
+//! the instrumented ones with the null subscriber, so every benchmark of
+//! them times that path.
 
 use crate::span::{SpanBegin, SpanEnd};
 

@@ -7,8 +7,7 @@
 //! helper in this module checks `S::ENABLED` (a `const`) before doing
 //! any work, so under [`NullSubscriber`](crate::NullSubscriber) the
 //! whole layer compiles to nothing — id allocation, thread-local
-//! bookkeeping and all. The `identify_obs_overhead` bench group pins
-//! that property.
+//! bookkeeping and all.
 //!
 //! Wall-clock timestamps are deliberately *not* carried in the events:
 //! the subscriber stamps its own clock at receipt (see

@@ -117,23 +117,10 @@ impl MetricsSubscriber {
         self.packets_skipped.get()
     }
 
-    /// Probes finished so far (census gather runs).
-    pub fn gather_runs(&self) -> u64 {
-        self.gather_runs.get()
-    }
-
-    /// Snapshot of the probe stage-timing histograms
-    /// `(gather_us, verdict_us)` — the census progress line's material.
-    pub fn stage_timing(
-        &self,
-    ) -> (
-        crate::metrics::HistogramSnapshot,
-        crate::metrics::HistogramSnapshot,
-    ) {
-        (
-            self.probe_gather_us.snapshot(),
-            self.probe_verdict_us.snapshot(),
-        )
+    /// Census records so far, resumed ones included (the census progress
+    /// line's cadence; the line itself renders a [`snapshot`](Self::snapshot)).
+    pub fn census_records(&self) -> u64 {
+        self.census_records.get()
     }
 
     /// A point-in-time copy of everything, keyed by metric name.

@@ -21,6 +21,7 @@ use caai::engine::{AggregatingSink, CensusEngine, EngineConfig};
 use caai::netem::rng::seeded;
 use caai::netem::ConditionDb;
 use caai::webmodel::PopulationConfig;
+use std::time::Instant;
 
 fn main() {
     let mut rng = seeded(2);
@@ -39,17 +40,18 @@ fn main() {
         EngineConfig {
             seed: 42,
             workers: 4,
-            progress_every: 500,
             ..EngineConfig::default()
         },
     );
     let mut agg = AggregatingSink::new();
+    let started = Instant::now();
     let outcome = engine
         .run(&servers, &mut [&mut agg], None)
         .expect("in-memory census cannot hit I/O errors");
     println!(
         "engine: {:.0} probes/s over {} workers",
-        outcome.stats.probes_per_sec, 4
+        f64::from(n) / started.elapsed().as_secs_f64(),
+        engine.config().workers
     );
     let report = outcome.report;
 

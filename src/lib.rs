@@ -20,7 +20,7 @@
 //!   and the census driver;
 //! * [`engine`] — the Internet-scale census engine: constant-memory
 //!   streaming probe scheduler with checkpoint/resume, shard fan-out and
-//!   merge, budgets, and telemetry;
+//!   merge, and budgets;
 //! * [`capture`] — packet-capture ingestion and rendering: pcap ⇄ flow
 //!   reassembly ⇄ window traces, so recorded traffic feeds the same
 //!   classifier as the synthetic census;

@@ -48,8 +48,8 @@ use caai::net::{read_targets, Behavior, EmulatedServer, NetConfig, NetTransport,
 use caai::netem::rng::seeded;
 use caai::netem::{ConditionDb, EnvironmentId, PathConfig};
 use caai::obs::{
-    GranuleCompleted, MetricsSubscriber, StderrSubscriber, Subscriber, TraceAnalysis,
-    TraceSubscriber,
+    CensusRecordObserved, GranuleCompleted, MetricsSnapshot, MetricsSubscriber, StderrSubscriber,
+    Subscriber, TraceAnalysis, TraceSubscriber,
 };
 use caai::stream::{identify_bytes_obs, open_path, FollowConfig, StreamConfig};
 use caai::webmodel::PopulationConfig;
@@ -599,18 +599,23 @@ fn open_trace(args: &Args) -> Result<Option<TraceSubscriber>, String> {
         .map_err(|e| format!("create {path}: {e}"))
 }
 
-/// Per-granule hook for follow mode, called by the streaming loop itself
-/// and composed *after* the [`MetricsSubscriber`] in the subscriber tuple
-/// so every snapshot already includes the granule that triggered it:
-/// appends one cumulative metrics line per granule and prints a live
-/// progress line every `progress_every` granules.
-struct FollowHook<'a> {
+/// The `--progress N` stderr lines and follow mode's per-granule
+/// `--metrics` lines, all rendered from the run's [`MetricsSubscriber`].
+/// Composed *after* it in the subscriber tuple, so every read already
+/// includes the event that fired it: follow mode appends a metrics line
+/// per granule and prints a progress line every N granules; a census,
+/// simulated or `--targets`, prints its `census:` line every N records,
+/// followed by a `census: stages` line once probes have been timed.
+struct ProgressHook<'a> {
     metrics: &'a MetricsSubscriber,
-    progress_every: u64,
-    state: std::sync::Mutex<FollowHookState>,
+    every: u64,
+    /// The servers a census's shard owns, what its `done/owned` counts to.
+    owned: u64,
+    started: Instant,
+    state: std::sync::Mutex<HookState>,
 }
 
-struct FollowHookState {
+struct HookState {
     file: Option<MetricsFile>,
     // A subscriber cannot return an error, so write failures are parked
     // here and surfaced by `finish`.
@@ -620,35 +625,83 @@ struct FollowHookState {
     last_at: Instant,
 }
 
-impl<'a> FollowHook<'a> {
-    fn new(metrics: &'a MetricsSubscriber, progress_every: u64, file: Option<MetricsFile>) -> Self {
-        FollowHook {
+impl<'a> ProgressHook<'a> {
+    /// Reads `--progress` and opens `--metrics`.
+    fn new(args: &Args, metrics: &'a MetricsSubscriber, owned: u64) -> Result<Self, String> {
+        Ok(ProgressHook {
             metrics,
-            progress_every,
-            state: std::sync::Mutex::new(FollowHookState {
-                file,
+            every: args.parsed("progress", 0)?,
+            owned,
+            started: Instant::now(),
+            state: std::sync::Mutex::new(HookState {
+                file: open_metrics(args)?,
                 err: None,
                 granules: 0,
                 last_bytes: 0,
                 last_at: Instant::now(),
             }),
-        }
+        })
     }
 
     /// Writes the final snapshot line and surfaces any parked write error.
-    fn finish(self) -> Result<(), String> {
+    fn finish(self, source: &str) -> Result<(), String> {
         let mut state = self.state.into_inner().unwrap_or_else(|e| e.into_inner());
         if let Some(e) = state.err.take() {
             return Err(e);
         }
         match state.file.as_mut() {
-            Some(file) => file.write(self.metrics, "identify-follow", true),
+            Some(file) => file.write(self.metrics, source, true),
             None => Ok(()),
         }
     }
+
+    /// A census's progress, from the `census.*` counters of `snapshot`.
+    fn census_line(&self, snapshot: &MetricsSnapshot) -> String {
+        let count = |name: &str| snapshot.counters[name];
+        let (done, resumed) = (count("census.records"), count("census.resumed"));
+        let probed = done - resumed;
+        let (identified, special) = (count("census.identified"), count("census.special"));
+        let (unsure, invalid) = (count("census.unsure"), count("census.invalid"));
+        let elapsed = self.started.elapsed().as_secs_f64();
+        format!(
+            "{done}/{} servers ({probed} probed, {resumed} resumed) | {:.1} probes/s | \
+             valid {:.1}% | id {identified} special {special} unsure {unsure} invalid {invalid}",
+            self.owned,
+            probed as f64 / elapsed.max(1e-9),
+            100.0 * (identified + special + unsure) as f64 / done.max(1) as f64,
+        )
+    }
 }
 
-impl Subscriber for FollowHook<'_> {
+/// The gather/verdict latency split of the census probes timed so far
+/// (none are over `--targets`).
+fn stage_line(snapshot: &MetricsSnapshot) -> Option<String> {
+    let gather = &snapshot.histograms["census.probe_gather_us"];
+    let verdict = &snapshot.histograms["census.probe_verdict_us"];
+    (gather.count > 0).then(|| {
+        format!(
+            "stages | gather p50 {}µs p90 {}µs | verdict p50 {}µs p90 {}µs | \
+             gather share {:.1}%",
+            gather.quantile(0.5),
+            gather.quantile(0.9),
+            verdict.quantile(0.5),
+            verdict.quantile(0.9),
+            100.0 * gather.sum as f64 / (gather.sum + verdict.sum).max(1) as f64,
+        )
+    })
+}
+
+impl Subscriber for ProgressHook<'_> {
+    fn on_census_record_observed(&self, _: &CensusRecordObserved) {
+        if self.every > 0 && self.metrics.census_records().is_multiple_of(self.every) {
+            let snapshot = self.metrics.snapshot();
+            eprintln!("census: {}", self.census_line(&snapshot));
+            if let Some(line) = stage_line(&snapshot) {
+                eprintln!("census: {line}");
+            }
+        }
+    }
+
     fn on_granule_completed(&self, event: &GranuleCompleted) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.granules += 1;
@@ -657,7 +710,7 @@ impl Subscriber for FollowHook<'_> {
                 state.err.get_or_insert(e);
             }
         }
-        if self.progress_every > 0 && state.granules.is_multiple_of(self.progress_every) {
+        if self.every > 0 && state.granules.is_multiple_of(self.every) {
             let bytes = self.metrics.capture_bytes();
             let elapsed = state.last_at.elapsed().as_secs_f64();
             let rate = bytes.saturating_sub(state.last_bytes) as f64 / elapsed.max(1e-9) / 1024.0;
@@ -801,7 +854,6 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
     let session_timeout: f64 = args.parsed("session-timeout", 1800.0)?;
     let poll_ms: u64 = args.parsed("poll-ms", 50)?;
     let idle_secs: f64 = args.parsed("idle-timeout", 30.0)?;
-    let progress_every: u64 = args.parsed("progress", 0)?;
     let positive = |t: f64| t.is_finite() && t > 0.0;
     if !positive(flow_timeout) || !positive(session_timeout) {
         return Err("--flow-timeout and --session-timeout must be positive".to_owned());
@@ -828,7 +880,7 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
     let mut jsonl = open_out(args)?;
     let metrics = MetricsSubscriber::new();
     let trace = open_trace(args)?;
-    let hook = FollowHook::new(&metrics, progress_every, open_metrics(args)?);
+    let hook = ProgressHook::new(args, &metrics, 0)?;
     // The pipeline calls the verdict callback between reads of the source;
     // sink failures are carried out by value because the callback cannot
     // return an error.
@@ -868,7 +920,7 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
     if let Some(e) = sink_err {
         return Err(e);
     }
-    hook.finish()?;
+    hook.finish("identify-follow")?;
 
     if !json {
         println!(
@@ -992,7 +1044,6 @@ fn census_setup(
             max_probes: args.optional("budget")?,
             deadline: args.optional("deadline")?.map(Duration::from_secs_f64),
         },
-        progress_every: args.parsed("progress", 0)?,
     };
     let resume = match args.get("resume") {
         None => None,
@@ -1028,25 +1079,24 @@ fn census_setup(
 }
 
 /// What `census` does once the engine returns, whatever it probed: the
-/// final metrics line, the stats, budget and shard notes on stderr, the
-/// report on stdout. `noun` is what the population is made of.
+/// final metrics line, the closing `census:` line, budget and shard
+/// notes on stderr, the report on stdout. `noun` is what the population
+/// is made of.
 fn census_epilogue(
     args: &Args,
     outcome: &EngineOutcome,
-    metrics_file: Option<MetricsFile>,
-    metrics: &MetricsSubscriber,
+    hook: ProgressHook,
     shard: ShardSpec,
-    owned: u64,
     noun: &str,
 ) -> Result<(), String> {
-    if let Some(mut file) = metrics_file {
-        file.write(metrics, "census", true)?;
-    }
-    eprintln!("census: {}", outcome.stats);
+    let snapshot = hook.metrics.snapshot();
+    let (summary, owned) = (hook.census_line(&snapshot), hook.owned);
+    hook.finish("census")?;
+    eprintln!("census: {summary}");
     if !outcome.completed {
         eprintln!(
             "budget exhausted after {} probes; the report below is partial{}",
-            outcome.stats.probed,
+            snapshot.counters["census.records"] - snapshot.counters["census.resumed"],
             match args.get("checkpoint") {
                 Some(ck) => format!(" — resume with `--resume {ck}`"),
                 None => String::new(),
@@ -1089,12 +1139,12 @@ fn cmd_census(args: &Args) -> Result<(), String> {
     eprintln!("probing {owned} of {servers} servers (shard {shard}) on {workers} workers ...");
     let engine = CensusEngine::new(census, config);
     // Metrics are collected whether or not --metrics is given (the cost
-    // is an atomic add per record against a full probe simulation) so
-    // they stay independent of --progress: quiet runs still measure.
-    let metrics_file = open_metrics(args)?;
+    // is an atomic add per record against a full probe simulation):
+    // quiet runs still measure, and --progress renders what they hold.
     let metrics = MetricsSubscriber::new();
+    let hook = ProgressHook::new(args, &metrics, owned)?;
     let trace = open_trace(args)?;
-    let obs = (trace.as_ref(), &metrics);
+    let obs = (trace.as_ref(), (&metrics, &hook));
     let mut sinks: Vec<_> = jsonl.iter_mut().map(|s| s as &mut dyn ResultSink).collect();
     let outcome = engine
         .run_obs(&population, &mut sinks, resume, &obs)
@@ -1102,15 +1152,7 @@ fn cmd_census(args: &Args) -> Result<(), String> {
     if let Some(t) = &trace {
         t.finish();
     }
-    census_epilogue(
-        args,
-        &outcome,
-        metrics_file,
-        &metrics,
-        shard,
-        owned,
-        "servers",
-    )
+    census_epilogue(args, &outcome, hook, shard, "servers")
 }
 
 /// `caai census --targets FILE`: the same census pipeline — engine,
@@ -1168,9 +1210,9 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     eprintln!(
         "probing {owned} of {population} live targets (shard {shard}) on {workers} workers ..."
     );
-    let metrics_file = open_metrics(args)?;
+    let hook = ProgressHook::new(args, &obs.1, owned)?;
     let mut sinks: Vec<_> = jsonl.iter_mut().map(|s| s as &mut dyn ResultSink).collect();
-    let outcome = run_transport_obs(&transport, &config, &mut sinks, resume, &*obs)
+    let outcome = run_transport_obs(&transport, &config, &mut sinks, resume, &(&*obs, &hook))
         .map_err(|e| e.to_string())?;
     // Every session has concluded. Joining the reactor thread lets it
     // report what the scheduler did to it (`net.reactor_migrations`,
@@ -1181,15 +1223,7 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     if let Some(t) = &obs.0 {
         t.finish();
     }
-    census_epilogue(
-        args,
-        &outcome,
-        metrics_file,
-        &obs.1,
-        shard,
-        owned,
-        "targets",
-    )
+    census_epilogue(args, &outcome, hook, shard, "targets")
 }
 
 /// `caai emulate`: a parked fleet of loopback [`EmulatedServer`]s for
@@ -1668,6 +1702,47 @@ mod tests {
         assert!(
             parse_hist_expectations(&args("metrics-check", &["--expect-count", "x>=bad"])).is_err()
         );
+    }
+
+    #[test]
+    fn the_census_progress_line_renders_the_metrics_counters() {
+        use caai::obs::{CensusResumed, ProbeTimed, VerdictKind};
+        let metrics = MetricsSubscriber::new();
+        let hook = ProgressHook::new(&args("census", &[]), &metrics, 10).expect("no --metrics");
+        metrics.on_census_resumed(&CensusResumed {
+            records: 1,
+            identified: 1,
+            special: 0,
+            unsure: 0,
+            invalid: 0,
+        });
+        for verdict in [
+            VerdictKind::Invalid,
+            VerdictKind::Unsure,
+            VerdictKind::Identified,
+        ] {
+            metrics.on_census_record_observed(&CensusRecordObserved {
+                verdict,
+                wmax: None,
+            });
+        }
+        let snapshot = metrics.snapshot();
+        let line = hook.census_line(&snapshot);
+        assert!(
+            line.starts_with("4/10 servers (3 probed, 1 resumed) | "),
+            "{line}"
+        );
+        assert!(
+            line.ends_with("| valid 75.0% | id 2 special 0 unsure 1 invalid 1"),
+            "{line}"
+        );
+        assert_eq!(stage_line(&snapshot), None, "no probe was timed");
+        metrics.on_probe_timed(&ProbeTimed {
+            gather_us: 300,
+            verdict_us: 100,
+        });
+        let stages = stage_line(&metrics.snapshot()).expect("one probe timed");
+        assert!(stages.ends_with("| gather share 75.0%"), "{stages}");
     }
 
     #[test]

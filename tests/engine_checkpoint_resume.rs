@@ -21,6 +21,7 @@ use caai::engine::{
 };
 use caai::netem::rng::seeded;
 use caai::netem::ConditionDb;
+use caai::obs::MetricsSubscriber;
 use caai::webmodel::{PopulationConfig, WebServer};
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -132,6 +133,7 @@ fn interrupted_census_resumes_to_the_identical_report() {
         ck.completed_count() >= 20,
         "budget overshoot is allowed, undershoot is not"
     );
+    let metrics = MetricsSubscriber::new();
     let resumed = CensusEngine::new(
         census(),
         EngineConfig {
@@ -141,17 +143,20 @@ fn interrupted_census_resumes_to_the_identical_report() {
             ..EngineConfig::default()
         },
     )
-    .run(&servers(), &mut [], Some(ck))
+    .run_obs(&servers(), &mut [], Some(ck), &metrics)
     .expect("resume must succeed");
     std::fs::remove_file(&ck_path).ok();
 
     assert!(resumed.completed);
+    let counters = metrics.snapshot().counters;
     assert!(
-        resumed.stats.resumed > 0,
-        "resumed records must seed the telemetry"
+        counters["census.resumed"] > 0,
+        "resumed records must seed the census counters"
     );
-    assert!(
-        resumed.stats.probed < 60,
+    assert_eq!(counters["census.records"], 60);
+    assert_eq!(
+        counters["gather.runs"],
+        60 - counters["census.resumed"],
         "resume must not re-probe completed servers"
     );
     assert_eq!(

@@ -6,8 +6,9 @@
 //! the offline reader and the streaming pipeline, damage included. The
 //! CLI side checks that `--metrics` files validate against the
 //! `caai-metrics-v1` schema, that a SIGKILLed-and-resumed census lands
-//! on the same verdict counters as an uninterrupted one, and that
-//! `--json` stdout is never interleaved with diagnostics.
+//! on the same verdict counters as an uninterrupted one, that a census's
+//! `--progress` lines render those same counters, and that `--json`
+//! stdout is never interleaved with diagnostics.
 
 use caai::capture::CaptureRenderer;
 use caai::congestion::AlgorithmId;
@@ -15,6 +16,7 @@ use caai::core::classify::CaaiClassifier;
 use caai::core::prober::{Prober, ProberConfig};
 use caai::core::server_under_test::ServerUnderTest;
 use caai::core::training::{build_training_set, TrainingConfig};
+use caai::engine::Checkpoint;
 use caai::netem::rng::seeded;
 use caai::netem::{ConditionDb, PathConfig};
 use caai::obs::{Histogram, MetricsSubscriber};
@@ -492,6 +494,83 @@ fn census_metrics_match_between_sigkilled_resume_and_uninterrupted_runs() {
     // at least one record instead of re-probing it.
     assert!(resumed_c["census.resumed"] > 0, "resume loaded nothing");
     for path in [&full_metrics, &ck, &resumed_metrics] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn census_progress_lines_render_the_metrics_counters() {
+    // Runs a 60-server census; returns its stdout and its `census:` lines.
+    let census = |extra: &[&str]| {
+        let mut args = vec!["census", "--servers", "60", "--conditions", "1", "--json"];
+        args.extend_from_slice(extra);
+        let out = caai(&args);
+        assert!(out.status.success(), "{out:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+        let lines: Vec<String> = stderr
+            .lines()
+            .filter(|line| line.starts_with("census: "))
+            .map(str::to_owned)
+            .collect();
+        (out.stdout, lines)
+    };
+    let metrics_path = tmp("progress.metrics.jsonl");
+    let (quiet_stdout, quiet) = census(&[]);
+    let (stdout, lines) = census(&["--progress", "20", "--metrics", &metrics_path]);
+    assert_eq!(stdout, quiet_stdout, "--progress never touches stdout");
+    assert_eq!(quiet.len(), 1, "a quiet run prints only its closing line");
+
+    // A progress line and its stage line every 20 records, then the
+    // closing line; the last two carry exactly the --metrics counters.
+    let counters = final_counters(&metrics_path);
+    let totals = format!(
+        "| id {} special {} unsure {} invalid {}",
+        counters["census.identified"],
+        counters["census.special"],
+        counters["census.unsure"],
+        counters["census.invalid"],
+    );
+    assert_eq!(lines.len(), 7, "{lines:#?}");
+    for (pair, done) in lines.chunks(2).zip([20, 40, 60]) {
+        let progress = format!("census: {done}/60 servers ({done} probed, 0 resumed) | ");
+        assert!(pair[0].starts_with(&progress), "{pair:#?}");
+        assert!(
+            pair[1].starts_with("census: stages | gather p50 "),
+            "{pair:#?}"
+        );
+    }
+    for line in [&lines[4], &lines[6]] {
+        assert!(line.starts_with("census: 60/60 servers"), "{line}");
+        assert!(line.ends_with(&totals), "{line} vs {totals}");
+    }
+
+    // Resumed: what the checkpoint held is counted apart from what this
+    // run probed, on the progress lines and the closing line alike.
+    let ck = tmp("progress.ck.json");
+    // One record per hand-over and one hand-over queued keep the overshoot
+    // past the budget to a few records.
+    let budget = "--budget 25 --workers 1 --batch 1 --sink-queue 1 --checkpoint";
+    census(&[budget.split(' ').collect(), vec![&ck[..]]].concat());
+    let r = Checkpoint::load(&ck).expect("checkpoint").completed_count();
+    assert!((25..60).contains(&r), "{r} records checkpointed");
+    let (_, resumed) = census(&["--resume", &ck, "--progress", "20"]);
+    let progress: Vec<String> = resumed
+        .iter()
+        .filter(|line| !line.starts_with("census: stages"))
+        .map(|line| line.split(" | ").next().expect("split").to_owned())
+        .collect();
+    let expected: Vec<String> = (r + 1..=60)
+        .filter(|done| done % 20 == 0)
+        .chain([60])
+        .map(|done| {
+            format!(
+                "census: {done}/60 servers ({} probed, {r} resumed)",
+                done - r
+            )
+        })
+        .collect();
+    assert_eq!(progress, expected);
+    for path in [&metrics_path, &ck] {
         std::fs::remove_file(path).ok();
     }
 }
