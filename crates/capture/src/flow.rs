@@ -12,7 +12,7 @@
 use crate::packet::{self, flags, TcpSegmentView};
 use crate::pcap::{PcapError, PcapReader};
 use caai_obs::{
-    CaptureTruncated, EvictionCause, FlowEvicted, FlowOpened, FrameDecoded, NullSubscriber,
+    CaptureTruncated, Event, EvictionCause, FlowEvicted, FlowOpened, FrameDecoded, NullSubscriber,
     PacketSkipped, Subscriber,
 };
 use std::collections::HashMap;
@@ -249,10 +249,10 @@ pub fn reassemble_obs<S: Subscriber>(buf: &[u8], obs: &S) -> Result<Reassembly, 
         let record = match next {
             Ok(r) => r,
             Err(e) => {
-                obs.on_capture_truncated(&CaptureTruncated {
+                obs.on_event(&Event::CaptureTruncated(CaptureTruncated {
                     packets: packets as u64,
                     reason: &e.reason,
-                });
+                }));
                 truncated = Some(e);
                 break;
             }
@@ -261,29 +261,29 @@ pub fn reassemble_obs<S: Subscriber>(buf: &[u8], obs: &S) -> Result<Reassembly, 
             Ok(s) => SegmentHeader::from(&s),
             Err(e) => {
                 let reason = e.to_string();
-                obs.on_packet_skipped(&PacketSkipped {
+                obs.on_event(&Event::PacketSkipped(PacketSkipped {
                     index: record.index as u64,
                     reason: &reason,
-                });
+                }));
                 skipped.push((record.index, reason));
                 continue;
             }
         };
         packets += 1;
-        obs.on_frame_decoded(&FrameDecoded {
+        obs.on_event(&Event::FrameDecoded(FrameDecoded {
             bytes: record.data.len() as u64,
-        });
+        }));
         let key = FlowKey::of(&seg);
         let idx = *table.entry(key).or_insert_with(|| {
-            obs.on_flow_opened(&FlowOpened {});
+            obs.on_event(&Event::FlowOpened(FlowOpened {}));
             order.push(FlowBuilder::new(&seg, record.ts));
             order.len() - 1
         });
         if let Some(reason) = order[idx].feed(record.ts, &seg) {
-            obs.on_packet_skipped(&PacketSkipped {
+            obs.on_event(&Event::PacketSkipped(PacketSkipped {
                 index: record.index as u64,
                 reason: &reason,
-            });
+            }));
             skipped.push((record.index, reason));
         }
     }
@@ -291,10 +291,10 @@ pub fn reassemble_obs<S: Subscriber>(buf: &[u8], obs: &S) -> Result<Reassembly, 
     let flows: Vec<Flow> = order
         .into_iter()
         .map(|b| {
-            obs.on_flow_evicted(&FlowEvicted {
+            obs.on_event(&Event::FlowEvicted(FlowEvicted {
                 cause: EvictionCause::Drain,
                 events: b.events() as u64,
-            });
+            }));
             b.into_flow()
         })
         .collect();

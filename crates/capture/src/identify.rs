@@ -15,7 +15,7 @@ use crate::reconstruct::{self, ProbeSession, DEFAULT_LADDER};
 use caai_core::census::{CensusRecord, Verdict};
 use caai_core::classify::{CaaiClassifier, Identification};
 use caai_core::prober::GatherOutcome;
-use caai_obs::{span_begin, NullSubscriber, SessionEmitted, SpanKind, Subscriber};
+use caai_obs::{span_begin, Event, NullSubscriber, SessionEmitted, SpanKind, Subscriber};
 
 /// One probe session's verdict.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,12 +94,12 @@ pub fn identify_reassembly_obs<S: Subscriber>(
             let classify_span = span_begin(obs, SpanKind::Classify, i as i64, 0);
             let (verdict, identification) = verdict_for(&outcome, classifier);
             classify_span.end(obs);
-            obs.on_session_emitted(&SessionEmitted {
+            obs.on_event(&Event::SessionEmitted(SessionEmitted {
                 verdict: verdict.kind(),
                 wmax: verdict.wmax(),
                 flows: s.flows as u64,
                 lag_secs: 0.0,
-            });
+            }));
             SessionReport {
                 client_ip: s.client_ip,
                 server_ip: s.server_ip,

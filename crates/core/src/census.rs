@@ -11,7 +11,7 @@
 
 use caai_congestion::AlgorithmId;
 use caai_netem::{ConditionDb, PathConfig};
-use caai_obs::{span_begin, NullSubscriber, ProbeTimed, SpanKind, Subscriber};
+use caai_obs::{span_begin, Event, NullSubscriber, ProbeTimed, SpanKind, Subscriber};
 use caai_webmodel::WebServer;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -385,10 +385,10 @@ impl Census {
         let (verdict, _) = verdict_for_outcome(&outcome, &self.classifier);
         classify_span.end(obs);
         if let (Some(t0), Some(t1)) = (gather_started, gather_done) {
-            obs.on_probe_timed(&ProbeTimed {
+            obs.on_event(&Event::ProbeTimed(ProbeTimed {
                 gather_us: (t1 - t0).as_micros() as u64,
                 verdict_us: t1.elapsed().as_micros() as u64,
-            });
+            }));
         }
         CensusRecord {
             server_id: server.id,

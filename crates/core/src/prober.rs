@@ -19,7 +19,7 @@
 
 use caai_netem::path::DataFate;
 use caai_netem::{DefenseOverhead, DefenseSpec, DefenseState, EnvironmentId, PathConfig};
-use caai_obs::{span_begin_at, GatherFinished, NullSubscriber, SpanKind, Subscriber};
+use caai_obs::{span_begin_at, Event, GatherFinished, NullSubscriber, SpanKind, Subscriber};
 use caai_tcpsim::TcpServer;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -265,11 +265,11 @@ impl Prober {
             walk.record(trace);
         }
         let outcome = walk.finish(self.config.defense.as_ref().map(|_| overhead));
-        obs.on_gather_finished(&GatherFinished {
+        obs.on_event(&Event::GatherFinished(GatherFinished {
             usable: outcome.pair.is_some(),
             failed_attempts: outcome.failed_attempts.len() as u32,
             wmax: outcome.pair.as_ref().map(|p| p.wmax_threshold()),
-        });
+        }));
         outcome
     }
 
@@ -321,7 +321,7 @@ impl Prober {
     ) -> (WindowTrace, f64, DefenseOverhead) {
         let config = &self.config;
         let mut attempt = RungAttempt::new(env, wmax);
-        obs.on_rung_attempt_started(&attempt.started());
+        obs.on_event(&Event::RungAttemptStarted(attempt.started()));
         let span = span_begin_at(
             obs,
             SpanKind::RungAttempt,
@@ -426,7 +426,7 @@ impl Prober {
         server.disconnect(&conn, now);
         tap.connection_closed(now, closed_by);
         span.end_at(obs, now);
-        obs.on_rung_attempt_ended(&attempt.ended());
+        obs.on_event(&Event::RungAttemptEnded(attempt.ended()));
         let overhead = defense.as_ref().map(|d| d.overhead()).unwrap_or_default();
         (attempt.into_trace(), now, overhead)
     }

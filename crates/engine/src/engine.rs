@@ -62,7 +62,7 @@ use caai_core::census::{Census, CensusAggregates, CensusColumn, CensusRecord, Ce
 use caai_core::transport::{ProbeTransport, SimTransport};
 use caai_obs::{
     span_begin, span_begin_with_parent, CensusRecordObserved, CensusResumed, CheckpointWritten,
-    NullSubscriber, SpanKind, Subscriber,
+    Event, NullSubscriber, SpanKind, Subscriber,
 };
 use caai_webmodel::WebServer;
 use std::fmt;
@@ -214,9 +214,9 @@ impl CensusEngine {
     ///
     /// Servers already completed in `resume` are not re-probed and not
     /// counted against the budget; their aggregates seed the report.
-    /// Unlike the v1 (full-record) engine, resumed records are
-    /// *not* replayed into the sinks — a checkpoint no longer has them.
-    /// Keep the original JSONL file and open the sink in append mode
+    /// Resumed records are *not* replayed into the sinks — a checkpoint
+    /// holds aggregates, not records. Keep the original JSONL file and
+    /// open the sink in append mode
     /// ([`crate::sink::JsonlSink::append`]) instead. Returns once the
     /// owned population is exhausted, the budget runs out, or an I/O
     /// error occurs.
@@ -293,7 +293,7 @@ pub fn run_transport_obs<T: ProbeTransport, S: Subscriber>(
         Some(ck) => {
             ck.ensure_matches(seed, population, shard)
                 .map_err(EngineError::CheckpointMismatch)?;
-            obs.on_census_resumed(&resumed_counts(&ck.aggregates));
+            obs.on_event(&Event::CensusResumed(resumed_counts(&ck.aggregates)));
             ck
         }
         None => Checkpoint::new(seed, population, shard),
@@ -420,10 +420,10 @@ pub fn run_transport_obs<T: ProbeTransport, S: Subscriber>(
                 continue;
             }
             live.observe(&record);
-            obs.on_census_record_observed(&CensusRecordObserved {
+            obs.on_event(&Event::CensusRecordObserved(CensusRecordObserved {
                 verdict: record.verdict.kind(),
                 wmax: record.verdict.wmax(),
-            });
+            }));
             done += 1;
             probed += 1;
             since_checkpoint += 1;
@@ -454,7 +454,9 @@ pub fn run_transport_obs<T: ProbeTransport, S: Subscriber>(
                         Ok(()) => {
                             last_written = Some(done);
                             checkpoints_written += 1;
-                            obs.on_checkpoint_written(&CheckpointWritten { records: done });
+                            obs.on_event(&Event::CheckpointWritten(CheckpointWritten {
+                                records: done,
+                            }));
                         }
                         Err(e) => {
                             run_error = Some(e);
@@ -484,7 +486,9 @@ pub fn run_transport_obs<T: ProbeTransport, S: Subscriber>(
         obs.flush();
         save_checkpoint(config, &live)?;
         checkpoints_written += 1;
-        obs.on_checkpoint_written(&CheckpointWritten { records: done });
+        obs.on_event(&Event::CheckpointWritten(CheckpointWritten {
+            records: done,
+        }));
     }
 
     let completed = done == owned_total;

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use caai_core::{GatherOutcome, InvalidReason, ProberConfig};
 use caai_obs::{
-    span_begin, span_begin_async, RateLimiterStalled, ReactorTicked, SpanKind, SpanToken,
+    span_begin, span_begin_async, Event, RateLimiterStalled, ReactorTicked, SpanKind, SpanToken,
     Subscriber,
 };
 
@@ -320,11 +320,11 @@ impl<S: Subscriber> Reactor<S> {
 
             tick_span.end(&*self.obs);
             if let Some(start) = tick_start {
-                self.obs.on_reactor_ticked(&ReactorTicked {
+                self.obs.on_event(&Event::ReactorTicked(ReactorTicked {
                     ready: dispatched,
                     active_sessions: self.sessions.len() as u64,
                     latency_us: start.elapsed().as_micros() as u64,
-                });
+                }));
             }
         }
     }
@@ -343,9 +343,10 @@ impl<S: Subscriber> Reactor<S> {
                     self.start_session(probe);
                 }
                 Err(wait) => {
-                    self.obs.on_rate_limiter_stalled(&RateLimiterStalled {
-                        wait_us: wait.as_micros() as u64,
-                    });
+                    self.obs
+                        .on_event(&Event::RateLimiterStalled(RateLimiterStalled {
+                            wait_us: wait.as_micros() as u64,
+                        }));
                     if !self.rate_retry_armed {
                         self.rate_retry_armed = true;
                         self.wheel.insert(Timer {

@@ -27,8 +27,8 @@ use caai_core::{
 };
 use caai_netem::EnvironmentId;
 use caai_obs::{
-    span_begin, GatherFinished, NetSessionEnded, ReactorExited, RungAttemptStarted, SpanKind,
-    Subscriber,
+    span_begin, Event, GatherFinished, NetSessionEnded, ReactorExited, RungAttemptStarted,
+    SpanKind, Subscriber,
 };
 
 use crate::reactor::{Command, NetConfig, Reactor, SessionResult, SessionStats};
@@ -80,10 +80,10 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
                 let before = sys::sched_counts();
                 reactor.run(rx);
                 if let (Some(before), Some(after)) = (before, sys::sched_counts()) {
-                    reactor_obs.on_reactor_exited(&ReactorExited {
+                    reactor_obs.on_event(&Event::ReactorExited(ReactorExited {
                         migrations: after.0 - before.0,
                         switches: after.1 - before.1,
-                    });
+                    }));
                 }
             })?;
         Ok(NetTransport {
@@ -182,18 +182,18 @@ impl<R: Subscriber + Send + Sync + 'static> ProbeTransport for NetTransport<R> {
         // Replay the session's rung history into the worker's
         // subscriber, mirroring what the simulator emits inline.
         for rung in &result.rungs {
-            obs.on_rung_attempt_started(&RungAttemptStarted {
+            obs.on_event(&Event::RungAttemptStarted(RungAttemptStarted {
                 environment: rung.environment,
                 wmax: rung.wmax,
-            });
-            obs.on_rung_attempt_ended(rung);
+            }));
+            obs.on_event(&Event::RungAttemptEnded(*rung));
         }
-        obs.on_gather_finished(&GatherFinished {
+        obs.on_event(&Event::GatherFinished(GatherFinished {
             usable: result.outcome.pair.is_some(),
             failed_attempts: result.outcome.failed_attempts.len() as u32,
             wmax: result.outcome.pair.as_ref().map(|p| p.wmax_threshold()),
-        });
-        obs.on_net_session_ended(&NetSessionEnded {
+        }));
+        obs.on_event(&Event::NetSessionEnded(NetSessionEnded {
             connections: result.stats.connections,
             retries: result.stats.retries,
             timed_out: result.stats.timeouts,
@@ -203,7 +203,7 @@ impl<R: Subscriber + Send + Sync + 'static> ProbeTransport for NetTransport<R> {
             frames_sent: result.stats.frames_sent,
             reads: result.stats.reads,
             writes: result.stats.writes,
-        });
+        }));
         let classify_span = span_begin(obs, SpanKind::Classify, i64::from(id), 0);
         let (verdict, _) = verdict_for_outcome(&result.outcome, &self.classifier);
         classify_span.end(obs);

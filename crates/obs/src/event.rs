@@ -1,23 +1,24 @@
 //! The event vocabulary and the [`Subscriber`] trait.
 //!
-//! This module is written in the shape s2n-quic's event codegen produces:
-//! one plain struct per event, an [`Event`] enum borrowing them, and a
-//! [`Subscriber`] trait with one default-forwarding `on_*` method per
-//! event. Instrumented code calls the *specific* method (`on_flow_opened`,
-//! never `on_event`), so a subscriber overrides exactly the events it
-//! cares about and pays nothing for the rest.
+//! One plain struct per event, and an [`Event`] enum whose variants own
+//! them (every payload is small and `Copy`). Instrumented code builds an
+//! `Event` and hands it to [`Subscriber::on_event`], the trait's one event
+//! method: `obs.on_event(&Event::FlowOpened(FlowOpened {}))`. A subscriber
+//! is one `match` over the variants it observes, with a `_ => {}` arm for
+//! the rest, so adding an event touches its struct, its variant and the
+//! subscribers that want it — never the combinators.
 //!
 //! # Zero cost
 //!
 //! Every instrumentation point is generic over `S: Subscriber` — there is
 //! no `dyn` anywhere, deliberately, so each call monomorphizes and
-//! inlines. [`NullSubscriber`] overrides nothing and sets
-//! [`Subscriber::ENABLED`] to `false`: its `on_*` calls inline to empty
-//! bodies and vanish, and call sites guard any *preparation* work (an
-//! `Instant::now()`) behind `if S::ENABLED`, which is a
-//! compile-time constant. The un-instrumented entry points forward to
-//! the instrumented ones with the null subscriber, so every benchmark of
-//! them times that path.
+//! inlines, and an inlined `match` on the emit site's constant variant
+//! folds to the one arm it takes. [`NullSubscriber`] has an empty
+//! `on_event` and sets [`Subscriber::ENABLED`] to `false`: its calls
+//! vanish, and call sites guard any *preparation* work (an
+//! `Instant::now()`) behind `if S::ENABLED`, which is a compile-time
+//! constant. The un-instrumented entry points forward to the instrumented
+//! ones with the null subscriber.
 
 use crate::span::{SpanBegin, SpanEnd};
 
@@ -276,40 +277,45 @@ pub struct ReactorExited {
     pub switches: u64,
 }
 
-/// Every event, borrowed. What a catch-all [`Subscriber::on_event`]
-/// override receives.
+/// Every event; what [`Subscriber::on_event`] receives. Each variant owns
+/// the struct of the same name.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)] // variant names mirror the struct docs above
 pub enum Event<'a> {
-    RungAttemptStarted(&'a RungAttemptStarted),
-    RungAttemptEnded(&'a RungAttemptEnded),
-    GatherFinished(&'a GatherFinished),
-    ProbeTimed(&'a ProbeTimed),
-    CensusRecordObserved(&'a CensusRecordObserved),
-    CensusResumed(&'a CensusResumed),
-    CheckpointWritten(&'a CheckpointWritten),
-    FrameDecoded(&'a FrameDecoded),
-    PacketSkipped(&'a PacketSkipped<'a>),
-    CaptureTruncated(&'a CaptureTruncated<'a>),
-    FlowOpened(&'a FlowOpened),
-    FlowEvicted(&'a FlowEvicted),
-    GranuleCompleted(&'a GranuleCompleted),
-    SessionEmitted(&'a SessionEmitted),
-    NetSessionEnded(&'a NetSessionEnded),
-    RateLimiterStalled(&'a RateLimiterStalled),
-    ReactorTicked(&'a ReactorTicked),
-    ReactorExited(&'a ReactorExited),
-    SpanBegin(&'a SpanBegin),
-    SpanEnd(&'a SpanEnd),
+    RungAttemptStarted(RungAttemptStarted),
+    RungAttemptEnded(RungAttemptEnded),
+    GatherFinished(GatherFinished),
+    ProbeTimed(ProbeTimed),
+    CensusRecordObserved(CensusRecordObserved),
+    CensusResumed(CensusResumed),
+    CheckpointWritten(CheckpointWritten),
+    FrameDecoded(FrameDecoded),
+    PacketSkipped(PacketSkipped<'a>),
+    CaptureTruncated(CaptureTruncated<'a>),
+    FlowOpened(FlowOpened),
+    FlowEvicted(FlowEvicted),
+    GranuleCompleted(GranuleCompleted),
+    SessionEmitted(SessionEmitted),
+    NetSessionEnded(NetSessionEnded),
+    RateLimiterStalled(RateLimiterStalled),
+    ReactorTicked(ReactorTicked),
+    ReactorExited(ReactorExited),
+    SpanBegin(SpanBegin),
+    SpanEnd(SpanEnd),
 }
 
 /// Receiver of structured events.
 ///
-/// Implementations override the `on_*` methods they care about (each
-/// defaults to forwarding into [`on_event`](Subscriber::on_event), which
-/// defaults to nothing), take `&self`, and must be [`Sync`]: one
-/// subscriber instance is shared by every worker thread of a pipeline, so
-/// state lives in atomics (see `Counter` / `Histogram`).
+/// An implementation is one `match` in [`on_event`](Subscriber::on_event)
+/// over the variants it observes, and must be [`Sync`]: one subscriber
+/// instance is shared by every worker thread of a pipeline, so state
+/// lives in atomics (see `Counter` / `Histogram`).
+///
+/// An arm that hands a payload to code that is not inlined (a formatter,
+/// a locked writer) copies it out first; payloads are `Copy`. A reference
+/// into the event lets its address escape, and the subscribers composed
+/// after this one then re-match at run time instead of folding to their
+/// one arm.
 ///
 /// [`ENABLED`](Subscriber::ENABLED) lets call sites skip *preparation*
 /// work (timestamps) at compile time — it is `false` only
@@ -319,125 +325,8 @@ pub trait Subscriber: Sync {
     /// measurement preparation behind `if S::ENABLED { ... }`.
     const ENABLED: bool = true;
 
-    /// See [`RungAttemptStarted`].
-    #[inline(always)]
-    fn on_rung_attempt_started(&self, event: &RungAttemptStarted) {
-        self.on_event(&Event::RungAttemptStarted(event));
-    }
-
-    /// See [`RungAttemptEnded`].
-    #[inline(always)]
-    fn on_rung_attempt_ended(&self, event: &RungAttemptEnded) {
-        self.on_event(&Event::RungAttemptEnded(event));
-    }
-
-    /// See [`GatherFinished`].
-    #[inline(always)]
-    fn on_gather_finished(&self, event: &GatherFinished) {
-        self.on_event(&Event::GatherFinished(event));
-    }
-
-    /// See [`ProbeTimed`].
-    #[inline(always)]
-    fn on_probe_timed(&self, event: &ProbeTimed) {
-        self.on_event(&Event::ProbeTimed(event));
-    }
-
-    /// See [`CensusRecordObserved`].
-    #[inline(always)]
-    fn on_census_record_observed(&self, event: &CensusRecordObserved) {
-        self.on_event(&Event::CensusRecordObserved(event));
-    }
-
-    /// See [`CensusResumed`].
-    #[inline(always)]
-    fn on_census_resumed(&self, event: &CensusResumed) {
-        self.on_event(&Event::CensusResumed(event));
-    }
-
-    /// See [`CheckpointWritten`].
-    #[inline(always)]
-    fn on_checkpoint_written(&self, event: &CheckpointWritten) {
-        self.on_event(&Event::CheckpointWritten(event));
-    }
-
-    /// See [`FrameDecoded`].
-    #[inline(always)]
-    fn on_frame_decoded(&self, event: &FrameDecoded) {
-        self.on_event(&Event::FrameDecoded(event));
-    }
-
-    /// See [`PacketSkipped`].
-    #[inline(always)]
-    fn on_packet_skipped(&self, event: &PacketSkipped<'_>) {
-        self.on_event(&Event::PacketSkipped(event));
-    }
-
-    /// See [`CaptureTruncated`].
-    #[inline(always)]
-    fn on_capture_truncated(&self, event: &CaptureTruncated<'_>) {
-        self.on_event(&Event::CaptureTruncated(event));
-    }
-
-    /// See [`FlowOpened`].
-    #[inline(always)]
-    fn on_flow_opened(&self, event: &FlowOpened) {
-        self.on_event(&Event::FlowOpened(event));
-    }
-
-    /// See [`FlowEvicted`].
-    #[inline(always)]
-    fn on_flow_evicted(&self, event: &FlowEvicted) {
-        self.on_event(&Event::FlowEvicted(event));
-    }
-
-    /// See [`GranuleCompleted`].
-    #[inline(always)]
-    fn on_granule_completed(&self, event: &GranuleCompleted) {
-        self.on_event(&Event::GranuleCompleted(event));
-    }
-
-    /// See [`SessionEmitted`].
-    #[inline(always)]
-    fn on_session_emitted(&self, event: &SessionEmitted) {
-        self.on_event(&Event::SessionEmitted(event));
-    }
-
-    /// See [`NetSessionEnded`].
-    #[inline(always)]
-    fn on_net_session_ended(&self, event: &NetSessionEnded) {
-        self.on_event(&Event::NetSessionEnded(event));
-    }
-
-    /// See [`RateLimiterStalled`].
-    #[inline(always)]
-    fn on_rate_limiter_stalled(&self, event: &RateLimiterStalled) {
-        self.on_event(&Event::RateLimiterStalled(event));
-    }
-
-    /// See [`ReactorTicked`].
-    #[inline(always)]
-    fn on_reactor_ticked(&self, event: &ReactorTicked) {
-        self.on_event(&Event::ReactorTicked(event));
-    }
-
-    /// See [`ReactorExited`].
-    #[inline(always)]
-    fn on_reactor_exited(&self, event: &ReactorExited) {
-        self.on_event(&Event::ReactorExited(event));
-    }
-
-    /// See [`SpanBegin`].
-    #[inline(always)]
-    fn on_span_begin(&self, event: &SpanBegin) {
-        self.on_event(&Event::SpanBegin(event));
-    }
-
-    /// See [`SpanEnd`].
-    #[inline(always)]
-    fn on_span_end(&self, event: &SpanEnd) {
-        self.on_event(&Event::SpanEnd(event));
-    }
+    /// Receives one event, on the thread that emitted it.
+    fn on_event(&self, event: &Event<'_>);
 
     /// Write barrier, not an event: push whatever this subscriber has
     /// buffered to where it survives a kill. The census engine calls it
@@ -445,19 +334,13 @@ pub trait Subscriber: Sync {
     /// covers never has its spans only in memory.
     #[inline(always)]
     fn flush(&self) {}
-
-    /// Catch-all sink the per-event defaults forward into. Instrumented
-    /// code never calls this directly.
-    #[inline(always)]
-    fn on_event(&self, event: &Event<'_>) {
-        let _ = event;
-    }
 }
 
 /// The subscriber that observes nothing and costs nothing.
 ///
 /// `ENABLED` is `false`, so instrumented code skips measurement
-/// preparation entirely, and every `on_*` call inlines to an empty body.
+/// preparation entirely, and every `on_event` call inlines to an empty
+/// body.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullSubscriber;
 
@@ -474,92 +357,13 @@ impl<S: Subscriber + ?Sized> Subscriber for &S {
     const ENABLED: bool = S::ENABLED;
 
     #[inline(always)]
-    fn on_rung_attempt_started(&self, event: &RungAttemptStarted) {
-        (**self).on_rung_attempt_started(event);
+    fn on_event(&self, event: &Event<'_>) {
+        (**self).on_event(event);
     }
-    #[inline(always)]
-    fn on_rung_attempt_ended(&self, event: &RungAttemptEnded) {
-        (**self).on_rung_attempt_ended(event);
-    }
-    #[inline(always)]
-    fn on_gather_finished(&self, event: &GatherFinished) {
-        (**self).on_gather_finished(event);
-    }
-    #[inline(always)]
-    fn on_probe_timed(&self, event: &ProbeTimed) {
-        (**self).on_probe_timed(event);
-    }
-    #[inline(always)]
-    fn on_census_record_observed(&self, event: &CensusRecordObserved) {
-        (**self).on_census_record_observed(event);
-    }
-    #[inline(always)]
-    fn on_census_resumed(&self, event: &CensusResumed) {
-        (**self).on_census_resumed(event);
-    }
-    #[inline(always)]
-    fn on_checkpoint_written(&self, event: &CheckpointWritten) {
-        (**self).on_checkpoint_written(event);
-    }
-    #[inline(always)]
-    fn on_frame_decoded(&self, event: &FrameDecoded) {
-        (**self).on_frame_decoded(event);
-    }
-    #[inline(always)]
-    fn on_packet_skipped(&self, event: &PacketSkipped<'_>) {
-        (**self).on_packet_skipped(event);
-    }
-    #[inline(always)]
-    fn on_capture_truncated(&self, event: &CaptureTruncated<'_>) {
-        (**self).on_capture_truncated(event);
-    }
-    #[inline(always)]
-    fn on_flow_opened(&self, event: &FlowOpened) {
-        (**self).on_flow_opened(event);
-    }
-    #[inline(always)]
-    fn on_flow_evicted(&self, event: &FlowEvicted) {
-        (**self).on_flow_evicted(event);
-    }
-    #[inline(always)]
-    fn on_granule_completed(&self, event: &GranuleCompleted) {
-        (**self).on_granule_completed(event);
-    }
-    #[inline(always)]
-    fn on_session_emitted(&self, event: &SessionEmitted) {
-        (**self).on_session_emitted(event);
-    }
-    #[inline(always)]
-    fn on_net_session_ended(&self, event: &NetSessionEnded) {
-        (**self).on_net_session_ended(event);
-    }
-    #[inline(always)]
-    fn on_rate_limiter_stalled(&self, event: &RateLimiterStalled) {
-        (**self).on_rate_limiter_stalled(event);
-    }
-    #[inline(always)]
-    fn on_reactor_ticked(&self, event: &ReactorTicked) {
-        (**self).on_reactor_ticked(event);
-    }
-    #[inline(always)]
-    fn on_reactor_exited(&self, event: &ReactorExited) {
-        (**self).on_reactor_exited(event);
-    }
-    #[inline(always)]
-    fn on_span_begin(&self, event: &SpanBegin) {
-        (**self).on_span_begin(event);
-    }
-    #[inline(always)]
-    fn on_span_end(&self, event: &SpanEnd) {
-        (**self).on_span_end(event);
-    }
+
     #[inline(always)]
     fn flush(&self) {
         (**self).flush();
-    }
-    #[inline(always)]
-    fn on_event(&self, event: &Event<'_>) {
-        (**self).on_event(event);
     }
 }
 
@@ -572,135 +376,16 @@ impl<S: Subscriber> Subscriber for Option<S> {
     const ENABLED: bool = S::ENABLED;
 
     #[inline(always)]
-    fn on_rung_attempt_started(&self, event: &RungAttemptStarted) {
+    fn on_event(&self, event: &Event<'_>) {
         if let Some(s) = self {
-            s.on_rung_attempt_started(event);
+            s.on_event(event);
         }
     }
-    #[inline(always)]
-    fn on_rung_attempt_ended(&self, event: &RungAttemptEnded) {
-        if let Some(s) = self {
-            s.on_rung_attempt_ended(event);
-        }
-    }
-    #[inline(always)]
-    fn on_gather_finished(&self, event: &GatherFinished) {
-        if let Some(s) = self {
-            s.on_gather_finished(event);
-        }
-    }
-    #[inline(always)]
-    fn on_probe_timed(&self, event: &ProbeTimed) {
-        if let Some(s) = self {
-            s.on_probe_timed(event);
-        }
-    }
-    #[inline(always)]
-    fn on_census_record_observed(&self, event: &CensusRecordObserved) {
-        if let Some(s) = self {
-            s.on_census_record_observed(event);
-        }
-    }
-    #[inline(always)]
-    fn on_census_resumed(&self, event: &CensusResumed) {
-        if let Some(s) = self {
-            s.on_census_resumed(event);
-        }
-    }
-    #[inline(always)]
-    fn on_checkpoint_written(&self, event: &CheckpointWritten) {
-        if let Some(s) = self {
-            s.on_checkpoint_written(event);
-        }
-    }
-    #[inline(always)]
-    fn on_frame_decoded(&self, event: &FrameDecoded) {
-        if let Some(s) = self {
-            s.on_frame_decoded(event);
-        }
-    }
-    #[inline(always)]
-    fn on_packet_skipped(&self, event: &PacketSkipped<'_>) {
-        if let Some(s) = self {
-            s.on_packet_skipped(event);
-        }
-    }
-    #[inline(always)]
-    fn on_capture_truncated(&self, event: &CaptureTruncated<'_>) {
-        if let Some(s) = self {
-            s.on_capture_truncated(event);
-        }
-    }
-    #[inline(always)]
-    fn on_flow_opened(&self, event: &FlowOpened) {
-        if let Some(s) = self {
-            s.on_flow_opened(event);
-        }
-    }
-    #[inline(always)]
-    fn on_flow_evicted(&self, event: &FlowEvicted) {
-        if let Some(s) = self {
-            s.on_flow_evicted(event);
-        }
-    }
-    #[inline(always)]
-    fn on_granule_completed(&self, event: &GranuleCompleted) {
-        if let Some(s) = self {
-            s.on_granule_completed(event);
-        }
-    }
-    #[inline(always)]
-    fn on_session_emitted(&self, event: &SessionEmitted) {
-        if let Some(s) = self {
-            s.on_session_emitted(event);
-        }
-    }
-    #[inline(always)]
-    fn on_net_session_ended(&self, event: &NetSessionEnded) {
-        if let Some(s) = self {
-            s.on_net_session_ended(event);
-        }
-    }
-    #[inline(always)]
-    fn on_rate_limiter_stalled(&self, event: &RateLimiterStalled) {
-        if let Some(s) = self {
-            s.on_rate_limiter_stalled(event);
-        }
-    }
-    #[inline(always)]
-    fn on_reactor_ticked(&self, event: &ReactorTicked) {
-        if let Some(s) = self {
-            s.on_reactor_ticked(event);
-        }
-    }
-    #[inline(always)]
-    fn on_reactor_exited(&self, event: &ReactorExited) {
-        if let Some(s) = self {
-            s.on_reactor_exited(event);
-        }
-    }
-    #[inline(always)]
-    fn on_span_begin(&self, event: &SpanBegin) {
-        if let Some(s) = self {
-            s.on_span_begin(event);
-        }
-    }
-    #[inline(always)]
-    fn on_span_end(&self, event: &SpanEnd) {
-        if let Some(s) = self {
-            s.on_span_end(event);
-        }
-    }
+
     #[inline(always)]
     fn flush(&self) {
         if let Some(s) = self {
             s.flush();
-        }
-    }
-    #[inline(always)]
-    fn on_event(&self, event: &Event<'_>) {
-        if let Some(s) = self {
-            s.on_event(event);
         }
     }
 }
@@ -711,129 +396,173 @@ impl<A: Subscriber, B: Subscriber> Subscriber for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
 
     #[inline(always)]
-    fn on_rung_attempt_started(&self, event: &RungAttemptStarted) {
-        self.0.on_rung_attempt_started(event);
-        self.1.on_rung_attempt_started(event);
+    fn on_event(&self, event: &Event<'_>) {
+        self.0.on_event(event);
+        self.1.on_event(event);
     }
-    #[inline(always)]
-    fn on_rung_attempt_ended(&self, event: &RungAttemptEnded) {
-        self.0.on_rung_attempt_ended(event);
-        self.1.on_rung_attempt_ended(event);
-    }
-    #[inline(always)]
-    fn on_gather_finished(&self, event: &GatherFinished) {
-        self.0.on_gather_finished(event);
-        self.1.on_gather_finished(event);
-    }
-    #[inline(always)]
-    fn on_probe_timed(&self, event: &ProbeTimed) {
-        self.0.on_probe_timed(event);
-        self.1.on_probe_timed(event);
-    }
-    #[inline(always)]
-    fn on_census_record_observed(&self, event: &CensusRecordObserved) {
-        self.0.on_census_record_observed(event);
-        self.1.on_census_record_observed(event);
-    }
-    #[inline(always)]
-    fn on_census_resumed(&self, event: &CensusResumed) {
-        self.0.on_census_resumed(event);
-        self.1.on_census_resumed(event);
-    }
-    #[inline(always)]
-    fn on_checkpoint_written(&self, event: &CheckpointWritten) {
-        self.0.on_checkpoint_written(event);
-        self.1.on_checkpoint_written(event);
-    }
-    #[inline(always)]
-    fn on_frame_decoded(&self, event: &FrameDecoded) {
-        self.0.on_frame_decoded(event);
-        self.1.on_frame_decoded(event);
-    }
-    #[inline(always)]
-    fn on_packet_skipped(&self, event: &PacketSkipped<'_>) {
-        self.0.on_packet_skipped(event);
-        self.1.on_packet_skipped(event);
-    }
-    #[inline(always)]
-    fn on_capture_truncated(&self, event: &CaptureTruncated<'_>) {
-        self.0.on_capture_truncated(event);
-        self.1.on_capture_truncated(event);
-    }
-    #[inline(always)]
-    fn on_flow_opened(&self, event: &FlowOpened) {
-        self.0.on_flow_opened(event);
-        self.1.on_flow_opened(event);
-    }
-    #[inline(always)]
-    fn on_flow_evicted(&self, event: &FlowEvicted) {
-        self.0.on_flow_evicted(event);
-        self.1.on_flow_evicted(event);
-    }
-    #[inline(always)]
-    fn on_granule_completed(&self, event: &GranuleCompleted) {
-        self.0.on_granule_completed(event);
-        self.1.on_granule_completed(event);
-    }
-    #[inline(always)]
-    fn on_session_emitted(&self, event: &SessionEmitted) {
-        self.0.on_session_emitted(event);
-        self.1.on_session_emitted(event);
-    }
-    #[inline(always)]
-    fn on_net_session_ended(&self, event: &NetSessionEnded) {
-        self.0.on_net_session_ended(event);
-        self.1.on_net_session_ended(event);
-    }
-    #[inline(always)]
-    fn on_rate_limiter_stalled(&self, event: &RateLimiterStalled) {
-        self.0.on_rate_limiter_stalled(event);
-        self.1.on_rate_limiter_stalled(event);
-    }
-    #[inline(always)]
-    fn on_reactor_ticked(&self, event: &ReactorTicked) {
-        self.0.on_reactor_ticked(event);
-        self.1.on_reactor_ticked(event);
-    }
-    #[inline(always)]
-    fn on_reactor_exited(&self, event: &ReactorExited) {
-        self.0.on_reactor_exited(event);
-        self.1.on_reactor_exited(event);
-    }
-    #[inline(always)]
-    fn on_span_begin(&self, event: &SpanBegin) {
-        self.0.on_span_begin(event);
-        self.1.on_span_begin(event);
-    }
-    #[inline(always)]
-    fn on_span_end(&self, event: &SpanEnd) {
-        self.0.on_span_end(event);
-        self.1.on_span_end(event);
-    }
+
     #[inline(always)]
     fn flush(&self) {
         self.0.flush();
         self.1.flush();
-    }
-    #[inline(always)]
-    fn on_event(&self, event: &Event<'_>) {
-        self.0.on_event(event);
-        self.1.on_event(event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::span::{SpanKind, NO_VIRT};
+    use std::sync::Mutex;
 
+    /// Logs every event and flush it receives, `Debug`-rendered.
     #[derive(Default)]
-    struct CountAll(AtomicU64);
+    struct Log(Mutex<Vec<String>>);
 
-    impl Subscriber for CountAll {
-        fn on_event(&self, _event: &Event<'_>) {
-            self.0.fetch_add(1, Ordering::Relaxed);
+    impl Subscriber for Log {
+        fn on_event(&self, event: &Event<'_>) {
+            self.0.lock().unwrap().push(format!("{event:?}"));
         }
+
+        fn flush(&self) {
+            self.0.lock().unwrap().push("flush".to_owned());
+        }
+    }
+
+    /// Fails the test on any delivery: what `None` stands in front of.
+    struct Refuses;
+
+    impl Subscriber for Refuses {
+        fn on_event(&self, event: &Event<'_>) {
+            panic!("received {event:?}");
+        }
+
+        fn flush(&self) {
+            panic!("flushed");
+        }
+    }
+
+    /// One instance of every variant, in declaration order. The `match`
+    /// has no wildcard arm: a new variant stops this compiling until it
+    /// has a slot here and an instance below.
+    fn one_of_each() -> Vec<Event<'static>> {
+        let events = vec![
+            Event::RungAttemptStarted(RungAttemptStarted {
+                environment: Environment::A,
+                wmax: 512,
+            }),
+            Event::RungAttemptEnded(RungAttemptEnded {
+                environment: Environment::B,
+                wmax: 256,
+                rounds: 20,
+                valid: false,
+                stalled: true,
+                invalid_reason: Some("too short"),
+            }),
+            Event::GatherFinished(GatherFinished {
+                usable: true,
+                failed_attempts: 1,
+                wmax: Some(256),
+            }),
+            Event::ProbeTimed(ProbeTimed {
+                gather_us: 300,
+                verdict_us: 100,
+            }),
+            Event::CensusRecordObserved(CensusRecordObserved {
+                verdict: VerdictKind::Unsure,
+                wmax: None,
+            }),
+            Event::CensusResumed(CensusResumed {
+                records: 10,
+                identified: 4,
+                special: 1,
+                unsure: 2,
+                invalid: 3,
+            }),
+            Event::CheckpointWritten(CheckpointWritten { records: 10 }),
+            Event::FrameDecoded(FrameDecoded { bytes: 60 }),
+            Event::PacketSkipped(PacketSkipped {
+                index: 3,
+                reason: "bad header",
+            }),
+            Event::CaptureTruncated(CaptureTruncated {
+                packets: 9,
+                reason: "mid-record EOF",
+            }),
+            Event::FlowOpened(FlowOpened {}),
+            Event::FlowEvicted(FlowEvicted {
+                cause: EvictionCause::Idle,
+                events: 7,
+            }),
+            Event::GranuleCompleted(GranuleCompleted {
+                granule: 2,
+                watermark_secs: 1.5,
+                tick_latency_us: 40,
+                live_sessions: 1,
+            }),
+            Event::SessionEmitted(SessionEmitted {
+                verdict: VerdictKind::Identified,
+                wmax: Some(512),
+                flows: 2,
+                lag_secs: 0.5,
+            }),
+            Event::NetSessionEnded(NetSessionEnded {
+                connections: 2,
+                retries: 1,
+                timed_out: 1,
+                aborted: false,
+                bytes_sent: 4400,
+                bytes_received: 90_000,
+                frames_sent: 116,
+                reads: 60,
+                writes: 58,
+            }),
+            Event::RateLimiterStalled(RateLimiterStalled { wait_us: 250 }),
+            Event::ReactorTicked(ReactorTicked {
+                ready: 3,
+                active_sessions: 2,
+                latency_us: 12,
+            }),
+            Event::ReactorExited(ReactorExited {
+                migrations: 0,
+                switches: 40,
+            }),
+            Event::SpanBegin(SpanBegin {
+                id: 1,
+                parent: 0,
+                kind: SpanKind::Gather,
+                arg0: 7,
+                arg1: 0,
+                virt: NO_VIRT,
+            }),
+            Event::SpanEnd(SpanEnd { id: 1, virt: 2.5 }),
+        ];
+        let slots: Vec<usize> = events
+            .iter()
+            .map(|event| match event {
+                Event::RungAttemptStarted(_) => 0,
+                Event::RungAttemptEnded(_) => 1,
+                Event::GatherFinished(_) => 2,
+                Event::ProbeTimed(_) => 3,
+                Event::CensusRecordObserved(_) => 4,
+                Event::CensusResumed(_) => 5,
+                Event::CheckpointWritten(_) => 6,
+                Event::FrameDecoded(_) => 7,
+                Event::PacketSkipped(_) => 8,
+                Event::CaptureTruncated(_) => 9,
+                Event::FlowOpened(_) => 10,
+                Event::FlowEvicted(_) => 11,
+                Event::GranuleCompleted(_) => 12,
+                Event::SessionEmitted(_) => 13,
+                Event::NetSessionEnded(_) => 14,
+                Event::RateLimiterStalled(_) => 15,
+                Event::ReactorTicked(_) => 16,
+                Event::ReactorExited(_) => 17,
+                Event::SpanBegin(_) => 18,
+                Event::SpanEnd(_) => 19,
+            })
+            .collect();
+        assert_eq!(slots, (0..20).collect::<Vec<_>>(), "one of each variant");
+        events
     }
 
     #[test]
@@ -841,38 +570,98 @@ mod tests {
         const {
             assert!(!NullSubscriber::ENABLED);
         }
-        NullSubscriber.on_flow_opened(&FlowOpened {});
-        NullSubscriber.on_packet_skipped(&PacketSkipped {
+        NullSubscriber.on_event(&Event::FlowOpened(FlowOpened {}));
+        NullSubscriber.on_event(&Event::PacketSkipped(PacketSkipped {
             index: 3,
             reason: "bad header",
-        });
+        }));
     }
 
     #[test]
-    fn specific_methods_default_into_on_event() {
-        let s = CountAll::default();
-        s.on_flow_opened(&FlowOpened {});
-        s.on_frame_decoded(&FrameDecoded { bytes: 60 });
-        s.on_capture_truncated(&CaptureTruncated {
-            packets: 9,
-            reason: "mid-record EOF",
-        });
-        assert_eq!(s.0.load(Ordering::Relaxed), 3);
+    fn every_variant_reaches_each_composition_exactly_once() {
+        let events = one_of_each();
+        let mut expected: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
+        expected.push("flush".to_owned());
+
+        let [by_ref, in_some, first, second] = [(); 4].map(|()| Log::default());
+        // Every event, then one flush (`None`), through each composition.
+        for event in events.iter().map(Some).chain([None]) {
+            deliver(&&by_ref, event);
+            deliver(&Some(&in_some), event);
+            deliver(&None::<Refuses>, event);
+            deliver(&(&first, &second), event);
+            deliver(&NullSubscriber, event);
+        }
+        for (name, log) in [
+            ("&S", &by_ref),
+            ("Some(S)", &in_some),
+            ("(A, _)", &first),
+            ("(_, B)", &second),
+        ] {
+            assert_eq!(*log.0.lock().unwrap(), expected, "{name}");
+        }
+
+        const {
+            assert!(<&Log>::ENABLED && <Option<Log>>::ENABLED);
+            assert!(!<&NullSubscriber>::ENABLED && !<Option<NullSubscriber>>::ENABLED);
+        }
     }
 
     #[test]
     fn tuple_composition_fans_out_and_ors_enabled() {
-        let a = CountAll::default();
-        let b = CountAll::default();
-        let pair = (&a, &b);
-        pair.on_flow_opened(&FlowOpened {});
-        assert_eq!(a.0.load(Ordering::Relaxed), 1);
-        assert_eq!(b.0.load(Ordering::Relaxed), 1);
+        /// Logs each delivery, then its tag, into a log shared with the
+        /// other half of the pair.
+        struct Tagged<'a> {
+            tag: &'static str,
+            log: &'a Log,
+        }
+
+        impl Subscriber for Tagged<'_> {
+            fn on_event(&self, event: &Event<'_>) {
+                self.log.on_event(event);
+                self.log.0.lock().unwrap().push(self.tag.to_owned());
+            }
+
+            fn flush(&self) {
+                self.log.flush();
+                self.log.0.lock().unwrap().push(self.tag.to_owned());
+            }
+        }
+
+        // `A` sees each event, and the flush, before `B` does.
+        let shared = Log::default();
+        let pair = (
+            Tagged {
+                tag: "A",
+                log: &shared,
+            },
+            Tagged {
+                tag: "B",
+                log: &shared,
+            },
+        );
+        let events = one_of_each();
+        let mut expected = Vec::new();
+        for event in events.iter().map(Some).chain([None]) {
+            deliver(&pair, event);
+            let seen = event.map_or("flush".to_owned(), |e| format!("{e:?}"));
+            expected.extend([seen.clone(), "A".to_owned(), seen, "B".to_owned()]);
+        }
+        assert_eq!(*shared.0.lock().unwrap(), expected);
 
         const {
-            assert!(<(&CountAll, &CountAll)>::ENABLED);
+            assert!(<(&Log, &Log)>::ENABLED);
             assert!(!<(NullSubscriber, NullSubscriber)>::ENABLED);
-            assert!(<(NullSubscriber, &CountAll)>::ENABLED);
+            assert!(<(NullSubscriber, &Log)>::ENABLED);
+            assert!(<(&Log, NullSubscriber)>::ENABLED);
+        }
+    }
+
+    /// One event through `s`, or a flush when there is none.
+    fn deliver<S: Subscriber>(s: &S, event: Option<&Event<'_>>) {
+        match event {
+            Some(event) => s.on_event(event),
+            None => s.flush(),
         }
     }
 }

@@ -7,10 +7,11 @@
 //! s2n-quic's event codegen:
 //!
 //! * [`event`] — one struct per wire-visible occurrence, an [`Event`]
-//!   enum borrowing them, and the [`Subscriber`] trait. Instrumentation
-//!   points are generic over `S: Subscriber`, never `dyn`, so the
-//!   [`NullSubscriber`] compiles to nothing (its `ENABLED: false`
-//!   constant also elides measurement preparation at call sites).
+//!   enum owning them, and the [`Subscriber`] trait, whose one event
+//!   method is `on_event(&Event)`. Instrumentation points are generic
+//!   over `S: Subscriber`, never `dyn`, so the [`NullSubscriber`]
+//!   compiles to nothing (its `ENABLED: false` constant also elides
+//!   measurement preparation at call sites).
 //! * [`metrics`] — wait-free [`Counter`]s and power-of-two-bucket
 //!   [`Histogram`]s whose snapshots merge associatively, so per-worker
 //!   and per-shard metrics fold into one run-level view in any order.
@@ -33,12 +34,12 @@
 //! depend on without cycles.
 //!
 //! ```
-//! use caai_obs::{FlowOpened, FrameDecoded, MetricsSubscriber, Subscriber};
+//! use caai_obs::{Event, FlowOpened, FrameDecoded, MetricsSubscriber, Subscriber};
 //!
 //! fn ingest<S: Subscriber>(frames: &[u64], obs: &S) {
 //!     for &bytes in frames {
-//!         obs.on_frame_decoded(&FrameDecoded { bytes });
-//!         obs.on_flow_opened(&FlowOpened {});
+//!         obs.on_event(&Event::FrameDecoded(FrameDecoded { bytes }));
+//!         obs.on_event(&Event::FlowOpened(FlowOpened {}));
 //!     }
 //! }
 //!

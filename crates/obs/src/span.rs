@@ -39,7 +39,7 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::event::Subscriber;
+use crate::event::{Event, Subscriber};
 
 /// Process-unique span identifier. `0` is reserved for "no span"
 /// (absent parent); real ids start at 1.
@@ -297,7 +297,7 @@ impl SpanToken {
                 }
             });
         }
-        obs.on_span_end(&SpanEnd { id: self.id, virt });
+        obs.on_event(&Event::SpanEnd(SpanEnd { id: self.id, virt }));
     }
 }
 
@@ -315,14 +315,14 @@ fn begin_inner<S: Subscriber + ?Sized>(
     if push {
         SPAN_STACK.with(|s| s.borrow_mut().push(id));
     }
-    obs.on_span_begin(&SpanBegin {
+    obs.on_event(&Event::SpanBegin(SpanBegin {
         id,
         parent,
         kind,
         arg0,
         arg1,
         virt,
-    });
+    }));
     SpanToken { id, pushed: push }
 }
 
@@ -401,14 +401,13 @@ mod tests {
     }
 
     impl Subscriber for Recorder {
-        fn on_span_begin(&self, e: &SpanBegin) {
-            self.log
-                .lock()
-                .unwrap()
-                .push((e.id, e.parent, Some(e.kind)));
-        }
-        fn on_span_end(&self, e: &SpanEnd) {
-            self.log.lock().unwrap().push((e.id, 0, None));
+        fn on_event(&self, event: &Event<'_>) {
+            let entry = match event {
+                Event::SpanBegin(e) => (e.id, e.parent, Some(e.kind)),
+                Event::SpanEnd(e) => (e.id, 0, None),
+                _ => return,
+            };
+            self.log.lock().unwrap().push(entry);
         }
     }
 

@@ -1,10 +1,7 @@
 //! The two stock subscribers: metrics collection and stderr rendering.
 
 use crate::event::{
-    CaptureTruncated, CensusRecordObserved, CensusResumed, CheckpointWritten, EvictionCause,
-    FlowEvicted, FlowOpened, FrameDecoded, GatherFinished, GranuleCompleted, NetSessionEnded,
-    PacketSkipped, ProbeTimed, RateLimiterStalled, ReactorExited, ReactorTicked, RungAttemptEnded,
-    RungAttemptStarted, SessionEmitted, Subscriber, VerdictKind,
+    CaptureTruncated, Event, EvictionCause, PacketSkipped, Subscriber, VerdictKind,
 };
 use crate::metrics::{Counter, Histogram};
 use crate::snapshot::MetricsSnapshot;
@@ -82,39 +79,6 @@ impl MetricsSubscriber {
     /// Creates a zeroed metrics subscriber.
     pub fn new() -> Self {
         MetricsSubscriber::default()
-    }
-
-    /// Frames decoded so far (the follow-mode progress line reads this
-    /// and the next few live, between snapshots).
-    pub fn frames_decoded(&self) -> u64 {
-        self.frames_decoded.get()
-    }
-
-    /// Capture bytes decoded so far.
-    pub fn capture_bytes(&self) -> u64 {
-        self.capture_bytes.get()
-    }
-
-    /// Flows currently in the reassembly tables (opened minus evicted).
-    pub fn live_flows(&self) -> u64 {
-        self.flows_opened.get().saturating_sub(self.flows_evicted())
-    }
-
-    /// Flows evicted so far, all causes.
-    pub fn flows_evicted(&self) -> u64 {
-        self.flows_evicted_idle.get()
-            + self.flows_evicted_overflow.get()
-            + self.flows_evicted_drain.get()
-    }
-
-    /// Session verdicts emitted so far.
-    pub fn sessions(&self) -> u64 {
-        self.sessions.get()
-    }
-
-    /// Packets skipped so far (skip-and-report corruption handling).
-    pub fn packets_skipped(&self) -> u64 {
-        self.packets_skipped.get()
     }
 
     /// Census records so far, resumed ones included (the census progress
@@ -202,118 +166,98 @@ impl MetricsSubscriber {
 }
 
 impl Subscriber for MetricsSubscriber {
-    fn on_rung_attempt_started(&self, _event: &RungAttemptStarted) {
-        self.gather_attempts.incr();
-    }
-
-    fn on_rung_attempt_ended(&self, event: &RungAttemptEnded) {
-        if event.valid {
-            self.gather_attempts_valid.incr();
+    // `always`: the inliner prices the whole `match`, not knowing that the
+    // emit site's variant is a constant. Inlined, it folds to one arm; a
+    // call would cost every decoded frame and every span a jump into it.
+    #[inline(always)]
+    fn on_event(&self, event: &Event<'_>) {
+        match event {
+            Event::RungAttemptStarted(_) => self.gather_attempts.incr(),
+            Event::RungAttemptEnded(e) => {
+                if e.valid {
+                    self.gather_attempts_valid.incr();
+                }
+                if e.stalled {
+                    self.gather_attempts_stalled.incr();
+                }
+                self.gather_rounds.add(u64::from(e.rounds));
+            }
+            Event::GatherFinished(e) => {
+                self.gather_runs.incr();
+                if e.usable {
+                    self.gather_usable.incr();
+                }
+            }
+            Event::ProbeTimed(e) => {
+                self.probe_gather_us.record(e.gather_us);
+                self.probe_verdict_us.record(e.verdict_us);
+            }
+            Event::CensusRecordObserved(e) => {
+                self.census_records.incr();
+                self.verdict_counter(e.verdict).1.incr();
+            }
+            Event::CensusResumed(e) => {
+                self.census_records.add(e.records);
+                self.census_resumed.add(e.records);
+                self.census_identified.add(e.identified);
+                self.census_special.add(e.special);
+                self.census_unsure.add(e.unsure);
+                self.census_invalid.add(e.invalid);
+            }
+            Event::CheckpointWritten(_) => self.census_checkpoints.incr(),
+            Event::FrameDecoded(e) => {
+                self.frames_decoded.incr();
+                self.capture_bytes.add(e.bytes);
+            }
+            Event::PacketSkipped(_) => self.packets_skipped.incr(),
+            Event::CaptureTruncated(_) => self.truncations.incr(),
+            Event::FlowOpened(_) => self.flows_opened.incr(),
+            Event::FlowEvicted(e) => match e.cause {
+                EvictionCause::Idle => self.flows_evicted_idle.incr(),
+                EvictionCause::Overflow => self.flows_evicted_overflow.incr(),
+                EvictionCause::Drain => self.flows_evicted_drain.incr(),
+            },
+            Event::GranuleCompleted(e) => {
+                self.granules.incr();
+                self.tick_latency_us.record(e.tick_latency_us);
+                self.live_sessions.record(e.live_sessions);
+            }
+            Event::SessionEmitted(e) => {
+                self.sessions.incr();
+                self.verdict_counter(e.verdict).0.incr();
+                let lag_ms = (e.lag_secs.max(0.0) * 1000.0).round() as u64;
+                self.verdict_lag_ms.record(lag_ms);
+            }
+            Event::NetSessionEnded(e) => {
+                self.net_sessions.incr();
+                if e.aborted {
+                    self.net_sessions_aborted.incr();
+                }
+                self.net_connections.add(u64::from(e.connections));
+                self.net_retries.add(u64::from(e.retries));
+                self.net_timeouts.add(u64::from(e.timed_out));
+                self.net_bytes_sent.add(e.bytes_sent);
+                self.net_bytes_received.add(e.bytes_received);
+                self.net_frames_sent.add(e.frames_sent);
+                self.net_reactor_reads.add(e.reads);
+                self.net_reactor_writes.add(e.writes);
+            }
+            Event::RateLimiterStalled(e) => {
+                self.net_rate_limiter_stalls.incr();
+                self.net_limiter_wait_us.record(e.wait_us);
+            }
+            Event::ReactorTicked(e) => {
+                self.net_reactor_ticks.incr();
+                self.net_tick_latency_us.record(e.latency_us);
+                self.net_active_sessions.record(e.active_sessions);
+            }
+            Event::ReactorExited(e) => {
+                self.net_reactor_exits.incr();
+                self.net_reactor_migrations.add(e.migrations);
+                self.net_reactor_switches.add(e.switches);
+            }
+            _ => {}
         }
-        if event.stalled {
-            self.gather_attempts_stalled.incr();
-        }
-        self.gather_rounds.add(u64::from(event.rounds));
-    }
-
-    fn on_gather_finished(&self, event: &GatherFinished) {
-        self.gather_runs.incr();
-        if event.usable {
-            self.gather_usable.incr();
-        }
-    }
-
-    fn on_probe_timed(&self, event: &ProbeTimed) {
-        self.probe_gather_us.record(event.gather_us);
-        self.probe_verdict_us.record(event.verdict_us);
-    }
-
-    fn on_census_record_observed(&self, event: &CensusRecordObserved) {
-        self.census_records.incr();
-        self.verdict_counter(event.verdict).1.incr();
-    }
-
-    fn on_census_resumed(&self, event: &CensusResumed) {
-        self.census_records.add(event.records);
-        self.census_resumed.add(event.records);
-        self.census_identified.add(event.identified);
-        self.census_special.add(event.special);
-        self.census_unsure.add(event.unsure);
-        self.census_invalid.add(event.invalid);
-    }
-
-    fn on_checkpoint_written(&self, _event: &CheckpointWritten) {
-        self.census_checkpoints.incr();
-    }
-
-    fn on_frame_decoded(&self, event: &FrameDecoded) {
-        self.frames_decoded.incr();
-        self.capture_bytes.add(event.bytes);
-    }
-
-    fn on_packet_skipped(&self, _event: &PacketSkipped<'_>) {
-        self.packets_skipped.incr();
-    }
-
-    fn on_capture_truncated(&self, _event: &CaptureTruncated<'_>) {
-        self.truncations.incr();
-    }
-
-    fn on_flow_opened(&self, _event: &FlowOpened) {
-        self.flows_opened.incr();
-    }
-
-    fn on_flow_evicted(&self, event: &FlowEvicted) {
-        match event.cause {
-            EvictionCause::Idle => self.flows_evicted_idle.incr(),
-            EvictionCause::Overflow => self.flows_evicted_overflow.incr(),
-            EvictionCause::Drain => self.flows_evicted_drain.incr(),
-        }
-    }
-
-    fn on_granule_completed(&self, event: &GranuleCompleted) {
-        self.granules.incr();
-        self.tick_latency_us.record(event.tick_latency_us);
-        self.live_sessions.record(event.live_sessions);
-    }
-
-    fn on_session_emitted(&self, event: &SessionEmitted) {
-        self.sessions.incr();
-        self.verdict_counter(event.verdict).0.incr();
-        let lag_ms = (event.lag_secs.max(0.0) * 1000.0).round() as u64;
-        self.verdict_lag_ms.record(lag_ms);
-    }
-
-    fn on_net_session_ended(&self, event: &NetSessionEnded) {
-        self.net_sessions.incr();
-        if event.aborted {
-            self.net_sessions_aborted.incr();
-        }
-        self.net_connections.add(u64::from(event.connections));
-        self.net_retries.add(u64::from(event.retries));
-        self.net_timeouts.add(u64::from(event.timed_out));
-        self.net_bytes_sent.add(event.bytes_sent);
-        self.net_bytes_received.add(event.bytes_received);
-        self.net_frames_sent.add(event.frames_sent);
-        self.net_reactor_reads.add(event.reads);
-        self.net_reactor_writes.add(event.writes);
-    }
-
-    fn on_rate_limiter_stalled(&self, event: &RateLimiterStalled) {
-        self.net_rate_limiter_stalls.incr();
-        self.net_limiter_wait_us.record(event.wait_us);
-    }
-
-    fn on_reactor_ticked(&self, event: &ReactorTicked) {
-        self.net_reactor_ticks.incr();
-        self.net_tick_latency_us.record(event.latency_us);
-        self.net_active_sessions.record(event.active_sessions);
-    }
-
-    fn on_reactor_exited(&self, event: &ReactorExited) {
-        self.net_reactor_exits.incr();
-        self.net_reactor_migrations.add(event.migrations);
-        self.net_reactor_switches.add(event.switches);
     }
 }
 
@@ -336,58 +280,61 @@ impl StderrSubscriber {
 }
 
 impl Subscriber for StderrSubscriber {
-    fn on_packet_skipped(&self, event: &PacketSkipped<'_>) {
-        eprintln!(
-            "{}: packet {}: skipped ({})",
-            self.prefix, event.index, event.reason
-        );
-    }
-
-    fn on_capture_truncated(&self, event: &CaptureTruncated<'_>) {
-        eprintln!(
-            "{}: capture truncated — {}; flows up to the break were identified",
-            self.prefix, event.reason
-        );
+    #[inline(always)]
+    fn on_event(&self, event: &Event<'_>) {
+        match *event {
+            Event::PacketSkipped(PacketSkipped { index, reason }) => {
+                eprintln!("{}: packet {index}: skipped ({reason})", self.prefix);
+            }
+            Event::CaptureTruncated(CaptureTruncated { reason, .. }) => eprintln!(
+                "{}: capture truncated — {reason}; flows up to the break were identified",
+                self.prefix
+            ),
+            _ => {}
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Environment;
+    use crate::event::{
+        CensusRecordObserved, CensusResumed, Environment, FlowEvicted, FlowOpened, FrameDecoded,
+        GatherFinished, RungAttemptEnded, RungAttemptStarted, SessionEmitted,
+    };
 
     #[test]
     fn metrics_subscriber_counts_into_named_slots() {
         let m = MetricsSubscriber::new();
-        m.on_rung_attempt_started(&RungAttemptStarted {
+        m.on_event(&Event::RungAttemptStarted(RungAttemptStarted {
             environment: Environment::A,
             wmax: 512,
-        });
-        m.on_rung_attempt_ended(&RungAttemptEnded {
+        }));
+        m.on_event(&Event::RungAttemptEnded(RungAttemptEnded {
             environment: Environment::A,
             wmax: 512,
             rounds: 12,
             valid: true,
             stalled: false,
             invalid_reason: None,
-        });
-        m.on_gather_finished(&GatherFinished {
+        }));
+        m.on_event(&Event::GatherFinished(GatherFinished {
             usable: true,
             failed_attempts: 0,
             wmax: Some(512),
-        });
-        m.on_frame_decoded(&FrameDecoded { bytes: 60 });
-        m.on_flow_opened(&FlowOpened {});
-        m.on_flow_evicted(&FlowEvicted {
+        }));
+        m.on_event(&Event::FrameDecoded(FrameDecoded { bytes: 60 }));
+        m.on_event(&Event::FlowOpened(FlowOpened {}));
+        m.on_event(&Event::FlowEvicted(FlowEvicted {
             cause: EvictionCause::Overflow,
             events: 9,
-        });
-        m.on_session_emitted(&SessionEmitted {
+        }));
+        m.on_event(&Event::SessionEmitted(SessionEmitted {
             verdict: VerdictKind::Identified,
             wmax: Some(512),
             flows: 3,
             lag_secs: 1.5,
-        });
+        }));
 
         let s = m.snapshot();
         assert_eq!(s.counters["gather.attempts"], 1);
@@ -401,23 +348,23 @@ mod tests {
         assert_eq!(s.counters["identify.verdicts_identified"], 1);
         assert_eq!(s.histograms["stream.verdict_lag_ms"].count, 1);
         assert_eq!(s.histograms["stream.verdict_lag_ms"].sum, 1500);
-        assert_eq!(m.live_flows(), 0);
+        assert_eq!(s.counters["capture.flows_opened"], 1);
     }
 
     #[test]
     fn census_resume_seeds_verdict_counters_in_one_shot() {
         let m = MetricsSubscriber::new();
-        m.on_census_resumed(&CensusResumed {
+        m.on_event(&Event::CensusResumed(CensusResumed {
             records: 10,
             identified: 4,
             special: 1,
             unsure: 2,
             invalid: 3,
-        });
-        m.on_census_record_observed(&CensusRecordObserved {
+        }));
+        m.on_event(&Event::CensusRecordObserved(CensusRecordObserved {
             verdict: VerdictKind::Identified,
             wmax: Some(256),
-        });
+        }));
         let s = m.snapshot();
         assert_eq!(s.counters["census.records"], 11);
         assert_eq!(s.counters["census.resumed"], 10);

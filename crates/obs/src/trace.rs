@@ -31,7 +31,7 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
 
-use crate::event::Subscriber;
+use crate::event::{Event, Subscriber};
 use crate::span::{SpanBegin, SpanEnd, SpanId, SpanKind};
 
 /// Flush at least this often, so a killed run loses little.
@@ -185,10 +185,10 @@ impl TraceSubscriber {
         s.push('}');
         s
     }
-}
 
-impl Subscriber for TraceSubscriber {
-    fn on_span_begin(&self, event: &SpanBegin) {
+    /// Opens a span: `"b"` written now for interleaved kinds, the rest
+    /// held until their end.
+    fn begin(&self, event: SpanBegin) {
         let ts_us = self.now_us();
         let mut inner = self.inner.lock().expect("trace subscriber poisoned");
         if inner.finished {
@@ -229,7 +229,8 @@ impl Subscriber for TraceSubscriber {
         );
     }
 
-    fn on_span_end(&self, event: &SpanEnd) {
+    /// Closes a span: `"e"` for interleaved kinds, one `"X"` otherwise.
+    fn end(&self, event: SpanEnd) {
         let end_us = self.now_us();
         let mut inner = self.inner.lock().expect("trace subscriber poisoned");
         if inner.finished {
@@ -271,6 +272,17 @@ impl Subscriber for TraceSubscriber {
                 id = event.id,
             );
             Self::emit(&mut inner, &line);
+        }
+    }
+}
+
+impl Subscriber for TraceSubscriber {
+    #[inline(always)]
+    fn on_event(&self, event: &Event<'_>) {
+        match event {
+            Event::SpanBegin(e) => self.begin(*e),
+            Event::SpanEnd(e) => self.end(*e),
+            _ => {}
         }
     }
 

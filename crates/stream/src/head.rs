@@ -6,7 +6,7 @@
 use crate::source::{CaptureSource, SourceError, SourceItem};
 use caai_capture::decode;
 use caai_capture::flow::SegmentHeader;
-use caai_obs::{FrameDecoded, PacketSkipped, Subscriber};
+use caai_obs::{Event, FrameDecoded, PacketSkipped, Subscriber};
 
 /// Packets skipped so far, `(index, reason)` in index order.
 pub(crate) type Skips = Vec<(u64, String)>;
@@ -24,10 +24,10 @@ pub(crate) struct Drained {
 
 /// Reports one skipped packet and records it.
 pub(crate) fn skip<S: Subscriber>(obs: &S, skipped: &mut Skips, index: u64, reason: String) {
-    obs.on_packet_skipped(&PacketSkipped {
+    obs.on_event(&Event::PacketSkipped(PacketSkipped {
         index,
         reason: &reason,
-    });
+    }));
     skipped.push((index, reason));
 }
 
@@ -67,9 +67,9 @@ pub(crate) fn drain_segments<S: Subscriber>(
         match decode(frame.data) {
             Ok(seg) => {
                 drained.packets += 1;
-                obs.on_frame_decoded(&FrameDecoded {
+                obs.on_event(&Event::FrameDecoded(FrameDecoded {
                     bytes: frame.data.len() as u64,
-                });
+                }));
                 let header = SegmentHeader::from(&seg);
                 feed(frame.index, frame.ts, &header, &mut drained.skipped);
             }

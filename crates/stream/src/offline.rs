@@ -10,7 +10,7 @@ use caai_capture::identify::CaptureVerdicts;
 use caai_capture::{identify_capture_obs, identify_reassembly_obs, PcapError};
 use caai_core::classify::CaaiClassifier;
 use caai_obs::{
-    CaptureTruncated, EvictionCause, FlowEvicted, FlowOpened, NullSubscriber, Subscriber,
+    CaptureTruncated, Event, EvictionCause, FlowEvicted, FlowOpened, NullSubscriber, Subscriber,
 };
 use std::collections::HashMap;
 
@@ -36,7 +36,7 @@ pub fn reassemble_source_obs<S: Subscriber>(
     let mut order: Vec<FlowBuilder> = Vec::new();
     let drained = drain_segments(source, obs, |index, ts, seg, skipped| {
         let idx = *table.entry(FlowKey::of(seg)).or_insert_with(|| {
-            obs.on_flow_opened(&FlowOpened {});
+            obs.on_event(&Event::FlowOpened(FlowOpened {}));
             order.push(FlowBuilder::new(seg, ts));
             order.len() - 1
         });
@@ -45,19 +45,19 @@ pub fn reassemble_source_obs<S: Subscriber>(
         }
     })?;
     if let Some(e) = &drained.truncated {
-        obs.on_capture_truncated(&CaptureTruncated {
+        obs.on_event(&Event::CaptureTruncated(CaptureTruncated {
             packets: drained.packets,
             reason: &e.reason,
-        });
+        }));
     }
 
     let flows: Vec<_> = order
         .into_iter()
         .map(|b| {
-            obs.on_flow_evicted(&FlowEvicted {
+            obs.on_event(&Event::FlowEvicted(FlowEvicted {
                 cause: EvictionCause::Drain,
                 events: b.events() as u64,
-            });
+            }));
             b.into_flow()
         })
         .collect();

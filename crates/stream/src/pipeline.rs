@@ -55,7 +55,7 @@ use caai_capture::{verdict_for, SessionReport};
 use caai_core::census::CensusRecord;
 use caai_core::classify::CaaiClassifier;
 use caai_obs::{
-    span_begin, span_begin_async, CaptureTruncated, EvictionCause, FlowEvicted, FlowOpened,
+    span_begin, span_begin_async, CaptureTruncated, Event, EvictionCause, FlowEvicted, FlowOpened,
     GranuleCompleted, NullSubscriber, SessionEmitted, SpanKind, SpanToken, Subscriber,
 };
 use std::collections::{BTreeMap, HashMap};
@@ -261,7 +261,7 @@ impl<'a> FlowTable<'a> {
                 self.live += 1;
                 self.peak = self.peak.max(self.live);
                 self.flows_total += 1;
-                obs.on_flow_opened(&FlowOpened {});
+                obs.on_event(&Event::FlowOpened(FlowOpened {}));
                 s
             }
         };
@@ -271,10 +271,10 @@ impl<'a> FlowTable<'a> {
         }
         if entry.builder.events() >= self.max_events {
             self.overflowed += 1;
-            obs.on_flow_evicted(&FlowEvicted {
+            obs.on_event(&Event::FlowEvicted(FlowEvicted {
                 cause: EvictionCause::Overflow,
                 events: entry.builder.events() as u64,
-            });
+            }));
             let done = self.finalize(slot, obs);
             self.due.push(done);
         }
@@ -298,10 +298,10 @@ impl<'a> FlowTable<'a> {
                 let builder = &self.slab[slot].1.as_ref().expect("checked above").builder;
                 let last_seen = builder.last_seen();
                 if last_seen <= cutoff {
-                    obs.on_flow_evicted(&FlowEvicted {
+                    obs.on_event(&Event::FlowEvicted(FlowEvicted {
                         cause: EvictionCause::Idle,
                         events: builder.events() as u64,
-                    });
+                    }));
                     let done = self.finalize(slot, obs);
                     out.push(done);
                 } else {
@@ -319,10 +319,10 @@ impl<'a> FlowTable<'a> {
         let mut out = std::mem::take(&mut self.due);
         for slot in 0..self.slab.len() {
             if let Some(entry) = &self.slab[slot].1 {
-                obs.on_flow_evicted(&FlowEvicted {
+                obs.on_event(&Event::FlowEvicted(FlowEvicted {
                     cause: EvictionCause::Drain,
                     events: entry.builder.events() as u64,
-                });
+                }));
                 let done = self.finalize(slot, obs);
                 out.push(done);
             }
@@ -451,12 +451,12 @@ fn emit_session<F: FnMut(&SessionReport), S: Subscriber>(
     let classify_span = span_begin(obs, SpanKind::Classify, stats.sessions as i64, 0);
     let (verdict, identification) = verdict_for(&outcome, classifier);
     classify_span.end(obs);
-    obs.on_session_emitted(&SessionEmitted {
+    obs.on_event(&Event::SessionEmitted(SessionEmitted {
         verdict: verdict.kind(),
         wmax: verdict.wmax(),
         flows: session.flows as u64,
         lag_secs,
-    });
+    }));
     let report = SessionReport {
         client_ip: session.client_ip,
         server_ip: session.server_ip,
@@ -557,12 +557,12 @@ where
                 obs,
             );
         }
-        obs.on_granule_completed(&GranuleCompleted {
+        obs.on_event(&Event::GranuleCompleted(GranuleCompleted {
             granule: g.max(0) as u64,
             watermark_secs: watermark,
             tick_latency_us: began.map_or(0, |t0| t0.elapsed().as_micros() as u64),
             live_sessions: sessions.live as u64,
-        });
+        }));
         tick_span.end(obs);
     })
     .map_err(StreamError::Source)?;
@@ -572,10 +572,10 @@ where
     stats.skipped = drained.skipped;
     stats.truncated = drained.truncated.map(|e| e.to_string());
     if let Some(reason) = &stats.truncated {
-        obs.on_capture_truncated(&CaptureTruncated {
+        obs.on_event(&Event::CaptureTruncated(CaptureTruncated {
             packets: stats.packets,
             reason,
-        });
+        }));
     }
     sessions.absorb(flows.drain_all(obs));
     for slot in sessions.take_due(None) {
@@ -604,7 +604,6 @@ mod tests {
     use caai_core::training::{build_training_set, TrainingConfig};
     use caai_netem::rng::seeded;
     use caai_netem::ConditionDb;
-    use caai_obs::Event;
     use std::sync::Mutex;
 
     /// Records the order of the events eviction order shows up in.

@@ -48,8 +48,8 @@ use caai::net::{read_targets, Behavior, EmulatedServer, NetConfig, NetTransport,
 use caai::netem::rng::seeded;
 use caai::netem::{ConditionDb, EnvironmentId, PathConfig};
 use caai::obs::{
-    CensusRecordObserved, GranuleCompleted, MetricsSnapshot, MetricsSubscriber, StderrSubscriber,
-    Subscriber, TraceAnalysis, TraceSubscriber,
+    Event, MetricsSnapshot, MetricsSubscriber, StderrSubscriber, Subscriber, TraceAnalysis,
+    TraceSubscriber,
 };
 use caai::stream::{identify_bytes_obs, open_path, FollowConfig, StreamConfig};
 use caai::webmodel::PopulationConfig;
@@ -561,12 +561,12 @@ impl MetricsFile {
 
     fn write(
         &mut self,
-        metrics: &MetricsSubscriber,
+        snapshot: &MetricsSnapshot,
         source: &str,
         is_final: bool,
     ) -> Result<(), String> {
         use std::io::Write;
-        let line = metrics.snapshot().to_line(
+        let line = snapshot.to_line(
             source,
             self.seq,
             is_final,
@@ -650,7 +650,7 @@ impl<'a> ProgressHook<'a> {
             return Err(e);
         }
         match state.file.as_mut() {
-            Some(file) => file.write(self.metrics, source, true),
+            Some(file) => file.write(&self.metrics.snapshot(), source, true),
             None => Ok(()),
         }
     }
@@ -692,41 +692,55 @@ fn stage_line(snapshot: &MetricsSnapshot) -> Option<String> {
 }
 
 impl Subscriber for ProgressHook<'_> {
-    fn on_census_record_observed(&self, _: &CensusRecordObserved) {
-        if self.every > 0 && self.metrics.census_records().is_multiple_of(self.every) {
-            let snapshot = self.metrics.snapshot();
-            eprintln!("census: {}", self.census_line(&snapshot));
-            if let Some(line) = stage_line(&snapshot) {
-                eprintln!("census: {line}");
+    fn on_event(&self, event: &Event<'_>) {
+        match *event {
+            Event::CensusRecordObserved(_)
+                if self.every > 0 && self.metrics.census_records().is_multiple_of(self.every) =>
+            {
+                let snapshot = self.metrics.snapshot();
+                eprintln!("census: {}", self.census_line(&snapshot));
+                if let Some(line) = stage_line(&snapshot) {
+                    eprintln!("census: {line}");
+                }
             }
-        }
-    }
-
-    fn on_granule_completed(&self, event: &GranuleCompleted) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.granules += 1;
-        if let Some(file) = state.file.as_mut() {
-            if let Err(e) = file.write(self.metrics, "identify-follow", false) {
-                state.err.get_or_insert(e);
+            Event::GranuleCompleted(granule) => {
+                let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+                state.granules += 1;
+                let due = self.every > 0 && state.granules.is_multiple_of(self.every);
+                if state.file.is_none() && !due {
+                    return;
+                }
+                // One snapshot feeds both lines, so they agree on every count.
+                let snapshot = self.metrics.snapshot();
+                if let Some(file) = state.file.as_mut() {
+                    if let Err(e) = file.write(&snapshot, "identify-follow", false) {
+                        state.err.get_or_insert(e);
+                    }
+                }
+                if due {
+                    let count = |name: &str| snapshot.counters[name];
+                    let evicted = count("capture.flows_evicted_idle")
+                        + count("capture.flows_evicted_overflow")
+                        + count("capture.flows_evicted_drain");
+                    let bytes = count("capture.bytes");
+                    let elapsed = state.last_at.elapsed().as_secs_f64();
+                    let rate =
+                        bytes.saturating_sub(state.last_bytes) as f64 / elapsed.max(1e-9) / 1024.0;
+                    eprintln!(
+                        "follow: granule {} at {:.1}s | {} frames, {} live flows, {evicted} evicted, \
+                         {} skipped, {} sessions | {rate:.0} KiB/s",
+                        granule.granule,
+                        granule.watermark_secs,
+                        count("capture.frames_decoded"),
+                        count("capture.flows_opened").saturating_sub(evicted),
+                        count("capture.packets_skipped"),
+                        count("identify.sessions"),
+                    );
+                    state.last_bytes = bytes;
+                    state.last_at = Instant::now();
+                }
             }
-        }
-        if self.every > 0 && state.granules.is_multiple_of(self.every) {
-            let bytes = self.metrics.capture_bytes();
-            let elapsed = state.last_at.elapsed().as_secs_f64();
-            let rate = bytes.saturating_sub(state.last_bytes) as f64 / elapsed.max(1e-9) / 1024.0;
-            eprintln!(
-                "follow: granule {} at {:.1}s | {} frames, {} live flows, {} evicted, \
-                 {} skipped, {} sessions | {rate:.0} KiB/s",
-                event.granule,
-                event.watermark_secs,
-                self.metrics.frames_decoded(),
-                self.metrics.live_flows(),
-                self.metrics.flows_evicted(),
-                self.metrics.packets_skipped(),
-                self.metrics.sessions(),
-            );
-            state.last_bytes = bytes;
-            state.last_at = Instant::now();
+            _ => {}
         }
     }
 }
@@ -760,7 +774,7 @@ fn cmd_identify_pcap(args: &Args, pcap_path: &str) -> Result<(), String> {
         t.finish();
     }
     if let Some(file) = metrics_file.as_mut() {
-        file.write(&metrics, "identify", true)?;
+        file.write(&metrics.snapshot(), "identify", true)?;
     }
 
     // Ingested records flow through the same ResultSink machinery as the
@@ -1706,25 +1720,25 @@ mod tests {
 
     #[test]
     fn the_census_progress_line_renders_the_metrics_counters() {
-        use caai::obs::{CensusResumed, ProbeTimed, VerdictKind};
+        use caai::obs::{CensusRecordObserved, CensusResumed, ProbeTimed, VerdictKind};
         let metrics = MetricsSubscriber::new();
         let hook = ProgressHook::new(&args("census", &[]), &metrics, 10).expect("no --metrics");
-        metrics.on_census_resumed(&CensusResumed {
+        metrics.on_event(&Event::CensusResumed(CensusResumed {
             records: 1,
             identified: 1,
             special: 0,
             unsure: 0,
             invalid: 0,
-        });
+        }));
         for verdict in [
             VerdictKind::Invalid,
             VerdictKind::Unsure,
             VerdictKind::Identified,
         ] {
-            metrics.on_census_record_observed(&CensusRecordObserved {
+            metrics.on_event(&Event::CensusRecordObserved(CensusRecordObserved {
                 verdict,
                 wmax: None,
-            });
+            }));
         }
         let snapshot = metrics.snapshot();
         let line = hook.census_line(&snapshot);
@@ -1737,10 +1751,10 @@ mod tests {
             "{line}"
         );
         assert_eq!(stage_line(&snapshot), None, "no probe was timed");
-        metrics.on_probe_timed(&ProbeTimed {
+        metrics.on_event(&Event::ProbeTimed(ProbeTimed {
             gather_us: 300,
             verdict_us: 100,
-        });
+        }));
         let stages = stage_line(&metrics.snapshot()).expect("one probe timed");
         assert!(stages.ends_with("| gather share 75.0%"), "{stages}");
     }

@@ -408,6 +408,29 @@ fn follow_metrics_emit_per_granule_snapshots_that_validate() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("follow: granule"), "stderr: {stderr}");
     assert!(!stdout.contains("follow: granule"));
+
+    // At --progress 1 every granule writes one metrics line and one
+    // progress line, both from the same snapshot: their counts agree.
+    let progress: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("follow: granule"))
+        .collect();
+    let per_granule: Vec<_> = lines.iter().filter(|l| !l.is_final).collect();
+    assert_eq!(progress.len(), per_granule.len(), "stderr: {stderr}");
+    for (line, metrics) in progress.iter().zip(per_granule) {
+        let count = |name: &str| metrics.snapshot.counters[name];
+        let evicted = count("capture.flows_evicted_idle")
+            + count("capture.flows_evicted_overflow")
+            + count("capture.flows_evicted_drain");
+        let counts = format!(
+            "| {} frames, {} live flows, {evicted} evicted, {} skipped, {} sessions |",
+            count("capture.frames_decoded"),
+            count("capture.flows_opened") - evicted,
+            count("capture.packets_skipped"),
+            count("identify.sessions"),
+        );
+        assert!(line.contains(&counts), "{line:?} against {counts:?}");
+    }
     std::fs::remove_file(&metrics_path).ok();
 }
 

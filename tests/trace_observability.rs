@@ -17,7 +17,7 @@ use caai::core::training::{build_training_set, TrainingConfig};
 use caai::engine::{CensusEngine, EngineConfig};
 use caai::netem::rng::seeded;
 use caai::netem::ConditionDb;
-use caai::obs::{SpanBegin, SpanEnd, SpanKind, Subscriber};
+use caai::obs::{Event, SpanBegin, SpanEnd, SpanKind, Subscriber};
 use caai::stream::{identify_bytes_obs, run_obs, PcapStream, StallPolicy, StreamConfig};
 use caai::webmodel::PopulationConfig;
 use proptest::prelude::*;
@@ -59,18 +59,13 @@ impl SpanLog {
 }
 
 impl Subscriber for SpanLog {
-    fn on_span_begin(&self, event: &SpanBegin) {
-        self.events
-            .lock()
-            .expect("log poisoned")
-            .push(LogEvent::Begin(*event));
-    }
-
-    fn on_span_end(&self, event: &SpanEnd) {
-        self.events
-            .lock()
-            .expect("log poisoned")
-            .push(LogEvent::End(*event));
+    fn on_event(&self, event: &Event<'_>) {
+        let entry = match event {
+            Event::SpanBegin(e) => LogEvent::Begin(*e),
+            Event::SpanEnd(e) => LogEvent::End(*e),
+            _ => return,
+        };
+        self.events.lock().expect("log poisoned").push(entry);
     }
 }
 
