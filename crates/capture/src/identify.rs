@@ -122,19 +122,11 @@ pub fn identify_reassembly_obs<S: Subscriber>(
 /// skipped and reported, and a capture whose framing breaks mid-file is
 /// identified up to the break (`truncated` says where). Only an
 /// unreadable *header* is a hard error.
-pub fn identify_capture(
-    buf: &[u8],
-    classifier: &CaaiClassifier,
-    ladder: Option<&[u32]>,
-) -> Result<CaptureVerdicts, PcapError> {
-    identify_capture_obs(buf, classifier, ladder, &NullSubscriber)
-}
-
-/// [`identify_capture`] with a structured-event subscriber: the
-/// reassembly events of [`crate::flow::reassemble_obs`] plus one
-/// [`SessionEmitted`] per verdict. The verdicts are identical to the
-/// unobserved call.
-pub fn identify_capture_obs<S: Subscriber>(
+///
+/// `obs` hears the reassembly events of [`crate::flow::reassemble_obs`]
+/// plus one [`SessionEmitted`] per verdict; the verdicts are the same
+/// whatever the subscriber (pass [`NullSubscriber`] to observe nothing).
+pub fn identify_capture<S: Subscriber>(
     buf: &[u8],
     classifier: &CaaiClassifier,
     ladder: Option<&[u32]>,
@@ -226,7 +218,7 @@ mod tests {
         .unwrap();
         w.finish().unwrap();
 
-        let verdicts = identify_capture(&out, &quick_classifier(), None).unwrap();
+        let verdicts = identify_capture(&out, &quick_classifier(), None, &NullSubscriber).unwrap();
         assert_eq!(verdicts.packets, 4, "the flow itself parses fine");
         assert!(
             verdicts.sessions.is_empty(),

@@ -43,7 +43,7 @@
 //! let sessions = caai_capture::sessions(&reassembly, &[512, 256, 128, 64]);
 //! let outcome = caai_capture::session_outcome(&sessions[0], &[512, 256, 128, 64]);
 //! assert_eq!(outcome.pair, direct.pair);
-//! # let _ = identify_capture; // re-export smoke
+//! # let _ = identify_capture::<caai_obs::NullSubscriber>; // re-export smoke
 //! ```
 //!
 //! [`WindowTrace`]: caai_core::trace::WindowTrace
@@ -61,8 +61,8 @@ pub mod render;
 
 pub use flow::{reassemble, reassemble_obs, Flow, FlowBuilder, FlowEvent, FlowKey, Reassembly};
 pub use identify::{
-    identify_capture, identify_capture_obs, identify_reassembly, identify_reassembly_obs,
-    verdict_for, CaptureVerdicts, SessionReport,
+    identify_capture, identify_reassembly, identify_reassembly_obs, verdict_for, CaptureVerdicts,
+    SessionReport,
 };
 pub use packet::{decode, encode, DecodeError, FrameSpec, TcpSegmentView};
 pub use pcap::{PcapError, PcapReader, PcapRecord, PcapWriter};

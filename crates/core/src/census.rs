@@ -32,8 +32,8 @@ use crate::trace::InvalidReason;
 /// forest ran.
 ///
 /// This is the **single** verdict pipeline: the synthetic census
-/// (`Census::probe`) and capture ingestion (`caai-capture`) both call
-/// it, so a simulated probe and its recorded wire exchange can never
+/// (`Census::probe_seeded`) and capture ingestion (`caai-capture`) both
+/// call it, so a simulated probe and its recorded wire exchange can never
 /// be scored by diverging rules.
 pub fn verdict_for_outcome(
     outcome: &GatherOutcome,
@@ -354,23 +354,24 @@ impl Census {
         }
     }
 
-    /// Probes one server.
-    pub fn probe(&self, server: &WebServer, rng: &mut impl rand::Rng) -> CensusRecord {
-        self.probe_obs(server, rng, &NullSubscriber)
-    }
-
-    /// [`probe`](Self::probe) with a structured-event subscriber: the
-    /// ladder walk's rung events plus a [`ProbeTimed`] stage-timing
-    /// split (gather vs verdict wall time — the gather-dominance claim,
-    /// ROADMAP item 5, measured live). The record is identical to the
-    /// unobserved call; timing preparation is skipped entirely when
-    /// `S::ENABLED` is false.
-    pub fn probe_obs<S: Subscriber>(
+    /// Probes one server with the canonical per-server RNG, keyed on
+    /// `(seed, server.id)`. Any scheduler that probes each server through
+    /// this method — whatever its worker count or interleaving — measures
+    /// exactly the same records (`caai-engine` relies on this).
+    ///
+    /// `obs` hears the ladder walk's rung events plus a [`ProbeTimed`]
+    /// stage-timing split (gather vs verdict wall time — the
+    /// gather-dominance claim, ROADMAP item 5, measured live). The record
+    /// is the same whatever the subscriber; timing preparation is skipped
+    /// entirely when `S::ENABLED` is false, so callers that observe
+    /// nothing pass [`NullSubscriber`].
+    pub fn probe_seeded<S: Subscriber>(
         &self,
         server: &WebServer,
-        rng: &mut impl rand::Rng,
+        seed: u64,
         obs: &S,
     ) -> CensusRecord {
+        let rng = &mut caai_netem::rng::child(seed, u64::from(server.id));
         let cond = self.conditions.sample(rng);
         let path = PathConfig::from_condition(&cond);
         let sut = ServerUnderTest::from_web_server(server);
@@ -397,26 +398,6 @@ impl Census {
         }
     }
 
-    /// Probes one server with the canonical per-server RNG, keyed on
-    /// `(seed, server.id)`. Any scheduler that probes each server through
-    /// this method — whatever its worker count or interleaving — measures
-    /// exactly the same records (`caai-engine` relies on this).
-    pub fn probe_seeded(&self, server: &WebServer, seed: u64) -> CensusRecord {
-        self.probe_seeded_obs(server, seed, &NullSubscriber)
-    }
-
-    /// [`probe_seeded`](Self::probe_seeded) with a structured-event
-    /// subscriber (see [`probe_obs`](Self::probe_obs)).
-    pub fn probe_seeded_obs<S: Subscriber>(
-        &self,
-        server: &WebServer,
-        seed: u64,
-        obs: &S,
-    ) -> CensusRecord {
-        let mut rng = caai_netem::rng::child(seed, u64::from(server.id));
-        self.probe_obs(server, &mut rng, obs)
-    }
-
     /// Probes a whole population across `workers` threads.
     ///
     /// This is the thin in-memory path; `caai-engine` provides the
@@ -433,7 +414,7 @@ impl Census {
                 let census = &*self;
                 handles.push(scope.spawn(move || {
                     part.iter()
-                        .map(|s| census.probe_seeded(s, seed))
+                        .map(|s| census.probe_seeded(s, seed, &NullSubscriber))
                         .collect::<Vec<_>>()
                 }));
             }
@@ -537,7 +518,7 @@ mod tests {
         let servers = PopulationConfig::small(8).generate(&mut rng);
         let report = census.run(&servers, 3, 2);
         for (server, record) in servers.iter().zip(&report.records) {
-            assert_eq!(census.probe_seeded(server, 3), *record);
+            assert_eq!(census.probe_seeded(server, 3, &NullSubscriber), *record);
         }
     }
 
@@ -588,8 +569,8 @@ mod tests {
         let metrics = MetricsSubscriber::new();
         for server in &servers {
             assert_eq!(
-                census.probe_seeded_obs(server, 3, &metrics),
-                census.probe_seeded(server, 3),
+                census.probe_seeded(server, 3, &metrics),
+                census.probe_seeded(server, 3, &NullSubscriber),
                 "subscriber must not change the record"
             );
         }

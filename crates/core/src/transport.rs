@@ -46,7 +46,7 @@ pub trait ProbeTransport: Sync {
 }
 
 /// The simulator transport: probes synthetic [`WebServer`]s through
-/// [`Census::probe_seeded_obs`], exactly as every census before the
+/// [`Census::probe_seeded`], exactly as every census before the
 /// transport seam existed. Construction validates that server ids are
 /// dense and unique (`0..len`, each exactly once) — the property the
 /// engine's completion bitmap and shard ownership are keyed on.
@@ -97,7 +97,7 @@ impl ProbeTransport for SimTransport<'_> {
 
     fn probe<S: Subscriber>(&self, id: u32, seed: u64, obs: &S) -> CensusRecord {
         let server = &self.servers[self.index[id as usize] as usize];
-        self.census.probe_seeded_obs(server, seed, obs)
+        self.census.probe_seeded(server, seed, obs)
     }
 }
 
@@ -133,7 +133,7 @@ mod tests {
         for server in &servers {
             assert_eq!(
                 transport.probe(server.id, 9, &caai_obs::NullSubscriber),
-                census.probe_seeded(server, 9),
+                census.probe_seeded(server, 9, &caai_obs::NullSubscriber),
                 "the transport seam must not change any record"
             );
         }

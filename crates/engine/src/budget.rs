@@ -9,19 +9,22 @@ use std::time::{Duration, Instant};
 
 /// Limits on how much work one engine run may perform.
 ///
-/// `Budget::default()` is unlimited. A budget counts only probes
-/// performed by the current run — records resumed from a checkpoint are
-/// free.
+/// `Budget::default()` is unlimited. A probe budget of N cuts the run's
+/// work list to the first N servers it has left, so it probes exactly
+/// those, at any worker count; records resumed from a checkpoint are
+/// free. A deadline stops the workers before their next probe once the
+/// run has taken that long; what they finished still folds in.
 ///
 /// ```
 /// use caai_engine::Budget;
-/// use std::time::Instant;
+/// use std::time::{Duration, Instant};
 ///
-/// let budget = Budget::probes(1000);
 /// let started = Instant::now();
-/// assert!(!budget.exhausted(999, started));
-/// assert!(budget.exhausted(1000, started));
-/// assert!(!Budget::unlimited().exhausted(u64::MAX, started));
+/// assert!(Budget::deadline(Duration::ZERO).expired(started));
+/// assert!(!Budget::deadline(Duration::from_secs(3600)).expired(started));
+/// // A probe cap never expires: it cuts the work list instead.
+/// assert!(!Budget::probes(1000).expired(started));
+/// assert!(!Budget::unlimited().expired(started));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
@@ -53,20 +56,10 @@ impl Budget {
         }
     }
 
-    /// Whether the budget is exhausted after `probes_done` probes with
-    /// the run having started at `started`.
-    pub fn exhausted(&self, probes_done: u64, started: Instant) -> bool {
-        if let Some(max) = self.max_probes {
-            if probes_done >= max {
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if started.elapsed() >= deadline {
-                return true;
-            }
-        }
-        false
+    /// Whether the deadline has passed for a run that started at
+    /// `started`.
+    pub fn expired(&self, started: Instant) -> bool {
+        self.deadline.is_some_and(|d| started.elapsed() >= d)
     }
 }
 
@@ -77,23 +70,14 @@ mod tests {
     #[test]
     fn unlimited_budget_never_exhausts() {
         let b = Budget::unlimited();
-        assert!(!b.exhausted(u64::MAX, Instant::now()));
-    }
-
-    #[test]
-    fn probe_budget_trips_at_the_cap() {
-        let b = Budget::probes(10);
-        let now = Instant::now();
-        assert!(!b.exhausted(9, now));
-        assert!(b.exhausted(10, now));
-        assert!(b.exhausted(11, now));
+        assert!(!b.expired(Instant::now() - Duration::from_millis(5)));
     }
 
     #[test]
     fn deadline_trips_after_elapsed() {
         let b = Budget::deadline(Duration::from_millis(1));
         let started = Instant::now() - Duration::from_millis(5);
-        assert!(b.exhausted(0, started));
-        assert!(!b.exhausted(0, Instant::now() + Duration::from_secs(1)));
+        assert!(b.expired(started));
+        assert!(!b.expired(Instant::now() + Duration::from_secs(1)));
     }
 }

@@ -1,5 +1,5 @@
-//! The census engine proper: worker pool, sink thread, record streaming,
-//! checkpoint cadence, budget enforcement.
+//! The census engine proper: worker pool, record streaming, checkpoint
+//! cadence, budget enforcement.
 //!
 //! ## Transport seam
 //!
@@ -20,7 +20,11 @@
 //! interrupted and resumed. For the simulator transport the probes
 //! themselves are pure too, so the whole report reduces to
 //! `(population, seed, shard)`; a real network answers however it
-//! pleases, and the engine stays deterministic *given the records*.
+//! pleases, and the engine stays deterministic *given the records*. A
+//! probe budget cuts the work list before any worker starts, so a
+//! budgeted partial report adds only the budget and the resume
+//! checkpoint to those inputs; a deadline is the one stop that depends
+//! on timing.
 //!
 //! ## Memory contract
 //!
@@ -33,25 +37,32 @@
 //! nothing grows with the number of *completed* records. Attach an
 //! [`crate::sink::AggregatingSink`] to opt back into record retention.
 //!
-//! ## Sink thread
+//! ## One queue
 //!
-//! Sinks run on a dedicated thread fed through a bounded queue
-//! ([`EngineConfig::sink_queue`]), so a slow sink (compressing writer,
-//! network upload) does not stall the coordinator — which keeps draining
-//! workers, folding aggregates, and writing checkpoints — until the
-//! queue itself fills, which bounds memory instead of growing a backlog.
+//! Workers hand records to one bounded queue; the caller's thread drains
+//! it, and for each record folds the aggregates, emits the census event,
+//! writes every sink and, when a checkpoint falls due, flushes the sinks,
+//! then the subscriber, then saves; then it checks the deadline. The write
+//! barrier that keeps a checkpoint from claiming a record the sinks have
+//! not durably written is program order. The only sinks in the tree (a
+//! buffered JSONL file, an in-memory aggregator) cost a microsecond or
+//! two a record against probes of tens of microseconds or more, so a
+//! sink rarely stalls the queue; when one does, workers block in `send`
+//! instead of growing a backlog. A sink or checkpoint error ends the loop
+//! and drops the queue's receiver, so every worker's next hand-over fails
+//! and it exits.
 //!
 //! ## Hand-overs
 //!
 //! Records change threads a hand-over at a time, not one by one: a worker
 //! keeps what it finishes until it holds a claimed batch's worth or 2 ms
 //! (`HANDOVER_INTERVAL`) have passed since it last handed over, and the
-//! coordinator passes each hand-over on to the sink thread whole. A
-//! record that crosses alone wakes two parked threads, which at
-//! simulator speed cost a quarter of the probe that made it; a transport
-//! whose probes outlast the interval (live sockets: milliseconds to
-//! minutes) still delivers every record as it completes. Which of the two
-//! happens follows from the probe times observed, not from a setting.
+//! coordinator folds each hand-over whole. A record that crosses alone
+//! wakes a parked thread, which at simulator speed costs a sizeable share
+//! of the probe that made it; a transport whose probes outlast the
+//! interval (live sockets: milliseconds to minutes) still delivers every
+//! record as it completes. Which of the two happens follows from the
+//! probe times observed, not from a setting.
 
 use crate::budget::Budget;
 use crate::checkpoint::Checkpoint;
@@ -87,10 +98,6 @@ pub struct EngineConfig {
     pub checkpoint_path: Option<PathBuf>,
     /// Checkpoint after every this many newly completed records.
     pub checkpoint_every: u64,
-    /// Bounded capacity of the engine's two internal queues (workers →
-    /// coordinator, coordinator → sink thread), in hand-overs: each holds
-    /// at most a claimed batch of records.
-    pub sink_queue: usize,
     /// Probe/deadline budget for this run.
     pub budget: Budget,
 }
@@ -104,19 +111,9 @@ impl Default for EngineConfig {
             shard: ShardSpec::full(),
             checkpoint_path: None,
             checkpoint_every: 256,
-            sink_queue: 1024,
             budget: Budget::unlimited(),
         }
     }
-}
-
-/// Why the run stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopCause {
-    /// Every server this run's shard owns has a record.
-    Completed,
-    /// The probe or wall-clock budget ran out first.
-    BudgetExhausted,
 }
 
 /// The result of one engine run.
@@ -125,10 +122,9 @@ pub struct EngineOutcome {
     /// The (possibly partial) record-free census report over this run's
     /// shard. Attach an [`crate::sink::AggregatingSink`] for records.
     pub report: CensusReport,
-    /// Whether every owned server was probed.
+    /// Whether every owned server was probed; `false` when the probe or
+    /// wall-clock budget ran out first.
     pub completed: bool,
-    /// Why the run stopped.
-    pub stop: StopCause,
     /// How many checkpoint files this run wrote. A final write that
     /// would duplicate a write made earlier in the same run (no new
     /// records since) is skipped. A run that resumed and probed nothing
@@ -179,15 +175,8 @@ fn hands_over(held: usize, batch: usize, since: Duration) -> bool {
     held >= batch || since >= HANDOVER_INTERVAL
 }
 
-/// What the coordinator feeds the sink thread through the bounded queue.
-enum SinkMsg {
-    /// Completed records to emit, in this order.
-    Records(Vec<CensusRecord>),
-    /// Flush every sink, then ack — the coordinator's write barrier
-    /// before a checkpoint, so a checkpoint never claims a record the
-    /// sinks have not durably written (kill-safe with buffered writers).
-    Flush(mpsc::Sender<()>),
-}
+/// How many hand-overs the workers' queue holds before a worker blocks.
+const QUEUE_DEPTH: usize = 1024;
 
 /// The streaming census engine over the simulator transport. See the
 /// crate docs for an example, and [`run_transport`] for driving other
@@ -299,62 +288,35 @@ pub fn run_transport_obs<T: ProbeTransport, S: Subscriber>(
         None => Checkpoint::new(seed, population, shard),
     };
     let mut done = live.completed_count();
-    // Fresh probes only: resumed records are not charged to the budget.
-    let mut probed: u64 = 0;
 
     // Work list: ids of owned servers without a record yet (u32 — this
-    // is the largest engine-owned allocation).
+    // is the largest engine-owned allocation), cut to the probe budget.
+    // Resumed records are not charged to it, and the run probes exactly
+    // the first `max_probes` of the rest, whatever the worker count.
+    let max_probes = config
+        .budget
+        .max_probes
+        .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX));
     let pending: Vec<u32> = (0..population as u32)
         .filter(|&id| shard.owns(id) && !live.completed.contains(id))
+        .take(max_probes)
         .collect();
 
     let scheduler = BatchScheduler::new(pending.len(), config.batch_size);
     let stop = AtomicBool::new(false);
     let workers = config.workers.max(1).min(pending.len().max(1));
-    // Both queues are bounded: when the coordinator stalls (e.g.
-    // blocked on a full sink queue), workers block in send instead of
-    // growing an O(records) backlog.
-    let queue = config.sink_queue.max(1);
-    let (tx, rx) = mpsc::sync_channel::<Vec<CensusRecord>>(queue);
-    let (sink_tx, sink_rx) = mpsc::sync_channel::<SinkMsg>(queue);
+    // Bounded: when the coordinator stalls (a slow sink, a checkpoint
+    // write), workers block in send instead of growing a backlog.
+    let (tx, rx) = mpsc::sync_channel::<Vec<CensusRecord>>(QUEUE_DEPTH);
 
-    let mut run_error: Option<EngineError> = None;
     let mut since_checkpoint: u64 = 0;
     let mut last_written: Option<u64> = None;
     let mut checkpoints_written: u64 = 0;
-    let mut budget_hit = false;
 
     let run_span = span_begin(obs, SpanKind::CensusRun, owned_total as i64, workers as i64);
     let run_id = run_span.id();
 
-    let sink_result = std::thread::scope(|scope| {
-        // Dedicated sink thread: drains the bounded queue so slow
-        // sinks never stall the coordinator below.
-        let sink_thread = scope.spawn(move || -> io::Result<()> {
-            for msg in &sink_rx {
-                match msg {
-                    SinkMsg::Records(records) => {
-                        for record in &records {
-                            for sink in sinks.iter_mut() {
-                                sink.emit(record)?;
-                            }
-                        }
-                    }
-                    SinkMsg::Flush(ack) => {
-                        for sink in sinks.iter_mut() {
-                            sink.flush()?;
-                        }
-                        // The coordinator may have given up waiting.
-                        let _ = ack.send(());
-                    }
-                }
-            }
-            for sink in sinks.iter_mut() {
-                sink.flush()?;
-            }
-            Ok(())
-        });
-
+    let result = std::thread::scope(|scope| -> Result<(), EngineError> {
         for _ in 0..workers {
             let tx = tx.clone();
             let pending = &pending;
@@ -404,82 +366,45 @@ pub fn run_transport_obs<T: ProbeTransport, S: Subscriber>(
         }
         drop(tx);
 
-        // Coordinator: fold aggregates, mark the bitmap, forward to
-        // the sink thread, checkpoint, and enforce the budget — record by
-        // record; what is folded goes on to the sink thread when its
-        // hand-over ends, or ahead of a checkpoint.
-        let mut folded = Vec::new();
-        let arrivals = rx.iter().flat_map(|records| {
-            let held = records.len();
-            let numbered = records.into_iter().enumerate();
-            numbered.map(move |(i, record)| (record, i + 1 == held))
-        });
-        for (record, ends_handover) in arrivals {
-            if run_error.is_some() {
-                // Drain remaining in-flight records without folding.
-                continue;
-            }
+        // Coordinator, record by record: fold the aggregates, mark the
+        // bitmap, write the sinks, checkpoint, and watch the deadline.
+        // Returning early drops `rx`, so no worker blocks on a queue
+        // nobody drains.
+        for record in rx.into_iter().flatten() {
             live.observe(&record);
             obs.on_event(&Event::CensusRecordObserved(CensusRecordObserved {
                 verdict: record.verdict.kind(),
                 wmax: record.verdict.wmax(),
             }));
             done += 1;
-            probed += 1;
             since_checkpoint += 1;
-
-            folded.push(record);
-            let checkpoint_due =
-                config.checkpoint_path.is_some() && since_checkpoint >= config.checkpoint_every;
-            let mut sink_dead = (ends_handover || checkpoint_due)
-                && sink_tx
-                    .send(SinkMsg::Records(std::mem::take(&mut folded)))
-                    .is_err();
-            if sink_dead {
-                // The sink thread bailed; its error surfaces at join.
-                stop.store(true, Ordering::Relaxed);
+            for sink in sinks.iter_mut() {
+                sink.emit(&record)?;
             }
-            if !sink_dead && checkpoint_due {
+            if config.checkpoint_path.is_some() && since_checkpoint >= config.checkpoint_every {
                 since_checkpoint = 0;
-                // Write barrier: every record in this checkpoint must
-                // already be flushed through the sinks, and whatever the
+                // Write barrier: every record in this checkpoint is
+                // already flushed through the sinks, and whatever the
                 // subscriber buffered about it (trace spans) with it —
                 // resume skips these servers, nothing recreates either.
-                sink_dead = !sync_sinks(&sink_tx);
+                flush_sinks(sinks)?;
                 obs.flush();
-                if sink_dead {
-                    stop.store(true, Ordering::Relaxed);
-                } else {
-                    match save_checkpoint(config, &live) {
-                        Ok(()) => {
-                            last_written = Some(done);
-                            checkpoints_written += 1;
-                            obs.on_event(&Event::CheckpointWritten(CheckpointWritten {
-                                records: done,
-                            }));
-                        }
-                        Err(e) => {
-                            run_error = Some(e);
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                    }
-                }
+                save_checkpoint(config, &live)?;
+                last_written = Some(done);
+                checkpoints_written += 1;
+                obs.on_event(&Event::CheckpointWritten(CheckpointWritten {
+                    records: done,
+                }));
             }
-            if !budget_hit && config.budget.exhausted(probed, started) {
-                budget_hit = true;
+            if config.budget.expired(started) {
                 stop.store(true, Ordering::Relaxed);
             }
         }
-
-        drop(sink_tx);
-        sink_thread.join().expect("sink thread panicked")
+        flush_sinks(sinks)
     });
     run_span.end(obs);
+    result?;
 
-    if let Some(e) = run_error {
-        return Err(e);
-    }
-    sink_result?;
     // Final checkpoint — skipped when it would be byte-identical to
     // the last one written (no new records completed since).
     if config.checkpoint_path.is_some() && last_written != Some(done) {
@@ -491,17 +416,18 @@ pub fn run_transport_obs<T: ProbeTransport, S: Subscriber>(
         }));
     }
 
-    let completed = done == owned_total;
     Ok(EngineOutcome {
         report: live.aggregates.report(),
-        completed,
-        stop: if completed {
-            StopCause::Completed
-        } else {
-            StopCause::BudgetExhausted
-        },
+        completed: done == owned_total,
         checkpoints_written,
     })
+}
+
+fn flush_sinks(sinks: &mut [&mut dyn ResultSink]) -> Result<(), EngineError> {
+    for sink in sinks.iter_mut() {
+        sink.flush()?;
+    }
+    Ok(())
 }
 
 fn save_checkpoint(config: &EngineConfig, live: &Checkpoint) -> Result<(), EngineError> {
@@ -525,17 +451,6 @@ fn resumed_counts(agg: &CensusAggregates) -> CensusResumed {
         unsure: in_columns(|c| c.unsure),
         invalid: agg.invalid.values().sum::<usize>() as u64,
     }
-}
-
-/// Asks the sink thread to flush everything and waits for the ack.
-/// Returns `false` if the sink thread has died (its error surfaces when
-/// the coordinator joins it).
-fn sync_sinks(sink_tx: &mpsc::SyncSender<SinkMsg>) -> bool {
-    let (ack_tx, ack_rx) = mpsc::channel();
-    if sink_tx.send(SinkMsg::Flush(ack_tx)).is_err() {
-        return false;
-    }
-    ack_rx.recv().is_ok()
 }
 
 #[cfg(test)]
@@ -649,5 +564,73 @@ mod tests {
             .expect("neither sink nor checkpoint can fail");
         assert!(outcome.completed);
         assert_eq!(outcome.report.total, 40);
+    }
+
+    /// Answers every probe at once.
+    struct Instantly(u64);
+
+    impl ProbeTransport for Instantly {
+        fn population(&self) -> u64 {
+            self.0
+        }
+
+        fn probe<S: Subscriber>(&self, id: u32, _: u64, _: &S) -> CensusRecord {
+            CensusRecord {
+                server_id: id,
+                truth: None,
+                verdict: Verdict::Invalid(InvalidReason::PageTooShort),
+            }
+        }
+    }
+
+    /// Takes `.0` records, then fails every emit — the first failure only
+    /// after the workers have had time to fill the queue.
+    struct FailsAfter(usize, Vec<u32>);
+
+    impl ResultSink for FailsAfter {
+        fn emit(&mut self, record: &CensusRecord) -> io::Result<()> {
+            if self.1.len() == self.0 {
+                std::thread::sleep(Duration::from_millis(100));
+                return Err(io::Error::other("disk full"));
+            }
+            self.1.push(record.server_id);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_ends_the_run_and_the_checkpoint_holds_only_what_it_took() {
+        // Failing on the 10th emit follows the checkpoint at 9; failing on
+        // the 9th falls on a record due in the checkpoint it must not reach.
+        for (taken, checkpointed) in [(9, 9), (8, 6)] {
+            let path = std::env::temp_dir().join(format!(
+                "caai-engine-failing-sink-{}-{taken}.json",
+                std::process::id()
+            ));
+            let config = EngineConfig {
+                workers: 4,
+                batch_size: 1,
+                checkpoint_path: Some(path.clone()),
+                checkpoint_every: 3,
+                ..EngineConfig::default()
+            };
+            // More records than the queue holds hand-overs, so workers are
+            // blocked in send when the sink fails.
+            let transport = Instantly(QUEUE_DEPTH as u64 * 8);
+            let (done, result) = mpsc::channel();
+            std::thread::spawn(move || {
+                let mut sink = FailsAfter(taken, Vec::new());
+                let outcome = run_transport(&transport, &config, &mut [&mut sink], None);
+                let _ = done.send((outcome, sink));
+            });
+            let (outcome, sink) = result
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a failed sink ends the run instead of hanging it");
+            assert!(matches!(outcome, Err(EngineError::Io(_))), "{outcome:?}");
+            let ck = Checkpoint::load(&path).expect("a checkpoint every 3 records");
+            std::fs::remove_file(&path).ok();
+            assert_eq!(ck.completed_count(), checkpointed);
+            assert!(ck.completed.iter().all(|id| sink.1.contains(&id)));
+        }
     }
 }

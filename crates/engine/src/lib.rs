@@ -16,10 +16,11 @@
 //! 3. **Constant memory**: the engine retains only a
 //!    [`caai_core::census::CensusAggregates`] fold plus a completed-id
 //!    bitmap ([`bitmap`]) — O(aggregates + bitmap), never O(records).
-//!    Records stream to [`sink::ResultSink`]s (a JSONL file, or the
-//!    opt-in record-retaining [`sink::AggregatingSink`]) on a dedicated
-//!    sink thread behind a bounded queue, so a slow sink cannot stall
-//!    the coordinator.
+//!    Records stream from the workers through one bounded queue to the
+//!    caller's thread, which folds them and writes them to
+//!    [`sink::ResultSink`]s (a JSONL file, or the opt-in record-retaining
+//!    [`sink::AggregatingSink`]); a stalled sink blocks the workers
+//!    instead of growing a backlog.
 //! 4. **Checkpoint/resume** ([`checkpoint`]): periodic constant-size v2
 //!    snapshots (aggregates + bitmap, atomically renamed, never written
 //!    ahead of the flushed sinks) let a census killed mid-flight — even
@@ -30,10 +31,11 @@
 //!    [`merge::merge_pieces`] joins the per-shard checkpoints/JSONL back
 //!    into the byte-identical unsharded report.
 //! 6. **Budgets and census events** ([`budget`], [`CensusEngine::run_obs`]):
-//!    wall-clock deadlines and max-probe budgets; the engine keeps no
-//!    progress counters of its own but emits one event per folded record,
-//!    per resume and per checkpoint to the caller's `caai_obs` subscriber,
-//!    whose metrics are what a progress line renders.
+//!    wall-clock deadlines and max-probe budgets (a run with a budget of
+//!    N probes exactly the first N servers it has left); the engine keeps
+//!    no progress counters of its own but emits one event per folded
+//!    record, per resume and per checkpoint to the caller's `caai_obs`
+//!    subscriber, whose metrics are what a progress line renders.
 //!
 //! ## Example
 //!
@@ -82,7 +84,6 @@ pub use budget::Budget;
 pub use checkpoint::Checkpoint;
 pub use engine::{
     run_transport, run_transport_obs, CensusEngine, EngineConfig, EngineError, EngineOutcome,
-    StopCause,
 };
 pub use merge::{merge_pieces, MergeError, MergedCensus, ShardPiece};
 pub use scheduler::BatchScheduler;

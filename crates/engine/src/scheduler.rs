@@ -40,17 +40,6 @@ impl BatchScheduler {
         }
         Some(start..(start + self.batch).min(self.total))
     }
-
-    /// How many items have been claimed so far (may exceed `total` once
-    /// the scheduler runs dry; callers should clamp for display).
-    pub fn claimed(&self) -> usize {
-        self.cursor.load(Ordering::Relaxed).min(self.total)
-    }
-
-    /// Total number of work items.
-    pub fn total(&self) -> usize {
-        self.total
-    }
 }
 
 #[cfg(test)]
@@ -69,7 +58,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-        assert_eq!(sched.claimed(), 103);
     }
 
     #[test]
@@ -87,7 +75,6 @@ mod tests {
         for _second_worker_then_both_again in 0..3 {
             assert_eq!(sched.next_batch(), None);
         }
-        assert_eq!(sched.claimed(), 60);
     }
 
     #[test]

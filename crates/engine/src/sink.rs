@@ -8,9 +8,9 @@
 //! once. Since checkpoint v2 the engine itself retains no records — a
 //! sink is the only place records survive a run.
 //!
-//! Sinks run on a dedicated thread behind a bounded queue (see
-//! [`crate::engine`]), so they must be [`Send`]; a slow sink only
-//! back-pressures the coordinator once the queue fills.
+//! The engine writes sinks from the caller's thread, as it folds each
+//! record (see [`crate::engine`]); a slow sink back-pressures the workers
+//! once their one queue fills.
 
 use crate::shard::ShardSpec;
 use caai_core::census::{assemble, CensusRecord, CensusReport};
@@ -21,14 +21,15 @@ use std::path::Path;
 
 /// Receives census records as they complete.
 ///
-/// The engine drives sinks from a dedicated sink thread, in completion
-/// order — which varies with worker interleaving. Consumers that need the
+/// The engine drives sinks from the caller's thread, in completion order —
+/// which varies with worker interleaving. Consumers that need the
 /// canonical order should sort by `server_id` (see [`read_jsonl`]).
-pub trait ResultSink: Send {
+pub trait ResultSink {
     /// Consumes one completed record.
     fn emit(&mut self, record: &CensusRecord) -> io::Result<()>;
 
-    /// Flushes any buffered output (called at the end of a run).
+    /// Flushes any buffered output (called before every checkpoint and at
+    /// the end of a run).
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
@@ -112,7 +113,7 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
-impl<W: Write + Send> ResultSink for JsonlSink<W> {
+impl<W: Write> ResultSink for JsonlSink<W> {
     fn emit(&mut self, record: &CensusRecord) -> io::Result<()> {
         let json = serde_json::to_string(record)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;

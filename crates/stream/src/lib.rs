@@ -40,7 +40,7 @@ pub mod pcapng;
 pub mod pipeline;
 pub mod source;
 
-pub use offline::{identify_bytes, identify_bytes_obs, reassemble_source, reassemble_source_obs};
+pub use offline::{identify_bytes, identify_bytes_obs, reassemble_source};
 pub use pcapng::classic_to_pcapng;
 pub use pipeline::{run, run_obs, StreamConfig, StreamError, StreamStats};
 pub use source::{

@@ -7,7 +7,7 @@ use crate::pcapng::SHB_MAGIC;
 use crate::source::{CaptureSource, PcapStream, SourceError, StallPolicy};
 use caai_capture::flow::{FlowBuilder, FlowKey, Reassembly};
 use caai_capture::identify::CaptureVerdicts;
-use caai_capture::{identify_capture_obs, identify_reassembly_obs, PcapError};
+use caai_capture::{identify_capture, identify_reassembly_obs, PcapError};
 use caai_core::classify::CaaiClassifier;
 use caai_obs::{
     CaptureTruncated, Event, EvictionCause, FlowEvicted, FlowOpened, NullSubscriber, Subscriber,
@@ -21,14 +21,11 @@ use std::collections::HashMap;
 ///
 /// Fails only when the source dies before producing a single item — i.e.
 /// the container header itself was unreadable.
-pub fn reassemble_source(source: &mut dyn CaptureSource) -> Result<Reassembly, SourceError> {
-    reassemble_source_obs(source, &NullSubscriber)
-}
-
-/// [`reassemble_source`] with a structured-event subscriber, emitting the
-/// same events as [`caai_capture::reassemble_obs`] so offline pcapng
-/// ingestion and offline pcap ingestion count identically.
-pub fn reassemble_source_obs<S: Subscriber>(
+///
+/// `obs` hears the same events as [`caai_capture::reassemble_obs`] emits,
+/// so offline pcapng ingestion and offline pcap ingestion count
+/// identically.
+pub fn reassemble_source<S: Subscriber>(
     source: &mut dyn CaptureSource,
     obs: &S,
 ) -> Result<Reassembly, SourceError> {
@@ -99,7 +96,7 @@ pub fn identify_bytes_obs<S: Subscriber>(
 ) -> Result<CaptureVerdicts, PcapError> {
     if buf.len() >= 4 && buf[..4] == SHB_MAGIC {
         let mut source = PcapStream::new(std::io::Cursor::new(buf), StallPolicy::Eof);
-        let reassembly = reassemble_source_obs(&mut source, obs).map_err(|e| PcapError {
+        let reassembly = reassemble_source(&mut source, obs).map_err(|e| PcapError {
             offset: e.offset as usize,
             reason: e.reason,
         })?;
@@ -112,6 +109,6 @@ pub fn identify_bytes_obs<S: Subscriber>(
             packets: reassembly.packets,
         })
     } else {
-        identify_capture_obs(buf, classifier, ladder, obs)
+        identify_capture(buf, classifier, ladder, obs)
     }
 }

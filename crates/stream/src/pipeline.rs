@@ -706,7 +706,8 @@ mod tests {
         ];
         assert_eq!(*order.0.lock().unwrap(), expected);
         assert_eq!(stats.flows, 2);
-        let offline = identify_capture(&capture, &classifier, None).expect("capture parses");
+        let offline =
+            identify_capture(&capture, &classifier, None, &NullSubscriber).expect("capture parses");
         assert_eq!(offline.sessions.len(), 2);
         assert_eq!(reports, offline.sessions, "streaming == offline");
     }

@@ -17,7 +17,7 @@ use caai_core::server_under_test::ServerUnderTest;
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_netem::rng::seeded;
 use caai_netem::{ConditionDb, PathConfig};
-use caai_obs::{Event, Subscriber};
+use caai_obs::{Event, NullSubscriber, Subscriber};
 use caai_stream::{
     classic_to_pcapng, identify_bytes, run, run_obs, PcapStream, StallPolicy, StreamConfig,
 };
@@ -66,7 +66,8 @@ fn fixture() -> &'static [u8] {
 /// whole-file path's (same reports, same order, same server ids).
 #[test]
 fn streaming_verdicts_equal_the_offline_path() {
-    let offline = identify_capture(fixture(), classifier(), None).expect("fixture parses");
+    let offline =
+        identify_capture(fixture(), classifier(), None, &NullSubscriber).expect("fixture parses");
     assert!(
         offline.sessions.len() == 2,
         "fixture must carry two probe sessions, got {}",

@@ -22,6 +22,7 @@ use caai::core::server_under_test::ServerUnderTest;
 use caai::core::training::{build_training_set, TrainingConfig};
 use caai::netem::rng::seeded;
 use caai::netem::{ConditionDb, PathConfig};
+use caai::obs::NullSubscriber;
 
 fn main() {
     // ---- 1. Simulate and render. -----------------------------------
@@ -70,7 +71,7 @@ fn main() {
     let mut train_rng = seeded(5);
     let data = build_training_set(&TrainingConfig::quick(2), &db, &mut train_rng);
     let classifier = CaaiClassifier::train(&data, &mut train_rng);
-    let verdicts = identify_capture(&capture, &classifier, None).expect("parses");
+    let verdicts = identify_capture(&capture, &classifier, None, &NullSubscriber).expect("parses");
     println!();
     for (s, (truth, _)) in verdicts.sessions.iter().zip(&truths) {
         println!(

@@ -204,8 +204,6 @@ COMMANDS:
                   [--budget N]           stop cleanly after N probes
                   [--deadline SECS]      stop cleanly after SECS wall-clock
                   [--batch N]            servers per scheduler batch (16)
-                  [--sink-queue N]       bounded sink-thread queue depth, in hand-overs
-                                         of up to --batch records (1024)
                   [--progress N]         progress + stage-timing line every N records
                                          (0 = quiet; --metrics still collects)
                   [--metrics FILE]       write a final caai-metrics-v1 snapshot line
@@ -313,7 +311,7 @@ const COMMANDS: [(&str, &str, Command); 12] = [
     (
         "census",
         "servers model conditions workers json seed shard out checkpoint checkpoint-every \
-         resume budget deadline batch sink-queue progress metrics trace trace-sample targets \
+         resume budget deadline batch progress metrics trace trace-sample targets \
          connect-timeout-ms io-timeout-ms retries backoff-ms probe-rate net-rate max-sessions pace",
         cmd_census,
     ),
@@ -1053,7 +1051,6 @@ fn census_setup(
         shard,
         checkpoint_path: args.get("checkpoint").map(PathBuf::from),
         checkpoint_every: args.parsed("checkpoint-every", 256)?,
-        sink_queue: args.parsed("sink-queue", 1024)?,
         budget: Budget {
             max_probes: args.optional("budget")?,
             deadline: args.optional("deadline")?.map(Duration::from_secs_f64),

@@ -17,7 +17,6 @@ use caai::core::prober::ProberConfig;
 use caai::core::training::{build_training_set, TrainingConfig};
 use caai::engine::{
     AggregatingSink, Budget, CensusEngine, Checkpoint, EngineConfig, JsonlSink, ShardSpec,
-    StopCause,
 };
 use caai::netem::rng::seeded;
 use caai::netem::ConditionDb;
@@ -62,7 +61,6 @@ fn run_uninterrupted(workers: usize) -> CensusReport {
         .run(&servers(), &mut [], None)
         .expect("no sinks, no I/O");
     assert!(outcome.completed);
-    assert_eq!(outcome.stop, StopCause::Completed);
     assert!(
         outcome.report.records.is_empty(),
         "the engine must not retain records"
@@ -123,7 +121,6 @@ fn interrupted_census_resumes_to_the_identical_report() {
     .run(&servers(), &mut [], None)
     .expect("checkpointing must succeed");
     assert!(!interrupted.completed, "budget must interrupt the run");
-    assert_eq!(interrupted.stop, StopCause::BudgetExhausted);
     assert!(interrupted.report.total < 60, "partial report expected");
 
     // Second run: resume from the checkpoint, no budget.
@@ -330,4 +327,49 @@ fn idempotent_final_checkpoint_is_skipped() {
     let ck = Checkpoint::load(&ck_path).expect("final checkpoint is current");
     assert_eq!(ck.completed_count(), 60, "final write captured the tail");
     std::fs::remove_file(&ck_path).ok();
+}
+
+#[test]
+fn a_probe_budget_probes_exactly_that_many_at_any_worker_count() {
+    let baseline = run_uninterrupted(4);
+    let budgeted = |workers: usize| {
+        let ck_path = tmp(&format!("budget-w{workers}.json"));
+        let outcome = CensusEngine::new(
+            census(),
+            EngineConfig {
+                seed: SEED,
+                workers,
+                checkpoint_path: Some(ck_path.clone()),
+                checkpoint_every: 7,
+                budget: Budget::probes(20),
+                ..EngineConfig::default()
+            },
+        )
+        .run(&servers(), &mut [], None)
+        .expect("checkpointing must succeed");
+        assert!(!outcome.completed);
+        assert_eq!(outcome.report.total, 20, "{workers} workers");
+        let ck = Checkpoint::load(&ck_path).expect("checkpoint must load");
+        std::fs::remove_file(&ck_path).ok();
+        assert_eq!(ck.completed_count(), 20, "{workers} workers");
+        (outcome.report, ck)
+    };
+    let runs = [budgeted(1), budgeted(4), budgeted(8)];
+    assert_eq!(runs[0], runs[1], "1 vs 4 workers");
+    assert_eq!(runs[0], runs[2], "1 vs 8 workers");
+
+    for ((_, ck), workers) in runs.into_iter().zip([4, 8, 1]) {
+        let resumed = CensusEngine::new(
+            census(),
+            EngineConfig {
+                seed: SEED,
+                workers,
+                ..EngineConfig::default()
+            },
+        )
+        .run(&servers(), &mut [], Some(ck))
+        .expect("resume must succeed");
+        assert!(resumed.completed);
+        assert_eq!(resumed.report, baseline, "resumed at {workers} workers");
+    }
 }
