@@ -8,6 +8,15 @@
 //! prober ACK departures, in capture order, plus who closed. Packets that
 //! fail to decode are skipped and reported, never fatal — the capture-
 //! level mirror of `read_jsonl_tagged`'s torn-line policy.
+//!
+//! A packet finds its flow through a [`FlowIndex`]: a 256-slot
+//! direct-mapped front cache in front of a std `HashMap` with its
+//! randomly keyed SipHash. All three per-packet loops use it —
+//! [`reassemble_obs`] here, `caai_stream::reassemble_source` (offline
+//! pcapng and pipes) and the streaming pipeline's flow table, which also
+//! [`remove`](FlowIndex::remove)s a flow when it is evicted, before its
+//! slab slot is reused. Session grouping ([`crate::reconstruct::sessions`])
+//! runs once per flow, not per packet, and uses a plain `HashMap`.
 
 use crate::packet::{self, flags, TcpSegmentView};
 use crate::pcap::{PcapError, PcapReader};
@@ -24,6 +33,87 @@ pub struct FlowKey {
     pub a: ([u8; 4], u16),
     /// Higher endpoint of the canonical ordering.
     pub b: ([u8; 4], u16),
+}
+
+/// Number of front-cache slots in a [`FlowIndex`].
+const FRONT_SLOTS: usize = 256;
+
+/// The flow lookup of every per-packet loop: `FlowKey → index` in a std
+/// `HashMap`, behind a direct-mapped front cache of the most recent key
+/// per slot.
+///
+/// Bulk flows send long runs of packets, and a capture interleaves few
+/// of them at a time, so nearly every lookup hits the front slot: two
+/// multiplies and one full key comparison instead of a SipHash of the
+/// twelve key bytes. The slot comes from an unkeyed mix, but the
+/// `HashMap` (randomly keyed SipHash) stays the authority: a hit is only
+/// taken on an exact key match, and a miss is one ordinary `HashMap`
+/// lookup that refills the slot. A capture crafted so that every packet
+/// misses costs that lookup plus a few nanoseconds, never a collision
+/// chain.
+#[derive(Debug)]
+pub struct FlowIndex {
+    front: Box<[Option<(FlowKey, usize)>; FRONT_SLOTS]>,
+    table: HashMap<FlowKey, usize>,
+}
+
+impl Default for FlowIndex {
+    fn default() -> FlowIndex {
+        FlowIndex::new()
+    }
+}
+
+impl FlowIndex {
+    /// An empty index.
+    pub fn new() -> FlowIndex {
+        FlowIndex {
+            front: Box::new([None; FRONT_SLOTS]),
+            table: HashMap::new(),
+        }
+    }
+
+    /// The front slot a key maps to, below 256: the packed 96-bit key
+    /// through an unkeyed multiply-mix, top eight bits. Public so tests
+    /// and fuzz seeds can build keys that share a slot.
+    #[inline]
+    pub fn front_slot(key: &FlowKey) -> usize {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let lo = u64::from(u32::from_le_bytes(key.a.0))
+            | u64::from(key.a.1) << 32
+            | u64::from(key.b.1) << 48;
+        let hi = u64::from(u32::from_le_bytes(key.b.0));
+        ((lo.wrapping_mul(K) ^ hi).wrapping_mul(K) >> 56) as usize
+    }
+
+    /// The index stored for `key`, if any.
+    #[inline]
+    pub fn get(&mut self, key: &FlowKey) -> Option<usize> {
+        let slot = &mut self.front[FlowIndex::front_slot(key)];
+        if let Some((cached, index)) = slot {
+            if cached == key {
+                return Some(*index);
+            }
+        }
+        let index = *self.table.get(key)?;
+        *slot = Some((*key, index));
+        Some(index)
+    }
+
+    /// Stores `index` for `key`, returning the index it replaces.
+    pub fn insert(&mut self, key: FlowKey, index: usize) -> Option<usize> {
+        self.front[FlowIndex::front_slot(&key)] = Some((key, index));
+        self.table.insert(key, index)
+    }
+
+    /// Forgets `key`, returning its index. The front slot is cleared when
+    /// it holds `key`, so a later `get` cannot return the stale index.
+    pub fn remove(&mut self, key: &FlowKey) -> Option<usize> {
+        let slot = &mut self.front[FlowIndex::front_slot(key)];
+        if slot.is_some_and(|(cached, _)| cached == *key) {
+            *slot = None;
+        }
+        self.table.remove(key)
+    }
 }
 
 /// The fields of a decoded segment that reassembly reads — everything but
@@ -239,7 +329,7 @@ pub fn reassemble_obs<S: Subscriber>(buf: &[u8], obs: &S) -> Result<Reassembly, 
             ),
         });
     }
-    let mut table: HashMap<FlowKey, usize> = HashMap::new();
+    let mut index = FlowIndex::new();
     let mut order: Vec<FlowBuilder> = Vec::new();
     let mut skipped = Vec::new();
     let mut truncated = None;
@@ -274,9 +364,10 @@ pub fn reassemble_obs<S: Subscriber>(buf: &[u8], obs: &S) -> Result<Reassembly, 
             bytes: record.data.len() as u64,
         }));
         let key = FlowKey::of(&seg);
-        let idx = *table.entry(key).or_insert_with(|| {
+        let idx = index.get(&key).unwrap_or_else(|| {
             obs.on_event(&Event::FlowOpened(FlowOpened {}));
             order.push(FlowBuilder::new(&seg, record.ts));
+            index.insert(key, order.len() - 1);
             order.len() - 1
         });
         if let Some(reason) = order[idx].feed(record.ts, &seg) {
@@ -917,6 +1008,60 @@ mod tests {
             }
             let rebuilt = builder.expect("fixtures are not empty").into_flow();
             assert_eq!(vec![rebuilt], reassemble(&capture).unwrap().flows);
+        }
+    }
+
+    /// `n` distinct keys that all map to one front slot of a `FlowIndex`.
+    fn keys_in_one_slot(n: usize) -> Vec<FlowKey> {
+        let key = |port: u16| FlowKey {
+            a: ([10, 0, 0, 1], port),
+            b: ([10, 0, 0, 2], 80),
+        };
+        let slot = FlowIndex::front_slot(&key(1024));
+        (1024..=u16::MAX)
+            .map(key)
+            .filter(|k| FlowIndex::front_slot(k) == slot)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn flow_index_agrees_with_a_hashmap_oracle() {
+        use rand::Rng;
+        let crowded = keys_in_one_slot(24);
+        assert_eq!(crowded.len(), 24, "too few keys share a slot");
+        let spread = (0..40u16).map(|i| FlowKey {
+            a: ([192, 0, 2, (i % 7) as u8], 40_000 + i),
+            b: SERVER,
+        });
+        let keys: Vec<FlowKey> = crowded.into_iter().chain(spread).collect();
+        let mut rng = caai_netem::rng::seeded(31);
+        let mut index = FlowIndex::new();
+        let mut oracle: HashMap<FlowKey, usize> = HashMap::new();
+        let mut next = 0usize;
+        for _ in 0..50_000 {
+            let key = keys[rng.random_range(0..keys.len())];
+            match rng.random_range(0..10u32) {
+                0..=4 => {}
+                5..=6 => {
+                    next += 1;
+                    assert_eq!(index.insert(key, next), oracle.insert(key, next));
+                }
+                7 => assert_eq!(index.remove(&key), oracle.remove(&key)),
+                _ => {
+                    // The flow ends and its 4-tuple comes back under a new
+                    // index: the pipeline reusing a slab slot.
+                    assert_eq!(index.remove(&key), oracle.remove(&key));
+                    next += 1;
+                    assert_eq!(index.insert(key, next), oracle.insert(key, next));
+                }
+            }
+            assert_eq!(index.get(&key), oracle.get(&key).copied());
+            let other = keys[rng.random_range(0..keys.len())];
+            assert_eq!(index.get(&other), oracle.get(&other).copied());
+        }
+        for key in &keys {
+            assert_eq!(index.get(key), oracle.get(key).copied());
         }
     }
 

@@ -35,6 +35,7 @@ use caai_core::prober::GatherOutcome;
 use caai_core::trace::{InvalidReason, WindowTrace, POST_TIMEOUT_ROUNDS};
 use caai_netem::schedule::{RTT_LONG, RTT_SHORT};
 use caai_netem::{EnvironmentId, Phase, RttSchedule};
+use std::collections::HashMap;
 
 /// Data packets closer together than this are one burst; the emulated
 /// RTTs (0.8 s / 1.0 s) are an order of magnitude larger, so the margin
@@ -327,20 +328,19 @@ pub struct ProbeSession {
 /// server IP), preserving capture order within and across sessions.
 pub fn sessions(reassembly: &Reassembly, ladder: &[u32]) -> Vec<ProbeSession> {
     let mut out: Vec<ProbeSession> = Vec::new();
+    let mut position: HashMap<([u8; 4], [u8; 4]), usize> = HashMap::new();
     for flow in &reassembly.flows {
         let key = (flow.client.0, flow.server.0);
-        let session = match out.iter_mut().find(|s| (s.client_ip, s.server_ip) == key) {
-            Some(s) => s,
-            None => {
-                out.push(ProbeSession {
-                    client_ip: key.0,
-                    server_ip: key.1,
-                    connections: Vec::new(),
-                    flows: 0,
-                });
-                out.last_mut().expect("just pushed")
-            }
-        };
+        let at = *position.entry(key).or_insert_with(|| {
+            out.push(ProbeSession {
+                client_ip: key.0,
+                server_ip: key.1,
+                connections: Vec::new(),
+                flows: 0,
+            });
+            out.len() - 1
+        });
+        let session = &mut out[at];
         session.flows += 1;
         if let Some(obs) = observe_connection(flow, ladder) {
             session.connections.push(obs);
@@ -551,6 +551,46 @@ mod tests {
         let flow = flow_of(ev, Some(Endpoint::Client));
         let obs = observe_connection(&flow, &[512]).unwrap();
         assert_eq!(obs.trace.pre, vec![2, 0, 0, 1]);
+    }
+
+    #[test]
+    fn sessions_group_by_address_pair_in_first_appearance_order() {
+        // One probed pair whose two connections sit 20,000 flows apart —
+        // the later one with the earlier start — around 20,000 one-flow
+        // sessions of other servers.
+        const OTHERS: usize = 20_000;
+        let probed = |start: f64| {
+            let mut f = flow_of(toy_events(18), None);
+            f.start = start;
+            f
+        };
+        let other = |i: usize| Flow {
+            server: ([172, 16, (i >> 8) as u8, i as u8], 80),
+            events: Vec::new(),
+            ..flow_of(Vec::new(), None)
+        };
+        let mut flows = vec![probed(500.0)];
+        flows.extend((0..OTHERS).map(other));
+        flows.push(probed(100.0));
+        let reassembly = Reassembly {
+            flows,
+            skipped: Vec::new(),
+            truncated: None,
+            packets: 0,
+        };
+        let out = sessions(&reassembly, &[4, 2]);
+        assert_eq!(out.len(), OTHERS + 1);
+        assert_eq!(
+            (out[0].client_ip, out[0].server_ip),
+            ([192, 0, 2, 1], [198, 51, 100, 1])
+        );
+        assert_eq!(out[0].flows, 2);
+        let starts: Vec<f64> = out[0].connections.iter().map(|c| c.start).collect();
+        assert_eq!(starts, vec![100.0, 500.0], "sorted by start");
+        for (i, s) in out[1..].iter().enumerate() {
+            assert_eq!(s.server_ip, [172, 16, (i >> 8) as u8, i as u8]);
+            assert_eq!((s.flows, s.connections.len()), (1, 0));
+        }
     }
 
     #[test]

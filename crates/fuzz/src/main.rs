@@ -12,9 +12,10 @@
 //! regression fixture. `replay` runs every file in a directory through
 //! every target once — the manual version of the corpus regression
 //! test. `emit-fixtures` writes the pinned pcapng diagnostic fixtures
-//! (used to [re]generate `tests/corpus/`).
+//! and the flow-lookup collision capture (used to [re]generate
+//! `tests/corpus/`).
 
-use caai_fuzz::seeds::diagnostic_fixtures;
+use caai_fuzz::seeds::{diagnostic_fixtures, flow_slot_collisions};
 use caai_fuzz::targets::{Target, Targets};
 use caai_fuzz::{fuzz, FuzzConfig};
 use std::path::Path;
@@ -178,5 +179,12 @@ fn cmd_emit_fixtures(args: &[String]) -> ExitCode {
             fx.expected_reason
         );
     }
+    let file = format!("{out}/flow-slot-collisions.pcap");
+    let bytes = flow_slot_collisions();
+    if let Err(e) = std::fs::write(&file, &bytes) {
+        eprintln!("caai-fuzz emit-fixtures: cannot write {file}: {e}");
+        return ExitCode::from(2);
+    }
+    println!("wrote {file} ({} bytes)", bytes.len());
     ExitCode::SUCCESS
 }

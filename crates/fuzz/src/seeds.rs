@@ -17,6 +17,7 @@
 //! regression test, so a wording change in the reader is a visible diff,
 //! not a silent drift.
 
+use caai_capture::flow::{FlowIndex, FlowKey};
 use caai_capture::packet::flags;
 use caai_capture::pcap::byteswap_capture;
 use caai_capture::{encode, CaptureRenderer, FrameSpec, PcapReader, PcapWriter};
@@ -41,8 +42,9 @@ pub struct Seed {
 
 /// Builds the full seed set: a handcrafted classic capture, a rendered
 /// CAAI probe session, their big-endian twins, pcapng re-framings at
-/// three timestamp resolutions, a trace-event document, and the two
-/// halves of a probe-wire dialogue.
+/// three timestamp resolutions, 4-tuples that collide in the flow
+/// lookup's front cache, a trace-event document, and the two halves of
+/// a probe-wire dialogue.
 pub fn build_seeds() -> Vec<Seed> {
     let tiny = tiny_classic();
     let (net_client, net_server) = net_dialogue();
@@ -82,6 +84,10 @@ pub fn build_seeds() -> Vec<Seed> {
         Seed {
             name: "trace-json",
             bytes: trace_event_json(),
+        },
+        Seed {
+            name: "flow-slot-collisions",
+            bytes: flow_slot_collisions(),
         },
         Seed {
             name: "net-client-half",
@@ -177,18 +183,6 @@ fn trace_event_json() -> Vec<u8> {
 fn tiny_classic() -> Vec<u8> {
     const CLIENT: ([u8; 4], u16) = ([192, 0, 2, 1], 40001);
     const SERVER: ([u8; 4], u16) = ([198, 51, 100, 9], 80);
-    let seg = |from: ([u8; 4], u16), to: ([u8; 4], u16)| FrameSpec {
-        src_ip: from.0,
-        dst_ip: to.0,
-        src_port: from.1,
-        dst_port: to.1,
-        seq: 0,
-        ack: 0,
-        flags: flags::ACK,
-        window: 65000,
-        mss_option: None,
-        payload: b"",
-    };
     let (isn_c, isn_s) = (1000u32, 5000u32);
     let payload = [7u8; 100];
     let mut w = PcapWriter::new(Vec::new()).expect("Vec writes are infallible");
@@ -202,7 +196,7 @@ fn tiny_classic() -> Vec<u8> {
             seq: isn_c,
             flags: flags::SYN,
             mss_option: Some(100),
-            ..seg(CLIENT, SERVER)
+            ..spec(CLIENT, SERVER)
         },
     );
     frame(
@@ -212,7 +206,7 @@ fn tiny_classic() -> Vec<u8> {
             ack: isn_c + 1,
             flags: flags::SYN | flags::ACK,
             mss_option: Some(1460),
-            ..seg(SERVER, CLIENT)
+            ..spec(SERVER, CLIENT)
         },
     );
     frame(
@@ -220,7 +214,7 @@ fn tiny_classic() -> Vec<u8> {
         FrameSpec {
             seq: isn_c + 1,
             ack: isn_s + 1,
-            ..seg(CLIENT, SERVER)
+            ..spec(CLIENT, SERVER)
         },
     );
     frame(
@@ -229,7 +223,7 @@ fn tiny_classic() -> Vec<u8> {
             seq: isn_s + 1,
             ack: isn_c + 1,
             payload: &payload,
-            ..seg(SERVER, CLIENT)
+            ..spec(SERVER, CLIENT)
         },
     );
     frame(
@@ -237,7 +231,7 @@ fn tiny_classic() -> Vec<u8> {
         FrameSpec {
             seq: isn_c + 1,
             ack: isn_s + 101,
-            ..seg(CLIENT, SERVER)
+            ..spec(CLIENT, SERVER)
         },
     );
     frame(
@@ -246,7 +240,7 @@ fn tiny_classic() -> Vec<u8> {
             seq: isn_s + 101,
             ack: isn_c + 1,
             payload: &payload,
-            ..seg(SERVER, CLIENT)
+            ..spec(SERVER, CLIENT)
         },
     );
     frame(
@@ -254,7 +248,7 @@ fn tiny_classic() -> Vec<u8> {
         FrameSpec {
             seq: isn_c + 1,
             ack: isn_s + 201,
-            ..seg(CLIENT, SERVER)
+            ..spec(CLIENT, SERVER)
         },
     );
     frame(
@@ -263,10 +257,124 @@ fn tiny_classic() -> Vec<u8> {
             seq: isn_s + 201,
             ack: isn_c + 1,
             flags: flags::FIN | flags::ACK,
-            ..seg(SERVER, CLIENT)
+            ..spec(SERVER, CLIENT)
         },
     );
     w.finish().expect("Vec writes are infallible")
+}
+
+/// 4-tuples interleaved packet by packet that all share one front slot
+/// of the flow lookup (`FlowIndex`), so every packet misses the cache and
+/// refills it; then, after an idle gap longer than the streaming
+/// pipeline's default flow timeout, two fresh flows open and the first
+/// 4-tuple comes back (port reuse after FIN) while the slab slot it held
+/// is free. Were the pipeline to leave its evicted key in the front
+/// slot, the returning flow would be handed that free slab slot and the
+/// `pipeline` target would panic. Committed as
+/// `tests/corpus/flow-slot-collisions.pcap`.
+pub fn flow_slot_collisions() -> Vec<u8> {
+    const SERVER: ([u8; 4], u16) = ([198, 51, 100, 7], 80);
+    const TUPLES: usize = 20;
+    let key = |port: u16| FlowKey {
+        a: ([192, 0, 2, 1], port),
+        b: SERVER,
+    };
+    let slot = FlowIndex::front_slot(&key(40_000));
+    let ports: Vec<u16> = (40_000..=u16::MAX)
+        .filter(|&p| FlowIndex::front_slot(&key(p)) == slot)
+        .take(TUPLES)
+        .collect();
+    let fresh: Vec<u16> = (30_000..)
+        .filter(|&p| FlowIndex::front_slot(&key(p)) != slot)
+        .take(2)
+        .collect();
+    let mut w = PcapWriter::new(Vec::new()).expect("Vec writes are infallible");
+    let mut frame = |ts: f64, spec: FrameSpec<'_>| {
+        w.write_frame(ts, &encode(&spec))
+            .expect("Vec writes are infallible");
+    };
+    // The lifetime of one connection, one frame per step: handshake, two
+    // data segments each ACKed, then the server's FIN.
+    let step = |port: u16, k: usize| -> FrameSpec<'static> {
+        const PAYLOAD: [u8; 64] = [5u8; 64];
+        let client = ([192, 0, 2, 1], port);
+        let (isn_c, isn_s) = (1000u32, 7000u32);
+        let to_server = spec(client, SERVER);
+        let to_client = spec(SERVER, client);
+        match k {
+            0 => FrameSpec {
+                seq: isn_c,
+                flags: flags::SYN,
+                mss_option: Some(64),
+                ..to_server
+            },
+            1 => FrameSpec {
+                seq: isn_s,
+                ack: isn_c + 1,
+                flags: flags::SYN | flags::ACK,
+                mss_option: Some(1460),
+                ..to_client
+            },
+            2 | 4 => FrameSpec {
+                seq: isn_s + 1 + 32 * (k as u32 - 2),
+                ack: isn_c + 1,
+                payload: &PAYLOAD,
+                ..to_client
+            },
+            3 | 5 => FrameSpec {
+                seq: isn_c + 1,
+                ack: isn_s + 1 + 32 * (k as u32 - 1),
+                ..to_server
+            },
+            _ => FrameSpec {
+                seq: isn_s + 129,
+                ack: isn_c + 1,
+                flags: flags::FIN | flags::ACK,
+                ..to_client
+            },
+        }
+    };
+    let mut ts = 0.0;
+    for k in 0..7 {
+        for &port in &ports {
+            frame(ts, step(port, k));
+            ts += 0.001;
+        }
+    }
+    // The first 4-tuple's client ACKs its FIN last, so the shared front
+    // slot still names it when the pipeline evicts it and frees the slab
+    // slot the slot points at.
+    let reused = ports[0];
+    frame(
+        ts,
+        FrameSpec {
+            seq: 1001,
+            ack: 7130,
+            ..spec(([192, 0, 2, 1], reused), SERVER)
+        },
+    );
+    for (ts, port) in [(200.0, fresh[0]), (200.5, fresh[1]), (201.0, reused)] {
+        for k in 0..7 {
+            frame(ts + 0.01 * k as f64, step(port, k));
+        }
+    }
+    w.finish().expect("Vec writes are infallible")
+}
+
+/// A pure ACK from `from` to `to`; callers fill in the rest.
+fn spec(from: ([u8; 4], u16), to: ([u8; 4], u16)) -> FrameSpec<'static> {
+    FrameSpec {
+        src_ip: from.0,
+        dst_ip: to.0,
+        src_port: from.1,
+        dst_port: to.1,
+        seq: 0,
+        ack: 0,
+        flags: flags::ACK,
+        window: 65000,
+        mss_option: None,
+        payload: b"",
+    }
 }
 
 /// One full CAAI probe round-trip against an ideal Reno server, rendered
@@ -432,7 +540,7 @@ mod tests {
     #[test]
     fn seed_set_covers_both_containers_and_byte_orders() {
         let seeds = build_seeds();
-        assert_eq!(seeds.len(), 10);
+        assert_eq!(seeds.len(), 11);
         let captures = seeds
             .iter()
             .filter(|s| s.name != "trace-json" && !s.name.starts_with("net-"));
@@ -441,7 +549,7 @@ mod tests {
             .filter(|s| s.bytes[..4] != SHB_MAGIC)
             .count();
         let ng = captures.filter(|s| s.bytes[..4] == SHB_MAGIC).count();
-        assert_eq!((classic, ng), (4, 3));
+        assert_eq!((classic, ng), (5, 3));
     }
 
     /// Decodes `bytes` to the last one as frames of one side; how many

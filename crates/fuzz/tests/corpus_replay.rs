@@ -7,7 +7,7 @@
 //! character: each must name its enclosing block type, so a diagnostic
 //! alone identifies the block walker that produced it.
 
-use caai_fuzz::seeds::diagnostic_fixtures;
+use caai_fuzz::seeds::{diagnostic_fixtures, flow_slot_collisions};
 use caai_fuzz::targets::{Target, Targets};
 use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame, Wire};
 use caai_stream::source::{CaptureSource, PcapStream, SourceItem, StallPolicy};
@@ -129,6 +129,28 @@ fn committed_diagnostic_fixtures_match_their_generator() {
             path.display()
         );
     }
+}
+
+#[test]
+fn committed_flow_slot_capture_matches_its_generator() {
+    let path = corpus_dir().join("flow-slot-collisions.pcap");
+    let committed = std::fs::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "{} missing ({e}); regenerate with `caai-fuzz emit-fixtures --out tests/corpus`",
+            path.display()
+        )
+    });
+    assert_eq!(
+        committed,
+        flow_slot_collisions(),
+        "{} drifted from its generator; regenerate with `caai-fuzz emit-fixtures`",
+        path.display()
+    );
+    // Every 4-tuple reassembles whole: nothing skipped, and the reused
+    // one is one flow offline (its second life follows its FIN).
+    let reassembly = caai_capture::reassemble(&committed).expect("valid capture");
+    assert!(reassembly.skipped.is_empty(), "{:?}", reassembly.skipped);
+    assert_eq!(reassembly.flows.len(), 22);
 }
 
 #[test]

@@ -5,14 +5,13 @@
 use crate::head::{drain_segments, skip};
 use crate::pcapng::SHB_MAGIC;
 use crate::source::{CaptureSource, PcapStream, SourceError, StallPolicy};
-use caai_capture::flow::{FlowBuilder, FlowKey, Reassembly};
+use caai_capture::flow::{FlowBuilder, FlowIndex, FlowKey, Reassembly};
 use caai_capture::identify::CaptureVerdicts;
 use caai_capture::{identify_capture, identify_reassembly_obs, PcapError};
 use caai_core::classify::CaaiClassifier;
 use caai_obs::{
     CaptureTruncated, Event, EvictionCause, FlowEvicted, FlowOpened, NullSubscriber, Subscriber,
 };
-use std::collections::HashMap;
 
 /// Drains a source and reassembles every flow, mirroring
 /// [`caai_capture::reassemble`] exactly: flows in first-appearance order,
@@ -29,12 +28,14 @@ pub fn reassemble_source<S: Subscriber>(
     source: &mut dyn CaptureSource,
     obs: &S,
 ) -> Result<Reassembly, SourceError> {
-    let mut table: HashMap<FlowKey, usize> = HashMap::new();
+    let mut flow_index = FlowIndex::new();
     let mut order: Vec<FlowBuilder> = Vec::new();
     let drained = drain_segments(source, obs, |index, ts, seg, skipped| {
-        let idx = *table.entry(FlowKey::of(seg)).or_insert_with(|| {
+        let key = FlowKey::of(seg);
+        let idx = flow_index.get(&key).unwrap_or_else(|| {
             obs.on_event(&Event::FlowOpened(FlowOpened {}));
             order.push(FlowBuilder::new(seg, ts));
+            flow_index.insert(key, order.len() - 1);
             order.len() - 1
         });
         if let Some(reason) = order[idx].feed(ts, seg) {

@@ -47,7 +47,7 @@
 
 use crate::head::{drain_segments, skip, Skips};
 use crate::source::{CaptureSource, SourceError};
-use caai_capture::flow::{FlowBuilder, FlowKey, SegmentHeader};
+use caai_capture::flow::{FlowBuilder, FlowIndex, FlowKey, SegmentHeader};
 use caai_capture::reconstruct::{
     observe_connection, session_outcome, ConnectionObservation, ProbeSession, DEFAULT_LADDER,
 };
@@ -171,7 +171,7 @@ struct FlowTable<'a> {
     flow_timeout: f64,
     max_events: usize,
     ladder: &'a [u32],
-    table: HashMap<FlowKey, usize>,
+    index: FlowIndex,
     slab: Vec<(u64, Option<FlowEntry>)>,
     free: Vec<usize>,
     wheel: BTreeMap<i64, Vec<(usize, u64)>>,
@@ -194,7 +194,7 @@ impl<'a> FlowTable<'a> {
             } else {
                 &config.ladder
             },
-            table: HashMap::new(),
+            index: FlowIndex::new(),
             slab: Vec::new(),
             free: Vec::new(),
             wheel: BTreeMap::new(),
@@ -210,7 +210,7 @@ impl<'a> FlowTable<'a> {
         let entry = self.slab[slot].1.take().expect("finalizing a live slot");
         entry.span.end(obs);
         self.slab[slot].0 += 1; // stale wheel entries now fail the gen check
-        self.table.remove(&entry.key);
+        self.index.remove(&entry.key); // and its cached slot, before reuse
         self.free.push(slot);
         self.live -= 1;
         let last_seen = entry.builder.last_seen();
@@ -233,7 +233,7 @@ impl<'a> FlowTable<'a> {
         obs: &S,
     ) {
         let key = FlowKey::of(seg);
-        let slot = match self.table.get(&key).copied() {
+        let slot = match self.index.get(&key) {
             Some(s) => s,
             None => {
                 let entry = FlowEntry {
@@ -252,7 +252,7 @@ impl<'a> FlowTable<'a> {
                         self.slab.len() - 1
                     }
                 };
-                self.table.insert(key, s);
+                self.index.insert(key, s);
                 let gen = self.slab[s].0;
                 self.wheel
                     .entry(bucket_of(ts, self.granule))

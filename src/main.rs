@@ -951,6 +951,16 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The address of the `host`-th server `render-pcap` renders (from 1):
+/// 198.51.100.1–254, then 203.0.113.1–254 — two documentation ranges.
+fn render_address(host: u16) -> [u8; 4] {
+    if host <= 254 {
+        [198, 51, 100, host as u8]
+    } else {
+        [203, 0, 113, (host - 254) as u8]
+    }
+}
+
 fn cmd_render_pcap(args: &Args) -> Result<(), String> {
     let out = args
         .get("out")
@@ -967,12 +977,12 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
     if algos.is_empty() && short == 0 {
         return Err("render-pcap needs at least one --algo NAME or --short N".to_owned());
     }
-    // Each server gets a distinct 198.51.100.x host byte; 0 is reserved.
+    // Each server gets a distinct address (`render_address`).
     let sessions_wanted = algos.len() as u64 + u64::from(short);
-    if sessions_wanted > 254 {
+    if sessions_wanted > 508 {
         return Err(format!(
-            "render-pcap caps at 254 servers per capture (one 198.51.100.x \
-             address each); asked for {sessions_wanted}"
+            "render-pcap caps at 508 servers per capture (one 198.51.100.x \
+             or 203.0.113.x address each); asked for {sessions_wanted}"
         ));
     }
 
@@ -984,17 +994,18 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("write {out}: {e}"))?;
     let mut rng = seeded(seed);
     let client = [192, 0, 2, 1];
-    let mut host = 0u8;
-    let mut render = |host: u8, server: &ServerUnderTest, rng: &mut _| {
+    let mut host = 0u16;
+    let mut render = |host: u16, server: &ServerUnderTest, rng: &mut _| {
         renderer
-            .render_session(client, [198, 51, 100, host], server, &prober, &path, rng)
+            .render_session(client, render_address(host), server, &prober, &path, rng)
             .map_err(|e| format!("write {out}: {e}"))
     };
     for algo in &algos {
         host += 1;
         let outcome = render(host, &ServerUnderTest::ideal(*algo), &mut rng)?;
         eprintln!(
-            "rendered {algo} as 198.51.100.{host}: {}",
+            "rendered {algo} as {}: {}",
+            ip(render_address(host)),
             match outcome.pair {
                 Some(pair) => format!("usable pair at w_max {}", pair.wmax_threshold()),
                 None => format!("no usable pair ({:?})", outcome.failure_reason()),
@@ -1017,7 +1028,8 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
         web.quirk = caai::tcpsim::SenderQuirk::None;
         let outcome = render(host, &ServerUnderTest::from_web_server(&web), &mut rng)?;
         eprintln!(
-            "rendered short-page server as 198.51.100.{host}: {:?}",
+            "rendered short-page server as {}: {:?}",
+            ip(render_address(host)),
             outcome.failure_reason()
         );
     }
@@ -1027,8 +1039,7 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
     buf.into_inner()
         .map_err(|e| format!("write {out}: {}", e.error()))?;
     println!(
-        "wrote {out}: {frames} frames, {} probe session{}",
-        usize::from(host),
+        "wrote {out}: {frames} frames, {host} probe session{}",
         if host == 1 { "" } else { "s" },
     );
     Ok(())
