@@ -150,11 +150,6 @@ impl<'a> PcapReader<'a> {
         self.endianness
     }
 
-    /// True when timestamps carry nanoseconds.
-    pub fn nanosecond_timestamps(&self) -> bool {
-        self.nanos
-    }
-
     /// The link type declared in the global header.
     pub fn linktype(&self) -> u32 {
         self.linktype

@@ -133,20 +133,6 @@ impl AlgorithmId {
         }
     }
 
-    /// True when this algorithm ships as the *default* of some operating
-    /// system release in its family (RENO, BIC, CUBIC, CTCP).
-    pub fn is_os_default(self) -> bool {
-        matches!(
-            self,
-            AlgorithmId::Reno
-                | AlgorithmId::Bic
-                | AlgorithmId::CubicV1
-                | AlgorithmId::CubicV2
-                | AlgorithmId::CtcpV1
-                | AlgorithmId::CtcpV2
-        )
-    }
-
     /// Coarse algorithm family, merging versioned variants: used when
     /// reporting census results ("BIC or CUBIC", "CTCP").
     pub fn family_name(self) -> &'static str {

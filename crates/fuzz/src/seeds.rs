@@ -24,7 +24,7 @@ use caai_capture::{encode, CaptureRenderer, FrameSpec, PcapReader, PcapWriter};
 use caai_congestion::AlgorithmId;
 use caai_core::{Prober, ProberConfig, ServerUnderTest};
 use caai_net::frame::Wire;
-use caai_net::{LadderCore, ServerCore, ServerProfile, Step};
+use caai_net::{LadderCore, ServerCore, Step};
 use caai_netem::path::PathConfig;
 use caai_netem::rng::seeded;
 use caai_stream::classic_to_pcapng;
@@ -117,7 +117,7 @@ pub fn build_seeds() -> Vec<Seed> {
 /// `RtoResult`), as `(client, server)`.
 fn net_dialogue() -> (Vec<u8>, Vec<u8>) {
     let mut client = LadderCore::new(ProberConfig::default());
-    let mut server = ServerCore::new(ServerProfile::ideal(AlgorithmId::Reno));
+    let mut server = ServerCore::new(ServerUnderTest::ideal(AlgorithmId::Reno));
     let (mut upstream, mut downstream) = (Vec::new(), Vec::new());
     assert_eq!(client.start(), Step::Connect);
     let mut step = client.on_connected();

@@ -15,13 +15,13 @@ use caai_core::classes::label_names;
 use caai_core::features::FEATURE_DIM;
 use caai_core::ladder::{AttemptPhase, LadderWalk, Next, Run, RungAttempt};
 use caai_core::prober::ProberConfig;
-use caai_core::CaaiClassifier;
+use caai_core::{CaaiClassifier, ServerUnderTest};
 use caai_ml::{Dataset, RandomForestConfig};
 use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame};
-use caai_net::{parse_targets, LadderCore, ServerCore, ServerProfile, Step};
+use caai_net::{parse_targets, LadderCore, ServerCore, Step};
 use caai_netem::rng::seeded;
 use caai_stream::source::{CaptureSource, PcapStream, SourceItem, StallPolicy};
-use caai_stream::{identify_bytes, StreamConfig};
+use caai_stream::StreamConfig;
 use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -156,14 +156,6 @@ fn drive_stream(bytes: &[u8]) {
     }
 }
 
-/// `identify_bytes` — the public one-shot entry point — as a separate
-/// drive for corpus replay (needs the classifier, so it lives on
-/// [`Targets`] callers via [`Target::Pipeline`] during fuzzing; replay
-/// uses it directly for the offline-vs-stream contract).
-pub fn drive_identify(classifier: &CaaiClassifier, bytes: &[u8]) {
-    let _ = identify_bytes(bytes, classifier, None);
-}
-
 /// Target-list ingestion over mutated text: skip-and-report is the
 /// contract; a panic, or a diagnostic pointing outside the input, is a
 /// finding.
@@ -218,8 +210,8 @@ fn drive_net_frames(bytes: &[u8]) {
     // Server side: mutated bytes as the client's half. A twin hears
     // every `AckRun` the per-packet way, as its single `Ack`s; run or
     // singles, the two must refuse alike and answer alike.
-    let mut server = ServerCore::new(ServerProfile::ideal(AlgorithmId::Reno));
-    let mut twin = ServerCore::new(ServerProfile::ideal(AlgorithmId::Reno));
+    let mut server = ServerCore::new(ServerUnderTest::ideal(AlgorithmId::Reno));
+    let mut twin = ServerCore::new(ServerUnderTest::ideal(AlgorithmId::Reno));
     let mut decoder = FrameDecoder::new();
     decoder.push(bytes);
     while let Ok(Some(frame)) = decoder.next::<ClientFrame>() {

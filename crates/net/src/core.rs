@@ -21,26 +21,25 @@
 //! duplicate stays the lone `Ack` it is). [`LadderWalk`] decides which
 //! connection comes next.
 //!
-//! [`ServerCore`] mirrors `ServerUnderTest` with one deliberate
-//! difference: every connection gets a *fresh* ssthresh cache instead
-//! of a shared one. The prober's `inter_connection_wait` (630 s)
-//! strictly exceeds the cache TTL (600 s), so the simulator's shared
-//! cache is always expired by the next connection anyway — a fresh
-//! cache reproduces the default configuration exactly while keeping
-//! emulated connections independent (they may interleave on one
-//! listener). It reacts to ACKs, silent rounds and the emulated timeout
-//! through the same `caai_core::prober` helpers the simulator's server
-//! end uses: an `AckRun` is one `deliver_ack_run`, which leaves the
-//! tcpsim sender where its ACKs delivered singly would have, so the
-//! sender cannot tell the two wire forms apart.
+//! [`ServerCore`] impersonates a [`ServerUnderTest`] but never calls its
+//! `disconnect`, so every connection starts with an empty ssthresh
+//! cache instead of one shared across connections. The prober's
+//! `inter_connection_wait` (630 s) strictly exceeds the cache TTL
+//! (600 s), so the simulator's shared cache is always expired by the
+//! next connection anyway — an empty cache reproduces the default
+//! configuration exactly while keeping emulated connections independent
+//! (they may interleave on one listener). It reacts to ACKs, silent
+//! rounds and the emulated timeout through the same `caai_core::prober`
+//! helpers the simulator's server end uses: an `AckRun` is one
+//! `deliver_ack_run`, which leaves the tcpsim sender where its ACKs
+//! delivered singly would have, so the sender cannot tell the two wire
+//! forms apart.
 
-use caai_congestion::AlgorithmId;
 use caai_core::ladder::{AttemptPhase, LadderWalk, Next, RoundEnd, Run, RungAttempt};
 use caai_core::prober::{await_rto, deliver_ack_run, fire_rto_within};
-use caai_core::{GatherOutcome, ProberConfig, WindowTrace};
+use caai_core::{GatherOutcome, ProberConfig, ServerUnderTest, WindowTrace};
 use caai_obs::RungAttemptEnded;
-use caai_tcpsim::{ServerConfig, SsthreshCache, TcpServer};
-use caai_webmodel::WebServer;
+use caai_tcpsim::TcpServer;
 use std::fmt;
 
 use crate::frame::{run_range, ClientFrame, ServerFrame, MAX_BURST_SEQS};
@@ -97,54 +96,6 @@ fn sent(conn: &TcpServer, cum_ack: u64) -> Result<(), ProtocolError> {
 // Server side
 // ---------------------------------------------------------------------
 
-/// Everything the emulated server side needs to impersonate one web
-/// server: the mirror of `ServerUnderTest`'s construction.
-#[derive(Debug, Clone)]
-pub struct ServerProfile {
-    /// The congestion control algorithm under test.
-    pub algorithm: AlgorithmId,
-    /// Base sender configuration; `mss` is overridden per connection by
-    /// the MSS negotiation.
-    pub config: ServerConfig,
-    /// Data budget in bytes per connection (page size × honoured
-    /// pipelined requests); converted to packets at the granted MSS.
-    pub budget_bytes: u64,
-    /// Smallest MSS the server will grant (Table II).
-    pub min_mss: u32,
-}
-
-impl ServerProfile {
-    /// An ideal lab server: unlimited data, no quirks, no F-RTO — the
-    /// paper's testbed configuration (§VII-A).
-    pub fn ideal(algorithm: AlgorithmId) -> Self {
-        ServerProfile {
-            algorithm,
-            config: ServerConfig::ideal(),
-            budget_bytes: u64::MAX / 4,
-            min_mss: 1,
-        }
-    }
-
-    /// Impersonates a synthetic census server (same construction as
-    /// `ServerUnderTest::from_web_server`).
-    pub fn from_web_server(server: &WebServer) -> Self {
-        let honoured = server
-            .requests
-            .honoured(caai_webmodel::http::CAAI_PIPELINE_DEPTH);
-        ServerProfile {
-            algorithm: server.effective_algorithm(),
-            config: server.server_config(100),
-            budget_bytes: server.pages.connection_budget_bytes(honoured),
-            min_mss: server.mss_policy.min_mss,
-        }
-    }
-
-    /// The MSS granted when the prober proposes `proposed`.
-    pub fn granted_mss(&self, proposed: u32) -> u32 {
-        proposed.max(self.min_mss)
-    }
-}
-
 /// What the server side wants done after handling one client frame.
 #[derive(Debug, Default)]
 pub struct Reply {
@@ -170,17 +121,17 @@ const MAX_RTO_WAITS_CAP: u32 = 1024;
 /// The emulated server's protocol state machine: one instance per
 /// accepted connection.
 pub struct ServerCore {
-    profile: ServerProfile,
+    server: ServerUnderTest,
     state: ServerState,
     /// Last virtual clock seen; the client's clock must be monotone.
     last_now: f64,
 }
 
 impl ServerCore {
-    /// A fresh connection impersonating `profile`.
-    pub fn new(profile: ServerProfile) -> Self {
+    /// A fresh connection impersonating `server`.
+    pub fn new(server: ServerUnderTest) -> Self {
         ServerCore {
-            profile,
+            server,
             state: ServerState::AwaitHello,
             last_now: f64::NEG_INFINITY,
         }
@@ -191,16 +142,10 @@ impl ServerCore {
         match (&mut self.state, frame) {
             (ServerState::AwaitHello, ClientFrame::Hello { proposed_mss, now }) => {
                 let now = clock(&mut self.last_now, *now, "Hello")?;
-                let granted = self.profile.granted_mss(*proposed_mss);
-                let config = ServerConfig {
-                    mss: granted,
-                    ..self.profile.config
-                };
-                let budget = (self.profile.budget_bytes / u64::from(granted.max(1))).max(1);
-                // Fresh cache per connection: see the module docs for why
-                // this matches the simulator's expired shared cache.
-                let cache = SsthreshCache::new();
-                let conn = TcpServer::connect(self.profile.algorithm, config, budget, &cache, now);
+                let granted = self.server.granted_mss(*proposed_mss);
+                // Never `disconnect`ed, so the cache stays empty: see the
+                // module docs for why that matches the simulator.
+                let conn = self.server.connect(*proposed_mss, now);
                 self.state = ServerState::Open {
                     conn: Box::new(conn),
                     server_cum: 0,
@@ -563,11 +508,12 @@ impl LadderCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caai_congestion::AlgorithmId;
 
     /// A RENO server that has answered the handshake and sent its first
     /// burst; returns it with the burst's sequence numbers.
     fn opened() -> (ServerCore, Vec<u64>) {
-        let mut server = ServerCore::new(ServerProfile::ideal(AlgorithmId::Reno));
+        let mut server = ServerCore::new(ServerUnderTest::ideal(AlgorithmId::Reno));
         let hello = ClientFrame::Hello {
             proposed_mss: 100,
             now: 0.0,

@@ -27,7 +27,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::core::{Reply, ServerCore, ServerProfile};
+use caai_core::ServerUnderTest;
+
+use crate::core::{Reply, ServerCore};
 use crate::frame::{ClientFrame, FrameDecoder, Wire};
 use crate::sys::{confine_to, current_cpu, incoming_cpu, set_linger_reset};
 use crate::targets::Target;
@@ -53,17 +55,17 @@ pub struct EmulatedServer {
 }
 
 impl EmulatedServer {
-    /// Binds `127.0.0.1:0` and starts serving `profile` with `behavior`.
-    pub fn spawn(profile: ServerProfile, behavior: Behavior) -> std::io::Result<EmulatedServer> {
+    /// Binds `127.0.0.1:0` and starts serving `server` with `behavior`.
+    pub fn spawn(server: ServerUnderTest, behavior: Behavior) -> std::io::Result<EmulatedServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_accept = Arc::clone(&stop);
         let serve = move |stream| {
-            let profile = profile.clone();
+            let server = server.clone();
             std::thread::Builder::new()
                 .name("caai-emu-conn".into())
-                .spawn(move || serve_connection(stream, profile, behavior))
+                .spawn(move || serve_connection(stream, server, behavior))
         };
         let accept_thread = std::thread::Builder::new()
             .name("caai-emu-accept".into())
@@ -147,7 +149,7 @@ fn follow_incoming_cpu(stream: &TcpStream, cpu: &mut Option<usize>) {
 /// Upper bound a stalled or hostile client can hold a server thread.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
-fn serve_connection(mut stream: TcpStream, profile: ServerProfile, behavior: Behavior) {
+fn serve_connection(mut stream: TcpStream, server: ServerUnderTest, behavior: Behavior) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     if behavior == Behavior::StallAfterAccept {
@@ -165,7 +167,7 @@ fn serve_connection(mut stream: TcpStream, profile: ServerProfile, behavior: Beh
         Behavior::RstAfterBursts(n) => Some(n),
         _ => None,
     };
-    let mut core = ServerCore::new(profile);
+    let mut core = ServerCore::new(server);
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
     // One reply buffer per connection, written once per read: a round
@@ -268,7 +270,7 @@ mod tests {
     #[test]
     fn emulated_server_answers_the_handshake() {
         let server =
-            EmulatedServer::spawn(ServerProfile::ideal(AlgorithmId::Reno), Behavior::Normal)
+            EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal)
                 .unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let frame = handshake(&mut stream);
@@ -303,7 +305,7 @@ mod tests {
     #[test]
     fn stalling_server_accepts_but_never_answers() {
         let server = EmulatedServer::spawn(
-            ServerProfile::ideal(AlgorithmId::CubicV1),
+            ServerUnderTest::ideal(AlgorithmId::CubicV1),
             Behavior::StallAfterAccept,
         )
         .unwrap();
@@ -328,7 +330,7 @@ mod tests {
     #[test]
     fn hostile_bytes_drop_the_connection() {
         let server =
-            EmulatedServer::spawn(ServerProfile::ideal(AlgorithmId::Reno), Behavior::Normal)
+            EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal)
                 .unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream.write_all(&[0xff; 64]).unwrap();

@@ -50,9 +50,11 @@ pub mod targets;
 pub mod transport;
 pub mod wheel;
 
-pub use crate::core::{
-    LadderCore, ProtocolError, Reply, RungRecord, ServerCore, ServerProfile, Step,
-};
+pub use crate::core::{LadderCore, ProtocolError, Reply, RungRecord, ServerCore, Step};
+// The old name of the server an `EmulatedServer` impersonates, kept only
+// because `benchmark/` still imports it; the `benchmark/` change of
+// ROADMAP item 3(a) removes it.
+pub use caai_core::server_under_test::ServerUnderTest as ServerProfile;
 pub use emulated::{Behavior, EmulatedServer};
 pub use frame::{ClientFrame, DecodeError, FrameDecoder, ServerFrame, Wire};
 pub use limiter::RateLimiter;

@@ -850,9 +850,9 @@ impl<S: Subscriber> Reactor<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::ServerProfile;
     use crate::emulated::{Behavior, EmulatedServer};
     use caai_congestion::AlgorithmId;
+    use caai_core::ServerUnderTest;
     use caai_obs::{MetricsSubscriber, NullSubscriber};
 
     /// Runs one probe per target on the calling thread and hands back the
@@ -900,7 +900,9 @@ mod tests {
         let servers: Vec<EmulatedServer> =
             [AlgorithmId::Reno, AlgorithmId::CubicV2, AlgorithmId::Htcp]
                 .iter()
-                .map(|&a| EmulatedServer::spawn(ServerProfile::ideal(a), Behavior::Normal).unwrap())
+                .map(|&a| {
+                    EmulatedServer::spawn(ServerUnderTest::ideal(a), Behavior::Normal).unwrap()
+                })
                 .collect();
         let targets: Vec<&EmulatedServer> = servers.iter().cycle().take(30).collect();
         let config = NetConfig {
@@ -931,7 +933,7 @@ mod tests {
         // peer answers each round at once: the deadline moves, the timer
         // armed under it fires early, and nothing times out.
         let server =
-            EmulatedServer::spawn(ServerProfile::ideal(AlgorithmId::Reno), Behavior::Normal)
+            EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal)
                 .unwrap();
         let config = NetConfig {
             io_timeout: Duration::from_millis(40),
@@ -953,7 +955,7 @@ mod tests {
         // whole milliseconds spun through the last millisecond before
         // each timer instead — hundreds of ticks per frame.
         let server =
-            EmulatedServer::spawn(ServerProfile::ideal(AlgorithmId::Reno), Behavior::Normal)
+            EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal)
                 .unwrap();
         let config = NetConfig {
             pacing: 0.004,
@@ -988,7 +990,7 @@ mod tests {
             let (done, result) = mpsc::channel();
             std::thread::spawn(move || {
                 let server = EmulatedServer::spawn(
-                    ServerProfile::ideal(AlgorithmId::Reno),
+                    ServerUnderTest::ideal(AlgorithmId::Reno),
                     Behavior::StallAfterAccept,
                 )
                 .unwrap();

@@ -11,7 +11,7 @@ use caai_congestion::{AlgorithmId, ALL_IDENTIFIED};
 use caai_core::prober::{GatherOutcome, Prober, ProberConfig};
 use caai_core::ServerUnderTest;
 use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame, Wire};
-use caai_net::{LadderCore, Reply, ServerCore, ServerProfile, Step};
+use caai_net::{LadderCore, Reply, ServerCore, Step};
 use caai_netem::PathConfig;
 use caai_webmodel::PopulationConfig;
 use rand::rngs::StdRng;
@@ -35,7 +35,7 @@ fn wire_roundtrip<F: Wire + PartialEq + std::fmt::Debug>(frame: &F) -> F {
 /// Drives the client ladder against a fresh [`ServerCore`] per
 /// connection — exactly what the reactor does over sockets, minus the
 /// sockets.
-fn drive(config: ProberConfig, profile: &ServerProfile) -> GatherOutcome {
+fn drive(config: ProberConfig, profile: &ServerUnderTest) -> GatherOutcome {
     let mut client = LadderCore::new(config);
     let mut server: Option<ServerCore> = None;
     let mut step = client.start();
@@ -85,7 +85,7 @@ fn simulated(config: ProberConfig, server: &ServerUnderTest, seed: u64) -> Gathe
 #[test]
 fn ideal_servers_match_the_simulator_for_all_fourteen_algorithms() {
     for algorithm in ALL_IDENTIFIED {
-        let wire = drive(ProberConfig::default(), &ServerProfile::ideal(algorithm));
+        let wire = drive(ProberConfig::default(), &ServerUnderTest::ideal(algorithm));
         let sim = simulated(
             ProberConfig::default(),
             &ServerUnderTest::ideal(algorithm),
@@ -121,7 +121,7 @@ fn unrolled(frame: &ClientFrame) -> Vec<ClientFrame> {
 #[test]
 fn an_ack_run_is_to_the_server_its_single_acks() {
     for algorithm in ALL_IDENTIFIED {
-        let profile = ServerProfile::ideal(algorithm);
+        let profile = ServerUnderTest::ideal(algorithm);
         let mut client = LadderCore::new(ProberConfig::default());
         // `runs` hears the wire as it is; `singles` hears every ACK
         // train one packet at a time.
@@ -198,7 +198,7 @@ fn sampled_web_servers_match_the_simulator() {
     for web in population.generate(&mut rng) {
         let wire = drive(
             ProberConfig::default(),
-            &ServerProfile::from_web_server(&web),
+            &ServerUnderTest::from_web_server(&web),
         );
         let sim = simulated(
             ProberConfig::default(),
@@ -219,11 +219,11 @@ fn sampled_web_servers_match_the_simulator() {
 fn the_drive_is_deterministic() {
     let a = drive(
         ProberConfig::default(),
-        &ServerProfile::ideal(AlgorithmId::CubicV2),
+        &ServerUnderTest::ideal(AlgorithmId::CubicV2),
     );
     let b = drive(
         ProberConfig::default(),
-        &ServerProfile::ideal(AlgorithmId::CubicV2),
+        &ServerUnderTest::ideal(AlgorithmId::CubicV2),
     );
     assert_eq!(a, b);
 }

@@ -17,7 +17,7 @@ use caai_core::prober::{Prober, ProberConfig};
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_core::{InvalidReason, ProbeTransport, ServerUnderTest};
 use caai_net::reactor::NetConfig;
-use caai_net::{Behavior, EmulatedServer, NetTransport, ServerProfile, Target};
+use caai_net::{Behavior, EmulatedServer, NetTransport, Target};
 use caai_netem::rng::seeded;
 use caai_netem::{ConditionDb, PathConfig};
 use caai_obs::MetricsSubscriber;
@@ -55,7 +55,7 @@ fn live_verdicts_agree_with_the_simulator() {
     ];
     let servers: Vec<EmulatedServer> = algorithms
         .iter()
-        .map(|&a| EmulatedServer::spawn(ServerProfile::ideal(a), Behavior::Normal).unwrap())
+        .map(|&a| EmulatedServer::spawn(ServerUnderTest::ideal(a), Behavior::Normal).unwrap())
         .collect();
     let targets: Vec<Target> = servers.iter().map(|s| s.target()).collect();
     let classifier = classifier();
@@ -99,7 +99,7 @@ fn a_probe_costs_kilobytes_and_the_same_count_every_run() {
     const PROBE_BYTES_CAP: u64 = 16 * 1024;
     let servers: Vec<EmulatedServer> = ALL_IDENTIFIED
         .iter()
-        .map(|&a| EmulatedServer::spawn(ServerProfile::ideal(a), Behavior::Normal).unwrap())
+        .map(|&a| EmulatedServer::spawn(ServerUnderTest::ideal(a), Behavior::Normal).unwrap())
         .collect();
     let targets: Vec<Target> = servers.iter().map(|s| s.target()).collect();
     let obs = Arc::new(MetricsSubscriber::new());
@@ -143,8 +143,11 @@ fn a_probe_costs_kilobytes_and_the_same_count_every_run() {
 fn reactor_sustains_256_concurrent_sessions() {
     let servers: Vec<EmulatedServer> = (0..8)
         .map(|_| {
-            EmulatedServer::spawn(ServerProfile::ideal(AlgorithmId::CubicV2), Behavior::Normal)
-                .unwrap()
+            EmulatedServer::spawn(
+                ServerUnderTest::ideal(AlgorithmId::CubicV2),
+                Behavior::Normal,
+            )
+            .unwrap()
         })
         .collect();
     // 256 targets round-robining over 8 listeners.
@@ -182,7 +185,7 @@ fn reactor_sustains_256_concurrent_sessions() {
 #[test]
 fn rate_limiter_paces_admissions_and_reports_stalls() {
     let server =
-        EmulatedServer::spawn(ServerProfile::ideal(AlgorithmId::Reno), Behavior::Normal).unwrap();
+        EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal).unwrap();
     let targets: Vec<Target> = (0..4).map(|_| server.target()).collect();
     let obs = Arc::new(MetricsSubscriber::new());
     let config = NetConfig {
@@ -206,7 +209,7 @@ fn rate_limiter_paces_admissions_and_reports_stalls() {
 #[test]
 fn stalled_server_times_out_retries_and_aborts() {
     let server = EmulatedServer::spawn(
-        ServerProfile::ideal(AlgorithmId::Reno),
+        ServerUnderTest::ideal(AlgorithmId::Reno),
         Behavior::StallAfterAccept,
     )
     .unwrap();
@@ -254,7 +257,7 @@ fn stalled_server_times_out_retries_and_aborts() {
 #[test]
 fn rst_mid_ladder_reduces_to_transport_aborted() {
     let server = EmulatedServer::spawn(
-        ServerProfile::ideal(AlgorithmId::CubicV2),
+        ServerUnderTest::ideal(AlgorithmId::CubicV2),
         Behavior::RstAfterBursts(3),
     )
     .unwrap();
@@ -311,7 +314,7 @@ fn unresolvable_targets_reduce_to_aborted_records() {
 fn the_reactor_thread_never_changes_cpu() {
     let servers: Vec<EmulatedServer> = [AlgorithmId::Reno, AlgorithmId::CubicV2, AlgorithmId::Htcp]
         .iter()
-        .map(|&a| EmulatedServer::spawn(ServerProfile::ideal(a), Behavior::Normal).unwrap())
+        .map(|&a| EmulatedServer::spawn(ServerUnderTest::ideal(a), Behavior::Normal).unwrap())
         .collect();
     let targets: Vec<Target> = (0..30).map(|i| servers[i % 3].target()).collect();
     let obs = Arc::new(MetricsSubscriber::new());

@@ -9,10 +9,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use caai_congestion::AlgorithmId;
+use caai_core::ServerUnderTest;
 use caai_net::sys::{confine_to, current_cpu};
-use caai_net::{
-    Behavior, ClientFrame, EmulatedServer, FrameDecoder, ServerFrame, ServerProfile, Wire,
-};
+use caai_net::{Behavior, ClientFrame, EmulatedServer, FrameDecoder, ServerFrame, Wire};
 
 /// `Cpus_allowed_list` of the thread whose `/proc` directory is `task`.
 fn allowed_cpus(task: &str) -> Option<String> {
@@ -71,7 +70,7 @@ fn a_connection_is_served_on_the_cpu_its_packets_arrive_on() {
         return;
     };
     let server =
-        EmulatedServer::spawn(ServerProfile::ideal(AlgorithmId::Reno), Behavior::Normal).unwrap();
+        EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal).unwrap();
     let addr = server.addr();
     // The client confines itself on a thread of its own, so the mask
     // dies with it.

@@ -81,11 +81,6 @@ impl ConditionDb {
         }
     }
 
-    /// Builds a database from explicit CDFs (used by ablation benches).
-    pub fn from_cdfs(rtt: Cdf, rtt_std: Cdf, loss: Cdf) -> Self {
-        ConditionDb { rtt, rtt_std, loss }
-    }
-
     /// Draws one condition with independent marginals (§VII-A: "randomly
     /// selects an average RTT, an RTT standard deviation, and a packet-loss
     /// rate").
@@ -100,11 +95,6 @@ impl ConditionDb {
     /// The RTT CDF (Fig. 4).
     pub fn rtt_cdf(&self) -> &Cdf {
         &self.rtt
-    }
-
-    /// The RTT standard-deviation CDF (Fig. 10).
-    pub fn rtt_std_cdf(&self) -> &Cdf {
-        &self.rtt_std
     }
 
     /// The packet-loss-rate CDF (Fig. 11).

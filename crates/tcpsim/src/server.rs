@@ -181,11 +181,6 @@ impl TcpServer {
         self.timeouts
     }
 
-    /// Name of the congestion avoidance algorithm in use.
-    pub fn algorithm_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
     /// The RTO deadline, if the timer is armed.
     pub fn rto_deadline(&self) -> Option<f64> {
         self.rto_deadline

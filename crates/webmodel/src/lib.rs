@@ -7,7 +7,6 @@
 //! shapes Table IV is published as a marginal distribution, and this crate
 //! generates servers from those marginals:
 //!
-//! * geography and server software (§VII-B.1);
 //! * ground-truth TCP algorithm mix, including OS defaults, non-default
 //!   tuning (e.g. HTCP on fast-transfer hosts), old kernels (BIC), and TCP
 //!   proxies/load balancers that answer in place of IIS servers;
@@ -30,4 +29,4 @@ pub mod population;
 pub use http::RequestAcceptanceModel;
 pub use mss::{MssAcceptance, PROBE_MSS_LADDER};
 pub use pages::PageModel;
-pub use population::{PopulationConfig, Region, Software, WebServer};
+pub use population::{PopulationConfig, WebServer};

@@ -89,11 +89,6 @@ impl PageModel {
     pub fn connection_budget_packets(&self, requests: u32, mss: u32) -> u64 {
         self.connection_budget_bytes(requests) / u64::from(mss.max(1))
     }
-
-    /// The model CDFs for regenerating Fig. 7 (values in bytes).
-    pub fn fig7_cdfs() -> (Cdf, Cdf) {
-        (default_page_log_cdf(), longest_page_log_cdf())
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! The synthetic server population behind the §VII census.
 //!
-//! Every marginal is taken from the paper: geography and software shares
-//! from §VII-B.1, the algorithm mix from Table IV's identification results
-//! (used here as ground truth — the census *measures it back*), window
-//! ceilings from Table IV's `w_max` columns, quirk rates from the §VII-B
-//! special-case shares, and the proxy rate from the paper's observation
-//! that ~15% of IIS servers answer with non-Windows algorithms.
+//! Every marginal is taken from the paper: the algorithm mix from Table
+//! IV's identification results (used here as ground truth — the census
+//! *measures it back*), window ceilings from Table IV's `w_max` columns,
+//! quirk rates from the §VII-B special-case shares, and the proxy rate
+//! from the paper's observation that ~15% of IIS servers answer with
+//! non-Windows algorithms.
 
 use caai_congestion::AlgorithmId;
 use caai_tcpsim::{SenderQuirk, ServerConfig, SlowStartVariant};
@@ -15,48 +15,6 @@ use serde::{Deserialize, Serialize};
 use crate::http::RequestAcceptanceModel;
 use crate::mss::MssAcceptance;
 use crate::pages::PageModel;
-
-/// Continent of a server (§VII-B.1 geography shares).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub enum Region {
-    Africa,
-    Asia,
-    Australia,
-    Europe,
-    NorthAmerica,
-    SouthAmerica,
-}
-
-/// Geography shares from §VII-B.1.
-pub const REGION_SHARES: [(Region, f64); 6] = [
-    (Region::Africa, 0.0054),
-    (Region::Asia, 0.2146),
-    (Region::Australia, 0.0083),
-    (Region::Europe, 0.4328),
-    (Region::NorthAmerica, 0.3192),
-    (Region::SouthAmerica, 0.0197),
-];
-
-/// Web server software (§VII-B.1 software shares).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub enum Software {
-    Apache,
-    Iis,
-    Nginx,
-    LiteSpeed,
-    Other,
-}
-
-/// Software shares from §VII-B.1.
-pub const SOFTWARE_SHARES: [(Software, f64); 5] = [
-    (Software::Apache, 0.7020),
-    (Software::Iis, 0.1113),
-    (Software::Nginx, 0.1285),
-    (Software::LiteSpeed, 0.0136),
-    (Software::Other, 0.0446),
-];
 
 /// Ground-truth algorithm mix. The shape follows Table IV: BIC+CUBIC
 /// dominate (the Linux default lineage), CTCP v1 ≫ v2 (XP/2003 servers
@@ -176,10 +134,6 @@ fn coupled_request_quantile(u_longest: f64) -> f64 {
 pub struct WebServer {
     /// Stable identifier within the population.
     pub id: u32,
-    /// Continent.
-    pub region: Region,
-    /// HTTP software (as the `Server:` header would report).
-    pub software: Software,
     /// The TCP algorithm of the host itself.
     pub host_algorithm: AlgorithmId,
     /// The algorithm of the proxy terminating the connection, if any: this
@@ -285,8 +239,9 @@ impl PopulationConfig {
 
     /// Generates a single server (exposed for streaming censuses).
     pub fn generate_one(&self, id: u32, rng: &mut impl Rng) -> WebServer {
-        let region = weighted(&REGION_SHARES, rng);
-        let software = weighted(&SOFTWARE_SHARES, rng);
+        // Spent draws keep the RNG stream: census_200.json, REPRO_EXPECT.json, benchmark inputs.
+        let _ = rng.random::<f64>();
+        let _ = rng.random::<f64>();
         let host_algorithm = sample_algorithm(rng);
         let proxy_algorithm = if rng.random::<f64>() < PROXY_RATE {
             // Load balancers are mostly Linux appliances.
@@ -319,8 +274,6 @@ impl PopulationConfig {
         };
         WebServer {
             id,
-            region,
-            software,
             host_algorithm,
             proxy_algorithm,
             initial_window: weighted(
@@ -406,25 +359,6 @@ mod tests {
     fn population(n: u32) -> Vec<WebServer> {
         let mut rng = StdRng::seed_from_u64(41);
         PopulationConfig::small(n).generate(&mut rng)
-    }
-
-    #[test]
-    fn geography_matches_the_paper() {
-        let pop = population(40_000);
-        let europe =
-            pop.iter().filter(|s| s.region == Region::Europe).count() as f64 / pop.len() as f64;
-        assert!((europe - 0.4328).abs() < 0.01, "Europe share {europe}");
-    }
-
-    #[test]
-    fn software_matches_the_paper() {
-        let pop = population(40_000);
-        let apache = pop
-            .iter()
-            .filter(|s| s.software == Software::Apache)
-            .count() as f64
-            / pop.len() as f64;
-        assert!((apache - 0.7020).abs() < 0.01, "Apache share {apache}");
     }
 
     #[test]

@@ -1,28 +1,6 @@
 //! `caai` — command-line front end for the CAAI reproduction.
 //!
-//! ```text
-//! caai algorithms                      list the implemented algorithms
-//! caai trace     --algo CUBIC ...      print a window trace
-//! caai fingerprint --algo BIC ...      print the 7-element feature vector
-//! caai train     --conditions 20 --out model.json
-//! caai identify  --algo HTCP [--model model.json]
-//! caai identify  --pcap capture.pcap            (classic pcap or pcapng; - = stdin)
-//! caai identify  --pcap live.pcap --follow
-//!                [--flow-timeout 60] [--session-timeout 1800]
-//!                [--metrics m.jsonl] [--progress 10]
-//! caai census    --servers 2000 [--model model.json] [--json]
-//!                [--shard 0/4] [--out report.jsonl]
-//!                [--checkpoint ck.json] [--resume ck.json]
-//!                [--budget N] [--deadline SECS] [--metrics m.jsonl]
-//! caai census    --targets hosts.txt [--retries 1] [--probe-rate 50]
-//!                [--max-sessions 1024] ...           (probe real sockets)
-//! caai emulate   --algos RENO,CUBIC,HTCP --count 50 --targets-out hosts.txt
-//! caai census-merge --in s0.ck.json --in s1.ck.json ... [--json]
-//! caai metrics-check --in m.jsonl [--expect-min capture.frames_decoded=1]
-//!                    [--expect-p99 'stream.tick_latency_us<=128'] [--expect-count 'gather.rounds>=1']
-//! caai trace-report --in t.json [--min-gather-share 0.5]
-//! caai defense-sweep --budgets 0.05,0.15,0.30 --out DEFENSE_CURVE.json
-//! ```
+//! `caai help` prints every command and its flags (`USAGE` below).
 //!
 //! Every command that draws random numbers takes `--seed N` (default 1)
 //! and is fully deterministic: a census report depends only on
@@ -44,7 +22,7 @@ use caai::engine::{
     merge_pieces, run_transport_obs, AggregatingSink, Budget, CensusEngine, Checkpoint,
     EngineConfig, EngineOutcome, JsonlMeta, JsonlSink, ResultSink, ShardPiece, ShardSpec,
 };
-use caai::net::{read_targets, Behavior, EmulatedServer, NetConfig, NetTransport, ServerProfile};
+use caai::net::{read_targets, Behavior, EmulatedServer, NetConfig, NetTransport};
 use caai::netem::rng::seeded;
 use caai::netem::{ConditionDb, EnvironmentId, PathConfig};
 use caai::obs::{
@@ -1271,7 +1249,7 @@ fn cmd_emulate(args: &Args) -> Result<(), String> {
     let mut lines = String::new();
     for i in 0..count {
         let algo = algos[i % algos.len()];
-        let server = EmulatedServer::spawn(ServerProfile::ideal(algo), Behavior::Normal)
+        let server = EmulatedServer::spawn(ServerUnderTest::ideal(algo), Behavior::Normal)
             .map_err(|e| format!("spawn server {i}: {e}"))?;
         lines.push_str(&format!("{} # {algo:?}\n", server.target_line()));
         servers.push(server);
@@ -1634,6 +1612,43 @@ mod tests {
 
     fn args(command: &str, raw: &[&str]) -> Args {
         parse(command, raw).expect("parse")
+    }
+
+    /// Every `COMMANDS` row has a paragraph in `USAGE` (a line indented
+    /// four spaces that starts with the command's name, and the deeper
+    /// lines under it) naming each flag the row accepts as `--flag`.
+    /// Prose may mention other flags.
+    #[test]
+    fn usage_documents_every_flag_of_every_command() {
+        let mut paragraphs: Vec<(&str, String)> = Vec::new();
+        let mut open = false;
+        for line in USAGE.lines() {
+            if let Some(head) = line.strip_prefix("    ").filter(|l| !l.starts_with(' ')) {
+                let name = head.split_whitespace().next().unwrap_or_default();
+                paragraphs.push((name, head.to_owned()));
+                open = true;
+            } else if open && line.starts_with("     ") {
+                paragraphs.last_mut().expect("open").1 += line;
+            } else {
+                open = false;
+            }
+        }
+        let names = |text: &str, flag: &str| {
+            let dashed = format!("--{flag}");
+            text.match_indices(&dashed).any(|(at, _)| {
+                !text[at + dashed.len()..]
+                    .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+            })
+        };
+        for (command, flags, _) in COMMANDS {
+            let (_, text) = paragraphs
+                .iter()
+                .find(|(name, _)| *name == command)
+                .unwrap_or_else(|| panic!("USAGE has no paragraph for `{command}`"));
+            for flag in flags.split_whitespace() {
+                assert!(names(text, flag), "USAGE's `{command}` lacks --{flag}");
+            }
+        }
     }
 
     #[test]
