@@ -11,19 +11,18 @@
 //!
 //! A packet finds its flow through a [`FlowIndex`]: a 256-slot
 //! direct-mapped front cache in front of a std `HashMap` with its
-//! randomly keyed SipHash. All three per-packet loops use it —
-//! [`reassemble_obs`] here, `caai_stream::reassemble_source` (offline
-//! pcapng and pipes) and the streaming pipeline's flow table, which also
+//! randomly keyed SipHash. The one per-frame loop,
+//! [`crate::source::drain_segments`], feeds two tables that use it:
+//! [`reassemble_source`] here (whole captures of any container) and the
+//! streaming pipeline's flow table, which also
 //! [`remove`](FlowIndex::remove)s a flow when it is evicted, before its
 //! slab slot is reused. Session grouping ([`crate::reconstruct::sessions`])
 //! runs once per flow, not per packet, and uses a plain `HashMap`.
 
-use crate::packet::{self, flags, TcpSegmentView};
-use crate::pcap::{PcapError, PcapReader};
-use caai_obs::{
-    CaptureTruncated, Event, EvictionCause, FlowEvicted, FlowOpened, FrameDecoded, NullSubscriber,
-    PacketSkipped, Subscriber,
-};
+use crate::packet::{flags, TcpSegmentView};
+use crate::pcap::PcapReader;
+use crate::source::{drain_segments, skip, CaptureError, CaptureSource};
+use caai_obs::{Event, EvictionCause, FlowEvicted, FlowOpened, NullSubscriber, Subscriber};
 use std::collections::HashMap;
 
 /// A TCP connection 4-tuple in capture orientation (first-seen direction).
@@ -287,98 +286,63 @@ pub struct FlowBuilder {
 }
 
 /// Everything reassembled from one capture.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Reassembly {
     /// Flows in order of their first packet.
     pub flows: Vec<Flow>,
     /// Packets skipped with their record index and reason.
     pub skipped: Vec<(usize, String)>,
     /// A fatal framing error that ended reading early, if any.
-    pub truncated: Option<PcapError>,
+    pub truncated: Option<CaptureError>,
     /// Total packets decoded into flows.
     pub packets: usize,
 }
 
-/// Reassembles a raw capture buffer into flows.
+/// Reassembles a raw classic capture buffer into flows.
 ///
 /// Per-packet problems (non-IP ethertypes, corrupt headers, mid-stream
 /// garbage) are skipped and reported in [`Reassembly::skipped`]; only a
 /// broken pcap *framing* stops early, recorded in
 /// [`Reassembly::truncated`]. The function never panics on any input.
-pub fn reassemble(buf: &[u8]) -> Result<Reassembly, PcapError> {
+pub fn reassemble(buf: &[u8]) -> Result<Reassembly, CaptureError> {
     reassemble_obs(buf, &NullSubscriber)
 }
 
-/// [`reassemble`] with a structured-event subscriber: [`FrameDecoded`]
-/// per decoded packet, [`PacketSkipped`] for every skip-and-report entry,
-/// [`CaptureTruncated`] when framing breaks mid-file, [`FlowOpened`] per
-/// new 4-tuple, and a [`FlowEvicted`] (cause [`EvictionCause::Drain`])
-/// per flow when the end of the buffer closes the table. The returned
-/// [`Reassembly`] is identical to the unobserved call.
-pub fn reassemble_obs<S: Subscriber>(buf: &[u8], obs: &S) -> Result<Reassembly, PcapError> {
-    let mut reader = PcapReader::new(buf)?;
-    if reader.linktype() != crate::pcap::LINKTYPE_ETHERNET {
-        // Feeding e.g. LINKTYPE_LINUX_SLL (113) or raw-IP (101) frames
-        // to the Ethernet decoder would mis-frame every packet; fail
-        // once with the actual link type instead of skipping them all.
-        return Err(PcapError {
-            offset: 20,
-            reason: format!(
-                "unsupported link type {} (only Ethernet, 1, is supported)",
-                reader.linktype()
-            ),
-        });
-    }
+/// [`reassemble`] with a structured-event subscriber; see
+/// [`reassemble_source`] for what it hears.
+pub fn reassemble_obs<S: Subscriber>(buf: &[u8], obs: &S) -> Result<Reassembly, CaptureError> {
+    reassemble_source(&mut PcapReader::new(buf)?, obs)
+}
+
+/// Drains any capture source and reassembles every flow, in order of
+/// each flow's first packet. Fails only when the container header is
+/// unreadable (or not Ethernet); damage after it is
+/// [`Reassembly::truncated`].
+///
+/// `obs` hears the drain's events ([`crate::source::drain_segments`]), a
+/// [`FlowOpened`] per new 4-tuple, and a [`FlowEvicted`] (cause
+/// [`EvictionCause::Drain`]) per flow when the end of the capture closes
+/// the table. The returned [`Reassembly`] is identical whatever the
+/// subscriber.
+pub fn reassemble_source<C, S>(source: &mut C, obs: &S) -> Result<Reassembly, CaptureError>
+where
+    C: CaptureSource + ?Sized,
+    S: Subscriber,
+{
     let mut index = FlowIndex::new();
     let mut order: Vec<FlowBuilder> = Vec::new();
-    let mut skipped = Vec::new();
-    let mut truncated = None;
-    let mut packets = 0usize;
-
-    while let Some(next) = reader.next() {
-        let record = match next {
-            Ok(r) => r,
-            Err(e) => {
-                obs.on_event(&Event::CaptureTruncated(CaptureTruncated {
-                    packets: packets as u64,
-                    reason: &e.reason,
-                }));
-                truncated = Some(e);
-                break;
-            }
-        };
-        let seg = match packet::decode(record.data) {
-            Ok(s) => SegmentHeader::from(&s),
-            Err(e) => {
-                let reason = e.to_string();
-                obs.on_event(&Event::PacketSkipped(PacketSkipped {
-                    index: record.index as u64,
-                    reason: &reason,
-                }));
-                skipped.push((record.index, reason));
-                continue;
-            }
-        };
-        packets += 1;
-        obs.on_event(&Event::FrameDecoded(FrameDecoded {
-            bytes: record.data.len() as u64,
-        }));
-        let key = FlowKey::of(&seg);
+    let drained = drain_segments(source, obs, |at, ts, seg, skipped| {
+        let key = FlowKey::of(seg);
         let idx = index.get(&key).unwrap_or_else(|| {
             obs.on_event(&Event::FlowOpened(FlowOpened {}));
-            order.push(FlowBuilder::new(&seg, record.ts));
+            order.push(FlowBuilder::new(seg, ts));
             index.insert(key, order.len() - 1);
             order.len() - 1
         });
-        if let Some(reason) = order[idx].feed(record.ts, &seg) {
-            obs.on_event(&Event::PacketSkipped(PacketSkipped {
-                index: record.index as u64,
-                reason: &reason,
-            }));
-            skipped.push((record.index, reason));
+        if let Some(reason) = order[idx].feed(ts, seg) {
+            skip(obs, skipped, at, reason);
         }
-    }
-
+    })?;
     let flows: Vec<Flow> = order
         .into_iter()
         .map(|b| {
@@ -391,9 +355,13 @@ pub fn reassemble_obs<S: Subscriber>(buf: &[u8], obs: &S) -> Result<Reassembly, 
         .collect();
     Ok(Reassembly {
         flows,
-        skipped,
-        truncated,
-        packets,
+        skipped: drained
+            .skipped
+            .into_iter()
+            .map(|(at, reason)| (at as usize, reason))
+            .collect(),
+        truncated: drained.truncated,
+        packets: drained.packets as usize,
     })
 }
 
@@ -1000,7 +968,7 @@ mod tests {
             let mut reader = PcapReader::new(&capture).unwrap();
             let mut builder: Option<FlowBuilder> = None;
             while let Some(Ok(record)) = reader.next() {
-                let view = packet::decode(record.data).unwrap();
+                let view = crate::packet::decode(record.data).unwrap();
                 let header = SegmentHeader::from(&view);
                 assert_eq!(header.payload_len as usize, view.payload.len());
                 let b = builder.get_or_insert_with(|| FlowBuilder::new(&header, record.ts));

@@ -1,7 +1,8 @@
-//! Capture-level identification: pcap bytes → per-server verdicts.
+//! Capture-level identification: probe sessions → per-server verdicts.
 //!
-//! Ties the subsystem together: reassemble flows, reconstruct each probe
-//! session's [`GatherOutcome`], and run the standard CAAI step-2/3
+//! Ties the subsystem together: reconstruct each probe session's
+//! [`GatherOutcome`] ([`session_report`], shared by whole-capture and
+//! streaming ingestion), and run the standard CAAI step-2/3
 //! pipeline (special-case detection, feature extraction, random-forest
 //! classification) on the result. Each session yields one
 //! [`CensusRecord`] with `truth: None` — on a real capture the ground
@@ -10,9 +11,8 @@
 //! synthetic census.
 
 use crate::flow::Reassembly;
-use crate::pcap::PcapError;
-use crate::reconstruct::{self, ProbeSession, DEFAULT_LADDER};
-use caai_core::census::{CensusRecord, Verdict};
+use crate::reconstruct::{self, ProbeSession};
+use caai_core::census::{verdict_for_outcome, CensusRecord};
 use caai_core::classify::{CaaiClassifier, Identification};
 use caai_core::prober::GatherOutcome;
 use caai_obs::{span_begin, Event, NullSubscriber, SessionEmitted, SpanKind, Subscriber};
@@ -36,29 +36,6 @@ pub struct SessionReport {
     pub record: CensusRecord,
 }
 
-/// Everything identified from one capture.
-#[derive(Debug)]
-pub struct CaptureVerdicts {
-    /// Per-session verdicts, in capture order.
-    pub sessions: Vec<SessionReport>,
-    /// Packets skipped during decode, as `(record index, reason)`.
-    pub skipped: Vec<(usize, String)>,
-    /// Fatal framing error that ended reading early, if any.
-    pub truncated: Option<PcapError>,
-    /// Packets decoded.
-    pub packets: usize,
-}
-
-/// The step-2/3 pipeline applied to a reconstructed outcome — exactly
-/// `caai_core::census::verdict_for_outcome`, re-exported here so capture
-/// verdicts can never diverge from census verdicts for the same traces.
-pub fn verdict_for(
-    outcome: &GatherOutcome,
-    classifier: &CaaiClassifier,
-) -> (Verdict, Option<Identification>) {
-    caai_core::census::verdict_for_outcome(outcome, classifier)
-}
-
 /// Builds per-session verdicts from an already-reassembled capture.
 ///
 /// Sessions with no reconstructable probe connection at all (e.g. a
@@ -73,77 +50,64 @@ pub fn identify_reassembly(
     identify_reassembly_obs(reassembly, classifier, ladder, &NullSubscriber)
 }
 
-/// [`identify_reassembly`] with a structured-event subscriber: one
-/// [`SessionEmitted`] per verdict (`lag_secs` is `0` — offline ingestion
-/// has no watermark). The reports are identical to the unobserved call.
+/// [`identify_reassembly`] with a structured-event subscriber: what
+/// [`session_report`] emits, per session (`lag_secs` is `0` — offline
+/// ingestion has no watermark). The reports are identical to the
+/// unobserved call.
 pub fn identify_reassembly_obs<S: Subscriber>(
     reassembly: &Reassembly,
     classifier: &CaaiClassifier,
     ladder: &[u32],
     obs: &S,
 ) -> Vec<SessionReport> {
-    let sessions: Vec<ProbeSession> = reconstruct::sessions(reassembly, ladder);
-    sessions
+    reconstruct::sessions(reassembly, ladder)
         .iter()
         .filter(|s| !s.connections.is_empty())
         .enumerate()
-        .map(|(i, s)| {
-            let replay_span = span_begin(obs, SpanKind::SessionReplay, i as i64, 0);
-            let outcome = reconstruct::session_outcome(s, ladder);
-            replay_span.end(obs);
-            let classify_span = span_begin(obs, SpanKind::Classify, i as i64, 0);
-            let (verdict, identification) = verdict_for(&outcome, classifier);
-            classify_span.end(obs);
-            obs.on_event(&Event::SessionEmitted(SessionEmitted {
-                verdict: verdict.kind(),
-                wmax: verdict.wmax(),
-                flows: s.flows as u64,
-                lag_secs: 0.0,
-            }));
-            SessionReport {
-                client_ip: s.client_ip,
-                server_ip: s.server_ip,
-                flows: s.flows,
-                outcome,
-                identification,
-                record: CensusRecord {
-                    server_id: i as u32,
-                    truth: None,
-                    verdict,
-                },
-            }
-        })
+        .map(|(i, s)| session_report(s, i, 0.0, classifier, ladder, obs))
         .collect()
 }
 
-/// Identifies every probe session in a raw capture buffer.
-///
-/// One verdict per (prober IP, server IP) session; corrupt packets are
-/// skipped and reported, and a capture whose framing breaks mid-file is
-/// identified up to the break (`truncated` says where). Only an
-/// unreadable *header* is a hard error.
-///
-/// `obs` hears the reassembly events of [`crate::flow::reassemble_obs`]
-/// plus one [`SessionEmitted`] per verdict; the verdicts are the same
-/// whatever the subscriber (pass [`NullSubscriber`] to observe nothing).
-pub fn identify_capture<S: Subscriber>(
-    buf: &[u8],
+/// One session's verdict: its `w_max` ladder replayed (a
+/// [`SpanKind::SessionReplay`] span), the step-2/3 pipeline run on the
+/// outcome (a [`SpanKind::Classify`] span) — the census's own
+/// `verdict_for_outcome`, so a capture's verdict can never diverge from
+/// a census verdict for the same traces — and one [`SessionEmitted`]
+/// event. `index` is the session's place in the capture's verdict order
+/// (the record's `server_id`); `lag_secs` is how far the watermark had
+/// passed the session's last packet when it was emitted.
+pub fn session_report<S: Subscriber>(
+    session: &ProbeSession,
+    index: usize,
+    lag_secs: f64,
     classifier: &CaaiClassifier,
-    ladder: Option<&[u32]>,
+    ladder: &[u32],
     obs: &S,
-) -> Result<CaptureVerdicts, PcapError> {
-    let ladder = ladder.unwrap_or(&DEFAULT_LADDER);
-    let reassembly_span = span_begin(obs, SpanKind::Reassembly, buf.len() as i64, 0);
-    let reassembly = crate::flow::reassemble_obs(buf, obs);
-    reassembly_span.end(obs);
-    let reassembly = reassembly?;
-    let sessions = identify_reassembly_obs(&reassembly, classifier, ladder, obs);
-    Ok(CaptureVerdicts {
-        sessions,
-        skipped: reassembly.skipped,
-        truncated: reassembly.truncated,
-        packets: reassembly.packets,
-    })
+) -> SessionReport {
+    let replay_span = span_begin(obs, SpanKind::SessionReplay, index as i64, 0);
+    let outcome = reconstruct::session_outcome(session, ladder);
+    replay_span.end(obs);
+    let classify_span = span_begin(obs, SpanKind::Classify, index as i64, 0);
+    let (verdict, identification) = verdict_for_outcome(&outcome, classifier);
+    classify_span.end(obs);
+    obs.on_event(&Event::SessionEmitted(SessionEmitted {
+        verdict: verdict.kind(),
+        wmax: verdict.wmax(),
+        flows: session.flows as u64,
+        lag_secs,
+    }));
+    SessionReport {
+        client_ip: session.client_ip,
+        server_ip: session.server_ip,
+        flows: session.flows,
+        outcome,
+        identification,
+        record: CensusRecord {
+            server_id: index as u32,
+            truth: None,
+            verdict,
+        },
+    }
 }
 
 #[cfg(test)]
@@ -151,6 +115,7 @@ mod tests {
     use super::*;
     use crate::packet::{encode, flags, FrameSpec};
     use crate::pcap::PcapWriter;
+    use crate::reconstruct::DEFAULT_LADDER;
     use caai_core::training::{build_training_set, TrainingConfig};
     use caai_netem::rng::seeded;
     use caai_netem::ConditionDb;
@@ -218,12 +183,12 @@ mod tests {
         .unwrap();
         w.finish().unwrap();
 
-        let verdicts = identify_capture(&out, &quick_classifier(), None, &NullSubscriber).unwrap();
-        assert_eq!(verdicts.packets, 4, "the flow itself parses fine");
+        let reassembly = crate::flow::reassemble(&out).unwrap();
+        assert_eq!(reassembly.packets, 4, "the flow itself parses fine");
+        let sessions = identify_reassembly(&reassembly, &quick_classifier(), &DEFAULT_LADDER);
         assert!(
-            verdicts.sessions.is_empty(),
-            "non-probe traffic must not fabricate a verdict: {:?}",
-            verdicts.sessions
+            sessions.is_empty(),
+            "non-probe traffic must not fabricate a verdict: {sessions:?}"
         );
     }
 }

@@ -3,9 +3,12 @@
 //! The simulated pipeline classifies servers it probes itself; this crate
 //! closes the loop with the wire, in both directions:
 //!
-//! * **read**: a zero-copy classic-pcap reader ([`pcap`]) with a tolerant
-//!   error model, Ethernet/IPv4/TCP decode ([`packet`]), TCP flow
-//!   reassembly keyed on the 4-tuple ([`flow`]), and per-RTT window
+//! * **read**: the frame-source contract every capture reader implements
+//!   and the one drain that feeds every flow table, with its one error
+//!   type and its one header-versus-truncation rule ([`source`]); a
+//!   zero-copy classic-pcap reader ([`pcap`]), Ethernet/IPv4/TCP decode
+//!   ([`packet`]), TCP flow reassembly keyed on the 4-tuple ([`flow`]),
+//!   and per-RTT window
 //!   reconstruction ([`reconstruct`]) that turns a recorded prober↔server
 //!   exchange back into the exact [`WindowTrace`]/[`TracePair`] the
 //!   prober measured — pre/post-timeout split at the detected RTO,
@@ -18,7 +21,7 @@
 //!   the identical identification.
 //!
 //! ```
-//! use caai_capture::{identify_capture, CaptureRenderer};
+//! use caai_capture::CaptureRenderer;
 //! use caai_core::prober::{Prober, ProberConfig};
 //! use caai_core::server_under_test::ServerUnderTest;
 //! use caai_congestion::AlgorithmId;
@@ -43,8 +46,10 @@
 //! let sessions = caai_capture::sessions(&reassembly, &[512, 256, 128, 64]);
 //! let outcome = caai_capture::session_outcome(&sessions[0], &[512, 256, 128, 64]);
 //! assert_eq!(outcome.pair, direct.pair);
-//! # let _ = identify_capture::<caai_obs::NullSubscriber>; // re-export smoke
 //! ```
+//!
+//! To go from bytes of either container to verdicts in one call, use
+//! `caai_stream::identify_bytes`; from a reassembly, [`identify_reassembly`].
 //!
 //! [`WindowTrace`]: caai_core::trace::WindowTrace
 //! [`TracePair`]: caai_core::trace::TracePair
@@ -58,16 +63,18 @@ pub mod packet;
 pub mod pcap;
 pub mod reconstruct;
 pub mod render;
+pub mod source;
 
-pub use flow::{reassemble, reassemble_obs, Flow, FlowBuilder, FlowEvent, FlowKey, Reassembly};
-pub use identify::{
-    identify_capture, identify_reassembly, identify_reassembly_obs, verdict_for, CaptureVerdicts,
-    SessionReport,
+pub use flow::{
+    reassemble, reassemble_obs, reassemble_source, Flow, FlowBuilder, FlowEvent, FlowKey,
+    Reassembly,
 };
+pub use identify::{identify_reassembly, identify_reassembly_obs, session_report, SessionReport};
 pub use packet::{decode, encode, DecodeError, FrameSpec, TcpSegmentView};
-pub use pcap::{PcapError, PcapReader, PcapRecord, PcapWriter};
+pub use pcap::{PcapReader, PcapRecord, PcapWriter};
 pub use reconstruct::{
     observe_connection, session_outcome, sessions, ConnectionObservation, ProbeSession,
     DEFAULT_LADDER,
 };
 pub use render::{CaptureRenderer, CAPTURE_EPOCH};
+pub use source::{CaptureError, CaptureSource, SourceItem, StreamFrame};

@@ -21,15 +21,23 @@
 //!   orig_len  u32   bytes on the wire
 //! ```
 //!
+//! Both classic readers — the zero-copy [`PcapReader`] over a whole
+//! buffer here and `caai_stream`'s incremental `PcapStream` — parse the
+//! framing with the same two helpers: [`ClassicHeader::parse`] for the
+//! global header and [`ClassicHeader::record`] (with
+//! [`RecordHeader::frame`]) for each record, so they agree on every
+//! frame, every error and every offset.
+//!
 //! The reader is **zero-copy** — [`PcapRecord::data`] borrows straight
 //! from the input buffer — and **tolerant**: a framing error (truncated
 //! record header, an `incl_len` that runs past the file or past any sane
-//! snap length) ends iteration with a diagnostic instead of panicking,
-//! because a corrupt length field destroys the framing of everything
-//! after it. Per-packet *content* corruption is the next layer's problem
-//! (see [`crate::packet`]), where single packets can be skipped.
+//! snap length) ends iteration with a [`CaptureError`] instead of
+//! panicking, because a corrupt length field destroys the framing of
+//! everything after it. Per-packet *content* corruption is the next
+//! layer's problem (see [`crate::packet`]), where single packets can be
+//! skipped.
 
-use std::fmt;
+use crate::source::CaptureError;
 use std::io::{self, Write};
 
 /// Classic pcap magic, microsecond timestamps.
@@ -42,42 +50,161 @@ pub const LINKTYPE_ETHERNET: u32 = 1;
 /// corrupt length field, not a packet (standard snap lengths top out at
 /// 256 KiB for jumbo captures).
 pub const MAX_INCL_LEN: u32 = 256 * 1024;
+/// Bytes in the global header.
+pub const GLOBAL_HEADER_LEN: usize = 24;
+/// Bytes in a record header.
+pub const RECORD_HEADER_LEN: usize = 16;
 
 /// Byte order of a capture's integers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Endianness {
     /// Integers are little-endian (the common case).
+    #[default]
     Little,
     /// Integers are big-endian (capture written on a BE machine).
     Big,
 }
 
-/// A fatal framing problem: nothing after the reported offset can be
-/// trusted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapError {
-    /// Byte offset into the capture where framing broke.
-    pub offset: usize,
-    /// What went wrong.
-    pub reason: String,
-}
+impl Endianness {
+    /// The `u32` at `bytes[at..at + 4]` in this byte order.
+    #[inline]
+    pub fn u32_at(self, bytes: &[u8], at: usize) -> u32 {
+        let bytes: [u8; 4] = bytes[at..at + 4].try_into().expect("4 bytes");
+        match self {
+            Endianness::Little => u32::from_le_bytes(bytes),
+            Endianness::Big => u32::from_be_bytes(bytes),
+        }
+    }
 
-impl fmt::Display for PcapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "pcap framing error at byte {}: {}",
-            self.offset, self.reason
-        )
+    /// The `u16` at `bytes[at..at + 2]` in this byte order.
+    #[inline]
+    pub fn u16_at(self, bytes: &[u8], at: usize) -> u16 {
+        let bytes: [u8; 2] = bytes[at..at + 2].try_into().expect("2 bytes");
+        match self {
+            Endianness::Little => u16::from_le_bytes(bytes),
+            Endianness::Big => u16::from_be_bytes(bytes),
+        }
     }
 }
 
-impl std::error::Error for PcapError {}
+/// What a classic capture's global header says about every record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClassicHeader {
+    /// The byte order of every integer in the capture.
+    pub endianness: Endianness,
+    /// Whether timestamps count nanoseconds (else microseconds).
+    pub nanos: bool,
+    /// The link type of every record.
+    pub linktype: u32,
+}
 
-fn err(offset: usize, reason: impl Into<String>) -> PcapError {
-    PcapError {
-        offset,
-        reason: reason.into(),
+/// One record header, read and checked.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecordHeader {
+    /// Timestamp in seconds (fractional part from the µs/ns field).
+    pub ts: f64,
+    /// Bytes of frame stored after the header (at most [`MAX_INCL_LEN`]).
+    pub incl_len: u32,
+    /// Original on-the-wire length.
+    pub orig_len: u32,
+}
+
+impl ClassicHeader {
+    /// Reads the global header at the front of `buf`: magic, byte order,
+    /// timestamp resolution and link type. Fails when `buf` is shorter
+    /// than a header or carries an unknown magic.
+    pub fn parse(buf: &[u8]) -> Result<ClassicHeader, CaptureError> {
+        if buf.len() < GLOBAL_HEADER_LEN {
+            return Err(CaptureError::new(
+                0,
+                format!("file too short for a pcap header ({} bytes)", buf.len()),
+            ));
+        }
+        let magic = |order: Endianness| order.u32_at(buf, 0);
+        let (endianness, nanos) = match (magic(Endianness::Little), magic(Endianness::Big)) {
+            (MAGIC_MICROS, _) => (Endianness::Little, false),
+            (MAGIC_NANOS, _) => (Endianness::Little, true),
+            (_, MAGIC_MICROS) => (Endianness::Big, false),
+            (_, MAGIC_NANOS) => (Endianness::Big, true),
+            (other, _) => {
+                return Err(CaptureError::new(
+                    0,
+                    format!("unknown pcap magic {other:#010X}"),
+                ))
+            }
+        };
+        Ok(ClassicHeader {
+            endianness,
+            nanos,
+            linktype: endianness.u32_at(buf, 20),
+        })
+    }
+
+    /// Fails unless the records are Ethernet frames, the one link type
+    /// [`crate::packet::decode`] reads: decoding e.g. Linux SLL (113) or
+    /// raw IP (101) as Ethernet would mis-frame every packet.
+    #[inline]
+    pub fn require_ethernet(&self) -> Result<(), CaptureError> {
+        if self.linktype == LINKTYPE_ETHERNET {
+            return Ok(());
+        }
+        Err(CaptureError::new(
+            20,
+            format!(
+                "unsupported link type {} (only Ethernet, 1, is supported)",
+                self.linktype
+            ),
+        ))
+    }
+
+    /// Reads the record header at the front of `rest`, the non-empty
+    /// remainder of the capture from its byte `at` on.
+    #[inline]
+    pub fn record(&self, rest: &[u8], at: u64) -> Result<RecordHeader, CaptureError> {
+        if rest.len() < RECORD_HEADER_LEN {
+            return Err(CaptureError::new(
+                at,
+                format!("truncated record header ({} trailing bytes)", rest.len()),
+            ));
+        }
+        let order = self.endianness;
+        let incl_len = order.u32_at(rest, 8);
+        if incl_len > MAX_INCL_LEN {
+            return Err(CaptureError::new(
+                at + 8,
+                format!("corrupt incl_len {incl_len} (max {MAX_INCL_LEN})"),
+            ));
+        }
+        let divisor = if self.nanos { 1e9 } else { 1e6 };
+        Ok(RecordHeader {
+            ts: f64::from(order.u32_at(rest, 0)) + f64::from(order.u32_at(rest, 4)) / divisor,
+            incl_len,
+            orig_len: order.u32_at(rest, 12),
+        })
+    }
+}
+
+impl RecordHeader {
+    /// Bytes of the whole record, header included.
+    pub fn record_len(&self) -> usize {
+        RECORD_HEADER_LEN + self.incl_len as usize
+    }
+
+    /// The frame of this record, given `rest` as in
+    /// [`ClassicHeader::record`]; fails when the capture ends first.
+    #[inline]
+    pub fn frame<'a>(&self, rest: &'a [u8], at: u64) -> Result<&'a [u8], CaptureError> {
+        rest.get(RECORD_HEADER_LEN..self.record_len())
+            .ok_or_else(|| {
+                CaptureError::new(
+                    at + 8,
+                    format!(
+                        "record of {} bytes runs past the end of the file ({} bytes remain)",
+                        self.incl_len,
+                        rest.len() - RECORD_HEADER_LEN
+                    ),
+                )
+            })
     }
 }
 
@@ -100,9 +227,7 @@ pub struct PcapRecord<'a> {
 pub struct PcapReader<'a> {
     buf: &'a [u8],
     offset: usize,
-    endianness: Endianness,
-    nanos: bool,
-    linktype: u32,
+    header: ClassicHeader,
     index: usize,
     fatal: bool,
 }
@@ -110,112 +235,47 @@ pub struct PcapReader<'a> {
 impl<'a> PcapReader<'a> {
     /// Parses the global header. Fails when the buffer is shorter than a
     /// header or carries an unknown magic.
-    pub fn new(buf: &'a [u8]) -> Result<Self, PcapError> {
-        if buf.len() < 24 {
-            return Err(err(
-                0,
-                format!("file too short for a pcap header ({} bytes)", buf.len()),
-            ));
-        }
-        let magic_le = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-        let magic_be = u32::from_be_bytes(buf[0..4].try_into().expect("4 bytes"));
-        let (endianness, nanos) = match (magic_le, magic_be) {
-            (MAGIC_MICROS, _) => (Endianness::Little, false),
-            (MAGIC_NANOS, _) => (Endianness::Little, true),
-            (_, MAGIC_MICROS) => (Endianness::Big, false),
-            (_, MAGIC_NANOS) => (Endianness::Big, true),
-            _ => return Err(err(0, format!("unknown pcap magic {magic_le:#010X}"))),
-        };
-        let rd = |range: std::ops::Range<usize>| -> u32 {
-            let bytes: [u8; 4] = buf[range].try_into().expect("4 bytes");
-            match endianness {
-                Endianness::Little => u32::from_le_bytes(bytes),
-                Endianness::Big => u32::from_be_bytes(bytes),
-            }
-        };
-        let linktype = rd(20..24);
+    pub fn new(buf: &'a [u8]) -> Result<Self, CaptureError> {
         Ok(PcapReader {
             buf,
-            offset: 24,
-            endianness,
-            nanos,
-            linktype,
+            offset: GLOBAL_HEADER_LEN,
+            header: ClassicHeader::parse(buf)?,
             index: 0,
             fatal: false,
         })
     }
 
-    /// The capture's byte order.
-    pub fn endianness(&self) -> Endianness {
-        self.endianness
-    }
-
-    /// The link type declared in the global header.
-    pub fn linktype(&self) -> u32 {
-        self.linktype
-    }
-
-    fn read_u32(&self, at: usize) -> u32 {
-        let bytes: [u8; 4] = self.buf[at..at + 4].try_into().expect("4 bytes");
-        match self.endianness {
-            Endianness::Little => u32::from_le_bytes(bytes),
-            Endianness::Big => u32::from_be_bytes(bytes),
-        }
+    /// What the global header says: byte order, timestamp resolution
+    /// and link type.
+    pub fn header(&self) -> ClassicHeader {
+        self.header
     }
 
     /// Reads the next record. `None` at a clean end of file; a framing
     /// error is returned once and ends iteration.
     #[allow(clippy::should_implement_trait)] // iterator-style, but fallible
-    pub fn next(&mut self) -> Option<Result<PcapRecord<'a>, PcapError>> {
+    #[inline]
+    pub fn next(&mut self) -> Option<Result<PcapRecord<'a>, CaptureError>> {
         if self.fatal || self.offset >= self.buf.len() {
             return None;
         }
-        let at = self.offset;
-        if self.buf.len() - at < 16 {
-            self.fatal = true;
-            return Some(Err(err(
-                at,
-                format!(
-                    "truncated record header ({} trailing bytes)",
-                    self.buf.len() - at
-                ),
-            )));
-        }
-        let ts_sec = self.read_u32(at);
-        let ts_frac = self.read_u32(at + 4);
-        let incl_len = self.read_u32(at + 8);
-        if incl_len > MAX_INCL_LEN {
-            self.fatal = true;
-            return Some(Err(err(
-                at + 8,
-                format!("corrupt incl_len {incl_len} (max {MAX_INCL_LEN})"),
-            )));
-        }
-        let orig_len = self.read_u32(at + 12);
-        let data_start = at + 16;
-        let data_end = data_start + incl_len as usize;
-        if data_end > self.buf.len() {
-            self.fatal = true;
-            return Some(Err(err(
-                at + 8,
-                format!(
-                    "record of {incl_len} bytes runs past the end of the file \
-                     ({} bytes remain)",
-                    self.buf.len() - data_start
-                ),
-            )));
-        }
-        let divisor = if self.nanos { 1e9 } else { 1e6 };
-        let ts = f64::from(ts_sec) + f64::from(ts_frac) / divisor;
+        let record = self.read_record();
+        self.fatal = record.is_err();
+        Some(record)
+    }
+
+    fn read_record(&mut self) -> Result<PcapRecord<'a>, CaptureError> {
+        let (rest, at) = (&self.buf[self.offset..], self.offset as u64);
+        let header = self.header.record(rest, at)?;
         let record = PcapRecord {
             index: self.index,
-            ts,
-            data: &self.buf[data_start..data_end],
-            orig_len,
+            ts: header.ts,
+            data: header.frame(rest, at)?,
+            orig_len: header.orig_len,
         };
-        self.offset = data_end;
+        self.offset += header.record_len();
         self.index += 1;
-        Some(Ok(record))
+        Ok(record)
     }
 }
 
@@ -290,37 +350,26 @@ impl<W: Write> PcapWriter<W> {
 /// one from the canonical LE output so endianness handling can be tested
 /// (and exotic captures reproduced) without such a machine.
 pub fn byteswap_capture(src: &[u8]) -> Vec<u8> {
+    let Ok(header) = ClassicHeader::parse(src) else {
+        return src.to_vec();
+    };
     let mut out = Vec::with_capacity(src.len());
-    if src.len() < 24 {
-        out.extend_from_slice(src);
-        return out;
-    }
     let swap = |out: &mut Vec<u8>, bytes: &[u8]| out.extend(bytes.iter().rev());
-    swap(&mut out, &src[0..4]); // magic
-    swap(&mut out, &src[4..6]); // version major
-    swap(&mut out, &src[6..8]); // version minor
-    for word in 2..6 {
-        swap(&mut out, &src[word * 4..word * 4 + 4]);
+    // Magic, version major and minor, then four 32-bit words.
+    let mut at = 0;
+    for width in [4, 2, 2, 4, 4, 4, 4] {
+        swap(&mut out, &src[at..at + width]);
+        at += width;
     }
-    // incl_len must be read in the capture's own byte order.
-    let native_le = u32::from_le_bytes(src[0..4].try_into().expect("4 bytes")) == MAGIC_MICROS
-        || u32::from_le_bytes(src[0..4].try_into().expect("4 bytes")) == MAGIC_NANOS;
-    let mut at = 24;
-    while at + 16 <= src.len() {
-        let len_bytes: [u8; 4] = src[at + 8..at + 12].try_into().expect("4 bytes");
-        let incl = if native_le {
-            u32::from_le_bytes(len_bytes)
-        } else {
-            u32::from_be_bytes(len_bytes)
-        } as usize;
-        if at + 16 + incl > src.len() {
-            break;
-        }
+    while let Ok(frame) = header
+        .record(&src[at..], at as u64)
+        .and_then(|record| record.frame(&src[at..], at as u64))
+    {
         for word in 0..4 {
             swap(&mut out, &src[at + word * 4..at + word * 4 + 4]);
         }
-        out.extend_from_slice(&src[at + 16..at + 16 + incl]);
-        at += 16 + incl;
+        out.extend_from_slice(frame);
+        at += RECORD_HEADER_LEN + frame.len();
     }
     out
 }
@@ -377,8 +426,8 @@ mod tests {
         assert_eq!(byteswap_capture(&be), le, "byteswap is an involution");
         let mut rl = PcapReader::new(&le).unwrap();
         let mut rb = PcapReader::new(&be).unwrap();
-        assert_eq!(rb.endianness(), Endianness::Big);
-        assert_eq!(rb.linktype(), LINKTYPE_ETHERNET);
+        assert_eq!(rb.header().endianness, Endianness::Big);
+        assert_eq!(rb.header().linktype, LINKTYPE_ETHERNET);
         loop {
             match (rl.next(), rb.next()) {
                 (None, None) => break,

@@ -116,6 +116,16 @@ pub struct GatherOutcome {
 }
 
 impl GatherOutcome {
+    /// The [`GatherFinished`] event that reports this outcome, however
+    /// the ladder was walked (simulated or over sockets).
+    pub fn finished_event(&self) -> Event<'static> {
+        Event::GatherFinished(GatherFinished {
+            usable: self.pair.is_some(),
+            failed_attempts: self.failed_attempts.len() as u32,
+            wmax: self.pair.as_ref().map(|p| p.wmax_threshold()),
+        })
+    }
+
     /// The dominant reason gathering failed, if it did.
     pub fn failure_reason(&self) -> Option<InvalidReason> {
         if self.pair.is_some() {
@@ -265,11 +275,7 @@ impl Prober {
             walk.record(trace);
         }
         let outcome = walk.finish(self.config.defense.as_ref().map(|_| overhead));
-        obs.on_event(&Event::GatherFinished(GatherFinished {
-            usable: outcome.pair.is_some(),
-            failed_attempts: outcome.failed_attempts.len() as u32,
-            wmax: outcome.pair.as_ref().map(|p| p.wmax_threshold()),
-        }));
+        obs.on_event(&outcome.finished_event());
         outcome
     }
 

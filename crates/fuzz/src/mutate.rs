@@ -183,44 +183,22 @@ fn extend_with_garbage(buf: &mut Vec<u8>, rng: &mut SplitMix64) {
 /// per record, plus whether integers are little-endian. `None` when the
 /// buffer is not (or no longer) a walkable classic capture.
 fn pcap_records(buf: &[u8]) -> Option<(bool, Vec<(usize, usize)>)> {
-    use caai_capture::pcap::{MAGIC_MICROS, MAGIC_NANOS, MAX_INCL_LEN};
-    if buf.len() < 24 {
-        return None;
-    }
-    let le32 = u32::from_le_bytes(buf[0..4].try_into().ok()?);
-    let be32 = u32::from_be_bytes(buf[0..4].try_into().ok()?);
-    let little = match (le32, be32) {
-        (MAGIC_MICROS | MAGIC_NANOS, _) => true,
-        (_, MAGIC_MICROS | MAGIC_NANOS) => false,
-        _ => return None,
-    };
+    use caai_capture::pcap::{ClassicHeader, Endianness, GLOBAL_HEADER_LEN, RECORD_HEADER_LEN};
+    let header = ClassicHeader::parse(buf).ok()?;
     let mut records = Vec::new();
-    let mut at = 24usize;
-    while at.checked_add(16)? <= buf.len() {
-        let len_bytes: [u8; 4] = buf[at + 8..at + 12].try_into().ok()?;
-        let incl = if little {
-            u32::from_le_bytes(len_bytes)
-        } else {
-            u32::from_be_bytes(len_bytes)
-        };
-        if incl > MAX_INCL_LEN {
-            break;
-        }
-        let size = 16usize.checked_add(incl as usize)?;
-        if at.checked_add(size)? > buf.len() {
-            break;
-        }
-        records.push((at, size));
-        at += size;
+    let mut at = GLOBAL_HEADER_LEN;
+    while let Ok(frame) = header
+        .record(&buf[at..], at as u64)
+        .and_then(|record| record.frame(&buf[at..], at as u64))
+    {
+        records.push((at, RECORD_HEADER_LEN + frame.len()));
+        at += RECORD_HEADER_LEN + frame.len();
         if records.len() > 1 << 16 {
             break;
         }
     }
-    if records.is_empty() {
-        None
-    } else {
-        Some((little, records))
-    }
+    let little = header.endianness == Endianness::Little;
+    (!records.is_empty()).then_some((little, records))
 }
 
 /// Corrupts the classic container along its own seams. Returns false when

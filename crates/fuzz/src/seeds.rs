@@ -534,7 +534,7 @@ fn epb_body(iface: u32, cap_len: u32) -> Vec<u8> {
 mod tests {
     use super::*;
     use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame};
-    use caai_stream::source::{CaptureSource, PcapStream, SourceItem, StallPolicy};
+    use caai_stream::{CaptureSource, PcapStream, SourceItem, StallPolicy};
     use std::io::Cursor;
 
     #[test]

@@ -7,9 +7,8 @@
 //! build, an arithmetic overflow surfacing as one) anywhere between the
 //! container walker and the verdict.
 
-use caai_capture::reassemble;
 use caai_capture::reconstruct::{observe_connection, session_outcome, sessions};
-use caai_capture::DEFAULT_LADDER;
+use caai_capture::{reassemble, reassemble_source, PcapReader, DEFAULT_LADDER};
 use caai_congestion::AlgorithmId;
 use caai_core::classes::label_names;
 use caai_core::features::FEATURE_DIM;
@@ -20,8 +19,9 @@ use caai_ml::{Dataset, RandomForestConfig};
 use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame};
 use caai_net::{parse_targets, LadderCore, ServerCore, Step};
 use caai_netem::rng::seeded;
-use caai_stream::source::{CaptureSource, PcapStream, SourceItem, StallPolicy};
-use caai_stream::StreamConfig;
+use caai_obs::NullSubscriber;
+use caai_stream::pcapng::SHB_MAGIC;
+use caai_stream::{CaptureError, CaptureSource, PcapStream, SourceItem, StallPolicy, StreamConfig};
 use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -29,10 +29,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Target {
     /// Zero-copy classic reader → flow reassembly → ladder
-    /// reconstruction → outcome (no classifier).
+    /// reconstruction → outcome (no classifier); a classic input must
+    /// reassemble identically through the incremental source.
     Offline,
     /// Incremental source (classic *and* pcapng framing) drained item
-    /// by item.
+    /// by item; a classic input must yield the zero-copy reader's frames
+    /// and final error exactly.
     Stream,
     /// The full streaming pipeline with a live classifier.
     Pipeline,
@@ -123,8 +125,26 @@ impl Default for Targets {
 
 /// The offline capture stack, classifier excluded: reassemble, observe
 /// every flow against the ladder, group sessions, replay each outcome.
+/// A classic input must reassemble to the same flows, skips, truncation
+/// and packet count (or fail with the same error) through the
+/// incremental source: both readers feed the one drain.
 fn drive_offline(bytes: &[u8]) {
-    let Ok(reassembly) = reassemble(bytes) else {
+    let offline = reassemble(bytes);
+    if !bytes.starts_with(&SHB_MAGIC) {
+        let mut stream = PcapStream::new(Cursor::new(bytes), StallPolicy::Eof);
+        let streamed = reassemble_source(&mut stream, &NullSubscriber);
+        assert!(
+            offline == streamed,
+            "reassemble and the stream disagree: {:?} vs {:?}",
+            offline
+                .as_ref()
+                .map(|r| (r.flows.len(), r.packets, &r.truncated)),
+            streamed
+                .as_ref()
+                .map(|r| (r.flows.len(), r.packets, &r.truncated)),
+        );
+    }
+    let Ok(reassembly) = offline else {
         return; // rejected at the container: the contract, not a finding
     };
     for flow in &reassembly.flows {
@@ -135,24 +155,51 @@ fn drive_offline(bytes: &[u8]) {
     }
 }
 
-/// The incremental source drained to exhaustion (both container
-/// formats, per-item skip reports, fatal framing errors).
-fn drive_stream(bytes: &[u8]) {
-    let mut src = PcapStream::new(Cursor::new(bytes.to_vec()), StallPolicy::Eof);
-    let mut items = 0u64;
-    loop {
-        match src.next() {
-            Ok(Some(SourceItem::Frame(_))) | Ok(Some(SourceItem::Skipped { .. })) => {
-                items += 1;
-                // A mutated length field must never turn the reader into
-                // an infinite item generator.
-                assert!(
-                    items < 1 << 22,
-                    "source yielded {items} items without ending"
-                );
-            }
-            Ok(None) | Err(_) => return,
+/// Everything a source yields, in order, and the error that ended it.
+fn items(source: &mut dyn CaptureSource) -> (Vec<SourceItem>, Option<CaptureError>) {
+    let mut items = Vec::new();
+    let mut next = || {
+        source.read_header()?;
+        while let Some(item) = source.next()? {
+            items.push(item);
+            // A mutated length field must never turn the reader into an
+            // infinite item generator.
+            assert!(
+                items.len() < 1 << 22,
+                "source yielded {} items without ending",
+                items.len()
+            );
         }
+        Ok(())
+    };
+    let end = next().err();
+    (items, end)
+}
+
+/// The incremental source drained to exhaustion (both container
+/// formats, per-item skip reports, fatal framing errors). Over a classic
+/// input the zero-copy reader must agree with it on every frame's
+/// index, timestamp and bytes and on the final error's offset and
+/// reason: the two share their framing helpers, not their buffering.
+fn drive_stream(bytes: &[u8]) {
+    let streamed = items(&mut PcapStream::new(Cursor::new(bytes), StallPolicy::Eof));
+    if bytes.starts_with(&SHB_MAGIC) {
+        return;
+    }
+    let read = match PcapReader::new(bytes) {
+        Ok(mut reader) => items(&mut reader),
+        Err(e) => (Vec::new(), Some(e)),
+    };
+    if read != streamed {
+        let first = read.0.iter().zip(&streamed.0).position(|(a, b)| a != b);
+        panic!(
+            "classic readers disagree: reader {} items, stream {}, first difference at {first:?}; \
+             reader ended {:?}, stream {:?}",
+            read.0.len(),
+            streamed.0.len(),
+            read.1,
+            streamed.1
+        );
     }
 }
 

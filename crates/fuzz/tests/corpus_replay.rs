@@ -10,7 +10,7 @@
 use caai_fuzz::seeds::{diagnostic_fixtures, flow_slot_collisions};
 use caai_fuzz::targets::{Target, Targets};
 use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame, Wire};
-use caai_stream::source::{CaptureSource, PcapStream, SourceItem, StallPolicy};
+use caai_stream::{CaptureSource, PcapStream, SourceItem, StallPolicy};
 use std::io::Cursor;
 use std::path::PathBuf;
 

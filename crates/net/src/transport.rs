@@ -27,8 +27,7 @@ use caai_core::{
 };
 use caai_netem::EnvironmentId;
 use caai_obs::{
-    span_begin, Event, GatherFinished, NetSessionEnded, ReactorExited, RungAttemptStarted,
-    SpanKind, Subscriber,
+    span_begin, Event, NetSessionEnded, ReactorExited, RungAttemptStarted, SpanKind, Subscriber,
 };
 
 use crate::reactor::{Command, NetConfig, Reactor, SessionResult, SessionStats};
@@ -188,11 +187,7 @@ impl<R: Subscriber + Send + Sync + 'static> ProbeTransport for NetTransport<R> {
             }));
             obs.on_event(&Event::RungAttemptEnded(*rung));
         }
-        obs.on_event(&Event::GatherFinished(GatherFinished {
-            usable: result.outcome.pair.is_some(),
-            failed_attempts: result.outcome.failed_attempts.len() as u32,
-            wmax: result.outcome.pair.as_ref().map(|p| p.wmax_threshold()),
-        }));
+        obs.on_event(&result.outcome.finished_event());
         obs.on_event(&Event::NetSessionEnded(NetSessionEnded {
             connections: result.stats.connections,
             retries: result.stats.retries,

@@ -6,8 +6,8 @@
 //!
 //! * **containers** — [`PcapStream`] reads classic pcap *and* pcapng
 //!   (section header / interface description / enhanced packet blocks,
-//!   either endianness, per-interface timestamp resolution) through one
-//!   [`CaptureSource`] trait;
+//!   either endianness, per-interface timestamp resolution) behind
+//!   `caai_capture`'s [`CaptureSource`] trait, re-exported here;
 //! * **liveness** — a source can be a pipe, a FIFO, or a capture file
 //!   that is still being written: [`StallPolicy::Follow`] polls past EOF
 //!   instead of stopping, so verdicts stream out while packets stream in;
@@ -25,25 +25,28 @@
 //!                 ─► verdict callback (stdout / JSONL / census sink)
 //! ```
 //!
-//! [`offline`] closes the loop for whole-file pcapng inputs: it drains a
-//! [`CaptureSource`] into the same [`Reassembly`] the offline reader
-//! produces, so `caai identify --pcap` accepts either container.
+//! Both paths run `caai_capture`'s one frame drain
+//! ([`caai_capture::source::drain_segments`]), so they share its error
+//! type ([`CaptureError`]) and its rule: an error before the container
+//! header is read is the run's `Err`, any later one is `truncated`.
+//!
+//! [`offline`] is the one bytes → verdicts entry point: it sniffs the
+//! container and drains a [`PcapStream`] (pcapng) or the zero-copy
+//! `PcapReader` (classic) into the whole-capture [`Reassembly`], so
+//! `caai identify --pcap` accepts either container.
 //!
 //! [`Reassembly`]: caai_capture::flow::Reassembly
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod head;
 pub mod offline;
 pub mod pcapng;
 pub mod pipeline;
 pub mod source;
 
-pub use offline::{identify_bytes, identify_bytes_obs, reassemble_source};
+pub use caai_capture::{CaptureError, CaptureSource, SourceItem, StreamFrame};
+pub use offline::{identify_bytes, identify_bytes_obs, CaptureVerdicts};
 pub use pcapng::classic_to_pcapng;
-pub use pipeline::{run, run_obs, StreamConfig, StreamError, StreamStats};
-pub use source::{
-    open_path, CaptureSource, FollowConfig, OpenedSource, PcapStream, SourceError, SourceItem,
-    StallPolicy, StreamFrame,
-};
+pub use pipeline::{run, run_obs, StreamConfig, StreamStats};
+pub use source::{open_path, FollowConfig, OpenedSource, PcapStream, StallPolicy};

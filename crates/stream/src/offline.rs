@@ -1,115 +1,72 @@
-//! Offline (read-to-the-end) identification over any [`CaptureSource`] —
-//! the bridge that lets pcapng captures and pipes flow into the exact same
-//! reassembly → reconstruction → classification path as classic pcap.
+//! Offline (read-to-the-end) identification of an in-memory capture of
+//! either container: the one bytes → verdicts entry point.
 
-use crate::head::{drain_segments, skip};
 use crate::pcapng::SHB_MAGIC;
-use crate::source::{CaptureSource, PcapStream, SourceError, StallPolicy};
-use caai_capture::flow::{FlowBuilder, FlowIndex, FlowKey, Reassembly};
-use caai_capture::identify::CaptureVerdicts;
-use caai_capture::{identify_capture, identify_reassembly_obs, PcapError};
-use caai_core::classify::CaaiClassifier;
-use caai_obs::{
-    CaptureTruncated, Event, EvictionCause, FlowEvicted, FlowOpened, NullSubscriber, Subscriber,
+use crate::source::{PcapStream, StallPolicy};
+use caai_capture::{
+    identify_reassembly_obs, reassemble_obs, reassemble_source, CaptureError, SessionReport,
+    DEFAULT_LADDER,
 };
+use caai_core::classify::CaaiClassifier;
+use caai_obs::{span_begin, NullSubscriber, SpanKind, Subscriber};
 
-/// Drains a source and reassembles every flow, mirroring
-/// [`caai_capture::reassemble`] exactly: flows in first-appearance order,
-/// decode failures skipped per-packet, mid-stream damage recorded as
-/// `truncated` with everything before it kept.
-///
-/// Fails only when the source dies before producing a single item — i.e.
-/// the container header itself was unreadable.
-///
-/// `obs` hears the same events as [`caai_capture::reassemble_obs`] emits,
-/// so offline pcapng ingestion and offline pcap ingestion count
-/// identically.
-pub fn reassemble_source<S: Subscriber>(
-    source: &mut dyn CaptureSource,
-    obs: &S,
-) -> Result<Reassembly, SourceError> {
-    let mut flow_index = FlowIndex::new();
-    let mut order: Vec<FlowBuilder> = Vec::new();
-    let drained = drain_segments(source, obs, |index, ts, seg, skipped| {
-        let key = FlowKey::of(seg);
-        let idx = flow_index.get(&key).unwrap_or_else(|| {
-            obs.on_event(&Event::FlowOpened(FlowOpened {}));
-            order.push(FlowBuilder::new(seg, ts));
-            flow_index.insert(key, order.len() - 1);
-            order.len() - 1
-        });
-        if let Some(reason) = order[idx].feed(ts, seg) {
-            skip(obs, skipped, index, reason);
-        }
-    })?;
-    if let Some(e) = &drained.truncated {
-        obs.on_event(&Event::CaptureTruncated(CaptureTruncated {
-            packets: drained.packets,
-            reason: &e.reason,
-        }));
-    }
-
-    let flows: Vec<_> = order
-        .into_iter()
-        .map(|b| {
-            obs.on_event(&Event::FlowEvicted(FlowEvicted {
-                cause: EvictionCause::Drain,
-                events: b.events() as u64,
-            }));
-            b.into_flow()
-        })
-        .collect();
-    Ok(Reassembly {
-        flows,
-        skipped: drained
-            .skipped
-            .into_iter()
-            .map(|(index, reason)| (index as usize, reason))
-            .collect(),
-        truncated: drained.truncated.map(|e| PcapError {
-            offset: e.offset as usize,
-            reason: e.reason,
-        }),
-        packets: drained.packets as usize,
-    })
+/// Everything identified from one capture.
+#[derive(Debug)]
+pub struct CaptureVerdicts {
+    /// Per-session verdicts, in capture order.
+    pub sessions: Vec<SessionReport>,
+    /// Packets skipped during decode, as `(record index, reason)`.
+    pub skipped: Vec<(usize, String)>,
+    /// Fatal framing error that ended reading early, if any.
+    pub truncated: Option<CaptureError>,
+    /// Packets decoded.
+    pub packets: usize,
 }
 
 /// Identifies every probe session in an in-memory capture of *either*
-/// container format: pcapng (sniffed by its section-header magic) goes
-/// through the streaming reader, classic pcap through the zero-copy
-/// offline reader. Verdicts are identical for the same frames.
+/// container format.
+///
+/// One verdict per (prober IP, server IP) session; corrupt packets are
+/// skipped and reported, and a capture whose framing breaks after its
+/// container header is identified up to the break (`truncated` says
+/// where). Only an unreadable container header is an error.
 pub fn identify_bytes(
     buf: &[u8],
     classifier: &CaaiClassifier,
     ladder: Option<&[u32]>,
-) -> Result<CaptureVerdicts, PcapError> {
+) -> Result<CaptureVerdicts, CaptureError> {
     identify_bytes_obs(buf, classifier, ladder, &NullSubscriber)
 }
 
-/// [`identify_bytes`] with a structured-event subscriber: the reassembly
-/// events plus one `SessionEmitted` per verdict, whichever container the
-/// bytes turn out to be.
+/// [`identify_bytes`] with a structured-event subscriber: a `Reassembly`
+/// span around the drain, the reassembly events, and one
+/// `SessionEmitted` per verdict, whichever container the bytes turn out
+/// to be. The verdicts are the same whatever the subscriber.
+///
+/// pcapng (sniffed by its section-header magic) is read by
+/// [`PcapStream`] over the buffer, classic pcap by the zero-copy
+/// [`caai_capture::PcapReader`]; both then take the one path of
+/// [`reassemble_source`] and [`identify_reassembly_obs`].
 pub fn identify_bytes_obs<S: Subscriber>(
     buf: &[u8],
     classifier: &CaaiClassifier,
     ladder: Option<&[u32]>,
     obs: &S,
-) -> Result<CaptureVerdicts, PcapError> {
-    if buf.len() >= 4 && buf[..4] == SHB_MAGIC {
+) -> Result<CaptureVerdicts, CaptureError> {
+    let reassembly_span = span_begin(obs, SpanKind::Reassembly, buf.len() as i64, 0);
+    let reassembly = if buf.starts_with(&SHB_MAGIC) {
         let mut source = PcapStream::new(std::io::Cursor::new(buf), StallPolicy::Eof);
-        let reassembly = reassemble_source(&mut source, obs).map_err(|e| PcapError {
-            offset: e.offset as usize,
-            reason: e.reason,
-        })?;
-        let ladder = ladder.unwrap_or(&caai_capture::DEFAULT_LADDER);
-        let sessions = identify_reassembly_obs(&reassembly, classifier, ladder, obs);
-        Ok(CaptureVerdicts {
-            sessions,
-            skipped: reassembly.skipped,
-            truncated: reassembly.truncated,
-            packets: reassembly.packets,
-        })
+        reassemble_source(&mut source, obs)
     } else {
-        identify_capture(buf, classifier, ladder, obs)
-    }
+        reassemble_obs(buf, obs)
+    };
+    reassembly_span.end(obs);
+    let reassembly = reassembly?;
+    let ladder = ladder.unwrap_or(&DEFAULT_LADDER);
+    Ok(CaptureVerdicts {
+        sessions: identify_reassembly_obs(&reassembly, classifier, ladder, obs),
+        skipped: reassembly.skipped,
+        truncated: reassembly.truncated,
+        packets: reassembly.packets,
+    })
 }

@@ -32,7 +32,9 @@
 //! deliberately not verified: real-world writers get it wrong, and the
 //! leading copy alone determines the framing.
 
-use crate::source::{ByteFeed, SourceError, SourceItem, StreamFrame};
+use crate::source::ByteFeed;
+use caai_capture::pcap::Endianness;
+use caai_capture::{CaptureError, SourceItem, StreamFrame};
 use std::io::Read;
 use std::ops::Range;
 
@@ -65,9 +67,7 @@ const OPT_IF_TSRESOL: u16 = 9;
 /// One declared capture interface.
 #[derive(Debug, Clone, Copy)]
 struct Iface {
-    /// Whether frames on it are Ethernet (the only decodable link type).
-    ethernet: bool,
-    /// Link type as declared, for diagnostics.
+    /// Link type as declared: only Ethernet frames are decodable.
     linktype: u16,
     /// Timestamp ticks per second.
     ticks_per_sec: f64,
@@ -75,39 +75,10 @@ struct Iface {
 
 /// Per-section parse state: endianness and the interface table, reset at
 /// every Section Header Block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Section {
-    big: bool,
-    seen_shb: bool,
+    order: Endianness,
     interfaces: Vec<Iface>,
-}
-
-impl Section {
-    pub(crate) fn new() -> Section {
-        Section {
-            big: false,
-            seen_shb: false,
-            interfaces: Vec::new(),
-        }
-    }
-}
-
-fn rd_u32(bytes: &[u8], at: usize, big: bool) -> u32 {
-    let b: [u8; 4] = bytes[at..at + 4].try_into().expect("4 bytes");
-    if big {
-        u32::from_be_bytes(b)
-    } else {
-        u32::from_le_bytes(b)
-    }
-}
-
-fn rd_u16(bytes: &[u8], at: usize, big: bool) -> u16 {
-    let b: [u8; 2] = bytes[at..at + 2].try_into().expect("2 bytes");
-    if big {
-        u16::from_be_bytes(b)
-    } else {
-        u16::from_le_bytes(b)
-    }
 }
 
 /// Ticks-per-second for an `if_tsresol` value byte.
@@ -122,18 +93,18 @@ fn tsresol_ticks(v: u8) -> f64 {
 /// Parses an IDB body into an interface entry. Malformed options stop
 /// option parsing but keep the interface (with default resolution) — a
 /// bad option must not discard the packets that reference the interface.
-fn parse_idb(body: &[u8], big: bool) -> Iface {
+fn parse_idb(body: &[u8], order: Endianness) -> Iface {
     let mut ticks_per_sec = 1e6;
     let linktype = if body.len() >= 2 {
-        rd_u16(body, 0, big)
+        order.u16_at(body, 0)
     } else {
         u16::MAX
     };
     // linktype u16 + reserved u16 + snaplen u32, then options.
     let mut at = 8;
     while at + 4 <= body.len() {
-        let code = rd_u16(body, at, big);
-        let olen = rd_u16(body, at + 2, big) as usize;
+        let code = order.u16_at(body, at);
+        let olen = order.u16_at(body, at + 2) as usize;
         at += 4;
         if code == 0 {
             break;
@@ -147,87 +118,77 @@ fn parse_idb(body: &[u8], big: bool) -> Iface {
         at += (olen + 3) & !3;
     }
     Iface {
-        ethernet: u32::from(linktype) == caai_capture::pcap::LINKTYPE_ETHERNET,
         linktype,
         ticks_per_sec,
     }
 }
 
+/// Reads the Section Header Block at the front of the feed (its type
+/// already matched [`SHB_MAGIC`]): it decides the endianness of the
+/// section and empties its interface table. The stream's first one is
+/// its container header.
+pub(crate) fn read_section_header<R: Read>(
+    feed: &mut ByteFeed<R>,
+    sec: &mut Section,
+) -> Result<(), CaptureError> {
+    let at = feed.offset();
+    want_block_header(feed)?;
+    if !feed.want(16)? {
+        return Err(CaptureError::new(at, "truncated section header block"));
+    }
+    let head = feed.data();
+    let order = match (
+        Endianness::Little.u32_at(head, 8),
+        Endianness::Big.u32_at(head, 8),
+    ) {
+        (BYTE_ORDER_MAGIC, _) => Endianness::Little,
+        (_, BYTE_ORDER_MAGIC) => Endianness::Big,
+        (other, _) => {
+            return Err(CaptureError::new(
+                at + 8,
+                format!("bad pcapng byte-order magic {other:#010X}"),
+            ))
+        }
+    };
+    let total = order.u32_at(feed.data(), 4);
+    want_block(feed, total, 28, at)?;
+    feed.consume(total as usize);
+    sec.order = order;
+    sec.interfaces.clear();
+    Ok(())
+}
+
 /// Reads blocks until a packet (frame or skip report) or the end of the
 /// stream; a frame's bytes are lent from the feed. Metadata blocks are
-/// consumed silently; framing damage is a fatal [`SourceError`].
+/// consumed silently; framing damage is a fatal [`CaptureError`].
 pub(crate) fn next_item<'a, R: Read>(
     feed: &'a mut ByteFeed<R>,
     sec: &mut Section,
     index: &mut u64,
-) -> Result<Option<SourceItem<&'a [u8]>>, SourceError> {
+) -> Result<Option<SourceItem<&'a [u8]>>, CaptureError> {
     loop {
-        if !feed.want(8)? {
-            let n = feed.available();
-            if n == 0 {
-                return Ok(None);
-            }
-            return Err(SourceError {
-                offset: feed.offset(),
-                reason: format!("truncated pcapng block header ({n} trailing bytes)"),
-            });
+        if !want_block_header(feed)? {
+            return Ok(None);
         }
-        let at = feed.offset();
-
-        // --- Section Header: decides its own endianness. ----------------
         if feed.data()[..4] == SHB_MAGIC {
-            if !feed.want(16)? {
-                return Err(SourceError {
-                    offset: at,
-                    reason: "truncated section header block".to_owned(),
-                });
-            }
-            let head = feed.data();
-            let big = match (rd_u32(head, 8, false), rd_u32(head, 8, true)) {
-                (BYTE_ORDER_MAGIC, _) => false,
-                (_, BYTE_ORDER_MAGIC) => true,
-                (other, _) => {
-                    return Err(SourceError {
-                        offset: at + 8,
-                        reason: format!("bad pcapng byte-order magic {other:#010X}"),
-                    })
-                }
-            };
-            let total = rd_u32(feed.data(), 4, big);
-            check_total_len(total, 28, at)?;
-            if !feed.want(total as usize)? {
-                return Err(truncated_block(feed, total, at));
-            }
-            feed.consume(total as usize);
-            sec.big = big;
-            sec.seen_shb = true;
-            sec.interfaces.clear();
+            read_section_header(feed, sec)?;
             continue;
         }
-
-        if !sec.seen_shb {
-            return Err(SourceError {
-                offset: at,
-                reason: "pcapng stream does not start with a section header".to_owned(),
-            });
-        }
-        let big = sec.big;
-        let btype = rd_u32(feed.data(), 0, big);
-        let total = rd_u32(feed.data(), 4, big);
-        check_total_len(total, 12, at)?;
-        if !feed.want(total as usize)? {
-            return Err(truncated_block(feed, total, at));
-        }
+        let at = feed.offset();
+        let order = sec.order;
+        let btype = order.u32_at(feed.data(), 0);
+        let total = order.u32_at(feed.data(), 4);
+        want_block(feed, total, 12, at)?;
         let body_end = total as usize - 4;
         let body = &feed.data()[8..body_end];
 
         let item = match btype {
             BT_IDB => {
-                let iface = parse_idb(body, big);
+                let iface = parse_idb(body, order);
                 sec.interfaces.push(iface);
                 None
             }
-            BT_EPB => Some(parse_epb(body, big, &sec.interfaces, index)),
+            BT_EPB => Some(parse_epb(body, order, &sec.interfaces, index)),
             BT_SPB => {
                 let i = *index;
                 *index += 1;
@@ -254,25 +215,46 @@ pub(crate) fn next_item<'a, R: Read>(
     }
 }
 
-fn check_total_len(total: u32, min: u32, at: u64) -> Result<(), SourceError> {
-    if total < min || !total.is_multiple_of(4) || total > MAX_BLOCK_LEN {
-        return Err(SourceError {
-            offset: at + 4,
-            reason: format!("corrupt pcapng block length {total}"),
-        });
+/// Buffers the next block's type and length; `Ok(false)` at a clean end
+/// of the stream.
+fn want_block_header<R: Read>(feed: &mut ByteFeed<R>) -> Result<bool, CaptureError> {
+    if feed.want(8)? {
+        return Ok(true);
     }
-    Ok(())
+    match feed.available() {
+        0 => Ok(false),
+        n => Err(CaptureError::new(
+            feed.offset(),
+            format!("truncated pcapng block header ({n} trailing bytes)"),
+        )),
+    }
 }
 
-fn truncated_block<R: Read>(feed: &ByteFeed<R>, total: u32, at: u64) -> SourceError {
-    SourceError {
-        offset: at,
-        reason: format!(
+/// Checks the `total_len` of the block at byte `at` (at least `min`)
+/// and buffers the whole block.
+fn want_block<R: Read>(
+    feed: &mut ByteFeed<R>,
+    total: u32,
+    min: u32,
+    at: u64,
+) -> Result<(), CaptureError> {
+    if total < min || !total.is_multiple_of(4) || total > MAX_BLOCK_LEN {
+        return Err(CaptureError::new(
+            at + 4,
+            format!("corrupt pcapng block length {total}"),
+        ));
+    }
+    if feed.want(total as usize)? {
+        return Ok(());
+    }
+    Err(CaptureError::new(
+        at,
+        format!(
             "pcapng block of {total} bytes runs past the end of the capture \
              ({} bytes arrived)",
             feed.available()
         ),
-    }
+    ))
 }
 
 /// Parses an EPB body into a frame (or a skip report for packets this
@@ -283,7 +265,7 @@ fn truncated_block<R: Read>(feed: &ByteFeed<R>, total: u32, at: u64) -> SourceEr
 /// walker produced it.
 fn parse_epb(
     body: &[u8],
-    big: bool,
+    order: Endianness,
     interfaces: &[Iface],
     index: &mut u64,
 ) -> SourceItem<Range<usize>> {
@@ -296,10 +278,10 @@ fn parse_epb(
     if body.len() < 20 {
         return skip(format!("body too short ({} bytes)", body.len()));
     }
-    let iface_id = rd_u32(body, 0, big) as usize;
-    let ts_high = rd_u32(body, 4, big);
-    let ts_low = rd_u32(body, 8, big);
-    let cap_len = rd_u32(body, 12, big) as usize;
+    let iface_id = order.u32_at(body, 0) as usize;
+    let ts_high = order.u32_at(body, 4);
+    let ts_low = order.u32_at(body, 8);
+    let cap_len = order.u32_at(body, 12) as usize;
     if cap_len > body.len() - 20 {
         return skip(format!(
             "cap_len {cap_len} overruns its block ({} body bytes)",
@@ -309,7 +291,7 @@ fn parse_epb(
     let Some(iface) = interfaces.get(iface_id) else {
         return skip(format!("references undeclared interface {iface_id}"));
     };
-    if !iface.ethernet {
+    if u32::from(iface.linktype) != caai_capture::pcap::LINKTYPE_ETHERNET {
         return skip(format!(
             "packet on non-Ethernet interface (link type {})",
             iface.linktype
@@ -404,8 +386,9 @@ pub fn classic_to_pcapng(src: &[u8], big_endian: bool, tsresol: u8) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{CaptureSource, PcapStream, StallPolicy};
+    use crate::source::{PcapStream, StallPolicy};
     use caai_capture::pcap::PcapWriter;
+    use caai_capture::CaptureSource;
     use std::io::Cursor;
 
     fn classic(frames: &[(f64, &[u8])]) -> Vec<u8> {
@@ -416,7 +399,7 @@ mod tests {
         w.finish().unwrap()
     }
 
-    fn drain(buf: &[u8]) -> (Vec<StreamFrame>, Vec<(u64, String)>, Option<SourceError>) {
+    fn drain(buf: &[u8]) -> (Vec<StreamFrame>, Vec<(u64, String)>, Option<CaptureError>) {
         let mut src = PcapStream::new(Cursor::new(buf), StallPolicy::Eof);
         let mut frames = Vec::new();
         let mut skips = Vec::new();

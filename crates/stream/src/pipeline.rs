@@ -45,21 +45,18 @@
 //! [`SegmentHeader`]: caai_capture::flow::SegmentHeader
 //! [`ConnectionObservation`]: caai_capture::reconstruct::ConnectionObservation
 
-use crate::head::{drain_segments, skip, Skips};
-use crate::source::{CaptureSource, SourceError};
 use caai_capture::flow::{FlowBuilder, FlowIndex, FlowKey, SegmentHeader};
 use caai_capture::reconstruct::{
-    observe_connection, session_outcome, ConnectionObservation, ProbeSession, DEFAULT_LADDER,
+    observe_connection, ConnectionObservation, ProbeSession, DEFAULT_LADDER,
 };
-use caai_capture::{verdict_for, SessionReport};
-use caai_core::census::CensusRecord;
+use caai_capture::source::{drain_segments, skip, Skips};
+use caai_capture::{session_report, CaptureError, CaptureSource, SessionReport};
 use caai_core::classify::CaaiClassifier;
 use caai_obs::{
-    span_begin, span_begin_async, CaptureTruncated, Event, EvictionCause, FlowEvicted, FlowOpened,
-    GranuleCompleted, NullSubscriber, SessionEmitted, SpanKind, SpanToken, Subscriber,
+    span_begin, span_begin_async, Event, EvictionCause, FlowEvicted, FlowOpened, GranuleCompleted,
+    NullSubscriber, SpanKind, SpanToken, Subscriber,
 };
 use std::collections::{BTreeMap, HashMap};
-use std::fmt;
 use std::time::Instant;
 
 /// Tuning for one streaming run.
@@ -113,29 +110,11 @@ pub struct StreamStats {
     pub peak_live_flows: usize,
     /// Packets skipped with their index and reason, in index order.
     pub skipped: Vec<(u64, String)>,
-    /// Mid-stream fatal framing/I/O diagnostic; everything before it was
-    /// still identified (the offline `truncated` policy).
-    pub truncated: Option<String>,
+    /// The framing/I/O error that ended the capture after its header;
+    /// everything before it was still identified (the offline
+    /// `truncated` policy).
+    pub truncated: Option<CaptureError>,
 }
-
-/// A streaming run that could not even start (unreadable or alien
-/// container header). Mid-capture damage is *not* an error — it ends the
-/// run with [`StreamStats::truncated`] set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamError {
-    /// The capture container's header could not be parsed.
-    Source(SourceError),
-}
-
-impl fmt::Display for StreamError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StreamError::Source(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
 
 fn bucket_of(ts: f64, granule: f64) -> i64 {
     (ts / granule).floor() as i64
@@ -341,6 +320,23 @@ struct SessionSlot {
     connections: Vec<(f64, u64, ConnectionObservation)>,
 }
 
+impl SessionSlot {
+    /// The probe session, its connections ordered as offline `sessions()`
+    /// orders them: by start time, ties kept in first-packet order (its
+    /// sort is stable over capture order), which the first_seq
+    /// tie-break reproduces exactly.
+    fn into_session(mut self) -> ProbeSession {
+        self.connections
+            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        ProbeSession {
+            client_ip: self.client_ip,
+            server_ip: self.server_ip,
+            connections: self.connections.into_iter().map(|(_, _, c)| c).collect(),
+            flows: self.flows,
+        }
+    }
+}
+
 struct SessionTable {
     slots: Vec<Option<SessionSlot>>,
     map: HashMap<([u8; 4], [u8; 4]), usize>,
@@ -420,74 +416,21 @@ impl SessionTable {
     }
 }
 
-fn emit_session<F: FnMut(&SessionReport), S: Subscriber>(
-    slot: SessionSlot,
-    classifier: &CaaiClassifier,
-    ladder: &[u32],
-    stats: &mut StreamStats,
-    on_verdict: &mut F,
-    watermark: Option<f64>,
-    obs: &S,
-) {
-    if slot.connections.is_empty() {
-        stats.dataless_sessions += 1;
-        return;
-    }
-    let lag_secs = watermark.map_or(0.0, |w| (w - slot.last_seen).max(0.0));
-    let mut conns = slot.connections;
-    // Offline `sessions()` orders connections by start time, ties kept in
-    // first-packet order (its sort is stable over capture order); the
-    // first_seq tie-break reproduces that exactly.
-    conns.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let session = ProbeSession {
-        client_ip: slot.client_ip,
-        server_ip: slot.server_ip,
-        connections: conns.into_iter().map(|(_, _, obs)| obs).collect(),
-        flows: slot.flows,
-    };
-    let replay_span = span_begin(obs, SpanKind::SessionReplay, stats.sessions as i64, 0);
-    let outcome = session_outcome(&session, ladder);
-    replay_span.end(obs);
-    let classify_span = span_begin(obs, SpanKind::Classify, stats.sessions as i64, 0);
-    let (verdict, identification) = verdict_for(&outcome, classifier);
-    classify_span.end(obs);
-    obs.on_event(&Event::SessionEmitted(SessionEmitted {
-        verdict: verdict.kind(),
-        wmax: verdict.wmax(),
-        flows: session.flows as u64,
-        lag_secs,
-    }));
-    let report = SessionReport {
-        client_ip: session.client_ip,
-        server_ip: session.server_ip,
-        flows: session.flows,
-        outcome,
-        identification,
-        record: CensusRecord {
-            server_id: stats.sessions as u32,
-            truth: None,
-            verdict,
-        },
-    };
-    stats.sessions += 1;
-    on_verdict(&report);
-}
-
 /// Runs the streaming pipeline to the end of the source, invoking
 /// `on_verdict` as each session's verdict becomes final — from inside
 /// this call, between two reads of the source, so it may borrow and
 /// mutate whatever the caller likes.
 ///
-/// Returns `Err` only when the capture could not even start (unreadable
-/// container header); damage mid-capture ends the run early with
-/// [`StreamStats::truncated`] set and everything before it identified,
-/// the same tolerance the offline path has.
+/// Returns `Err` only when the container header is unreadable; damage
+/// after it ends the run early with [`StreamStats::truncated`] set and
+/// everything before it identified — the one rule of
+/// [`caai_capture::source`], which the offline path follows too.
 pub fn run<F>(
     source: &mut dyn CaptureSource,
     classifier: &CaaiClassifier,
     config: &StreamConfig,
     on_verdict: F,
-) -> Result<StreamStats, StreamError>
+) -> Result<StreamStats, CaptureError>
 where
     F: FnMut(&SessionReport),
 {
@@ -498,20 +441,21 @@ where
 /// is only ever called from inside this call.
 ///
 /// On top of the capture events (`FrameDecoded`, `PacketSkipped`,
-/// [`CaptureTruncated`], [`FlowOpened`], [`FlowEvicted`] with its
+/// `CaptureTruncated`, [`FlowOpened`], [`FlowEvicted`] with its
 /// idle/overflow/drain cause) this emits the pipeline's own health
 /// signals: a [`GranuleCompleted`] per granule tick (tick latency, live
-/// sessions) and a [`SessionEmitted`] per verdict with its emission lag
-/// behind the watermark. Verdicts and [`StreamStats`] are identical to
-/// the unobserved call, and counter totals depend on the capture alone;
-/// only the wall-clock tick-latency histogram varies run to run.
+/// sessions) and a [`SessionEmitted`](caai_obs::SessionEmitted) per
+/// verdict with its emission lag behind the watermark. Verdicts and
+/// [`StreamStats`] are identical to the unobserved call, and counter
+/// totals depend on the capture alone; only the wall-clock tick-latency
+/// histogram varies run to run.
 pub fn run_obs<F, S>(
     source: &mut dyn CaptureSource,
     classifier: &CaaiClassifier,
     config: &StreamConfig,
     mut on_verdict: F,
     obs: &S,
-) -> Result<StreamStats, StreamError>
+) -> Result<StreamStats, CaptureError>
 where
     F: FnMut(&SessionReport),
     S: Subscriber,
@@ -523,6 +467,21 @@ where
     let mut watermark = f64::NEG_INFINITY;
     let mut cur_granule = i64::MIN;
     let mut ingest_span = SpanToken::NONE;
+    // A due session's verdict (a dataless one is only counted); the lag
+    // is measured against the watermark, none at the end of the capture.
+    let mut emit = |slot: SessionSlot, watermark: Option<f64>| {
+        if slot.connections.is_empty() {
+            stats.dataless_sessions += 1;
+            return;
+        }
+        let lag_secs = watermark.map_or(0.0, |w| (w - slot.last_seen).max(0.0));
+        let index = stats.sessions as usize;
+        stats.sessions += 1;
+        let session = slot.into_session();
+        on_verdict(&session_report(
+            &session, index, lag_secs, classifier, ladder, obs,
+        ));
+    };
 
     let drained = drain_segments(source, obs, |index, ts, seg, skipped| {
         if ingest_span.id() == 0 {
@@ -547,15 +506,7 @@ where
         let tick_span = span_begin(obs, SpanKind::GranuleTick, g.max(0), 0);
         sessions.absorb(evicted);
         for slot in sessions.take_due(Some(watermark - config.session_timeout)) {
-            emit_session(
-                slot,
-                classifier,
-                ladder,
-                &mut stats,
-                &mut on_verdict,
-                Some(watermark),
-                obs,
-            );
+            emit(slot, Some(watermark));
         }
         obs.on_event(&Event::GranuleCompleted(GranuleCompleted {
             granule: g.max(0) as u64,
@@ -564,31 +515,15 @@ where
             live_sessions: sessions.live as u64,
         }));
         tick_span.end(obs);
-    })
-    .map_err(StreamError::Source)?;
+    })?;
     ingest_span.end(obs);
-
-    stats.packets = drained.packets;
-    stats.skipped = drained.skipped;
-    stats.truncated = drained.truncated.map(|e| e.to_string());
-    if let Some(reason) = &stats.truncated {
-        obs.on_event(&Event::CaptureTruncated(CaptureTruncated {
-            packets: stats.packets,
-            reason,
-        }));
-    }
     sessions.absorb(flows.drain_all(obs));
     for slot in sessions.take_due(None) {
-        emit_session(
-            slot,
-            classifier,
-            ladder,
-            &mut stats,
-            &mut on_verdict,
-            None,
-            obs,
-        );
+        emit(slot, None);
     }
+    stats.packets = drained.packets;
+    stats.skipped = drained.skipped;
+    stats.truncated = drained.truncated;
     stats.flows = flows.flows_total;
     stats.overflowed_flows = flows.overflowed;
     stats.peak_live_flows = flows.peak;
@@ -598,9 +533,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::offline::identify_bytes;
     use crate::source::{PcapStream, StallPolicy};
     use caai_capture::packet::{encode, flags, FrameSpec};
-    use caai_capture::{identify_capture, PcapWriter};
+    use caai_capture::PcapWriter;
     use caai_core::training::{build_training_set, TrainingConfig};
     use caai_netem::rng::seeded;
     use caai_netem::ConditionDb;
@@ -706,8 +642,7 @@ mod tests {
         ];
         assert_eq!(*order.0.lock().unwrap(), expected);
         assert_eq!(stats.flows, 2);
-        let offline =
-            identify_capture(&capture, &classifier, None, &NullSubscriber).expect("capture parses");
+        let offline = identify_bytes(&capture, &classifier, None).expect("capture parses");
         assert_eq!(offline.sessions.len(), 2);
         assert_eq!(reports, offline.sessions, "streaming == offline");
     }

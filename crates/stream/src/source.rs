@@ -8,106 +8,30 @@
 //! from the first bytes:
 //!
 //! * **classic pcap** — the same four framings the offline reader accepts
-//!   (µs/ns magic, either byte order);
+//!   (µs/ns magic, either byte order), parsed by the same helpers
+//!   ([`ClassicHeader`]), so both readers agree frame for frame and error
+//!   for error;
 //! * **pcapng** — SHB/IDB/EPB block streams, both byte orders, with
 //!   per-interface timestamp resolution (see [`crate::pcapng`]).
 //!
-//! The error model mirrors the offline layer: per-packet problems are
-//! *skipped and reported* ([`SourceItem::Skipped`]); broken container
-//! framing is fatal ([`SourceError`]) because nothing after it can be
-//! trusted.
+//! The error model is the offline layer's ([`caai_capture::source`]):
+//! per-packet problems are *skipped and reported*
+//! ([`SourceItem::Skipped`]); broken container framing is a
+//! [`CaptureError`] — the run's error while the container header (the
+//! classic global header, or pcapng's first section header) is unread,
+//! truncation after it.
 //!
 //! Follow semantics live in [`StallPolicy`]: on a pipe, FIFO or stdin a
 //! zero-byte read means the writer closed (definitive end of capture); on
 //! a regular file being `--follow`ed it means "no new data yet", so the
 //! feed polls until new bytes appear or an idle timeout expires.
 
-use caai_capture::pcap::{LINKTYPE_ETHERNET, MAGIC_MICROS, MAGIC_NANOS, MAX_INCL_LEN};
-use std::fmt;
+use caai_capture::pcap::{ClassicHeader, GLOBAL_HEADER_LEN, RECORD_HEADER_LEN};
+use caai_capture::{CaptureError, CaptureSource, SourceItem, StreamFrame};
 use std::io::Read;
 use std::time::{Duration, Instant};
 
 use crate::pcapng;
-
-/// One captured frame. `D` is how the frame's bytes are held: owned
-/// (`Box<[u8]>`, the default) or lent from the source's buffer (`&[u8]`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamFrame<D = Box<[u8]>> {
-    /// 0-based packet index within the capture (counts packet records of
-    /// every format, including ones later skipped at decode).
-    pub index: u64,
-    /// Capture timestamp, seconds.
-    pub ts: f64,
-    /// The link-layer frame bytes.
-    pub data: D,
-}
-
-/// One item produced by a [`CaptureSource`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum SourceItem<D = Box<[u8]>> {
-    /// A captured frame.
-    Frame(StreamFrame<D>),
-    /// A record the source consumed but could not turn into a frame
-    /// (unknown pcapng block, packet on a non-Ethernet interface, ...).
-    Skipped {
-        /// Packet index the skip is attributed to.
-        index: u64,
-        /// Why it was skipped.
-        reason: String,
-    },
-}
-
-impl<D> SourceItem<D> {
-    /// The same item with its frame bytes held another way.
-    pub fn map_data<E>(self, f: impl FnOnce(D) -> E) -> SourceItem<E> {
-        match self {
-            SourceItem::Frame(StreamFrame { index, ts, data }) => SourceItem::Frame(StreamFrame {
-                index,
-                ts,
-                data: f(data),
-            }),
-            SourceItem::Skipped { index, reason } => SourceItem::Skipped { index, reason },
-        }
-    }
-}
-
-/// A fatal source problem: container framing (or the underlying I/O)
-/// broke, and nothing after `offset` can be trusted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SourceError {
-    /// Byte offset into the capture stream where framing broke.
-    pub offset: u64,
-    /// What went wrong.
-    pub reason: String,
-}
-
-impl fmt::Display for SourceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "capture stream error at byte {}: {}",
-            self.offset, self.reason
-        )
-    }
-}
-
-impl std::error::Error for SourceError {}
-
-/// An incremental reader over one capture stream.
-///
-/// Both methods return `Ok(None)` at a clean end of capture; an `Err` is
-/// terminal (framing is broken from there on). Sources block while more
-/// bytes may still arrive, according to their [`StallPolicy`].
-pub trait CaptureSource {
-    /// The next frame or skip report, the frame's bytes lent from the
-    /// source's own buffer — valid until the next call, never copied.
-    fn next_lent(&mut self) -> Result<Option<SourceItem<&[u8]>>, SourceError>;
-
-    /// The next frame or skip report, owning its bytes.
-    fn next(&mut self) -> Result<Option<SourceItem>, SourceError> {
-        Ok(self.next_lent()?.map(|item| item.map_data(Box::from)))
-    }
-}
 
 /// What a zero-byte read from the underlying stream means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,14 +141,14 @@ impl<R: Read> ByteFeed<R> {
     /// Blocks (or polls) until at least `n` bytes are buffered. `Ok(false)`
     /// means the stream ended first; whatever arrived stays buffered.
     #[inline]
-    pub(crate) fn want(&mut self, n: usize) -> Result<bool, SourceError> {
+    pub(crate) fn want(&mut self, n: usize) -> Result<bool, CaptureError> {
         if self.available() >= n {
             return Ok(true);
         }
         self.refill(n)
     }
 
-    fn refill(&mut self, n: usize) -> Result<bool, SourceError> {
+    fn refill(&mut self, n: usize) -> Result<bool, CaptureError> {
         if self.ended {
             return Ok(false);
         }
@@ -240,13 +164,9 @@ impl<R: Read> ByteFeed<R> {
         self.start = 0;
         let mut idle_since: Option<Instant> = None;
         while self.end < n {
-            let got = self
-                .inner
-                .read(&mut self.buf[self.end..])
-                .map_err(|e| SourceError {
-                    offset: self.consumed + self.end as u64,
-                    reason: format!("read failed: {e}"),
-                })?;
+            let got = self.inner.read(&mut self.buf[self.end..]).map_err(|e| {
+                CaptureError::new(self.consumed + self.end as u64, format!("read failed: {e}"))
+            })?;
             if got > 0 {
                 self.end += got;
                 idle_since = None;
@@ -271,17 +191,10 @@ impl<R: Read> ByteFeed<R> {
     }
 }
 
-/// Classic-pcap per-stream state once the global header parsed.
-#[derive(Debug, Clone, Copy)]
-struct ClassicState {
-    big: bool,
-    nanos: bool,
-}
-
 enum Mode {
     /// Nothing read yet; the container format is still unknown.
     Detect,
-    Classic(ClassicState),
+    Classic(ClassicHeader),
     Pcapng(pcapng::Section),
     /// Terminal (after a fatal error).
     Done,
@@ -295,17 +208,9 @@ pub struct PcapStream<R> {
     index: u64,
 }
 
-fn rd_u32(bytes: &[u8], at: usize, big: bool) -> u32 {
-    let b: [u8; 4] = bytes[at..at + 4].try_into().expect("4 bytes");
-    if big {
-        u32::from_be_bytes(b)
-    } else {
-        u32::from_le_bytes(b)
-    }
-}
-
 impl<R: Read> PcapStream<R> {
     /// Wraps a reader. Format detection happens on the first
+    /// [`read_header`](CaptureSource::read_header),
     /// [`next`](CaptureSource::next) or
     /// [`next_lent`](CaptureSource::next_lent) call.
     pub fn new(inner: R, stall: StallPolicy) -> Self {
@@ -316,103 +221,66 @@ impl<R: Read> PcapStream<R> {
         }
     }
 
-    fn fail(&mut self, offset: u64, reason: impl Into<String>) -> SourceError {
-        self.mode = Mode::Done;
-        SourceError {
-            offset,
-            reason: reason.into(),
+    /// Reads the container header: pcapng's first section header block,
+    /// or the classic global header (whose link type must be Ethernet).
+    fn detect(&mut self) -> Result<Mode, CaptureError> {
+        if self.feed.want(4)? && self.feed.data()[..4] == pcapng::SHB_MAGIC {
+            let mut section = pcapng::Section::default();
+            pcapng::read_section_header(&mut self.feed, &mut section)?;
+            return Ok(Mode::Pcapng(section));
         }
-    }
-
-    fn detect(&mut self) -> Result<(), SourceError> {
-        if !self.feed.want(4)? {
-            let n = self.feed.available();
-            return Err(self.fail(0, format!("capture too short for any header ({n} bytes)")));
-        }
-        if self.feed.data()[..4] == pcapng::SHB_MAGIC {
-            self.mode = Mode::Pcapng(pcapng::Section::new());
-            return Ok(());
-        }
-        if !self.feed.want(24)? {
-            let n = self.feed.available();
-            return Err(self.fail(0, format!("file too short for a pcap header ({n} bytes)")));
-        }
-        let head = self.feed.data();
-        let magic_le = rd_u32(head, 0, false);
-        let magic_be = rd_u32(head, 0, true);
-        let (big, nanos) = match (magic_le, magic_be) {
-            (MAGIC_MICROS, _) => (false, false),
-            (MAGIC_NANOS, _) => (false, true),
-            (_, MAGIC_MICROS) => (true, false),
-            (_, MAGIC_NANOS) => (true, true),
-            _ => return Err(self.fail(0, format!("unknown capture magic {magic_le:#010X}"))),
-        };
-        let linktype = rd_u32(head, 20, big);
-        if linktype != LINKTYPE_ETHERNET {
-            return Err(self.fail(
-                20,
-                format!("unsupported link type {linktype} (only Ethernet, 1, is supported)"),
-            ));
-        }
-        self.feed.consume(24);
-        self.mode = Mode::Classic(ClassicState { big, nanos });
-        Ok(())
-    }
-
-    fn next_classic(&mut self, st: ClassicState) -> Result<Option<SourceItem<&[u8]>>, SourceError> {
-        if !self.feed.want(16)? {
-            let n = self.feed.available();
-            if n == 0 {
-                return Ok(None);
-            }
-            let at = self.feed.offset();
-            return Err(self.fail(at, format!("truncated record header ({n} trailing bytes)")));
-        }
-        let at = self.feed.offset();
-        let head = self.feed.data();
-        let ts_sec = rd_u32(head, 0, st.big);
-        let ts_frac = rd_u32(head, 4, st.big);
-        let incl_len = rd_u32(head, 8, st.big);
-        if incl_len > MAX_INCL_LEN {
-            return Err(self.fail(
-                at + 8,
-                format!("corrupt incl_len {incl_len} (max {MAX_INCL_LEN})"),
-            ));
-        }
-        let need = 16 + incl_len as usize;
-        if !self.feed.want(need)? {
-            let n = self.feed.available().saturating_sub(16);
-            return Err(self.fail(
-                at + 8,
-                format!("record of {incl_len} bytes runs past the end of the capture ({n} bytes arrived)"),
-            ));
-        }
-        let divisor = if st.nanos { 1e9 } else { 1e6 };
-        let ts = f64::from(ts_sec) + f64::from(ts_frac) / divisor;
-        let index = self.index;
-        self.index += 1;
-        let data = &self.feed.consume(need)[16..];
-        Ok(Some(SourceItem::Frame(StreamFrame { index, ts, data })))
+        // Too few bytes is `parse`'s error to report, as offline.
+        self.feed.want(GLOBAL_HEADER_LEN)?;
+        let header = ClassicHeader::parse(self.feed.data())?;
+        header.require_ethernet()?;
+        self.feed.consume(GLOBAL_HEADER_LEN);
+        Ok(Mode::Classic(header))
     }
 }
 
+/// Reads one classic record from the feed, lending its frame.
+fn next_classic<'a, R: Read>(
+    feed: &'a mut ByteFeed<R>,
+    header: &ClassicHeader,
+    index: &mut u64,
+) -> Result<Option<SourceItem<&'a [u8]>>, CaptureError> {
+    if !feed.want(RECORD_HEADER_LEN)? && feed.available() == 0 {
+        return Ok(None);
+    }
+    let at = feed.offset();
+    let record = header.record(feed.data(), at)?;
+    feed.want(record.record_len())?;
+    let taken = record.record_len().min(feed.available());
+    let data = record.frame(feed.consume(taken), at)?;
+    *index += 1;
+    Ok(Some(SourceItem::Frame(StreamFrame {
+        index: *index - 1,
+        ts: record.ts,
+        data,
+    })))
+}
+
 impl<R: Read> CaptureSource for PcapStream<R> {
-    fn next_lent(&mut self) -> Result<Option<SourceItem<&[u8]>>, SourceError> {
+    fn read_header(&mut self) -> Result<(), CaptureError> {
         if let Mode::Detect = self.mode {
-            self.detect()?;
+            self.mode = Mode::Done; // unless detection succeeds
+            self.mode = self.detect()?;
         }
-        match self.mode {
-            Mode::Detect => unreachable!("detect() sets a mode or fails"),
-            Mode::Done => Ok(None),
-            Mode::Classic(st) => self.next_classic(st),
-            Mode::Pcapng(ref mut sec) => {
-                let out = pcapng::next_item(&mut self.feed, sec, &mut self.index);
-                if out.is_err() {
-                    self.mode = Mode::Done;
-                }
-                out
-            }
+        Ok(())
+    }
+
+    fn next_lent(&mut self) -> Result<Option<SourceItem<&[u8]>>, CaptureError> {
+        self.read_header()?;
+        let out = match self.mode {
+            Mode::Detect => unreachable!("read_header() sets a mode"),
+            Mode::Done => return Ok(None),
+            Mode::Classic(header) => next_classic(&mut self.feed, &header, &mut self.index),
+            Mode::Pcapng(ref mut sec) => pcapng::next_item(&mut self.feed, sec, &mut self.index),
+        };
+        if out.is_err() {
+            self.mode = Mode::Done;
         }
+        out
     }
 }
 
@@ -430,17 +298,10 @@ pub fn open_path(path: &str, follow: &FollowConfig) -> std::io::Result<OpenedSou
     }
     let file = std::fs::File::open(path)?;
     let meta = file.metadata()?;
-    let is_pipe = {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileTypeExt;
-            meta.file_type().is_fifo()
-        }
-        #[cfg(not(unix))]
-        {
-            false
-        }
-    };
+    #[cfg(unix)]
+    let is_pipe = std::os::unix::fs::FileTypeExt::is_fifo(&meta.file_type());
+    #[cfg(not(unix))]
+    let is_pipe = false;
     let stall = if is_pipe || !follow.follow {
         // A FIFO's reads block in the kernel until data arrives and
         // return 0 only once every writer closed — exactly Eof semantics.
@@ -458,7 +319,7 @@ pub fn open_path(path: &str, follow: &FollowConfig) -> std::io::Result<OpenedSou
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caai_capture::pcap::{byteswap_capture, PcapWriter};
+    use caai_capture::pcap::{byteswap_capture, PcapWriter, MAX_INCL_LEN};
     use std::io::Cursor;
 
     fn classic(frames: &[(f64, &[u8])]) -> Vec<u8> {
@@ -471,7 +332,7 @@ mod tests {
 
     fn drain(
         mut src: impl CaptureSource,
-    ) -> (Vec<StreamFrame>, Vec<(u64, String)>, Option<SourceError>) {
+    ) -> (Vec<StreamFrame>, Vec<(u64, String)>, Option<CaptureError>) {
         let mut frames = Vec::new();
         let mut skips = Vec::new();
         loop {

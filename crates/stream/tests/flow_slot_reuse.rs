@@ -5,14 +5,14 @@
 //! ingestion path must agree on the result.
 
 use caai_capture::packet::{encode, flags, FrameSpec};
-use caai_capture::{reassemble, PcapWriter, Reassembly, SessionReport};
+use caai_capture::{reassemble, reassemble_source, PcapWriter, Reassembly, SessionReport};
 use caai_core::census::Verdict;
 use caai_core::classify::CaaiClassifier;
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_netem::rng::seeded;
 use caai_netem::ConditionDb;
 use caai_obs::NullSubscriber;
-use caai_stream::{identify_bytes, reassemble_source, run, PcapStream, StallPolicy, StreamConfig};
+use caai_stream::{identify_bytes, run, PcapStream, StallPolicy, StreamConfig};
 use std::io::Cursor;
 
 /// Flows live throughout, more than the lookup's 256 front slots.

@@ -10,7 +10,7 @@
 use caai_capture::pcap::{byteswap_capture, PcapWriter, MAGIC_MICROS, MAGIC_NANOS};
 use caai_stream::pcapng::BT_SPB;
 use caai_stream::{
-    classic_to_pcapng, CaptureSource, PcapStream, SourceError, SourceItem, StallPolicy,
+    classic_to_pcapng, CaptureError, CaptureSource, PcapStream, SourceItem, StallPolicy,
 };
 use proptest::prelude::*;
 use std::io::{Cursor, Read};
@@ -106,7 +106,7 @@ impl Read for Drip<'_> {
     }
 }
 
-type Drained = (Vec<SourceItem>, Option<SourceError>);
+type Drained = (Vec<SourceItem>, Option<CaptureError>);
 
 /// Drains a source by its owned or its lending method. A lent frame is
 /// copied out while it is lent, so what it showed then is what is kept.

@@ -4,12 +4,15 @@
 //! * the verdict callback and every subscriber call run where `run` was
 //!   called, so neither has to be `Send`;
 //! * the pcapng container yields the same verdicts as classic pcap;
+//! * a cut capture is read alike offline and streaming, in either
+//!   container: an error inside the container header, truncation after
+//!   it — the first record included;
 //! * memory stays bounded under 10 000 interleaved flows (the timeout
 //!   wheel actually evicts);
 //! * verdicts emit while the capture is still growing (follow mode).
 
 use caai_capture::packet::{encode, flags, FrameSpec};
-use caai_capture::{identify_capture, CaptureRenderer, PcapWriter, SessionReport};
+use caai_capture::{CaptureRenderer, PcapWriter, SessionReport};
 use caai_congestion::AlgorithmId;
 use caai_core::classify::CaaiClassifier;
 use caai_core::prober::{Prober, ProberConfig};
@@ -17,7 +20,7 @@ use caai_core::server_under_test::ServerUnderTest;
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_netem::rng::seeded;
 use caai_netem::{ConditionDb, PathConfig};
-use caai_obs::{Event, NullSubscriber, Subscriber};
+use caai_obs::{Event, Subscriber};
 use caai_stream::{
     classic_to_pcapng, identify_bytes, run, run_obs, PcapStream, StallPolicy, StreamConfig,
 };
@@ -66,8 +69,7 @@ fn fixture() -> &'static [u8] {
 /// whole-file path's (same reports, same order, same server ids).
 #[test]
 fn streaming_verdicts_equal_the_offline_path() {
-    let offline =
-        identify_capture(fixture(), classifier(), None, &NullSubscriber).expect("fixture parses");
+    let offline = identify_bytes(fixture(), classifier(), None).expect("fixture parses");
     assert!(
         offline.sessions.len() == 2,
         "fixture must carry two probe sessions, got {}",
@@ -147,6 +149,66 @@ fn pcapng_identifies_identically_to_classic() {
             "pcapng (big={big}, resol={resol}) diverged"
         );
         assert_eq!(got.packets, classic.packets);
+    }
+}
+
+/// The header-versus-truncation rule, table-driven: each container cut
+/// inside its header (section header block for pcapng), inside its first
+/// record (enhanced packet block), and in the middle. `identify_bytes`
+/// and `run` over a `PcapStream` must agree on success, packets, skips,
+/// the truncation (offset and reason) and the sessions; only the header
+/// cut is an error.
+#[test]
+fn cut_captures_read_alike_offline_and_streaming() {
+    let classic = fixture().to_vec();
+    let pcapng = classic_to_pcapng(fixture(), false, 6);
+    let u32_at = |buf: &[u8], at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
+    // Classic: 24-byte header, then records of 16 + incl_len bytes.
+    // pcapng: a 28-byte section header and a 32-byte interface block,
+    // then packet blocks whose length sits 4 bytes in.
+    let first_record = 24 + (16 + u32_at(&classic, 24 + 8) as usize) / 2;
+    let first_block = 60 + u32_at(&pcapng, 60 + 4) as usize / 2;
+    let cases = [
+        ("classic header", &classic[..12], false),
+        ("classic first record", &classic[..first_record], true),
+        ("classic middle", &classic[..classic.len() / 2], true),
+        ("pcapng header", &pcapng[..20], false),
+        ("pcapng first block", &pcapng[..first_block], true),
+        ("pcapng middle", &pcapng[..pcapng.len() / 2], true),
+    ];
+    for (name, bytes, readable) in cases {
+        let offline = identify_bytes(bytes, classifier(), None);
+        let mut source = PcapStream::new(std::io::Cursor::new(bytes), StallPolicy::Eof);
+        let mut reports = Vec::new();
+        let streamed = run(
+            &mut source,
+            classifier(),
+            &StreamConfig::default(),
+            |s: &SessionReport| reports.push(s.clone()),
+        );
+        let (offline, streamed) = match (offline, streamed) {
+            (Ok(offline), Ok(streamed)) => (offline, streamed),
+            (Err(a), Err(b)) => {
+                assert!(!readable, "{name}: {a}");
+                assert_eq!(a, b, "{name}: header errors differ");
+                continue;
+            }
+            (a, b) => panic!("{name}: offline {:?} but streaming {:?}", a.err(), b.err()),
+        };
+        assert!(readable, "{name}: a header cut must be an error");
+        let truncated = offline
+            .truncated
+            .as_ref()
+            .expect("a cut capture is truncated");
+        assert_eq!(streamed.truncated.as_ref(), Some(truncated), "{name}");
+        assert_eq!(streamed.packets as usize, offline.packets, "{name}");
+        let skipped: Vec<_> = streamed
+            .skipped
+            .iter()
+            .map(|(i, r)| (*i as usize, r.clone()))
+            .collect();
+        assert_eq!(skipped, offline.skipped, "{name}");
+        assert_eq!(reports, offline.sessions, "{name}");
     }
 }
 
