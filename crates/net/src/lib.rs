@@ -29,7 +29,9 @@
 //!   connect/retry/backoff/timeout per target, paced sends, and
 //!   reduction of every transport failure to `TransportAborted`.
 //! * [`transport`] — [`NetTransport`], the `caai-core`
-//!   `ProbeTransport` impl the engine runs a live census through.
+//!   `ProbeTransport` impl the engine runs a live census through: one
+//!   reactor per CPU the caller may use, each confined to its own CPU,
+//!   sharing one session cap and one rate limiter.
 //! * [`emulated`] — loopback [`EmulatedServer`]s replaying tcpsim
 //!   algorithms over real sockets, so tests and CI never touch the
 //!   real network.

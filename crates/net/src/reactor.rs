@@ -1,11 +1,12 @@
 //! The socket reactor: thousands of probe sessions on one thread.
 //!
-//! One dedicated thread owns every socket, a readiness poller
-//! ([`crate::sys::Poller`]), and a hashed [`TimerWheel`]. Probe
-//! sessions are tiny state machines ([`LadderCore`] plus a write
-//! buffer), so the memory per concurrent session is a few KiB and the
-//! per-event work is bounded — the reactor sustains hundreds to
-//! thousands of in-flight sessions without threads or allocator churn.
+//! A reactor's dedicated thread owns every socket of its sessions, a
+//! readiness poller ([`crate::sys::Poller`]), and a hashed
+//! [`TimerWheel`]. Probe sessions are tiny state machines
+//! ([`LadderCore`] plus a write buffer), so the memory per concurrent
+//! session is a few KiB and the per-event work is bounded — a reactor
+//! sustains hundreds to thousands of in-flight sessions without threads
+//! or allocator churn.
 //!
 //! Admission control happens at the mouth: submitted probes queue in
 //! FIFO order and enter the reactor only when (a) a session slot is
@@ -17,13 +18,17 @@
 //! is spent and [`LadderCore::abort`] reduces the session to a
 //! `TransportAborted` outcome. Sessions never panic the reactor;
 //! every failure ends in a result on the session's reply channel.
-//! The dedicated thread keeps the CPU it starts on: ARCHITECTURE.md,
-//! "Where a live probe's threads run".
+//!
+//! A [`NetTransport`](crate::transport::NetTransport) runs one reactor
+//! per CPU it may use, each confined to its own CPU (ARCHITECTURE.md,
+//! "Where a live probe's threads run"). The limiter is the transport's,
+//! not a reactor's: every reactor admits through one [`Admission`], so
+//! the rate bounds and the live-session count hold transport-wide.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use caai_core::{GatherOutcome, InvalidReason, ProberConfig};
@@ -135,6 +140,26 @@ pub enum Command {
     Shutdown,
 }
 
+/// What every reactor of one
+/// [`NetTransport`](crate::transport::NetTransport) shares: the rate
+/// limiter, locked once per admission (not per packet), and the count of
+/// sessions live across all of them, which each tick reports.
+#[derive(Debug)]
+pub struct Admission {
+    limiter: Mutex<RateLimiter>,
+    live: AtomicU64,
+}
+
+impl Admission {
+    /// The limiter `config`'s rates describe, and no session live.
+    pub fn new(config: &NetConfig) -> Self {
+        Admission {
+            limiter: Mutex::new(RateLimiter::new(config.rate, config.rate_per_net)),
+            live: AtomicU64::new(0),
+        }
+    }
+}
+
 /// Timer token reserved for the rate-limiter retry tick.
 const RATE_TOKEN: u64 = 0;
 /// Longest real delay one paced round may stretch to.
@@ -222,19 +247,28 @@ pub struct Reactor<S: Subscriber> {
     wheel: TimerWheel,
     sessions: HashMap<u64, Session>,
     pending: VecDeque<PendingProbe>,
-    limiter: RateLimiter,
+    admission: Arc<Admission>,
+    /// Probes submitted to this reactor and not yet answered: the
+    /// submitter counts one up, the reactor counts it down as it replies.
+    unanswered: Arc<AtomicUsize>,
     next_token: u64,
     rate_retry_armed: bool,
 }
 
 impl<S: Subscriber> Reactor<S> {
     /// Builds the reactor and the command handle for it. The returned
-    /// [`Waker`] must be poked after every command send.
-    pub fn new(config: NetConfig, obs: Arc<S>) -> std::io::Result<(Self, Waker)> {
+    /// [`Waker`] must be poked after every command send. `config`'s
+    /// `max_sessions` is this reactor's own share of the cap; its rates
+    /// are `admission`'s business.
+    pub fn new(
+        config: NetConfig,
+        obs: Arc<S>,
+        admission: Arc<Admission>,
+        unanswered: Arc<AtomicUsize>,
+    ) -> std::io::Result<(Self, Waker)> {
         assert!(config.max_sessions > 0, "max_sessions must be positive");
         let poller = Poller::new()?;
         let waker = poller.waker();
-        let limiter = RateLimiter::new(config.rate, config.rate_per_net);
         Ok((
             Reactor {
                 config,
@@ -243,7 +277,8 @@ impl<S: Subscriber> Reactor<S> {
                 wheel: TimerWheel::new(Instant::now()),
                 sessions: HashMap::new(),
                 pending: VecDeque::new(),
-                limiter,
+                admission,
+                unanswered,
                 next_token: 1,
                 rate_retry_armed: false,
             },
@@ -322,7 +357,7 @@ impl<S: Subscriber> Reactor<S> {
             if let Some(start) = tick_start {
                 self.obs.on_event(&Event::ReactorTicked(ReactorTicked {
                     ready: dispatched,
-                    active_sessions: self.sessions.len() as u64,
+                    active_sessions: self.admission.live.load(Ordering::Relaxed),
                     latency_us: start.elapsed().as_micros() as u64,
                 }));
             }
@@ -337,7 +372,16 @@ impl<S: Subscriber> Reactor<S> {
                 return;
             };
             let now = Instant::now();
-            match self.limiter.admit(now, front.ip) {
+            // Every update leaves the limiter valid (a bucket refilled and
+            // not yet taken from is still a bucket), so a lock poisoned by
+            // another reactor's panic is taken as it stands.
+            let admitted = self
+                .admission
+                .limiter
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .admit(now, front.ip);
+            match admitted {
                 Ok(()) => {
                     let probe = self.pending.pop_front().expect("front just observed");
                     self.start_session(probe);
@@ -392,6 +436,7 @@ impl<S: Subscriber> Reactor<S> {
             rungs_seen: 0,
         };
         self.sessions.insert(token, session);
+        self.admission.live.fetch_add(1, Ordering::Relaxed);
         self.apply_step(token, step);
     }
 
@@ -826,6 +871,7 @@ impl<S: Subscriber> Reactor<S> {
         let Some(session) = self.sessions.remove(&token) else {
             return;
         };
+        self.admission.live.fetch_sub(1, Ordering::Relaxed);
         session.connect_span.end(&*self.obs);
         session.roundtrip_span.end(&*self.obs);
         session.retry_span.end(&*self.obs);
@@ -840,8 +886,10 @@ impl<S: Subscriber> Reactor<S> {
             rungs: session.core.rungs().to_vec(),
             stats,
         };
-        // A dropped receiver (caller gave up) is not the reactor's
-        // problem; the session is done either way.
+        // Counted down first, so a caller the reply wakes already sees
+        // the slot free. A dropped receiver (caller gave up) is not the
+        // reactor's problem; the session is done either way.
+        self.unanswered.fetch_sub(1, Ordering::Relaxed);
         let _ = session.reply.send(result);
         self.pump_pending();
     }
@@ -869,7 +917,9 @@ mod tests {
         targets: &[&EmulatedServer],
         obs: Arc<S>,
     ) -> (Reactor<S>, Vec<SessionResult>) {
-        let (mut reactor, waker) = Reactor::new(config, obs).unwrap();
+        let admission = Arc::new(Admission::new(&config));
+        let unanswered = Arc::new(AtomicUsize::new(targets.len()));
+        let (mut reactor, waker) = Reactor::new(config, obs, admission, unanswered).unwrap();
         let (commands, inbox) = mpsc::channel();
         let replies: Vec<_> = targets
             .iter()

@@ -5,11 +5,12 @@
 //! read, write, close, setsockopt/getsockopt, and a readiness
 //! multiplexer — so they are declared here directly against the C
 //! ABI. Linux gets `epoll` + `eventfd`; other unixes fall back to
-//! `poll(2)` + a self-pipe. Linux also places threads ([`confine_to`]:
-//! `sched_getcpu`, `sched_setaffinity`, `SO_INCOMING_CPU`; best effort,
-//! no-ops elsewhere). All `unsafe` in the crate is confined to
-//! this module; everything it exports is a safe wrapper over an owned
-//! file descriptor.
+//! `poll(2)` + a self-pipe. Linux also places threads ([`confine_to`],
+//! [`allowed_cpus`]: `sched_getcpu`, `sched_setaffinity`,
+//! `sched_getaffinity`, `SO_INCOMING_CPU`; best effort, no-ops
+//! elsewhere). All `unsafe` in the crate is confined to this module;
+//! everything it exports is a safe wrapper over an owned file
+//! descriptor.
 
 #![allow(clippy::missing_safety_doc)]
 
@@ -240,7 +241,11 @@ mod imp {
         fn eventfd(initval: u32, flags: i32) -> i32;
         fn sched_getcpu() -> i32;
         fn sched_setaffinity(pid: i32, size: usize, mask: *const usize) -> i32;
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut usize) -> i32;
     }
+
+    /// Room for 1,024 CPUs, glibc's `cpu_set_t`.
+    const MASK_WORDS: usize = 1024 / usize::BITS as usize;
 
     fn interest_bits(interest: Interest) -> u32 {
         (match interest {
@@ -380,13 +385,28 @@ mod imp {
     /// a refusal (cpuset, seccomp, a CPU past the 1,024-bit mask) is ignored.
     pub fn confine_to(cpu: usize) {
         const BITS: usize = usize::BITS as usize;
-        let mut mask = [0usize; 1024 / BITS];
+        let mut mask = [0usize; MASK_WORDS];
         if let Some(word) = mask.get_mut(cpu / BITS) {
             *word = 1 << (cpu % BITS);
             // SAFETY: `mask` outlives the call and its true size is
             // passed; pid 0 names the calling thread.
             unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
         }
+    }
+
+    /// The CPUs the calling thread may run on, ascending; empty when the
+    /// kernel will not say (a mask past 1,024 CPUs).
+    pub fn allowed_cpus() -> Vec<usize> {
+        const BITS: usize = usize::BITS as usize;
+        let mut mask = [0usize; MASK_WORDS];
+        // SAFETY: `mask` outlives the call and its true size is passed;
+        // pid 0 names the calling thread.
+        if unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) } != 0 {
+            return Vec::new();
+        }
+        (0..MASK_WORDS * BITS)
+            .filter(|cpu| (mask[cpu / BITS] >> (cpu % BITS)) & 1 == 1)
+            .collect()
     }
 
     /// The CPU the socket's packets last arrived on (`SO_INCOMING_CPU`):
@@ -550,13 +570,18 @@ mod imp {
     /// Thread placement is Linux-only: a no-op here.
     pub fn confine_to(_cpu: usize) {}
 
+    /// Thread placement is Linux-only: no CPU is named here.
+    pub fn allowed_cpus() -> Vec<usize> {
+        Vec::new()
+    }
+
     /// Thread placement is Linux-only: unknown here.
     pub fn incoming_cpu(_fd: i32) -> Option<usize> {
         None
     }
 }
 
-pub use imp::{confine_to, current_cpu, incoming_cpu, Poller, Waker};
+pub use imp::{allowed_cpus, confine_to, current_cpu, incoming_cpu, Poller, Waker};
 
 /// The calling thread's `(migrations, context switches)` so far, from
 /// `/proc/thread-self/sched`; `None` where the kernel keeps no such file.
@@ -616,7 +641,7 @@ mod tests {
     }
 
     /// `Cpus_allowed_list` of the calling thread; `None` without `/proc`.
-    fn allowed_cpus() -> Option<String> {
+    fn cpus_allowed_list() -> Option<String> {
         let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
         let list = status
             .lines()
@@ -628,16 +653,22 @@ mod tests {
     fn confine_to_leaves_the_thread_exactly_one_cpu() {
         // On a thread of its own: the mask must not outlive the test.
         let handle = std::thread::spawn(|| {
-            let (Some(cpu), Some(before)) = (current_cpu(), allowed_cpus()) else {
+            let (Some(cpu), Some(before)) = (current_cpu(), cpus_allowed_list()) else {
                 eprintln!("skipped: no sched_getcpu or no /proc/thread-self/status here");
                 return;
             };
+            assert!(allowed_cpus().contains(&cpu), "{before}");
             confine_to(cpu);
-            assert_eq!(allowed_cpus().unwrap(), cpu.to_string(), "was {before}");
+            assert_eq!(
+                cpus_allowed_list().unwrap(),
+                cpu.to_string(),
+                "was {before}"
+            );
+            assert_eq!(allowed_cpus(), [cpu]);
             assert_eq!(current_cpu(), Some(cpu));
             // A CPU the mask cannot name is ignored, not a panic.
             confine_to(1 << 20);
-            assert_eq!(allowed_cpus().unwrap(), cpu.to_string());
+            assert_eq!(cpus_allowed_list().unwrap(), cpu.to_string());
             // Not every kernel keeps /proc/thread-self/sched.
             if let Some((migrations, _)) = sched_counts() {
                 std::thread::yield_now();

@@ -9,16 +9,21 @@
 //! `Invalid(TransportAborted)` records, the census's skip-and-report
 //! idiom at the transport layer.
 //!
+//! One reactor runs per CPU of the calling thread's affinity mask, at
+//! most one per session slot, reactor *i* confined to the mask's *i*-th
+//! CPU: a probe's hand-offs stay on one CPU, and two probes in flight
+//! use two. A one-CPU mask or `max_sessions = 1` gives one reactor.
+//!
 //! Observability: rung attempts and gather completions recorded by the
 //! session's [`LadderCore`](crate::core::LadderCore) are replayed into
-//! the per-probe subscriber on the *calling* worker thread (the
-//! reactor thread only emits its own `ReactorTicked` / `ReactorExited` /
+//! the per-probe subscriber on the *calling* worker thread (reactor
+//! threads only emit their own `ReactorTicked` / `ReactorExited` /
 //! `RateLimiterStalled` events into the transport-wide subscriber), so
 //! `--metrics` floors hold identically for simulated and live runs.
 
 use std::net::{Ipv4Addr, ToSocketAddrs};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use caai_core::census::{verdict_for_outcome, CensusRecord};
@@ -30,7 +35,7 @@ use caai_obs::{
     span_begin, Event, NetSessionEnded, ReactorExited, RungAttemptStarted, SpanKind, Subscriber,
 };
 
-use crate::reactor::{Command, NetConfig, Reactor, SessionResult, SessionStats};
+use crate::reactor::{Admission, Command, NetConfig, Reactor, SessionResult, SessionStats};
 use crate::sys::{self, Waker};
 use crate::targets::Target;
 
@@ -45,14 +50,24 @@ pub struct NetTransport<R: Subscriber + Send + Sync + 'static> {
     targets: Vec<Target>,
     classifier: CaaiClassifier,
     first_rung: u32,
-    sender: Mutex<mpsc::Sender<Command>>,
-    waker: Waker,
-    reactor_thread: Option<JoinHandle<()>>,
+    reactors: Vec<ReactorHandle>,
     _obs: Arc<R>,
 }
 
+/// One running reactor, as the submitting side sees it.
+struct ReactorHandle {
+    sender: mpsc::Sender<Command>,
+    waker: Waker,
+    /// This reactor's share of `max_sessions`.
+    cap: usize,
+    /// Probes submitted and not yet answered, queued ones included. A
+    /// placement hint that publishes nothing, so every access is relaxed.
+    unanswered: Arc<AtomicUsize>,
+    thread: JoinHandle<()>,
+}
+
 impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
-    /// Resolves `targets`, starts the reactor thread, and returns the
+    /// Resolves `targets`, starts the reactor threads, and returns the
     /// transport. Resolution happens once, up front: a census must not
     /// re-resolve (and possibly re-route) mid-run. Unresolvable targets
     /// are kept — they probe as instant `TransportAborted` records.
@@ -65,36 +80,29 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
         let resolved = targets.iter().map(resolve).collect();
         let ladder = &config.prober.wmax_ladder;
         let first_rung = *ladder.first().unwrap_or(&DEFAULT_LADDER[0]);
-        let (reactor, waker) = Reactor::new(config, Arc::clone(&obs))?;
-        let (tx, rx) = mpsc::channel();
-        let reactor_obs = Arc::clone(&obs);
-        let reactor_thread = std::thread::Builder::new()
-            .name("caai-net-reactor".into())
-            .spawn(move || {
-                // A probe is ~60 serial hand-offs with the peer's thread;
-                // a reactor that stays put lets the peer stay beside it.
-                if let Some(cpu) = sys::current_cpu() {
-                    sys::confine_to(cpu);
-                }
-                let before = sys::sched_counts();
-                reactor.run(rx);
-                if let (Some(before), Some(after)) = (before, sys::sched_counts()) {
-                    reactor_obs.on_event(&Event::ReactorExited(ReactorExited {
-                        migrations: after.0 - before.0,
-                        switches: after.1 - before.1,
-                    }));
-                }
-            })?;
-        Ok(NetTransport {
+        let cpus = sys::allowed_cpus();
+        let count = cpus.len().min(config.max_sessions).max(1);
+        let admission = Arc::new(Admission::new(&config));
+        let mut transport = NetTransport {
             resolved,
             targets,
             classifier,
             first_rung,
-            sender: Mutex::new(tx),
-            waker,
-            reactor_thread: Some(reactor_thread),
-            _obs: obs,
-        })
+            reactors: Vec::with_capacity(count),
+            _obs: Arc::clone(&obs),
+        };
+        for i in 0..count {
+            // The caps add up to `max_sessions` exactly.
+            let cap = config.max_sessions / count + usize::from(i < config.max_sessions % count);
+            let reactor_config = NetConfig {
+                max_sessions: cap,
+                ..config.clone()
+            };
+            // On an error, dropping `transport` stops the reactors started.
+            let reactor = spawn_reactor(reactor_config, &obs, &admission, cpus.get(i).copied())?;
+            transport.reactors.push(reactor);
+        }
+        Ok(transport)
     }
 
     /// Targets that failed DNS/address resolution: `(id, target, why)`.
@@ -112,31 +120,55 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
 
     /// Submits a probe without blocking: the result arrives on the
     /// returned channel. Used by the concurrency tests and benches to
-    /// load the reactor beyond one in-flight session per caller.
+    /// load the reactors beyond one in-flight session per caller.
     pub fn probe_async(&self, id: u32) -> mpsc::Receiver<SessionResult> {
         let (tx, rx) = mpsc::channel();
         match self.resolved.get(id as usize) {
             Some(Ok((ip, port))) => {
-                let sent =
-                    self.sender
-                        .lock()
-                        .expect("reactor sender poisoned")
-                        .send(Command::Probe {
-                            ip: *ip,
-                            port: *port,
-                            reply: tx,
-                        });
-                if sent.is_ok() {
-                    self.waker.wake();
+                let reactor = self.take_slot();
+                let probe = Command::Probe {
+                    ip: *ip,
+                    port: *port,
+                    reply: tx,
+                };
+                if reactor.sender.send(probe).is_ok() {
+                    reactor.waker.wake();
+                } else {
+                    // The reactor is gone; dropping `tx` closed the
+                    // channel and the caller reduces to aborted.
+                    reactor.unanswered.fetch_sub(1, Ordering::Relaxed);
                 }
-                // On send failure the reactor is gone; dropping `tx`
-                // closes the channel and the caller reduces to aborted.
             }
             _ => {
                 let _ = tx.send(self.aborted_result());
             }
         }
         rx
+    }
+
+    /// Counts a probe against the reactor with the most free session
+    /// slots (the lowest index on a tie) and returns that reactor.
+    fn take_slot(&self) -> &ReactorHandle {
+        loop {
+            // Most free slots is fewest probes beyond the cap, and
+            // `min_by_key` keeps the first of equals.
+            let (reactor, seen) = self
+                .reactors
+                .iter()
+                .map(|r| (r, r.unanswered.load(Ordering::Relaxed)))
+                .min_by_key(|&(r, seen)| seen as isize - r.cap as isize)
+                .expect("a transport runs at least one reactor");
+            // Another caller may have taken the slot since it was read.
+            let taken = reactor.unanswered.compare_exchange(
+                seen,
+                seen + 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+            if taken.is_ok() {
+                return reactor;
+            }
+        }
     }
 
     /// The outcome of a probe that never reached the wire.
@@ -212,14 +244,58 @@ impl<R: Subscriber + Send + Sync + 'static> ProbeTransport for NetTransport<R> {
 
 impl<R: Subscriber + Send + Sync + 'static> Drop for NetTransport<R> {
     fn drop(&mut self) {
-        if let Ok(sender) = self.sender.lock() {
-            let _ = sender.send(Command::Shutdown);
+        for reactor in &self.reactors {
+            let _ = reactor.sender.send(Command::Shutdown);
+            reactor.waker.wake();
         }
-        self.waker.wake();
-        if let Some(t) = self.reactor_thread.take() {
-            let _ = t.join();
+        for reactor in self.reactors.drain(..) {
+            let _ = reactor.thread.join();
         }
     }
+}
+
+/// Starts one reactor on a thread of its own, confined to `cpu` when
+/// one is named.
+fn spawn_reactor<R: Subscriber + Send + Sync + 'static>(
+    config: NetConfig,
+    obs: &Arc<R>,
+    admission: &Arc<Admission>,
+    cpu: Option<usize>,
+) -> std::io::Result<ReactorHandle> {
+    let cap = config.max_sessions;
+    let unanswered = Arc::new(AtomicUsize::new(0));
+    let (reactor, waker) = Reactor::new(
+        config,
+        Arc::clone(obs),
+        Arc::clone(admission),
+        Arc::clone(&unanswered),
+    )?;
+    let (sender, commands) = mpsc::channel();
+    let reactor_obs = Arc::clone(obs);
+    let thread = std::thread::Builder::new()
+        .name("caai-net-reactor".into())
+        .spawn(move || {
+            // A probe is ~60 serial hand-offs with the peer's thread;
+            // a reactor that stays put lets the peer stay beside it.
+            if let Some(cpu) = cpu {
+                sys::confine_to(cpu);
+            }
+            let before = sys::sched_counts();
+            reactor.run(commands);
+            if let (Some(before), Some(after)) = (before, sys::sched_counts()) {
+                reactor_obs.on_event(&Event::ReactorExited(ReactorExited {
+                    migrations: after.0 - before.0,
+                    switches: after.1 - before.1,
+                }));
+            }
+        })?;
+    Ok(ReactorHandle {
+        sender,
+        waker,
+        cap,
+        unanswered,
+        thread,
+    })
 }
 
 /// Resolves one target to an IPv4 socket address. Hostnames go through

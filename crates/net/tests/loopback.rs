@@ -4,19 +4,21 @@
 //! The equivalence suite pins the sans-IO cores to the simulator; this
 //! suite pins the *plumbing* — nonblocking connects, the timer wheel,
 //! retries, the rate limiter, concurrency at the acceptance floor of
-//! 256 sessions, and the reduction of every transport failure to
-//! `TransportAborted` instead of a panic or a hang.
+//! 256 sessions, one reactor per CPU, and the reduction of every
+//! transport failure to `TransportAborted` instead of a panic or a hang.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use caai_congestion::{AlgorithmId, ALL_IDENTIFIED};
 use caai_core::census::verdict_for_outcome;
 use caai_core::classify::CaaiClassifier;
 use caai_core::prober::{Prober, ProberConfig};
 use caai_core::training::{build_training_set, TrainingConfig};
-use caai_core::{InvalidReason, ProbeTransport, ServerUnderTest};
+use caai_core::{InvalidReason, ProbeTransport, ServerUnderTest, Verdict};
 use caai_net::reactor::NetConfig;
+use caai_net::sys::{allowed_cpus, confine_to, current_cpu};
 use caai_net::{Behavior, EmulatedServer, NetTransport, Target};
 use caai_netem::rng::seeded;
 use caai_netem::{ConditionDb, PathConfig};
@@ -204,6 +206,124 @@ fn rate_limiter_paces_admissions_and_reports_stalls() {
         "pacing 4 sessions at 10/s must stall at least once"
     );
     assert!(snap.histograms["net.limiter_wait_us"].count >= 1);
+}
+
+#[test]
+fn rate_bounds_hold_across_reactors() {
+    // Eight session slots: a reactor per CPU this process may use. The
+    // reactors share one limiter, so six admissions at 10/s take at
+    // least 0.5 s; a limiter per reactor would let them through at twice
+    // the rate. Every target is 127.0.0.1, so the per-/24 bound is one
+    // bucket too.
+    let server =
+        EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal).unwrap();
+    let targets: Vec<Target> = (0..6).map(|_| server.target()).collect();
+    for (rate, rate_per_net) in [(10.0, 0.0), (0.0, 10.0)] {
+        let obs = Arc::new(MetricsSubscriber::new());
+        let config = NetConfig {
+            rate,
+            rate_per_net,
+            max_sessions: 8,
+            ..fast_config()
+        };
+        let transport =
+            NetTransport::new(targets.clone(), classifier(), config, Arc::clone(&obs)).unwrap();
+        let begun = Instant::now();
+        let receivers: Vec<_> = (0..6).map(|id| transport.probe_async(id)).collect();
+        for rx in receivers {
+            let result = rx.recv_timeout(Duration::from_secs(60)).unwrap();
+            assert!(result.outcome.pair.is_some());
+        }
+        let took = begun.elapsed();
+        assert!(
+            took >= Duration::from_millis(500),
+            "rate {rate}, per /24 {rate_per_net}: six probes in {took:?}"
+        );
+        assert!(obs.snapshot().counters["net.rate_limiter_stalls"] >= 1);
+    }
+}
+
+/// Probes every target, two at a time from two threads, and returns the
+/// verdicts in id order with the counters the run left once every
+/// reactor has exited.
+fn census_two_in_flight(
+    targets: &[Target],
+    config: NetConfig,
+) -> (Vec<Verdict>, BTreeMap<String, u64>) {
+    let obs = Arc::new(MetricsSubscriber::new());
+    let transport =
+        NetTransport::new(targets.to_vec(), classifier(), config, Arc::clone(&obs)).unwrap();
+    let count = targets.len() as u32;
+    let mut verdicts: Vec<(u32, Verdict)> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..2)
+            .map(|first| {
+                let (transport, obs) = (&transport, &*obs);
+                scope.spawn(move || {
+                    (first..count)
+                        .step_by(2)
+                        .map(|id| (id, transport.probe(id, 0, obs).verdict))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .flat_map(|caller| caller.join().unwrap())
+            .collect()
+    });
+    verdicts.sort_by_key(|&(id, _)| id);
+    // The reactors report on their way out.
+    drop(transport);
+    let verdicts = verdicts.into_iter().map(|(_, v)| v).collect();
+    (verdicts, obs.snapshot().counters)
+}
+
+#[test]
+fn a_reactor_runs_on_each_allowed_cpu_and_stays_there() {
+    let servers: Vec<EmulatedServer> = [AlgorithmId::Reno, AlgorithmId::CubicV2, AlgorithmId::Htcp]
+        .iter()
+        .map(|&a| EmulatedServer::spawn(ServerUnderTest::ideal(a), Behavior::Normal).unwrap())
+        .collect();
+    let targets: Vec<Target> = (0..12).map(|i| servers[i % 3].target()).collect();
+    let config = NetConfig {
+        max_sessions: 2,
+        ..fast_config()
+    };
+    let (verdicts, counters) = census_two_in_flight(&targets, config.clone());
+    // Built on a thread confined to one CPU, the transport runs one
+    // reactor; its callers inherit the mask. The mask dies with the thread.
+    let (one_cpu, one_cpu_counters) = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                if let Some(cpu) = current_cpu() {
+                    confine_to(cpu);
+                }
+                census_two_in_flight(&targets, config.clone())
+            })
+            .join()
+            .unwrap()
+    });
+    assert_eq!(one_cpu, verdicts, "one reactor and many disagree");
+    assert_eq!(counters["net.sessions_aborted"], 0);
+    let (Some(&one), Some(&many)) = (
+        one_cpu_counters.get("net.reactors"),
+        counters.get("net.reactors"),
+    ) else {
+        eprintln!("skipped the counts: no /proc/thread-self/sched here");
+        return;
+    };
+    assert_eq!(one, 1, "one CPU, one reactor");
+    assert_eq!(one_cpu_counters["net.reactor_migrations"], 0);
+    let cpus = allowed_cpus().len();
+    if cpus < 2 {
+        eprintln!("skipped the two-reactor count: this process may use {cpus} CPU(s)");
+        return;
+    }
+    assert_eq!(many, 2, "two probes in flight, two reactors");
+    assert_eq!(
+        counters["net.reactor_migrations"], 0,
+        "each reactor stays put"
+    );
 }
 
 #[test]

@@ -259,14 +259,15 @@ pub struct RateLimiterStalled {
 pub struct ReactorTicked {
     /// I/O readiness events dispatched this tick.
     pub ready: u32,
-    /// Probe sessions live in the reactor after the tick.
+    /// Probe sessions live after the tick, across every reactor of the
+    /// transport.
     pub active_sessions: u64,
     /// Wall microseconds the tick spent dispatching (excluding the
     /// `epoll_wait`/`poll` sleep itself).
     pub latency_us: u64,
 }
 
-/// The socket reactor's thread is exiting; what the scheduler did to it
+/// A socket reactor's thread is exiting; what the scheduler did to it
 /// since it confined itself to one CPU (`/proc/thread-self/sched`, so
 /// emitted only where the kernel keeps that file).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -61,7 +61,7 @@ pub struct MetricsSubscriber {
     net_reactor_ticks: Counter,
     net_reactor_reads: Counter,
     net_reactor_writes: Counter,
-    net_reactor_exits: Counter,
+    net_reactors: Counter,
     net_reactor_migrations: Counter,
     net_reactor_switches: Counter,
     // histograms
@@ -137,7 +137,9 @@ impl MetricsSubscriber {
         c("net.reactor_writes", &self.net_reactor_writes);
         // Absent unless a reactor thread reported them: a 0 here is a
         // measured 0, not a kernel without `/proc/thread-self/sched`.
-        if self.net_reactor_exits.get() > 0 {
+        // `net.reactors` counts the reactors that reported, one each.
+        if self.net_reactors.get() > 0 {
+            c("net.reactors", &self.net_reactors);
             c("net.reactor_migrations", &self.net_reactor_migrations);
             c("net.reactor_switches", &self.net_reactor_switches);
         }
@@ -252,7 +254,7 @@ impl Subscriber for MetricsSubscriber {
                 self.net_active_sessions.record(e.active_sessions);
             }
             Event::ReactorExited(e) => {
-                self.net_reactor_exits.incr();
+                self.net_reactors.incr();
                 self.net_reactor_migrations.add(e.migrations);
                 self.net_reactor_switches.add(e.switches);
             }
@@ -300,7 +302,7 @@ mod tests {
     use super::*;
     use crate::event::{
         CensusRecordObserved, CensusResumed, Environment, FlowEvicted, FlowOpened, FrameDecoded,
-        GatherFinished, RungAttemptEnded, RungAttemptStarted, SessionEmitted,
+        GatherFinished, ReactorExited, RungAttemptEnded, RungAttemptStarted, SessionEmitted,
     };
 
     #[test]
@@ -370,5 +372,21 @@ mod tests {
         assert_eq!(s.counters["census.resumed"], 10);
         assert_eq!(s.counters["census.identified"], 5);
         assert_eq!(s.counters["census.invalid"], 3);
+    }
+
+    #[test]
+    fn each_reactor_that_reports_counts_once() {
+        let m = MetricsSubscriber::new();
+        assert!(!m.snapshot().counters.contains_key("net.reactors"));
+        for switches in [40, 2] {
+            m.on_event(&Event::ReactorExited(ReactorExited {
+                migrations: 0,
+                switches,
+            }));
+        }
+        let s = m.snapshot();
+        assert_eq!(s.counters["net.reactors"], 2);
+        assert_eq!(s.counters["net.reactor_migrations"], 0);
+        assert_eq!(s.counters["net.reactor_switches"], 42);
     }
 }

@@ -202,7 +202,7 @@ COMMANDS:
                   [--backoff-ms N]       base retry backoff, doubled per retry (100)
                   [--probe-rate R]       global session admissions/sec (0 = unlimited)
                   [--net-rate R]         per-/24 admissions/sec (0 = unlimited)
-                  [--max-sessions N]     concurrent reactor sessions (1024)
+                  [--max-sessions N]     concurrent sessions, all reactors (1024)
                   [--pace F]             real seconds per virtual round second (0)
     emulate       park a fleet of loopback servers replaying simulated TCP
                   stacks over real sockets, for `census --targets` tests
@@ -1214,8 +1214,9 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     let mut sinks: Vec<_> = jsonl.iter_mut().map(|s| s as &mut dyn ResultSink).collect();
     let outcome = run_transport_obs(&transport, &config, &mut sinks, resume, &(&*obs, &hook))
         .map_err(|e| e.to_string())?;
-    // Every session has concluded. Joining the reactor thread lets it
-    // report what the scheduler did to it (`net.reactor_migrations`,
+    // Every session has concluded. Joining the reactor threads (one per
+    // CPU this process may use) lets each report what the scheduler did
+    // to it (`net.reactors`, `net.reactor_migrations`,
     // `net.reactor_switches`) in time for the final metrics line; then
     // close the trace, so the file is valid JSON the moment the command
     // prints its report.
