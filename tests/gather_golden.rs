@@ -4,10 +4,10 @@
 //! it with every commit before it. `tests/golden/gather.txt` holds one
 //! line per workload — a census-shaped population under two seeds, every
 //! identified algorithm on a clean, a lossy and a heavy-jitter path, and
-//! two defended probers — with a digest of each [`GatherOutcome`], a
-//! digest of the complete [`ProbeTap`] event stream (times by their bit
-//! patterns) and the counts of connections, rounds, data packets received
-//! and ACKs sent. A refactor of the simulator, the prober or the ladder
+//! two defended probers — with a digest of each [`GatherOutcome`]'s
+//! traces, a digest of the complete [`ProbeTap`] event stream (times by
+//! their bit patterns) and the counts of connections, rounds, data
+//! packets received and ACKs sent. A refactor of the simulator, the prober or the ladder
 //! that changes any record, any wire event or any count fails here.
 //!
 //! A deliberate change of behaviour regenerates the file:
@@ -68,7 +68,10 @@ impl Tally {
     }
 
     fn outcome(&mut self, outcome: &GatherOutcome) {
-        self.outcomes.bytes(format!("{outcome:?}").as_bytes());
+        self.outcomes
+            .bytes(format!("{:?}", outcome.pair).as_bytes());
+        self.outcomes
+            .bytes(format!("{:?}", outcome.failed_attempts).as_bytes());
         let traces = outcome
             .pair
             .iter()
