@@ -357,8 +357,7 @@ pub fn sessions(reassembly: &Reassembly, ladder: &[u32]) -> Vec<ProbeSession> {
 /// walk (a driver of [`caai_core::ladder`]), assigning threshold rungs to
 /// attempts that never crossed and assembling the same [`GatherOutcome`]
 /// the prober produced: the usable environment-A/B pair when one exists,
-/// and every failed attempt otherwise. A wire observer cannot tell
-/// defense overhead from real data, so the outcome never claims any.
+/// and every failed attempt otherwise.
 pub fn session_outcome(session: &ProbeSession, ladder: &[u32]) -> GatherOutcome {
     let mut walk = LadderWalk::new();
     for conn in &session.connections {
@@ -375,7 +374,7 @@ pub fn session_outcome(session: &ProbeSession, ladder: &[u32]) -> GatherOutcome 
         };
         walk.record(trace);
     }
-    walk.finish(None)
+    walk.finish()
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@
 //! Sequence numbers may come straight off a wire, so all arithmetic on
 //! them saturates; on honest inputs nothing ever does.
 
-use caai_netem::{DefenseOverhead, EnvironmentId, Phase, RttSchedule};
+use caai_netem::{EnvironmentId, Phase, RttSchedule};
 use caai_obs::{Environment, RungAttemptEnded, RungAttemptStarted};
 
 use crate::prober::{CloseInitiator, GatherOutcome, ProberConfig};
@@ -167,12 +167,11 @@ impl LadderWalk {
 
     /// The walk's result. An A still waiting for its B (the input ended
     /// first) joins the failures.
-    pub fn finish(mut self, defense_overhead: Option<DefenseOverhead>) -> GatherOutcome {
+    pub fn finish(mut self) -> GatherOutcome {
         self.failed.extend(self.pending_a.take());
         GatherOutcome {
             pair: self.pair,
             failed_attempts: self.failed,
-            defense_overhead,
         }
     }
 }
@@ -577,7 +576,7 @@ mod tests {
         for t in traces {
             walk.record(t);
         }
-        tags(walk.finish(None))
+        tags(walk.finish())
     }
 
     fn tags(outcome: GatherOutcome) -> Filed {
@@ -677,7 +676,7 @@ mod tests {
         let mut walk = LadderWalk::new();
         walk.abort(Some(aborted(A, 1)), None);
         assert_eq!(walk.next(&DEFAULT_LADDER), None);
-        let outcome = walk.finish(None);
+        let outcome = walk.finish();
         assert_eq!(
             outcome.failure_reason(),
             Some(InvalidReason::TransportAborted)
@@ -687,17 +686,17 @@ mod tests {
         let mut walk = LadderWalk::new();
         walk.record(trace(A, None, 1));
         walk.abort(Some(aborted(B, 2)), None);
-        assert_eq!(tags(walk.finish(None)), (vec![2, 1], None));
+        assert_eq!(tags(walk.finish()), (vec![2, 1], None));
         // A finished B whose close never completed, A waiting.
         let mut walk = LadderWalk::new();
         walk.record(trace(A, None, 1));
         walk.abort(None, Some(trace(B, None, 2)));
-        assert_eq!(tags(walk.finish(None)), (vec![2, 1], None));
+        assert_eq!(tags(walk.finish()), (vec![2, 1], None));
         // Earlier failures keep their place.
         let mut walk = LadderWalk::new();
         walk.record(trace(A, Some(Never), 1));
         walk.abort(None, Some(trace(A, None, 2)));
-        assert_eq!(tags(walk.finish(None)), (vec![1, 2], None));
+        assert_eq!(tags(walk.finish()), (vec![1, 2], None));
     }
 
     #[test]
@@ -717,7 +716,7 @@ mod tests {
         walk.record(trace(A, Some(Never), 4));
         walk.seek(0);
         assert_eq!(walk.rung_wmax(&ladder), 8);
-        assert_eq!(tags(walk.finish(None)), (vec![1, 2, 3, 4], None));
+        assert_eq!(tags(walk.finish()), (vec![1, 2, 3, 4], None));
         assert_eq!(LadderWalk::new().next(&[]), None);
         assert_eq!(LadderWalk::new().rung_wmax(&[]), 64);
     }

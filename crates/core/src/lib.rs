@@ -46,7 +46,6 @@
 pub mod census;
 pub mod classes;
 pub mod classify;
-pub mod defense_eval;
 pub mod features;
 pub mod ladder;
 pub mod prober;
@@ -59,10 +58,6 @@ pub mod transport;
 pub use census::{Census, CensusAggregates, CensusReport, Verdict};
 pub use classes::ClassLabel;
 pub use classify::{CaaiClassifier, Identification};
-pub use defense_eval::{
-    run_sweep, spec_for, DefenseCell, DefenseCurve, SweepConfig, DEFENSE_CURVE_SCHEMA,
-    DEFENSE_KINDS,
-};
 pub use features::{extract, extract_pair, FeatureVector, TraceFeatures, FEATURE_DIM};
 pub use ladder::{LadderWalk, RungAttempt, DEFAULT_LADDER};
 pub use prober::{GatherOutcome, Prober, ProberConfig};

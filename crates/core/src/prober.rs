@@ -14,11 +14,11 @@
 //!
 //! Those decisions live in [`crate::ladder`], shared with the live-socket
 //! and capture-replay drivers; this module is the *simulator's* driver:
-//! it runs the server's TCP stack, draws the path's packet fates, applies
-//! the server's defense, and reports to the tap and the subscriber.
+//! it runs the server's TCP stack, draws the path's packet fates and
+//! reports to the tap and the subscriber.
 
 use caai_netem::path::DataFate;
-use caai_netem::{DefenseOverhead, DefenseSpec, DefenseState, EnvironmentId, PathConfig};
+use caai_netem::{EnvironmentId, PathConfig};
 use caai_obs::{span_begin_at, Event, GatherFinished, NullSubscriber, SpanKind, Subscriber};
 use caai_tcpsim::TcpServer;
 use rand::Rng;
@@ -64,14 +64,6 @@ pub struct ProberConfig {
     /// How many re-armed RTOs to wait out before declaring the server deaf
     /// to timeouts.
     pub max_rto_waits: u32,
-    /// Traffic-analysis defense the *server* deploys against the probe
-    /// (ROADMAP item 4). `None` — the default, and the paper's setting —
-    /// leaves server traffic untouched. When set, every burst the server
-    /// transmits passes through the defense transforms before the path,
-    /// and cumulative ACKs are translated back from the inflated wire
-    /// sequence space before the server's TCP stack sees them (see
-    /// [`caai_netem::defense`]).
-    pub defense: Option<DefenseSpec>,
 }
 
 impl Default for ProberConfig {
@@ -85,7 +77,6 @@ impl Default for ProberConfig {
             frto_countermeasure: true,
             inter_connection_wait: 630.0,
             max_rto_waits: 2,
-            defense: None,
         }
     }
 }
@@ -109,10 +100,6 @@ pub struct GatherOutcome {
     /// All failed attempts (for diagnostics and the census's invalid-trace
     /// accounting).
     pub failed_attempts: Vec<WindowTrace>,
-    /// Measured overhead of the server's traffic-analysis defense, summed
-    /// over every connection of the ladder walk. `None` when the prober
-    /// config carries no [`ProberConfig::defense`].
-    pub defense_overhead: Option<DefenseOverhead>,
 }
 
 impl GatherOutcome {
@@ -218,8 +205,7 @@ impl ProbeTap for NoopTap {}
 /// The CAAI prober: the simulator's driver of [`crate::ladder`]. The
 /// ladder decides what to attempt, what to ACK and when to withhold; the
 /// prober owns everything simulated — the server's TCP stack, the path's
-/// loss/duplication/reordering, the server's defense, the tap and the
-/// spans.
+/// loss/duplication/reordering, the tap and the spans.
 #[derive(Debug, Clone, Default)]
 pub struct Prober {
     config: ProberConfig,
@@ -265,16 +251,14 @@ impl Prober {
     ) -> GatherOutcome {
         let mut walk = LadderWalk::new();
         let mut now = 0.0;
-        let mut overhead = DefenseOverhead::default();
         let mut inbox = Inbox::default();
         while let Some((env, wmax)) = walk.next(&self.config.wmax_ladder) {
-            let (trace, end, spent) =
+            let (trace, end) =
                 self.attempt(server, env, wmax, now, path, rng, tap, obs, &mut inbox);
-            overhead.absorb(spent);
             now = end + self.config.inter_connection_wait;
             walk.record(trace);
         }
-        let outcome = walk.finish(self.config.defense.as_ref().map(|_| overhead));
+        let outcome = walk.finish();
         obs.on_event(&outcome.finished_event());
         outcome
     }
@@ -291,7 +275,7 @@ impl Prober {
         rng: &mut impl Rng,
     ) -> (WindowTrace, f64) {
         let inbox = &mut Inbox::default();
-        let (trace, end, _) = self.attempt(
+        self.attempt(
             server,
             env,
             wmax,
@@ -301,17 +285,16 @@ impl Prober {
             &mut NoopTap,
             &NullSubscriber,
             inbox,
-        );
-        (trace, end)
+        )
     }
 
     /// One probing connection, reported to the tap and the subscriber:
     /// one [`caai_obs::RungAttemptStarted`] / [`caai_obs::RungAttemptEnded`]
     /// pair brackets the attempt, with the round count, validity, and
-    /// whether the Fig. 13 stall early-exit fired. Also returns the
-    /// connection's defense accounting (zero when undefended). `inbox`
-    /// lends its buffers: what they hold on entry is discarded, their
-    /// capacity is kept for the next rung.
+    /// whether the Fig. 13 stall early-exit fired. Returns the trace and
+    /// the simulation time when the connection ended. `inbox` lends its
+    /// buffers: what they hold on entry is discarded, their capacity is
+    /// kept for the next rung.
     #[allow(clippy::too_many_arguments)]
     fn attempt<T: ProbeTap + ?Sized, S: Subscriber>(
         &self,
@@ -324,7 +307,7 @@ impl Prober {
         tap: &mut T,
         obs: &S,
         inbox: &mut Inbox,
-    ) -> (WindowTrace, f64, DefenseOverhead) {
+    ) -> (WindowTrace, f64) {
         let config = &self.config;
         let mut attempt = RungAttempt::new(env, wmax);
         obs.on_event(&Event::RungAttemptStarted(attempt.started()));
@@ -339,12 +322,8 @@ impl Prober {
         attempt.set_mss(granted_mss);
         let mut conn = server.connect(config.proposed_mss, start);
         let mut now = start;
-        // Per-connection defense state: the wire-sequence renumbering must
-        // be consistent within a connection (retransmissions reuse their
-        // original mapping) but resets with every new connection.
-        let mut defense = config.defense.as_ref().map(DefenseState::new);
         tap.connection_opened(now, env, wmax, config.proposed_mss, granted_mss);
-        let mut server_cum: u64 = 0; // highest cum-ack delivered (real space)
+        let mut server_cum: u64 = 0; // highest cum-ack delivered
         inbox.carry.clear();
 
         let closed_by = loop {
@@ -353,24 +332,14 @@ impl Prober {
             let round_span = span_begin_at(obs, SpanKind::Round, round, post as i64, now);
             let rtt = attempt.round_rtt();
             let burst = conn.transmit(now);
-            let defense_holds = defense.as_ref().is_some_and(DefenseState::has_held);
-            let end = if burst.is_empty() && inbox.carry.is_empty() && !defense_holds {
+            let end = if burst.is_empty() && inbox.carry.is_empty() {
                 let done = conn.finished();
                 if !done {
                     fire_rto_within(&mut conn, now, now + rtt);
                 }
                 attempt.on_silent_round(config, done)
             } else {
-                // The undefended wire is the burst itself; a defense turns
-                // it into the packets it chooses to release this round.
-                match defense.as_mut() {
-                    Some(d) => {
-                        let packets = d.on_burst(burst, rng);
-                        let runs = packets.chunk_by(|a, b| a.seq + 1 == b.seq);
-                        inbox.deliver(runs.map(|r| (r[0].seq, r.len() as u64)), path, rng);
-                    }
-                    None => inbox.deliver([(burst.seqs().start, burst.len() as u64)], path, rng),
-                }
+                inbox.deliver(burst.seqs().start, burst.len() as u64, path, rng);
                 for run in &inbox.received {
                     for seq in run.first..run.first + run.len {
                         tap.data_received(now, seq, run.duplicate);
@@ -382,15 +351,6 @@ impl Prober {
             now += end.elapsed;
             for acks in attempt.acks() {
                 let rtt = if acks.duplicate { 0.0 } else { rtt };
-                // A defense translates each ACK out of its inflated wire
-                // space (several may name one real packet): those stay single.
-                let mut deliver = |first: u64, len: u64| match &defense {
-                    Some(d) => (first..first + len).for_each(|wire_cum| {
-                        let real = d.unmap_ack(wire_cum);
-                        deliver_ack_run(&mut conn, &mut server_cum, now, real, 1, rtt)
-                    }),
-                    None => deliver_ack_run(&mut conn, &mut server_cum, now, first, len, rtt),
-                };
                 // One fate per ACK, in sending order; the ACKs between two
                 // losses reach the server as the train they form.
                 let (mut first, mut left) = (acks.first, acks.len);
@@ -401,7 +361,7 @@ impl Prober {
                     for cum_ack in first..first + sent {
                         tap.ack_sent(now, cum_ack, acks.duplicate);
                     }
-                    deliver(first, delivered);
+                    deliver_ack_run(&mut conn, &mut server_cum, now, first, delivered, rtt);
                     (first, left) = (first + sent, left - sent);
                 }
             }
@@ -410,12 +370,6 @@ impl Prober {
                 Next::Transmit => {}
                 Next::Close(by) => break by,
                 Next::AwaitRto => {
-                    // The emulated timeout destroys the round structure any
-                    // held packets were delayed into; a real shaper would
-                    // flush on the retransmission-timeout stall too.
-                    if let Some(d) = defense.as_mut() {
-                        d.drop_held();
-                    }
                     inbox.carry.clear();
                     let (answered, at) = await_rto(&mut conn, now, config.max_rto_waits);
                     now = at;
@@ -433,8 +387,7 @@ impl Prober {
         tap.connection_closed(now, closed_by);
         span.end_at(obs, now);
         obs.on_event(&Event::RungAttemptEnded(attempt.ended()));
-        let overhead = defense.as_ref().map(|d| d.overhead()).unwrap_or_default();
-        (attempt.into_trace(), now, overhead)
+        (attempt.into_trace(), now)
     }
 }
 
@@ -450,40 +403,31 @@ struct Inbox {
 }
 
 impl Inbox {
-    /// Applies path fates to the runs `sent` — `(first, len)`, one draw a
+    /// Applies path fates to the burst `first .. first + len` — one draw a
     /// packet, in wire order — behind the arrivals carried over from the
     /// previous round. Leaves this round's arrivals in `received`, in
     /// sequence order with carried packets ahead of equal sequence
     /// numbers, and the next round's carry in `carry`. Deliveries between
     /// two exceptions are one run, whatever their number; a loss or a
-    /// late packet ends it. The prober cannot tell defense dummies from
-    /// real data — by design — so a dummy is just another sequence number
-    /// here.
-    fn deliver(
-        &mut self,
-        sent: impl IntoIterator<Item = (u64, u64)>,
-        path: &PathConfig,
-        rng: &mut impl Rng,
-    ) {
+    /// late packet ends it.
+    fn deliver(&mut self, mut first: u64, mut left: u64, path: &PathConfig, rng: &mut impl Rng) {
         self.received.clear();
         self.received.append(&mut self.carry);
-        for (mut first, mut left) in sent {
-            while left > 0 {
-                let (delivered, fate) = path.data_run(left, rng);
-                let arrived = delivered + u64::from(fate == Some(DataFate::Duplicated));
-                push_run(&mut self.received, first, arrived, false);
-                let Some(fate) = fate else { break };
-                let seq = first + delivered;
-                if fate != DataFate::Lost {
-                    push_run(&mut self.carry, seq, 1, fate == DataFate::Duplicated);
-                }
-                (first, left) = (seq + 1, left - delivered - 1);
+        while left > 0 {
+            let (delivered, fate) = path.data_run(left, rng);
+            let arrived = delivered + u64::from(fate == Some(DataFate::Duplicated));
+            push_run(&mut self.received, first, arrived, false);
+            let Some(fate) = fate else { break };
+            let seq = first + delivered;
+            if fate != DataFate::Lost {
+                push_run(&mut self.carry, seq, 1, fate == DataFate::Duplicated);
             }
+            (first, left) = (seq + 1, left - delivered - 1);
         }
         // Stragglers lie below this round's burst and a burst ascends, so
-        // arrival order is sequence order — unless the sender went back or
-        // a defense reordered its wire. That rare round is sorted packet
-        // by packet, earlier arrivals ahead of equal ones.
+        // arrival order is sequence order — unless the sender went back
+        // with packets in flight. That rare round is sorted packet by
+        // packet, earlier arrivals ahead of equal ones.
         let ends = |run: &Run| run.first + (run.len - 1);
         if !self.received.windows(2).all(|w| ends(&w[0]) <= w[1].first) {
             let mut packets = Vec::new();
@@ -522,16 +466,16 @@ fn push_run(runs: &mut Vec<Run>, first: u64, len: u64, duplicate: bool) {
 // ---------------------------------------------------------------------
 
 /// Delivers the prober's ACK train `first, first + 1, …, first + count - 1`
-/// (real sequence space, all at `now` with the same `rtt`; a zero `rtt`
-/// marks the F-RTO counter-measure duplicate) to the server's TCP stack.
+/// (all at `now` with the same `rtt`; a zero `rtt` marks the F-RTO
+/// counter-measure duplicate) to the server's TCP stack.
 ///
-/// A real padding middlebox strips acknowledgements that only cover dummy
-/// packets before they reach TCP — a cumulative ACK that does not advance
-/// the real-space cumulative point `server_cum` is dropped here for the
-/// same reason (delivering it would masquerade as a duplicate ACK and
-/// trigger fast retransmit), which leaves a shorter train. The F-RTO
-/// duplicate is intentionally a non-advancing ACK and always goes
-/// through.
+/// A cumulative ACK that does not advance `server_cum`, the highest one
+/// delivered so far, is dropped, which leaves a shorter train: TCP would
+/// read it as a duplicate ACK and fast-retransmit. The simulated prober
+/// never sends one, but `caai-net`'s emulated server feeds the `Ack` and
+/// `AckRun` frames a peer wrote on its socket through here, and a peer's
+/// stale ACKs must not steer the server's TCP stack. The F-RTO duplicate
+/// is intentionally a non-advancing ACK and always goes through.
 pub fn deliver_ack_run(
     conn: &mut TcpServer,
     server_cum: &mut u64,
@@ -895,20 +839,11 @@ mod tests {
             }
             let (mut rng, mut oracle_rng) = (seeded(seed ^ 1), seeded(seed ^ 1));
             for round in 0..4 {
-                // A sender's burst is one run; a defended wire has gaps
-                // where packets were held back, and need not even ascend.
-                let first = below(60);
-                let mut wire: Vec<u64> = (first..first + below(80)).collect();
-                if below(3) == 0 {
-                    wire.retain(|_| below(4) != 0);
-                }
-                if below(4) == 0 {
-                    wire.extend((0..below(6)).map(|_| below(100)));
-                    let shift = below(5) as usize % wire.len().max(1);
-                    wire.rotate_left(shift);
-                }
-                let runs = wire.chunk_by(|a, b| a + 1 == *b);
-                inbox.deliver(runs.map(|r| (r[0], r.len() as u64)), &path, &mut rng);
+                // A sender's burst is one run, and may start below the
+                // carry when the sender went back.
+                let (first, len) = (below(60), below(80));
+                inbox.deliver(first, len, &path, &mut rng);
+                let wire: Vec<u64> = (first..first + len).collect();
                 let expected = deliver_per_packet(&wire, &mut carry, &path, &mut oracle_rng);
                 let (received, carried) = (packets(&inbox.received), packets(&inbox.carry));
                 proptest::prop_assert!(
@@ -923,135 +858,6 @@ mod tests {
                 proptest::prop_assert!(rng.next_u64() == oracle_rng.next_u64(), "RNG streams diverged");
             }
         }
-    }
-
-    fn defended_config(defenses: Vec<caai_netem::DefenseConfig>, budget: f64) -> ProberConfig {
-        ProberConfig {
-            defense: Some(DefenseSpec { defenses, budget }),
-            ..ProberConfig::default()
-        }
-    }
-
-    #[test]
-    fn undefended_gather_reports_no_overhead() {
-        let server = ServerUnderTest::ideal(AlgorithmId::Reno);
-        let prober = Prober::new(ProberConfig::default());
-        let outcome = prober.gather(&server, &PathConfig::clean(), &mut seeded(1));
-        assert_eq!(outcome.defense_overhead, None);
-    }
-
-    #[test]
-    fn budget_zero_defense_is_transparent_on_a_clean_path() {
-        use caai_netem::DefenseConfig;
-        let server = ServerUnderTest::ideal(AlgorithmId::Reno);
-        let defended = Prober::new(defended_config(
-            vec![
-                DefenseConfig::Padding { rate: 1.0 },
-                DefenseConfig::Jitter { delay_prob: 0.9 },
-                DefenseConfig::Shaping { burst_cap: 2 },
-            ],
-            0.0,
-        ));
-        let plain = Prober::new(ProberConfig::default());
-        let d = defended.gather(&server, &PathConfig::clean(), &mut seeded(21));
-        let p = plain.gather(&server, &PathConfig::clean(), &mut seeded(21));
-        assert_eq!(d.pair, p.pair, "budget 0 must not distort the trace");
-        assert_eq!(d.failed_attempts, p.failed_attempts);
-        let ovh = d.defense_overhead.expect("defense configured");
-        assert_eq!(ovh.dummy + ovh.delayed, 0);
-        assert!(ovh.real > 0, "real traffic still accounted");
-    }
-
-    #[test]
-    fn padding_inflates_the_measured_windows() {
-        use caai_netem::DefenseConfig;
-        let server = ServerUnderTest::ideal(AlgorithmId::Reno);
-        let defended = Prober::new(defended_config(
-            vec![DefenseConfig::Padding { rate: 0.5 }],
-            1.0,
-        ));
-        let (t, _) = defended.gather_trace(
-            &server,
-            EnvironmentId::A,
-            512,
-            0.0,
-            &PathConfig::clean(),
-            &mut seeded(22),
-        );
-        assert!(t.is_valid(), "padding distorts but does not break: {t:?}");
-        // Slow start delivers 2,4,8,... real packets; padding at rate 0.5
-        // inflates each round's sequence progress by ~1.5x.
-        let plain = gather_ideal(AlgorithmId::Reno, EnvironmentId::A, 512);
-        let inflated = t
-            .pre
-            .iter()
-            .zip(plain.pre.iter())
-            .filter(|(d, p)| d > p)
-            .count();
-        assert!(
-            inflated >= t.pre.len().min(plain.pre.len()) / 2,
-            "defended windows should dominate: {:?} vs {:?}",
-            t.pre,
-            plain.pre
-        );
-        // The inflated windows cross the threshold in fewer rounds.
-        assert!(t.pre.len() <= plain.pre.len());
-    }
-
-    #[test]
-    fn shaping_with_budget_hides_the_window_from_the_prober() {
-        use caai_netem::DefenseConfig;
-        let server = ServerUnderTest::ideal(AlgorithmId::Reno);
-        let defended = Prober::new(defended_config(
-            vec![DefenseConfig::Shaping { burst_cap: 16 }],
-            50.0,
-        ));
-        let outcome = defended.gather(&server, &PathConfig::clean(), &mut seeded(23));
-        // Every round releases at most 16 packets, so no rung of the
-        // ladder (>= 64) is ever crossed: the census counts this server
-        // invalid — the defense won.
-        assert!(outcome.pair.is_none(), "shaping should defeat the ladder");
-        assert_eq!(
-            outcome.failure_reason(),
-            Some(InvalidReason::NeverExceededThreshold)
-        );
-        let ovh = outcome.defense_overhead.expect("defense configured");
-        assert!(ovh.delayed > 0);
-    }
-
-    #[test]
-    fn defended_gather_is_deterministic_per_seed() {
-        use caai_netem::DefenseConfig;
-        let server = ServerUnderTest::ideal(AlgorithmId::CubicV2);
-        let prober = Prober::new(defended_config(
-            vec![
-                DefenseConfig::Padding { rate: 0.3 },
-                DefenseConfig::Jitter { delay_prob: 0.2 },
-            ],
-            0.5,
-        ));
-        let path = PathConfig::lossy(0.02);
-        let a = prober.gather(&server, &path, &mut seeded(24));
-        let b = prober.gather(&server, &path, &mut seeded(24));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn prober_config_with_defense_roundtrips_and_old_configs_still_load() {
-        use caai_netem::DefenseConfig;
-        let cfg = defended_config(vec![DefenseConfig::Padding { rate: 0.25 }], 0.3);
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: ProberConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cfg);
-        // A config serialized before the defense field existed must still
-        // deserialize (missing Option -> None).
-        use serde::{Deserialize as _, Serialize as _, Value};
-        let mut legacy = ProberConfig::default().to_value();
-        if let Value::Map(map) = &mut legacy {
-            map.retain(|(k, _)| k != "defense");
-        }
-        let parsed = ProberConfig::from_value(&legacy).unwrap();
-        assert_eq!(parsed, ProberConfig::default());
     }
 
     #[test]

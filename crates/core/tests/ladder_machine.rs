@@ -189,7 +189,7 @@ proptest! {
             walk.abort(None, None);
             prop_assert!(walk.next(ladder).is_none());
         }
-        let outcome = walk.finish(None);
+        let outcome = walk.finish();
         let filed = outcome.failed_attempts.len() as u64 + 2 * u64::from(outcome.pair.is_some());
         prop_assert!(filed <= recorded, "{filed} filed of {recorded}");
         if let Some(pair) = &outcome.pair {

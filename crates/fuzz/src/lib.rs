@@ -22,8 +22,8 @@
 //! iteration)` alone, and its input is written to the regression corpus
 //! (`tests/corpus/`), which `cargo test` replays forever after.
 //!
-//! See `ARCHITECTURE.md` ("Adversarial defense and fuzzing") for how
-//! this harness relates to the defense-evaluation sweep.
+//! See `ARCHITECTURE.md` ("Structure-aware fuzzing") for the campaign
+//! contract and how the corpus is replayed.
 
 pub mod mutate;
 pub mod rng;

@@ -387,7 +387,7 @@ fn drive_ladder(bytes: &[u8]) {
         let _ = walk.rung_wmax(ladder);
         walk.record(attempt.into_trace());
     }
-    let outcome = walk.finish(None);
+    let outcome = walk.finish();
     let _ = outcome.failure_reason();
 }
 

@@ -309,17 +309,7 @@ pub struct LadderCore {
 
 impl LadderCore {
     /// A ladder walk with the given prober configuration.
-    ///
-    /// # Panics
-    ///
-    /// If the configuration carries a traffic-analysis defense: defenses
-    /// transform *simulated* wire bursts and have no real-socket
-    /// equivalent here.
     pub fn new(config: ProberConfig) -> Self {
-        assert!(
-            config.defense.is_none(),
-            "the network transport cannot emulate a server-side defense"
-        );
         LadderCore {
             config,
             walk: LadderWalk::new(),
@@ -348,7 +338,7 @@ impl LadderCore {
             }
             None => {
                 let walk = std::mem::take(&mut self.walk);
-                Step::Done(Box::new(walk.finish(None)))
+                Step::Done(Box::new(walk.finish()))
             }
         }
     }
@@ -560,6 +550,44 @@ mod tests {
         };
         let err = by_ack.on_frame(&ack).unwrap_err();
         assert!(err.reason.contains("never sent"), "{err}");
+    }
+
+    #[test]
+    fn stale_acks_from_the_peer_never_reach_the_sender() {
+        // Acknowledge all but the last packet of the first burst, then
+        // repeat that cumulative ACK `stale` times: the repeats do not
+        // advance it, so they are dropped before the sender could count
+        // them as duplicate ACKs (three would fast-retransmit).
+        let next_burst = |stale: usize| {
+            let (mut server, seqs) = opened();
+            assert!(seqs.len() >= 2, "an initial window of at least 2");
+            let acked = seqs.len() as u64 - 1;
+            let run = ClientFrame::AckRun {
+                now: 1.0,
+                first: 1,
+                count: acked as u32,
+                rtt: 1.0,
+            };
+            server.on_frame(&run).unwrap();
+            let repeat = ClientFrame::Ack {
+                now: 1.0,
+                cum_ack: acked,
+                rtt: 1.0,
+            };
+            for _ in 0..stale {
+                assert!(server.on_frame(&repeat).unwrap().frames.is_empty());
+            }
+            let ServerState::Open { conn, .. } = &server.state else {
+                panic!("the connection is open");
+            };
+            let window = (conn.cwnd(), conn.ssthresh(), conn.snd_una(), conn.snd_nxt());
+            let xmit = ClientFrame::Xmit {
+                now: 1.0,
+                horizon: 2.0,
+            };
+            (window, server.on_frame(&xmit).unwrap().frames)
+        };
+        assert_eq!(next_burst(3), next_burst(0));
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::wheel::{Timer, TimerKind, TimerWheel};
 /// Transport tuning for a live census.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// The §IV ladder parameters (must carry no defense).
+    /// The §IV ladder parameters.
     pub prober: ProberConfig,
     /// How long a nonblocking connect may take.
     pub connect_timeout: Duration,

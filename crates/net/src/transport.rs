@@ -184,7 +184,6 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
                     post: Vec::new(),
                     invalid: Some(InvalidReason::TransportAborted),
                 }],
-                defense_overhead: None,
             },
             rungs: Vec::new(),
             stats: SessionStats {

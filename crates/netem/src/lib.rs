@@ -14,11 +14,6 @@
 //!    collecting the training set; [`conditions`] encodes those empirical
 //!    distributions and samples training conditions from them.
 //!
-//! A third, adversarial layer models the **server's own countermeasures**:
-//! [`defense`] implements maybenot-style traffic-analysis defenses
-//! (dummy-packet padding, timing jitter, burst shaping) that a server can
-//! deploy against CAAI probing, under a configurable overhead budget.
-//!
 //! [`stats`] provides the piecewise-linear CDF type used throughout, plus
 //! the mean-and-95%-confidence-interval estimator from the paper's ACK-loss
 //! equation (1).
@@ -27,14 +22,12 @@
 #![warn(missing_docs)]
 
 pub mod conditions;
-pub mod defense;
 pub mod path;
 pub mod rng;
 pub mod schedule;
 pub mod stats;
 
 pub use conditions::{ConditionDb, NetworkCondition};
-pub use defense::{DefenseConfig, DefenseOverhead, DefenseSpec, DefenseState};
 pub use path::{AckFate, DataFate, PathConfig};
 pub use schedule::{EnvironmentId, Phase, RttSchedule};
 pub use stats::Cdf;

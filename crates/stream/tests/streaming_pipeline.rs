@@ -1,6 +1,7 @@
 //! End-to-end guarantees of the streaming pipeline:
 //!
-//! * verdicts are identical to the offline path's over the same capture;
+//! * verdicts are identical to the offline path's over the same capture,
+//!   also when packets arrive late, out of order across rounds;
 //! * the verdict callback and every subscriber call run where `run` was
 //!   called, so neither has to be `Send`;
 //! * the pcapng container yields the same verdicts as classic pcap;
@@ -14,12 +15,13 @@
 use caai_capture::packet::{encode, flags, FrameSpec};
 use caai_capture::{CaptureRenderer, PcapWriter, SessionReport};
 use caai_congestion::AlgorithmId;
+use caai_core::census::Verdict;
 use caai_core::classify::CaaiClassifier;
 use caai_core::prober::{Prober, ProberConfig};
 use caai_core::server_under_test::ServerUnderTest;
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_netem::rng::seeded;
-use caai_netem::{ConditionDb, PathConfig};
+use caai_netem::{ConditionDb, NetworkCondition, PathConfig};
 use caai_obs::{Event, Subscriber};
 use caai_stream::{
     classic_to_pcapng, identify_bytes, run, run_obs, PcapStream, StallPolicy, StreamConfig,
@@ -41,57 +43,83 @@ fn classifier() -> &'static CaaiClassifier {
     })
 }
 
-/// Two full probe sessions (CUBIC and RENO servers) rendered to classic
-/// pcap — the shared multi-session fixture.
+/// Two full probe sessions (CUBIC and RENO servers) over `path`,
+/// rendered to classic pcap.
+fn render(path: &PathConfig, seed: u64) -> Vec<u8> {
+    let mut renderer = CaptureRenderer::new();
+    let prober = Prober::new(ProberConfig::default());
+    let mut rng = seeded(seed);
+    for (host, algo) in [(1, AlgorithmId::CubicV2), (2, AlgorithmId::Reno)] {
+        renderer
+            .render_session(
+                [192, 0, 2, 1],
+                [198, 51, 100, host],
+                &ServerUnderTest::ideal(algo),
+                &prober,
+                path,
+                &mut rng,
+            )
+            .expect("in-memory render cannot fail");
+    }
+    renderer.to_bytes()
+}
+
+/// The two sessions over a clean path — the shared multi-session fixture.
 fn fixture() -> &'static [u8] {
     static CAPTURE: OnceLock<Vec<u8>> = OnceLock::new();
+    CAPTURE.get_or_init(|| render(&PathConfig::clean(), 9))
+}
+
+/// The two sessions over a jittery path: some packets arrive a round
+/// late, behind later ones, and a few are lost or duplicated.
+fn late_fixture() -> &'static [u8] {
+    static CAPTURE: OnceLock<Vec<u8>> = OnceLock::new();
     CAPTURE.get_or_init(|| {
-        let mut renderer = CaptureRenderer::new();
-        let prober = Prober::new(ProberConfig::default());
-        let mut rng = seeded(9);
-        for (host, algo) in [(1, AlgorithmId::CubicV2), (2, AlgorithmId::Reno)] {
-            renderer
-                .render_session(
-                    [192, 0, 2, 1],
-                    [198, 51, 100, host],
-                    &ServerUnderTest::ideal(algo),
-                    &prober,
-                    &PathConfig::clean(),
-                    &mut rng,
-                )
-                .expect("in-memory render cannot fail");
-        }
-        renderer.to_bytes()
+        let path = PathConfig::from_condition(&NetworkCondition {
+            rtt_mean: 0.3,
+            rtt_std: 0.2,
+            loss_rate: 0.01,
+        });
+        assert!(path.late_prob > 0.0, "the path delivers packets late");
+        render(&path, 9)
     })
 }
 
 /// The determinism contract: the streamed verdicts equal the offline
-/// whole-file path's (same reports, same order, same server ids).
+/// whole-file path's (same reports, same order, same server ids), on a
+/// clean capture and on one whose packets arrive out of order.
 #[test]
 fn streaming_verdicts_equal_the_offline_path() {
-    let offline = identify_bytes(fixture(), classifier(), None).expect("fixture parses");
-    assert!(
-        offline.sessions.len() == 2,
-        "fixture must carry two probe sessions, got {}",
-        offline.sessions.len()
-    );
-    let mut source = PcapStream::new(std::io::Cursor::new(fixture()), StallPolicy::Eof);
-    let mut reports = Vec::new();
-    let stats = run(
-        &mut source,
-        classifier(),
-        &StreamConfig::default(),
-        |s: &SessionReport| reports.push(s.clone()),
-    )
-    .expect("fixture header is valid");
-    assert_eq!(reports, offline.sessions, "streaming == offline");
-    assert_eq!(stats.packets as usize, offline.packets);
-    let skipped: Vec<_> = stats
-        .skipped
-        .into_iter()
-        .map(|(i, r)| (i as usize, r))
-        .collect();
-    assert_eq!(skipped, offline.skipped);
+    for (name, capture) in [("clean", fixture()), ("late", late_fixture())] {
+        let offline = identify_bytes(capture, classifier(), None).expect("fixture parses");
+        assert!(
+            offline.sessions.len() == 2,
+            "{name}: fixture must carry two probe sessions, got {}",
+            offline.sessions.len()
+        );
+        let identified = |s: &SessionReport| matches!(s.record.verdict, Verdict::Identified(..));
+        assert!(
+            offline.sessions.iter().all(identified),
+            "{name}: both sessions must be identified"
+        );
+        let mut source = PcapStream::new(std::io::Cursor::new(capture), StallPolicy::Eof);
+        let mut reports = Vec::new();
+        let stats = run(
+            &mut source,
+            classifier(),
+            &StreamConfig::default(),
+            |s: &SessionReport| reports.push(s.clone()),
+        )
+        .expect("fixture header is valid");
+        assert_eq!(reports, offline.sessions, "{name}: streaming == offline");
+        assert_eq!(stats.packets as usize, offline.packets);
+        let skipped: Vec<_> = stats
+            .skipped
+            .into_iter()
+            .map(|(i, r)| (i as usize, r))
+            .collect();
+        assert_eq!(skipped, offline.skipped, "{name}");
+    }
 }
 
 /// Asserts every event it is handed arrives on the thread it was made on.

@@ -31,5 +31,5 @@ pub mod server;
 
 pub use cache::SsthreshCache;
 pub use config::{SenderQuirk, ServerConfig, SlowStartVariant};
-pub use segment::{AckPacket, Burst, Segment, WirePacket};
+pub use segment::{AckPacket, Burst, Segment};
 pub use server::TcpServer;

@@ -87,35 +87,6 @@ impl AckPacket {
     }
 }
 
-/// One packet as it appears *on the wire* after a server-side
-/// traffic-analysis defense has transformed the burst.
-///
-/// A defense may renumber real segments into an inflated wire sequence
-/// space (to make room for dummy packets) and inject dummies that carry no
-/// payload the application ever asked for. An on-path observer — the CAAI
-/// prober included — cannot tell the two apart; `dummy` exists only so the
-/// simulation can account overhead and so tests can assert what the
-/// defense actually emitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct WirePacket {
-    /// Wire-space packet sequence number (0-based, MSS units).
-    pub seq: u64,
-    /// True when this packet is defense-injected padding, not server data.
-    pub dummy: bool,
-}
-
-impl WirePacket {
-    /// A wire packet carrying real server data.
-    pub fn data(seq: u64) -> Self {
-        WirePacket { seq, dummy: false }
-    }
-
-    /// A defense-injected dummy packet.
-    pub fn padding(seq: u64) -> Self {
-        WirePacket { seq, dummy: true }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

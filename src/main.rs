@@ -13,7 +13,6 @@ use caai::capture::{CaptureRenderer, SessionReport};
 use caai::congestion::AlgorithmId;
 use caai::core::census::{Census, CensusReport, Verdict};
 use caai::core::classify::{CaaiClassifier, Identification};
-use caai::core::defense_eval::{run_sweep, SweepConfig, DEFENSE_KINDS};
 use caai::core::features::{extract_pair, FeatureVector};
 use caai::core::prober::{Prober, ProberConfig};
 use caai::core::server_under_test::ServerUnderTest;
@@ -232,20 +231,6 @@ COMMANDS:
                   [--min-gather-share F] fail unless the gather+rung+round
                                          self-time share is at least F
                                          (0.5 = half of all self time)
-    defense-sweep measure how traffic-analysis defenses (dummy-packet
-                  padding, timing jitter, burst shaping, and a combined
-                  transform) degrade identification accuracy per overhead
-                  budget, and how much a hardened (adversarially
-                  retrained) forest recovers; writes the curve as a
-                  caai-defense-curve-v1 JSON artifact
-                  [--budgets 0.05,0.15,0.30]  comma-separated overhead
-                                              budgets (fraction of real
-                                              packets)
-                  [--seeds-per-algo 3]   probes per algorithm per cell
-                  [--shaping-cap 32]     burst cap of the shaping defense
-                  [--conditions 6]       training-set size for the forest
-                  [--out DEFENSE_CURVE.json] output path
-                  [--seed 1]
 
     The census is driven by the caai-engine probe scheduler: per-server
     RNG keyed on (seed, server id) makes the report identical for every
@@ -274,7 +259,7 @@ type FileSink = JsonlSink<std::io::BufWriter<std::fs::File>>;
 
 /// Every subcommand: its name, the flags it takes (the ones `USAGE`
 /// documents — anything else is refused), and its entry point.
-const COMMANDS: [(&str, &str, Command); 12] = [
+const COMMANDS: [(&str, &str, Command); 11] = [
     ("algorithms", "", cmd_algorithms),
     ("trace", "algo env wmax loss seed", cmd_trace),
     ("fingerprint", "algo loss seed", cmd_fingerprint),
@@ -301,11 +286,6 @@ const COMMANDS: [(&str, &str, Command); 12] = [
         cmd_metrics_check,
     ),
     ("trace-report", "in top min-gather-share", cmd_trace_report),
-    (
-        "defense-sweep",
-        "budgets seeds-per-algo shaping-cap conditions out seed",
-        cmd_defense_sweep,
-    ),
 ];
 
 fn dispatch(command: &str, raw: &[String]) -> Result<(), String> {
@@ -1480,76 +1460,6 @@ fn cmd_metrics_check(args: &Args) -> Result<(), String> {
             }
         }
     }
-    Ok(())
-}
-
-/// Sweeps every defense kind across the overhead budgets and writes the
-/// `caai-defense-curve-v1` artifact (ROADMAP item 4). The sweep needs the
-/// raw training set to build the hardened forest, so unlike `identify`
-/// there is no `--model` shortcut: the classifier is always trained here.
-fn cmd_defense_sweep(args: &Args) -> Result<(), String> {
-    let seed: u64 = args.parsed("seed", 1)?;
-    let conditions: usize = args.parsed("conditions", 6)?;
-    let out = args.get("out").unwrap_or("DEFENSE_CURVE.json").to_owned();
-    let mut config = SweepConfig {
-        seeds_per_algo: args.parsed("seeds-per-algo", 3)?,
-        shaping_cap: args.parsed("shaping-cap", 32)?,
-        ..SweepConfig::default()
-    };
-    if let Some(spec) = args.get("budgets") {
-        config.budgets = spec
-            .split(',')
-            .map(|b| b.trim().parse().map_err(|e| format!("--budgets {b}: {e}")))
-            .collect::<Result<_, String>>()?;
-    }
-    if config.budgets.is_empty() {
-        return Err("--budgets needs at least one value".to_owned());
-    }
-    if let Some(b) = config.budgets.iter().find(|b| !(0.0..=10.0).contains(*b)) {
-        return Err(format!("--budgets {b} out of [0, 10]"));
-    }
-    if config.seeds_per_algo == 0 {
-        return Err("--seeds-per-algo must be at least 1".to_owned());
-    }
-
-    let db = ConditionDb::paper_2011();
-    let mut rng = seeded(seed ^ 0x7121);
-    eprintln!("training on {conditions} conditions per (algorithm, w_max) pair ...");
-    let data = build_training_set(&TrainingConfig::quick(conditions), &db, &mut rng);
-    let classifier = CaaiClassifier::train(&data, &mut rng);
-    eprintln!(
-        "sweeping {} defenses x {} budgets, {} probes per cell ...",
-        DEFENSE_KINDS.len(),
-        config.budgets.len(),
-        caai::congestion::ALL_IDENTIFIED.len() * config.seeds_per_algo,
-    );
-    let curve = run_sweep(&classifier, &data, &config, seed);
-
-    println!(
-        "baseline accuracy: {:.1}% over {} probes",
-        100.0 * curve.baseline_accuracy,
-        curve.probes_per_cell
-    );
-    println!(
-        "{:<10} {:>7} {:>9} {:>10} {:>9} {:>8} {:>9}",
-        "defense", "budget", "accuracy", "hardened", "invalid", "shifted", "overhead"
-    );
-    for cell in &curve.cells {
-        println!(
-            "{:<10} {:>6.0}% {:>8.1}% {:>9.1}% {:>8.1}% {:>7.1}% {:>8.1}%",
-            cell.defense,
-            100.0 * cell.budget,
-            100.0 * cell.accuracy,
-            100.0 * cell.hardened_accuracy,
-            100.0 * cell.invalid_share,
-            100.0 * cell.confusion_shift,
-            100.0 * cell.measured_overhead,
-        );
-    }
-
-    let json = serde_json::to_string_pretty(&curve).map_err(|e| format!("serialize: {e}"))?;
-    std::fs::write(&out, &json).map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out} ({} cells)", curve.cells.len());
     Ok(())
 }
 

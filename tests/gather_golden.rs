@@ -2,24 +2,22 @@
 //!
 //! The determinism tests compare a commit with itself; this one compares
 //! it with every commit before it. `tests/golden/gather.txt` holds one
-//! line per workload — a census-shaped population under two seeds, every
-//! identified algorithm on a clean, a lossy and a heavy-jitter path, and
-//! two defended probers — with a digest of each [`GatherOutcome`]'s
-//! traces, a digest of the complete [`ProbeTap`] event stream (times by
-//! their bit patterns) and the counts of connections, rounds, data
-//! packets received and ACKs sent. A refactor of the simulator, the prober or the ladder
-//! that changes any record, any wire event or any count fails here.
+//! line per workload — a census-shaped population under two seeds, and
+//! every identified algorithm on a clean, a lossy and a heavy-jitter
+//! path — with a digest of each [`GatherOutcome`]'s traces, a digest of
+//! the complete [`ProbeTap`] event stream (times by their bit patterns)
+//! and the counts of connections, rounds, data packets received and ACKs
+//! sent. A refactor of the simulator, the prober or the ladder that
+//! changes any record, any wire event or any count fails here.
 //!
 //! A deliberate change of behaviour regenerates the file:
 //! `cargo test --release --test gather_golden -- --ignored regenerate`.
 
-use caai::congestion::{AlgorithmId, ALL_IDENTIFIED};
+use caai::congestion::ALL_IDENTIFIED;
 use caai::core::prober::{CloseInitiator, GatherOutcome, ProbeTap, Prober, ProberConfig};
 use caai::core::server_under_test::ServerUnderTest;
 use caai::netem::rng::{child, seeded};
-use caai::netem::{
-    ConditionDb, DefenseConfig, DefenseSpec, EnvironmentId, NetworkCondition, PathConfig,
-};
+use caai::netem::{ConditionDb, EnvironmentId, NetworkCondition, PathConfig};
 use caai::obs::NullSubscriber;
 use caai::webmodel::PopulationConfig;
 use std::fmt::Write as _;
@@ -146,13 +144,6 @@ fn paths() -> [(&'static str, PathConfig); 3] {
     ]
 }
 
-fn defended(defenses: Vec<DefenseConfig>, budget: f64) -> Prober {
-    Prober::new(ProberConfig {
-        defense: Some(DefenseSpec { defenses, budget }),
-        ..ProberConfig::default()
-    })
-}
-
 /// Every golden line, computed by this commit.
 fn compute() -> String {
     let mut out = String::new();
@@ -184,41 +175,6 @@ fn compute() -> String {
             tally.outcome(&outcome);
             let label = format!("ideal {} {name}", algorithm.name());
             writeln!(out, "{}", tally.line(&label)).unwrap();
-        }
-    }
-
-    let defenses = [
-        (
-            "padding+jitter",
-            defended(
-                vec![
-                    DefenseConfig::Padding { rate: 0.3 },
-                    DefenseConfig::Jitter { delay_prob: 0.2 },
-                ],
-                0.5,
-            ),
-        ),
-        (
-            "padding+jitter+shaping",
-            defended(
-                vec![
-                    DefenseConfig::Padding { rate: 0.5 },
-                    DefenseConfig::Jitter { delay_prob: 0.1 },
-                    DefenseConfig::Shaping { burst_cap: 96 },
-                ],
-                0.3,
-            ),
-        ),
-    ];
-    for (i, (defense, prober)) in defenses.iter().enumerate() {
-        for (j, (name, path)) in paths().into_iter().enumerate() {
-            let mut tally = Tally::new();
-            let server = ServerUnderTest::ideal(AlgorithmId::CubicV2);
-            let mut rng = seeded(2000 + 10 * i as u64 + j as u64);
-            let outcome =
-                prober.gather_observed(&server, &path, &mut rng, &mut tally, &NullSubscriber);
-            tally.outcome(&outcome);
-            writeln!(out, "{}", tally.line(&format!("defended {defense} {name}"))).unwrap();
         }
     }
     out
