@@ -21,7 +21,6 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -139,7 +138,7 @@ fn accept_loop(
 /// unless that is `*cpu`, where it already is: a reply written on the
 /// sender's CPU wakes the sender there, not an idle CPU first.
 fn follow_incoming_cpu(stream: &TcpStream, cpu: &mut Option<usize>) {
-    let incoming = incoming_cpu(stream.as_raw_fd());
+    let incoming = incoming_cpu(stream);
     if let Some(to) = incoming.filter(|_| incoming != *cpu) {
         confine_to(to);
         *cpu = incoming;
@@ -192,7 +191,7 @@ fn serve_connection(mut stream: TcpStream, server: ServerUnderTest, behavior: Be
             Some(End::Close) => return,
             Some(End::Reset) => {
                 // Abortive close: RST instead of FIN.
-                let _ = set_linger_reset(stream.as_raw_fd());
+                let _ = set_linger_reset(&stream);
                 return;
             }
         }

@@ -1,7 +1,7 @@
 //! # caai-net
 //!
 //! The real-network probe transport: CAAI's §IV ladder over actual TCP
-//! sockets, scheduled by a hand-rolled epoll/poll reactor. The
+//! sockets, scheduled by a hand-rolled epoll reactor. The
 //! simulator answers "what would CAAI conclude about this algorithm?";
 //! this crate answers "can the census walk real connections and reach
 //! the same conclusions?" — the step from §VI's simulation study
@@ -22,9 +22,11 @@
 //!   server). The in-memory equivalence tests drive
 //!   them against each other and pin the outcome to the simulator's.
 //! * [`sys`] / [`wheel`] / [`limiter`] — the reactor's raw material:
-//!   direct syscall bindings (the build is offline; no `libc`, `mio`
-//!   or `tokio`), a hashed timer wheel, and global + per-/24 token
-//!   buckets.
+//!   bindings for the few syscalls std lacks (nonblocking connect,
+//!   `epoll`, `eventfd`, two socket options, thread placement; the
+//!   build is offline, so no `libc`, `mio` or `tokio`), a hashed timer
+//!   wheel, and global + per-/24 token buckets. The probe socket itself
+//!   is a `std::net::TcpStream`.
 //! * [`reactor`] — one thread, thousands of nonblocking sessions:
 //!   connect/retry/backoff/timeout per target, paced sends, and
 //!   reduction of every transport failure to `TransportAborted`.
@@ -38,15 +40,25 @@
 //! * [`targets`] — `host:port` target-list ingestion with
 //!   skip-and-report diagnostics.
 //!
-//! All `unsafe` lives in [`sys`].
+//! The crate binds Linux's syscall ABI (its constants, its
+//! `epoll_event` layout, glibc's symbols) and builds for Linux only.
+//! All `unsafe` lives in [`sys`]; the compiler refuses it anywhere else.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "caai-net binds Linux's syscall ABI (epoll, eventfd, sched_*, Linux socket constants) \
+     and builds only for Linux"
+);
 
 pub mod core;
 pub mod emulated;
 pub mod frame;
 pub mod limiter;
 pub mod reactor;
+#[allow(unsafe_code)]
 pub mod sys;
 pub mod targets;
 pub mod transport;

@@ -26,7 +26,9 @@
 //! the rate bounds and the live-session count hold transport-wide.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::Ipv4Addr;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -40,7 +42,7 @@ use caai_obs::{
 use crate::core::{LadderCore, RungRecord, Step};
 use crate::frame::{FrameDecoder, ServerFrame, Wire};
 use crate::limiter::RateLimiter;
-use crate::sys::{self, Interest, OwnedFd, Poller, Readiness, Waker};
+use crate::sys::{self, Interest, Poller, Readiness, Waker};
 use crate::wheel::{Timer, TimerKind, TimerWheel};
 
 /// Transport tuning for a live census.
@@ -106,9 +108,10 @@ pub struct SessionStats {
     /// what tells run framing (a few hundred frames, a few KiB per
     /// probe) from per-packet framing (~15 k frames, ~585 KB).
     pub frames_sent: u64,
-    /// `read` calls on the session's sockets that returned bytes.
+    /// Reads on the session's sockets that returned bytes (each a
+    /// `recv`: std's `TcpStream::read`).
     pub reads: u64,
-    /// `write` calls that took bytes.
+    /// Writes that took bytes (each a `send`: `TcpStream::write`).
     pub writes: u64,
 }
 
@@ -166,23 +169,14 @@ const RATE_TOKEN: u64 = 0;
 const MAX_PACE_DELAY: f64 = 60.0;
 
 struct Conn {
-    fd: OwnedFd,
+    stream: TcpStream,
     decoder: FrameDecoder,
     out: Vec<u8>,
     out_at: usize,
     close_after_flush: bool,
     connected: bool,
-    registered: bool,
-    interest: Interest,
-}
-
-enum SessState {
-    /// Waiting for the nonblocking connect to resolve.
-    Connecting,
-    /// Connected; frames flowing.
-    Running,
-    /// Between retry attempts.
-    BackingOff,
+    /// What the poller watches the socket for; `None` until registered.
+    interest: Option<Interest>,
 }
 
 struct Session {
@@ -190,7 +184,6 @@ struct Session {
     reply: mpsc::Sender<SessionResult>,
     core: LadderCore,
     conn: Option<Conn>,
-    state: SessState,
     stats: SessionStats,
     retries_left: u32,
     /// When the peer must have connected or answered by, while it owes
@@ -421,7 +414,6 @@ impl<S: Subscriber> Reactor<S> {
             reply: probe.reply,
             core,
             conn: None,
-            state: SessState::Connecting,
             stats: SessionStats::default(),
             retries_left: self.config.retries,
             io_deadline: None,
@@ -528,18 +520,16 @@ impl<S: Subscriber> Reactor<S> {
         );
         let (ip, port) = session.target;
         match sys::connect_nonblocking(ip, port) {
-            Ok((fd, done)) => {
+            Ok((stream, done)) => {
                 session.conn = Some(Conn {
-                    fd,
+                    stream,
                     decoder: FrameDecoder::new(),
                     out: Vec::new(),
                     out_at: 0,
                     close_after_flush: false,
                     connected: false,
-                    registered: false,
-                    interest: Interest::Write,
+                    interest: None,
                 });
-                session.state = SessState::Connecting;
                 let deadline = Instant::now() + self.config.connect_timeout;
                 arm_io_deadline(&mut self.wheel, &mut session, new_token, deadline);
                 self.sessions.insert(new_token, session);
@@ -551,7 +541,7 @@ impl<S: Subscriber> Reactor<S> {
             }
             Err(_) => {
                 self.sessions.insert(new_token, session);
-                self.conn_failed(new_token, false);
+                self.conn_failed(new_token);
             }
         }
     }
@@ -563,19 +553,14 @@ impl<S: Subscriber> Reactor<S> {
         let Some(conn) = session.conn.as_mut() else {
             return;
         };
-        let fd = conn.fd.raw();
-        let result = if !conn.registered {
-            conn.registered = true;
-            conn.interest = interest;
-            self.poller.register(fd, token, interest)
-        } else if conn.interest != interest {
-            conn.interest = interest;
-            self.poller.rearm(fd, token, interest)
-        } else {
-            Ok(())
+        let fd = conn.stream.as_raw_fd();
+        let result = match conn.interest.replace(interest) {
+            None => self.poller.register(fd, token, interest),
+            Some(old) if old != interest => self.poller.rearm(fd, token, interest),
+            Some(_) => Ok(()),
         };
         if result.is_err() {
-            self.conn_failed(token, false);
+            self.conn_failed(token);
         }
     }
 
@@ -587,12 +572,11 @@ impl<S: Subscriber> Reactor<S> {
         let Some(conn) = session.conn.as_mut() else {
             return;
         };
-        if let Err(_e) = sys::take_socket_error(&conn.fd) {
-            self.conn_failed(token, false);
+        if !matches!(conn.stream.take_error(), Ok(None)) {
+            self.conn_failed(token);
             return;
         }
         conn.connected = true;
-        session.state = SessState::Running;
         session.stats.connections += 1;
         session.io_deadline = None;
         std::mem::replace(&mut session.connect_span, SpanToken::NONE).end(&*obs);
@@ -619,18 +603,19 @@ impl<S: Subscriber> Reactor<S> {
             return;
         };
         while conn.out_at < conn.out.len() {
-            match sys::write_nonblocking(&conn.fd, &conn.out[conn.out_at..]) {
-                Ok(Some(n)) => {
+            match conn.stream.write(&conn.out[conn.out_at..]) {
+                Ok(n) => {
                     conn.out_at += n;
                     session.stats.bytes_sent += n as u64;
                     session.stats.writes += 1;
                 }
-                Ok(None) => {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     self.set_interest(token, Interest::ReadWrite);
                     return;
                 }
                 Err(_) => {
-                    self.conn_failed(token, false);
+                    self.conn_failed(token);
                     return;
                 }
             }
@@ -662,8 +647,8 @@ impl<S: Subscriber> Reactor<S> {
     fn teardown_conn(&mut self, token: u64) {
         if let Some(session) = self.sessions.get_mut(&token) {
             if let Some(conn) = session.conn.take() {
-                if conn.registered {
-                    let _ = self.poller.deregister(conn.fd.raw());
+                if conn.interest.is_some() {
+                    let _ = self.poller.deregister(conn.stream.as_raw_fd());
                 }
             }
             session.io_deadline = None;
@@ -690,8 +675,8 @@ impl<S: Subscriber> Reactor<S> {
         if ev.error {
             // Query the socket for the concrete error; either way the
             // connection is gone.
-            let _ = sys::take_socket_error(&conn.fd);
-            self.conn_failed(token, false);
+            let _ = conn.stream.take_error();
+            self.conn_failed(token);
             return;
         }
         if ev.writable && conn.out_at < conn.out.len() && session.send_gate.is_none() {
@@ -711,14 +696,14 @@ impl<S: Subscriber> Reactor<S> {
             let Some(conn) = session.conn.as_mut() else {
                 return;
             };
-            match sys::read_nonblocking(&conn.fd, &mut buf) {
-                Ok(Some(0)) => {
+            match conn.stream.read(&mut buf) {
+                Ok(0) => {
                     // EOF: the ladder initiates every close itself, so a
                     // peer-side close mid-walk is a transport failure.
-                    self.conn_failed(token, false);
+                    self.conn_failed(token);
                     return;
                 }
-                Ok(Some(n)) => {
+                Ok(n) => {
                     session.stats.bytes_received += n as u64;
                     session.stats.reads += 1;
                     conn.decoder.push(&buf[..n]);
@@ -729,9 +714,10 @@ impl<S: Subscriber> Reactor<S> {
                         return;
                     }
                 }
-                Ok(None) => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(_) => {
-                    self.conn_failed(token, false);
+                    self.conn_failed(token);
                     return;
                 }
             }
@@ -761,14 +747,14 @@ impl<S: Subscriber> Reactor<S> {
                             self.sync_rung_span(token);
                         }
                         Err(_proto) => {
-                            self.conn_failed(token, false);
+                            self.conn_failed(token);
                             return false;
                         }
                     }
                 }
                 Ok(None) => return true,
                 Err(_decode) => {
-                    self.conn_failed(token, false);
+                    self.conn_failed(token);
                     return false;
                 }
             }
@@ -795,7 +781,7 @@ impl<S: Subscriber> Reactor<S> {
                 match session.io_deadline {
                     Some(deadline) if deadline <= timer.deadline => {
                         session.stats.timeouts += 1;
-                        self.conn_failed(timer.token, true);
+                        self.conn_failed(timer.token);
                     }
                     // Fired early: the peer has answered since it was
                     // armed. Wait out what is left of the current deadline.
@@ -825,7 +811,7 @@ impl<S: Subscriber> Reactor<S> {
 
     /// A transport-level failure on the session's current connection:
     /// burn a retry (with backoff) or abort the walk.
-    fn conn_failed(&mut self, token: u64, _timed_out: bool) {
+    fn conn_failed(&mut self, token: u64) {
         self.teardown_conn(token);
         let obs = Arc::clone(&self.obs);
         let Some(session) = self.sessions.get_mut(&token) else {
@@ -842,7 +828,6 @@ impl<S: Subscriber> Reactor<S> {
             // against a server whose TCP state is gone.
             session.core = LadderCore::new(self.config.prober.clone());
             let _ = session.core.start();
-            session.state = SessState::BackingOff;
             let shift = session.stats.retries.saturating_sub(1).min(16);
             let backoff = self.config.backoff * (1u32 << shift);
             session.retry_span = span_begin_async(

@@ -1,37 +1,54 @@
-//! Raw syscall bindings for the reactor.
+//! Syscall bindings for what std does not offer the reactor.
 //!
-//! The build environment is offline: no `libc`, `mio`, or `tokio`
-//! crates. The reactor needs exactly eight syscalls — socket, connect,
-//! read, write, close, setsockopt/getsockopt, and a readiness
-//! multiplexer — so they are declared here directly against the C
-//! ABI. Linux gets `epoll` + `eventfd`; other unixes fall back to
-//! `poll(2)` + a self-pipe. Linux also places threads ([`confine_to`],
-//! [`allowed_cpus`]: `sched_getcpu`, `sched_setaffinity`,
-//! `sched_getaffinity`, `SO_INCOMING_CPU`; best effort, no-ops
-//! elsewhere). All `unsafe` in the crate is confined to this module;
-//! everything it exports is a safe wrapper over an owned file
-//! descriptor.
+//! The build is offline: no `libc`, `mio` or `tokio`. The probe socket
+//! is a `std::net::TcpStream` — reads, writes, `SO_ERROR` and closing
+//! are std's — the epoll descriptor a `std::os::fd::OwnedFd`, and the
+//! eventfd a `File` the poller and its wakers share. The `extern "C"`
+//! block binds only what std cannot do:
+//!
+//! * `socket` + `connect`: std's connect blocks until the handshake
+//!   ends; the reactor needs one that returns at once (`EINPROGRESS`)
+//!   and reports completion as writability.
+//! * `setsockopt(SO_LINGER)`: `TcpStream::set_linger` is unstable. The
+//!   emulated server's reset behaviour closes with an RST through it.
+//! * `getsockopt(SO_INCOMING_CPU)`: Linux-only, not in std.
+//! * `epoll_create1`, `epoll_ctl`, `epoll_wait` and `eventfd`: std has
+//!   no readiness multiplexer.
+//! * `sched_getcpu`, `sched_setaffinity`, `sched_getaffinity`: thread
+//!   placement ([`confine_to`], [`allowed_cpus`]); std has none.
+//!
+//! The constants and struct layouts are Linux's (the crate refuses to
+//! build elsewhere). All `unsafe` in the crate is confined to this
+//! module, and every block says why it is sound.
 
-#![allow(clippy::missing_safety_doc)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
-use std::io;
-use std::net::Ipv4Addr;
+use std::fs::File;
+use std::io::{self, Read, Write};
+use std::net::{Ipv4Addr, TcpStream};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+use std::sync::Arc;
 
-/// IPv4 address family.
-pub const AF_INET: i32 = 2;
+const AF_INET: i32 = 2;
 const SOCK_STREAM: i32 = 1;
 const SOCK_NONBLOCK: i32 = 0o4000;
 const SOCK_CLOEXEC: i32 = 0o2000000;
 const SOL_SOCKET: i32 = 1;
-const SO_ERROR: i32 = 4;
 const SO_LINGER: i32 = 13;
-
-/// Nonblocking connect in flight.
-pub const EINPROGRESS: i32 = 115;
-/// Interrupted by a signal; retry.
-pub const EINTR: i32 = 4;
-/// Operation would block.
-pub const EAGAIN: i32 = 11;
+const SO_INCOMING_CPU: i32 = 49;
+const EINPROGRESS: i32 = 115;
+const EINTR: i32 = 4;
+const EPOLL_CLOEXEC: i32 = 0o2000000;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
+const EPOLLIN: u32 = 0x1;
+const EPOLLOUT: u32 = 0x4;
+const EPOLLERR: u32 = 0x8;
+const EPOLLHUP: u32 = 0x10;
+const EPOLLRDHUP: u32 = 0x2000;
+const EFD_NONBLOCK: i32 = 0o4000;
+const EFD_CLOEXEC: i32 = 0o2000000;
 
 #[repr(C)]
 struct SockAddrIn {
@@ -47,139 +64,87 @@ struct Linger {
     l_linger: i32,
 }
 
+/// The kernel packs `struct epoll_event` on x86-64 only
+/// (`linux/eventpoll.h`); elsewhere `data` is 8-aligned.
+#[repr(C)]
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
+
+const _: () = assert!(
+    std::mem::size_of::<EpollEvent>() == if cfg!(target_arch = "x86_64") { 12 } else { 16 }
+);
+
 extern "C" {
     fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
     fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-    fn close(fd: i32) -> i32;
     fn getsockopt(fd: i32, level: i32, name: i32, value: *mut i32, len: *mut u32) -> i32;
     fn setsockopt(fd: i32, level: i32, name: i32, value: *const Linger, len: u32) -> i32;
-    fn __errno_location() -> *mut i32;
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
+    fn eventfd(initval: u32, flags: i32) -> i32;
+    fn sched_getcpu() -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, mask: *const usize) -> i32;
+    fn sched_getaffinity(pid: i32, size: usize, mask: *mut usize) -> i32;
 }
 
-/// The calling thread's errno.
-pub fn errno() -> i32 {
-    unsafe { *__errno_location() }
-}
-
-fn io_err(what: &str) -> io::Error {
-    io::Error::new(
-        io::Error::from_raw_os_error(errno()).kind(),
-        format!("{what}: os error {}", errno()),
-    )
-}
-
-/// A file descriptor closed on drop.
-#[derive(Debug)]
-pub struct OwnedFd(i32);
-
-impl OwnedFd {
-    /// The raw descriptor (borrowed; the wrapper still owns it).
-    pub fn raw(&self) -> i32 {
-        self.0
+/// A syscall's non-negative return, or the calling thread's OS error.
+fn check(rc: i32) -> io::Result<i32> {
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
     }
+    Ok(rc)
 }
 
-impl Drop for OwnedFd {
-    fn drop(&mut self) {
-        unsafe {
-            close(self.0);
-        }
-    }
+/// Takes ownership of the descriptor a creating syscall (`socket`,
+/// `epoll_create1`, `eventfd`) just returned.
+///
+/// # Safety
+/// A non-negative `fd` must be open and owned by nothing else.
+unsafe fn owned(fd: i32) -> io::Result<OwnedFd> {
+    let fd = check(fd)?;
+    // SAFETY: the caller's contract: `fd` is open and nobody else owns it.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
 /// Opens a nonblocking IPv4 TCP socket and starts connecting to
 /// `addr:port`. Returns the socket and whether the connect already
 /// completed (loopback often does); otherwise completion is signalled
-/// by writability, with [`take_socket_error`] holding the verdict.
-pub fn connect_nonblocking(addr: Ipv4Addr, port: u16) -> io::Result<(OwnedFd, bool)> {
-    let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
-    if fd < 0 {
-        return Err(io_err("socket"));
-    }
-    let fd = OwnedFd(fd);
+/// by writability, with `TcpStream::take_error` holding the verdict.
+pub fn connect_nonblocking(addr: Ipv4Addr, port: u16) -> io::Result<(TcpStream, bool)> {
+    let ty = SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC;
+    // SAFETY: `socket` takes no pointers and returns a new descriptor (or
+    // -1) that nothing else owns.
+    let stream = TcpStream::from(unsafe { owned(socket(AF_INET, ty, 0)) }?);
     let sa = SockAddrIn {
         sin_family: AF_INET as u16,
         sin_port: port.to_be(),
         sin_addr: u32::from(addr).to_be(),
         sin_zero: [0; 8],
     };
-    let rc = unsafe { connect(fd.raw(), &sa, std::mem::size_of::<SockAddrIn>() as u32) };
-    if rc == 0 {
-        return Ok((fd, true));
+    let len = std::mem::size_of::<SockAddrIn>() as u32;
+    // SAFETY: `sa` outlives the call and `len` is its size.
+    match check(unsafe { connect(stream.as_raw_fd(), &sa, len) }) {
+        Ok(_) => Ok((stream, true)),
+        Err(e) if matches!(e.raw_os_error(), Some(EINPROGRESS | EINTR)) => Ok((stream, false)),
+        Err(e) => Err(e),
     }
-    match errno() {
-        EINPROGRESS | EINTR => Ok((fd, false)),
-        _ => Err(io_err("connect")),
-    }
-}
-
-/// Reads the socket's pending error (`SO_ERROR`), clearing it: `Ok(())`
-/// when the nonblocking connect succeeded.
-pub fn take_socket_error(fd: &OwnedFd) -> io::Result<()> {
-    let mut err: i32 = 0;
-    let mut len = std::mem::size_of::<i32>() as u32;
-    let rc = unsafe { getsockopt(fd.raw(), SOL_SOCKET, SO_ERROR, &mut err, &mut len) };
-    if rc < 0 {
-        return Err(io_err("getsockopt(SO_ERROR)"));
-    }
-    if err != 0 {
-        return Err(io::Error::from_raw_os_error(err));
-    }
-    Ok(())
 }
 
 /// Arms an abortive close: dropping the socket after this sends RST
 /// instead of FIN. Used by the emulated server's reset behavior.
-pub fn set_linger_reset(fd: i32) -> io::Result<()> {
+pub fn set_linger_reset(stream: &TcpStream) -> io::Result<()> {
     let lg = Linger {
         l_onoff: 1,
         l_linger: 0,
     };
-    let rc = unsafe {
-        setsockopt(
-            fd,
-            SOL_SOCKET,
-            SO_LINGER,
-            &lg,
-            std::mem::size_of::<Linger>() as u32,
-        )
-    };
-    if rc < 0 {
-        return Err(io_err("setsockopt(SO_LINGER)"));
-    }
-    Ok(())
-}
-
-/// Nonblocking read. `Ok(None)` = would block, `Ok(Some(0))` = EOF.
-pub fn read_nonblocking(fd: &OwnedFd, buf: &mut [u8]) -> io::Result<Option<usize>> {
-    loop {
-        let n = unsafe { read(fd.raw(), buf.as_mut_ptr(), buf.len()) };
-        if n >= 0 {
-            return Ok(Some(n as usize));
-        }
-        match errno() {
-            EINTR => continue,
-            EAGAIN => return Ok(None),
-            _ => return Err(io_err("read")),
-        }
-    }
-}
-
-/// Nonblocking write. `Ok(None)` = would block.
-pub fn write_nonblocking(fd: &OwnedFd, buf: &[u8]) -> io::Result<Option<usize>> {
-    loop {
-        let n = unsafe { write(fd.raw(), buf.as_ptr(), buf.len()) };
-        if n >= 0 {
-            return Ok(Some(n as usize));
-        }
-        match errno() {
-            EINTR => continue,
-            EAGAIN => return Ok(None),
-            _ => return Err(io_err("write")),
-        }
-    }
+    let len = std::mem::size_of::<Linger>() as u32;
+    // SAFETY: `lg` outlives the call and `len` is its size.
+    check(unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_LINGER, &lg, len) }).map(drop)
 }
 
 /// Readiness reported by [`Poller::wait`].
@@ -206,382 +171,174 @@ pub enum Interest {
     ReadWrite,
 }
 
-// ------------------------------------------------------------------
-// Linux: epoll + eventfd
-// ------------------------------------------------------------------
-#[cfg(target_os = "linux")]
-mod imp {
-    use super::*;
-
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLLIN: u32 = 0x1;
-    const EPOLLOUT: u32 = 0x4;
-    const EPOLLERR: u32 = 0x8;
-    const EPOLLHUP: u32 = 0x10;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EFD_NONBLOCK: i32 = 0o4000;
-    const EFD_CLOEXEC: i32 = 0o2000000;
-    const SO_INCOMING_CPU: i32 = 49;
-
-    // x86-64 packs this struct in the kernel ABI.
-    #[repr(C, packed)]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-        fn eventfd(initval: u32, flags: i32) -> i32;
-        fn sched_getcpu() -> i32;
-        fn sched_setaffinity(pid: i32, size: usize, mask: *const usize) -> i32;
-        fn sched_getaffinity(pid: i32, size: usize, mask: *mut usize) -> i32;
-    }
-
-    /// Room for 1,024 CPUs, glibc's `cpu_set_t`.
-    const MASK_WORDS: usize = 1024 / usize::BITS as usize;
-
-    fn interest_bits(interest: Interest) -> u32 {
-        (match interest {
-            Interest::Read => EPOLLIN,
-            Interest::Write => EPOLLOUT,
-            Interest::ReadWrite => EPOLLIN | EPOLLOUT,
-        }) | EPOLLRDHUP
-    }
-
-    /// The epoll-backed readiness multiplexer.
-    pub struct Poller {
-        ep: OwnedFd,
-        wake_fd: OwnedFd,
-        events: Vec<EpollEvent>,
-    }
-
-    /// Token the poller reserves for its own wakeup descriptor.
-    pub const WAKE_TOKEN: u64 = u64::MAX;
-
-    impl Poller {
-        /// A fresh epoll instance with its wakeup eventfd registered.
-        pub fn new() -> io::Result<Poller> {
-            let ep = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if ep < 0 {
-                return Err(io_err("epoll_create1"));
-            }
-            let ep = OwnedFd(ep);
-            let wake = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
-            if wake < 0 {
-                return Err(io_err("eventfd"));
-            }
-            let wake_fd = OwnedFd(wake);
-            let poller = Poller {
-                ep,
-                wake_fd,
-                events: vec![EpollEvent { events: 0, data: 0 }; 256],
-            };
-            poller.ctl(EPOLL_CTL_ADD, poller.wake_fd.raw(), EPOLLIN, WAKE_TOKEN)?;
-            Ok(poller)
-        }
-
-        fn ctl(&self, op: i32, fd: i32, events: u32, token: u64) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events,
-                data: token,
-            };
-            let rc = unsafe { epoll_ctl(self.ep.raw(), op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io_err("epoll_ctl"));
-            }
-            Ok(())
-        }
-
-        /// Starts watching `fd` for `interest`, reporting it as `token`.
-        pub fn register(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, interest_bits(interest), token)
-        }
-
-        /// Changes what a registered descriptor is watched for.
-        pub fn rearm(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, interest_bits(interest), token)
-        }
-
-        /// Stops watching `fd` (harmless if the fd is already closed).
-        pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
-        }
-
-        /// A handle other threads use to interrupt [`wait`](Self::wait).
-        pub fn waker(&self) -> Waker {
-            Waker {
-                fd: self.wake_fd.raw(),
-            }
-        }
-
-        /// Blocks up to `timeout_ms` (`-1` = forever) for readiness,
-        /// filling `out`. Wakeups and `EINTR` return an empty set.
-        pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Readiness>) -> io::Result<()> {
-            out.clear();
-            let n = unsafe {
-                epoll_wait(
-                    self.ep.raw(),
-                    self.events.as_mut_ptr(),
-                    self.events.len() as i32,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                if errno() == EINTR {
-                    return Ok(());
-                }
-                return Err(io_err("epoll_wait"));
-            }
-            for ev in &self.events[..n as usize] {
-                let bits = ev.events;
-                if ev.data == WAKE_TOKEN {
-                    // Drain the eventfd counter; readiness is the signal.
-                    let mut buf = [0u8; 8];
-                    let _ = read_nonblocking(&self.wake_fd, &mut buf);
-                    continue;
-                }
-                out.push(Readiness {
-                    token: ev.data,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    error: bits & (EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    /// Cross-thread wakeup for a sleeping poller.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Waker {
-        fd: i32,
-    }
-
-    impl Waker {
-        /// Interrupts the poller's current (or next) wait.
-        pub fn wake(&self) {
-            let one: u64 = 1;
-            unsafe {
-                write(self.fd, one.to_ne_bytes().as_ptr(), 8);
-            }
-        }
-    }
-
-    /// The CPU the calling thread is running on.
-    pub fn current_cpu() -> Option<usize> {
-        // SAFETY: takes no arguments and touches no memory of ours.
-        usize::try_from(unsafe { sched_getcpu() }).ok()
-    }
-
-    /// Confines the calling thread, and those it spawns from now on, to
-    /// `cpu`. Best effort: placement is never a correctness condition, so
-    /// a refusal (cpuset, seccomp, a CPU past the 1,024-bit mask) is ignored.
-    pub fn confine_to(cpu: usize) {
-        const BITS: usize = usize::BITS as usize;
-        let mut mask = [0usize; MASK_WORDS];
-        if let Some(word) = mask.get_mut(cpu / BITS) {
-            *word = 1 << (cpu % BITS);
-            // SAFETY: `mask` outlives the call and its true size is
-            // passed; pid 0 names the calling thread.
-            unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-        }
-    }
-
-    /// The CPUs the calling thread may run on, ascending; empty when the
-    /// kernel will not say (a mask past 1,024 CPUs).
-    pub fn allowed_cpus() -> Vec<usize> {
-        const BITS: usize = usize::BITS as usize;
-        let mut mask = [0usize; MASK_WORDS];
-        // SAFETY: `mask` outlives the call and its true size is passed;
-        // pid 0 names the calling thread.
-        if unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) } != 0 {
-            return Vec::new();
-        }
-        (0..MASK_WORDS * BITS)
-            .filter(|cpu| (mask[cpu / BITS] >> (cpu % BITS)) & 1 == 1)
-            .collect()
-    }
-
-    /// The CPU the socket's packets last arrived on (`SO_INCOMING_CPU`):
-    /// the sender's CPU over loopback, the NIC queue's for a remote peer.
-    pub fn incoming_cpu(fd: i32) -> Option<usize> {
-        let mut cpu: i32 = -1;
-        let mut len = std::mem::size_of::<i32>() as u32;
-        // SAFETY: `cpu` and `len` outlive the call; `len` is `cpu`'s size.
-        let rc = unsafe { getsockopt(fd, SOL_SOCKET, SO_INCOMING_CPU, &mut cpu, &mut len) };
-        usize::try_from(cpu).ok().filter(|_| rc == 0)
-    }
+fn interest_bits(interest: Interest) -> u32 {
+    (match interest {
+        Interest::Read => EPOLLIN,
+        Interest::Write => EPOLLOUT,
+        Interest::ReadWrite => EPOLLIN | EPOLLOUT,
+    }) | EPOLLRDHUP
 }
 
-// ------------------------------------------------------------------
-// Other unixes: poll(2) + self-pipe
-// ------------------------------------------------------------------
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    use super::*;
+/// The epoll-backed readiness multiplexer.
+pub struct Poller {
+    ep: OwnedFd,
+    /// The wakeup eventfd, shared with every [`Waker`]: it closes when
+    /// the last of them and the poller are gone, never under a waker.
+    wake: Arc<File>,
+    events: Vec<EpollEvent>,
+}
 
-    const POLLIN: i16 = 0x1;
-    const POLLOUT: i16 = 0x4;
-    const POLLERR: i16 = 0x8;
-    const POLLHUP: i16 = 0x10;
+/// Token the poller reserves for its own wakeup descriptor.
+pub const WAKE_TOKEN: u64 = u64::MAX;
 
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
+impl Poller {
+    /// A fresh epoll instance with its wakeup eventfd registered.
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes no pointers and returns a new
+        // descriptor (or -1) that nothing else owns.
+        let ep = unsafe { owned(epoll_create1(EPOLL_CLOEXEC)) }?;
+        // SAFETY: as above, for `eventfd`.
+        let wake = unsafe { owned(eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) }?;
+        let poller = Poller {
+            ep,
+            wake: Arc::new(File::from(wake)),
+            events: vec![EpollEvent { events: 0, data: 0 }; 256],
+        };
+        poller.ctl(EPOLL_CTL_ADD, poller.wake.as_raw_fd(), EPOLLIN, WAKE_TOKEN)?;
+        Ok(poller)
     }
 
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
-        fn pipe(fds: *mut i32) -> i32;
-        fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
+    fn ctl(&self, op: i32, fd: i32, events: u32, token: u64) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: `ev` outlives the call (the kernel copies it; `DEL`
+        // ignores it).
+        check(unsafe { epoll_ctl(self.ep.as_raw_fd(), op, fd, &mut ev) }).map(drop)
     }
 
-    /// The poll(2)-backed fallback multiplexer.
-    pub struct Poller {
-        entries: Vec<(i32, u64, Interest)>,
-        pipe_r: OwnedFd,
-        pipe_w: OwnedFd,
+    /// Starts watching `fd` for `interest`, reporting it as `token`.
+    pub fn register(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, interest_bits(interest), token)
     }
 
-    impl Poller {
-        /// A fresh poll set with its wakeup self-pipe armed.
-        pub fn new() -> io::Result<Poller> {
-            let mut fds = [0i32; 2];
-            if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-                return Err(io_err("pipe"));
+    /// Changes what a registered descriptor is watched for.
+    pub fn rearm(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, interest_bits(interest), token)
+    }
+
+    /// Stops watching `fd` (harmless if the fd is already closed).
+    pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
+    /// A handle other threads use to interrupt [`wait`](Self::wait).
+    pub fn waker(&self) -> Waker {
+        Waker {
+            wake: Arc::clone(&self.wake),
+        }
+    }
+
+    /// Blocks up to `timeout_ms` (`-1` = forever) for readiness,
+    /// filling `out`. Wakeups and `EINTR` return an empty set.
+    pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Readiness>) -> io::Result<()> {
+        out.clear();
+        // SAFETY: the kernel writes at most `events.len()` entries into
+        // `events`, whose layout is `struct epoll_event`'s (asserted above).
+        let n = match check(unsafe {
+            epoll_wait(
+                self.ep.as_raw_fd(),
+                self.events.as_mut_ptr(),
+                self.events.len() as i32,
+                timeout_ms,
+            )
+        }) {
+            Ok(n) => n as usize,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(()),
+            Err(e) => return Err(e),
+        };
+        for ev in &self.events[..n] {
+            let bits = ev.events;
+            if ev.data == WAKE_TOKEN {
+                // Drain the eventfd counter; readiness is the signal.
+                let _ = (&*self.wake).read(&mut [0u8; 8]);
+                continue;
             }
-            const F_SETFL: i32 = 4;
-            const O_NONBLOCK: i32 = 0o4000;
-            unsafe {
-                fcntl(fds[0], F_SETFL, O_NONBLOCK);
-                fcntl(fds[1], F_SETFL, O_NONBLOCK);
-            }
-            Ok(Poller {
-                entries: Vec::new(),
-                pipe_r: OwnedFd(fds[0]),
-                pipe_w: OwnedFd(fds[1]),
-            })
-        }
-
-        /// Starts watching `fd` for `interest`, reporting it as `token`.
-        pub fn register(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            self.entries.push((fd, token, interest));
-            Ok(())
-        }
-
-        /// Changes what a registered descriptor is watched for.
-        pub fn rearm(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == fd) {
-                *e = (fd, token, interest);
-            }
-            Ok(())
-        }
-
-        /// Stops watching `fd`.
-        pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
-            self.entries.retain(|e| e.0 != fd);
-            Ok(())
-        }
-
-        /// A handle other threads use to interrupt [`wait`](Self::wait).
-        pub fn waker(&self) -> Waker {
-            Waker {
-                fd: self.pipe_w.raw(),
-            }
-        }
-
-        /// Blocks up to `timeout_ms` (`-1` = forever) for readiness,
-        /// filling `out`. Wakeups and `EINTR` return an empty set.
-        pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Readiness>) -> io::Result<()> {
-            out.clear();
-            let mut fds: Vec<PollFd> = Vec::with_capacity(self.entries.len() + 1);
-            fds.push(PollFd {
-                fd: self.pipe_r.raw(),
-                events: POLLIN,
-                revents: 0,
+            out.push(Readiness {
+                token: ev.data,
+                readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
+                writable: bits & EPOLLOUT != 0,
+                error: bits & (EPOLLERR | EPOLLHUP) != 0,
             });
-            for &(fd, _, interest) in &self.entries {
-                let events = match interest {
-                    Interest::Read => POLLIN,
-                    Interest::Write => POLLOUT,
-                    Interest::ReadWrite => POLLIN | POLLOUT,
-                };
-                fds.push(PollFd {
-                    fd,
-                    events,
-                    revents: 0,
-                });
-            }
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-            if n < 0 {
-                if errno() == EINTR {
-                    return Ok(());
-                }
-                return Err(io_err("poll"));
-            }
-            if fds[0].revents & POLLIN != 0 {
-                let mut buf = [0u8; 64];
-                let _ = read_nonblocking(&self.pipe_r, &mut buf);
-            }
-            for (slot, &(_, token, _)) in fds[1..].iter().zip(&self.entries) {
-                if slot.revents == 0 {
-                    continue;
-                }
-                out.push(Readiness {
-                    token,
-                    readable: slot.revents & (POLLIN | POLLHUP) != 0,
-                    writable: slot.revents & POLLOUT != 0,
-                    error: slot.revents & (POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
         }
-    }
-
-    /// Cross-thread wakeup for a sleeping poller.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Waker {
-        fd: i32,
-    }
-
-    impl Waker {
-        /// Interrupts the poller's current (or next) wait.
-        pub fn wake(&self) {
-            unsafe {
-                write(self.fd, [1u8].as_ptr(), 1);
-            }
-        }
-    }
-
-    /// Thread placement is Linux-only: unknown here.
-    pub fn current_cpu() -> Option<usize> {
-        None
-    }
-
-    /// Thread placement is Linux-only: a no-op here.
-    pub fn confine_to(_cpu: usize) {}
-
-    /// Thread placement is Linux-only: no CPU is named here.
-    pub fn allowed_cpus() -> Vec<usize> {
-        Vec::new()
-    }
-
-    /// Thread placement is Linux-only: unknown here.
-    pub fn incoming_cpu(_fd: i32) -> Option<usize> {
-        None
+        Ok(())
     }
 }
 
-pub use imp::{allowed_cpus, confine_to, current_cpu, incoming_cpu, Poller, Waker};
+/// Cross-thread wakeup for a sleeping poller. It shares the poller's
+/// eventfd, so a waker that outlives its poller pokes a descriptor no
+/// one waits on, never one a later `open` was given.
+#[derive(Debug, Clone)]
+pub struct Waker {
+    wake: Arc<File>,
+}
+
+impl Waker {
+    /// Interrupts the poller's current (or next) wait.
+    pub fn wake(&self) {
+        let _ = (&*self.wake).write(&1u64.to_ne_bytes());
+    }
+}
+
+/// Room for 1,024 CPUs, glibc's `cpu_set_t`.
+const MASK_WORDS: usize = 1024 / usize::BITS as usize;
+
+/// The CPU the calling thread is running on.
+pub fn current_cpu() -> Option<usize> {
+    // SAFETY: takes no arguments and touches no memory of ours.
+    usize::try_from(unsafe { sched_getcpu() }).ok()
+}
+
+/// Confines the calling thread, and those it spawns from now on, to
+/// `cpu`. Best effort: placement is never a correctness condition, so
+/// a refusal (cpuset, seccomp, a CPU past the 1,024-bit mask) is ignored.
+pub fn confine_to(cpu: usize) {
+    const BITS: usize = usize::BITS as usize;
+    let mut mask = [0usize; MASK_WORDS];
+    if let Some(word) = mask.get_mut(cpu / BITS) {
+        *word = 1 << (cpu % BITS);
+        // SAFETY: `mask` outlives the call and its true size is
+        // passed; pid 0 names the calling thread.
+        unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+    }
+}
+
+/// The CPUs the calling thread may run on, ascending; empty when the
+/// kernel will not say (a mask past 1,024 CPUs).
+pub fn allowed_cpus() -> Vec<usize> {
+    const BITS: usize = usize::BITS as usize;
+    let mut mask = [0usize; MASK_WORDS];
+    // SAFETY: `mask` outlives the call and its true size is passed;
+    // pid 0 names the calling thread.
+    if unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) } != 0 {
+        return Vec::new();
+    }
+    (0..MASK_WORDS * BITS)
+        .filter(|cpu| (mask[cpu / BITS] >> (cpu % BITS)) & 1 == 1)
+        .collect()
+}
+
+/// The CPU the socket's packets last arrived on (`SO_INCOMING_CPU`):
+/// the sender's CPU over loopback, the NIC queue's for a remote peer.
+pub fn incoming_cpu(stream: &TcpStream) -> Option<usize> {
+    let mut cpu: i32 = -1;
+    let mut len = std::mem::size_of::<i32>() as u32;
+    let fd = stream.as_raw_fd();
+    // SAFETY: `cpu` and `len` outlive the call; `len` is `cpu`'s size.
+    let rc = unsafe { getsockopt(fd, SOL_SOCKET, SO_INCOMING_CPU, &mut cpu, &mut len) };
+    usize::try_from(cpu).ok().filter(|_| rc == 0)
+}
 
 /// The calling thread's `(migrations, context switches)` so far, from
 /// `/proc/thread-self/sched`; `None` where the kernel keeps no such file.
@@ -603,10 +360,12 @@ mod tests {
     fn nonblocking_connect_completes_via_writability() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
-        let (fd, done) = connect_nonblocking(Ipv4Addr::LOCALHOST, port).unwrap();
+        let (stream, done) = connect_nonblocking(Ipv4Addr::LOCALHOST, port).unwrap();
         let mut poller = Poller::new().unwrap();
         if !done {
-            poller.register(fd.raw(), 7, Interest::Write).unwrap();
+            poller
+                .register(stream.as_raw_fd(), 7, Interest::Write)
+                .unwrap();
             let mut ready = Vec::new();
             for _ in 0..100 {
                 poller.wait(100, &mut ready).unwrap();
@@ -617,7 +376,7 @@ mod tests {
             assert_eq!(ready[0].token, 7);
             assert!(ready[0].writable || ready[0].error);
         }
-        take_socket_error(&fd).unwrap();
+        assert!(stream.take_error().unwrap().is_none());
         let (peer, _) = listener.accept().unwrap();
         drop(peer);
     }
@@ -638,6 +397,30 @@ mod tests {
             "waker must cut the sleep short"
         );
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_waker_that_outlives_its_poller_writes_into_no_other_file() {
+        // Linux gives `open` the lowest free descriptor, so files opened
+        // once the poller is dropped take the numbers it freed. A waker
+        // still about must not be able to write into one of them.
+        let poller = Poller::new().unwrap();
+        let waker = poller.waker();
+        drop(poller);
+        let dir = std::env::temp_dir();
+        let paths: Vec<_> = (0..16)
+            .map(|i| dir.join(format!("caai-net-waker-{}-{i}", std::process::id())))
+            .collect();
+        let files: Vec<File> = paths.iter().map(|p| File::create(p).unwrap()).collect();
+        waker.wake();
+        let lens: Vec<u64> = files.iter().map(|f| f.metadata().unwrap().len()).collect();
+        for path in &paths {
+            let _ = std::fs::remove_file(path);
+        }
+        assert!(
+            lens.iter().all(|&n| n == 0),
+            "a wake landed in a file: {lens:?}"
+        );
     }
 
     /// `Cpus_allowed_list` of the calling thread; `None` without `/proc`.
@@ -680,8 +463,6 @@ mod tests {
 
     #[test]
     fn incoming_cpu_is_the_confined_senders_cpu() {
-        use std::io::{Read, Write};
-        use std::os::unix::io::AsRawFd;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let sender = std::thread::spawn(move || {
@@ -697,7 +478,7 @@ mod tests {
         });
         let (mut peer, _) = listener.accept().unwrap();
         peer.read_exact(&mut [0u8; 1]).unwrap();
-        let incoming = incoming_cpu(peer.as_raw_fd());
+        let incoming = incoming_cpu(&peer);
         drop(peer);
         match sender.join().unwrap() {
             Some(cpu) => assert_eq!(incoming, Some(cpu)),
@@ -712,10 +493,12 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().port()
         };
-        let (fd, done) = connect_nonblocking(Ipv4Addr::LOCALHOST, port).unwrap();
+        let (stream, done) = connect_nonblocking(Ipv4Addr::LOCALHOST, port).unwrap();
         if !done {
             let mut poller = Poller::new().unwrap();
-            poller.register(fd.raw(), 1, Interest::Write).unwrap();
+            poller
+                .register(stream.as_raw_fd(), 1, Interest::Write)
+                .unwrap();
             let mut ready = Vec::new();
             for _ in 0..100 {
                 poller.wait(100, &mut ready).unwrap();
@@ -725,7 +508,7 @@ mod tests {
             }
         }
         assert!(
-            take_socket_error(&fd).is_err(),
+            stream.take_error().unwrap().is_some(),
             "refused connect must surface"
         );
     }

@@ -245,6 +245,8 @@ impl<R: Subscriber + Send + Sync + 'static> Drop for NetTransport<R> {
     fn drop(&mut self) {
         for reactor in &self.reactors {
             let _ = reactor.sender.send(Command::Shutdown);
+            // Safe after the reactor returned, too: the waker keeps the
+            // eventfd open, so the wake cannot reach a file opened since.
             reactor.waker.wake();
         }
         for reactor in self.reactors.drain(..) {

@@ -29,7 +29,7 @@
 //!   the one-loop reassembly pipeline with bounded memory and verdicts
 //!   identical to the offline path's;
 //! * [`net`] — the real-network probe transport: a dependency-free
-//!   epoll/poll reactor driving the ACK-withholding ladder over live
+//!   epoll reactor (Linux only) driving the ACK-withholding ladder over live
 //!   TCP sockets, `host:port` target-list ingestion, token-bucket rate
 //!   limiting, and in-repo emulated loopback servers so tests never
 //!   touch the real network;
