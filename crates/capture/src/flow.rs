@@ -4,10 +4,13 @@
 //! determines which endpoint is the prober (client) and which the web
 //! server, extracts the negotiated MSS from the handshake, rebases raw
 //! sequence numbers onto the server's ISN, and reduces each connection to
-//! the event stream window reconstruction needs: server data arrivals and
-//! prober ACK departures, in capture order, plus who closed. Packets that
-//! fail to decode are skipped and reported, never fatal — the capture-
-//! level mirror of `read_jsonl_tagged`'s torn-line policy.
+//! what window reconstruction needs: its rounds, plus who closed. A round
+//! is one [`Burst`] of server data and the prober's ACKs after it; each
+//! data segment and ACK is folded into the flow's current burst as it is
+//! fed, so a flow holds O(rounds) memory, not O(packets), on every
+//! ingestion path. Packets that fail to decode are skipped and reported,
+//! never fatal — the capture-level mirror of `read_jsonl_tagged`'s
+//! torn-line policy.
 //!
 //! A packet finds its flow through a [`FlowIndex`]: a 256-slot
 //! direct-mapped front cache in front of a std `HashMap` with its
@@ -187,38 +190,38 @@ pub enum Endpoint {
     Server,
 }
 
-/// One wire event relevant to window reconstruction, in capture order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FlowEvent {
-    /// A server data segment arrived at the prober.
-    Data {
-        /// Capture timestamp, seconds.
-        t: f64,
-        /// Payload start, bytes relative to the server's first data byte.
-        seq: u64,
-        /// Payload length in bytes.
-        len: u32,
-        /// True when bytes at or past this offset were seen before.
-        retransmit: bool,
-    },
-    /// The prober sent a (pure) ACK.
-    Ack {
-        /// Capture timestamp, seconds.
-        t: f64,
-        /// Acknowledged bytes relative to the server's first data byte.
-        ack: u64,
-        /// True when the ACK did not advance the cumulative point.
-        duplicate: bool,
-    },
-}
+/// Server data segments closer together than this are one burst; the
+/// emulated RTTs (0.8 s / 1.0 s) are an order of magnitude larger, so the
+/// margin is wide on both sides.
+pub const BURST_GAP: f64 = 0.25;
 
-impl FlowEvent {
-    /// The event's capture timestamp.
-    pub fn t(&self) -> f64 {
-        match self {
-            FlowEvent::Data { t, .. } | FlowEvent::Ack { t, .. } => *t,
-        }
-    }
+/// One burst of server data: a candidate measurement round. A burst
+/// starts at a flow's first data segment, at the first data segment after
+/// a prober ACK, and after a pause in the data longer than [`BURST_GAP`];
+/// every other data segment joins the current burst.
+///
+/// Offsets are bytes relative to the server's first data byte. They are
+/// turned into packets only once the flow's segment size is known (at its
+/// end), which the smallest start and the largest end allow: floor and
+/// ceiling division are monotone, so they give the burst's smallest
+/// packet index and one past its largest.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Burst {
+    /// Capture timestamp of the burst's first data segment.
+    pub t0: f64,
+    /// Smallest payload start offset in the burst.
+    pub start: u64,
+    /// Largest payload end offset in the burst.
+    pub end: u64,
+    /// True when the burst opens with a retransmission (bytes at or past
+    /// its offset were seen before).
+    pub head_retransmit: bool,
+    /// True when a prober ACK came between the previous burst and this
+    /// one; true for a flow's first burst.
+    pub acked_before: bool,
+    /// Timestamp of the first prober ACK after this burst (for RTT
+    /// inference).
+    pub first_ack_after: Option<f64>,
 }
 
 /// One reassembled connection.
@@ -236,8 +239,9 @@ pub struct Flow {
     pub server_mss: Option<u16>,
     /// Largest data payload observed (the effective segment size).
     pub max_payload: u32,
-    /// Data/ACK events in capture order, ending at the first FIN/RST.
-    pub events: Vec<FlowEvent>,
+    /// Bursts of server data in capture order, ending at the first
+    /// FIN/RST.
+    pub bursts: Vec<Burst>,
     /// Who closed first (FIN or RST), if the capture saw the close.
     pub closed_by: Option<Endpoint>,
     /// Timestamp of the close, when seen.
@@ -277,10 +281,12 @@ pub struct FlowBuilder {
     server_isn: Option<u32>,
     /// Relative byte just past the highest data seen so far.
     high_water: u64,
-    /// Highest cumulative ACK (relative bytes) sent by the client.
-    last_ack: Option<u64>,
-    /// True once any data was seen (gates handshake-ACK suppression).
-    data_seen: bool,
+    /// A prober ACK was recorded since the last data segment.
+    acked_since_data: bool,
+    /// Timestamp of the last data segment.
+    last_data_t: f64,
+    /// Data segments and prober ACKs recorded so far.
+    events: usize,
     /// Largest timestamp fed so far.
     last_seen: f64,
 }
@@ -401,21 +407,23 @@ impl FlowBuilder {
                 client_mss: None,
                 server_mss: None,
                 max_payload: 0,
-                events: Vec::new(),
+                bursts: Vec::new(),
                 closed_by: None,
                 closed_at: None,
             },
             oriented,
             server_isn: None,
             high_water: 0,
-            last_ack: None,
-            data_seen: false,
+            acked_since_data: false,
+            last_data_t: f64::NEG_INFINITY,
+            events: 0,
             last_seen: ts,
         }
     }
 
-    /// Records one server data segment as a [`FlowEvent::Data`]. Returns a
-    /// skip reason when the segment could not be placed.
+    /// Folds one server data segment into the flow's current [`Burst`], or
+    /// opens the next one with it. Returns a skip reason when the segment
+    /// could not be placed.
     fn server_data(&mut self, ts: f64, seg: &SegmentHeader) -> Option<String> {
         // First data anchors the relative space when no SYN/ACK was
         // captured (mid-stream ingest): the first data byte sits one past
@@ -430,13 +438,24 @@ impl FlowBuilder {
         let retransmit = rel < self.high_water;
         self.high_water = self.high_water.max(end);
         self.flow.max_payload = self.flow.max_payload.max(len);
-        self.data_seen = true;
-        self.flow.events.push(FlowEvent::Data {
-            t: ts,
-            seq: rel,
-            len,
-            retransmit,
-        });
+        self.events += 1;
+        let bursts = &mut self.flow.bursts;
+        match bursts.last_mut() {
+            Some(burst) if !self.acked_since_data && ts - self.last_data_t <= BURST_GAP => {
+                burst.start = burst.start.min(rel);
+                burst.end = burst.end.max(end);
+            }
+            _ => bursts.push(Burst {
+                t0: ts,
+                start: rel,
+                end,
+                head_retransmit: retransmit,
+                acked_before: self.acked_since_data || bursts.is_empty(),
+                first_ack_after: None,
+            }),
+        }
+        self.acked_since_data = false;
+        self.last_data_t = ts;
         None
     }
 
@@ -532,18 +551,14 @@ impl FlowBuilder {
             };
             let data_base = anchor.wrapping_add(1);
             let rel = self.rel(data_base, seg.ack)?;
-            if rel == 0 && !self.data_seen {
+            if rel == 0 && self.flow.bursts.is_empty() {
                 return None; // the handshake's third ACK, not a round boundary
             }
-            let duplicate = self.last_ack.is_some_and(|last| rel <= last);
-            if !duplicate {
-                self.last_ack = Some(rel);
+            self.events += 1;
+            self.acked_since_data = true;
+            if let Some(burst) = self.flow.bursts.last_mut() {
+                burst.first_ack_after.get_or_insert(ts);
             }
-            self.flow.events.push(FlowEvent::Ack {
-                t: ts,
-                ack: rel,
-                duplicate,
-            });
             None
         }
     }
@@ -553,9 +568,10 @@ impl FlowBuilder {
         self.last_seen
     }
 
-    /// Number of events recorded so far (Data + Ack).
+    /// Number of events recorded so far: server data segments and prober
+    /// ACKs, each counted once whatever burst it folded into.
     pub fn events(&self) -> usize {
-        self.flow.events.len()
+        self.events
     }
 
     /// The flow as reassembled so far.
@@ -703,6 +719,33 @@ mod tests {
         b.finish()
     }
 
+    /// Feeds every packet of a capture to one `FlowBuilder` as streaming
+    /// ingestion does: decoded where the bytes are, the header alone.
+    fn build(capture: &[u8]) -> FlowBuilder {
+        let mut reader = PcapReader::new(capture).unwrap();
+        let mut builder: Option<FlowBuilder> = None;
+        while let Some(Ok(record)) = reader.next() {
+            let view = crate::packet::decode(record.data).unwrap();
+            let header = SegmentHeader::from(&view);
+            assert_eq!(header.payload_len as usize, view.payload.len());
+            let b = builder.get_or_insert_with(|| FlowBuilder::new(&header, record.ts));
+            assert_eq!(b.feed(record.ts, &header), None);
+        }
+        builder.expect("fixtures are not empty")
+    }
+
+    /// A burst that no ACK preceded (but the flow's first) or followed.
+    fn burst(t0: f64, bytes: std::ops::Range<u64>) -> Burst {
+        Burst {
+            t0,
+            start: bytes.start,
+            end: bytes.end,
+            head_retransmit: false,
+            acked_before: true,
+            first_ack_after: None,
+        }
+    }
+
     #[test]
     fn reassembles_the_tiny_flow() {
         let r = reassemble(&tiny_capture()).unwrap();
@@ -716,29 +759,21 @@ mod tests {
         assert_eq!(f.server_mss, Some(1460));
         assert_eq!(f.effective_mss(), Some(100));
         assert_eq!(f.closed_by, Some(Endpoint::Server));
-        let kinds: Vec<(bool, u64)> = f
-            .events
-            .iter()
-            .map(|e| match *e {
-                FlowEvent::Data { seq, .. } => (true, seq),
-                FlowEvent::Ack { ack, .. } => (false, ack),
-            })
-            .collect();
+        // Both data packets are one round, ACKed a second later.
         assert_eq!(
-            kinds,
-            vec![(true, 0), (true, 100), (false, 100), (false, 200)]
+            f.bursts,
+            vec![Burst {
+                first_ack_after: Some(2.0),
+                ..burst(1.0, 0..200)
+            }]
         );
     }
 
     #[test]
     fn handshake_ack_is_not_an_event() {
-        let r = reassemble(&tiny_capture()).unwrap();
-        let acks = r.flows[0]
-            .events
-            .iter()
-            .filter(|e| matches!(e, FlowEvent::Ack { .. }))
-            .count();
-        assert_eq!(acks, 2, "the third handshake packet is suppressed");
+        // Two data packets and two ACKs: the third handshake packet is
+        // suppressed.
+        assert_eq!(build(&tiny_capture()).events(), 4);
     }
 
     #[test]
@@ -802,16 +837,17 @@ mod tests {
         let r = reassemble(&retransmission_capture()).unwrap();
         let f = &r.flows[0];
         assert_eq!(f.server, SERVER, "data sender becomes the server");
-        match f.events.as_slice() {
-            [FlowEvent::Data {
-                retransmit: false, ..
-            }, FlowEvent::Data {
-                retransmit: true,
-                seq: 0,
-                ..
-            }] => {}
-            other => panic!("unexpected events {other:?}"),
-        }
+        assert_eq!(
+            f.bursts,
+            vec![
+                burst(0.0, 0..50),
+                Burst {
+                    head_retransmit: true,
+                    acked_before: false,
+                    ..burst(5.0, 0..50)
+                }
+            ]
+        );
     }
 
     #[test]
@@ -855,12 +891,12 @@ mod tests {
         let f = &r.flows[0];
         assert_eq!(f.server, SERVER, "port 80 side is the server");
         assert_eq!(f.client, CLIENT);
-        let data_events = f
-            .events
-            .iter()
-            .filter(|e| matches!(e, FlowEvent::Data { .. }))
-            .count();
-        assert_eq!(data_events, 1, "only the server's bytes count as data");
+        assert_eq!(
+            f.bursts,
+            vec![burst(1.0, 0..100)],
+            "only the server's bytes count as data"
+        );
+        assert_eq!(build(&midstream_capture()).events(), 1);
         assert_eq!(f.max_payload, 100);
     }
 
@@ -900,15 +936,11 @@ mod tests {
         let r = reassemble(&b.finish()).unwrap();
         let f = &r.flows[0];
         assert_eq!(f.server, SERVER, "port 80 side stays the server");
-        let data_lens: Vec<u32> = f
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                FlowEvent::Data { len, .. } => Some(*len),
-                FlowEvent::Ack { .. } => None,
-            })
-            .collect();
-        assert_eq!(data_lens, vec![100], "only server bytes are data");
+        assert_eq!(
+            f.bursts,
+            vec![burst(1.0, 0..100)],
+            "only server bytes are data"
+        );
     }
 
     /// A server data segment, then its FIN carrying the last 80 bytes.
@@ -942,15 +974,11 @@ mod tests {
         let r = reassemble(&fin_with_data_capture()).unwrap();
         let f = &r.flows[0];
         assert_eq!(f.closed_by, Some(Endpoint::Server));
-        let data_bytes: u64 = f
-            .events
-            .iter()
-            .map(|e| match e {
-                FlowEvent::Data { len, .. } => u64::from(*len),
-                FlowEvent::Ack { .. } => 0,
-            })
-            .sum();
-        assert_eq!(data_bytes, 160, "the FIN segment's payload must count");
+        assert_eq!(
+            f.bursts,
+            vec![burst(0.0, 0..160)],
+            "the FIN segment's payload must count"
+        );
     }
 
     #[test]
@@ -965,16 +993,7 @@ mod tests {
             retransmission_capture(),
             tiny_capture(),
         ] {
-            let mut reader = PcapReader::new(&capture).unwrap();
-            let mut builder: Option<FlowBuilder> = None;
-            while let Some(Ok(record)) = reader.next() {
-                let view = crate::packet::decode(record.data).unwrap();
-                let header = SegmentHeader::from(&view);
-                assert_eq!(header.payload_len as usize, view.payload.len());
-                let b = builder.get_or_insert_with(|| FlowBuilder::new(&header, record.ts));
-                assert_eq!(b.feed(record.ts, &header), None);
-            }
-            let rebuilt = builder.expect("fixtures are not empty").into_flow();
+            let rebuilt = build(&capture).into_flow();
             assert_eq!(vec![rebuilt], reassemble(&capture).unwrap().flows);
         }
     }
@@ -1064,7 +1083,243 @@ mod tests {
         );
         let r = reassemble(&b.finish()).unwrap();
         assert_eq!(r.flows.len(), 2);
-        assert_eq!(r.flows[0].events.len(), 2);
-        assert_eq!(r.flows[1].events.len(), 1);
+        assert_eq!(r.flows[0].bursts, vec![burst(0.0, 0..20)]);
+        assert_eq!(r.flows[1].bursts, vec![burst(0.1, 0..10)]);
+    }
+
+    /// A server data segment or a prober ACK, recorded per packet the way
+    /// reassembly did before it folded them into bursts.
+    #[derive(Debug, Clone, Copy)]
+    enum Recorded {
+        Data {
+            t: f64,
+            seq: u64,
+            len: u32,
+            retransmit: bool,
+        },
+        Ack {
+            t: f64,
+        },
+    }
+
+    /// The per-packet record of a flow whose first packet is the prober's
+    /// SYN or the server's data, written out apart from `FlowBuilder`.
+    fn record_per_packet(packets: &[(f64, SegmentHeader)]) -> Vec<Recorded> {
+        let mut out = Vec::new();
+        let mut isn: Option<u32> = None;
+        let mut high = 0u64;
+        for &(t, seg) in packets {
+            let from_server = (seg.src_ip, seg.src_port) == SERVER;
+            if seg.has(flags::SYN) {
+                if from_server {
+                    isn = Some(seg.seq);
+                }
+                continue;
+            }
+            let closes = seg.flags & (flags::FIN | flags::RST) != 0;
+            if from_server && seg.payload_len > 0 {
+                let anchor = *isn.get_or_insert(seg.seq.wrapping_sub(1));
+                let d = seg.seq.wrapping_sub(anchor.wrapping_add(1));
+                if d < 0x8000_0000 {
+                    let seq = u64::from(d);
+                    out.push(Recorded::Data {
+                        t,
+                        seq,
+                        len: seg.payload_len,
+                        retransmit: seq < high,
+                    });
+                    high = high.max(seq + u64::from(seg.payload_len));
+                }
+            } else if !from_server && !closes && seg.has(flags::ACK) {
+                if let Some(anchor) = isn {
+                    let d = seg.ack.wrapping_sub(anchor.wrapping_add(1));
+                    let data_seen = out.iter().any(|r| matches!(r, Recorded::Data { .. }));
+                    if d < 0x8000_0000 && (d > 0 || data_seen) {
+                        out.push(Recorded::Ack { t });
+                    }
+                }
+            }
+            if closes {
+                break;
+            }
+        }
+        out
+    }
+
+    /// A burst in packets of `mss` bytes: `(t0, smallest packet, one past
+    /// the largest, head retransmit, acked before, first ACK after)`.
+    type PacketBurst = (f64, u64, u64, bool, bool, Option<f64>);
+
+    /// Per-packet records grouped into bursts by the rule reassembly
+    /// folds them with, applied after the fact in packet units.
+    fn group_per_packet(records: &[Recorded], mss: u64) -> Vec<PacketBurst> {
+        let mut bursts: Vec<PacketBurst> = Vec::new();
+        let mut acks_since_last_data = 0usize;
+        let mut last_data_t = f64::NEG_INFINITY;
+        for record in records {
+            match *record {
+                Recorded::Data {
+                    t,
+                    seq,
+                    len,
+                    retransmit,
+                } => {
+                    let pkt = seq / mss;
+                    let end = (seq + u64::from(len)).div_ceil(mss);
+                    let new_burst = match bursts.last() {
+                        None => true,
+                        Some(_) => acks_since_last_data > 0 || t - last_data_t > BURST_GAP,
+                    };
+                    if new_burst {
+                        let acked_before = acks_since_last_data > 0 || bursts.is_empty();
+                        bursts.push((t, pkt, end, retransmit, acked_before, None));
+                    } else {
+                        let b = bursts.last_mut().expect("burst exists");
+                        b.1 = b.1.min(pkt);
+                        b.2 = b.2.max(end);
+                    }
+                    acks_since_last_data = 0;
+                    last_data_t = t;
+                }
+                Recorded::Ack { t } => {
+                    acks_since_last_data += 1;
+                    if let Some(b) = bursts.last_mut() {
+                        b.5.get_or_insert(t);
+                    }
+                }
+            }
+        }
+        bursts
+    }
+
+    /// A random flow from `seed`: an optional handshake, then server data
+    /// (fresh, past a hole, retransmitted, or from before the ISN) and
+    /// prober ACKs (advancing, duplicate, stale, or on a request carrying
+    /// payload) at gaps on both sides of `BURST_GAP`, often a close (a FIN
+    /// carrying payload among them), then chatter after it.
+    fn random_flow(seed: u64) -> Vec<(f64, SegmentHeader)> {
+        use rand::Rng;
+        let mut rng = caai_netem::rng::seeded(seed);
+        let isn: u32 = rng.random();
+        let size: u32 = rng.random_range(1..1461);
+        let seg = |from_server: bool, seq: u32, ack: u32, flags: u8, payload_len: u32| {
+            let (src, dst) = if from_server {
+                (SERVER, CLIENT)
+            } else {
+                (CLIENT, SERVER)
+            };
+            SegmentHeader {
+                src_ip: src.0,
+                dst_ip: dst.0,
+                src_port: src.1,
+                dst_port: dst.1,
+                seq,
+                ack,
+                flags,
+                mss_option: None,
+                payload_len,
+            }
+        };
+        let at = |rel: u64| isn.wrapping_add(1).wrapping_add(rel as u32);
+        let mut t = 0.0;
+        let mut out = Vec::new();
+        if rng.random_bool(0.5) {
+            out.push((t, seg(false, 99, 0, flags::SYN, 0)));
+            out.push((t, seg(true, isn, 100, flags::SYN | flags::ACK, 0)));
+            out.push((t, seg(false, 100, at(0), flags::ACK, 0)));
+        }
+        let (mut high, mut acked) = (0u64, 0u64);
+        let steps = rng.random_range(1..80);
+        for step in 0..steps {
+            const GAPS: [f64; 9] = [0.0, 0.001, 0.1, 0.25, 0.2501, 0.3, 0.8, 1.0, 3.0];
+            t += GAPS[rng.random_range(0..GAPS.len())];
+            let len = if rng.random_bool(0.7) {
+                size
+            } else {
+                rng.random_range(1..=size)
+            };
+            let kind = if out.is_empty() {
+                0
+            } else {
+                rng.random_range(0..11)
+            };
+            let (from_server, rel, ack, payload) = match kind {
+                0..=3 => (true, high, 0, len),
+                4 => (
+                    true,
+                    high + u64::from(size) * rng.random_range(1..4u64),
+                    0,
+                    len,
+                ),
+                5 => (true, rng.random_range(0..=high), 0, len),
+                6 => {
+                    acked = rng.random_range(acked..=high);
+                    (false, 0, acked, 0)
+                }
+                7 => (false, 0, acked, 0),
+                8 => (false, 0, rng.random_range(0..=acked), 0),
+                9 => (false, 0, acked, 20),
+                _ => {
+                    // Data from before the server's ISN, or its pure ACK.
+                    let payload = if step % 2 == 0 { len } else { 0 };
+                    out.push((
+                        t,
+                        seg(true, at(0).wrapping_sub(500), 0, flags::ACK, payload),
+                    ));
+                    continue;
+                }
+            };
+            if from_server {
+                high = high.max(rel + u64::from(payload));
+                out.push((t, seg(true, at(rel), 0, flags::ACK, payload)));
+            } else {
+                out.push((t, seg(false, 100, at(ack), flags::ACK, payload)));
+            }
+        }
+        t += 0.5;
+        match rng.random_range(0..5) {
+            0 => out.push((t, seg(true, at(high), 0, flags::FIN | flags::ACK, size))),
+            1 => out.push((t, seg(true, at(high), 0, flags::FIN | flags::ACK, 0))),
+            2 => out.push((t, seg(false, 100, at(acked), flags::FIN | flags::ACK, 0))),
+            3 => out.push((t, seg(false, 100, 0, flags::RST, 0))),
+            _ => {}
+        }
+        out.push((t + 1.0, seg(true, at(high + 1), 0, flags::ACK, size)));
+        out.push((t + 2.0, seg(false, 100, at(high), flags::ACK, 0)));
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn folded_bursts_equal_per_packet_events_grouped_afterwards(seed in 0u64..u64::MAX) {
+            let packets = random_flow(seed);
+            let (t0, first) = packets[0];
+            let mut builder = FlowBuilder::new(&first, t0);
+            for (t, header) in &packets {
+                builder.feed(*t, header);
+            }
+            let records = record_per_packet(&packets);
+            proptest::prop_assert!(
+                builder.events() == records.len(),
+                "{} events folded, {} recorded",
+                builder.events(),
+                records.len()
+            );
+            let flow = builder.into_flow();
+            // A flow without data has no bursts, whatever the unit.
+            let mss = flow.effective_mss().map_or(1, |m| u64::from(m.max(1)));
+            let folded: Vec<PacketBurst> = flow
+                .bursts
+                .iter()
+                .map(|b| {
+                    let (start, end) = (b.start / mss, b.end.div_ceil(mss));
+                    (b.t0, start, end, b.head_retransmit, b.acked_before, b.first_ack_after)
+                })
+                .collect();
+            let grouped = group_per_packet(&records, mss);
+            proptest::prop_assert!(folded == grouped, "folded {folded:?}\ngrouped {grouped:?}");
+        }
     }
 }

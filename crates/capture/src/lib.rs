@@ -66,8 +66,7 @@ pub mod render;
 pub mod source;
 
 pub use flow::{
-    reassemble, reassemble_obs, reassemble_source, Flow, FlowBuilder, FlowEvent, FlowKey,
-    Reassembly,
+    reassemble, reassemble_obs, reassemble_source, Flow, FlowBuilder, FlowKey, Reassembly,
 };
 pub use identify::{identify_reassembly, identify_reassembly_obs, session_report, SessionReport};
 pub use packet::{decode, encode, DecodeError, FrameSpec, TcpSegmentView};

@@ -1,4 +1,4 @@
-//! Per-RTT window reconstruction: flow events → [`WindowTrace`].
+//! Per-RTT window reconstruction: a flow's bursts → [`WindowTrace`].
 //!
 //! CAAI's prober measures the server's congestion window per emulated
 //! round as "highest sequence received this round minus the previous
@@ -7,7 +7,8 @@
 //! the prober's batch of deferred ACKs, so
 //!
 //! * a maximal run of data packets (or data separated by sub-round gaps)
-//!   is one round's receipt;
+//!   is one round's receipt: the [`Burst`] reassembly folds its packets
+//!   into as they arrive;
 //! * the emulated-RTT schedule is recoverable from the data→ACK spacing
 //!   (0.8 s ⇒ environment B, 1.0 s ⇒ environment A — Fig. 2);
 //! * the **ACK-withholding point** is a data burst that is never ACKed —
@@ -29,18 +30,13 @@
 //! [`GatherOutcome`] — including the threshold rungs of attempts that
 //! never crossed, which leave no rung evidence on the wire.
 
-use crate::flow::{Endpoint, Flow, FlowEvent, Reassembly};
+use crate::flow::{Burst, Endpoint, Flow, Reassembly};
 use caai_core::ladder::{floor_rung, LadderWalk};
 use caai_core::prober::GatherOutcome;
 use caai_core::trace::{InvalidReason, WindowTrace, POST_TIMEOUT_ROUNDS};
 use caai_netem::schedule::{RTT_LONG, RTT_SHORT};
 use caai_netem::{EnvironmentId, Phase, RttSchedule};
 use std::collections::HashMap;
-
-/// Data packets closer together than this are one burst; the emulated
-/// RTTs (0.8 s / 1.0 s) are an order of magnitude larger, so the margin
-/// is wide on both sides.
-pub const BURST_GAP: f64 = 0.25;
 
 pub use caai_core::ladder::DEFAULT_LADDER;
 
@@ -62,72 +58,6 @@ pub struct ConnectionObservation {
     pub crossed: bool,
     /// The `w_max` rung pinned by the withholding point, when crossed.
     pub inferred_wmax: Option<u32>,
-}
-
-/// One data burst: a candidate measurement round.
-#[derive(Debug, Clone, Copy)]
-struct Burst {
-    t0: f64,
-    /// Smallest packet index seen in the burst.
-    min_pkt: u64,
-    /// One past the largest packet index seen in the burst.
-    max_end: u64,
-    /// True when the burst opens with a retransmission.
-    head_retransmit: bool,
-    /// True when at least one ACK followed the previous burst.
-    acked_before: bool,
-    /// Time of the first ACK following this burst (for RTT inference).
-    first_ack_after: Option<f64>,
-}
-
-/// Groups a flow's events into bursts, annotating each with whether ACKs
-/// preceded it and when the first ACK after it was sent.
-fn group_bursts(events: &[FlowEvent], mss: u64) -> Vec<Burst> {
-    let mut bursts: Vec<Burst> = Vec::new();
-    let mut acks_since_last_data = 0usize;
-    let mut last_data_t = f64::NEG_INFINITY;
-    for ev in events {
-        match *ev {
-            FlowEvent::Data {
-                t,
-                seq,
-                len,
-                retransmit,
-            } => {
-                let pkt = seq / mss;
-                let end = (seq + u64::from(len)).div_ceil(mss);
-                let new_burst = match bursts.last() {
-                    None => true,
-                    Some(_) => acks_since_last_data > 0 || t - last_data_t > BURST_GAP,
-                };
-                if new_burst {
-                    bursts.push(Burst {
-                        t0: t,
-                        min_pkt: pkt,
-                        max_end: end,
-                        head_retransmit: retransmit,
-                        acked_before: acks_since_last_data > 0 || bursts.is_empty(),
-                        first_ack_after: None,
-                    });
-                } else {
-                    let b = bursts.last_mut().expect("burst exists");
-                    b.min_pkt = b.min_pkt.min(pkt);
-                    b.max_end = b.max_end.max(end);
-                }
-                acks_since_last_data = 0;
-                last_data_t = t;
-            }
-            FlowEvent::Ack { t, .. } => {
-                acks_since_last_data += 1;
-                if let Some(b) = bursts.last_mut() {
-                    if b.first_ack_after.is_none() {
-                        b.first_ack_after = Some(t);
-                    }
-                }
-            }
-        }
-    }
-    bursts
 }
 
 /// Infers the environment from the first round's emulated RTT (the gap
@@ -185,20 +115,44 @@ fn insert_silent_rounds(
     }
 }
 
+/// The windows of one phase's bursts, in packets of `size` bytes: how far
+/// each burst reached past the furthest before it (from `prev_end`), with
+/// `w = 0` rounds for the schedule-sized silences between bursts.
+fn phase_windows(
+    bursts: &[Burst],
+    size: u64,
+    mut prev_end: u64,
+    schedule: &RttSchedule,
+    phase: Phase,
+) -> Vec<u32> {
+    let mut windows = Vec::new();
+    let mut round = 0u32;
+    let mut prev_t = None;
+    for b in bursts {
+        if let Some(pt) = prev_t {
+            insert_silent_rounds(&mut windows, schedule, phase, &mut round, pt, b.t0);
+        }
+        // Bursts hold bytes: one past the burst's highest packet index.
+        let end = b.end.div_ceil(size);
+        windows.push(u32::try_from(end.saturating_sub(prev_end)).unwrap_or(u32::MAX));
+        prev_end = prev_end.max(end);
+        round += 1;
+        prev_t = Some(b.t0);
+    }
+    windows
+}
+
 /// Reconstructs one connection's window trace from its reassembled flow.
 /// Returns `None` for flows that carried no server data at all (not a
 /// probe connection this pipeline can say anything about).
 pub fn observe_connection(flow: &Flow, ladder: &[u32]) -> Option<ConnectionObservation> {
     let mss = flow.effective_mss()?;
-    if flow
-        .events
-        .iter()
-        .all(|e| !matches!(e, FlowEvent::Data { .. }))
-    {
+    let bursts = &flow.bursts;
+    if bursts.is_empty() {
         return None;
     }
-    let bursts = group_bursts(&flow.events, u64::from(mss.max(1)));
-    let env = infer_env(&bursts);
+    let size = u64::from(mss.max(1));
+    let env = infer_env(bursts);
     let schedule = RttSchedule::new(env);
 
     // The pre/post boundary: the first burst that opens with a
@@ -213,27 +167,7 @@ pub fn observe_connection(flow: &Flow, ladder: &[u32]) -> Option<ConnectionObser
 
     // ---- Pre-timeout windows (§IV-D measurement). ----------------------
     let pre_bursts = &bursts[..timeout_idx.unwrap_or(bursts.len())];
-    let mut pre: Vec<u32> = Vec::new();
-    let mut prev_end = 0u64;
-    let mut round = 0u32;
-    let mut prev_t = None;
-    for b in pre_bursts {
-        if let Some(pt) = prev_t {
-            insert_silent_rounds(
-                &mut pre,
-                &schedule,
-                Phase::BeforeTimeout,
-                &mut round,
-                pt,
-                b.t0,
-            );
-        }
-        let w = b.max_end.saturating_sub(prev_end);
-        prev_end = prev_end.max(b.max_end);
-        pre.push(u32::try_from(w).unwrap_or(u32::MAX));
-        round += 1;
-        prev_t = Some(b.t0);
-    }
+    let pre = phase_windows(pre_bursts, size, 0, &schedule, Phase::BeforeTimeout);
 
     // The withholding point: the last pre burst drew no ACKs (either the
     // timeout followed, or the flow ended with the server never
@@ -246,32 +180,15 @@ pub fn observe_connection(flow: &Flow, ladder: &[u32]) -> Option<ConnectionObser
     };
 
     // ---- Post-timeout windows. -----------------------------------------
-    let mut post: Vec<u32> = Vec::new();
-    if let Some(idx) = timeout_idx {
-        let post_bursts = &bursts[idx..];
-        // §IV-D re-anchoring: the first retransmission's index restarts
-        // the measurement baseline.
-        let mut prev_end = post_bursts.first().map_or(0, |b| b.min_pkt);
-        let mut round = 0u32;
-        let mut prev_t = None;
-        for b in post_bursts {
-            if let Some(pt) = prev_t {
-                insert_silent_rounds(
-                    &mut post,
-                    &schedule,
-                    Phase::AfterTimeout,
-                    &mut round,
-                    pt,
-                    b.t0,
-                );
-            }
-            let w = b.max_end.saturating_sub(prev_end);
-            prev_end = prev_end.max(b.max_end);
-            post.push(u32::try_from(w).unwrap_or(u32::MAX));
-            round += 1;
-            prev_t = Some(b.t0);
+    // §IV-D re-anchoring: the first retransmission's index restarts the
+    // measurement baseline.
+    let post = match timeout_idx {
+        Some(idx) => {
+            let anchor = bursts[idx].start / size;
+            phase_windows(&bursts[idx..], size, anchor, &schedule, Phase::AfterTimeout)
         }
-    }
+        None => Vec::new(),
+    };
 
     // ---- Validity & failure classification (§IV-E, §VII-B). ------------
     let invalid = if timeout_idx.is_some() {
@@ -380,48 +297,72 @@ pub fn session_outcome(session: &ProbeSession, ladder: &[u32]) -> GatherOutcome 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::Flow;
+    use crate::flow::{FlowBuilder, SegmentHeader};
+    use crate::packet::flags;
 
-    fn data(t: f64, pkt: u64, retransmit: bool) -> FlowEvent {
-        FlowEvent::Data {
-            t,
-            seq: pkt * 100,
-            len: 100,
-            retransmit,
-        }
+    /// One captured packet: its timestamp and header.
+    type Packet = (f64, SegmentHeader);
+
+    const CLIENT: ([u8; 4], u16) = ([192, 0, 2, 1], 40000);
+    const SERVER: ([u8; 4], u16) = ([198, 51, 100, 1], 80);
+    /// The server's ISN; its first data byte is packet 0.
+    const ISN: u32 = 7_000;
+
+    /// The server's 100-byte data packet `pkt`.
+    fn data(t: f64, pkt: u64) -> Packet {
+        let header = SegmentHeader {
+            src_ip: SERVER.0,
+            dst_ip: CLIENT.0,
+            src_port: SERVER.1,
+            dst_port: CLIENT.1,
+            seq: ISN.wrapping_add(1).wrapping_add((pkt * 100) as u32),
+            ack: 0,
+            flags: flags::ACK,
+            mss_option: None,
+            payload_len: 100,
+        };
+        (t, header)
     }
 
-    fn ack(t: f64, pkt: u64) -> FlowEvent {
-        FlowEvent::Ack {
-            t,
-            ack: pkt * 100,
-            duplicate: false,
-        }
+    /// The prober's cumulative ACK of packets `0..pkt`.
+    fn ack(t: f64, pkt: u64) -> Packet {
+        let header = SegmentHeader {
+            src_ip: CLIENT.0,
+            dst_ip: SERVER.0,
+            src_port: CLIENT.1,
+            dst_port: SERVER.1,
+            seq: 0,
+            ack: ISN.wrapping_add(1).wrapping_add((pkt * 100) as u32),
+            flags: flags::ACK,
+            mss_option: None,
+            payload_len: 0,
+        };
+        (t, header)
     }
 
-    fn flow_of(events: Vec<FlowEvent>, closed_by: Option<Endpoint>) -> Flow {
+    /// The flow reassembly makes of `packets` (the first one is server
+    /// data), closed by `closed_by`.
+    fn flow_of(packets: Vec<Packet>, closed_by: Option<Endpoint>) -> Flow {
+        let (t0, first) = packets[0];
+        let mut builder = FlowBuilder::new(&first, t0);
+        for (t, header) in &packets {
+            assert_eq!(builder.feed(*t, header), None);
+        }
         Flow {
-            client: ([192, 0, 2, 1], 40000),
-            server: ([198, 51, 100, 1], 80),
-            start: events.first().map(FlowEvent::t).unwrap_or(0.0),
-            client_mss: Some(100),
-            server_mss: Some(100),
-            max_payload: 100,
-            events,
             closed_by,
-            closed_at: None,
+            ..builder.into_flow()
         }
     }
 
     /// Slow start 2, 4 at 1 s rounds, crossing burst of 8 at w_max 4
     /// (toy rungs), timeout, then a short recovery.
-    fn toy_events(post_rounds: usize) -> Vec<FlowEvent> {
+    fn toy_events(post_rounds: usize) -> Vec<Packet> {
         let mut ev = Vec::new();
         let mut t = 0.0;
         let mut pkt = 0u64;
         for w in [2u64, 4] {
             for i in 0..w {
-                ev.push(data(t, pkt + i, false));
+                ev.push(data(t, pkt + i));
             }
             pkt += w;
             t += 1.0;
@@ -431,7 +372,7 @@ mod tests {
         }
         // Crossing burst: 8 packets, never ACKed.
         for i in 0..8 {
-            ev.push(data(t, pkt + i, false));
+            ev.push(data(t, pkt + i));
         }
         // Timeout: head retransmission 3 s later, then doubling recovery.
         let mut rt = t + 3.0;
@@ -439,7 +380,7 @@ mod tests {
         for r in 0..post_rounds {
             let w = 1u64 << r.min(3);
             for i in 0..w {
-                ev.push(data(rt, una + i, true));
+                ev.push(data(rt, una + i));
             }
             una += w;
             rt += 1.0;
@@ -488,12 +429,7 @@ mod tests {
 
     #[test]
     fn server_close_before_crossing_is_page_too_short() {
-        let ev = vec![
-            data(0.0, 0, false),
-            data(0.0, 1, false),
-            ack(1.0, 1),
-            ack(1.0, 2),
-        ];
+        let ev = vec![data(0.0, 0), data(0.0, 1), ack(1.0, 1), ack(1.0, 2)];
         let flow = flow_of(ev, Some(Endpoint::Server));
         let obs = observe_connection(&flow, &[512]).unwrap();
         assert_eq!(obs.trace.invalid, Some(InvalidReason::PageTooShort));
@@ -507,11 +443,11 @@ mod tests {
     #[test]
     fn prober_close_without_crossing_is_never_exceeded() {
         let ev = vec![
-            data(0.0, 0, false),
-            data(0.0, 1, false),
+            data(0.0, 0),
+            data(0.0, 1),
             ack(1.0, 2),
-            data(1.0, 2, false),
-            data(1.0, 3, false),
+            data(1.0, 2),
+            data(1.0, 3),
             ack(2.0, 4),
         ];
         let flow = flow_of(ev, Some(Endpoint::Client));
@@ -525,10 +461,10 @@ mod tests {
     #[test]
     fn environment_b_inferred_from_short_first_round() {
         let ev = vec![
-            data(0.0, 0, false),
-            data(0.0, 1, false),
+            data(0.0, 0),
+            data(0.0, 1),
             ack(0.8, 2),
-            data(0.8, 2, false),
+            data(0.8, 2),
             ack(1.6, 3),
         ];
         let flow = flow_of(ev, Some(Endpoint::Client));
@@ -541,10 +477,10 @@ mod tests {
         // Round 1 at t=0 (w=2, ACKed), then a 2-round silence (ACKs lost,
         // server stalled), then a round at t=3.
         let ev = vec![
-            data(0.0, 0, false),
-            data(0.0, 1, false),
+            data(0.0, 0),
+            data(0.0, 1),
             ack(1.0, 2),
-            data(3.0, 2, false),
+            data(3.0, 2),
             ack(4.0, 3),
         ];
         let flow = flow_of(ev, Some(Endpoint::Client));
@@ -565,8 +501,8 @@ mod tests {
         };
         let other = |i: usize| Flow {
             server: ([172, 16, (i >> 8) as u8, i as u8], 80),
-            events: Vec::new(),
-            ..flow_of(Vec::new(), None)
+            bursts: Vec::new(),
+            ..probed(0.0)
         };
         let mut flows = vec![probed(500.0)];
         flows.extend((0..OTHERS).map(other));
@@ -597,28 +533,23 @@ mod tests {
         // Connection 1 (env A): never exceeds; connection 2 (env A):
         // crosses at the 2-rung; connection 3 (env B): valid pair leg.
         let c1 = {
-            let ev = vec![
-                data(0.0, 0, false),
-                ack(1.0, 1),
-                data(1.0, 1, false),
-                ack(2.0, 2),
-            ];
+            let ev = vec![data(0.0, 0), ack(1.0, 1), data(1.0, 1), ack(2.0, 2)];
             observe_connection(&flow_of(ev, Some(Endpoint::Client)), &[4, 2]).unwrap()
         };
         let mk_crossing = |base: f64, env_b: bool| {
             let rtt = if env_b { 0.8 } else { 1.0 };
-            let mut ev = vec![data(base, 0, false), data(base, 1, false)];
+            let mut ev = vec![data(base, 0), data(base, 1)];
             ev.push(ack(base + rtt, 2));
             ev.push(ack(base + rtt, 2));
             for i in 0..3 {
-                ev.push(data(base + rtt, 2 + i, false));
+                ev.push(data(base + rtt, 2 + i));
             }
             // timeout + 18 post rounds of one packet each
             let mut t = base + rtt + 3.0;
             let mut una = 2u64;
             let mut ev2 = Vec::new();
             for _ in 0..18 {
-                ev2.push(data(t, una, true));
+                ev2.push(data(t, una));
                 una += 1;
                 t += rtt;
                 ev2.push(ack(t, una));

@@ -167,6 +167,34 @@ mod tests {
         assert!(id.confidence() > 0.0 && id.confidence() <= 1.0);
     }
 
+    /// FNV-1a, 64 bit.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn a_trained_forest_and_the_rng_after_it_are_pinned() {
+        // Any change to tree growing must leave the forest and the draws
+        // it takes bit for bit where they were: a census classifies with
+        // this forest, and the RNG goes on to drive its probes.
+        let mut rng = caai_netem::rng::seeded(11);
+        let db = caai_netem::ConditionDb::paper_2011();
+        let data = crate::training::build_training_set(
+            &crate::training::TrainingConfig::quick(6),
+            &db,
+            &mut rng,
+        );
+        let clf = CaaiClassifier::train(&data, &mut rng);
+        let json = serde_json::to_string(&clf).expect("a classifier serializes");
+        assert_eq!(
+            (fnv1a(json.as_bytes()), rng.next_u64()),
+            (0x722a_f1b6_ed02_9fc0, 0xe339_36e8_a84d_624a),
+            "forest digest, next draw"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "15 CAAI classes")]
     fn wrong_class_table_is_rejected() {

@@ -62,14 +62,16 @@ impl DecisionTree {
         self.nodes.len()
     }
 
-    fn gini(counts: &[usize], total: usize) -> f64 {
+    /// Gini impurity of a node holding `total` samples with the given
+    /// class counts.
+    fn gini(counts: impl IntoIterator<Item = usize>, total: usize) -> f64 {
         if total == 0 {
             return 0.0;
         }
         let t = total as f64;
         1.0 - counts
-            .iter()
-            .map(|&c| (c as f64 / t) * (c as f64 / t))
+            .into_iter()
+            .map(|c| (c as f64 / t) * (c as f64 / t))
             .sum::<f64>()
     }
 
@@ -80,6 +82,7 @@ impl DecisionTree {
         data: &Dataset,
         rows: &[usize],
         rng: &mut dyn RngCore,
+        scratch: &mut Scratch,
     ) -> Option<(usize, f64, f64)> {
         let n_features = data.n_features();
         let candidates: Vec<usize> = if self.mtry == 0 || self.mtry >= n_features {
@@ -89,35 +92,50 @@ impl DecisionTree {
         };
 
         let parent_counts = class_counts(data, rows, self.n_classes);
-        let parent_gini = Self::gini(&parent_counts, rows.len());
+        let parent_gini = Self::gini(parent_counts.iter().copied(), rows.len());
+        // A class absent from the node adds exactly +0.0 to a child's sum
+        // of squares once a present class has made the sum positive, so
+        // summing only the present classes, in class order, gives the same
+        // impurity bit for bit.
+        let Scratch {
+            pairs,
+            left,
+            right,
+            present,
+        } = scratch;
+        present.clear();
+        present.extend((0..self.n_classes).filter(|&k| parent_counts[k] > 0));
         let mut best: Option<(usize, f64, f64)> = None;
 
         for &f in &candidates {
-            // Sort row indices by the candidate feature and scan split
-            // points between distinct values.
-            let mut order: Vec<usize> = rows.to_vec();
-            order.sort_by(|&a, &b| {
-                data.samples()[a].features[f]
-                    .partial_cmp(&data.samples()[b].features[f])
-                    .expect("finite features")
-            });
-            let mut left_counts = vec![0usize; self.n_classes];
-            let mut right_counts = parent_counts.clone();
-            let n = order.len();
+            // Sort the rows' (value, label) pairs by the candidate feature
+            // and scan split points between distinct values. The order of
+            // equal values cannot matter: the counts are only read where
+            // the value changes.
+            pairs.clear();
+            pairs.extend(rows.iter().map(|&r| {
+                let s = &data.samples()[r];
+                (s.features[f], s.label)
+            }));
+            pairs.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+            left.clear();
+            left.resize(self.n_classes, 0);
+            right.clear();
+            right.extend_from_slice(&parent_counts);
+            let n = pairs.len();
             for i in 0..n - 1 {
-                let s = &data.samples()[order[i]];
-                left_counts[s.label] += 1;
-                right_counts[s.label] -= 1;
-                let v = s.features[f];
-                let v_next = data.samples()[order[i + 1]].features[f];
+                let (v, label) = pairs[i];
+                left[label] += 1;
+                right[label] -= 1;
+                let v_next = pairs[i + 1].0;
                 if v == v_next {
                     continue;
                 }
                 let threshold = (v + v_next) / 2.0;
                 let nl = i + 1;
                 let nr = n - nl;
-                let g = (nl as f64 * Self::gini(&left_counts, nl)
-                    + nr as f64 * Self::gini(&right_counts, nr))
+                let g = (nl as f64 * Self::gini(present.iter().map(|&k| left[k]), nl)
+                    + nr as f64 * Self::gini(present.iter().map(|&k| right[k]), nr))
                     / n as f64;
                 let gain = parent_gini - g;
                 if gain > 1e-12 {
@@ -131,7 +149,13 @@ impl DecisionTree {
         best
     }
 
-    fn grow(&mut self, data: &Dataset, rows: Vec<usize>, rng: &mut dyn RngCore) -> usize {
+    fn grow(
+        &mut self,
+        data: &Dataset,
+        rows: Vec<usize>,
+        rng: &mut dyn RngCore,
+        scratch: &mut Scratch,
+    ) -> usize {
         let counts = class_counts(data, &rows, self.n_classes);
         let total = rows.len();
         let (majority, majority_count) = counts
@@ -149,7 +173,7 @@ impl DecisionTree {
             self.nodes.push(node);
             return self.nodes.len() - 1;
         }
-        match self.best_split(data, &rows, rng) {
+        match self.best_split(data, &rows, rng, scratch) {
             None => {
                 let node = Node::Leaf {
                     label: majority,
@@ -168,8 +192,8 @@ impl DecisionTree {
                     label: majority,
                     purity: 0.0,
                 }); // placeholder
-                let left = self.grow(data, left_rows, rng);
-                let right = self.grow(data, right_rows, rng);
+                let left = self.grow(data, left_rows, rng, scratch);
+                let right = self.grow(data, right_rows, rng, scratch);
                 self.nodes[idx] = Node::Split {
                     feature,
                     threshold,
@@ -186,8 +210,20 @@ impl DecisionTree {
         assert!(!rows.is_empty(), "cannot grow a tree from zero samples");
         self.nodes.clear();
         self.n_classes = data.n_classes();
-        self.grow(data, rows, rng);
+        self.grow(data, rows, rng, &mut Scratch::default());
     }
+}
+
+/// The buffers one tree's growth reuses from node to node.
+#[derive(Default)]
+struct Scratch {
+    /// A node's `(feature value, label)` pairs for one candidate feature.
+    pairs: Vec<(f64, usize)>,
+    /// Class counts left and right of the scanned split point.
+    left: Vec<usize>,
+    right: Vec<usize>,
+    /// The classes present in the node, ascending.
+    present: Vec<usize>,
 }
 
 fn class_counts(data: &Dataset, rows: &[usize], n_classes: usize) -> Vec<usize> {
@@ -273,8 +309,8 @@ mod tests {
 
     #[test]
     fn gini_is_zero_for_pure_and_max_for_even() {
-        assert_eq!(DecisionTree::gini(&[10, 0], 10), 0.0);
-        assert!((DecisionTree::gini(&[5, 5], 10) - 0.5).abs() < 1e-12);
+        assert_eq!(DecisionTree::gini([10, 0], 10), 0.0);
+        assert!((DecisionTree::gini([5, 5], 10) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl ServerCore {
                         return Ok(Reply {
                             frames: vec![ServerFrame::Burst {
                                 done: true,
-                                seqs: vec![],
+                                runs: vec![],
                             }],
                             close: true,
                         });
@@ -189,7 +189,7 @@ impl ServerCore {
                     return Ok(Reply {
                         frames: vec![ServerFrame::Burst {
                             done: false,
-                            seqs: vec![],
+                            runs: vec![],
                         }],
                         close: false,
                     });
@@ -197,7 +197,11 @@ impl ServerCore {
                 Ok(Reply {
                     frames: vec![ServerFrame::Burst {
                         done: false,
-                        seqs: burst.seqs().collect(),
+                        runs: vec![Run {
+                            first: burst.seqs().start,
+                            len: burst.len() as u64,
+                            duplicate: false,
+                        }],
                     }],
                     close: false,
                 })
@@ -303,8 +307,6 @@ pub struct LadderCore {
     /// A server frame is expected (an un-asked-for frame is a protocol
     /// violation).
     awaiting: bool,
-    /// The runs of the `Burst` being handled; kept for its capacity.
-    runs: Vec<Run>,
 }
 
 impl LadderCore {
@@ -319,7 +321,6 @@ impl LadderCore {
             welcomed: false,
             closing: None,
             awaiting: false,
-            runs: Vec::new(),
         }
     }
 
@@ -407,18 +408,11 @@ impl LadderCore {
                     next: Next::Transmit,
                 })
             }
-            ServerFrame::Burst { done, seqs } if self.welcomed => {
-                if seqs.is_empty() {
+            ServerFrame::Burst { done, runs } if self.welcomed => {
+                if runs.is_empty() {
                     attempt.on_silent_round(&self.config, *done)
                 } else {
-                    self.runs.clear();
-                    let runs = seqs.chunk_by(|a, b| a.checked_add(1) == Some(*b));
-                    self.runs.extend(runs.map(|run| Run {
-                        first: run[0],
-                        len: run.len() as u64,
-                        duplicate: false,
-                    }));
-                    attempt.on_round(&self.config, &self.runs)
+                    attempt.on_round(&self.config, runs)
                 }
             }
             ServerFrame::RtoResult { responded, now }
@@ -501,8 +495,8 @@ mod tests {
     use caai_congestion::AlgorithmId;
 
     /// A RENO server that has answered the handshake and sent its first
-    /// burst; returns it with the burst's sequence numbers.
-    fn opened() -> (ServerCore, Vec<u64>) {
+    /// burst; returns it with the burst's one run of sequence numbers.
+    fn opened() -> (ServerCore, Run) {
         let mut server = ServerCore::new(ServerUnderTest::ideal(AlgorithmId::Reno));
         let hello = ClientFrame::Hello {
             proposed_mss: 100,
@@ -514,16 +508,19 @@ mod tests {
             horizon: 1.0,
         };
         let reply = server.on_frame(&xmit).unwrap();
-        let [ServerFrame::Burst { seqs, .. }] = reply.frames.as_slice() else {
+        let [ServerFrame::Burst { runs, .. }] = reply.frames.as_slice() else {
             panic!("an Xmit is answered by one Burst, got {:?}", reply.frames);
         };
-        (server, seqs.clone())
+        let [run] = runs.as_slice() else {
+            panic!("a tcpsim burst is one run, got {runs:?}");
+        };
+        (server, *run)
     }
 
     #[test]
     fn acks_for_data_never_sent_are_refused_single_or_run() {
-        let (mut server, seqs) = opened();
-        let next = seqs.last().unwrap() + 1;
+        let (mut server, sent) = opened();
+        let next = sent.first + sent.len;
         // Everything sent may be acknowledged...
         let all = ClientFrame::AckRun {
             now: 1.0,
@@ -559,9 +556,9 @@ mod tests {
         // advance it, so they are dropped before the sender could count
         // them as duplicate ACKs (three would fast-retransmit).
         let next_burst = |stale: usize| {
-            let (mut server, seqs) = opened();
-            assert!(seqs.len() >= 2, "an initial window of at least 2");
-            let acked = seqs.len() as u64 - 1;
+            let (mut server, sent) = opened();
+            assert!(sent.len >= 2, "an initial window of at least 2");
+            let acked = sent.len - 1;
             let run = ClientFrame::AckRun {
                 now: 1.0,
                 first: 1,
@@ -607,5 +604,38 @@ mod tests {
             let err = server.on_frame(&run).unwrap_err();
             assert!(err.reason.contains(named), "{err}");
         }
+    }
+
+    #[test]
+    fn a_burst_of_adjacent_runs_drives_the_ladder_as_their_union_does() {
+        use crate::frame::{encode, FrameDecoder};
+        let burst = |runs: &[(u64, u64)]| ServerFrame::Burst {
+            done: false,
+            runs: runs
+                .iter()
+                .map(|&(first, len)| Run {
+                    first,
+                    len,
+                    duplicate: false,
+                })
+                .collect(),
+        };
+        // The ladder's answer to the burst, and to the round after it.
+        let walk = |first_round: &ServerFrame| {
+            let mut core = LadderCore::new(ProberConfig::default());
+            assert_eq!(core.start(), Step::Connect);
+            core.on_connected();
+            core.on_frame(&ServerFrame::Welcome { granted_mss: 100 })
+                .unwrap();
+            let answer = core.on_frame(first_round).unwrap();
+            (answer, core.on_frame(&burst(&[(10, 10)])).unwrap())
+        };
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&encode(&burst(&[(5, 2), (7, 3)])));
+        let decoded: ServerFrame = decoder.next().unwrap().expect("one whole frame");
+        assert_eq!(decoded, burst(&[(5, 5)]), "adjacent runs decode merged");
+        assert_eq!(walk(&decoded), walk(&burst(&[(5, 5)])));
+        // A hole between the runs is a different round.
+        assert_ne!(walk(&burst(&[(5, 2), (8, 3)])), walk(&burst(&[(5, 5)])));
     }
 }

@@ -17,12 +17,15 @@
 //! `(first: u64, len: u32)` runs of consecutive sequence numbers (the
 //! ACK-range idea of QUIC's ACK frame, RFC 9000 §19.3). On a clean
 //! wire both are one run, so a round trip is ~70 bytes whatever the
-//! window. Hostile bytes are the normal case for a parser that listens
-//! on a socket, so decoding is strict (length-capped, run-capped
-//! before anything is expanded, finite-float-checked, no trailing
-//! bytes) and every rejection names what was wrong, in the
+//! window. In memory a `Burst` keeps those runs as the ladder's own
+//! [`Run`]s, which [`LadderCore`](crate::LadderCore) hands over as they
+//! are: no round is ever expanded into its packets. Hostile bytes are
+//! the normal case for a parser that listens on a socket, so decoding
+//! is strict (length-capped, run-capped, finite-float-checked, no
+//! trailing bytes) and every rejection names what was wrong, in the
 //! skip-and-report diagnostic style of the pcap readers.
 
+use caai_core::ladder::Run;
 use std::fmt;
 use std::ops::RangeInclusive;
 
@@ -98,14 +101,17 @@ pub enum ServerFrame {
         /// MSS the server granted (proposal rounded up to its minimum).
         granted_mss: u32,
     },
-    /// One round's burst of data-packet sequence numbers (run-length
-    /// coded on the wire, expanded here).
+    /// One round's burst of data packets, as the runs of consecutive
+    /// sequence numbers the wire carries.
     Burst {
         /// The server finished its data and is closing (the wire form
         /// of a server-initiated FIN).
         done: bool,
-        /// Packet-unit sequence numbers transmitted this round.
-        seqs: Vec<u64>,
+        /// Packet-unit sequence numbers transmitted this round, as
+        /// `(first, len)` runs in the order sent. A decoded burst's runs
+        /// are maximal: a run that continues the one before it is merged
+        /// into it. `duplicate` is not on the wire and decodes `false`.
+        runs: Vec<Run>,
     },
     /// Outcome of an `RtoWait`: did the server's stack respond to the
     /// timeout, and at what virtual time.
@@ -354,21 +360,16 @@ impl Wire for ServerFrame {
                 out.push(TAG_WELCOME);
                 out.extend_from_slice(&granted_mss.to_le_bytes());
             }
-            ServerFrame::Burst { done, seqs } => {
+            ServerFrame::Burst { done, runs } => {
                 out.push(TAG_BURST);
                 out.push(u8::from(*done));
-                // Maximal runs of consecutive numbers; the run count is
-                // patched in once known, like the length prefix.
-                let count_at = out.len();
-                out.extend_from_slice(&[0; 4]);
-                let mut runs: u32 = 0;
-                for run in seqs.chunk_by(|a, b| a.checked_add(1) == Some(*b)) {
-                    let len = u32::try_from(run.len()).expect("a run longer than memory");
-                    out.extend_from_slice(&run[0].to_le_bytes());
+                let count = u32::try_from(runs.len()).expect("more runs than a u32 counts");
+                out.extend_from_slice(&count.to_le_bytes());
+                for run in runs {
+                    let len = u32::try_from(run.len).expect("a run longer than a u32 counts");
+                    out.extend_from_slice(&run.first.to_le_bytes());
                     out.extend_from_slice(&len.to_le_bytes());
-                    runs += 1;
                 }
-                out[count_at..count_at + 4].copy_from_slice(&runs.to_le_bytes());
             }
             ServerFrame::RtoResult { responded, now } => {
                 out.push(TAG_RTO_RESULT);
@@ -395,20 +396,32 @@ impl Wire for ServerFrame {
                         "burst run count {runs} exceeds the cap of {MAX_BURST_SEQS}"
                     )));
                 }
-                let mut seqs = Vec::new();
+                let mut merged: Vec<Run> = Vec::new();
+                let mut total = 0usize;
                 for i in 0..runs {
                     let first = r.u64(format_args!("burst run {i} first"))?;
                     let len = r.u32(format_args!("burst run {i} len"))?;
-                    let run = run_range(format_args!("burst run {i}"), first, len)?;
-                    let total = seqs.len() + len as usize;
+                    run_range(format_args!("burst run {i}"), first, len)?;
+                    total += len as usize;
                     if total > MAX_BURST_SEQS {
                         return Err(bad(format!(
                             "burst of {total} sequences at run {i} exceeds the cap of {MAX_BURST_SEQS}"
                         )));
                     }
-                    seqs.extend(run);
+                    // A run that continues the one before it joins it, so
+                    // the runs in memory are maximal.
+                    match merged.last_mut() {
+                        Some(last) if last.first.checked_add(last.len) == Some(first) => {
+                            last.len += u64::from(len);
+                        }
+                        _ => merged.push(Run {
+                            first,
+                            len: u64::from(len),
+                            duplicate: false,
+                        }),
+                    }
                 }
-                ServerFrame::Burst { done, seqs }
+                ServerFrame::Burst { done, runs: merged }
             }
             TAG_RTO_RESULT => ServerFrame::RtoResult {
                 responded: r.bool("rto responded")?,
@@ -498,6 +511,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn run(first: u64, len: u64) -> Run {
+        Run {
+            first,
+            len,
+            duplicate: false,
+        }
+    }
+
     fn roundtrip_client(frame: ClientFrame) {
         let bytes = encode(&frame);
         let mut dec = FrameDecoder::new();
@@ -539,11 +560,11 @@ mod tests {
             ServerFrame::Welcome { granted_mss: 536 },
             ServerFrame::Burst {
                 done: false,
-                seqs: vec![0, 1, 2, 3],
+                runs: vec![run(0, 4), run(9, 2)],
             },
             ServerFrame::Burst {
                 done: true,
-                seqs: vec![],
+                runs: vec![],
             },
             ServerFrame::RtoResult {
                 responded: true,
@@ -652,13 +673,29 @@ mod tests {
             shape in 0u8..2,
             done in 0u8..2,
         ) {
-            let frame = ServerFrame::Burst {
-                done: done == 1,
-                seqs: drawn_seqs(seed, len, shape),
-            };
-            let bytes = encode(&frame);
-            let got = decode_bytewise::<ServerFrame>(&bytes);
-            prop_assert!(got == Ok(vec![frame.clone()]), "{got:?}");
+            // The drawn numbers as runs cut before every multiple of 3, so
+            // some run continues the one before it; decoded, the runs are
+            // the maximal ones of the same numbers.
+            let seqs = drawn_seqs(seed, len, shape);
+            let mut cut: Vec<Run> = Vec::new();
+            for &seq in &seqs {
+                let continues = |last: &Run| last.first.checked_add(last.len) == Some(seq);
+                match cut.last_mut() {
+                    Some(last) if seq % 3 != 0 && continues(last) => last.len += 1,
+                    _ => cut.push(run(seq, 1)),
+                }
+            }
+            let maximal: Vec<Run> = seqs
+                .chunk_by(|a, b| a.checked_add(1) == Some(*b))
+                .map(|r| run(r[0], r.len() as u64))
+                .collect();
+            let sent = ServerFrame::Burst { done: done == 1, runs: cut };
+            let got = decode_bytewise::<ServerFrame>(&encode(&sent));
+            let want = ServerFrame::Burst { done: done == 1, runs: maximal };
+            prop_assert!(got == Ok(vec![want.clone()]), "{got:?}");
+            // Maximal runs encode and decode unchanged.
+            let again = decode_bytewise::<ServerFrame>(&encode(&want));
+            prop_assert!(again == Ok(vec![want]), "{again:?}");
         }
 
         #[test]
@@ -679,7 +716,7 @@ mod tests {
     fn a_clean_window_is_one_run_and_a_full_burst_fits_the_frame_cap() {
         let window = ServerFrame::Burst {
             done: false,
-            seqs: (1000..1512).collect(),
+            runs: vec![run(1000, 512)],
         };
         // length, tag, done, run count, one (first, len).
         assert_eq!(encode(&window).len(), 4 + 1 + 1 + 4 + 12);
@@ -687,7 +724,7 @@ mod tests {
         // The worst legitimate burst: the cap's worth of one-sequence runs.
         let sparse = ServerFrame::Burst {
             done: false,
-            seqs: (0..MAX_BURST_SEQS as u64).map(|i| 2 * i).collect(),
+            runs: (0..MAX_BURST_SEQS as u64).map(|i| run(2 * i, 1)).collect(),
         };
         let bytes = encode(&sparse);
         assert!(bytes.len() - 4 <= MAX_FRAME_LEN);

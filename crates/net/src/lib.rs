@@ -24,8 +24,8 @@
 //! * [`sys`] / [`wheel`] / [`limiter`] — the reactor's raw material:
 //!   bindings for the few syscalls std lacks (nonblocking connect,
 //!   `epoll`, `eventfd`, two socket options, thread placement; the
-//!   build is offline, so no `libc`, `mio` or `tokio`), a hashed timer
-//!   wheel, and global + per-/24 token buckets. The probe socket itself
+//!   build is offline, so no `libc`, `mio` or `tokio`), a binary heap
+//!   of timers, and global + per-/24 token buckets. The probe socket itself
 //!   is a `std::net::TcpStream`.
 //! * [`reactor`] — one thread, thousands of nonblocking sessions:
 //!   connect/retry/backoff/timeout per target, paced sends, and

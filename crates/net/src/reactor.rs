@@ -1,8 +1,8 @@
 //! The socket reactor: thousands of probe sessions on one thread.
 //!
 //! A reactor's dedicated thread owns every socket of its sessions, a
-//! readiness poller ([`crate::sys::Poller`]), and a hashed
-//! [`TimerWheel`]. Probe sessions are tiny state machines
+//! readiness poller ([`crate::sys::Poller`]), and a timer heap
+//! ([`TimerWheel`]). Probe sessions are tiny state machines
 //! ([`LadderCore`] plus a write buffer), so the memory per concurrent
 //! session is a few KiB and the per-event work is bounded — a reactor
 //! sustains hundreds to thousands of in-flight sessions without threads
@@ -267,7 +267,7 @@ impl<S: Subscriber> Reactor<S> {
                 config,
                 obs,
                 poller,
-                wheel: TimerWheel::new(Instant::now()),
+                wheel: TimerWheel::new(),
                 sessions: HashMap::new(),
                 pending: VecDeque::new(),
                 admission,
@@ -1038,7 +1038,7 @@ mod tests {
                 .expect("the deadline was forgotten");
             assert_eq!(result.stats.timeouts, 1);
             assert!(result.stats.aborted);
-            // One wheel slot of rounding, and what a loaded host adds to a
+            // A few ms of poll rounding, and what a loaded host adds to a
             // loopback connect and two thread wake-ups.
             let slack = Duration::from_millis(4 + 150);
             assert!(

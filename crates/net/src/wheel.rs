@@ -1,23 +1,23 @@
-//! A hashed timer wheel for the reactor.
+//! The reactor's timers, in a binary heap.
 //!
 //! Thousands of concurrent probe sessions each keep one or two timers
-//! alive (an IO deadline, a paced send). A binary heap would pay
-//! `O(log n)` per insert *and* per cancellation; the wheel pays `O(1)`
-//! per insert and makes cancellation free by never cancelling — a
-//! fired timer carries its deadline, and a session that re-armed since
-//! simply ignores the stale firing (the deadline it stores no longer
-//! matches). Never cancelling means a timer armed per event piles up: an
-//! IO deadline is therefore moved, not re-armed — the reactor keeps one
-//! in here per connection and re-arms it for the remainder when it fires
-//! early. Slots are 4 ms wide and the ring spans ~1 s; longer
-//! timers (connect timeouts, backoffs) wait in an overflow map that
-//! cascades into the ring as the cursor advances.
+//! alive (an IO deadline, a paced send), so a heap's `O(log n)` per
+//! insert and per firing costs nothing. Cancellation is free because
+//! nothing is ever cancelled: a fired timer carries its deadline, and a
+//! session that re-armed since simply ignores the stale firing (the
+//! deadline it stores no longer matches). Never cancelling means a timer
+//! armed per event piles up: an IO deadline is therefore moved, not
+//! re-armed — the reactor keeps one in here per connection and re-arms
+//! it for the remainder when it fires early. A timer fires at its
+//! deadline, never before; timers due at the same instant fire in the
+//! order they were armed.
 
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::time::Instant;
 
 /// What a timer firing means to the session it belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TimerKind {
     /// The peer had this long to produce progress; the session times out.
     IoDeadline,
@@ -41,113 +41,61 @@ pub struct Timer {
     pub deadline: Instant,
 }
 
-const SLOT_MS: u64 = 4;
-const SLOTS: usize = 256;
-
-/// The wheel. All operations take `now` explicitly so tests can drive
-/// virtual schedules.
-#[derive(Debug)]
+/// The armed timers. [`expire`](TimerWheel::expire) takes `now`
+/// explicitly so tests can drive virtual schedules.
+#[derive(Debug, Default)]
 pub struct TimerWheel {
-    start: Instant,
-    /// Ring of slots; absolute slot `s` lives at `s % SLOTS`.
-    ring: Vec<Vec<Timer>>,
-    /// Absolute index of the next slot to fire.
-    cursor: u64,
-    /// Timers beyond the ring's horizon, keyed by absolute slot.
-    overflow: BTreeMap<u64, Vec<Timer>>,
-    len: usize,
+    /// `(deadline, seq, token, kind)`: earliest deadline first, then the
+    /// earliest armed. `seq` is unique, so `token` and `kind` never
+    /// decide an order.
+    heap: BinaryHeap<Reverse<(Instant, u64, u64, TimerKind)>>,
+    /// Timers armed so far: the tie-break that keeps insertion order.
+    armed: u64,
 }
 
 impl TimerWheel {
-    /// An empty wheel anchored at `now`.
-    pub fn new(now: Instant) -> Self {
-        TimerWheel {
-            start: now,
-            ring: (0..SLOTS).map(|_| Vec::new()).collect(),
-            cursor: 0,
-            overflow: BTreeMap::new(),
-            len: 0,
-        }
-    }
-
-    fn slot_of(&self, deadline: Instant) -> u64 {
-        let ms = deadline.saturating_duration_since(self.start).as_millis() as u64;
-        // Round up: a timer must never fire early.
-        ms.div_ceil(SLOT_MS)
-    }
-
-    fn slot_time(&self, slot: u64) -> Instant {
-        self.start + Duration::from_millis(slot * SLOT_MS)
+    /// No timers.
+    pub fn new() -> Self {
+        TimerWheel::default()
     }
 
     /// Arms a timer. Deadlines in the past fire on the next expire call.
     pub fn insert(&mut self, timer: Timer) {
-        let slot = self.slot_of(timer.deadline).max(self.cursor);
-        self.len += 1;
-        if slot < self.cursor + SLOTS as u64 {
-            self.ring[(slot % SLOTS as u64) as usize].push(timer);
-        } else {
-            self.overflow.entry(slot).or_default().push(timer);
-        }
+        self.heap.push(Reverse((
+            timer.deadline,
+            self.armed,
+            timer.token,
+            timer.kind,
+        )));
+        self.armed += 1;
     }
 
     /// Armed timers (stale ones included — they fire and get ignored).
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when nothing is armed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// The earliest pending deadline, for sizing the poll timeout.
     pub fn next_deadline(&self) -> Option<Instant> {
-        if self.len == 0 {
-            return None;
-        }
-        for offset in 0..SLOTS as u64 {
-            let slot = self.cursor + offset;
-            if !self.ring[(slot % SLOTS as u64) as usize].is_empty() {
-                let ring_time = self.slot_time(slot);
-                // An overflow slot can still precede a late ring entry.
-                return match self.overflow.keys().next() {
-                    Some(&o) if o < slot => Some(self.slot_time(o)),
-                    _ => Some(ring_time),
-                };
-            }
-        }
-        self.overflow.keys().next().map(|&s| self.slot_time(s))
+        self.heap.peek().map(|Reverse((deadline, ..))| *deadline)
     }
 
-    /// Fires everything due at `now`, appending to `out`.
+    /// Fires everything due at `now`, appending to `out` in deadline
+    /// order.
     pub fn expire(&mut self, now: Instant, out: &mut Vec<Timer>) {
-        while self.len > 0 && self.slot_time(self.cursor) <= now {
-            let slot = self.cursor;
-            let fired = std::mem::take(&mut self.ring[(slot % SLOTS as u64) as usize]);
-            self.len -= fired.len();
-            out.extend(fired);
-            self.cursor += 1;
-            // Cascade: the slot one ring-length out is now addressable.
-            let horizon = self.cursor + SLOTS as u64 - 1;
-            if let Some(timers) = self.overflow.remove(&horizon) {
-                self.ring[(horizon % SLOTS as u64) as usize] = timers;
-            }
-            // Any overflow entries that were *behind* the horizon (can
-            // happen after a long stall) fire immediately.
-            while let Some(&first) = self.overflow.keys().next() {
-                if first > horizon {
-                    break;
-                }
-                let timers = self.overflow.remove(&first).expect("key just observed");
-                if first <= slot {
-                    self.len -= timers.len();
-                    out.extend(timers);
-                } else {
-                    let cell = &mut self.ring[(first % SLOTS as u64) as usize];
-                    cell.extend(timers);
-                }
-            }
+        while self.next_deadline().is_some_and(|deadline| deadline <= now) {
+            let Reverse((deadline, _, token, kind)) =
+                self.heap.pop().expect("a deadline was just read");
+            out.push(Timer {
+                token,
+                kind,
+                deadline,
+            });
         }
     }
 }
@@ -155,6 +103,7 @@ impl TimerWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn t(token: u64, deadline: Instant) -> Timer {
         Timer {
@@ -164,44 +113,54 @@ mod tests {
         }
     }
 
+    fn tokens(fired: &[Timer]) -> Vec<u64> {
+        fired.iter().map(|x| x.token).collect()
+    }
+
     #[test]
     fn timers_fire_in_slot_order_and_never_early() {
         let base = Instant::now();
-        let mut wheel = TimerWheel::new(base);
-        wheel.insert(t(1, base + Duration::from_millis(10)));
-        wheel.insert(t(2, base + Duration::from_millis(500)));
-        wheel.insert(t(3, base + Duration::from_millis(5_000))); // overflow
+        let ms = |n| base + Duration::from_millis(n);
+        let mut wheel = TimerWheel::new();
+        wheel.insert(t(3, ms(5_000)));
+        wheel.insert(t(1, ms(10)));
+        wheel.insert(t(2, ms(500)));
+        // Equal deadlines fire in the order they were armed.
+        wheel.insert(t(5, ms(500)));
+        wheel.insert(t(4, ms(500)));
 
         let mut fired = Vec::new();
-        wheel.expire(base + Duration::from_millis(5), &mut fired);
+        wheel.expire(ms(9), &mut fired);
         assert!(fired.is_empty(), "nothing due yet");
 
-        wheel.expire(base + Duration::from_millis(20), &mut fired);
-        assert_eq!(fired.iter().map(|x| x.token).collect::<Vec<_>>(), [1]);
+        wheel.expire(ms(10), &mut fired);
+        assert_eq!(tokens(&fired), [1], "due at its deadline, not before");
 
         fired.clear();
-        wheel.expire(base + Duration::from_millis(6_000), &mut fired);
-        let mut tokens: Vec<u64> = fired.iter().map(|x| x.token).collect();
-        tokens.sort_unstable();
-        assert_eq!(tokens, [2, 3]);
+        wheel.expire(ms(6_000), &mut fired);
+        assert_eq!(tokens(&fired), [2, 5, 4, 3]);
         assert!(wheel.is_empty());
     }
 
     #[test]
     fn next_deadline_tracks_the_earliest_timer() {
         let base = Instant::now();
-        let mut wheel = TimerWheel::new(base);
+        let mut wheel = TimerWheel::new();
         assert_eq!(wheel.next_deadline(), None);
-        wheel.insert(t(1, base + Duration::from_secs(10)));
-        let far = wheel.next_deadline().unwrap();
-        wheel.insert(t(2, base + Duration::from_millis(8)));
-        assert!(wheel.next_deadline().unwrap() < far);
+        let far = base + Duration::from_secs(10);
+        wheel.insert(t(1, far));
+        assert_eq!(wheel.next_deadline(), Some(far));
+        let near = base + Duration::from_millis(8);
+        wheel.insert(t(2, near));
+        assert_eq!(wheel.next_deadline(), Some(near));
+        wheel.expire(near, &mut Vec::new());
+        assert_eq!(wheel.next_deadline(), Some(far));
     }
 
     #[test]
     fn past_deadlines_fire_on_the_next_expire() {
         let base = Instant::now();
-        let mut wheel = TimerWheel::new(base + Duration::from_secs(1));
+        let mut wheel = TimerWheel::new();
         wheel.insert(t(9, base)); // already overdue
         let mut fired = Vec::new();
         wheel.expire(base + Duration::from_secs(1), &mut fired);
@@ -210,15 +169,17 @@ mod tests {
 
     #[test]
     fn cascade_survives_a_long_stall() {
+        // One giant stall straight past a hundred timers: all of them
+        // fire in one call, in deadline order.
         let base = Instant::now();
-        let mut wheel = TimerWheel::new(base);
-        for i in 0..100 {
+        let mut wheel = TimerWheel::new();
+        for i in (0..100).rev() {
             wheel.insert(t(i, base + Duration::from_millis(1_500 + i * 13)));
         }
-        // One giant stall straight past everything.
+        assert_eq!(wheel.len(), 100);
         let mut fired = Vec::new();
         wheel.expire(base + Duration::from_secs(60), &mut fired);
-        assert_eq!(fired.len(), 100);
+        assert_eq!(tokens(&fired), (0..100).collect::<Vec<_>>());
         assert!(wheel.is_empty());
     }
 }
