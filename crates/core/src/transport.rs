@@ -20,6 +20,13 @@
 //!   `Invalid(TransportAborted)` verdict, not an error.
 //! * `probe` is callable from many threads at once (`Sync`).
 //!
+//! A transport that holds probes itself (live sockets: a probe mostly
+//! waits on the network) also takes them one id at a time: it reports a
+//! nonzero [`capacity`](ProbeTransport::capacity), and the engine then
+//! [`submit`](ProbeTransport::submit)s up to that many and collects each
+//! record with [`next_finished`](ProbeTransport::next_finished) from one
+//! thread, instead of parking a worker thread on every `probe`.
+//!
 //! Determinism is a property of the transport, not the engine: the
 //! simulator is a pure function of `(population, seed, shard)`, while a
 //! real network answers however it pleases. The engine stays
@@ -43,6 +50,26 @@ pub trait ProbeTransport: Sync {
     /// `server_id == id`), forwarding structured events to `obs`.
     /// `seed` keys any per-server randomness so reruns reproduce.
     fn probe<S: Subscriber>(&self, id: u32, seed: u64, obs: &S) -> CensusRecord;
+
+    /// How many submitted probes this transport holds in flight itself.
+    /// Zero (the default): it takes none, and `probe` blocks its caller.
+    fn capacity(&self) -> usize {
+        0
+    }
+
+    /// Starts probing server `id` without waiting for it. Called only
+    /// while fewer than [`capacity`](Self::capacity) submitted probes are
+    /// unfinished.
+    fn submit(&self, _id: u32, _seed: u64) {
+        unreachable!("a transport of capacity 0 takes no submissions");
+    }
+
+    /// Waits for the next submitted probe to finish and returns its
+    /// record, replaying that probe's events into `obs`. Called only
+    /// while a submitted probe is unfinished.
+    fn next_finished<S: Subscriber>(&self, _obs: &S) -> CensusRecord {
+        unreachable!("a transport of capacity 0 holds no probes");
+    }
 }
 
 /// The simulator transport: probes synthetic [`WebServer`]s through

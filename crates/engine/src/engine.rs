@@ -6,9 +6,18 @@
 //! The engine schedules *ids*, not servers: [`run_transport`] drives any
 //! [`ProbeTransport`] — the simulator ([`caai_core::transport::SimTransport`],
 //! what [`CensusEngine::run`] wraps) or `caai-net`'s real-socket
-//! `NetTransport` — through the same workers, checkpoints, shards, and
-//! sinks. The transport owns record production; the engine owns
-//! everything after.
+//! `NetTransport` — through the same checkpoints, shards, and sinks. The
+//! transport owns record production; the engine owns everything after.
+//!
+//! How the probes run follows from the transport, never from a setting.
+//! One that holds probes itself (a nonzero
+//! [`capacity`](ProbeTransport::capacity): `caai-net`'s reactors) gets
+//! them submitted from the caller's thread, up to that many in flight:
+//! each time one finishes the next is submitted, and then the finished
+//! record folds. No worker thread runs. Any other transport (the
+//! simulator) gets the worker pool below. Before returning, on any path,
+//! the engine collects every probe it submitted, so a transport can
+//! serve one run after another.
 //!
 //! ## Determinism contract
 //!
@@ -39,10 +48,11 @@
 //!
 //! ## One queue
 //!
-//! Workers hand records to one bounded queue; the caller's thread drains
-//! it, and for each record folds the aggregates, emits the census event,
-//! writes every sink and, when a checkpoint falls due, flushes the sinks,
-//! then the subscriber, then saves; then it checks the deadline. The write
+//! On the worker path, workers hand records to one bounded queue; the
+//! caller's thread drains it, and for each record folds the aggregates,
+//! emits the census event, writes every sink and, when a checkpoint falls
+//! due, flushes the sinks, then the subscriber, then saves; then it
+//! checks the deadline (the submit path folds with the same step). The write
 //! barrier that keeps a checkpoint from claiming a record the sinks have
 //! not durably written is program order. The only sinks in the tree (a
 //! buffered JSONL file, an in-memory aggregator) cost a microsecond or
@@ -302,108 +312,140 @@ pub fn run_transport_obs<T: ProbeTransport, S: Subscriber>(
         .take(max_probes)
         .collect();
 
-    let scheduler = BatchScheduler::new(pending.len(), config.batch_size);
-    let stop = AtomicBool::new(false);
+    let (mut since_checkpoint, mut last_written, mut checkpoints_written) = (0, None, 0);
+    // Coordinator, record by record: fold the aggregates, mark the
+    // bitmap, write the sinks, checkpoint, and tell whether the deadline
+    // has passed.
+    let mut fold = |record: &CensusRecord| -> Result<bool, EngineError> {
+        live.observe(record);
+        obs.on_event(&Event::CensusRecordObserved(CensusRecordObserved {
+            verdict: record.verdict.kind(),
+            wmax: record.verdict.wmax(),
+        }));
+        done += 1;
+        since_checkpoint += 1;
+        for sink in sinks.iter_mut() {
+            sink.emit(record)?;
+        }
+        if config.checkpoint_path.is_some() && since_checkpoint >= config.checkpoint_every {
+            since_checkpoint = 0;
+            // Write barrier: every record in this checkpoint is already
+            // flushed through the sinks, and whatever the subscriber
+            // buffered about it (trace spans) with it — resume skips
+            // these servers, nothing recreates either.
+            flush_sinks(sinks)?;
+            obs.flush();
+            save_checkpoint(config, &live)?;
+            last_written = Some(done);
+            checkpoints_written += 1;
+            obs.on_event(&Event::CheckpointWritten(CheckpointWritten {
+                records: done,
+            }));
+        }
+        Ok(config.budget.expired(started))
+    };
+
+    // A transport that holds probes itself has them submitted from this
+    // thread; any other gets a pool of workers, each blocking in `probe`.
+    let capacity = transport.capacity();
     let workers = config.workers.max(1).min(pending.len().max(1));
-    // Bounded: when the coordinator stalls (a slow sink, a checkpoint
-    // write), workers block in send instead of growing a backlog.
-    let (tx, rx) = mpsc::sync_channel::<Vec<CensusRecord>>(QUEUE_DEPTH);
-
-    let mut since_checkpoint: u64 = 0;
-    let mut last_written: Option<u64> = None;
-    let mut checkpoints_written: u64 = 0;
-
-    let run_span = span_begin(obs, SpanKind::CensusRun, owned_total as i64, workers as i64);
+    let slots = if capacity > 0 { capacity } else { workers };
+    let run_span = span_begin(obs, SpanKind::CensusRun, owned_total as i64, slots as i64);
     let run_id = run_span.id();
-
-    let result = std::thread::scope(|scope| -> Result<(), EngineError> {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let pending = &pending;
-            let scheduler = &scheduler;
-            let stop = &stop;
-            scope.spawn(move || {
-                let mut held = Vec::new();
-                let mut handed = Instant::now();
-                'claim: while let Some(batch) = scheduler.next_batch() {
-                    // Explicit parent: the run span lives on the
-                    // coordinator thread, this batch on a worker.
-                    let batch_span = span_begin_with_parent(
-                        obs,
-                        SpanKind::Batch,
-                        run_id,
-                        batch.start as i64,
-                        batch.len() as i64,
-                    );
-                    let claimed = batch.len();
-                    for i in batch {
-                        if stop.load(Ordering::Relaxed) {
-                            batch_span.end(obs);
-                            break 'claim;
-                        }
-                        let id = pending[i];
-                        let record = transport.probe(id, seed, obs);
-                        debug_assert_eq!(
-                            record.server_id, id,
-                            "transport contract: probe(id) returns that id's record"
+    let result = if capacity > 0 {
+        let mut ids = pending.iter();
+        let mut submit = |in_flight: &mut usize| {
+            for &id in ids.by_ref().take(capacity - *in_flight) {
+                transport.submit(id, seed);
+                *in_flight += 1;
+            }
+        };
+        let (mut in_flight, mut stopped, mut folded) = (0, false, Ok(()));
+        submit(&mut in_flight);
+        while in_flight > 0 && folded.is_ok() {
+            let record = transport.next_finished(obs);
+            in_flight -= 1;
+            // The next probe is under way while the sinks write.
+            if !stopped {
+                submit(&mut in_flight);
+            }
+            folded = fold(&record).map(|expired| stopped |= expired);
+        }
+        // A sink or checkpoint error leaves probes in flight: collect them,
+        // so that none reaches a later run over the same transport.
+        for _ in 0..in_flight {
+            transport.next_finished(&NullSubscriber);
+        }
+        folded
+    } else {
+        let scheduler = BatchScheduler::new(pending.len(), config.batch_size);
+        let stop = AtomicBool::new(false);
+        // Bounded: when the coordinator stalls (a slow sink, a checkpoint
+        // write), workers block in send instead of growing a backlog.
+        let (tx, rx) = mpsc::sync_channel::<Vec<CensusRecord>>(QUEUE_DEPTH);
+        std::thread::scope(|scope| -> Result<(), EngineError> {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let pending = &pending;
+                let scheduler = &scheduler;
+                let stop = &stop;
+                scope.spawn(move || {
+                    let mut held = Vec::new();
+                    let mut handed = Instant::now();
+                    'claim: while let Some(batch) = scheduler.next_batch() {
+                        // Explicit parent: the run span lives on the
+                        // coordinator thread, this batch on a worker.
+                        let batch_span = span_begin_with_parent(
+                            obs,
+                            SpanKind::Batch,
+                            run_id,
+                            batch.start as i64,
+                            batch.len() as i64,
                         );
-                        held.push(record);
-                        if hands_over(held.len(), claimed, handed.elapsed()) {
-                            if tx.send(std::mem::take(&mut held)).is_err() {
+                        let claimed = batch.len();
+                        for i in batch {
+                            if stop.load(Ordering::Relaxed) {
                                 batch_span.end(obs);
                                 break 'claim;
                             }
-                            handed = Instant::now();
+                            let id = pending[i];
+                            let record = transport.probe(id, seed, obs);
+                            debug_assert_eq!(
+                                record.server_id, id,
+                                "transport contract: probe(id) returns that id's record"
+                            );
+                            held.push(record);
+                            if hands_over(held.len(), claimed, handed.elapsed()) {
+                                if tx.send(std::mem::take(&mut held)).is_err() {
+                                    batch_span.end(obs);
+                                    break 'claim;
+                                }
+                                handed = Instant::now();
+                            }
                         }
+                        batch_span.end(obs);
                     }
-                    batch_span.end(obs);
-                }
-                // Stopped, or out of work between two hand-overs.
-                if !held.is_empty() {
-                    let _ = tx.send(held);
-                }
-            });
-        }
-        drop(tx);
+                    // Stopped, or out of work between two hand-overs.
+                    if !held.is_empty() {
+                        let _ = tx.send(held);
+                    }
+                });
+            }
+            drop(tx);
 
-        // Coordinator, record by record: fold the aggregates, mark the
-        // bitmap, write the sinks, checkpoint, and watch the deadline.
-        // Returning early drops `rx`, so no worker blocks on a queue
-        // nobody drains.
-        for record in rx.into_iter().flatten() {
-            live.observe(&record);
-            obs.on_event(&Event::CensusRecordObserved(CensusRecordObserved {
-                verdict: record.verdict.kind(),
-                wmax: record.verdict.wmax(),
-            }));
-            done += 1;
-            since_checkpoint += 1;
-            for sink in sinks.iter_mut() {
-                sink.emit(&record)?;
+            // Returning early drops `rx`, so no worker blocks on a queue
+            // nobody drains.
+            for record in rx.into_iter().flatten() {
+                if fold(&record)? {
+                    stop.store(true, Ordering::Relaxed);
+                }
             }
-            if config.checkpoint_path.is_some() && since_checkpoint >= config.checkpoint_every {
-                since_checkpoint = 0;
-                // Write barrier: every record in this checkpoint is
-                // already flushed through the sinks, and whatever the
-                // subscriber buffered about it (trace spans) with it —
-                // resume skips these servers, nothing recreates either.
-                flush_sinks(sinks)?;
-                obs.flush();
-                save_checkpoint(config, &live)?;
-                last_written = Some(done);
-                checkpoints_written += 1;
-                obs.on_event(&Event::CheckpointWritten(CheckpointWritten {
-                    records: done,
-                }));
-            }
-            if config.budget.expired(started) {
-                stop.store(true, Ordering::Relaxed);
-            }
-        }
-        flush_sinks(sinks)
-    });
+            Ok(())
+        })
+    };
     run_span.end(obs);
     result?;
+    flush_sinks(sinks)?;
 
     // Final checkpoint — skipped when it would be byte-identical to
     // the last one written (no new records completed since).
@@ -456,10 +498,12 @@ fn resumed_counts(agg: &CensusAggregates) -> CensusResumed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::AggregatingSink;
     use caai_core::census::Verdict;
     use caai_core::classes::ClassLabel;
     use caai_core::special::SpecialCase;
     use caai_core::trace::InvalidReason;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
 
     #[test]
@@ -632,5 +676,160 @@ mod tests {
             assert_eq!(ck.completed_count(), checkpointed);
             assert!(ck.completed.iter().all(|id| sink.1.contains(&id)));
         }
+    }
+
+    /// What the fake transports below give server `id`: several verdict
+    /// kinds and windows, so that two reports can differ.
+    fn record_of(id: u32) -> CensusRecord {
+        let verdict = match id % 4 {
+            0 => Verdict::Identified(ClassLabel::Bic, 256 << (id % 3)),
+            1 => Verdict::Special(SpecialCase::BoundedWindow, 64),
+            2 => Verdict::Unsure(128),
+            _ => Verdict::Invalid(InvalidReason::PageTooShort),
+        };
+        CensusRecord {
+            server_id: id,
+            truth: None,
+            verdict,
+        }
+    }
+
+    /// Holds up to `capacity` submitted probes, sockets-free, and finishes
+    /// the newest first. Its `probe` panics: no worker ever runs over it.
+    struct Holding {
+        population: u64,
+        capacity: usize,
+        held: Mutex<Vec<u32>>,
+        submitted: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    impl Holding {
+        fn new(population: u64, capacity: usize) -> Self {
+            Holding {
+                population,
+                capacity,
+                held: Mutex::new(Vec::new()),
+                submitted: AtomicUsize::new(0),
+                peak: AtomicUsize::new(0),
+            }
+        }
+
+        fn in_flight(&self) -> usize {
+            self.held.lock().unwrap().len()
+        }
+    }
+
+    impl ProbeTransport for Holding {
+        fn population(&self) -> u64 {
+            self.population
+        }
+
+        fn probe<S: Subscriber>(&self, _: u32, _: u64, _: &S) -> CensusRecord {
+            panic!("a transport that holds its probes is never probed by a worker");
+        }
+
+        fn capacity(&self) -> usize {
+            self.capacity
+        }
+
+        fn submit(&self, id: u32, _: u64) {
+            let mut held = self.held.lock().unwrap();
+            held.push(id);
+            assert!(held.len() <= self.capacity, "{} in flight", held.len());
+            self.submitted.fetch_add(1, Ordering::Relaxed);
+            self.peak.fetch_max(held.len(), Ordering::Relaxed);
+        }
+
+        fn next_finished<S: Subscriber>(&self, _: &S) -> CensusRecord {
+            record_of(self.held.lock().unwrap().pop().expect("a probe in flight"))
+        }
+    }
+
+    /// [`Holding`]'s records, probed by workers.
+    struct Worked(u64);
+
+    impl ProbeTransport for Worked {
+        fn population(&self) -> u64 {
+            self.0
+        }
+
+        fn probe<S: Subscriber>(&self, id: u32, _: u64, _: &S) -> CensusRecord {
+            record_of(id)
+        }
+    }
+
+    #[test]
+    fn submitted_probes_reach_the_capacity_and_never_exceed_it() {
+        let transport = Holding::new(100, 7);
+        let outcome = run_transport(&transport, &EngineConfig::default(), &mut [], None).unwrap();
+        assert!(outcome.completed);
+        assert_eq!(transport.peak.load(Ordering::Relaxed), 7);
+        assert_eq!(transport.in_flight(), 0);
+    }
+
+    #[test]
+    fn the_submit_path_reports_what_the_worker_path_does() {
+        let config = EngineConfig::default();
+        let mut sink = AggregatingSink::new();
+        let held = run_transport(&Holding::new(100, 7), &config, &mut [&mut sink], None).unwrap();
+        let worked = run_transport(&Worked(100), &config, &mut [], None).unwrap();
+        assert_eq!(held.report, worked.report);
+        assert_eq!(held.report.total, 100);
+        // The sinks see records as they finish, not in id order.
+        let ids: Vec<u32> = sink.records().iter().map(|r| r.server_id).collect();
+        assert_ne!(ids, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_probe_budget_submits_exactly_that_many_probes() {
+        let transport = Holding::new(100, 7);
+        let config = EngineConfig {
+            budget: Budget::probes(30),
+            ..EngineConfig::default()
+        };
+        let outcome = run_transport(&transport, &config, &mut [], None).unwrap();
+        assert!(!outcome.completed);
+        assert_eq!(outcome.report.total, 30);
+        assert_eq!(transport.submitted.load(Ordering::Relaxed), 30);
+    }
+
+    #[test]
+    fn a_deadline_stops_submission_and_drains_what_is_in_flight() {
+        let transport = Holding::new(100, 7);
+        let config = EngineConfig {
+            budget: Budget::deadline(Duration::ZERO),
+            ..EngineConfig::default()
+        };
+        let outcome = run_transport(&transport, &config, &mut [], None).unwrap();
+        // The first record to fold trips the deadline. The probe submitted
+        // in its place and the six before it still fold.
+        assert!(!outcome.completed);
+        assert_eq!(transport.submitted.load(Ordering::Relaxed), 8);
+        assert_eq!(outcome.report.total, 8);
+        assert_eq!(transport.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_failing_sink_leaves_nothing_in_flight_for_the_next_run() {
+        let transport = Holding::new(100, 7);
+        let config = EngineConfig::default();
+        let mut failing = FailsAfter(10, Vec::new());
+        let failed = run_transport(&transport, &config, &mut [&mut failing], None);
+        assert!(matches!(failed, Err(EngineError::Io(_))), "{failed:?}");
+        assert_eq!(transport.in_flight(), 0);
+        // A second run over the same transport folds its own records, each
+        // once: `submit` would have seen more than 7 in flight otherwise.
+        let mut sink = AggregatingSink::new();
+        let outcome = run_transport(&transport, &config, &mut [&mut sink], None).unwrap();
+        let mut ids: Vec<u32> = sink.records().iter().map(|r| r.server_id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..100).collect::<Vec<_>>());
+        assert_eq!(
+            outcome.report,
+            run_transport(&Worked(100), &config, &mut [], None)
+                .unwrap()
+                .report
+        );
     }
 }

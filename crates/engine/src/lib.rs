@@ -9,7 +9,9 @@
 //!
 //! 1. **Work-stealing scheduling** ([`scheduler`]): workers pull batches
 //!    of servers from an atomic cursor instead of being handed fixed
-//!    shards, so a slow server never idles the other workers.
+//!    shards, so a slow server never idles the other workers. A
+//!    transport that holds its probes (live sockets) runs no workers: the
+//!    caller's thread keeps its capacity submitted.
 //! 2. **Deterministic per-server randomness**: every probe's RNG is keyed
 //!    on `(seed, server_id)` — any worker count and any interleaving
 //!    produce the identical census report, byte for byte.

@@ -12,8 +12,9 @@
 //! That one implementation is [`caai_core::ladder`]. [`LadderCore`] is
 //! its wire-protocol driver: it turns server frames into the events
 //! [`RungAttempt`] takes and the [`RoundEnd`]s it returns into client
-//! frames, keeps the virtual clock, rejects frames the protocol does not
-//! expect, and tells the transport how long a round would last (`pace`).
+//! frames, keeps the virtual clock and rejects frames the protocol does
+//! not expect. How long a round lasts in real time is the path's business
+//! (an emulated server holds its replies), never the prober's.
 //! The loopback wire is clean, so every `Burst` is a round's arrivals
 //! as sent, handed to the ladder as the runs it names, and the ladder's
 //! ACK runs go back as they come: one `AckRun` per train (a new one
@@ -266,11 +267,6 @@ pub enum Step {
     /// [`LadderCore::on_closed`] (`close_after`), or wait for the next
     /// server frame and feed it to [`LadderCore::on_frame`].
     Send {
-        /// Virtual seconds this round spans — the transport may stretch
-        /// this into real time (`--pace`) to approximate live RTT
-        /// pacing; zero means proceed immediately. Correctness never
-        /// depends on it: the virtual clock rides in the frames.
-        pace: f64,
         /// Frames to write, in order.
         frames: Vec<ClientFrame>,
         /// Close after writing instead of awaiting a reply.
@@ -355,7 +351,6 @@ impl LadderCore {
         debug_assert!(self.attempt.is_some() && !self.awaiting);
         self.awaiting = true;
         Step::Send {
-            pace: 0.0,
             frames: vec![ClientFrame::Hello {
                 proposed_mss: self.config.proposed_mss,
                 now: self.now,
@@ -372,7 +367,7 @@ impl LadderCore {
             .expect("on_closed without a closing attempt");
         // The inter-connection wait defeats ssthresh caching (§IV-C); it
         // advances the *virtual* clock only — the transport never sleeps
-        // 630 real seconds (see `Step::Send::pace`).
+        // 630 real seconds.
         self.now += self.config.inter_connection_wait;
         self.walk.record(trace);
         self.advance()
@@ -482,7 +477,6 @@ impl LadderCore {
             }
         }
         Ok(Step::Send {
-            pace: end.elapsed,
             frames,
             close_after: self.closing.is_some(),
         })

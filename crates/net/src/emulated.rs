@@ -14,10 +14,12 @@
 //! one reused buffer and writes once — on the CPU the client's packets
 //! arrive on (`SO_INCOMING_CPU`, asked again after every read), so a
 //! round trip's two wake-ups stay on one CPU. The interesting concurrency
-//! lives in the reactor under test, not in its test double. Failure
-//! modes for the hardening tests ride on [`Behavior`]: a server that
-//! accepts and then stalls (driving the client's IO timeout), and one
-//! that resets mid-ladder (driving the RST path).
+//! lives in the reactor under test, not in its test double. What else a
+//! server does rides on [`Behavior`]: one that holds each reply for the
+//! real time its round spans (a path's latency, `caai emulate --pace`),
+//! and for the hardening tests one that accepts and then stalls (driving
+//! the client's IO timeout) and one that resets mid-ladder (driving the
+//! RST path).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -29,7 +31,7 @@ use std::time::Duration;
 use caai_core::ServerUnderTest;
 
 use crate::core::{Reply, ServerCore};
-use crate::frame::{ClientFrame, FrameDecoder, Wire};
+use crate::frame::{ClientFrame, FrameDecoder, ServerFrame, Wire};
 use crate::sys::{confine_to, current_cpu, incoming_cpu, set_linger_reset};
 use crate::targets::Target;
 
@@ -38,6 +40,10 @@ use crate::targets::Target;
 pub enum Behavior {
     /// Answer the protocol faithfully.
     Normal,
+    /// Answer faithfully, but hold each reply for this much real time per
+    /// virtual second its round spans (an `Xmit`'s horizon less its clock,
+    /// or what an `RtoWait` advanced the clock by), at most a minute.
+    Paced(Duration),
     /// Accept the connection, then never write a byte (a stalled peer:
     /// the client's IO timeout must fire).
     StallAfterAccept,
@@ -147,8 +153,10 @@ fn follow_incoming_cpu(stream: &TcpStream, cpu: &mut Option<usize>) {
 
 /// Upper bound a stalled or hostile client can hold a server thread.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Longest a paced server holds one reply, in seconds.
+const MAX_HOLD_SECS: f64 = 60.0;
 
-fn serve_connection(mut stream: TcpStream, server: ServerUnderTest, behavior: Behavior) {
+fn serve_connection(mut stream: TcpStream, server: ServerUnderTest, mut behavior: Behavior) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     if behavior == Behavior::StallAfterAccept {
@@ -162,10 +170,6 @@ fn serve_connection(mut stream: TcpStream, server: ServerUnderTest, behavior: Be
         }
         return;
     }
-    let mut bursts_left = match behavior {
-        Behavior::RstAfterBursts(n) => Some(n),
-        _ => None,
-    };
     let mut core = ServerCore::new(server);
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
@@ -181,7 +185,7 @@ fn serve_connection(mut stream: TcpStream, server: ServerUnderTest, behavior: Be
         };
         follow_incoming_cpu(&stream, &mut cpu);
         decoder.push(&buf[..n]);
-        let end = answer_frames(&mut core, &mut decoder, &mut bursts_left, &mut out);
+        let end = answer_frames(&mut core, &mut decoder, &mut behavior, &mut out);
         if !out.is_empty() && stream.write_all(&out).is_err() {
             return;
         }
@@ -209,11 +213,12 @@ enum End {
 }
 
 /// Answers every whole frame `decoder` holds, appending the replies to
-/// `out`. `Some` when the connection is over.
+/// `out` (once a paced server has held each for its round's span).
+/// `Some` when the connection is over.
 fn answer_frames(
     core: &mut ServerCore,
     decoder: &mut FrameDecoder,
-    bursts_left: &mut Option<u32>,
+    behavior: &mut Behavior,
     out: &mut Vec<u8>,
 ) -> Option<End> {
     loop {
@@ -225,10 +230,24 @@ fn answer_frames(
         let Ok(Reply { frames, close }) = core.on_frame(&frame) else {
             return Some(End::Close);
         };
+        let span = match (&frame, frames.first()) {
+            (ClientFrame::Xmit { now, horizon }, _) => horizon - now,
+            (ClientFrame::RtoWait { now, .. }, Some(ServerFrame::RtoResult { now: t, .. })) => {
+                t - now
+            }
+            _ => 0.0,
+        };
+        if let Behavior::Paced(pace) = *behavior {
+            let hold = (pace.as_secs_f64() * span).clamp(0.0, MAX_HOLD_SECS);
+            if hold > 0.0 {
+                std::thread::sleep(Duration::from_secs_f64(hold));
+            }
+        }
         for reply in &frames {
             reply.encode_into(out);
         }
-        if let (ClientFrame::Xmit { .. }, Some(left)) = (&frame, bursts_left.as_mut()) {
+        if let (ClientFrame::Xmit { .. }, Behavior::RstAfterBursts(left)) = (&frame, &mut *behavior)
+        {
             *left = left.saturating_sub(1);
             if *left == 0 {
                 return Some(End::Reset);
@@ -243,7 +262,6 @@ fn answer_frames(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::ServerFrame;
     use caai_congestion::AlgorithmId;
 
     fn handshake(stream: &mut TcpStream) -> ServerFrame {
@@ -251,8 +269,13 @@ mod tests {
             proposed_mss: 100,
             now: 0.0,
         };
+        exchange(stream, &hello)
+    }
+
+    /// Writes `frame` and reads the one frame that answers it.
+    fn exchange(stream: &mut TcpStream, frame: &ClientFrame) -> ServerFrame {
         let mut bytes = Vec::new();
-        hello.encode_into(&mut bytes);
+        frame.encode_into(&mut bytes);
         stream.write_all(&bytes).unwrap();
         let mut decoder = FrameDecoder::new();
         let mut buf = [0u8; 1024];
@@ -274,6 +297,31 @@ mod tests {
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let frame = handshake(&mut stream);
         assert_eq!(frame, ServerFrame::Welcome { granted_mss: 100 });
+    }
+
+    #[test]
+    fn a_paced_server_holds_a_burst_for_its_round_s_span() {
+        let pace = Duration::from_millis(100);
+        let server = EmulatedServer::spawn(
+            ServerUnderTest::ideal(AlgorithmId::Reno),
+            Behavior::Paced(pace),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        handshake(&mut stream);
+        // A round spanning half a virtual second: held at least 50 ms.
+        let xmit = ClientFrame::Xmit {
+            now: 0.0,
+            horizon: 0.5,
+        };
+        let sent = std::time::Instant::now();
+        let burst = exchange(&mut stream, &xmit);
+        let held = sent.elapsed();
+        assert!(
+            matches!(burst, ServerFrame::Burst { done: false, .. }),
+            "{burst:?}"
+        );
+        assert!(held >= pace / 2, "answered after {held:?}");
     }
 
     #[test]

@@ -28,15 +28,18 @@
 //!   of timers, and global + per-/24 token buckets. The probe socket itself
 //!   is a `std::net::TcpStream`.
 //! * [`reactor`] — one thread, thousands of nonblocking sessions:
-//!   connect/retry/backoff/timeout per target, paced sends, and
-//!   reduction of every transport failure to `TransportAborted`.
+//!   connect/retry/backoff/timeout per target, and reduction of every
+//!   transport failure to `TransportAborted`. It never delays a send:
+//!   latency is the path's.
 //! * [`transport`] — [`NetTransport`], the `caai-core`
 //!   `ProbeTransport` impl the engine runs a live census through: one
 //!   reactor per CPU the caller may use, each confined to its own CPU,
-//!   sharing one session cap and one rate limiter.
+//!   sharing one session cap and one rate limiter. The engine submits to
+//!   it up to that cap from one thread.
 //! * [`emulated`] — loopback [`EmulatedServer`]s replaying tcpsim
 //!   algorithms over real sockets, so tests and CI never touch the
-//!   real network.
+//!   real network; a paced one holds each reply for its round's span
+//!   (a path's latency).
 //! * [`targets`] — `host:port` target-list ingestion with
 //!   skip-and-report diagnostics.
 //!

@@ -19,6 +19,12 @@
 //! `TransportAborted` outcome. Sessions never panic the reactor;
 //! every failure ends in a result on the session's reply channel.
 //!
+//! A session writes each [`Step::Send`] as soon as the core returns it:
+//! how long a round takes in real time is the path's latency (a paced
+//! [`EmulatedServer`](crate::emulated::EmulatedServer) holds its
+//! replies), so the reactor only sleeps in the poller, until a socket is
+//! ready or a timeout, backoff or rate-limiter timer falls due.
+//!
 //! A [`NetTransport`](crate::transport::NetTransport) runs one reactor
 //! per CPU it may use, each confined to its own CPU (ARCHITECTURE.md,
 //! "Where a live probe's threads run"). The limiter is the transport's,
@@ -58,12 +64,6 @@ pub struct NetConfig {
     pub retries: u32,
     /// Base backoff before a retry; doubles per retry already burned.
     pub backoff: Duration,
-    /// Real seconds per virtual second of round pacing. Zero (the
-    /// default) runs the ladder as fast as the peer answers — correct
-    /// against the emulated server, whose clock is the frames'. Against
-    /// hypothetical real stacks a fraction of 1.0 approximates RTT
-    /// pacing. Never applied to the 630 s inter-connection wait.
-    pub pacing: f64,
     /// Global probe admissions per second (`<= 0` = unlimited).
     pub rate: f64,
     /// Per-/24 probe admissions per second (`<= 0` = unlimited).
@@ -80,7 +80,6 @@ impl Default for NetConfig {
             io_timeout: Duration::from_secs(10),
             retries: 1,
             backoff: Duration::from_millis(100),
-            pacing: 0.0,
             rate: 0.0,
             rate_per_net: 0.0,
             max_sessions: 1024,
@@ -118,6 +117,8 @@ pub struct SessionStats {
 /// What a probe session resolves to.
 #[derive(Debug)]
 pub struct SessionResult {
+    /// The server id the probe was submitted under.
+    pub id: u32,
     /// The gather outcome, reduced exactly as the simulator reduces its
     /// own (`TransportAborted` failures included).
     pub outcome: GatherOutcome,
@@ -127,19 +128,25 @@ pub struct SessionResult {
     pub stats: SessionStats,
 }
 
+/// One full ladder walk against `ip:port`, as submitted to a reactor.
+pub struct Probe {
+    /// The server id, echoed in the result.
+    pub id: u32,
+    /// IPv4 target address.
+    pub ip: Ipv4Addr,
+    /// TCP port.
+    pub port: u16,
+    /// Where the result goes.
+    pub reply: mpsc::Sender<SessionResult>,
+}
+
 /// Commands the reactor accepts from other threads.
 pub enum Command {
-    /// Run one full ladder walk against `ip:port`.
-    Probe {
-        /// IPv4 target address.
-        ip: Ipv4Addr,
-        /// TCP port.
-        port: u16,
-        /// Where the result goes.
-        reply: mpsc::Sender<SessionResult>,
-    },
-    /// Stop the reactor; in-flight sessions are dropped (their reply
-    /// channels close, which callers reduce to aborted records).
+    /// Run a probe.
+    Probe(Probe),
+    /// Stop the reactor; in-flight sessions are dropped unanswered (a
+    /// reply channel nobody else holds closes, which `probe` reduces to
+    /// an aborted record). The transport sends it only as it drops.
     Shutdown,
 }
 
@@ -165,8 +172,6 @@ impl Admission {
 
 /// Timer token reserved for the rate-limiter retry tick.
 const RATE_TOKEN: u64 = 0;
-/// Longest real delay one paced round may stretch to.
-const MAX_PACE_DELAY: f64 = 60.0;
 
 struct Conn {
     stream: TcpStream,
@@ -180,8 +185,7 @@ struct Conn {
 }
 
 struct Session {
-    target: (Ipv4Addr, u16),
-    reply: mpsc::Sender<SessionResult>,
+    probe: Probe,
     core: LadderCore,
     conn: Option<Conn>,
     stats: SessionStats,
@@ -194,8 +198,7 @@ struct Session {
     /// keeps one there and moves `io_deadline` under it, round trip after
     /// round trip; see [`arm_io_deadline`].
     io_timer: Option<Instant>,
-    /// Armed deadlines, for staleness checks against fired timers.
-    send_gate: Option<Instant>,
+    /// The armed backoff, for staleness checks against fired timers.
     backoff_at: Option<Instant>,
     /// Tracing spans (all `SpanToken::NONE` when tracing is off). The
     /// session span covers first connect to verdict hand-off; the
@@ -208,12 +211,6 @@ struct Session {
     rung_span: SpanToken,
     /// Rung records already accounted (closes `rung_span` on growth).
     rungs_seen: usize,
-}
-
-struct PendingProbe {
-    ip: Ipv4Addr,
-    port: u16,
-    reply: mpsc::Sender<SessionResult>,
 }
 
 /// Gives the session's connection until `deadline` to make progress. A
@@ -239,7 +236,7 @@ pub struct Reactor<S: Subscriber> {
     poller: Poller,
     wheel: TimerWheel,
     sessions: HashMap<u64, Session>,
-    pending: VecDeque<PendingProbe>,
+    pending: VecDeque<Probe>,
     admission: Arc<Admission>,
     /// Probes submitted to this reactor and not yet answered: the
     /// submitter counts one up, the reactor counts it down as it replies.
@@ -320,9 +317,7 @@ impl<S: Subscriber> Reactor<S> {
             // Commands first: a shutdown must beat any amount of IO.
             loop {
                 match commands.try_recv() {
-                    Ok(Command::Probe { ip, port, reply }) => {
-                        self.pending.push_back(PendingProbe { ip, port, reply });
-                    }
+                    Ok(Command::Probe(probe)) => self.pending.push_back(probe),
                     Ok(Command::Shutdown) => return,
                     Err(mpsc::TryRecvError::Empty) => break,
                     Err(mpsc::TryRecvError::Disconnected) => {
@@ -398,7 +393,7 @@ impl<S: Subscriber> Reactor<S> {
         }
     }
 
-    fn start_session(&mut self, probe: PendingProbe) {
+    fn start_session(&mut self, probe: Probe) {
         let mut core = LadderCore::new(self.config.prober.clone());
         let step = core.start();
         let token = self.alloc_token();
@@ -410,15 +405,13 @@ impl<S: Subscriber> Reactor<S> {
             i64::from(probe.port),
         );
         let session = Session {
-            target: (probe.ip, probe.port),
-            reply: probe.reply,
+            probe,
             core,
             conn: None,
             stats: SessionStats::default(),
             retries_left: self.config.retries,
             io_deadline: None,
             io_timer: None,
-            send_gate: None,
             backoff_at: None,
             span,
             connect_span: SpanToken::NONE,
@@ -464,7 +457,6 @@ impl<S: Subscriber> Reactor<S> {
         match step {
             Step::Connect => self.open_connection(token),
             Step::Send {
-                pace,
                 frames,
                 close_after,
             } => {
@@ -479,21 +471,7 @@ impl<S: Subscriber> Reactor<S> {
                 }
                 session.stats.frames_sent += frames.len() as u64;
                 conn.close_after_flush = close_after;
-                let delay = (pace * self.config.pacing).clamp(0.0, MAX_PACE_DELAY);
-                let delay = if delay.is_finite() { delay } else { 0.0 };
-                if delay > 0.0 {
-                    let gate = Instant::now() + Duration::from_secs_f64(delay);
-                    session.send_gate = Some(gate);
-                    session.io_deadline = None;
-                    self.wheel.insert(Timer {
-                        token,
-                        kind: TimerKind::SendDue,
-                        deadline: gate,
-                    });
-                } else {
-                    session.send_gate = None;
-                    self.flush(token);
-                }
+                self.flush(token);
             }
             Step::Done(outcome) => self.finish_session(token, *outcome),
         }
@@ -508,7 +486,6 @@ impl<S: Subscriber> Reactor<S> {
         let new_token = self.alloc_token();
         session.io_deadline = None;
         session.io_timer = None;
-        session.send_gate = None;
         session.backoff_at = None;
         std::mem::replace(&mut session.retry_span, SpanToken::NONE).end(&*self.obs);
         session.connect_span = span_begin_async(
@@ -518,8 +495,7 @@ impl<S: Subscriber> Reactor<S> {
             i64::from(session.stats.connections) + 1,
             0,
         );
-        let (ip, port) = session.target;
-        match sys::connect_nonblocking(ip, port) {
+        match sys::connect_nonblocking(session.probe.ip, session.probe.port) {
             Ok((stream, done)) => {
                 session.conn = Some(Conn {
                     stream,
@@ -652,7 +628,6 @@ impl<S: Subscriber> Reactor<S> {
                 }
             }
             session.io_deadline = None;
-            session.send_gate = None;
         }
     }
 
@@ -679,7 +654,7 @@ impl<S: Subscriber> Reactor<S> {
             self.conn_failed(token);
             return;
         }
-        if ev.writable && conn.out_at < conn.out.len() && session.send_gate.is_none() {
+        if ev.writable && conn.out_at < conn.out.len() {
             self.flush(token);
         }
         if ev.readable {
@@ -791,12 +766,6 @@ impl<S: Subscriber> Reactor<S> {
                     None => {}
                 }
             }
-            TimerKind::SendDue => {
-                if session.send_gate == Some(timer.deadline) {
-                    session.send_gate = None;
-                    self.flush(timer.token);
-                }
-            }
             TimerKind::Backoff => {
                 if session.backoff_at == Some(timer.deadline) {
                     session.backoff_at = None;
@@ -867,6 +836,7 @@ impl<S: Subscriber> Reactor<S> {
         let mut stats = session.stats;
         stats.aborted = aborted;
         let result = SessionResult {
+            id: session.probe.id,
             outcome,
             rungs: session.core.rungs().to_vec(),
             stats,
@@ -875,7 +845,7 @@ impl<S: Subscriber> Reactor<S> {
         // the slot free. A dropped receiver (caller gave up) is not the
         // reactor's problem; the session is done either way.
         self.unanswered.fetch_sub(1, Ordering::Relaxed);
-        let _ = session.reply.send(result);
+        let _ = session.probe.reply.send(result);
         self.pump_pending();
     }
 }
@@ -913,11 +883,12 @@ mod tests {
                     panic!("emulated servers listen on IPv4 loopback");
                 };
                 let (reply, result) = mpsc::channel();
-                let probe = Command::Probe {
+                let probe = Command::Probe(Probe {
+                    id: 0,
                     ip: *addr.ip(),
                     port: addr.port(),
                     reply,
-                };
+                });
                 commands.send(probe).unwrap();
                 result
             })
@@ -962,17 +933,20 @@ mod tests {
         );
     }
 
+    /// A RENO server that holds each reply 4 ms per virtual second.
+    fn paced_reno() -> EmulatedServer {
+        let paced = Behavior::Paced(Duration::from_millis(4));
+        EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), paced).unwrap()
+    }
+
     #[test]
     fn an_io_timer_that_fires_early_waits_out_the_rest() {
-        // Paced rounds stretch a probe over many `io_timeout`s while the
-        // peer answers each round at once: the deadline moves, the timer
-        // armed under it fires early, and nothing times out.
-        let server =
-            EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal)
-                .unwrap();
+        // A paced peer stretches a probe over many `io_timeout`s while it
+        // answers each round well within one: the deadline moves, the
+        // timer armed under it fires early, and nothing times out.
+        let server = paced_reno();
         let config = NetConfig {
             io_timeout: Duration::from_millis(40),
-            pacing: 0.004,
             retries: 0,
             ..NetConfig::default()
         };
@@ -985,18 +959,19 @@ mod tests {
 
     #[test]
     fn a_paced_probe_sleeps_until_its_timers_are_due() {
-        // A count, not a clock: every paced frame costs a tick for its
-        // send timer and one for the reply. A poll timeout truncated to
-        // whole milliseconds spun through the last millisecond before
-        // each timer instead — hundreds of ticks per frame.
-        let server =
-            EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal)
-                .unwrap();
+        // A count, not a clock: while a paced peer holds its reply the
+        // reactor sleeps, and every frame costs at most two ticks. A poll
+        // timeout truncated to whole milliseconds spun through the last
+        // millisecond before each timer instead — hundreds of ticks per
+        // frame.
+        let server = paced_reno();
+        let obs = Arc::new(MetricsSubscriber::new());
+        // An IO timeout a few rounds long keeps a timer falling due
+        // every few rounds, early, while the peer holds its reply.
         let config = NetConfig {
-            pacing: 0.004,
+            io_timeout: Duration::from_millis(40),
             ..NetConfig::default()
         };
-        let obs = Arc::new(MetricsSubscriber::new());
         let (_, results) = census_obs(config, &[&server], Arc::clone(&obs));
         assert!(results[0].outcome.pair.is_some());
         let frames = results[0].stats.frames_sent;

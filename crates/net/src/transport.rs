@@ -14,16 +14,23 @@
 //! CPU: a probe's hand-offs stay on one CPU, and two probes in flight
 //! use two. A one-CPU mask or `max_sessions = 1` gives one reactor.
 //!
+//! The reactors hold the sessions, so the transport takes submissions:
+//! its [`capacity`](ProbeTransport::capacity) is `max_sessions`, and the
+//! engine keeps that many probes submitted from its one coordinating
+//! thread. A blocking [`probe`](ProbeTransport::probe) still works, for
+//! callers that bring threads of their own.
+//!
 //! Observability: rung attempts and gather completions recorded by the
 //! session's [`LadderCore`](crate::core::LadderCore) are replayed into
-//! the per-probe subscriber on the *calling* worker thread (reactor
-//! threads only emit their own `ReactorTicked` / `ReactorExited` /
+//! the subscriber of whoever collects the probe (`probe`'s caller, or
+//! `next_finished`'s), never on a reactor thread (reactor threads only
+//! emit their own `ReactorTicked` / `ReactorExited` /
 //! `RateLimiterStalled` events into the transport-wide subscriber), so
 //! `--metrics` floors hold identically for simulated and live runs.
 
 use std::net::{Ipv4Addr, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use caai_core::census::{verdict_for_outcome, CensusRecord};
@@ -35,15 +42,15 @@ use caai_obs::{
     span_begin, Event, NetSessionEnded, ReactorExited, RungAttemptStarted, SpanKind, Subscriber,
 };
 
-use crate::reactor::{Admission, Command, NetConfig, Reactor, SessionResult, SessionStats};
+use crate::reactor::{Admission, Command, NetConfig, Probe, Reactor, SessionResult, SessionStats};
 use crate::sys::{self, Waker};
 use crate::targets::Target;
 
 /// A live-socket [`ProbeTransport`] over a resolved target list.
 ///
-/// `R` is the *reactor's* subscriber (shared, `Sync`); each `probe`
-/// call additionally gets the engine worker's own subscriber, like
-/// every other instrumentation point in the workspace.
+/// `R` is the *reactor's* subscriber (shared, `Sync`); each `probe` or
+/// `next_finished` call additionally gets its caller's own subscriber,
+/// like every other instrumentation point in the workspace.
 pub struct NetTransport<R: Subscriber + Send + Sync + 'static> {
     /// Per-id resolution: ready targets or the reason they will abort.
     resolved: Vec<Result<(Ipv4Addr, u16), String>>,
@@ -51,6 +58,9 @@ pub struct NetTransport<R: Subscriber + Send + Sync + 'static> {
     classifier: CaaiClassifier,
     first_rung: u32,
     reactors: Vec<ReactorHandle>,
+    /// Where submitted probes' results arrive.
+    finished_tx: mpsc::Sender<SessionResult>,
+    finished: Mutex<mpsc::Receiver<SessionResult>>,
     _obs: Arc<R>,
 }
 
@@ -83,12 +93,15 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
         let cpus = sys::allowed_cpus();
         let count = cpus.len().min(config.max_sessions).max(1);
         let admission = Arc::new(Admission::new(&config));
+        let (finished_tx, finished) = mpsc::channel();
         let mut transport = NetTransport {
             resolved,
             targets,
             classifier,
             first_rung,
             reactors: Vec::with_capacity(count),
+            finished_tx,
+            finished: Mutex::new(finished),
             _obs: Arc::clone(&obs),
         };
         for i in 0..count {
@@ -119,31 +132,69 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
     }
 
     /// Submits a probe without blocking: the result arrives on the
-    /// returned channel. Used by the concurrency tests and benches to
-    /// load the reactors beyond one in-flight session per caller.
+    /// returned channel, raw (no events replayed, not classified). Used
+    /// by the concurrency tests to load the reactors from one thread.
     pub fn probe_async(&self, id: u32) -> mpsc::Receiver<SessionResult> {
         let (tx, rx) = mpsc::channel();
+        self.send_probe(id, tx);
+        rx
+    }
+
+    /// Hands probe `id` to the reactor with the most free session slots;
+    /// its result goes to `reply`.
+    fn send_probe(&self, id: u32, reply: mpsc::Sender<SessionResult>) {
         match self.resolved.get(id as usize) {
-            Some(Ok((ip, port))) => {
+            Some(&Ok((ip, port))) => {
                 let reactor = self.take_slot();
-                let probe = Command::Probe {
-                    ip: *ip,
-                    port: *port,
-                    reply: tx,
-                };
-                if reactor.sender.send(probe).is_ok() {
-                    reactor.waker.wake();
-                } else {
-                    // The reactor is gone; dropping `tx` closed the
-                    // channel and the caller reduces to aborted.
+                let probe = Command::Probe(Probe {
+                    id,
+                    ip,
+                    port,
+                    reply,
+                });
+                if let Err(mpsc::SendError(Command::Probe(probe))) = reactor.sender.send(probe) {
+                    // The reactor is gone: the probe never reaches the wire.
                     reactor.unanswered.fetch_sub(1, Ordering::Relaxed);
+                    let _ = probe.reply.send(self.aborted_result(id));
+                } else {
+                    reactor.waker.wake();
                 }
             }
             _ => {
-                let _ = tx.send(self.aborted_result());
+                let _ = reply.send(self.aborted_result(id));
             }
         }
-        rx
+    }
+
+    /// Replays a finished probe's events into `obs` and classifies it.
+    fn record<S: Subscriber>(&self, result: SessionResult, obs: &S) -> CensusRecord {
+        for rung in &result.rungs {
+            obs.on_event(&Event::RungAttemptStarted(RungAttemptStarted {
+                environment: rung.environment,
+                wmax: rung.wmax,
+            }));
+            obs.on_event(&Event::RungAttemptEnded(*rung));
+        }
+        obs.on_event(&result.outcome.finished_event());
+        obs.on_event(&Event::NetSessionEnded(NetSessionEnded {
+            connections: result.stats.connections,
+            retries: result.stats.retries,
+            timed_out: result.stats.timeouts,
+            aborted: result.stats.aborted,
+            bytes_sent: result.stats.bytes_sent,
+            bytes_received: result.stats.bytes_received,
+            frames_sent: result.stats.frames_sent,
+            reads: result.stats.reads,
+            writes: result.stats.writes,
+        }));
+        let classify_span = span_begin(obs, SpanKind::Classify, i64::from(result.id), 0);
+        let (verdict, _) = verdict_for_outcome(&result.outcome, &self.classifier);
+        classify_span.end(obs);
+        CensusRecord {
+            server_id: result.id,
+            truth: None,
+            verdict,
+        }
     }
 
     /// Counts a probe against the reactor with the most free session
@@ -172,8 +223,9 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
     }
 
     /// The outcome of a probe that never reached the wire.
-    fn aborted_result(&self) -> SessionResult {
+    fn aborted_result(&self, id: u32) -> SessionResult {
         SessionResult {
+            id,
             outcome: GatherOutcome {
                 pair: None,
                 failed_attempts: vec![WindowTrace {
@@ -200,44 +252,26 @@ impl<R: Subscriber + Send + Sync + 'static> ProbeTransport for NetTransport<R> {
     }
 
     fn probe<S: Subscriber>(&self, id: u32, _seed: u64, obs: &S) -> CensusRecord {
-        // The worker-side gather span: submission to result, queueing in
+        // The caller-side gather span: submission to result, queueing in
         // the reactor included (that wait IS this server's wall cost).
         let gather_span = span_begin(obs, SpanKind::Gather, i64::from(id), 0);
-        let result = match self.probe_async(id).recv() {
-            Ok(result) => result,
-            // Reactor died mid-probe: reduce, don't panic.
-            Err(_) => self.aborted_result(),
-        };
+        let result = self.probe_async(id).recv();
         gather_span.end(obs);
-        // Replay the session's rung history into the worker's
-        // subscriber, mirroring what the simulator emits inline.
-        for rung in &result.rungs {
-            obs.on_event(&Event::RungAttemptStarted(RungAttemptStarted {
-                environment: rung.environment,
-                wmax: rung.wmax,
-            }));
-            obs.on_event(&Event::RungAttemptEnded(*rung));
-        }
-        obs.on_event(&result.outcome.finished_event());
-        obs.on_event(&Event::NetSessionEnded(NetSessionEnded {
-            connections: result.stats.connections,
-            retries: result.stats.retries,
-            timed_out: result.stats.timeouts,
-            aborted: result.stats.aborted,
-            bytes_sent: result.stats.bytes_sent,
-            bytes_received: result.stats.bytes_received,
-            frames_sent: result.stats.frames_sent,
-            reads: result.stats.reads,
-            writes: result.stats.writes,
-        }));
-        let classify_span = span_begin(obs, SpanKind::Classify, i64::from(id), 0);
-        let (verdict, _) = verdict_for_outcome(&result.outcome, &self.classifier);
-        classify_span.end(obs);
-        CensusRecord {
-            server_id: id,
-            truth: None,
-            verdict,
-        }
+        // A reactor that died mid-probe closed the channel: reduce, don't panic.
+        self.record(result.unwrap_or_else(|_| self.aborted_result(id)), obs)
+    }
+
+    fn capacity(&self) -> usize {
+        self.reactors.iter().map(|r| r.cap).sum()
+    }
+
+    fn submit(&self, id: u32, _seed: u64) {
+        self.send_probe(id, self.finished_tx.clone());
+    }
+
+    fn next_finished<S: Subscriber>(&self, obs: &S) -> CensusRecord {
+        let finished = self.finished.lock().unwrap_or_else(PoisonError::into_inner);
+        self.record(finished.recv().expect("the transport holds a sender"), obs)
     }
 }
 

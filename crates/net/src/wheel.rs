@@ -1,7 +1,7 @@
 //! The reactor's timers, in a binary heap.
 //!
 //! Thousands of concurrent probe sessions each keep one or two timers
-//! alive (an IO deadline, a paced send), so a heap's `O(log n)` per
+//! alive (an IO deadline, a retry backoff), so a heap's `O(log n)` per
 //! insert and per firing costs nothing. Cancellation is free because
 //! nothing is ever cancelled: a fired timer carries its deadline, and a
 //! session that re-armed since simply ignores the stale firing (the
@@ -21,8 +21,6 @@ use std::time::Instant;
 pub enum TimerKind {
     /// The peer had this long to produce progress; the session times out.
     IoDeadline,
-    /// A paced send (`--pace`) is due.
-    SendDue,
     /// A retry backoff elapsed; reconnect now.
     Backoff,
     /// The rate limiter predicted a token would be available now.

@@ -170,9 +170,8 @@ COMMANDS:
                   [--loss 0.0] [--seed 1]
                   (each --algo adds one probed server; --short N adds N
                    servers whose pages are too short for a valid trace)
-    census        probe a synthetic population, print the Table IV report
-                  [--servers 1000] [--model model.json | --conditions 6]
-                  [--workers 4] [--json] [--seed 1]
+    census        probe simulated servers or live targets, print the Table IV report
+                  [--model model.json | --conditions 6] [--json] [--seed 1]
                   [--shard k/N]          probe only servers with id % N == k
                   [--out report.jsonl]   stream records to a JSONL file
                   [--checkpoint ck.json] snapshot completed work periodically
@@ -180,7 +179,6 @@ COMMANDS:
                   [--resume ck.json]     continue from a snapshot
                   [--budget N]           stop cleanly after N probes
                   [--deadline SECS]      stop cleanly after SECS wall-clock
-                  [--batch N]            servers per scheduler batch (16)
                   [--progress N]         progress + stage-timing line every N records
                                          (0 = quiet; --metrics still collects)
                   [--metrics FILE]       write a final caai-metrics-v1 snapshot line
@@ -188,12 +186,11 @@ COMMANDS:
                                          (run → batches → per-server gathers, rungs,
                                          rounds; analyze with trace-report)
                   [--trace-sample N]     keep only every Nth server's gather subtree
-                  [--targets FILE]       probe a live `host:port` target list over real
-                                         TCP sockets instead of a synthetic population
-                                         (exclusive with --servers; malformed lines,
-                                         duplicates, and unresolvable hosts are skipped
-                                         and reported, never fatal)
-                  with --targets:
+                  simulated: [--servers 1000] [--workers 4]
+                  [--batch N]            servers per scheduler batch (16)
+                  live: --targets FILE   probe a `host:port` list over real TCP sockets
+                                         (malformed lines, duplicates, unresolvable
+                                         hosts are skipped and reported, never fatal)
                   [--connect-timeout-ms N]  nonblocking connect deadline (10000)
                   [--io-timeout-ms N]    per-frame peer response deadline (10000)
                   [--retries N]          ladder restarts per target on transport
@@ -201,13 +198,13 @@ COMMANDS:
                   [--backoff-ms N]       base retry backoff, doubled per retry (100)
                   [--probe-rate R]       global session admissions/sec (0 = unlimited)
                   [--net-rate R]         per-/24 admissions/sec (0 = unlimited)
-                  [--max-sessions N]     concurrent sessions, all reactors (1024)
-                  [--pace F]             real seconds per virtual round second (0)
+                  [--max-sessions N]     probes in flight, all reactors (1024)
     emulate       park a fleet of loopback servers replaying simulated TCP
                   stacks over real sockets, for `census --targets` tests
                   --targets-out FILE     write the `host:port` list here
                   [--algos A,B,C]        cycle these algorithms (RENO,CUBIC,HTCP)
                   [--count N]            number of listeners (50)
+                  [--pace F]             hold a reply F s per virtual s of its round (0)
     census-merge  join per-shard checkpoints/JSONL into one report
                   --in FILE [--in FILE ...] each a --checkpoint or --out
                                             file from a census shard
@@ -275,10 +272,10 @@ const COMMANDS: [(&str, &str, Command); 11] = [
         "census",
         "servers model conditions workers json seed shard out checkpoint checkpoint-every \
          resume budget deadline batch progress metrics trace trace-sample targets \
-         connect-timeout-ms io-timeout-ms retries backoff-ms probe-rate net-rate max-sessions pace",
+         connect-timeout-ms io-timeout-ms retries backoff-ms probe-rate net-rate max-sessions",
         cmd_census,
     ),
-    ("emulate", "targets-out algos count", cmd_emulate),
+    ("emulate", "targets-out algos count pace", cmd_emulate),
     ("census-merge", "in json allow-partial", cmd_census_merge),
     (
         "metrics-check",
@@ -1009,13 +1006,12 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
 fn census_setup(
     args: &Args,
     seed: u64,
-    workers: usize,
     shard: ShardSpec,
     population: u64,
 ) -> Result<(EngineConfig, Option<Checkpoint>, Option<FileSink>), String> {
     let config = EngineConfig {
         seed,
-        workers,
+        workers: args.parsed("workers", 4)?,
         batch_size: args.parsed("batch", 16)?,
         shard,
         checkpoint_path: args.get("checkpoint").map(PathBuf::from),
@@ -1093,7 +1089,22 @@ fn census_epilogue(
     print_report(&outcome.report, args.get("json").is_some())
 }
 
+/// The `census` flags only a live census (`--targets`) reads.
+const NET_FLAGS: &str =
+    "connect-timeout-ms io-timeout-ms retries backoff-ms probe-rate net-rate max-sessions";
+
 fn cmd_census(args: &Args) -> Result<(), String> {
+    // Each mode refuses the flags only the other reads: a live census
+    // runs no worker threads, and a simulated one opens no sockets.
+    let live = args.get("targets").is_some();
+    let refused = if live { "workers batch" } else { NET_FLAGS };
+    if let Some(flag) = refused.split_whitespace().find(|f| args.get(f).is_some()) {
+        return Err(if live {
+            format!("--{flag} does not apply with --targets: set --max-sessions instead")
+        } else {
+            format!("--{flag} applies only with --targets")
+        });
+    }
     if let Some(path) = args.get("targets") {
         if args.get("servers").is_some() {
             return Err(
@@ -1106,16 +1117,16 @@ fn cmd_census(args: &Args) -> Result<(), String> {
     }
     let servers: u32 = args.parsed("servers", 1000)?;
     let seed: u64 = args.parsed("seed", 1)?;
-    let workers: usize = args.parsed("workers", 4)?;
     let shard: ShardSpec = args.parsed("shard", ShardSpec::full())?;
     let classifier = load_or_train(args)?;
     let db = ConditionDb::paper_2011();
     let census = Census::new(classifier, db, ProberConfig::default());
     let mut rng = seeded(seed);
     let population = PopulationConfig::small(servers).generate(&mut rng);
-    let (config, resume, mut jsonl) = census_setup(args, seed, workers, shard, u64::from(servers))?;
+    let (config, resume, mut jsonl) = census_setup(args, seed, shard, u64::from(servers))?;
 
     let owned = shard.owned_count(u64::from(servers));
+    let workers = config.workers;
     eprintln!("probing {owned} of {servers} servers (shard {shard}) on {workers} workers ...");
     let engine = CensusEngine::new(census, config);
     // Metrics are collected whether or not --metrics is given (the cost
@@ -1142,7 +1153,6 @@ fn cmd_census(args: &Args) -> Result<(), String> {
 /// fatal: a live census finishes with whatever answered.
 fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     let seed: u64 = args.parsed("seed", 1)?;
-    let workers: usize = args.parsed("workers", 4)?;
     let shard: ShardSpec = args.parsed("shard", ShardSpec::full())?;
     let list = read_targets(std::path::Path::new(targets_path))
         .map_err(|e| format!("read {targets_path}: {e}"))?;
@@ -1170,11 +1180,11 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
         io_timeout: Duration::from_millis(args.parsed("io-timeout-ms", 10_000u64)?),
         retries: args.parsed("retries", 1)?,
         backoff: Duration::from_millis(args.parsed("backoff-ms", 100u64)?),
-        pacing: args.parsed("pace", 0.0)?,
         rate: args.parsed("probe-rate", 0.0)?,
         rate_per_net: args.parsed("net-rate", 0.0)?,
         max_sessions: args.parsed("max-sessions", 1024)?,
     };
+    let in_flight = net_config.max_sessions;
     // The transport and the engine share one subscriber stack: reactor
     // ticks, rate-limiter stalls, and reactor-side spans land next to
     // probe and census counters in the same --metrics / --trace outputs.
@@ -1184,11 +1194,11 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     for (id, target, why) in transport.resolution_failures() {
         eprintln!("{targets_path}: target {id} ({target}): skipped ({why}); recorded as invalid");
     }
-    let (config, resume, mut jsonl) = census_setup(args, seed, workers, shard, population)?;
+    let (config, resume, mut jsonl) = census_setup(args, seed, shard, population)?;
 
     let owned = shard.owned_count(population);
     eprintln!(
-        "probing {owned} of {population} live targets (shard {shard}) on {workers} workers ..."
+        "probing {owned} of {population} live targets (shard {shard}), up to {in_flight} in flight ..."
     );
     let hook = ProgressHook::new(args, &obs.1, owned)?;
     let mut sinks: Vec<_> = jsonl.iter_mut().map(|s| s as &mut dyn ResultSink).collect();
@@ -1224,13 +1234,15 @@ fn cmd_emulate(args: &Args) -> Result<(), String> {
     let out = args
         .get("targets-out")
         .ok_or("emulate needs --targets-out FILE")?;
+    let pace: f64 = args.parsed("pace", 0.0)?;
+    let pace = Duration::try_from_secs_f64(pace).map_err(|e| format!("--pace {pace}: {e}"))?;
     // Bind everything before writing the list: once the file exists,
     // every line in it accepts connections.
     let mut servers = Vec::with_capacity(count);
     let mut lines = String::new();
     for i in 0..count {
         let algo = algos[i % algos.len()];
-        let server = EmulatedServer::spawn(ServerUnderTest::ideal(algo), Behavior::Normal)
+        let server = EmulatedServer::spawn(ServerUnderTest::ideal(algo), Behavior::Paced(pace))
             .map_err(|e| format!("spawn server {i}: {e}"))?;
         lines.push_str(&format!("{} # {algo:?}\n", server.target_line()));
         servers.push(server);

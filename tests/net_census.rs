@@ -56,6 +56,12 @@ struct Fleet {
 
 impl Fleet {
     fn spawn(count: u32, algos: &str, name: &str) -> Fleet {
+        Fleet::spawn_paced(count, algos, name, "0")
+    }
+
+    /// A fleet whose servers hold each reply `pace` real seconds per
+    /// virtual second of its round (`caai emulate --pace`).
+    fn spawn_paced(count: u32, algos: &str, name: &str, pace: &str) -> Fleet {
         let targets = dir().join(name).to_string_lossy().into_owned();
         let _ = std::fs::remove_file(&targets);
         let child = Command::new(env!("CARGO_BIN_EXE_caai"))
@@ -67,6 +73,8 @@ impl Fleet {
                 algos,
                 "--targets-out",
                 &targets,
+                "--pace",
+                pace,
             ])
             .stdout(Stdio::null())
             .stderr(Stdio::null())
@@ -136,8 +144,6 @@ fn live_census_agrees_with_the_simulator_and_is_deterministic() {
         &fleet.targets,
         "--model",
         &model,
-        "--workers",
-        "8",
         "--json",
     ];
     let first = caai(&args);
@@ -193,7 +199,8 @@ fn live_census_agrees_with_the_simulator_and_is_deterministic() {
 #[test]
 fn sigkilled_live_census_resumes_to_the_byte_identical_report() {
     let model = model();
-    let fleet = Fleet::spawn(12, "RENO,CUBIC", "hosts-kill.txt");
+    // Each probe of this fleet takes about a second of real time.
+    let fleet = Fleet::spawn_paced(12, "RENO,CUBIC", "hosts-kill.txt", "0.02");
     let ck = dir().join("kill-ck.json").to_string_lossy().into_owned();
     let _ = std::fs::remove_file(&ck);
 
@@ -208,8 +215,8 @@ fn sigkilled_live_census_resumes_to_the_byte_identical_report() {
     ]);
     assert!(baseline.status.success(), "baseline failed: {baseline:?}");
 
-    // Paced run, checkpointing every record; SIGKILL as soon as the
-    // first checkpoint lands.
+    // Two probes in flight, checkpointing every record; SIGKILL as soon
+    // as the first checkpoint lands.
     let mut killed = Command::new(env!("CARGO_BIN_EXE_caai"))
         .args([
             "census",
@@ -221,18 +228,18 @@ fn sigkilled_live_census_resumes_to_the_byte_identical_report() {
             &ck,
             "--checkpoint-every",
             "1",
-            "--pace",
-            "0.02",
+            "--max-sessions",
+            "2",
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn paced census");
+        .expect("spawn census");
     let deadline = Instant::now() + Duration::from_secs(120);
     while !Path::new(&ck).exists() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(Path::new(&ck).exists(), "paced census never checkpointed");
+    assert!(Path::new(&ck).exists(), "census never checkpointed");
     killed.kill().expect("SIGKILL census"); // no-op if already exited
     killed.wait().expect("reap census");
 
@@ -285,5 +292,48 @@ fn malformed_target_lines_are_skipped_and_reported_with_their_index() {
         as_u64(field(&report, "total")),
         2,
         "only the two well-formed targets probed"
+    );
+}
+
+#[test]
+fn each_census_mode_refuses_the_flags_of_the_other() {
+    // A simulated census opens no sockets: the net flags are refused,
+    // not silently ignored.
+    for flag in [
+        "--connect-timeout-ms",
+        "--io-timeout-ms",
+        "--retries",
+        "--backoff-ms",
+        "--probe-rate",
+        "--net-rate",
+        "--max-sessions",
+    ] {
+        let out = caai(&["census", "--servers", "4", flag, "5"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} was accepted: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} applies only with --targets")),
+            "{stderr}"
+        );
+    }
+    // A live census runs no worker threads: --max-sessions is its one
+    // setting for how many probes are in flight. Pacing is the fleet's.
+    let targets = dir().join("hosts-refused.txt");
+    let targets = targets.to_string_lossy();
+    for flag in ["--workers", "--batch"] {
+        let out = caai(&["census", "--targets", &targets, flag, "8"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} was accepted: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} does not apply with --targets"))
+                && stderr.contains("set --max-sessions instead"),
+            "{stderr}"
+        );
+    }
+    let out = caai(&["census", "--targets", &targets, "--pace", "0.02"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --pace for census"),
+        "{stderr}"
     );
 }
