@@ -8,32 +8,43 @@
 //! the verdicts a census gathers against these servers are the
 //! simulator's verdicts, whatever the real-time pacing.
 //!
-//! The server side is deliberately boring: one blocking accept thread,
-//! one blocking thread per connection, which answers every frame a
-//! read brought (a round arrives as one `AckRun` and one `Xmit`) into
-//! one reused buffer and writes once — on the CPU the client's packets
-//! arrive on (`SO_INCOMING_CPU`, asked again after every read), so a
-//! round trip's two wake-ups stay on one CPU. The interesting concurrency
-//! lives in the reactor under test, not in its test double. What else a
-//! server does rides on [`Behavior`]: one that holds each reply for the
-//! real time its round spans (a path's latency, `caai emulate --pace`),
-//! and for the hardening tests one that accepts and then stalls (driving
-//! the client's IO timeout) and one that resets mid-ladder (driving the
-//! RST path).
+//! Every server of a process is served by one set of event loops,
+//! started by the first [`EmulatedServer::spawn`]: one loop per CPU of
+//! that caller's affinity mask, each confined to its CPU, by the rule a
+//! [`NetTransport`](crate::transport::NetTransport)'s reactors follow
+//! ([`sys::loop_cpus`]). So the fleet's threads number the CPUs, however
+//! many servers and connections it holds. A listener belongs to one
+//! loop; a connection it accepts is served by the loop on the
+//! connection's `SO_INCOMING_CPU` (over loopback the client's CPU, for a
+//! remote client the NIC queue's), so a round trip's two wake-ups stay on
+//! one CPU. A loop answers every frame a read brought (a round arrives
+//! as one `AckRun` and one `Xmit`) into one buffer and writes it once.
+//!
+//! What else a server does rides on [`Behavior`], kept as connection
+//! state: one holds each reply on a timer for the real time its round
+//! spans (a path's latency, `caai emulate --pace`), and for the hardening
+//! tests one accepts and then reads and discards (driving the client's
+//! IO timeout) and one resets mid-ladder (driving the RST path). A
+//! connection whose client sends nothing for `READ_TIMEOUT` is closed.
+//! The interesting concurrency lives in the reactor under test, not in
+//! its test double.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::collections::HashMap;
+use std::io::{self, ErrorKind::Interrupted, ErrorKind::WouldBlock};
+use std::net::{SocketAddr, TcpListener};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 use caai_core::ServerUnderTest;
 
+use crate::conn::Conn;
 use crate::core::{Reply, ServerCore};
 use crate::frame::{ClientFrame, FrameDecoder, ServerFrame, Wire};
-use crate::sys::{confine_to, current_cpu, incoming_cpu, set_linger_reset};
+use crate::sys::{self, incoming_cpu, set_linger_reset, Interest, Poller, Readiness, Waker};
 use crate::targets::Target;
+use crate::wheel::{Timer, TimerKind, TimerWheel};
 
 /// How an emulated server treats its clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,34 +63,35 @@ pub enum Behavior {
     RstAfterBursts(u32),
 }
 
-/// One emulated web server listening on loopback.
+/// One emulated web server listening on loopback. Dropping it closes the
+/// listener and every connection it accepted before `drop` returns.
 pub struct EmulatedServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    fleet: &'static Fleet,
+    /// The fleet's name for this server; loop `id % loops` accepts on
+    /// its listener.
+    id: u64,
 }
 
 impl EmulatedServer {
-    /// Binds `127.0.0.1:0` and starts serving `server` with `behavior`.
-    pub fn spawn(server: ServerUnderTest, behavior: Behavior) -> std::io::Result<EmulatedServer> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_accept = Arc::clone(&stop);
-        let serve = move |stream| {
-            let server = server.clone();
-            std::thread::Builder::new()
-                .name("caai-emu-conn".into())
-                .spawn(move || serve_connection(stream, server, behavior))
+    /// Binds `127.0.0.1:0` and hands the listener to the fleet, which
+    /// serves `server` with `behavior` on every connection.
+    pub fn spawn(server: ServerUnderTest, behavior: Behavior) -> io::Result<EmulatedServer> {
+        let fleet = Fleet::get()?;
+        let socket = TcpListener::bind("127.0.0.1:0")?;
+        socket.set_nonblocking(true)?;
+        let addr = socket.local_addr()?;
+        let id = fleet.spawned.fetch_add(1, Ordering::Relaxed);
+        // Listeners are dealt round the loops; a connection goes where
+        // its packets arrive, whichever loop accepts it.
+        let listener = Listener {
+            id,
+            socket,
+            server,
+            behavior,
         };
-        let accept_thread = std::thread::Builder::new()
-            .name("caai-emu-accept".into())
-            .spawn(move || accept_loop(&listener, &stop_accept, serve))?;
-        Ok(EmulatedServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        fleet.loops[id as usize % fleet.loops.len()].send(Command::Listen(listener));
+        Ok(EmulatedServer { addr, fleet, id })
     }
 
     /// The bound loopback address.
@@ -103,107 +115,160 @@ impl EmulatedServer {
 
 impl Drop for EmulatedServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Kick the accept loop out of its blocking accept.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        // The owner first: once it has closed the listener, a connection
+        // it handed to another loop waits in that loop's queue ahead of
+        // the close sent there next.
+        let loops = &self.fleet.loops;
+        let owner = self.id as usize % loops.len();
+        for i in 0..loops.len() {
+            let (done, closed) = mpsc::channel();
+            loops[(owner + i) % loops.len()].send(Command::Close(self.id, done));
+            // A loop that is gone dropped `done` with the command.
+            let _ = closed.recv();
         }
     }
 }
 
-/// Hands every accepted connection to `serve` until `stop` is set. A
-/// refused thread drops the connection with the closure that owned it:
-/// the client sees EOF and retries, and the listener keeps accepting.
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    serve: impl Fn(TcpStream) -> std::io::Result<JoinHandle<()>>,
-) {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    let mut cpu = None;
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        // The connection thread inherits this thread's mask, so it is
-        // born on the CPU its first frame will arrive on.
-        follow_incoming_cpu(&stream, &mut cpu);
-        if let Ok(worker) = serve(stream) {
-            workers.push(worker);
-        }
-        workers.retain(|w| !w.is_finished());
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-}
-
-/// Moves the calling thread to the CPU `stream`'s packets arrive on,
-/// unless that is `*cpu`, where it already is: a reply written on the
-/// sender's CPU wakes the sender there, not an idle CPU first.
-fn follow_incoming_cpu(stream: &TcpStream, cpu: &mut Option<usize>) {
-    let incoming = incoming_cpu(stream);
-    if let Some(to) = incoming.filter(|_| incoming != *cpu) {
-        confine_to(to);
-        *cpu = incoming;
-    }
-}
-
-/// Upper bound a stalled or hostile client can hold a server thread.
+/// How long a server waits for its client's next bytes before it closes
+/// the connection: the bound on what a stalled client holds open.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// Longest a paced server holds one reply, in seconds.
 const MAX_HOLD_SECS: f64 = 60.0;
 
-fn serve_connection(mut stream: TcpStream, server: ServerUnderTest, mut behavior: Behavior) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    if behavior == Behavior::StallAfterAccept {
-        // Read (and discard) whatever arrives, answer nothing: the
-        // client must conclude the peer is dead via its own timeout.
-        let mut sink = [0u8; 4096];
-        while let Ok(n) = stream.read(&mut sink) {
-            if n == 0 {
-                return;
+/// The event loops every [`EmulatedServer`] of the process is served by.
+struct Fleet {
+    loops: Vec<LoopHandle>,
+    /// Servers spawned so far.
+    spawned: AtomicU64,
+}
+
+static FLEET: OnceLock<Fleet> = OnceLock::new();
+
+impl Fleet {
+    /// The process's fleet; the first call starts its loops.
+    fn get() -> io::Result<&'static Fleet> {
+        static STARTING: Mutex<()> = Mutex::new(());
+        let _one = STARTING.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(fleet) = FLEET.get() {
+            return Ok(fleet);
+        }
+        let mut loops = Vec::new();
+        for cpu in sys::loop_cpus(usize::MAX) {
+            match start_loop(cpu) {
+                Ok(handle) => loops.push(handle),
+                Err(e) => {
+                    // The loops started return once their queues close.
+                    let wakers: Vec<Waker> = loops.into_iter().map(|l| l.waker).collect();
+                    wakers.iter().for_each(Waker::wake);
+                    return Err(e);
+                }
             }
         }
-        return;
+        Ok(FLEET.get_or_init(|| Fleet {
+            loops,
+            spawned: AtomicU64::new(0),
+        }))
     }
-    let mut core = ServerCore::new(server);
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 16 * 1024];
-    // One reply buffer per connection, written once per read: a round
-    // arrives as an `AckRun` and an `Xmit` together.
-    let mut out = Vec::new();
-    let mut cpu = current_cpu();
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) => return, // client closed; connection complete
-            Ok(n) => n,
-            Err(_) => return,
-        };
-        follow_incoming_cpu(&stream, &mut cpu);
-        decoder.push(&buf[..n]);
-        let end = answer_frames(&mut core, &mut decoder, &mut behavior, &mut out);
-        if !out.is_empty() && stream.write_all(&out).is_err() {
-            return;
-        }
-        out.clear();
-        match end {
-            None => {}
-            Some(End::Close) => return,
-            Some(End::Reset) => {
-                // Abortive close: RST instead of FIN.
-                let _ = set_linger_reset(&stream);
-                return;
-            }
+}
+
+/// One loop, as other threads reach it.
+struct LoopHandle {
+    commands: mpsc::Sender<Command>,
+    waker: Waker,
+    /// The CPU the loop is confined to (`None`: the one unconfined loop).
+    cpu: Option<usize>,
+}
+
+impl LoopHandle {
+    fn send(&self, command: Command) {
+        // A loop that is gone drops the command, and what it owns with it.
+        if self.commands.send(command).is_ok() {
+            self.waker.wake();
         }
     }
 }
 
-/// How `serve_connection` ends a connection, once the replies that
-/// precede the end are written.
+/// What a loop is asked to do.
+enum Command {
+    /// Accept connections on a listener.
+    Listen(Listener),
+    /// Serve a connection another loop accepted.
+    Serve(Served),
+    /// Close server `.0`'s listener and connections, then answer on `.1`.
+    Close(u64, mpsc::Sender<()>),
+}
+
+/// Starts one loop on a thread of its own, confined to `cpu` when one
+/// is named.
+fn start_loop(cpu: Option<usize>) -> io::Result<LoopHandle> {
+    let poller = Poller::new()?;
+    let waker = poller.waker();
+    let (commands, inbox) = mpsc::channel();
+    let mut fleet_loop = Loop {
+        cpu,
+        poller,
+        wheel: TimerWheel::new(),
+        entries: HashMap::new(),
+        tokens: 0,
+    };
+    // The loop serves for as long as the process lives; nothing joins it.
+    sys::spawn_on("caai-emu-loop", cpu, move || fleet_loop.run(&inbox))?;
+    Ok(LoopHandle {
+        commands,
+        waker,
+        cpu,
+    })
+}
+
+/// One of the fleet's event loops: the listeners it accepts on and the
+/// connections it serves, by poller token.
+struct Loop {
+    cpu: Option<usize>,
+    poller: Poller,
+    wheel: TimerWheel,
+    entries: HashMap<u64, Entry>,
+    /// Tokens handed out so far.
+    tokens: u64,
+}
+
+enum Entry {
+    Listener(Listener),
+    Conn(Served),
+}
+
+/// A listening socket, and what every connection it accepts serves.
+struct Listener {
+    /// The server it belongs to.
+    id: u64,
+    socket: TcpListener,
+    server: ServerUnderTest,
+    behavior: Behavior,
+}
+
+/// One connection, with its server's [`Behavior`] as state.
+struct Served {
+    /// The server it belongs to.
+    id: u64,
+    conn: Conn,
+    /// `None` for [`Behavior::StallAfterAccept`], which answers nothing.
+    core: Option<ServerCore>,
+    /// `RstAfterBursts` counts down here.
+    behavior: Behavior,
+    /// Until when a paced server holds what `conn.out` has.
+    held: Option<Instant>,
+    /// How the connection ends once `conn.out` is written and no hold is
+    /// left.
+    ending: Option<End>,
+    /// When the connection closes unless the client sends something
+    /// first. No hold is ever cut short by it.
+    idle_at: Instant,
+    /// The idle timer this connection keeps in the wheel, by its deadline.
+    idle_timer: Option<Instant>,
+}
+
+/// How a connection ends, once the replies that precede the end are
+/// written.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum End {
     /// The walk finished, or the peer sent hostile bytes or broke the
     /// protocol: drop the connection.
@@ -212,50 +277,278 @@ enum End {
     Reset,
 }
 
-/// Answers every whole frame `decoder` holds, appending the replies to
-/// `out` (once a paced server has held each for its round's span).
-/// `Some` when the connection is over.
-fn answer_frames(
-    core: &mut ServerCore,
-    decoder: &mut FrameDecoder,
-    behavior: &mut Behavior,
-    out: &mut Vec<u8>,
-) -> Option<End> {
-    loop {
-        let frame: ClientFrame = match decoder.next() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return None,
-            Err(_) => return Some(End::Close),
-        };
-        let Ok(Reply { frames, close }) = core.on_frame(&frame) else {
-            return Some(End::Close);
-        };
-        let span = match (&frame, frames.first()) {
-            (ClientFrame::Xmit { now, horizon }, _) => horizon - now,
-            (ClientFrame::RtoWait { now, .. }, Some(ServerFrame::RtoResult { now: t, .. })) => {
-                t - now
+impl Entry {
+    /// The server it belongs to.
+    fn server(&self) -> u64 {
+        match self {
+            Entry::Listener(listener) => listener.id,
+            Entry::Conn(served) => served.id,
+        }
+    }
+}
+
+impl Loop {
+    /// Serves until its command queue closes (or the poller fails).
+    fn run(&mut self, inbox: &mpsc::Receiver<Command>) {
+        let mut ready: Vec<Readiness> = Vec::new();
+        let mut fired: Vec<Timer> = Vec::new();
+        loop {
+            let timeout_ms = self.wheel.timeout_ms(Instant::now());
+            if self.poller.wait(timeout_ms, &mut ready).is_err() {
+                return;
             }
-            _ => 0.0,
+            let now = Instant::now();
+            loop {
+                match inbox.try_recv() {
+                    Ok(command) => self.command(command),
+                    Err(mpsc::TryRecvError::Empty) => break,
+                    Err(mpsc::TryRecvError::Disconnected) => return,
+                }
+            }
+            for ev in ready.drain(..) {
+                match self.entries.get(&ev.token) {
+                    Some(Entry::Listener(_)) => self.accept(ev.token, now),
+                    Some(Entry::Conn(_)) => {
+                        // Reads first: what arrived, or the EOF or error
+                        // that ends the connection.
+                        let open = !(ev.readable || ev.error) || self.read(ev.token);
+                        if open {
+                            self.progress(ev.token, now);
+                        }
+                    }
+                    None => {} // closed earlier in this round
+                }
+            }
+            self.wheel.expire(now, &mut fired);
+            for timer in fired.drain(..) {
+                self.on_timer(timer, now);
+            }
+        }
+    }
+
+    fn command(&mut self, command: Command) {
+        match command {
+            Command::Listen(listener) => {
+                let token = self.token();
+                let fd = listener.socket.as_raw_fd();
+                // A listener the poller refuses closes: its clients are
+                // refused, and their probes abort.
+                if self.poller.register(fd, token, Interest::Read).is_ok() {
+                    self.entries.insert(token, Entry::Listener(listener));
+                }
+            }
+            Command::Serve(served) => self.serve(served),
+            Command::Close(id, done) => {
+                self.entries.retain(|_, entry| entry.server() != id);
+                let _ = done.send(());
+            }
+        }
+    }
+
+    fn token(&mut self) -> u64 {
+        self.tokens += 1;
+        self.tokens
+    }
+
+    /// Accepts what the listener has waiting. A connection is served by
+    /// the loop on its `SO_INCOMING_CPU`, by this one when no loop is.
+    fn accept(&mut self, token: u64, now: Instant) {
+        loop {
+            let Some(Entry::Listener(listener)) = self.entries.get(&token) else {
+                return;
+            };
+            // Until it would block; any other error (out of descriptors)
+            // is reported again at the next wait.
+            let Ok((stream, _)) = listener.socket.accept() else {
+                return;
+            };
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let stalls = listener.behavior == Behavior::StallAfterAccept;
+            let served = Served {
+                id: listener.id,
+                core: (!stalls).then(|| ServerCore::new(listener.server.clone())),
+                behavior: listener.behavior,
+                held: None,
+                ending: None,
+                idle_at: now + READ_TIMEOUT,
+                idle_timer: None,
+                conn: Conn::new(stream),
+            };
+            let cpu = incoming_cpu(&served.conn.stream);
+            match FLEET
+                .get()
+                .and_then(|fleet| fleet.loops.iter().find(|home| home.cpu == cpu))
+            {
+                Some(home) if home.cpu != self.cpu => home.send(Command::Serve(served)),
+                _ => self.serve(served),
+            }
+        }
+    }
+
+    /// Takes a connection in: watched for the client's bytes, with its
+    /// idle timer armed.
+    fn serve(&mut self, mut served: Served) {
+        let token = self.token();
+        let watched = served.conn.watch(&mut self.poller, token, Interest::Read);
+        if watched.is_ok() {
+            served.arm_idle(&mut self.wheel, token);
+            self.entries.insert(token, Entry::Conn(served));
+        }
+    }
+
+    /// Reads what the client sent into the decoder; false when that
+    /// closed the connection (the client's EOF, or an error).
+    fn read(&mut self, token: u64) -> bool {
+        let Some(Entry::Conn(served)) = self.entries.get_mut(&token) else {
+            return false;
         };
-        if let Behavior::Paced(pace) = *behavior {
-            let hold = (pace.as_secs_f64() * span).clamp(0.0, MAX_HOLD_SECS);
-            if hold > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(hold));
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            match served.conn.fill(&mut buf) {
+                Ok(0) => break,
+                // The poller is level-triggered: a read that did not fill
+                // the buffer emptied the socket, and whatever arrives
+                // later (EOF included) is reported again.
+                Ok(n) if n < buf.len() => return true,
+                Ok(_) => {}
+                Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => return true,
+                Err(_) => break,
             }
         }
-        for reply in &frames {
-            reply.encode_into(out);
+        self.entries.remove(&token);
+        false
+    }
+
+    /// Answers what the decoder holds and writes it, then waits for what
+    /// the connection needs next: a hold's end, writability, or the
+    /// client's next bytes. Closes the connection once it has ended.
+    fn progress(&mut self, token: u64, now: Instant) {
+        let Some(Entry::Conn(served)) = self.entries.get_mut(&token) else {
+            return;
+        };
+        if let Some(deadline) = served.answer(now) {
+            self.wheel.insert(token, TimerKind::Hold, deadline);
         }
-        if let (ClientFrame::Xmit { .. }, Behavior::RstAfterBursts(left)) = (&frame, &mut *behavior)
-        {
-            *left = left.saturating_sub(1);
-            if *left == 0 {
-                return Some(End::Reset);
+        if served.held.is_some() {
+            return;
+        }
+        let interest = match served.conn.flush(|_| {}) {
+            Ok(true) if served.ending.is_none() => {
+                served.idle_at = now + READ_TIMEOUT;
+                Interest::Read
+            }
+            // Reads wait until the client takes what it was sent.
+            Ok(false) => Interest::Write,
+            // Written to the last byte, or never to be: it is over.
+            flushed => {
+                if flushed.is_ok() && served.ending == Some(End::Reset) {
+                    // Abortive close: RST instead of FIN.
+                    let _ = set_linger_reset(&served.conn.stream);
+                }
+                self.entries.remove(&token);
+                return;
+            }
+        };
+        match served.conn.watch(&mut self.poller, token, interest) {
+            Ok(()) => served.arm_idle(&mut self.wheel, token),
+            Err(_) => drop(self.entries.remove(&token)),
+        }
+    }
+
+    fn on_timer(&mut self, timer: Timer, now: Instant) {
+        let Some(Entry::Conn(served)) = self.entries.get_mut(&timer.token) else {
+            return; // the connection is gone
+        };
+        if timer.kind == TimerKind::Hold {
+            return self.progress(timer.token, now);
+        }
+        if served.idle_timer != Some(timer.deadline) {
+            return; // stale: an earlier deadline took its place
+        }
+        served.idle_timer = None;
+        if served.held.is_some() {
+            return; // the hold's end re-arms it
+        }
+        if served.idle_at <= timer.deadline {
+            self.entries.remove(&timer.token);
+        } else {
+            // Fired early: the client has sent since. Wait out the rest.
+            served.arm_idle(&mut self.wheel, timer.token);
+        }
+    }
+}
+
+impl Served {
+    /// Keeps a timer in `wheel` that fires by `idle_at`.
+    fn arm_idle(&mut self, wheel: &mut TimerWheel, token: u64) {
+        wheel.arm_by(
+            &mut self.idle_timer,
+            token,
+            TimerKind::IoDeadline,
+            self.idle_at,
+        );
+    }
+
+    /// Answers every whole frame the decoder holds into `conn.out`, up to
+    /// the end of the connection or the first reply a paced server holds;
+    /// returns when that hold ends, if one began.
+    fn answer(&mut self, now: Instant) -> Option<Instant> {
+        match self.held {
+            Some(until) if now < until => return None,
+            _ => self.held = None,
+        }
+        let Some(core) = self.core.as_mut() else {
+            // A stalled server discards what it reads.
+            self.conn.decoder = FrameDecoder::new();
+            return None;
+        };
+        while self.ending.is_none() {
+            let frame: ClientFrame = match self.conn.decoder.next() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return None,
+                Err(_) => {
+                    self.ending = Some(End::Close);
+                    return None;
+                }
+            };
+            let Ok(Reply { frames, close }) = core.on_frame(&frame) else {
+                self.ending = Some(End::Close);
+                return None;
+            };
+            let span = match (&frame, frames.first()) {
+                (ClientFrame::Xmit { now, horizon }, _) => horizon - now,
+                (ClientFrame::RtoWait { now, .. }, Some(ServerFrame::RtoResult { now: t, .. })) => {
+                    t - now
+                }
+                _ => 0.0,
+            };
+            for reply in &frames {
+                reply.encode_into(&mut self.conn.out);
+            }
+            if close {
+                self.ending = Some(End::Close);
+            }
+            if let (ClientFrame::Xmit { .. }, Behavior::RstAfterBursts(left)) =
+                (&frame, &mut self.behavior)
+            {
+                *left = left.saturating_sub(1);
+                if *left == 0 {
+                    self.ending = Some(End::Reset);
+                }
+            }
+            if let Behavior::Paced(pace) = self.behavior {
+                let hold = (pace.as_secs_f64() * span).clamp(0.0, MAX_HOLD_SECS);
+                if hold > 0.0 {
+                    let until = now + Duration::from_secs_f64(hold);
+                    self.held = Some(until);
+                    return Some(until);
+                }
             }
         }
-        if close {
-            return Some(End::Close);
-        }
+        None
     }
 }
 
@@ -263,6 +556,8 @@ fn answer_frames(
 mod tests {
     use super::*;
     use caai_congestion::AlgorithmId;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn handshake(stream: &mut TcpStream) -> ServerFrame {
         let hello = ClientFrame::Hello {
@@ -322,31 +617,6 @@ mod tests {
             "{burst:?}"
         );
         assert!(held >= pace / 2, "answered after {held:?}");
-    }
-
-    #[test]
-    fn a_refused_thread_drops_the_connection_and_the_listener_lives() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_accept = Arc::clone(&stop);
-        let accept = std::thread::spawn(move || {
-            let refuse = |_stream| Err(std::io::ErrorKind::WouldBlock.into());
-            accept_loop(&listener, &stop_accept, refuse);
-        });
-        // Twice: the accept thread outlives the first refusal.
-        for _ in 0..2 {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            let mut buf = [0u8; 16];
-            // EOF (or a reset): what the reactor's retry path starts from.
-            match stream.read(&mut buf) {
-                Ok(0) | Err(_) => {}
-                other => panic!("expected drop, got {other:?}"),
-            }
-        }
-        stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(addr);
-        accept.join().unwrap();
     }
 
     #[test]

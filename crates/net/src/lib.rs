@@ -21,12 +21,14 @@
 //!   `Prober` drives too) and [`ServerCore`] (the tcpsim-backed
 //!   server). The in-memory equivalence tests drive
 //!   them against each other and pin the outcome to the simulator's.
-//! * [`sys`] / [`wheel`] / [`limiter`] — the reactor's raw material:
+//! * [`sys`] / [`wheel`] / [`limiter`] — the event loops' raw material:
 //!   bindings for the few syscalls std lacks (nonblocking connect,
-//!   `epoll`, `eventfd`, two socket options, thread placement; the
-//!   build is offline, so no `libc`, `mio` or `tokio`), a binary heap
-//!   of timers, and global + per-/24 token buckets. The probe socket itself
-//!   is a `std::net::TcpStream`.
+//!   `epoll`, `eventfd`, two socket options, thread placement and the
+//!   one rule for where loops run; the build is offline, so no `libc`,
+//!   `mio` or `tokio`), a binary heap of timers, and global + per-/24
+//!   token buckets. Every socket is a `std::net::TcpStream`, read into a
+//!   frame decoder and written from a buffer by one private helper both
+//!   ends share.
 //! * [`reactor`] — one thread, thousands of nonblocking sessions:
 //!   connect/retry/backoff/timeout per target, and reduction of every
 //!   transport failure to `TransportAborted`. It never delays a send:
@@ -38,8 +40,10 @@
 //!   it up to that cap from one thread.
 //! * [`emulated`] — loopback [`EmulatedServer`]s replaying tcpsim
 //!   algorithms over real sockets, so tests and CI never touch the
-//!   real network; a paced one holds each reply for its round's span
-//!   (a path's latency).
+//!   real network. Every server of a process is served by one event
+//!   loop per CPU, each connection by the loop on the CPU its packets
+//!   arrive on: no thread per listener or connection. A paced server
+//!   holds each reply on a timer for its round's span (a path's latency).
 //! * [`targets`] — `host:port` target-list ingestion with
 //!   skip-and-report diagnostics.
 //!
@@ -56,6 +60,7 @@ compile_error!(
      and builds only for Linux"
 );
 
+mod conn;
 pub mod core;
 pub mod emulated;
 pub mod frame;

@@ -32,9 +32,8 @@
 //! the rate bounds and the live-session count hold transport-wide.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{Ipv4Addr, TcpStream};
-use std::os::fd::AsRawFd;
+use std::io::ErrorKind;
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -45,8 +44,9 @@ use caai_obs::{
     Subscriber,
 };
 
+use crate::conn::Conn;
 use crate::core::{LadderCore, RungRecord, Step};
-use crate::frame::{FrameDecoder, ServerFrame, Wire};
+use crate::frame::{ServerFrame, Wire};
 use crate::limiter::RateLimiter;
 use crate::sys::{self, Interest, Poller, Readiness, Waker};
 use crate::wheel::{Timer, TimerKind, TimerWheel};
@@ -173,21 +173,14 @@ impl Admission {
 /// Timer token reserved for the rate-limiter retry tick.
 const RATE_TOKEN: u64 = 0;
 
-struct Conn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    out: Vec<u8>,
-    out_at: usize,
-    close_after_flush: bool,
-    connected: bool,
-    /// What the poller watches the socket for; `None` until registered.
-    interest: Option<Interest>,
-}
-
 struct Session {
     probe: Probe,
     core: LadderCore,
     conn: Option<Conn>,
+    /// The connection's handshake has completed.
+    connected: bool,
+    /// Close the connection once what it has to write is written.
+    close_after_flush: bool,
     stats: SessionStats,
     retries_left: u32,
     /// When the peer must have connected or answered by, while it owes
@@ -218,14 +211,12 @@ struct Session {
 /// timer that fires before the deadline it finds re-arms for the rest.
 fn arm_io_deadline(wheel: &mut TimerWheel, session: &mut Session, token: u64, deadline: Instant) {
     session.io_deadline = Some(deadline);
-    if session.io_timer.is_none_or(|armed| deadline < armed) {
-        session.io_timer = Some(deadline);
-        wheel.insert(Timer {
-            token,
-            kind: TimerKind::IoDeadline,
-            deadline,
-        });
-    }
+    wheel.arm_by(
+        &mut session.io_timer,
+        token,
+        TimerKind::IoDeadline,
+        deadline,
+    );
 }
 
 /// The reactor. Constructed and run on its own thread by
@@ -290,15 +281,7 @@ impl<S: Subscriber> Reactor<S> {
             if disconnected && self.sessions.is_empty() && self.pending.is_empty() {
                 return;
             }
-            let timeout_ms = match self.wheel.next_deadline() {
-                // Rounded up: truncated, the last millisecond before every
-                // timer is a timeout of 0 and the loop spins through it.
-                Some(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    left.as_micros().div_ceil(1000).min(60_000) as i32
-                }
-                None => -1,
-            };
+            let timeout_ms = self.wheel.timeout_ms(Instant::now());
             if self.poller.wait(timeout_ms, &mut ready).is_err() {
                 break;
             }
@@ -381,11 +364,8 @@ impl<S: Subscriber> Reactor<S> {
                         }));
                     if !self.rate_retry_armed {
                         self.rate_retry_armed = true;
-                        self.wheel.insert(Timer {
-                            token: RATE_TOKEN,
-                            kind: TimerKind::RatePermit,
-                            deadline: now + wait,
-                        });
+                        self.wheel
+                            .insert(RATE_TOKEN, TimerKind::RatePermit, now + wait);
                     }
                     return;
                 }
@@ -408,6 +388,8 @@ impl<S: Subscriber> Reactor<S> {
             probe,
             core,
             conn: None,
+            connected: false,
+            close_after_flush: false,
             stats: SessionStats::default(),
             retries_left: self.config.retries,
             io_deadline: None,
@@ -470,7 +452,7 @@ impl<S: Subscriber> Reactor<S> {
                     frame.encode_into(&mut conn.out);
                 }
                 session.stats.frames_sent += frames.len() as u64;
-                conn.close_after_flush = close_after;
+                session.close_after_flush = close_after;
                 self.flush(token);
             }
             Step::Done(outcome) => self.finish_session(token, *outcome),
@@ -497,15 +479,9 @@ impl<S: Subscriber> Reactor<S> {
         );
         match sys::connect_nonblocking(session.probe.ip, session.probe.port) {
             Ok((stream, done)) => {
-                session.conn = Some(Conn {
-                    stream,
-                    decoder: FrameDecoder::new(),
-                    out: Vec::new(),
-                    out_at: 0,
-                    close_after_flush: false,
-                    connected: false,
-                    interest: None,
-                });
+                session.conn = Some(Conn::new(stream));
+                session.connected = false;
+                session.close_after_flush = false;
                 let deadline = Instant::now() + self.config.connect_timeout;
                 arm_io_deadline(&mut self.wheel, &mut session, new_token, deadline);
                 self.sessions.insert(new_token, session);
@@ -529,13 +505,7 @@ impl<S: Subscriber> Reactor<S> {
         let Some(conn) = session.conn.as_mut() else {
             return;
         };
-        let fd = conn.stream.as_raw_fd();
-        let result = match conn.interest.replace(interest) {
-            None => self.poller.register(fd, token, interest),
-            Some(old) if old != interest => self.poller.rearm(fd, token, interest),
-            Some(_) => Ok(()),
-        };
-        if result.is_err() {
+        if conn.watch(&mut self.poller, token, interest).is_err() {
             self.conn_failed(token);
         }
     }
@@ -552,7 +522,7 @@ impl<S: Subscriber> Reactor<S> {
             self.conn_failed(token);
             return;
         }
-        conn.connected = true;
+        session.connected = true;
         session.stats.connections += 1;
         session.io_deadline = None;
         std::mem::replace(&mut session.connect_span, SpanToken::NONE).end(&*obs);
@@ -578,27 +548,23 @@ impl<S: Subscriber> Reactor<S> {
         let Some(conn) = session.conn.as_mut() else {
             return;
         };
-        while conn.out_at < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_at..]) {
-                Ok(n) => {
-                    conn.out_at += n;
-                    session.stats.bytes_sent += n as u64;
-                    session.stats.writes += 1;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    self.set_interest(token, Interest::ReadWrite);
-                    return;
-                }
-                Err(_) => {
-                    self.conn_failed(token);
-                    return;
-                }
+        let stats = &mut session.stats;
+        let flushed = conn.flush(|n| {
+            stats.bytes_sent += n as u64;
+            stats.writes += 1;
+        });
+        match flushed {
+            Ok(true) => {}
+            Ok(false) => {
+                self.set_interest(token, Interest::ReadWrite);
+                return;
+            }
+            Err(_) => {
+                self.conn_failed(token);
+                return;
             }
         }
-        conn.out.clear();
-        conn.out_at = 0;
-        if conn.close_after_flush {
+        if session.close_after_flush {
             self.teardown_conn(token);
             let Some(session) = self.sessions.get_mut(&token) else {
                 return;
@@ -620,13 +586,10 @@ impl<S: Subscriber> Reactor<S> {
         }
     }
 
+    /// Closes the session's connection, which takes it out of the poller.
     fn teardown_conn(&mut self, token: u64) {
         if let Some(session) = self.sessions.get_mut(&token) {
-            if let Some(conn) = session.conn.take() {
-                if conn.interest.is_some() {
-                    let _ = self.poller.deregister(conn.stream.as_raw_fd());
-                }
-            }
+            session.conn = None;
             session.io_deadline = None;
         }
     }
@@ -641,7 +604,7 @@ impl<S: Subscriber> Reactor<S> {
         let Some(conn) = session.conn.as_mut() else {
             return;
         };
-        if !conn.connected {
+        if !session.connected {
             if ev.writable || ev.error {
                 self.connect_finished(token);
             }
@@ -654,7 +617,7 @@ impl<S: Subscriber> Reactor<S> {
             self.conn_failed(token);
             return;
         }
-        if ev.writable && conn.out_at < conn.out.len() {
+        if ev.writable && conn.unsent() {
             self.flush(token);
         }
         if ev.readable {
@@ -671,7 +634,7 @@ impl<S: Subscriber> Reactor<S> {
             let Some(conn) = session.conn.as_mut() else {
                 return;
             };
-            match conn.stream.read(&mut buf) {
+            match conn.fill(&mut buf) {
                 Ok(0) => {
                     // EOF: the ladder initiates every close itself, so a
                     // peer-side close mid-walk is a transport failure.
@@ -681,7 +644,6 @@ impl<S: Subscriber> Reactor<S> {
                 Ok(n) => {
                     session.stats.bytes_received += n as u64;
                     session.stats.reads += 1;
-                    conn.decoder.push(&buf[..n]);
                     // The poller is level-triggered: a read that did not
                     // fill the buffer emptied the socket, and whatever
                     // arrives later (EOF included) is reported again.
@@ -689,8 +651,9 @@ impl<S: Subscriber> Reactor<S> {
                         return;
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                    return
+                }
                 Err(_) => {
                     self.conn_failed(token);
                     return;
@@ -772,7 +735,7 @@ impl<S: Subscriber> Reactor<S> {
                     self.open_connection(timer.token);
                 }
             }
-            TimerKind::RatePermit => {}
+            TimerKind::RatePermit | TimerKind::Hold => {}
         }
     }
 
@@ -808,11 +771,7 @@ impl<S: Subscriber> Reactor<S> {
             );
             let deadline = Instant::now() + backoff;
             session.backoff_at = Some(deadline);
-            self.wheel.insert(Timer {
-                token,
-                kind: TimerKind::Backoff,
-                deadline,
-            });
+            self.wheel.insert(token, TimerKind::Backoff, deadline);
         } else {
             session.stats.aborted = true;
             let step = session.core.abort();

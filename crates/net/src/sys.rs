@@ -15,7 +15,8 @@
 //! * `epoll_create1`, `epoll_ctl`, `epoll_wait` and `eventfd`: std has
 //!   no readiness multiplexer.
 //! * `sched_getcpu`, `sched_setaffinity`, `sched_getaffinity`: thread
-//!   placement ([`confine_to`], [`allowed_cpus`]); std has none.
+//!   placement ([`confine_to`], [`allowed_cpus`], and on them the one
+//!   rule for where event loops run, [`loop_cpus`]); std has none.
 //!
 //! The constants and struct layouts are Linux's (the crate refuses to
 //! build elsewhere). All `unsafe` in the crate is confined to this
@@ -40,7 +41,6 @@ const EINPROGRESS: i32 = 115;
 const EINTR: i32 = 4;
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EPOLL_CTL_ADD: i32 = 1;
-const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 const EPOLLIN: u32 = 0x1;
 const EPOLLOUT: u32 = 0x4;
@@ -165,7 +165,7 @@ pub struct Readiness {
 pub enum Interest {
     /// Readable only.
     Read,
-    /// Writable only (a pending connect).
+    /// Writable only (a pending connect, or writes a peer holds up).
     Write,
     /// Both.
     ReadWrite,
@@ -213,8 +213,7 @@ impl Poller {
             events,
             data: token,
         };
-        // SAFETY: `ev` outlives the call (the kernel copies it; `DEL`
-        // ignores it).
+        // SAFETY: `ev` outlives the call (the kernel copies it).
         check(unsafe { epoll_ctl(self.ep.as_raw_fd(), op, fd, &mut ev) }).map(drop)
     }
 
@@ -226,11 +225,6 @@ impl Poller {
     /// Changes what a registered descriptor is watched for.
     pub fn rearm(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, interest_bits(interest), token)
-    }
-
-    /// Stops watching `fd` (harmless if the fd is already closed).
-    pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// A handle other threads use to interrupt [`wait`](Self::wait).
@@ -327,6 +321,35 @@ pub fn allowed_cpus() -> Vec<usize> {
     (0..MASK_WORDS * BITS)
         .filter(|cpu| (mask[cpu / BITS] >> (cpu % BITS)) & 1 == 1)
         .collect()
+}
+
+/// Where a set of event loops runs: one per CPU of the calling thread's
+/// affinity mask, at most `most`, loop *i* on the mask's *i*-th CPU. A
+/// mask the kernel will not report gives one loop, unconfined (`None`).
+/// The reactors of a `NetTransport` and the emulated fleet both follow it.
+pub fn loop_cpus(most: usize) -> Vec<Option<usize>> {
+    let cpus = allowed_cpus();
+    if cpus.is_empty() {
+        return vec![None];
+    }
+    cpus.into_iter().take(most.max(1)).map(Some).collect()
+}
+
+/// Starts a thread named `name` that confines itself to `cpu`, when one
+/// is named, and then runs `body`.
+pub fn spawn_on<T: Send + 'static>(
+    name: &str,
+    cpu: Option<usize>,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> io::Result<std::thread::JoinHandle<T>> {
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            if let Some(cpu) = cpu {
+                confine_to(cpu);
+            }
+            body()
+        })
 }
 
 /// The CPU the socket's packets last arrived on (`SO_INCOMING_CPU`):

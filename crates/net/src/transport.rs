@@ -11,7 +11,8 @@
 //!
 //! One reactor runs per CPU of the calling thread's affinity mask, at
 //! most one per session slot, reactor *i* confined to the mask's *i*-th
-//! CPU: a probe's hand-offs stay on one CPU, and two probes in flight
+//! CPU ([`sys::loop_cpus`], the rule the emulated fleet's loops follow
+//! too): a probe's hand-offs stay on one CPU, and two probes in flight
 //! use two. A one-CPU mask or `max_sessions = 1` gives one reactor.
 //!
 //! The reactors hold the sessions, so the transport takes submissions:
@@ -80,18 +81,25 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
     /// Resolves `targets`, starts the reactor threads, and returns the
     /// transport. Resolution happens once, up front: a census must not
     /// re-resolve (and possibly re-route) mid-run. Unresolvable targets
-    /// are kept — they probe as instant `TransportAborted` records.
+    /// are kept — they probe as instant `TransportAborted` records. A
+    /// `max_sessions` of 0 is `InvalidInput`: no probe could ever run.
     pub fn new(
         targets: Vec<Target>,
         classifier: CaaiClassifier,
         config: NetConfig,
         obs: Arc<R>,
     ) -> std::io::Result<Self> {
+        if config.max_sessions == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "max_sessions must be at least 1",
+            ));
+        }
         let resolved = targets.iter().map(resolve).collect();
         let ladder = &config.prober.wmax_ladder;
         let first_rung = *ladder.first().unwrap_or(&DEFAULT_LADDER[0]);
-        let cpus = sys::allowed_cpus();
-        let count = cpus.len().min(config.max_sessions).max(1);
+        let cpus = sys::loop_cpus(config.max_sessions);
+        let count = cpus.len();
         let admission = Arc::new(Admission::new(&config));
         let (finished_tx, finished) = mpsc::channel();
         let mut transport = NetTransport {
@@ -104,7 +112,7 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
             finished: Mutex::new(finished),
             _obs: Arc::clone(&obs),
         };
-        for i in 0..count {
+        for (i, cpu) in cpus.into_iter().enumerate() {
             // The caps add up to `max_sessions` exactly.
             let cap = config.max_sessions / count + usize::from(i < config.max_sessions % count);
             let reactor_config = NetConfig {
@@ -112,7 +120,7 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
                 ..config.clone()
             };
             // On an error, dropping `transport` stops the reactors started.
-            let reactor = spawn_reactor(reactor_config, &obs, &admission, cpus.get(i).copied())?;
+            let reactor = spawn_reactor(reactor_config, &obs, &admission, cpu)?;
             transport.reactors.push(reactor);
         }
         Ok(transport)
@@ -307,23 +315,18 @@ fn spawn_reactor<R: Subscriber + Send + Sync + 'static>(
     )?;
     let (sender, commands) = mpsc::channel();
     let reactor_obs = Arc::clone(obs);
-    let thread = std::thread::Builder::new()
-        .name("caai-net-reactor".into())
-        .spawn(move || {
-            // A probe is ~60 serial hand-offs with the peer's thread;
-            // a reactor that stays put lets the peer stay beside it.
-            if let Some(cpu) = cpu {
-                sys::confine_to(cpu);
-            }
-            let before = sys::sched_counts();
-            reactor.run(commands);
-            if let (Some(before), Some(after)) = (before, sys::sched_counts()) {
-                reactor_obs.on_event(&Event::ReactorExited(ReactorExited {
-                    migrations: after.0 - before.0,
-                    switches: after.1 - before.1,
-                }));
-            }
-        })?;
+    // A probe is ~60 serial hand-offs with the peer's loop; a reactor
+    // that stays put lets the peer stay beside it.
+    let thread = sys::spawn_on("caai-net-reactor", cpu, move || {
+        let before = sys::sched_counts();
+        reactor.run(commands);
+        if let (Some(before), Some(after)) = (before, sys::sched_counts()) {
+            reactor_obs.on_event(&Event::ReactorExited(ReactorExited {
+                migrations: after.0 - before.0,
+                switches: after.1 - before.1,
+            }));
+        }
+    })?;
     Ok(ReactorHandle {
         sender,
         waker,

@@ -1,16 +1,17 @@
-//! The reactor's timers, in a binary heap.
+//! The event loops' timers, in a binary heap.
 //!
 //! Thousands of concurrent probe sessions each keep one or two timers
-//! alive (an IO deadline, a retry backoff), so a heap's `O(log n)` per
-//! insert and per firing costs nothing. Cancellation is free because
-//! nothing is ever cancelled: a fired timer carries its deadline, and a
-//! session that re-armed since simply ignores the stale firing (the
-//! deadline it stores no longer matches). Never cancelling means a timer
-//! armed per event piles up: an IO deadline is therefore moved, not
-//! re-armed — the reactor keeps one in here per connection and re-arms
-//! it for the remainder when it fires early. A timer fires at its
-//! deadline, never before; timers due at the same instant fire in the
-//! order they were armed.
+//! alive (an IO deadline, a retry backoff), and as many fleet
+//! connections an idle deadline and a paced reply's hold, so a heap's
+//! `O(log n)` per insert and per firing costs nothing. Cancellation is
+//! free because nothing is ever cancelled: a fired timer carries its
+//! deadline, and an owner that re-armed since simply ignores the stale
+//! firing (the deadline it stores no longer matches). Never cancelling
+//! means a timer armed per event piles up: a deadline that moves every
+//! round trip is therefore moved, not re-armed — its owner keeps one in
+//! here ([`arm_by`](TimerWheel::arm_by)) and re-arms it for the remainder
+//! when it fires early. A timer fires at its deadline, never before;
+//! timers due at the same instant fire in the order they were armed.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -25,6 +26,8 @@ pub enum TimerKind {
     Backoff,
     /// The rate limiter predicted a token would be available now.
     RatePermit,
+    /// A paced emulated server's held reply is due.
+    Hold,
 }
 
 /// One armed timer.
@@ -57,14 +60,10 @@ impl TimerWheel {
         TimerWheel::default()
     }
 
-    /// Arms a timer. Deadlines in the past fire on the next expire call.
-    pub fn insert(&mut self, timer: Timer) {
-        self.heap.push(Reverse((
-            timer.deadline,
-            self.armed,
-            timer.token,
-            timer.kind,
-        )));
+    /// Arms a timer that fires `token` with `kind` at `deadline`.
+    /// Deadlines in the past fire on the next expire call.
+    pub fn insert(&mut self, token: u64, kind: TimerKind, deadline: Instant) {
+        self.heap.push(Reverse((deadline, self.armed, token, kind)));
         self.armed += 1;
     }
 
@@ -78,9 +77,40 @@ impl TimerWheel {
         self.heap.is_empty()
     }
 
+    /// Arms a timer for `deadline` unless `armed`, the one timer its
+    /// owner keeps in here, fires by then; `armed` becomes the new one.
+    /// An owner whose deadline moves later keeps its earlier timer and
+    /// re-arms for the rest when that fires.
+    pub fn arm_by(
+        &mut self,
+        armed: &mut Option<Instant>,
+        token: u64,
+        kind: TimerKind,
+        deadline: Instant,
+    ) {
+        if armed.is_none_or(|at| deadline < at) {
+            *armed = Some(deadline);
+            self.insert(token, kind, deadline);
+        }
+    }
+
     /// The earliest pending deadline, for sizing the poll timeout.
     pub fn next_deadline(&self) -> Option<Instant> {
         self.heap.peek().map(|Reverse((deadline, ..))| *deadline)
+    }
+
+    /// How long a poller may sleep from `now` before the next timer is
+    /// due, in whole milliseconds (at most a minute), `-1` with none
+    /// armed. Rounded up: truncated, the last millisecond before every
+    /// timer is a timeout of 0 and the loop spins through it.
+    pub fn timeout_ms(&self, now: Instant) -> i32 {
+        match self.next_deadline() {
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(now);
+                left.as_micros().div_ceil(1000).min(60_000) as i32
+            }
+            None => -1,
+        }
     }
 
     /// Fires everything due at `now`, appending to `out` in deadline
@@ -103,12 +133,9 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn t(token: u64, deadline: Instant) -> Timer {
-        Timer {
-            token,
-            kind: TimerKind::IoDeadline,
-            deadline,
-        }
+    /// Arms an IO deadline for `token`.
+    fn t(wheel: &mut TimerWheel, token: u64, deadline: Instant) {
+        wheel.insert(token, TimerKind::IoDeadline, deadline);
     }
 
     fn tokens(fired: &[Timer]) -> Vec<u64> {
@@ -120,12 +147,12 @@ mod tests {
         let base = Instant::now();
         let ms = |n| base + Duration::from_millis(n);
         let mut wheel = TimerWheel::new();
-        wheel.insert(t(3, ms(5_000)));
-        wheel.insert(t(1, ms(10)));
-        wheel.insert(t(2, ms(500)));
+        t(&mut wheel, 3, ms(5_000));
+        t(&mut wheel, 1, ms(10));
+        t(&mut wheel, 2, ms(500));
         // Equal deadlines fire in the order they were armed.
-        wheel.insert(t(5, ms(500)));
-        wheel.insert(t(4, ms(500)));
+        t(&mut wheel, 5, ms(500));
+        t(&mut wheel, 4, ms(500));
 
         let mut fired = Vec::new();
         wheel.expire(ms(9), &mut fired);
@@ -146,10 +173,10 @@ mod tests {
         let mut wheel = TimerWheel::new();
         assert_eq!(wheel.next_deadline(), None);
         let far = base + Duration::from_secs(10);
-        wheel.insert(t(1, far));
+        t(&mut wheel, 1, far);
         assert_eq!(wheel.next_deadline(), Some(far));
         let near = base + Duration::from_millis(8);
-        wheel.insert(t(2, near));
+        t(&mut wheel, 2, near);
         assert_eq!(wheel.next_deadline(), Some(near));
         wheel.expire(near, &mut Vec::new());
         assert_eq!(wheel.next_deadline(), Some(far));
@@ -159,7 +186,7 @@ mod tests {
     fn past_deadlines_fire_on_the_next_expire() {
         let base = Instant::now();
         let mut wheel = TimerWheel::new();
-        wheel.insert(t(9, base)); // already overdue
+        t(&mut wheel, 9, base); // already overdue
         let mut fired = Vec::new();
         wheel.expire(base + Duration::from_secs(1), &mut fired);
         assert_eq!(fired.len(), 1);
@@ -172,7 +199,7 @@ mod tests {
         let base = Instant::now();
         let mut wheel = TimerWheel::new();
         for i in (0..100).rev() {
-            wheel.insert(t(i, base + Duration::from_millis(1_500 + i * 13)));
+            t(&mut wheel, i, base + Duration::from_millis(1_500 + i * 13));
         }
         assert_eq!(wheel.len(), 100);
         let mut fired = Vec::new();

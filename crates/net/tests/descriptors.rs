@@ -1,11 +1,14 @@
 //! Descriptor accounting: a [`NetTransport`] hands back every descriptor
 //! it opened — probe sockets, epoll instances, eventfds — once dropped,
-//! whether its probes succeeded, timed out or were refused.
+//! whether its probes succeeded, timed out or were refused; and an
+//! [`EmulatedServer`] hands back its listener and every connection it
+//! accepted before its drop returns, a stalled one whose client is still
+//! there included.
 //!
 //! This file holds one test on purpose: it counts `/proc/self/fd`, and a
 //! test running beside it in the same process would move the count.
 
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,6 +26,17 @@ fn open_descriptors() -> usize {
     std::fs::read_dir("/proc/self/fd").unwrap().count()
 }
 
+/// Waits up to ten seconds for the count to read `want`; the last count.
+fn settle_at(want: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut open = open_descriptors();
+    while open != want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        open = open_descriptors();
+    }
+    open
+}
+
 #[test]
 fn a_dropped_transport_leaves_no_descriptor_open() {
     let mut rng = seeded(11);
@@ -32,6 +46,12 @@ fn a_dropped_transport_leaves_no_descriptor_open() {
         &mut rng,
     );
     let classifier = CaaiClassifier::train(&data, &mut rng);
+    // The fleet's loops, a poller each, start with the process's first
+    // server and last as long as the process.
+    drop(
+        EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal).unwrap(),
+    );
+    let without_servers = open_descriptors();
     let normal =
         EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal).unwrap();
     let stalled = EmulatedServer::spawn(
@@ -67,16 +87,29 @@ fn a_dropped_transport_leaves_no_descriptor_open() {
     assert!(results[2].stats.aborted && results[2].stats.retries == 1);
     drop(transport);
 
-    // The emulated side closes its ends on its own threads, once each
-    // reads the EOF the dropped sockets sent.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut open = open_descriptors();
-    while open != baseline && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-        open = open_descriptors();
-    }
+    // The emulated side closes its ends on its loops, once each reads
+    // the EOF the dropped sockets sent.
     assert_eq!(
-        open, baseline,
+        settle_at(baseline),
+        baseline,
         "descriptors open after the transport is gone"
     );
+
+    // A client that stays: its stalled connection waits out the fleet's
+    // 30 s read timeout unless dropping the server closes it.
+    let client = TcpStream::connect(stalled.addr()).unwrap();
+    // The client's socket, and the server's end once accepted.
+    assert_eq!(settle_at(baseline + 2), baseline + 2, "never accepted");
+    let begun = Instant::now();
+    drop(stalled);
+    drop(normal);
+    let took = begun.elapsed();
+    assert_eq!(
+        open_descriptors(),
+        without_servers + 1,
+        "descriptors open after the servers are gone (the client's aside)"
+    );
+    assert!(took < Duration::from_secs(5), "the drop took {took:?}");
+    drop(client);
+    assert_eq!(open_descriptors(), without_servers);
 }

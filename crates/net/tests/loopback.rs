@@ -431,6 +431,20 @@ fn unresolvable_targets_reduce_to_aborted_records() {
 }
 
 #[test]
+fn zero_sessions_in_flight_is_invalid_input() {
+    let config = NetConfig {
+        max_sessions: 0,
+        ..fast_config()
+    };
+    let obs = Arc::new(MetricsSubscriber::new());
+    let refused = NetTransport::new(Vec::new(), classifier(), config, obs).err();
+    assert_eq!(
+        refused.map(|e| e.kind()),
+        Some(std::io::ErrorKind::InvalidInput)
+    );
+}
+
+#[test]
 fn the_reactor_thread_never_changes_cpu() {
     let servers: Vec<EmulatedServer> = [AlgorithmId::Reno, AlgorithmId::CubicV2, AlgorithmId::Htcp]
         .iter()

@@ -1,16 +1,16 @@
-//! Where an [`EmulatedServer`]'s connection thread runs: on the CPU its
-//! client's packets arrive on, and after the client when it moves.
+//! Where an [`EmulatedServer`]'s connections are served: by the fleet
+//! loop on the CPU the client's packets arrive on, one loop per CPU.
 //!
 //! Counts and masks, not clocks. A file (a process) of its own because
-//! the thread is found by name under `/proc/self/task`, and the tests of
-//! `loopback.rs` run beside each other with threads of that name each.
+//! the fleet's loops are found by name under `/proc/self/task`, and they
+//! are started by the process's first server, from that caller's mask.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use caai_congestion::AlgorithmId;
 use caai_core::ServerUnderTest;
-use caai_net::sys::{confine_to, current_cpu};
+use caai_net::sys::{confine_to, current_cpu, incoming_cpu};
 use caai_net::{Behavior, ClientFrame, EmulatedServer, FrameDecoder, ServerFrame, Wire};
 
 /// `Cpus_allowed_list` of the thread whose `/proc` directory is `task`.
@@ -22,16 +22,17 @@ fn allowed_cpus(task: &str) -> Option<String> {
     Some(list.trim().to_owned())
 }
 
-/// The masks of this process's live `caai-emu-conn` threads.
-fn conn_thread_cpus() -> Vec<String> {
+/// The masks of this process's `caai-emu-loop` threads, sorted.
+fn loop_thread_cpus() -> Vec<String> {
     let mut masks = Vec::new();
     for entry in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
         let task = entry.path().display().to_string();
         let comm = std::fs::read_to_string(format!("{task}/comm")).unwrap_or_default();
-        if comm.trim() == "caai-emu-conn" {
+        if comm.trim() == "caai-emu-loop" {
             masks.extend(allowed_cpus(&task));
         }
     }
+    masks.sort();
     masks
 }
 
@@ -45,8 +46,7 @@ fn expand(list: &str) -> Vec<usize> {
         .collect()
 }
 
-/// Sends `frame` and blocks for the server's next frame: when it is
-/// here, the connection thread has read, followed and answered.
+/// Sends `frame` and blocks for the server's next frame.
 fn round_trip(stream: &mut TcpStream, frame: &ClientFrame) -> ServerFrame {
     let mut bytes = Vec::new();
     frame.encode_into(&mut bytes);
@@ -69,47 +69,46 @@ fn a_connection_is_served_on_the_cpu_its_packets_arrive_on() {
         eprintln!("skipped: no sched_getcpu or no /proc/thread-self/status here");
         return;
     };
+    let cpus = expand(&allowed);
     let server =
         EmulatedServer::spawn(ServerUnderTest::ideal(AlgorithmId::Reno), Behavior::Normal).unwrap();
-    let addr = server.addr();
-    // The client confines itself on a thread of its own, so the mask
-    // dies with it.
-    let client = std::thread::spawn(move || {
-        let home = current_cpu().unwrap();
-        confine_to(home);
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let hello = ClientFrame::Hello {
-            proposed_mss: 100,
-            now: 0.0,
-        };
-        assert!(matches!(
-            round_trip(&mut stream, &hello),
-            ServerFrame::Welcome { .. }
-        ));
-        assert_eq!(
-            conn_thread_cpus(),
-            [home.to_string()],
-            "born where the SYN came in"
-        );
+    let mut each_alone: Vec<String> = cpus.iter().map(usize::to_string).collect();
+    each_alone.sort();
 
-        let Some(&away) = expand(&allowed).iter().find(|&&cpu| cpu != home) else {
-            eprintln!("skipped the move: this process may use CPU {allowed} only");
-            return;
-        };
-        confine_to(away);
-        let xmit = ClientFrame::Xmit {
-            now: 0.0,
-            horizon: 1.0,
-        };
-        assert!(matches!(
-            round_trip(&mut stream, &xmit),
-            ServerFrame::Burst { .. }
-        ));
-        assert_eq!(
-            conn_thread_cpus(),
-            [away.to_string()],
-            "followed the client"
-        );
-    });
-    client.join().unwrap();
+    // A client on each CPU: one listener's loop accepts them all, and
+    // each is answered from the client's own CPU — by the loop there.
+    let addr = server.addr();
+    for cpu in cpus {
+        // The client confines itself on a thread of its own, so the mask
+        // dies with it.
+        let client = std::thread::spawn(move || {
+            confine_to(cpu);
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let hello = ClientFrame::Hello {
+                proposed_mss: 100,
+                now: 0.0,
+            };
+            assert!(matches!(
+                round_trip(&mut stream, &hello),
+                ServerFrame::Welcome { .. }
+            ));
+            let xmit = ClientFrame::Xmit {
+                now: 0.0,
+                horizon: 1.0,
+            };
+            assert!(matches!(
+                round_trip(&mut stream, &xmit),
+                ServerFrame::Burst { .. }
+            ));
+            // Over loopback a packet arrives on its sender's CPU.
+            assert_eq!(incoming_cpu(&stream), Some(cpu), "answered from elsewhere");
+        });
+        client.join().unwrap();
+    }
+    // Each loop confines itself as it starts, and each has answered.
+    assert_eq!(
+        loop_thread_cpus(),
+        each_alone,
+        "one loop confined to each CPU"
+    );
 }

@@ -1152,6 +1152,10 @@ fn cmd_census(args: &Args) -> Result<(), String> {
 /// duplicates, and unresolvable hosts are skipped and reported, never
 /// fatal: a live census finishes with whatever answered.
 fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
+    let max_sessions: usize = args.parsed("max-sessions", 1024)?;
+    if max_sessions == 0 {
+        return Err("--max-sessions must be at least 1".to_owned());
+    }
     let seed: u64 = args.parsed("seed", 1)?;
     let shard: ShardSpec = args.parsed("shard", ShardSpec::full())?;
     let list = read_targets(std::path::Path::new(targets_path))
@@ -1182,9 +1186,8 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
         backoff: Duration::from_millis(args.parsed("backoff-ms", 100u64)?),
         rate: args.parsed("probe-rate", 0.0)?,
         rate_per_net: args.parsed("net-rate", 0.0)?,
-        max_sessions: args.parsed("max-sessions", 1024)?,
+        max_sessions,
     };
-    let in_flight = net_config.max_sessions;
     // The transport and the engine share one subscriber stack: reactor
     // ticks, rate-limiter stalls, and reactor-side spans land next to
     // probe and census counters in the same --metrics / --trace outputs.
@@ -1198,7 +1201,7 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
 
     let owned = shard.owned_count(population);
     eprintln!(
-        "probing {owned} of {population} live targets (shard {shard}), up to {in_flight} in flight ..."
+        "probing {owned} of {population} live targets (shard {shard}), up to {max_sessions} in flight ..."
     );
     let hook = ProgressHook::new(args, &obs.1, owned)?;
     let mut sinks: Vec<_> = jsonl.iter_mut().map(|s| s as &mut dyn ResultSink).collect();

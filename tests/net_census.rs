@@ -337,3 +337,23 @@ fn each_census_mode_refuses_the_flags_of_the_other() {
         "{stderr}"
     );
 }
+
+#[test]
+fn a_live_census_refuses_zero_sessions_in_flight() {
+    // No probe could ever run: a usage error before any target is read,
+    // not a panic in the reactor.
+    let targets = dir().join("hosts-refused.txt");
+    let out = caai(&[
+        "census",
+        "--targets",
+        &targets.to_string_lossy(),
+        "--max-sessions",
+        "0",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--max-sessions must be at least 1"),
+        "{stderr}"
+    );
+}
