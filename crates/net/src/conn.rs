@@ -34,13 +34,29 @@ impl Conn {
         }
     }
 
-    /// One read into the decoder through `buf`: the bytes it took, `0` at
-    /// EOF, `WouldBlock` (or `Interrupted`) when there is nothing to take
-    /// now; the poller reports the socket again while it is readable.
-    pub(crate) fn fill(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.stream.read(buf)?;
-        self.decoder.push(&buf[..n]);
-        Ok(n)
+    /// Reads what the socket holds into the decoder, until a read comes up
+    /// short, would block, or meets EOF or an error: `true` while the
+    /// connection is open, `false` at EOF. The poller is level-triggered,
+    /// so a read that did not fill the buffer emptied the socket, and
+    /// whatever arrives later (EOF included) is reported again. `read`
+    /// hears of every read, with the bytes it took.
+    pub(crate) fn fill(&mut self, mut read: impl FnMut(usize)) -> io::Result<bool> {
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            match self.stream.read(&mut buf) {
+                Ok(0) => return Ok(false),
+                Ok(n) => {
+                    self.decoder.push(&buf[..n]);
+                    read(n);
+                    if n < buf.len() {
+                        return Ok(true);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(true),
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Writes what `out` holds: `true` once all of it is written (and

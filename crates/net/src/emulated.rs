@@ -13,24 +13,29 @@
 //! that caller's affinity mask, each confined to its CPU, by the rule a
 //! [`NetTransport`](crate::transport::NetTransport)'s reactors follow
 //! ([`sys::loop_cpus`]). So the fleet's threads number the CPUs, however
-//! many servers and connections it holds. A listener belongs to one
-//! loop; a connection it accepts is served by the loop on the
+//! many servers and connections it holds. A fleet loop runs on the
+//! reactor's runtime (`runtime.rs`: the wait, the thread start, the
+//! command handle) and keeps only what a server does: a listener belongs
+//! to one loop; a connection it accepts is served by the loop on the
 //! connection's `SO_INCOMING_CPU` (over loopback the client's CPU, for a
 //! remote client the NIC queue's), so a round trip's two wake-ups stay on
 //! one CPU. A loop answers every frame a read brought (a round arrives
 //! as one `AckRun` and one `Xmit`) into one buffer and writes it once.
+//! Dropping a server closes its listener on its own loop first, then its
+//! connections on every loop, and returns once each has.
 //!
 //! What else a server does rides on [`Behavior`], kept as connection
 //! state: one holds each reply on a timer for the real time its round
 //! spans (a path's latency, `caai emulate --pace`), and for the hardening
 //! tests one accepts and then reads and discards (driving the client's
 //! IO timeout) and one resets mid-ladder (driving the RST path). A
-//! connection whose client sends nothing for `READ_TIMEOUT` is closed.
-//! The interesting concurrency lives in the reactor under test, not in
-//! its test double.
+//! connection whose client neither sends nor takes a byte for
+//! `READ_TIMEOUT` is closed (a moving `Deadline`, cleared while a reply
+//! is held). The interesting concurrency lives in the reactor under test,
+//! not in its test double.
 
 use std::collections::HashMap;
-use std::io::{self, ErrorKind::Interrupted, ErrorKind::WouldBlock};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,9 +47,10 @@ use caai_core::ServerUnderTest;
 use crate::conn::Conn;
 use crate::core::{Reply, ServerCore};
 use crate::frame::{ClientFrame, FrameDecoder, ServerFrame, Wire};
-use crate::sys::{self, incoming_cpu, set_linger_reset, Interest, Poller, Readiness, Waker};
+use crate::runtime::{self, EventLoop, Handle};
+use crate::sys::{self, incoming_cpu, set_linger_reset, Interest, Poller, Readiness};
 use crate::targets::Target;
-use crate::wheel::{Timer, TimerKind, TimerWheel};
+use crate::wheel::{Deadline, Timer, TimerKind, TimerWheel};
 
 /// How an emulated server treats its clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +96,9 @@ impl EmulatedServer {
             server,
             behavior,
         };
-        fleet.loops[id as usize % fleet.loops.len()].send(Command::Listen(listener));
+        let _ = fleet.loops[id as usize % fleet.loops.len()]
+            .commands
+            .send(Command::Listen(listener));
         Ok(EmulatedServer { addr, fleet, id })
     }
 
@@ -122,22 +130,24 @@ impl Drop for EmulatedServer {
         let owner = self.id as usize % loops.len();
         for i in 0..loops.len() {
             let (done, closed) = mpsc::channel();
-            loops[(owner + i) % loops.len()].send(Command::Close(self.id, done));
+            let _ = loops[(owner + i) % loops.len()]
+                .commands
+                .send(Command::Close(self.id, done));
             // A loop that is gone dropped `done` with the command.
             let _ = closed.recv();
         }
     }
 }
 
-/// How long a server waits for its client's next bytes before it closes
-/// the connection: the bound on what a stalled client holds open.
+/// How long a server waits for its client to send or take bytes before it
+/// closes the connection: the bound on what a stalled client holds open.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// Longest a paced server holds one reply, in seconds.
 const MAX_HOLD_SECS: f64 = 60.0;
 
 /// The event loops every [`EmulatedServer`] of the process is served by.
 struct Fleet {
-    loops: Vec<LoopHandle>,
+    loops: Vec<Home>,
     /// Servers spawned so far.
     spawned: AtomicU64,
 }
@@ -154,12 +164,15 @@ impl Fleet {
         }
         let mut loops = Vec::new();
         for cpu in sys::loop_cpus(usize::MAX) {
-            match start_loop(cpu) {
-                Ok(handle) => loops.push(handle),
+            // A loop serves for as long as the process lives; nothing joins it.
+            let started = runtime::start("caai-emu-loop", cpu, move |poller, inbox| {
+                Loop::new(cpu, poller).serve(&inbox)
+            });
+            match started {
+                Ok((commands, _)) => loops.push(Home { commands, cpu }),
                 Err(e) => {
                     // The loops started return once their queues close.
-                    let wakers: Vec<Waker> = loops.into_iter().map(|l| l.waker).collect();
-                    wakers.iter().for_each(Waker::wake);
+                    loops.into_iter().for_each(|home| home.commands.close());
                     return Err(e);
                 }
             }
@@ -172,20 +185,10 @@ impl Fleet {
 }
 
 /// One loop, as other threads reach it.
-struct LoopHandle {
-    commands: mpsc::Sender<Command>,
-    waker: Waker,
+struct Home {
+    commands: Handle<Command>,
     /// The CPU the loop is confined to (`None`: the one unconfined loop).
     cpu: Option<usize>,
-}
-
-impl LoopHandle {
-    fn send(&self, command: Command) {
-        // A loop that is gone drops the command, and what it owns with it.
-        if self.commands.send(command).is_ok() {
-            self.waker.wake();
-        }
-    }
 }
 
 /// What a loop is asked to do.
@@ -196,28 +199,6 @@ enum Command {
     Serve(Served),
     /// Close server `.0`'s listener and connections, then answer on `.1`.
     Close(u64, mpsc::Sender<()>),
-}
-
-/// Starts one loop on a thread of its own, confined to `cpu` when one
-/// is named.
-fn start_loop(cpu: Option<usize>) -> io::Result<LoopHandle> {
-    let poller = Poller::new()?;
-    let waker = poller.waker();
-    let (commands, inbox) = mpsc::channel();
-    let mut fleet_loop = Loop {
-        cpu,
-        poller,
-        wheel: TimerWheel::new(),
-        entries: HashMap::new(),
-        tokens: 0,
-    };
-    // The loop serves for as long as the process lives; nothing joins it.
-    sys::spawn_on("caai-emu-loop", cpu, move || fleet_loop.run(&inbox))?;
-    Ok(LoopHandle {
-        commands,
-        waker,
-        cpu,
-    })
 }
 
 /// One of the fleet's event loops: the listeners it accepts on and the
@@ -259,11 +240,10 @@ struct Served {
     /// How the connection ends once `conn.out` is written and no hold is
     /// left.
     ending: Option<End>,
-    /// When the connection closes unless the client sends something
-    /// first. No hold is ever cut short by it.
-    idle_at: Instant,
-    /// The idle timer this connection keeps in the wheel, by its deadline.
-    idle_timer: Option<Instant>,
+    /// When the connection closes unless the client sends or takes
+    /// something first; cleared while a reply is held, so no hold is ever
+    /// cut short by it.
+    idle: Deadline,
 }
 
 /// How a connection ends, once the replies that precede the end are
@@ -288,60 +268,13 @@ impl Entry {
 }
 
 impl Loop {
-    /// Serves until its command queue closes (or the poller fails).
-    fn run(&mut self, inbox: &mpsc::Receiver<Command>) {
-        let mut ready: Vec<Readiness> = Vec::new();
-        let mut fired: Vec<Timer> = Vec::new();
-        loop {
-            let timeout_ms = self.wheel.timeout_ms(Instant::now());
-            if self.poller.wait(timeout_ms, &mut ready).is_err() {
-                return;
-            }
-            let now = Instant::now();
-            loop {
-                match inbox.try_recv() {
-                    Ok(command) => self.command(command),
-                    Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => return,
-                }
-            }
-            for ev in ready.drain(..) {
-                match self.entries.get(&ev.token) {
-                    Some(Entry::Listener(_)) => self.accept(ev.token, now),
-                    Some(Entry::Conn(_)) => {
-                        // Reads first: what arrived, or the EOF or error
-                        // that ends the connection.
-                        let open = !(ev.readable || ev.error) || self.read(ev.token);
-                        if open {
-                            self.progress(ev.token, now);
-                        }
-                    }
-                    None => {} // closed earlier in this round
-                }
-            }
-            self.wheel.expire(now, &mut fired);
-            for timer in fired.drain(..) {
-                self.on_timer(timer, now);
-            }
-        }
-    }
-
-    fn command(&mut self, command: Command) {
-        match command {
-            Command::Listen(listener) => {
-                let token = self.token();
-                let fd = listener.socket.as_raw_fd();
-                // A listener the poller refuses closes: its clients are
-                // refused, and their probes abort.
-                if self.poller.register(fd, token, Interest::Read).is_ok() {
-                    self.entries.insert(token, Entry::Listener(listener));
-                }
-            }
-            Command::Serve(served) => self.serve(served),
-            Command::Close(id, done) => {
-                self.entries.retain(|_, entry| entry.server() != id);
-                let _ = done.send(());
-            }
+    fn new(cpu: Option<usize>, poller: Poller) -> Loop {
+        Loop {
+            cpu,
+            poller,
+            wheel: TimerWheel::new(),
+            entries: HashMap::new(),
+            tokens: 0,
         }
     }
 
@@ -352,7 +285,7 @@ impl Loop {
 
     /// Accepts what the listener has waiting. A connection is served by
     /// the loop on its `SO_INCOMING_CPU`, by this one when no loop is.
-    fn accept(&mut self, token: u64, now: Instant) {
+    fn accept(&mut self, token: u64) {
         loop {
             let Some(Entry::Listener(listener)) = self.entries.get(&token) else {
                 return;
@@ -373,8 +306,7 @@ impl Loop {
                 behavior: listener.behavior,
                 held: None,
                 ending: None,
-                idle_at: now + READ_TIMEOUT,
-                idle_timer: None,
+                idle: Deadline::default(),
                 conn: Conn::new(stream),
             };
             let cpu = incoming_cpu(&served.conn.stream);
@@ -382,44 +314,20 @@ impl Loop {
                 .get()
                 .and_then(|fleet| fleet.loops.iter().find(|home| home.cpu == cpu))
             {
-                Some(home) if home.cpu != self.cpu => home.send(Command::Serve(served)),
-                _ => self.serve(served),
+                Some(home) if home.cpu != self.cpu => {
+                    let _ = home.commands.send(Command::Serve(served));
+                }
+                _ => self.adopt(served),
             }
         }
     }
 
     /// Takes a connection in: watched for the client's bytes, with its
-    /// idle timer armed.
-    fn serve(&mut self, mut served: Served) {
+    /// idle deadline set.
+    fn adopt(&mut self, served: Served) {
         let token = self.token();
-        let watched = served.conn.watch(&mut self.poller, token, Interest::Read);
-        if watched.is_ok() {
-            served.arm_idle(&mut self.wheel, token);
-            self.entries.insert(token, Entry::Conn(served));
-        }
-    }
-
-    /// Reads what the client sent into the decoder; false when that
-    /// closed the connection (the client's EOF, or an error).
-    fn read(&mut self, token: u64) -> bool {
-        let Some(Entry::Conn(served)) = self.entries.get_mut(&token) else {
-            return false;
-        };
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match served.conn.fill(&mut buf) {
-                Ok(0) => break,
-                // The poller is level-triggered: a read that did not fill
-                // the buffer emptied the socket, and whatever arrives
-                // later (EOF included) is reported again.
-                Ok(n) if n < buf.len() => return true,
-                Ok(_) => {}
-                Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => return true,
-                Err(_) => break,
-            }
-        }
-        self.entries.remove(&token);
-        false
+        self.entries.insert(token, Entry::Conn(served));
+        self.progress(token, Instant::now());
     }
 
     /// Answers what the decoder holds and writes it, then waits for what
@@ -433,13 +341,11 @@ impl Loop {
             self.wheel.insert(token, TimerKind::Hold, deadline);
         }
         if served.held.is_some() {
+            served.idle.clear();
             return;
         }
         let interest = match served.conn.flush(|_| {}) {
-            Ok(true) if served.ending.is_none() => {
-                served.idle_at = now + READ_TIMEOUT;
-                Interest::Read
-            }
+            Ok(true) if served.ending.is_none() => Interest::Read,
             // Reads wait until the client takes what it was sent.
             Ok(false) => Interest::Write,
             // Written to the last byte, or never to be: it is over.
@@ -453,45 +359,69 @@ impl Loop {
             }
         };
         match served.conn.watch(&mut self.poller, token, interest) {
-            Ok(()) => served.arm_idle(&mut self.wheel, token),
+            Ok(()) => served.idle.set(&mut self.wheel, token, now + READ_TIMEOUT),
             Err(_) => drop(self.entries.remove(&token)),
         }
     }
+}
 
-    fn on_timer(&mut self, timer: Timer, now: Instant) {
+impl EventLoop for Loop {
+    type Command = Command;
+
+    fn io(&mut self) -> (&mut Poller, &mut TimerWheel) {
+        (&mut self.poller, &mut self.wheel)
+    }
+
+    fn command(&mut self, command: Command) -> bool {
+        match command {
+            Command::Listen(listener) => {
+                let token = self.token();
+                let fd = listener.socket.as_raw_fd();
+                // A listener the poller refuses closes: its clients are
+                // refused, and their probes abort.
+                if self.poller.register(fd, token, Interest::Read).is_ok() {
+                    self.entries.insert(token, Entry::Listener(listener));
+                }
+            }
+            Command::Serve(served) => self.adopt(served),
+            Command::Close(id, done) => {
+                self.entries.retain(|_, entry| entry.server() != id);
+                let _ = done.send(());
+            }
+        }
+        true
+    }
+
+    fn ready(&mut self, ev: Readiness) {
+        let open = match self.entries.get_mut(&ev.token) {
+            Some(Entry::Listener(_)) => return self.accept(ev.token),
+            // Reads first: what arrived, or the EOF or error that ends
+            // the connection.
+            Some(Entry::Conn(served)) => {
+                !(ev.readable || ev.error) || matches!(served.conn.fill(|_| {}), Ok(true))
+            }
+            None => return, // closed earlier in this round
+        };
+        if open {
+            self.progress(ev.token, Instant::now());
+        } else {
+            self.entries.remove(&ev.token);
+        }
+    }
+
+    fn timer(&mut self, timer: Timer, now: Instant) {
         let Some(Entry::Conn(served)) = self.entries.get_mut(&timer.token) else {
             return; // the connection is gone
         };
         if timer.kind == TimerKind::Hold {
-            return self.progress(timer.token, now);
-        }
-        if served.idle_timer != Some(timer.deadline) {
-            return; // stale: an earlier deadline took its place
-        }
-        served.idle_timer = None;
-        if served.held.is_some() {
-            return; // the hold's end re-arms it
-        }
-        if served.idle_at <= timer.deadline {
+            self.progress(timer.token, now);
+        } else if served.idle.fired(&mut self.wheel, &timer) {
             self.entries.remove(&timer.token);
-        } else {
-            // Fired early: the client has sent since. Wait out the rest.
-            served.arm_idle(&mut self.wheel, timer.token);
         }
     }
 }
 
 impl Served {
-    /// Keeps a timer in `wheel` that fires by `idle_at`.
-    fn arm_idle(&mut self, wheel: &mut TimerWheel, token: u64) {
-        wheel.arm_by(
-            &mut self.idle_timer,
-            token,
-            TimerKind::IoDeadline,
-            self.idle_at,
-        );
-    }
-
     /// Answers every whole frame the decoder holds into `conn.out`, up to
     /// the end of the connection or the first reply a paced server holds;
     /// returns when that hold ends, if one began.

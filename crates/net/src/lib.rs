@@ -21,18 +21,26 @@
 //!   `Prober` drives too) and [`ServerCore`] (the tcpsim-backed
 //!   server). The in-memory equivalence tests drive
 //!   them against each other and pin the outcome to the simulator's.
-//! * [`sys`] / [`wheel`] / [`limiter`] — the event loops' raw material:
+//! * [`sys`] / `wheel` / `limiter` — the event loops' raw material:
 //!   bindings for the few syscalls std lacks (nonblocking connect,
 //!   `epoll`, `eventfd`, two socket options, thread placement and the
 //!   one rule for where loops run; the build is offline, so no `libc`,
-//!   `mio` or `tokio`), a binary heap of timers, and global + per-/24
+//!   `mio` or `tokio`), a binary heap of timers with the moving
+//!   `Deadline` a connection keeps one timer under, and global + per-/24
 //!   token buckets. Every socket is a `std::net::TcpStream`, read into a
 //!   frame decoder and written from a buffer by one private helper both
 //!   ends share.
-//! * [`reactor`] — one thread, thousands of nonblocking sessions:
-//!   connect/retry/backoff/timeout per target, and reduction of every
-//!   transport failure to `TransportAborted`. It never delays a send:
-//!   latency is the path's.
+//! * `runtime` — the one event loop both ends run on: wait on the poller
+//!   until the next timer is due, then commands, readiness and due
+//!   timers; the thread start (a poller and its command queue on a
+//!   thread confined to its CPU); and the handle that sends a loop a
+//!   command and wakes it. Crate-private, like `reactor`, `wheel` and
+//!   `limiter`.
+//! * `reactor` — an event loop of thousands of nonblocking probe
+//!   sessions: connect/retry/backoff/timeout per target, and reduction
+//!   of every transport failure to `TransportAborted`. It never delays a
+//!   send: latency is the path's. Its [`NetConfig`], [`SessionResult`]
+//!   and [`SessionStats`] are re-exported here.
 //! * [`transport`] — [`NetTransport`], the `caai-core`
 //!   `ProbeTransport` impl the engine runs a live census through: one
 //!   reactor per CPU the caller may use, each confined to its own CPU,
@@ -41,9 +49,10 @@
 //! * [`emulated`] — loopback [`EmulatedServer`]s replaying tcpsim
 //!   algorithms over real sockets, so tests and CI never touch the
 //!   real network. Every server of a process is served by one event
-//!   loop per CPU, each connection by the loop on the CPU its packets
-//!   arrive on: no thread per listener or connection. A paced server
-//!   holds each reply on a timer for its round's span (a path's latency).
+//!   loop per CPU, on the runtime the reactors run on, each connection
+//!   by the loop on the CPU its packets arrive on: no thread per
+//!   listener or connection. A paced server holds each reply on a timer
+//!   for its round's span (a path's latency).
 //! * [`targets`] — `host:port` target-list ingestion with
 //!   skip-and-report diagnostics.
 //!
@@ -64,13 +73,14 @@ mod conn;
 pub mod core;
 pub mod emulated;
 pub mod frame;
-pub mod limiter;
-pub mod reactor;
+mod limiter;
+mod reactor;
+mod runtime;
 #[allow(unsafe_code)]
 pub mod sys;
 pub mod targets;
 pub mod transport;
-pub mod wheel;
+mod wheel;
 
 pub use crate::core::{LadderCore, ProtocolError, Reply, RungRecord, ServerCore, Step};
 // The old name of the server an `EmulatedServer` impersonates, kept only
@@ -79,7 +89,6 @@ pub use crate::core::{LadderCore, ProtocolError, Reply, RungRecord, ServerCore, 
 pub use caai_core::server_under_test::ServerUnderTest as ServerProfile;
 pub use emulated::{Behavior, EmulatedServer};
 pub use frame::{ClientFrame, DecodeError, FrameDecoder, ServerFrame, Wire};
-pub use limiter::RateLimiter;
 pub use reactor::{NetConfig, SessionResult, SessionStats};
 pub use targets::{parse_targets, read_targets, SkippedLine, Target, TargetList};
 pub use transport::NetTransport;

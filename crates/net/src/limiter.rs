@@ -74,6 +74,7 @@ impl RateLimiter {
     }
 
     /// True when no bound is configured (every admit succeeds).
+    #[cfg(test)]
     pub fn is_unlimited(&self) -> bool {
         self.global_rate == 0.0 && self.per_net_rate == 0.0
     }

@@ -1,12 +1,15 @@
 //! The socket reactor: thousands of probe sessions on one thread.
 //!
-//! A reactor's dedicated thread owns every socket of its sessions, a
-//! readiness poller ([`crate::sys::Poller`]), and a timer heap
-//! ([`TimerWheel`]). Probe sessions are tiny state machines
-//! ([`LadderCore`] plus a write buffer), so the memory per concurrent
+//! A reactor is an [`EventLoop`]: the runtime (`runtime.rs`, shared with
+//! the emulated fleet's loops) waits on its poller and timer heap
+//! ([`TimerWheel`]) and hands it commands, readiness and due timers;
+//! the reactor keeps only the probing. Its dedicated thread owns every
+//! socket of its sessions. Probe sessions are tiny state machines
+//! ([`LadderCore`] plus a [`Conn`]), so the memory per concurrent
 //! session is a few KiB and the per-event work is bounded — a reactor
 //! sustains hundreds to thousands of in-flight sessions without threads
-//! or allocator churn.
+//! or allocator churn. Each connection keeps one IO [`Deadline`], moved
+//! round trip after round trip, with one timer under it.
 //!
 //! Admission control happens at the mouth: submitted probes queue in
 //! FIFO order and enter the reactor only when (a) a session slot is
@@ -32,7 +35,6 @@
 //! the rate bounds and the live-session count hold transport-wide.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::ErrorKind;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -48,8 +50,9 @@ use crate::conn::Conn;
 use crate::core::{LadderCore, RungRecord, Step};
 use crate::frame::{ServerFrame, Wire};
 use crate::limiter::RateLimiter;
-use crate::sys::{self, Interest, Poller, Readiness, Waker};
-use crate::wheel::{Timer, TimerKind, TimerWheel};
+use crate::runtime::EventLoop;
+use crate::sys::{self, Interest, Poller, Readiness};
+use crate::wheel::{Deadline, Timer, TimerKind, TimerWheel};
 
 /// Transport tuning for a live census.
 #[derive(Debug, Clone)]
@@ -184,13 +187,8 @@ struct Session {
     stats: SessionStats,
     retries_left: u32,
     /// When the peer must have connected or answered by, while it owes
-    /// either.
-    io_deadline: Option<Instant>,
-    /// The [`TimerKind::IoDeadline`] timer this connection has in the
-    /// wheel, by its deadline. The wheel never cancels, so a connection
-    /// keeps one there and moves `io_deadline` under it, round trip after
-    /// round trip; see [`arm_io_deadline`].
-    io_timer: Option<Instant>,
+    /// either: one timer per connection, moved round trip after round trip.
+    io: Deadline,
     /// The armed backoff, for staleness checks against fired timers.
     backoff_at: Option<Instant>,
     /// Tracing spans (all `SpanToken::NONE` when tracing is off). The
@@ -204,19 +202,6 @@ struct Session {
     rung_span: SpanToken,
     /// Rung records already accounted (closes `rung_span` on growth).
     rungs_seen: usize,
-}
-
-/// Gives the session's connection until `deadline` to make progress. A
-/// timer goes into the wheel only when none is there to fire by then: a
-/// timer that fires before the deadline it finds re-arms for the rest.
-fn arm_io_deadline(wheel: &mut TimerWheel, session: &mut Session, token: u64, deadline: Instant) {
-    session.io_deadline = Some(deadline);
-    wheel.arm_by(
-        &mut session.io_timer,
-        token,
-        TimerKind::IoDeadline,
-        deadline,
-    );
 }
 
 /// The reactor. Constructed and run on its own thread by
@@ -234,107 +219,136 @@ pub struct Reactor<S: Subscriber> {
     unanswered: Arc<AtomicUsize>,
     next_token: u64,
     rate_retry_armed: bool,
+    /// The current tick's start (when `S` listens) and span.
+    tick: (Option<Instant>, SpanToken),
 }
 
 impl<S: Subscriber> Reactor<S> {
-    /// Builds the reactor and the command handle for it. The returned
-    /// [`Waker`] must be poked after every command send. `config`'s
-    /// `max_sessions` is this reactor's own share of the cap; its rates
-    /// are `admission`'s business.
+    /// A reactor waiting on `poller`. `config`'s `max_sessions` is this
+    /// reactor's own share of the cap; its rates are `admission`'s
+    /// business.
     pub fn new(
         config: NetConfig,
+        poller: Poller,
         obs: Arc<S>,
         admission: Arc<Admission>,
         unanswered: Arc<AtomicUsize>,
-    ) -> std::io::Result<(Self, Waker)> {
-        assert!(config.max_sessions > 0, "max_sessions must be positive");
-        let poller = Poller::new()?;
-        let waker = poller.waker();
-        Ok((
-            Reactor {
-                config,
-                obs,
-                poller,
-                wheel: TimerWheel::new(),
-                sessions: HashMap::new(),
-                pending: VecDeque::new(),
-                admission,
-                unanswered,
-                next_token: 1,
-                rate_retry_armed: false,
-            },
-            waker,
-        ))
+    ) -> Self {
+        Reactor {
+            config,
+            obs,
+            poller,
+            wheel: TimerWheel::new(),
+            sessions: HashMap::new(),
+            pending: VecDeque::new(),
+            admission,
+            unanswered,
+            next_token: 1,
+            rate_retry_armed: false,
+            tick: (None, SpanToken::NONE),
+        }
+    }
+}
+
+impl<S: Subscriber> EventLoop for Reactor<S> {
+    type Command = Command;
+
+    fn io(&mut self) -> (&mut Poller, &mut TimerWheel) {
+        (&mut self.poller, &mut self.wheel)
     }
 
-    /// The event loop: runs until [`Command::Shutdown`] or the command
-    /// channel closes.
-    pub fn run(mut self, commands: mpsc::Receiver<Command>) {
-        self.serve(&commands);
+    fn command(&mut self, command: Command) -> bool {
+        match command {
+            Command::Probe(probe) => self.pending.push_back(probe),
+            Command::Shutdown => return false,
+        }
+        true
     }
 
-    fn serve(&mut self, commands: &mpsc::Receiver<Command>) {
-        let mut ready: Vec<Readiness> = Vec::new();
-        let mut fired: Vec<Timer> = Vec::new();
-        let mut disconnected = false;
-        loop {
-            if disconnected && self.sessions.is_empty() && self.pending.is_empty() {
-                return;
+    fn ready(&mut self, ev: Readiness) {
+        let token = ev.token;
+        let Some(session) = self.sessions.get_mut(&token) else {
+            return; // stale event for a closed connection
+        };
+        let Some(conn) = session.conn.as_mut() else {
+            return;
+        };
+        if !session.connected {
+            if ev.writable || ev.error {
+                self.connect_finished(token);
             }
-            let timeout_ms = self.wheel.timeout_ms(Instant::now());
-            if self.poller.wait(timeout_ms, &mut ready).is_err() {
-                break;
-            }
-            let tick_start = if S::ENABLED {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            let tick_span = span_begin(
-                &*self.obs,
-                SpanKind::ReactorTick,
-                self.sessions.len() as i64,
-                0,
-            );
-
-            // Commands first: a shutdown must beat any amount of IO.
-            loop {
-                match commands.try_recv() {
-                    Ok(Command::Probe(probe)) => self.pending.push_back(probe),
-                    Ok(Command::Shutdown) => return,
-                    Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        disconnected = true;
-                        break;
-                    }
-                }
-            }
-
-            let dispatched = ready.len() as u32;
-            for ev in ready.drain(..) {
-                self.dispatch_io(ev);
-            }
-
-            let now = Instant::now();
-            fired.clear();
-            self.wheel.expire(now, &mut fired);
-            for timer in fired.drain(..) {
-                self.dispatch_timer(timer);
-            }
-
-            self.pump_pending();
-
-            tick_span.end(&*self.obs);
-            if let Some(start) = tick_start {
-                self.obs.on_event(&Event::ReactorTicked(ReactorTicked {
-                    ready: dispatched,
-                    active_sessions: self.admission.live.load(Ordering::Relaxed),
-                    latency_us: start.elapsed().as_micros() as u64,
-                }));
-            }
+            return;
+        }
+        if ev.error {
+            // Query the socket for the concrete error; either way the
+            // connection is gone.
+            let _ = conn.stream.take_error();
+            self.conn_failed(token);
+            return;
+        }
+        if ev.writable && conn.unsent() {
+            self.flush(token);
+        }
+        if ev.readable {
+            self.read(token);
         }
     }
 
+    fn timer(&mut self, timer: Timer, _now: Instant) {
+        if timer.token == RATE_TOKEN {
+            self.rate_retry_armed = false;
+            self.pump_pending();
+            return;
+        }
+        let Some(session) = self.sessions.get_mut(&timer.token) else {
+            return; // stale: the session finished or re-keyed
+        };
+        match timer.kind {
+            TimerKind::IoDeadline => {
+                if session.io.fired(&mut self.wheel, &timer) {
+                    session.stats.timeouts += 1;
+                    self.conn_failed(timer.token);
+                }
+            }
+            TimerKind::Backoff => {
+                if session.backoff_at == Some(timer.deadline) {
+                    session.backoff_at = None;
+                    self.open_connection(timer.token);
+                }
+            }
+            TimerKind::RatePermit | TimerKind::Hold => {}
+        }
+    }
+
+    fn woke(&mut self) {
+        let start = S::ENABLED.then(Instant::now);
+        let sessions = self.sessions.len() as i64;
+        self.tick = (
+            start,
+            span_begin(&*self.obs, SpanKind::ReactorTick, sessions, 0),
+        );
+    }
+
+    fn settle(&mut self, ready: usize) {
+        self.pump_pending();
+        let (start, span) = std::mem::replace(&mut self.tick, (None, SpanToken::NONE));
+        span.end(&*self.obs);
+        if let Some(start) = start {
+            self.obs.on_event(&Event::ReactorTicked(ReactorTicked {
+                ready: ready as u32,
+                active_sessions: self.admission.live.load(Ordering::Relaxed),
+                latency_us: start.elapsed().as_micros() as u64,
+            }));
+        }
+    }
+
+    /// Once the command queue closes, until every probe is answered.
+    fn busy(&self) -> bool {
+        !self.sessions.is_empty() || !self.pending.is_empty()
+    }
+}
+
+impl<S: Subscriber> Reactor<S> {
     // -- admission ---------------------------------------------------
 
     fn pump_pending(&mut self) {
@@ -392,8 +406,7 @@ impl<S: Subscriber> Reactor<S> {
             close_after_flush: false,
             stats: SessionStats::default(),
             retries_left: self.config.retries,
-            io_deadline: None,
-            io_timer: None,
+            io: Deadline::default(),
             backoff_at: None,
             span,
             connect_span: SpanToken::NONE,
@@ -466,8 +479,7 @@ impl<S: Subscriber> Reactor<S> {
             return;
         };
         let new_token = self.alloc_token();
-        session.io_deadline = None;
-        session.io_timer = None;
+        session.io = Deadline::default();
         session.backoff_at = None;
         std::mem::replace(&mut session.retry_span, SpanToken::NONE).end(&*self.obs);
         session.connect_span = span_begin_async(
@@ -483,7 +495,7 @@ impl<S: Subscriber> Reactor<S> {
                 session.connected = false;
                 session.close_after_flush = false;
                 let deadline = Instant::now() + self.config.connect_timeout;
-                arm_io_deadline(&mut self.wheel, &mut session, new_token, deadline);
+                session.io.set(&mut self.wheel, new_token, deadline);
                 self.sessions.insert(new_token, session);
                 if done {
                     self.connect_finished(new_token);
@@ -524,7 +536,7 @@ impl<S: Subscriber> Reactor<S> {
         }
         session.connected = true;
         session.stats.connections += 1;
-        session.io_deadline = None;
+        session.io.clear();
         std::mem::replace(&mut session.connect_span, SpanToken::NONE).end(&*obs);
         // A fresh connection opens the next rung attempt over the wire.
         session.rung_span = span_begin_async(
@@ -581,7 +593,7 @@ impl<S: Subscriber> Reactor<S> {
                     span_begin_async(&*obs, SpanKind::NetRoundtrip, session.span.id(), 0, 0);
             }
             let deadline = Instant::now() + self.config.io_timeout;
-            arm_io_deadline(&mut self.wheel, session, token, deadline);
+            session.io.set(&mut self.wheel, token, deadline);
             self.set_interest(token, Interest::Read);
         }
     }
@@ -590,75 +602,27 @@ impl<S: Subscriber> Reactor<S> {
     fn teardown_conn(&mut self, token: u64) {
         if let Some(session) = self.sessions.get_mut(&token) {
             session.conn = None;
-            session.io_deadline = None;
+            session.io.clear();
         }
     }
 
-    // -- IO dispatch --------------------------------------------------
-
-    fn dispatch_io(&mut self, ev: Readiness) {
-        let token = ev.token;
+    /// Reads what the peer sent and feeds it to the core. The ladder
+    /// initiates every close itself, so a peer-side close mid-walk (EOF),
+    /// like a read error, is a transport failure.
+    fn read(&mut self, token: u64) {
         let Some(session) = self.sessions.get_mut(&token) else {
-            return; // stale event for a closed connection
+            return;
         };
         let Some(conn) = session.conn.as_mut() else {
             return;
         };
-        if !session.connected {
-            if ev.writable || ev.error {
-                self.connect_finished(token);
-            }
-            return;
-        }
-        if ev.error {
-            // Query the socket for the concrete error; either way the
-            // connection is gone.
-            let _ = conn.stream.take_error();
+        let stats = &mut session.stats;
+        let open = conn.fill(|n| {
+            stats.bytes_received += n as u64;
+            stats.reads += 1;
+        });
+        if self.decode_frames(token) && !matches!(open, Ok(true)) {
             self.conn_failed(token);
-            return;
-        }
-        if ev.writable && conn.unsent() {
-            self.flush(token);
-        }
-        if ev.readable {
-            self.drain_readable(token);
-        }
-    }
-
-    fn drain_readable(&mut self, token: u64) {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            let Some(session) = self.sessions.get_mut(&token) else {
-                return;
-            };
-            let Some(conn) = session.conn.as_mut() else {
-                return;
-            };
-            match conn.fill(&mut buf) {
-                Ok(0) => {
-                    // EOF: the ladder initiates every close itself, so a
-                    // peer-side close mid-walk is a transport failure.
-                    self.conn_failed(token);
-                    return;
-                }
-                Ok(n) => {
-                    session.stats.bytes_received += n as u64;
-                    session.stats.reads += 1;
-                    // The poller is level-triggered: a read that did not
-                    // fill the buffer emptied the socket, and whatever
-                    // arrives later (EOF included) is reported again.
-                    if !self.decode_frames(token) || n < buf.len() {
-                        return;
-                    }
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
-                    return
-                }
-                Err(_) => {
-                    self.conn_failed(token);
-                    return;
-                }
-            }
         }
     }
 
@@ -674,7 +638,7 @@ impl<S: Subscriber> Reactor<S> {
             };
             match conn.decoder.next::<ServerFrame>() {
                 Ok(Some(frame)) => {
-                    session.io_deadline = None;
+                    session.io.clear();
                     if S::ENABLED {
                         let obs = Arc::clone(&self.obs);
                         std::mem::replace(&mut session.roundtrip_span, SpanToken::NONE).end(&*obs);
@@ -696,46 +660,6 @@ impl<S: Subscriber> Reactor<S> {
                     return false;
                 }
             }
-        }
-    }
-
-    // -- timers -------------------------------------------------------
-
-    fn dispatch_timer(&mut self, timer: Timer) {
-        if timer.token == RATE_TOKEN {
-            self.rate_retry_armed = false;
-            self.pump_pending();
-            return;
-        }
-        let Some(session) = self.sessions.get_mut(&timer.token) else {
-            return; // stale: the session finished or re-keyed
-        };
-        match timer.kind {
-            TimerKind::IoDeadline => {
-                if session.io_timer != Some(timer.deadline) {
-                    return; // stale: an earlier deadline took its place
-                }
-                session.io_timer = None;
-                match session.io_deadline {
-                    Some(deadline) if deadline <= timer.deadline => {
-                        session.stats.timeouts += 1;
-                        self.conn_failed(timer.token);
-                    }
-                    // Fired early: the peer has answered since it was
-                    // armed. Wait out what is left of the current deadline.
-                    Some(deadline) => {
-                        arm_io_deadline(&mut self.wheel, session, timer.token, deadline)
-                    }
-                    None => {}
-                }
-            }
-            TimerKind::Backoff => {
-                if session.backoff_at == Some(timer.deadline) {
-                    session.backoff_at = None;
-                    self.open_connection(timer.token);
-                }
-            }
-            TimerKind::RatePermit | TimerKind::Hold => {}
         }
     }
 
@@ -813,6 +737,7 @@ impl<S: Subscriber> Reactor<S> {
 mod tests {
     use super::*;
     use crate::emulated::{Behavior, EmulatedServer};
+    use crate::runtime::Handle;
     use caai_congestion::AlgorithmId;
     use caai_core::ServerUnderTest;
     use caai_obs::{MetricsSubscriber, NullSubscriber};
@@ -833,8 +758,9 @@ mod tests {
     ) -> (Reactor<S>, Vec<SessionResult>) {
         let admission = Arc::new(Admission::new(&config));
         let unanswered = Arc::new(AtomicUsize::new(targets.len()));
-        let (mut reactor, waker) = Reactor::new(config, obs, admission, unanswered).unwrap();
-        let (commands, inbox) = mpsc::channel();
+        let poller = Poller::new().unwrap();
+        let (commands, inbox) = Handle::new(&poller);
+        let mut reactor = Reactor::new(config, poller, obs, admission, unanswered);
         let replies: Vec<_> = targets
             .iter()
             .map(|server| {
@@ -853,8 +779,7 @@ mod tests {
             })
             .collect();
         // The loop ends once the queue is closed and every session is done.
-        drop(commands);
-        waker.wake();
+        commands.close();
         reactor.serve(&inbox);
         let results = replies.iter().map(|r| r.recv().unwrap()).collect();
         (reactor, results)

@@ -44,7 +44,8 @@ use caai_obs::{
 };
 
 use crate::reactor::{Admission, Command, NetConfig, Probe, Reactor, SessionResult, SessionStats};
-use crate::sys::{self, Waker};
+use crate::runtime::{self, EventLoop, Handle};
+use crate::sys;
 use crate::targets::Target;
 
 /// A live-socket [`ProbeTransport`] over a resolved target list.
@@ -67,8 +68,7 @@ pub struct NetTransport<R: Subscriber + Send + Sync + 'static> {
 
 /// One running reactor, as the submitting side sees it.
 struct ReactorHandle {
-    sender: mpsc::Sender<Command>,
-    waker: Waker,
+    commands: Handle<Command>,
     /// This reactor's share of `max_sessions`.
     cap: usize,
     /// Probes submitted and not yet answered, queued ones included. A
@@ -160,12 +160,10 @@ impl<R: Subscriber + Send + Sync + 'static> NetTransport<R> {
                     port,
                     reply,
                 });
-                if let Err(mpsc::SendError(Command::Probe(probe))) = reactor.sender.send(probe) {
+                if let Err(mpsc::SendError(Command::Probe(probe))) = reactor.commands.send(probe) {
                     // The reactor is gone: the probe never reaches the wire.
                     reactor.unanswered.fetch_sub(1, Ordering::Relaxed);
                     let _ = probe.reply.send(self.aborted_result(id));
-                } else {
-                    reactor.waker.wake();
                 }
             }
             _ => {
@@ -286,10 +284,7 @@ impl<R: Subscriber + Send + Sync + 'static> ProbeTransport for NetTransport<R> {
 impl<R: Subscriber + Send + Sync + 'static> Drop for NetTransport<R> {
     fn drop(&mut self) {
         for reactor in &self.reactors {
-            let _ = reactor.sender.send(Command::Shutdown);
-            // Safe after the reactor returned, too: the waker keeps the
-            // eventfd open, so the wake cannot reach a file opened since.
-            reactor.waker.wake();
+            let _ = reactor.commands.send(Command::Shutdown);
         }
         for reactor in self.reactors.drain(..) {
             let _ = reactor.thread.join();
@@ -307,29 +302,25 @@ fn spawn_reactor<R: Subscriber + Send + Sync + 'static>(
 ) -> std::io::Result<ReactorHandle> {
     let cap = config.max_sessions;
     let unanswered = Arc::new(AtomicUsize::new(0));
-    let (reactor, waker) = Reactor::new(
-        config,
+    let (obs, admission, counter) = (
         Arc::clone(obs),
         Arc::clone(admission),
         Arc::clone(&unanswered),
-    )?;
-    let (sender, commands) = mpsc::channel();
-    let reactor_obs = Arc::clone(obs);
+    );
     // A probe is ~60 serial hand-offs with the peer's loop; a reactor
     // that stays put lets the peer stay beside it.
-    let thread = sys::spawn_on("caai-net-reactor", cpu, move || {
+    let (commands, thread) = runtime::start("caai-net-reactor", cpu, move |poller, inbox| {
         let before = sys::sched_counts();
-        reactor.run(commands);
+        Reactor::new(config, poller, Arc::clone(&obs), admission, counter).serve(&inbox);
         if let (Some(before), Some(after)) = (before, sys::sched_counts()) {
-            reactor_obs.on_event(&Event::ReactorExited(ReactorExited {
+            obs.on_event(&Event::ReactorExited(ReactorExited {
                 migrations: after.0 - before.0,
                 switches: after.1 - before.1,
             }));
         }
     })?;
     Ok(ReactorHandle {
-        sender,
-        waker,
+        commands,
         cap,
         unanswered,
         thread,

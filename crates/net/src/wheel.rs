@@ -8,10 +8,10 @@
 //! deadline, and an owner that re-armed since simply ignores the stale
 //! firing (the deadline it stores no longer matches). Never cancelling
 //! means a timer armed per event piles up: a deadline that moves every
-//! round trip is therefore moved, not re-armed — its owner keeps one in
-//! here ([`arm_by`](TimerWheel::arm_by)) and re-arms it for the remainder
-//! when it fires early. A timer fires at its deadline, never before;
-//! timers due at the same instant fire in the order they were armed.
+//! round trip is therefore a [`Deadline`], which keeps one timer in here
+//! and re-arms it for the remainder when it fires early. A timer fires at
+//! its deadline, never before; timers due at the same instant fire in
+//! the order they were armed.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -68,30 +68,15 @@ impl TimerWheel {
     }
 
     /// Armed timers (stale ones included — they fire and get ignored).
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True when nothing is armed.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Arms a timer for `deadline` unless `armed`, the one timer its
-    /// owner keeps in here, fires by then; `armed` becomes the new one.
-    /// An owner whose deadline moves later keeps its earlier timer and
-    /// re-arms for the rest when that fires.
-    pub fn arm_by(
-        &mut self,
-        armed: &mut Option<Instant>,
-        token: u64,
-        kind: TimerKind,
-        deadline: Instant,
-    ) {
-        if armed.is_none_or(|at| deadline < at) {
-            *armed = Some(deadline);
-            self.insert(token, kind, deadline);
-        }
     }
 
     /// The earliest pending deadline, for sizing the poll timeout.
@@ -124,6 +109,56 @@ impl TimerWheel {
                 kind,
                 deadline,
             });
+        }
+    }
+}
+
+/// A deadline that moves, with one [`TimerKind::IoDeadline`] timer under
+/// it in the wheel: the time a peer has to make progress, moved on as it
+/// does. Moving it later arms nothing; the timer under it fires early
+/// and re-arms for the rest. Moving it earlier arms a timer that fires
+/// first, and the later one goes stale.
+#[derive(Debug, Default)]
+pub struct Deadline {
+    /// When it falls due; `None` while the peer owes nothing.
+    at: Option<Instant>,
+    /// The deadline of the one timer armed under it and not yet fired.
+    timer: Option<Instant>,
+}
+
+impl Deadline {
+    /// Moves the deadline to `at`, for the owner at `token`.
+    pub fn set(&mut self, wheel: &mut TimerWheel, token: u64, at: Instant) {
+        self.at = Some(at);
+        if self.timer.is_none_or(|armed| at < armed) {
+            self.timer = Some(at);
+            wheel.insert(token, TimerKind::IoDeadline, at);
+        }
+    }
+
+    /// The peer owes nothing now; the timer under it fires and is ignored.
+    pub fn clear(&mut self) {
+        self.at = None;
+    }
+
+    /// Takes a firing of this deadline's kind: `true` when the deadline
+    /// has passed. A stale firing (an earlier timer took its place) is
+    /// ignored, as is one with nothing owed; one that comes early re-arms
+    /// for the rest.
+    pub fn fired(&mut self, wheel: &mut TimerWheel, timer: &Timer) -> bool {
+        if self.timer != Some(timer.deadline) {
+            return false;
+        }
+        self.timer = None;
+        match self.at {
+            Some(at) if at > timer.deadline => {
+                self.set(wheel, timer.token, at);
+                false
+            }
+            due => {
+                self.at = None;
+                due.is_some()
+            }
         }
     }
 }
@@ -205,6 +240,87 @@ mod tests {
         let mut fired = Vec::new();
         wheel.expire(base + Duration::from_secs(60), &mut fired);
         assert_eq!(tokens(&fired), (0..100).collect::<Vec<_>>());
+        assert!(wheel.is_empty());
+    }
+
+    /// Fires what is due at `now` and hands each firing to `deadline`:
+    /// the firings, and whether one of them found the deadline passed.
+    fn fire(wheel: &mut TimerWheel, deadline: &mut Deadline, now: Instant) -> (usize, bool) {
+        let mut fired = Vec::new();
+        wheel.expire(now, &mut fired);
+        let mut due = false;
+        for timer in &fired {
+            due |= deadline.fired(wheel, timer);
+        }
+        (fired.len(), due)
+    }
+
+    #[test]
+    fn a_deadline_moved_later_keeps_one_timer() {
+        let base = Instant::now();
+        let ms = |n| base + Duration::from_millis(n);
+        let mut wheel = TimerWheel::new();
+        let mut deadline = Deadline::default();
+        for n in 0..50 {
+            deadline.set(&mut wheel, 1, ms(100 + n * 10));
+        }
+        assert_eq!(wheel.len(), 1);
+        assert_eq!(wheel.next_deadline(), Some(ms(100)));
+    }
+
+    #[test]
+    fn a_firing_that_comes_early_re_arms_for_the_rest() {
+        let base = Instant::now();
+        let ms = |n| base + Duration::from_millis(n);
+        let mut wheel = TimerWheel::new();
+        let mut deadline = Deadline::default();
+        deadline.set(&mut wheel, 1, ms(100));
+        deadline.set(&mut wheel, 1, ms(250));
+        assert_eq!(fire(&mut wheel, &mut deadline, ms(100)), (1, false));
+        assert_eq!(
+            wheel.next_deadline(),
+            Some(ms(250)),
+            "re-armed for the rest"
+        );
+        assert_eq!(fire(&mut wheel, &mut deadline, ms(249)), (0, false));
+        assert_eq!(fire(&mut wheel, &mut deadline, ms(250)), (1, true));
+        assert!(wheel.is_empty());
+    }
+
+    #[test]
+    fn a_stale_firing_is_ignored() {
+        let base = Instant::now();
+        let ms = |n| base + Duration::from_millis(n);
+        let mut wheel = TimerWheel::new();
+        let mut deadline = Deadline::default();
+        // Moved earlier: the first timer goes stale.
+        deadline.set(&mut wheel, 1, ms(300));
+        deadline.set(&mut wheel, 1, ms(100));
+        // Cleared: the peer owes nothing, so the live timer is ignored too.
+        deadline.clear();
+        assert_eq!(fire(&mut wheel, &mut deadline, ms(100)), (1, false));
+        // Set again after the live one fired: a new timer, and the stale
+        // one at 300 ms does not stand in for it.
+        deadline.set(&mut wheel, 1, ms(400));
+        assert_eq!(fire(&mut wheel, &mut deadline, ms(300)), (1, false));
+        assert_eq!(wheel.next_deadline(), Some(ms(400)));
+        assert_eq!(fire(&mut wheel, &mut deadline, ms(400)), (1, true));
+    }
+
+    #[test]
+    fn a_deadline_moved_earlier_fires_first() {
+        let base = Instant::now();
+        let ms = |n| base + Duration::from_millis(n);
+        let mut wheel = TimerWheel::new();
+        let mut deadline = Deadline::default();
+        deadline.set(&mut wheel, 1, ms(10_000));
+        deadline.set(&mut wheel, 1, ms(200));
+        assert_eq!(wheel.len(), 2);
+        assert_eq!(wheel.next_deadline(), Some(ms(200)));
+        assert_eq!(fire(&mut wheel, &mut deadline, ms(199)), (0, false));
+        assert_eq!(fire(&mut wheel, &mut deadline, ms(200)), (1, true));
+        // The later timer fires in its time, stale, and arms nothing.
+        assert_eq!(fire(&mut wheel, &mut deadline, ms(10_000)), (1, false));
         assert!(wheel.is_empty());
     }
 }

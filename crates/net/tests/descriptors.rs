@@ -16,7 +16,7 @@ use caai_congestion::AlgorithmId;
 use caai_core::classify::CaaiClassifier;
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_core::ServerUnderTest;
-use caai_net::reactor::NetConfig;
+use caai_net::NetConfig;
 use caai_net::{Behavior, EmulatedServer, NetTransport, Target};
 use caai_netem::rng::seeded;
 use caai_netem::ConditionDb;

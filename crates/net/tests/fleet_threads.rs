@@ -11,8 +11,8 @@ use caai_congestion::ALL_IDENTIFIED;
 use caai_core::classify::CaaiClassifier;
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_core::ServerUnderTest;
-use caai_net::reactor::NetConfig;
 use caai_net::sys::allowed_cpus;
+use caai_net::NetConfig;
 use caai_net::{Behavior, EmulatedServer, NetTransport};
 use caai_netem::rng::seeded;
 use caai_netem::ConditionDb;

@@ -17,8 +17,8 @@ use caai_core::classify::CaaiClassifier;
 use caai_core::prober::{Prober, ProberConfig};
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_core::{InvalidReason, ProbeTransport, ServerUnderTest, Verdict};
-use caai_net::reactor::NetConfig;
 use caai_net::sys::{allowed_cpus, confine_to, current_cpu};
+use caai_net::NetConfig;
 use caai_net::{Behavior, EmulatedServer, NetTransport, Target};
 use caai_netem::rng::seeded;
 use caai_netem::{ConditionDb, PathConfig};
@@ -409,25 +409,30 @@ fn rst_mid_ladder_reduces_to_transport_aborted() {
 
 #[test]
 fn unresolvable_targets_reduce_to_aborted_records() {
-    let target = Target {
-        host: "definitely-not-a-real-host.invalid".to_string(),
-        port: 80,
-    };
-    let obs = Arc::new(MetricsSubscriber::new());
-    let transport =
-        NetTransport::new(vec![target], classifier(), fast_config(), Arc::clone(&obs)).unwrap();
-    let failures = transport.resolution_failures();
-    assert_eq!(failures.len(), 1);
-    assert_eq!(failures[0].0, 0);
-    let result = transport
-        .probe_async(0)
-        .recv_timeout(Duration::from_secs(5))
-        .unwrap();
-    assert!(result.stats.aborted);
-    assert_eq!(
-        result.outcome.failure_reason(),
-        Some(InvalidReason::TransportAborted)
-    );
+    // Neither host reaches a resolver: std refuses a NUL byte before any
+    // lookup, and an IPv6 literal parses to an address the reactor does
+    // not speak.
+    for host in ["a\0b", "::1"] {
+        let target = Target {
+            host: host.to_string(),
+            port: 80,
+        };
+        let obs = Arc::new(MetricsSubscriber::new());
+        let transport =
+            NetTransport::new(vec![target], classifier(), fast_config(), Arc::clone(&obs)).unwrap();
+        let failures = transport.resolution_failures();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].0, 0);
+        let result = transport
+            .probe_async(0)
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap();
+        assert!(result.stats.aborted);
+        assert_eq!(
+            result.outcome.failure_reason(),
+            Some(InvalidReason::TransportAborted)
+        );
+    }
 }
 
 #[test]
