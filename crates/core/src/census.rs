@@ -4,14 +4,15 @@
 //! condition, runs the full CAAI protocol (ladder, environments A and B),
 //! files invalid traces by reason, detects the §VII-B special cases,
 //! classifies the rest with the random forest (40% confidence floor), and
-//! assembles the per-`w_max`-column report of Table IV. Because the
+//! folds the verdict into the per-`w_max`-column report of Table IV
+//! ([`CensusReport`]); `caai-engine` schedules the probes. Because the
 //! population is synthetic, the report can also score identification
 //! accuracy against ground truth — something the paper could not do for
 //! the real Internet.
 
 use caai_congestion::AlgorithmId;
 use caai_netem::{ConditionDb, PathConfig};
-use caai_obs::{span_begin, Event, NullSubscriber, ProbeTimed, SpanKind, Subscriber};
+use caai_obs::{span_begin, Event, ProbeTimed, SpanKind, Subscriber, VerdictKind};
 use caai_webmodel::WebServer;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -86,12 +87,12 @@ impl Verdict {
     }
 
     /// The payload-free verdict family, as structured events report it.
-    pub fn kind(&self) -> caai_obs::VerdictKind {
+    pub fn kind(&self) -> VerdictKind {
         match self {
-            Verdict::Invalid(_) => caai_obs::VerdictKind::Invalid,
-            Verdict::Special(..) => caai_obs::VerdictKind::Special,
-            Verdict::Unsure(_) => caai_obs::VerdictKind::Unsure,
-            Verdict::Identified(..) => caai_obs::VerdictKind::Identified,
+            Verdict::Invalid(_) => VerdictKind::Invalid,
+            Verdict::Special(..) => VerdictKind::Special,
+            Verdict::Unsure(_) => VerdictKind::Unsure,
+            Verdict::Identified(..) => VerdictKind::Identified,
         }
     }
 }
@@ -111,16 +112,42 @@ pub struct CensusRecord {
     pub verdict: Verdict,
 }
 
-/// Aggregated census results: the material of Table IV.
+/// Aggregated census results, the material of Table IV: a
+/// constant-memory fold of census records.
 ///
-/// Everything except [`records`](CensusReport::records) is a constant-size
-/// aggregate: streaming producers ([`CensusAggregates`], the `caai-engine`
-/// coordinator) fill only the aggregate fields and leave `records` empty,
-/// so a report stays O(classes × rungs) however many servers were probed.
-/// Record-level drill-down is opt-in via `caai-engine`'s aggregating sink.
+/// One [`observe`](CensusReport::observe) call per record maintains every
+/// aggregate Table IV needs — verdict counts per `w_max` column, the
+/// invalid-reason histogram, the ground-truth histogram, and the accuracy
+/// tallies — in O(classes × rungs) memory, however many records stream
+/// through. Two reports over disjoint server sets
+/// [`merge`](CensusReport::merge) into exactly the fold of the union,
+/// which is what makes a sharded census joinable into the unsharded
+/// report. Record-level drill-down is opt-in via `caai-engine`'s
+/// aggregating sink.
+///
+/// ```
+/// use caai_core::census::{CensusRecord, CensusReport, Verdict};
+/// use caai_core::classes::ClassLabel;
+/// use caai_congestion::AlgorithmId;
+///
+/// let record = CensusRecord {
+///     server_id: 7,
+///     truth: Some(AlgorithmId::Bic),
+///     verdict: Verdict::Identified(ClassLabel::Bic, 512),
+/// };
+/// let mut left = CensusReport::default();
+/// left.observe(&record);
+/// let mut right = CensusReport::default();
+/// right.observe(&CensusRecord { server_id: 8, ..record });
+///
+/// let mut merged = left.clone();
+/// merged.merge(&right);
+/// assert_eq!(merged.total, 2);
+/// assert_eq!(merged.ground_truth_accuracy(), 1.0);
+/// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CensusReport {
-    /// Total servers probed.
+    /// Records folded in so far.
     pub total: usize,
     /// Invalid-trace counts by reason.
     pub invalid: BTreeMap<String, usize>,
@@ -134,8 +161,6 @@ pub struct CensusReport {
     pub identified_total: usize,
     /// Confident identifications matching ground truth.
     pub identified_correct: usize,
-    /// Per-server records (drill-down; empty in streaming/aggregate runs).
-    pub records: Vec<CensusRecord>,
 }
 
 /// One `w_max` column of Table IV.
@@ -157,6 +182,76 @@ impl CensusColumn {
 }
 
 impl CensusReport {
+    /// Folds one record into the report.
+    pub fn observe(&mut self, r: &CensusRecord) {
+        self.total += 1;
+        if let Some(truth) = r.truth {
+            *self.truth.entry(truth.name().to_owned()).or_default() += 1;
+        }
+        match r.verdict {
+            Verdict::Invalid(reason) => {
+                *self.invalid.entry(format!("{reason:?}")).or_default() += 1;
+            }
+            Verdict::Special(case, wmax) => {
+                let col = self.columns.entry(wmax).or_default();
+                *col.special.entry(case.name().to_owned()).or_default() += 1;
+            }
+            Verdict::Unsure(wmax) => {
+                self.columns.entry(wmax).or_default().unsure += 1;
+            }
+            Verdict::Identified(class, wmax) => {
+                let col = self.columns.entry(wmax).or_default();
+                *col.identified.entry(class.name().to_owned()).or_default() += 1;
+                // Truth-less records (capture-ingested flows) carry
+                // nothing to score against: keeping them out of the
+                // denominator stops them from silently deflating the
+                // accuracy when capture and synthetic records mix.
+                if let Some(truth) = r.truth {
+                    self.identified_total += 1;
+                    if class.matches(truth, wmax) {
+                        self.identified_correct += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds another report (over a disjoint record set) into this one.
+    pub fn merge(&mut self, other: &CensusReport) {
+        self.total += other.total;
+        for (reason, n) in &other.invalid {
+            *self.invalid.entry(reason.clone()).or_default() += n;
+        }
+        for (truth, n) in &other.truth {
+            *self.truth.entry(truth.clone()).or_default() += n;
+        }
+        for (wmax, col) in &other.columns {
+            let mine = self.columns.entry(*wmax).or_default();
+            for (class, n) in &col.identified {
+                *mine.identified.entry(class.clone()).or_default() += n;
+            }
+            for (case, n) in &col.special {
+                *mine.special.entry(case.clone()).or_default() += n;
+            }
+            mine.unsure += col.unsure;
+        }
+        self.identified_total += other.identified_total;
+        self.identified_correct += other.identified_correct;
+    }
+
+    /// Records whose verdict is of `kind`. Identifications count whether
+    /// or not they carry a ground truth, unlike
+    /// [`identified_total`](CensusReport::identified_total).
+    pub fn kind_total(&self, kind: VerdictKind) -> usize {
+        let columns = self.columns.values();
+        match kind {
+            VerdictKind::Identified => columns.map(|c| c.identified.values().sum::<usize>()).sum(),
+            VerdictKind::Special => columns.map(|c| c.special.values().sum::<usize>()).sum(),
+            VerdictKind::Unsure => columns.map(|c| c.unsure).sum(),
+            VerdictKind::Invalid => self.invalid.values().sum(),
+        }
+    }
+
     /// Servers with valid traces (the paper's ~47%).
     pub fn valid_total(&self) -> usize {
         self.columns.values().map(CensusColumn::total).sum()
@@ -191,148 +286,15 @@ impl CensusReport {
 
     /// Share of valid-trace servers that are "Unsure TCP", in percent.
     pub fn unsure_percent(&self) -> f64 {
-        let n: usize = self.columns.values().map(|c| c.unsure).sum();
+        let n = self.kind_total(VerdictKind::Unsure);
         100.0 * n as f64 / self.valid_total().max(1) as f64
     }
 
     /// Identification accuracy against ground truth over confidently
     /// identified servers (not available to the paper; a bonus of the
-    /// synthetic population). Computed from the streaming tallies, so it
-    /// works for record-free aggregate reports too.
+    /// synthetic population).
     pub fn ground_truth_accuracy(&self) -> f64 {
         self.identified_correct as f64 / self.identified_total.max(1) as f64
-    }
-
-    /// A copy of this report with the record drill-down dropped — exactly
-    /// what a streaming (record-free) producer of the same census emits.
-    pub fn aggregates_only(&self) -> CensusReport {
-        CensusReport {
-            total: self.total,
-            invalid: self.invalid.clone(),
-            columns: self.columns.clone(),
-            truth: self.truth.clone(),
-            identified_total: self.identified_total,
-            identified_correct: self.identified_correct,
-            records: Vec::new(),
-        }
-    }
-}
-
-/// Constant-memory streaming fold of census records.
-///
-/// One `observe` call per record maintains every aggregate Table IV needs
-/// — verdict counts per `w_max` column, the invalid-reason histogram, the
-/// ground-truth histogram, and the accuracy tallies — in O(classes ×
-/// rungs) memory, independent of how many records stream through. Two
-/// aggregates over disjoint server sets [`merge`](CensusAggregates::merge)
-/// into exactly the fold of the union, which is what makes a sharded
-/// census joinable into the unsharded report.
-///
-/// ```
-/// use caai_core::census::{CensusAggregates, CensusRecord, Verdict};
-/// use caai_core::classes::ClassLabel;
-/// use caai_congestion::AlgorithmId;
-///
-/// let record = CensusRecord {
-///     server_id: 7,
-///     truth: Some(AlgorithmId::Bic),
-///     verdict: Verdict::Identified(ClassLabel::Bic, 512),
-/// };
-/// let mut left = CensusAggregates::default();
-/// left.observe(&record);
-/// let mut right = CensusAggregates::default();
-/// right.observe(&CensusRecord { server_id: 8, ..record });
-///
-/// let mut merged = left.clone();
-/// merged.merge(&right);
-/// assert_eq!(merged.total, 2);
-/// assert_eq!(merged.report().ground_truth_accuracy(), 1.0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CensusAggregates {
-    /// Records folded in so far.
-    pub total: usize,
-    /// Invalid-trace counts by reason.
-    pub invalid: BTreeMap<String, usize>,
-    /// Per-`w_max` rung columns.
-    pub columns: BTreeMap<u32, CensusColumn>,
-    /// Ground-truth algorithm histogram.
-    pub truth: BTreeMap<String, usize>,
-    /// Confidently identified servers with known ground truth.
-    pub identified_total: usize,
-    /// Confident identifications matching ground truth.
-    pub identified_correct: usize,
-}
-
-impl CensusAggregates {
-    /// Folds one record into the aggregates.
-    pub fn observe(&mut self, r: &CensusRecord) {
-        self.total += 1;
-        if let Some(truth) = r.truth {
-            *self.truth.entry(truth.name().to_owned()).or_default() += 1;
-        }
-        match r.verdict {
-            Verdict::Invalid(reason) => {
-                *self.invalid.entry(format!("{reason:?}")).or_default() += 1;
-            }
-            Verdict::Special(case, wmax) => {
-                let col = self.columns.entry(wmax).or_default();
-                *col.special.entry(case.name().to_owned()).or_default() += 1;
-            }
-            Verdict::Unsure(wmax) => {
-                self.columns.entry(wmax).or_default().unsure += 1;
-            }
-            Verdict::Identified(class, wmax) => {
-                let col = self.columns.entry(wmax).or_default();
-                *col.identified.entry(class.name().to_owned()).or_default() += 1;
-                // Truth-less records (capture-ingested flows) carry
-                // nothing to score against: keeping them out of the
-                // denominator stops them from silently deflating the
-                // accuracy when capture and synthetic records mix.
-                if let Some(truth) = r.truth {
-                    self.identified_total += 1;
-                    if class.matches(truth, wmax) {
-                        self.identified_correct += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Adds another aggregate (over a disjoint record set) into this one.
-    pub fn merge(&mut self, other: &CensusAggregates) {
-        self.total += other.total;
-        for (reason, n) in &other.invalid {
-            *self.invalid.entry(reason.clone()).or_default() += n;
-        }
-        for (truth, n) in &other.truth {
-            *self.truth.entry(truth.clone()).or_default() += n;
-        }
-        for (wmax, col) in &other.columns {
-            let mine = self.columns.entry(*wmax).or_default();
-            for (class, n) in &col.identified {
-                *mine.identified.entry(class.clone()).or_default() += n;
-            }
-            for (case, n) in &col.special {
-                *mine.special.entry(case.clone()).or_default() += n;
-            }
-            mine.unsure += col.unsure;
-        }
-        self.identified_total += other.identified_total;
-        self.identified_correct += other.identified_correct;
-    }
-
-    /// The record-free [`CensusReport`] of everything folded so far.
-    pub fn report(&self) -> CensusReport {
-        CensusReport {
-            total: self.total,
-            invalid: self.invalid.clone(),
-            columns: self.columns.clone(),
-            truth: self.truth.clone(),
-            identified_total: self.identified_total,
-            identified_correct: self.identified_correct,
-            records: Vec::new(),
-        }
     }
 }
 
@@ -364,7 +326,7 @@ impl Census {
     /// gather-dominance claim, ROADMAP item 5, measured live). The record
     /// is the same whatever the subscriber; timing preparation is skipped
     /// entirely when `S::ENABLED` is false, so callers that observe
-    /// nothing pass [`NullSubscriber`].
+    /// nothing pass [`caai_obs::NullSubscriber`].
     pub fn probe_seeded<S: Subscriber>(
         &self,
         server: &WebServer,
@@ -397,76 +359,44 @@ impl Census {
             verdict,
         }
     }
-
-    /// Probes a whole population across `workers` threads.
-    ///
-    /// This is the thin in-memory path; `caai-engine` provides the
-    /// streaming/checkpointed one. Each server gets its own RNG keyed on
-    /// `(seed, server.id)` and records are assembled in `server_id`
-    /// order, so the report is identical for every worker count.
-    pub fn run(&self, servers: &[WebServer], seed: u64, workers: usize) -> CensusReport {
-        let workers = workers.max(1).min(servers.len().max(1));
-        let chunk = servers.len().div_ceil(workers);
-        let mut records: Vec<CensusRecord> = Vec::with_capacity(servers.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for part in servers.chunks(chunk.max(1)) {
-                let census = &*self;
-                handles.push(scope.spawn(move || {
-                    part.iter()
-                        .map(|s| census.probe_seeded(s, seed, &NullSubscriber))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                records.extend(h.join().expect("census worker panicked"));
-            }
-        });
-        records.sort_by_key(|r| r.server_id);
-        assemble(records)
-    }
-}
-
-/// Folds raw records into the Table IV report, retaining the records for
-/// drill-down. The aggregate fields match what a [`CensusAggregates`]
-/// fold of the same records produces.
-pub fn assemble(records: Vec<CensusRecord>) -> CensusReport {
-    let mut agg = CensusAggregates::default();
-    for r in &records {
-        agg.observe(r);
-    }
-    let mut report = agg.report();
-    report.records = records;
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::training::{build_training_set, TrainingConfig};
+    use crate::transport::{ProbeTransport, SimTransport};
     use caai_netem::rng::seeded;
+    use caai_obs::NullSubscriber;
     use caai_webmodel::PopulationConfig;
 
-    fn quick_classifier(rng: &mut impl rand::Rng) -> CaaiClassifier {
+    /// A census over a quick classifier, and `n` servers to probe.
+    fn census_of(seed: u64, n: u32) -> (Census, Vec<WebServer>) {
+        let mut rng = seeded(seed);
         let db = ConditionDb::paper_2011();
-        let data = build_training_set(&TrainingConfig::quick(2), &db, rng);
-        CaaiClassifier::train(&data, rng)
+        let data = build_training_set(&TrainingConfig::quick(2), &db, &mut rng);
+        let classifier = CaaiClassifier::train(&data, &mut rng);
+        let census = Census::new(classifier, db, ProberConfig::default());
+        (census, PopulationConfig::small(n).generate(&mut rng))
+    }
+
+    fn fold<'a>(records: impl IntoIterator<Item = &'a CensusRecord>) -> CensusReport {
+        let mut report = CensusReport::default();
+        records.into_iter().for_each(|r| report.observe(r));
+        report
+    }
+
+    fn probe_all(census: &Census, servers: &[WebServer], seed: u64) -> Vec<CensusRecord> {
+        let probe = |s| census.probe_seeded(s, seed, &NullSubscriber);
+        servers.iter().map(probe).collect()
     }
 
     #[test]
     fn small_census_produces_a_coherent_report() {
-        let mut rng = seeded(100);
-        let classifier = quick_classifier(&mut rng);
-        let census = Census::new(
-            classifier,
-            ConditionDb::paper_2011(),
-            ProberConfig::default(),
-        );
-        let servers = PopulationConfig::small(40).generate(&mut rng);
-        let report = census.run(&servers, 7, 2);
+        let (census, servers) = census_of(100, 40);
+        let report = fold(&probe_all(&census, &servers, 7));
         assert_eq!(report.total, 40);
-        assert_eq!(report.records.len(), 40);
-        let invalid: usize = report.invalid.values().sum();
+        let invalid = report.kind_total(VerdictKind::Invalid);
         assert_eq!(invalid + report.valid_total(), 40);
         // Roughly half the servers yield no valid trace, as in the paper.
         assert!(invalid >= 8, "invalid {invalid}");
@@ -475,78 +405,53 @@ mod tests {
 
     #[test]
     fn census_is_deterministic_for_a_seed() {
-        let mut rng = seeded(101);
-        let classifier = quick_classifier(&mut rng);
-        let census = Census::new(
-            classifier,
-            ConditionDb::paper_2011(),
-            ProberConfig::default(),
-        );
-        let servers = PopulationConfig::small(12).generate(&mut rng);
-        let a = census.run(&servers, 5, 3);
-        let b = census.run(&servers, 5, 3);
-        assert_eq!(a.records, b.records, "per-server RNG must be reproducible");
+        let (census, servers) = census_of(101, 12);
+        let forward = probe_all(&census, &servers, 5);
+        // Probed in the opposite order, as a scheduler may: the RNG is
+        // keyed on (seed, server id) alone.
+        let reversed: Vec<WebServer> = servers.iter().rev().cloned().collect();
+        let mut backward = probe_all(&census, &reversed, 5);
+        backward.reverse();
+        assert_eq!(forward, backward, "per-server RNG must be reproducible");
     }
 
     #[test]
     fn report_is_identical_for_any_worker_count() {
-        let mut rng = seeded(102);
-        let classifier = quick_classifier(&mut rng);
-        let census = Census::new(
-            classifier,
-            ConditionDb::paper_2011(),
-            ProberConfig::default(),
-        );
-        let servers = PopulationConfig::small(30).generate(&mut rng);
-        let one = census.run(&servers, 11, 1);
-        let eight = census.run(&servers, 11, 8);
-        assert_eq!(one, eight, "worker count must not leak into the report");
-        // And an oversubscribed pool is fine too.
-        let many = census.run(&servers, 11, 64);
-        assert_eq!(one, many);
+        let (census, servers) = census_of(102, 30);
+        let records = probe_all(&census, &servers, 11);
+        let one = fold(&records);
+        // However the servers are dealt to workers, and in whatever order
+        // the workers' records fold, the report is the same.
+        for workers in [8, 64] {
+            let mut dealt = CensusReport::default();
+            for w in (0..workers).rev() {
+                dealt.merge(&fold(records.iter().skip(w).step_by(workers)));
+            }
+            assert_eq!(one, dealt, "{workers} workers");
+        }
     }
 
     #[test]
     fn probe_seeded_matches_run_records() {
-        let mut rng = seeded(103);
-        let classifier = quick_classifier(&mut rng);
-        let census = Census::new(
-            classifier,
-            ConditionDb::paper_2011(),
-            ProberConfig::default(),
-        );
-        let servers = PopulationConfig::small(8).generate(&mut rng);
-        let report = census.run(&servers, 3, 2);
-        for (server, record) in servers.iter().zip(&report.records) {
-            assert_eq!(census.probe_seeded(server, 3, &NullSubscriber), *record);
+        // A run's records come through the simulator transport.
+        let (census, servers) = census_of(103, 8);
+        let transport = SimTransport::new(&census, &servers).unwrap();
+        for server in &servers {
+            assert_eq!(
+                census.probe_seeded(server, 3, &NullSubscriber),
+                transport.probe(server.id, 3, &NullSubscriber)
+            );
         }
     }
 
     #[test]
-    fn aggregates_fold_matches_assemble_and_merge_is_exact() {
-        let mut rng = seeded(104);
-        let classifier = quick_classifier(&mut rng);
-        let census = Census::new(
-            classifier,
-            ConditionDb::paper_2011(),
-            ProberConfig::default(),
-        );
-        let servers = PopulationConfig::small(30).generate(&mut rng);
-        let report = census.run(&servers, 9, 2);
-
-        // Streaming fold == batch assemble, minus the record drill-down.
-        let mut whole = CensusAggregates::default();
-        for r in &report.records {
-            whole.observe(r);
-        }
-        assert_eq!(whole.report(), report.aggregates_only());
-
+    fn a_fold_of_disjoint_halves_merges_to_the_whole() {
+        let (census, servers) = census_of(104, 30);
+        let records = probe_all(&census, &servers, 9);
+        let whole = fold(&records);
         // Folding disjoint halves and merging is exact, in either order.
-        let (left, right) = report.records.split_at(report.records.len() / 2);
-        let mut a = CensusAggregates::default();
-        left.iter().for_each(|r| a.observe(r));
-        let mut b = CensusAggregates::default();
-        right.iter().for_each(|r| b.observe(r));
+        let (left, right) = records.split_at(records.len() / 2);
+        let (a, b) = (fold(left), fold(right));
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
@@ -558,14 +463,7 @@ mod tests {
     #[test]
     fn probe_obs_matches_probe_and_times_the_stages() {
         use caai_obs::MetricsSubscriber;
-        let mut rng = seeded(105);
-        let classifier = quick_classifier(&mut rng);
-        let census = Census::new(
-            classifier,
-            ConditionDb::paper_2011(),
-            ProberConfig::default(),
-        );
-        let servers = PopulationConfig::small(4).generate(&mut rng);
+        let (census, servers) = census_of(105, 4);
         let metrics = MetricsSubscriber::new();
         for server in &servers {
             assert_eq!(
@@ -591,26 +489,28 @@ mod tests {
 
     #[test]
     fn truthless_records_do_not_deflate_accuracy() {
-        use caai_congestion::AlgorithmId;
-        let mut agg = CensusAggregates::default();
-        agg.observe(&CensusRecord {
-            server_id: 0,
-            truth: Some(AlgorithmId::Bic),
-            verdict: Verdict::Identified(ClassLabel::Bic, 512),
-        });
-        // A capture-ingested identification: nothing to score against.
-        agg.observe(&CensusRecord {
-            server_id: 1,
-            truth: None,
-            verdict: Verdict::Identified(ClassLabel::Htcp, 512),
-        });
-        let report = agg.report();
+        let report = fold(&[
+            CensusRecord {
+                server_id: 0,
+                truth: Some(AlgorithmId::Bic),
+                verdict: Verdict::Identified(ClassLabel::Bic, 512),
+            },
+            // A capture-ingested identification: nothing to score against.
+            CensusRecord {
+                server_id: 1,
+                truth: None,
+                verdict: Verdict::Identified(ClassLabel::Htcp, 512),
+            },
+        ]);
         assert_eq!(
             report.identified_total, 1,
             "only truth-bearing records score"
         );
         assert_eq!(report.ground_truth_accuracy(), 1.0);
-        let column_identified: usize = report.columns[&512].identified.values().sum();
-        assert_eq!(column_identified, 2, "the column still counts both");
+        assert_eq!(
+            report.kind_total(VerdictKind::Identified),
+            2,
+            "the columns still count both"
+        );
     }
 }

@@ -55,7 +55,7 @@ pub mod trace;
 pub mod training;
 pub mod transport;
 
-pub use census::{Census, CensusAggregates, CensusReport, Verdict};
+pub use census::{Census, CensusReport, Verdict};
 pub use classes::ClassLabel;
 pub use classify::{CaaiClassifier, Identification};
 pub use features::{extract, extract_pair, FeatureVector, TraceFeatures, FEATURE_DIM};

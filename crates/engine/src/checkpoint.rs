@@ -1,7 +1,7 @@
 //! Census checkpoints (format v2: constant-size aggregates + bitmap).
 //!
 //! A v2 checkpoint snapshots a partially completed census as the
-//! [`CensusAggregates`] fold of every completed record plus an
+//! [`CensusReport`] fold of every completed record plus an
 //! [`IdBitmap`] of the completed server ids — O(aggregates + bitmap)
 //! bytes, independent of how many records have completed. The seed-v1
 //! format stored every record instead, which made each periodic rewrite
@@ -32,7 +32,7 @@
 
 use crate::bitmap::IdBitmap;
 use crate::shard::ShardSpec;
-use caai_core::census::{CensusAggregates, CensusRecord};
+use caai_core::census::{CensusRecord, CensusReport};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -52,7 +52,7 @@ pub struct Checkpoint {
     /// Which shard of the population this run owns (`0/1` when unsharded).
     pub shard: ShardSpec,
     /// Streaming fold of every completed record.
-    pub aggregates: CensusAggregates,
+    pub aggregates: CensusReport,
     /// Which server ids have completed.
     pub completed: IdBitmap,
 }
@@ -71,7 +71,7 @@ impl Checkpoint {
             seed,
             population,
             shard,
-            aggregates: CensusAggregates::default(),
+            aggregates: CensusReport::default(),
             completed: IdBitmap::new(population),
         }
     }
@@ -110,9 +110,18 @@ impl Checkpoint {
         self.completed.count()
     }
 
+    /// Servers completed out of the servers this shard owns.
+    pub fn progress(&self) -> (u64, u64) {
+        (
+            self.completed_count(),
+            self.shard.owned_count(self.population),
+        )
+    }
+
     /// Whether every server this shard owns has completed.
     pub fn is_complete(&self) -> bool {
-        self.completed_count() == self.shard.owned_count(self.population)
+        let (done, owned) = self.progress();
+        done == owned
     }
 
     /// Checks that this checkpoint belongs to a `(seed, population,

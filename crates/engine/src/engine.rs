@@ -38,7 +38,7 @@
 //! ## Memory contract
 //!
 //! The engine retains O(aggregates + bitmap + work list) state, never
-//! O(records): a [`caai_core::census::CensusAggregates`] fold plus one
+//! O(records): a [`caai_core::census::CensusReport`] fold plus one
 //! bit per server id, both inside the live [`Checkpoint`], and the
 //! pending work list (4 bytes per not-yet-probed owned server, shrinking
 //! as the run proceeds — 125 KB of bitmap plus up to 4 MB of work list
@@ -54,13 +54,13 @@
 //! due, flushes the sinks, then the subscriber, then saves; then it
 //! checks the deadline (the submit path folds with the same step). The write
 //! barrier that keeps a checkpoint from claiming a record the sinks have
-//! not durably written is program order. The only sinks in the tree (a
-//! buffered JSONL file, an in-memory aggregator) cost a microsecond or
-//! two a record against probes of tens of microseconds or more, so a
-//! sink rarely stalls the queue; when one does, workers block in `send`
-//! instead of growing a backlog. A sink or checkpoint error ends the loop
-//! and drops the queue's receiver, so every worker's next hand-over fails
-//! and it exits.
+//! not durably written is program order. The sinks in the tree (a
+//! buffered JSONL file, an in-memory record list, a report) cost a
+//! microsecond or two a record against probes of tens of microseconds or
+//! more, so a sink rarely stalls the queue; when one does, workers block
+//! in `send` instead of growing a backlog. A sink or checkpoint error ends
+//! the loop and drops the queue's receiver, so every worker's next
+//! hand-over fails and it exits.
 //!
 //! ## Hand-overs
 //!
@@ -79,11 +79,11 @@ use crate::checkpoint::Checkpoint;
 use crate::scheduler::BatchScheduler;
 use crate::shard::ShardSpec;
 use crate::sink::ResultSink;
-use caai_core::census::{Census, CensusAggregates, CensusColumn, CensusRecord, CensusReport};
+use caai_core::census::{Census, CensusRecord, CensusReport};
 use caai_core::transport::{ProbeTransport, SimTransport};
 use caai_obs::{
     span_begin, span_begin_with_parent, CensusRecordObserved, CensusResumed, CheckpointWritten,
-    Event, NullSubscriber, SpanKind, Subscriber,
+    Event, NullSubscriber, SpanKind, Subscriber, VerdictKind,
 };
 use caai_webmodel::WebServer;
 use std::fmt;
@@ -129,8 +129,8 @@ impl Default for EngineConfig {
 /// The result of one engine run.
 #[derive(Debug, Clone)]
 pub struct EngineOutcome {
-    /// The (possibly partial) record-free census report over this run's
-    /// shard. Attach an [`crate::sink::AggregatingSink`] for records.
+    /// The (possibly partial) census report over this run's shard.
+    /// Attach an [`crate::sink::AggregatingSink`] for records.
     pub report: CensusReport,
     /// Whether every owned server was probed; `false` when the probe or
     /// wall-clock budget ran out first.
@@ -459,7 +459,7 @@ pub fn run_transport_obs<T: ProbeTransport, S: Subscriber>(
     }
 
     Ok(EngineOutcome {
-        report: live.aggregates.report(),
+        report: live.aggregates,
         completed: done == owned_total,
         checkpoints_written,
     })
@@ -483,15 +483,14 @@ fn save_checkpoint(config: &EngineConfig, live: &Checkpoint) -> Result<(), Engin
 
 /// A resume checkpoint's aggregates as the one [`CensusResumed`] event
 /// that seeds a subscriber's census counts.
-fn resumed_counts(agg: &CensusAggregates) -> CensusResumed {
-    let in_columns =
-        |count: fn(&CensusColumn) -> usize| agg.columns.values().map(count).sum::<usize>() as u64;
+fn resumed_counts(report: &CensusReport) -> CensusResumed {
+    let count = |kind| report.kind_total(kind) as u64;
     CensusResumed {
-        records: agg.total as u64,
-        identified: in_columns(|c| c.identified.values().sum()),
-        special: in_columns(|c| c.special.values().sum()),
-        unsure: in_columns(|c| c.unsure),
-        invalid: agg.invalid.values().sum::<usize>() as u64,
+        records: report.total as u64,
+        identified: count(VerdictKind::Identified),
+        special: count(VerdictKind::Special),
+        unsure: count(VerdictKind::Unsure),
+        invalid: count(VerdictKind::Invalid),
     }
 }
 
@@ -508,7 +507,7 @@ mod tests {
 
     #[test]
     fn resumed_aggregates_seed_the_counters() {
-        let mut agg = CensusAggregates::default();
+        let mut agg = CensusReport::default();
         for verdict in [
             Verdict::Invalid(InvalidReason::PageTooShort),
             Verdict::Identified(ClassLabel::Bic, 512),

@@ -1,11 +1,14 @@
 //! # caai-engine
 //!
-//! The Internet-scale census engine: turns `caai_core::census` from a
-//! blocking batch call into a streaming probe scheduler in the spirit of
-//! the paper's §VII-B campaign (and of follow-up censuses such as "The
-//! Great Internet TCP Congestion Control Census").
+//! The Internet-scale census engine: the one scheduler that probes a
+//! population with `caai_core::census::Census::probe_seeded` (or any
+//! other [`caai_core::transport::ProbeTransport`]) and folds the verdicts
+//! into a [`caai_core::census::CensusReport`], in the spirit of the
+//! paper's §VII-B campaign (and of follow-up censuses such as "The Great
+//! Internet TCP Congestion Control Census"). `caai census`, the paper's
+//! Table IV in `repro` and the benchmark's census workloads all run it.
 //!
-//! The engine adds six capabilities over [`caai_core::census::Census::run`]:
+//! It has six capabilities:
 //!
 //! 1. **Work-stealing scheduling** ([`scheduler`]): workers pull batches
 //!    of servers from an atomic cursor instead of being handed fixed
@@ -16,13 +19,13 @@
 //!    on `(seed, server_id)` — any worker count and any interleaving
 //!    produce the identical census report, byte for byte.
 //! 3. **Constant memory**: the engine retains only a
-//!    [`caai_core::census::CensusAggregates`] fold plus a completed-id
+//!    [`caai_core::census::CensusReport`] fold plus a completed-id
 //!    bitmap ([`bitmap`]) — O(aggregates + bitmap), never O(records).
 //!    Records stream from the workers through one bounded queue to the
 //!    caller's thread, which folds them and writes them to
-//!    [`sink::ResultSink`]s (a JSONL file, or the opt-in record-retaining
-//!    [`sink::AggregatingSink`]); a stalled sink blocks the workers
-//!    instead of growing a backlog.
+//!    [`sink::ResultSink`]s (a JSONL file, a report, or the opt-in
+//!    record-retaining [`sink::AggregatingSink`]); a stalled sink blocks
+//!    the workers instead of growing a backlog.
 //! 4. **Checkpoint/resume** ([`checkpoint`]): periodic constant-size v2
 //!    snapshots (aggregates + bitmap, atomically renamed, never written
 //!    ahead of the flushed sinks) let a census killed mid-flight — even
@@ -63,9 +66,8 @@
 //! let outcome = engine.run(&servers, &mut [&mut agg], None).unwrap();
 //! assert!(outcome.completed);
 //! assert_eq!(outcome.report.total, 24);
-//! // The engine itself is constant-memory: its report carries aggregates
-//! // only. Per-record drill-down lives in the opt-in aggregating sink.
-//! assert!(outcome.report.records.is_empty());
+//! // The engine itself is constant-memory: its report is a fold.
+//! // Per-record drill-down lives in the opt-in aggregating sink.
 //! assert_eq!(agg.records().len(), 24);
 //! ```
 
@@ -87,7 +89,7 @@ pub use checkpoint::Checkpoint;
 pub use engine::{
     run_transport, run_transport_obs, CensusEngine, EngineConfig, EngineError, EngineOutcome,
 };
-pub use merge::{merge_pieces, MergeError, MergedCensus, ShardPiece};
+pub use merge::{merge_pieces, MergeError, MergedCensus};
 pub use scheduler::BatchScheduler;
 pub use shard::ShardSpec;
 pub use sink::{AggregatingSink, JsonlMeta, JsonlSink, ResultSink};

@@ -9,8 +9,7 @@
 //! every shard complete — before summing.
 //!
 //! ```
-//! use caai_engine::merge::{merge_pieces, ShardPiece};
-//! use caai_engine::{Checkpoint, ShardSpec};
+//! use caai_engine::{merge_pieces, Checkpoint, ShardSpec};
 //! use caai_core::census::{CensusRecord, Verdict};
 //! use caai_core::trace::InvalidReason;
 //! use caai_congestion::AlgorithmId;
@@ -26,8 +25,7 @@
 //!     let ids = (0..4).filter(|id| spec.owns(*id)).map(record).collect::<Vec<_>>();
 //!     Checkpoint::from_records(1, 4, spec, &ids)
 //! };
-//! let pieces = vec![ShardPiece::from(shard(0)), ShardPiece::from(shard(1))];
-//! let merged = merge_pieces(pieces, false).unwrap();
+//! let merged = merge_pieces(vec![shard(0), shard(1)], false).unwrap();
 //! assert_eq!(merged.report.total, 4);
 //! ```
 
@@ -35,54 +33,21 @@ use crate::bitmap::IdBitmap;
 use crate::checkpoint::Checkpoint;
 use crate::shard::ShardSpec;
 use crate::sink::JsonlFile;
-use caai_core::census::{CensusAggregates, CensusReport};
+use caai_core::census::CensusReport;
 use std::fmt;
 
-/// One shard's contribution to a merged census: run parameters, the
-/// aggregate fold, and which server ids it completed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardPiece {
-    /// The census seed the shard ran under.
-    pub seed: u64,
-    /// Population size of the whole census.
-    pub population: u64,
-    /// Which shard of the population this piece is.
-    pub shard: ShardSpec,
-    /// The fold of every record the shard completed.
-    pub aggregates: CensusAggregates,
-    /// Which server ids the shard completed.
-    pub completed: IdBitmap,
-}
-
-impl From<Checkpoint> for ShardPiece {
-    fn from(ck: Checkpoint) -> Self {
-        ShardPiece {
-            seed: ck.seed,
-            population: ck.population,
-            shard: ck.shard,
-            aggregates: ck.aggregates,
-            completed: ck.completed,
-        }
-    }
-}
-
-impl ShardPiece {
-    /// Builds a piece from a parsed JSONL file, folding its records. The
-    /// file must carry exactly one provenance meta line (shard files
-    /// written by `caai census --out` always do) and every record must
-    /// belong to the declared shard.
+impl Checkpoint {
+    /// Builds a shard's checkpoint from a parsed JSONL file, folding its
+    /// records. The file must carry one provenance meta line (shard files
+    /// written by `caai census --out` always do; a resumed run repeats it)
+    /// and every record must belong to the declared shard.
     pub fn from_jsonl(file: &JsonlFile) -> Result<Self, MergeError> {
         let meta = match file.metas.as_slice() {
-            [meta] => *meta,
             [] => return Err(MergeError::MissingMeta),
-            metas => {
-                let mut it = metas.iter();
-                let first = it.next().expect("nonempty");
-                if it.any(|m| m != first) {
-                    return Err(MergeError::ConflictingMeta);
-                }
-                *first
+            [first, rest @ ..] if rest.iter().any(|m| m != first) => {
+                return Err(MergeError::ConflictingMeta)
             }
+            [first, ..] => *first,
         };
         let mut ck = Checkpoint::new(meta.seed, meta.population, meta.shard);
         for record in &file.records {
@@ -100,23 +65,15 @@ impl ShardPiece {
             }
             ck.observe(record);
         }
-        Ok(ShardPiece::from(ck))
-    }
-
-    /// Servers this piece completed out of the servers it owns.
-    pub fn progress(&self) -> (u64, u64) {
-        (
-            self.completed.count(),
-            self.shard.owned_count(self.population),
-        )
+        Ok(ck)
     }
 }
 
 /// A merged census: the joined report plus the run parameters it covers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergedCensus {
-    /// The joined, record-free report — byte-identical to an unsharded
-    /// run when every shard was present and complete.
+    /// The joined report — byte-identical to an unsharded run when every
+    /// shard was present and complete.
     pub report: CensusReport,
     /// The census seed all pieces ran under.
     pub seed: u64,
@@ -128,7 +85,7 @@ pub struct MergedCensus {
     pub complete: bool,
 }
 
-/// Why a set of shard pieces cannot be merged.
+/// Why a set of shard checkpoints cannot be merged.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MergeError {
     /// No input pieces.
@@ -211,7 +168,7 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// Joins shard pieces into one census report.
+/// Joins shard checkpoints into one census report.
 ///
 /// Validates that all pieces share `(seed, population)` and shard count,
 /// that each shard index appears exactly once, and — unless
@@ -220,7 +177,7 @@ impl std::error::Error for MergeError {}
 /// tolerated and the merged report covers whatever was measured
 /// (`complete` says whether that is the whole population).
 pub fn merge_pieces(
-    pieces: Vec<ShardPiece>,
+    pieces: Vec<Checkpoint>,
     allow_partial: bool,
 ) -> Result<MergedCensus, MergeError> {
     let Some(first) = pieces.first() else {
@@ -229,7 +186,7 @@ pub fn merge_pieces(
     let (seed, population, shards) = (first.seed, first.population, first.shard.count);
 
     let mut seen = vec![false; shards as usize];
-    let mut aggregates = CensusAggregates::default();
+    let mut report = CensusReport::default();
     let mut completed = IdBitmap::new(population);
     for piece in &pieces {
         if piece.seed != seed {
@@ -263,7 +220,7 @@ pub fn merge_pieces(
                 owned,
             });
         }
-        aggregates.merge(&piece.aggregates);
+        report.merge(&piece.aggregates);
         completed.union_with(&piece.completed);
     }
 
@@ -273,7 +230,7 @@ pub fn merge_pieces(
     }
 
     Ok(MergedCensus {
-        report: aggregates.report(),
+        report,
         seed,
         population,
         shards,
@@ -284,6 +241,7 @@ pub fn merge_pieces(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::JsonlMeta;
     use caai_congestion::AlgorithmId;
     use caai_core::census::{CensusRecord, Verdict};
     use caai_core::classes::ClassLabel;
@@ -296,18 +254,18 @@ mod tests {
         }
     }
 
-    fn complete_shard(k: u32, n: u32, population: u64) -> ShardPiece {
+    fn complete_shard(k: u32, n: u32, population: u64) -> Checkpoint {
         let spec = ShardSpec { index: k, count: n };
         let records: Vec<CensusRecord> = (0..population as u32)
             .filter(|id| spec.owns(*id))
             .map(record)
             .collect();
-        ShardPiece::from(Checkpoint::from_records(5, population, spec, &records))
+        Checkpoint::from_records(5, population, spec, &records)
     }
 
     #[test]
     fn complete_partition_merges_to_the_whole_population() {
-        let pieces: Vec<ShardPiece> = (0..4).map(|k| complete_shard(k, 4, 22)).collect();
+        let pieces: Vec<Checkpoint> = (0..4).map(|k| complete_shard(k, 4, 22)).collect();
         let merged = merge_pieces(pieces, false).unwrap();
         assert!(merged.complete);
         assert_eq!(merged.report.total, 22);
@@ -316,7 +274,7 @@ mod tests {
 
     #[test]
     fn merge_order_does_not_matter() {
-        let forward: Vec<ShardPiece> = (0..3).map(|k| complete_shard(k, 3, 17)).collect();
+        let forward: Vec<Checkpoint> = (0..3).map(|k| complete_shard(k, 3, 17)).collect();
         let mut backward = forward.clone();
         backward.reverse();
         assert_eq!(
@@ -348,18 +306,26 @@ mod tests {
         assert_eq!(err, MergeError::MissingShards(vec![1]));
     }
 
+    /// A JSONL file of shard 0/2 of a 10-server census, seed 5, with
+    /// `metas` and `records`.
+    fn jsonl(metas: &[JsonlMeta], records: &[u32]) -> JsonlFile {
+        JsonlFile {
+            metas: metas.to_vec(),
+            records: records.iter().copied().map(record).collect(),
+            corrupt: Vec::new(),
+        }
+    }
+
+    const META: JsonlMeta = JsonlMeta {
+        seed: 5,
+        population: 10,
+        shard: ShardSpec { index: 0, count: 2 },
+    };
+
     #[test]
     fn jsonl_record_outside_population_is_an_error_not_a_panic() {
-        let file = crate::sink::JsonlFile {
-            metas: vec![crate::sink::JsonlMeta {
-                seed: 5,
-                population: 10,
-                shard: ShardSpec { index: 0, count: 2 },
-            }],
-            records: vec![record(10)], // owned by 0/2, but >= population
-            corrupt: Vec::new(),
-        };
-        let err = ShardPiece::from_jsonl(&file).unwrap_err();
+        // Owned by 0/2, but >= population.
+        let err = Checkpoint::from_jsonl(&jsonl(&[META], &[10])).unwrap_err();
         assert!(
             matches!(err, MergeError::RecordOutOfRange { server_id: 10, .. }),
             "{err}"
@@ -367,14 +333,46 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_without_a_meta_line_is_refused() {
+        let err = Checkpoint::from_jsonl(&jsonl(&[], &[0, 2])).unwrap_err();
+        assert_eq!(err, MergeError::MissingMeta);
+    }
+
+    #[test]
+    fn jsonl_with_the_meta_lines_of_two_runs_is_refused() {
+        let other = JsonlMeta { seed: 6, ..META };
+        let err = Checkpoint::from_jsonl(&jsonl(&[META, other], &[0])).unwrap_err();
+        assert_eq!(err, MergeError::ConflictingMeta);
+    }
+
+    #[test]
+    fn jsonl_record_of_another_shard_is_refused() {
+        let err = Checkpoint::from_jsonl(&jsonl(&[META], &[0, 3])).unwrap_err();
+        assert_eq!(
+            err,
+            MergeError::ForeignRecord {
+                server_id: 3,
+                shard: META.shard
+            }
+        );
+    }
+
+    #[test]
+    fn jsonl_with_a_repeated_meta_line_is_accepted() {
+        // `--resume` appends the run's meta line to the file it extends.
+        let ck = Checkpoint::from_jsonl(&jsonl(&[META, META], &[0, 2, 4, 6, 8])).unwrap();
+        assert_eq!(ck, complete_shard(0, 2, 10));
+    }
+
+    #[test]
     fn incomplete_shards_need_allow_partial() {
         let full = complete_shard(0, 2, 10);
-        let partial = ShardPiece::from(Checkpoint::from_records(
+        let partial = Checkpoint::from_records(
             5,
             10,
             ShardSpec { index: 1, count: 2 },
             &[record(1)], // owns 1,3,5,7,9 but only finished server 1
-        ));
+        );
         let err = merge_pieces(vec![full.clone(), partial.clone()], false).unwrap_err();
         assert!(
             matches!(

@@ -3,17 +3,18 @@
 //! The seed census accumulated every [`CensusRecord`] in RAM and returned
 //! them all at once. At Internet scale the engine instead *streams*
 //! records to [`ResultSink`]s as workers complete them: a JSONL file for
-//! offline analysis ([`JsonlSink`]), an in-memory aggregator
-//! ([`AggregatingSink`]) when per-record drill-down is wanted, or both at
-//! once. Since checkpoint v2 the engine itself retains no records — a
-//! sink is the only place records survive a run.
+//! offline analysis ([`JsonlSink`]), an in-memory record list
+//! ([`AggregatingSink`]) when per-record drill-down is wanted, a
+//! [`CensusReport`] when only the totals are, or any mix at once. Since
+//! checkpoint v2 the engine itself retains no records — a sink is the
+//! only place records survive a run.
 //!
 //! The engine writes sinks from the caller's thread, as it folds each
 //! record (see [`crate::engine`]); a slow sink back-pressures the workers
 //! once their one queue fills.
 
 use crate::shard::ShardSpec;
-use caai_core::census::{assemble, CensusRecord, CensusReport};
+use caai_core::census::{CensusRecord, CensusReport};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -144,9 +145,9 @@ pub struct JsonlFile {
 }
 
 /// Reads a JSONL stream back: meta lines and records, skipping (but
-/// reporting) corrupt lines. Feeding the records to
-/// [`caai_core::census::assemble`] reproduces the canonical report
-/// regardless of the completion order the file was written in.
+/// reporting) corrupt lines. Folding the records into a [`CensusReport`]
+/// reproduces the run's report regardless of the completion order the
+/// file was written in.
 pub fn read_jsonl_tagged(path: impl AsRef<Path>) -> io::Result<JsonlFile> {
     let reader = BufReader::new(File::open(path)?);
     let mut metas = Vec::new();
@@ -202,7 +203,7 @@ pub fn read_jsonl(path: impl AsRef<Path>) -> io::Result<Vec<CensusRecord>> {
     Ok(file.records)
 }
 
-/// Accumulates records in memory and folds them into a [`CensusReport`].
+/// Keeps every record in memory.
 ///
 /// This is the *opt-in* record-retention path: the engine itself keeps
 /// only constant-size aggregates, so attach an `AggregatingSink` when a
@@ -222,18 +223,19 @@ impl AggregatingSink {
     pub fn records(&self) -> &[CensusRecord] {
         &self.records
     }
-
-    /// Sorts into canonical `server_id` order and assembles the report
-    /// (records included).
-    pub fn into_report(mut self) -> CensusReport {
-        self.records.sort_by_key(|r| r.server_id);
-        assemble(self.records)
-    }
 }
 
 impl ResultSink for AggregatingSink {
     fn emit(&mut self, record: &CensusRecord) -> io::Result<()> {
         self.records.push(*record);
+        Ok(())
+    }
+}
+
+/// The fold as a sink: a run's totals, in constant memory.
+impl ResultSink for CensusReport {
+    fn emit(&mut self, record: &CensusRecord) -> io::Result<()> {
+        self.observe(record);
         Ok(())
     }
 }
@@ -374,13 +376,20 @@ mod tests {
     #[test]
     fn aggregating_sink_builds_canonical_report() {
         let mut sink = AggregatingSink::new();
+        let mut report = CensusReport::default();
         for r in records() {
             sink.emit(&r).unwrap();
+            report.emit(&r).unwrap();
         }
-        let report = sink.into_report();
         assert_eq!(report.total, 3);
         assert_eq!(report.valid_total(), 2);
-        let ids: Vec<u32> = report.records.iter().map(|r| r.server_id).collect();
-        assert_eq!(ids, vec![0, 1, 2], "records must be in canonical order");
+        // The records stay in completion order; folded in id order they
+        // make the same report.
+        let mut kept = sink.records().to_vec();
+        assert_eq!(kept, records());
+        kept.sort_by_key(|r| r.server_id);
+        let mut canonical = CensusReport::default();
+        kept.iter().for_each(|r| canonical.observe(r));
+        assert_eq!(canonical, report);
     }
 }

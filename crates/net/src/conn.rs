@@ -9,6 +9,12 @@ use std::os::fd::AsRawFd;
 use crate::frame::FrameDecoder;
 use crate::sys::{Interest, Poller};
 
+/// The buffer an event loop keeps for [`Conn::fill`] to read into: one per
+/// loop, zeroed once, not once per readable event.
+pub(crate) fn read_buffer() -> Box<[u8]> {
+    vec![0; 16 * 1024].into_boxed_slice()
+}
+
 /// One nonblocking connection. Closing is dropping: the socket closes
 /// and the kernel takes it out of the poller with it.
 pub(crate) struct Conn {
@@ -34,16 +40,16 @@ impl Conn {
         }
     }
 
-    /// Reads what the socket holds into the decoder, until a read comes up
-    /// short, would block, or meets EOF or an error: `true` while the
-    /// connection is open, `false` at EOF. The poller is level-triggered,
-    /// so a read that did not fill the buffer emptied the socket, and
-    /// whatever arrives later (EOF included) is reported again. `read`
-    /// hears of every read, with the bytes it took.
-    pub(crate) fn fill(&mut self, mut read: impl FnMut(usize)) -> io::Result<bool> {
-        let mut buf = [0u8; 16 * 1024];
+    /// Reads what the socket holds into the decoder, through the loop's
+    /// `buf` ([`read_buffer`]), until a read comes up short, would block,
+    /// or meets EOF or an error: `true` while the connection is open,
+    /// `false` at EOF. The poller is level-triggered, so a read that did
+    /// not fill the buffer emptied the socket, and whatever arrives later
+    /// (EOF included) is reported again. `read` hears of every read, with
+    /// the bytes it took.
+    pub(crate) fn fill(&mut self, buf: &mut [u8], mut read: impl FnMut(usize)) -> io::Result<bool> {
         loop {
-            match self.stream.read(&mut buf) {
+            match self.stream.read(buf) {
                 Ok(0) => return Ok(false),
                 Ok(n) => {
                     self.decoder.push(&buf[..n]);

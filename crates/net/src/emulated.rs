@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use caai_core::ServerUnderTest;
 
-use crate::conn::Conn;
+use crate::conn::{read_buffer, Conn};
 use crate::core::{Reply, ServerCore};
 use crate::frame::{ClientFrame, FrameDecoder, ServerFrame, Wire};
 use crate::runtime::{self, EventLoop, Handle};
@@ -210,6 +210,8 @@ struct Loop {
     entries: HashMap<u64, Entry>,
     /// Tokens handed out so far.
     tokens: u64,
+    /// What every connection's reads go through.
+    read_buf: Box<[u8]>,
 }
 
 enum Entry {
@@ -275,6 +277,7 @@ impl Loop {
             wheel: TimerWheel::new(),
             entries: HashMap::new(),
             tokens: 0,
+            read_buf: read_buffer(),
         }
     }
 
@@ -398,7 +401,8 @@ impl EventLoop for Loop {
             // Reads first: what arrived, or the EOF or error that ends
             // the connection.
             Some(Entry::Conn(served)) => {
-                !(ev.readable || ev.error) || matches!(served.conn.fill(|_| {}), Ok(true))
+                !(ev.readable || ev.error)
+                    || matches!(served.conn.fill(&mut self.read_buf, |_| {}), Ok(true))
             }
             None => return, // closed earlier in this round
         };
@@ -547,6 +551,103 @@ mod tests {
             "{burst:?}"
         );
         assert!(held >= pace / 2, "answered after {held:?}");
+    }
+
+    #[test]
+    fn a_hold_longer_than_the_idle_timeout_is_not_cut_short() {
+        // One loop, driven by hand: its timers fire at virtual instants.
+        let mut lp = Loop::new(None, Poller::new().unwrap());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        // 100 s of hold per virtual second: a half-second round is held
+        // for 50 s, past READ_TIMEOUT.
+        let pace = Duration::from_secs(100);
+        let served = Served {
+            id: 0,
+            core: Some(ServerCore::new(ServerUnderTest::ideal(AlgorithmId::Reno))),
+            behavior: Behavior::Paced(pace),
+            held: None,
+            ending: None,
+            idle: Deadline::default(),
+            conn: Conn::new(stream),
+        };
+        let start = Instant::now();
+        lp.adopt(served);
+        let token = lp.tokens;
+        let mut bytes = Vec::new();
+        ClientFrame::Hello {
+            proposed_mss: 100,
+            now: 0.0,
+        }
+        .encode_into(&mut bytes);
+        ClientFrame::Xmit {
+            now: 0.0,
+            horizon: 0.5,
+        }
+        .encode_into(&mut bytes);
+        client.write_all(&bytes).unwrap();
+        // Both frames are answered, and the answers held.
+        let readable = Readiness {
+            token,
+            readable: true,
+            writable: false,
+            error: false,
+        };
+        let held = |lp: &Loop| match lp.entries.get(&token) {
+            Some(Entry::Conn(served)) => served.held,
+            _ => panic!("the connection closed"),
+        };
+        for _ in 0..1000 {
+            if held(&lp).is_some() {
+                break;
+            }
+            std::thread::yield_now();
+            lp.ready(readable);
+        }
+        let until = held(&lp).expect("a paced server holds its answers");
+        assert!(until >= start + Duration::from_secs(50));
+        let fire = |lp: &mut Loop, now: Instant| {
+            let mut fired = Vec::new();
+            lp.wheel.expire(now, &mut fired);
+            for timer in fired {
+                lp.timer(timer, now);
+            }
+        };
+        // Past the idle timeout: still open, still held, nothing written.
+        fire(&mut lp, start + READ_TIMEOUT + Duration::from_secs(1));
+        assert_eq!(held(&lp), Some(until));
+        client.set_nonblocking(true).unwrap();
+        let mut buf = [0u8; 1024];
+        let early = client.read(&mut buf);
+        assert!(
+            matches!(&early, Err(e) if e.kind() == io::ErrorKind::WouldBlock),
+            "{early:?}"
+        );
+        // At the hold's end the answers are written: the Welcome, then the
+        // Burst.
+        fire(&mut lp, until);
+        client.set_nonblocking(false).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut decoder = FrameDecoder::new();
+        let mut frames = Vec::new();
+        while frames.len() < 2 {
+            let n = client.read(&mut buf).unwrap();
+            assert!(n > 0, "the server closed instead of answering");
+            decoder.push(&buf[..n]);
+            while let Some(frame) = decoder.next::<ServerFrame>().unwrap() {
+                frames.push(frame);
+            }
+        }
+        assert_eq!(frames[0], ServerFrame::Welcome { granted_mss: 100 });
+        assert!(
+            matches!(frames[1], ServerFrame::Burst { done: false, .. }),
+            "{:?}",
+            frames[1]
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ use caai_obs::{
     Subscriber,
 };
 
-use crate::conn::Conn;
+use crate::conn::{read_buffer, Conn};
 use crate::core::{LadderCore, RungRecord, Step};
 use crate::frame::{ServerFrame, Wire};
 use crate::limiter::RateLimiter;
@@ -221,6 +221,8 @@ pub struct Reactor<S: Subscriber> {
     rate_retry_armed: bool,
     /// The current tick's start (when `S` listens) and span.
     tick: (Option<Instant>, SpanToken),
+    /// What every session's reads go through.
+    read_buf: Box<[u8]>,
 }
 
 impl<S: Subscriber> Reactor<S> {
@@ -246,6 +248,7 @@ impl<S: Subscriber> Reactor<S> {
             next_token: 1,
             rate_retry_armed: false,
             tick: (None, SpanToken::NONE),
+            read_buf: read_buffer(),
         }
     }
 }
@@ -617,7 +620,7 @@ impl<S: Subscriber> Reactor<S> {
             return;
         };
         let stats = &mut session.stats;
-        let open = conn.fill(|n| {
+        let open = conn.fill(&mut self.read_buf, |n| {
             stats.bytes_received += n as u64;
             stats.reads += 1;
         });

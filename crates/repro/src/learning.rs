@@ -3,7 +3,7 @@
 //! environment pair, the `reach64` element and the `w_max` ladder.
 
 use crate::plot::table;
-use crate::{training_set, Output, Scale};
+use crate::{census_report, training_set, Output, Scale};
 use caai_core::census::Census;
 use caai_core::classes::ClassLabel;
 use caai_core::classify::CaaiClassifier;
@@ -218,7 +218,7 @@ pub fn ablation_ladder(scale: Scale) -> Output {
             ..ProberConfig::default()
         };
         let census = Census::new(classifier.clone(), ConditionDb::paper_2011(), config);
-        let report = census.run(&servers, 77, scale.workers());
+        let report = census_report(census, &servers, 77, scale);
         let rc_small: usize = report
             .columns
             .values()

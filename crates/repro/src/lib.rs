@@ -25,10 +25,13 @@ mod tables;
 
 pub use params::Scale;
 
+use caai_core::census::{Census, CensusReport};
 use caai_core::training::build_training_set;
+use caai_engine::{CensusEngine, EngineConfig};
 use caai_ml::Dataset;
 use caai_netem::rng::seeded;
 use caai_netem::ConditionDb;
+use caai_webmodel::WebServer;
 use rand::rngs::StdRng;
 use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
@@ -87,6 +90,18 @@ fn training_set(scale: Scale) -> (Dataset, StdRng) {
     let mut rng = seeded(scale.seed());
     let data = build_training_set(&scale.training(), &ConditionDb::paper_2011(), &mut rng);
     (data, rng)
+}
+
+/// Table IV's census of `servers`, run by the engine on `scale`'s workers
+/// as `caai census` runs it: no sinks, no checkpoint.
+fn census_report(census: Census, servers: &[WebServer], seed: u64, scale: Scale) -> CensusReport {
+    let config = EngineConfig {
+        seed,
+        workers: scale.workers(),
+        ..EngineConfig::default()
+    };
+    let outcome = CensusEngine::new(census, config).run(servers, &mut [], None);
+    outcome.expect("no sinks, no checkpoint: no I/O").report
 }
 
 const USAGE: &str = "usage: repro list

@@ -1,7 +1,7 @@
 //! The paper's Tables I–IV.
 
 use crate::plot::table;
-use crate::{training_set, Output, Scale};
+use crate::{census_report, training_set, Output, Scale};
 use caai_congestion::registry::os_inventory;
 use caai_congestion::AlgorithmId;
 use caai_core::census::{Census, CensusColumn};
@@ -122,7 +122,7 @@ pub fn table04_census(scale: Scale) -> Output {
     let servers = scale.population().generate(&mut rng);
     let db = ConditionDb::paper_2011();
     let census = Census::new(classifier, db, ProberConfig::default());
-    let report = census.run(&servers, scale.seed() ^ 0xC3A5, scale.workers());
+    let report = census_report(census, &servers, scale.seed() ^ 0xC3A5, scale);
 
     let valid = report.valid_total();
     let invalid: usize = report.invalid.values().sum();

@@ -18,15 +18,15 @@ use caai::core::prober::{Prober, ProberConfig};
 use caai::core::server_under_test::ServerUnderTest;
 use caai::core::training::{build_training_set, TrainingConfig};
 use caai::engine::{
-    merge_pieces, run_transport_obs, AggregatingSink, Budget, CensusEngine, Checkpoint,
-    EngineConfig, EngineOutcome, JsonlMeta, JsonlSink, ResultSink, ShardPiece, ShardSpec,
+    merge_pieces, run_transport_obs, Budget, CensusEngine, Checkpoint, EngineConfig, EngineOutcome,
+    JsonlMeta, JsonlSink, ResultSink, ShardSpec,
 };
 use caai::net::{read_targets, Behavior, EmulatedServer, NetConfig, NetTransport};
 use caai::netem::rng::seeded;
 use caai::netem::{ConditionDb, EnvironmentId, PathConfig};
 use caai::obs::{
     Event, MetricsSnapshot, MetricsSubscriber, StderrSubscriber, Subscriber, TraceAnalysis,
-    TraceSubscriber,
+    TraceSubscriber, VerdictKind,
 };
 use caai::stream::{identify_bytes_obs, open_path, FollowConfig, StreamConfig};
 use caai::webmodel::PopulationConfig;
@@ -731,12 +731,12 @@ fn cmd_identify_pcap(args: &Args, pcap_path: &str) -> Result<(), String> {
     }
 
     // Ingested records flow through the same ResultSink machinery as the
-    // census: a JSONL stream when --out is given, plus the in-memory
-    // aggregator whose report feeds the summary line.
-    let mut agg = AggregatingSink::new();
+    // census: a JSONL stream when --out is given, plus the report whose
+    // totals feed the summary line.
+    let mut totals = CensusReport::default();
     let mut jsonl = open_out(args)?;
     {
-        let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut agg];
+        let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut totals];
         if let Some(sink) = jsonl.as_mut() {
             sinks.push(sink as &mut dyn ResultSink);
         }
@@ -783,7 +783,7 @@ fn cmd_identify_pcap(args: &Args, pcap_path: &str) -> Result<(), String> {
     for s in &verdicts.sessions {
         println!("{}", describe_session(s));
     }
-    print_verdict_totals(&agg.into_report());
+    print_verdict_totals(&totals);
     Ok(())
 }
 
@@ -798,17 +798,12 @@ fn open_out(args: &Args) -> Result<Option<FileSink>, String> {
 fn print_verdict_totals(report: &CensusReport) {
     // Count identifications from the columns: `identified_total` scores
     // only truth-bearing records, and capture records carry no truth.
-    let columns = || report.columns.values();
     println!(
         "verdicts: {} identified, {} special, {} unsure, {} invalid",
-        columns()
-            .map(|c| c.identified.values().sum::<usize>())
-            .sum::<usize>(),
-        columns()
-            .map(|c| c.special.values().sum::<usize>())
-            .sum::<usize>(),
-        columns().map(|c| c.unsure).sum::<usize>(),
-        report.invalid.values().sum::<usize>(),
+        report.kind_total(VerdictKind::Identified),
+        report.kind_total(VerdictKind::Special),
+        report.kind_total(VerdictKind::Unsure),
+        report.kind_total(VerdictKind::Invalid),
     );
 }
 
@@ -843,7 +838,7 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
     };
 
     let json = args.get("json").is_some();
-    let mut agg = AggregatingSink::new();
+    let mut totals = CensusReport::default();
     let mut jsonl = open_out(args)?;
     let metrics = MetricsSubscriber::new();
     let trace = open_trace(args)?;
@@ -862,13 +857,10 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
             } else {
                 println!("{}", describe_session(s));
             }
-            if sink_err.is_none() {
-                if let Err(e) = agg.emit(&s.record) {
+            totals.observe(&s.record);
+            if let (None, Some(sink)) = (&sink_err, jsonl.as_mut()) {
+                if let Err(e) = sink.emit(&s.record).and_then(|()| sink.flush()) {
                     sink_err = Some(format!("sink: {e}"));
-                } else if let Some(sink) = jsonl.as_mut() {
-                    if let Err(e) = sink.emit(&s.record).and_then(|()| sink.flush()) {
-                        sink_err = Some(format!("sink: {e}"));
-                    }
                 }
             }
         };
@@ -901,7 +893,7 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
             if stats.sessions == 1 { "" } else { "s" },
             stats.dataless_sessions,
         );
-        print_verdict_totals(&agg.into_report());
+        print_verdict_totals(&totals);
     }
     Ok(())
 }
@@ -1266,14 +1258,14 @@ fn cmd_census_merge(args: &Args) -> Result<(), String> {
     if inputs.is_empty() {
         return Err("census-merge needs at least one --in FILE".to_owned());
     }
-    let mut pieces = Vec::new();
+    let mut shards = Vec::new();
     for path in inputs {
         // Accept either artifact of a shard run: a checkpoint file or a
         // JSONL record stream. Sniffed by content (first line), not
         // extension, so a multi-GB JSONL is never parsed as one JSON doc.
         let is_jsonl =
             caai::engine::sink::sniff_jsonl(path).map_err(|e| format!("read {path}: {e}"))?;
-        let piece = if is_jsonl {
+        let shard = if is_jsonl {
             let file = caai::engine::sink::read_jsonl_tagged(path)
                 .map_err(|e| format!("read {path}: {e}"))?;
             for (lineno, err) in &file.corrupt {
@@ -1282,24 +1274,24 @@ fn cmd_census_merge(args: &Args) -> Result<(), String> {
                      write?): {err}"
                 );
             }
-            ShardPiece::from_jsonl(&file).map_err(|e| format!("{path}: {e}"))?
+            Checkpoint::from_jsonl(&file).map_err(|e| format!("{path}: {e}"))?
         } else {
-            ShardPiece::from(Checkpoint::load(path).map_err(|e| {
+            Checkpoint::load(path).map_err(|e| {
                 format!(
                     "{path}: not census JSONL, and not a \
                      checkpoint: {e}"
                 )
-            })?)
+            })?
         };
-        let (done, owned) = piece.progress();
+        let (done, owned) = shard.progress();
         eprintln!(
             "{path}: shard {} of seed {}, {done}/{owned} servers",
-            piece.shard, piece.seed
+            shard.shard, shard.seed
         );
-        pieces.push(piece);
+        shards.push(shard);
     }
     let merged =
-        merge_pieces(pieces, args.get("allow-partial").is_some()).map_err(|e| e.to_string())?;
+        merge_pieces(shards, args.get("allow-partial").is_some()).map_err(|e| e.to_string())?;
     eprintln!(
         "merged {} shards: {} of {} servers (seed {})",
         merged.shards, merged.report.total, merged.population, merged.seed

@@ -1,22 +1,30 @@
 //! Integration: the census pipeline over a synthetic population reproduces
 //! the structural findings of Table IV.
 
-use caai::core::census::{Census, Verdict};
+use caai::core::census::{Census, CensusReport};
 use caai::core::classify::CaaiClassifier;
 use caai::core::prober::ProberConfig;
 use caai::core::training::{build_training_set, TrainingConfig};
+use caai::engine::{CensusEngine, EngineConfig};
 use caai::netem::rng::seeded;
 use caai::netem::ConditionDb;
+use caai::obs::VerdictKind;
 use caai::webmodel::PopulationConfig;
 
-fn run_census(n: u32, seed: u64) -> caai::core::census::CensusReport {
+fn run_census(n: u32, seed: u64) -> CensusReport {
     let db = ConditionDb::paper_2011();
     let mut rng = seeded(seed);
     let data = build_training_set(&TrainingConfig::quick(4), &db, &mut rng);
     let classifier = CaaiClassifier::train(&data, &mut rng);
     let servers = PopulationConfig::small(n).generate(&mut rng);
     let census = Census::new(classifier, db, ProberConfig::default());
-    census.run(&servers, seed ^ 0xFF, 4)
+    let config = EngineConfig {
+        seed: seed ^ 0xFF,
+        workers: 4,
+        ..EngineConfig::default()
+    };
+    let outcome = CensusEngine::new(census, config).run(&servers, &mut [], None);
+    outcome.expect("no sinks, no I/O").report
 }
 
 #[test]
@@ -59,11 +67,7 @@ fn census_reproduces_the_papers_structural_findings() {
 #[test]
 fn special_cases_and_unsure_appear_in_a_large_census() {
     let report = run_census(600, 901);
-    let specials: usize = report
-        .columns
-        .values()
-        .map(|c| c.special.values().sum::<usize>())
-        .sum();
+    let specials = report.kind_total(VerdictKind::Special);
     assert!(specials > 0, "quirky servers must surface as special cases");
     // Unsure verdicts exist but stay a small minority of valid traces
     // (paper: 4.32%).
@@ -74,11 +78,7 @@ fn special_cases_and_unsure_appear_in_a_large_census() {
 #[test]
 fn ground_truth_accuracy_is_high_for_confident_verdicts() {
     let report = run_census(400, 902);
-    let identified = report
-        .records
-        .iter()
-        .filter(|r| matches!(r.verdict, Verdict::Identified(..)))
-        .count();
+    let identified = report.kind_total(VerdictKind::Identified);
     assert!(identified > 50, "confident verdicts: {identified}");
     let acc = report.ground_truth_accuracy();
     assert!(acc > 0.80, "accuracy over confident verdicts: {acc}");
@@ -104,11 +104,7 @@ fn census_report_percentages_are_consistent() {
     ] {
         family_sum += report.family_percent(family);
     }
-    let specials: usize = report
-        .columns
-        .values()
-        .map(|c| c.special.values().sum::<usize>())
-        .sum();
+    let specials = report.kind_total(VerdictKind::Special);
     let special_pct = 100.0 * specials as f64 / report.valid_total().max(1) as f64;
     let total = family_sum + special_pct + report.unsure_percent();
     assert!(

@@ -11,7 +11,7 @@
 //! aggregates only, resume seeds those aggregates instead of replaying
 //! records, and JSONL files are extended in append mode across resumes.
 
-use caai::core::census::{assemble, Census, CensusReport};
+use caai::core::census::{Census, CensusRecord, CensusReport};
 use caai::core::classify::CaaiClassifier;
 use caai::core::prober::ProberConfig;
 use caai::core::training::{build_training_set, TrainingConfig};
@@ -48,6 +48,13 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("caai-engine-test-{}-{name}", std::process::id()))
 }
 
+/// The report `records` fold to, in any order.
+fn fold(records: &[CensusRecord]) -> CensusReport {
+    let mut report = CensusReport::default();
+    records.iter().for_each(|r| report.observe(r));
+    report
+}
+
 fn run_uninterrupted(workers: usize) -> CensusReport {
     let engine = CensusEngine::new(
         census(),
@@ -61,10 +68,6 @@ fn run_uninterrupted(workers: usize) -> CensusReport {
         .run(&servers(), &mut [], None)
         .expect("no sinks, no I/O");
     assert!(outcome.completed);
-    assert!(
-        outcome.report.records.is_empty(),
-        "the engine must not retain records"
-    );
     outcome.report
 }
 
@@ -88,16 +91,6 @@ fn report_is_identical_across_worker_counts_and_batch_sizes() {
     .run(&servers(), &mut [], None)
     .expect("no sinks, no I/O");
     assert_eq!(one, tiny_batches.report, "batch size 1");
-}
-
-#[test]
-fn engine_report_matches_the_thin_core_wrapper() {
-    let engine_report = run_uninterrupted(4);
-    let core_report = census().run(&servers(), SEED, 4);
-    // The thin wrapper retains records; the streaming engine by design
-    // does not. Every aggregate must agree exactly.
-    assert!(!core_report.records.is_empty());
-    assert_eq!(engine_report, core_report.aggregates_only());
 }
 
 #[test]
@@ -198,6 +191,7 @@ fn jsonl_stream_round_trips_to_the_identical_report() {
 
     let mut jsonl = JsonlSink::create(&out_path).expect("create jsonl");
     let mut agg = AggregatingSink::new();
+    let mut totals = CensusReport::default();
     let outcome = CensusEngine::new(
         census(),
         EngineConfig {
@@ -206,7 +200,7 @@ fn jsonl_stream_round_trips_to_the_identical_report() {
             ..EngineConfig::default()
         },
     )
-    .run(&servers(), &mut [&mut jsonl, &mut agg], None)
+    .run(&servers(), &mut [&mut jsonl, &mut agg, &mut totals], None)
     .expect("jsonl sink must succeed");
     assert!(outcome.completed);
     assert_eq!(jsonl.written(), 60);
@@ -215,12 +209,13 @@ fn jsonl_stream_round_trips_to_the_identical_report() {
     let records = caai::engine::sink::read_jsonl(&out_path).expect("read jsonl back");
     std::fs::remove_file(&out_path).ok();
     assert_eq!(records.len(), 60);
-    assert_eq!(assemble(records).aggregates_only(), baseline);
+    assert_eq!(fold(&records), baseline);
 
-    // And so does the aggregating sink that rode along — the opt-in
-    // record-retention path.
+    // And so do the aggregating sink that rode along — the opt-in
+    // record-retention path — and the report folded as a sink.
     assert_eq!(agg.records().len(), 60);
-    assert_eq!(agg.into_report().aggregates_only(), baseline);
+    assert_eq!(fold(agg.records()), baseline);
+    assert_eq!(totals, baseline);
 }
 
 #[test]
@@ -275,7 +270,7 @@ fn resumed_run_extends_the_jsonl_in_append_mode() {
     std::fs::remove_file(&out_path).ok();
     std::fs::remove_file(&ck_path).ok();
     assert_eq!(records.len(), 60, "file must cover the whole population");
-    assert_eq!(assemble(records).aggregates_only(), run_uninterrupted(4));
+    assert_eq!(fold(&records), run_uninterrupted(4));
 }
 
 #[test]

@@ -11,7 +11,7 @@ use caai::core::census::Census;
 use caai::core::classify::CaaiClassifier;
 use caai::core::prober::ProberConfig;
 use caai::core::training::{build_training_set, TrainingConfig};
-use caai::engine::{merge_pieces, CensusEngine, Checkpoint, EngineConfig, ShardPiece, ShardSpec};
+use caai::engine::{merge_pieces, CensusEngine, Checkpoint, EngineConfig, ShardSpec};
 use caai::netem::rng::seeded;
 use caai::netem::ConditionDb;
 use caai::webmodel::{PopulationConfig, WebServer};
@@ -83,7 +83,7 @@ fn four_shards_merge_to_the_unsharded_report() {
         let ck = Checkpoint::load(&ck_path).expect("load shard checkpoint");
         std::fs::remove_file(&ck_path).ok();
         assert!(ck.is_complete());
-        pieces.push(ShardPiece::from(ck));
+        pieces.push(ck);
     }
     assert_eq!(shard_total, 64, "shards partition the population");
 
