@@ -1,6 +1,9 @@
 //! `caai` — command-line front end for the CAAI reproduction.
 //!
-//! `caai help` prints every command and its flags (`USAGE` below).
+//! Every flag of every command is declared once, as one row of
+//! `COMMANDS` below: its name, value placeholder, default, help line and
+//! the one flag it needs or excludes. Parsing, defaults, the refusals
+//! and `caai help` all read that table.
 //!
 //! Every command that draws random numbers takes `--seed N` (default 1)
 //! and is fully deterministic: a census report depends only on
@@ -35,21 +38,190 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Minimal flag parser: `--key value` pairs after the subcommand, plus a
-/// few valueless boolean flags. A flag the subcommand does not take is an
-/// error, not a silently ignored typo.
-struct Args {
-    flags: Vec<(String, String)>,
+/// One subcommand: its name, its summary line, its entry point, and its
+/// flags. A flag no row names is refused.
+struct Subcommand(&'static str, &'static str, Command, &'static [Flag]);
+
+/// One flag: its name, its value placeholder (empty for a switch, which
+/// parses as `true`), its default (empty for none), its help line, and
+/// what it asks of the other flags given with it.
+struct Flag(&'static str, &'static str, &'static str, &'static str, Rule);
+
+/// The one flag a flag needs or excludes.
+#[derive(Clone, Copy)]
+enum Rule {
+    Free,
+    /// Refused unless this flag is given too.
+    Needs(&'static str),
+    /// Refused beside this flag; the text after it says what to do instead.
+    Excludes(&'static str, &'static str),
+    /// Refused beside this flag, with the reason the two cannot meet.
+    Conflicts(&'static str, &'static str),
 }
 
-/// Flags that take no value; `--json` parses as `json=true`.
-const BOOLEAN_FLAGS: [&str; 3] = ["json", "allow-partial", "follow"];
+use Rule::{Conflicts, Excludes, Free, Needs};
+
+const LIVE: &str = ": set --max-sessions instead";
+const EITHER: &str = "a census probes either a live target list or a synthetic population";
+
+#[rustfmt::skip]
+const COMMANDS: [Subcommand; 11] = [
+    Subcommand("algorithms", "list the implemented congestion avoidance algorithms", cmd_algorithms, &[]),
+    Subcommand("trace", "gather one window trace from a simulated server", cmd_trace, &[
+        Flag("algo", "NAME", "", "the server's algorithm (see `caai algorithms`)", Free),
+        Flag("env", "A|B", "A", "the emulated network environment", Free),
+        Flag("wmax", "512", "512", "w_max of the gathered trace", Free),
+        Flag("loss", "0.0", "0.0", "path loss rate, in [0, 1)", Free),
+        Flag("seed", "1", "1", "random seed", Free),
+    ]),
+    Subcommand("fingerprint", "gather both environments and print the feature vector", cmd_fingerprint, &[
+        Flag("algo", "NAME", "", "the server's algorithm (see `caai algorithms`)", Free),
+        Flag("loss", "0.0", "0.0", "path loss rate, in [0, 1)", Free),
+        Flag("seed", "1", "1", "random seed", Free),
+    ]),
+    Subcommand("train", "collect a training set and save the classifier as JSON", cmd_train, &[
+        Flag("conditions", "10", "10", "network conditions per (algorithm, w_max) pair", Free),
+        Flag("out", "model.json", "model.json", "where to write the classifier", Free),
+        Flag("seed", "1", "1", "random seed", Free),
+    ]),
+    Subcommand("identify", "identify one simulated server, or every probe flow of a capture", cmd_identify, &[
+        Flag("algo", "NAME", "", "simulate a server running NAME", Excludes("pcap", "")),
+        Flag("model", "model.json", "", "classify with a saved classifier", Free),
+        Flag("conditions", "6", "6", "else train one on this many conditions", Excludes("model", "")),
+        Flag("loss", "0.0", "0.0", "path loss of the simulated probe", Excludes("pcap", "")),
+        Flag("seed", "1", "1", "random seed", Free),
+        Flag("pcap", "FILE|-", "", "classify recorded flows (pcap or pcapng; `-` is stdin)", Free),
+        Flag("follow", "", "", "stream a growing file, FIFO or pipe as it is written", Needs("pcap")),
+        Flag("flow-timeout", "SECS", "60", "idle seconds before a flow is evicted", Needs("follow")),
+        Flag("session-timeout", "S", "1800", "idle seconds before a session's verdict", Needs("follow")),
+        Flag("poll-ms", "MS", "50", "poll interval at EOF", Needs("follow")),
+        Flag("idle-timeout", "SECS", "30", "quit after SECS without bytes; 0 = never", Needs("follow")),
+        Flag("out", "records.jsonl", "", "stream one census record per flow", Needs("pcap")),
+        Flag("json", "", "", "machine-readable per-flow verdicts", Needs("pcap")),
+        Flag("metrics", "FILE", "", "write caai-metrics-v1 lines: final, and per granule", Needs("pcap")),
+        Flag("progress", "N", "0", "progress line every N granules; 0 is quiet", Needs("follow")),
+        Flag("trace", "FILE", "", "write a Chrome trace-event JSON timeline", Needs("pcap")),
+        Flag("trace-sample", "N", "1", "keep only every Nth server's gather subtree", Needs("trace")),
+    ]),
+    Subcommand("render-pcap", "render simulated probe sessions into a byte-valid capture", cmd_render_pcap, &[
+        Flag("out", "capture.pcap", "", "the capture to write (required)", Free),
+        Flag("algo", "NAME", "", "add one probed server running NAME (repeatable)", Free),
+        Flag("short", "N", "0", "add N servers whose pages are too short for a trace", Free),
+        Flag("loss", "0.0", "0.0", "path loss rate, in [0, 1)", Free),
+        Flag("seed", "1", "1", "random seed", Free),
+    ]),
+    Subcommand("census", "probe simulated servers or live targets, print the Table IV report", cmd_census, &[
+        Flag("servers", "1000", "1000", "simulated servers to probe", Conflicts("targets", EITHER)),
+        Flag("model", "model.json", "", "classify with a saved classifier", Free),
+        Flag("conditions", "6", "6", "else train one on this many conditions", Excludes("model", "")),
+        Flag("json", "", "", "print the report as JSON", Free),
+        Flag("seed", "1", "1", "random seed", Free),
+        Flag("shard", "k/N", "0/1", "probe only servers with id % N == k", Free),
+        Flag("out", "report.jsonl", "", "stream records to a JSONL file", Free),
+        Flag("checkpoint", "ck.json", "", "snapshot completed work periodically", Free),
+        Flag("checkpoint-every", "N", "256", "records between snapshots", Needs("checkpoint")),
+        Flag("resume", "ck.json", "", "continue from a snapshot", Free),
+        Flag("budget", "N", "", "stop cleanly after N probes", Free),
+        Flag("deadline", "SECS", "", "stop cleanly after SECS wall-clock", Free),
+        Flag("progress", "N", "0", "progress + stage-timing line every N records; 0 is quiet", Free),
+        Flag("metrics", "FILE", "", "write a final caai-metrics-v1 snapshot line", Free),
+        Flag("trace", "FILE", "", "write a Chrome trace-event JSON timeline", Free),
+        Flag("trace-sample", "N", "1", "keep only every Nth server's gather subtree", Needs("trace")),
+        Flag("workers", "4", "4", "simulator worker threads", Excludes("targets", LIVE)),
+        Flag("batch", "N", "16", "servers per scheduler batch", Excludes("targets", LIVE)),
+        Flag("targets", "FILE", "", "probe a `host:port` list over TCP; bad lines are skipped", Free),
+        Flag("connect-timeout-ms", "N", "10000", "nonblocking connect deadline", Needs("targets")),
+        Flag("io-timeout-ms", "N", "10000", "per-frame peer response deadline", Needs("targets")),
+        Flag("retries", "N", "1", "ladder restarts per target after a failure", Needs("targets")),
+        Flag("backoff-ms", "N", "100", "base retry backoff, doubled per retry", Needs("targets")),
+        Flag("probe-rate", "R", "0", "global admissions/s; 0 is unlimited", Needs("targets")),
+        Flag("net-rate", "R", "0", "per-/24 admissions/s; 0 is unlimited", Needs("targets")),
+        Flag("max-sessions", "N", "1024", "probes in flight, all reactors", Needs("targets")),
+    ]),
+    Subcommand("emulate", "park loopback servers replaying simulated TCP, for census --targets", cmd_emulate, &[
+        Flag("targets-out", "FILE", "", "write the `host:port` list here (required)", Free),
+        Flag("algos", "A,B,C", "RENO,CUBIC,HTCP", "cycle these algorithms", Free),
+        Flag("count", "N", "50", "number of listeners", Free),
+        Flag("pace", "F", "0", "hold a reply F s per virtual s of its round", Free),
+    ]),
+    Subcommand("census-merge", "join per-shard checkpoints/JSONL into one report", cmd_census_merge, &[
+        Flag("in", "FILE", "", "a shard's --checkpoint or --out file (repeatable)", Free),
+        Flag("json", "", "", "print the merged report as JSON", Free),
+        Flag("allow-partial", "", "", "tolerate missing/incomplete shards", Free),
+    ]),
+    Subcommand("metrics-check", "validate --metrics files and print their final counters", cmd_metrics_check, &[
+        Flag("in", "FILE", "", "a caai-metrics-v1 JSONL file (repeatable)", Free),
+        Flag("expect", "NAME=N", "", "fail unless final counter NAME == N (repeatable)", Free),
+        Flag("expect-min", "NAME=N", "", "fail unless final counter NAME >= N (repeatable)", Free),
+        Flag("expect-p99", "NAME<=N", "", "fail unless histogram NAME's p99 bound is <= N (repeatable)", Free),
+        Flag("expect-count", "NAME>=N", "", "fail unless histogram NAME holds >= N values (repeatable)", Free),
+    ]),
+    Subcommand("trace-report", "analyze --trace files: self-time per stage, rung and round", cmd_trace_report, &[
+        Flag("in", "FILE", "", "a Chrome trace-event JSON file (repeatable)", Free),
+        Flag("top", "N", "8", "slow-outlier table length", Free),
+        Flag("min-gather-share", "F", "", "fail unless gather self time is at least F of all", Free),
+    ]),
+];
+
+const HELP_HEAD: &str = "caai — TCP Congestion Avoidance Algorithm Identification (Yang et al.)
+
+USAGE:
+    caai <command> [--key value ...]
+
+COMMANDS:
+";
+
+const HELP_TAIL: &str = "
+    The census is driven by the caai-engine probe scheduler: per-server
+    RNG keyed on (seed, server id) makes the report identical for every
+    worker count, a run killed mid-flight resumes from its checkpoint to
+    the byte-identical report, and N sharded runs merge into the
+    byte-identical report of one unsharded run.
+";
+
+/// `caai help`, rendered from `COMMANDS`: a line per command, then a
+/// line per flag with its default and the flag it needs or excludes.
+fn help() -> String {
+    let mut text = HELP_HEAD.to_owned();
+    for Subcommand(name, about, _, flags) in &COMMANDS {
+        text += &format!("    {name:<13} {about}\n");
+        for Flag(flag, arg, default, help, rule) in *flags {
+            let mut notes = Vec::new();
+            if !default.is_empty() {
+                notes.push(format!("default {default}"));
+            }
+            match rule {
+                Needs(other) => notes.push(format!("with --{other}")),
+                Excludes(other, _) | Conflicts(other, _) => {
+                    notes.push(format!("not with --{other}"))
+                }
+                Free => {}
+            }
+            let usage = format!("--{flag} {arg}");
+            text += &format!("      {:<23} {help}", usage.trim_end());
+            if !notes.is_empty() {
+                text += &format!(" ({})", notes.join("; "));
+            }
+            text.push('\n');
+        }
+    }
+    text + HELP_TAIL
+}
+
+/// The flags given to one subcommand, read against its table.
+struct Args {
+    table: &'static [Flag],
+    /// Each flag given, in order, with its value (`true` for a switch).
+    given: Vec<(&'static str, String)>,
+}
 
 impl Args {
-    /// Parses what follows `command`, which takes the space-separated
-    /// flags in `allowed`.
-    fn parse(command: &str, allowed: &str, raw: &[String]) -> Result<Args, String> {
-        let mut flags = Vec::new();
+    /// Parses what follows `command`: `--key value` or `--key=value` for
+    /// each flag of its `table`, `--key` for a switch. A flag is refused
+    /// when the flag its rule needs is absent or the flag it excludes is
+    /// present.
+    fn parse(command: &str, table: &'static [Flag], raw: &[String]) -> Result<Args, String> {
+        let mut given = Vec::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
             let Some(flag) = a.strip_prefix("--") else {
@@ -59,40 +231,60 @@ impl Args {
                 Some((k, v)) => (k, Some(v)),
                 None => (flag, None),
             };
-            if !allowed.split_whitespace().any(|flag| flag == key) {
+            let Some(Flag(name, arg, ..)) = table.iter().find(|f| f.0 == key) else {
                 return Err(format!("unknown flag --{key} for {command}"));
-            }
+            };
             let value = match inline {
                 Some(v) => v.to_owned(),
-                None if BOOLEAN_FLAGS.contains(&key) => "true".to_owned(),
+                None if arg.is_empty() => "true".to_owned(),
                 None => it
                     .next()
                     .ok_or_else(|| format!("--{key} expects a value"))?
                     .clone(),
             };
-            flags.push((key.to_owned(), value));
+            given.push((*name, value));
         }
-        Ok(Args { flags })
+        let is_given = |flag: &str| given.iter().any(|(k, _)| *k == flag);
+        for Flag(flag, .., rule) in table.iter().filter(|f| is_given(f.0)) {
+            let refusal = match *rule {
+                Needs(other) if !is_given(other) => format!("--{flag} applies only with --{other}"),
+                Excludes(other, then) if is_given(other) => {
+                    format!("--{flag} does not apply with --{other}{then}")
+                }
+                Conflicts(other, why) if is_given(other) => {
+                    format!("--{other} and --{flag} are mutually exclusive: {why}")
+                }
+                _ => continue,
+            };
+            return Err(refusal);
+        }
+        Ok(Args { table, given })
     }
 
+    /// The last value given for `key`, else its default.
     fn get(&self, key: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        let given = self.given.iter().rev().find(|(k, _)| *k == key);
+        match given {
+            Some((_, v)) => Some(v),
+            None => self
+                .table
+                .iter()
+                .find(|f| f.0 == key)
+                .map(|f| f.2)
+                .filter(|d| !d.is_empty()),
+        }
     }
 
     /// Every value given for a repeatable flag, in order (`--in a --in b`).
     fn get_all(&self, key: &str) -> Vec<&str> {
-        self.flags
+        self.given
             .iter()
-            .filter(|(k, _)| k == key)
+            .filter(|(k, _)| *k == key)
             .map(|(_, v)| v.as_str())
             .collect()
     }
 
-    /// The parsed value of `--key`, if the flag was given.
+    /// The parsed value of `--key`, if it was given or has a default.
     fn optional<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String>
     where
         T::Err: std::fmt::Display,
@@ -102,11 +294,32 @@ impl Args {
             .transpose()
     }
 
-    fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
+    /// The parsed value of `--key`, or of its default.
+    fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T, String>
     where
         T::Err: std::fmt::Display,
     {
-        Ok(self.optional(key)?.unwrap_or(default))
+        self.optional(key)?
+            .ok_or_else(|| format!("--{key} is required"))
+    }
+
+    /// A count that must be at least 1.
+    fn count(&self, key: &str) -> Result<usize, String> {
+        match self.parsed(key)? {
+            0 => Err(format!("--{key} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// `--key SECS` as a duration; a negative, NaN or too large value is
+    /// refused.
+    fn secs(&self, key: &str) -> Result<Option<Duration>, String> {
+        self.get(key)
+            .map(|v| {
+                let secs: f64 = v.parse().map_err(|e| format!("--{key} {v}: {e}"))?;
+                Duration::try_from_secs_f64(secs).map_err(|e| format!("--{key} {v}: {e}"))
+            })
+            .transpose()
     }
 
     fn algo(&self) -> Result<AlgorithmId, String> {
@@ -117,7 +330,7 @@ impl Args {
     }
 
     fn path_config(&self) -> Result<PathConfig, String> {
-        let loss: f64 = self.parsed("loss", 0.0)?;
+        let loss: f64 = self.parsed("loss")?;
         if !(0.0..1.0).contains(&loss) {
             return Err(format!("--loss {loss} out of [0, 1)"));
         }
@@ -129,117 +342,10 @@ impl Args {
     }
 }
 
-const USAGE: &str = "caai — TCP Congestion Avoidance Algorithm Identification (Yang et al.)
-
-USAGE:
-    caai <command> [--key value ...]
-
-COMMANDS:
-    algorithms    list the implemented congestion avoidance algorithms
-    trace         gather one window trace from a simulated server
-                  [--algo NAME] [--env A|B] [--wmax 512] [--loss 0.0] [--seed 1]
-    fingerprint   gather both environments and print the feature vector
-                  [--algo NAME] [--loss 0.0] [--seed 1]
-    train         collect a training set and save the classifier as JSON
-                  [--conditions 10] [--out model.json] [--seed 1]
-    identify      end-to-end identification of one simulated server, or of
-                  every probe flow recorded in a packet capture
-                  [--algo NAME] [--model model.json | --conditions 6] [--loss 0.0] [--seed 1]
-                  [--pcap FILE|-]        classify recorded flows instead of simulating
-                                         (classic pcap or pcapng; `-` reads stdin)
-                  [--follow]             stream a growing file, FIFO, or pipe: verdicts
-                                         emit while the capture is still being written
-                  [--flow-timeout SECS]  idle seconds before a flow is evicted (60)
-                  [--session-timeout S]  idle seconds before a session's verdict (1800)
-                  [--poll-ms MS]         follow-mode poll interval at EOF (50)
-                  [--idle-timeout SECS]  give up when no bytes arrive for SECS
-                                         (30; 0 waits forever)
-                  [--out records.jsonl]  stream one census record per flow (with --pcap)
-                  [--json]               machine-readable per-flow verdicts (with --pcap)
-                  [--metrics FILE]       write caai-metrics-v1 JSONL snapshots: one final
-                                         line on exit, plus one per granule with --follow
-                  [--progress N]         with --follow: stderr progress line (frames,
-                                         live flows, evictions, throughput) every N
-                                         granules (0 = quiet, the default)
-                  [--trace FILE]         write a Chrome trace-event JSON timeline of
-                                         every pipeline stage (open it in Perfetto or
-                                         chrome://tracing; analyze with trace-report)
-                  [--trace-sample N]     keep only every Nth server's gather subtree
-    render-pcap   render simulated probe sessions into a byte-valid capture
-                  --out capture.pcap [--algo NAME ...] [--short N]
-                  [--loss 0.0] [--seed 1]
-                  (each --algo adds one probed server; --short N adds N
-                   servers whose pages are too short for a valid trace)
-    census        probe simulated servers or live targets, print the Table IV report
-                  [--model model.json | --conditions 6] [--json] [--seed 1]
-                  [--shard k/N]          probe only servers with id % N == k
-                  [--out report.jsonl]   stream records to a JSONL file
-                  [--checkpoint ck.json] snapshot completed work periodically
-                  [--checkpoint-every N] records between snapshots (256)
-                  [--resume ck.json]     continue from a snapshot
-                  [--budget N]           stop cleanly after N probes
-                  [--deadline SECS]      stop cleanly after SECS wall-clock
-                  [--progress N]         progress + stage-timing line every N records
-                                         (0 = quiet; --metrics still collects)
-                  [--metrics FILE]       write a final caai-metrics-v1 snapshot line
-                  [--trace FILE]         write a Chrome trace-event JSON timeline
-                                         (run → batches → per-server gathers, rungs,
-                                         rounds; analyze with trace-report)
-                  [--trace-sample N]     keep only every Nth server's gather subtree
-                  simulated: [--servers 1000] [--workers 4]
-                  [--batch N]            servers per scheduler batch (16)
-                  live: --targets FILE   probe a `host:port` list over real TCP sockets
-                                         (malformed lines, duplicates, unresolvable
-                                         hosts are skipped and reported, never fatal)
-                  [--connect-timeout-ms N]  nonblocking connect deadline (10000)
-                  [--io-timeout-ms N]    per-frame peer response deadline (10000)
-                  [--retries N]          ladder restarts per target on transport
-                                         failure (1)
-                  [--backoff-ms N]       base retry backoff, doubled per retry (100)
-                  [--probe-rate R]       global session admissions/sec (0 = unlimited)
-                  [--net-rate R]         per-/24 admissions/sec (0 = unlimited)
-                  [--max-sessions N]     probes in flight, all reactors (1024)
-    emulate       park a fleet of loopback servers replaying simulated TCP
-                  stacks over real sockets, for `census --targets` tests
-                  --targets-out FILE     write the `host:port` list here
-                  [--algos A,B,C]        cycle these algorithms (RENO,CUBIC,HTCP)
-                  [--count N]            number of listeners (50)
-                  [--pace F]             hold a reply F s per virtual s of its round (0)
-    census-merge  join per-shard checkpoints/JSONL into one report
-                  --in FILE [--in FILE ...] each a --checkpoint or --out
-                                            file from a census shard
-                  [--json]               print the merged report as JSON
-                  [--allow-partial]      tolerate missing/incomplete shards
-    metrics-check validate --metrics files and print their final counters
-                  --in FILE [--in FILE ...]  caai-metrics-v1 JSONL files
-                  [--expect NAME=N]      fail unless final counter NAME == N
-                  [--expect-min NAME=N]  fail unless final counter NAME >= N
-                  [--expect-p99 NAME<=N] fail unless histogram NAME's p99
-                                         (bucket upper bound) is <= N
-                  [--expect-count NAME>=N] fail unless histogram NAME has
-                                         recorded at least N values
-                                         (all repeatable; checked per file)
-    trace-report  analyze a --trace file offline: per-stage self-time
-                  attribution (p50/p95/p99), the gather breakdown by rung
-                  and round, reactor tick vs session time, and the
-                  slowest gathers by server id
-                  --in FILE [--in FILE ...]  Chrome trace-event JSON files
-                  [--top N]              slow-outlier table length (8)
-                  [--min-gather-share F] fail unless the gather+rung+round
-                                         self-time share is at least F
-                                         (0.5 = half of all self time)
-
-    The census is driven by the caai-engine probe scheduler: per-server
-    RNG keyed on (seed, server id) makes the report identical for every
-    worker count, a run killed mid-flight resumes from its checkpoint to
-    the byte-identical report, and N sharded runs merge into the
-    byte-identical report of one unsharded run.
-";
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first() else {
-        eprint!("{USAGE}");
+        eprint!("{}", help());
         return ExitCode::FAILURE;
     };
     match dispatch(command, &argv[1..]) {
@@ -254,46 +360,15 @@ fn main() -> ExitCode {
 type Command = fn(&Args) -> Result<(), String>;
 type FileSink = JsonlSink<std::io::BufWriter<std::fs::File>>;
 
-/// Every subcommand: its name, the flags it takes (the ones `USAGE`
-/// documents — anything else is refused), and its entry point.
-const COMMANDS: [(&str, &str, Command); 11] = [
-    ("algorithms", "", cmd_algorithms),
-    ("trace", "algo env wmax loss seed", cmd_trace),
-    ("fingerprint", "algo loss seed", cmd_fingerprint),
-    ("train", "conditions out seed", cmd_train),
-    (
-        "identify",
-        "algo model conditions loss seed pcap follow flow-timeout session-timeout poll-ms \
-         idle-timeout out json metrics progress trace trace-sample",
-        cmd_identify,
-    ),
-    ("render-pcap", "out algo short loss seed", cmd_render_pcap),
-    (
-        "census",
-        "servers model conditions workers json seed shard out checkpoint checkpoint-every \
-         resume budget deadline batch progress metrics trace trace-sample targets \
-         connect-timeout-ms io-timeout-ms retries backoff-ms probe-rate net-rate max-sessions",
-        cmd_census,
-    ),
-    ("emulate", "targets-out algos count pace", cmd_emulate),
-    ("census-merge", "in json allow-partial", cmd_census_merge),
-    (
-        "metrics-check",
-        "in expect expect-min expect-p99 expect-count",
-        cmd_metrics_check,
-    ),
-    ("trace-report", "in top min-gather-share", cmd_trace_report),
-];
-
 fn dispatch(command: &str, raw: &[String]) -> Result<(), String> {
     if matches!(command, "help" | "--help" | "-h") {
-        print!("{USAGE}");
+        print!("{}", help());
         return Ok(());
     }
-    let Some((_, flags, run)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
-        return Err(format!("unknown command `{command}`\n\n{USAGE}"));
+    let Some(Subcommand(_, _, run, table)) = COMMANDS.iter().find(|c| c.0 == command) else {
+        return Err(format!("unknown command `{command}`\n\n{}", help()));
     };
-    run(&Args::parse(command, flags, raw)?)
+    run(&Args::parse(command, table, raw)?)
 }
 
 fn cmd_algorithms(_args: &Args) -> Result<(), String> {
@@ -320,9 +395,9 @@ fn cmd_algorithms(_args: &Args) -> Result<(), String> {
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
     let algo = args.algo()?;
-    let wmax: u32 = args.parsed("wmax", 512)?;
-    let seed: u64 = args.parsed("seed", 1)?;
-    let env = match args.get("env").unwrap_or("A") {
+    let wmax: u32 = args.parsed("wmax")?;
+    let seed: u64 = args.parsed("seed")?;
+    let env = match args.parsed::<String>("env")?.as_str() {
         "A" | "a" => EnvironmentId::A,
         "B" | "b" => EnvironmentId::B,
         other => return Err(format!("--env {other}: expected A or B")),
@@ -366,7 +441,7 @@ fn gather_vector(
 
 fn cmd_fingerprint(args: &Args) -> Result<(), String> {
     let algo = args.algo()?;
-    let seed: u64 = args.parsed("seed", 1)?;
+    let seed: u64 = args.parsed("seed")?;
     let path = args.path_config()?;
     let (vector, wmax) = gather_vector(algo, &path, seed)?;
     println!("algorithm: {algo}   w_max rung: {wmax}");
@@ -390,15 +465,15 @@ fn load_or_train(args: &Args) -> Result<CaaiClassifier, String> {
         let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         return serde_json::from_str(&json).map_err(|e| format!("parse {path}: {e}"));
     }
-    let conditions: usize = args.parsed("conditions", 6)?;
-    let seed: u64 = args.parsed("seed", 1)?;
+    let conditions = args.count("conditions")?;
+    let seed: u64 = args.parsed("seed")?;
     Ok(train_classifier(conditions, seed ^ 0x7121))
 }
 
 fn cmd_train(args: &Args) -> Result<(), String> {
-    let conditions: usize = args.parsed("conditions", 10)?;
-    let seed: u64 = args.parsed("seed", 1)?;
-    let out = args.get("out").unwrap_or("model.json").to_owned();
+    let conditions = args.count("conditions")?;
+    let seed: u64 = args.parsed("seed")?;
+    let out: String = args.parsed("out")?;
     let classifier = train_classifier(conditions, seed);
     let json = serde_json::to_string(&classifier).map_err(|e| format!("serialize: {e}"))?;
     std::fs::write(&out, &json).map_err(|e| format!("write {out}: {e}"))?;
@@ -411,7 +486,7 @@ fn cmd_identify(args: &Args) -> Result<(), String> {
         return cmd_identify_pcap(args, pcap);
     }
     let algo = args.algo()?;
-    let seed: u64 = args.parsed("seed", 1)?;
+    let seed: u64 = args.parsed("seed")?;
     let path = args.path_config()?;
     let classifier = load_or_train(args)?;
     let (vector, wmax) = gather_vector(algo, &path, seed)?;
@@ -546,7 +621,7 @@ fn open_trace(args: &Args) -> Result<Option<TraceSubscriber>, String> {
     let Some(path) = args.get("trace") else {
         return Ok(None);
     };
-    let sample: u64 = args.parsed("trace-sample", 1)?;
+    let sample: u64 = args.parsed("trace-sample")?;
     TraceSubscriber::create(std::path::Path::new(path), sample)
         .map(Some)
         .map_err(|e| format!("create {path}: {e}"))
@@ -583,7 +658,7 @@ impl<'a> ProgressHook<'a> {
     fn new(args: &Args, metrics: &'a MetricsSubscriber, owned: u64) -> Result<Self, String> {
         Ok(ProgressHook {
             metrics,
-            every: args.parsed("progress", 0)?,
+            every: args.parsed("progress")?,
             owned,
             started: Instant::now(),
             state: std::sync::Mutex::new(HookState {
@@ -811,25 +886,19 @@ fn print_verdict_totals(report: &CensusReport) {
 /// streaming pipeline, emitting each session's verdict the moment it
 /// times out — while the file is still being written.
 fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
-    let classifier = load_or_train(args)?;
-    let flow_timeout: f64 = args.parsed("flow-timeout", 60.0)?;
-    let session_timeout: f64 = args.parsed("session-timeout", 1800.0)?;
-    let poll_ms: u64 = args.parsed("poll-ms", 50)?;
-    let idle_secs: f64 = args.parsed("idle-timeout", 30.0)?;
+    let flow_timeout: f64 = args.parsed("flow-timeout")?;
+    let session_timeout: f64 = args.parsed("session-timeout")?;
+    let poll_ms: u64 = args.parsed("poll-ms")?;
     let positive = |t: f64| t.is_finite() && t > 0.0;
     if !positive(flow_timeout) || !positive(session_timeout) {
         return Err("--flow-timeout and --session-timeout must be positive".to_owned());
     }
-
     let follow = FollowConfig {
         follow: true,
         poll_interval: Duration::from_millis(poll_ms.max(1)),
-        idle_timeout: if idle_secs > 0.0 {
-            Some(Duration::from_secs_f64(idle_secs))
-        } else {
-            None
-        },
+        idle_timeout: args.secs("idle-timeout")?.filter(|t| !t.is_zero()),
     };
+    let classifier = load_or_train(args)?;
     let mut source = open_path(pcap_path, &follow).map_err(|e| format!("open {pcap_path}: {e}"))?;
     let config = StreamConfig {
         flow_timeout,
@@ -913,8 +982,8 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
         .get("out")
         .ok_or("render-pcap needs --out capture.pcap")?
         .to_owned();
-    let seed: u64 = args.parsed("seed", 1)?;
-    let short: u32 = args.parsed("short", 0)?;
+    let seed: u64 = args.parsed("seed")?;
+    let short: u32 = args.parsed("short")?;
     let path = args.path_config()?;
     let algos: Vec<AlgorithmId> = args
         .get_all("algo")
@@ -992,27 +1061,32 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// What `census` reads from its flags the same way whether it probes the
-/// simulator or live targets: the engine configuration, the checkpoint
-/// to resume from, and the `--out` sink.
-fn census_setup(
-    args: &Args,
-    seed: u64,
-    shard: ShardSpec,
-    population: u64,
-) -> Result<(EngineConfig, Option<Checkpoint>, Option<FileSink>), String> {
-    let config = EngineConfig {
-        seed,
-        workers: args.parsed("workers", 4)?,
-        batch_size: args.parsed("batch", 16)?,
-        shard,
+/// The engine configuration `census` reads from its flags, whether it
+/// probes the simulator or live targets.
+fn engine_config(args: &Args) -> Result<EngineConfig, String> {
+    Ok(EngineConfig {
+        seed: args.parsed("seed")?,
+        workers: args.count("workers")?,
+        batch_size: args.parsed("batch")?,
+        shard: args.parsed("shard")?,
         checkpoint_path: args.get("checkpoint").map(PathBuf::from),
-        checkpoint_every: args.parsed("checkpoint-every", 256)?,
+        checkpoint_every: args.parsed("checkpoint-every")?,
         budget: Budget {
             max_probes: args.optional("budget")?,
-            deadline: args.optional("deadline")?.map(Duration::from_secs_f64),
+            deadline: args.secs("deadline")?,
         },
-    };
+    })
+}
+
+/// What else `census` opens from its flags the same way whether it
+/// probes the simulator or live targets: the checkpoint to resume from,
+/// and the `--out` sink.
+fn census_setup(
+    args: &Args,
+    config: &EngineConfig,
+    population: u64,
+) -> Result<(Option<Checkpoint>, Option<FileSink>), String> {
+    let (seed, shard) = (config.seed, config.shard);
     let resume = match args.get("resume") {
         None => None,
         Some(path) => {
@@ -1043,7 +1117,7 @@ fn census_setup(
             Some(sink)
         }
     };
-    Ok((config, resume, jsonl))
+    Ok((resume, jsonl))
 }
 
 /// What `census` does once the engine returns, whatever it probed: the
@@ -1081,41 +1155,19 @@ fn census_epilogue(
     print_report(&outcome.report, args.get("json").is_some())
 }
 
-/// The `census` flags only a live census (`--targets`) reads.
-const NET_FLAGS: &str =
-    "connect-timeout-ms io-timeout-ms retries backoff-ms probe-rate net-rate max-sessions";
-
 fn cmd_census(args: &Args) -> Result<(), String> {
-    // Each mode refuses the flags only the other reads: a live census
-    // runs no worker threads, and a simulated one opens no sockets.
-    let live = args.get("targets").is_some();
-    let refused = if live { "workers batch" } else { NET_FLAGS };
-    if let Some(flag) = refused.split_whitespace().find(|f| args.get(f).is_some()) {
-        return Err(if live {
-            format!("--{flag} does not apply with --targets: set --max-sessions instead")
-        } else {
-            format!("--{flag} applies only with --targets")
-        });
-    }
     if let Some(path) = args.get("targets") {
-        if args.get("servers").is_some() {
-            return Err(
-                "--targets and --servers are mutually exclusive: a census probes \
-                        either a live target list or a synthetic population"
-                    .to_owned(),
-            );
-        }
         return cmd_census_net(args, path);
     }
-    let servers: u32 = args.parsed("servers", 1000)?;
-    let seed: u64 = args.parsed("seed", 1)?;
-    let shard: ShardSpec = args.parsed("shard", ShardSpec::full())?;
+    let servers: u32 = args.parsed("servers")?;
+    let config = engine_config(args)?;
+    let (seed, shard) = (config.seed, config.shard);
     let classifier = load_or_train(args)?;
     let db = ConditionDb::paper_2011();
     let census = Census::new(classifier, db, ProberConfig::default());
     let mut rng = seeded(seed);
     let population = PopulationConfig::small(servers).generate(&mut rng);
-    let (config, resume, mut jsonl) = census_setup(args, seed, shard, u64::from(servers))?;
+    let (resume, mut jsonl) = census_setup(args, &config, u64::from(servers))?;
 
     let owned = shard.owned_count(u64::from(servers));
     let workers = config.workers;
@@ -1144,12 +1196,9 @@ fn cmd_census(args: &Args) -> Result<(), String> {
 /// duplicates, and unresolvable hosts are skipped and reported, never
 /// fatal: a live census finishes with whatever answered.
 fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
-    let max_sessions: usize = args.parsed("max-sessions", 1024)?;
-    if max_sessions == 0 {
-        return Err("--max-sessions must be at least 1".to_owned());
-    }
-    let seed: u64 = args.parsed("seed", 1)?;
-    let shard: ShardSpec = args.parsed("shard", ShardSpec::full())?;
+    let max_sessions = args.count("max-sessions")?;
+    let config = engine_config(args)?;
+    let shard = config.shard;
     let list = read_targets(std::path::Path::new(targets_path))
         .map_err(|e| format!("read {targets_path}: {e}"))?;
     for skipped in &list.skipped {
@@ -1172,12 +1221,12 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     let classifier = load_or_train(args)?;
     let net_config = NetConfig {
         prober: ProberConfig::default(),
-        connect_timeout: Duration::from_millis(args.parsed("connect-timeout-ms", 10_000u64)?),
-        io_timeout: Duration::from_millis(args.parsed("io-timeout-ms", 10_000u64)?),
-        retries: args.parsed("retries", 1)?,
-        backoff: Duration::from_millis(args.parsed("backoff-ms", 100u64)?),
-        rate: args.parsed("probe-rate", 0.0)?,
-        rate_per_net: args.parsed("net-rate", 0.0)?,
+        connect_timeout: Duration::from_millis(args.parsed("connect-timeout-ms")?),
+        io_timeout: Duration::from_millis(args.parsed("io-timeout-ms")?),
+        retries: args.parsed("retries")?,
+        backoff: Duration::from_millis(args.parsed("backoff-ms")?),
+        rate: args.parsed("probe-rate")?,
+        rate_per_net: args.parsed("net-rate")?,
         max_sessions,
     };
     // The transport and the engine share one subscriber stack: reactor
@@ -1189,7 +1238,7 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     for (id, target, why) in transport.resolution_failures() {
         eprintln!("{targets_path}: target {id} ({target}): skipped ({why}); recorded as invalid");
     }
-    let (config, resume, mut jsonl) = census_setup(args, seed, shard, population)?;
+    let (resume, mut jsonl) = census_setup(args, &config, population)?;
 
     let owned = shard.owned_count(population);
     eprintln!(
@@ -1216,21 +1265,16 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
 /// exercising `census --targets` without touching the real network (CI
 /// runs this in the background, probes it, then kills it).
 fn cmd_emulate(args: &Args) -> Result<(), String> {
-    let count: usize = args.parsed("count", 50)?;
-    if count == 0 {
-        return Err("--count must be at least 1".to_owned());
-    }
+    let count = args.count("count")?;
     let algos: Vec<AlgorithmId> = args
-        .get("algos")
-        .unwrap_or("RENO,CUBIC,HTCP")
+        .parsed::<String>("algos")?
         .split(',')
         .map(|name| name.parse().map_err(|e| format!("--algos: {e}")))
         .collect::<Result<_, _>>()?;
     let out = args
         .get("targets-out")
         .ok_or("emulate needs --targets-out FILE")?;
-    let pace: f64 = args.parsed("pace", 0.0)?;
-    let pace = Duration::try_from_secs_f64(pace).map_err(|e| format!("--pace {pace}: {e}"))?;
+    let pace = args.secs("pace")?.unwrap_or_default();
     // Bind everything before writing the list: once the file exists,
     // every line in it accepts connections.
     let mut servers = Vec::with_capacity(count);
@@ -1302,57 +1346,70 @@ fn cmd_census_merge(args: &Args) -> Result<(), String> {
     print_report(&merged.report, args.get("json").is_some())
 }
 
-/// One `--expect NAME=N` (exact) or `--expect-min NAME=N` (lower bound)
-/// assertion against the final snapshot's counters.
+/// One `--expect NAME=N` (exact), `--expect-min NAME=N` (lower bound),
+/// `--expect-p99 NAME<=N` (ceiling on the p99 bucket bound) or
+/// `--expect-count NAME>=N` (floor on recorded values) assertion against
+/// the final snapshot's counters or histograms.
 struct Expectation {
+    flag: &'static str,
     name: String,
     value: u64,
-    exact: bool,
 }
+
+/// The histogram flags first: a file is checked in this order.
+const EXPECTATIONS: [(&str, &str); 4] = [
+    ("expect-p99", "<="),
+    ("expect-count", ">="),
+    ("expect", "="),
+    ("expect-min", "="),
+];
 
 fn parse_expectations(args: &Args) -> Result<Vec<Expectation>, String> {
     let mut out = Vec::new();
-    for (flag, exact) in [("expect", true), ("expect-min", false)] {
-        for spec in args.get_all(flag) {
-            let (name, value) = spec
-                .split_once('=')
-                .ok_or_else(|| format!("--{flag} {spec}: expected NAME=N"))?;
-            let value = value.parse().map_err(|e| format!("--{flag} {spec}: {e}"))?;
-            out.push(Expectation {
-                name: name.to_owned(),
-                value,
-                exact,
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// One `--expect-p99 NAME<=N` (latency-style ceiling on the p99 bucket
-/// bound) or `--expect-count NAME>=N` (floor on recorded values)
-/// assertion against the final snapshot's histograms.
-struct HistExpectation {
-    name: String,
-    value: u64,
-    p99: bool,
-}
-
-fn parse_hist_expectations(args: &Args) -> Result<Vec<HistExpectation>, String> {
-    let mut out = Vec::new();
-    for (flag, sep, p99) in [("expect-p99", "<=", true), ("expect-count", ">=", false)] {
+    for (flag, sep) in EXPECTATIONS {
         for spec in args.get_all(flag) {
             let (name, value) = spec
                 .split_once(sep)
                 .ok_or_else(|| format!("--{flag} {spec}: expected NAME{sep}N"))?;
             let value = value.parse().map_err(|e| format!("--{flag} {spec}: {e}"))?;
-            out.push(HistExpectation {
+            out.push(Expectation {
+                flag,
                 name: name.to_owned(),
                 value,
-                p99,
             });
         }
     }
     Ok(out)
+}
+
+impl Expectation {
+    /// Why `snapshot` fails this expectation, if it does.
+    fn failure(&self, snapshot: &MetricsSnapshot) -> Option<String> {
+        let (name, want) = (&self.name, self.value);
+        let got = snapshot.counters.get(name).copied().unwrap_or(0);
+        let histogram = snapshot.histograms.get(name);
+        match (self.flag, histogram) {
+            ("expect", _) => {
+                (got != want).then(|| format!("counter `{name}` is {got}, expected {want}"))
+            }
+            ("expect-min", _) => {
+                (got < want).then(|| format!("counter `{name}` is {got}, expected at least {want}"))
+            }
+            (flag, None) => Some(format!(
+                "--{flag}: no histogram named `{name}` in the final snapshot"
+            )),
+            ("expect-p99", Some(h)) => {
+                let p99 = h.quantile(0.99);
+                (p99 > want).then(|| format!("histogram `{name}` p99 is {p99}, expected <= {want}"))
+            }
+            (_, Some(h)) => (h.count < want).then(|| {
+                format!(
+                    "histogram `{name}` recorded {} values, expected >= {want}",
+                    h.count
+                )
+            }),
+        }
+    }
 }
 
 /// Analyzes `--trace` files offline: per-stage self-time attribution
@@ -1366,19 +1423,19 @@ fn cmd_trace_report(args: &Args) -> Result<(), String> {
     if inputs.is_empty() {
         return Err("trace-report needs at least one --in FILE".to_owned());
     }
-    let top: usize = args.parsed("top", 8)?;
-    let min_gather_share: f64 = args.parsed("min-gather-share", -1.0)?;
+    let top: usize = args.parsed("top")?;
+    let min_gather_share: Option<f64> = args.optional("min-gather-share")?;
     for path in inputs {
         let read = caai::obs::report::read_file(std::path::Path::new(path))
             .map_err(|e| format!("read {path}: {e}"))?;
         let analysis = TraceAnalysis::from_spans(&read.spans, top);
         println!("{path}:");
         print!("{}", analysis.render(&read));
-        if min_gather_share >= 0.0 && analysis.gather_share < min_gather_share {
+        if let Some(min) = min_gather_share.filter(|min| analysis.gather_share < *min) {
             return Err(format!(
                 "{path}: gather self-time share {:.1}% is below the required {:.1}%",
                 100.0 * analysis.gather_share,
-                100.0 * min_gather_share,
+                100.0 * min,
             ));
         }
     }
@@ -1394,7 +1451,6 @@ fn cmd_metrics_check(args: &Args) -> Result<(), String> {
         return Err("metrics-check needs at least one --in FILE".to_owned());
     }
     let expectations = parse_expectations(args)?;
-    let hist_expectations = parse_hist_expectations(args)?;
     for path in inputs {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         let lines = caai::obs::validate_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -1423,48 +1479,8 @@ fn cmd_metrics_check(args: &Args) -> Result<(), String> {
                 );
             }
         }
-        for exp in &hist_expectations {
-            let op = if exp.p99 {
-                "--expect-p99"
-            } else {
-                "--expect-count"
-            };
-            let Some(h) = last.snapshot.histograms.get(&exp.name) else {
-                return Err(format!(
-                    "{path}: {op}: no histogram named `{}` in the final snapshot",
-                    exp.name
-                ));
-            };
-            if exp.p99 {
-                let got = h.quantile(0.99);
-                if got > exp.value {
-                    return Err(format!(
-                        "{path}: histogram `{}` p99 is {got}, expected <= {}",
-                        exp.name, exp.value,
-                    ));
-                }
-            } else if h.count < exp.value {
-                return Err(format!(
-                    "{path}: histogram `{}` recorded {} values, expected >= {}",
-                    exp.name, h.count, exp.value,
-                ));
-            }
-        }
-        for exp in &expectations {
-            let got = last.snapshot.counters.get(&exp.name).copied().unwrap_or(0);
-            let ok = if exp.exact {
-                got == exp.value
-            } else {
-                got >= exp.value
-            };
-            if !ok {
-                return Err(format!(
-                    "{path}: counter `{}` is {got}, expected {}{}",
-                    exp.name,
-                    if exp.exact { "" } else { "at least " },
-                    exp.value,
-                ));
-            }
+        if let Some(why) = expectations.iter().find_map(|e| e.failure(&last.snapshot)) {
+            return Err(format!("{path}: {why}"));
         }
     }
     Ok(())
@@ -1520,72 +1536,138 @@ mod tests {
 
     /// Parses `raw` as the flags of `command`, against its `COMMANDS` row.
     fn parse(command: &str, raw: &[&str]) -> Result<Args, String> {
-        let (_, flags, _) = COMMANDS
+        let Subcommand(.., table) = COMMANDS
             .iter()
-            .find(|(name, ..)| *name == command)
+            .find(|c| c.0 == command)
             .expect("a command from the table");
         let raw: Vec<String> = raw.iter().map(|s| (*s).to_owned()).collect();
-        Args::parse(command, flags, &raw)
+        Args::parse(command, table, &raw)
     }
 
     fn args(command: &str, raw: &[&str]) -> Args {
         parse(command, raw).expect("parse")
     }
 
-    /// Every `COMMANDS` row has a paragraph in `USAGE` (a line indented
-    /// four spaces that starts with the command's name, and the deeper
-    /// lines under it) naming each flag the row accepts as `--flag`.
-    /// Prose may mention other flags.
+    /// Every row parses with its declared default and `caai help` names
+    /// it with its placeholder and default; every flag `Args::parse`
+    /// accepts has a row, so a flag of another command is refused.
     #[test]
-    fn usage_documents_every_flag_of_every_command() {
-        let mut paragraphs: Vec<(&str, String)> = Vec::new();
-        let mut open = false;
-        for line in USAGE.lines() {
-            if let Some(head) = line.strip_prefix("    ").filter(|l| !l.starts_with(' ')) {
-                let name = head.split_whitespace().next().unwrap_or_default();
-                paragraphs.push((name, head.to_owned()));
-                open = true;
-            } else if open && line.starts_with("     ") {
-                paragraphs.last_mut().expect("open").1 += line;
-            } else {
-                open = false;
+    fn every_row_parses_with_its_default_and_is_in_help() {
+        let help = help();
+        let all: Vec<&str> = COMMANDS
+            .iter()
+            .flat_map(|c| c.3.iter().map(|f| f.0))
+            .collect();
+        for Subcommand(command, about, _, flags) in &COMMANDS {
+            assert!(help.contains(&format!("    {command:<13} {about}\n")));
+            for Flag(flag, arg, default, _, rule) in *flags {
+                let mut raw = vec![format!("--{flag}")];
+                if !arg.is_empty() {
+                    raw.push(default.to_string());
+                }
+                // The flag it needs, and whatever that one needs.
+                let mut rule = *rule;
+                while let Needs(other) = rule {
+                    raw.push(format!("--{other}=x"));
+                    rule = flags.iter().find(|f| f.0 == other).expect("a row").4;
+                }
+                let raw: Vec<&str> = raw.iter().map(String::as_str).collect();
+                let a = parse(command, &raw).unwrap_or_else(|e| panic!("{command} {raw:?}: {e}"));
+                let want = if arg.is_empty() { "true" } else { default };
+                assert_eq!(a.given[0], (*flag, want.to_owned()), "{command} --{flag}");
+                let line = format!("      {:<23} ", format!("--{flag} {arg}").trim_end());
+                assert!(help.contains(&line), "help lacks `{line}` under {command}");
+                if !default.is_empty() {
+                    assert!(help.contains(&format!("(default {default}")), "--{flag}");
+                }
+            }
+            for flag in all.iter().filter(|f| !flags.iter().any(|row| row.0 == **f)) {
+                let err = parse(command, &[&format!("--{flag}=1")]).err();
+                assert_eq!(err, Some(format!("unknown flag --{flag} for {command}")));
             }
         }
-        let names = |text: &str, flag: &str| {
-            let dashed = format!("--{flag}");
-            text.match_indices(&dashed).any(|(at, _)| {
-                !text[at + dashed.len()..]
-                    .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
-            })
-        };
-        for (command, flags, _) in COMMANDS {
-            let (_, text) = paragraphs
-                .iter()
-                .find(|(name, _)| *name == command)
-                .unwrap_or_else(|| panic!("USAGE has no paragraph for `{command}`"));
-            for flag in flags.split_whitespace() {
-                assert!(names(text, flag), "USAGE's `{command}` lacks --{flag}");
-            }
+    }
+
+    /// A default must parse as the type the command reads it as.
+    #[test]
+    fn every_default_parses_as_its_command_reads_it() {
+        let census = args("census", &[]);
+        let config = engine_config(&census).expect("census defaults");
+        assert_eq!(
+            (config.workers, config.batch_size, config.checkpoint_every),
+            (4, 16, 256)
+        );
+        assert!(config.shard.is_full() && config.seed == 1 && config.budget.deadline.is_none());
+        assert_eq!(census.parsed::<u32>("servers"), Ok(1000));
+        assert_eq!(census.count("max-sessions"), Ok(1024));
+        assert_eq!(census.count("conditions"), Ok(6));
+        for flag in [
+            "connect-timeout-ms",
+            "io-timeout-ms",
+            "backoff-ms",
+            "progress",
+            "trace-sample",
+        ] {
+            assert!(census.parsed::<u64>(flag).is_ok(), "{flag}");
         }
+        assert_eq!(census.parsed::<u32>("retries"), Ok(1));
+        assert_eq!(census.parsed::<f64>("probe-rate"), Ok(0.0));
+        assert_eq!(census.parsed::<f64>("net-rate"), Ok(0.0));
+        let identify = args("identify", &[]);
+        for flag in ["flow-timeout", "session-timeout"] {
+            assert!(
+                identify.parsed::<f64>(flag).is_ok_and(|t| t > 0.0),
+                "{flag}"
+            );
+        }
+        for flag in ["poll-ms", "progress", "trace-sample"] {
+            assert!(identify.parsed::<u64>(flag).is_ok(), "{flag}");
+        }
+        assert_eq!(
+            identify.secs("idle-timeout"),
+            Ok(Some(Duration::from_secs(30)))
+        );
+        assert_eq!(identify.count("conditions"), Ok(6));
+        for command in ["trace", "fingerprint", "identify", "render-pcap"] {
+            let a = args(command, &[]);
+            assert!(a.path_config().is_ok() && a.parsed::<u64>("seed") == Ok(1));
+        }
+        let trace = args("trace", &[]);
+        assert_eq!(trace.parsed::<u32>("wmax"), Ok(512));
+        assert_eq!(trace.parsed::<String>("env").as_deref(), Ok("A"));
+        assert_eq!(args("render-pcap", &[]).parsed::<u32>("short"), Ok(0));
+        let train = args("train", &[]);
+        assert_eq!(train.count("conditions"), Ok(10));
+        assert_eq!(train.parsed::<String>("out").as_deref(), Ok("model.json"));
+        let emulate = args("emulate", &[]);
+        assert_eq!(emulate.count("count"), Ok(50));
+        assert_eq!(emulate.secs("pace"), Ok(Some(Duration::ZERO)));
+        assert_eq!(
+            emulate.parsed::<String>("algos").as_deref(),
+            Ok("RENO,CUBIC,HTCP")
+        );
+        let report = args("trace-report", &[]);
+        assert_eq!(report.parsed::<usize>("top"), Ok(8));
+        assert_eq!(report.optional::<f64>("min-gather-share"), Ok(None));
     }
 
     #[test]
     fn parses_key_value_pairs_in_both_forms() {
         let a = args("trace", &["--algo", "CUBIC", "--seed=42"]);
         assert_eq!(a.get("algo"), Some("CUBIC"));
-        assert_eq!(a.parsed::<u64>("seed", 1).unwrap(), 42);
+        assert_eq!(a.parsed::<u64>("seed").unwrap(), 42);
     }
 
     #[test]
     fn later_flags_win() {
         let a = args("trace", &["--seed", "1", "--seed", "2"]);
-        assert_eq!(a.parsed::<u64>("seed", 0).unwrap(), 2);
+        assert_eq!(a.parsed::<u64>("seed").unwrap(), 2);
     }
 
     #[test]
     fn missing_flags_fall_back_to_defaults() {
         let a = args("trace", &[]);
-        assert_eq!(a.parsed::<u32>("wmax", 512).unwrap(), 512);
+        assert_eq!(a.parsed::<u32>("wmax").unwrap(), 512);
         assert!(a.algo().is_err());
     }
 
@@ -1620,8 +1702,8 @@ mod tests {
         );
         let exps = parse_expectations(&a).expect("well-formed");
         assert_eq!(exps.len(), 2);
-        assert!(exps[0].exact && exps[0].name == "capture.truncations" && exps[0].value == 0);
-        assert!(!exps[1].exact && exps[1].value == 1);
+        assert!(exps[0].flag == "expect" && exps[0].name == "capture.truncations");
+        assert!(exps[1].flag == "expect-min" && exps[1].value == 1);
 
         assert!(parse_expectations(&args("metrics-check", &["--expect", "no-equals"])).is_err());
         assert!(
@@ -1640,22 +1722,56 @@ mod tests {
                 "gather.rounds>=1",
             ],
         );
-        let exps = parse_hist_expectations(&a).expect("well-formed");
+        let exps = parse_expectations(&a).expect("well-formed");
         assert_eq!(exps.len(), 2);
-        assert!(exps[0].p99 && exps[0].name == "stream.tick_latency_us" && exps[0].value == 128);
-        assert!(!exps[1].p99 && exps[1].name == "gather.rounds" && exps[1].value == 1);
+        assert!(exps[0].flag == "expect-p99" && exps[0].name == "stream.tick_latency_us");
+        assert_eq!(exps[0].value, 128);
+        assert!(exps[1].flag == "expect-count" && exps[1].name == "gather.rounds");
+        assert_eq!(exps[1].value, 1);
 
         // The comparison spelling is part of the flag's contract: `=` or
         // the wrong direction is malformed, not silently reinterpreted.
-        assert!(parse_hist_expectations(&args("metrics-check", &["--expect-p99", "x=5"])).is_err());
-        assert!(
-            parse_hist_expectations(&args("metrics-check", &["--expect-p99", "x>=5"])).is_err()
+        for (flag, spec) in [
+            ("--expect-p99", "x=5"),
+            ("--expect-p99", "x>=5"),
+            ("--expect-count", "x<=5"),
+            ("--expect-count", "x>=bad"),
+        ] {
+            assert!(parse_expectations(&args("metrics-check", &[flag, spec])).is_err());
+        }
+    }
+
+    #[test]
+    fn expectations_name_what_the_snapshot_fails() {
+        let metrics = MetricsSubscriber::new();
+        metrics.on_event(&Event::ProbeTimed(caai::obs::ProbeTimed {
+            gather_us: 300,
+            verdict_us: 100,
+        }));
+        let snapshot = metrics.snapshot();
+        let failure = |flag: &str, spec: &str| {
+            let exps = parse_expectations(&args("metrics-check", &[flag, spec])).expect("parse");
+            exps[0].failure(&snapshot)
+        };
+        assert_eq!(failure("--expect", "census.records=0"), None);
+        assert_eq!(
+            failure("--expect", "census.records=2").as_deref(),
+            Some("counter `census.records` is 0, expected 2")
         );
-        assert!(
-            parse_hist_expectations(&args("metrics-check", &["--expect-count", "x<=5"])).is_err()
+        assert_eq!(
+            failure("--expect-min", "census.records=1").as_deref(),
+            Some("counter `census.records` is 0, expected at least 1")
         );
-        assert!(
-            parse_hist_expectations(&args("metrics-check", &["--expect-count", "x>=bad"])).is_err()
+        assert_eq!(failure("--expect-count", "census.probe_gather_us>=1"), None);
+        assert_eq!(
+            failure("--expect-count", "census.probe_gather_us>=2").as_deref(),
+            Some("histogram `census.probe_gather_us` recorded 1 values, expected >= 2")
+        );
+        assert!(failure("--expect-p99", "census.probe_gather_us<=1")
+            .is_some_and(|why| why.starts_with("histogram `census.probe_gather_us` p99 is ")));
+        assert_eq!(
+            failure("--expect-p99", "no.such<=1").as_deref(),
+            Some("--expect-p99: no histogram named `no.such` in the final snapshot")
         );
     }
 
