@@ -61,6 +61,8 @@ enum Rule {
 
 use Rule::{Conflicts, Excludes, Free, Needs};
 
+// Why a live census refuses the simulator's flags: it runs no worker
+// threads, and `--targets` and `--servers` each name the population.
 const LIVE: &str = ": set --max-sessions instead";
 const EITHER: &str = "a census probes either a live target list or a synthetic population";
 
@@ -217,9 +219,9 @@ struct Args {
 
 impl Args {
     /// Parses what follows `command`: `--key value` or `--key=value` for
-    /// each flag of its `table`, `--key` for a switch. A flag is refused
-    /// when the flag its rule needs is absent or the flag it excludes is
-    /// present.
+    /// each flag of its `table`, a bare `--key` for a switch. A flag is
+    /// refused when the flag its rule needs is absent or the flag it
+    /// excludes is present.
     fn parse(command: &str, table: &'static [Flag], raw: &[String]) -> Result<Args, String> {
         let mut given = Vec::new();
         let mut it = raw.iter();
@@ -235,6 +237,7 @@ impl Args {
                 return Err(format!("unknown flag --{key} for {command}"));
             };
             let value = match inline {
+                Some(_) if arg.is_empty() => return Err(format!("--{key} takes no value")),
                 Some(v) => v.to_owned(),
                 None if arg.is_empty() => "true".to_owned(),
                 None => it
@@ -1568,8 +1571,12 @@ mod tests {
                 // The flag it needs, and whatever that one needs.
                 let mut rule = *rule;
                 while let Needs(other) = rule {
-                    raw.push(format!("--{other}=x"));
-                    rule = flags.iter().find(|f| f.0 == other).expect("a row").4;
+                    let row = flags.iter().find(|f| f.0 == other).expect("a row");
+                    raw.push(format!("--{other}"));
+                    if !row.1.is_empty() {
+                        raw.push("x".to_owned());
+                    }
+                    rule = row.4;
                 }
                 let raw: Vec<&str> = raw.iter().map(String::as_str).collect();
                 let a = parse(command, &raw).unwrap_or_else(|e| panic!("{command} {raw:?}: {e}"));
@@ -1682,6 +1689,13 @@ mod tests {
     #[test]
     fn dangling_flag_is_rejected() {
         assert!(parse("trace", &["--seed"]).is_err());
+    }
+
+    #[test]
+    fn a_switch_takes_no_value() {
+        let err = parse("census", &["--json=false"]).err();
+        assert_eq!(err.as_deref(), Some("--json takes no value"));
+        assert_eq!(args("census", &["--json"]).get("json"), Some("true"));
     }
 
     #[test]

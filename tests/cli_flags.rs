@@ -53,7 +53,16 @@ fn a_simulated_identify_refuses_the_capture_flags_and_writes_nothing() {
     let out = tmp("simulated.jsonl");
     let out = out.to_str().expect("utf-8 path");
     assert_eq!(
-        refused(&["identify", "--algo", "RENO", "--out", out, "--follow", "--poll-ms", "5"]),
+        refused(&[
+            "identify",
+            "--algo",
+            "RENO",
+            "--out",
+            out,
+            "--follow",
+            "--poll-ms",
+            "5"
+        ]),
         "--follow applies only with --pcap"
     );
     assert_eq!(
@@ -141,7 +150,14 @@ fn out_of_range_values_are_usage_errors_not_panics() {
         ("-1", "value is negative"),
     ] {
         assert_eq!(
-            refused(&["identify", "--pcap", pcap, "--follow", "--idle-timeout", value]),
+            refused(&[
+                "identify",
+                "--pcap",
+                pcap,
+                "--follow",
+                "--idle-timeout",
+                value
+            ]),
             format!("--idle-timeout {value}: cannot convert float seconds to Duration: {why}")
         );
     }
