@@ -1070,7 +1070,7 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
     Ok(EngineConfig {
         seed: args.parsed("seed")?,
         workers: args.count("workers")?,
-        batch_size: args.parsed("batch")?,
+        batch_size: args.count("batch")?,
         shard: args.parsed("shard")?,
         checkpoint_path: args.get("checkpoint").map(PathBuf::from),
         checkpoint_every: args.parsed("checkpoint-every")?,

@@ -172,4 +172,8 @@ fn out_of_range_values_are_usage_errors_not_panics() {
         refused(&["census", "--servers", "10", "--workers", "0"]),
         "--workers must be at least 1"
     );
+    assert_eq!(
+        refused(&["census", "--servers", "10", "--batch", "0"]),
+        "--batch must be at least 1"
+    );
 }
