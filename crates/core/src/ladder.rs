@@ -18,21 +18,24 @@
 //! on a clean path, one more per loss, late arrival or duplicate), its
 //! ACKs go out as runs too, and both directions cost O(runs).
 //!
-//! Neither holds a clock, a socket, an RNG, a tap or a subscriber. Three
+//! Neither holds a clock, a socket, an RNG, a tap or a subscriber. Two
 //! drivers feed them and execute what they return:
 //!
 //! ```text
-//!   Prober (prober.rs)        LadderCore (caai-net)       session_outcome (caai-capture)
-//!   tcpsim + path fates       frames + virtual clock      reconstructed connections
-//!        │  arrival runs, RTO answered? │                          │ finished traces
-//!        ▼           ▲ ACK runs         ▼                          │
-//!   ┌─────────── RungAttempt ───────────┐                          │
-//!   │ Pre ──w>w_max──▶ AwaitRto ──▶ Post │──WindowTrace──┐          │
-//!   └───────────────────────────────────┘               ▼          ▼
+//!   LadderCore ◀─frames─▶ ServerCore (sansio.rs)    session_outcome (caai-capture)
+//!   virtual clock          tcpsim + path fates       reconstructed connections
+//!        │  arrival runs, RTO answered?                       │ finished traces
+//!        ▼           ▲ ACK runs                               │
+//!   ┌─────────── RungAttempt ───────────┐                     │
+//!   │ Pre ──w>w_max──▶ AwaitRto ──▶ Post │──WindowTrace──┐     │
+//!   └───────────────────────────────────┘               ▼     ▼
 //!                                         ┌──────── LadderWalk ────────┐
 //!                                         │ next() / record() / abort() │──▶ GatherOutcome
 //!                                         └────────────────────────────┘
 //! ```
+//!
+//! The frame pair is one driver wherever it runs: the simulator passes
+//! the frames between the two cores in memory, `caai-net` over sockets.
 //!
 //! Sequence numbers may come straight off a wire, so all arithmetic on
 //! them saturates; on honest inputs nothing ever does.
@@ -210,6 +213,25 @@ impl Run {
     /// The run's highest number (`None` for an empty run).
     fn last(&self) -> Option<u64> {
         Some(self.first.saturating_add(self.len.checked_sub(1)?))
+    }
+
+    /// Appends the numbers `first .. first + len` to `runs`, extending the
+    /// last run when they continue it and share its `duplicate`; appends
+    /// nothing for `len` 0.
+    pub fn push(runs: &mut Vec<Run>, first: u64, len: u64, duplicate: bool) {
+        match runs.last_mut() {
+            _ if len == 0 => {}
+            Some(run)
+                if run.duplicate == duplicate && run.first.checked_add(run.len) == Some(first) =>
+            {
+                run.len += len
+            }
+            _ => runs.push(Run {
+                first,
+                len,
+                duplicate,
+            }),
+        }
     }
 }
 
@@ -522,20 +544,8 @@ impl RungAttempt {
             if first <= self.prober_cum || first > end {
                 continue;
             }
-            let len = end - first + 1;
             self.prober_cum = end;
-            match self.acks.last_mut() {
-                Some(train)
-                    if !train.duplicate && train.first.checked_add(train.len) == Some(first) =>
-                {
-                    train.len += len;
-                }
-                _ => self.acks.push(Run {
-                    first,
-                    len,
-                    duplicate: false,
-                }),
-            }
+            Run::push(&mut self.acks, first, end - first + 1, false);
         }
     }
 }
@@ -588,7 +598,7 @@ mod tests {
 
     #[test]
     fn record_is_total_over_env_orderings() {
-        // Expected orders are what `Prober::gather`, `LadderCore` and
+        // Expected orders are what the simulator, `LadderCore` and
         // `session_outcome` each produced before they shared this walk.
         let ok = None;
         let check = |name: &str, traces: Vec<WindowTrace>, failed: Vec<u32>, pair| {

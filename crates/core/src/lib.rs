@@ -6,8 +6,9 @@
 //! CAAI actively identifies the TCP congestion avoidance algorithm of a
 //! remote web server in three steps:
 //!
-//! 1. **Trace gathering** ([`ladder`], driven over the simulator by
-//!    [`prober`]): emulate network environments A (fixed 1.0 s RTT) and B
+//! 1. **Trace gathering** ([`ladder`], whose two protocol ends
+//!    [`sansio`] holds and [`prober`] runs against each other in
+//!    memory): emulate network environments A (fixed 1.0 s RTT) and B
 //!    (0.8 s → 1.0 s steps) purely through ACK scheduling, force a
 //!    retransmission timeout by withholding ACKs once the window passes a
 //!    `w_max` threshold, and record the per-RTT window trace (§IV).
@@ -47,8 +48,10 @@ pub mod census;
 pub mod classes;
 pub mod classify;
 pub mod features;
+pub mod frame;
 pub mod ladder;
 pub mod prober;
+pub mod sansio;
 pub mod server_under_test;
 pub mod special;
 pub mod trace;

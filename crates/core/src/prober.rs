@@ -12,19 +12,29 @@
 //! 512 → 256 → 128 → 64 until both environments yield usable traces
 //! (§IV-B).
 //!
-//! Those decisions live in [`crate::ladder`], shared with the live-socket
-//! and capture-replay drivers; this module is the *simulator's* driver:
-//! it runs the server's TCP stack, draws the path's packet fates and
-//! reports to the tap and the subscriber.
+//! Those decisions live in [`crate::ladder`], and both ends of a probing
+//! connection in [`crate::sansio`]: [`Prober`] passes frames between the
+//! ladder's client core and a server core in memory, the server core runs
+//! the server's TCP stack and draws the path's packet fates, and this
+//! module reports the frames to the tap and the subscriber. A live probe
+//! over `caai-net`'s sockets runs the same two cores. The server core
+//! keeps two rules a walk depends on (its docs have them in full):
+//! packets still in flight when the server has nothing left to send are
+//! delivered as a round, which neither closes the connection nor fires
+//! the server's RTO (carry); and the walk's connections share the
+//! caller's [`ServerUnderTest`] ssthresh cache, written as each one
+//! closes (cache).
 
-use caai_netem::path::DataFate;
 use caai_netem::{EnvironmentId, PathConfig};
-use caai_obs::{span_begin_at, Event, GatherFinished, NullSubscriber, SpanKind, Subscriber};
-use caai_tcpsim::TcpServer;
+use caai_obs::{
+    span_begin_at, Event, GatherFinished, NullSubscriber, SpanKind, SpanToken, Subscriber,
+};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::ladder::{AttemptPhase, LadderWalk, Next, Run, RungAttempt, DEFAULT_LADDER};
+use crate::frame::{ClientFrame, ServerFrame};
+use crate::ladder::{AttemptPhase, DEFAULT_LADDER};
+use crate::sansio::{LadderCore, ServerCore, Step};
 use crate::server_under_test::ServerUnderTest;
 use crate::trace::{InvalidReason, TracePair, WindowTrace, POST_TIMEOUT_ROUNDS};
 
@@ -118,23 +128,19 @@ impl GatherOutcome {
         if self.pair.is_some() {
             return None;
         }
-        let reasons: Vec<InvalidReason> = self
-            .failed_attempts
-            .iter()
-            .filter_map(|t| t.invalid)
-            .collect();
-        for preferred in [
+        let failed = |reason| {
+            self.failed_attempts
+                .iter()
+                .any(|t| t.invalid == Some(reason))
+        };
+        let preferred = [
             InvalidReason::TransportAborted,
             InvalidReason::PageTooShort,
             InvalidReason::NoTimeoutResponse,
             InvalidReason::RecoveryTooShort,
-            InvalidReason::NeverExceededThreshold,
-        ] {
-            if reasons.contains(&preferred) {
-                return Some(preferred);
-            }
-        }
-        Some(InvalidReason::NeverExceededThreshold)
+        ];
+        let reason = preferred.into_iter().find(|&reason| failed(reason));
+        reason.or(Some(InvalidReason::NeverExceededThreshold))
     }
 }
 
@@ -202,10 +208,12 @@ pub struct NoopTap;
 
 impl ProbeTap for NoopTap {}
 
-/// The CAAI prober: the simulator's driver of [`crate::ladder`]. The
-/// ladder decides what to attempt, what to ACK and when to withhold; the
-/// prober owns everything simulated — the server's TCP stack, the path's
-/// loss/duplication/reordering, the tap and the spans.
+/// The CAAI prober: every simulated gather. It runs the walk of a
+/// [`LadderCore`] against a [`ServerCore`] per connection, passing frames
+/// between them as values, and reports what those frames carry to the
+/// tap and the subscriber. The ladder decides what to attempt, what to
+/// ACK and when to withhold; the server end runs the server's TCP stack
+/// and the path's loss, duplication and reordering.
 #[derive(Debug, Clone, Default)]
 pub struct Prober {
     config: ProberConfig,
@@ -223,8 +231,8 @@ impl Prober {
     }
 
     /// Runs the full §IV protocol: walk the `w_max` ladder
-    /// ([`LadderWalk`]), gather environment A then B at each rung, stop
-    /// at the first usable pair.
+    /// ([`LadderWalk`](crate::ladder::LadderWalk)), gather environment A
+    /// then B at each rung, stop at the first usable pair.
     pub fn gather(
         &self,
         server: &ServerUnderTest,
@@ -249,22 +257,15 @@ impl Prober {
         tap: &mut T,
         obs: &S,
     ) -> GatherOutcome {
-        let mut walk = LadderWalk::new();
-        let mut now = 0.0;
-        let mut inbox = Inbox::default();
-        while let Some((env, wmax)) = walk.next(&self.config.wmax_ladder) {
-            let (trace, end) =
-                self.attempt(server, env, wmax, now, path, rng, tap, obs, &mut inbox);
-            now = end + self.config.inter_connection_wait;
-            walk.record(trace);
-        }
-        let outcome = walk.finish();
+        let client = LadderCore::new(self.config.clone());
+        let (outcome, _) = self.walk(client, server, path, rng, tap, obs);
         obs.on_event(&outcome.finished_event());
         outcome
     }
 
-    /// Gathers one window trace in one environment at one `w_max` rung.
-    /// Returns the trace and the simulation time when the connection ended.
+    /// Gathers one window trace in one environment at one `w_max` rung,
+    /// on a connection opened at `start`. Returns the trace and the
+    /// simulation time when the connection ended.
     pub fn gather_trace(
         &self,
         server: &ServerUnderTest,
@@ -274,252 +275,109 @@ impl Prober {
         path: &PathConfig,
         rng: &mut impl Rng,
     ) -> (WindowTrace, f64) {
-        let inbox = &mut Inbox::default();
-        self.attempt(
-            server,
-            env,
-            wmax,
-            start,
-            path,
-            rng,
-            &mut NoopTap,
-            &NullSubscriber,
-            inbox,
-        )
+        let client = LadderCore::one_attempt(self.config.clone(), env, wmax, start);
+        let (outcome, end) = self.walk(client, server, path, rng, &mut NoopTap, &NullSubscriber);
+        let trace = outcome.failed_attempts.into_iter().next();
+        (trace.expect("a single attempt is filed as failed"), end)
     }
 
-    /// One probing connection, reported to the tap and the subscriber:
-    /// one [`caai_obs::RungAttemptStarted`] / [`caai_obs::RungAttemptEnded`]
-    /// pair brackets the attempt, with the round count, validity, and
-    /// whether the Fig. 13 stall early-exit fired. Returns the trace and
-    /// the simulation time when the connection ended. `inbox` lends its
-    /// buffers: what they hold on entry is discarded, their capacity is
-    /// kept for the next rung.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt<T: ProbeTap + ?Sized, S: Subscriber>(
+    /// Runs `client`'s walk against `server` across `path`, a fresh
+    /// [`ServerCore`] per connection, and reports it: to `obs` one
+    /// [`caai_obs::RungAttemptStarted`] / [`caai_obs::RungAttemptEnded`]
+    /// pair and one `RungAttempt` span per connection, a `Round` span per
+    /// round; to `tap` the packets the server's bursts deliver and the ACKs
+    /// the prober's frames carry. Returns the outcome and when the last
+    /// connection closed.
+    fn walk<T: ProbeTap + ?Sized, S: Subscriber>(
         &self,
+        mut client: LadderCore,
         server: &ServerUnderTest,
-        env: EnvironmentId,
-        wmax: u32,
-        start: f64,
         path: &PathConfig,
         rng: &mut impl Rng,
         tap: &mut T,
         obs: &S,
-        inbox: &mut Inbox,
-    ) -> (WindowTrace, f64) {
-        let config = &self.config;
-        let mut attempt = RungAttempt::new(env, wmax);
-        obs.on_event(&Event::RungAttemptStarted(attempt.started()));
-        let span = span_begin_at(
-            obs,
-            SpanKind::RungAttempt,
-            i64::from(wmax),
-            matches!(env, EnvironmentId::B) as i64,
-            start,
-        );
-        let granted_mss = server.granted_mss(config.proposed_mss);
-        attempt.set_mss(granted_mss);
-        let mut conn = server.connect(config.proposed_mss, start);
-        let mut now = start;
-        tap.connection_opened(now, env, wmax, config.proposed_mss, granted_mss);
-        let mut server_cum: u64 = 0; // highest cum-ack delivered
-        inbox.carry.clear();
-
-        let closed_by = loop {
-            let post = attempt.phase() == AttemptPhase::Post;
-            let round = i64::from(attempt.round_number());
-            let round_span = span_begin_at(obs, SpanKind::Round, round, post as i64, now);
-            let rtt = attempt.round_rtt();
-            let burst = conn.transmit(now);
-            let end = if burst.is_empty() && inbox.carry.is_empty() {
-                let done = conn.finished();
-                if !done {
-                    fire_rto_within(&mut conn, now, now + rtt);
+    ) -> (GatherOutcome, f64) {
+        let proposed_mss = self.config.proposed_mss;
+        let (mut conn, mut rung) = (None, (EnvironmentId::A, 0));
+        let (mut rung_span, mut round_span) = (SpanToken::NONE, SpanToken::NONE);
+        let (mut round_at, mut closed_at) = (0.0, 0.0);
+        let mut step = client.start();
+        loop {
+            let (frames, close_after) = match step {
+                Step::Done(outcome) => return (*outcome, closed_at),
+                Step::Connect => {
+                    let attempt = client.attempt().expect("a connection is for an attempt");
+                    rung = (attempt.trace().env, attempt.trace().wmax_threshold);
+                    let (env, wmax) = ((rung.0 == EnvironmentId::B) as i64, i64::from(rung.1));
+                    obs.on_event(&Event::RungAttemptStarted(attempt.started()));
+                    rung_span = span_begin_at(obs, SpanKind::RungAttempt, wmax, env, client.now());
+                    conn = Some(ServerCore::over_path(server, *path, &mut *rng));
+                    step = client.on_connected();
+                    continue;
                 }
-                attempt.on_silent_round(config, done)
-            } else {
-                inbox.deliver(burst.seqs().start, burst.len() as u64, path, rng);
-                for run in &inbox.received {
-                    for seq in run.first..run.first + run.len {
-                        tap.data_received(now, seq, run.duplicate);
+                Step::Send {
+                    frames,
+                    close_after,
+                } => (frames, close_after),
+            };
+            let core = conn.as_mut().expect("a send follows a connect");
+            let mut reply = None;
+            for frame in &frames {
+                match *frame {
+                    ClientFrame::Xmit { now, .. } => {
+                        let attempt = client.attempt().expect("a round is an attempt's");
+                        let round = i64::from(attempt.round_number());
+                        let post = (attempt.phase() == AttemptPhase::Post) as i64;
+                        round_span = span_begin_at(obs, SpanKind::Round, round, post, now);
+                        round_at = now;
+                    }
+                    ClientFrame::Ack { now, cum_ack, .. } => tap.ack_sent(now, cum_ack, true),
+                    ClientFrame::AckRun {
+                        now, first, count, ..
+                    } => {
+                        for cum_ack in first..first + u64::from(count) {
+                            tap.ack_sent(now, cum_ack, false);
+                        }
+                    }
+                    _ => {}
+                }
+                let answer = core
+                    .on_frame(frame)
+                    .expect("the simulated ends keep the protocol");
+                reply = answer.frames.or(reply);
+            }
+            client.recycle(frames);
+            if close_after {
+                closed_at = client.now();
+                tap.connection_closed(closed_at, core.close(closed_at));
+                rung_span.end_at(obs, closed_at);
+                let ended = *client.rungs().last().expect("a closed attempt is recorded");
+                obs.on_event(&Event::RungAttemptEnded(ended));
+                step = client.on_closed();
+                continue;
+            }
+            let reply = reply.expect("the server answers a send that awaits a reply");
+            match &reply {
+                ServerFrame::Welcome { granted_mss } => {
+                    tap.connection_opened(client.now(), rung.0, rung.1, proposed_mss, *granted_mss);
+                }
+                ServerFrame::Burst { runs, .. } => {
+                    for run in runs {
+                        for seq in run.first..run.first + run.len {
+                            tap.data_received(round_at, seq, run.duplicate);
+                        }
                     }
                 }
-                attempt.on_round(config, &inbox.received)
+                ServerFrame::RtoResult { .. } => {}
             }
-            .expect("rounds are driven only while the attempt measures");
-            now += end.elapsed;
-            for acks in attempt.acks() {
-                let rtt = if acks.duplicate { 0.0 } else { rtt };
-                // One fate per ACK, in sending order; the ACKs between two
-                // losses reach the server as the train they form.
-                let (mut first, mut left) = (acks.first, acks.len);
-                while left > 0 {
-                    let delivered = path.ack_run(left, rng);
-                    // The lost ACK that ended the train was sent as well.
-                    let sent = left.min(delivered + 1);
-                    for cum_ack in first..first + sent {
-                        tap.ack_sent(now, cum_ack, acks.duplicate);
-                    }
-                    deliver_ack_run(&mut conn, &mut server_cum, now, first, delivered, rtt);
-                    (first, left) = (first + sent, left - sent);
-                }
+            let next = client.on_frame(&reply);
+            step = next.expect("the simulated ends keep the protocol");
+            if let ServerFrame::Burst { .. } = reply {
+                round_span.end_at(obs, client.now());
             }
-            round_span.end_at(obs, now);
-            match end.next {
-                Next::Transmit => {}
-                Next::Close(by) => break by,
-                Next::AwaitRto => {
-                    inbox.carry.clear();
-                    let (answered, at) = await_rto(&mut conn, now, config.max_rto_waits);
-                    now = at;
-                    let end = attempt
-                        .on_rto(answered)
-                        .expect("the attempt awaits the RTO");
-                    if let Next::Close(by) = end.next {
-                        break by;
-                    }
-                }
-            }
-        };
-
-        server.disconnect(&conn, now);
-        tap.connection_closed(now, closed_by);
-        span.end_at(obs, now);
-        obs.on_event(&Event::RungAttemptEnded(attempt.ended()));
-        (attempt.into_trace(), now)
-    }
-}
-
-/// The prober's end of the path. The buffers live as long as the walk,
-/// so a round allocates nothing once they hold the (few) runs of one.
-#[derive(Debug, Default)]
-struct Inbox {
-    /// What arrived this round, in sequence order.
-    received: Vec<Run>,
-    /// Late packets and the spurious copies of duplicated ones, in the
-    /// order sent: they surface next round.
-    carry: Vec<Run>,
-}
-
-impl Inbox {
-    /// Applies path fates to the burst `first .. first + len` — one draw a
-    /// packet, in wire order — behind the arrivals carried over from the
-    /// previous round. Leaves this round's arrivals in `received`, in
-    /// sequence order with carried packets ahead of equal sequence
-    /// numbers, and the next round's carry in `carry`. Deliveries between
-    /// two exceptions are one run, whatever their number; a loss or a
-    /// late packet ends it.
-    fn deliver(&mut self, mut first: u64, mut left: u64, path: &PathConfig, rng: &mut impl Rng) {
-        self.received.clear();
-        self.received.append(&mut self.carry);
-        while left > 0 {
-            let (delivered, fate) = path.data_run(left, rng);
-            let arrived = delivered + u64::from(fate == Some(DataFate::Duplicated));
-            push_run(&mut self.received, first, arrived, false);
-            let Some(fate) = fate else { break };
-            let seq = first + delivered;
-            if fate != DataFate::Lost {
-                push_run(&mut self.carry, seq, 1, fate == DataFate::Duplicated);
-            }
-            (first, left) = (seq + 1, left - delivered - 1);
-        }
-        // Stragglers lie below this round's burst and a burst ascends, so
-        // arrival order is sequence order — unless the sender went back
-        // with packets in flight. That rare round is sorted packet by
-        // packet, earlier arrivals ahead of equal ones.
-        let ends = |run: &Run| run.first + (run.len - 1);
-        if !self.received.windows(2).all(|w| ends(&w[0]) <= w[1].first) {
-            let mut packets = Vec::new();
-            for r in &self.received {
-                packets.extend((r.first..=ends(r)).map(|seq| (seq, r.duplicate)));
-            }
-            packets.sort_by_key(|&(seq, _)| seq);
-            self.received.clear();
-            for (seq, duplicate) in packets {
-                push_run(&mut self.received, seq, 1, duplicate);
-            }
+            core.recycle(reply);
         }
     }
-}
-
-/// Appends the packets `first .. first + len`, extending the last run
-/// when they continue it.
-fn push_run(runs: &mut Vec<Run>, first: u64, len: u64, duplicate: bool) {
-    if len == 0 {
-        return;
-    }
-    match runs.last_mut() {
-        Some(run) if run.duplicate == duplicate && run.first + run.len == first => run.len += len,
-        _ => runs.push(Run {
-            first,
-            len,
-            duplicate,
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------
-// The server end of a probing connection. `caai-net`'s emulated server
-// answers the wire protocol with these same three, so a simulated and an
-// emulated server react identically to the ladder.
-// ---------------------------------------------------------------------
-
-/// Delivers the prober's ACK train `first, first + 1, …, first + count - 1`
-/// (all at `now` with the same `rtt`; a zero `rtt` marks the F-RTO
-/// counter-measure duplicate) to the server's TCP stack.
-///
-/// A cumulative ACK that does not advance `server_cum`, the highest one
-/// delivered so far, is dropped, which leaves a shorter train: TCP would
-/// read it as a duplicate ACK and fast-retransmit. The simulated prober
-/// never sends one, but `caai-net`'s emulated server feeds the `Ack` and
-/// `AckRun` frames a peer wrote on its socket through here, and a peer's
-/// stale ACKs must not steer the server's TCP stack. The F-RTO duplicate
-/// is intentionally a non-advancing ACK and always goes through.
-pub fn deliver_ack_run(
-    conn: &mut TcpServer,
-    server_cum: &mut u64,
-    now: f64,
-    first: u64,
-    count: u64,
-    rtt: f64,
-) {
-    if rtt == 0.0 {
-        return conn.on_ack_run(now, first, count, rtt);
-    }
-    let advancing = first.max(server_cum.saturating_add(1));
-    let end = first.saturating_add(count);
-    if advancing < end {
-        *server_cum = end - 1;
-        conn.on_ack_run(now, advancing, end - advancing, rtt);
-    }
-}
-
-/// A round in which the server had nothing to send: every ACK of the
-/// previous round was lost, so its own (unplanned) RTO fires if the
-/// deadline falls before `horizon`, the end of the round.
-pub fn fire_rto_within(conn: &mut TcpServer, now: f64, horizon: f64) {
-    if let Some(deadline) = conn.rto_deadline() {
-        if deadline <= horizon {
-            conn.fire_rto(deadline.max(now));
-        }
-    }
-}
-
-/// The emulated timeout: with every ACK withheld since `now`, waits out
-/// the server's RTO, re-armed up to `max_waits` times. Returns whether
-/// the server retransmitted, and when the waiting ended.
-pub fn await_rto(conn: &mut TcpServer, mut now: f64, max_waits: u32) -> (bool, f64) {
-    for _ in 0..=max_waits {
-        let Some(deadline) = conn.rto_deadline() else {
-            break;
-        };
-        now = now.max(deadline);
-        if conn.fire_rto(now) {
-            return (true, now);
-        }
-    }
-    (false, now)
 }
 
 #[cfg(test)]
@@ -765,99 +623,6 @@ mod tests {
             valid >= 8,
             "2% loss should rarely break gathering: {valid}/10"
         );
-    }
-
-    /// One packet as the prober received it, as rounds were before they
-    /// were runs.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct Carried {
-        seq: u64,
-        duplicate: bool,
-    }
-
-    /// The packets `runs` stand for, in order.
-    fn packets(runs: &[Run]) -> Vec<Carried> {
-        let unrolled = runs.iter().flat_map(|r| {
-            let duplicate = r.duplicate;
-            (r.first..r.first + r.len).map(move |seq| Carried { seq, duplicate })
-        });
-        unrolled.collect()
-    }
-
-    /// The per-packet `deliver` that the run form replaced, kept as its
-    /// oracle: one arrival per packet, a stable sort over all of them.
-    fn deliver_per_packet(
-        wire: &[u64],
-        carry: &mut Vec<Carried>,
-        path: &PathConfig,
-        rng: &mut impl Rng,
-    ) -> Vec<Carried> {
-        let mut received = std::mem::take(carry);
-        for &seq in wire {
-            let arrival = Carried {
-                seq,
-                duplicate: false,
-            };
-            match path.data_fate(rng) {
-                DataFate::Delivered => received.push(arrival),
-                DataFate::Lost => {}
-                DataFate::Duplicated => {
-                    received.push(arrival);
-                    carry.push(Carried {
-                        duplicate: true,
-                        ..arrival
-                    });
-                }
-                DataFate::Late => carry.push(arrival),
-            }
-        }
-        received.sort_by_key(|p| p.seq);
-        received
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
-
-        #[test]
-        fn run_deliver_is_the_per_packet_deliver(seed in 0u64..u64::MAX) {
-            use rand::RngCore;
-            let mut draw = seeded(seed);
-            let mut below = move |n: u64| draw.next_u64() % n;
-            let path = PathConfig {
-                data_loss: [0.0, 0.02, 0.3][below(3) as usize],
-                ack_loss: 0.0,
-                data_dup: [0.0, 0.01, 0.2][below(3) as usize],
-                late_prob: [0.0, 0.05, 0.25][below(3) as usize],
-            };
-            // Any carry, not only one a previous round could have left.
-            let mut carry: Vec<Carried> = (0..below(6))
-                .map(|_| Carried { seq: below(60), duplicate: below(2) == 0 })
-                .collect();
-            let mut inbox = Inbox::default();
-            for late in &carry {
-                push_run(&mut inbox.carry, late.seq, 1, late.duplicate);
-            }
-            let (mut rng, mut oracle_rng) = (seeded(seed ^ 1), seeded(seed ^ 1));
-            for round in 0..4 {
-                // A sender's burst is one run, and may start below the
-                // carry when the sender went back.
-                let (first, len) = (below(60), below(80));
-                inbox.deliver(first, len, &path, &mut rng);
-                let wire: Vec<u64> = (first..first + len).collect();
-                let expected = deliver_per_packet(&wire, &mut carry, &path, &mut oracle_rng);
-                let (received, carried) = (packets(&inbox.received), packets(&inbox.carry));
-                proptest::prop_assert!(
-                    received == expected,
-                    "round {round}: {received:?} is not {expected:?}"
-                );
-                proptest::prop_assert!(
-                    carried == carry,
-                    "round {round}: carry {carried:?} is not {carry:?}"
-                );
-                proptest::prop_assert!(inbox.received.iter().all(|r| r.len > 0));
-                proptest::prop_assert!(rng.next_u64() == oracle_rng.next_u64(), "RNG streams diverged");
-            }
-        }
     }
 
     #[test]

@@ -22,9 +22,9 @@ use caai_capture::packet::flags;
 use caai_capture::pcap::byteswap_capture;
 use caai_capture::{encode, CaptureRenderer, FrameSpec, PcapReader, PcapWriter};
 use caai_congestion::AlgorithmId;
+use caai_core::sansio::{LadderCore, ServerCore, Step};
 use caai_core::{Prober, ProberConfig, ServerUnderTest};
 use caai_net::frame::Wire;
-use caai_net::{LadderCore, ServerCore, Step};
 use caai_netem::path::PathConfig;
 use caai_netem::rng::seeded;
 use caai_stream::classic_to_pcapng;
@@ -134,7 +134,7 @@ fn net_dialogue() -> (Vec<u8>, Vec<u8>) {
         for frame in &frames {
             frame.encode_into(&mut upstream);
             let answered = server.on_frame(frame).expect("honest client");
-            reply = answered.frames.into_iter().next().or(reply);
+            reply = answered.frames.or(reply);
         }
         if close_after {
             return (upstream, downstream);
@@ -533,7 +533,8 @@ fn epb_body(iface: u32, cap_len: u32) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame};
+    use caai_core::frame::{ClientFrame, ServerFrame};
+    use caai_net::frame::FrameDecoder;
     use caai_stream::{CaptureSource, PcapStream, SourceItem, StallPolicy};
     use std::io::Cursor;
 

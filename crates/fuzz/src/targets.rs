@@ -12,12 +12,14 @@ use caai_capture::{reassemble, reassemble_source, PcapReader, DEFAULT_LADDER};
 use caai_congestion::AlgorithmId;
 use caai_core::classes::label_names;
 use caai_core::features::FEATURE_DIM;
+use caai_core::frame::{ClientFrame, ServerFrame};
 use caai_core::ladder::{AttemptPhase, LadderWalk, Next, Run, RungAttempt};
 use caai_core::prober::ProberConfig;
+use caai_core::sansio::{LadderCore, ServerCore, Step};
 use caai_core::{CaaiClassifier, ServerUnderTest};
 use caai_ml::{Dataset, RandomForestConfig};
-use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame};
-use caai_net::{parse_targets, LadderCore, ServerCore, Step};
+use caai_net::frame::FrameDecoder;
+use caai_net::parse_targets;
 use caai_netem::rng::seeded;
 use caai_obs::NullSubscriber;
 use caai_stream::pcapng::SHB_MAGIC;
@@ -262,7 +264,7 @@ fn drive_net_frames(bytes: &[u8]) {
     let mut decoder = FrameDecoder::new();
     decoder.push(bytes);
     while let Ok(Some(frame)) = decoder.next::<ClientFrame>() {
-        let heard = server.on_frame(&frame).map(|r| (r.frames, r.close));
+        let heard = server.on_frame(&frame).map(|r| r.frames);
         let twin_heard = match frame {
             ClientFrame::AckRun {
                 now,
@@ -275,7 +277,7 @@ fn drive_net_frames(bytes: &[u8]) {
                 .unwrap_or(Ok(Default::default())),
             other => twin.on_frame(&other),
         }
-        .map(|r| (r.frames, r.close));
+        .map(|r| r.frames);
         assert_eq!(
             heard.as_ref().ok(),
             twin_heard.as_ref().ok(),

@@ -7,9 +7,10 @@
 //! character: each must name its enclosing block type, so a diagnostic
 //! alone identifies the block walker that produced it.
 
+use caai_core::frame::{ClientFrame, ServerFrame};
 use caai_fuzz::seeds::{diagnostic_fixtures, flow_slot_collisions};
 use caai_fuzz::targets::{Target, Targets};
-use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame, Wire};
+use caai_net::frame::{FrameDecoder, Wire};
 use caai_stream::{CaptureSource, PcapStream, SourceItem, StallPolicy};
 use std::io::Cursor;
 use std::path::PathBuf;

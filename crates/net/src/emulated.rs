@@ -42,11 +42,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
+use caai_core::frame::{ClientFrame, ServerFrame};
+use caai_core::sansio::ServerCore;
 use caai_core::ServerUnderTest;
 
 use crate::conn::{read_buffer, Conn};
-use crate::core::{Reply, ServerCore};
-use crate::frame::{ClientFrame, FrameDecoder, ServerFrame, Wire};
+use crate::frame::{FrameDecoder, Wire};
 use crate::runtime::{self, EventLoop, Handle};
 use crate::sys::{self, incoming_cpu, set_linger_reset, Interest, Poller, Readiness};
 use crate::targets::Target;
@@ -234,7 +235,8 @@ struct Served {
     id: u64,
     conn: Conn,
     /// `None` for [`Behavior::StallAfterAccept`], which answers nothing.
-    core: Option<ServerCore>,
+    /// Boxed: the bulk of a connection, which may move between loops.
+    core: Option<Box<ServerCore<'static>>>,
     /// `RstAfterBursts` counts down here.
     behavior: Behavior,
     /// Until when a paced server holds what `conn.out` has.
@@ -305,7 +307,7 @@ impl Loop {
             let stalls = listener.behavior == Behavior::StallAfterAccept;
             let served = Served {
                 id: listener.id,
-                core: (!stalls).then(|| ServerCore::new(listener.server.clone())),
+                core: (!stalls).then(|| Box::new(ServerCore::new(listener.server.clone()))),
                 behavior: listener.behavior,
                 held: None,
                 ending: None,
@@ -448,21 +450,21 @@ impl Served {
                     return None;
                 }
             };
-            let Ok(Reply { frames, close }) = core.on_frame(&frame) else {
+            let Ok(reply) = core.on_frame(&frame) else {
                 self.ending = Some(End::Close);
                 return None;
             };
-            let span = match (&frame, frames.first()) {
+            let span = match (&frame, &reply.frames) {
                 (ClientFrame::Xmit { now, horizon }, _) => horizon - now,
                 (ClientFrame::RtoWait { now, .. }, Some(ServerFrame::RtoResult { now: t, .. })) => {
                     t - now
                 }
                 _ => 0.0,
             };
-            for reply in &frames {
-                reply.encode_into(&mut self.conn.out);
+            if let Some(answer) = &reply.frames {
+                answer.encode_into(&mut self.conn.out);
             }
-            if close {
+            if let Some(ServerFrame::Burst { done: true, .. }) = reply.frames {
                 self.ending = Some(End::Close);
             }
             if let (ClientFrame::Xmit { .. }, Behavior::RstAfterBursts(left)) =
@@ -566,7 +568,9 @@ mod tests {
         let pace = Duration::from_secs(100);
         let served = Served {
             id: 0,
-            core: Some(ServerCore::new(ServerUnderTest::ideal(AlgorithmId::Reno))),
+            core: Some(Box::new(ServerCore::new(ServerUnderTest::ideal(
+                AlgorithmId::Reno,
+            )))),
             behavior: Behavior::Paced(pace),
             held: None,
             ending: None,

@@ -1,13 +1,14 @@
-//! The probe wire protocol: virtual-time frames over TCP.
+//! The probe wire protocol's codec: `caai_core`'s frames over TCP.
 //!
 //! CAAI's ladder is defined over *emulated* time — the prober schedules
 //! ACKs so the server experiences the RTT the environment prescribes.
 //! The loopback transport keeps that property by carrying the virtual
 //! clock on the wire: every client frame states `now`, the server's TCP
-//! simulation advances to exactly that instant, and the exchange is a
-//! lockstep replay of `Prober::gather` regardless of real-socket pacing.
-//! That is what makes live-socket verdicts agree with the simulator's
-//! by construction, and what keeps a loopback census deterministic.
+//! simulation advances to exactly that instant, and the exchange is the
+//! one a simulated gather passes between the same two cores in memory,
+//! whatever the real-socket pacing. That is what makes live-socket
+//! verdicts agree with the simulator's by construction, and what keeps a
+//! loopback census deterministic.
 //!
 //! Framing: a `u32` little-endian payload length, then the payload —
 //! one tag byte and fixed little-endian fields (`f64` via its bit
@@ -17,111 +18,26 @@
 //! `(first: u64, len: u32)` runs of consecutive sequence numbers (the
 //! ACK-range idea of QUIC's ACK frame, RFC 9000 §19.3). On a clean
 //! wire both are one run, so a round trip is ~70 bytes whatever the
-//! window. In memory a `Burst` keeps those runs as the ladder's own
-//! [`Run`]s, which [`LadderCore`](crate::LadderCore) hands over as they
-//! are: no round is ever expanded into its packets. Hostile bytes are
-//! the normal case for a parser that listens on a socket, so decoding
-//! is strict (length-capped, run-capped, finite-float-checked, no
-//! trailing bytes) and every rejection names what was wrong, in the
-//! skip-and-report diagnostic style of the pcap readers.
+//! window. Decoded, a `Burst` holds those runs as the ladder's own
+//! [`Run`]s, which `LadderCore` hands over as they are: no round is ever
+//! expanded into its packets. Hostile bytes are the normal case for a
+//! parser that listens on a socket, so decoding is strict
+//! (length-capped, run-capped, finite-float-checked, no trailing bytes)
+//! and every rejection names what was wrong, in the skip-and-report
+//! diagnostic style of the pcap readers.
 
+use caai_core::frame::{run_range, ProtocolError, MAX_BURST_SEQS};
 use caai_core::ladder::Run;
 use std::fmt;
-use std::ops::RangeInclusive;
+
+// The frames live in `caai_core::frame`; they are named here only
+// because `benchmark/` imports them from this module, and item 18 of
+// ROADMAP.md removes them with the rest of its import list.
+pub use caai_core::frame::{ClientFrame, ServerFrame};
 
 /// Hard cap on one frame's payload, bytes. The largest legitimate frame
-/// is a `Burst` of [`MAX_BURST_SEQS`] one-sequence runs (~768 KiB).
+/// is a `Burst` of `MAX_BURST_SEQS` one-sequence runs (~768 KiB).
 pub const MAX_FRAME_LEN: usize = 1 << 20;
-
-/// Hard cap on sequences in one `Burst` and on ACKs in one `AckRun` —
-/// far above any real window (the ladder tops out at `w_max` 512),
-/// small enough that a hostile length can never balloon an allocation
-/// or spin a loop.
-pub const MAX_BURST_SEQS: usize = 1 << 16;
-
-/// A frame the prober (client) sends.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ClientFrame {
-    /// Open the probe: propose an MSS, state the virtual clock.
-    Hello {
-        /// MSS proposed in the (emulated) SYN.
-        proposed_mss: u32,
-        /// Virtual time of connection establishment.
-        now: f64,
-    },
-    /// Ask for one round's transmission burst.
-    Xmit {
-        /// Virtual time of the request.
-        now: f64,
-        /// End of the round (`now + rtt`): the server fires its own RTO
-        /// first when the deadline falls inside the round and it has
-        /// nothing to send (all ACKs of the previous round were lost).
-        horizon: f64,
-    },
-    /// Deliver one cumulative ACK. `rtt == 0.0` marks the F-RTO
-    /// counter-measure duplicate, exactly as in the simulator — the one
-    /// ACK the ladder sends outside a run.
-    Ack {
-        /// Virtual time of delivery.
-        now: f64,
-        /// Cumulative acknowledgement, packets.
-        cum_ack: u64,
-        /// RTT sample carried by the ACK (`0.0` = duplicate).
-        rtt: f64,
-    },
-    /// Deliver a round's ACK train: the cumulative ACKs `first`,
-    /// `first + 1`, …, `first + count - 1`, in that order, each at `now`
-    /// and each carrying `rtt` — to the server exactly `count` single
-    /// [`Ack`](ClientFrame::Ack)s.
-    AckRun {
-        /// Virtual time of delivery, shared by the whole train.
-        now: f64,
-        /// The train's first cumulative acknowledgement, packets.
-        first: u64,
-        /// ACKs in the train: `1..=MAX_BURST_SEQS`.
-        count: u32,
-        /// RTT sample every ACK of the train carries.
-        rtt: f64,
-    },
-    /// Withhold ACKs and wait out the server's retransmission timeout
-    /// (§IV phase 2).
-    RtoWait {
-        /// Virtual time the wait starts.
-        now: f64,
-        /// Re-armed RTOs to wait out before giving up.
-        max_waits: u32,
-    },
-}
-
-/// A frame the emulated server sends.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServerFrame {
-    /// Handshake reply: the granted MSS.
-    Welcome {
-        /// MSS the server granted (proposal rounded up to its minimum).
-        granted_mss: u32,
-    },
-    /// One round's burst of data packets, as the runs of consecutive
-    /// sequence numbers the wire carries.
-    Burst {
-        /// The server finished its data and is closing (the wire form
-        /// of a server-initiated FIN).
-        done: bool,
-        /// Packet-unit sequence numbers transmitted this round, as
-        /// `(first, len)` runs in the order sent. A decoded burst's runs
-        /// are maximal: a run that continues the one before it is merged
-        /// into it. `duplicate` is not on the wire and decodes `false`.
-        runs: Vec<Run>,
-    },
-    /// Outcome of an `RtoWait`: did the server's stack respond to the
-    /// timeout, and at what virtual time.
-    RtoResult {
-        /// Whether a retransmission fired.
-        responded: bool,
-        /// Virtual time after the wait.
-        now: f64,
-    },
-}
 
 const TAG_HELLO: u8 = 0x01;
 const TAG_XMIT: u8 = 0x02;
@@ -132,60 +48,13 @@ const TAG_WELCOME: u8 = 0x81;
 const TAG_BURST: u8 = 0x82;
 const TAG_RTO_RESULT: u8 = 0x83;
 
-/// Why a frame could not be decoded. The connection is dead after one of
-/// these — framing offers no resynchronization point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// What was wrong, named precisely.
-    pub reason: String,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.reason)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-fn bad(reason: impl Into<String>) -> DecodeError {
-    DecodeError {
-        reason: reason.into(),
-    }
-}
-
-/// The values a run names, `first ..= first + count - 1`. Refused
-/// while it is still two integers — before anyone loops over it or
-/// allocates for it — when it is empty, longer than [`MAX_BURST_SEQS`],
-/// or runs past `u64::MAX`. `what` names the run in the error.
-pub fn run_range(
-    what: impl fmt::Display,
-    first: u64,
-    count: u32,
-) -> Result<RangeInclusive<u64>, DecodeError> {
-    if count == 0 {
-        return Err(bad(format!("empty {what}")));
-    }
-    if count as usize > MAX_BURST_SEQS {
-        return Err(bad(format!(
-            "{what} count {count} exceeds the cap of {MAX_BURST_SEQS}"
-        )));
-    }
-    match first.checked_add(u64::from(count - 1)) {
-        Some(last) => Ok(first..=last),
-        None => Err(bad(format!(
-            "{what} first {first} + count {count} overflows u64"
-        ))),
-    }
-}
-
 /// Anything that can be framed onto the probe wire.
 pub trait Wire: Sized {
     /// Appends the frame's *payload* (tag + fields) to `out`.
     fn encode_payload(&self, out: &mut Vec<u8>);
 
     /// Decodes one payload (as cut out by the length prefix).
-    fn decode_payload(payload: &[u8]) -> Result<Self, DecodeError>;
+    fn decode_payload(payload: &[u8]) -> Result<Self, ProtocolError>;
 
     /// Appends the length-prefixed frame to `out`.
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -209,55 +78,57 @@ impl<'a> Reader<'a> {
 
     /// `what` is only formatted on the error path, so a caller may pass
     /// `format_args!` for an indexed field at no cost.
-    fn take(&mut self, n: usize, what: impl fmt::Display) -> Result<&'a [u8], DecodeError> {
+    fn take(&mut self, n: usize, what: impl fmt::Display) -> Result<&'a [u8], ProtocolError> {
         let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len());
         let Some(end) = end else {
-            return Err(bad(format!(
+            return Err(format!(
                 "truncated payload: {what} needs {n} bytes, {} left",
                 self.bytes.len() - self.at
-            )));
+            )
+            .into());
         };
         let slice = &self.bytes[self.at..end];
         self.at = end;
         Ok(slice)
     }
 
-    fn u8(&mut self, what: impl fmt::Display) -> Result<u8, DecodeError> {
+    fn u8(&mut self, what: impl fmt::Display) -> Result<u8, ProtocolError> {
         Ok(self.take(1, what)?[0])
     }
 
-    fn u32(&mut self, what: impl fmt::Display) -> Result<u32, DecodeError> {
+    fn u32(&mut self, what: impl fmt::Display) -> Result<u32, ProtocolError> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self, what: impl fmt::Display) -> Result<u64, DecodeError> {
+    fn u64(&mut self, what: impl fmt::Display) -> Result<u64, ProtocolError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
     /// Virtual-time and RTT fields must be finite: a NaN/∞ clock from a
     /// hostile peer would poison every downstream comparison.
-    fn f64(&mut self, what: &str) -> Result<f64, DecodeError> {
+    fn f64(&mut self, what: &str) -> Result<f64, ProtocolError> {
         let v = f64::from_bits(self.u64(what)?);
         if !v.is_finite() {
-            return Err(bad(format!("non-finite {what}: {v}")));
+            return Err(format!("non-finite {what}: {v}").into());
         }
         Ok(v)
     }
 
-    fn bool(&mut self, what: &str) -> Result<bool, DecodeError> {
+    fn bool(&mut self, what: &str) -> Result<bool, ProtocolError> {
         match self.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
-            b => Err(bad(format!("invalid {what} flag byte 0x{b:02x}"))),
+            b => Err(format!("invalid {what} flag byte 0x{b:02x}").into()),
         }
     }
 
-    fn finish(self, tag: &str) -> Result<(), DecodeError> {
+    fn finish(self, tag: &str) -> Result<(), ProtocolError> {
         if self.at != self.bytes.len() {
-            return Err(bad(format!(
+            return Err(format!(
                 "{} trailing bytes after {tag} frame",
                 self.bytes.len() - self.at
-            )));
+            )
+            .into());
         }
         Ok(())
     }
@@ -302,7 +173,7 @@ impl Wire for ClientFrame {
         }
     }
 
-    fn decode_payload(payload: &[u8]) -> Result<Self, DecodeError> {
+    fn decode_payload(payload: &[u8]) -> Result<Self, ProtocolError> {
         let mut r = Reader::new(payload);
         let tag = r.u8("frame tag")?;
         let frame = match tag {
@@ -317,12 +188,10 @@ impl Wire for ClientFrame {
             TAG_ACK => ClientFrame::Ack {
                 now: r.f64("ack clock")?,
                 cum_ack: r.u64("cum_ack")?,
-                rtt: {
-                    // rtt 0.0 is the duplicate marker, so it is exempt
-                    // from the finite check only in being legal, not in
-                    // being non-finite.
-                    r.f64("ack rtt")?
-                },
+                // rtt 0.0 is the duplicate marker, so it is exempt from
+                // the finite check only in being legal, not in being
+                // non-finite.
+                rtt: r.f64("ack rtt")?,
             },
             TAG_ACK_RUN => {
                 let now = r.f64("ack-run clock")?;
@@ -340,7 +209,7 @@ impl Wire for ClientFrame {
                 now: r.f64("rto-wait clock")?,
                 max_waits: r.u32("max_waits")?,
             },
-            t => return Err(bad(format!("unknown client frame tag 0x{t:02x}"))),
+            t => return Err(format!("unknown client frame tag 0x{t:02x}").into()),
         };
         r.finish(match frame {
             ClientFrame::Hello { .. } => "Hello",
@@ -379,7 +248,7 @@ impl Wire for ServerFrame {
         }
     }
 
-    fn decode_payload(payload: &[u8]) -> Result<Self, DecodeError> {
+    fn decode_payload(payload: &[u8]) -> Result<Self, ProtocolError> {
         let mut r = Reader::new(payload);
         let tag = r.u8("frame tag")?;
         let frame = match tag {
@@ -392,34 +261,36 @@ impl Wire for ServerFrame {
                 // Every run holds a sequence, so the cap on sequences
                 // caps the runs too.
                 if runs > MAX_BURST_SEQS {
-                    return Err(bad(format!(
+                    return Err(format!(
                         "burst run count {runs} exceeds the cap of {MAX_BURST_SEQS}"
-                    )));
+                    )
+                    .into());
                 }
-                let mut merged: Vec<Run> = Vec::new();
+                let mut merged = Vec::new();
                 let mut total = 0usize;
                 for i in 0..runs {
                     let first = r.u64(format_args!("burst run {i} first"))?;
                     let len = r.u32(format_args!("burst run {i} len"))?;
+                    // A burst's one empty run is a round the path lost
+                    // whole; any other empty run is refused.
+                    if runs == 1 && len == 0 {
+                        merged.push(Run {
+                            first,
+                            len: 0,
+                            duplicate: false,
+                        });
+                        break;
+                    }
                     run_range(format_args!("burst run {i}"), first, len)?;
                     total += len as usize;
                     if total > MAX_BURST_SEQS {
-                        return Err(bad(format!(
+                        return Err(format!(
                             "burst of {total} sequences at run {i} exceeds the cap of {MAX_BURST_SEQS}"
-                        )));
+                        ).into());
                     }
                     // A run that continues the one before it joins it, so
                     // the runs in memory are maximal.
-                    match merged.last_mut() {
-                        Some(last) if last.first.checked_add(last.len) == Some(first) => {
-                            last.len += u64::from(len);
-                        }
-                        _ => merged.push(Run {
-                            first,
-                            len: u64::from(len),
-                            duplicate: false,
-                        }),
-                    }
+                    Run::push(&mut merged, first, u64::from(len), false);
                 }
                 ServerFrame::Burst { done, runs: merged }
             }
@@ -427,7 +298,7 @@ impl Wire for ServerFrame {
                 responded: r.bool("rto responded")?,
                 now: r.f64("rto clock")?,
             },
-            t => return Err(bad(format!("unknown server frame tag 0x{t:02x}"))),
+            t => return Err(format!("unknown server frame tag 0x{t:02x}").into()),
         };
         r.finish(match frame {
             ServerFrame::Welcome { .. } => "Welcome",
@@ -475,19 +346,17 @@ impl FrameDecoder {
     /// Not an `Iterator`: the item type is chosen per call (`ClientFrame`
     /// on the server side, `ServerFrame` on the client side).
     #[allow(clippy::should_implement_trait)]
-    pub fn next<F: Wire>(&mut self) -> Result<Option<F>, DecodeError> {
+    pub fn next<F: Wire>(&mut self) -> Result<Option<F>, ProtocolError> {
         let avail = &self.buf[self.read..];
         if avail.len() < 4 {
             return Ok(None);
         }
         let len = u32::from_le_bytes(avail[..4].try_into().unwrap()) as usize;
         if len == 0 {
-            return Err(bad("zero-length frame"));
+            return Err("zero-length frame".to_owned().into());
         }
         if len > MAX_FRAME_LEN {
-            return Err(bad(format!(
-                "frame length {len} exceeds the cap of {MAX_FRAME_LEN}"
-            )));
+            return Err(format!("frame length {len} exceeds the cap of {MAX_FRAME_LEN}").into());
         }
         if avail.len() < 4 + len {
             return Ok(None);
@@ -566,6 +435,11 @@ mod tests {
                 done: true,
                 runs: vec![],
             },
+            // A round the path lost whole.
+            ServerFrame::Burst {
+                done: false,
+                runs: vec![run(7, 0)],
+            },
             ServerFrame::RtoResult {
                 responded: true,
                 now: 33.5,
@@ -621,7 +495,7 @@ mod tests {
 
     /// Every whole frame in `bytes`, fed to the decoder one byte at a
     /// time.
-    fn decode_bytewise<F: Wire>(bytes: &[u8]) -> Result<Vec<F>, DecodeError> {
+    fn decode_bytewise<F: Wire>(bytes: &[u8]) -> Result<Vec<F>, ProtocolError> {
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
         for b in bytes {
@@ -781,6 +655,10 @@ mod tests {
             refused(&burst_payload(&[(0, 4), (9, 0)])),
             "empty burst run 1"
         );
+        assert_eq!(
+            refused(&burst_payload(&[(9, 0), (12, 1)])),
+            "empty burst run 0"
+        );
         // Two runs, each under the cap, together past it: refused at
         // the second run's header, 30 bytes into a 30-byte payload.
         let half = MAX_BURST_SEQS as u32 / 2;
@@ -840,5 +718,39 @@ mod tests {
             "buffer must not grow: {}",
             dec.buf.len()
         );
+    }
+
+    #[test]
+    fn a_burst_of_adjacent_runs_drives_the_ladder_as_their_union_does() {
+        use caai_core::prober::ProberConfig;
+        use caai_core::sansio::{LadderCore, Step};
+        let burst = |runs: &[(u64, u64)]| ServerFrame::Burst {
+            done: false,
+            runs: runs
+                .iter()
+                .map(|&(first, len)| Run {
+                    first,
+                    len,
+                    duplicate: false,
+                })
+                .collect(),
+        };
+        // The ladder's answer to the burst, and to the round after it.
+        let walk = |first_round: &ServerFrame| {
+            let mut core = LadderCore::new(ProberConfig::default());
+            assert_eq!(core.start(), Step::Connect);
+            core.on_connected();
+            core.on_frame(&ServerFrame::Welcome { granted_mss: 100 })
+                .unwrap();
+            let answer = core.on_frame(first_round).unwrap();
+            (answer, core.on_frame(&burst(&[(10, 10)])).unwrap())
+        };
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&encode(&burst(&[(5, 2), (7, 3)])));
+        let decoded: ServerFrame = decoder.next().unwrap().expect("one whole frame");
+        assert_eq!(decoded, burst(&[(5, 5)]), "adjacent runs decode merged");
+        assert_eq!(walk(&decoded), walk(&burst(&[(5, 5)])));
+        // A hole between the runs is a different round.
+        assert_ne!(walk(&burst(&[(5, 2), (8, 3)])), walk(&burst(&[(5, 5)])));
     }
 }

@@ -9,18 +9,17 @@
 //!
 //! The design splits protocol from plumbing:
 //!
-//! * [`frame`] — the virtual-time wire protocol. Every client frame
+//! * [`frame`] — the virtual-time wire protocol's codec. Every client frame
 //!   carries the emulated clock, so the exchange is a lockstep replay
 //!   of the simulator's schedule regardless of real pacing. A round,
 //!   not a packet, is its unit: one `AckRun` per ACK train, one
 //!   run-length `Burst` per window. Strict, diagnostic-rich decoding
 //!   (hostile bytes are the normal case).
-//! * [`core`] — sans-IO state machines for both ends:
-//!   [`LadderCore`] (the prober's ladder walk: the wire-protocol
-//!   driver of `caai_core::ladder`, the state the simulator's
-//!   `Prober` drives too) and [`ServerCore`] (the tcpsim-backed
-//!   server). The in-memory equivalence tests drive
-//!   them against each other and pin the outcome to the simulator's.
+//! * The two ends of the protocol are `caai_core::sansio`'s sans-IO
+//!   cores: [`LadderCore`] (the prober's ladder walk) and [`ServerCore`]
+//!   (the tcpsim-backed server). The simulator passes frames between
+//!   them in memory; this crate carries the same frames over sockets,
+//!   the reactor driving the one and the emulated fleet the other.
 //! * [`sys`] / `wheel` / `limiter` — the event loops' raw material:
 //!   bindings for the few syscalls std lacks (nonblocking connect,
 //!   `epoll`, `eventfd`, two socket options, thread placement and the
@@ -70,7 +69,6 @@ compile_error!(
 );
 
 mod conn;
-pub mod core;
 pub mod emulated;
 pub mod frame;
 mod limiter;
@@ -82,13 +80,16 @@ pub mod targets;
 pub mod transport;
 mod wheel;
 
-pub use crate::core::{LadderCore, ProtocolError, Reply, RungRecord, ServerCore, Step};
+// The cores live in `caai_core::sansio`; these names stay here only
+// because `benchmark/` imports them from this crate, and item 18 of
+// ROADMAP.md removes them with the rest of its import list.
+pub use caai_core::sansio::{LadderCore, Reply, ServerCore, Step};
 // The old name of the server an `EmulatedServer` impersonates, kept only
 // because `benchmark/` still imports it; the `benchmark/` change of
 // ROADMAP item 3(a) removes it.
 pub use caai_core::server_under_test::ServerUnderTest as ServerProfile;
 pub use emulated::{Behavior, EmulatedServer};
-pub use frame::{ClientFrame, DecodeError, FrameDecoder, ServerFrame, Wire};
+pub use frame::{FrameDecoder, Wire};
 pub use reactor::{NetConfig, SessionResult, SessionStats};
 pub use targets::{parse_targets, read_targets, SkippedLine, Target, TargetList};
 pub use transport::NetTransport;

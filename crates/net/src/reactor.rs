@@ -40,15 +40,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use caai_core::frame::ServerFrame;
+use caai_core::sansio::{LadderCore, Step};
 use caai_core::{GatherOutcome, InvalidReason, ProberConfig};
 use caai_obs::{
-    span_begin, span_begin_async, Event, RateLimiterStalled, ReactorTicked, SpanKind, SpanToken,
-    Subscriber,
+    span_begin, span_begin_async, Event, RateLimiterStalled, ReactorTicked, RungAttemptEnded,
+    SpanKind, SpanToken, Subscriber,
 };
 
 use crate::conn::{read_buffer, Conn};
-use crate::core::{LadderCore, RungRecord, Step};
-use crate::frame::{ServerFrame, Wire};
+use crate::frame::Wire;
 use crate::limiter::RateLimiter;
 use crate::runtime::EventLoop;
 use crate::sys::{self, Interest, Poller, Readiness};
@@ -126,7 +127,7 @@ pub struct SessionResult {
     /// own (`TransportAborted` failures included).
     pub outcome: GatherOutcome,
     /// Rung attempt records for observability replay.
-    pub rungs: Vec<RungRecord>,
+    pub rungs: Vec<RungAttemptEnded>,
     /// Transport accounting.
     pub stats: SessionStats,
 }

@@ -22,7 +22,7 @@
 //! callers that bring threads of their own.
 //!
 //! Observability: rung attempts and gather completions recorded by the
-//! session's [`LadderCore`](crate::core::LadderCore) are replayed into
+//! session's [`LadderCore`](caai_core::sansio::LadderCore) are replayed into
 //! the subscriber of whoever collects the probe (`probe`'s caller, or
 //! `next_finished`'s), never on a reactor thread (reactor threads only
 //! emit their own `ReactorTicked` / `ReactorExited` /

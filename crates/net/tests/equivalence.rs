@@ -1,105 +1,151 @@
-//! The correctness pin for the whole crate: the sans-IO
-//! [`LadderCore`]/[`ServerCore`] pair, driven against each other
-//! through the wire protocol (encode → decode on both directions, so
-//! framing is under test too), must produce *exactly* the
-//! `GatherOutcome` the simulator's `Prober::gather` produces over a
-//! clean path. Every reactor/loopback behavior downstream reduces to
-//! this equivalence: if these cores agree with the simulator, a live
-//! census agrees with a simulated one.
+//! The codec under loss, and ACK runs against single ACKs.
+//!
+//! A simulated gather passes frames between `LadderCore` and
+//! `ServerCore` as values; a live probe passes the same frames through
+//! this crate's codec. The tests below walk the ladder through
+//! `encode`/`FrameDecoder` both ways, across a lossy and a heavily
+//! jittered path, so that bursts carry holes, late and duplicated
+//! packets and rounds lost whole, and ACK trains are cut by loss. The
+//! outcome must be the simulator's for the same seed: the wire form of
+//! a frame (merged runs, no duplicate flag) changes nothing the ladder
+//! decides.
 
 use caai_congestion::{AlgorithmId, ALL_IDENTIFIED};
+use caai_core::frame::{ClientFrame, ServerFrame};
 use caai_core::prober::{GatherOutcome, Prober, ProberConfig};
+use caai_core::sansio::{LadderCore, ServerCore, Step};
 use caai_core::ServerUnderTest;
-use caai_net::frame::{ClientFrame, FrameDecoder, ServerFrame, Wire};
-use caai_net::{LadderCore, Reply, ServerCore, Step};
-use caai_netem::PathConfig;
+use caai_net::frame::{encode, FrameDecoder, Wire};
+use caai_netem::{NetworkCondition, PathConfig};
 use caai_webmodel::PopulationConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Borrow;
 
-/// Round-trips a frame through its wire encoding, so the driver also
-/// exercises the framing layer both directions.
-fn wire_roundtrip<F: Wire + PartialEq + std::fmt::Debug>(frame: &F) -> F {
-    let mut bytes = Vec::new();
-    frame.encode_into(&mut bytes);
+/// A frame as the peer decodes it.
+fn wire_roundtrip<F: Wire>(frame: &F) -> F {
     let mut decoder = FrameDecoder::new();
-    decoder.push(&bytes);
-    let decoded = decoder
-        .next::<F>()
-        .expect("self-encoded frame must decode")
-        .expect("one frame in, one frame out");
-    assert!(decoder.next::<F>().unwrap().is_none(), "no trailing frame");
-    decoded
+    decoder.push(&encode(frame));
+    let decoded = decoder.next::<F>().expect("self-encoded frame must decode");
+    assert_eq!(decoder.pending(), 0, "one frame in, one frame out");
+    decoded.expect("a whole frame")
 }
 
-/// Drives the client ladder against a fresh [`ServerCore`] per
-/// connection — exactly what the reactor does over sockets, minus the
-/// sockets.
-fn drive(config: ProberConfig, profile: &ServerUnderTest) -> GatherOutcome {
-    let mut client = LadderCore::new(config);
-    let mut server: Option<ServerCore> = None;
+/// What the walks' bursts carried before encoding: runs of duplicates,
+/// bursts of more than one run, rounds lost whole.
+#[derive(Debug, Default)]
+struct Carried {
+    duplicates: u32,
+    split: u32,
+    lost: u32,
+}
+
+/// Walks the ladder against `server` across `path`, fates drawn from
+/// `seed`, every frame through its encoding: a live probe minus the
+/// sockets. Tallies the bursts into `carried`.
+fn over_the_wire(
+    server: &ServerUnderTest,
+    path: PathConfig,
+    seed: u64,
+    carried: &mut Carried,
+) -> GatherOutcome {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut client = LadderCore::new(ProberConfig::default());
+    let mut conn = None;
     let mut step = client.start();
-    for _ in 0..1_000_000 {
-        match step {
+    loop {
+        step = match step {
             Step::Connect => {
-                server = Some(ServerCore::new(profile.clone()));
-                step = client.on_connected();
+                conn = Some(ServerCore::over_path(server, path, &mut rng));
+                client.on_connected()
             }
             Step::Send {
                 frames,
                 close_after,
-                ..
             } => {
-                let srv = server.as_mut().expect("send with no open connection");
-                let mut replies: Vec<ServerFrame> = Vec::new();
-                for frame in &frames {
-                    let decoded: ClientFrame = wire_roundtrip(frame);
-                    let Reply { frames, .. } = srv
-                        .on_frame(&decoded)
-                        .expect("an honest client never violates the protocol");
-                    replies.extend(frames);
-                }
+                let core = conn.as_mut().expect("a send follows a connect");
+                let decoded: Vec<_> = frames.iter().map(wire_roundtrip).collect();
+                let reply = answers(core, &decoded).pop();
                 if close_after {
-                    assert!(replies.is_empty(), "a closing send expects no reply");
-                    server = None;
-                    step = client.on_closed();
+                    core.close(client.now());
+                    client.on_closed()
                 } else {
-                    assert_eq!(replies.len(), 1, "one reply-bearing frame per round");
-                    let reply = wire_roundtrip(&replies[0]);
-                    step = client
-                        .on_frame(&reply)
-                        .expect("an honest server never violates the protocol");
+                    let reply = reply.expect("a send that awaits a reply gets one");
+                    if let ServerFrame::Burst { runs, .. } = &reply {
+                        carried.duplicates += runs.iter().filter(|r| r.duplicate).count() as u32;
+                        carried.split += u32::from(runs.len() > 1);
+                        carried.lost += u32::from(matches!(runs[..], [r] if r.len == 0));
+                    }
+                    let reply = wire_roundtrip(&reply);
+                    client.on_frame(&reply).expect("an honest server")
                 }
             }
             Step::Done(outcome) => return *outcome,
-        }
+        };
     }
-    panic!("ladder never finished");
 }
 
-fn simulated(config: ProberConfig, server: &ServerUnderTest, seed: u64) -> GatherOutcome {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Prober::new(config).gather(server, &PathConfig::clean(), &mut rng)
+/// 5 % loss both ways, and the same loss on a path as jittered as
+/// `from_condition` makes one (a quarter of the data late).
+fn lossy_paths() -> [PathConfig; 2] {
+    let jittered = PathConfig::from_condition(&NetworkCondition {
+        rtt_mean: 0.6,
+        rtt_std: 0.4,
+        loss_rate: 0.05,
+    });
+    assert_eq!(jittered.late_prob, 0.25, "as jittered as a path gets");
+    [PathConfig::lossy(0.05), jittered]
+}
+
+/// Every walk of `servers` over the codec, on both lossy paths, against
+/// the in-memory gather of the same seed: what the bursts carried.
+fn match_the_simulator(servers: &[ServerUnderTest]) -> Carried {
+    let prober = Prober::new(ProberConfig::default());
+    let mut carried = Carried::default();
+    for path in lossy_paths() {
+        for (seed, server) in servers.iter().enumerate() {
+            // Each walk on a clone: a walk leaves its server's cache
+            // behind.
+            let wire = over_the_wire(&server.clone(), path, seed as u64, &mut carried);
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let memory = prober.gather(&server.clone(), &path, &mut rng);
+            assert_eq!(wire, memory, "server {seed} on {path:?}");
+        }
+    }
+    carried
 }
 
 #[test]
 fn ideal_servers_match_the_simulator_for_all_fourteen_algorithms() {
-    for algorithm in ALL_IDENTIFIED {
-        let wire = drive(ProberConfig::default(), &ServerUnderTest::ideal(algorithm));
-        let sim = simulated(
-            ProberConfig::default(),
-            &ServerUnderTest::ideal(algorithm),
-            7,
-        );
-        assert_eq!(
-            wire, sim,
-            "{algorithm:?}: wire-protocol outcome diverged from the simulator"
-        );
-        assert!(
-            wire.pair.is_some(),
-            "{algorithm:?}: an ideal server must yield a usable pair"
-        );
-    }
+    let carried = match_the_simulator(&ALL_IDENTIFIED.map(ServerUnderTest::ideal));
+    assert!(
+        carried.duplicates > 0 && carried.split > 100 && carried.lost > 0,
+        "the walks must carry what only a lossy path makes: {carried:?}"
+    );
+}
+
+#[test]
+fn sampled_web_servers_match_the_simulator() {
+    // A slice of the census population: short pages, F-RTO, ssthresh
+    // caching, MSS floors.
+    let population = PopulationConfig {
+        size: 20,
+        frto_rate: 0.5,
+        ssthresh_caching_rate: 0.5,
+    };
+    let web = population.generate(&mut StdRng::seed_from_u64(42));
+    let servers: Vec<_> = web.iter().map(ServerUnderTest::from_web_server).collect();
+    let carried = match_the_simulator(&servers);
+    assert!(carried.split > 10, "{carried:?}");
+}
+
+#[test]
+fn the_drive_is_deterministic() {
+    let server = ServerUnderTest::ideal(AlgorithmId::CubicV2);
+    let [lossy, _] = lossy_paths();
+    let mut carried = Carried::default();
+    let a = over_the_wire(&server.clone(), lossy, 7, &mut carried);
+    assert_eq!(a, over_the_wire(&server, lossy, 7, &mut carried));
 }
 
 /// The frames the per-packet wire would have carried for `frame`: an
@@ -118,6 +164,15 @@ fn unrolled(frame: &ClientFrame) -> Vec<ClientFrame> {
     }
 }
 
+/// What `server` answers to `frames`, in order.
+fn answers<S: Borrow<ServerUnderTest>>(
+    server: &mut ServerCore<S>,
+    frames: &[ClientFrame],
+) -> Vec<ServerFrame> {
+    let answer = |frame| server.on_frame(frame).expect("an honest client").frames;
+    frames.iter().flat_map(answer).collect()
+}
+
 #[test]
 fn an_ack_run_is_to_the_server_its_single_acks() {
     for algorithm in ALL_IDENTIFIED {
@@ -125,41 +180,30 @@ fn an_ack_run_is_to_the_server_its_single_acks() {
         let mut client = LadderCore::new(ProberConfig::default());
         // `runs` hears the wire as it is; `singles` hears every ACK
         // train one packet at a time.
-        let mut servers: Option<(ServerCore, ServerCore)> = None;
-        let (mut rounds, mut acks) = (0u32, 0u64);
+        let (mut runs, mut singles) = (None, None);
+        let (mut rounds, mut acks) = (0u32, 0usize);
         let mut step = client.start();
         loop {
             step = match step {
                 Step::Connect => {
-                    servers = Some((
-                        ServerCore::new(profile.clone()),
-                        ServerCore::new(profile.clone()),
-                    ));
+                    runs = Some(ServerCore::new(profile.clone()));
+                    singles = Some(ServerCore::new(profile.clone()));
                     client.on_connected()
                 }
                 Step::Send {
                     frames,
                     close_after,
-                    ..
                 } => {
                     assert!(
                         frames.len() <= 3,
                         "{algorithm:?}: a clean round is at most duplicate + run + request, \
                          got {frames:?}"
                     );
-                    let (runs, singles) = servers.as_mut().expect("send follows connect");
-                    let mut replies = Vec::new();
-                    let mut twin_replies = Vec::new();
-                    for frame in &frames {
-                        replies.extend(runs.on_frame(frame).expect("honest client").frames);
-                        if let ClientFrame::AckRun { count, .. } = frame {
-                            acks += u64::from(*count);
-                        }
-                        for single in unrolled(frame) {
-                            twin_replies
-                                .extend(singles.on_frame(&single).expect("honest client").frames);
-                        }
-                    }
+                    let unrolled: Vec<_> = frames.iter().flat_map(unrolled).collect();
+                    acks += unrolled.len() - frames.len();
+                    let replies =
+                        answers(runs.as_mut().expect("a send follows a connect"), &frames);
+                    let twin_replies = answers(singles.as_mut().expect("and its twin"), &unrolled);
                     assert_eq!(
                         replies, twin_replies,
                         "{algorithm:?} round {rounds}: run and single ACKs answered differently"
@@ -179,51 +223,7 @@ fn an_ack_run_is_to_the_server_its_single_acks() {
         }
         assert!(
             rounds > 20 && acks > 500,
-            "{algorithm:?}: a full walk, not a stub ({rounds} rounds, {acks} ACKs in runs)"
+            "{algorithm:?}: a full walk, not a stub ({rounds} rounds, {acks} ACKs past a run's first)"
         );
     }
-}
-
-#[test]
-fn sampled_web_servers_match_the_simulator() {
-    // A slice of the synthetic census population: short pages, F-RTO,
-    // ssthresh caching, MSS floors — the messy cases, not just the lab.
-    let population = PopulationConfig {
-        size: 40,
-        frto_rate: 0.5,
-        ssthresh_caching_rate: 0.5,
-    };
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut usable = 0u32;
-    for web in population.generate(&mut rng) {
-        let wire = drive(
-            ProberConfig::default(),
-            &ServerUnderTest::from_web_server(&web),
-        );
-        let sim = simulated(
-            ProberConfig::default(),
-            &ServerUnderTest::from_web_server(&web),
-            web.id as u64,
-        );
-        assert_eq!(
-            wire, sim,
-            "server {}: wire-protocol outcome diverged from the simulator",
-            web.id
-        );
-        usable += u32::from(wire.pair.is_some());
-    }
-    assert!(usable > 0, "the sample must contain some usable servers");
-}
-
-#[test]
-fn the_drive_is_deterministic() {
-    let a = drive(
-        ProberConfig::default(),
-        &ServerUnderTest::ideal(AlgorithmId::CubicV2),
-    );
-    let b = drive(
-        ProberConfig::default(),
-        &ServerUnderTest::ideal(AlgorithmId::CubicV2),
-    );
-    assert_eq!(a, b);
 }

@@ -9,9 +9,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use caai_congestion::AlgorithmId;
+use caai_core::frame::{ClientFrame, ServerFrame};
 use caai_core::ServerUnderTest;
 use caai_net::sys::{confine_to, current_cpu, incoming_cpu};
-use caai_net::{Behavior, ClientFrame, EmulatedServer, FrameDecoder, ServerFrame, Wire};
+use caai_net::{Behavior, EmulatedServer, FrameDecoder, Wire};
 
 /// `Cpus_allowed_list` of the thread whose `/proc` directory is `task`.
 fn allowed_cpus(task: &str) -> Option<String> {

@@ -162,7 +162,15 @@ impl PathConfig {
     /// it (`n`: none was lost).
     pub fn ack_run(&self, n: u64, rng: &mut impl Rng) -> u64 {
         let lost = draws_below(self.ack_loss);
-        (0..n).find(|_| rng.next_u64() >> 11 < lost).unwrap_or(n)
+        // The loop `data_run` has: it keeps the generator's state in
+        // registers where a `find` over the range would store it back
+        // after every draw.
+        for delivered in 0..n {
+            if rng.next_u64() >> 11 < lost {
+                return delivered;
+            }
+        }
+        n
     }
 
     /// Validates that all probabilities are in range and jointly feasible.
