@@ -12,9 +12,11 @@ use caai::core::classify::CaaiClassifier;
 use caai::core::features::extract_pair;
 use caai::core::prober::{Prober, ProberConfig};
 use caai::core::server_under_test::ServerUnderTest;
+use caai::core::trace::InvalidReason;
 use caai::core::training::{build_training_set, TrainingConfig};
-use caai::netem::rng::seeded;
+use caai::netem::rng::{child, seeded};
 use caai::netem::{ConditionDb, PathConfig};
+use caai::webmodel::PopulationConfig;
 
 const CLIENT: [u8; 4] = [192, 0, 2, 1];
 const SERVER: [u8; 4] = [198, 51, 100, 1];
@@ -130,4 +132,50 @@ fn lossy_path_ingestion_is_deterministic_and_panic_free() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(&bytes), run(&bytes));
+}
+
+#[test]
+fn census_paths_replay_to_the_prober_s_outcome_in_counted_classes() {
+    // Each server of a small census population is rendered over the path
+    // its census probe would draw (the census's RNG keying), and the
+    // capture is replayed. Loss, duplicates and late arrivals hide rounds
+    // from the wire, so a replay may disagree with the prober; it does so
+    // in counted ways only: a differing failed attempt, or a pair whose
+    // short recovery the wire cannot tell from the prober's full one.
+    let prober = Prober::new(ProberConfig::default());
+    let ladder = ProberConfig::default().wmax_ladder;
+    let db = ConditionDb::paper_2011();
+    let servers = PopulationConfig::small(200).generate(&mut seeded(1));
+    let (mut equal, mut failed_only, mut pair_lost) = (0, 0, 0);
+    for server in &servers {
+        let rng = &mut child(7, u64::from(server.id));
+        let path = PathConfig::from_condition(&db.sample(rng));
+        let sut = ServerUnderTest::from_web_server(server);
+        let mut renderer = CaptureRenderer::new();
+        let direct = renderer
+            .render_session(CLIENT, SERVER, &sut, &prober, &path, rng)
+            .expect("in-memory render cannot fail");
+        let reassembly = reassemble(&renderer.to_bytes()).expect("rendered captures parse");
+        let probed = sessions(&reassembly, &ladder);
+        let session = probed.iter().find(|s| !s.connections.is_empty());
+        let replayed = session_outcome(session.expect("a connection carried data"), &ladder);
+        if replayed == direct {
+            equal += 1;
+        } else if replayed.pair == direct.pair {
+            failed_only += 1;
+        } else {
+            let id = server.id;
+            assert!(
+                direct.pair.is_some(),
+                "server {id}: the replay gained a pair"
+            );
+            assert_eq!(
+                (replayed.pair.as_ref(), replayed.failure_reason()),
+                (None, Some(InvalidReason::RecoveryTooShort)),
+                "server {id}: a lost pair reads as a short recovery"
+            );
+            pair_lost += 1;
+        }
+    }
+    assert_eq!((equal, failed_only, pair_lost), (192, 4, 4));
 }
