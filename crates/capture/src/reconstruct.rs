@@ -4,25 +4,29 @@
 //! round as "highest sequence received this round minus the previous
 //! round's highest" (§IV-D). On the wire those rounds are visible without
 //! any side channel: every round is one burst of server data followed by
-//! the prober's batch of deferred ACKs, so
+//! the prober's batch of deferred ACKs. Replay hands a connection to the
+//! prober's own [`RungAttempt`], which measures the windows, re-anchors
+//! at the first retransmission and judges the trace (§IV-E) exactly as
+//! the prober did; the wire tells it
 //!
-//! * a maximal run of data packets (or data separated by sub-round gaps)
-//!   is one round's receipt: the [`Burst`] reassembly folds its packets
-//!   into as they arrive;
-//! * the emulated-RTT schedule is recoverable from the data→ACK spacing
-//!   (0.8 s ⇒ environment B, 1.0 s ⇒ environment A — Fig. 2);
-//! * the **ACK-withholding point** is a data burst that is never ACKed —
-//!   that burst's window exceeded the `w_max` threshold, which pins the
-//!   threshold to the unique ladder rung in `[w_prev, w_cross)`;
-//! * the **emulated timeout** is a retransmission arriving after a burst
-//!   that received no ACKs (pre/post split);
-//! * silent rounds (all data or all ACK progress lost) reappear as `w = 0`
-//!   rounds by walking the known per-round RTT schedule across larger
-//!   burst-to-burst gaps;
-//! * the close tells invalid traces apart: a server FIN before the
-//!   crossing is *page too short*, during recovery *recovery too short*;
-//!   a prober FIN after an unanswered withholding is *no timeout
-//!   response*, and otherwise *never exceeded threshold*.
+//! * the **environment**: the emulated-RTT schedule is recoverable from
+//!   the data→ACK spacing (0.8 s ⇒ environment B, 1.0 s ⇒ environment A
+//!   — Fig. 2);
+//! * the **threshold**: the ACK-withholding point is a data burst that is
+//!   never ACKed — that burst's window exceeded `w_max`, which pins it to
+//!   the unique ladder rung in `[w_prev, w_cross)`; a connection that
+//!   withheld nothing gets a threshold no window reaches;
+//! * each **round**: the run of packets a [`Burst`] covers, which
+//!   reassembly folds the round's data into as it arrives;
+//! * the **silent rounds** (all data or all ACK progress lost), one for
+//!   each schedule-sized gap between two bursts;
+//! * the **emulated timeout**: a retransmission arriving after a burst
+//!   that received no ACKs, or none after a withholding;
+//! * the **close**: a recovery cut short is *recovery too short*
+//!   however it ended, and before the crossing a server FIN is *page too
+//!   short*; any other end there (the prober's FIN, the capture's end)
+//!   is the prober giving up, *never exceeded threshold* — the one
+//!   verdict replay gives the attempt itself.
 //!
 //! A probe session (all connections between one prober and one server)
 //! then feeds its connections, in order, to the same
@@ -31,12 +35,13 @@
 //! never crossed, which leave no rung evidence on the wire.
 
 use crate::flow::{Burst, Endpoint, Flow, Reassembly};
-use caai_core::ladder::{floor_rung, LadderWalk};
-use caai_core::prober::GatherOutcome;
-use caai_core::trace::{InvalidReason, WindowTrace, POST_TIMEOUT_ROUNDS};
+use caai_core::ladder::{floor_rung, AttemptPhase, LadderWalk, Run, RungAttempt};
+use caai_core::prober::{GatherOutcome, ProberConfig};
+use caai_core::trace::{InvalidReason, WindowTrace};
 use caai_netem::schedule::{RTT_LONG, RTT_SHORT};
-use caai_netem::{EnvironmentId, Phase, RttSchedule};
+use caai_netem::EnvironmentId;
 use std::collections::HashMap;
+use std::sync::LazyLock;
 
 pub use caai_core::ladder::DEFAULT_LADDER;
 
@@ -44,6 +49,11 @@ pub use caai_core::ladder::DEFAULT_LADDER;
 /// bursts, so a wildly mis-timed capture cannot inflate a trace without
 /// bound.
 const MAX_INSERTED_ZEROS: usize = 64;
+
+/// The prober's configuration: a replayed attempt gives up on a plateau,
+/// runs out of pre-timeout rounds and completes its recovery where the
+/// prober's did.
+static REPLAY: LazyLock<ProberConfig> = LazyLock::new(ProberConfig::default);
 
 /// One reconstructed probing connection.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,9 +64,8 @@ pub struct ConnectionObservation {
     /// threshold, `wmax_threshold` is 0 here — the wire carries no rung
     /// evidence — and is assigned by the session-level ladder replay.
     pub trace: WindowTrace,
-    /// True when the ACK-withholding point was observed.
-    pub crossed: bool,
-    /// The `w_max` rung pinned by the withholding point, when crossed.
+    /// The `w_max` rung pinned by the ACK-withholding point, when the
+    /// wire shows one.
     pub inferred_wmax: Option<u32>,
 }
 
@@ -90,61 +99,24 @@ fn infer_wmax(w_cross: u32, ladder: &[u32]) -> u32 {
         .unwrap_or_else(|| floor_rung(ladder))
 }
 
-/// Appends `w = 0` rounds for schedule-sized silences between `prev_t`
-/// and `next_t`, advancing the 1-based round counter. Returns the updated
-/// expected time base.
-fn insert_silent_rounds(
-    windows: &mut Vec<u32>,
-    schedule: &RttSchedule,
-    phase: Phase,
-    round: &mut u32,
-    prev_t: f64,
-    next_t: f64,
-) {
-    let mut expected = prev_t + schedule.rtt(phase, *round);
-    let mut inserted = 0;
-    while inserted < MAX_INSERTED_ZEROS {
-        let next_rtt = schedule.rtt(phase, *round + 1);
-        if next_t <= expected + 0.5 * next_rtt {
-            break;
+/// Feeds `attempt` a silent round for each schedule-sized silence before
+/// a burst that arrived at `t`, when the round after the last was
+/// `expected`: a round whose data or ACKs were all lost left nothing on
+/// the wire.
+fn silent_rounds(attempt: &mut RungAttempt, mut expected: f64, t: f64) {
+    for _ in 0..MAX_INSERTED_ZEROS {
+        let rtt = attempt.round_rtt();
+        if t <= expected + 0.5 * rtt || attempt.on_silent_round(&REPLAY, false).is_none() {
+            return;
         }
-        windows.push(0);
-        *round += 1;
-        expected += next_rtt;
-        inserted += 1;
+        expected += rtt;
     }
 }
 
-/// The windows of one phase's bursts, in packets of `size` bytes: how far
-/// each burst reached past the furthest before it (from `prev_end`), with
-/// `w = 0` rounds for the schedule-sized silences between bursts.
-fn phase_windows(
-    bursts: &[Burst],
-    size: u64,
-    mut prev_end: u64,
-    schedule: &RttSchedule,
-    phase: Phase,
-) -> Vec<u32> {
-    let mut windows = Vec::new();
-    let mut round = 0u32;
-    let mut prev_t = None;
-    for b in bursts {
-        if let Some(pt) = prev_t {
-            insert_silent_rounds(&mut windows, schedule, phase, &mut round, pt, b.t0);
-        }
-        // Bursts hold bytes: one past the burst's highest packet index.
-        let end = b.end.div_ceil(size);
-        windows.push(u32::try_from(end.saturating_sub(prev_end)).unwrap_or(u32::MAX));
-        prev_end = prev_end.max(end);
-        round += 1;
-        prev_t = Some(b.t0);
-    }
-    windows
-}
-
-/// Reconstructs one connection's window trace from its reassembled flow.
-/// Returns `None` for flows that carried no server data at all (not a
-/// probe connection this pipeline can say anything about).
+/// Reconstructs one connection's window trace by replaying its
+/// reassembled flow to a [`RungAttempt`]. Returns `None` for flows that
+/// carried no server data at all (not a probe connection this pipeline
+/// can say anything about).
 pub fn observe_connection(flow: &Flow, ladder: &[u32]) -> Option<ConnectionObservation> {
     let mss = flow.effective_mss()?;
     let bursts = &flow.bursts;
@@ -152,8 +124,8 @@ pub fn observe_connection(flow: &Flow, ladder: &[u32]) -> Option<ConnectionObser
         return None;
     }
     let size = u64::from(mss.max(1));
-    let env = infer_env(bursts);
-    let schedule = RttSchedule::new(env);
+    // Bursts hold bytes; the packets they cover end one past the highest.
+    let end = |b: &Burst| b.end.div_ceil(size);
 
     // The pre/post boundary: the first burst that opens with a
     // retransmission after a burst that was never ACKed — the server's
@@ -164,65 +136,59 @@ pub fn observe_connection(flow: &Flow, ladder: &[u32]) -> Option<ConnectionObser
         .skip(1)
         .find(|(_, b)| !b.acked_before && b.head_retransmit)
         .map(|(i, _)| i);
-
-    // ---- Pre-timeout windows (§IV-D measurement). ----------------------
-    let pre_bursts = &bursts[..timeout_idx.unwrap_or(bursts.len())];
-    let pre = phase_windows(pre_bursts, size, 0, &schedule, Phase::BeforeTimeout);
+    let pre = &bursts[..timeout_idx.unwrap_or(bursts.len())];
 
     // The withholding point: the last pre burst drew no ACKs (either the
     // timeout followed, or the flow ended with the server never
-    // responding to it).
-    let withheld = match timeout_idx {
-        Some(_) => true,
-        None => pre_bursts
-            .last()
-            .is_some_and(|b| b.first_ack_after.is_none()),
-    };
-
-    // ---- Post-timeout windows. -----------------------------------------
-    // §IV-D re-anchoring: the first retransmission's index restarts the
-    // measurement baseline.
-    let post = match timeout_idx {
-        Some(idx) => {
-            let anchor = bursts[idx].start / size;
-            phase_windows(&bursts[idx..], size, anchor, &schedule, Phase::AfterTimeout)
+    // responding to it). How far it reached past every earlier burst
+    // pins the rung; without it, no threshold was passed.
+    let inferred_wmax = match pre.split_last() {
+        Some((crossing, earlier))
+            if timeout_idx.is_some() || crossing.first_ack_after.is_none() =>
+        {
+            let reached = earlier.iter().map(end).max().unwrap_or(0);
+            let w = end(crossing).saturating_sub(reached);
+            Some(infer_wmax(u32::try_from(w).unwrap_or(u32::MAX), ladder))
         }
-        None => Vec::new(),
+        _ => None,
     };
 
-    // ---- Validity & failure classification (§IV-E, §VII-B). ------------
-    let invalid = if timeout_idx.is_some() {
-        if post.len() >= POST_TIMEOUT_ROUNDS {
-            None
-        } else {
-            Some(InvalidReason::RecoveryTooShort)
+    let mut attempt = RungAttempt::new(infer_env(bursts), inferred_wmax.unwrap_or(u32::MAX));
+    attempt.set_mss(mss);
+    let mut expected = None;
+    for (i, b) in bursts.iter().enumerate() {
+        if Some(i) == timeout_idx {
+            attempt.on_rto(true);
+            expected = None;
         }
-    } else if withheld {
-        Some(InvalidReason::NoTimeoutResponse)
-    } else if flow.closed_by == Some(Endpoint::Server) {
-        Some(InvalidReason::PageTooShort)
-    } else {
-        Some(InvalidReason::NeverExceededThreshold)
-    };
-
-    let crossed = withheld;
-    let inferred_wmax = if crossed {
-        pre.last().map(|&w| infer_wmax(w, ladder))
-    } else {
-        None
-    };
-
+        if let Some(at) = expected {
+            silent_rounds(&mut attempt, at, b.t0);
+        }
+        let rtt = attempt.round_rtt();
+        let first = b.start / size;
+        let run = Run {
+            first,
+            len: end(b).saturating_sub(first),
+            duplicate: false,
+        };
+        attempt.on_round(&REPLAY, &[run]);
+        expected = Some(b.t0 + rtt);
+    }
+    // A withholding the server never answered.
+    attempt.on_rto(false);
+    // What is still open, the wire ended: a server FIN before the
+    // crossing, a recovery cut short, or — the one ending only a capture
+    // has to tell apart — a prober that gave up before crossing.
+    let gave_up = attempt.phase() == AttemptPhase::Pre && flow.closed_by != Some(Endpoint::Server);
+    attempt.on_silent_round(&REPLAY, true);
+    let mut trace = attempt.into_trace();
+    if gave_up {
+        trace.invalid = Some(InvalidReason::NeverExceededThreshold);
+    }
+    trace.wmax_threshold = inferred_wmax.unwrap_or(0);
     Some(ConnectionObservation {
         start: flow.start,
-        trace: WindowTrace {
-            env,
-            wmax_threshold: inferred_wmax.unwrap_or(0),
-            mss,
-            pre,
-            post,
-            invalid,
-        },
-        crossed,
+        trace,
         inferred_wmax,
     })
 }
@@ -397,7 +363,6 @@ mod tests {
         let obs = observe_connection(&flow, &[4, 2]).expect("observable");
         assert_eq!(obs.trace.env, EnvironmentId::A);
         assert_eq!(obs.trace.pre, vec![2, 4, 8]);
-        assert!(obs.crossed);
         assert_eq!(
             obs.inferred_wmax,
             Some(4),
@@ -423,7 +388,7 @@ mod tests {
         ev.truncate(2 + 2 + 4 + 4 + 8);
         let flow = flow_of(ev, Some(Endpoint::Client));
         let obs = observe_connection(&flow, &[4]).unwrap();
-        assert!(obs.crossed);
+        assert_eq!(obs.inferred_wmax, Some(4));
         assert_eq!(obs.trace.invalid, Some(InvalidReason::NoTimeoutResponse));
     }
 
@@ -433,7 +398,7 @@ mod tests {
         let flow = flow_of(ev, Some(Endpoint::Server));
         let obs = observe_connection(&flow, &[512]).unwrap();
         assert_eq!(obs.trace.invalid, Some(InvalidReason::PageTooShort));
-        assert!(!obs.crossed);
+        assert_eq!(obs.inferred_wmax, None);
         assert_eq!(
             obs.trace.wmax_threshold, 0,
             "rung comes from the session replay"

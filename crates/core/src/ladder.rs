@@ -19,23 +19,31 @@
 //! ACKs go out as runs too, and both directions cost O(runs).
 //!
 //! Neither holds a clock, a socket, an RNG, a tap or a subscriber. Two
-//! drivers feed them and execute what they return:
+//! drivers feed them: the frame pair executes what they return, and
+//! capture replay tells them what a recorded connection showed.
 //!
 //! ```text
-//!   LadderCore ◀─frames─▶ ServerCore (sansio.rs)    session_outcome (caai-capture)
-//!   virtual clock          tcpsim + path fates       reconstructed connections
-//!        │  arrival runs, RTO answered?                       │ finished traces
+//!   LadderCore ◀─frames─▶ ServerCore (sansio.rs)    observe_connection (caai-capture)
+//!   virtual clock          tcpsim + path fates       a captured flow's bursts, its
+//!        │  arrival runs, RTO answered?              silences, timeout seen, close
 //!        ▼           ▲ ACK runs                               │
-//!   ┌─────────── RungAttempt ───────────┐                     │
-//!   │ Pre ──w>w_max──▶ AwaitRto ──▶ Post │──WindowTrace──┐     │
-//!   └───────────────────────────────────┘               ▼     ▼
+//!   ┌─────────── RungAttempt ───────────┐◀────────────────────┘
+//!   │ Pre ──w>w_max──▶ AwaitRto ──▶ Post │──WindowTrace──┐
+//!   └───────────────────────────────────┘               ▼
 //!                                         ┌──────── LadderWalk ────────┐
 //!                                         │ next() / record() / abort() │──▶ GatherOutcome
 //!                                         └────────────────────────────┘
+//!                                                       ▲ a session's traces, in order
+//!                                          session_outcome (caai-capture)
 //! ```
 //!
 //! The frame pair is one driver wherever it runs: the simulator passes
 //! the frames between the two cores in memory, `caai-net` over sockets.
+//! Capture replay feeds each captured connection to a [`RungAttempt`]
+//! whose threshold the wire pinned, ignores the ACKs it asks for, and
+//! records the session's traces in a [`LadderWalk`] it never asks what
+//! comes next: the §IV-D window and the §IV-E validity rules of recorded
+//! traffic are the prober's own.
 //!
 //! Sequence numbers may come straight off a wire, so all arithmetic on
 //! them saturates; on honest inputs nothing ever does.

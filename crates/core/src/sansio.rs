@@ -802,6 +802,77 @@ mod tests {
         assert!(matches!(runs[..], [Run { len: 0, .. }]), "{runs:?}");
     }
 
+    /// Acknowledges every packet `core` sends, round by round, until its
+    /// window passes [`MAX_BURST_SEQS`]; returns that window and the
+    /// answer to the `Xmit` that follows.
+    fn grow_past_the_cap<S: Borrow<ServerUnderTest>, G: Rng>(
+        core: &mut ServerCore<'_, S, G>,
+    ) -> (u32, Result<Reply, ProtocolError>) {
+        let hello = ClientFrame::Hello {
+            proposed_mss: 100,
+            now: 0.0,
+        };
+        core.on_frame(&hello).unwrap();
+        for round in 0.. {
+            let ServerState::Open(conn) = &core.state else {
+                panic!("the connection is open");
+            };
+            let cwnd = conn.cwnd();
+            let now = f64::from(round);
+            let xmit = ClientFrame::Xmit {
+                now,
+                horizon: now + 1.0,
+            };
+            if cwnd as usize > MAX_BURST_SEQS {
+                return (cwnd, core.on_frame(&xmit));
+            }
+            let reply = core.on_frame(&xmit).unwrap();
+            let Some(ServerFrame::Burst { runs, .. }) = reply.frames else {
+                panic!("an Xmit is answered by one Burst, got {:?}", reply.frames);
+            };
+            for run in runs {
+                // Packet `seq` is acknowledged by `seq + 1`, a train at a
+                // time.
+                let (mut first, end) = (run.first + 1, run.first + run.len);
+                while first <= end {
+                    let count = (end - first + 1).min(MAX_BURST_SEQS as u64);
+                    let train = ClientFrame::AckRun {
+                        now: now + 1.0,
+                        first,
+                        count: count as u32,
+                        rtt: 1.0,
+                    };
+                    core.on_frame(&train).unwrap();
+                    first += count;
+                }
+            }
+        }
+        unreachable!("the rounds never run out")
+    }
+
+    #[test]
+    fn only_the_fleet_s_core_caps_the_window() {
+        // A window the frame codec could not carry: the fleet's core
+        // refuses to send it...
+        let mut fleet = ServerCore::new(ServerUnderTest::ideal(AlgorithmId::Reno));
+        let (cwnd, answer) = grow_past_the_cap(&mut fleet);
+        let err = answer.unwrap_err();
+        let cap = format!("window of {cwnd} packets exceeds the cap of {MAX_BURST_SEQS}");
+        assert_eq!(err.reason, cap);
+        // ...while the simulator's, whose bursts are never framed, keeps
+        // sending on a path that loses nothing.
+        let server = ServerUnderTest::ideal(AlgorithmId::Reno);
+        let mut rng = seeded(5);
+        let mut sim = ServerCore::over_path(&server, PathConfig::clean(), &mut rng);
+        let (cwnd, answer) = grow_past_the_cap(&mut sim);
+        let frames = answer.unwrap().frames;
+        let Some(ServerFrame::Burst { done: false, runs }) = frames else {
+            panic!("a Burst, got {frames:?}");
+        };
+        let sent: u64 = runs.iter().map(|r| r.len).sum();
+        assert_eq!(sent, u64::from(cwnd), "the whole window, past the cap");
+    }
+
     /// One packet as the prober received it, as rounds were before they
     /// were runs.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -350,14 +350,6 @@ fn mutate_pcapng(buf: &mut Vec<u8>, rng: &mut SplitMix64) -> bool {
         };
         buf[at..at + 4].copy_from_slice(&bytes);
     };
-    let w16 = |buf: &mut [u8], at: usize, v: u16| {
-        let bytes = if big {
-            v.to_be_bytes()
-        } else {
-            v.to_le_bytes()
-        };
-        buf[at..at + 2].copy_from_slice(&bytes);
-    };
     match rng.below(8) {
         0 => {
             // Corrupt a block's total_len: off-by-small or interesting.
@@ -472,7 +464,6 @@ fn mutate_pcapng(buf: &mut Vec<u8>, rng: &mut SplitMix64) -> bool {
             buf.truncate(at + rng.below(size.max(1)));
         }
     }
-    let _ = w16; // endianness helper kept for future field-level mutations
     true
 }
 

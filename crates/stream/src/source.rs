@@ -40,7 +40,8 @@ pub enum StallPolicy {
     /// writer closed, stdin at EOF).
     Eof,
     /// The file may still grow: sleep `poll` and retry, giving up after
-    /// `idle` without a single new byte (`None` = wait forever).
+    /// `idle` without a single new byte (`None` = wait forever), at the
+    /// second empty read at the earliest.
     Follow {
         /// Sleep between polls of a quiet file.
         poll: Duration,
@@ -178,10 +179,17 @@ impl<R: Read> ByteFeed<R> {
                     return Ok(false);
                 }
                 StallPolicy::Follow { poll, idle } => {
-                    let since = *idle_since.get_or_insert_with(Instant::now);
-                    if idle.is_some_and(|limit| since.elapsed() >= limit) {
-                        self.ended = true;
-                        return Ok(false);
+                    // The idle clock starts at the first empty read and is
+                    // looked at from the second on: one empty read between
+                    // two full ones never ends the stream, however long
+                    // the thread waited to run.
+                    match idle_since {
+                        None => idle_since = Some(Instant::now()),
+                        Some(since) if idle.is_some_and(|limit| since.elapsed() >= limit) => {
+                            self.ended = true;
+                            return Ok(false);
+                        }
+                        Some(_) => {}
                     }
                     std::thread::sleep(poll);
                 }
@@ -384,6 +392,33 @@ mod tests {
         let (frames, _, err) = drain(PcapStream::new(Cursor::new(&buf), StallPolicy::Eof));
         assert!(frames.is_empty());
         assert!(err.unwrap().reason.contains("link type 113"));
+    }
+
+    #[test]
+    fn one_empty_read_never_ends_a_followed_stream() {
+        // Every other read is empty, and the idle limit is zero: only a
+        // second empty read in a row may end the stream, so both frames
+        // arrive whenever the clock is read.
+        struct Halting<'a>(&'a [u8], bool);
+        impl Read for Halting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.1 = !self.1;
+                if self.1 {
+                    return Ok(0);
+                }
+                let n = buf.len().min(self.0.len()).min(7);
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let buf = classic(&[(1.0, b"first"), (2.0, b"second")]);
+        let stall = StallPolicy::Follow {
+            poll: Duration::ZERO,
+            idle: Some(Duration::ZERO),
+        };
+        let (frames, skips, err) = drain(PcapStream::new(Halting(&buf, false), stall));
+        assert_eq!((frames.len(), skips.len(), err), (2, 0, None));
     }
 
     #[test]

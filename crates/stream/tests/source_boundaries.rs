@@ -77,8 +77,9 @@ fn variant(which: usize) -> Vec<u8> {
 const VARIANTS: usize = 7;
 
 /// Hands out 1..=`max` bytes per call, and — when `stalls` — a zero-byte
-/// read now and then (never two in a row before the end, so an idle
-/// timeout cannot pass mid-stream).
+/// read now and then (never two in a row before the end: the source ends
+/// a followed stream at a second empty read in a row at the earliest, so
+/// its idle timeout cannot pass mid-stream, however the thread runs).
 struct Drip<'a> {
     bytes: &'a [u8],
     max: usize,
