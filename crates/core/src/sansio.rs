@@ -813,12 +813,12 @@ mod tests {
             now: 0.0,
         };
         core.on_frame(&hello).unwrap();
-        for round in 0.. {
+        let mut now = 0.0;
+        loop {
             let ServerState::Open(conn) = &core.state else {
                 panic!("the connection is open");
             };
             let cwnd = conn.cwnd();
-            let now = f64::from(round);
             let xmit = ClientFrame::Xmit {
                 now,
                 horizon: now + 1.0,
@@ -846,8 +846,8 @@ mod tests {
                     first += count;
                 }
             }
+            now += 1.0;
         }
-        unreachable!("the rounds never run out")
     }
 
     #[test]
