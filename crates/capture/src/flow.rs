@@ -15,17 +15,24 @@
 //! A packet finds its flow through a [`FlowIndex`]: a 256-slot
 //! direct-mapped front cache in front of a std `HashMap` with its
 //! randomly keyed SipHash. The one per-frame loop,
-//! [`crate::source::drain_segments`], feeds two tables that use it:
-//! [`reassemble_source`] here (whole captures of any container) and the
-//! streaming pipeline's flow table, which also
+//! [`crate::source::drain_segments`], feeds the product's one flow
+//! table, the streaming pipeline's (`caai-stream`), which also
 //! [`remove`](FlowIndex::remove)s a flow when it is evicted, before its
-//! slab slot is reused. Session grouping ([`crate::reconstruct::sessions`])
-//! runs once per flow, not per packet, and uses a plain `HashMap`.
+//! slab slot is reused. Offline identification is that pipeline run to
+//! the end of the capture.
+//!
+//! [`reassemble_source`] here is the whole-capture reference: every
+//! flow of a capture held until its end, in first-packet order, with no
+//! timeouts. No product path runs it; tests, the fuzz `offline` target
+//! and the benchmark's layer rows compare the pipeline against it, so it
+//! stays as plain as a fold can be. Session grouping
+//! ([`crate::reconstruct::sessions`]) runs once per flow, not per packet,
+//! and uses a plain `HashMap`.
 
 use crate::packet::{flags, TcpSegmentView};
 use crate::pcap::PcapReader;
-use crate::source::{drain_segments, skip, CaptureError, CaptureSource};
-use caai_obs::{Event, EvictionCause, FlowEvicted, FlowOpened, NullSubscriber, Subscriber};
+use crate::source::{drain_segments, CaptureError, CaptureSource};
+use caai_obs::NullSubscriber;
 use std::collections::HashMap;
 
 /// A TCP connection 4-tuple in capture orientation (first-seen direction).
@@ -266,12 +273,13 @@ impl Flow {
 
 /// Per-flow reassembly state while packets stream in.
 ///
-/// The incremental core of [`reassemble`], public so streaming ingestion
-/// (`caai-stream`) can feed one packet at a time and evict idle flows
-/// without buffering a whole capture: construct with [`FlowBuilder::new`]
-/// on a flow's first segment, [`feed`](FlowBuilder::feed) every segment
-/// (including the first), and [`into_flow`](FlowBuilder::into_flow) when
-/// the flow closes or is evicted.
+/// The incremental core of every flow table, public so streaming
+/// ingestion (`caai-stream`) can feed one packet at a time and evict idle
+/// flows without buffering a whole capture: construct with
+/// [`FlowBuilder::new`] on a flow's first segment,
+/// [`feed`](FlowBuilder::feed) every segment (including the first), and
+/// [`into_flow`](FlowBuilder::into_flow) when the flow closes or is
+/// evicted.
 #[derive(Debug)]
 pub struct FlowBuilder {
     flow: Flow,
@@ -291,7 +299,8 @@ pub struct FlowBuilder {
     last_seen: f64,
 }
 
-/// Everything reassembled from one capture.
+/// Everything the whole-capture reference ([`reassemble_source`])
+/// reassembled from one capture.
 #[derive(Debug, PartialEq)]
 pub struct Reassembly {
     /// Flows in order of their first packet.
@@ -304,20 +313,16 @@ pub struct Reassembly {
     pub packets: usize,
 }
 
-/// Reassembles a raw classic capture buffer into flows.
+/// Reassembles a raw classic capture buffer into flows: the
+/// whole-capture reference of [`reassemble_source`] over the zero-copy
+/// [`PcapReader`].
 ///
 /// Per-packet problems (non-IP ethertypes, corrupt headers, mid-stream
 /// garbage) are skipped and reported in [`Reassembly::skipped`]; only a
 /// broken pcap *framing* stops early, recorded in
 /// [`Reassembly::truncated`]. The function never panics on any input.
 pub fn reassemble(buf: &[u8]) -> Result<Reassembly, CaptureError> {
-    reassemble_obs(buf, &NullSubscriber)
-}
-
-/// [`reassemble`] with a structured-event subscriber; see
-/// [`reassemble_source`] for what it hears.
-pub fn reassemble_obs<S: Subscriber>(buf: &[u8], obs: &S) -> Result<Reassembly, CaptureError> {
-    reassemble_source(&mut PcapReader::new(buf)?, obs)
+    reassemble_source(&mut PcapReader::new(buf)?)
 }
 
 /// Drains any capture source and reassembles every flow, in order of
@@ -325,42 +330,28 @@ pub fn reassemble_obs<S: Subscriber>(buf: &[u8], obs: &S) -> Result<Reassembly, 
 /// unreadable (or not Ethernet); damage after it is
 /// [`Reassembly::truncated`].
 ///
-/// `obs` hears the drain's events ([`crate::source::drain_segments`]), a
-/// [`FlowOpened`] per new 4-tuple, and a [`FlowEvicted`] (cause
-/// [`EvictionCause::Drain`]) per flow when the end of the capture closes
-/// the table. The returned [`Reassembly`] is identical whatever the
-/// subscriber.
-pub fn reassemble_source<C, S>(source: &mut C, obs: &S) -> Result<Reassembly, CaptureError>
+/// This is the reference the streaming pipeline is checked against, not
+/// a product path: it holds every flow until the capture ends and has
+/// no subscriber.
+pub fn reassemble_source<C>(source: &mut C) -> Result<Reassembly, CaptureError>
 where
     C: CaptureSource + ?Sized,
-    S: Subscriber,
 {
     let mut index = FlowIndex::new();
     let mut order: Vec<FlowBuilder> = Vec::new();
-    let drained = drain_segments(source, obs, |at, ts, seg, skipped| {
+    let drained = drain_segments(source, &NullSubscriber, |at, ts, seg, skipped| {
         let key = FlowKey::of(seg);
         let idx = index.get(&key).unwrap_or_else(|| {
-            obs.on_event(&Event::FlowOpened(FlowOpened {}));
             order.push(FlowBuilder::new(seg, ts));
             index.insert(key, order.len() - 1);
             order.len() - 1
         });
         if let Some(reason) = order[idx].feed(ts, seg) {
-            skip(obs, skipped, at, reason);
+            skipped.push((at, reason));
         }
     })?;
-    let flows: Vec<Flow> = order
-        .into_iter()
-        .map(|b| {
-            obs.on_event(&Event::FlowEvicted(FlowEvicted {
-                cause: EvictionCause::Drain,
-                events: b.events() as u64,
-            }));
-            b.into_flow()
-        })
-        .collect();
     Ok(Reassembly {
-        flows,
+        flows: order.into_iter().map(FlowBuilder::into_flow).collect(),
         skipped: drained
             .skipped
             .into_iter()

@@ -1,10 +1,10 @@
 //! Capture-level identification: probe sessions → per-server verdicts.
 //!
 //! Ties the subsystem together: reconstruct each probe session's
-//! [`GatherOutcome`] ([`session_report`], shared by whole-capture and
-//! streaming ingestion), and run the standard CAAI step-2/3
-//! pipeline (special-case detection, feature extraction, random-forest
-//! classification) on the result. Each session yields one
+//! [`GatherOutcome`] ([`session_report`], shared by the streaming
+//! pipeline and the whole-capture reference [`identify_reassembly`]),
+//! and run the standard CAAI step-2/3 pipeline (special-case detection,
+//! feature extraction, random-forest classification) on the result. Each session yields one
 //! [`CensusRecord`] with `truth: None` — on a real capture the ground
 //! truth is the unknown being measured — so the records flow through the
 //! same `ResultSink` machinery (JSONL streaming, aggregation) as the
@@ -36,7 +36,9 @@ pub struct SessionReport {
     pub record: CensusRecord,
 }
 
-/// Builds per-session verdicts from an already-reassembled capture.
+/// Builds per-session verdicts from an already-reassembled capture: the
+/// whole-capture reference that `caai_stream::identify_bytes`, the
+/// product's path, is checked against.
 ///
 /// Sessions with no reconstructable probe connection at all (e.g. a
 /// handshake-only flow, a SYN scan, or non-probe chatter between two
@@ -47,24 +49,11 @@ pub fn identify_reassembly(
     classifier: &CaaiClassifier,
     ladder: &[u32],
 ) -> Vec<SessionReport> {
-    identify_reassembly_obs(reassembly, classifier, ladder, &NullSubscriber)
-}
-
-/// [`identify_reassembly`] with a structured-event subscriber: what
-/// [`session_report`] emits, per session (`lag_secs` is `0` — offline
-/// ingestion has no watermark). The reports are identical to the
-/// unobserved call.
-pub fn identify_reassembly_obs<S: Subscriber>(
-    reassembly: &Reassembly,
-    classifier: &CaaiClassifier,
-    ladder: &[u32],
-    obs: &S,
-) -> Vec<SessionReport> {
     reconstruct::sessions(reassembly, ladder)
         .iter()
         .filter(|s| !s.connections.is_empty())
         .enumerate()
-        .map(|(i, s)| session_report(s, i, 0.0, classifier, ladder, obs))
+        .map(|(i, s)| session_report(s, i, 0.0, classifier, ladder, &NullSubscriber))
         .collect()
 }
 

@@ -49,7 +49,11 @@
 //! ```
 //!
 //! To go from bytes of either container to verdicts in one call, use
-//! `caai_stream::identify_bytes`; from a reassembly, [`identify_reassembly`].
+//! `caai_stream::identify_bytes`: the streaming pipeline run to the end
+//! of the capture, the one ingestion path of the product. The
+//! whole-capture fold used above ([`reassemble`], [`reassemble_source`],
+//! [`identify_reassembly`]) is kept as the reference that path is
+//! checked against.
 //!
 //! [`WindowTrace`]: caai_core::trace::WindowTrace
 //! [`TracePair`]: caai_core::trace::TracePair
@@ -65,10 +69,8 @@ pub mod reconstruct;
 pub mod render;
 pub mod source;
 
-pub use flow::{
-    reassemble, reassemble_obs, reassemble_source, Flow, FlowBuilder, FlowKey, Reassembly,
-};
-pub use identify::{identify_reassembly, identify_reassembly_obs, session_report, SessionReport};
+pub use flow::{reassemble, reassemble_source, Flow, FlowBuilder, FlowKey, Reassembly};
+pub use identify::{identify_reassembly, session_report, SessionReport};
 pub use packet::{decode, encode, DecodeError, FrameSpec, TcpSegmentView};
 pub use pcap::{PcapReader, PcapRecord, PcapWriter};
 pub use reconstruct::{

@@ -4,9 +4,10 @@
 //! (classic pcap, pcapng) or its mode (whole file, pipe, `--follow`): a
 //! [`CaptureSource`] yields frames and skip reports, and
 //! [`drain_segments`] decodes each frame where the source holds it and
-//! hands the segment's header to a flow table — whole-capture
-//! reassembly ([`crate::flow::reassemble_source`]) or the streaming
-//! pipeline's timeout wheel.
+//! hands the segment's header to a flow table: the streaming pipeline's
+//! timeout wheel, which every product path runs (offline identification
+//! is that pipeline run to the end of the capture), or the whole-capture
+//! reference ([`crate::flow::reassemble_source`]) it is checked against.
 //!
 //! The error model is written once, here:
 //!

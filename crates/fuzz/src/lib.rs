@@ -8,8 +8,9 @@
 //! that mutates valid captures along their structural seams and drives
 //! them through three parser stacks:
 //!
-//! * [`targets::Target::Offline`] — classic reader → flow reassembly →
-//!   ladder reconstruction;
+//! * [`targets::Target::Offline`] — `identify_bytes` (the streaming
+//!   pipeline run to EOF) against the whole-capture reference: flow
+//!   reassembly → ladder reconstruction → verdict;
 //! * [`targets::Target::Stream`] — the incremental source (classic and
 //!   pcapng framing);
 //! * [`targets::Target::Pipeline`] — the streaming pipeline with a

@@ -7,8 +7,9 @@
 //! build, an arithmetic overflow surfacing as one) anywhere between the
 //! container walker and the verdict.
 
-use caai_capture::reconstruct::{observe_connection, session_outcome, sessions};
-use caai_capture::{reassemble, reassemble_source, PcapReader, DEFAULT_LADDER};
+use caai_capture::{
+    identify_reassembly, reassemble, reassemble_source, PcapReader, DEFAULT_LADDER,
+};
 use caai_congestion::AlgorithmId;
 use caai_core::classes::label_names;
 use caai_core::features::FEATURE_DIM;
@@ -21,17 +22,20 @@ use caai_ml::{Dataset, RandomForestConfig};
 use caai_net::frame::FrameDecoder;
 use caai_net::parse_targets;
 use caai_netem::rng::seeded;
-use caai_obs::NullSubscriber;
 use caai_stream::pcapng::SHB_MAGIC;
-use caai_stream::{CaptureError, CaptureSource, PcapStream, SourceItem, StallPolicy, StreamConfig};
+use caai_stream::{
+    identify_bytes, CaptureError, CaptureSource, PcapStream, SourceItem, StallPolicy, StreamConfig,
+};
 use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The parser stacks a mutated input is driven through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Target {
-    /// Zero-copy classic reader → flow reassembly → ladder
-    /// reconstruction → outcome (no classifier); a classic input must
+    /// `identify_bytes` (the pipeline run to EOF) against the
+    /// whole-capture reference (reassembly → ladder reconstruction →
+    /// outcome → verdict, tiny classifier): same verdicts, packets, skips
+    /// and truncation, or the same error; a classic input must also
     /// reassemble identically through the incremental source.
     Offline,
     /// Incremental source (classic *and* pcapng framing) drained item
@@ -88,7 +92,7 @@ impl Targets {
     /// `Err(message)`.
     pub fn run(&self, target: Target, bytes: &[u8]) -> Result<(), String> {
         let job = AssertUnwindSafe(|| match target {
-            Target::Offline => drive_offline(bytes),
+            Target::Offline => self.drive_offline(bytes),
             Target::Stream => drive_stream(bytes),
             Target::Pipeline => self.drive_pipeline(bytes),
             Target::NetTargets => drive_net_targets(bytes),
@@ -107,6 +111,57 @@ impl Targets {
         })
     }
 
+    /// Offline identification against its whole-capture reference. The
+    /// reference reassembles with the zero-copy reader (classic) or the
+    /// incremental source (pcapng); a classic input must reassemble to the
+    /// same flows, skips, truncation and packet count (or fail with the same
+    /// error) through both, since both feed the one drain. Then
+    /// `identify_bytes`, the pipeline under the whole-capture rule, must
+    /// give the reference's verdicts, packets, skips and truncation, or its
+    /// error.
+    fn drive_offline(&self, bytes: &[u8]) {
+        let mut stream = PcapStream::new(Cursor::new(bytes), StallPolicy::Eof);
+        let streamed = reassemble_source(&mut stream);
+        let reference = if bytes.starts_with(&SHB_MAGIC) {
+            streamed
+        } else {
+            let offline = reassemble(bytes);
+            assert!(
+                offline == streamed,
+                "reassemble and the stream disagree: {:?} vs {:?}",
+                offline
+                    .as_ref()
+                    .map(|r| (r.flows.len(), r.packets, &r.truncated)),
+                streamed
+                    .as_ref()
+                    .map(|r| (r.flows.len(), r.packets, &r.truncated)),
+            );
+            offline
+        };
+        let identified = identify_bytes(bytes, &self.classifier, None);
+        let reference = reference.map(|r| {
+            let sessions = identify_reassembly(&r, &self.classifier, &DEFAULT_LADDER);
+            (sessions, r.packets, r.skipped, r.truncated)
+        });
+        let identified = identified.map(|v| (v.sessions, v.packets, v.skipped, v.truncated));
+        if identified != reference {
+            let first = match (&identified, &reference) {
+                (Ok(a), Ok(b)) => a.0.iter().zip(&b.0).position(|(x, y)| x != y),
+                _ => None,
+            };
+            panic!(
+                "identify_bytes and the whole-capture reference disagree, first at session \
+                 {first:?}: {:?} vs {:?}",
+                identified
+                    .as_ref()
+                    .map(|v| (v.0.len(), v.1, v.2.len(), &v.3)),
+                reference
+                    .as_ref()
+                    .map(|r| (r.0.len(), r.1, r.2.len(), &r.3)),
+            );
+        }
+    }
+
     fn drive_pipeline(&self, bytes: &[u8]) {
         let mut source = PcapStream::new(Cursor::new(bytes.to_vec()), StallPolicy::Eof);
         let mut verdicts = 0usize;
@@ -122,38 +177,6 @@ impl Targets {
 impl Default for Targets {
     fn default() -> Self {
         Targets::new()
-    }
-}
-
-/// The offline capture stack, classifier excluded: reassemble, observe
-/// every flow against the ladder, group sessions, replay each outcome.
-/// A classic input must reassemble to the same flows, skips, truncation
-/// and packet count (or fail with the same error) through the
-/// incremental source: both readers feed the one drain.
-fn drive_offline(bytes: &[u8]) {
-    let offline = reassemble(bytes);
-    if !bytes.starts_with(&SHB_MAGIC) {
-        let mut stream = PcapStream::new(Cursor::new(bytes), StallPolicy::Eof);
-        let streamed = reassemble_source(&mut stream, &NullSubscriber);
-        assert!(
-            offline == streamed,
-            "reassemble and the stream disagree: {:?} vs {:?}",
-            offline
-                .as_ref()
-                .map(|r| (r.flows.len(), r.packets, &r.truncated)),
-            streamed
-                .as_ref()
-                .map(|r| (r.flows.len(), r.packets, &r.truncated)),
-        );
-    }
-    let Ok(reassembly) = offline else {
-        return; // rejected at the container: the contract, not a finding
-    };
-    for flow in &reassembly.flows {
-        let _ = observe_connection(flow, &DEFAULT_LADDER);
-    }
-    for session in sessions(&reassembly, &DEFAULT_LADDER) {
-        let _ = session_outcome(&session, &DEFAULT_LADDER);
     }
 }
 

@@ -1,8 +1,9 @@
-//! Live streaming capture ingestion for CAAI.
+//! Capture ingestion for CAAI: one streaming pipeline, whatever the
+//! source.
 //!
-//! The offline path (`caai-capture`) wants the whole capture in memory
-//! before it reassembles a single flow. This crate removes that
-//! restriction along three axes:
+//! Every product path from capture bytes to verdicts runs
+//! [`pipeline::run_obs`]; only its timeout rule and its source differ.
+//! The pipeline works along three axes:
 //!
 //! * **containers** — [`PcapStream`] reads classic pcap *and* pcapng
 //!   (section header / interface description / enhanced packet blocks,
@@ -12,8 +13,8 @@
 //!   that is still being written: [`StallPolicy::Follow`] polls past EOF
 //!   instead of stopping, so verdicts stream out while packets stream in;
 //! * **bounded memory** — [`pipeline::run`] reassembles on a timeout
-//!   wheel with bounded per-flow state, in one loop on the caller,
-//!   producing verdicts identical to the offline path's.
+//!   wheel with bounded per-flow state, in one loop on the caller, and
+//!   never holds the capture itself.
 //!
 //! The dataflow, stage by stage:
 //!
@@ -25,15 +26,21 @@
 //!                 ─► verdict callback (stdout / JSONL / census sink)
 //! ```
 //!
-//! Both paths run `caai_capture`'s one frame drain
-//! ([`caai_capture::source::drain_segments`]), so they share its error
+//! The pipeline runs `caai_capture`'s one frame drain
+//! ([`caai_capture::source::drain_segments`]), so it shares its error
 //! type ([`CaptureError`]) and its rule: an error before the container
 //! header is read is the run's `Err`, any later one is `truncated`.
 //!
-//! [`offline`] is the one bytes → verdicts entry point: it sniffs the
-//! container and drains a [`PcapStream`] (pcapng) or the zero-copy
-//! `PcapReader` (classic) into the whole-capture [`Reassembly`], so
-//! `caai identify --pcap` accepts either container.
+//! Offline identification is the same loop run to EOF under
+//! [`StreamConfig::whole_capture`]: no flow timeout, no session timeout,
+//! no per-flow event cap. [`offline`] is its bytes → verdicts entry
+//! point: it sniffs the container and runs a [`PcapStream`] (pcapng) or
+//! the zero-copy `PcapReader` (classic) through the pipeline, so
+//! `caai identify --pcap` accepts either container. `caai identify
+//! --pcap FILE|-` streams the file through [`open_path`] the same way,
+//! in memory bounded by its flows, not its size. The whole-capture fold
+//! [`Reassembly`] stays in `caai_capture` as the reference these
+//! verdicts are checked against.
 //!
 //! [`Reassembly`]: caai_capture::flow::Reassembly
 

@@ -1,14 +1,13 @@
 //! Offline (read-to-the-end) identification of an in-memory capture of
-//! either container: the one bytes → verdicts entry point.
+//! either container: the streaming pipeline run to EOF under
+//! [`StreamConfig::whole_capture`].
 
 use crate::pcapng::SHB_MAGIC;
+use crate::pipeline::{run_obs, StreamConfig};
 use crate::source::{PcapStream, StallPolicy};
-use caai_capture::{
-    identify_reassembly_obs, reassemble_obs, reassemble_source, CaptureError, SessionReport,
-    DEFAULT_LADDER,
-};
+use caai_capture::{CaptureError, PcapReader, SessionReport, DEFAULT_LADDER};
 use caai_core::classify::CaaiClassifier;
-use caai_obs::{span_begin, NullSubscriber, SpanKind, Subscriber};
+use caai_obs::{NullSubscriber, Subscriber};
 
 /// Everything identified from one capture.
 #[derive(Debug)]
@@ -38,35 +37,46 @@ pub fn identify_bytes(
     identify_bytes_obs(buf, classifier, ladder, &NullSubscriber)
 }
 
-/// [`identify_bytes`] with a structured-event subscriber: a `Reassembly`
-/// span around the drain, the reassembly events, and one
-/// `SessionEmitted` per verdict, whichever container the bytes turn out
-/// to be. The verdicts are the same whatever the subscriber.
+/// [`identify_bytes`] with a structured-event subscriber: it hears what
+/// [`run_obs`] emits under the whole-capture rule (no granule ticks), so
+/// the same events whichever container the bytes turn out to be. The
+/// verdicts are the same whatever the subscriber.
 ///
 /// pcapng (sniffed by its section-header magic) is read by
 /// [`PcapStream`] over the buffer, classic pcap by the zero-copy
-/// [`caai_capture::PcapReader`]; both then take the one path of
-/// [`reassemble_source`] and [`identify_reassembly_obs`].
+/// [`PcapReader`]; both feed the one pipeline.
 pub fn identify_bytes_obs<S: Subscriber>(
     buf: &[u8],
     classifier: &CaaiClassifier,
     ladder: Option<&[u32]>,
     obs: &S,
 ) -> Result<CaptureVerdicts, CaptureError> {
-    let reassembly_span = span_begin(obs, SpanKind::Reassembly, buf.len() as i64, 0);
-    let reassembly = if buf.starts_with(&SHB_MAGIC) {
-        let mut source = PcapStream::new(std::io::Cursor::new(buf), StallPolicy::Eof);
-        reassemble_source(&mut source, obs)
-    } else {
-        reassemble_obs(buf, obs)
+    let config = StreamConfig {
+        ladder: ladder.unwrap_or(&DEFAULT_LADDER).to_vec(),
+        ..StreamConfig::whole_capture()
     };
-    reassembly_span.end(obs);
-    let reassembly = reassembly?;
-    let ladder = ladder.unwrap_or(&DEFAULT_LADDER);
+    let mut sessions = Vec::new();
+    let on_verdict = |s: &SessionReport| sessions.push(s.clone());
+    let stats = if buf.starts_with(&SHB_MAGIC) {
+        let mut source = PcapStream::new(std::io::Cursor::new(buf), StallPolicy::Eof);
+        run_obs(&mut source, classifier, &config, on_verdict, obs)
+    } else {
+        run_obs(
+            &mut PcapReader::new(buf)?,
+            classifier,
+            &config,
+            on_verdict,
+            obs,
+        )
+    }?;
     Ok(CaptureVerdicts {
-        sessions: identify_reassembly_obs(&reassembly, classifier, ladder, obs),
-        skipped: reassembly.skipped,
-        truncated: reassembly.truncated,
-        packets: reassembly.packets,
+        sessions,
+        skipped: stats
+            .skipped
+            .into_iter()
+            .map(|(at, reason)| (at as usize, reason))
+            .collect(),
+        truncated: stats.truncated,
+        packets: stats.packets as usize,
     })
 }

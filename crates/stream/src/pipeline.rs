@@ -32,14 +32,25 @@
 //! * a session idle longer than [`StreamConfig::session_timeout`] emits
 //!   its verdict and is dropped (session memory ∝ live sessions).
 //!
+//! # Offline is this loop run to EOF
+//!
+//! [`StreamConfig::whole_capture`] is offline identification's one rule:
+//! no flow timeout, no session timeout, no per-flow event cap. Under it
+//! no granule ever ticks, no flow is split and no session is emitted
+//! before the source ends, so the verdicts are whole-capture verdicts,
+//! those of `caai_capture`'s reference fold (`reassemble` +
+//! `identify_reassembly`), while memory holds the flows and never the
+//! capture. `identify_bytes` and `caai identify --pcap` run it;
+//! `--follow` runs the same loop with finite timeouts.
+//!
 //! # Determinism
 //!
-//! The verdict stream is a function of the packet stream alone, and
-//! equals the offline path's over the same frames: time is the watermark,
-//! never a wall clock, so eviction and emission do not depend on how fast
-//! or in what pieces the bytes arrived; and a granule's evictions enter
-//! their sessions, and due sessions emit, in order of each one's first
-//! packet index.
+//! The verdict stream is a function of the packet stream alone: time is
+//! the watermark, never a wall clock, so eviction and emission do not
+//! depend on how fast or in what pieces the bytes arrived; and a
+//! granule's evictions enter their sessions, and due sessions emit, in
+//! order of each one's first packet index. Where no timeout fires
+//! mid-session, the verdicts equal the whole-capture reference's.
 //!
 //! [`FlowBuilder`]: caai_capture::flow::FlowBuilder
 //! [`SegmentHeader`]: caai_capture::flow::SegmentHeader
@@ -91,6 +102,21 @@ impl Default for StreamConfig {
     }
 }
 
+impl StreamConfig {
+    /// Offline identification's rule, written once: no flow timeout, no
+    /// session timeout and no per-flow event cap, so a flow is never
+    /// split, a session is never emitted before the capture ends, and no
+    /// granule ever ticks. Every verdict is a whole-capture verdict.
+    pub fn whole_capture() -> StreamConfig {
+        StreamConfig {
+            flow_timeout: f64::INFINITY,
+            session_timeout: f64::INFINITY,
+            max_flow_events: usize::MAX,
+            ..StreamConfig::default()
+        }
+    }
+}
+
 /// Counters and diagnostics from one streaming run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamStats {
@@ -101,7 +127,8 @@ pub struct StreamStats {
     /// Sessions whose verdict was emitted.
     pub sessions: u64,
     /// Sessions dropped because no connection was reconstructable (SYN
-    /// scans, handshake-only chatter) — mirror of the offline filter.
+    /// scans, handshake-only chatter) — mirror of the whole-capture
+    /// reference's filter.
     pub dataless_sessions: u64,
     /// Flows force-evicted at the `max_flow_events` cap.
     pub overflowed_flows: u64,
@@ -111,13 +138,22 @@ pub struct StreamStats {
     /// Packets skipped with their index and reason, in index order.
     pub skipped: Vec<(u64, String)>,
     /// The framing/I/O error that ended the capture after its header;
-    /// everything before it was still identified (the offline
-    /// `truncated` policy).
+    /// everything before it was still identified (the one `truncated`
+    /// policy of [`caai_capture::source`]).
     pub truncated: Option<CaptureError>,
 }
 
 fn bucket_of(ts: f64, granule: f64) -> i64 {
     (ts / granule).floor() as i64
+}
+
+/// A timestamp at or below the start of granule `bucket`, so a packet
+/// earlier than it cannot lie in that granule or a later one: the start
+/// lowered by four machine epsilons of its size, more than the rounding
+/// in [`bucket_of`]'s division and in this product can move either.
+fn granule_floor(bucket: i64, granule: f64) -> f64 {
+    let start = bucket as f64 * granule;
+    start - start.abs() * 4.0 * f64::EPSILON
 }
 
 /// One evicted flow, reduced to what its session needs.
@@ -321,8 +357,8 @@ struct SessionSlot {
 }
 
 impl SessionSlot {
-    /// The probe session, its connections ordered as offline `sessions()`
-    /// orders them: by start time, ties kept in first-packet order (its
+    /// The probe session, its connections ordered as the whole-capture
+    /// reference's `sessions()` orders them: by start time, ties kept in first-packet order (its
     /// sort is stable over capture order), which the first_seq
     /// tie-break reproduces exactly.
     fn into_session(mut self) -> ProbeSession {
@@ -353,8 +389,8 @@ impl SessionTable {
     }
 
     /// Folds a granule's evictions in by first packet index — the order
-    /// the offline path meets them in — whatever order the wheel
-    /// released them in.
+    /// the whole-capture reference meets them in — whatever order the
+    /// wheel released them in.
     fn absorb(&mut self, mut flows: Vec<FlowDone>) {
         flows.sort_by_key(|f| f.first_seq);
         for fd in flows {
@@ -424,14 +460,15 @@ impl SessionTable {
 /// Returns `Err` only when the container header is unreadable; damage
 /// after it ends the run early with [`StreamStats::truncated`] set and
 /// everything before it identified — the one rule of
-/// [`caai_capture::source`], which the offline path follows too.
-pub fn run<F>(
-    source: &mut dyn CaptureSource,
+/// [`caai_capture::source`].
+pub fn run<C, F>(
+    source: &mut C,
     classifier: &CaaiClassifier,
     config: &StreamConfig,
     on_verdict: F,
 ) -> Result<StreamStats, CaptureError>
 where
+    C: CaptureSource + ?Sized,
     F: FnMut(&SessionReport),
 {
     run_obs(source, classifier, config, on_verdict, &NullSubscriber)
@@ -449,14 +486,15 @@ where
 /// [`StreamStats`] are identical to the unobserved call, and counter
 /// totals depend on the capture alone; only the wall-clock tick-latency
 /// histogram varies run to run.
-pub fn run_obs<F, S>(
-    source: &mut dyn CaptureSource,
+pub fn run_obs<C, F, S>(
+    source: &mut C,
     classifier: &CaaiClassifier,
     config: &StreamConfig,
     mut on_verdict: F,
     obs: &S,
 ) -> Result<StreamStats, CaptureError>
 where
+    C: CaptureSource + ?Sized,
     F: FnMut(&SessionReport),
     S: Subscriber,
 {
@@ -464,8 +502,16 @@ where
     let (granule, ladder) = (flows.granule, flows.ladder);
     let mut sessions = SessionTable::new();
     let mut stats = StreamStats::default();
-    let mut watermark = f64::NEG_INFINITY;
+    // The watermark (the largest timestamp seen) ticks when it enters a
+    // later granule than the last tick's; no packet below `next_tick`
+    // can, so most skip the division. An infinite flow timeout has no
+    // granules: nothing ever ticks.
     let mut cur_granule = i64::MIN;
+    let mut next_tick = if granule.is_finite() {
+        f64::NEG_INFINITY
+    } else {
+        f64::INFINITY
+    };
     let mut ingest_span = SpanToken::NONE;
     // A due session's verdict (a dataless one is only counted); the lag
     // is measured against the watermark, none at the end of the capture.
@@ -488,17 +534,19 @@ where
             ingest_span = span_begin(obs, SpanKind::Reassembly, index as i64, 0);
         }
         flows.feed(index, ts, seg, skipped, obs);
-        if !(ts.is_finite() && ts > watermark) {
+        if !(ts >= next_tick && ts.is_finite()) {
             return;
         }
-        watermark = ts;
-        let g = bucket_of(watermark, granule);
+        let g = bucket_of(ts, granule);
         if g <= cur_granule {
             return;
         }
-        // The packet that crossed the boundary was fed first: a flow it
-        // belongs to is live at this tick, exactly as it is offline.
+        // A packet in a later granule than every earlier one is the new
+        // watermark. It was fed first: a flow it belongs to is live at
+        // this tick, exactly as in a whole-capture read.
+        let watermark = ts;
         cur_granule = g;
+        next_tick = granule_floor(g.saturating_add(1), granule);
         ingest_span.end(obs);
         ingest_span = SpanToken::NONE;
         let began = S::ENABLED.then(Instant::now);
@@ -533,10 +581,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::offline::identify_bytes;
     use crate::source::{PcapStream, StallPolicy};
     use caai_capture::packet::{encode, flags, FrameSpec};
-    use caai_capture::PcapWriter;
+    use caai_capture::{identify_reassembly, reassemble, PcapWriter};
     use caai_core::training::{build_training_set, TrainingConfig};
     use caai_netem::rng::seeded;
     use caai_netem::ConditionDb;
@@ -559,12 +606,32 @@ mod tests {
         }
     }
 
+    /// The tick test's shortcut hides no tick: however the division in
+    /// `bucket_of` rounds, no timestamp lies below the floor of its own
+    /// granule. Checked a few ulps either side of granule starts up to
+    /// 2e9 s, the timestamps of a capture taken today.
+    #[test]
+    fn no_timestamp_lies_below_its_granules_floor() {
+        for granule in [1e-3, 0.05, 0.5, 1.0, 7.0, 30.0, 900.0] {
+            for i in 0..4_000 {
+                let t = 1e3 + f64::from(i) * 499_999.37;
+                let start = (t / granule).floor() * granule;
+                for ulps in -4i64..=4 {
+                    let ts = f64::from_bits(start.to_bits().wrapping_add_signed(ulps));
+                    let floor = granule_floor(bucket_of(ts, granule), granule);
+                    assert!(ts >= floor, "{ts} below {floor} (granule {granule})");
+                }
+            }
+        }
+    }
+
     /// Flow A goes quiet for longer than the flow timeout and then speaks
     /// once more, and that packet is the one that moves the watermark
     /// into a new granule. Fed before the tick it belongs to the live
     /// flow, which the tick therefore keeps (it was just active) and a
     /// later tick evicts; evicted first, A would be split in two and its
-    /// session would report two connections where offline sees one.
+    /// session would report two connections where a whole-capture read
+    /// sees one.
     #[test]
     fn the_crossing_packet_is_fed_before_its_granule_evicts() {
         let client = [10, 1, 0, 1];
@@ -642,8 +709,9 @@ mod tests {
         ];
         assert_eq!(*order.0.lock().unwrap(), expected);
         assert_eq!(stats.flows, 2);
-        let offline = identify_bytes(&capture, &classifier, None).expect("capture parses");
-        assert_eq!(offline.sessions.len(), 2);
-        assert_eq!(reports, offline.sessions, "streaming == offline");
+        let reference = reassemble(&capture).expect("capture parses");
+        let whole = identify_reassembly(&reference, &classifier, &DEFAULT_LADDER);
+        assert_eq!(whole.len(), 2);
+        assert_eq!(reports, whole, "streaming == whole-capture reference");
     }
 }

@@ -11,7 +11,6 @@ use caai_core::classify::CaaiClassifier;
 use caai_core::training::{build_training_set, TrainingConfig};
 use caai_netem::rng::seeded;
 use caai_netem::ConditionDb;
-use caai_obs::NullSubscriber;
 use caai_stream::{identify_bytes, run, PcapStream, StallPolicy, StreamConfig};
 use std::io::Cursor;
 
@@ -209,7 +208,7 @@ fn a_returning_four_tuple_never_inherits_a_reused_slot() {
 
     let whole = reassemble(&capture).expect("capture parses");
     let mut source = PcapStream::new(Cursor::new(&capture[..]), StallPolicy::Eof);
-    let drained = reassemble_source(&mut source, &NullSubscriber).expect("capture parses");
+    let drained = reassemble_source(&mut source).expect("capture parses");
     assert_same_reassembly(&whole, &drained);
     assert!(whole.skipped.is_empty(), "{:?}", whole.skipped);
     assert_eq!(

@@ -1,7 +1,8 @@
 //! End-to-end guarantees of the streaming pipeline:
 //!
-//! * verdicts are identical to the offline path's over the same capture,
-//!   also when packets arrive late, out of order across rounds;
+//! * verdicts are identical to the whole-capture reference's over the
+//!   same capture, also when packets arrive late, out of order across
+//!   rounds;
 //! * the verdict callback and every subscriber call run where `run` was
 //!   called, so neither has to be `Send`;
 //! * the pcapng container yields the same verdicts as classic pcap;
@@ -13,7 +14,9 @@
 //! * verdicts emit while the capture is still growing (follow mode).
 
 use caai_capture::packet::{encode, flags, FrameSpec};
-use caai_capture::{CaptureRenderer, PcapWriter, SessionReport};
+use caai_capture::{
+    identify_reassembly, reassemble, CaptureRenderer, PcapWriter, SessionReport, DEFAULT_LADDER,
+};
 use caai_congestion::AlgorithmId;
 use caai_core::census::Verdict;
 use caai_core::classify::CaaiClassifier;
@@ -85,21 +88,23 @@ fn late_fixture() -> &'static [u8] {
     })
 }
 
-/// The determinism contract: the streamed verdicts equal the offline
-/// whole-file path's (same reports, same order, same server ids), on a
-/// clean capture and on one whose packets arrive out of order.
+/// The determinism contract: the streamed verdicts, at the default
+/// timeouts, equal the whole-capture reference's (same reports, same
+/// order, same server ids), on a clean capture and on one whose packets
+/// arrive out of order.
 #[test]
 fn streaming_verdicts_equal_the_offline_path() {
     for (name, capture) in [("clean", fixture()), ("late", late_fixture())] {
-        let offline = identify_bytes(capture, classifier(), None).expect("fixture parses");
+        let reference = reassemble(capture).expect("fixture parses");
+        let sessions = identify_reassembly(&reference, classifier(), &DEFAULT_LADDER);
         assert!(
-            offline.sessions.len() == 2,
+            sessions.len() == 2,
             "{name}: fixture must carry two probe sessions, got {}",
-            offline.sessions.len()
+            sessions.len()
         );
         let identified = |s: &SessionReport| matches!(s.record.verdict, Verdict::Identified(..));
         assert!(
-            offline.sessions.iter().all(identified),
+            sessions.iter().all(identified),
             "{name}: both sessions must be identified"
         );
         let mut source = PcapStream::new(std::io::Cursor::new(capture), StallPolicy::Eof);
@@ -111,14 +116,17 @@ fn streaming_verdicts_equal_the_offline_path() {
             |s: &SessionReport| reports.push(s.clone()),
         )
         .expect("fixture header is valid");
-        assert_eq!(reports, offline.sessions, "{name}: streaming == offline");
-        assert_eq!(stats.packets as usize, offline.packets);
+        assert_eq!(
+            reports, sessions,
+            "{name}: streaming == whole-capture reference"
+        );
+        assert_eq!(stats.packets as usize, reference.packets);
         let skipped: Vec<_> = stats
             .skipped
             .into_iter()
             .map(|(i, r)| (i as usize, r))
             .collect();
-        assert_eq!(skipped, offline.skipped, "{name}");
+        assert_eq!(skipped, reference.skipped, "{name}");
     }
 }
 

@@ -31,7 +31,7 @@ use caai::obs::{
     Event, MetricsSnapshot, MetricsSubscriber, StderrSubscriber, Subscriber, TraceAnalysis,
     TraceSubscriber, VerdictKind,
 };
-use caai::stream::{identify_bytes_obs, open_path, FollowConfig, StreamConfig};
+use caai::stream::{open_path, CaptureSource, FollowConfig, StreamConfig};
 use caai::webmodel::PopulationConfig;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -776,152 +776,63 @@ impl Subscriber for ProgressHook<'_> {
     }
 }
 
+/// `identify --pcap FILE|-`: stream the capture through the pipeline.
+///
+/// Offline (the default) runs it to the end of the input under the
+/// whole-capture rule and prints once the capture is read; `--follow`
+/// runs it with finite timeouts over a file that may still grow, and
+/// prints each session's verdict the moment it times out. The source,
+/// subscribers, sinks and pipeline call are the same; `--out` is created
+/// only once the input has shown a capture header.
 fn cmd_identify_pcap(args: &Args, pcap_path: &str) -> Result<(), String> {
-    if args.get("follow").is_some() {
-        return cmd_identify_follow(args, pcap_path);
-    }
-    let classifier = load_or_train(args)?;
-    let mut metrics_file = open_metrics(args)?;
-    let bytes = if pcap_path == "-" {
-        use std::io::Read;
-        let mut buf = Vec::new();
-        std::io::stdin()
-            .lock()
-            .read_to_end(&mut buf)
-            .map_err(|e| format!("read stdin: {e}"))?;
-        buf
+    let follow = args.get("follow").is_some();
+    let (config, follow_config) = if follow {
+        let flow_timeout: f64 = args.parsed("flow-timeout")?;
+        let session_timeout: f64 = args.parsed("session-timeout")?;
+        let poll_ms: u64 = args.parsed("poll-ms")?;
+        let positive = |t: f64| t.is_finite() && t > 0.0;
+        if !positive(flow_timeout) || !positive(session_timeout) {
+            return Err("--flow-timeout and --session-timeout must be positive".to_owned());
+        }
+        let config = StreamConfig {
+            flow_timeout,
+            session_timeout,
+            ..StreamConfig::default()
+        };
+        let follow_config = FollowConfig {
+            follow: true,
+            poll_interval: Duration::from_millis(poll_ms.max(1)),
+            idle_timeout: args.secs("idle-timeout")?.filter(|t| !t.is_zero()),
+        };
+        (config, follow_config)
     } else {
-        std::fs::read(pcap_path).map_err(|e| format!("read {pcap_path}: {e}"))?
+        (StreamConfig::whole_capture(), FollowConfig::default())
     };
-    // The stderr subscriber renders skip-and-report diagnostics as the
-    // events fire (same lines the post-hoc loop used to print), while the
-    // metrics subscriber counts them for --metrics.
+    let classifier = load_or_train(args)?;
+    let mut source =
+        open_path(pcap_path, &follow_config).map_err(|e| format!("read {pcap_path}: {e}"))?;
     let metrics = MetricsSubscriber::new();
     let trace = open_trace(args)?;
-    let obs = (trace.as_ref(), (StderrSubscriber::new(pcap_path), &metrics));
-    let verdicts = identify_bytes_obs(&bytes, &classifier, None, &obs)
+    let hook = ProgressHook::new(args, &metrics, 0)?;
+    source
+        .read_header()
         .map_err(|e| format!("{pcap_path}: {e}"))?;
-    if let Some(t) = &trace {
-        t.finish();
-    }
-    if let Some(file) = metrics_file.as_mut() {
-        file.write(&metrics.snapshot(), "identify", true)?;
-    }
-
-    // Ingested records flow through the same ResultSink machinery as the
-    // census: a JSONL stream when --out is given, plus the report whose
-    // totals feed the summary line.
-    let mut totals = CensusReport::default();
-    let mut jsonl = open_out(args)?;
-    {
-        let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut totals];
-        if let Some(sink) = jsonl.as_mut() {
-            sinks.push(sink as &mut dyn ResultSink);
-        }
-        for s in &verdicts.sessions {
-            for sink in sinks.iter_mut() {
-                sink.emit(&s.record).map_err(|e| format!("sink: {e}"))?;
-            }
-        }
-        for sink in sinks.iter_mut() {
-            sink.flush().map_err(|e| format!("sink: {e}"))?;
-        }
-    }
-
-    if args.get("json").is_some() {
-        use serde::Value;
-        let sessions: Vec<Value> = verdicts.sessions.iter().map(session_json).collect();
-        let doc = Value::Map(vec![
-            (
-                "packets".to_owned(),
-                serde::Serialize::to_value(&verdicts.packets),
-            ),
-            (
-                "skipped_packets".to_owned(),
-                serde::Serialize::to_value(&verdicts.skipped.len()),
-            ),
-            ("flows".to_owned(), Value::Seq(sessions)),
-        ]);
-        let json = serde_json::to_string_pretty(&doc).map_err(|e| format!("{e}"))?;
-        println!("{json}");
-        return Ok(());
-    }
-
-    println!(
-        "capture: {} packets, {} skipped, {} probe flow{}",
-        verdicts.packets,
-        verdicts.skipped.len(),
-        verdicts.sessions.len(),
-        if verdicts.sessions.len() == 1 {
-            ""
-        } else {
-            "s"
-        },
-    );
-    for s in &verdicts.sessions {
-        println!("{}", describe_session(s));
-    }
-    print_verdict_totals(&totals);
-    Ok(())
-}
-
-/// Opens `--out FILE` as a fresh JSONL record sink, if given.
-fn open_out(args: &Args) -> Result<Option<FileSink>, String> {
-    args.get("out")
-        .map(|out| JsonlSink::create(out).map_err(|e| format!("create {out}: {e}")))
-        .transpose()
-}
-
-/// The `verdicts: ...` line closing an `identify --pcap` run.
-fn print_verdict_totals(report: &CensusReport) {
-    // Count identifications from the columns: `identified_total` scores
-    // only truth-bearing records, and capture records carry no truth.
-    println!(
-        "verdicts: {} identified, {} special, {} unsure, {} invalid",
-        report.kind_total(VerdictKind::Identified),
-        report.kind_total(VerdictKind::Special),
-        report.kind_total(VerdictKind::Unsure),
-        report.kind_total(VerdictKind::Invalid),
-    );
-}
-
-/// `identify --pcap FILE --follow`: stream the capture through the
-/// streaming pipeline, emitting each session's verdict the moment it
-/// times out — while the file is still being written.
-fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
-    let flow_timeout: f64 = args.parsed("flow-timeout")?;
-    let session_timeout: f64 = args.parsed("session-timeout")?;
-    let poll_ms: u64 = args.parsed("poll-ms")?;
-    let positive = |t: f64| t.is_finite() && t > 0.0;
-    if !positive(flow_timeout) || !positive(session_timeout) {
-        return Err("--flow-timeout and --session-timeout must be positive".to_owned());
-    }
-    let follow = FollowConfig {
-        follow: true,
-        poll_interval: Duration::from_millis(poll_ms.max(1)),
-        idle_timeout: args.secs("idle-timeout")?.filter(|t| !t.is_zero()),
-    };
-    let classifier = load_or_train(args)?;
-    let mut source = open_path(pcap_path, &follow).map_err(|e| format!("open {pcap_path}: {e}"))?;
-    let config = StreamConfig {
-        flow_timeout,
-        session_timeout,
-        ..StreamConfig::default()
-    };
 
     let json = args.get("json").is_some();
     let mut totals = CensusReport::default();
     let mut jsonl = open_out(args)?;
-    let metrics = MetricsSubscriber::new();
-    let trace = open_trace(args)?;
-    let hook = ProgressHook::new(args, &metrics, 0)?;
+    // Offline output opens with the capture's totals, so its verdicts
+    // wait for the end of the capture; follow mode prints each at once.
+    let mut held = Vec::new();
     // The pipeline calls the verdict callback between reads of the source;
     // sink failures are carried out by value because the callback cannot
     // return an error.
     let mut sink_err: Option<String> = None;
     let stats = {
         let on_verdict = |s: &SessionReport| {
-            if json {
+            if !follow {
+                held.push(s.clone());
+            } else if json {
                 match serde_json::to_string(&session_json(s)) {
                     Ok(line) => println!("{line}"),
                     Err(e) => eprintln!("verdict serialization: {e}"),
@@ -951,9 +862,43 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
     if let Some(e) = sink_err {
         return Err(e);
     }
-    hook.finish("identify-follow")?;
+    hook.finish(if follow {
+        "identify-follow"
+    } else {
+        "identify"
+    })?;
 
-    if !json {
+    if json && !follow {
+        use serde::Value;
+        let doc = Value::Map(vec![
+            (
+                "packets".to_owned(),
+                serde::Serialize::to_value(&stats.packets),
+            ),
+            (
+                "skipped_packets".to_owned(),
+                serde::Serialize::to_value(&stats.skipped.len()),
+            ),
+            (
+                "flows".to_owned(),
+                Value::Seq(held.iter().map(session_json).collect()),
+            ),
+        ]);
+        let json = serde_json::to_string_pretty(&doc).map_err(|e| format!("{e}"))?;
+        println!("{json}");
+    } else if !follow {
+        println!(
+            "capture: {} packets, {} skipped, {} probe flow{}",
+            stats.packets,
+            stats.skipped.len(),
+            held.len(),
+            if held.len() == 1 { "" } else { "s" },
+        );
+        for s in &held {
+            println!("{}", describe_session(s));
+        }
+        print_verdict_totals(&totals);
+    } else if !json {
         println!(
             "stream: {} packets, {} skipped, {} flows ({} peak live), \
              {} session{}, {} dataless",
@@ -968,6 +913,26 @@ fn cmd_identify_follow(args: &Args, pcap_path: &str) -> Result<(), String> {
         print_verdict_totals(&totals);
     }
     Ok(())
+}
+
+/// Opens `--out FILE` as a fresh JSONL record sink, if given.
+fn open_out(args: &Args) -> Result<Option<FileSink>, String> {
+    args.get("out")
+        .map(|out| JsonlSink::create(out).map_err(|e| format!("create {out}: {e}")))
+        .transpose()
+}
+
+/// The `verdicts: ...` line closing an `identify --pcap` run.
+fn print_verdict_totals(report: &CensusReport) {
+    // Count identifications from the columns: `identified_total` scores
+    // only truth-bearing records, and capture records carry no truth.
+    println!(
+        "verdicts: {} identified, {} special, {} unsure, {} invalid",
+        report.kind_total(VerdictKind::Identified),
+        report.kind_total(VerdictKind::Special),
+        report.kind_total(VerdictKind::Unsure),
+        report.kind_total(VerdictKind::Invalid),
+    );
 }
 
 /// The address of the `host`-th server `render-pcap` renders (from 1):

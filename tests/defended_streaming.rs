@@ -3,11 +3,14 @@
 //! RTT jitter lands some data segments a measurement round late, behind
 //! segments sent after them. That changes what the capture holds, not
 //! what the pipeline may assume about it: the verdict stream is a pure
-//! function of the capture bytes — identical to the offline reader's —
-//! even when delivery is out of order across rounds.
+//! function of the capture bytes — identical to the whole-capture
+//! reference's — even when delivery is out of order across rounds.
 
 use caai::capture::packet::flags;
-use caai::capture::{decode, CaptureRenderer, PcapReader, SessionReport};
+use caai::capture::{
+    decode, identify_reassembly, reassemble, CaptureRenderer, PcapReader, SessionReport,
+    DEFAULT_LADDER,
+};
 use caai::congestion::AlgorithmId;
 use caai::core::classify::CaaiClassifier;
 use caai::core::prober::{Prober, ProberConfig};
@@ -119,17 +122,26 @@ fn defended_capture_verdicts_are_identical_across_workers_and_offline() {
         "a 10% late path must reorder data segments: {late} behind vs {clean} on a clean path"
     );
 
+    let reassembly = reassemble(capture).expect("an undamaged capture reassembles");
+    let reference: Vec<String> = identify_reassembly(&reassembly, classifier(), &DEFAULT_LADDER)
+        .iter()
+        .map(line_of)
+        .collect();
+    assert_eq!(reference.len(), 2, "one verdict per probe session");
     let offline: Vec<String> = identify_bytes(capture, classifier(), None)
         .expect("offline read of an undamaged capture")
         .sessions
         .iter()
         .map(line_of)
         .collect();
-    assert_eq!(offline.len(), 2, "one verdict per probe session");
 
     assert_eq!(
         stream_verdicts(capture),
-        offline,
-        "streaming and offline must agree on reordered traffic"
+        reference,
+        "streaming and the whole-capture reference must agree on reordered traffic"
+    );
+    assert_eq!(
+        offline, reference,
+        "offline identification is the reference's"
     );
 }

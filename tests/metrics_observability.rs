@@ -141,6 +141,14 @@ fn stream_counters_match_offline() {
     };
     assert_eq!(evicted_total(&w1), w1["capture.flows_opened"], "no leaks");
     assert_eq!(evicted_total(&offline), offline["capture.flows_opened"]);
+    // Offline is the pipeline under the whole-capture rule: it never
+    // ticks, and every flow leaves at the end of the capture.
+    assert!(w1["stream.granules"] > 0);
+    assert_eq!(offline["stream.granules"], 0, "offline ticked a granule");
+    assert_eq!(
+        offline["capture.flows_evicted_drain"],
+        offline["capture.flows_opened"]
+    );
 }
 
 /// The eviction accounting contract, pinned explicitly: every flow the

@@ -131,3 +131,69 @@ fn follow_mode_identifies_a_capture_that_grows_under_it() {
     );
     std::fs::remove_file(&growing).ok();
 }
+
+/// An input that is not a capture ends the run at its header, in either
+/// mode, before `--out` is created: an existing report keeps its bytes.
+#[test]
+fn an_input_that_is_not_a_capture_leaves_out_untouched() {
+    let bogus = tmp("not-a-capture.txt");
+    std::fs::write(
+        &bogus,
+        "this is text, not a capture, and longer than a header\n",
+    )
+    .expect("write bogus input");
+    for mode in [&[][..], &["--follow", "--idle-timeout", "1"]] {
+        let report = tmp("kept.jsonl");
+        std::fs::write(&report, "{\"keep\":1}\n").expect("write report");
+        let args = [
+            &[
+                "identify",
+                "--pcap",
+                &bogus,
+                "--conditions",
+                "1",
+                "--out",
+                &report,
+            ][..],
+            mode,
+        ]
+        .concat();
+        let out = caai(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: {bogus}: pcap framing error at byte 0")),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&report).expect("report still there"),
+            "{\"keep\":1}\n",
+            "{args:?} touched --out"
+        );
+        std::fs::remove_file(&report).ok();
+    }
+    std::fs::remove_file(&bogus).ok();
+}
+
+/// A capture that cannot be opened is reported as a failed read, offline
+/// and in follow mode alike.
+#[test]
+fn a_missing_capture_is_a_failed_read_in_either_mode() {
+    let missing = tmp("missing.pcap");
+    for mode in [&[][..], &["--follow"]] {
+        let args = [
+            &["identify", "--pcap", &missing, "--conditions", "1"][..],
+            mode,
+        ]
+        .concat();
+        let out = caai(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.ends_with(&format!(
+                "error: read {missing}: No such file or directory (os error 2)\n"
+            )),
+            "{args:?}: {stderr}"
+        );
+    }
+}

@@ -215,9 +215,10 @@ proptest! {
 }
 
 /// The streaming pipeline honors the same contract for its deterministic
-/// kinds: a span stream that is well formed, one flow span per flow, and
-/// as many session replays and classifies as the offline path makes over
-/// the same capture (offline has no flow spans: nothing is evicted).
+/// kinds: a span stream that is well formed, and as many flow spans,
+/// session replays and classifies as offline identification makes over
+/// the same capture. Offline is the same pipeline run to EOF, so it opens
+/// and closes one flow span per flow too.
 #[test]
 fn stream_deterministic_span_counts_match_offline() {
     let fixture = fixture_path();
@@ -249,9 +250,9 @@ fn stream_deterministic_span_counts_match_offline() {
         }
         out
     };
-    let mut stream = counts(true);
+    let stream = counts(true);
     assert!(stream["session.replay"] > 0 && stream["classify"] > 0);
-    assert!(stream.remove("flow").is_some_and(|flows| flows > 0));
+    assert!(stream["flow"] > 0);
     assert_eq!(stream, counts(false), "stream vs offline");
 }
 
