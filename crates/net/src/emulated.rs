@@ -20,7 +20,7 @@
 //! connection's `SO_INCOMING_CPU` (over loopback the client's CPU, for a
 //! remote client the NIC queue's), so a round trip's two wake-ups stay on
 //! one CPU. A loop answers every frame a read brought (a round arrives
-//! as one `AckRun` and one `Xmit`) into one buffer and writes it once.
+//! as one `Acks` and one `Xmit`) into one buffer and writes it once.
 //! Dropping a server closes its listener on its own loop first, then its
 //! connections on every loop, and returns once each has.
 //!

@@ -13,13 +13,13 @@
 //! Framing: a `u32` little-endian payload length, then the payload —
 //! one tag byte and fixed little-endian fields (`f64` via its bit
 //! pattern). The unit of the wire is a round, not a packet: a round's
-//! ACK train is one [`AckRun`](ClientFrame::AckRun) and a round's data
-//! is one [`Burst`](ServerFrame::Burst), which carries a `u32` count of
-//! `(first: u64, len: u32)` runs of consecutive sequence numbers (the
-//! ACK-range idea of QUIC's ACK frame, RFC 9000 §19.3). On a clean
-//! wire both are one run, so a round trip is ~70 bytes whatever the
-//! window. Decoded, a `Burst` holds those runs as the ladder's own
-//! [`Run`]s, which `LadderCore` hands over as they are: no round is ever
+//! ACK trains are one [`Acks`](ClientFrame::Acks) and a round's data is
+//! one [`Burst`](ServerFrame::Burst). Both carry a `u32` count of
+//! `(first: u64, len: u32)` runs of consecutive numbers (the ACK-range
+//! idea of QUIC's ACK frame, RFC 9000 §19.3), written and read by one
+//! pair of functions. On a clean wire each is one run, so a round trip
+//! is ~80 bytes whatever the window. Decoded, the runs are the ladder's
+//! own [`Run`]s, which the cores hand over as they are: no round is ever
 //! expanded into its packets. Hostile bytes are the normal case for a
 //! parser that listens on a socket, so decoding is strict
 //! (length-capped, run-capped, finite-float-checked, no trailing bytes)
@@ -36,14 +36,14 @@ use std::fmt;
 pub use caai_core::frame::{ClientFrame, ServerFrame};
 
 /// Hard cap on one frame's payload, bytes. The largest legitimate frame
-/// is a `Burst` of `MAX_BURST_SEQS` one-sequence runs (~768 KiB).
+/// is a `Burst` or `Acks` of `MAX_BURST_SEQS` one-value runs (~768 KiB).
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 const TAG_HELLO: u8 = 0x01;
 const TAG_XMIT: u8 = 0x02;
 const TAG_ACK: u8 = 0x03;
 const TAG_RTO_WAIT: u8 = 0x04;
-const TAG_ACK_RUN: u8 = 0x05;
+const TAG_ACKS: u8 = 0x06;
 const TAG_WELCOME: u8 = 0x81;
 const TAG_BURST: u8 = 0x82;
 const TAG_RTO_RESULT: u8 = 0x83;
@@ -122,6 +122,49 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A `u32` count of `(first, len)` runs, the frame's `what`: each held
+    /// to [`run_range`], all together to [`MAX_BURST_SEQS`] values, and a
+    /// run that continues the one before it merged into it, so the runs
+    /// in memory are maximal. Only a frame that `may_be_empty` (a `Burst`:
+    /// nothing to send, or a round the path lost whole) may name no value,
+    /// by no runs or by one empty run.
+    fn runs(&mut self, what: &str, may_be_empty: bool) -> Result<Vec<Run>, ProtocolError> {
+        let runs = self.u32(format_args!("{what} run count"))? as usize;
+        // Every run holds a value, so the cap on values caps the runs too.
+        if runs > MAX_BURST_SEQS {
+            return Err(
+                format!("{what} run count {runs} exceeds the cap of {MAX_BURST_SEQS}").into(),
+            );
+        }
+        if runs == 0 && !may_be_empty {
+            return Err(format!("{what} without runs").into());
+        }
+        let mut merged = Vec::new();
+        let mut total = 0u64;
+        for i in 0..runs {
+            let first = self.u64(format_args!("{what} run {i} first"))?;
+            let len = u64::from(self.u32(format_args!("{what} run {i} len"))?);
+            if may_be_empty && runs == 1 && len == 0 {
+                merged.push(Run {
+                    first,
+                    len,
+                    duplicate: false,
+                });
+                break;
+            }
+            run_range(format_args!("{what} run {i}"), first, len)?;
+            total += len;
+            if total > MAX_BURST_SEQS as u64 {
+                return Err(format!(
+                    "{what} of {total} sequences at run {i} exceeds the cap of {MAX_BURST_SEQS}"
+                )
+                .into());
+            }
+            Run::push(&mut merged, first, len, false);
+        }
+        Ok(merged)
+    }
+
     fn finish(self, tag: &str) -> Result<(), ProtocolError> {
         if self.at != self.bytes.len() {
             return Err(format!(
@@ -131,6 +174,17 @@ impl<'a> Reader<'a> {
             .into());
         }
         Ok(())
+    }
+}
+
+/// Writes `runs` as [`Reader::runs`] reads them.
+fn put_runs(out: &mut Vec<u8>, runs: &[Run]) {
+    let count = u32::try_from(runs.len()).expect("more runs than a u32 counts");
+    out.extend_from_slice(&count.to_le_bytes());
+    for run in runs {
+        let len = u32::try_from(run.len).expect("a run longer than a u32 counts");
+        out.extend_from_slice(&run.first.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -153,17 +207,11 @@ impl Wire for ClientFrame {
                 out.extend_from_slice(&cum_ack.to_le_bytes());
                 out.extend_from_slice(&rtt.to_bits().to_le_bytes());
             }
-            ClientFrame::AckRun {
-                now,
-                first,
-                count,
-                rtt,
-            } => {
-                out.push(TAG_ACK_RUN);
+            ClientFrame::Acks { now, rtt, ref runs } => {
+                out.push(TAG_ACKS);
                 out.extend_from_slice(&now.to_bits().to_le_bytes());
-                out.extend_from_slice(&first.to_le_bytes());
-                out.extend_from_slice(&count.to_le_bytes());
                 out.extend_from_slice(&rtt.to_bits().to_le_bytes());
+                put_runs(out, runs);
             }
             ClientFrame::RtoWait { now, max_waits } => {
                 out.push(TAG_RTO_WAIT);
@@ -193,18 +241,11 @@ impl Wire for ClientFrame {
                 // non-finite.
                 rtt: r.f64("ack rtt")?,
             },
-            TAG_ACK_RUN => {
-                let now = r.f64("ack-run clock")?;
-                let first = r.u64("ack-run first")?;
-                let count = r.u32("ack-run count")?;
-                run_range("AckRun", first, count)?;
-                ClientFrame::AckRun {
-                    now,
-                    first,
-                    count,
-                    rtt: r.f64("ack-run rtt")?,
-                }
-            }
+            TAG_ACKS => ClientFrame::Acks {
+                now: r.f64("acks clock")?,
+                rtt: r.f64("acks rtt")?,
+                runs: r.runs("acks", false)?,
+            },
             TAG_RTO_WAIT => ClientFrame::RtoWait {
                 now: r.f64("rto-wait clock")?,
                 max_waits: r.u32("max_waits")?,
@@ -215,7 +256,7 @@ impl Wire for ClientFrame {
             ClientFrame::Hello { .. } => "Hello",
             ClientFrame::Xmit { .. } => "Xmit",
             ClientFrame::Ack { .. } => "Ack",
-            ClientFrame::AckRun { .. } => "AckRun",
+            ClientFrame::Acks { .. } => "Acks",
             ClientFrame::RtoWait { .. } => "RtoWait",
         })?;
         Ok(frame)
@@ -232,13 +273,7 @@ impl Wire for ServerFrame {
             ServerFrame::Burst { done, runs } => {
                 out.push(TAG_BURST);
                 out.push(u8::from(*done));
-                let count = u32::try_from(runs.len()).expect("more runs than a u32 counts");
-                out.extend_from_slice(&count.to_le_bytes());
-                for run in runs {
-                    let len = u32::try_from(run.len).expect("a run longer than a u32 counts");
-                    out.extend_from_slice(&run.first.to_le_bytes());
-                    out.extend_from_slice(&len.to_le_bytes());
-                }
+                put_runs(out, runs);
             }
             ServerFrame::RtoResult { responded, now } => {
                 out.push(TAG_RTO_RESULT);
@@ -255,45 +290,10 @@ impl Wire for ServerFrame {
             TAG_WELCOME => ServerFrame::Welcome {
                 granted_mss: r.u32("granted_mss")?,
             },
-            TAG_BURST => {
-                let done = r.bool("burst done")?;
-                let runs = r.u32("burst run count")? as usize;
-                // Every run holds a sequence, so the cap on sequences
-                // caps the runs too.
-                if runs > MAX_BURST_SEQS {
-                    return Err(format!(
-                        "burst run count {runs} exceeds the cap of {MAX_BURST_SEQS}"
-                    )
-                    .into());
-                }
-                let mut merged = Vec::new();
-                let mut total = 0usize;
-                for i in 0..runs {
-                    let first = r.u64(format_args!("burst run {i} first"))?;
-                    let len = r.u32(format_args!("burst run {i} len"))?;
-                    // A burst's one empty run is a round the path lost
-                    // whole; any other empty run is refused.
-                    if runs == 1 && len == 0 {
-                        merged.push(Run {
-                            first,
-                            len: 0,
-                            duplicate: false,
-                        });
-                        break;
-                    }
-                    run_range(format_args!("burst run {i}"), first, len)?;
-                    total += len as usize;
-                    if total > MAX_BURST_SEQS {
-                        return Err(format!(
-                            "burst of {total} sequences at run {i} exceeds the cap of {MAX_BURST_SEQS}"
-                        ).into());
-                    }
-                    // A run that continues the one before it joins it, so
-                    // the runs in memory are maximal.
-                    Run::push(&mut merged, first, u64::from(len), false);
-                }
-                ServerFrame::Burst { done, runs: merged }
-            }
+            TAG_BURST => ServerFrame::Burst {
+                done: r.bool("burst done")?,
+                runs: r.runs("burst", true)?,
+            },
             TAG_RTO_RESULT => ServerFrame::RtoResult {
                 responded: r.bool("rto responded")?,
                 now: r.f64("rto clock")?,
@@ -411,11 +411,10 @@ mod tests {
             cum_ack: 517,
             rtt: 1.0,
         });
-        roundtrip_client(ClientFrame::AckRun {
+        roundtrip_client(ClientFrame::Acks {
             now: 3.0,
-            first: 518,
-            count: 512,
             rtt: 1.0,
+            runs: vec![run(518, 512), run(1100, 3)],
         });
         roundtrip_client(ClientFrame::RtoWait {
             now: 9.75,
@@ -563,24 +562,36 @@ mod tests {
                 .chunk_by(|a, b| a.checked_add(1) == Some(*b))
                 .map(|r| run(r[0], r.len() as u64))
                 .collect();
-            let sent = ServerFrame::Burst { done: done == 1, runs: cut };
+            let sent = ServerFrame::Burst { done: done == 1, runs: cut.clone() };
             let got = decode_bytewise::<ServerFrame>(&encode(&sent));
-            let want = ServerFrame::Burst { done: done == 1, runs: maximal };
+            let want = ServerFrame::Burst { done: done == 1, runs: maximal.clone() };
             prop_assert!(got == Ok(vec![want.clone()]), "{got:?}");
             // Maximal runs encode and decode unchanged.
             let again = decode_bytewise::<ServerFrame>(&encode(&want));
             prop_assert!(again == Ok(vec![want]), "{again:?}");
+            // A round's ACKs are the same runs behind a clock and an RTT
+            // (and name at least one ACK).
+            let acks = |runs| ClientFrame::Acks { now: seed as f64, rtt: 0.5, runs };
+            if !cut.is_empty() {
+                let got = decode_bytewise::<ClientFrame>(&encode(&acks(cut)));
+                prop_assert!(got == Ok(vec![acks(maximal)]), "{got:?}");
+            }
         }
 
         #[test]
-        fn any_ack_run_roundtrips(
+        fn any_acks_roundtrip(
             first in 0u64..u64::MAX,
-            count in 1u32..(MAX_BURST_SEQS as u32 + 1),
+            count in 1u64..(MAX_BURST_SEQS as u64 / 2 + 1),
+            hole in 1u64..1000,
             now in 0.0f64..1e6,
             rtt in 0.0f64..10.0,
         ) {
-            let first = first.min(u64::MAX - u64::from(count - 1));
-            let frame = ClientFrame::AckRun { now, first, count, rtt };
+            // Two trains `hole` values apart, the second ending at
+            // `u64::MAX` at the latest.
+            let first = first.min(u64::MAX - (2 * count + hole - 1));
+            let second = first + count + hole;
+            let runs = vec![run(first, count), run(second, count)];
+            let frame = ClientFrame::Acks { now, rtt, runs };
             let got = decode_bytewise::<ClientFrame>(&encode(&frame));
             prop_assert!(got == Ok(vec![frame]), "{got:?}");
         }
@@ -603,19 +614,20 @@ mod tests {
         let bytes = encode(&sparse);
         assert!(bytes.len() - 4 <= MAX_FRAME_LEN);
         assert_eq!(decode_bytewise::<ServerFrame>(&bytes[..]), Ok(vec![sparse]));
+
+        // A clean round's ACKs: length, tag, clock, RTT, run count, one
+        // (first, len).
+        let acks = ClientFrame::Acks {
+            now: 2.0,
+            rtt: 1.0,
+            runs: vec![run(1001, 512)],
+        };
+        assert_eq!(encode(&acks).len(), 4 + 1 + 8 + 8 + 4 + 12);
     }
 
-    fn ack_run_payload(first: u64, count: u32) -> Vec<u8> {
-        let mut payload = vec![TAG_ACK_RUN];
-        payload.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
-        payload.extend_from_slice(&first.to_le_bytes());
-        payload.extend_from_slice(&count.to_le_bytes());
-        payload.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
-        payload
-    }
-
-    fn burst_payload(runs: &[(u64, u32)]) -> Vec<u8> {
-        let mut payload = vec![TAG_BURST, 0];
+    /// A payload of `head` (the tag and fixed fields), then `runs`.
+    fn runs_payload(head: &[u8], runs: &[(u64, u32)]) -> Vec<u8> {
+        let mut payload = head.to_vec();
         payload.extend_from_slice(&(runs.len() as u32).to_le_bytes());
         for (first, len) in runs {
             payload.extend_from_slice(&first.to_le_bytes());
@@ -624,58 +636,54 @@ mod tests {
         payload
     }
 
+    /// The refusals one runs reader makes for both frames, the frame
+    /// `name`d in each reason: `refused` decodes runs behind its header.
+    fn hostile_runs_are_refused(name: &str, refused: impl Fn(&[(u64, u32)]) -> String) {
+        assert_eq!(refused(&[(0, 4), (9, 0)]), format!("empty {name} run 1"));
+        assert_eq!(refused(&[(9, 0), (12, 1)]), format!("empty {name} run 0"));
+        // Two runs, each under the cap, together past it: refused at the
+        // second run's header, at the payload's end.
+        let half = MAX_BURST_SEQS as u32 / 2;
+        assert_eq!(
+            refused(&[(0, half), (1 << 40, half + 1)]),
+            format!("{name} of 65537 sequences at run 1 exceeds the cap of 65536")
+        );
+        assert_eq!(
+            refused(&[(0, u32::MAX)]),
+            format!("{name} run 0 count 4294967295 exceeds the cap of 65536")
+        );
+        assert_eq!(
+            refused(&[(u64::MAX, 2)]),
+            format!("{name} run 0 first 18446744073709551615 + count 2 overflows u64")
+        );
+    }
+
+    fn acks_payload(runs: &[(u64, u32)]) -> Vec<u8> {
+        let mut head = vec![TAG_ACKS];
+        head.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+        head.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+        runs_payload(&head, runs)
+    }
+
     #[test]
-    fn hostile_ack_runs_are_refused_by_name() {
-        let refused = |first, count| {
-            ClientFrame::decode_payload(&ack_run_payload(first, count))
-                .unwrap_err()
-                .reason
-        };
-        assert!(ClientFrame::decode_payload(&ack_run_payload(7, MAX_BURST_SEQS as u32)).is_ok());
-        assert_eq!(
-            refused(7, MAX_BURST_SEQS as u32 + 1),
-            "AckRun count 65537 exceeds the cap of 65536"
-        );
-        assert_eq!(
-            refused(0, u32::MAX),
-            "AckRun count 4294967295 exceeds the cap of 65536"
-        );
-        assert_eq!(
-            refused(u64::MAX - 1, 3),
-            "AckRun first 18446744073709551614 + count 3 overflows u64"
-        );
-        assert!(ClientFrame::decode_payload(&ack_run_payload(u64::MAX - 1, 2)).is_ok());
-        assert_eq!(refused(7, 0), "empty AckRun");
+    fn hostile_acks_are_refused_by_name() {
+        let acks = |runs: &[_]| ClientFrame::decode_payload(&acks_payload(runs));
+        hostile_runs_are_refused("acks", |runs| acks(runs).unwrap_err().reason);
+        // A round's ACKs name at least one: no lone empty run, as a burst
+        // the path lost whole has, and no runs at all.
+        assert_eq!(acks(&[(9, 0)]).unwrap_err().reason, "empty acks run 0");
+        assert_eq!(acks(&[]).unwrap_err().reason, "acks without runs");
+        assert!(acks(&[(7, MAX_BURST_SEQS as u32)]).is_ok());
+        assert!(acks(&[(u64::MAX - 1, 2)]).is_ok());
     }
 
     #[test]
     fn hostile_burst_runs_are_refused_by_name() {
         let refused = |payload: &[u8]| ServerFrame::decode_payload(payload).unwrap_err().reason;
-        assert_eq!(
-            refused(&burst_payload(&[(0, 4), (9, 0)])),
-            "empty burst run 1"
-        );
-        assert_eq!(
-            refused(&burst_payload(&[(9, 0), (12, 1)])),
-            "empty burst run 0"
-        );
-        // Two runs, each under the cap, together past it: refused at
-        // the second run's header, 30 bytes into a 30-byte payload.
-        let half = MAX_BURST_SEQS as u32 / 2;
-        assert_eq!(
-            refused(&burst_payload(&[(0, half), (1 << 40, half + 1)])),
-            "burst of 65537 sequences at run 1 exceeds the cap of 65536"
-        );
-        assert_eq!(
-            refused(&burst_payload(&[(0, u32::MAX)])),
-            "burst run 0 count 4294967295 exceeds the cap of 65536"
-        );
-        assert_eq!(
-            refused(&burst_payload(&[(u64::MAX, 2)])),
-            "burst run 0 first 18446744073709551615 + count 2 overflows u64"
-        );
+        let burst = |runs: &[_]| runs_payload(&[TAG_BURST, 0], runs);
+        hostile_runs_are_refused("burst", |runs| refused(&burst(runs)));
         // Cut inside the second run's `len`.
-        let mut cut = burst_payload(&[(0, 4), (9, 2)]);
+        let mut cut = burst(&[(0, 4), (9, 2)]);
         cut.truncate(cut.len() - 2);
         assert_eq!(
             refused(&cut),

@@ -12,8 +12,8 @@
 //! * [`frame`] — the virtual-time wire protocol's codec. Every client frame
 //!   carries the emulated clock, so the exchange is a lockstep replay
 //!   of the simulator's schedule regardless of real pacing. A round,
-//!   not a packet, is its unit: one `AckRun` per ACK train, one
-//!   run-length `Burst` per window. Strict, diagnostic-rich decoding
+//!   not a packet, is its unit: one run-length `Acks` per round's ACK
+//!   trains, one run-length `Burst` per window. Strict, diagnostic-rich decoding
 //!   (hostile bytes are the normal case).
 //! * The two ends of the protocol are `caai_core::sansio`'s sans-IO
 //!   cores: [`LadderCore`] (the prober's ladder walk) and [`ServerCore`]

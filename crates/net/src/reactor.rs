@@ -22,8 +22,9 @@
 //! `TransportAborted` outcome. Sessions never panic the reactor;
 //! every failure ends in a result on the session's reply channel.
 //!
-//! A session writes each [`Step::Send`] as soon as the core returns it:
-//! how long a round takes in real time is the path's latency (a paced
+//! A session writes each [`Step::Send`] as soon as the core returns it,
+//! and hands the frames back to the core to hold the next round's: how
+//! long a round takes in real time is the path's latency (a paced
 //! [`EmulatedServer`](crate::emulated::EmulatedServer) holds its
 //! replies), so the reactor only sleeps in the poller, until a socket is
 //! ready or a timeout, backoff or rate-limiter timer falls due.
@@ -470,6 +471,7 @@ impl<S: Subscriber> Reactor<S> {
                 }
                 session.stats.frames_sent += frames.len() as u64;
                 session.close_after_flush = close_after;
+                session.core.recycle(frames);
                 self.flush(token);
             }
             Step::Done(outcome) => self.finish_session(token, *outcome),

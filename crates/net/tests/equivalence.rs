@@ -149,18 +149,15 @@ fn the_drive_is_deterministic() {
 }
 
 /// The frames the per-packet wire would have carried for `frame`: an
-/// `AckRun` unrolled into its single `Ack`s, anything else as it is.
+/// `Acks` unrolled into its single `Ack`s, anything else as it is.
 fn unrolled(frame: &ClientFrame) -> Vec<ClientFrame> {
-    match *frame {
-        ClientFrame::AckRun {
-            now,
-            first,
-            count,
-            rtt,
-        } => (first..first + u64::from(count))
+    match frame {
+        &ClientFrame::Acks { now, rtt, ref runs } => runs
+            .iter()
+            .flat_map(|run| run.first..run.first + run.len)
             .map(|cum_ack| ClientFrame::Ack { now, cum_ack, rtt })
             .collect(),
-        other => vec![other],
+        other => vec![other.clone()],
     }
 }
 
@@ -173,31 +170,50 @@ fn answers<S: Borrow<ServerUnderTest>>(
     frames.iter().flat_map(answer).collect()
 }
 
+/// A connection to `server`: the fleet's, with no path, or across `path`
+/// with its fates drawn from `rng`.
+fn connect<'a>(
+    server: &ServerUnderTest,
+    path: Option<PathConfig>,
+    rng: &'a mut StdRng,
+) -> ServerCore<'a> {
+    match path {
+        Some(path) => ServerCore::over_path(server.clone(), path, rng),
+        None => ServerCore::new(server.clone()),
+    }
+}
+
 #[test]
 fn an_ack_run_is_to_the_server_its_single_acks() {
-    for algorithm in ALL_IDENTIFIED {
+    let paths = [None].into_iter().chain(lossy_paths().map(Some));
+    for (path, algorithm) in paths.flat_map(|p| ALL_IDENTIFIED.map(|a| (p, a))) {
         let profile = ServerUnderTest::ideal(algorithm);
         let mut client = LadderCore::new(ProberConfig::default());
         // `runs` hears the wire as it is; `singles` hears every ACK
-        // train one packet at a time.
+        // train one packet at a time, its path's fates from the same seed.
         let (mut runs, mut singles) = (None, None);
+        let (mut rng, mut twin_rng) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
         let (mut rounds, mut acks) = (0u32, 0usize);
         let mut step = client.start();
         loop {
             step = match step {
                 Step::Connect => {
-                    runs = Some(ServerCore::new(profile.clone()));
-                    singles = Some(ServerCore::new(profile.clone()));
+                    runs = Some(connect(&profile, path, &mut rng));
+                    singles = Some(connect(&profile, path, &mut twin_rng));
                     client.on_connected()
                 }
                 Step::Send {
                     frames,
                     close_after,
                 } => {
+                    let trains = frames
+                        .iter()
+                        .filter(|f| matches!(f, ClientFrame::Acks { .. }))
+                        .count();
                     assert!(
-                        frames.len() <= 3,
-                        "{algorithm:?}: a clean round is at most duplicate + run + request, \
-                         got {frames:?}"
+                        frames.len() <= 3 && trains <= 1,
+                        "{algorithm:?} on {path:?}: a round is at most duplicate + Acks + \
+                         request, got {frames:?}"
                     );
                     let unrolled: Vec<_> = frames.iter().flat_map(unrolled).collect();
                     acks += unrolled.len() - frames.len();
@@ -206,9 +222,11 @@ fn an_ack_run_is_to_the_server_its_single_acks() {
                     let twin_replies = answers(singles.as_mut().expect("and its twin"), &unrolled);
                     assert_eq!(
                         replies, twin_replies,
-                        "{algorithm:?} round {rounds}: run and single ACKs answered differently"
+                        "{algorithm:?} on {path:?} round {rounds}: run and single ACKs \
+                         answered differently"
                     );
                     rounds += 1;
+                    client.recycle(frames);
                     if close_after {
                         client.on_closed()
                     } else {
@@ -216,14 +234,18 @@ fn an_ack_run_is_to_the_server_its_single_acks() {
                     }
                 }
                 Step::Done(outcome) => {
-                    assert!(outcome.pair.is_some(), "{algorithm:?}: walk must complete");
+                    assert!(
+                        path.is_some() || outcome.pair.is_some(),
+                        "{algorithm:?}: walk must complete"
+                    );
                     break;
                 }
             };
         }
         assert!(
             rounds > 20 && acks > 500,
-            "{algorithm:?}: a full walk, not a stub ({rounds} rounds, {acks} ACKs past a run's first)"
+            "{algorithm:?} on {path:?}: a full walk, not a stub ({rounds} rounds, {acks} ACKs \
+             past a run's first)"
         );
     }
 }
