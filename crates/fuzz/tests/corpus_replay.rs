@@ -69,8 +69,8 @@ fn net_frame_fixtures_stop_where_they_were_built_to() {
         decoder.next::<F>().map_err(|e| e.reason)
     }
     assert_eq!(
-        verdict::<ClientFrame>("net-frame-ackrun-count-overflow.bin"),
-        Err("unknown client frame tag 0x05".to_owned())
+        verdict::<ClientFrame>("net-frame-acks-past-cap.bin"),
+        Err("acks of 65537 sequences at run 1 exceeds the cap of 65536".to_owned())
     );
     assert_eq!(
         verdict::<ServerFrame>("net-frame-burst-run-past-cap.bin"),
