@@ -298,7 +298,9 @@ pub type OpenedSource = PcapStream<Box<dyn Read + Send>>;
 /// Opens `path` as a capture source. `-` reads stdin. FIFOs and pipes
 /// stream until their writer closes; a regular file stops at its current
 /// end unless `follow.follow` is set, in which case it polls for growth
-/// until `follow.idle_timeout` passes without new bytes.
+/// until `follow.idle_timeout` passes without new bytes. A directory is
+/// refused here, as a path that names no capture, rather than failing
+/// its first read as capture damage.
 pub fn open_path(path: &str, follow: &FollowConfig) -> std::io::Result<OpenedSource> {
     if path == "-" {
         let reader: Box<dyn Read + Send> = Box::new(std::io::stdin());
@@ -306,6 +308,10 @@ pub fn open_path(path: &str, follow: &FollowConfig) -> std::io::Result<OpenedSou
     }
     let file = std::fs::File::open(path)?;
     let meta = file.metadata()?;
+    if meta.is_dir() {
+        let kind = std::io::ErrorKind::IsADirectory;
+        return Err(std::io::Error::new(kind, "Is a directory"));
+    }
     #[cfg(unix)]
     let is_pipe = std::os::unix::fs::FileTypeExt::is_fifo(&meta.file_type());
     #[cfg(not(unix))]

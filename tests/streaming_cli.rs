@@ -175,25 +175,33 @@ fn an_input_that_is_not_a_capture_leaves_out_untouched() {
     std::fs::remove_file(&bogus).ok();
 }
 
+/// `caai identify --pcap path` in both modes: exit 1, and stderr ending
+/// in `want`.
+fn refused_in_either_mode(path: &str, want: &str) {
+    for mode in [&[][..], &["--follow"]] {
+        let args = [&["identify", "--pcap", path, "--conditions", "1"][..], mode].concat();
+        let out = caai(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.ends_with(want), "{args:?}: {stderr}");
+    }
+}
+
 /// A capture that cannot be opened is reported as a failed read, offline
 /// and in follow mode alike.
 #[test]
 fn a_missing_capture_is_a_failed_read_in_either_mode() {
     let missing = tmp("missing.pcap");
-    for mode in [&[][..], &["--follow"]] {
-        let args = [
-            &["identify", "--pcap", &missing, "--conditions", "1"][..],
-            mode,
-        ]
-        .concat();
-        let out = caai(&args);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.ends_with(&format!(
-                "error: read {missing}: No such file or directory (os error 2)\n"
-            )),
-            "{args:?}: {stderr}"
-        );
-    }
+    let want = format!("error: read {missing}: No such file or directory (os error 2)\n");
+    refused_in_either_mode(&missing, &want);
+}
+
+/// A directory is a path that names no capture: refused at open, in the
+/// words of a failed read, not as damage found in its first bytes.
+#[test]
+fn a_directory_is_a_failed_read_in_either_mode() {
+    let dir = tmp("dir");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    refused_in_either_mode(&dir, &format!("error: read {dir}: Is a directory\n"));
+    std::fs::remove_dir(&dir).ok();
 }
