@@ -744,6 +744,14 @@ mod tests {
         assert!(err.reason.contains("never sent"), "{err}");
     }
 
+    /// The sender's window: what a delivered ACK moves.
+    fn sender<S, G>(core: &ServerCore<'_, S, G>) -> (u32, u32, u64, u64) {
+        let ServerState::Open(conn) = &core.state else {
+            panic!("the connection is open");
+        };
+        (conn.cwnd(), conn.ssthresh(), conn.snd_una(), conn.snd_nxt())
+    }
+
     #[test]
     fn stale_acks_from_the_peer_never_reach_the_sender() {
         // Acknowledge all but the last packet of the first burst, then
@@ -763,25 +771,13 @@ mod tests {
             for _ in 0..stale {
                 assert!(server.on_frame(&repeat).unwrap().frames.is_none());
             }
-            let ServerState::Open(conn) = &server.state else {
-                panic!("the connection is open");
-            };
-            let window = (conn.cwnd(), conn.ssthresh(), conn.snd_una(), conn.snd_nxt());
             let xmit = ClientFrame::Xmit {
                 now: 1.0,
                 horizon: 2.0,
             };
-            (window, server.on_frame(&xmit).unwrap().frames)
+            (sender(&server), server.on_frame(&xmit).unwrap().frames)
         };
         assert_eq!(next_burst(3), next_burst(0));
-    }
-
-    /// The sender's state: what an ACK that was delivered moves.
-    fn sender(core: &ServerCore) -> (u32, u64, u64) {
-        let ServerState::Open(conn) = &core.state else {
-            panic!("the connection is open");
-        };
-        (conn.cwnd(), conn.snd_una(), conn.snd_nxt())
     }
 
     #[test]
@@ -858,10 +854,7 @@ mod tests {
         core.on_frame(&hello).unwrap();
         let mut now = 0.0;
         loop {
-            let ServerState::Open(conn) = &core.state else {
-                panic!("the connection is open");
-            };
-            let cwnd = conn.cwnd();
+            let (cwnd, ..) = sender(core);
             let xmit = ClientFrame::Xmit {
                 now,
                 horizon: now + 1.0,

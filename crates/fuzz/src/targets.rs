@@ -289,9 +289,10 @@ fn drive_net_frames(bytes: &[u8]) {
     while let Ok(Some(frame)) = decoder.next::<ClientFrame>() {
         let heard = server.on_frame(&frame).map(|r| r.frames);
         let twin_heard = match &frame {
+            // A decoded run is never empty, and may end at `u64::MAX`.
             &ClientFrame::Acks { now, rtt, ref runs } => runs
                 .iter()
-                .flat_map(|run| run.first..run.first + run.len)
+                .flat_map(|run| run.first..=run.first + (run.len - 1))
                 .map(|cum_ack| twin.on_frame(&ClientFrame::Ack { now, cum_ack, rtt }))
                 .find(Result::is_err)
                 .unwrap_or(Ok(Default::default())),
