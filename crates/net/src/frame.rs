@@ -579,7 +579,7 @@ mod tests {
         }
 
         #[test]
-        fn any_acks_roundtrip(
+        fn any_ack_run_roundtrips(
             first in 0u64..u64::MAX,
             count in 1u64..(MAX_BURST_SEQS as u64 / 2 + 1),
             hole in 1u64..1000,
@@ -666,7 +666,7 @@ mod tests {
     }
 
     #[test]
-    fn hostile_acks_are_refused_by_name() {
+    fn hostile_ack_runs_are_refused_by_name() {
         let acks = |runs: &[_]| ClientFrame::decode_payload(&acks_payload(runs));
         hostile_runs_are_refused("acks", |runs| acks(runs).unwrap_err().reason);
         // A round's ACKs name at least one: no lone empty run, as a burst
