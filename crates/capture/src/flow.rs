@@ -127,8 +127,9 @@ impl FlowIndex {
 
 /// The fields of a decoded segment that reassembly reads — everything but
 /// the payload bytes, of which only the length matters. Small and `Copy`,
-/// so streaming ingestion can decode a frame where it was read and hand
-/// workers this instead of the bytes.
+/// so the drain's decode thread decodes a frame where it was read and
+/// hands the calling thread this instead of the bytes
+/// ([`crate::source::drain_segments`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentHeader {
     /// Source IPv4 address.

@@ -9,6 +9,31 @@
 //! is that pipeline run to the end of the capture), or the whole-capture
 //! reference ([`crate::flow::reassemble_source`]) it is checked against.
 //!
+//! # Decode ahead
+//!
+//! The drain runs on two threads. A scoped decode thread reads the
+//! source, decodes each frame and fills batches of small `Copy` records
+//! (index, timestamp, header, frame length), the skips beside them by
+//! position; the calling thread replays each batch in order, emitting
+//! every event and calling `feed` exactly as one loop would. So the
+//! flow table, every subscriber call and everything `feed` reaches stay
+//! on the caller, and the outputs and the event sequence are the
+//! one-thread ones by construction:
+//!
+//! ```text
+//!   decode thread                              calling thread
+//!   next_lent ─► decode ─► SegmentHeader ─►│ ─► FrameDecoded / PacketSkipped
+//!   (skips noted by position in the batch) │    feed(index, ts, header)
+//!                 batch full, or the next  │    ... CaptureTruncated
+//!                 item is not buffered ───►│ (bounded channel; 4 batches
+//!                                          │  recycled between the threads)
+//! ```
+//!
+//! **A batch never waits on a read.** Before any call that could block on
+//! more bytes ([`CaptureSource::next_is_buffered`] is `false`) the decode
+//! thread hands over what it holds, so a capture that is still growing
+//! reaches its flow table, and its verdicts, as soon as its bytes arrive.
+//!
 //! The error model is written once, here:
 //!
 //! * per-packet problems are *skipped and reported* — a source's
@@ -26,6 +51,7 @@ use crate::packet::decode;
 use crate::pcap::PcapReader;
 use caai_obs::{CaptureTruncated, Event, FrameDecoded, PacketSkipped, Subscriber};
 use std::fmt;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// A fatal framing or I/O problem: nothing after `offset` can be trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,7 +129,9 @@ impl<D> SourceItem<D> {
 /// `Err` is terminal (framing is broken from there on). Either reads the
 /// container header first if [`read_header`](CaptureSource::read_header)
 /// has not; a source may block while more bytes can still arrive.
-pub trait CaptureSource {
+///
+/// A source is `Send`: [`drain_segments`] reads it on a thread of its own.
+pub trait CaptureSource: Send {
     /// Reads and checks the container header, if that has not happened
     /// yet. An error here means the input never was a capture this crate
     /// can read; every later error is damage to a capture that was.
@@ -116,6 +144,14 @@ pub trait CaptureSource {
     /// The next frame or skip report, owning its bytes.
     fn next(&mut self) -> Result<Option<SourceItem>, CaptureError> {
         Ok(self.next_lent()?.map(|item| item.map_data(Box::from)))
+    }
+
+    /// Whether the next [`next_lent`](CaptureSource::next_lent) returns
+    /// without reading: the next item (or the end, or the error) is
+    /// already in hand. `false` is always safe; it only means that
+    /// [`drain_segments`] hands over what it has decoded before asking.
+    fn next_is_buffered(&self) -> bool {
+        false
     }
 }
 
@@ -140,6 +176,11 @@ impl CaptureSource for PcapReader<'_> {
                 data: record.data,
             })
         }))
+    }
+
+    /// The whole capture is in memory: nothing is ever read.
+    fn next_is_buffered(&self) -> bool {
+        true
     }
 }
 
@@ -167,6 +208,41 @@ pub fn skip<S: Subscriber>(obs: &S, skipped: &mut Skips, index: u64, reason: Str
     skipped.push((index, reason));
 }
 
+/// Frames in one hand-over batch, skips included.
+const BATCH: usize = 4096;
+
+/// Batches recycled between the decode thread and the caller.
+const POOL: usize = 4;
+
+/// A frame that decoded as a TCP segment, as the decode thread hands it
+/// over: no bytes, so a batch is a flat run of these.
+#[derive(Clone, Copy)]
+struct Decoded {
+    index: u64,
+    ts: f64,
+    header: SegmentHeader,
+    /// The frame's captured length, for [`FrameDecoded`].
+    bytes: u64,
+}
+
+/// What the decode thread hands over at once.
+struct Batch {
+    /// Decoded frames in capture order.
+    frames: Vec<Decoded>,
+    /// `(position, index, reason)`: each skip comes before
+    /// `frames[position]`, or after the last frame at `frames.len()`.
+    skips: Vec<(usize, u64, String)>,
+    /// Set on the last batch: `Ok` at a clean end, else the damage that
+    /// ended the capture.
+    end: Option<Result<(), CaptureError>>,
+}
+
+impl Batch {
+    fn len(&self) -> usize {
+        self.frames.len() + self.skips.len()
+    }
+}
+
 /// Drains `source`, handing `feed` the index, timestamp and header of
 /// each frame that decodes as a TCP segment, in capture order; `feed`
 /// reports segments it cannot use through [`skip`].
@@ -175,6 +251,10 @@ pub fn skip<S: Subscriber>(obs: &S, skipped: &mut Skips, index: u64, reason: Str
 /// skip and, when damage ends the capture early, one
 /// [`CaptureTruncated`]. Fails only when the container header cannot be
 /// read (see the module docs).
+///
+/// The source is read and decoded on a scoped thread of its own (see
+/// [Decode ahead](self#decode-ahead)); `feed` and `obs` are only ever
+/// called from the calling thread, in the order one loop would call them.
 pub fn drain_segments<C, S>(
     source: &mut C,
     obs: &S,
@@ -190,34 +270,184 @@ where
         skipped: Vec::new(),
         truncated: None,
     };
-    loop {
-        let frame = match source.next_lent() {
-            Ok(Some(SourceItem::Frame(frame))) => frame,
-            Ok(Some(SourceItem::Skipped { index, reason })) => {
-                skip(obs, &mut drained.skipped, index, reason);
-                continue;
-            }
-            Ok(None) => break,
-            Err(e) => {
-                obs.on_event(&Event::CaptureTruncated(CaptureTruncated {
-                    packets: drained.packets,
-                    reason: &e.reason,
-                }));
-                drained.truncated = Some(e);
-                break;
-            }
+    let (empty_tx, empty_rx) = sync_channel(POOL);
+    let (full_tx, full_rx) = sync_channel(POOL);
+    for _ in 0..POOL {
+        let batch = Batch {
+            frames: Vec::with_capacity(BATCH),
+            skips: Vec::new(),
+            end: None,
         };
-        match decode(frame.data) {
-            Ok(seg) => {
+        empty_tx.send(batch).expect("the pool fits its channel");
+    }
+    std::thread::scope(|scope| {
+        scope.spawn(move || decode_ahead(source, &empty_rx, &full_tx));
+        // A closed channel means the decode thread panicked; the scope
+        // raises that panic as it returns.
+        while let Ok(mut batch) = full_rx.recv() {
+            let mut skips = batch.skips.drain(..).peekable();
+            for (at, frame) in batch.frames.iter().enumerate() {
+                while let Some((_, index, reason)) = skips.next_if(|s| s.0 == at) {
+                    skip(obs, &mut drained.skipped, index, reason);
+                }
                 drained.packets += 1;
-                obs.on_event(&Event::FrameDecoded(FrameDecoded {
-                    bytes: frame.data.len() as u64,
-                }));
-                let header = SegmentHeader::from(&seg);
-                feed(frame.index, frame.ts, &header, &mut drained.skipped);
+                obs.on_event(&Event::FrameDecoded(FrameDecoded { bytes: frame.bytes }));
+                feed(frame.index, frame.ts, &frame.header, &mut drained.skipped);
             }
-            Err(e) => skip(obs, &mut drained.skipped, frame.index, e.to_string()),
+            for (_, index, reason) in skips {
+                skip(obs, &mut drained.skipped, index, reason);
+            }
+            batch.frames.clear();
+            match batch.end.take() {
+                None => {
+                    // The decode thread may have gone: then nothing needs it.
+                    let _ = empty_tx.send(batch);
+                }
+                Some(Ok(())) => break,
+                Some(Err(e)) => {
+                    obs.on_event(&Event::CaptureTruncated(CaptureTruncated {
+                        packets: drained.packets,
+                        reason: &e.reason,
+                    }));
+                    drained.truncated = Some(e);
+                    break;
+                }
+            }
+        }
+    });
+    Ok(drained)
+}
+
+/// The decode thread: fills batches from the pool with what `source`
+/// yields and hands each over when it is full or before a read that
+/// could block. Returns after the batch that ends the capture, or when
+/// the caller has gone.
+fn decode_ahead<C>(source: &mut C, empty: &Receiver<Batch>, full: &SyncSender<Batch>)
+where
+    C: CaptureSource + ?Sized,
+{
+    let Ok(mut batch) = empty.recv() else {
+        return;
+    };
+    loop {
+        if batch.len() > 0 && (batch.len() >= BATCH || !source.next_is_buffered()) {
+            if full.send(batch).is_err() {
+                return;
+            }
+            let Ok(next) = empty.recv() else {
+                return;
+            };
+            batch = next;
+        }
+        let at = batch.frames.len();
+        match source.next_lent() {
+            Ok(Some(SourceItem::Frame(frame))) => match decode(frame.data) {
+                Ok(seg) => batch.frames.push(Decoded {
+                    index: frame.index,
+                    ts: frame.ts,
+                    header: SegmentHeader::from(&seg),
+                    bytes: frame.data.len() as u64,
+                }),
+                Err(e) => batch.skips.push((at, frame.index, e.to_string())),
+            },
+            Ok(Some(SourceItem::Skipped { index, reason })) => {
+                batch.skips.push((at, index, reason));
+            }
+            Ok(None) => batch.end = Some(Ok(())),
+            Err(e) => batch.end = Some(Err(e)),
+        }
+        if batch.end.is_some() {
+            let _ = full.send(batch);
+            return;
         }
     }
-    Ok(drained)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::packet::{encode, flags, FrameSpec};
+    use caai_obs::NullSubscriber;
+    use std::sync::mpsc::{channel, Receiver};
+    use std::time::{Duration, Instant};
+
+    /// A live source in miniature: the frames before `gate` are in hand;
+    /// the one at `gate` arrives only once `feed` has seen every frame
+    /// before it (one message on `fed` each), as a capture's next bytes
+    /// may wait on the verdicts of what it already holds. Gives up after
+    /// 30 s, as damage.
+    struct Gated {
+        frames: Vec<Vec<u8>>,
+        next: usize,
+        gate: usize,
+        fed: Receiver<()>,
+    }
+
+    impl CaptureSource for Gated {
+        fn read_header(&mut self) -> Result<(), CaptureError> {
+            Ok(())
+        }
+
+        fn next_lent(&mut self) -> Result<Option<SourceItem<&[u8]>>, CaptureError> {
+            if self.next == self.gate {
+                let give_up = Instant::now() + Duration::from_secs(30);
+                for _ in 0..self.gate {
+                    let left = give_up.saturating_duration_since(Instant::now());
+                    if self.fed.recv_timeout(left).is_err() {
+                        return Err(CaptureError::new(
+                            0,
+                            "the frames in hand never reached feed",
+                        ));
+                    }
+                }
+            }
+            let Some(data) = self.frames.get(self.next) else {
+                return Ok(None);
+            };
+            self.next += 1;
+            Ok(Some(SourceItem::Frame(StreamFrame {
+                index: self.next as u64 - 1,
+                ts: self.next as f64,
+                data,
+            })))
+        }
+
+        fn next_is_buffered(&self) -> bool {
+            self.next != self.gate
+        }
+    }
+
+    /// The decode thread hands over what it holds before a read that
+    /// could block: a full batch and a partial one reach `feed` while
+    /// the source waits on them, and the capture then drains whole.
+    #[test]
+    fn frames_in_hand_reach_feed_before_a_read_that_waits() {
+        let frame = encode(&FrameSpec {
+            src_ip: [10, 0, 0, 1],
+            dst_ip: [10, 0, 0, 2],
+            src_port: 40_000,
+            dst_port: 80,
+            seq: 1,
+            ack: 1,
+            flags: flags::ACK,
+            window: 65_535,
+            mss_option: None,
+            payload: &[0; 100],
+        });
+        let gate = BATCH + 10;
+        let (tx, fed) = channel();
+        let mut source = Gated {
+            frames: vec![frame; gate + 5],
+            next: 0,
+            gate,
+            fed,
+        };
+        let drained = drain_segments(&mut source, &NullSubscriber, |_, _, _, _| {
+            tx.send(()).expect("the source outlives the drain");
+        })
+        .expect("no header to read");
+        assert_eq!(drained.truncated, None);
+        assert_eq!(drained.packets, gate as u64 + 5);
+        assert!(drained.skipped.is_empty());
+    }
 }

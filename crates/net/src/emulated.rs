@@ -43,6 +43,7 @@ use std::sync::{mpsc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use caai_core::frame::{ClientFrame, ServerFrame};
+use caai_core::ladder::Run;
 use caai_core::sansio::ServerCore;
 use caai_core::ServerUnderTest;
 
@@ -213,6 +214,9 @@ struct Loop {
     tokens: u64,
     /// What every connection's reads go through.
     read_buf: Box<[u8]>,
+    /// The last `Acks`' runs, handed back after its core read them: every
+    /// connection's next one is decoded into the same buffer.
+    spare: Vec<Run>,
 }
 
 enum Entry {
@@ -280,6 +284,7 @@ impl Loop {
             entries: HashMap::new(),
             tokens: 0,
             read_buf: read_buffer(),
+            spare: Vec::new(),
         }
     }
 
@@ -342,7 +347,7 @@ impl Loop {
         let Some(Entry::Conn(served)) = self.entries.get_mut(&token) else {
             return;
         };
-        if let Some(deadline) = served.answer(now) {
+        if let Some(deadline) = served.answer(now, &mut self.spare) {
             self.wheel.insert(token, TimerKind::Hold, deadline);
         }
         if served.held.is_some() {
@@ -430,8 +435,9 @@ impl EventLoop for Loop {
 impl Served {
     /// Answers every whole frame the decoder holds into `conn.out`, up to
     /// the end of the connection or the first reply a paced server holds;
-    /// returns when that hold ends, if one began.
-    fn answer(&mut self, now: Instant) -> Option<Instant> {
+    /// returns when that hold ends, if one began. `Acks` runs are decoded
+    /// into `spare`'s buffer and handed back to it.
+    fn answer(&mut self, now: Instant, spare: &mut Vec<Run>) -> Option<Instant> {
         match self.held {
             Some(until) if now < until => return None,
             _ => self.held = None,
@@ -442,7 +448,7 @@ impl Served {
             return None;
         };
         while self.ending.is_none() {
-            let frame: ClientFrame = match self.conn.decoder.next() {
+            let frame: ClientFrame = match self.conn.decoder.next_into(spare) {
                 Ok(Some(frame)) => frame,
                 Ok(None) => return None,
                 Err(_) => {
@@ -474,6 +480,14 @@ impl Served {
                 if *left == 0 {
                     self.ending = Some(End::Reset);
                 }
+            }
+            // Both buffers hold the next round's runs: nothing is
+            // allocated per round.
+            if let ClientFrame::Acks { runs, .. } = frame {
+                *spare = runs;
+            }
+            if let Some(answer) = reply.frames {
+                core.recycle(answer);
             }
             if let Behavior::Paced(pace) = self.behavior {
                 let hold = (pace.as_secs_f64() * span).clamp(0.0, MAX_HOLD_SECS);

@@ -20,7 +20,9 @@
 //! pair of functions. On a clean wire each is one run, so a round trip
 //! is ~80 bytes whatever the window. Decoded, the runs are the ladder's
 //! own [`Run`]s, which the cores hand over as they are: no round is ever
-//! expanded into its packets. Hostile bytes are the normal case for a
+//! expanded into its packets. [`FrameDecoder::next_into`] reads them into
+//! a buffer its caller hands back after each frame (the reactor's
+//! `Burst`s, the fleet's `Acks`), so a live round allocates nothing. Hostile bytes are the normal case for a
 //! parser that listens on a socket, so decoding is strict
 //! (length-capped, run-capped, finite-float-checked, no trailing bytes)
 //! and every rejection names what was wrong, in the skip-and-report
@@ -54,7 +56,14 @@ pub trait Wire: Sized {
     fn encode_payload(&self, out: &mut Vec<u8>);
 
     /// Decodes one payload (as cut out by the length prefix).
-    fn decode_payload(payload: &[u8]) -> Result<Self, ProtocolError>;
+    fn decode_payload(payload: &[u8]) -> Result<Self, ProtocolError> {
+        Self::decode_payload_into(payload, &mut Vec::new())
+    }
+
+    /// [`decode_payload`](Wire::decode_payload), reading a frame's runs,
+    /// if it carries any, into the buffer taken from `spare`: a decoder
+    /// handed each frame's runs back allocates nothing per frame.
+    fn decode_payload_into(payload: &[u8], spare: &mut Vec<Run>) -> Result<Self, ProtocolError>;
 
     /// Appends the length-prefixed frame to `out`.
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -127,8 +136,14 @@ impl<'a> Reader<'a> {
     /// run that continues the one before it merged into it, so the runs
     /// in memory are maximal. Only a frame that `may_be_empty` (a `Burst`:
     /// nothing to send, or a round the path lost whole) may name no value,
-    /// by no runs or by one empty run.
-    fn runs(&mut self, what: &str, may_be_empty: bool) -> Result<Vec<Run>, ProtocolError> {
+    /// by no runs or by one empty run. The runs are read into the buffer
+    /// taken from `spare`.
+    fn runs(
+        &mut self,
+        what: &str,
+        may_be_empty: bool,
+        spare: &mut Vec<Run>,
+    ) -> Result<Vec<Run>, ProtocolError> {
         let runs = self.u32(format_args!("{what} run count"))? as usize;
         // Every run holds a value, so the cap on values caps the runs too.
         if runs > MAX_BURST_SEQS {
@@ -139,7 +154,8 @@ impl<'a> Reader<'a> {
         if runs == 0 && !may_be_empty {
             return Err(format!("{what} without runs").into());
         }
-        let mut merged = Vec::new();
+        let mut merged = std::mem::take(spare);
+        merged.clear();
         let mut total = 0u64;
         for i in 0..runs {
             let first = self.u64(format_args!("{what} run {i} first"))?;
@@ -221,7 +237,7 @@ impl Wire for ClientFrame {
         }
     }
 
-    fn decode_payload(payload: &[u8]) -> Result<Self, ProtocolError> {
+    fn decode_payload_into(payload: &[u8], spare: &mut Vec<Run>) -> Result<Self, ProtocolError> {
         let mut r = Reader::new(payload);
         let tag = r.u8("frame tag")?;
         let frame = match tag {
@@ -244,7 +260,7 @@ impl Wire for ClientFrame {
             TAG_ACKS => ClientFrame::Acks {
                 now: r.f64("acks clock")?,
                 rtt: r.f64("acks rtt")?,
-                runs: r.runs("acks", false)?,
+                runs: r.runs("acks", false, spare)?,
             },
             TAG_RTO_WAIT => ClientFrame::RtoWait {
                 now: r.f64("rto-wait clock")?,
@@ -283,7 +299,7 @@ impl Wire for ServerFrame {
         }
     }
 
-    fn decode_payload(payload: &[u8]) -> Result<Self, ProtocolError> {
+    fn decode_payload_into(payload: &[u8], spare: &mut Vec<Run>) -> Result<Self, ProtocolError> {
         let mut r = Reader::new(payload);
         let tag = r.u8("frame tag")?;
         let frame = match tag {
@@ -292,7 +308,7 @@ impl Wire for ServerFrame {
             },
             TAG_BURST => ServerFrame::Burst {
                 done: r.bool("burst done")?,
-                runs: r.runs("burst", true)?,
+                runs: r.runs("burst", true, spare)?,
             },
             TAG_RTO_RESULT => ServerFrame::RtoResult {
                 responded: r.bool("rto responded")?,
@@ -347,6 +363,12 @@ impl FrameDecoder {
     /// on the server side, `ServerFrame` on the client side).
     #[allow(clippy::should_implement_trait)]
     pub fn next<F: Wire>(&mut self) -> Result<Option<F>, ProtocolError> {
+        self.next_into(&mut Vec::new())
+    }
+
+    /// [`next`](FrameDecoder::next), a frame's runs read into the buffer
+    /// taken from `spare` (see [`Wire::decode_payload_into`]).
+    pub fn next_into<F: Wire>(&mut self, spare: &mut Vec<Run>) -> Result<Option<F>, ProtocolError> {
         let avail = &self.buf[self.read..];
         if avail.len() < 4 {
             return Ok(None);
@@ -362,7 +384,7 @@ impl FrameDecoder {
             return Ok(None);
         }
         let payload = &avail[4..4 + len];
-        let frame = F::decode_payload(payload)?;
+        let frame = F::decode_payload_into(payload, spare)?;
         self.read += 4 + len;
         Ok(Some(frame))
     }

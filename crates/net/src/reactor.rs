@@ -42,6 +42,7 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use caai_core::frame::ServerFrame;
+use caai_core::ladder::Run;
 use caai_core::sansio::{LadderCore, Step};
 use caai_core::{GatherOutcome, InvalidReason, ProberConfig};
 use caai_obs::{
@@ -204,6 +205,9 @@ struct Session {
     rung_span: SpanToken,
     /// Rung records already accounted (closes `rung_span` on growth).
     rungs_seen: usize,
+    /// The last `Burst`'s runs, handed back after the core read them:
+    /// the next one is decoded into the same buffer.
+    spare: Vec<Run>,
 }
 
 /// The reactor. Constructed and run on its own thread by
@@ -419,6 +423,7 @@ impl<S: Subscriber> Reactor<S> {
             roundtrip_span: SpanToken::NONE,
             rung_span: SpanToken::NONE,
             rungs_seen: 0,
+            spare: Vec::new(),
         };
         self.sessions.insert(token, session);
         self.admission.live.fetch_add(1, Ordering::Relaxed);
@@ -642,14 +647,18 @@ impl<S: Subscriber> Reactor<S> {
             let Some(conn) = session.conn.as_mut() else {
                 return false;
             };
-            match conn.decoder.next::<ServerFrame>() {
+            match conn.decoder.next_into::<ServerFrame>(&mut session.spare) {
                 Ok(Some(frame)) => {
                     session.io.clear();
                     if S::ENABLED {
                         let obs = Arc::clone(&self.obs);
                         std::mem::replace(&mut session.roundtrip_span, SpanToken::NONE).end(&*obs);
                     }
-                    match session.core.on_frame(&frame) {
+                    let step = session.core.on_frame(&frame);
+                    if let ServerFrame::Burst { runs, .. } = frame {
+                        session.spare = runs;
+                    }
+                    match step {
                         Ok(step) => {
                             self.apply_step(token, step);
                             self.sync_rung_span(token);

@@ -13,8 +13,9 @@
 //!   that is still being written: [`StallPolicy::Follow`] polls past EOF
 //!   instead of stopping, so verdicts stream out while packets stream in;
 //! * **bounded memory** — [`pipeline::run`] reassembles on a timeout
-//!   wheel with bounded per-flow state, in one loop on the caller, and
-//!   never holds the capture itself.
+//!   wheel with bounded per-flow state, on the caller's thread while
+//!   the drain's decode thread reads ahead, and never holds the capture
+//!   itself.
 //!
 //! The dataflow, stage by stage:
 //!

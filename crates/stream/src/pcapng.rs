@@ -215,6 +215,19 @@ pub(crate) fn next_item<'a, R: Read>(
     }
 }
 
+/// Whether `data` starts with a whole packet-carrying block (an EPB, an
+/// SPB or an unknown type, each of which ends a [`next_item`] call
+/// without a further read). A section header, a metadata block or a
+/// block still arriving is `false`.
+pub(crate) fn packet_block_buffered(data: &[u8], sec: &Section) -> bool {
+    if data.len() < 8 || data[..4] == SHB_MAGIC {
+        return false;
+    }
+    let btype = sec.order.u32_at(data, 0);
+    let total = sec.order.u32_at(data, 4) as usize;
+    !matches!(btype, BT_IDB | BT_NRB | BT_ISB) && data.len() >= total
+}
+
 /// Buffers the next block's type and length; `Ok(false)` at a clean end
 /// of the stream.
 fn want_block_header<R: Read>(feed: &mut ByteFeed<R>) -> Result<bool, CaptureError> {

@@ -7,11 +7,14 @@
 //!    frames)   (skips,            per flow,       server IP;        stdout, ...)
 //!              truncation)        timeout wheel)  timeouts,
 //!                                                 classify)
+//!   └── decode thread ──┘ └────────────── calling thread ──────────────┘
 //! ```
 //!
 //! Each frame is decoded once, where the source read it, and fed to its
 //! flow's [`FlowBuilder`] as a [`SegmentHeader`] — the payload's length,
-//! never the payload. Whenever the watermark (the largest timestamp seen)
+//! never the payload. Reading and decoding run ahead on the drain's
+//! decode thread ([`caai_capture::source`]); everything after them, and
+//! every callback and event, runs on the calling thread. Whenever the watermark (the largest timestamp seen)
 //! crosses into a new **granule** (`flow_timeout / 2` of *capture* time)
 //! the loop ticks, after feeding the packet that crossed: flows idle past
 //! the timeout leave the wheel reduced to a [`ConnectionObservation`], are
@@ -73,8 +76,10 @@ use std::time::Instant;
 /// Tuning for one streaming run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
-    /// Read by nothing: there is one loop and no workers. Goes when a
-    /// `benchmark` PR drops the `stream.speedup_w2` row that sets it.
+    /// Read by nothing: there is no worker pool. The pipeline's one
+    /// helper thread is the drain's decode thread, which is not
+    /// configurable. Goes when a `benchmark` PR drops the
+    /// `stream.speedup_w2` row that sets it.
     pub workers: usize,
     /// Seconds of capture-time idleness before a flow is evicted and
     /// reduced to its observation.

@@ -268,7 +268,7 @@ fn next_classic<'a, R: Read>(
     })))
 }
 
-impl<R: Read> CaptureSource for PcapStream<R> {
+impl<R: Read + Send> CaptureSource for PcapStream<R> {
     fn read_header(&mut self) -> Result<(), CaptureError> {
         if let Mode::Detect = self.mode {
             self.mode = Mode::Done; // unless detection succeeds
@@ -289,6 +289,28 @@ impl<R: Read> CaptureSource for PcapStream<R> {
             self.mode = Mode::Done;
         }
         out
+    }
+
+    /// Whether the feed holds the next whole record (classic: its header
+    /// and `incl_len` bytes; pcapng: the block's `total_len` bytes, a
+    /// packet block's), or the stream has ended. A metadata block next
+    /// reads as not buffered: the framer moves past it to a block that
+    /// may not have arrived.
+    fn next_is_buffered(&self) -> bool {
+        let feed = &self.feed;
+        if feed.ended {
+            return true;
+        }
+        match self.mode {
+            Mode::Detect => false,
+            Mode::Done => true,
+            Mode::Classic(ref header) => {
+                let data = feed.data();
+                data.len() >= RECORD_HEADER_LEN
+                    && data.len() - RECORD_HEADER_LEN >= header.endianness.u32_at(data, 8) as usize
+            }
+            Mode::Pcapng(ref sec) => pcapng::packet_block_buffered(feed.data(), sec),
+        }
     }
 }
 

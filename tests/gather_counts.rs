@@ -12,8 +12,11 @@
 //! order, and a draw skipped or made twice is a different census.
 
 use caai::congestion::AlgorithmId;
+use caai::core::frame::{ClientFrame, ServerFrame};
 use caai::core::prober::{ProbeTap, Prober, ProberConfig};
+use caai::core::sansio::{LadderCore, ServerCore, Step};
 use caai::core::server_under_test::ServerUnderTest;
+use caai::net::frame::{FrameDecoder, Wire};
 use caai::netem::rng::{child, seeded};
 use caai::netem::{ConditionDb, EnvironmentId, PathConfig};
 use caai::obs::NullSubscriber;
@@ -215,4 +218,109 @@ fn a_probe_draws_once_per_packet_and_once_per_ack() {
         prober.gather(&ServerUnderTest::from_web_server(web), &path, &mut rng);
         assert_eq!(rng.draws - sampling, draws, "server {id} behind {path:?}");
     }
+}
+
+/// A probe over the frame codec, as the live path carries it: each
+/// connection encodes into its own buffers and decodes with its own
+/// `FrameDecoder`s, the runs of each `Burst` (the reactor) and each
+/// `Acks` (the fleet) go into the buffer the one before handed back, and
+/// each core takes back the frames it made. A round that sends what its
+/// connection has sent before (the same frames, one run each on a clean
+/// path) allocates nothing but the growth of the window trace the probe
+/// records: the transport allocates per connection, never per round.
+#[test]
+fn no_repeated_round_over_the_frame_codec_allocates() {
+    let server = ServerUnderTest::ideal(AlgorithmId::Reno);
+    let mut client = LadderCore::new(ProberConfig::default());
+    let mut conn = None;
+    let (mut server_spare, mut client_spare) = (Vec::new(), Vec::new());
+    // The capacities of the open attempt's window vectors: a change is
+    // the trace growing.
+    let capacities = |client: &LadderCore| {
+        let trace = client.attempt().map(|attempt| attempt.trace());
+        trace.map(|t| (t.pre.capacity(), t.post.capacity()))
+    };
+    let mut sent = Vec::new();
+    let mut checked = 0;
+    let mut step = client.start();
+    loop {
+        let repeated = match &step {
+            Step::Send { frames, .. } => {
+                let kinds: Vec<_> = frames.iter().map(std::mem::discriminant).collect();
+                let seen = sent.contains(&kinds);
+                sent.push(kinds);
+                seen
+            }
+            _ => {
+                sent.clear();
+                false
+            }
+        };
+        let before = capacities(&client);
+        let (allocations, _, next) = allocated_by(|| match step {
+            Step::Connect => {
+                let core = ServerCore::new(server.clone());
+                let (wire, to_server, to_client) =
+                    (Vec::new(), FrameDecoder::new(), FrameDecoder::new());
+                conn = Some((core, wire, to_server, to_client));
+                Some(client.on_connected())
+            }
+            Step::Send {
+                frames,
+                close_after,
+            } => {
+                let (core, wire, to_server, to_client) =
+                    conn.as_mut().expect("a send follows a connect");
+                wire.clear();
+                for frame in &frames {
+                    frame.encode_into(wire);
+                }
+                client.recycle(frames);
+                to_server.push(wire);
+                wire.clear();
+                while let Some(frame) = to_server.next_into(&mut server_spare).unwrap() {
+                    let reply = core.on_frame(&frame).expect("an honest client");
+                    if let ClientFrame::Acks { runs, .. } = frame {
+                        server_spare = runs;
+                    }
+                    if let Some(answer) = reply.frames {
+                        answer.encode_into(wire);
+                        core.recycle(answer);
+                    }
+                }
+                if close_after {
+                    core.close(client.now());
+                    return Some(client.on_closed());
+                }
+                to_client.push(wire);
+                let frame = to_client.next_into(&mut client_spare).unwrap();
+                let frame = frame.expect("a send that awaits a reply gets one");
+                let next = client.on_frame(&frame).expect("an honest server");
+                if let ServerFrame::Burst { runs, .. } = frame {
+                    client_spare = runs;
+                }
+                Some(next)
+            }
+            Step::Done(outcome) => {
+                assert!(outcome.pair.is_some());
+                None
+            }
+        });
+        let Some(next) = next else {
+            break;
+        };
+        // A round that ends its attempt hands the trace to the walk.
+        if let (true, Some(b), Some(a)) = (repeated, before, capacities(&client)) {
+            let grown = u64::from(a.0 != b.0) + u64::from(a.1 != b.1);
+            assert_eq!(
+                allocations,
+                grown,
+                "round {}: {allocations} allocations",
+                sent.len()
+            );
+            checked += 1;
+        }
+        step = next;
+    }
+    assert!(checked >= 40, "{checked} rounds checked");
 }
