@@ -270,17 +270,20 @@ where
         skipped: Vec::new(),
         truncated: None,
     };
-    let (empty_tx, empty_rx) = sync_channel(POOL);
-    let (full_tx, full_rx) = sync_channel(POOL);
-    for _ in 0..POOL {
-        let batch = Batch {
-            frames: Vec::with_capacity(BATCH),
-            skips: Vec::new(),
-            end: None,
-        };
-        empty_tx.send(batch).expect("the pool fits its channel");
-    }
     std::thread::scope(|scope| {
+        // The caller's ends live in this closure: should `feed` or `obs`
+        // panic, they drop as it unwinds, the decode thread stops at its
+        // next hand-over, and the scope can join it and go on unwinding.
+        let (empty_tx, empty_rx) = sync_channel(POOL);
+        let (full_tx, full_rx) = sync_channel(POOL);
+        for _ in 0..POOL {
+            let batch = Batch {
+                frames: Vec::with_capacity(BATCH),
+                skips: Vec::new(),
+                end: None,
+            };
+            empty_tx.send(batch).expect("the pool fits its channel");
+        }
         scope.spawn(move || decode_ahead(source, &empty_rx, &full_tx));
         // A closed channel means the decode thread panicked; the scope
         // raises that panic as it returns.
@@ -449,5 +452,42 @@ mod tests {
         assert_eq!(drained.truncated, None);
         assert_eq!(drained.packets, gate as u64 + 5);
         assert!(drained.skipped.is_empty());
+    }
+
+    /// A panic in `feed` reaches the caller, as in one loop, rather than
+    /// leaving the decode thread waiting for a batch that never returns
+    /// (which would hang the drain's scope). Bails out after 30 s.
+    #[test]
+    fn a_panic_in_feed_reaches_the_caller() {
+        let (done, finished) = channel();
+        std::thread::spawn(move || {
+            let frame = encode(&FrameSpec {
+                src_ip: [10, 0, 0, 1],
+                dst_ip: [10, 0, 0, 2],
+                src_port: 40_000,
+                dst_port: 80,
+                seq: 1,
+                ack: 1,
+                flags: flags::ACK,
+                window: 65_535,
+                mss_option: None,
+                payload: &[],
+            });
+            let (_tx, fed) = channel();
+            let mut source = Gated {
+                frames: vec![frame; BATCH * (POOL + 2)],
+                next: 0,
+                gate: usize::MAX,
+                fed,
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drain_segments(&mut source, &NullSubscriber, |_, _, _, _| {
+                    panic!("feed fails");
+                })
+            }));
+            done.send(outcome.is_err()).expect("the test waits");
+        });
+        let panicked = finished.recv_timeout(Duration::from_secs(30));
+        assert_eq!(panicked, Ok(true), "the drain hung or swallowed the panic");
     }
 }
