@@ -309,7 +309,8 @@ fn no_repeated_round_over_the_frame_codec_allocates() {
         let Some(next) = next else {
             break;
         };
-        // A round that ends its attempt hands the trace to the walk.
+        // A round that ends its attempt hands the trace to the walk; it
+        // is not checked.
         if let (true, Some(b), Some(a)) = (repeated, before, capacities(&client)) {
             let grown = u64::from(a.0 != b.0) + u64::from(a.1 != b.1);
             assert_eq!(
