@@ -442,6 +442,43 @@ fn follow_metrics_emit_per_granule_snapshots_that_validate() {
     std::fs::remove_file(&metrics_path).ok();
 }
 
+/// Every snapshot of a follow run, per granule and final, holds the
+/// counters the one-event-per-frame pipeline wrote:
+/// `tests/golden/follow_counters.jsonl`, one counter map a line, in line
+/// order. Counters only: the histograms hold wall-clock latencies.
+#[test]
+fn follow_metrics_counters_match_the_golden_at_every_granule() {
+    let fixture = fixture_path();
+    let metrics_path = tmp("golden-follow.metrics.jsonl");
+    let out = caai(&[
+        "identify",
+        "--pcap",
+        &fixture,
+        "--follow",
+        "--conditions",
+        "1",
+        "--idle-timeout",
+        "1",
+        "--flow-timeout",
+        "5",
+        "--metrics",
+        &metrics_path,
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&metrics_path).expect("metrics file exists");
+    let lines = caai::obs::validate_jsonl(&text).expect("schema-valid metrics file");
+    let golden: Vec<BTreeMap<String, u64>> = include_str!("golden/follow_counters.jsonl")
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("a golden line is a counter map"))
+        .collect();
+    assert!(golden.len() >= 2, "the golden holds per-granule snapshots");
+    assert_eq!(lines.len(), golden.len(), "snapshots written");
+    for (seq, (line, want)) in lines.iter().zip(&golden).enumerate() {
+        assert_eq!(&line.snapshot.counters, want, "snapshot {seq}");
+    }
+    std::fs::remove_file(&metrics_path).ok();
+}
+
 #[test]
 fn census_metrics_match_between_sigkilled_resume_and_uninterrupted_runs() {
     let base = |extra: &[&str]| {
