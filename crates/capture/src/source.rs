@@ -18,7 +18,12 @@
 //! every event and calling `feed` exactly as one loop would. So the
 //! flow table, every subscriber call and everything `feed` reaches stay
 //! on the caller, and the outputs and the event sequence are the
-//! one-thread ones by construction:
+//! one-thread ones by construction: still one [`FrameDecoded`] per frame,
+//! never one per batch, which would let a subscriber count up to a
+//! batch of frames that `feed` has not seen yet. (The streaming pipeline
+//! coalesces each run of them on the caller, handing the run on before
+//! its next other event, so its counts at every other event are the
+//! per-frame ones too.)
 //!
 //! ```text
 //!   decode thread                              calling thread
@@ -247,10 +252,13 @@ impl Batch {
 /// each frame that decodes as a TCP segment, in capture order; `feed`
 /// reports segments it cannot use through [`skip`].
 ///
-/// `obs` hears a [`FrameDecoded`] per segment, a [`PacketSkipped`] per
-/// skip and, when damage ends the capture early, one
-/// [`CaptureTruncated`]. Fails only when the container header cannot be
-/// read (see the module docs).
+/// `obs` hears a [`FrameDecoded`] of one frame (`frames: 1`) per
+/// segment, just before `feed` gets it, a [`PacketSkipped`] per skip
+/// and, when damage ends the capture early, one [`CaptureTruncated`].
+/// The drain does not coalesce frames: a caller that does, as the
+/// streaming pipeline does, wraps `obs` and hands each run on before
+/// any other event, its own included. Fails only when the container
+/// header cannot be read (see the module docs).
 ///
 /// The source is read and decoded on a scoped thread of its own (see
 /// [Decode ahead](self#decode-ahead)); `feed` and `obs` are only ever
@@ -294,7 +302,10 @@ where
                     skip(obs, &mut drained.skipped, index, reason);
                 }
                 drained.packets += 1;
-                obs.on_event(&Event::FrameDecoded(FrameDecoded { bytes: frame.bytes }));
+                obs.on_event(&Event::FrameDecoded(FrameDecoded {
+                    frames: 1,
+                    bytes: frame.bytes,
+                }));
                 feed(frame.index, frame.ts, &frame.header, &mut drained.skipped);
             }
             for (_, index, reason) in skips {

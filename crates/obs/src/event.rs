@@ -150,10 +150,18 @@ pub struct CheckpointWritten {
     pub records: u64,
 }
 
-/// A capture frame was decoded into a TCP segment.
+/// A run of consecutive capture frames was decoded into TCP segments.
+///
+/// The drain emits one per frame (`frames: 1`). The streaming pipeline
+/// coalesces each run of them into one event, which it hands on just
+/// before any other event and when the capture ends. So a subscriber
+/// that reads its counters at any other event reads the per-frame
+/// totals, and the final totals are exact.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameDecoded {
-    /// Captured bytes of the frame.
+    /// Frames in the run.
+    pub frames: u64,
+    /// Captured bytes of those frames, summed.
     pub bytes: u64,
 }
 
@@ -480,7 +488,10 @@ mod tests {
                 invalid: 3,
             }),
             Event::CheckpointWritten(CheckpointWritten { records: 10 }),
-            Event::FrameDecoded(FrameDecoded { bytes: 60 }),
+            Event::FrameDecoded(FrameDecoded {
+                frames: 1,
+                bytes: 60,
+            }),
             Event::PacketSkipped(PacketSkipped {
                 index: 3,
                 reason: "bad header",

@@ -36,21 +36,28 @@
 //! ```
 //! use caai_obs::{Event, FlowOpened, FrameDecoded, MetricsSubscriber, Subscriber};
 //!
-//! fn ingest<S: Subscriber>(frames: &[u64], obs: &S) {
-//!     for &bytes in frames {
-//!         obs.on_event(&Event::FrameDecoded(FrameDecoded { bytes }));
+//! // Each run of decoded frames (their captured lengths) is one event,
+//! // handed on before the next other event, as the streaming pipeline
+//! // does: every count a subscriber reads at `FlowOpened` is the count
+//! // one event per frame would have given.
+//! fn ingest<S: Subscriber>(runs: &[&[u64]], obs: &S) {
+//!     for run in runs {
+//!         obs.on_event(&Event::FrameDecoded(FrameDecoded {
+//!             frames: run.len() as u64,
+//!             bytes: run.iter().sum(),
+//!         }));
 //!         obs.on_event(&Event::FlowOpened(FlowOpened {}));
 //!     }
 //! }
 //!
 //! let metrics = MetricsSubscriber::new();
-//! ingest(&[60, 1514], &metrics);
+//! ingest(&[&[60, 1514], &[60]], &metrics);
 //! let snap = metrics.snapshot();
-//! assert_eq!(snap.counters["capture.frames_decoded"], 2);
-//! assert_eq!(snap.counters["capture.bytes"], 1574);
+//! assert_eq!(snap.counters["capture.frames_decoded"], 3);
+//! assert_eq!(snap.counters["capture.bytes"], 1634);
 //!
 //! // The same call with the null subscriber compiles to the bare loop.
-//! ingest(&[60, 1514], &caai_obs::NullSubscriber);
+//! ingest(&[&[60, 1514]], &caai_obs::NullSubscriber);
 //! ```
 
 #![forbid(unsafe_code)]

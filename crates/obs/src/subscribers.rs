@@ -208,7 +208,7 @@ impl Subscriber for MetricsSubscriber {
             }
             Event::CheckpointWritten(_) => self.census_checkpoints.incr(),
             Event::FrameDecoded(e) => {
-                self.frames_decoded.incr();
+                self.frames_decoded.add(e.frames);
                 self.capture_bytes.add(e.bytes);
             }
             Event::PacketSkipped(_) => self.packets_skipped.incr(),
@@ -325,7 +325,10 @@ mod tests {
             failed_attempts: 0,
             wmax: Some(512),
         }));
-        m.on_event(&Event::FrameDecoded(FrameDecoded { bytes: 60 }));
+        m.on_event(&Event::FrameDecoded(FrameDecoded {
+            frames: 3,
+            bytes: 180,
+        }));
         m.on_event(&Event::FlowOpened(FlowOpened {}));
         m.on_event(&Event::FlowEvicted(FlowEvicted {
             cause: EvictionCause::Overflow,
@@ -343,8 +346,8 @@ mod tests {
         assert_eq!(s.counters["gather.attempts_valid"], 1);
         assert_eq!(s.counters["gather.rounds"], 12);
         assert_eq!(s.counters["gather.usable"], 1);
-        assert_eq!(s.counters["capture.frames_decoded"], 1);
-        assert_eq!(s.counters["capture.bytes"], 60);
+        assert_eq!(s.counters["capture.frames_decoded"], 3);
+        assert_eq!(s.counters["capture.bytes"], 180);
         assert_eq!(s.counters["capture.flows_evicted_overflow"], 1);
         assert_eq!(s.counters["identify.sessions"], 1);
         assert_eq!(s.counters["identify.verdicts_identified"], 1);

@@ -67,10 +67,11 @@ use caai_capture::source::{drain_segments, skip, Skips};
 use caai_capture::{session_report, CaptureError, CaptureSource, SessionReport};
 use caai_core::classify::CaaiClassifier;
 use caai_obs::{
-    span_begin, span_begin_async, Event, EvictionCause, FlowEvicted, FlowOpened, GranuleCompleted,
-    NullSubscriber, SpanKind, SpanToken, Subscriber,
+    span_begin, span_begin_async, Event, EvictionCause, FlowEvicted, FlowOpened, FrameDecoded,
+    GranuleCompleted, NullSubscriber, SpanKind, SpanToken, Subscriber,
 };
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 /// Tuning for one streaming run.
@@ -457,6 +458,70 @@ impl SessionTable {
     }
 }
 
+/// `obs` with each run of consecutive [`FrameDecoded`] events handed on
+/// as one event: just before any other event, and at [`hand_on`] when
+/// the capture ends. A subscriber that reads its counters at any other
+/// event reads the per-frame totals, while a metrics subscriber pays its
+/// locked adds once per run instead of once per frame.
+///
+/// Only the calling thread touches the pending run, so it is kept with
+/// plain loads and stores; it is atomic only because a subscriber must
+/// be `Sync`.
+///
+/// [`hand_on`]: Coalesced::hand_on
+struct Coalesced<'s, S> {
+    obs: &'s S,
+    frames: AtomicU64,
+    bytes: AtomicU64,
+}
+
+impl<'s, S: Subscriber> Coalesced<'s, S> {
+    fn new(obs: &'s S) -> Self {
+        Coalesced {
+            obs,
+            frames: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+        }
+    }
+
+    /// Hands the pending run, if any, on to `obs`.
+    fn hand_on(&self) {
+        let frames = self.frames.load(Relaxed);
+        if frames > 0 {
+            let bytes = self.bytes.load(Relaxed);
+            self.frames.store(0, Relaxed);
+            self.bytes.store(0, Relaxed);
+            self.obs
+                .on_event(&Event::FrameDecoded(FrameDecoded { frames, bytes }));
+        }
+    }
+}
+
+impl<S: Subscriber> Subscriber for Coalesced<'_, S> {
+    const ENABLED: bool = S::ENABLED;
+
+    #[inline(always)]
+    fn on_event(&self, event: &Event<'_>) {
+        if !S::ENABLED {
+            return;
+        }
+        if let Event::FrameDecoded(e) = event {
+            self.frames
+                .store(self.frames.load(Relaxed) + e.frames, Relaxed);
+            self.bytes
+                .store(self.bytes.load(Relaxed) + e.bytes, Relaxed);
+        } else {
+            self.hand_on();
+            self.obs.on_event(event);
+        }
+    }
+
+    fn flush(&self) {
+        self.hand_on();
+        self.obs.flush();
+    }
+}
+
 /// Runs the streaming pipeline to the end of the source, invoking
 /// `on_verdict` as each session's verdict becomes final — from inside
 /// this call, between two reads of the source, so it may borrow and
@@ -482,7 +547,7 @@ where
 /// [`run`] with a structured-event subscriber; like `on_verdict`, `obs`
 /// is only ever called from inside this call.
 ///
-/// On top of the capture events (`FrameDecoded`, `PacketSkipped`,
+/// On top of the capture events ([`FrameDecoded`], `PacketSkipped`,
 /// `CaptureTruncated`, [`FlowOpened`], [`FlowEvicted`] with its
 /// idle/overflow/drain cause) this emits the pipeline's own health
 /// signals: a [`GranuleCompleted`] per granule tick (tick latency, live
@@ -491,6 +556,11 @@ where
 /// [`StreamStats`] are identical to the unobserved call, and counter
 /// totals depend on the capture alone; only the wall-clock tick-latency
 /// histogram varies run to run.
+///
+/// Each run of consecutive decoded frames reaches `obs` as one
+/// [`FrameDecoded`], just before the next other event or at the end of
+/// the capture: the counters `obs` holds at any other event, a granule's
+/// snapshot among them, are the per-frame ones.
 pub fn run_obs<C, F, S>(
     source: &mut C,
     classifier: &CaaiClassifier,
@@ -503,6 +573,7 @@ where
     F: FnMut(&SessionReport),
     S: Subscriber,
 {
+    let obs = &Coalesced::new(obs);
     let mut flows = FlowTable::new(config);
     let (granule, ladder) = (flows.granule, flows.ladder);
     let mut sessions = SessionTable::new();
@@ -569,6 +640,7 @@ where
         }));
         tick_span.end(obs);
     })?;
+    obs.hand_on();
     ingest_span.end(obs);
     sessions.absorb(flows.drain_all(obs));
     for slot in sessions.take_due(None) {
@@ -601,7 +673,7 @@ mod tests {
     impl Subscriber for Order {
         fn on_event(&self, event: &Event<'_>) {
             let tag = match event {
-                Event::FrameDecoded(_) => "frame".to_owned(),
+                Event::FrameDecoded(e) => format!("frames:{}", e.frames),
                 Event::FlowOpened(_) => "open".to_owned(),
                 Event::FlowEvicted(e) => format!("evict:{:?}", e.cause),
                 Event::GranuleCompleted(e) => format!("granule:{}", e.granule),
@@ -696,20 +768,22 @@ mod tests {
         )
         .expect("capture parses");
 
+        // A run of frames is handed on before the next other event, span
+        // events included (Order does not record them): the reassembly
+        // span the first frame after a tick opens ends a run of one.
         let expected = [
-            "frame",
+            "frames:1",
             "open",
             "granule:0",
-            "frame",
-            "frame",
-            "frame",     // t = 100 joins flow A ...
+            "frames:1",
+            "frames:2",  // t = 100 joins flow A ...
             "granule:3", // ... so this tick evicts nothing
-            "frame",
+            "frames:1",
             "open",
             "evict:Idle", // A, one flow, at the t = 300 tick
             "granule:10",
-            "frame",
-            "frame",
+            "frames:1",
+            "frames:1",
             "evict:Drain",
         ];
         assert_eq!(*order.0.lock().unwrap(), expected);

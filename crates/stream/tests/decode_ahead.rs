@@ -59,6 +59,7 @@ where
             Ok(seg) => {
                 drained.packets += 1;
                 obs.on_event(&Event::FrameDecoded(FrameDecoded {
+                    frames: 1,
                     bytes: frame.data.len() as u64,
                 }));
                 let header = SegmentHeader::from(&seg);
@@ -83,7 +84,7 @@ impl Recorder {
 impl Subscriber for Recorder {
     fn on_event(&self, event: &Event<'_>) {
         self.push(match event {
-            Event::FrameDecoded(e) => format!("frame {}", e.bytes),
+            Event::FrameDecoded(e) => format!("frame {} {}", e.frames, e.bytes),
             Event::PacketSkipped(e) => format!("skip {} {}", e.index, e.reason),
             Event::CaptureTruncated(e) => format!("truncated {} {}", e.packets, e.reason),
             other => format!("{other:?}"),

@@ -10,7 +10,7 @@
 //! `--progress` lines render those same counters, and that `--json`
 //! stdout is never interleaved with diagnostics.
 
-use caai::capture::CaptureRenderer;
+use caai::capture::{decode, CaptureRenderer, PcapReader};
 use caai::congestion::AlgorithmId;
 use caai::core::classify::CaaiClassifier;
 use caai::core::prober::{Prober, ProberConfig};
@@ -149,6 +149,53 @@ fn stream_counters_match_offline() {
         offline["capture.flows_evicted_drain"],
         offline["capture.flows_opened"]
     );
+}
+
+/// The frame counters against a count made without the pipeline: a plain
+/// `PcapReader` walk, stopped at the torn tail, keeping the frames that
+/// `decode` accepts. Offline and in follow mode alike,
+/// `capture.frames_decoded` is the pipeline's own packet count and that
+/// count, and `capture.bytes` is those frames' captured length.
+#[test]
+fn frame_counters_equal_an_independent_count_offline_and_in_follow_mode() {
+    let capture = damaged_capture();
+    let (mut frames, mut bytes) = (0u64, 0u64);
+    let mut reader = PcapReader::new(capture).expect("the header is intact");
+    while let Some(Ok(record)) = reader.next() {
+        if decode(record.data).is_ok() {
+            frames += 1;
+            bytes += record.data.len() as u64;
+        }
+    }
+    assert!(frames > 0);
+
+    let metrics = MetricsSubscriber::new();
+    let offline = identify_bytes_obs(capture, classifier(), None, &metrics)
+        .expect("mid-capture damage is tolerated");
+    assert!(offline.truncated.is_some(), "the chopped tail");
+    let offline_counters = metrics.snapshot().counters;
+
+    let metrics = MetricsSubscriber::new();
+    let mut source = PcapStream::new(std::io::Cursor::new(capture), StallPolicy::Eof);
+    let follow = run_obs(
+        &mut source,
+        classifier(),
+        &StreamConfig::default(),
+        |_r| {},
+        &metrics,
+    )
+    .expect("mid-stream damage is tolerated");
+    let follow_counters = metrics.snapshot().counters;
+    assert!(follow_counters["stream.granules"] > 0, "follow mode ticked");
+
+    for (mode, packets, counters) in [
+        ("offline", offline.packets as u64, &offline_counters),
+        ("follow", follow.packets, &follow_counters),
+    ] {
+        assert_eq!(counters["capture.frames_decoded"], packets, "{mode}");
+        assert_eq!(packets, frames, "{mode}: frames that decode");
+        assert_eq!(counters["capture.bytes"], bytes, "{mode}: their bytes");
+    }
 }
 
 /// The eviction accounting contract, pinned explicitly: every flow the
