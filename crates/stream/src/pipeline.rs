@@ -503,7 +503,7 @@ impl<S: Subscriber> Subscriber for Coalesced<'_, S> {
     #[inline(always)]
     fn on_event(&self, event: &Event<'_>) {
         if !S::ENABLED {
-            return;
+            return; // keeps the unobserved pipeline free of the count
         }
         if let Event::FrameDecoded(e) = event {
             self.frames
