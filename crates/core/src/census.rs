@@ -33,9 +33,9 @@ use crate::trace::InvalidReason;
 /// forest ran.
 ///
 /// This is the **single** verdict pipeline: the synthetic census
-/// (`Census::probe_seeded`) and capture ingestion (`caai-capture`) both
-/// call it, so a simulated probe and its recorded wire exchange can never
-/// be scored by diverging rules.
+/// (`Census::probe_seeded`), capture ingestion (`caai-capture`) and
+/// `caai identify --algo` all call it, so a simulated probe and its
+/// recorded wire exchange can never be scored by diverging rules.
 pub fn verdict_for_outcome(
     outcome: &GatherOutcome,
     classifier: &CaaiClassifier,

@@ -14,19 +14,20 @@
 
 use caai::capture::{CaptureRenderer, SessionReport};
 use caai::congestion::AlgorithmId;
-use caai::core::census::{Census, CensusReport, Verdict};
+use caai::core::census::{verdict_for_outcome, Census, CensusReport, Verdict};
 use caai::core::classify::{CaaiClassifier, Identification};
 use caai::core::features::{extract_pair, FeatureVector};
-use caai::core::prober::{Prober, ProberConfig};
+use caai::core::prober::{GatherOutcome, Prober, ProberConfig};
 use caai::core::server_under_test::ServerUnderTest;
 use caai::core::training::{build_training_set, TrainingConfig};
+use caai::core::InvalidReason::NeverExceededThreshold;
 use caai::engine::{
     merge_pieces, run_transport_obs, Budget, CensusEngine, Checkpoint, EngineConfig, EngineOutcome,
     JsonlMeta, JsonlSink, ResultSink, ShardSpec,
 };
 use caai::net::{read_targets, Behavior, EmulatedServer, NetConfig, NetTransport};
 use caai::netem::rng::seeded;
-use caai::netem::{ConditionDb, EnvironmentId, PathConfig};
+use caai::netem::{ConditionDb, PathConfig};
 use caai::obs::{
     Event, MetricsSnapshot, MetricsSubscriber, StderrSubscriber, Subscriber, TraceAnalysis,
     TraceSubscriber, VerdictKind,
@@ -67,26 +68,14 @@ const LIVE: &str = ": set --max-sessions instead";
 const EITHER: &str = "a census probes either a live target list or a synthetic population";
 
 #[rustfmt::skip]
-const COMMANDS: [Subcommand; 11] = [
+const COMMANDS: [Subcommand; 9] = [
     Subcommand("algorithms", "list the implemented congestion avoidance algorithms", cmd_algorithms, &[]),
-    Subcommand("trace", "gather one window trace from a simulated server", cmd_trace, &[
-        Flag("algo", "NAME", "", "the server's algorithm (see `caai algorithms`)", Free),
-        Flag("env", "A|B", "A", "the emulated network environment", Free),
-        Flag("wmax", "512", "512", "w_max of the gathered trace", Free),
-        Flag("loss", "0.0", "0.0", "path loss rate, in [0, 1)", Free),
-        Flag("seed", "1", "1", "random seed", Free),
-    ]),
-    Subcommand("fingerprint", "gather both environments and print the feature vector", cmd_fingerprint, &[
-        Flag("algo", "NAME", "", "the server's algorithm (see `caai algorithms`)", Free),
-        Flag("loss", "0.0", "0.0", "path loss rate, in [0, 1)", Free),
-        Flag("seed", "1", "1", "random seed", Free),
-    ]),
     Subcommand("train", "collect a training set and save the classifier as JSON", cmd_train, &[
         Flag("conditions", "10", "10", "network conditions per (algorithm, w_max) pair", Free),
         Flag("out", "model.json", "model.json", "where to write the classifier", Free),
         Flag("seed", "1", "1", "random seed", Free),
     ]),
-    Subcommand("identify", "identify one simulated server, or every probe flow of a capture", cmd_identify, &[
+    Subcommand("identify", "trace and identify one simulated server, or every probe flow of a capture", cmd_identify, &[
         Flag("algo", "NAME", "", "simulate a server running NAME", Excludes("pcap", "")),
         Flag("model", "model.json", "", "classify with a saved classifier", Free),
         Flag("conditions", "6", "6", "else train one on this many conditions", Excludes("model", "")),
@@ -325,6 +314,20 @@ impl Args {
             .transpose()
     }
 
+    /// The number `--key` gives, if it was given or has a default,
+    /// refused outside `range` (spelled `shown`); NaN is outside any.
+    fn within(
+        &self,
+        key: &str,
+        range: impl std::ops::RangeBounds<f64>,
+        shown: &str,
+    ) -> Result<Option<f64>, String> {
+        match self.optional::<f64>(key)? {
+            Some(v) if !range.contains(&v) => Err(format!("--{key} {v} out of {shown}")),
+            v => Ok(v),
+        }
+    }
+
     fn algo(&self) -> Result<AlgorithmId, String> {
         let name = self
             .get("algo")
@@ -333,14 +336,9 @@ impl Args {
     }
 
     fn path_config(&self) -> Result<PathConfig, String> {
-        let loss: f64 = self.parsed("loss")?;
-        if !(0.0..1.0).contains(&loss) {
-            return Err(format!("--loss {loss} out of [0, 1)"));
-        }
-        Ok(if loss > 0.0 {
-            PathConfig::lossy(loss)
-        } else {
-            PathConfig::clean()
+        Ok(match self.within("loss", 0.0..1.0, "[0, 1)")? {
+            Some(loss) if loss > 0.0 => PathConfig::lossy(loss),
+            _ => PathConfig::clean(),
         })
     }
 }
@@ -396,64 +394,6 @@ fn cmd_algorithms(_args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(args: &Args) -> Result<(), String> {
-    let algo = args.algo()?;
-    let wmax: u32 = args.parsed("wmax")?;
-    let seed: u64 = args.parsed("seed")?;
-    let env = match args.parsed::<String>("env")?.as_str() {
-        "A" | "a" => EnvironmentId::A,
-        "B" | "b" => EnvironmentId::B,
-        other => return Err(format!("--env {other}: expected A or B")),
-    };
-    let path = args.path_config()?;
-    let server = ServerUnderTest::ideal(algo);
-    let prober = Prober::new(ProberConfig::fixed_wmax(wmax));
-    let mut rng = seeded(seed);
-    let (trace, _) = prober.gather_trace(&server, env, wmax, 0.0, &path, &mut rng);
-    println!("algorithm: {algo}   environment: {env:?}   w_max: {wmax}");
-    match trace.invalid {
-        Some(reason) => println!("INVALID trace: {reason:?}"),
-        None => println!("valid trace"),
-    }
-    println!("\nround  window   (pre-timeout)");
-    for (i, w) in trace.pre.iter().enumerate() {
-        println!("{:>5}  {w}", i + 1);
-    }
-    println!("\nround  window   (post-timeout)");
-    for (i, w) in trace.post.iter().enumerate() {
-        println!("{:>5}  {w}", i + 1);
-    }
-    Ok(())
-}
-
-fn gather_vector(
-    algo: AlgorithmId,
-    path: &PathConfig,
-    seed: u64,
-) -> Result<(FeatureVector, u32), String> {
-    let server = ServerUnderTest::ideal(algo);
-    let prober = Prober::new(ProberConfig::default());
-    let mut rng = seeded(seed);
-    let outcome = prober.gather(&server, path, &mut rng);
-    let failure = outcome.failure_reason();
-    let pair = outcome
-        .pair
-        .ok_or_else(|| format!("gathering failed: {failure:?}"))?;
-    Ok((extract_pair(&pair), pair.wmax_threshold()))
-}
-
-fn cmd_fingerprint(args: &Args) -> Result<(), String> {
-    let algo = args.algo()?;
-    let seed: u64 = args.parsed("seed")?;
-    let path = args.path_config()?;
-    let (vector, wmax) = gather_vector(algo, &path, seed)?;
-    println!("algorithm: {algo}   w_max rung: {wmax}");
-    for (name, value) in FeatureVector::element_names().iter().zip(vector.values) {
-        println!("{name:>10} = {value:.3}");
-    }
-    Ok(())
-}
-
 fn train_classifier(conditions: usize, seed: u64) -> CaaiClassifier {
     let db = ConditionDb::paper_2011();
     let mut rng = seeded(seed);
@@ -492,27 +432,69 @@ fn cmd_identify(args: &Args) -> Result<(), String> {
     let seed: u64 = args.parsed("seed")?;
     let path = args.path_config()?;
     let classifier = load_or_train(args)?;
-    let (vector, wmax) = gather_vector(algo, &path, seed)?;
-    println!("probed at w_max rung {wmax}; vector: {:.2?}", vector.values);
-    match classifier.classify(&vector) {
-        Identification::Identified { class, confidence } => {
-            println!(
-                "identified: {class} ({:.0}% of forest votes)",
-                100.0 * confidence
-            );
-            println!("ground truth: {algo}");
-        }
-        Identification::Unsure {
-            best_guess,
+    let prober = Prober::new(ProberConfig::default());
+    let outcome = prober.gather(&ServerUnderTest::ideal(algo), &path, &mut seeded(seed));
+    print_gather(&outcome);
+    let (verdict, identification) = verdict_for_outcome(&outcome, &classifier);
+    println!("{}", verdict_line(verdict, identification));
+    if let Some(
+        Identification::Identified { class, confidence }
+        | Identification::Unsure {
+            best_guess: class,
             confidence,
-        } => {
-            println!(
-                "Unsure TCP (best guess {best_guess}, {:.0}%)",
-                100.0 * confidence
-            );
+        },
+    ) = identification
+    {
+        println!(
+            "forest: top class {class}, {:.0}% of votes",
+            100.0 * confidence
+        );
+    }
+    println!("ground truth: {algo}");
+    Ok(())
+}
+
+/// What `identify --algo` shows of one gather: a line per attempt of the
+/// ladder walk, in the order they ran, then the pair's windows and its
+/// feature vector.
+fn print_gather(outcome: &GatherOutcome) {
+    let legs = outcome.pair.as_ref().map(|p| [&p.env_a, &p.env_b]);
+    let attempts = outcome
+        .failed_attempts
+        .iter()
+        .chain(legs.into_iter().flatten());
+    for (i, trace) in attempts.enumerate() {
+        println!(
+            "attempt {}  environment {:?}  w_max {}  {}",
+            i + 1,
+            trace.env,
+            trace.wmax_threshold,
+            trace
+                .invalid
+                .map_or("valid".to_owned(), |reason| format!("invalid: {reason:?}")),
+        );
+    }
+    let Some(pair) = &outcome.pair else {
+        return;
+    };
+    for trace in [&pair.env_a, &pair.env_b] {
+        println!(
+            "\nenvironment: {:?}   w_max: {}",
+            trace.env, trace.wmax_threshold
+        );
+        for (phase, windows) in [("pre", &trace.pre), ("post", &trace.post)] {
+            println!("\nround  window   ({phase}-timeout)");
+            for (i, w) in windows.iter().enumerate() {
+                println!("{:>5}  {w}", i + 1);
+            }
         }
     }
-    Ok(())
+    println!("\nfeature vector at w_max rung {}:", pair.wmax_threshold());
+    let vector = extract_pair(pair);
+    for (name, value) in FeatureVector::element_names().iter().zip(vector.values) {
+        println!("{name:>10} = {value:.3}");
+    }
+    println!();
 }
 
 fn ip(addr: [u8; 4]) -> String {
@@ -528,22 +510,25 @@ fn describe_session(s: &SessionReport) -> String {
         s.flows,
         if s.flows == 1 { " " } else { "s" },
     );
-    let verdict = match s.record.verdict {
+    format!(
+        "{head}  {}",
+        verdict_line(s.record.verdict, s.identification)
+    )
+}
+
+/// A verdict as `identify` prints it, for a capture's flow and for a
+/// simulated server alike; `identification` is the forest's output,
+/// when it ran.
+fn verdict_line(verdict: Verdict, identification: Option<Identification>) -> String {
+    let votes = 100.0 * identification.map_or(0.0, |i| i.confidence());
+    match verdict {
         Verdict::Identified(class, wmax) => {
-            let conf = s.identification.map_or(0.0, |i| i.confidence());
-            format!(
-                "identified: {class} ({:.0}% of forest votes) at w_max {wmax}",
-                100.0 * conf
-            )
+            format!("identified: {class} ({votes:.0}% of forest votes) at w_max {wmax}")
         }
-        Verdict::Unsure(wmax) => {
-            let conf = s.identification.map_or(0.0, |i| i.confidence());
-            format!("Unsure TCP ({:.0}%) at w_max {wmax}", 100.0 * conf)
-        }
+        Verdict::Unsure(wmax) => format!("Unsure TCP ({votes:.0}%) at w_max {wmax}"),
         Verdict::Special(case, wmax) => format!("[special] {case} at w_max {wmax}"),
         Verdict::Invalid(reason) => format!("invalid: {reason:?}"),
-    };
-    format!("{head}  {verdict}")
+    }
 }
 
 /// The per-session JSON object shared by `--json` offline documents and
@@ -945,6 +930,21 @@ fn render_address(host: u16) -> [u8; 4] {
     }
 }
 
+/// What one rendered gather came to: the pair's rung, or the bare name
+/// of the reason a census would file it under.
+fn gather_result(outcome: &GatherOutcome) -> String {
+    match &outcome.pair {
+        Some(pair) => format!("usable pair at w_max {}", pair.wmax_threshold()),
+        None => {
+            let reason = outcome.failure_reason();
+            format!(
+                "no usable pair ({:?})",
+                reason.unwrap_or(NeverExceededThreshold)
+            )
+        }
+    }
+}
+
 fn cmd_render_pcap(args: &Args) -> Result<(), String> {
     let out = args
         .get("out")
@@ -990,10 +990,7 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
         eprintln!(
             "rendered {algo} as {}: {}",
             ip(render_address(host)),
-            match outcome.pair {
-                Some(pair) => format!("usable pair at w_max {}", pair.wmax_threshold()),
-                None => format!("no usable pair ({:?})", outcome.failure_reason()),
-            }
+            gather_result(&outcome),
         );
     }
     for _ in 0..short {
@@ -1012,9 +1009,9 @@ fn cmd_render_pcap(args: &Args) -> Result<(), String> {
         web.quirk = caai::tcpsim::SenderQuirk::None;
         let outcome = render(host, &ServerUnderTest::from_web_server(&web), &mut rng)?;
         eprintln!(
-            "rendered short-page server as {}: {:?}",
+            "rendered short-page server as {}: {}",
             ip(render_address(host)),
-            outcome.failure_reason()
+            gather_result(&outcome),
         );
     }
 
@@ -1167,6 +1164,21 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     let max_sessions = args.count("max-sessions")?;
     let config = engine_config(args)?;
     let shard = config.shard;
+    // 0 is unlimited; a negative or NaN rate is refused, not read as 0.
+    let rate = |key| {
+        args.within(key, 0.0..f64::INFINITY, "[0, inf)")
+            .map(Option::unwrap_or_default)
+    };
+    let net_config = NetConfig {
+        prober: ProberConfig::default(),
+        connect_timeout: Duration::from_millis(args.parsed("connect-timeout-ms")?),
+        io_timeout: Duration::from_millis(args.parsed("io-timeout-ms")?),
+        retries: args.parsed("retries")?,
+        backoff: Duration::from_millis(args.parsed("backoff-ms")?),
+        rate: rate("probe-rate")?,
+        rate_per_net: rate("net-rate")?,
+        max_sessions,
+    };
     let list = read_targets(std::path::Path::new(targets_path))
         .map_err(|e| format!("read {targets_path}: {e}"))?;
     for skipped in &list.skipped {
@@ -1187,16 +1199,6 @@ fn cmd_census_net(args: &Args, targets_path: &str) -> Result<(), String> {
     let population = list.targets.len() as u64;
 
     let classifier = load_or_train(args)?;
-    let net_config = NetConfig {
-        prober: ProberConfig::default(),
-        connect_timeout: Duration::from_millis(args.parsed("connect-timeout-ms")?),
-        io_timeout: Duration::from_millis(args.parsed("io-timeout-ms")?),
-        retries: args.parsed("retries")?,
-        backoff: Duration::from_millis(args.parsed("backoff-ms")?),
-        rate: args.parsed("probe-rate")?,
-        rate_per_net: args.parsed("net-rate")?,
-        max_sessions,
-    };
     // The transport and the engine share one subscriber stack: reactor
     // ticks, rate-limiter stalls, and reactor-side spans land next to
     // probe and census counters in the same --metrics / --trace outputs.
@@ -1392,7 +1394,7 @@ fn cmd_trace_report(args: &Args) -> Result<(), String> {
         return Err("trace-report needs at least one --in FILE".to_owned());
     }
     let top: usize = args.parsed("top")?;
-    let min_gather_share: Option<f64> = args.optional("min-gather-share")?;
+    let min_gather_share = args.within("min-gather-share", 0.0..=1.0, "[0, 1]")?;
     for path in inputs {
         let read = caai::obs::report::read_file(std::path::Path::new(path))
             .map_err(|e| format!("read {path}: {e}"))?;
@@ -1600,13 +1602,10 @@ mod tests {
             Ok(Some(Duration::from_secs(30)))
         );
         assert_eq!(identify.count("conditions"), Ok(6));
-        for command in ["trace", "fingerprint", "identify", "render-pcap"] {
+        for command in ["identify", "render-pcap"] {
             let a = args(command, &[]);
             assert!(a.path_config().is_ok() && a.parsed::<u64>("seed") == Ok(1));
         }
-        let trace = args("trace", &[]);
-        assert_eq!(trace.parsed::<u32>("wmax"), Ok(512));
-        assert_eq!(trace.parsed::<String>("env").as_deref(), Ok("A"));
         assert_eq!(args("render-pcap", &[]).parsed::<u32>("short"), Ok(0));
         let train = args("train", &[]);
         assert_eq!(train.count("conditions"), Ok(10));
@@ -1625,35 +1624,35 @@ mod tests {
 
     #[test]
     fn parses_key_value_pairs_in_both_forms() {
-        let a = args("trace", &["--algo", "CUBIC", "--seed=42"]);
+        let a = args("identify", &["--algo", "CUBIC", "--seed=42"]);
         assert_eq!(a.get("algo"), Some("CUBIC"));
         assert_eq!(a.parsed::<u64>("seed").unwrap(), 42);
     }
 
     #[test]
     fn later_flags_win() {
-        let a = args("trace", &["--seed", "1", "--seed", "2"]);
+        let a = args("identify", &["--seed", "1", "--seed", "2"]);
         assert_eq!(a.parsed::<u64>("seed").unwrap(), 2);
     }
 
     #[test]
     fn missing_flags_fall_back_to_defaults() {
-        let a = args("trace", &[]);
-        assert_eq!(a.parsed::<u32>("wmax").unwrap(), 512);
+        let a = args("identify", &[]);
+        assert_eq!(a.parsed::<u64>("seed").unwrap(), 1);
         assert!(a.algo().is_err());
     }
 
     #[test]
     fn algo_parsing_uses_the_registry_aliases() {
-        let a = args("trace", &["--algo", "cubic"]);
+        let a = args("identify", &["--algo", "cubic"]);
         assert_eq!(a.algo().unwrap(), AlgorithmId::CubicV2);
-        let a = args("trace", &["--algo", "westwood"]);
+        let a = args("identify", &["--algo", "westwood"]);
         assert_eq!(a.algo().unwrap(), AlgorithmId::WestwoodPlus);
     }
 
     #[test]
     fn dangling_flag_is_rejected() {
-        assert!(parse("trace", &["--seed"]).is_err());
+        assert!(parse("identify", &["--seed"]).is_err());
     }
 
     #[test]
@@ -1665,7 +1664,7 @@ mod tests {
 
     #[test]
     fn positional_arguments_are_rejected() {
-        assert!(parse("trace", &["oops"]).is_err());
+        assert!(parse("render-pcap", &["oops"]).is_err());
     }
 
     #[test]
@@ -1797,9 +1796,9 @@ mod tests {
 
     #[test]
     fn loss_out_of_range_is_rejected() {
-        let a = args("trace", &["--loss", "1.5"]);
+        let a = args("render-pcap", &["--loss", "1.5"]);
         assert!(a.path_config().is_err());
-        let a = args("trace", &["--loss", "0.02"]);
+        let a = args("render-pcap", &["--loss", "0.02"]);
         assert!(a.path_config().is_ok());
     }
 

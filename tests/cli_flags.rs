@@ -176,4 +176,39 @@ fn out_of_range_values_are_usage_errors_not_panics() {
         refused(&["census", "--servers", "10", "--batch", "0"]),
         "--batch must be at least 1"
     );
+    // Refused before a file is read: the trace need not exist.
+    for value in ["NaN", "-1", "1.5"] {
+        assert_eq!(
+            refused(&[
+                "trace-report",
+                "--in",
+                "never-read.json",
+                "--min-gather-share",
+                value
+            ]),
+            format!("--min-gather-share {value} out of [0, 1]")
+        );
+    }
+    // Refused before the target list is read or a model is trained.
+    for flag in ["--probe-rate", "--net-rate"] {
+        for value in ["NaN", "-1", "inf"] {
+            assert_eq!(
+                refused(&["census", "--targets", "never-read.txt", flag, value]),
+                format!("{flag} {value} out of [0, inf)")
+            );
+        }
+    }
+}
+
+#[test]
+fn the_folded_commands_are_unknown() {
+    for command in ["trace", "fingerprint"] {
+        let out = caai(&[command, "--algo", "RENO"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: unknown command `{command}`\n")),
+            "{command}: {stderr}"
+        );
+    }
 }
